@@ -565,13 +565,20 @@ func (m *Module) CompileIndexCmp(keyTypes []types.T) (func(a, b []types.Datum) i
 	return cmp, true
 }
 
+// BatchKeyHash is the batch form of an EVJ key hasher, in the style of
+// CompiledBatchPred: one invocation hashes the key columns of every live
+// row of a batch (cand nil means all of rows), appending to out in
+// live-row order, so the bee-call wrapper runs once per batch.
+type BatchKeyHash func(rows []expr.Row, cand []int32, out []uint64) []uint64
+
 // JoinKeyFuncs is an EVJ bee routine for hash joins: specialized hash and
-// equality over baked key ordinals and types.
+// equality over baked key ordinals and types. The hashers and the
+// per-candidate Match share the bee's query/EVJ cache and quarantine key.
 type JoinKeyFuncs struct {
-	// HashOuter hashes the outer row's key columns.
-	HashOuter func(row expr.Row) uint64
-	// HashInner hashes the inner row's key columns.
-	HashInner func(row expr.Row) uint64
+	// HashOuterBatch hashes the outer rows' key columns.
+	HashOuterBatch BatchKeyHash
+	// HashInnerBatch hashes the inner rows' key columns.
+	HashInnerBatch BatchKeyHash
 	// Match reports whether outer and inner rows join.
 	Match func(outer, inner expr.Row) bool
 	// Cost is the abstract instruction cost of one Match invocation.
@@ -602,6 +609,14 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 		m.maybePanic("query/EVJ", name)
 		return inner(outer, innerRow)
 	}
+	guard := func(h BatchKeyHash) BatchKeyHash {
+		return func(rows []expr.Row, cand []int32, out []uint64) []uint64 {
+			m.maybePanic("query/EVJ", name)
+			return h(rows, cand, out)
+		}
+	}
+	jk.HashOuterBatch = guard(jk.HashOuterBatch)
+	jk.HashInnerBatch = guard(jk.HashInnerBatch)
 	return jk, true
 }
 

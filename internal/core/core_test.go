@@ -443,8 +443,15 @@ func TestCompileJoinKeys(t *testing.T) {
 	if !jk.Match(outer, inner) {
 		t.Error("keys 7=7 must match")
 	}
-	if jk.HashOuter(outer) != jk.HashInner(inner) {
+	hashOne := func(h BatchKeyHash, row expr.Row) uint64 { return h([]expr.Row{row}, nil, nil)[0] }
+	if hashOne(jk.HashOuterBatch, outer) != hashOne(jk.HashInnerBatch, inner) {
 		t.Error("hashes of equal keys must agree")
+	}
+	// The candidate form hashes only the listed rows, in list order.
+	other := expr.Row{types.NewInt32(9), types.NewInt32(0)}
+	got := jk.HashOuterBatch([]expr.Row{other, outer, other}, []int32{1, 0}, nil)
+	if len(got) != 2 || got[0] != hashOne(jk.HashOuterBatch, outer) || got[1] != hashOne(jk.HashOuterBatch, other) {
+		t.Errorf("candidate hashing = %v", got)
 	}
 	inner[1] = types.NewInt32(8)
 	if jk.Match(outer, inner) {
@@ -454,7 +461,7 @@ func TestCompileJoinKeys(t *testing.T) {
 	jk2, _ := m.CompileJoinKeys([]int{0, 1}, []int{0, 1}, []types.T{types.Int32, types.Varchar(4)})
 	a := expr.Row{types.NewInt32(1), types.NewString("ab")}
 	b := expr.Row{types.NewInt32(1), types.NewString("ab")}
-	if !jk2.Match(a, b) || jk2.HashOuter(a) != jk2.HashInner(b) {
+	if !jk2.Match(a, b) || hashOne(jk2.HashOuterBatch, a) != hashOne(jk2.HashInnerBatch, b) {
 		t.Error("multi-key match/hash wrong")
 	}
 	b[1] = types.NewString("ac")

@@ -70,7 +70,7 @@ func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natt
 		if p == nil {
 			return nil, false
 		}
-		attr, ok := maxVarIdx(c)
+		attr, ok := MaxVarIdx(c)
 		if !ok || attr >= natts {
 			return nil, false
 		}
@@ -143,10 +143,12 @@ func flattenAnd(e expr.Expr, into []expr.Expr) []expr.Expr {
 	return append(into, e)
 }
 
-// maxVarIdx returns the highest row ordinal e reads (-1 when it reads
+// MaxVarIdx returns the highest row ordinal e reads (-1 when it reads
 // none) and ok=false for shapes outside the snippet library's coverage —
-// the same node set compileNode handles.
-func maxVarIdx(e expr.Expr) (int, bool) {
+// the same node set compileNode handles. Besides scheduling fused
+// conjuncts, it tells a semi/anti hash join how much of each inner row
+// its residual can read.
+func MaxVarIdx(e expr.Expr) (int, bool) {
 	switch n := e.(type) {
 	case nil:
 		return -1, true
@@ -165,25 +167,25 @@ func maxVarIdx(e expr.Expr) (int, bool) {
 	case *expr.Or:
 		return maxVarList(n.Kids)
 	case *expr.Not:
-		return maxVarIdx(n.Kid)
+		return MaxVarIdx(n.Kid)
 	case *expr.IsNull:
-		return maxVarIdx(n.Kid)
+		return MaxVarIdx(n.Kid)
 	case *expr.Like:
-		return maxVarIdx(n.Kid)
+		return MaxVarIdx(n.Kid)
 	case *expr.InList:
-		return maxVarIdx(n.Kid)
+		return MaxVarIdx(n.Kid)
 	case *expr.DateArith:
-		return maxVarIdx(n.L)
+		return MaxVarIdx(n.L)
 	case *expr.ExtractYear:
-		return maxVarIdx(n.Kid)
+		return MaxVarIdx(n.Kid)
 	case *expr.Neg:
-		return maxVarIdx(n.Kid)
+		return MaxVarIdx(n.Kid)
 	case *expr.Substring:
 		hi, ok := maxVar2(n.Start, n.Span)
 		if !ok {
 			return 0, false
 		}
-		k, ok := maxVarIdx(n.Kid)
+		k, ok := MaxVarIdx(n.Kid)
 		if !ok {
 			return 0, false
 		}
@@ -198,7 +200,7 @@ func maxVarIdx(e expr.Expr) (int, bool) {
 			hi = max(hi, m)
 		}
 		if n.Else != nil {
-			m, ok := maxVarIdx(n.Else)
+			m, ok := MaxVarIdx(n.Else)
 			if !ok {
 				return 0, false
 			}
@@ -210,11 +212,11 @@ func maxVarIdx(e expr.Expr) (int, bool) {
 }
 
 func maxVar2(l, r expr.Expr) (int, bool) {
-	a, ok := maxVarIdx(l)
+	a, ok := MaxVarIdx(l)
 	if !ok {
 		return 0, false
 	}
-	b, ok := maxVarIdx(r)
+	b, ok := MaxVarIdx(r)
 	if !ok {
 		return 0, false
 	}
@@ -224,7 +226,7 @@ func maxVar2(l, r expr.Expr) (int, bool) {
 func maxVarList(kids []expr.Expr) (int, bool) {
 	hi := -1
 	for _, k := range kids {
-		m, ok := maxVarIdx(k)
+		m, ok := MaxVarIdx(k)
 		if !ok {
 			return 0, false
 		}

@@ -582,17 +582,10 @@ func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs
 	for i, t := range keyTypes {
 		byVal[i] = t.ByValue()
 	}
-	hash := func(row expr.Row, idx []int) uint64 {
-		h := uint64(14695981039346656037)
-		for _, i := range idx {
-			h = (h ^ row[i].Hash()) * 1099511628211
-		}
-		return h
-	}
 	jk := &JoinKeyFuncs{
-		HashOuter: func(row expr.Row) uint64 { return hash(row, oIdx) },
-		HashInner: func(row expr.Row) uint64 { return hash(row, iIdx) },
-		Cost:      int64(15 + 8*len(oIdx)), // profile.EVJBase + n*EVJKey
+		HashOuterBatch: compileBatchKeyHash(oIdx, byVal),
+		HashInnerBatch: compileBatchKeyHash(iIdx, byVal),
+		Cost:           int64(15 + 8*len(oIdx)), // profile.EVJBase + n*EVJKey
 	}
 	// Single-key fast paths: the dominant TPC-H shape.
 	if len(oIdx) == 1 && byVal[0] {
@@ -623,6 +616,67 @@ func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs
 		return true
 	}
 	return jk
+}
+
+// nullKeyHash is the hash of a NULL join key. NULL keys never match, so
+// the value only has to keep them out of the chains of real keys.
+const nullKeyHash = 0x9e3779b97f4a7c15
+
+// hashByValKey hashes one by-value key datum: its raw 8-byte value. The
+// hash table spreads these bits itself (exec.HashJoin multiplies before
+// taking a slot), so no byte loop is needed here.
+func hashByValKey(d types.Datum) uint64 {
+	if d.IsNull() {
+		return nullKeyHash
+	}
+	return uint64(d.I)
+}
+
+// compileBatchKeyHash builds one side's batch key hasher. The key-kind
+// dispatch happens here, once per bee: the returned routine's row loop is
+// straight-line for the single by-value key (the dominant TPC-H shape)
+// and consults only the baked byVal flags otherwise.
+func compileBatchKeyHash(idx []int, byVal []bool) BatchKeyHash {
+	if len(idx) == 1 && byVal[0] {
+		k := idx[0]
+		return func(rows []expr.Row, cand []int32, out []uint64) []uint64 {
+			if cand != nil {
+				for _, i := range cand {
+					out = append(out, hashByValKey(rows[i][k]))
+				}
+				return out
+			}
+			for _, row := range rows {
+				out = append(out, hashByValKey(row[k]))
+			}
+			return out
+		}
+	}
+	hashRow := func(row expr.Row) uint64 {
+		h := uint64(14695981039346656037)
+		for j, k := range idx {
+			var x uint64
+			if byVal[j] {
+				x = hashByValKey(row[k])
+			} else {
+				x = row[k].Hash()
+			}
+			h = (h ^ x) * 1099511628211
+		}
+		return h
+	}
+	return func(rows []expr.Row, cand []int32, out []uint64) []uint64 {
+		if cand != nil {
+			for _, i := range cand {
+				out = append(out, hashRow(rows[i]))
+			}
+			return out
+		}
+		for _, row := range rows {
+			out = append(out, hashRow(row))
+		}
+		return out
+	}
 }
 
 // compileIndexCmp builds the IDX comparator: per-position comparison

@@ -44,8 +44,9 @@ func TestBatchMatchesTupleTPCH(t *testing.T) {
 // TestBatchPlanShapes pins that the planner actually chooses the batch
 // path by default and renders it: a serial scan→filter→agg spine becomes
 // BatchHashAgg over a BatchSeqScan with the filter fused into the scan
-// (the composed [GCL+EVP] routine), spines feeding joins sit behind
-// Rebatch adapters, and disabling batching restores the tuple operators.
+// (the composed [GCL+EVP] routine), joins take their scans' batches
+// directly (no Rebatch beneath a HashJoin) and feed a BatchHashAgg, and
+// disabling batching restores the tuple operators.
 func TestBatchPlanShapes(t *testing.T) {
 	db := analyzeDB(t)
 	defer db.SetWorkers(2)
@@ -66,8 +67,9 @@ func TestBatchPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Rebatch") || !strings.Contains(out, "HashJoin") {
-		t.Errorf("Q3 explain missing Rebatch adapters under joins:\n%s", out)
+	if strings.Contains(out, "Rebatch") || !strings.Contains(out, "BatchHashAgg") ||
+		strings.Count(out, "HashJoin") != 2 || strings.Count(out, "BatchSeqScan") != 3 {
+		t.Errorf("Q3 should batch scan → join → join → aggregate with no Rebatch:\n%s", out)
 	}
 
 	db.SetBatch(false)

@@ -381,18 +381,20 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and orders its child's rows.
+// Sort materializes and orders its child's rows. The rows live in an
+// arena until Close, so they stay valid across Next calls (Gather's
+// sorted-run merge relies on it).
 type Sort struct {
 	Child Node
 	Keys  []SortKey
 
-	rows []expr.Row
-	pos  int
+	buf rowArena
+	pos int
 }
 
 // Open implements Node.
 func (s *Sort) Open(ctx *Ctx) error {
-	s.rows = s.rows[:0]
+	s.buf = rowArena{}
 	s.pos = 0
 	if err := s.Child.Open(ctx); err != nil {
 		return err
@@ -406,12 +408,12 @@ func (s *Sort) Open(ctx *Ctx) error {
 		if !ok {
 			break
 		}
-		s.rows = append(s.rows, CloneRow(row))
+		s.buf.add(row)
 	}
-	ctx.Prof().Add(profile.CompExec, sortCost(len(s.rows)))
+	ctx.Prof().Add(profile.CompExec, sortCost(len(s.buf.rows)))
 	// slices.SortStableFunc, not sort.SliceStable: the generic comparator
 	// avoids the reflection-based swapper on this hot path.
-	slices.SortStableFunc(s.rows, func(a, b expr.Row) int {
+	slices.SortStableFunc(s.buf.rows, func(a, b expr.Row) int {
 		return compareRows(a, b, s.Keys)
 	})
 	return nil
@@ -455,16 +457,17 @@ func compareRows(a, b expr.Row, keys []SortKey) int {
 
 // Next implements Node.
 func (s *Sort) Next(ctx *Ctx) (expr.Row, bool, error) {
-	if s.pos >= len(s.rows) {
+	if s.pos >= len(s.buf.rows) {
 		return nil, false, nil
 	}
-	row := s.rows[s.pos]
+	row := s.buf.rows[s.pos]
 	s.pos++
 	return row, true, nil
 }
 
-// Close implements Node.
-func (s *Sort) Close(*Ctx) {}
+// Close implements Node: it releases the sorted rows, so a cached plan
+// holds none between executions.
+func (s *Sort) Close(*Ctx) { s.buf = rowArena{} }
 
 // Schema implements Node.
 func (s *Sort) Schema() []ColInfo { return s.Child.Schema() }

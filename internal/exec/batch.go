@@ -16,10 +16,13 @@ import (
 // scan hot path. The batch path instead moves a whole pinned heap page of
 // rows per call: BatchSeqScan deforms the page in one DeformBatch bee
 // invocation, BatchFilter narrows a selection vector in one batch-EVP
-// invocation, and BatchHashAgg consumes batches directly. A Rebatch
-// adapter bridges batch-producing subtrees into unchanged tuple-at-a-time
-// consumers (joins, sorts). Row visit order is identical to the tuple
-// path, so results are bit-identical.
+// invocation, HashJoin (join.go) builds from batches and probes a whole
+// outer batch per call, so joins stack batch to batch, and BatchHashAgg
+// consumes batches directly. Batching ends where a row-only consumer
+// (Sort, Project, Limit, NLJoin) sits: a Rebatch adapter hands a scan or
+// filter subtree's batches to it row by row, and a HashJoin's own Next
+// does the same for its output. Row visit order is identical to the
+// tuple path, so results are bit-identical.
 
 // BatchCap is the row capacity of a Batch. Page-wise batches can never
 // exceed a page's maximum slot count (~680 at 8 KiB pages), so the target
@@ -87,7 +90,10 @@ type rebatcher struct {
 
 func (r *rebatcher) reset() { r.cur, r.pos = nil, 0 }
 
-func (r *rebatcher) next(ctx *Ctx, src BatchNode) (expr.Row, bool, error) {
+// next returns src's next live row, charging cost abstract instructions
+// for it: ExecNodeTuple where the adapter stands in for a per-tuple
+// iterator node, 0 where src already charges its per-tuple overhead.
+func (r *rebatcher) next(ctx *Ctx, src BatchNode, cost int64) (expr.Row, bool, error) {
 	for {
 		if r.cur != nil && r.pos < r.cur.Count() {
 			// Poll cancellation per row like the tuple-path scans: consumers
@@ -98,7 +104,7 @@ func (r *rebatcher) next(ctx *Ctx, src BatchNode) (expr.Row, bool, error) {
 			}
 			row := r.cur.RowAt(r.pos)
 			r.pos++
-			ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
+			ctx.Prof().Add(profile.CompExec, cost)
 			return row, true, nil
 		}
 		b, ok, err := src.NextBatch(ctx)
@@ -248,7 +254,7 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 
 // Next implements Node via the embedded rebatcher.
 func (s *BatchSeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
-	return s.rb.next(ctx, s)
+	return s.rb.next(ctx, s, profile.ExecNodeTuple)
 }
 
 // Close implements Node.
@@ -347,7 +353,7 @@ func (f *BatchFilter) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 
 // Next implements Node via the embedded rebatcher.
 func (f *BatchFilter) Next(ctx *Ctx) (expr.Row, bool, error) {
-	return f.rb.next(ctx, f)
+	return f.rb.next(ctx, f, profile.ExecNodeTuple)
 }
 
 // Close implements Node.
@@ -365,10 +371,11 @@ func (f *BatchFilter) Schema() []ColInfo { return f.Child.Schema() }
 
 // Rebatch bridges a batch-producing subtree into a tuple-at-a-time
 // consumer: its Next hands out the current batch's selected rows one by
-// one, fetching the next batch on demand. The planner roots every batch
-// subtree that feeds a non-batch consumer in a Rebatch, so joins, sorts,
-// and projections work unchanged. Returned rows satisfy the usual Node
-// contract (valid until the following Next).
+// one, fetching the next batch on demand. The planner roots every scan or
+// filter subtree that feeds a row-only consumer (Sort, Project, Limit,
+// NLJoin, a Gather partition) in a Rebatch; hash joins and aggregation
+// take batches directly. Returned rows satisfy the usual Node contract
+// (valid until the following Next).
 type Rebatch struct {
 	Child BatchNode
 
@@ -383,7 +390,7 @@ func (r *Rebatch) Open(ctx *Ctx) error {
 
 // Next implements Node.
 func (r *Rebatch) Next(ctx *Ctx) (expr.Row, bool, error) {
-	return r.rb.next(ctx, r.Child)
+	return r.rb.next(ctx, r.Child, profile.ExecNodeTuple)
 }
 
 // Close implements Node.

@@ -145,7 +145,7 @@ func (l *Limit) Schema() []ColInfo { return l.Child.Schema() }
 type Materialize struct {
 	Child Node
 
-	rows   []expr.Row
+	buf    rowArena
 	filled bool
 	pos    int
 }
@@ -156,6 +156,7 @@ func (m *Materialize) Open(ctx *Ctx) error {
 	if m.filled {
 		return nil
 	}
+	m.buf = rowArena{} // drop the partial fill of a failed earlier Open
 	if err := m.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -168,7 +169,7 @@ func (m *Materialize) Open(ctx *Ctx) error {
 		if !ok {
 			break
 		}
-		m.rows = append(m.rows, CloneRow(row))
+		m.buf.add(row)
 	}
 	m.filled = true
 	return nil
@@ -176,10 +177,10 @@ func (m *Materialize) Open(ctx *Ctx) error {
 
 // Next implements Node.
 func (m *Materialize) Next(ctx *Ctx) (expr.Row, bool, error) {
-	if m.pos >= len(m.rows) {
+	if m.pos >= len(m.buf.rows) {
 		return nil, false, nil
 	}
-	row := m.rows[m.pos]
+	row := m.buf.rows[m.pos]
 	m.pos++
 	ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
 	return row, true, nil
@@ -194,6 +195,6 @@ func (m *Materialize) Schema() []ColInfo { return m.Child.Schema() }
 // Invalidate drops the buffered rows so the next Open re-reads the child
 // (used between statements when the underlying relation changed).
 func (m *Materialize) Invalidate() {
-	m.rows = nil
+	m.buf = rowArena{}
 	m.filled = false
 }

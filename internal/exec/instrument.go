@@ -22,10 +22,15 @@ type Instrumented struct {
 }
 
 // Instrument recursively wraps a plan tree, rewriting every child link to
-// point at the wrapped child. Subquery plans embedded in expressions are
-// left untouched: their cost surfaces in the timing of the node that
-// evaluates the expression.
+// point at the wrapped child. A BatchNode gets the batch-counting
+// decorator, so batches keep flowing between batch-aware nodes under
+// analysis. Subquery plans embedded in expressions are left untouched:
+// their cost surfaces in the timing of the node that evaluates the
+// expression.
 func Instrument(n Node) Node {
+	if bn, ok := n.(BatchNode); ok {
+		return InstrumentBatch(bn)
+	}
 	switch v := n.(type) {
 	case *Filter:
 		v.Child = Instrument(v.Child)
@@ -41,9 +46,6 @@ func Instrument(n Node) Node {
 		v.Child = Instrument(v.Child)
 	case *HashAgg:
 		v.Child = Instrument(v.Child)
-	case *HashJoin:
-		v.Outer = Instrument(v.Outer)
-		v.Inner = Instrument(v.Inner)
 	case *NLJoin:
 		v.Outer = Instrument(v.Outer)
 		v.Inner = Instrument(v.Inner)
@@ -64,8 +66,12 @@ func Instrument(n Node) Node {
 // InstrumentBatch wraps a batch subtree in InstrumentedBatch decorators,
 // mirroring Instrument for the batch-at-a-time path.
 func InstrumentBatch(n BatchNode) BatchNode {
-	if f, ok := n.(*BatchFilter); ok {
-		f.Child = InstrumentBatch(f.Child)
+	switch v := n.(type) {
+	case *BatchFilter:
+		v.Child = InstrumentBatch(v.Child)
+	case *HashJoin:
+		v.Outer = Instrument(v.Outer)
+		v.Inner = Instrument(v.Inner)
 	}
 	return &InstrumentedBatch{Inner: n}
 }
@@ -104,8 +110,9 @@ func (in *InstrumentedBatch) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 	return b, ok, err
 }
 
-// Next implements Node (tuple-wise fallback; batch-aware parents use
-// NextBatch, so the two counting modes never mix in one run).
+// Next implements Node for row-only parents (batch-aware parents use
+// NextBatch, so the two counting modes never mix in one run; Batches
+// stays 0 when the node was consumed row by row).
 func (in *InstrumentedBatch) Next(ctx *Ctx) (expr.Row, bool, error) {
 	start := time.Now()
 	row, ok, err := in.Inner.Next(ctx)
@@ -155,43 +162,6 @@ func (in *Instrumented) Close(ctx *Ctx) {
 
 // Schema implements Node.
 func (in *Instrumented) Schema() []ColInfo { return in.Inner.Schema() }
-
-// WalkInstrumented visits every Instrumented wrapper in a plan tree in
-// pre-order (the engine folds their statistics into the metrics registry
-// after an analyzed run).
-func WalkInstrumented(n Node, fn func(*Instrumented)) {
-	in, ok := n.(*Instrumented)
-	if !ok {
-		return
-	}
-	fn(in)
-	switch v := in.Inner.(type) {
-	case *Filter:
-		WalkInstrumented(v.Child, fn)
-	case *Project:
-		WalkInstrumented(v.Child, fn)
-	case *Limit:
-		WalkInstrumented(v.Child, fn)
-	case *Sort:
-		WalkInstrumented(v.Child, fn)
-	case *Distinct:
-		WalkInstrumented(v.Child, fn)
-	case *Materialize:
-		WalkInstrumented(v.Child, fn)
-	case *HashAgg:
-		WalkInstrumented(v.Child, fn)
-	case *HashJoin:
-		WalkInstrumented(v.Outer, fn)
-		WalkInstrumented(v.Inner, fn)
-	case *NLJoin:
-		WalkInstrumented(v.Outer, fn)
-		WalkInstrumented(v.Inner, fn)
-	case *Gather:
-		for _, p := range v.Parts {
-			WalkInstrumented(p, fn)
-		}
-	}
-}
 
 // WalkNodes visits every node of a plan tree in pre-order, descending
 // through instrumentation wrappers, child links, batch subtrees, and

@@ -9,6 +9,17 @@ import (
 	"microspec/internal/types"
 )
 
+// instrumented lists a plan's row-counting decorators in pre-order.
+func instrumented(root Node) []*Instrumented {
+	var out []*Instrumented
+	WalkNodes(root, func(n Node) {
+		if in, ok := n.(*Instrumented); ok {
+			out = append(out, in)
+		}
+	})
+	return out
+}
+
 func TestInstrumentCountsRowsAndLoops(t *testing.T) {
 	src := vals(intCols("a"),
 		expr.Row{i32(1)}, expr.Row{i32(5)}, expr.Row{i32(9)}, expr.Row{i32(12)})
@@ -20,8 +31,7 @@ func TestInstrumentCountsRowsAndLoops(t *testing.T) {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 
-	var stats []*Instrumented
-	WalkInstrumented(root, func(in *Instrumented) { stats = append(stats, in) })
+	stats := instrumented(root)
 	if len(stats) != 3 {
 		t.Fatalf("got %d instrumented nodes, want 3 (Limit, Filter, Values)", len(stats))
 	}
@@ -56,11 +66,11 @@ func TestInstrumentRescanCountsLoops(t *testing.T) {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	var innerStats *Instrumented
-	WalkInstrumented(root, func(in *Instrumented) {
+	for _, in := range instrumented(root) {
 		if NodeTypeName(in.Inner) == "ValuesNode" && in.Inner.Schema()[0].Name == "b" {
 			innerStats = in
 		}
-	})
+	}
 	if innerStats == nil {
 		t.Fatal("inner side not instrumented")
 	}
@@ -96,11 +106,11 @@ func TestInstrumentedPlansConcurrent(t *testing.T) {
 					t.Errorf("got %d rows, want 50", len(out))
 					return
 				}
-				WalkInstrumented(root, func(in *Instrumented) {
+				for _, in := range instrumented(root) {
 					name := "exec.node." + NodeTypeName(in.Inner)
 					reg.Counter(name + ".rows").Add(in.Rows)
 					reg.Counter(name + ".time_ns").Add(int64(in.Elapsed))
-				})
+				}
 			}
 		}()
 	}

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"microspec/internal/core"
 	"microspec/internal/expr"
@@ -30,20 +33,38 @@ func (j JoinType) String() string {
 // HashJoin is an equi-join: it builds a hash table on the inner child and
 // probes with the outer child. Semi/anti joins emit only outer columns.
 //
+// It is a BatchNode. Build drains the inner child — the real pipeline
+// breaker — into one rowArena and links a chained index over it: a
+// power-of-two heads table and a per-row next link, both 1-based row
+// ordinals with 0 as the end mark, linked so a chain is walked in
+// insertion order, plus the stored key hash of every row so colliding
+// chains are rejected before the join qual runs. Probe takes a whole
+// outer batch, hashes its keys in one call, and walks the chains:
+// inner/left joins write combined rows into a reused output arena whose
+// datums reference the outer batch and the build arena in place;
+// semi/anti joins narrow the outer batch's selection vector. An outer
+// batch that expands past the output cap is resumed on the next call. Rows come
+// out in outer order, then inner insertion order. A child that is not a
+// BatchNode (tuple-path plans, IndexScan, Project, subquery output) is
+// read as batches of one.
+//
 // Key evaluation has two forms, chosen at plan time:
 //
-//   - generic: per candidate pair, the JoinState analogue — hash with the
-//     generic datum hasher and compare keys with the generic comparator,
-//     charging JoinQualNode per pair;
-//   - EVJ bee: the specialized hash/equality closures with baked key
-//     ordinals and types, charging the bee's (smaller) cost.
+//   - generic: the JoinState analogue — hash with the generic datum
+//     hasher and compare keys with the generic comparator, charging
+//     JoinQualNode per candidate pair;
+//   - EVJ bee: the specialized batch hasher and per-pair equality with
+//     baked key ordinals and types, charging the bee's (smaller) cost.
+//
+// Every candidate pair (equal stored hash) is qualified, also after a
+// semi/anti row's outcome is known, so EVJ call counts and instruction
+// charges do not depend on how rows are batched.
 type HashJoin struct {
 	Outer, Inner Node
 	// OuterKeys/InnerKeys are key column ordinals in each child's schema.
 	OuterKeys, InnerKeys []int
 	Type                 JoinType
-	// Residual is an optional extra qual evaluated over the combined row
-	// (inner and left joins only).
+	// Residual is an optional extra qual evaluated over the combined row.
 	Residual expr.Expr
 	// ResidualCompiled is the EVP form of Residual, if compiled.
 	ResidualCompiled core.CompiledPred
@@ -53,19 +74,73 @@ type HashJoin struct {
 	NoteEVJ func(int64)
 
 	evjCalls int64
+	// match, hashOuter (nil: generic hasher) and pairCost are the key
+	// evaluation form chosen at Open.
+	match     func(outer, inner expr.Row) bool
+	hashOuter core.BatchKeyHash
+	pairCost  int64
 
-	table    map[uint64][]expr.Row
-	innerW   int
-	cols     []ColInfo
-	keyTypes []types.T
+	// Build side: build.rows[i] has key hash hashes[i]; heads[slot] starts
+	// a chain continued by next[i].
+	build  rowArena
+	hashes []uint64
+	heads  []int32
+	next   []int32
+	shift  uint
 
-	outerRow expr.Row
-	matches  []expr.Row
-	matchPos int
-	combined expr.Row
-	// emitted records whether the current left-join outer row produced at
-	// least one residual-surviving match (controls null extension).
-	emitted bool
+	// Probe state: ob is the outer batch being probed (nil when a new one
+	// is due), hv its live rows' key hashes, opos the live row in progress,
+	// cur that row's chain cursor, and matched whether it has produced a
+	// residual-surviving match yet.
+	outer   BatchNode
+	ob      *Batch
+	hv      []uint64
+	opos    int
+	cur     int32
+	matched bool
+
+	width   int        // combined row width
+	outCap  int        // rows per output batch, see outArenaDatums
+	outRows []expr.Row // output arena (inner/left), grown to occupancy
+	out     Batch
+	sel     []int32  // output selection (semi/anti)
+	scratch expr.Row // combined row for a semi/anti residual
+	rb      rebatcher
+}
+
+// chainUnopened marks a probe row whose chain walk has not started.
+const chainUnopened = -1
+
+// outArenaDatums bounds a combining join's output batch (to no fewer than
+// 64 rows, no more than BatchCap) so the arena — 320 KiB at this size —
+// is still in cache when the consumer reads the rows the probe just
+// wrote; at BatchCap rows the 35-to-60-column rows of a TPC-H join chain
+// make it 1.4–2.4 MiB, and Q5 measured 11 % slower.
+const outArenaDatums = 8 << 10
+
+// rowBatches reads a row-at-a-time node as batches of one row.
+type rowBatches struct {
+	Node
+	row [1]expr.Row
+	b   Batch
+}
+
+// NextBatch implements BatchNode.
+func (r *rowBatches) NextBatch(ctx *Ctx) (*Batch, bool, error) {
+	row, ok, err := r.Node.Next(ctx)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	r.row[0] = row
+	r.b = Batch{Rows: r.row[:], N: 1}
+	return &r.b, true, nil
+}
+
+func asBatchNode(n Node) BatchNode {
+	if bn, ok := n.(BatchNode); ok {
+		return bn
+	}
+	return &rowBatches{Node: n}
 }
 
 // Open implements Node: it (re)builds the hash table from the inner child.
@@ -73,60 +148,117 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 	if len(h.OuterKeys) != len(h.InnerKeys) || len(h.OuterKeys) == 0 {
 		return fmt.Errorf("hash join: bad key lists %v/%v", h.OuterKeys, h.InnerKeys)
 	}
-	h.cols = h.Schema()
-	innerCols := h.Inner.Schema()
-	h.innerW = len(innerCols)
-	h.keyTypes = make([]types.T, len(h.InnerKeys))
-	for i, k := range h.InnerKeys {
-		h.keyTypes[i] = innerCols[k].T
+	var hashInner core.BatchKeyHash
+	if h.EVJ != nil {
+		h.match, h.pairCost = h.EVJ.Match, h.EVJ.Cost
+		hashInner, h.hashOuter = h.EVJ.HashInnerBatch, h.EVJ.HashOuterBatch
+	} else {
+		h.match, h.pairCost = h.genericMatch, profile.JoinQualNode*int64(len(h.OuterKeys))
+		h.hashOuter = nil
 	}
-	h.table = make(map[uint64][]expr.Row)
-	if err := h.buildTable(ctx); err != nil {
+	outerW := len(h.Outer.Schema())
+	h.width = outerW + len(h.Inner.Schema())
+	if err := h.buildTable(ctx, hashInner, h.buildWidth(outerW)); err != nil {
 		return err
 	}
-	h.outerRow = nil
-	h.matches = nil
-	h.matchPos = 0
-	if h.combined == nil {
-		h.combined = make(expr.Row, len(h.Outer.Schema())+h.innerW)
+	h.outRows = nil
+	h.outCap = max(64, min(BatchCap, outArenaDatums/h.width))
+	if h.existsType() && h.hasResidual() {
+		h.scratch = make(expr.Row, h.width)
 	}
-	return h.Outer.Open(ctx)
+	h.ob = nil
+	h.rb.reset()
+	h.outer = asBatchNode(h.Outer)
+	return h.outer.Open(ctx)
 }
 
-// buildTable drains the inner child into the hash table. The close is
-// deferred so the inner subtree (and any buffer pins its scans hold) is
-// released even when a bee panic unwinds through the drain loop.
-func (h *HashJoin) buildTable(ctx *Ctx) error {
-	if err := h.Inner.Open(ctx); err != nil {
+func (h *HashJoin) existsType() bool  { return h.Type == SemiJoin || h.Type == AntiJoin }
+func (h *HashJoin) hasResidual() bool { return h.Residual != nil || h.ResidualCompiled != nil }
+
+// slot maps a key hash to its heads entry. The multiply spreads the bits
+// of raw by-value keys (the EVJ hasher returns them unmixed) into the
+// high end the shift keeps.
+func (h *HashJoin) slot(hash uint64) uint64 {
+	return (hash * 0x9e3779b97f4a7c15) >> h.shift
+}
+
+// buildTable drains the inner child into the arena and links the chains.
+// The close is deferred so the inner subtree (and any buffer pins its
+// scans hold) is released even when a bee panic unwinds through the drain
+// loop.
+func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash, keep int) error {
+	h.build = rowArena{}
+	h.hashes = h.hashes[:0]
+	inner := asBatchNode(h.Inner)
+	defer inner.Close(ctx)
+	if err := inner.Open(ctx); err != nil {
 		return err
 	}
-	defer h.Inner.Close(ctx)
 	for {
-		row, ok, err := h.Inner.Next(ctx)
+		b, ok, err := inner.NextBatch(ctx)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
-		ctx.Prof().Add(profile.CompExec, profile.HashBuild)
-		key := h.hashInner(row, ctx)
-		h.table[key] = append(h.table[key], CloneRow(row))
+		n := b.Count()
+		ctx.Prof().Add(profile.CompExec, int64(n)*profile.HashBuild)
+		h.hashes = hashKeys(b, hash, h.InnerKeys, roomFor(h.hashes, n))
+		for i := 0; i < n; i++ {
+			row := b.RowAt(i)
+			h.build.add(row[:min(keep, len(row))])
+		}
 	}
+	n := len(h.build.rows)
+	if n >= math.MaxInt32 {
+		return fmt.Errorf("hash join: build side of %d rows exceeds the 32-bit chain index", n)
+	}
+	// One slot per row, rounded up to a power of two. Linking last row
+	// first leaves each chain in insertion order.
+	h.shift = uint(64 - bits.Len(uint(max(n, 1)-1)))
+	h.heads = make([]int32, 1<<(64-h.shift))
+	h.next = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		s := h.slot(h.hashes[i])
+		h.next[i] = h.heads[s]
+		h.heads[s] = int32(i + 1)
+	}
+	return nil
 }
 
-func (h *HashJoin) hashInner(row expr.Row, ctx *Ctx) uint64 {
-	if h.EVJ != nil {
-		return h.EVJ.HashInner(row)
+// buildWidth returns how many leading columns of each inner row the build
+// side must keep, given the outer row's width. A semi/anti join emits no
+// inner column, so it needs a row only up to the last column its qual
+// reads — the key columns and whatever the residual reads of the inner
+// side; when the residual cannot be analysed (subqueries, outer
+// references, only its compiled form present), and for inner/left joins,
+// the whole row stays.
+func (h *HashJoin) buildWidth(outerW int) int {
+	if !h.existsType() {
+		return math.MaxInt
 	}
-	return genericHash(row, h.InnerKeys)
+	keep := slices.Max(h.InnerKeys) + 1
+	if h.hasResidual() {
+		hi, ok := core.MaxVarIdx(h.Residual)
+		if h.Residual == nil || !ok {
+			return math.MaxInt
+		}
+		keep = max(keep, hi-outerW+1)
+	}
+	return keep
 }
 
-func (h *HashJoin) hashOuter(row expr.Row, ctx *Ctx) uint64 {
-	if h.EVJ != nil {
-		return h.EVJ.HashOuter(row)
+// hashKeys appends the key hash of every live row of b to out: one EVJ
+// invocation when the bee is present, the generic datum hasher otherwise.
+func hashKeys(b *Batch, evj core.BatchKeyHash, keys []int, out []uint64) []uint64 {
+	if evj != nil {
+		return evj(b.Rows[:b.N], b.Sel, out)
 	}
-	return genericHash(row, h.OuterKeys)
+	for i, n := 0, b.Count(); i < n; i++ {
+		out = append(out, genericHash(b.RowAt(i), keys))
+	}
+	return out
 }
 
 func genericHash(row expr.Row, keys []int) uint64 {
@@ -137,22 +269,12 @@ func genericHash(row expr.Row, keys []int) uint64 {
 	return h
 }
 
-// keysMatch evaluates the join qualification for one candidate pair —
-// the per-pair code the EVJ bee specializes.
-func (h *HashJoin) keysMatch(outer, inner expr.Row, ctx *Ctx) bool {
-	if h.EVJ != nil {
-		ctx.Prof().Add(profile.CompJoin, h.EVJ.Cost)
-		h.evjCalls++
-		return h.EVJ.Match(outer, inner)
-	}
-	// Generic join-qual evaluation: JoinState consultation per pair.
-	ctx.Prof().Add(profile.CompJoin, profile.JoinQualNode*int64(len(h.OuterKeys)))
+// genericMatch is the generic join-qual evaluation for one candidate
+// pair — the per-pair code the EVJ bee specializes.
+func (h *HashJoin) genericMatch(outer, inner expr.Row) bool {
 	for i := range h.OuterKeys {
 		a, b := outer[h.OuterKeys[i]], inner[h.InnerKeys[i]]
-		if a.IsNull() || b.IsNull() {
-			return false
-		}
-		if a.Compare(b) != 0 {
+		if a.IsNull() || b.IsNull() || a.Compare(b) != 0 {
 			return false
 		}
 	}
@@ -160,9 +282,6 @@ func (h *HashJoin) keysMatch(outer, inner expr.Row, ctx *Ctx) bool {
 }
 
 func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
-	if h.Residual == nil && h.ResidualCompiled == nil {
-		return true
-	}
 	var v types.Datum
 	if h.ResidualCompiled != nil {
 		v = h.ResidualCompiled(combined, &ctx.Expr)
@@ -172,119 +291,166 @@ func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
 	return !v.IsNull() && v.Bool()
 }
 
-// Next implements Node.
-func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
+// NextBatch implements BatchNode. An output batch never spans two outer
+// batches: its rows reference the outer batch's datums, which the outer
+// child's next NextBatch invalidates.
+func (h *HashJoin) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 	for {
-		// Drain pending matches for the current outer row.
-		if h.outerRow != nil && h.matchPos < len(h.matches) {
-			inner := h.matches[h.matchPos]
-			h.matchPos++
-			combined := h.combine(h.outerRow, inner)
-			if h.residualOK(combined, ctx) {
-				switch h.Type {
-				case SemiJoin:
-					h.matchPos = len(h.matches) // one match suffices
-					return h.outerRow, true, nil
-				case AntiJoin:
-					// A surviving match disqualifies the outer row.
-					h.matchPos = len(h.matches)
-					h.outerRow = nil
-					continue
-				case LeftJoin:
-					h.emitted = true
-					return combined, true, nil
-				default:
-					return combined, true, nil
-				}
-			}
-			continue
-		}
-		// Left join: emit outer + nulls when no residual-surviving match.
-		if h.outerRow != nil && h.Type == LeftJoin && !h.emitted {
-			row := h.combineNulls(h.outerRow)
-			h.outerRow = nil
-			return row, true, nil
-		}
-		// Anti join: no (surviving) match at all → emit outer row.
-		if h.outerRow != nil && h.Type == AntiJoin {
-			row := h.outerRow
-			h.outerRow = nil
-			return row, true, nil
-		}
-		h.outerRow = nil
-
-		// Fetch the next outer row.
-		outer, ok, err := h.Outer.Next(ctx)
-		if err != nil || !ok {
+		if err := ctx.Canceled(); err != nil {
 			return nil, false, err
 		}
-		ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple+profile.HashProbe)
-		bucket := h.table[h.hashOuter(outer, ctx)]
-		h.matches = h.matches[:0]
-		for _, inner := range bucket {
-			if h.keysMatch(outer, inner, ctx) {
-				h.matches = append(h.matches, inner)
+		if h.ob == nil {
+			b, ok, err := h.outer.NextBatch(ctx)
+			if err != nil || !ok {
+				return nil, false, err
 			}
+			n := b.Count()
+			if n == 0 {
+				continue
+			}
+			ctx.Prof().Add(profile.CompExec, int64(n)*(profile.ExecNodeTuple+profile.HashProbe))
+			h.hv = hashKeys(b, h.hashOuter, h.OuterKeys, h.hv[:0])
+			h.ob, h.opos, h.cur = b, 0, chainUnopened
 		}
-		h.matchPos = 0
-		h.emitted = false
-		switch h.Type {
-		case AntiJoin:
-			if len(h.matches) == 0 {
-				return outer, true, nil
-			}
-			if h.Residual == nil && h.ResidualCompiled == nil {
-				continue // matched → excluded
-			}
-			h.outerRow = CloneRow(outer)
-		case LeftJoin:
-			h.outerRow = CloneRow(outer)
-		case SemiJoin:
-			if len(h.matches) == 0 {
-				continue
-			}
-			if h.Residual == nil && h.ResidualCompiled == nil {
-				h.matches = h.matches[:0]
-				return outer, true, nil
-			}
-			h.outerRow = CloneRow(outer)
-		default:
-			if len(h.matches) == 0 {
-				continue
-			}
-			h.outerRow = CloneRow(outer)
+		if out := h.probe(ctx); out != nil {
+			return out, true, nil
 		}
 	}
 }
 
-func (h *HashJoin) combine(outer, inner expr.Row) expr.Row {
-	copy(h.combined, outer)
-	copy(h.combined[len(outer):], inner)
-	return h.combined
-}
-
-func (h *HashJoin) combineNulls(outer expr.Row) expr.Row {
-	copy(h.combined, outer)
-	for i := len(outer); i < len(h.combined); i++ {
-		h.combined[i] = types.Null
+// probe continues the current outer batch and returns the output batch,
+// or nil when the rows probed produced nothing. It clears h.ob once the
+// outer batch is used up; otherwise the output filled and (opos, cur,
+// matched) say where the next call resumes.
+func (h *HashJoin) probe(ctx *Ctx) *Batch {
+	b := h.ob
+	n := b.Count()
+	exists, residual := h.existsType(), h.hasResidual()
+	out := 0
+	sel := h.sel[:0]
+	var pairs int64
+	cur := h.cur
+scan:
+	for ; h.opos < n; h.opos++ {
+		ri := int32(h.opos)
+		if b.Sel != nil {
+			ri = b.Sel[h.opos]
+		}
+		outer := b.Rows[ri]
+		hv := h.hv[h.opos]
+		if cur == chainUnopened {
+			cur = h.heads[h.slot(hv)]
+			h.matched = false
+		}
+		for cur != 0 {
+			if out == h.outCap {
+				break scan
+			}
+			i := cur - 1
+			cur = h.next[i]
+			if h.hashes[i] != hv {
+				continue
+			}
+			pairs++
+			inner := h.build.rows[i]
+			if !h.match(outer, inner) || (exists && h.matched) {
+				continue
+			}
+			if !exists || residual {
+				dst := h.scratch
+				if !exists {
+					dst = h.outRow(out)
+				}
+				copy(dst, outer)
+				copy(dst[len(outer):], inner)
+				if residual && !h.residualOK(dst, ctx) {
+					continue
+				}
+			}
+			h.matched = true
+			if !exists {
+				out++
+			}
+		}
+		switch {
+		case h.Type == LeftJoin && !h.matched:
+			// Null-extend an outer row no inner row survived for.
+			if out == h.outCap {
+				break scan
+			}
+			dst := h.outRow(out)
+			copy(dst, outer)
+			clear(dst[len(outer):])
+			out++
+		case exists && h.matched == (h.Type == SemiJoin):
+			sel = append(sel, ri)
+		}
+		cur = chainUnopened
 	}
-	return h.combined
+	h.cur, h.sel = cur, sel
+	if h.opos == n {
+		h.ob = nil
+	}
+	ctx.Prof().Add(profile.CompJoin, pairs*h.pairCost)
+	if h.EVJ != nil {
+		h.evjCalls += pairs
+	}
+	if exists {
+		if len(sel) == 0 {
+			return nil
+		}
+		b.Sel = sel
+		return b
+	}
+	if out == 0 {
+		return nil
+	}
+	h.out = Batch{Rows: h.outRows, N: out}
+	return &h.out
 }
 
-// Close implements Node.
+// outRow returns the i-th row of the output arena, growing the arena by
+// doubling (up to outCap rows) when i is one past its end: the arena is
+// sized to the output the join actually produces per outer batch, not to
+// its cap.
+func (h *HashJoin) outRow(i int) expr.Row {
+	if i == len(h.outRows) {
+		c := min(max(len(h.outRows), 16), h.outCap-len(h.outRows))
+		arena := make([]types.Datum, c*h.width)
+		for j := 0; j < c; j++ {
+			h.outRows = append(h.outRows, arena[j*h.width:(j+1)*h.width:(j+1)*h.width])
+		}
+	}
+	return h.outRows[i]
+}
+
+// Next implements Node via the embedded rebatcher, free of charge: the
+// join's per-tuple iterator overhead is charged per outer row.
+func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
+	return h.rb.next(ctx, h, 0)
+}
+
+// Close implements Node. It releases the build side and everything that
+// points into it or into the outer child's batches, so a cached plan
+// holds no rows between executions; the pointer-free scratch (hashes,
+// selection) is kept for the next Open.
 func (h *HashJoin) Close(ctx *Ctx) {
 	if h.NoteEVJ != nil && h.evjCalls > 0 {
 		h.NoteEVJ(h.evjCalls)
-		h.evjCalls = 0
 	}
+	h.evjCalls = 0
 	h.Outer.Close(ctx)
-	h.table = nil
+	h.build = rowArena{}
+	h.heads, h.next = nil, nil
+	h.outer, h.ob = nil, nil
+	h.outRows, h.out, h.scratch = nil, Batch{}, nil
+	h.rb.reset()
 }
 
 // Schema implements Node.
 func (h *HashJoin) Schema() []ColInfo {
 	outer := h.Outer.Schema()
-	if h.Type == SemiJoin || h.Type == AntiJoin {
+	if h.existsType() {
 		return outer
 	}
 	return append(append([]ColInfo(nil), outer...), h.Inner.Schema()...)
@@ -337,7 +503,8 @@ func (n *NLJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 				return nil, false, err
 			}
 			ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
-			n.outerRow = CloneRow(outer)
+			// No copy: the row stays valid until the next Outer.Next.
+			n.outerRow = outer
 			n.matched = false
 			if err := n.Inner.Open(ctx); err != nil {
 				return nil, false, err
@@ -400,6 +567,7 @@ func (n *NLJoin) Close(ctx *Ctx) {
 		n.innerOn = false
 	}
 	n.Outer.Close(ctx)
+	n.outerRow = nil
 }
 
 // Schema implements Node.

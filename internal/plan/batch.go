@@ -5,22 +5,31 @@ import (
 )
 
 // This file is the batchify pass: the last planning step rewrites every
-// eligible Filter*→SeqScan spine onto the batch-at-a-time executor path
-// (internal/exec/batch.go). It runs after parallelize — Gather partition
-// subplans are themselves spines, so parallel plans batch too — and only
-// changes how rows move, never which rows or in what order, keeping batch
-// output identical to the tuple path.
+// eligible region — Filter* over a SeqScan or over a HashJoin — onto the
+// batch-at-a-time executor path (internal/exec/batch.go). It runs after
+// parallelize — Gather partition subplans are themselves scan regions, so
+// parallel plans batch too — and only changes how rows move, never which
+// rows or in what order, keeping batch output identical to the tuple
+// path.
+//
+// exec.HashJoin is a batch node in every plan, so regions stack: a join's
+// children are regions where they can be, batches flow scan → join → join
+// unbroken, and batching ends only at the first row-only consumer.
 //
 // Rewrites:
 //
-//   - HashAgg(spine)  → BatchHashAgg(batch spine)   (Q1/Q6 shape)
-//   - spine elsewhere → Rebatch(batch spine)        (joins, sorts, and
-//     projections consume the adapter tuple-at-a-time, unchanged)
+//   - HashAgg(region)  → BatchHashAgg(batch region)   (Q1/Q6, and every
+//     aggregate directly over a join)
+//   - region elsewhere → Rebatch(batch region) under the row-only
+//     consumer (Sort, Project, Limit, NLJoin, Gather); a region rooted in
+//     a HashJoin needs no adapter, the join's own Next serves rows
 //
-// A spine is ineligible only when its relation has tuple-bee specialized
-// storage while GCL routines are disabled (no batch deformer exists);
-// predicates always convert, falling back to the generic interpreter per
-// row inside BatchFilter when no batch EVP bee applies.
+// A scan is ineligible only when its relation has tuple-bee specialized
+// storage while GCL routines are disabled (no batch deformer exists); a
+// join reads such a child, like any row-only child (IndexScan, Project,
+// subquery output), as batches of one. Predicates always convert, falling
+// back to the generic interpreter per row inside BatchFilter when no
+// batch EVP bee applies.
 
 // batchify rewrites a finished plan onto the batch path; it is a no-op
 // when batching is disabled.
@@ -31,7 +40,14 @@ func (p *Planner) batchify(n exec.Node) exec.Node {
 	return p.batchRewrite(n)
 }
 
+// batchRewrite rewrites the subtree under a row-only consumer.
 func (p *Planner) batchRewrite(n exec.Node) exec.Node {
+	if bn := p.batchRegion(n); bn != nil {
+		if hj, ok := bn.(*exec.HashJoin); ok {
+			return hj
+		}
+		return &exec.Rebatch{Child: bn}
+	}
 	switch v := n.(type) {
 	case *exec.HashAgg:
 		if bn := p.batchRegion(v.Child); bn != nil {
@@ -44,14 +60,7 @@ func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 		}
 		v.Child = p.batchRewrite(v.Child)
 	case *exec.Filter:
-		if bn := p.batchRegion(v); bn != nil {
-			return &exec.Rebatch{Child: bn}
-		}
 		v.Child = p.batchRewrite(v.Child)
-	case *exec.SeqScan:
-		if bn := p.batchRegion(v); bn != nil {
-			return &exec.Rebatch{Child: bn}
-		}
 	case *exec.Project:
 		v.Child = p.batchRewrite(v.Child)
 	case *exec.Limit:
@@ -62,9 +71,6 @@ func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 		v.Child = p.batchRewrite(v.Child)
 	case *exec.Materialize:
 		v.Child = p.batchRewrite(v.Child)
-	case *exec.HashJoin:
-		v.Outer = p.batchRewrite(v.Outer)
-		v.Inner = p.batchRewrite(v.Inner)
 	case *exec.NLJoin:
 		v.Outer = p.batchRewrite(v.Outer)
 		v.Inner = p.batchRewrite(v.Inner)
@@ -79,11 +85,21 @@ func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 	return n
 }
 
-// batchRegion converts a Filter*→SeqScan chain into the equivalent
-// BatchFilter*→BatchSeqScan chain, or returns nil when n has any other
-// shape or the relation has no batch deformer. Filters are re-wrapped in
-// the original order so per-row predicate evaluation order — and thus
-// profiling and fault behaviour — matches the tuple path exactly.
+// batchChild rewrites one child of a batch consumer: the batch region
+// itself where the child is one, otherwise the rewritten row subtree.
+func (p *Planner) batchChild(n exec.Node) exec.Node {
+	if bn := p.batchRegion(n); bn != nil {
+		return bn
+	}
+	return p.batchRewrite(n)
+}
+
+// batchRegion converts a Filter* chain over a SeqScan or a HashJoin into
+// the equivalent BatchFilter* chain over a BatchSeqScan or over the join
+// (its children rewritten in turn), or returns nil when n has any other
+// shape or the scanned relation has no batch deformer. Filters are
+// re-wrapped in the original order so per-row predicate evaluation order —
+// and thus profiling and fault behaviour — matches the tuple path exactly.
 func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 	var filters []*exec.Filter
 	for {
@@ -91,6 +107,10 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 		case *exec.Filter:
 			filters = append(filters, v)
 			n = v.Child
+		case *exec.HashJoin:
+			v.Outer = p.batchChild(v.Outer)
+			v.Inner = p.batchChild(v.Inner)
+			return p.batchFilters(v, filters)
 		case *exec.SeqScan:
 			deform, err := p.Mod.BatchDeformer(v.Heap.Rel)
 			if err != nil {
@@ -117,22 +137,27 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 					filters = filters[:k]
 				}
 			}
-			var node exec.BatchNode = bs
-			for j := len(filters) - 1; j >= 0; j-- {
-				f := filters[j]
-				bf := &exec.BatchFilter{Child: node, Pred: f.Pred}
-				if f.Compiled != nil {
-					if cp, ok := p.Mod.CompileBatchPredicate(f.Pred); ok {
-						bf.Compiled = cp
-						bf.NoteCalls = f.NoteCalls
-						bf.Usage = p.Mod.Usage("query/EVP", f.Pred.String())
-					}
-				}
-				node = bf
-			}
-			return node
+			return p.batchFilters(bs, filters)
 		default:
 			return nil
 		}
 	}
+}
+
+// batchFilters stacks the batch forms of filters (outermost first) over
+// node, innermost first.
+func (p *Planner) batchFilters(node exec.BatchNode, filters []*exec.Filter) exec.BatchNode {
+	for j := len(filters) - 1; j >= 0; j-- {
+		f := filters[j]
+		bf := &exec.BatchFilter{Child: node, Pred: f.Pred}
+		if f.Compiled != nil {
+			if cp, ok := p.Mod.CompileBatchPredicate(f.Pred); ok {
+				bf.Compiled = cp
+				bf.NoteCalls = f.NoteCalls
+				bf.Usage = p.Mod.Usage("query/EVP", f.Pred.String())
+			}
+		}
+		node = bf
+	}
+	return node
 }

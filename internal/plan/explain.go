@@ -42,12 +42,19 @@ func explainNode(b *strings.Builder, n exec.Node, depth int, analyze bool) {
 			in.Rows, in.Loops, in.Elapsed.Seconds()*1000)
 	}
 	if analyze && inb != nil {
-		rpb := 0.0
-		if inb.Batches > 0 {
-			rpb = float64(inb.Rows) / float64(inb.Batches)
+		if inb.Batches == 0 && inb.Rows > 0 {
+			// Rows but no batches: drained row by row (a join under a
+			// row-only consumer, or any join of a tuple-path plan).
+			line += fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
+				inb.Rows, inb.Loops, inb.Elapsed.Seconds()*1000)
+		} else {
+			rpb := 0.0
+			if inb.Batches > 0 {
+				rpb = float64(inb.Rows) / float64(inb.Batches)
+			}
+			line += fmt.Sprintf(" (actual rows=%d batches=%d rows/batch=%.1f loops=%d time=%.3fms)",
+				inb.Rows, inb.Batches, rpb, inb.Loops, inb.Elapsed.Seconds()*1000)
 		}
-		line += fmt.Sprintf(" (actual rows=%d batches=%d rows/batch=%.1f loops=%d time=%.3fms)",
-			inb.Rows, inb.Batches, rpb, inb.Loops, inb.Elapsed.Seconds()*1000)
 	}
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), line)
 	for _, kid := range kids {

@@ -76,8 +76,8 @@ func TestJoinUsesHashJoinWithLargestAsProbe(t *testing.T) {
 		t.Fatalf("hash joins = %d", len(joins))
 	}
 	// The probe (outer) side should reach the big table's scan; the build
-	// (inner) side the small one. Scans feeding joins sit behind Rebatch
-	// adapters on the (default-on) batch path.
+	// (inner) side the small one. On the (default-on) batch path the join
+	// takes its scans' batches directly.
 	outerScans := nodesOf[*exec.BatchSeqScan](walk(joins[0].Outer))
 	if len(outerScans) != 1 || outerScans[0].Heap.Rel.Name != "big" {
 		t.Errorf("probe side should be big, got %v", outerScans)
@@ -136,11 +136,15 @@ func TestOrFactorizationCreatesJoinEdge(t *testing.T) {
 	if len(joins) != 1 {
 		t.Fatal("OR-factorization must produce a hash join, not a cross join")
 	}
-	// And the OR itself must remain as a post-join filter.
-	post := nodesOf[*exec.Filter](walk(p.Root))
+	// And the OR itself must remain as a post-join filter (a BatchFilter:
+	// the join hands it batches).
+	post := nodesOf[*exec.BatchFilter](walk(p.Root))
 	found := false
 	for _, f := range post {
 		if strings.Contains(f.Pred.String(), "OR") {
+			if _, ok := f.Child.(*exec.HashJoin); !ok {
+				t.Errorf("OR filter sits over %T, want the hash join", f.Child)
+			}
 			found = true
 		}
 	}
