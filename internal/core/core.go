@@ -370,10 +370,11 @@ func (m *Module) CompilePredicate(e expr.Expr) (CompiledPred, bool) {
 	if !m.tier.allow(beeKey{kind: "query/EVP", name: name}, "") {
 		return nil, false // gated by the advisor tier table: stock path
 	}
-	p, cost := compilePred(e)
-	if p == nil {
+	fr, cost := compilePred(e)
+	if fr.cls == clsNone {
 		return nil, false
 	}
+	p := fr.truth()
 	m.mu.Lock()
 	m.stats.QueryBees++
 	m.mu.Unlock()
@@ -382,7 +383,7 @@ func (m *Module) CompilePredicate(e expr.Expr) (CompiledPred, bool) {
 	wrapped := func(row expr.Row, ctx *expr.Ctx) types.Datum {
 		m.maybePanic("query/EVP", name)
 		ctx.Prof.Add(profile.CompExpr, cost)
-		return p(row)
+		return triDatum[p(row)]
 	}
 	return wrapped, true
 }
@@ -413,10 +414,11 @@ func (m *Module) CompileBatchPredicate(e expr.Expr) (CompiledBatchPred, bool) {
 	if !m.tier.allow(beeKey{kind: "query/EVP", name: name}, "") {
 		return nil, false // gated by the advisor tier table: stock path
 	}
-	p, cost := compilePred(e)
-	if p == nil {
+	fr, cost := compilePred(e)
+	if fr.cls == clsNone {
 		return nil, false
 	}
+	p := fr.truth()
 	m.mu.Lock()
 	m.stats.QueryBees++
 	m.mu.Unlock()
@@ -427,7 +429,7 @@ func (m *Module) CompileBatchPredicate(e expr.Expr) (CompiledBatchPred, bool) {
 		if cand != nil {
 			ctx.Prof.Add(profile.CompExpr, cost*int64(len(cand)))
 			for _, i := range cand {
-				if v := p(rows[i]); !v.IsNull() && v.Bool() {
+				if p(rows[i]) == triTrue {
 					out = append(out, i)
 				}
 			}
@@ -435,7 +437,7 @@ func (m *Module) CompileBatchPredicate(e expr.Expr) (CompiledBatchPred, bool) {
 		}
 		ctx.Prof.Add(profile.CompExpr, cost*int64(len(rows)))
 		for i := range rows {
-			if v := p(rows[i]); !v.IsNull() && v.Bool() {
+			if p(rows[i]) == triTrue {
 				out = append(out, int32(i))
 			}
 		}
@@ -460,10 +462,11 @@ func (m *Module) CompileScalar(e expr.Expr) (CompiledPred, bool) {
 	if m.quar.has(beeKey{kind: "query/EVA", name: name}) {
 		return nil, false
 	}
-	p, cost := compilePred(e)
-	if p == nil {
+	fr, cost := compilePred(e)
+	if fr.cls == clsNone {
 		return nil, false
 	}
+	p := fr.boxed()
 	m.mu.Lock()
 	m.stats.QueryBees++
 	m.mu.Unlock()
@@ -499,8 +502,8 @@ func (m *Module) CompileBatchScalar(e expr.Expr) (CompiledBatchScalar, bool) {
 	if m.quar.has(beeKey{kind: "query/EVA", name: name}) {
 		return nil, false
 	}
-	p, cost := compilePred(e)
-	if p == nil {
+	fr, cost := compilePred(e)
+	if fr.cls == clsNone {
 		return nil, false
 	}
 	m.cache.put(beeKey{kind: "query/EVA", name: name}, "EVA "+name)
@@ -508,8 +511,8 @@ func (m *Module) CompileBatchScalar(e expr.Expr) (CompiledBatchScalar, bool) {
 	// Bare column references skip the evaluator closure entirely: the
 	// batch loop copies the column straight out of the rows. Cost and
 	// quarantine accounting are unchanged.
-	if v, ok := e.(*expr.Var); ok {
-		idx := v.Idx
+	if fr.leaf == leafVar {
+		idx := fr.idx
 		wrapped := func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
 			m.maybePanic("query/EVA", name)
 			if cand != nil {
@@ -527,6 +530,7 @@ func (m *Module) CompileBatchScalar(e expr.Expr) (CompiledBatchScalar, bool) {
 		}
 		return wrapped, true
 	}
+	p := fr.boxed()
 	wrapped := func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
 		m.maybePanic("query/EVA", name)
 		if cand != nil {

@@ -1,22 +1,25 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
 	"slices"
 
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/tuple"
+	"microspec/internal/types"
 )
 
 // This file is the fused GCL∘EVP bee: one routine that interleaves a
 // filter predicate's conjuncts into the relation's deform program. The
 // separate batch path deforms every attribute of every tuple before the
 // filter sees any of them; on a selective scan most of that work is
-// thrown away. The fused routine instead deforms a tuple only as far as
-// the next conjunct needs, evaluates the conjunct, and abandons the tuple
-// at the first failing one — composing the two specialized routines the
-// way a hand-written scan loop would.
+// thrown away. The fused routine instead tests what it can on the tuple
+// as stored, deforms a surviving tuple only as far as the next conjunct
+// needs, and abandons it at the first failing one — composing the two
+// specialized routines the way a hand-written scan loop would.
 
 // FusedScanFilterFunc is the composed scan-filter routine: it deforms the
 // live tuples of a page into out while evaluating the predicate, and
@@ -29,8 +32,102 @@ type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, natts int, sel []in
 // as soon as attributes [0, attr] have been deformed.
 type fusedCheck struct {
 	attr int
-	pred predFunc
+	pred boolFrag
 	cost int64
+}
+
+// rawCheck is one conjunct of the form `column op (constant | $n)` tested
+// on the stored tuple bytes, before anything is deformed: the column's
+// deform step reads a by-value word at a fixed offset, so the offset, the
+// width, the kind, the operator and the comparand are all baked and a
+// rejected tuple is never deformed at all.
+type rawCheck struct {
+	off  int32      // baked data offset of the column
+	wide bool       // an 8-byte word (int64, float64), else 4 (int32, date)
+	kind types.Kind // the column's; KindFloat64 compares as DOUBLE
+	op   expr.CmpOp
+	ci   int64 // integral comparand
+	cf   float64
+	// slot, when set, holds a $n comparand instead (see bind).
+	slot *expr.ParamSlots
+	pi   int
+	cost int64
+}
+
+// maxRawChecks bounds the stored-bytes stage so that a page's bound checks
+// fit a stack array; further conjuncts take the scheduled path.
+const maxRawChecks = 8
+
+// bind reads a $n comparand, once for a page of tuples: a binding of the
+// column's class becomes the baked constant; any other (a DOUBLE against
+// an integral column, NULL, text) stays in its slot and takes the generic
+// comparator, tuple by tuple.
+func (rc *rawCheck) bind() {
+	if rc.slot != nil && rc.take(&rc.slot.Vals[rc.pi]) {
+		rc.slot = nil
+	}
+}
+
+// take bakes c as the comparand if it is of the column's class (an
+// integral value widens for a DOUBLE column, as Datum.Compare would).
+func (rc *rawCheck) take(c *types.Datum) bool {
+	switch cls := classOf(c.Kind()); {
+	case rc.kind == types.KindFloat64 && (cls == clsFloat || cls == clsInt):
+		rc.cf = c.Float64()
+	case rc.kind != types.KindFloat64 && cls == clsInt:
+		rc.ci = c.I
+	default:
+		return false
+	}
+	return true
+}
+
+// rawCheckFor returns the stored-bytes form of conjunct c, if it has one:
+// a comparison of a column that ops deforms with a fixed-offset word read
+// (not a tuple-bee hole, not behind a varlena) against a constant of the
+// column's class or a $n.
+func rawCheckFor(c expr.Expr, ops []deformOp, natts int) (rawCheck, bool) {
+	cmp, ok := c.(*expr.Cmp)
+	if !ok {
+		return rawCheck{}, false
+	}
+	v, ok := cmp.L.(*expr.Var)
+	if !ok || v.Idx >= natts {
+		return rawCheck{}, false
+	}
+	step := &ops[v.Idx]
+	if (step.op != deformOpWord4Const && step.op != deformOpWord8Const) || step.kind != v.T.Kind {
+		return rawCheck{}, false
+	}
+	rc := rawCheck{
+		off: step.off, wide: step.op == deformOpWord8Const, kind: step.kind, op: cmp.Op, cost: evpTermCost,
+	}
+	if p, ok := cmp.R.(*expr.Param); ok {
+		rc.slot, rc.pi = p.Slot, p.Idx
+		return rc, true
+	}
+	k, ok := constFold(cmp.R)
+	if !ok || !rc.take(&k) {
+		return rawCheck{}, false
+	}
+	return rc, true
+}
+
+// test evaluates the (bound) check on a tuple's data area.
+func (rc *rawCheck) test(data []byte) tri {
+	var raw int64
+	if rc.wide {
+		raw = int64(binary.LittleEndian.Uint64(data[rc.off:]))
+	} else {
+		raw = int64(int32(binary.LittleEndian.Uint32(data[rc.off:])))
+	}
+	switch {
+	case rc.slot != nil:
+		return cmpBoxed(rc.op, types.MakeNumeric(raw, rc.kind), rc.slot.Vals[rc.pi])
+	case rc.kind == types.KindFloat64:
+		return truth(cmp(rc.op, math.Float64frombits(uint64(raw)), rc.cf))
+	}
+	return truth(cmp(rc.op, raw, rc.ci))
 }
 
 // CompileFusedScanFilter attempts to build the fused GCL∘EVP routine for
@@ -40,11 +137,15 @@ type fusedCheck struct {
 // every conjunct; otherwise (nil, false) and the planner keeps the
 // separate BatchSeqScan→BatchFilter pair.
 //
-// The conjuncts are evaluated in ascending order of the highest attribute
-// they read, not textual order. Filtering semantics are unaffected: a row
-// passes iff no conjunct evaluates to false or NULL, which is
+// Conjuncts with a stored-bytes form (rawCheckFor) run first, on the
+// tuple as stored; the rest are evaluated in ascending order of the
+// highest attribute they read, each as soon as the deform program has
+// reached it — not textual order. Filtering semantics are unaffected: a
+// row passes iff no conjunct evaluates to false or NULL, which is
 // order-independent for the side-effect-free expressions the snippet
-// library covers.
+// library covers. The abstract-instruction charge is the deform cost of
+// the attributes actually deformed plus the per-term cost of every
+// conjunct actually evaluated, wherever it ran.
 //
 // The routine shares the predicate's query/EVP cache and quarantine key,
 // so a panic in either form quarantines both and the next plan falls back
@@ -64,21 +165,31 @@ func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natt
 	if !m.tier.allow(beeKey{kind: "query/EVP", name: name}, rel.Name) {
 		return nil, false // gated by the advisor tier table: stock path
 	}
+	ops := buildDeformProgram(rel)
+	var raws []rawCheck
 	var checks []fusedCheck
+	var predCost int64
 	for _, c := range flattenAnd(e, nil) {
-		p, terms := compileNode(c)
-		if p == nil {
+		if rc, ok := rawCheckFor(c, ops, natts); ok && len(raws) < maxRawChecks {
+			raws = append(raws, rc)
+			predCost += rc.cost
+			continue
+		}
+		fr := compileNode(c)
+		if fr.cls == clsNone {
 			return nil, false
 		}
 		attr, ok := MaxVarIdx(c)
 		if !ok || attr >= natts {
 			return nil, false
 		}
-		checks = append(checks, fusedCheck{attr: attr, pred: p, cost: int64(terms) * evpTermCost})
+		cost := int64(fr.terms) * evpTermCost
+		checks = append(checks, fusedCheck{attr: attr, pred: fr.truth(), cost: cost})
+		predCost += cost
 	}
+	slices.SortStableFunc(raws, func(a, b rawCheck) int { return int(a.off - b.off) })
 	slices.SortStableFunc(checks, func(a, b fusedCheck) int { return a.attr - b.attr })
 
-	ops := buildDeformProgram(rel)
 	var combos *comboTable
 	if rb.DataSections != nil {
 		combos = rb.DataSections.combos
@@ -91,18 +202,27 @@ func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natt
 	// The fused bee replaces deform AND filter, so its benefit entry pairs
 	// the full-deform-plus-predicate bee cost (the no-abandon worst case)
 	// against the generic loop plus interpreted predicate.
-	var beeCost int64 = gclCost[natts] + evpBaseCost
-	for _, ck := range checks {
-		beeCost += ck.cost
-	}
 	m.usage.register(beeKey{kind: "query/EVP", name: name},
-		beeCost, genericDeformCost(rel, natts)+stockExprCost(e))
+		gclCost[natts]+evpBaseCost+predCost, genericDeformCost(rel, natts)+stockExprCost(e))
 	fn := func(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32 {
 		m.maybePanic("query/EVP", name)
+		var bound [maxRawChecks]rawCheck
+		raws := bound[:copy(bound[:], raws)]
+		for ri := range raws {
+			raws[ri].bind()
+		}
 		deformCost := int64(0)
 		evpCost := int64(len(tups)) * evpBaseCost
+	tuples:
 		for i, tup := range tups {
 			data := tup[tuple.HOff(tup):]
+			for ri := range raws {
+				evpCost += raws[ri].cost
+				if raws[ri].test(data) != triTrue {
+					deformCost += gclCost[0]
+					continue tuples
+				}
+			}
 			beeID := tuple.BeeID(tup)
 			values := out[i]
 			s, off := 0, 0
@@ -113,7 +233,7 @@ func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natt
 					s = ck.attr + 1
 				}
 				evpCost += ck.cost
-				if v := ck.pred(values); v.IsNull() || !v.Bool() {
+				if ck.pred(values) != triTrue {
 					pass = false
 					break
 				}

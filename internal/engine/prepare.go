@@ -157,6 +157,15 @@ func (s *Stmt) Columns() []exec.ColInfo {
 	return s.planned.Cols
 }
 
+// Plan returns the cached plan of a prepared SELECT (nil for DML or a
+// closed statement) — the Stmt counterpart of DB.PlanQuery, for tools
+// and tests. The plan is the one executions run; do not run it directly.
+func (s *Stmt) Plan() *plan.Planned {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.planned
+}
+
 // Executions returns how many times the statement has been executed.
 func (s *Stmt) Executions() int64 { return s.execs.Load() }
 

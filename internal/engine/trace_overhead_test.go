@@ -69,17 +69,17 @@ func TestTracingDisabledOverheadGuard(t *testing.T) {
 
 	// Hook sites on one untraced ad-hoc query: wire read/decode spans,
 	// parse, plan, exec, commit, and the observe funnel — 16 is a
-	// generous ceiling. Clock pairs: the fused Q6 scan takes exactly one
-	// timing pair per batch, and batches = lineitem heap pages.
+	// generous ceiling. Clock pairs: the fused Q6 scan times one batch in
+	// four (exec's usageSampleEvery), and batches = lineitem heap pages.
 	const hookSites = 16
 	h, err := db.HeapOf("lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := h.NumPages()
+	batches := (h.NumPages() + 3) / 4
 	overhead := time.Duration(hookSites)*hookCost + time.Duration(batches)*clockPair
 	limit := q6Median / 50 // 2%
-	t.Logf("q6 median=%v  hook=%v/call ×%d  clock=%v/pair ×%d batches  → overhead=%v (limit %v)",
+	t.Logf("q6 median=%v  hook=%v/call ×%d  clock=%v/pair ×%d timed batches  → overhead=%v (limit %v)",
 		q6Median, hookCost, hookSites, clockPair, batches, overhead, limit)
 	if overhead >= limit {
 		t.Fatalf("estimated untraced overhead %v is ≥2%% of Q6 (%v median)", overhead, q6Median)

@@ -29,6 +29,12 @@ import (
 // capacity of 1024 covers any single page without reallocation.
 const BatchCap = 1024
 
+// usageSampleEvery is the page sampling of the scan's benefit-attribution
+// timing. A clock read costs as much as filtering a dozen tuples on the
+// stored bytes, so timing every page of a selective fused scan would be
+// a measurable share of the scan it measures.
+const usageSampleEvery = 4
+
 // Batch is a reusable set of rows with an optional selection vector.
 // Rows[:N] are filled by the producer; when Sel is non-nil only the row
 // ordinals it lists (ascending) are live. The batch — including the row
@@ -134,9 +140,9 @@ type BatchSeqScan struct {
 	FusedPred expr.Expr
 	NoteFused func(int64)
 	// DeformUsage and FusedUsage, when set, receive the rows processed and
-	// observed wall time of the deform / fused bee invocations at Close —
-	// the per-bee benefit attribution feed. Timing costs two clock reads
-	// per page and only when the handle is wired.
+	// the wall time of the deform / fused bee invocations at Close — the
+	// per-bee benefit attribution feed. One page in usageSampleEvery is
+	// timed (two clock reads) and the total extrapolated from those.
 	DeformUsage *core.BeeUsage
 	FusedUsage  *core.BeeUsage
 	// Range and Partial mirror SeqScan: a page interval for one partition
@@ -144,19 +150,19 @@ type BatchSeqScan struct {
 	Range   heap.PageRange
 	Partial bool
 
-	deforms  int64
-	fused    int64
-	deformNs int64
-	fusedNs  int64
-	batches  int64
-	rowsOut  int64
-	scanner  *heap.Scanner
-	tupBuf   [][]byte
-	rows     []expr.Row
-	sel      []int32
-	batch    Batch
-	cols     []ColInfo
-	rb       rebatcher
+	deforms int64
+	fused   int64
+	timedNs int64 // wall time of the timed pages' bee invocations
+	timed   int64 // pages timed
+	batches int64
+	rowsOut int64
+	scanner *heap.Scanner
+	tupBuf  [][]byte
+	rows    []expr.Row
+	sel     []int32
+	batch   Batch
+	cols    []ColInfo
+	rb      rebatcher
 }
 
 // NewBatchSeqScan builds a page-wise batch scan over rel's heap. natts ≤ 0
@@ -223,31 +229,31 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		s.ensureRows(len(tups))
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch)
 		s.deforms += int64(len(tups))
-		s.batches++
 		s.rowsOut += int64(len(tups))
+		var t0 time.Time
+		timed := (s.FusedUsage != nil || s.DeformUsage != nil) && s.batches%usageSampleEvery == 0
+		if timed {
+			t0 = time.Now()
+		}
+		s.batches++
 		if s.Fused != nil {
 			s.fused += int64(len(tups))
-			if s.FusedUsage != nil {
-				t0 := time.Now()
-				s.sel = s.Fused(tups, s.rows, s.NAtts, s.sel[:0], ctx.Prof())
-				s.fusedNs += int64(time.Since(t0))
-			} else {
-				s.sel = s.Fused(tups, s.rows, s.NAtts, s.sel[:0], ctx.Prof())
-			}
-			if len(s.sel) == 0 {
-				continue
-			}
-			s.batch = Batch{Rows: s.rows, N: len(tups), Sel: s.sel}
-			return &s.batch, true, nil
-		}
-		if s.DeformUsage != nil {
-			t0 := time.Now()
-			s.Deform(tups, s.rows, s.NAtts, ctx.Prof())
-			s.deformNs += int64(time.Since(t0))
+			s.sel = s.Fused(tups, s.rows, s.NAtts, s.sel[:0], ctx.Prof())
 		} else {
 			s.Deform(tups, s.rows, s.NAtts, ctx.Prof())
 		}
-		s.batch = Batch{Rows: s.rows, N: len(tups)}
+		if timed {
+			s.timedNs += int64(time.Since(t0))
+			s.timed++
+		}
+		if s.Fused == nil {
+			s.batch = Batch{Rows: s.rows, N: len(tups)}
+			return &s.batch, true, nil
+		}
+		if len(s.sel) == 0 {
+			continue
+		}
+		s.batch = Batch{Rows: s.rows, N: len(tups), Sel: s.sel}
 		return &s.batch, true, nil
 	}
 }
@@ -259,10 +265,13 @@ func (s *BatchSeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (s *BatchSeqScan) Close(*Ctx) {
-	if s.FusedUsage != nil {
-		s.FusedUsage.Note(s.fused, s.fusedNs)
-	} else {
-		s.DeformUsage.Note(s.deforms, s.deformNs)
+	if s.timed > 0 {
+		ns := s.timedNs * s.batches / s.timed
+		if s.FusedUsage != nil {
+			s.FusedUsage.Note(s.fused, ns)
+		} else {
+			s.DeformUsage.Note(s.deforms, ns)
+		}
 	}
 	if s.NoteDeforms != nil && s.deforms > 0 {
 		s.NoteDeforms(s.deforms)
@@ -270,7 +279,7 @@ func (s *BatchSeqScan) Close(*Ctx) {
 	if s.NoteFused != nil && s.fused > 0 {
 		s.NoteFused(s.fused)
 	}
-	s.deforms, s.fused, s.deformNs, s.fusedNs = 0, 0, 0, 0
+	s.deforms, s.fused, s.timedNs, s.timed = 0, 0, 0, 0
 	if s.scanner != nil {
 		s.scanner.Close()
 		s.scanner = nil
@@ -412,8 +421,8 @@ func (r *Rebatch) Schema() []ColInfo { return r.Child.Schema() }
 //     row otherwise, in row order (preserving the tuple path's group
 //     first-appearance order). A row whose key equals the previous row's
 //     reuses its group without re-probing the table.
-//  2. Argument evaluation — per spec, the batch-EVA bee (or the per-row
-//     closure/interpreter) fills a reusable value column.
+//  2. Argument evaluation — per distinct argument, the batch-EVA bee (or
+//     the per-row closure/interpreter) fills a reusable value column.
 //  3. Transition — per spec, a tight loop folds the value column into the
 //     group states, with the spec checks (NULL skip, DISTINCT, kind)
 //     hoisted out of the per-row switch for the count/sum/avg shapes.
@@ -426,6 +435,28 @@ func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs
 		vbuf   []types.Datum
 	)
 	naggs := len(addSpecs)
+	// owner[i] is the first spec with spec i's argument (by rendered text,
+	// the bee cache's identity too). The owner evaluates the argument once
+	// per batch; the later specs fold the owner's value column — Q1 asks
+	// for both sum and avg of l_quantity and of l_extendedprice. A column
+	// someone shares lives in cols[owner] until the batch is done; the
+	// others reuse vbuf.
+	owner := make([]int, naggs)
+	cols := make([][]types.Datum, naggs)
+	shared := make([]bool, naggs)
+	args := make(map[string]int, naggs)
+	for i := range evalSpecs {
+		owner[i] = i
+		if evalSpecs[i].Arg == nil {
+			continue
+		}
+		key := evalSpecs[i].Arg.String()
+		if first, ok := args[key]; ok {
+			owner[i], shared[first] = first, true
+		} else {
+			args[key] = i
+		}
+	}
 	for {
 		b, ok, err := src.NextBatch(ctx)
 		if err != nil {
@@ -478,30 +509,40 @@ func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs
 			spec := &evalSpecs[i]
 			ad := &addSpecs[i]
 			var vals []types.Datum
-			if spec.Arg != nil && len(vbuf) < n {
-				vbuf = make([]types.Datum, growBatchScratch(len(vbuf), n))
-			}
 			switch {
-			case spec.CompiledBatchArg != nil:
-				eva += int64(n)
-				if spec.Usage != nil {
-					t0 := time.Now()
-					vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vbuf[:0], &ctx.Expr)
-					spec.Usage.Note(int64(n), int64(time.Since(t0)))
-				} else {
-					vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vbuf[:0], &ctx.Expr)
+			case spec.Arg == nil: // COUNT(*): no value column
+			case owner[i] != i:
+				vals = cols[owner[i]]
+			default:
+				buf := &vbuf
+				if shared[i] {
+					buf = &cols[i]
 				}
-			case spec.CompiledArg != nil:
-				eva += int64(n)
-				vals = vbuf[:n]
-				for bi := 0; bi < n; bi++ {
-					vals[bi] = spec.CompiledArg(b.RowAt(bi), &ctx.Expr)
+				if cap(*buf) < n {
+					*buf = make([]types.Datum, 0, growBatchScratch(cap(*buf), n))
 				}
-			case spec.Arg != nil:
-				vals = vbuf[:n]
-				for bi := 0; bi < n; bi++ {
-					vals[bi] = spec.Arg.Eval(b.RowAt(bi), &ctx.Expr)
+				vals = (*buf)[:0]
+				switch {
+				case spec.CompiledBatchArg != nil:
+					eva += int64(n)
+					if spec.Usage != nil {
+						t0 := time.Now()
+						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
+						spec.Usage.Note(int64(n), int64(time.Since(t0)))
+					} else {
+						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
+					}
+				case spec.CompiledArg != nil:
+					eva += int64(n)
+					for bi := 0; bi < n; bi++ {
+						vals = append(vals, spec.CompiledArg(b.RowAt(bi), &ctx.Expr))
+					}
+				default:
+					for bi := 0; bi < n; bi++ {
+						vals = append(vals, spec.Arg.Eval(b.RowAt(bi), &ctx.Expr))
+					}
 				}
+				*buf = vals
 			}
 			switch {
 			case vals == nil: // COUNT(*)

@@ -21,9 +21,12 @@ const (
 // String renders the operator.
 func (o ArithOp) String() string { return [...]string{"+", "-", "*", "/"}[o] }
 
-// Arith applies an arithmetic operator. Integer op integer yields int64;
-// anything involving a float yields float64; date ± interval-days yields
-// date (interval literals are lowered to IntervalConst by the planner).
+// Arith applies an arithmetic operator. Anything involving a float yields
+// float64; date ± integer (a day count) yields date; every other integral
+// combination, date − date included, yields int64. Type and ApplyArith
+// apply the same rule, so a node's static kind is the kind of the datum
+// it produces — the typed query-bee fragments rely on that. Calendar
+// intervals are DateArith nodes, not Arith.
 type Arith struct {
 	Op   ArithOp
 	L, R Expr
@@ -42,10 +45,6 @@ func (a *Arith) Eval(row Row, ctx *Ctx) types.Datum {
 
 // ApplyArith applies an arithmetic operator to two non-null datums.
 func ApplyArith(op ArithOp, l, r types.Datum) types.Datum {
-	// Date ± interval.
-	if l.Kind() == types.KindDate && r.Kind() == types.KindInvalid {
-		return types.Null
-	}
 	if l.Kind() == types.KindFloat64 || r.Kind() == types.KindFloat64 {
 		lf, rf := l.Float64(), r.Float64()
 		switch op {
@@ -63,11 +62,12 @@ func ApplyArith(op ArithOp, l, r types.Datum) types.Datum {
 		}
 	}
 	li, ri := l.Int64(), r.Int64()
+	kind := ArithKind(op, l.Kind(), r.Kind())
 	switch op {
 	case Add:
-		return types.NewInt64(li + ri)
+		return types.MakeNumeric(li+ri, kind)
 	case Sub:
-		return types.NewInt64(li - ri)
+		return types.MakeNumeric(li-ri, kind)
 	case Mul:
 		return types.NewInt64(li * ri)
 	case Div:
@@ -79,15 +79,21 @@ func ApplyArith(op ArithOp, l, r types.Datum) types.Datum {
 	return types.Null
 }
 
+// ArithKind is the result kind of l op r: the one rule behind Arith.Type,
+// ApplyArith and the typed query-bee kernels.
+func ArithKind(op ArithOp, l, r types.Kind) types.Kind {
+	switch {
+	case l == types.KindFloat64 || r == types.KindFloat64:
+		return types.KindFloat64
+	case l == types.KindDate && (op == Add || op == Sub) && (r == types.KindInt32 || r == types.KindInt64):
+		return types.KindDate
+	}
+	return types.KindInt64
+}
+
 // Type implements Expr.
 func (a *Arith) Type() types.T {
-	if a.L.Type().Kind == types.KindFloat64 || a.R.Type().Kind == types.KindFloat64 {
-		return types.Float64
-	}
-	if a.L.Type().Kind == types.KindDate {
-		return types.Date
-	}
-	return types.Int64
+	return types.T{Kind: ArithKind(a.Op, a.L.Type().Kind, a.R.Type().Kind)}
 }
 
 func (a *Arith) String() string {
@@ -142,7 +148,13 @@ func (n *Neg) Eval(row Row, ctx *Ctx) types.Datum {
 	return types.NewInt64(-v.Int64())
 }
 
-// Type implements Expr.
-func (n *Neg) Type() types.T { return n.Kid.Type() }
+// Type implements Expr: float stays float, every integral kind negates to
+// int64 (what Eval produces).
+func (n *Neg) Type() types.T {
+	if n.Kid.Type().Kind == types.KindFloat64 {
+		return types.Float64
+	}
+	return types.Int64
+}
 
 func (n *Neg) String() string { return "(-" + n.Kid.String() + ")" }

@@ -161,6 +161,12 @@ func (o CmpOp) Negate() CmpOp {
 	return [...]CmpOp{NE, EQ, GE, GT, LE, LT}[o]
 }
 
+// Mirror returns the operator that holds with the operands exchanged
+// (a < b == b > a).
+func (o CmpOp) Mirror() CmpOp {
+	return [...]CmpOp{EQ, NE, GT, GE, LT, LE}[o]
+}
+
 // Cmp compares two operands.
 type Cmp struct {
 	Op   CmpOp

@@ -345,6 +345,41 @@ func TestArithTypeDerivation(t *testing.T) {
 	}
 }
 
+// An arithmetic node's static kind is the kind of the datum it produces —
+// the typed query bees are selected by the former and must box the latter.
+func TestArithStaticKindIsRuntimeKind(t *testing.T) {
+	row := Row{i32(3), types.NewInt64(4), types.NewFloat64(1.5), types.NewDate(9000), types.NewDate(9031), types.NewBool(true)}
+	cols := []types.T{types.Int32, types.Int64, types.Float64, types.Date, types.Date, types.Bool}
+	v := func(i int) Expr { return &Var{Idx: i, T: cols[i]} }
+	for l := range cols {
+		for r := range cols {
+			for _, op := range []ArithOp{Add, Sub, Mul, Div} {
+				a := &Arith{Op: op, L: v(l), R: v(r)}
+				if got := a.Eval(row, &Ctx{}); got.Kind() != a.Type().Kind {
+					t.Errorf("%s %s %s: typed %s, produced %s", cols[l], op, cols[r], a.Type(), got.Kind())
+				}
+			}
+		}
+		n := &Neg{Kid: v(l)}
+		if got := n.Eval(row, &Ctx{}); got.Kind() != n.Type().Kind {
+			t.Errorf("-%s: typed %s, produced %s", cols[l], n.Type(), got.Kind())
+		}
+	}
+	for _, c := range []struct {
+		e    Expr
+		want types.Datum
+	}{
+		{&Arith{Op: Add, L: v(3), R: v(0)}, types.NewDate(9003)},
+		{&Arith{Op: Sub, L: v(3), R: v(1)}, types.NewDate(8996)},
+		{&Arith{Op: Sub, L: v(4), R: v(3)}, types.NewInt64(31)}, // date − date is a day count
+		{&Arith{Op: Add, L: v(0), R: v(3)}, types.NewInt64(9003)},
+	} {
+		if got := c.e.Eval(row, &Ctx{}); got.Kind() != c.want.Kind() || got.I != c.want.I {
+			t.Errorf("%s = %v (%s), want %v (%s)", c.e, got, got.Kind(), c.want, c.want.Kind())
+		}
+	}
+}
+
 func TestMoreStrings(t *testing.T) {
 	checks := map[string]interface{ String() string }{
 		"(a IS NULL)":          &IsNull{Kid: &Var{Idx: 0, Name: "a"}},
