@@ -343,117 +343,67 @@ func parseNum(n *sql.NumLit) (types.Datum, error) {
 	return types.NewInt64(v), nil
 }
 
-// execUpdate handles UPDATE ... SET ... WHERE by scanning the relation
-// under the statement's snapshot. The durability wait runs after the
-// latched body releases the table latch (see execInsert).
-func (db *DB) execUpdate(s *sql.Update, prof *profile.Counters, slots *expr.ParamSlots) (int64, error) {
-	n, lsn, err := db.execUpdateLatched(s, prof, slots)
+// execDML handles an ad hoc UPDATE or DELETE: compile the statement's
+// target (dmltarget.go) and run it once. slots carries bound parameters
+// when a PREPARE TRANSACTION body falls back to statement-at-a-time (nil
+// otherwise). The durability wait runs after the latched body releases
+// the table latch and db.mu (see execInsert).
+func (db *DB) execDML(stmt sql.Statement, prof *profile.Counters, slots *expr.ParamSlots) (int64, error) {
+	n, lsn, err := db.execDMLLatched(stmt, prof, slots)
 	if err != nil {
 		return n, err
 	}
 	return n, db.waitDurable(lsn)
 }
 
-func (db *DB) execUpdateLatched(s *sql.Update, prof *profile.Counters, slots *expr.ParamSlots) (int64, uint64, error) {
+func (db *DB) execDMLLatched(stmt sql.Statement, prof *profile.Counters, slots *expr.ParamSlots) (int64, uint64, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	rel, err := db.handleFor(s.Table)
+	pl := db.planner
+	if slots != nil {
+		// The planner copy keeps the shared planner untouched.
+		cp := *db.planner
+		cp.Params = slots
+		cp.ParamTypes = make([]types.T, len(slots.Vals))
+		pl = &cp
+	}
+	t, err := db.compileDML(pl, stmt)
 	if err != nil {
 		return 0, 0, err
 	}
-	where, setExprs, setCols, err := db.compileUpdate(rel.rel, s, slots)
-	if err != nil {
-		return 0, 0, err
-	}
-	acc, err := db.accessFor(rel.rel)
-	if err != nil {
-		return 0, 0, err
-	}
-	deform := acc.deform
+	return db.execTargetLatched(t, prof)
+}
 
-	rel.latch.Lock()
-	defer rel.latch.Unlock()
+// execTargetLatched runs one compiled UPDATE/DELETE as its own
+// transaction under its table's exclusive latch. Caller holds db.mu
+// (shared) and passes the returned LSN to waitDurable after releasing it.
+func (db *DB) execTargetLatched(t *dmlTarget, prof *profile.Counters) (int64, uint64, error) {
+	t.rel.latch.Lock()
+	defer t.rel.latch.Unlock()
 	xid := db.tm.Begin()
 	snap := db.tm.Snapshot(xid)
 	defer snap.Release()
-
-	// Two phases: collect matching TIDs and new value rows, then apply
-	// (updating during the scan would revisit moved tuples).
-	type pending struct {
-		tid    heap.TID
-		oldVal []types.Datum
-		newVal []types.Datum
-	}
-	var todo []pending
-	ctx := &exec.Ctx{Expr: expr.Ctx{Prof: prof}}
-	values := make([]types.Datum, len(rel.rel.Attrs))
-	sc := rel.heap.Scan(snap, prof)
-	for {
-		tid, tup, ok := sc.Next()
-		if !ok {
-			break
+	var undos []func() error
+	defer func() {
+		// A panic (a faulty bee) must not leave the transaction open or
+		// half applied: roll back, then let the statement's containment
+		// boundary report it.
+		if r := recover(); r != nil {
+			db.stmtAbort(undos, xid, nil)
+			t.retireBee()
+			panic(r)
 		}
-		deform(tup, values, len(values), prof)
-		if where != nil {
-			v := where.Eval(values, &ctx.Expr)
-			if v.IsNull() || !v.Bool() {
-				continue
-			}
-		}
-		old := exec.CloneRow(values)
-		newVal := exec.CloneRow(values)
-		for i, e := range setExprs {
-			newVal[setCols[i]] = exec.CloneDatum(e.Eval(old, &ctx.Expr))
-		}
-		todo = append(todo, pending{tid: tid, oldVal: old, newVal: newVal})
-	}
-	sc.Close()
-	if err := sc.Err(); err != nil {
-		db.stmtAbort(nil, xid, err)
+	}()
+	n, err := t.run(snap, prof, &undos)
+	if err != nil {
+		db.stmtAbort(undos, xid, err)
 		return 0, 0, err
 	}
-
-	var undos []func() error
-	for _, pd := range todo {
-		undo, err := db.applyUpdateLocked(rel, pd.tid, pd.oldVal, pd.newVal, xid, prof)
-		if err != nil {
-			db.stmtAbort(undos, xid, err)
-			return 0, 0, err
-		}
-		undos = append(undos, undo)
-	}
-	lsn, err := db.stmtCommit(rel, xid, prof)
+	lsn, err := db.stmtCommit(t.rel, xid, prof)
 	if err != nil {
 		return 0, 0, err
 	}
-	return int64(len(todo)), lsn, nil
-}
-
-func (db *DB) compileUpdate(rel *catalog.Relation, s *sql.Update, slots *expr.ParamSlots) (expr.Expr, []expr.Expr, []int, error) {
-	conv := db.astConverter(rel, slots)
-	var where expr.Expr
-	var err error
-	if s.Where != nil {
-		where, err = conv(s.Where)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	var setExprs []expr.Expr
-	var setCols []int
-	for _, sc := range s.Set {
-		i := rel.AttrIndex(sc.Col)
-		if i < 0 {
-			return nil, nil, nil, fmt.Errorf("engine: column %q not in %s", sc.Col, rel.Name)
-		}
-		e, err := conv(sc.Expr)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		setCols = append(setCols, i)
-		setExprs = append(setExprs, e)
-	}
-	return where, setExprs, setCols, nil
+	return n, lsn, nil
 }
 
 // applyUpdateLocked performs one MVCC update — stamp the old version
@@ -527,83 +477,6 @@ func btreeCompare(a, b []types.Datum) int {
 	return 0
 }
 
-// execDelete handles DELETE FROM ... WHERE by scanning the relation
-// under the statement's snapshot. The durability wait runs after the
-// latched body releases the table latch (see execInsert).
-func (db *DB) execDelete(s *sql.Delete, prof *profile.Counters, slots *expr.ParamSlots) (int64, error) {
-	n, lsn, err := db.execDeleteLatched(s, prof, slots)
-	if err != nil {
-		return n, err
-	}
-	return n, db.waitDurable(lsn)
-}
-
-func (db *DB) execDeleteLatched(s *sql.Delete, prof *profile.Counters, slots *expr.ParamSlots) (int64, uint64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rel, err := db.handleFor(s.Table)
-	if err != nil {
-		return 0, 0, err
-	}
-	conv := db.astConverter(rel.rel, slots)
-	var where expr.Expr
-	if s.Where != nil {
-		where, err = conv(s.Where)
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	acc, err := db.accessFor(rel.rel)
-	if err != nil {
-		return 0, 0, err
-	}
-	deform := acc.deform
-
-	rel.latch.Lock()
-	defer rel.latch.Unlock()
-	xid := db.tm.Begin()
-	snap := db.tm.Snapshot(xid)
-	defer snap.Release()
-
-	var victims []heap.TID
-	ctx := &expr.Ctx{Prof: prof}
-	values := make([]types.Datum, len(rel.rel.Attrs))
-	sc := rel.heap.Scan(snap, prof)
-	for {
-		tid, tup, ok := sc.Next()
-		if !ok {
-			break
-		}
-		deform(tup, values, len(values), prof)
-		if where != nil {
-			v := where.Eval(values, ctx)
-			if v.IsNull() || !v.Bool() {
-				continue
-			}
-		}
-		victims = append(victims, tid)
-	}
-	sc.Close()
-	if err := sc.Err(); err != nil {
-		db.stmtAbort(nil, xid, err)
-		return 0, 0, err
-	}
-	var undos []func() error
-	for _, tid := range victims {
-		undo, err := db.deleteRowLocked(rel, tid, xid, prof)
-		if err != nil {
-			db.stmtAbort(undos, xid, err)
-			return 0, 0, err
-		}
-		undos = append(undos, undo)
-	}
-	lsn, err := db.stmtCommit(rel, xid, prof)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int64(len(victims)), lsn, nil
-}
-
 // deleteRowLocked stamps one version deleted. Index entries stay: older
 // snapshots still resolve the version through them, and vacuum removes
 // them with the version itself. The undo clears the stamp.
@@ -613,20 +486,4 @@ func (db *DB) deleteRowLocked(rel relHandle, tid heap.TID, xid uint64, prof *pro
 	}
 	undo := func() error { return rel.heap.UnmarkDeleted(tid, xid) }
 	return undo, nil
-}
-
-// astConverter builds a converter that resolves identifiers against a
-// single relation's attributes (for UPDATE/DELETE WHERE clauses). slots,
-// when non-nil, lets the converted expression read $n prepared-statement
-// parameters; the planner copy keeps the shared planner untouched.
-func (db *DB) astConverter(rel *catalog.Relation, slots *expr.ParamSlots) func(sql.Expr) (expr.Expr, error) {
-	pl := *db.planner
-	if slots != nil {
-		pl.Params = slots
-		pl.ParamTypes = make([]types.T, len(slots.Vals))
-	}
-	return func(e sql.Expr) (expr.Expr, error) {
-		planned, err := pl.ConvertForRelation(e, rel)
-		return planned, err
-	}
 }

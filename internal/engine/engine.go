@@ -637,10 +637,8 @@ func (db *DB) execStmt(at *trace.Active, text string, prof *profile.Counters) (i
 		return 0, db.dropTable(s.Name)
 	case *sql.Insert:
 		return db.execInsert(s, prof, nil)
-	case *sql.Update:
-		return db.execUpdate(s, prof, nil)
-	case *sql.Delete:
-		return db.execDelete(s, prof, nil)
+	case *sql.Update, *sql.Delete:
+		return db.execDML(s, prof, nil)
 	case *sql.Select:
 		return 0, fmt.Errorf("engine: use Query for SELECT")
 	default:

@@ -89,6 +89,14 @@ type observer struct {
 	txnBeeReplans   *metrics.Counter
 	txnBeeFallbacks *metrics.Counter
 
+	// Compiled UPDATE/DELETE access paths (see dmltarget.go): executions
+	// that probed an index, executions that scanned the heap, and the
+	// candidate versions they looked at — a full-scan write shows up here
+	// as seq_scans with rows_examined near the table's size.
+	dmlIndexProbes  *metrics.Counter
+	dmlSeqScans     *metrics.Counter
+	dmlRowsExamined *metrics.Counter
+
 	// Concurrency-control counters (see docs/CONCURRENCY.md and
 	// DESIGN.md §13): first-updater-wins losses and vacuum activity.
 	txnConflicts    *metrics.Counter
@@ -147,6 +155,10 @@ func newObserver() *observer {
 		txnBeeExecs:     reg.Counter("txn_bee.executions"),
 		txnBeeReplans:   reg.Counter("txn_bee.replans"),
 		txnBeeFallbacks: reg.Counter("txn_bee.fallbacks"),
+
+		dmlIndexProbes:  reg.Counter("dml.index_probes"),
+		dmlSeqScans:     reg.Counter("dml.seq_scans"),
+		dmlRowsExamined: reg.Counter("dml.rows_examined"),
 
 		txnConflicts:    reg.Counter("txn.conflicts"),
 		vacuumRuns:      reg.Counter("vacuum.runs"),

@@ -19,20 +19,23 @@ import (
 
 // This file implements parameterized prepared statements — the payoff of
 // the slot-pointer design threaded through expr.Param, the planner, and
-// the query-bee compiler. PREPARE parses and (for SELECTs) plans the
-// statement once; every query bee the plan needs is created at that
+// the query-bee compiler. PREPARE parses the statement and plans it once
+// — a SELECT into its plan tree, an UPDATE or DELETE into its compiled
+// target (dmltarget.go); every query bee it needs is created at that
 // point, with parameter references compiled as slot reads. EXECUTE then
 // only writes the bound values into the slot array and re-runs the
-// cached plan tree: no parse, no plan, no bee compilation. Because bee
+// cached plan or target: no parse, no plan, no bee compilation. Because bee
 // cache keys render parameters as "$n", two sessions preparing the same
 // text share the module's bee cache entries even though each holds its
 // own plan.
 //
 // Cached plans are invalidated by two generation counters on the DB:
 // ddlGen (schema or routine-set changes → full replan, the plan may hold
-// dropped heaps or stale bees) and dataGen (row modifications → drop the
-// plan's cross-run caches — Materialize buffers, uncorrelated subquery
-// results — while keeping the compiled bees).
+// dropped heaps or stale bees; a compiled UPDATE/DELETE target is rebuilt
+// the same way, which is also how it picks up an index created after
+// PREPARE) and dataGen (row modifications → drop the plan's cross-run
+// caches — Materialize buffers, uncorrelated subquery results — while
+// keeping the compiled bees).
 
 // ErrStmtClosed is returned by Query/Exec on a closed prepared statement.
 var ErrStmtClosed = errors.New("engine: prepared statement is closed")
@@ -47,8 +50,9 @@ type Stmt struct {
 	text string
 	opts QueryOpts
 	// sel is set for SELECT statements (planned eagerly, cached); ast for
-	// everything else (dispatched per execute like ad-hoc statements, but
-	// with the parse amortized and parameters bound via slots).
+	// everything else. An UPDATE or DELETE is compiled eagerly too, into
+	// target; INSERT and DDL dispatch per execute like ad-hoc statements,
+	// with the parse amortized and parameters bound via slots.
 	sel *sql.Select
 	ast sql.Statement
 
@@ -60,14 +64,16 @@ type Stmt struct {
 	slots    *expr.ParamSlots
 	pl       plan.Planner // private copy: Params points at slots
 	planned  *plan.Planned
+	target   *dmlTarget
 	analyzed bool // root stays instrumented so loops accumulate
 	ddlGen   uint64
 	dataGen  uint64
 }
 
-// Prepare parses text once and, for a SELECT, plans it eagerly — creating
-// its query bees — so executions only bind parameters and run.
-// Placeholders are $1, $2, ... (1-based).
+// Prepare parses text once and, for a SELECT, UPDATE or DELETE, plans it
+// eagerly — creating its query bees and choosing its access path — so
+// executions only bind parameters and run, and a statement that cannot
+// be planned fails here. Placeholders are $1, $2, ... (1-based).
 func (db *DB) Prepare(text string) (*Stmt, error) {
 	return db.PrepareWith(text, QueryOpts{})
 }
@@ -112,6 +118,16 @@ func (db *DB) prepareWith(text string, opts QueryOpts, internal bool) (*Stmt, er
 		if err != nil {
 			return nil, err
 		}
+	case *sql.Update, *sql.Delete:
+		s.ast = stmt
+		db.mu.RLock()
+		s.pl = *db.planner
+		s.pl.Params = s.slots
+		err = s.retargetLocked()
+		db.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
 	default:
 		s.ast = stmt
 	}
@@ -132,6 +148,22 @@ func (s *Stmt) replanLocked() error {
 	s.planned = planned
 	s.ddlGen = s.db.ddlGen.Load()
 	s.dataGen = s.db.dataGen.Load()
+	return nil
+}
+
+// retargetLocked compiles (or re-compiles) the UPDATE/DELETE target and
+// records the schema generation it is valid for; ParamTypes is inferred
+// afresh so bind coerces as it does for a SELECT. Caller holds db.mu
+// (read suffices) and s.mu when called from execOnce.
+func (s *Stmt) retargetLocked() error {
+	s.pl.ParamTypes = make([]types.T, s.nParams)
+	target, err := s.db.compileDML(&s.pl, s.ast)
+	if err != nil {
+		return err
+	}
+	target.compileBee()
+	s.target = target
+	s.ddlGen = s.db.ddlGen.Load()
 	return nil
 }
 
@@ -176,6 +208,7 @@ func (s *Stmt) Close() {
 	first := !s.closed
 	s.closed = true
 	s.planned = nil
+	s.target = nil
 	s.mu.Unlock()
 	if first {
 		s.db.dropPrepared(s.text)
@@ -371,10 +404,8 @@ func (s *Stmt) execOnce() (n int64, err error) {
 	switch st := s.ast.(type) {
 	case *sql.Insert:
 		return db.execInsert(st, nil, s.slots)
-	case *sql.Update:
-		return db.execUpdate(st, nil, s.slots)
-	case *sql.Delete:
-		return db.execDelete(st, nil, s.slots)
+	case *sql.Update, *sql.Delete:
+		return s.execTarget()
 	case *sql.CreateTable:
 		return 0, db.createTable(st)
 	case *sql.CreateIndex:
@@ -384,6 +415,35 @@ func (s *Stmt) execOnce() (n int64, err error) {
 	default:
 		return 0, fmt.Errorf("engine: unsupported prepared statement %T", s.ast)
 	}
+}
+
+// execTarget runs the compiled UPDATE/DELETE and then, with every lock
+// released, waits for its commit record to be durable. Caller holds s.mu.
+func (s *Stmt) execTarget() (int64, error) {
+	n, lsn, err := s.execTargetLatched()
+	if err != nil {
+		return n, err
+	}
+	return n, s.db.waitDurable(lsn)
+}
+
+// execTargetLatched rebuilds the target first if DDL moved the schema
+// since it was built: the old one may hold a dropped heap, and a new
+// index may offer it a probe.
+func (s *Stmt) execTargetLatched() (int64, uint64, error) {
+	db := s.db
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if s.target != nil && db.ddlGen.Load() != s.ddlGen {
+		s.target = nil
+		db.obs.preparedReplans.Inc()
+	}
+	if s.target == nil {
+		if err := s.retargetLocked(); err != nil {
+			return 0, 0, err
+		}
+	}
+	return db.execTargetLatched(s.target, nil)
 }
 
 // bind writes the parameter values into the slot array the compiled plan

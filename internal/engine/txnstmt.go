@@ -13,7 +13,6 @@ import (
 	"microspec/internal/expr"
 	"microspec/internal/plan"
 	"microspec/internal/sql"
-	"microspec/internal/storage/heap"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -21,13 +20,14 @@ import (
 // This file implements server-side named transactions: PREPARE
 // TRANSACTION name AS BEGIN; stmt; ...; COMMIT compiled into a
 // transaction bee (see txnbee.go). The per-statement plans are stitched
-// into one fused program at prepare time — INSERT value expressions and
-// UPDATE/DELETE predicates converted once against their relation,
-// SELECTs planned through the regular planner (index paths included)
-// with their scan latches stripped, since the fused latch plan already
-// holds every table's latch — and every statement reads the same
-// parameter-slot array, so EXECUTE TRANSACTION binds once and runs the
-// whole unit under one latch acquisition and one WAL commit record.
+// into one fused program at prepare time — INSERT column maps resolved,
+// each UPDATE/DELETE compiled to its target (dmltarget.go: predicate,
+// SET expressions and index probe chosen once), SELECTs planned through
+// the regular planner (index paths included) with their scan latches
+// stripped, since the fused latch plan already holds every table's
+// latch — and every statement reads the same parameter-slot array, so
+// EXECUTE TRANSACTION binds once and runs the whole unit under one latch
+// acquisition and one WAL commit record.
 //
 // Invalidation follows prepared statements: ddlGen drift rebuilds the
 // fused program, dataGen drift resets the cached SELECT plans'
@@ -38,24 +38,21 @@ import (
 
 const (
 	opInsert = iota
-	opUpdate
-	opDelete
+	opModify // UPDATE or DELETE
 	opSelect
 )
 
 // txnOp is one fused statement, compiled against pre-resolved state.
 type txnOp struct {
 	kind int
-	tbl  int // table ordinal in the TxnSpec (DML ops)
 
 	// opInsert
+	tbl    int // table ordinal in the TxnSpec
 	colIdx []int
 	rows   [][]sql.Expr
 
-	// opUpdate / opDelete
-	where    expr.Expr
-	setExprs []expr.Expr
-	setCols  []int
+	// opModify
+	target *dmlTarget
 
 	// opSelect
 	planned *plan.Planned
@@ -228,23 +225,16 @@ func (ts *TxnStmt) compileLocked() error {
 				}
 			}
 			prog = append(prog, txnOp{kind: opInsert, tbl: ti, colIdx: colIdx, rows: s.Rows})
-		case *sql.Update:
-			ti := ord[s.Table]
-			where, setExprs, setCols, err := ts.compileUpdateOp(res.tables[ti].rel.rel, s)
+		case *sql.Update, *sql.Delete:
+			// The target resolves the same handle the latch plan holds
+			// (both read the catalog under this one db.mu hold), so its
+			// probe runs under the fused latch — no second acquisition.
+			target, err := db.compileDML(&ts.pl, st)
 			if err != nil {
 				return err
 			}
-			prog = append(prog, txnOp{kind: opUpdate, tbl: ti, where: where, setExprs: setExprs, setCols: setCols})
-		case *sql.Delete:
-			ti := ord[s.Table]
-			var where expr.Expr
-			if s.Where != nil {
-				where, err = ts.pl.ConvertForRelation(s.Where, res.tables[ti].rel.rel)
-				if err != nil {
-					return err
-				}
-			}
-			prog = append(prog, txnOp{kind: opDelete, tbl: ti, where: where})
+			target.compileBee()
+			prog = append(prog, txnOp{kind: opModify, target: target})
 		case *sql.Select:
 			planned, err := ts.pl.PlanSelect(s)
 			if err != nil {
@@ -264,32 +254,6 @@ func (ts *TxnStmt) compileLocked() error {
 	ts.ddlGen = db.ddlGen.Load()
 	ts.dataGen = db.dataGen.Load()
 	return nil
-}
-
-func (ts *TxnStmt) compileUpdateOp(rel *catalog.Relation, s *sql.Update) (expr.Expr, []expr.Expr, []int, error) {
-	var where expr.Expr
-	var err error
-	if s.Where != nil {
-		where, err = ts.pl.ConvertForRelation(s.Where, rel)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	var setExprs []expr.Expr
-	var setCols []int
-	for _, sc := range s.Set {
-		i := rel.AttrIndex(sc.Col)
-		if i < 0 {
-			return nil, nil, nil, fmt.Errorf("engine: column %q not in %s", sc.Col, rel.Name)
-		}
-		e, err := ts.pl.ConvertForRelation(sc.Expr, rel)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		setCols = append(setCols, i)
-		setExprs = append(setExprs, e)
-	}
-	return where, setExprs, setCols, nil
 }
 
 // collectBaseTables visits every base-relation name a SELECT references,
@@ -424,17 +388,12 @@ func (ts *TxnStmt) runFused() (*Result, int64, error) {
 					return err
 				}
 				affected += n
-			case opUpdate:
-				n, err := ts.fusedUpdate(ft, op)
+			case opModify:
+				n, err := op.target.run(ft.snap, ft.prof, &ft.undo)
 				if err != nil {
 					return err
 				}
-				affected += n
-			case opDelete:
-				n, err := ts.fusedDelete(ft, op)
-				if err != nil {
-					return err
-				}
+				ft.ops += n
 				affected += n
 			case opSelect:
 				rows, err := collectSafe(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{}, Snap: ft.snap}, op.planned.Root)
@@ -477,70 +436,6 @@ func (ts *TxnStmt) fusedInsert(ft *FastTxn, op *txnOp) (int64, error) {
 	return n, nil
 }
 
-// fusedScanWhere collects the TIDs and deformed rows matching op.where
-// under the transaction's own snapshot (two-phase, like
-// execUpdateLatched: applying during the scan would revisit moved
-// tuples).
-func (ft *FastTxn) fusedScanWhere(tbl int, where expr.Expr) ([]heap.TID, []expr.Row, error) {
-	t := &ft.res.tables[tbl]
-	ctx := &expr.Ctx{Prof: ft.prof}
-	values := make([]types.Datum, len(t.rel.rel.Attrs))
-	var tids []heap.TID
-	var rows []expr.Row
-	sc := t.rel.heap.Scan(ft.snap, ft.prof)
-	for {
-		tid, tup, ok := sc.Next()
-		if !ok {
-			break
-		}
-		t.acc.deform(tup, values, len(values), ft.prof)
-		if where != nil {
-			v := where.Eval(values, ctx)
-			if v.IsNull() || !v.Bool() {
-				continue
-			}
-		}
-		tids = append(tids, tid)
-		rows = append(rows, exec.CloneRow(values))
-	}
-	sc.Close()
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
-	}
-	return tids, rows, nil
-}
-
-func (ts *TxnStmt) fusedUpdate(ft *FastTxn, op *txnOp) (int64, error) {
-	tids, olds, err := ft.fusedScanWhere(op.tbl, op.where)
-	if err != nil {
-		return 0, err
-	}
-	ctx := &expr.Ctx{Prof: ft.prof}
-	for i, tid := range tids {
-		newVal := exec.CloneRow(olds[i])
-		for j, e := range op.setExprs {
-			newVal[op.setCols[j]] = exec.CloneDatum(e.Eval(olds[i], ctx))
-		}
-		if err := ft.UpdateRow(op.tbl, tid, olds[i], newVal); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(tids)), nil
-}
-
-func (ts *TxnStmt) fusedDelete(ft *FastTxn, op *txnOp) (int64, error) {
-	tids, _, err := ft.fusedScanWhere(op.tbl, op.where)
-	if err != nil {
-		return 0, err
-	}
-	for _, tid := range tids {
-		if err := ft.DeleteRow(op.tbl, tid); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(tids)), nil
-}
-
 // runStmtAtATime is the fallback: each body statement runs as its own
 // auto-commit transaction through the regular statement paths — exactly
 // what a client without the transaction bee would have sent. Caller
@@ -557,14 +452,8 @@ func (ts *TxnStmt) runStmtAtATime() (*Result, int64, error) {
 				return nil, affected, err
 			}
 			affected += n
-		case *sql.Update:
-			n, err := db.execUpdate(s, nil, ts.slots)
-			if err != nil {
-				return nil, affected, err
-			}
-			affected += n
-		case *sql.Delete:
-			n, err := db.execDelete(s, nil, ts.slots)
+		case *sql.Update, *sql.Delete:
+			n, err := db.execDML(s, nil, ts.slots)
 			if err != nil {
 				return nil, affected, err
 			}

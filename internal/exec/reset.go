@@ -17,27 +17,27 @@ func ResetCaches(n Node) {
 	}
 	aggExprs := func(specs []AggSpec) {
 		for i := range specs {
-			resetExprCaches(specs[i].Arg)
+			ResetExprCaches(specs[i].Arg)
 		}
 	}
 	switch v := n.(type) {
 	case *SeqScan, *IndexScan, *ValuesNode:
 	case *BatchSeqScan:
-		resetExprCaches(v.FusedPred)
+		ResetExprCaches(v.FusedPred)
 	case *Rebatch:
 		ResetCaches(v.Child)
 	case *BatchFilter:
-		resetExprCaches(v.Pred)
+		ResetExprCaches(v.Pred)
 		ResetCaches(v.Child)
 	case *BatchHashAgg:
 		aggExprs(v.Aggs)
 		ResetCaches(v.Child)
 	case *Filter:
-		resetExprCaches(v.Pred)
+		ResetExprCaches(v.Pred)
 		ResetCaches(v.Child)
 	case *Project:
 		for _, e := range v.Exprs {
-			resetExprCaches(e)
+			ResetExprCaches(e)
 		}
 		ResetCaches(v.Child)
 	case *Limit:
@@ -53,11 +53,11 @@ func ResetCaches(n Node) {
 		aggExprs(v.Aggs)
 		ResetCaches(v.Child)
 	case *HashJoin:
-		resetExprCaches(v.Residual)
+		ResetExprCaches(v.Residual)
 		ResetCaches(v.Outer)
 		ResetCaches(v.Inner)
 	case *NLJoin:
-		resetExprCaches(v.Qual)
+		ResetExprCaches(v.Qual)
 		ResetCaches(v.Outer)
 		ResetCaches(v.Inner)
 	case *Gather:
@@ -71,7 +71,11 @@ func ResetCaches(n Node) {
 	}
 }
 
-func resetExprCaches(e expr.Expr) {
+// ResetExprCaches is ResetCaches for one expression: it drops the cached
+// results of every uncorrelated subquery the expression holds. A
+// compiled UPDATE/DELETE calls it on its WHERE and SET expressions before
+// each execution, since its own writes are what stale them.
+func ResetExprCaches(e expr.Expr) {
 	switch n := e.(type) {
 	case nil:
 	case *ScalarSubquery:
@@ -83,28 +87,28 @@ func resetExprCaches(e expr.Expr) {
 	case *InSubquery:
 		n.Reset()
 		ResetCaches(n.Plan)
-		resetExprCaches(n.Kid)
+		ResetExprCaches(n.Kid)
 	case *expr.And:
 		for _, k := range n.Kids {
-			resetExprCaches(k)
+			ResetExprCaches(k)
 		}
 	case *expr.Or:
 		for _, k := range n.Kids {
-			resetExprCaches(k)
+			ResetExprCaches(k)
 		}
 	case *expr.Not:
-		resetExprCaches(n.Kid)
+		ResetExprCaches(n.Kid)
 	case *expr.Cmp:
-		resetExprCaches(n.L)
-		resetExprCaches(n.R)
+		ResetExprCaches(n.L)
+		ResetExprCaches(n.R)
 	case *expr.Arith:
-		resetExprCaches(n.L)
-		resetExprCaches(n.R)
+		ResetExprCaches(n.L)
+		ResetExprCaches(n.R)
 	case *expr.Case:
 		for _, w := range n.Whens {
-			resetExprCaches(w.Cond)
-			resetExprCaches(w.Result)
+			ResetExprCaches(w.Cond)
+			ResetExprCaches(w.Result)
 		}
-		resetExprCaches(n.Else)
+		ResetExprCaches(n.Else)
 	}
 }

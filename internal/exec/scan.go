@@ -9,6 +9,7 @@ import (
 	"microspec/internal/index/btree"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
+	"microspec/internal/types"
 )
 
 // SeqScan reads a heap relation sequentially, deforming each stored tuple
@@ -127,9 +128,13 @@ type IndexScan struct {
 	// KeyExprs, when set, are evaluated at every Open to rebuild Lo — the
 	// equality prefix key of a parameterized point lookup, re-bound per
 	// prepared-statement EXECUTE. The expressions must be row-independent
-	// (constants and parameters). A NULL key value makes the scan empty:
-	// SQL equality never matches NULL.
+	// (constants and parameters); KeyTypes holds the matching key columns'
+	// types, which ProbeKey converts each value to. A value equality
+	// cannot match (NULL, 2.5 against an INTEGER) makes the scan empty; one
+	// that cannot be converted makes it walk the whole index and leave the
+	// decision to the filter above it.
 	KeyExprs []expr.Expr
+	KeyTypes []types.T
 	// Reverse returns rows in descending key order (materialized).
 	Reverse bool
 	// Latch, when set, is the owning table's latch, held in shared mode
@@ -162,19 +167,20 @@ func NewIndexScan(h *heap.Heap, tree *btree.Tree, deform core.DeformFunc, natts 
 func (s *IndexScan) Open(ctx *Ctx) error {
 	s.tids = s.tids[:0]
 	s.pos = 0
+	if s.buf == nil {
+		s.buf = make(expr.Row, s.NAtts)
+	}
 	if len(s.KeyExprs) > 0 {
 		if s.Lo == nil {
-			s.Lo = make(btree.Key, len(s.KeyExprs))
+			s.Lo = make(btree.Key, 0, len(s.KeyExprs))
 		}
-		for i, e := range s.KeyExprs {
-			d := e.Eval(nil, &ctx.Expr)
-			if d.IsNull() {
-				if s.buf == nil {
-					s.buf = make(expr.Row, s.NAtts)
-				}
-				return nil // = NULL matches nothing
-			}
-			s.Lo[i] = d
+		var match KeyMatch
+		s.Lo, match = ProbeKey(s.Lo[:0], s.KeyExprs, s.KeyTypes, &ctx.Expr)
+		switch match {
+		case KeyMatchesNothing:
+			return nil
+		case KeyNeedsScan:
+			s.Lo = s.Lo[:0] // empty prefix: every entry
 		}
 	}
 	collect := func(_ btree.Key, tid heap.TID) bool {
@@ -196,9 +202,6 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		for i, j := 0, len(s.tids)-1; i < j; i, j = i+1, j-1 {
 			s.tids[i], s.tids[j] = s.tids[j], s.tids[i]
 		}
-	}
-	if s.buf == nil {
-		s.buf = make(expr.Row, s.NAtts)
 	}
 	return nil
 }

@@ -225,52 +225,18 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 
 // tryIndexScan replaces a base-table sequential scan with an equality
 // index scan when the pushed conjuncts pin a prefix of some index's key
-// to row-independent values (constants or prepared-statement
-// parameters). The full filter stays on top as a recheck, so the
+// (see matchEqPrefix). The full filter stays on top as a recheck, so the
 // rewrite is always safe; the win is skipping the heap scan for point
-// and small-prefix lookups. Longest matched prefix wins.
+// and small-prefix lookups.
 func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) {
-	if it.rel == nil || p.IndexesFor == nil {
+	if it.rel == nil {
 		return
 	}
 	if _, ok := it.node.(*exec.SeqScan); !ok {
 		return
 	}
-	// Equality bindings: column ordinal → key expression. The scan emits
-	// the relation's attributes in order, so Var ordinals are attribute
-	// ordinals.
-	eq := map[int]expr.Expr{}
-	for _, c := range conjuncts {
-		cmp, ok := c.(*expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
-			continue
-		}
-		if v, ok := cmp.L.(*expr.Var); ok && rowIndependent(cmp.R) {
-			eq[v.Idx] = cmp.R
-		} else if v, ok := cmp.R.(*expr.Var); ok && rowIndependent(cmp.L) {
-			eq[v.Idx] = cmp.L
-		}
-	}
-	if len(eq) == 0 {
-		return
-	}
-	var (
-		best     IndexMeta
-		bestCols int
-	)
-	for _, im := range p.IndexesFor(it.rel) {
-		n := 0
-		for _, col := range im.Cols {
-			if _, ok := eq[col]; !ok {
-				break
-			}
-			n++
-		}
-		if n > bestCols {
-			best, bestCols = im, n
-		}
-	}
-	if bestCols == 0 {
+	probe, ok := p.matchEqPrefix(conjuncts, it.rel)
+	if !ok {
 		return
 	}
 	h, err := p.HeapFor(it.rel)
@@ -281,33 +247,13 @@ func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) {
 	if err != nil {
 		return
 	}
-	keyExprs := make([]expr.Expr, bestCols)
-	for i := 0; i < bestCols; i++ {
-		keyExprs[i] = eq[best.Cols[i]]
-	}
-	scan := exec.NewIndexScan(h, best.Tree, deform, 0, nil, nil, false)
-	scan.KeyExprs = keyExprs
-	scan.Latch = best.Latch
+	scan := exec.NewIndexScan(h, probe.Index.Tree, deform, 0, nil, nil, false)
+	scan.KeyExprs = probe.KeyExprs
+	scan.KeyTypes = probe.KeyTypes
+	scan.Latch = probe.Index.Latch
 	it.node = scan
 	if it.est > 100 {
 		it.est = 100
-	}
-}
-
-// rowIndependent reports whether e reads nothing from the input row —
-// only constants, parameters, and arithmetic over them.
-func rowIndependent(e expr.Expr) bool {
-	switch n := e.(type) {
-	case *expr.Const, *expr.Param:
-		return true
-	case *expr.DateArith:
-		return rowIndependent(n.L)
-	case *expr.Arith:
-		return rowIndependent(n.L) && rowIndependent(n.R)
-	case *expr.Neg:
-		return rowIndependent(n.Kid)
-	default:
-		return false
 	}
 }
 
