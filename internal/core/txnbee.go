@@ -16,20 +16,22 @@ package core
 const TxnBeeKind = "txn"
 
 // Per-operation abstract instruction costs used for transaction-bee
-// benefit attribution. The statement-at-a-time path pays, for every
-// point operation, a catalog/handle map lookup, a table latch
+// benefit attribution. An interactive transaction pays, for every point
+// operation, a catalog lookup for the handle, a table latch
 // acquire/release pair, and an undo closure that re-acquires the latch
-// on rollback; the fused path pays only the operation itself plus an
-// append to a plain undo slice. The constants mirror the granularity of
-// stockExprCost and friends in benefit.go: coarse abstract instruction
-// counts, good enough to rank bees, not a cycle model.
+// on rollback; a fused one pays the operation itself plus one probe of
+// the bee's own name table and an append to a plain undo slice. The
+// constants mirror the granularity of stockExprCost and friends in
+// benefit.go: coarse abstract instruction counts, good enough to rank
+// bees, not a cycle model.
 const (
-	// TxnOpStockCost is the per-operation overhead of the
-	// statement-at-a-time path (handle lookup + latch pair + wrapped
-	// undo + per-statement begin/commit amortization).
+	// TxnOpStockCost is the per-operation overhead of an interactive
+	// transaction (catalog lookup + latch pair + wrapped undo +
+	// per-statement begin/commit amortization).
 	TxnOpStockCost = 24
-	// TxnOpBeeCost is the per-operation overhead of the fused path
-	// (pre-resolved handle, latches already held, plain undo append).
+	// TxnOpBeeCost is the per-operation overhead of a fused one (name
+	// probe in the pre-resolved table, latches already held, plain undo
+	// append).
 	TxnOpBeeCost = 6
 )
 

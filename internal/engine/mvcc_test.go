@@ -73,11 +73,11 @@ func TestTxnWriteWriteConflict(t *testing.T) {
 func TestStatementConflictsWithOpenTxn(t *testing.T) {
 	db := setupMini(t, core.AllRoutines)
 	a := db.Begin(nil)
-	row, tid, ok, err := a.GetByIndex("dept_pkey", []types.Datum{types.NewInt32(3)})
+	_, tid, ok, err := a.GetByIndex("dept_pkey", []types.Datum{types.NewInt32(3)})
 	if err != nil || !ok {
 		t.Fatalf("lookup: %v %v", ok, err)
 	}
-	if err := a.DeleteRow("dept", tid, row); err != nil {
+	if err := a.DeleteRow("dept", tid); err != nil {
 		t.Fatal(err)
 	}
 	_, err = db.Exec("update dept set d_name = 'steal' where d_id = 3")

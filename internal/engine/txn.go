@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"microspec/internal/catalog"
@@ -13,40 +14,75 @@ import (
 	"microspec/internal/types"
 )
 
-// Txn is an interactive MVCC transaction: it takes a snapshot at Begin,
+// Txn is an MVCC transaction context: it takes a snapshot when it begins,
 // stamps every version it writes with its own transaction ID, and records
-// logical undo actions for every modification, which Rollback replays in
+// a logical undo action for every modification, which Rollback replays in
 // reverse (TPC-C's New-Order transaction aborts 1% of the time by
-// specification). Multiple Txns run concurrently — each operation takes
-// only its table's latch for its own duration — so two transactions
-// touching the same row race under first-updater-wins: the loser's
-// operation returns an error wrapping txn.ErrWriteConflict and the caller
-// must Rollback (and usually retry).
+// specification). Reads resolve visibility against the begin-time snapshot
+// plus the transaction's own writes; two transactions touching the same
+// row race under first-updater-wins — the loser's operation returns an
+// error wrapping txn.ErrWriteConflict and the transaction must roll back
+// (and usually retry).
 //
-// Besides SQL DML, Txn exposes the point-access helpers the TPC-C
-// transaction implementations use — index lookup, fetch, update by TID —
-// all of which run tuple deform/fill through the bee module exactly like
-// the SQL paths (the per-tuple work is what the paper measures; the
-// statement dispatch around it is constant between stock and bee builds).
-// Reads resolve visibility against the Begin-time snapshot plus the
-// transaction's own writes.
+// Besides SQL DML, Txn exposes the point-access operations the TPC-C
+// transactions are written in — index lookup, prefix and range walks,
+// insert, update and delete by TID — all of which run tuple deform/fill
+// through the bee module exactly like the SQL paths (the per-tuple work is
+// what the paper measures; the dispatch around it is constant between
+// stock and bee builds).
+//
+// There is one implementation of each operation and two ways to start a
+// transaction, which differ only in where a name's handle comes from and
+// who holds the table latch:
+//
+//   - DB.Begin starts an interactive transaction. Names resolve through
+//     the catalog, each operation takes its table's latch for its own
+//     duration (so many run concurrently), and each undo re-acquires the
+//     latch when Rollback replays it. The caller ends it with Commit or
+//     Rollback.
+//   - CompiledTxn.Run starts a fused transaction (txnbee.go). Names
+//     resolve in the bee's pre-resolved table — a name outside its latch
+//     plan is an error, never an unlatched access — no latch is taken per
+//     operation because Run acquired the whole plan up front, and undos
+//     are plain. Run ends it: the body returns an error to roll back and
+//     must not call Commit or Rollback itself.
 type Txn struct {
-	db      *DB
-	prof    *profile.Counters
-	id      uint64
-	snap    *txn.Snapshot
-	undo    []func() error
+	db   *DB
+	prof *profile.Counters
+	id   uint64
+	snap *txn.Snapshot
+	undo []func() error
+	done bool
+	// plan is the latch plan a fused transaction runs under, all of its
+	// latches held from Run until Commit/Rollback; nil when interactive.
+	plan *txnResolved
+	// touched lists the tables an interactive transaction modified: the
+	// ones Commit offers to vacuum.
 	touched map[catalog.RelID]relHandle
-	done    bool
+	// ops counts operations, for the transaction bee's usage note.
+	ops int64
+	// lostRace records that an operation lost a first-updater-wins race,
+	// so Rollback counts the transaction on txn.conflicts once.
+	lostRace bool
 }
 
-// Begin starts a transaction: engine lock in shared mode (held until
-// Commit/Rollback, so DDL waits out live transactions), a fresh
-// transaction ID, and a registered snapshot.
+// errTxnDone is returned by an operation on a transaction that already
+// committed or rolled back (its snapshot, db.mu hold and latches are gone).
+var errTxnDone = errors.New("engine: transaction already finished")
+
+// Begin starts an interactive transaction: engine lock in shared mode
+// (held until Commit/Rollback, so DDL waits out live transactions), a
+// fresh transaction ID, and a registered snapshot.
 func (db *DB) Begin(prof *profile.Counters) *Txn {
 	db.mu.RLock()
+	return db.begin(prof, nil)
+}
+
+// begin starts a transaction under plan (nil = interactive). Caller holds
+// db.mu shared and, with a plan, every latch in it; both pass to the Txn.
+func (db *DB) begin(prof *profile.Counters, plan *txnResolved) *Txn {
 	id := db.tm.Begin()
-	return &Txn{db: db, prof: prof, id: id, snap: db.tm.Snapshot(id)}
+	return &Txn{db: db, prof: prof, id: id, snap: db.tm.Snapshot(id), plan: plan}
 }
 
 // ID returns the transaction's ID (tests and diagnostics).
@@ -55,11 +91,11 @@ func (t *Txn) ID() uint64 { return t.id }
 // Commit ends the transaction keeping its effects, making them visible to
 // every snapshot taken from now on. On a durable database it appends the
 // commit record before the in-memory commit flips, then — after releasing
-// db.mu, so concurrent committers share one group-commit sync — blocks
-// until the record is durable. A non-nil error means the commit is NOT
-// durable (the log writer crashed): on a kill-and-recover round the
-// transaction will be absent after replay, so callers must not treat the
-// work as done. Non-durable databases always return nil.
+// its latches and db.mu, so concurrent committers share one group-commit
+// sync — blocks until the record is durable. A non-nil error means the
+// commit is NOT durable (the log writer crashed): on a kill-and-recover
+// round the transaction will be absent after replay, so callers must not
+// treat the work as done. Non-durable databases always return nil.
 func (t *Txn) Commit() error {
 	if t.done {
 		return nil
@@ -71,25 +107,27 @@ func (t *Txn) Commit() error {
 		// replay is needed — the versions stay stamped with the aborted
 		// xid, invisible until vacuum reclaims them.
 		t.db.tm.Abort(t.id)
-		t.snap.Release()
-		t.undo = nil
-		t.touched = nil
-		t.db.mu.RUnlock()
+		t.release()
 		return err
 	}
 	t.db.tm.Commit(t.id)
-	t.snap.Release()
+	t.snap.Release() // before the vacuum below: it would hold the horizon back
 	if len(t.undo) > 0 {
 		t.db.dataGen.Add(1)
 	}
-	t.undo = nil
+	if t.plan != nil {
+		for _, tb := range t.plan.latchOrder {
+			if tb.write {
+				t.db.maybeVacuumLocked(tb.relHandle, t.prof)
+			}
+		}
+	}
 	for _, rel := range t.touched {
 		rel.latch.Lock()
 		t.db.maybeVacuumLocked(rel, t.prof)
 		rel.latch.Unlock()
 	}
-	t.touched = nil
-	t.db.mu.RUnlock()
+	t.release()
 	return t.db.waitDurable(lsn)
 }
 
@@ -97,7 +135,8 @@ func (t *Txn) Commit() error {
 // the transaction aborted. (The order matters: clearing the stamps before
 // publishing the abort keeps concurrent first-updater-wins checks from
 // racing the undo; a stamp they do catch mid-undo is recognized as
-// aborted and taken over — see heap.MarkDeleted.)
+// aborted and taken over — see heap.MarkDeleted.) This is also the one
+// place a transaction that lost a write-write race is counted.
 func (t *Txn) Rollback() error {
 	if t.done {
 		return nil
@@ -112,19 +151,105 @@ func (t *Txn) Rollback() error {
 	if len(t.undo) > 0 {
 		t.db.dataGen.Add(1)
 	}
-	t.undo = nil
-	t.touched = nil
 	t.db.logAbort(t.id)
 	t.db.tm.Abort(t.id)
-	t.snap.Release()
-	t.db.mu.RUnlock()
+	if t.lostRace {
+		t.db.obs.txnConflicts.Inc()
+	}
+	t.release()
 	return firstErr
 }
 
-// pushUndo records an undo that re-acquires rel's table latch when it
-// runs: Rollback replays undos long after the operations that logged them
-// released their latches.
-func (t *Txn) pushUndo(rel relHandle, undo func() error) {
+// release drops everything the transaction holds: its snapshot, its undo
+// log, a fused transaction's latches (reverse plan order), and db.mu.
+func (t *Txn) release() {
+	t.snap.Release()
+	t.undo = nil
+	t.touched = nil
+	if t.plan != nil {
+		t.plan.unlatch()
+	}
+	t.db.mu.RUnlock()
+}
+
+// table resolves a relation name to its handle and access routines:
+// through the catalog when interactive, in the latch plan when fused.
+func (t *Txn) table(relName string) (txnTable, error) {
+	if t.done {
+		return txnTable{}, errTxnDone
+	}
+	if t.plan != nil {
+		tb, ok := t.plan.tables[relName]
+		if !ok {
+			return txnTable{}, fmt.Errorf("engine: table %q is outside the transaction's latch plan", relName)
+		}
+		return *tb, nil
+	}
+	rel, err := t.db.handleFor(relName)
+	if err != nil {
+		return txnTable{}, err
+	}
+	acc, err := t.db.accessFor(rel.rel)
+	if err != nil {
+		return txnTable{}, err
+	}
+	return txnTable{relHandle: rel, acc: acc, write: true}, nil
+}
+
+// indexFor resolves an index name to the index and its table.
+func (t *Txn) indexFor(indexName string) (*Index, txnTable, error) {
+	if t.done {
+		return nil, txnTable{}, errTxnDone
+	}
+	if t.plan != nil {
+		in, ok := t.plan.indexes[indexName]
+		if !ok {
+			return nil, txnTable{}, fmt.Errorf("engine: index %q is outside the transaction's latch plan", indexName)
+		}
+		return in.ix, *in.tb, nil
+	}
+	ix, ok := t.db.indexes[indexName]
+	if !ok {
+		return nil, txnTable{}, fmt.Errorf("engine: no index %q", indexName)
+	}
+	tb, err := t.table(ix.Rel.Name)
+	return ix, tb, err
+}
+
+// beginWrite resolves relName for a write and takes its latch exclusively
+// unless the plan already holds it; the caller applies one *Locked
+// operation and hands the outcome to endWrite.
+func (t *Txn) beginWrite(relName string) (relHandle, error) {
+	tb, err := t.table(relName)
+	if err != nil {
+		return relHandle{}, err
+	}
+	if !tb.write {
+		return relHandle{}, fmt.Errorf("engine: table %q is latched shared: declare it in TxnSpec.Writes", relName)
+	}
+	if t.plan == nil {
+		tb.latch.Lock()
+	}
+	return tb.relHandle, nil
+}
+
+// endWrite ends the operation beginWrite began: release the per-operation
+// latch, then log the undo or note a lost race.
+func (t *Txn) endWrite(rel relHandle, undo func() error, err error) error {
+	if t.plan == nil {
+		rel.latch.Unlock()
+	}
+	if err != nil {
+		t.lostRace = t.lostRace || isConflict(err)
+		return err
+	}
+	t.ops++
+	if t.plan != nil {
+		// Rollback replays while the plan's latches are still held.
+		t.undo = append(t.undo, undo)
+		return nil
+	}
+	// Rollback replays long after this operation released its latch.
 	t.undo = append(t.undo, func() error {
 		rel.latch.Lock()
 		defer rel.latch.Unlock()
@@ -134,30 +259,41 @@ func (t *Txn) pushUndo(rel relHandle, undo func() error) {
 		t.touched = make(map[catalog.RelID]relHandle)
 	}
 	t.touched[rel.rel.ID] = rel
-}
-
-// noteConflict counts a write-write conflict loss on the metrics plane.
-func (t *Txn) noteConflict(err error) error {
-	if isConflict(err) {
-		t.db.obs.txnConflicts.Inc()
-	}
-	return err
+	return nil
 }
 
 // Insert adds one row to a relation.
 func (t *Txn) Insert(relName string, values []types.Datum) error {
-	rel, err := t.db.handleFor(relName)
+	rel, err := t.beginWrite(relName)
 	if err != nil {
 		return err
 	}
-	rel.latch.Lock()
 	_, undo, err := t.db.insertRowLocked(rel, values, t.id, t.prof)
-	rel.latch.Unlock()
+	return t.endWrite(rel, undo, err)
+}
+
+// UpdateRow replaces the values of the row version at tid in relName.
+// oldValues must be the row's current values (for index maintenance). A
+// returned error wrapping txn.ErrWriteConflict means a concurrent
+// transaction updated the row first; roll back and retry.
+func (t *Txn) UpdateRow(relName string, tid heap.TID, oldValues, newValues []types.Datum) error {
+	rel, err := t.beginWrite(relName)
 	if err != nil {
-		return t.noteConflict(err)
+		return err
 	}
-	t.pushUndo(rel, undo)
-	return nil
+	undo, err := t.db.applyUpdateLocked(rel, tid, oldValues, newValues, t.id, t.prof)
+	return t.endWrite(rel, undo, err)
+}
+
+// DeleteRow stamps the row version at tid deleted. Its index entries stay
+// until vacuum reclaims them with the version.
+func (t *Txn) DeleteRow(relName string, tid heap.TID) error {
+	rel, err := t.beginWrite(relName)
+	if err != nil {
+		return err
+	}
+	undo, err := t.db.deleteRowLocked(rel, tid, t.id, t.prof)
+	return t.endWrite(rel, undo, err)
 }
 
 // GetByIndex fetches the visible row whose index key prefix equals key.
@@ -165,13 +301,12 @@ func (t *Txn) Insert(relName string, values []types.Datum) error {
 // invisible-to-this-snapshot versions under the same key are skipped (the
 // index keeps one entry per version until vacuum).
 func (t *Txn) GetByIndex(indexName string, key []types.Datum) (expr.Row, heap.TID, bool, error) {
-	ix, rel, err := t.indexFor(indexName)
+	ix, tb, err := t.indexFor(indexName)
 	if err != nil {
 		return nil, heap.TID{}, false, err
 	}
-	tids := t.collectPrefix(ix, rel, btree.Key(key))
-	for _, tid := range tids {
-		row, ok, err := t.fetchRow(ix, tid)
+	for _, tid := range t.collectPrefix(ix, tb, key) {
+		row, ok, err := t.fetchRow(tb, tid)
 		if err != nil {
 			return nil, heap.TID{}, false, err
 		}
@@ -182,69 +317,16 @@ func (t *Txn) GetByIndex(indexName string, key []types.Datum) (expr.Row, heap.TI
 	return nil, heap.TID{}, false, nil
 }
 
-// ScanIndexPrefix visits every visible row whose key starts with prefix,
-// in key order; fn returning false stops the scan. fn may itself call
-// UpdateRow/DeleteRow: the index positions are collected before fn runs,
-// so the tree walk never holds the table latch across a callback.
-func (t *Txn) ScanIndexPrefix(indexName string, prefix []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	ix, rel, err := t.indexFor(indexName)
-	if err != nil {
-		return err
-	}
-	for _, tid := range t.collectPrefix(ix, rel, btree.Key(prefix)) {
-		row, ok, err := t.fetchRow(ix, tid)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if !fn(row, tid) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// ScanIndexRange visits visible rows with lo <= key <= hi (prefix
-// semantics).
-func (t *Txn) ScanIndexRange(indexName string, lo, hi []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	ix, rel, err := t.indexFor(indexName)
-	if err != nil {
-		return err
-	}
-	rel.latch.RLock()
-	var tids []heap.TID
-	ix.Tree.AscendRange(btree.Key(lo), btree.Key(hi), t.prof, func(_ btree.Key, tid heap.TID) bool {
-		tids = append(tids, tid)
-		return true
-	})
-	rel.latch.RUnlock()
-	for _, tid := range tids {
-		row, ok, err := t.fetchRow(ix, tid)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if !fn(row, tid) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // LastByIndexPrefix returns the visible row with the greatest key under
 // prefix (e.g. a customer's most recent order).
 func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (expr.Row, heap.TID, bool, error) {
-	ix, rel, err := t.indexFor(indexName)
+	ix, tb, err := t.indexFor(indexName)
 	if err != nil {
 		return nil, heap.TID{}, false, err
 	}
-	tids := t.collectPrefix(ix, rel, btree.Key(prefix))
+	tids := t.collectPrefix(ix, tb, prefix)
 	for i := len(tids) - 1; i >= 0; i-- {
-		row, ok, err := t.fetchRow(ix, tids[i])
+		row, ok, err := t.fetchRow(tb, tids[i])
 		if err != nil {
 			return nil, heap.TID{}, false, err
 		}
@@ -255,89 +337,88 @@ func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (expr.Ro
 	return nil, heap.TID{}, false, nil
 }
 
-// indexFor resolves an index and its table handle.
-func (t *Txn) indexFor(indexName string) (*Index, relHandle, error) {
-	ix, ok := t.db.indexes[indexName]
-	if !ok {
-		return nil, relHandle{}, fmt.Errorf("engine: no index %q", indexName)
-	}
-	rel, err := t.db.handleFor(ix.Rel.Name)
+// ScanIndexPrefix visits every visible row whose key starts with prefix,
+// in key order; fn returning false stops the scan. fn may itself call
+// UpdateRow/DeleteRow: the index positions are collected before fn runs,
+// so the tree walk never holds a per-operation latch across a callback.
+func (t *Txn) ScanIndexPrefix(indexName string, prefix []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
+	ix, tb, err := t.indexFor(indexName)
 	if err != nil {
-		return nil, relHandle{}, err
+		return err
 	}
-	return ix, rel, nil
+	return t.visit(tb, t.collectPrefix(ix, tb, prefix), fn)
 }
 
-// collectPrefix gathers the TIDs of every index entry under prefix while
-// holding the table latch in shared mode — the B+tree is not internally
-// synchronized, and concurrent DML mutates it under the exclusive latch.
-func (t *Txn) collectPrefix(ix *Index, rel relHandle, prefix btree.Key) []heap.TID {
-	rel.latch.RLock()
+// ScanIndexRange visits visible rows with lo <= key <= hi (prefix
+// semantics on both bounds), under the same callback rules.
+func (t *Txn) ScanIndexRange(indexName string, lo, hi []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
+	ix, tb, err := t.indexFor(indexName)
+	if err != nil {
+		return err
+	}
+	t.ops++
+	if t.plan == nil {
+		tb.latch.RLock()
+	}
+	var tids []heap.TID
+	ix.Tree.AscendRange(lo, hi, t.prof, func(_ btree.Key, tid heap.TID) bool {
+		tids = append(tids, tid)
+		return true
+	})
+	if t.plan == nil {
+		tb.latch.RUnlock()
+	}
+	return t.visit(tb, tids, fn)
+}
+
+// collectPrefix gathers the TIDs of every index entry under prefix; it is
+// the one index walk of a read operation, which it counts. An interactive
+// transaction holds the table latch in shared mode for the walk — the
+// B+tree is not internally synchronized, and concurrent DML mutates it
+// under the exclusive latch; a fused one's plan already holds it.
+func (t *Txn) collectPrefix(ix *Index, tb txnTable, prefix btree.Key) []heap.TID {
+	t.ops++
+	if t.plan == nil {
+		tb.latch.RLock()
+	}
 	var tids []heap.TID
 	ix.Tree.AscendPrefix(prefix, t.prof, func(_ btree.Key, tid heap.TID) bool {
 		tids = append(tids, tid)
 		return true
 	})
-	rel.latch.RUnlock()
+	if t.plan == nil {
+		tb.latch.RUnlock()
+	}
 	return tids
 }
 
-// fetchRow reads and deforms one tuple version through the cached deform
+// visit hands fn the visible version, if any, at each TID in order.
+func (t *Txn) visit(tb txnTable, tids []heap.TID, fn func(row expr.Row, tid heap.TID) bool) error {
+	for _, tid := range tids {
+		row, ok, err := t.fetchRow(tb, tid)
+		if err != nil {
+			return err
+		}
+		if ok && !fn(row, tid) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// fetchRow reads and deforms one tuple version through the table's deform
 // routine (the GCL bee on a bee-enabled database), filtered through the
 // transaction's snapshot. ok=false means the version is invisible or
 // gone.
-func (t *Txn) fetchRow(ix *Index, tid heap.TID) (expr.Row, bool, error) {
-	h := t.db.heaps[ix.Rel.ID]
-	acc, err := t.db.accessFor(ix.Rel)
-	if err != nil {
-		return nil, false, err
-	}
-	tup, release, ok, err := h.Get(tid, t.snap, t.prof)
+func (t *Txn) fetchRow(tb txnTable, tid heap.TID) (expr.Row, bool, error) {
+	tup, release, ok, err := tb.heap.Get(tid, t.snap, t.prof)
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	defer release()
-	values := make([]types.Datum, len(ix.Rel.Attrs))
-	acc.deform(tup, values, len(values), t.prof)
+	values := make([]types.Datum, len(tb.rel.Attrs))
+	tb.acc.deform(tup, values, len(values), t.prof)
 	return exec.CloneRow(values), true, nil
-}
-
-// UpdateRow replaces the values of the row version at tid in relName.
-// oldValues must be the row's current values (for index maintenance). A
-// returned error wrapping txn.ErrWriteConflict means a concurrent
-// transaction updated the row first; Rollback and retry.
-func (t *Txn) UpdateRow(relName string, tid heap.TID, oldValues, newValues []types.Datum) error {
-	rel, err := t.db.handleFor(relName)
-	if err != nil {
-		return err
-	}
-	rel.latch.Lock()
-	undo, err := t.db.applyUpdateLocked(rel, tid, oldValues, newValues, t.id, t.prof)
-	rel.latch.Unlock()
-	if err != nil {
-		return t.noteConflict(err)
-	}
-	t.pushUndo(rel, undo)
-	return nil
-}
-
-// DeleteRow stamps the row version at tid deleted. values is accepted for
-// call-site compatibility (index entries are no longer removed eagerly —
-// vacuum reclaims them with the version).
-func (t *Txn) DeleteRow(relName string, tid heap.TID, values []types.Datum) error {
-	_ = values
-	rel, err := t.db.handleFor(relName)
-	if err != nil {
-		return err
-	}
-	rel.latch.Lock()
-	undo, err := t.db.deleteRowLocked(rel, tid, t.id, t.prof)
-	rel.latch.Unlock()
-	if err != nil {
-		return t.noteConflict(err)
-	}
-	t.pushUndo(rel, undo)
-	return nil
 }
 
 // BulkLoad inserts rows produced by next() until it returns false,

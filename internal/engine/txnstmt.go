@@ -47,7 +47,7 @@ type txnOp struct {
 	kind int
 
 	// opInsert
-	tbl    int // table ordinal in the TxnSpec
+	rel    *catalog.Relation
 	colIdx []int
 	rows   [][]sql.Expr
 
@@ -132,21 +132,17 @@ func (ts *TxnStmt) Close() {
 }
 
 // compileLocked builds the fused program: the TxnSpec (write tables,
-// read tables, probed indexes), the CompiledTxn latch plan, and the
-// per-statement ops. Caller holds db.mu (read suffices) and ts.mu when
-// recompiling from Exec.
+// read tables), the CompiledTxn latch plan, and the per-statement ops.
+// Caller holds db.mu (read suffices) and ts.mu when recompiling from Exec.
 func (ts *TxnStmt) compileLocked() error {
 	db := ts.db
 	spec := TxnSpec{Name: ts.name}
-	ord := map[string]int{}
-	addWrite := func(name string) int {
-		if i, ok := ord[name]; ok {
-			return i
+	written := map[string]bool{}
+	addWrite := func(name string) {
+		if !written[name] {
+			written[name] = true
+			spec.Writes = append(spec.Writes, name)
 		}
-		i := len(spec.Writes)
-		ord[name] = i
-		spec.Writes = append(spec.Writes, name)
-		return i
 	}
 	var readNames []string
 	seenRead := map[string]bool{}
@@ -168,7 +164,7 @@ func (ts *TxnStmt) compileLocked() error {
 		}
 	}
 	for _, name := range readNames {
-		if _, isWrite := ord[name]; isWrite {
+		if written[name] {
 			continue
 		}
 		// Skip names that are not relations (CTE references resolve
@@ -192,14 +188,10 @@ func (ts *TxnStmt) compileLocked() error {
 	ts.pl.Params = ts.slots
 	ts.pl.ParamTypes = make([]types.T, ts.nParams)
 	ts.pl.Workers = 1
-	latched := make(map[*catalog.Relation]bool, len(res.tables))
-	for _, t := range res.tables {
-		latched[t.rel.rel] = true
-	}
 	baseIndexes := db.planner.IndexesFor
 	ts.pl.IndexesFor = func(rel *catalog.Relation) []plan.IndexMeta {
 		ims := baseIndexes(rel)
-		if !latched[rel] {
+		if res.tables[rel.Name] == nil {
 			return ims
 		}
 		out := make([]plan.IndexMeta, len(ims))
@@ -214,8 +206,8 @@ func (ts *TxnStmt) compileLocked() error {
 	for _, st := range ts.ast.Stmts {
 		switch s := st.(type) {
 		case *sql.Insert:
-			ti := ord[s.Table]
-			colIdx, err := insertColumnMap(res.tables[ti].rel.rel, s.Cols)
+			rel := res.tables[s.Table].rel
+			colIdx, err := insertColumnMap(rel, s.Cols)
 			if err != nil {
 				return err
 			}
@@ -224,7 +216,7 @@ func (ts *TxnStmt) compileLocked() error {
 					return fmt.Errorf("engine: INSERT has %d values for %d columns", len(row), len(colIdx))
 				}
 			}
-			prog = append(prog, txnOp{kind: opInsert, tbl: ti, colIdx: colIdx, rows: s.Rows})
+			prog = append(prog, txnOp{kind: opInsert, rel: rel, colIdx: colIdx, rows: s.Rows})
 		case *sql.Update, *sql.Delete:
 			// The target resolves the same handle the latch plan holds
 			// (both read the catalog under this one db.mu hold), so its
@@ -378,25 +370,25 @@ func (ts *TxnStmt) runFused() (*Result, int64, error) {
 	}
 	var res *Result
 	var affected int64
-	err := ts.ct.Run(nil, func(ft *FastTxn) error {
+	err := ts.ct.Run(nil, func(tx *Txn) error {
 		for i := range ts.prog {
 			op := &ts.prog[i]
 			switch op.kind {
 			case opInsert:
-				n, err := ts.fusedInsert(ft, op)
+				n, err := ts.fusedInsert(tx, op)
 				if err != nil {
 					return err
 				}
 				affected += n
 			case opModify:
-				n, err := op.target.run(ft.snap, ft.prof, &ft.undo)
+				n, err := op.target.run(tx.snap, tx.prof, &tx.undo)
 				if err != nil {
 					return err
 				}
-				ft.ops += n
+				tx.ops += n
 				affected += n
 			case opSelect:
-				rows, err := collectSafe(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{}, Snap: ft.snap}, op.planned.Root)
+				rows, err := collectSafe(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{}, Snap: tx.snap}, op.planned.Root)
 				if err != nil {
 					return err
 				}
@@ -413,11 +405,10 @@ func (ts *TxnStmt) runFused() (*Result, int64, error) {
 	return res, affected, nil
 }
 
-func (ts *TxnStmt) fusedInsert(ft *FastTxn, op *txnOp) (int64, error) {
-	nAttrs := len(ft.res.tables[op.tbl].rel.rel.Attrs)
+func (ts *TxnStmt) fusedInsert(tx *Txn, op *txnOp) (int64, error) {
 	var n int64
 	for _, rowExprs := range op.rows {
-		values := make([]types.Datum, nAttrs)
+		values := make([]types.Datum, len(op.rel.Attrs))
 		for i := range values {
 			values[i] = types.Null
 		}
@@ -428,7 +419,7 @@ func (ts *TxnStmt) fusedInsert(ft *FastTxn, op *txnOp) (int64, error) {
 			}
 			values[op.colIdx[i]] = d
 		}
-		if err := ft.Insert(op.tbl, values); err != nil {
+		if err := tx.Insert(op.rel.Name, values); err != nil {
 			return n, err
 		}
 		n++

@@ -88,7 +88,7 @@ func (r KillRecoverRound) bad() bool {
 	return r.QueryMismatches > 0 || r.DMLLost || r.GhostRow || r.Err != ""
 }
 
-// KillRecoverTPCC records the TPC-C phase.
+// KillRecoverTPCC records one run of the TPC-C phase.
 type KillRecoverTPCC struct {
 	Txns      int // committed before the kill
 	NewOrders int // committed NewOrder transactions (each inserts one order)
@@ -98,11 +98,19 @@ type KillRecoverTPCC struct {
 	Err             string
 }
 
-// KillRecoverReport is one run's full account.
+func (r KillRecoverTPCC) bad() bool {
+	return r.YtdViolation || r.OrdersViolation || r.Err != ""
+}
+
+// KillRecoverReport is one run's full account. The TPC-C phase runs
+// twice over the same seeded stream, because the two ways of running a
+// transaction acknowledge a commit through different callers: TPCC runs
+// the bodies stepwise, TPCCFused through the transaction bees.
 type KillRecoverReport struct {
-	Options KillRecoverOptions
-	Rounds  []KillRecoverRound
-	TPCC    KillRecoverTPCC
+	Options   KillRecoverOptions
+	Rounds    []KillRecoverRound
+	TPCC      KillRecoverTPCC
+	TPCCFused KillRecoverTPCC
 }
 
 // Bad counts broken durability invariants. A clean run has Bad() == 0.
@@ -113,7 +121,10 @@ func (r KillRecoverReport) Bad() int {
 			n++
 		}
 	}
-	if r.TPCC.YtdViolation || r.TPCC.OrdersViolation || r.TPCC.Err != "" {
+	if r.TPCC.bad() {
+		n++
+	}
+	if r.TPCCFused.bad() {
 		n++
 	}
 	return n
@@ -262,16 +273,18 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 	}
 
 	if o.TPCCTxns > 0 {
-		report.TPCC = runKillRecoverTPCC(o)
+		report.TPCC = runKillRecoverTPCC(o, false)
+		report.TPCCFused = runKillRecoverTPCC(o, true)
 	}
 	return report, nil
 }
 
 // runKillRecoverTPCC loads TPC-C on a durable database, commits a seeded
-// stream, kills mid-commit, recovers, and checks the benchmark's
-// consistency condition 1 (w_ytd = sum of d_ytd) plus exact durability of
-// every acknowledged NewOrder.
-func runKillRecoverTPCC(o KillRecoverOptions) KillRecoverTPCC {
+// stream — through the transaction bees when fused, stepwise otherwise —
+// kills mid-commit, recovers, and checks the benchmark's consistency
+// condition 1 (w_ytd = sum of d_ytd) plus exact durability of every
+// acknowledged NewOrder.
+func runKillRecoverTPCC(o KillRecoverOptions, fused bool) KillRecoverTPCC {
 	res := KillRecoverTPCC{}
 	fail := func(format string, args ...any) KillRecoverTPCC {
 		res.Err = fmt.Sprintf(format, args...)
@@ -291,6 +304,11 @@ func runKillRecoverTPCC(o KillRecoverOptions) KillRecoverTPCC {
 	drv, err := tpcc.NewDriver(db, cfg, tpcc.DefaultMix, o.Seed+7, nil)
 	if err != nil {
 		return fail("tpcc driver: %v", err)
+	}
+	if fused {
+		if err := drv.Exec.EnableTxnBees(); err != nil {
+			return fail("tpcc bees: %v", err)
+		}
 	}
 	for i := 0; i < o.TPCCTxns; i++ {
 		tt, err := drv.RunOne()
@@ -383,18 +401,24 @@ func (r KillRecoverReport) Format() string {
 			rd.Round, rd.Kind, rd.Acked, rd.TornBytes,
 			rd.Replayed.RedoInserts, rd.Replayed.Discarded, rd.QueryMismatches, status)
 	}
-	if r.TPCC.Txns > 0 || r.TPCC.Err != "" {
+	for _, m := range []struct {
+		mode string
+		res  KillRecoverTPCC
+	}{{"stepwise", r.TPCC}, {"fused", r.TPCCFused}} {
+		if m.res.Txns == 0 && m.res.Err == "" {
+			continue
+		}
 		status := "ok"
 		switch {
-		case r.TPCC.Err != "":
-			status = "ERROR: " + r.TPCC.Err
-		case r.TPCC.YtdViolation:
+		case m.res.Err != "":
+			status = "ERROR: " + m.res.Err
+		case m.res.YtdViolation:
 			status = "YTD-VIOLATION"
-		case r.TPCC.OrdersViolation:
+		case m.res.OrdersViolation:
 			status = "ORDERS-VIOLATION"
 		}
-		fmt.Fprintf(&b, "tpcc: %d committed (%d new orders), mid-commit kill, %s\n",
-			r.TPCC.Txns, r.TPCC.NewOrders, status)
+		fmt.Fprintf(&b, "tpcc %s: %d committed (%d new orders), mid-commit kill, %s\n",
+			m.mode, m.res.Txns, m.res.NewOrders, status)
 	}
 	if bad := r.Bad(); bad > 0 {
 		fmt.Fprintf(&b, "RESULT: BAD — %d rounds broke durability invariants\n", bad)

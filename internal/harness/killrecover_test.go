@@ -41,3 +41,23 @@ func TestKillRecoverClean(t *testing.T) {
 		t.Fatal("TPC-C phase did not run")
 	}
 }
+
+// TestKillRecoverTPCCSeeds sweeps the TPC-C mid-commit kill over many
+// seeds, stepwise and fused: which transaction absorbs the kill depends on
+// the seed, and whichever it is must come back as an error — an
+// acknowledged transaction whose commit record never became durable shows
+// up after recovery as a missing order or a broken w_ytd sum.
+func TestKillRecoverTPCCSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		o := KillRecoverOptions{Seed: seed, PoolPages: 128, TPCCWarehouses: 1, TPCCTxns: 40}
+		for _, fused := range []bool{false, true} {
+			res := runKillRecoverTPCC(o, fused)
+			if res.bad() {
+				t.Errorf("seed %d fused=%v: %+v", seed, fused, res)
+			}
+			if res.Txns == 0 {
+				t.Errorf("seed %d fused=%v: nothing committed before the kill", seed, fused)
+			}
+		}
+	}
+}

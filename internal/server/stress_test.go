@@ -103,11 +103,11 @@ func TestWriteConflictOverWire(t *testing.T) {
 	mustSeedAccts(t, db, 4)
 
 	txn := db.Begin(nil)
-	row, tid, ok, err := txn.GetByIndex("acct_pkey", []types.Datum{types.NewInt32(1)})
+	_, tid, ok, err := txn.GetByIndex("acct_pkey", []types.Datum{types.NewInt32(1)})
 	if err != nil || !ok {
 		t.Fatalf("lookup: %v %v", ok, err)
 	}
-	if err := txn.DeleteRow("acct", tid, row); err != nil {
+	if err := txn.DeleteRow("acct", tid); err != nil {
 		t.Fatal(err)
 	}
 

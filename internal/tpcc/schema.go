@@ -1,8 +1,15 @@
 // Package tpcc is the TPC-C kit: the nine-table schema, the
-// BenchmarkSQL-style initial population, the five transaction types
-// implemented against the engine's transactional point-access API, and a
+// BenchmarkSQL-style initial population, the five transaction types, and a
 // terminal driver with the three transaction mixes the paper evaluates
 // (default, query-only, and an equal mix of queries and modifications).
+//
+// Each transaction type is written once (txns.go), as a function over an
+// engine.Txn and a pre-sampled parameter struct that returns an error to
+// roll back. Executor.dispatch runs it stepwise — an interactive
+// transaction from DB.Begin, committed by the runner, whose durability
+// error is the transaction's result — or, after EnableTxnBees, fused in a
+// compiled transaction bee (the TxnSpecs in txnbees.go) with a stepwise
+// retry of the same parameters if the bee falls out of service.
 package tpcc
 
 // SchemaDDL returns the TPC-C CREATE TABLE and CREATE INDEX statements.

@@ -1,10 +1,12 @@
 package tpcc
 
 import (
+	"errors"
 	"testing"
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/storage/disk"
 )
 
 // stateSummary captures the aggregate state every TPC-C transaction
@@ -209,6 +211,82 @@ func TestTxnBeeReplansAfterDDL(t *testing.T) {
 	for j := range want {
 		if got[j] != want[j] {
 			t.Errorf("%s: bees %s, reference %s", stateQueries[j], got[j], want[j])
+		}
+	}
+}
+
+func TestUndurableCommitIsAnError(t *testing.T) {
+	// The log writer dies at the sync a transaction's commit record waits
+	// on: the commit is not durable, recovery will not replay it, and so
+	// the transaction must come back as an error from either runner.
+	txns := []struct {
+		name string
+		run  func(*Executor) error
+	}{
+		{"NewOrder", (*Executor).NewOrder},
+		{"Payment", (*Executor).Payment},
+		{"Delivery", (*Executor).Delivery},
+	}
+	for _, mode := range []string{"stepwise", "fused"} {
+		for _, tx := range txns {
+			db, err := NewDatabase(engine.Config{
+				Routines: core.AllRoutines, PoolPages: 8192,
+				Disk:       disk.NewManager(disk.LatencyModel{}),
+				Durability: engine.DurabilityConfig{WAL: true},
+			}, SmallConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := NewExecutor(db, SmallConfig(1), 7)
+			if mode == "fused" {
+				if err := ex.EnableTxnBees(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.WALWriter().CrashBeforeNextSync()
+			// A business rollback or a Payment that finds no customer ends
+			// without a commit; run until one reaches the armed sync.
+			for i := 0; i < 50 && !db.WALWriter().Dead(); i++ {
+				err = tx.run(ex)
+			}
+			if !db.WALWriter().Dead() {
+				t.Fatalf("%s %s: no commit reached the log", mode, tx.name)
+			}
+			if err == nil || errors.Is(err, ErrRollback) {
+				t.Errorf("%s %s: err = %v after the log writer died under its commit", mode, tx.name, err)
+			}
+		}
+	}
+}
+
+// BenchmarkTPCCTxn is the ladder rung for the two runners of one body:
+// the same seeded New-Order and Payment streams (SmallConfig, one
+// terminal, no log) run fused and stepwise.
+func BenchmarkTPCCTxn(b *testing.B) {
+	txns := []struct {
+		name string
+		run  func(*Executor) error
+	}{
+		{"new_order", (*Executor).NewOrder},
+		{"payment", (*Executor).Payment},
+	}
+	for _, tx := range txns {
+		for _, mode := range []string{"fused", "stepwise"} {
+			b.Run(tx.name+"/"+mode, func(b *testing.B) {
+				ex := NewExecutor(smallDB(b, core.AllRoutines), SmallConfig(1), 42)
+				if mode == "fused" {
+					if err := ex.EnableTxnBees(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := tx.run(ex); err != nil && !errors.Is(err, ErrRollback) {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,135 +4,43 @@ import (
 	"fmt"
 
 	"microspec/internal/engine"
-	"microspec/internal/expr"
-	"microspec/internal/storage/heap"
-	"microspec/internal/types"
 )
 
-// This file holds the compiled-transaction (transaction bee) side of the
-// five TPC-C transactions: one engine.TxnSpec per type, with table and
-// index ordinals baked as constants, and a fused body per type that
-// mirrors the statement-at-a-time body in txns.go operation for
-// operation. Both bodies consume the same pre-sampled parameter struct,
-// so a fused run and a statement-at-a-time retry of the same transaction
-// produce identical database states.
-
-// New-Order ordinals: tables (Writes then Reads) and indexes, positions
-// in newOrderSpec.
-const (
-	noTDistrict = iota
-	noTOrders
-	noTNewOrder
-	noTStock
-	noTOrderLine
-	noTWarehouse
-	noTCustomer
-	noTItem
-)
-
-const (
-	noIWarehousePK = iota
-	noIDistrictPK
-	noICustomerPK
-	noIItemPK
-	noIStockPK
-)
-
-var newOrderSpec = engine.TxnSpec{
-	Name:    "tpcc.new_order",
-	Writes:  []string{"district", "orders", "new_order", "stock", "order_line"},
-	Reads:   []string{"warehouse", "customer", "item"},
-	Indexes: []string{"warehouse_pkey", "district_pkey", "customer_pkey", "item_pkey", "stock_pkey"},
-}
-
-// Payment ordinals.
-const (
-	payTWarehouse = iota
-	payTDistrict
-	payTCustomer
-	payTHistory
-)
-
-const (
-	payIWarehousePK = iota
-	payIDistrictPK
-	payICustomerPK
-	payICustomerByName
-)
-
-var paymentSpec = engine.TxnSpec{
-	Name:    "tpcc.payment",
-	Writes:  []string{"warehouse", "district", "customer", "history"},
-	Indexes: []string{"warehouse_pkey", "district_pkey", "customer_pkey", "customer_by_name"},
-}
-
-// Order-Status ordinals (read-only: every table latched shared).
-const (
-	osTCustomer = iota
-	osTOrders
-	osTOrderLine
-)
-
-const (
-	osICustomerPK = iota
-	osICustomerByName
-	osIOrdersByCustomer
-	osIOrderLinePK
-)
-
-var orderStatusSpec = engine.TxnSpec{
-	Name:    "tpcc.order_status",
-	Reads:   []string{"customer", "orders", "order_line"},
-	Indexes: []string{"customer_pkey", "customer_by_name", "orders_by_customer", "order_line_pkey"},
-}
-
-// Delivery ordinals.
-const (
-	delTNewOrder = iota
-	delTOrders
-	delTOrderLine
-	delTCustomer
-)
-
-const (
-	delINewOrderPK = iota
-	delIOrdersPK
-	delIOrderLinePK
-	delICustomerPK
-)
-
-var deliverySpec = engine.TxnSpec{
-	Name:    "tpcc.delivery",
-	Writes:  []string{"new_order", "orders", "order_line", "customer"},
-	Indexes: []string{"new_order_pkey", "orders_pkey", "order_line_pkey", "customer_pkey"},
-}
-
-// Stock-Level ordinals (read-only).
-const (
-	slTDistrict = iota
-	slTOrderLine
-	slTStock
-)
-
-const (
-	slIDistrictPK = iota
-	slIOrderLinePK
-	slIStockPK
-)
-
-var stockLevelSpec = engine.TxnSpec{
-	Name:    "tpcc.stock_level",
-	Reads:   []string{"district", "order_line", "stock"},
-	Indexes: []string{"district_pkey", "order_line_pkey", "stock_pkey"},
+// txnSpecs declares the compiled-transaction (transaction bee) form of
+// the five TPC-C transactions: the tables each body in txns.go writes
+// (latched exclusively for the whole transaction) and only reads (latched
+// shared). The bodies themselves are shared with the stepwise path; a body
+// that names a table missing here fails its fused run with an error.
+var txnSpecs = [numTxnTypes]engine.TxnSpec{
+	TxnNewOrder: {
+		Name:   "tpcc.new_order",
+		Writes: []string{"district", "orders", "new_order", "stock", "order_line"},
+		Reads:  []string{"warehouse", "customer", "item"},
+	},
+	TxnPayment: {
+		Name:   "tpcc.payment",
+		Writes: []string{"warehouse", "district", "customer", "history"},
+	},
+	TxnOrderStatus: {
+		Name:  "tpcc.order_status",
+		Reads: []string{"customer", "orders", "order_line"},
+	},
+	TxnDelivery: {
+		Name:   "tpcc.delivery",
+		Writes: []string{"new_order", "orders", "order_line", "customer"},
+	},
+	TxnStockLevel: {
+		Name:  "tpcc.stock_level",
+		Reads: []string{"district", "order_line", "stock"},
+	},
 }
 
 // EnableTxnBees compiles the five whole-transaction bees and routes
-// subsequent transactions through them (with automatic
-// statement-at-a-time fallback on quarantine). Executors sharing one DB
-// may each call this; the engine dedups registration by bee name.
+// subsequent transactions through them (with automatic stepwise fallback
+// on quarantine). Executors sharing one DB may each call this; the engine
+// dedups registration by bee name.
 func (e *Executor) EnableTxnBees() error {
-	specs := [numTxnTypes]engine.TxnSpec{newOrderSpec, paymentSpec, orderStatusSpec, deliverySpec, stockLevelSpec}
-	for t, spec := range specs {
+	for t, spec := range txnSpecs {
 		ct, err := e.DB.CompileTxn(spec)
 		if err != nil {
 			return fmt.Errorf("tpcc: compiling %s: %w", spec.Name, err)
@@ -141,317 +49,4 @@ func (e *Executor) EnableTxnBees() error {
 	}
 	e.UseTxnBees = true
 	return nil
-}
-
-func (e *Executor) newOrderFused(p noParams) error {
-	return e.bees[TxnNewOrder].Run(e.Prof, func(ft *engine.FastTxn) error {
-		w, d, c := p.w, p.d, p.c
-		wRow, _, ok, err := ft.GetByIndex(noIWarehousePK, []types.Datum{i32d(w)})
-		if err != nil || !ok {
-			return fmt.Errorf("tpcc: warehouse %d: %v", w, err)
-		}
-		dRow, dTID, ok, err := ft.GetByIndex(noIDistrictPK, []types.Datum{i32d(w), i32d(d)})
-		if err != nil || !ok {
-			return fmt.Errorf("tpcc: district (%d,%d): %v", w, d, err)
-		}
-		cRow, _, ok, err := ft.GetByIndex(noICustomerPK, []types.Datum{i32d(w), i32d(d), i32d(c)})
-		if err != nil || !ok {
-			return fmt.Errorf("tpcc: customer (%d,%d,%d): %v", w, d, c, err)
-		}
-
-		orderID := dRow[dNextOID].Int32()
-		newD := append(expr.Row(nil), dRow...)
-		newD[dNextOID] = i32d(orderID + 1)
-		if err := ft.UpdateRow(noTDistrict, dTID, dRow, newD); err != nil {
-			return err
-		}
-
-		allLocal := int32(1)
-		if err := ft.Insert(noTOrders, []types.Datum{
-			i32d(w), i32d(d), i32d(orderID), i32d(c),
-			types.NewDate(e.today), i32d(0), i32d(int32(len(p.lines))), i32d(allLocal),
-		}); err != nil {
-			return err
-		}
-		if err := ft.Insert(noTNewOrder, []types.Datum{i32d(w), i32d(d), i32d(orderID)}); err != nil {
-			return err
-		}
-
-		discount := cRow[cDiscount].Float64()
-		taxes := (1 + wRow[wTax].Float64() + dRow[dTax].Float64()) * (1 - discount)
-		total := 0.0
-		for i, line := range p.lines {
-			ln := i + 1
-			item := line.item
-			iRow, _, ok, err := ft.GetByIndex(noIItemPK, []types.Datum{i32d(item)})
-			if err != nil || !ok {
-				return fmt.Errorf("tpcc: item %d: %v", item, err)
-			}
-			sRow, sTID, ok, err := ft.GetByIndex(noIStockPK, []types.Datum{i32d(w), i32d(item)})
-			if err != nil || !ok {
-				return fmt.Errorf("tpcc: stock (%d,%d): %v", w, item, err)
-			}
-			qty := line.qty
-			newS := append(expr.Row(nil), sRow...)
-			sq := sRow[sQuantity].Int32()
-			if sq >= qty+10 {
-				sq -= qty
-			} else {
-				sq = sq - qty + 91
-			}
-			newS[sQuantity] = i32d(sq)
-			newS[sYtd] = i32d(sRow[sYtd].Int32() + qty)
-			newS[sOrderCnt] = i32d(sRow[sOrderCnt].Int32() + 1)
-			if err := ft.UpdateRow(noTStock, sTID, sRow, newS); err != nil {
-				return err
-			}
-			amount := float64(qty) * iRow[iPrice].Float64()
-			total += amount
-			if err := ft.Insert(noTOrderLine, []types.Datum{
-				i32d(w), i32d(d), i32d(orderID), i32d(int32(ln)),
-				i32d(item), i32d(w), types.NewDate(0), i32d(qty),
-				types.NewFloat64(amount),
-				types.NewChar(fmt.Sprintf("dist-info-%02d-padding--", d)),
-			}); err != nil {
-				return err
-			}
-		}
-		_ = total * taxes
-
-		if p.abort {
-			return ErrRollback
-		}
-		return nil
-	})
-}
-
-func (e *Executor) paymentFused(p payParams) error {
-	err := e.bees[TxnPayment].Run(e.Prof, func(ft *engine.FastTxn) error {
-		w, d, amount := p.w, p.d, p.amount
-		wRow, wTID, ok, err := ft.GetByIndex(payIWarehousePK, []types.Datum{i32d(w)})
-		if err != nil || !ok {
-			return fmt.Errorf("tpcc: warehouse %d: %v", w, err)
-		}
-		newW := append(expr.Row(nil), wRow...)
-		newW[wYtd] = types.NewFloat64(wRow[wYtd].Float64() + amount)
-		if err := ft.UpdateRow(payTWarehouse, wTID, wRow, newW); err != nil {
-			return err
-		}
-		dRow, dTID, ok, err := ft.GetByIndex(payIDistrictPK, []types.Datum{i32d(w), i32d(d)})
-		if err != nil || !ok {
-			return fmt.Errorf("tpcc: district: %v", err)
-		}
-		newD := append(expr.Row(nil), dRow...)
-		newD[dYtd] = types.NewFloat64(dRow[dYtd].Float64() + amount)
-		if err := ft.UpdateRow(payTDistrict, dTID, dRow, newD); err != nil {
-			return err
-		}
-
-		var cRow expr.Row
-		var cTID heap.TID
-		if p.byName {
-			cRow, cTID, err = fusedCustomerByLastName(ft, payICustomerByName, w, d, p.last)
-			if err != nil {
-				return err
-			}
-			if cRow == nil {
-				return errNoCustomer
-			}
-		} else {
-			var found bool
-			cRow, cTID, found, err = ft.GetByIndex(payICustomerPK, []types.Datum{i32d(w), i32d(d), i32d(p.c)})
-			if err != nil {
-				return err
-			}
-			if !found {
-				return fmt.Errorf("tpcc: customer %d missing", p.c)
-			}
-		}
-		newC := append(expr.Row(nil), cRow...)
-		newC[cBalance] = types.NewFloat64(cRow[cBalance].Float64() - amount)
-		newC[cYtdPayment] = types.NewFloat64(cRow[cYtdPayment].Float64() + amount)
-		newC[cPaymentCnt] = i32d(cRow[cPaymentCnt].Int32() + 1)
-		if err := ft.UpdateRow(payTCustomer, cTID, cRow, newC); err != nil {
-			return err
-		}
-		return ft.Insert(payTHistory, []types.Datum{
-			cRow[cID], i32d(d), i32d(w), i32d(d), i32d(w),
-			types.NewDate(e.today), types.NewFloat64(amount),
-			types.NewString("payment-history-data"),
-		})
-	})
-	if err == errNoCustomer {
-		return nil // rolled back, counts as done (matches paymentStmt)
-	}
-	return err
-}
-
-// fusedCustomerByLastName mirrors customerByLastName against a FastTxn.
-func fusedCustomerByLastName(ft *engine.FastTxn, ix int, w, d int32, last string) (expr.Row, heap.TID, error) {
-	type hit struct {
-		row expr.Row
-		tid heap.TID
-	}
-	var hits []hit
-	err := ft.ScanIndexPrefix(ix,
-		[]types.Datum{i32d(w), i32d(d), types.NewString(last)},
-		func(row expr.Row, tid heap.TID) bool {
-			hits = append(hits, hit{row, tid})
-			return true
-		})
-	if err != nil || len(hits) == 0 {
-		return nil, heap.TID{}, err
-	}
-	mid := hits[len(hits)/2]
-	return mid.row, mid.tid, nil
-}
-
-func (e *Executor) orderStatusFused(p osParams) error {
-	return e.bees[TxnOrderStatus].Run(e.Prof, func(ft *engine.FastTxn) error {
-		w, d := p.w, p.d
-		var cRow expr.Row
-		var err error
-		if p.byName {
-			cRow, _, err = fusedCustomerByLastName(ft, osICustomerByName, w, d, p.last)
-		} else {
-			cRow, _, _, err = ft.GetByIndex(osICustomerPK, []types.Datum{i32d(w), i32d(d), i32d(p.c)})
-		}
-		if err != nil {
-			return err
-		}
-		if cRow == nil {
-			return nil
-		}
-		oRow, _, found, err := ft.LastByIndexPrefix(osIOrdersByCustomer,
-			[]types.Datum{i32d(w), i32d(d), cRow[cID]})
-		if err != nil || !found {
-			return err
-		}
-		count := 0
-		err = ft.ScanIndexPrefix(osIOrderLinePK,
-			[]types.Datum{i32d(w), i32d(d), oRow[oID]},
-			func(row expr.Row, _ heap.TID) bool {
-				_ = row[olIID]
-				_ = row[olAmount]
-				count++
-				return true
-			})
-		if err != nil {
-			return err
-		}
-		if count == 0 {
-			return fmt.Errorf("tpcc: order (%d,%d,%d) has no lines", w, d, oRow[oID].Int32())
-		}
-		return nil
-	})
-}
-
-func (e *Executor) deliveryFused(p delParams) error {
-	return e.bees[TxnDelivery].Run(e.Prof, func(ft *engine.FastTxn) error {
-		w, carrier := p.w, p.carrier
-		for d := int32(1); d <= int32(e.Cfg.DistrictsPerWH); d++ {
-			var noRow expr.Row
-			var noTID heap.TID
-			err := ft.ScanIndexPrefix(delINewOrderPK,
-				[]types.Datum{i32d(w), i32d(d)},
-				func(row expr.Row, tid heap.TID) bool {
-					noRow = row
-					noTID = tid
-					return false
-				})
-			if err != nil {
-				return err
-			}
-			if noRow == nil {
-				continue // district fully delivered
-			}
-			orderID := noRow[2]
-			if err := ft.DeleteRow(delTNewOrder, noTID); err != nil {
-				return err
-			}
-			oRow, oTID, found, err := ft.GetByIndex(delIOrdersPK,
-				[]types.Datum{i32d(w), i32d(d), orderID})
-			if err != nil || !found {
-				return fmt.Errorf("tpcc: order (%d,%d,%v) missing: %v", w, d, orderID, err)
-			}
-			newO := append(expr.Row(nil), oRow...)
-			newO[oCarrier] = i32d(carrier)
-			if err := ft.UpdateRow(delTOrders, oTID, oRow, newO); err != nil {
-				return err
-			}
-			type lineHit struct {
-				row expr.Row
-				tid heap.TID
-			}
-			var lines []lineHit
-			total := 0.0
-			err = ft.ScanIndexPrefix(delIOrderLinePK,
-				[]types.Datum{i32d(w), i32d(d), orderID},
-				func(row expr.Row, tid heap.TID) bool {
-					lines = append(lines, lineHit{append(expr.Row(nil), row...), tid})
-					total += row[olAmount].Float64()
-					return true
-				})
-			if err != nil {
-				return err
-			}
-			for _, ln := range lines {
-				newL := append(expr.Row(nil), ln.row...)
-				newL[olDeliveryD] = types.NewDate(e.today)
-				if err := ft.UpdateRow(delTOrderLine, ln.tid, ln.row, newL); err != nil {
-					return err
-				}
-			}
-			cRow, cTID, found, err := ft.GetByIndex(delICustomerPK,
-				[]types.Datum{i32d(w), i32d(d), oRow[oCID]})
-			if err != nil || !found {
-				return fmt.Errorf("tpcc: customer for order: %v", err)
-			}
-			newC := append(expr.Row(nil), cRow...)
-			newC[cBalance] = types.NewFloat64(cRow[cBalance].Float64() + total)
-			newC[cDeliveryCnt] = i32d(cRow[cDeliveryCnt].Int32() + 1)
-			if err := ft.UpdateRow(delTCustomer, cTID, cRow, newC); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func (e *Executor) stockLevelFused(p slParams) error {
-	return e.bees[TxnStockLevel].Run(e.Prof, func(ft *engine.FastTxn) error {
-		w, d, threshold := p.w, p.d, p.threshold
-		dRow, _, ok, err := ft.GetByIndex(slIDistrictPK, []types.Datum{i32d(w), i32d(d)})
-		if err != nil || !ok {
-			return fmt.Errorf("tpcc: district: %v", err)
-		}
-		nextO := dRow[dNextOID].Int32()
-		lo := nextO - 20
-		if lo < 1 {
-			lo = 1
-		}
-		seen := map[int32]bool{}
-		err = ft.ScanIndexRange(slIOrderLinePK,
-			[]types.Datum{i32d(w), i32d(d), i32d(lo)},
-			[]types.Datum{i32d(w), i32d(d), i32d(nextO - 1)},
-			func(row expr.Row, _ heap.TID) bool {
-				seen[row[olIID].Int32()] = true
-				return true
-			})
-		if err != nil {
-			return err
-		}
-		low := 0
-		for item := range seen {
-			sRow, _, ok, err := ft.GetByIndex(slIStockPK, []types.Datum{i32d(w), i32d(item)})
-			if err != nil || !ok {
-				return fmt.Errorf("tpcc: stock %d: %v", item, err)
-			}
-			if sRow[sQuantity].Int32() < threshold {
-				low++
-			}
-		}
-		_ = low
-		return nil
-	})
 }

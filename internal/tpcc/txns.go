@@ -57,15 +57,15 @@ const (
 // serializes writers internally).
 //
 // Each transaction samples all of its random inputs up front into a
-// parameter struct, then dispatches to one of two bodies that apply
-// identical logic: the statement-at-a-time body (interactive engine.Txn,
-// one latch acquisition per operation) or — after EnableTxnBees — the
-// fused body running inside a compiled transaction bee (one latch plan,
-// pre-resolved handles, single commit; see engine/txnbee.go and
-// txnbees.go in this package). Because the parameters are fixed before
-// execution, a bee that panics mid-transaction is quarantined and the
-// very same transaction is retried statement-at-a-time with identical
-// inputs and results.
+// parameter struct and is written once, as a function over an engine.Txn
+// that returns an error to roll back. dispatch chooses how the body runs:
+// stepwise, against an interactive transaction (one latch acquisition per
+// operation), or — after EnableTxnBees — fused, inside a compiled
+// transaction bee (one latch plan, pre-resolved handles; see
+// engine/txnbee.go and txnbees.go in this package). The two runs are
+// equivalent by construction, and because the parameters are fixed before
+// execution, a bee that panics mid-transaction is quarantined and the very
+// same transaction is retried stepwise with identical inputs and results.
 type Executor struct {
 	DB   *engine.DB
 	Cfg  Config
@@ -106,15 +106,14 @@ func (e *Executor) randLastNum() int {
 // ErrRollback marks the intentional 1% New-Order abort.
 var ErrRollback = fmt.Errorf("tpcc: new-order rollback (unused item)")
 
-// errNoCustomer marks a by-last-name lookup that found nobody: the
-// transaction rolls back and counts as done (matching the
-// statement-at-a-time behaviour).
+// errNoCustomer marks a Payment by last name that found nobody: the
+// transaction rolls back and counts as done.
 var errNoCustomer = errors.New("tpcc: no customer with that last name")
 
 // beeFellBack reports whether a fused execution error means "retry
-// statement-at-a-time": the bee was quarantined (by this very panic or
-// an earlier one) or could not replan. Transaction-level errors — write
-// conflicts, the intentional rollback — are not fallbacks.
+// stepwise": the bee was quarantined (by this very panic or an earlier
+// one) or could not replan. Transaction-level errors — write conflicts,
+// the intentional rollback — are not fallbacks.
 func beeFellBack(err error) bool {
 	if errors.Is(err, engine.ErrTxnBeeUnavailable) {
 		return true
@@ -123,19 +122,26 @@ func beeFellBack(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// dispatch routes one transaction: fused body when transaction bees are
-// enabled, with a statement-at-a-time retry of the same parameters if
-// the bee fell out of service mid-flight.
-func (e *Executor) dispatch(t TxnType, fused, stmt func() error) error {
+// dispatch runs one transaction body: fused when transaction bees are
+// enabled, stepwise otherwise or when the bee fell out of service
+// mid-flight (same parameters, so the retry is the same transaction).
+// Either way an error from the body rolls back, and a commit that did not
+// become durable is an error too.
+func (e *Executor) dispatch(t TxnType, body func(tx *engine.Txn) error) error {
 	if e.UseTxnBees && e.bees[t] != nil {
-		err := fused()
+		err := e.bees[t].Run(e.Prof, body)
 		if !beeFellBack(err) {
 			return err
 		}
 		e.Fallbacks++
 		e.DB.NoteTxnBeeFallback()
 	}
-	return stmt()
+	tx := e.DB.Begin(e.Prof)
+	if err := body(tx); err != nil {
+		_ = tx.Rollback() // the body's error is the one to report
+		return err
+	}
+	return tx.Commit()
 }
 
 // --- New-Order ---
@@ -168,26 +174,22 @@ func (e *Executor) newOrderParams() noParams {
 // customer; 1% of invocations roll back per the specification.
 func (e *Executor) NewOrder() error {
 	p := e.newOrderParams()
-	return e.dispatch(TxnNewOrder, func() error { return e.newOrderFused(p) }, func() error { return e.newOrderStmt(p) })
+	return e.dispatch(TxnNewOrder, func(tx *engine.Txn) error { return e.newOrder(tx, p) })
 }
 
-func (e *Executor) newOrderStmt(p noParams) error {
+func (e *Executor) newOrder(txn *engine.Txn, p noParams) error {
 	w, d, c := p.w, p.d, p.c
 
-	txn := e.DB.Begin(e.Prof)
 	wRow, _, ok, err := txn.GetByIndex("warehouse_pkey", []types.Datum{i32d(w)})
 	if err != nil || !ok {
-		txn.Rollback()
 		return fmt.Errorf("tpcc: warehouse %d: %v", w, err)
 	}
 	dRow, dTID, ok, err := txn.GetByIndex("district_pkey", []types.Datum{i32d(w), i32d(d)})
 	if err != nil || !ok {
-		txn.Rollback()
 		return fmt.Errorf("tpcc: district (%d,%d): %v", w, d, err)
 	}
 	cRow, _, ok, err := txn.GetByIndex("customer_pkey", []types.Datum{i32d(w), i32d(d), i32d(c)})
 	if err != nil || !ok {
-		txn.Rollback()
 		return fmt.Errorf("tpcc: customer (%d,%d,%d): %v", w, d, c, err)
 	}
 
@@ -195,7 +197,6 @@ func (e *Executor) newOrderStmt(p noParams) error {
 	newD := append(expr.Row(nil), dRow...)
 	newD[dNextOID] = i32d(orderID + 1)
 	if err := txn.UpdateRow("district", dTID, dRow, newD); err != nil {
-		txn.Rollback()
 		return err
 	}
 
@@ -204,11 +205,9 @@ func (e *Executor) newOrderStmt(p noParams) error {
 		i32d(w), i32d(d), i32d(orderID), i32d(c),
 		types.NewDate(e.today), i32d(0), i32d(int32(len(p.lines))), i32d(allLocal),
 	}); err != nil {
-		txn.Rollback()
 		return err
 	}
 	if err := txn.Insert("new_order", []types.Datum{i32d(w), i32d(d), i32d(orderID)}); err != nil {
-		txn.Rollback()
 		return err
 	}
 
@@ -220,12 +219,10 @@ func (e *Executor) newOrderStmt(p noParams) error {
 		item := line.item
 		iRow, _, ok, err := txn.GetByIndex("item_pkey", []types.Datum{i32d(item)})
 		if err != nil || !ok {
-			txn.Rollback()
 			return fmt.Errorf("tpcc: item %d: %v", item, err)
 		}
 		sRow, sTID, ok, err := txn.GetByIndex("stock_pkey", []types.Datum{i32d(w), i32d(item)})
 		if err != nil || !ok {
-			txn.Rollback()
 			return fmt.Errorf("tpcc: stock (%d,%d): %v", w, item, err)
 		}
 		qty := line.qty
@@ -240,7 +237,6 @@ func (e *Executor) newOrderStmt(p noParams) error {
 		newS[sYtd] = i32d(sRow[sYtd].Int32() + qty)
 		newS[sOrderCnt] = i32d(sRow[sOrderCnt].Int32() + 1)
 		if err := txn.UpdateRow("stock", sTID, sRow, newS); err != nil {
-			txn.Rollback()
 			return err
 		}
 		amount := float64(qty) * iRow[iPrice].Float64()
@@ -251,19 +247,14 @@ func (e *Executor) newOrderStmt(p noParams) error {
 			types.NewFloat64(amount),
 			types.NewChar(fmt.Sprintf("dist-info-%02d-padding--", d)),
 		}); err != nil {
-			txn.Rollback()
 			return err
 		}
 	}
 	_ = total * taxes
 
 	if p.abort {
-		if err := txn.Rollback(); err != nil {
-			return err
-		}
 		return ErrRollback
 	}
-	txn.Commit()
 	return nil
 }
 
@@ -296,40 +287,42 @@ func (e *Executor) paymentParams() payParams {
 // last name, 40% by id.
 func (e *Executor) Payment() error {
 	p := e.paymentParams()
-	return e.dispatch(TxnPayment, func() error { return e.paymentFused(p) }, func() error { return e.paymentStmt(p) })
+	err := e.dispatch(TxnPayment, func(tx *engine.Txn) error { return e.payment(tx, p) })
+	if errors.Is(err, errNoCustomer) {
+		return nil
+	}
+	return err
 }
 
-func (e *Executor) paymentStmt(p payParams) error {
+func (e *Executor) payment(txn *engine.Txn, p payParams) error {
 	w, d, amount := p.w, p.d, p.amount
 
-	txn := e.DB.Begin(e.Prof)
 	wRow, wTID, ok, err := txn.GetByIndex("warehouse_pkey", []types.Datum{i32d(w)})
 	if err != nil || !ok {
-		txn.Rollback()
 		return fmt.Errorf("tpcc: warehouse %d: %v", w, err)
 	}
 	newW := append(expr.Row(nil), wRow...)
 	newW[wYtd] = types.NewFloat64(wRow[wYtd].Float64() + amount)
 	if err := txn.UpdateRow("warehouse", wTID, wRow, newW); err != nil {
-		txn.Rollback()
 		return err
 	}
 	dRow, dTID, ok, err := txn.GetByIndex("district_pkey", []types.Datum{i32d(w), i32d(d)})
 	if err != nil || !ok {
-		txn.Rollback()
 		return fmt.Errorf("tpcc: district: %v", err)
 	}
 	newD := append(expr.Row(nil), dRow...)
 	newD[dYtd] = types.NewFloat64(dRow[dYtd].Float64() + amount)
 	if err := txn.UpdateRow("district", dTID, dRow, newD); err != nil {
-		txn.Rollback()
 		return err
 	}
 
 	var cRow expr.Row
 	var cTID heap.TID
 	if p.byName {
-		cRow, cTID, err = e.customerByLastName(txn, w, d, p.last)
+		cRow, cTID, err = customerByLastName(txn, w, d, p.last)
+		if err == nil && cRow == nil {
+			err = errNoCustomer
+		}
 	} else {
 		var found bool
 		cRow, cTID, found, err = txn.GetByIndex("customer_pkey", []types.Datum{i32d(w), i32d(d), i32d(p.c)})
@@ -337,11 +330,7 @@ func (e *Executor) paymentStmt(p payParams) error {
 			err = fmt.Errorf("tpcc: customer %d missing", p.c)
 		}
 	}
-	if err != nil || cRow == nil {
-		txn.Rollback()
-		if err == nil {
-			return nil // no customer with that last name: count as done
-		}
+	if err != nil {
 		return err
 	}
 	newC := append(expr.Row(nil), cRow...)
@@ -349,24 +338,18 @@ func (e *Executor) paymentStmt(p payParams) error {
 	newC[cYtdPayment] = types.NewFloat64(cRow[cYtdPayment].Float64() + amount)
 	newC[cPaymentCnt] = i32d(cRow[cPaymentCnt].Int32() + 1)
 	if err := txn.UpdateRow("customer", cTID, cRow, newC); err != nil {
-		txn.Rollback()
 		return err
 	}
-	if err := txn.Insert("history", []types.Datum{
+	return txn.Insert("history", []types.Datum{
 		cRow[cID], i32d(d), i32d(w), i32d(d), i32d(w),
 		types.NewDate(e.today), types.NewFloat64(amount),
 		types.NewString("payment-history-data"),
-	}); err != nil {
-		txn.Rollback()
-		return err
-	}
-	txn.Commit()
-	return nil
+	})
 }
 
 // customerByLastName returns the middle customer (by first name) among
 // those with the given last name, per the specification.
-func (e *Executor) customerByLastName(txn *engine.Txn, w, d int32, last string) (expr.Row, heap.TID, error) {
+func customerByLastName(txn *engine.Txn, w, d int32, last string) (expr.Row, heap.TID, error) {
 	type hit struct {
 		row expr.Row
 		tid heap.TID
@@ -411,18 +394,16 @@ func (e *Executor) orderStatusParams() osParams {
 // OrderStatus runs the Order-Status read-only transaction.
 func (e *Executor) OrderStatus() error {
 	p := e.orderStatusParams()
-	return e.dispatch(TxnOrderStatus, func() error { return e.orderStatusFused(p) }, func() error { return e.orderStatusStmt(p) })
+	return e.dispatch(TxnOrderStatus, func(tx *engine.Txn) error { return orderStatus(tx, p) })
 }
 
-func (e *Executor) orderStatusStmt(p osParams) error {
+func orderStatus(txn *engine.Txn, p osParams) error {
 	w, d := p.w, p.d
 
-	txn := e.DB.Begin(e.Prof)
-	defer txn.Commit()
 	var cRow expr.Row
 	var err error
 	if p.byName {
-		cRow, _, err = e.customerByLastName(txn, w, d, p.last)
+		cRow, _, err = customerByLastName(txn, w, d, p.last)
 	} else {
 		cRow, _, _, err = txn.GetByIndex("customer_pkey", []types.Datum{i32d(w), i32d(d), i32d(p.c)})
 	}
@@ -474,13 +455,12 @@ func (e *Executor) deliveryParams() delParams {
 // warehouse, deliver the oldest undelivered order.
 func (e *Executor) Delivery() error {
 	p := e.deliveryParams()
-	return e.dispatch(TxnDelivery, func() error { return e.deliveryFused(p) }, func() error { return e.deliveryStmt(p) })
+	return e.dispatch(TxnDelivery, func(tx *engine.Txn) error { return e.delivery(tx, p) })
 }
 
-func (e *Executor) deliveryStmt(p delParams) error {
+func (e *Executor) delivery(txn *engine.Txn, p delParams) error {
 	w, carrier := p.w, p.carrier
 
-	txn := e.DB.Begin(e.Prof)
 	for d := int32(1); d <= int32(e.Cfg.DistrictsPerWH); d++ {
 		// Oldest new_order in the district.
 		var noRow expr.Row
@@ -493,27 +473,23 @@ func (e *Executor) deliveryStmt(p delParams) error {
 				return false
 			})
 		if err != nil {
-			txn.Rollback()
 			return err
 		}
 		if noRow == nil {
 			continue // district fully delivered
 		}
 		orderID := noRow[2]
-		if err := txn.DeleteRow("new_order", noTID, noRow); err != nil {
-			txn.Rollback()
+		if err := txn.DeleteRow("new_order", noTID); err != nil {
 			return err
 		}
 		oRow, oTID, found, err := txn.GetByIndex("orders_pkey",
 			[]types.Datum{i32d(w), i32d(d), orderID})
 		if err != nil || !found {
-			txn.Rollback()
 			return fmt.Errorf("tpcc: order (%d,%d,%v) missing: %v", w, d, orderID, err)
 		}
 		newO := append(expr.Row(nil), oRow...)
 		newO[oCarrier] = i32d(carrier)
 		if err := txn.UpdateRow("orders", oTID, oRow, newO); err != nil {
-			txn.Rollback()
 			return err
 		}
 		// Stamp lines and total their amounts.
@@ -531,14 +507,12 @@ func (e *Executor) deliveryStmt(p delParams) error {
 				return true
 			})
 		if err != nil {
-			txn.Rollback()
 			return err
 		}
 		for _, ln := range lines {
 			newL := append(expr.Row(nil), ln.row...)
 			newL[olDeliveryD] = types.NewDate(e.today)
 			if err := txn.UpdateRow("order_line", ln.tid, ln.row, newL); err != nil {
-				txn.Rollback()
 				return err
 			}
 		}
@@ -546,18 +520,15 @@ func (e *Executor) deliveryStmt(p delParams) error {
 		cRow, cTID, found, err := txn.GetByIndex("customer_pkey",
 			[]types.Datum{i32d(w), i32d(d), oRow[oCID]})
 		if err != nil || !found {
-			txn.Rollback()
 			return fmt.Errorf("tpcc: customer for order: %v", err)
 		}
 		newC := append(expr.Row(nil), cRow...)
 		newC[cBalance] = types.NewFloat64(cRow[cBalance].Float64() + total)
 		newC[cDeliveryCnt] = i32d(cRow[cDeliveryCnt].Int32() + 1)
 		if err := txn.UpdateRow("customer", cTID, cRow, newC); err != nil {
-			txn.Rollback()
 			return err
 		}
 	}
-	txn.Commit()
 	return nil
 }
 
@@ -580,14 +551,12 @@ func (e *Executor) stockLevelParams() slParams {
 // items in the district's last 20 orders whose stock is below threshold.
 func (e *Executor) StockLevel() error {
 	p := e.stockLevelParams()
-	return e.dispatch(TxnStockLevel, func() error { return e.stockLevelFused(p) }, func() error { return e.stockLevelStmt(p) })
+	return e.dispatch(TxnStockLevel, func(tx *engine.Txn) error { return stockLevel(tx, p) })
 }
 
-func (e *Executor) stockLevelStmt(p slParams) error {
+func stockLevel(txn *engine.Txn, p slParams) error {
 	w, d, threshold := p.w, p.d, p.threshold
 
-	txn := e.DB.Begin(e.Prof)
-	defer txn.Commit()
 	dRow, _, ok, err := txn.GetByIndex("district_pkey", []types.Datum{i32d(w), i32d(d)})
 	if err != nil || !ok {
 		return fmt.Errorf("tpcc: district: %v", err)
