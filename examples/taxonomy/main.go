@@ -63,14 +63,14 @@ func main() {
 	// "to disk" alongside the relations.
 	n := db.Module().Cache().Flush()
 	fmt.Printf("\nbee cache: flushed %d bees to the on-disk cache\n", n)
-	for _, e := range db.Module().Cache().Entries() {
+	for _, e := range db.Module().CacheEntries() {
 		fmt.Printf("  %-10s %-50.50s %5dB\n", e.Kind, e.Name, e.Bytes)
 	}
 	fmt.Println(db.Module().Placement().Report())
 
 	// The bee collector: dropping a relation garbage-collects its bees.
 	mustExec(db, "drop table lines_mini")
-	fmt.Printf("after DROP TABLE: %d bees remain in cache\n", db.Module().Cache().Len())
+	fmt.Printf("after DROP TABLE: %d bees remain in cache\n", db.Module().Cache().Stats().MemEntries)
 }
 
 func mustExec(db *engine.DB, stmt string) {

@@ -8,8 +8,9 @@
 // break — quarantine hits, DDL on a watched table, value-distribution
 // drift seen by per-attribute sketches, or measured benefit going
 // negative. Tier state (candidate → compiled → pinned → demoted, with
-// hysteresis) lives in core.Module's tier table; this package is the
-// policy loop that drives it. See docs/ADAPTIVE.md.
+// hysteresis) lives in each bee's core.Module registry entry; this
+// package is the policy loop that fires the transitions on the handles.
+// See docs/ADAPTIVE.md.
 package advisor
 
 import (
@@ -118,7 +119,7 @@ type AttrMeta struct {
 // advisor deliberately does not import the engine (the engine imports
 // it); everything it needs arrives as data or closures.
 type Deps struct {
-	// Mod is the bee module whose tier table the advisor drives.
+	// Mod is the bee module whose registry the advisor drives.
 	Mod *core.Module
 	// Invalidate discards cached plans (bumps the engine's DDL
 	// generation) so promotions and demotions reach prepared
@@ -147,8 +148,6 @@ type Decision struct {
 
 const decisionRing = 64
 
-type beeID struct{ kind, name string }
-
 // Advisor is the decision loop. All state transitions happen inside
 // RunCycle, which the background loop (Start) or tests call; the
 // Observe* feeds are cheap and safe from query/DML paths.
@@ -163,8 +162,8 @@ type Advisor struct {
 	sketches map[string][]*ndvSketch // table → per-ordinal sketches
 
 	mu         sync.Mutex
-	hotStreak  map[beeID]int
-	coldStreak map[beeID]int
+	hotStreak  map[*core.Bee]int
+	coldStreak map[*core.Bee]int
 	pendingDDL map[string]struct{}
 	attrHold   map[string]int // "table.attr" → cycles before eligible again
 	decisions  []Decision
@@ -181,8 +180,8 @@ func New(cfg Config, deps Deps) *Advisor {
 		cfg:        cfg.withDefaults(),
 		deps:       deps,
 		sketches:   make(map[string][]*ndvSketch),
-		hotStreak:  make(map[beeID]int),
-		coldStreak: make(map[beeID]int),
+		hotStreak:  make(map[*core.Bee]int),
+		coldStreak: make(map[*core.Bee]int),
 		pendingDDL: make(map[string]struct{}),
 		attrHold:   make(map[string]int),
 	}
@@ -246,16 +245,13 @@ func (a *Advisor) Stop() {
 	a.stop = nil
 }
 
-// BeeObs identifies one bee observed in (or gated out of) a plan.
-type BeeObs struct{ Kind, Name string }
-
 // ObservePlan feeds demand from one executed query: compiled holds the
-// bees the plan carried, gated the predicates the tier gate refused
-// (the plan ran them interpreted — that unserved demand is exactly what
-// drives promotion, and it must be counted per execution because
-// prepared statements plan once). slow over-weights queries past the
-// slow-query threshold — those are where specialization pays most.
-func (a *Advisor) ObservePlan(tables []string, compiled, gated []BeeObs, slow bool) {
+// bees whose code the plan ran, gated the predicates whose compile the
+// tier gate refused (the plan ran them interpreted — that unserved demand
+// is exactly what drives promotion, and it must be counted per execution
+// because prepared statements plan once). slow over-weights queries past
+// the slow-query threshold — those are where specialization pays most.
+func (a *Advisor) ObservePlan(tables []string, compiled, gated []*core.Bee, slow bool) {
 	if !a.enabled.Load() {
 		return
 	}
@@ -264,10 +260,10 @@ func (a *Advisor) ObservePlan(tables []string, compiled, gated []BeeObs, slow bo
 		w = a.cfg.SlowBoost
 	}
 	for _, b := range compiled {
-		a.deps.Mod.TierTouch(b.Kind, b.Name, tables, w)
+		b.Touch(tables, w)
 	}
 	for _, b := range gated {
-		a.deps.Mod.TierWant(b.Kind, b.Name, tables, w)
+		b.Want(tables, w)
 	}
 }
 
@@ -357,47 +353,37 @@ func (a *Advisor) RunCycle() {
 		if ti.State != core.TierCompiled && ti.State != core.TierPinned {
 			continue
 		}
-		id := beeID{ti.Kind, ti.Name}
+		var reason string
+		sticky, hold := true, a.cfg.DemoteHold
 		switch {
-		case mod.IsQuarantined(ti.Kind, ti.Name):
-			if mod.TierDemote(ti.Kind, ti.Name, true, a.cfg.DemoteHold) {
-				a.deps.Demotions.Inc()
-				changed = true
-				a.record(Decision{Action: "demote-bee", Kind: ti.Kind, Name: ti.Name,
-					Reason: "quarantined after a runtime panic"})
-				a.forget(id)
-			}
+		case ti.Bee.Quarantined():
+			reason = "quarantined after a runtime panic"
 		case a.ddlHit(ddl, ti.Rels):
-			if mod.TierDemote(ti.Kind, ti.Name, true, a.cfg.DemoteHold) {
-				a.deps.Demotions.Inc()
-				changed = true
-				a.record(Decision{Action: "demote-bee", Kind: ti.Kind, Name: ti.Name,
-					Reason: "DDL invalidated watched table"})
-				a.forget(id)
-			}
-		case a.negativeBenefit(ti):
-			if mod.TierDemote(ti.Kind, ti.Name, true, a.cfg.DemoteHold) {
-				a.deps.Demotions.Inc()
-				changed = true
-				a.record(Decision{Action: "demote-bee", Kind: ti.Kind, Name: ti.Name,
-					Reason: "measured est_saved negative"})
-				a.forget(id)
-			}
+			reason = "DDL invalidated watched table"
+		case ti.Bee.Rows() >= a.cfg.MinRows && ti.Bee.SignedEstSavedNs() < 0:
+			reason = "measured est_saved negative"
 		case ti.State == core.TierCompiled && ti.Heat < a.cfg.HotThreshold/2:
 			a.mu.Lock()
-			a.coldStreak[id]++
-			cold := a.coldStreak[id] >= a.cfg.ColdStreak
+			a.coldStreak[ti.Bee]++
+			cold := a.coldStreak[ti.Bee] >= a.cfg.ColdStreak
 			a.mu.Unlock()
-			if cold && mod.TierDemote(ti.Kind, ti.Name, false, 1) {
-				a.deps.Demotions.Inc()
-				changed = true
-				a.record(Decision{Action: "demote-bee", Kind: ti.Kind, Name: ti.Name,
-					Reason: "cold: workload shifted away"})
-				a.forget(id)
+			if !cold {
+				continue
 			}
+			reason, sticky, hold = "cold: workload shifted away", false, 1
 		default:
 			a.mu.Lock()
-			delete(a.coldStreak, id)
+			delete(a.coldStreak, ti.Bee)
+			a.mu.Unlock()
+			continue
+		}
+		if ti.Bee.Demote(sticky, hold) {
+			a.deps.Demotions.Inc()
+			changed = true
+			a.record(Decision{Action: "demote-bee", Kind: ti.Kind, Name: ti.Name, Reason: reason})
+			a.mu.Lock()
+			delete(a.hotStreak, ti.Bee)
+			delete(a.coldStreak, ti.Bee)
 			a.mu.Unlock()
 		}
 	}
@@ -453,7 +439,7 @@ func (a *Advisor) RunCycle() {
 				a.deps.Skipped.Inc()
 				continue
 			}
-			if mod.TierPromote(ti.Kind, ti.Name) {
+			if ti.Bee.Promote() {
 				budget--
 				a.deps.Promotions.Inc()
 				changed = true
@@ -461,19 +447,18 @@ func (a *Advisor) RunCycle() {
 					Reason: "hot: decayed demand " + ftoa(ti.Heat) + " ≥ " + ftoa(a.cfg.HotThreshold)})
 			}
 		case core.TierCompiled:
-			id := beeID{ti.Kind, ti.Name}
 			if ti.Heat >= a.cfg.HotThreshold {
 				a.mu.Lock()
-				a.hotStreak[id]++
-				pin := a.hotStreak[id] >= a.cfg.PinStreak
+				a.hotStreak[ti.Bee]++
+				pin := a.hotStreak[ti.Bee] >= a.cfg.PinStreak
 				a.mu.Unlock()
-				if pin && mod.TierPin(ti.Kind, ti.Name) {
+				if pin && ti.Bee.Pin() {
 					a.record(Decision{Action: "pin-bee", Kind: ti.Kind, Name: ti.Name,
 						Reason: "persistently hot for " + itoa(a.cfg.PinStreak) + " cycles"})
 				}
 			} else {
 				a.mu.Lock()
-				delete(a.hotStreak, id)
+				delete(a.hotStreak, ti.Bee)
 				a.mu.Unlock()
 			}
 		}
@@ -485,13 +470,6 @@ func (a *Advisor) RunCycle() {
 	mod.TierDecay(a.cfg.DecayFactor)
 }
 
-func (a *Advisor) forget(id beeID) {
-	a.mu.Lock()
-	delete(a.hotStreak, id)
-	delete(a.coldStreak, id)
-	a.mu.Unlock()
-}
-
 func (a *Advisor) ddlHit(ddl map[string]struct{}, rels []string) bool {
 	for _, r := range rels {
 		if _, ok := ddl[r]; ok {
@@ -499,11 +477,6 @@ func (a *Advisor) ddlHit(ddl map[string]struct{}, rels []string) bool {
 		}
 	}
 	return false
-}
-
-func (a *Advisor) negativeBenefit(ti core.TierInfo) bool {
-	u := a.deps.Mod.Usage(ti.Kind, ti.Name)
-	return u.Rows() >= a.cfg.MinRows && u.SignedEstSavedNs() < 0
 }
 
 func (a *Advisor) sketchStats(table string, ord int) (ndv int, rows int64) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"microspec/internal/core"
+	"microspec/internal/expr"
 	"microspec/internal/metrics"
 	"microspec/internal/types"
 )
@@ -22,6 +23,13 @@ func testAdvisor(cfg Config) (*Advisor, *core.Module, *metrics.Registry) {
 	return a, mod, reg
 }
 
+// candidate has the module admit an EVP bee named name while the gate is
+// up: the compile is refused, the bee becomes a candidate with one unit of
+// demand, and its handle is what ObservePlan is fed.
+func candidate(mod *core.Module, name string) *core.Bee {
+	return mod.CompilePredicate(&expr.Var{Name: name, T: types.Bool}).Bee()
+}
+
 func counter(reg *metrics.Registry, name string) int64 {
 	return reg.Snapshot().Counters[name]
 }
@@ -32,7 +40,7 @@ func counter(reg *metrics.Registry, name string) int64 {
 func TestPromotionAndPin(t *testing.T) {
 	a, mod, reg := testAdvisor(Config{HotThreshold: 3, PinStreak: 2})
 
-	obs := []BeeObs{{Kind: "query/EVP", Name: "(x < 10)"}}
+	obs := []*core.Bee{candidate(mod, "(x < 10)")}
 	a.ObservePlan([]string{"t"}, nil, obs, false)
 	a.RunCycle() // heat 1 → no promotion
 	if got := counter(reg, "advisor.promotions"); got != 0 {
@@ -46,7 +54,7 @@ func TestPromotionAndPin(t *testing.T) {
 	if got := counter(reg, "advisor.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
-	if st, _ := mod.TierOf("query/EVP", "(x < 10)"); st != core.TierCompiled {
+	if st, _ := mod.Bee("query/EVP", "(x < 10)").Tier(); st != core.TierCompiled {
 		t.Fatalf("state = %v, want compiled", st)
 	}
 
@@ -57,7 +65,7 @@ func TestPromotionAndPin(t *testing.T) {
 		}
 		a.RunCycle()
 	}
-	if st, _ := mod.TierOf("query/EVP", "(x < 10)"); st != core.TierPinned {
+	if st, _ := mod.Bee("query/EVP", "(x < 10)").Tier(); st != core.TierPinned {
 		t.Fatalf("state = %v, want pinned", st)
 	}
 	// Pinned bees never cold-demote: idle cycles leave them alone.
@@ -75,12 +83,12 @@ func TestPromotionAndPin(t *testing.T) {
 func TestColdDemotionIsExactlyOnce(t *testing.T) {
 	a, mod, reg := testAdvisor(Config{HotThreshold: 3, ColdStreak: 2, PinStreak: 99})
 
-	obs := []BeeObs{{Kind: "query/EVP", Name: "(x < 10)"}}
+	obs := []*core.Bee{candidate(mod, "(x < 10)")}
 	for i := 0; i < 5; i++ {
 		a.ObservePlan([]string{"t"}, nil, obs, false)
 	}
 	a.RunCycle()
-	if st, _ := mod.TierOf("query/EVP", "(x < 10)"); st != core.TierCompiled {
+	if st, _ := mod.Bee("query/EVP", "(x < 10)").Tier(); st != core.TierCompiled {
 		t.Fatalf("state = %v, want compiled", st)
 	}
 
@@ -105,24 +113,25 @@ func TestColdDemotionIsExactlyOnce(t *testing.T) {
 // fast ones, so the hot-set tracks where specialization pays most.
 func TestSlowQueriesBoostHeat(t *testing.T) {
 	a, mod, _ := testAdvisor(Config{HotThreshold: 4, SlowBoost: 4})
-	a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: "query/EVP", Name: "(slow)"}}, true)
-	a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: "query/EVP", Name: "(fast)"}}, false)
+	a.ObservePlan([]string{"t"}, nil, []*core.Bee{candidate(mod, "(slow)")}, true)
+	a.ObservePlan([]string{"t"}, nil, []*core.Bee{candidate(mod, "(fast)")}, false)
 	a.RunCycle()
-	if st, _ := mod.TierOf("query/EVP", "(slow)"); st != core.TierCompiled {
+	if st, _ := mod.Bee("query/EVP", "(slow)").Tier(); st != core.TierCompiled {
 		t.Fatalf("slow-path bee state = %v, want compiled after one boosted hit", st)
 	}
-	if st, _ := mod.TierOf("query/EVP", "(fast)"); st != core.TierCandidate {
+	if st, _ := mod.Bee("query/EVP", "(fast)").Tier(); st != core.TierCandidate {
 		t.Fatalf("fast-path bee state = %v, want still candidate", st)
 	}
 }
 
 // TestPromotionBudget caps per-cycle promotions and counts the skips.
 func TestPromotionBudget(t *testing.T) {
-	a, _, reg := testAdvisor(Config{HotThreshold: 1, Budget: 2})
+	a, mod, reg := testAdvisor(Config{HotThreshold: 1, Budget: 2})
 	names := []string{"(a)", "(b)", "(c)", "(d)", "(e)"}
 	for _, n := range names {
+		obs := []*core.Bee{candidate(mod, n)}
 		for i := 0; i < 3; i++ {
-			a.ObservePlan([]string{"t"}, nil, []BeeObs{{Kind: "query/EVP", Name: n}}, false)
+			a.ObservePlan([]string{"t"}, nil, obs, false)
 		}
 	}
 	a.RunCycle()

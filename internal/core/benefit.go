@@ -1,159 +1,19 @@
 package core
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
-
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 )
 
-// This file is the per-bee benefit attribution: every bee the module
-// compiles registers a BeeUsage entry carrying its static per-row
-// abstract-instruction cost next to the cost of the generic routine it
-// replaced. Executor nodes that time their bee invocations report
-// observed wall time into the entry, and BeeBenefits scales that time by
-// the cost ratio to estimate how much each bee has saved — the runtime
-// counterpart of the paper's Table 1 instruction counts, answering
-// "which bees are earning their keep" on a live server.
-
-// BeeUsage accumulates one bee's runtime usage. Executor nodes hold a
-// handle (obtained through Module.Usage at plan time) and report with
-// Note; all methods are nil-receiver safe so the stock path pays only a
-// nil check.
-type BeeUsage struct {
-	rows atomic.Int64
-	ns   atomic.Int64
-
-	// Static per-row abstract instruction costs, written at compile time
-	// under the usage-table lock: the bee routine's cost and the generic
-	// routine's cost for the same work.
-	beeCost   int64
-	stockCost int64
-}
-
-// Note reports rows processed by the bee over ns nanoseconds of observed
-// wall time. Executors accumulate locally and call this once at Close.
-func (u *BeeUsage) Note(rows, ns int64) {
-	if u == nil || rows <= 0 {
-		return
-	}
-	u.rows.Add(rows)
-	u.ns.Add(ns)
-}
-
-// SignedEstSavedNs is the advisor's demotion signal: the same
-// observed × (stock − bee) / bee estimate as BeeBenefit.EstSavedNs but
-// without the positive clamp, so a bee whose static cost exceeds the
-// stock routine's (the cost model says it is a net loss for this shape)
-// reports a negative saving. Returns 0 until the bee has timed work.
-func (u *BeeUsage) SignedEstSavedNs() int64 {
-	if u == nil || u.beeCost <= 0 {
-		return 0
-	}
-	ns := u.ns.Load()
-	if ns <= 0 {
-		return 0
-	}
-	return ns * (u.stockCost - u.beeCost) / u.beeCost
-}
-
-// Rows returns how many rows the bee has processed on timed paths.
-func (u *BeeUsage) Rows() int64 {
-	if u == nil {
-		return 0
-	}
-	return u.rows.Load()
-}
-
-// BeeBenefit is one bee's attribution line: identity, usage, the static
-// cost pair, and the estimated time saved versus the stock routine.
-type BeeBenefit struct {
-	Kind string `json:"kind"`
-	Name string `json:"name"`
-	// Rows is how many rows the bee has processed (timed paths only).
-	Rows int64 `json:"rows"`
-	// ObservedNs is the wall time spent inside the bee routine.
-	ObservedNs int64 `json:"observed_ns"`
-	// BeeCost and StockCost are per-row abstract instruction costs of the
-	// specialized and generic routines.
-	BeeCost   int64 `json:"bee_cost"`
-	StockCost int64 `json:"stock_cost"`
-	// EstSavedNs scales ObservedNs by the cost ratio:
-	// observed × (stock − bee) / bee. Zero until the bee has timed work.
-	EstSavedNs int64 `json:"est_saved_ns"`
-}
-
-// usageTable maps bee identity to its usage entry. Its lock is
-// subordinate to Module.mu (always acquired after, never before).
-type usageTable struct {
-	mu sync.Mutex
-	m  map[beeKey]*BeeUsage
-}
-
-// register creates or refreshes the entry for k with the given cost pair
-// and returns it. Re-compiling a bee (cache refresh, fused form of the
-// same predicate) keeps accumulated usage and overwrites the costs.
-func (t *usageTable) register(k beeKey, beeCost, stockCost int64) *BeeUsage {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.m == nil {
-		t.m = make(map[beeKey]*BeeUsage)
-	}
-	u := t.m[k]
-	if u == nil {
-		u = &BeeUsage{}
-		t.m[k] = u
-	}
-	u.beeCost, u.stockCost = beeCost, stockCost
-	return u
-}
-
-// Usage returns the usage entry for a registered bee, or nil — the nil
-// is wired straight into executor nodes, whose Note calls then no-op.
-func (m *Module) Usage(kind, name string) *BeeUsage {
-	m.usage.mu.Lock()
-	defer m.usage.mu.Unlock()
-	return m.usage.m[beeKey{kind: kind, name: name}]
-}
-
-// BeeBenefits reports every registered bee's attribution, estimated
-// saving first (then rows, then identity, so the order is stable).
-func (m *Module) BeeBenefits() []BeeBenefit {
-	m.usage.mu.Lock()
-	defer m.usage.mu.Unlock()
-	out := make([]BeeBenefit, 0, len(m.usage.m))
-	for k, u := range m.usage.m {
-		b := BeeBenefit{
-			Kind:       k.kind,
-			Name:       k.name,
-			Rows:       u.rows.Load(),
-			ObservedNs: u.ns.Load(),
-			BeeCost:    u.beeCost,
-			StockCost:  u.stockCost,
-		}
-		if b.BeeCost > 0 && b.ObservedNs > 0 && b.StockCost > b.BeeCost {
-			b.EstSavedNs = b.ObservedNs * (b.StockCost - b.BeeCost) / b.BeeCost
-		}
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.EstSavedNs != b.EstSavedNs {
-			return a.EstSavedNs > b.EstSavedNs
-		}
-		if a.Rows != b.Rows {
-			return a.Rows > b.Rows
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Name < b.Name
-	})
-	return out
-}
+// This file holds the stock side of the per-bee benefit attribution: every
+// bee the module installs carries its static per-row abstract-instruction
+// cost next to the cost of the generic routine it replaced (estimated
+// here). Executor nodes that time their bee invocations report observed
+// wall time into the bee's registry entry, and BeeBenefits scales that time
+// by the cost ratio to estimate how much each bee has saved — the runtime
+// counterpart of the paper's Table 1 instruction counts, answering "which
+// bees are earning their keep" on a live server.
 
 // stockExprCost estimates the per-row abstract instruction cost of the
 // generic interpreted evaluator for e — the baseline an EVP/EVA bee

@@ -10,8 +10,8 @@ import (
 )
 
 func TestBeeUsageNilSafe(t *testing.T) {
-	var u *BeeUsage
-	u.Note(10, 100) // must not panic
+	var b *Bee
+	b.Note(10, 100) // must not panic
 }
 
 func TestBeeBenefitAttribution(t *testing.T) {
@@ -21,15 +21,15 @@ func TestBeeBenefitAttribution(t *testing.T) {
 		L:  &expr.Var{Idx: 0, T: types.Int32},
 		R:  expr.NewConst(types.NewInt32(10)),
 	}
-	if _, ok := m.CompileBatchPredicate(pred); !ok {
+	if _, ok := compileBatchPredicate(m, pred); !ok {
 		t.Fatal("CompileBatchPredicate failed")
 	}
-	u := m.Usage("query/EVP", pred.String())
+	u := m.Bee("query/EVP", pred.String())
 	if u == nil {
 		t.Fatal("no usage entry registered for compiled predicate")
 	}
-	if m.Usage("query/EVP", "no-such-bee") != nil {
-		t.Fatal("Usage invented an entry for an unknown bee")
+	if m.Bee("query/EVP", "no-such-bee") != nil {
+		t.Fatal("Bee invented an entry for an unknown bee")
 	}
 
 	// The executor reports 1000 rows over 5000ns of observed bee time.
@@ -61,10 +61,10 @@ func TestBeeBenefitsSortedBySaving(t *testing.T) {
 	m := NewModule(AllRoutines)
 	p1 := &expr.Cmp{Op: expr.LT, L: &expr.Var{Idx: 0, T: types.Int32}, R: expr.NewConst(types.NewInt32(1))}
 	p2 := &expr.Cmp{Op: expr.GT, L: &expr.Var{Idx: 1, T: types.Int32}, R: expr.NewConst(types.NewInt32(2))}
-	m.CompileBatchPredicate(p1)
-	m.CompileBatchPredicate(p2)
-	m.Usage("query/EVP", p1.String()).Note(10, 100)
-	m.Usage("query/EVP", p2.String()).Note(10, 100000)
+	compileBatchPredicate(m, p1)
+	compileBatchPredicate(m, p2)
+	m.Bee("query/EVP", p1.String()).Note(10, 100)
+	m.Bee("query/EVP", p2.String()).Note(10, 100000)
 	bb := m.BeeBenefits()
 	if len(bb) < 2 {
 		t.Fatalf("got %d benefit rows, want ≥2", len(bb))

@@ -26,12 +26,13 @@
 // is assembled from pre-compiled typed snippets (package-level closures)
 // parameterized with the specializing values — the Go analogue of the
 // paper's pre-compiled ELF templates with constants patched into the
-// object code. The bee cache, placement optimizer, and collector live in
-// cache.go.
+// object code. The bee cache, its manager and the collector are the bee
+// registry (registry.go); the placement optimizer lives in placement.go.
 package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +70,9 @@ var AllRoutines = RoutineSet{GCL: true, SCL: true, EVP: true, EVJ: true, TupleBe
 // Stock disables every micro-specialization (the stock DBMS).
 var Stock = RoutineSet{}
 
-// Stats counts bee-module activity.
+// Stats counts bee-module activity. The bee counts are the bees with a
+// cached executable form now: QueryBees covers the EVP, EVA, EVJ and IDX
+// kinds, one per distinct bee however many plans compiled it.
 type Stats struct {
 	RelationBees int
 	TupleBees    int
@@ -100,14 +103,10 @@ type Module struct {
 	mu       sync.RWMutex
 	routines RoutineSet
 	relBees  map[catalog.RelID]*RelationBee
-	cache    *BeeCache
+	reg      registry
 	place    *Placement
-	stats    Stats
 	calls    callCounters
-	quar     quarantine
 	inject   panicInjector
-	usage    usageTable
-	tier     tierTable
 }
 
 // NewModule returns a bee module with the given routine set.
@@ -115,7 +114,6 @@ func NewModule(rs RoutineSet) *Module {
 	return &Module{
 		routines: rs,
 		relBees:  make(map[catalog.RelID]*RelationBee),
-		cache:    newBeeCache(),
 		place:    newPlacement(),
 	}
 }
@@ -180,19 +178,23 @@ func (m *Module) SpecMaskFor(schema catalog.Schema) *catalog.SpecInfo {
 // time"). It builds the relation bee (GCL and SCL routines) and, if the
 // relation has specialized storage, its data sections.
 func (m *Module) OnCreateRelation(rel *catalog.Relation) *RelationBee {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	rb := makeRelationBee(rel)
-	m.relBees[rel.ID] = rb
-	m.stats.RelationBees++
-	m.cache.put(beeKey{kind: "relation", name: rel.Name}, rb.Source)
-	m.place.assign(rb.Source)
-	// Nullable relations have no specialized deform program (gclCost nil)
-	// and thus no deform benefit to attribute.
-	if natts := len(rel.Attrs); rb.gclCost != nil {
-		m.usage.register(beeKey{kind: "relation", name: rel.Name},
-			rb.gclCost[natts], genericDeformCost(rel, natts))
+	if _, ok := m.reg.admit(kindRelation, rel.Name); ok {
+		// Nullable relations have no specialized deform program (gclCost
+		// nil) and thus no deform benefit to attribute: no cost pair, and
+		// no handle for scans to report deform time to.
+		var beeCost, stockCost int64
+		if natts := len(rel.Attrs); rb.gclCost != nil {
+			beeCost, stockCost = rb.gclCost[natts], genericDeformCost(rel, natts)
+		}
+		if b, _ := m.reg.install(kindRelation, rel.Name, rb.Source, beeCost, stockCost); rb.gclCost != nil {
+			rb.bee = b
+		}
 	}
+	m.place.assign(rb.Source)
+	m.mu.Lock()
+	m.relBees[rel.ID] = rb
+	m.mu.Unlock()
 	return rb
 }
 
@@ -201,26 +203,12 @@ func (m *Module) OnCreateRelation(rel *catalog.Relation) *RelationBee {
 // relation deletion").
 func (m *Module) OnDropRelation(rel *catalog.Relation) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.relBees[rel.ID]; ok {
-		delete(m.relBees, rel.ID)
-		m.cache.drop(beeKey{kind: "relation", name: rel.Name})
+	_, ok := m.relBees[rel.ID]
+	delete(m.relBees, rel.ID)
+	m.mu.Unlock()
+	if ok {
+		m.reg.drop(kindRelation, rel.Name)
 	}
-}
-
-// OnSchemaChange rebuilds a relation bee after the relation's schema
-// metadata changed (the Bee Reconstruction component).
-func (m *Module) OnSchemaChange(rel *catalog.Relation) *RelationBee {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	old := m.relBees[rel.ID]
-	rb := makeRelationBee(rel)
-	if old != nil {
-		rb.DataSections = old.DataSections // data sections survive metadata-only changes
-	}
-	m.relBees[rel.ID] = rb
-	m.cache.put(beeKey{kind: "relation", name: rel.Name}, rb.Source)
-	return rb
 }
 
 // RelationBeeFor returns the relation bee, or nil if none exists.
@@ -274,19 +262,21 @@ func genericBatchDeform(rel *catalog.Relation) BatchDeformFunc {
 
 // BatchDeformer returns the page-wise deform routine for rel: the
 // relation bee's DeformBatch form when GCL is enabled, otherwise the
-// generic loop wrapped in the batch signature. Mirrors Deformer.
-func (m *Module) BatchDeformer(rel *catalog.Relation) (BatchDeformFunc, error) {
+// generic loop wrapped in the batch signature. Mirrors Deformer. The
+// handle is the relation bee's when its specialized routine is the one
+// returned (the scan reports its deform time there), nil otherwise.
+func (m *Module) BatchDeformer(rel *catalog.Relation) (BatchDeformFunc, *Bee, error) {
 	m.mu.RLock()
 	rb := m.relBees[rel.ID]
 	useGCL := m.routines.GCL
 	m.mu.RUnlock()
 	if useGCL && rb != nil {
-		return rb.DeformBatch, nil
+		return rb.DeformBatch, rb.bee, nil
 	}
 	if rel.Spec != nil {
-		return nil, fmt.Errorf("core: relation %s has specialized storage but GCL is disabled", rel.Name)
+		return nil, nil, fmt.Errorf("core: relation %s has specialized storage but GCL is disabled", rel.Name)
 	}
-	return genericBatchDeform(rel), nil
+	return genericBatchDeform(rel), nil, nil
 }
 
 // FormFunc forms the stored bytes of a tuple from its values.
@@ -348,45 +338,9 @@ func (m *Module) FormTuple(rel *catalog.Relation, values []types.Datum, prof *pr
 	return m.Former(rel)(values, prof)
 }
 
-// CompiledPred is an EVP bee routine: a specialized predicate evaluator.
+// CompiledPred is the tuple-at-a-time form of an EVP or EVA bee routine:
+// a specialized predicate (or aggregate-input) evaluator.
 type CompiledPred func(row expr.Row, ctx *expr.Ctx) types.Datum
-
-// CompilePredicate attempts to create an EVP query bee for e. It returns
-// (nil, false) when EVP is disabled or the expression contains shapes the
-// snippet library does not cover (e.g. subqueries), in which case the
-// executor keeps the generic interpreted evaluator — exactly the paper's
-// fallback behaviour.
-func (m *Module) CompilePredicate(e expr.Expr) (CompiledPred, bool) {
-	m.mu.RLock()
-	enabled := m.routines.EVP
-	m.mu.RUnlock()
-	if !enabled {
-		return nil, false
-	}
-	name := e.String()
-	if m.quar.has(beeKey{kind: "query/EVP", name: name}) {
-		return nil, false // quarantined after a panic: generic fallback
-	}
-	if !m.tier.allow(beeKey{kind: "query/EVP", name: name}, "") {
-		return nil, false // gated by the advisor tier table: stock path
-	}
-	fr, cost := compilePred(e)
-	if fr.cls == clsNone {
-		return nil, false
-	}
-	p := fr.truth()
-	m.mu.Lock()
-	m.stats.QueryBees++
-	m.mu.Unlock()
-	m.cache.put(beeKey{kind: "query/EVP", name: name}, "EVP "+name)
-	m.usage.register(beeKey{kind: "query/EVP", name: name}, cost, stockExprCost(e))
-	wrapped := func(row expr.Row, ctx *expr.Ctx) types.Datum {
-		m.maybePanic("query/EVP", name)
-		ctx.Prof.Add(profile.CompExpr, cost)
-		return triDatum[p(row)]
-	}
-	return wrapped, true
-}
 
 // CompiledBatchPred is the batch form of an EVP bee: it evaluates the
 // predicate over rows — restricted to the cand selection vector when
@@ -396,90 +350,6 @@ func (m *Module) CompilePredicate(e expr.Expr) (CompiledPred, bool) {
 // once per tuple.
 type CompiledBatchPred func(rows []expr.Row, cand []int32, out []int32, ctx *expr.Ctx) []int32
 
-// CompileBatchPredicate attempts to create the batch form of an EVP
-// query bee for e. Coverage, quarantine, and fallback behaviour match
-// CompilePredicate: (nil, false) means the executor keeps the generic
-// interpreter, evaluated per row over the batch.
-func (m *Module) CompileBatchPredicate(e expr.Expr) (CompiledBatchPred, bool) {
-	m.mu.RLock()
-	enabled := m.routines.EVP
-	m.mu.RUnlock()
-	if !enabled {
-		return nil, false
-	}
-	name := e.String()
-	if m.quar.has(beeKey{kind: "query/EVP", name: name}) {
-		return nil, false // quarantined after a panic: generic fallback
-	}
-	if !m.tier.allow(beeKey{kind: "query/EVP", name: name}, "") {
-		return nil, false // gated by the advisor tier table: stock path
-	}
-	fr, cost := compilePred(e)
-	if fr.cls == clsNone {
-		return nil, false
-	}
-	p := fr.truth()
-	m.mu.Lock()
-	m.stats.QueryBees++
-	m.mu.Unlock()
-	m.cache.put(beeKey{kind: "query/EVP", name: name}, "EVP "+name)
-	m.usage.register(beeKey{kind: "query/EVP", name: name}, cost, stockExprCost(e))
-	wrapped := func(rows []expr.Row, cand []int32, out []int32, ctx *expr.Ctx) []int32 {
-		m.maybePanic("query/EVP", name)
-		if cand != nil {
-			ctx.Prof.Add(profile.CompExpr, cost*int64(len(cand)))
-			for _, i := range cand {
-				if p(rows[i]) == triTrue {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		ctx.Prof.Add(profile.CompExpr, cost*int64(len(rows)))
-		for i := range rows {
-			if p(rows[i]) == triTrue {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	return wrapped, true
-}
-
-// CompileScalar attempts to create an EVA query bee: a specialized
-// evaluator for an aggregate's input expression, with the same snippet
-// coverage as EVP (the paper's §VIII names aggregation as the next
-// micro-specialization target; the per-tuple hot path of aggregation is
-// evaluating the transition input).
-func (m *Module) CompileScalar(e expr.Expr) (CompiledPred, bool) {
-	m.mu.RLock()
-	enabled := m.routines.EVA
-	m.mu.RUnlock()
-	if !enabled || e == nil {
-		return nil, false
-	}
-	name := e.String()
-	if m.quar.has(beeKey{kind: "query/EVA", name: name}) {
-		return nil, false
-	}
-	fr, cost := compilePred(e)
-	if fr.cls == clsNone {
-		return nil, false
-	}
-	p := fr.boxed()
-	m.mu.Lock()
-	m.stats.QueryBees++
-	m.mu.Unlock()
-	m.cache.put(beeKey{kind: "query/EVA", name: name}, "EVA "+name)
-	m.usage.register(beeKey{kind: "query/EVA", name: name}, cost, stockExprCost(e))
-	wrapped := func(row expr.Row, ctx *expr.Ctx) types.Datum {
-		m.maybePanic("query/EVA", name)
-		ctx.Prof.Add(profile.CompExpr, cost)
-		return p(row)
-	}
-	return wrapped, true
-}
-
 // CompiledBatchScalar is the batch form of an EVA bee: one invocation
 // evaluates the aggregate's input expression for every live row of a
 // batch (cand nil means all of rows), appending the results to out in
@@ -487,34 +357,128 @@ func (m *Module) CompileScalar(e expr.Expr) (CompiledPred, bool) {
 // cost accounting run once per page instead of once per tuple.
 type CompiledBatchScalar func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum
 
-// CompileBatchScalar attempts to create the batch form of an EVA query
-// bee for e. Coverage, quarantine, and fallback behaviour match
-// CompileScalar; it shares the EVA cache key, so quarantining the
-// expression disables both forms.
-func (m *Module) CompileBatchScalar(e expr.Expr) (CompiledBatchScalar, bool) {
-	m.mu.RLock()
-	enabled := m.routines.EVA
-	m.mu.RUnlock()
+// Program is one plan's compiled EVP or EVA bee: the registry entry the
+// expression was admitted under, and the fragment compiled from this
+// plan's expression, from which the tuple, batch, fused and per-partition
+// forms are instantiated (Row, Batch, BatchScalar, Fused) with no further
+// admission. The entry is shared by every plan that spells the expression
+// the same way; the fragment is not — it closes over this plan's column
+// ordinals and $n slots. The zero Program is the stock path: no bee, and
+// every form nil.
+type Program struct {
+	bee  *Bee
+	m    *Module
+	e    expr.Expr
+	fr   frag // clsNone: the bee is not in service for this plan
+	cost int64
+}
+
+// Bee returns the registry entry. It is set even when admission refused
+// the compile (quarantined, demoted, or a candidate behind the advisor's
+// gate), so the plan's unserved demand can be noted on it.
+func (p Program) Bee() *Bee { return p.bee }
+
+func (p Program) inService() bool { return p.fr.cls != clsNone }
+
+// CompilePredicate attempts to create an EVP query bee for e. It returns
+// the zero Program when EVP is disabled, and one whose forms are all nil
+// when the bee is out of service or the expression contains shapes the
+// snippet library does not cover (e.g. subqueries), in which case the
+// executor keeps the generic interpreted evaluator — exactly the paper's
+// fallback behaviour.
+func (m *Module) CompilePredicate(e expr.Expr) Program {
+	return m.compileExpr(kindEVP, m.Routines().EVP, e)
+}
+
+// CompileScalar attempts to create an EVA query bee: a specialized
+// evaluator for an aggregate's input expression, with the same snippet
+// coverage as EVP (the paper's §VIII names aggregation as the next
+// micro-specialization target; the per-tuple hot path of aggregation is
+// evaluating the transition input).
+func (m *Module) CompileScalar(e expr.Expr) Program {
+	return m.compileExpr(kindEVA, m.Routines().EVA, e)
+}
+
+func (m *Module) compileExpr(kind string, enabled bool, e expr.Expr) Program {
 	if !enabled || e == nil {
-		return nil, false
+		return Program{}
 	}
 	name := e.String()
-	if m.quar.has(beeKey{kind: "query/EVA", name: name}) {
-		return nil, false
+	b, ok := m.reg.admit(kind, name)
+	if ok {
+		if fr, cost := compilePred(e); fr.cls != clsNone {
+			code := strings.TrimPrefix(kind, "query/") + " " + name
+			if b, ok = m.reg.install(kind, name, code, cost, stockExprCost(e)); ok {
+				return Program{bee: b, m: m, e: e, fr: fr, cost: cost}
+			}
+		}
 	}
-	fr, cost := compilePred(e)
-	if fr.cls == clsNone {
-		return nil, false
+	return Program{bee: b} // out of service for this plan
+}
+
+// Row instantiates the tuple-at-a-time form: a predicate's three-valued
+// truth for an EVP program, the expression's value for an EVA one.
+func (p Program) Row() CompiledPred {
+	if !p.inService() {
+		return nil
 	}
-	m.cache.put(beeKey{kind: "query/EVA", name: name}, "EVA "+name)
-	m.usage.register(beeKey{kind: "query/EVA", name: name}, cost, stockExprCost(e))
+	m, b, cost := p.m, p.bee, p.cost
+	if b.kind == kindEVA {
+		val := p.fr.boxed()
+		return func(row expr.Row, ctx *expr.Ctx) types.Datum {
+			m.maybePanic(b)
+			ctx.Prof.Add(profile.CompExpr, cost)
+			return val(row)
+		}
+	}
+	t := p.fr.truth()
+	return func(row expr.Row, ctx *expr.Ctx) types.Datum {
+		m.maybePanic(b)
+		ctx.Prof.Add(profile.CompExpr, cost)
+		return triDatum[t(row)]
+	}
+}
+
+// Batch instantiates the batch form of an EVP program.
+func (p Program) Batch() CompiledBatchPred {
+	if !p.inService() {
+		return nil
+	}
+	m, b, cost, t := p.m, p.bee, p.cost, p.fr.truth()
+	return func(rows []expr.Row, cand []int32, out []int32, ctx *expr.Ctx) []int32 {
+		m.maybePanic(b)
+		if cand != nil {
+			ctx.Prof.Add(profile.CompExpr, cost*int64(len(cand)))
+			for _, i := range cand {
+				if t(rows[i]) == triTrue {
+					out = append(out, i)
+				}
+			}
+			return out
+		}
+		ctx.Prof.Add(profile.CompExpr, cost*int64(len(rows)))
+		for i := range rows {
+			if t(rows[i]) == triTrue {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+}
+
+// BatchScalar instantiates the batch form of an EVA program.
+func (p Program) BatchScalar() CompiledBatchScalar {
+	if !p.inService() {
+		return nil
+	}
+	m, b, cost := p.m, p.bee, p.cost
 	// Bare column references skip the evaluator closure entirely: the
 	// batch loop copies the column straight out of the rows. Cost and
 	// quarantine accounting are unchanged.
-	if fr.leaf == leafVar {
-		idx := fr.idx
-		wrapped := func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
-			m.maybePanic("query/EVA", name)
+	if p.fr.leaf == leafVar {
+		idx := p.fr.idx
+		return func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
+			m.maybePanic(b)
 			if cand != nil {
 				ctx.Prof.Add(profile.CompExpr, cost*int64(len(cand)))
 				for _, i := range cand {
@@ -528,25 +492,23 @@ func (m *Module) CompileBatchScalar(e expr.Expr) (CompiledBatchScalar, bool) {
 			}
 			return out
 		}
-		return wrapped, true
 	}
-	p := fr.boxed()
-	wrapped := func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
-		m.maybePanic("query/EVA", name)
+	val := p.fr.boxed()
+	return func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
+		m.maybePanic(b)
 		if cand != nil {
 			ctx.Prof.Add(profile.CompExpr, cost*int64(len(cand)))
 			for _, i := range cand {
-				out = append(out, p(rows[i]))
+				out = append(out, val(rows[i]))
 			}
 			return out
 		}
 		ctx.Prof.Add(profile.CompExpr, cost*int64(len(rows)))
 		for i := range rows {
-			out = append(out, p(rows[i]))
+			out = append(out, val(rows[i]))
 		}
 		return out
 	}
-	return wrapped, true
 }
 
 // CompileIndexCmp attempts to create an IDX bee: a key comparator with
@@ -555,18 +517,16 @@ func (m *Module) CompileBatchScalar(e expr.Expr) (CompiledBatchScalar, bool) {
 // indexing target). The returned comparator handles prefix keys like
 // btree.Compare.
 func (m *Module) CompileIndexCmp(keyTypes []types.T) (func(a, b []types.Datum) int, bool) {
-	m.mu.RLock()
-	enabled := m.routines.IDX
-	m.mu.RUnlock()
-	if !enabled || len(keyTypes) == 0 {
+	if !m.Routines().IDX || len(keyTypes) == 0 {
+		return nil, false
+	}
+	name := fmt.Sprintf("cmp%d", len(keyTypes))
+	if _, ok := m.reg.admit(kindIDX, name); !ok {
 		return nil, false
 	}
 	cmp := compileIndexCmp(keyTypes)
-	m.mu.Lock()
-	m.stats.QueryBees++
-	m.mu.Unlock()
-	m.cache.put(beeKey{kind: "index/IDX", name: fmt.Sprintf("cmp%d", len(keyTypes))}, "IDX")
-	return cmp, true
+	_, ok := m.reg.install(kindIDX, name, "IDX", 0, 0)
+	return cmp, ok
 }
 
 // BatchKeyHash is the batch form of an EVJ key hasher, in the style of
@@ -577,8 +537,10 @@ type BatchKeyHash func(rows []expr.Row, cand []int32, out []uint64) []uint64
 
 // JoinKeyFuncs is an EVJ bee routine for hash joins: specialized hash and
 // equality over baked key ordinals and types. The hashers and the
-// per-candidate Match share the bee's query/EVJ cache and quarantine key.
+// per-candidate Match share the bee's registry entry.
 type JoinKeyFuncs struct {
+	// Bee is the EVJ bee's registry entry.
+	Bee *Bee
 	// HashOuterBatch hashes the outer rows' key columns.
 	HashOuterBatch BatchKeyHash
 	// HashInnerBatch hashes the inner rows' key columns.
@@ -590,32 +552,30 @@ type JoinKeyFuncs struct {
 }
 
 // CompileJoinKeys attempts to create an EVJ query bee for an equi-join on
-// the given key ordinals. Returns (nil, false) when EVJ is disabled.
+// the given key ordinals. Returns (nil, false) when EVJ is disabled or the
+// bee is out of service.
 func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (*JoinKeyFuncs, bool) {
-	m.mu.RLock()
-	enabled := m.routines.EVJ
-	m.mu.RUnlock()
-	if !enabled || len(outerIdx) == 0 {
+	if !m.Routines().EVJ || len(outerIdx) == 0 {
 		return nil, false
 	}
 	name := fmt.Sprintf("keys%v", outerIdx)
-	if m.quar.has(beeKey{kind: "query/EVJ", name: name}) {
+	if _, ok := m.reg.admit(kindEVJ, name); !ok {
 		return nil, false
 	}
 	jk := compileJoinKeys(outerIdx, innerIdx, keyTypes)
-	m.mu.Lock()
-	m.stats.QueryBees++
-	m.mu.Unlock()
-	m.cache.put(beeKey{kind: "query/EVJ", name: name}, "EVJ")
-	m.usage.register(beeKey{kind: "query/EVJ", name: name}, jk.Cost, stockJoinQualCost(len(outerIdx)))
+	b, ok := m.reg.install(kindEVJ, name, "EVJ", jk.Cost, stockJoinQualCost(len(outerIdx)))
+	if !ok {
+		return nil, false
+	}
+	jk.Bee = b
 	inner := jk.Match
 	jk.Match = func(outer, innerRow expr.Row) bool {
-		m.maybePanic("query/EVJ", name)
+		m.maybePanic(b)
 		return inner(outer, innerRow)
 	}
 	guard := func(h BatchKeyHash) BatchKeyHash {
 		return func(rows []expr.Row, cand []int32, out []uint64) []uint64 {
-			m.maybePanic("query/EVJ", name)
+			m.maybePanic(b)
 			return h(rows, cand, out)
 		}
 	}
@@ -645,17 +605,16 @@ func (m *Module) NoteParallelPlan() { m.place.MarkParallelSafe() }
 
 // Stats returns a snapshot of bee-module statistics.
 func (m *Module) Stats() Stats {
+	s := Stats{
+		GCLCalls: m.calls.gcl.Load(),
+		SCLCalls: m.calls.scl.Load(),
+		EVPCalls: m.calls.evp.Load(),
+		EVJCalls: m.calls.evj.Load(),
+		EVACalls: m.calls.eva.Load(),
+	}
+	m.reg.count(&s)
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	s := m.stats
-	s.GCLCalls = m.calls.gcl.Load()
-	s.SCLCalls = m.calls.scl.Load()
-	s.EVPCalls = m.calls.evp.Load()
-	s.EVJCalls = m.calls.evj.Load()
-	s.EVACalls = m.calls.eva.Load()
-	s.Quarantined = m.QuarantinedBees()
-	s.QuarantinedNow = m.quar.size()
-	s.TupleBees = 0
 	for _, rb := range m.relBees {
 		if rb.DataSections != nil {
 			s.TupleBees += rb.DataSections.NumBees()
@@ -677,9 +636,6 @@ func (m *Module) TupleBeeProbes() int64 {
 	}
 	return n
 }
-
-// Cache exposes the bee cache for inspection and persistence.
-func (m *Module) Cache() *BeeCache { return m.cache }
 
 // Placement exposes the bee placement optimizer's report.
 func (m *Module) Placement() *Placement { return m.place }

@@ -279,10 +279,10 @@ func TestGeneratedSourceMirrorsListing2(t *testing.T) {
 
 func TestBeeCacheAndCollector(t *testing.T) {
 	m, rel, _ := beeDB(t, AllRoutines)
-	if m.Cache().Len() != 1 {
-		t.Fatalf("cache len = %d", m.Cache().Len())
+	if n := m.Cache().Stats().MemEntries; n != 1 {
+		t.Fatalf("cache len = %d", n)
 	}
-	if _, ok := m.Cache().Get("relation", "orders"); !ok {
+	if m.Bee("relation", "orders") == nil {
 		t.Error("relation bee missing from cache")
 	}
 	if n := m.Cache().Flush(); n != 1 {
@@ -291,32 +291,17 @@ func TestBeeCacheAndCollector(t *testing.T) {
 	if n := m.Cache().Flush(); n != 0 {
 		t.Errorf("idempotent flush wrote %d", n)
 	}
-	entries := m.Cache().Entries()
+	entries := m.CacheEntries()
 	if len(entries) != 1 || !entries[0].OnDisk {
 		t.Errorf("entries = %+v", entries)
 	}
 	// Collector: dropping the relation removes its bees.
 	m.OnDropRelation(rel)
-	if m.Cache().Len() != 0 {
+	if m.Cache().Stats().MemEntries != 0 {
 		t.Error("collector must drop dead bees")
 	}
 	if m.RelationBeeFor(rel) != nil {
 		t.Error("relation bee must be gone")
-	}
-}
-
-func TestBeeReconstruction(t *testing.T) {
-	m, rel, rb := beeDB(t, AllRoutines)
-	m.FormTuple(rel, ordersValues("O", "2-HIGH", 0), nil)
-	rb2 := m.OnSchemaChange(rel)
-	if rb2 == rb {
-		t.Error("reconstruction must build a new bee")
-	}
-	if rb2.DataSections != rb.DataSections {
-		t.Error("data sections must survive reconstruction")
-	}
-	if m.RelationBeeFor(rel) != rb2 {
-		t.Error("module must serve the new bee")
 	}
 }
 
@@ -334,7 +319,7 @@ func TestCompilePredicate(t *testing.T) {
 	m := NewModule(AllRoutines)
 	age := &expr.Var{Idx: 0, T: types.Int32, Name: "age"}
 	pred := &expr.Cmp{Op: expr.LE, L: age, R: expr.NewConst(types.NewInt32(45))}
-	cp, ok := m.CompilePredicate(pred)
+	cp, ok := compilePredicate(m, pred)
 	if !ok {
 		t.Fatal("EVP compilation failed for age <= 45")
 	}
@@ -356,7 +341,7 @@ func TestCompilePredicate(t *testing.T) {
 	}
 
 	// Disabled EVP compiles nothing.
-	if _, ok := NewModule(Stock).CompilePredicate(pred); ok {
+	if _, ok := compilePredicate(NewModule(Stock), pred); ok {
 		t.Error("stock module must not compile predicates")
 	}
 }
@@ -378,7 +363,7 @@ func TestCompilePredicateComplexShapes(t *testing.T) {
 		&expr.Cmp{Op: expr.LT, L: qty, R: expr.NewConst(types.NewFloat64(24))},
 		&expr.InList{Kid: mode, Items: []types.Datum{types.NewChar("MAIL"), types.NewChar("SHIP")}},
 	}}
-	cp, ok := m.CompilePredicate(pred)
+	cp, ok := compilePredicate(m, pred)
 	if !ok {
 		t.Fatal("q6-shaped predicate must compile")
 	}
@@ -400,7 +385,7 @@ func TestCompilePredicateComplexShapes(t *testing.T) {
 		expr.NewLike(mode, "MA%", false),
 		&expr.Not{Kid: &expr.Cmp{Op: expr.EQ, L: qty, R: expr.NewConst(types.NewFloat64(1))}},
 	}}
-	cp2, ok := m.CompilePredicate(pred2)
+	cp2, ok := compilePredicate(m, pred2)
 	if !ok {
 		t.Fatal("or/not/like must compile")
 	}
@@ -419,7 +404,7 @@ func TestCompilePredicateRejectsUnsupported(t *testing.T) {
 	pred := &expr.Cmp{Op: expr.EQ,
 		L: &expr.OuterVar{Idx: 0, T: types.Int32},
 		R: expr.NewConst(types.NewInt32(1))}
-	if _, ok := m.CompilePredicate(pred); ok {
+	if _, ok := compilePredicate(m, pred); ok {
 		t.Error("outer-reference predicate must not compile")
 	}
 	// Unsupported node buried in an AND poisons the whole conjunct.
@@ -427,7 +412,7 @@ func TestCompilePredicateRejectsUnsupported(t *testing.T) {
 		&expr.Cmp{Op: expr.EQ, L: &expr.Var{Idx: 0, T: types.Int32}, R: expr.NewConst(types.NewInt32(1))},
 		pred,
 	}}
-	if _, ok := m.CompilePredicate(pred2); ok {
+	if _, ok := compilePredicate(m, pred2); ok {
 		t.Error("AND with unsupported kid must not compile")
 	}
 }
@@ -476,7 +461,7 @@ func TestCompileJoinKeys(t *testing.T) {
 
 func TestRoutineToggles(t *testing.T) {
 	m := NewModule(RoutineSet{GCL: true, SCL: true})
-	if _, ok := m.CompilePredicate(&expr.Cmp{Op: expr.EQ, L: &expr.Var{Idx: 0, T: types.Int32}, R: expr.NewConst(types.NewInt32(1))}); ok {
+	if _, ok := compilePredicate(m, &expr.Cmp{Op: expr.EQ, L: &expr.Var{Idx: 0, T: types.Int32}, R: expr.NewConst(types.NewInt32(1))}); ok {
 		t.Error("EVP off must not compile")
 	}
 	if err := m.SetRoutines(AllRoutines); err != nil {
@@ -491,7 +476,7 @@ func TestBeeCacheLoadRestoresMemory(t *testing.T) {
 	m, _, _ := beeDB(t, AllRoutines)
 	m.Cache().Flush()
 	// Simulate a restart: wipe memory, reload from "disk".
-	entries := m.Cache().Entries()
+	entries := m.CacheEntries()
 	if len(entries) == 0 {
 		t.Fatal("no entries")
 	}
@@ -499,7 +484,7 @@ func TestBeeCacheLoadRestoresMemory(t *testing.T) {
 	if n == 0 {
 		t.Error("Load must restore bees from the on-disk cache")
 	}
-	if _, ok := m.Cache().Get("relation", "orders"); !ok {
+	if m.Bee("relation", "orders") == nil {
 		t.Error("relation bee missing after Load")
 	}
 }

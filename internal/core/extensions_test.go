@@ -27,7 +27,7 @@ func TestCompileScalarCaseExpr(t *testing.T) {
 		Else: expr.NewConst(types.NewFloat64(0)),
 		T:    types.Float64,
 	}
-	ca, ok := m.CompileScalar(e)
+	ca, ok := compileScalar(m, e)
 	if !ok {
 		t.Fatal("EVA compilation failed for the q14 CASE shape")
 	}
@@ -45,7 +45,7 @@ func TestCompileScalarCaseExpr(t *testing.T) {
 		t.Error("EVA disagrees with the interpreter")
 	}
 	// Disabled without the EVA routine.
-	if _, ok := NewModule(RoutineSet{EVP: true}).CompileScalar(e); ok {
+	if _, ok := compileScalar(NewModule(RoutineSet{EVP: true}), e); ok {
 		t.Error("EVA off must not compile")
 	}
 }
@@ -58,7 +58,7 @@ func TestCompileScalarSubstringAndNeg(t *testing.T) {
 		Start: expr.NewConst(types.NewInt64(1)),
 		Span:  expr.NewConst(types.NewInt64(2)),
 	}
-	ca, ok := m.CompileScalar(sub)
+	ca, ok := compileScalar(m, sub)
 	if !ok {
 		t.Fatal("substring must compile")
 	}
@@ -66,7 +66,7 @@ func TestCompileScalarSubstringAndNeg(t *testing.T) {
 		t.Errorf("substring = %q", got.Str())
 	}
 	neg := &expr.Neg{Kid: &expr.Var{Idx: 0, T: types.Float64}}
-	cn, ok := m.CompileScalar(neg)
+	cn, ok := compileScalar(m, neg)
 	if !ok {
 		t.Fatal("neg must compile")
 	}

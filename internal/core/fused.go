@@ -130,11 +130,11 @@ func (rc *rawCheck) test(data []byte) tri {
 	return truth(cmp(rc.op, raw, rc.ci))
 }
 
-// CompileFusedScanFilter attempts to build the fused GCL∘EVP routine for
-// filtering rel's tuples with predicate e over its first natts
-// attributes. It requires both routine classes enabled, a non-nullable
-// schema (the specialized deform program), and full snippet coverage of
-// every conjunct; otherwise (nil, false) and the planner keeps the
+// Fused instantiates the fused GCL∘EVP routine for filtering rel's tuples
+// with the program's predicate over its first natts attributes. It
+// requires an EVP program in service, both routine classes enabled, a
+// non-nullable schema (the specialized deform program), and full snippet
+// coverage of every conjunct; otherwise nil and the planner keeps the
 // separate BatchSeqScan→BatchFilter pair.
 //
 // Conjuncts with a stored-bytes form (rawCheckFor) run first, on the
@@ -147,23 +147,20 @@ func (rc *rawCheck) test(data []byte) tri {
 // the attributes actually deformed plus the per-term cost of every
 // conjunct actually evaluated, wherever it ran.
 //
-// The routine shares the predicate's query/EVP cache and quarantine key,
+// The routine is a form of the predicate's EVP bee — same registry entry —
 // so a panic in either form quarantines both and the next plan falls back
 // to the generic path.
-func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natts int) (FusedScanFilterFunc, bool) {
+func (p Program) Fused(rel *catalog.Relation, natts int) FusedScanFilterFunc {
+	if !p.inService() || p.bee.kind != kindEVP {
+		return nil
+	}
+	m, b, e := p.m, p.bee, p.e
 	m.mu.RLock()
-	enabled := m.routines.GCL && m.routines.EVP
+	enabled := m.routines.GCL
 	rb := m.relBees[rel.ID]
 	m.mu.RUnlock()
-	if !enabled || e == nil || rb == nil || rb.gclCost == nil {
-		return nil, false
-	}
-	name := e.String()
-	if m.quar.has(beeKey{kind: "query/EVP", name: name}) {
-		return nil, false // quarantined after a panic: generic fallback
-	}
-	if !m.tier.allow(beeKey{kind: "query/EVP", name: name}, rel.Name) {
-		return nil, false // gated by the advisor tier table: stock path
+	if !enabled || rb == nil || rb.gclCost == nil {
+		return nil
 	}
 	ops := buildDeformProgram(rel)
 	var raws []rawCheck
@@ -177,11 +174,11 @@ func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natt
 		}
 		fr := compileNode(c)
 		if fr.cls == clsNone {
-			return nil, false
+			return nil
 		}
 		attr, ok := MaxVarIdx(c)
 		if !ok || attr >= natts {
-			return nil, false
+			return nil
 		}
 		cost := int64(fr.terms) * evpTermCost
 		checks = append(checks, fusedCheck{attr: attr, pred: fr.truth(), cost: cost})
@@ -195,17 +192,15 @@ func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natt
 		combos = rb.DataSections.combos
 	}
 	gclCost := rb.gclCost
-	m.mu.Lock()
-	m.stats.QueryBees++
-	m.mu.Unlock()
-	m.cache.put(beeKey{kind: "query/EVP", name: name}, "EVP "+name+" (fused into GCL)")
-	// The fused bee replaces deform AND filter, so its benefit entry pairs
+	// The fused bee replaces deform AND filter, so its benefit line pairs
 	// the full-deform-plus-predicate bee cost (the no-abandon worst case)
 	// against the generic loop plus interpreted predicate.
-	m.usage.register(beeKey{kind: "query/EVP", name: name},
-		gclCost[natts]+evpBaseCost+predCost, genericDeformCost(rel, natts)+stockExprCost(e))
-	fn := func(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32 {
-		m.maybePanic("query/EVP", name)
+	if !b.widen("EVP "+b.name+" (fused into GCL)",
+		gclCost[natts]+evpBaseCost+predCost, genericDeformCost(rel, natts)+stockExprCost(e)) {
+		return nil
+	}
+	return func(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32 {
+		m.maybePanic(b)
 		var bound [maxRawChecks]rawCheck
 		raws := bound[:copy(bound[:], raws)]
 		for ri := range raws {
@@ -249,7 +244,6 @@ func (m *Module) CompileFusedScanFilter(rel *catalog.Relation, e expr.Expr, natt
 		prof.Add(profile.CompExpr, evpCost)
 		return sel
 	}
-	return fn, true
 }
 
 // flattenAnd appends e's conjuncts (nested ANDs flattened) to into.

@@ -244,7 +244,7 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 				if len(kids) == 1 {
 					pred = kids[0]
 				}
-				fused, ok := f.m.CompileFusedScanFilter(f.rel, pred, natts)
+				fused, ok := compileFused(f.m, f.rel, pred, natts)
 				if !ok {
 					t.Fatalf("predicate %d did not fuse: %s", n, pred)
 				}
@@ -349,7 +349,7 @@ func TestFusedRejectsWithoutDeforming(t *testing.T) {
 	f := newFusedFixture(t, AllRoutines, 7)
 	natts := len(f.rel.Attrs)
 	pred := &expr.Cmp{Op: expr.GT, L: f.col(6), R: expr.NewConst(types.NewDate(20000))} // rejects everything
-	fused, ok := f.m.CompileFusedScanFilter(f.rel, pred, natts)
+	fused, ok := compileFused(f.m, f.rel, pred, natts)
 	if !ok {
 		t.Fatal("predicate did not fuse")
 	}

@@ -71,7 +71,7 @@ func fconst(x float64) expr.Expr { return expr.NewConst(types.NewFloat64(x)) }
 // 4 k-row batch: the batch-EVA bee against the interpreter.
 func BenchmarkEVAArith(b *testing.B) {
 	db, rel, pages := lineitemPages(b, core.AllRoutines)
-	deform, err := db.Module().BatchDeformer(rel)
+	deform, _, err := db.Module().BatchDeformer(rel)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func BenchmarkEVAArith(b *testing.B) {
 	b.Run("bee", func(b *testing.B) {
 		var evas []core.CompiledBatchScalar
 		for _, a := range args {
-			eva, ok := db.Module().CompileBatchScalar(a)
-			if !ok {
+			eva := db.Module().CompileScalar(a).BatchScalar()
+			if eva == nil {
 				b.Fatalf("%s did not compile", a)
 			}
 			evas = append(evas, eva)
@@ -121,7 +121,7 @@ func BenchmarkEVAArith(b *testing.B) {
 		report(b, ctx.Prof)
 	})
 	b.Run("stock", func(b *testing.B) {
-		if _, ok := core.NewModule(core.Stock).CompileBatchScalar(discPrice); ok {
+		if core.NewModule(core.Stock).CompileScalar(discPrice).BatchScalar() != nil {
 			b.Fatal("the stock routine set must not compile an EVA bee")
 		}
 		ctx := &expr.Ctx{Prof: &profile.Counters{}}
@@ -213,8 +213,8 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		rows := scratch(pages, natts)
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
-				fused, ok := db.Module().CompileFusedScanFilter(rel, p.make(rel), natts)
-				if !ok {
+				fused := db.Module().CompilePredicate(p.make(rel)).Fused(rel, natts)
+				if fused == nil {
 					b.Fatal("predicate did not fuse")
 				}
 				prof := &profile.Counters{}
@@ -244,14 +244,14 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		db, rel, pages := lineitemPages(b, core.Stock)
 		natts := len(rel.Attrs)
 		rows := scratch(pages, natts)
-		deform, err := db.Module().BatchDeformer(rel)
+		deform, _, err := db.Module().BatchDeformer(rel)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
 				pred := p.make(rel)
-				if _, ok := db.Module().CompileFusedScanFilter(rel, pred, natts); ok {
+				if db.Module().CompilePredicate(pred).Fused(rel, natts) != nil {
 					b.Fatal("the stock routine set must not fuse")
 				}
 				ctx := &expr.Ctx{Prof: &profile.Counters{}}

@@ -19,6 +19,9 @@ import (
 // "holes" read from.
 type RelationBee struct {
 	Rel *catalog.Relation
+	// bee is the registry entry scans report the GCL routine's deform time
+	// to; nil when the relation kept the generic routines.
+	bee *Bee
 
 	// GCL extracts the first natts attributes of a stored tuple.
 	GCL DeformFunc

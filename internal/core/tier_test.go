@@ -2,22 +2,27 @@ package core
 
 import "testing"
 
+// admits reports whether a compile of the EVP bee named name may proceed.
+func admits(m *Module, name string) bool {
+	_, ok := m.reg.admit("query/EVP", name)
+	return ok
+}
+
 // TestTierGateOffCompilesFirstUse pins the compatibility default: with
 // the gate down (advisor off) every unknown bee compiles on first use,
 // and only an explicit demotion blocks one.
 func TestTierGateOffCompilesFirstUse(t *testing.T) {
 	m := NewModule(AllRoutines)
-	k := beeKey{kind: "query/EVP", name: "(x < 1)"}
-	if !m.tier.allow(k, "") {
+	if !admits(m, "(x < 1)") {
 		t.Fatal("gate off: unknown bee refused")
 	}
-	if _, ok := m.TierOf("query/EVP", "(x < 1)"); ok {
+	if _, ok := m.Bee("query/EVP", "(x < 1)").Tier(); ok {
 		t.Fatal("gate off: allow created a tier entry")
 	}
-	if !m.TierDemote("query/EVP", "(x < 1)", true, 4) {
+	if !m.RestoreDemotedBee("query/EVP", "(x < 1)", 4) {
 		t.Fatal("sticky demote of untracked bee should install a denylist entry")
 	}
-	if m.tier.allow(k, "") {
+	if admits(m, "(x < 1)") {
 		t.Fatal("gate off: demoted bee still compiled")
 	}
 }
@@ -27,19 +32,19 @@ func TestTierGateOffCompilesFirstUse(t *testing.T) {
 func TestTierLifecycle(t *testing.T) {
 	m := NewModule(AllRoutines)
 	m.SetTierGating(true)
-	k := beeKey{kind: "query/EVP", name: "(x < 1)"}
 
 	// Gate up: first compile attempt is refused and creates a candidate.
-	if m.tier.allow(k, "t") {
+	if admits(m, "(x < 1)") {
 		t.Fatal("gate on: unknown bee compiled immediately")
 	}
-	st, ok := m.TierOf("query/EVP", "(x < 1)")
+	b := m.Bee("query/EVP", "(x < 1)")
+	st, ok := b.Tier()
 	if !ok || st != TierCandidate {
 		t.Fatalf("state after refused compile = %v, %v; want candidate", st, ok)
 	}
 
 	// Demand accumulates from refused compiles and per-execution wants.
-	m.TierWant("query/EVP", "(x < 1)", []string{"t"}, 2)
+	b.Want([]string{"t"}, 2)
 	snap := m.TierSnapshot()
 	if len(snap) != 1 || snap[0].Heat < 3 {
 		t.Fatalf("heat = %+v, want one entry with heat ≥ 3", snap)
@@ -48,38 +53,38 @@ func TestTierLifecycle(t *testing.T) {
 		t.Fatalf("rels = %v, want [t]", got)
 	}
 
-	if !m.TierPromote("query/EVP", "(x < 1)") {
+	if !b.Promote() {
 		t.Fatal("promote failed")
 	}
-	if m.TierPromote("query/EVP", "(x < 1)") {
+	if b.Promote() {
 		t.Fatal("second promote reported a transition")
 	}
-	if !m.tier.allow(k, "t") {
+	if !admits(m, "(x < 1)") {
 		t.Fatal("promoted bee still gated")
 	}
-	if !m.TierPin("query/EVP", "(x < 1)") {
+	if !b.Pin() {
 		t.Fatal("pin failed")
 	}
 
 	// Demotion is exactly-once: the second call finds it already demoted.
-	if !m.TierDemote("query/EVP", "(x < 1)", false, 2) {
+	if !b.Demote(false, 2) {
 		t.Fatal("demote failed")
 	}
-	if m.TierDemote("query/EVP", "(x < 1)", false, 2) {
+	if b.Demote(false, 2) {
 		t.Fatal("second demote reported a transition (would double-count)")
 	}
-	if m.tier.allow(k, "t") {
+	if admits(m, "(x < 1)") {
 		t.Fatal("demoted bee compiled")
 	}
 
 	// Hysteresis: the hold expires after two decay cycles, the entry
 	// reverts to candidate with zero heat, and demand must be re-earned.
 	m.TierDecay(0.5)
-	if st, _ := m.TierOf("query/EVP", "(x < 1)"); st != TierDemoted {
+	if st, _ := b.Tier(); st != TierDemoted {
 		t.Fatalf("state after one decay = %v, want still demoted", st)
 	}
 	m.TierDecay(0.5)
-	st, _ = m.TierOf("query/EVP", "(x < 1)")
+	st, _ = b.Tier()
 	if st != TierCandidate {
 		t.Fatalf("state after hold expiry = %v, want candidate", st)
 	}
@@ -94,9 +99,11 @@ func TestTierLifecycle(t *testing.T) {
 func TestTierStickyDemotionPersists(t *testing.T) {
 	m := NewModule(AllRoutines)
 	m.SetTierGating(true)
-	m.TierWant("query/EVP", "(a = 1)", nil, 5)
-	m.TierPromote("query/EVP", "(a = 1)")
-	m.TierDemote("query/EVP", "(a = 1)", true, 8)
+	admits(m, "(a = 1)") // refused: the bee is a candidate now
+	b := m.Bee("query/EVP", "(a = 1)")
+	b.Want(nil, 5)
+	b.Promote()
+	b.Demote(true, 8)
 
 	dem := m.DemotedBees()
 	if len(dem) != 1 || dem[0].Name != "(a = 1)" || !dem[0].Sticky {
@@ -107,10 +114,10 @@ func TestTierStickyDemotionPersists(t *testing.T) {
 	// manifest; the bee stays off even though gating is down.
 	m2 := NewModule(AllRoutines)
 	m2.RestoreDemotedBee("query/EVP", "(a = 1)", 16)
-	if m2.tier.allow(beeKey{kind: "query/EVP", name: "(a = 1)"}, "") {
+	if admits(m2, "(a = 1)") {
 		t.Fatal("restored denylist entry did not block compilation")
 	}
-	if m2.tier.allow(beeKey{kind: "query/EVP", name: "(b = 2)"}, "") == false {
+	if admits(m2, "(b = 2)") == false {
 		t.Fatal("unrelated bee blocked by restored denylist")
 	}
 }

@@ -7,13 +7,10 @@ package core
 // engine pre-resolves every table handle, index tree, and deform/form
 // routine at compile time, computes one latch-acquisition plan for the
 // whole unit, and commits with a single WAL record. The module's role
-// here is identity and bookkeeping: transaction bees live in the same
-// (kind, name) cache/quarantine/benefit space as query bees, so the
-// shell's \cache view, the admin /bees endpoint, and the panic
-// failpoint all cover them with no extra plumbing.
-
-// TxnBeeKind is the cache/quarantine kind string for transaction bees.
-const TxnBeeKind = "txn"
+// here is identity and bookkeeping: transaction bees are registry entries
+// like query bees (kind TxnBeeKind), so the shell's \cache view, the admin
+// /bees endpoint, and the panic failpoint all cover them with no extra
+// plumbing.
 
 // Per-operation abstract instruction costs used for transaction-bee
 // benefit attribution. An interactive transaction pays, for every point
@@ -35,35 +32,21 @@ const (
 	TxnOpBeeCost = 6
 )
 
-// RegisterTxnBee records a compiled whole-transaction bee in the cache
-// and benefit tables and returns its usage handle. It reports ok=false
-// without registering when the bee is quarantined — the caller must
-// stay on the statement-at-a-time path. Re-registering after a replan
-// keeps accumulated usage (usageTable.register semantics) and does not
-// double-count the bee.
-func (m *Module) RegisterTxnBee(name, source string, beeCost, stockCost int64) (*BeeUsage, bool) {
-	k := beeKey{kind: TxnBeeKind, name: name}
-	if m.quar.has(k) {
-		return nil, false
+// RegisterTxnBee records a compiled whole-transaction bee in the registry
+// and returns its handle: the runner checks Quarantined on it before each
+// run, reports usage to it, and quarantines it on a panic. It reports
+// ok=false without registering when the bee is out of service — the caller
+// must stay on the statement-at-a-time path. Re-registering after a replan
+// keeps accumulated usage and does not double-count the bee.
+func (m *Module) RegisterTxnBee(name, source string, beeCost, stockCost int64) (*Bee, bool) {
+	if b, ok := m.reg.admit(TxnBeeKind, name); !ok {
+		return b, false
 	}
-	_, dup := m.cache.Get(TxnBeeKind, name)
-	if !dup {
-		m.mu.Lock()
-		m.stats.TxnBees++
-		m.mu.Unlock()
-	}
-	m.cache.put(k, source)
-	return m.usage.register(k, beeCost, stockCost), true
-}
-
-// TxnBeeAllowed reports whether a transaction bee may run: false while
-// it is quarantined after a panic.
-func (m *Module) TxnBeeAllowed(name string) bool {
-	return !m.quar.has(beeKey{kind: TxnBeeKind, name: name})
+	return m.reg.install(TxnBeeKind, name, source, beeCost, stockCost)
 }
 
 // TxnBeePanicPoint is called by the fused execution path once per run;
 // it triggers the injected-panic failpoint (InjectBeePanic) so tests
 // and the chaos harness can exercise quarantine + fallback for
 // transaction bees exactly as for query bees.
-func (m *Module) TxnBeePanicPoint(name string) { m.maybePanic(TxnBeeKind, name) }
+func (m *Module) TxnBeePanicPoint(b *Bee) { m.maybePanic(b) }

@@ -88,20 +88,12 @@ func (db *DB) advisorObservePlan(root exec.Node, sel *sql.Select, d time.Duratio
 	if db.adv == nil || !db.adv.Enabled() {
 		return
 	}
-	var compiled, gated []advisor.BeeObs
-	exec.WalkBees(root, func(r exec.BeeRef) {
-		compiled = append(compiled, advisor.BeeObs{Kind: r.Kind, Name: r.Name})
-	})
-	exec.WalkNodes(root, func(n exec.Node) {
-		switch v := n.(type) {
-		case *exec.Filter:
-			if v.Compiled == nil && v.Pred != nil {
-				gated = append(gated, advisor.BeeObs{Kind: "query/EVP", Name: v.Pred.String()})
-			}
-		case *exec.BatchFilter:
-			if v.Compiled == nil && v.Pred != nil {
-				gated = append(gated, advisor.BeeObs{Kind: "query/EVP", Name: v.Pred.String()})
-			}
+	var compiled, gated []*core.Bee
+	exec.WalkBees(root, func(b *core.Bee, inService bool) {
+		if inService {
+			compiled = append(compiled, b)
+		} else {
+			gated = append(gated, b)
 		}
 	})
 	if len(compiled) == 0 && len(gated) == 0 {

@@ -109,7 +109,7 @@ func TestAdvisorQuarantineDemotesExactlyOnce(t *testing.T) {
 	}
 
 	adv.RunCycle()
-	if st, _ := db.Module().TierOf("query/EVP", name); st != core.TierDemoted {
+	if st, _ := db.Module().Bee("query/EVP", name).Tier(); st != core.TierDemoted {
 		t.Fatalf("state after quarantine cycle = %v, want demoted", st)
 	}
 	once := advisorCounter(db, "advisor.demotions")
@@ -154,14 +154,14 @@ func TestAdvisorDDLDemotesExactlyOnce(t *testing.T) {
 	adv.SetEnabled(true)
 
 	name := heatAndPromote(t, db, "select w_id from watched where w_val > 30 order by w_id")
-	ti, _ := db.Module().TierOf("query/EVP", name)
+	ti, _ := db.Module().Bee("query/EVP", name).Tier()
 	if ti != core.TierCompiled {
 		t.Fatalf("state = %v, want compiled", ti)
 	}
 
 	mustExec(t, db, "drop table watched")
 	adv.RunCycle()
-	if st, _ := db.Module().TierOf("query/EVP", name); st != core.TierDemoted {
+	if st, _ := db.Module().Bee("query/EVP", name).Tier(); st != core.TierDemoted {
 		t.Fatalf("state after DDL cycle = %v, want demoted", st)
 	}
 	once := advisorCounter(db, "advisor.demotions")
@@ -293,9 +293,9 @@ func TestRecoveryHonorsDemotedBees(t *testing.T) {
 	name := heatAndPromote(t, db, q)
 	mustQuery(t, db, q) // compiles the promoted bee
 
-	db.Module().Quarantine("query/EVP", name)
+	db.Module().Bee("query/EVP", name).Quarantine()
 	adv.RunCycle() // sticky demotion
-	if st, _ := db.Module().TierOf("query/EVP", name); st != core.TierDemoted {
+	if st, _ := db.Module().Bee("query/EVP", name).Tier(); st != core.TierDemoted {
 		t.Fatalf("state = %v, want demoted before crash", st)
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -306,7 +306,7 @@ func TestRecoveryHonorsDemotedBees(t *testing.T) {
 	if got := rdb.RecoveryStats().DemotedBees; got < 1 {
 		t.Fatalf("RecoveryStats.DemotedBees = %d, want >= 1", got)
 	}
-	if st, ok := rdb.Module().TierOf("query/EVP", name); !ok || st != core.TierDemoted {
+	if st, ok := rdb.Module().Bee("query/EVP", name).Tier(); !ok || st != core.TierDemoted {
 		t.Fatalf("recovered state = %v (known=%v), want demoted", st, ok)
 	}
 	// The prepared replay already ran; the denylisted bee must not be

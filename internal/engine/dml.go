@@ -377,21 +377,39 @@ func (db *DB) execDMLLatched(stmt sql.Statement, prof *profile.Counters, slots *
 // execTargetLatched runs one compiled UPDATE/DELETE as its own
 // transaction under its table's exclusive latch. Caller holds db.mu
 // (shared) and passes the returned LSN to waitDurable after releasing it.
+// A panic rolls the transaction back; if the target was running its WHERE
+// through an EVP bee, the bee is quarantined and the statement runs once
+// more, interpreted — the containment runSelect and Stmt.run apply to a
+// SELECT (a panic that was not a bee's finds no bee to retire and is
+// returned, so it cannot loop).
 func (db *DB) execTargetLatched(t *dmlTarget, prof *profile.Counters) (int64, uint64, error) {
 	t.rel.latch.Lock()
 	defer t.rel.latch.Unlock()
+	n, lsn, err := db.runTargetLatched(t, prof)
+	if err != nil { // keeps errors.As's escaping target off the success path
+		var pe *exec.PanicError
+		if errors.As(err, &pe) && t.retireBee() {
+			db.obs.quarantineRetries.Inc()
+			n, lsn, err = db.runTargetLatched(t, prof)
+		}
+	}
+	return n, lsn, err
+}
+
+// runTargetLatched is one attempt of execTargetLatched: one transaction,
+// committed, or rolled back on an error or a panic (which comes back as a
+// *exec.PanicError). Caller holds the table's exclusive latch.
+func (db *DB) runTargetLatched(t *dmlTarget, prof *profile.Counters) (_ int64, _ uint64, err error) {
 	xid := db.tm.Begin()
 	snap := db.tm.Snapshot(xid)
 	defer snap.Release()
 	var undos []func() error
 	defer func() {
 		// A panic (a faulty bee) must not leave the transaction open or
-		// half applied: roll back, then let the statement's containment
-		// boundary report it.
+		// half applied.
 		if r := recover(); r != nil {
 			db.stmtAbort(undos, xid, nil)
-			t.retireBee()
-			panic(r)
+			err = exec.NewPanicError(r)
 		}
 	}()
 	n, err := t.run(snap, prof, &undos)

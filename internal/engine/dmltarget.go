@@ -42,7 +42,8 @@ type dmlTarget struct {
 	acc *relAccess
 
 	where expr.Expr         // nil: every row
-	pred  core.CompiledPred // where's EVP bee; nil: interpret where
+	pred  core.CompiledPred // where's EVP bee routine; nil: interpret where
+	bee   *core.Bee         // that bee's handle
 
 	update   bool // false: DELETE
 	setExprs []expr.Expr
@@ -185,23 +186,22 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 // a handful of rows, cannot repay a compile, and a bee per literal text
 // would grow the bee cache with every statement.
 func (t *dmlTarget) compileBee() {
-	if t.where == nil {
-		return
-	}
-	if cp, ok := t.db.mod.CompilePredicate(t.where); ok {
-		t.pred = cp
-	}
+	prog := t.db.mod.CompilePredicate(t.where)
+	t.pred, t.bee = prog.Row(), prog.Bee()
 }
 
 // retireBee takes the WHERE's EVP bee out of service after a panic
 // somewhere in the statement (the boundary cannot tell whose fault it
 // was): this target interprets from now on, and the quarantine makes
-// every later compile of the same predicate do so too.
-func (t *dmlTarget) retireBee() {
-	if t.pred != nil {
-		t.db.mod.Quarantine("query/EVP", t.where.String())
-		t.pred = nil
+// every later compile of the same predicate do so too. It reports whether
+// the target was running a bee until now.
+func (t *dmlTarget) retireBee() bool {
+	if t.pred == nil {
+		return false
 	}
+	t.pred = nil
+	t.bee.Quarantine()
+	return true
 }
 
 // collect fills t.hits with the rows visible to snap that satisfy the

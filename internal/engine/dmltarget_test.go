@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"microspec/internal/core"
-	"microspec/internal/exec"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -428,9 +427,10 @@ func TestPreparedDMLSubqueryResultNotCached(t *testing.T) {
 }
 
 // TestDMLBeePanicRollsBackAndRetiresBee: a panic in the WHERE's EVP bee
-// surfaces as a contained error, leaves no open transaction, pinned page
-// or half-applied update behind, and the statement runs interpreted from
-// then on — on both access paths.
+// is contained — the attempt rolls back, leaving no open transaction,
+// pinned page or half-applied update behind, the bee is quarantined, and
+// the same Exec re-runs the statement once, interpreted, and succeeds —
+// on both access paths.
 func TestDMLBeePanicRollsBackAndRetiresBee(t *testing.T) {
 	db := newDB(t, core.AllRoutines)
 	mustExec(t, db, "create table t (k integer not null, v integer not null, primary key (k))")
@@ -448,16 +448,19 @@ func TestDMLBeePanicRollsBackAndRetiresBee(t *testing.T) {
 	}
 	defer scan.Close()
 	db.Module().InjectBeePanic("query/EVP", "")
+	retries := db.MetricsSnapshot().Counters["quarantine_retries"]
 	for _, s := range []*Stmt{probe, scan} {
-		var pe *exec.PanicError
-		if _, err := s.Exec(types.NewInt64(0)); !errors.As(err, &pe) {
-			t.Fatalf("%s: err = %v, want a contained panic", s.Text(), err)
-		}
-		// The bee is retired: the same statement now succeeds, interpreted,
-		// with the failpoint still armed.
+		// The bee panics, is retired, and the statement succeeds
+		// interpreted, with the failpoint still armed.
 		if _, err := s.Exec(types.NewInt64(0)); err != nil {
-			t.Fatalf("%s after the panic: %v", s.Text(), err)
+			t.Fatalf("%s with a panicking bee: %v", s.Text(), err)
 		}
+	}
+	if got := db.MetricsSnapshot().Counters["quarantine_retries"] - retries; got != 2 {
+		t.Errorf("quarantine_retries rose by %d, want 2", got)
+	}
+	if st := db.Module().Stats(); st.QuarantinedNow != 2 {
+		t.Errorf("%d bees quarantined, want both statements' predicates", st.QuarantinedNow)
 	}
 	db.Module().ClearBeePanic()
 	// probe touched k=0 once, scan touched every row once.

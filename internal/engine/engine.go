@@ -447,10 +447,9 @@ func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counter
 	var rows []expr.Row
 	for attempt := 0; ; attempt++ {
 		planSpan := at.Span("plan")
-		var hits0, writes0 int64
+		var compiled0, hits0 int64
 		if at != nil {
-			cs := db.mod.Cache().Stats()
-			hits0, writes0 = cs.Hits, cs.Writes
+			compiled0, hits0 = db.mod.Cache().Installs()
 		}
 		planned, err = pl.PlanSelect(sel)
 		if err != nil {
@@ -458,9 +457,10 @@ func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counter
 			return nil, nil, err
 		}
 		if at != nil {
-			// Bee compile vs. cache-hit attribution for this plan.
-			cs := db.mod.Cache().Stats()
-			planSpan.Note("bees compiled=%d cache_hits=%d", cs.Writes-writes0, cs.Hits-hits0)
+			// Bee compile vs. cache-hit attribution for this plan: bees it
+			// installed for the first time, and bees it found installed.
+			compiled, hits := db.mod.Cache().Installs()
+			planSpan.Note("bees compiled=%d cache_hits=%d", compiled-compiled0, hits-hits0)
 		}
 		planSpan.End()
 		root = planned.Root
@@ -478,7 +478,7 @@ func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counter
 			foldNodeSpans(execSpan, root)
 		}
 		var pe *exec.PanicError
-		if attempt == 0 && errors.As(err, &pe) && db.quarantinePlanBees(root) > 0 {
+		if attempt == 0 && errors.As(err, &pe) && quarantinePlanBees(root) > 0 {
 			db.obs.quarantineRetries.Inc()
 			continue
 		}
@@ -538,12 +538,12 @@ func closeQuiet(ctx *exec.Ctx, root exec.Node) {
 	root.Close(ctx)
 }
 
-// quarantinePlanBees pulls every query bee of a panicked plan from
+// quarantinePlanBees pulls every query bee a panicked plan ran from
 // service and reports how many were newly quarantined.
-func (db *DB) quarantinePlanBees(root exec.Node) int {
+func quarantinePlanBees(root exec.Node) int {
 	n := 0
-	exec.WalkBees(root, func(b exec.BeeRef) {
-		if db.mod.Quarantine(b.Kind, b.Name) {
+	exec.WalkBees(root, func(b *core.Bee, inService bool) {
+		if inService && b.Quarantine() {
 			n++
 		}
 	})

@@ -332,7 +332,7 @@ func (s *Stmt) run(qctx context.Context, analyze bool, params []types.Datum) (*R
 		rows, err = collectSafe(&exec.Ctx{Context: qctx, Expr: expr.Ctx{}, Snap: snap}, root)
 		execSpan.End()
 		var pe *exec.PanicError
-		if attempt == 0 && errors.As(err, &pe) && db.quarantinePlanBees(root) > 0 {
+		if attempt == 0 && errors.As(err, &pe) && quarantinePlanBees(root) > 0 {
 			// Same containment as runSelect: quarantine the plan's bees and
 			// replan once — the new plan's compile calls find them
 			// quarantined and fall back to the generic routines.

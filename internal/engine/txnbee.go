@@ -106,7 +106,7 @@ func (res *txnResolved) unlatch() {
 type CompiledTxn struct {
 	db    *DB
 	spec  TxnSpec
-	usage *core.BeeUsage
+	bee   *core.Bee // registry handle: quarantine flag, usage
 	execs atomic.Int64
 	mu    sync.Mutex // serializes replans; Run reads res lock-free
 	res   atomic.Pointer[txnResolved]
@@ -130,17 +130,22 @@ func (db *DB) CompileTxn(spec TxnSpec) (*CompiledTxn, error) {
 	return ct, nil
 }
 
-// register (re-)records the bee in the module's cache and usage tables.
-// The per-operation cost pair is scaled by nothing: usage is reported in
+// register (re-)records the bee in the module's registry. The
+// per-operation cost pair is scaled by nothing: usage is reported in
 // operations, so the benefit estimate is observed time × the per-op
 // stock/bee overhead ratio.
 func (ct *CompiledTxn) register(res *txnResolved) error {
-	usage, ok := ct.db.mod.RegisterTxnBee(ct.spec.Name, txnBeeSource(ct.spec, res),
+	bee, ok := ct.db.mod.RegisterTxnBee(ct.spec.Name, txnBeeSource(ct.spec, res),
 		core.TxnOpBeeCost, core.TxnOpStockCost)
 	if !ok {
 		return fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
 	}
-	ct.usage = usage
+	if ct.bee == nil {
+		// Set once, before the bee can run: a replan re-registers under
+		// the same name and gets the same entry, and Run reads the field
+		// without ct.mu.
+		ct.bee = bee
+	}
 	return nil
 }
 
@@ -261,7 +266,7 @@ func (ct *CompiledTxn) Run(prof *profile.Counters, body func(tx *Txn) error) err
 	if db.recovering.Load() {
 		return ErrRecovering
 	}
-	if !db.mod.TxnBeeAllowed(ct.spec.Name) {
+	if ct.bee.Quarantined() {
 		return fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
 	}
 	db.mu.RLock()
@@ -273,7 +278,7 @@ func (ct *CompiledTxn) Run(prof *profile.Counters, body func(tx *Txn) error) err
 	res.latch()
 	tx := db.begin(prof, res) // owns db.mu and the latches from here
 	start := time.Now()
-	err = runTxnBody(db.mod, ct.spec.Name, tx, body)
+	err = runTxnBody(db.mod, ct.bee, tx, body)
 	elapsed := time.Since(start).Nanoseconds()
 	if err != nil {
 		// Operations note their own lost races; a compiled statement run
@@ -282,25 +287,25 @@ func (ct *CompiledTxn) Run(prof *profile.Counters, body func(tx *Txn) error) err
 		_ = tx.Rollback() // err, the cause, is what the caller acts on
 		var pe *exec.PanicError
 		if errors.As(err, &pe) {
-			db.mod.Quarantine(core.TxnBeeKind, ct.spec.Name)
+			ct.bee.Quarantine()
 		}
 		return err
 	}
 	ct.execs.Add(1)
 	db.obs.txnBeeExecs.Inc()
-	ct.usage.Note(tx.ops, elapsed)
+	ct.bee.Note(tx.ops, elapsed)
 	return tx.Commit()
 }
 
 // runTxnBody runs the fused body behind a panic boundary: a panic
 // (including the injected-failpoint kind) converts to *exec.PanicError
 // so Run can quarantine the bee and the caller can fall back.
-func runTxnBody(mod *core.Module, name string, tx *Txn, body func(tx *Txn) error) (err error) {
+func runTxnBody(mod *core.Module, bee *core.Bee, tx *Txn, body func(tx *Txn) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError(r)
 		}
 	}()
-	mod.TxnBeePanicPoint(name)
+	mod.TxnBeePanicPoint(bee)
 	return body(tx)
 }

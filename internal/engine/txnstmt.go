@@ -309,7 +309,7 @@ func (ts *TxnStmt) ExecTxn(params ...types.Datum) (*Result, int64, error) {
 	var res *Result
 	var affected int64
 	var err error
-	if db.mod.TxnBeeAllowed(ts.name) {
+	if !ts.ct.bee.Quarantined() {
 		res, affected, err = ts.runFused()
 		var pe *exec.PanicError
 		if errors.As(err, &pe) {

@@ -34,16 +34,17 @@ type AggSpec struct {
 	Arg      expr.Expr // nil for COUNT(*)
 	Distinct bool
 	Name     string
-	// CompiledArg is the EVA bee routine for Arg, when the bee module
-	// compiled it: the aggregate's per-tuple input evaluated without a
-	// tree walk.
+	// Prog is Arg's EVA program, when the bee module compiled it; the two
+	// forms below are instantiated from it (again per Gather partition),
+	// and its bee receives the batch form's row count and observed wall
+	// time per drained batch (per-bee benefit attribution).
+	Prog core.Program
+	// CompiledArg is the EVA bee routine for Arg: the aggregate's
+	// per-tuple input evaluated without a tree walk.
 	CompiledArg core.CompiledPred
 	// CompiledBatchArg is CompiledArg's batch form: one invocation
 	// evaluates Arg for every live row of a batch (batch path only).
 	CompiledBatchArg core.CompiledBatchScalar
-	// Usage, when set, receives the EVA bee's row count and observed wall
-	// time per drained batch (per-bee benefit attribution).
-	Usage *core.BeeUsage
 }
 
 // ResultType reports the aggregate's output type.

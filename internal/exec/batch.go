@@ -139,12 +139,13 @@ type BatchSeqScan struct {
 	Fused     core.FusedScanFilterFunc
 	FusedPred expr.Expr
 	NoteFused func(int64)
-	// DeformUsage and FusedUsage, when set, receive the rows processed and
+	// DeformBee and FusedBee, when set, are the relation bee behind Deform
+	// and the EVP bee behind Fused: they receive the rows processed and
 	// the wall time of the deform / fused bee invocations at Close — the
 	// per-bee benefit attribution feed. One page in usageSampleEvery is
 	// timed (two clock reads) and the total extrapolated from those.
-	DeformUsage *core.BeeUsage
-	FusedUsage  *core.BeeUsage
+	DeformBee *core.Bee
+	FusedBee  *core.Bee
 	// Range and Partial mirror SeqScan: a page interval for one partition
 	// of a parallel scan.
 	Range   heap.PageRange
@@ -231,7 +232,7 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		s.deforms += int64(len(tups))
 		s.rowsOut += int64(len(tups))
 		var t0 time.Time
-		timed := (s.FusedUsage != nil || s.DeformUsage != nil) && s.batches%usageSampleEvery == 0
+		timed := (s.FusedBee != nil || s.DeformBee != nil) && s.batches%usageSampleEvery == 0
 		if timed {
 			t0 = time.Now()
 		}
@@ -267,10 +268,10 @@ func (s *BatchSeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 func (s *BatchSeqScan) Close(*Ctx) {
 	if s.timed > 0 {
 		ns := s.timedNs * s.batches / s.timed
-		if s.FusedUsage != nil {
-			s.FusedUsage.Note(s.fused, ns)
+		if s.FusedBee != nil {
+			s.FusedBee.Note(s.fused, ns)
 		} else {
-			s.DeformUsage.Note(s.deforms, ns)
+			s.DeformBee.Note(s.deforms, ns)
 		}
 	}
 	if s.NoteDeforms != nil && s.deforms > 0 {
@@ -304,9 +305,10 @@ type BatchFilter struct {
 	// NoteCalls receives the number of compiled (EVP) row evaluations at
 	// Close, like Filter.NoteCalls.
 	NoteCalls func(int64)
-	// Usage, when set, receives the compiled predicate's row count and
-	// observed wall time at Close (per-bee benefit attribution).
-	Usage *core.BeeUsage
+	// Bee is Pred's EVP bee, set even when Compiled is nil because the
+	// compile was refused; it receives the compiled predicate's row count
+	// and observed wall time at Close (per-bee benefit attribution).
+	Bee *core.Bee
 
 	calls int64
 	beeNs int64
@@ -331,7 +333,7 @@ func (f *BatchFilter) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		out := f.sel[:0]
 		if f.Compiled != nil {
 			f.calls += int64(b.Count())
-			if f.Usage != nil {
+			if f.Bee != nil {
 				t0 := time.Now()
 				out = f.Compiled(b.Rows[:b.N], b.Sel, out, &ctx.Expr)
 				f.beeNs += int64(time.Since(t0))
@@ -367,7 +369,7 @@ func (f *BatchFilter) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (f *BatchFilter) Close(ctx *Ctx) {
-	f.Usage.Note(f.calls, f.beeNs)
+	f.Bee.Note(f.calls, f.beeNs)
 	if f.NoteCalls != nil && f.calls > 0 {
 		f.NoteCalls(f.calls)
 	}
@@ -525,10 +527,10 @@ func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs
 				switch {
 				case spec.CompiledBatchArg != nil:
 					eva += int64(n)
-					if spec.Usage != nil {
+					if bee := spec.Prog.Bee(); bee != nil {
 						t0 := time.Now()
 						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
-						spec.Usage.Note(int64(n), int64(time.Since(t0)))
+						bee.Note(int64(n), int64(time.Since(t0)))
 					} else {
 						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
 					}

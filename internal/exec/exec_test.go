@@ -54,8 +54,8 @@ func TestFilterInterpretedAndCompiled(t *testing.T) {
 	}
 
 	m := core.NewModule(core.AllRoutines)
-	cp, ok := m.CompilePredicate(pred)
-	if !ok {
+	cp := m.CompilePredicate(pred).Row()
+	if cp == nil {
 		t.Fatal("compile failed")
 	}
 	rows2 := mustCollect(t, &Filter{Child: src(), Pred: pred, Compiled: cp})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"microspec/internal/core"
 	"microspec/internal/expr"
 )
 
@@ -24,34 +25,29 @@ func NewPanicError(val any) *PanicError {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("query panic: %v", e.Val) }
 
-// BeeRef names one query bee a plan uses, as (kind, name) matching the
-// bee cache's key space: "query/EVP", "query/EVA", or "query/EVJ" plus
-// the expression (or key-list) string the bee was compiled from.
-type BeeRef struct {
-	Kind string
-	Name string
-}
-
-// WalkBees reports every query bee wired into a plan tree (EVP filter
-// and join-residual predicates, EVA aggregate inputs, EVJ join keys),
-// unwrapping Instrumented decorators like WalkGathers. Relation bees
-// (GCL/SCL) are deliberately excluded: specialized storage has no
-// generic deform fallback, so they are not quarantine candidates.
+// WalkBees reports the handle of every query bee wired into a plan tree
+// (EVP filter and join-residual predicates, EVA aggregate inputs, EVJ join
+// keys), unwrapping Instrumented decorators like WalkGathers. inService
+// tells whether the plan runs the bee's code; it is false for a filter
+// predicate whose compile admission refused — the plan interprets it, and
+// the handle is there for the advisor to count the unserved demand on.
+// Relation bees (GCL/SCL) are deliberately excluded: specialized storage
+// has no generic deform fallback, so they are not quarantine candidates.
 //
 // The engine uses the result to quarantine a panicking plan's bees: the
 // panic's recover boundary cannot attribute the fault to one closure, so
 // the policy is to quarantine all of them (see DESIGN.md §9).
-func WalkBees(n Node, fn func(BeeRef)) {
+func WalkBees(n Node, fn func(b *core.Bee, inService bool)) {
 	switch in := n.(type) {
 	case *Instrumented:
 		n = in.Inner
 	case *InstrumentedBatch:
 		n = in.Inner
 	}
-	aggRefs := func(specs []AggSpec) {
+	aggBees := func(specs []AggSpec) {
 		for i := range specs {
-			if specs[i].CompiledArg != nil && specs[i].Arg != nil {
-				fn(BeeRef{Kind: "query/EVA", Name: specs[i].Arg.String()})
+			if b := specs[i].Prog.Bee(); b != nil && specs[i].CompiledArg != nil {
+				fn(b, true)
 			}
 			walkExprBees(specs[i].Arg, fn)
 		}
@@ -60,29 +56,27 @@ func WalkBees(n Node, fn func(BeeRef)) {
 	case *SeqScan, *IndexScan, *ValuesNode:
 		// Leaves; GCL excluded by policy.
 	case *BatchSeqScan:
-		// A fused scan-filter carries the predicate's EVP bee (same cache
-		// key as the standalone forms), so quarantining it disables all
-		// three; the GCL half is excluded by the policy above.
-		if v.Fused != nil && v.FusedPred != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.FusedPred.String()})
-			walkExprBees(v.FusedPred, fn)
+		// A fused scan-filter is a form of the predicate's EVP bee, so
+		// quarantining it disables all three forms; the GCL half is
+		// excluded by the policy above.
+		if v.Fused != nil && v.FusedBee != nil {
+			fn(v.FusedBee, true)
 		}
+		walkExprBees(v.FusedPred, fn)
 	case *Rebatch:
 		WalkBees(v.Child, fn)
 	case *BatchFilter:
-		// The batch EVP form shares the tuple form's cache key, so
-		// quarantining it disables both.
-		if v.Compiled != nil && v.Pred != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Pred.String()})
+		if v.Bee != nil {
+			fn(v.Bee, v.Compiled != nil)
 		}
 		walkExprBees(v.Pred, fn)
 		WalkBees(v.Child, fn)
 	case *BatchHashAgg:
-		aggRefs(v.Aggs)
+		aggBees(v.Aggs)
 		WalkBees(v.Child, fn)
 	case *Filter:
-		if v.Compiled != nil && v.Pred != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Pred.String()})
+		if b := v.Prog.Bee(); b != nil {
+			fn(b, v.Compiled != nil)
 		}
 		walkExprBees(v.Pred, fn)
 		WalkBees(v.Child, fn)
@@ -100,29 +94,29 @@ func WalkBees(n Node, fn func(BeeRef)) {
 	case *Materialize:
 		WalkBees(v.Child, fn)
 	case *HashAgg:
-		aggRefs(v.Aggs)
+		aggBees(v.Aggs)
 		WalkBees(v.Child, fn)
 	case *HashJoin:
-		if v.EVJ != nil {
-			fn(BeeRef{Kind: "query/EVJ", Name: fmt.Sprintf("keys%v", v.OuterKeys)})
+		if v.EVJ != nil && v.EVJ.Bee != nil {
+			fn(v.EVJ.Bee, true)
 		}
-		if v.ResidualCompiled != nil && v.Residual != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Residual.String()})
+		if v.ResidualCompiled != nil && v.ResidualBee != nil {
+			fn(v.ResidualBee, true)
 		}
 		walkExprBees(v.Residual, fn)
 		WalkBees(v.Outer, fn)
 		WalkBees(v.Inner, fn)
 	case *NLJoin:
-		if v.QualCompiled != nil && v.Qual != nil {
-			fn(BeeRef{Kind: "query/EVP", Name: v.Qual.String()})
+		if v.QualCompiled != nil && v.QualBee != nil {
+			fn(v.QualBee, true)
 		}
 		walkExprBees(v.Qual, fn)
 		WalkBees(v.Outer, fn)
 		WalkBees(v.Inner, fn)
 	case *Gather:
-		aggRefs(v.Aggs)
+		aggBees(v.Aggs)
 		for _, specs := range v.PartAggs {
-			aggRefs(specs)
+			aggBees(specs)
 		}
 		for _, p := range v.Parts {
 			WalkBees(p, fn)
@@ -134,7 +128,7 @@ func WalkBees(n Node, fn func(BeeRef)) {
 // walks their subplans: a bee panic inside a subquery unwinds through the
 // outer plan's recover boundary, so the subplan's bees are quarantine
 // candidates exactly like the outer plan's.
-func walkExprBees(e expr.Expr, fn func(BeeRef)) {
+func walkExprBees(e expr.Expr, fn func(*core.Bee, bool)) {
 	switch n := e.(type) {
 	case nil:
 	case *ScalarSubquery:

@@ -12,8 +12,13 @@ import (
 // is kept only for display; otherwise Pred is evaluated by the generic
 // interpreter (the FuncExprState path).
 type Filter struct {
-	Child    Node
-	Pred     expr.Expr
+	Child Node
+	Pred  expr.Expr
+	// Prog is Pred's EVP program, from which Compiled was instantiated and
+	// the planner's later passes instantiate the batch, fused and
+	// per-partition forms. It carries the bee's handle even when the
+	// compile was refused and Compiled is nil.
+	Prog     core.Program
 	Compiled core.CompiledPred
 	// NoteCalls, when set, receives the number of compiled-predicate
 	// (EVP) invocations at Close — the module's bee-call statistics

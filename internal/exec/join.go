@@ -66,8 +66,10 @@ type HashJoin struct {
 	Type                 JoinType
 	// Residual is an optional extra qual evaluated over the combined row.
 	Residual expr.Expr
-	// ResidualCompiled is the EVP form of Residual, if compiled.
+	// ResidualCompiled is the EVP form of Residual, if compiled, and
+	// ResidualBee that bee's handle.
 	ResidualCompiled core.CompiledPred
+	ResidualBee      *core.Bee
 	// EVJ is the specialized key-evaluation bee, nil for the generic path.
 	EVJ *core.JoinKeyFuncs
 	// NoteEVJ, when set, receives the number of EVJ invocations at Close.
@@ -462,7 +464,10 @@ type NLJoin struct {
 	Outer, Inner Node
 	Type         JoinType
 	Qual         expr.Expr
+	// QualCompiled is the EVP form of Qual, if compiled, and QualBee that
+	// bee's handle.
 	QualCompiled core.CompiledPred
+	QualBee      *core.Bee
 
 	outerRow expr.Row
 	matched  bool

@@ -29,7 +29,9 @@ import (
 // join reads such a child, like any row-only child (IndexScan, Project,
 // subquery output), as batches of one. Predicates always convert, falling
 // back to the generic interpreter per row inside BatchFilter when no
-// batch EVP bee applies.
+// batch EVP bee applies. The batch and fused forms of a predicate are
+// instantiated from the program its row Filter already holds — batchify
+// admits and compiles nothing.
 
 // batchify rewrites a finished plan onto the batch path; it is a no-op
 // when batching is disabled.
@@ -112,13 +114,13 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 			v.Inner = p.batchChild(v.Inner)
 			return p.batchFilters(v, filters)
 		case *exec.SeqScan:
-			deform, err := p.Mod.BatchDeformer(v.Heap.Rel)
+			deform, relBee, err := p.Mod.BatchDeformer(v.Heap.Rel)
 			if err != nil {
 				return nil
 			}
 			bs := exec.NewBatchSeqScan(v.Heap, deform, v.NAtts)
 			bs.NoteDeforms = v.NoteDeforms
-			bs.DeformUsage = p.Mod.Usage("relation", v.Heap.Rel.Name)
+			bs.DeformBee = relBee
 			bs.Range = v.Range
 			bs.Partial = v.Partial
 			// Fuse the innermost compiled filter into the scan when the
@@ -127,13 +129,13 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 			// needs, instead of fully deforming rows the filter discards.
 			// The tuple path evaluates the innermost filter first, so
 			// fusing it preserves predicate order for the rest.
-			if k := len(filters) - 1; k >= 0 && filters[k].Compiled != nil {
+			if k := len(filters) - 1; k >= 0 {
 				f := filters[k]
-				if fp, ok := p.Mod.CompileFusedScanFilter(v.Heap.Rel, f.Pred, bs.NAtts); ok {
+				if fp := f.Prog.Fused(v.Heap.Rel, bs.NAtts); fp != nil {
 					bs.Fused = fp
 					bs.FusedPred = f.Pred
 					bs.NoteFused = f.NoteCalls
-					bs.FusedUsage = p.Mod.Usage("query/EVP", f.Pred.String())
+					bs.FusedBee = f.Prog.Bee()
 					filters = filters[:k]
 				}
 			}
@@ -149,15 +151,8 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 func (p *Planner) batchFilters(node exec.BatchNode, filters []*exec.Filter) exec.BatchNode {
 	for j := len(filters) - 1; j >= 0; j-- {
 		f := filters[j]
-		bf := &exec.BatchFilter{Child: node, Pred: f.Pred}
-		if f.Compiled != nil {
-			if cp, ok := p.Mod.CompileBatchPredicate(f.Pred); ok {
-				bf.Compiled = cp
-				bf.NoteCalls = f.NoteCalls
-				bf.Usage = p.Mod.Usage("query/EVP", f.Pred.String())
-			}
-		}
-		node = bf
+		node = &exec.BatchFilter{Child: node, Pred: f.Pred,
+			Bee: f.Prog.Bee(), Compiled: f.Prog.Batch(), NoteCalls: f.NoteCalls}
 	}
 	return node
 }

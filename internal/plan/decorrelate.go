@@ -235,21 +235,7 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 	if negate {
 		jt = exec.AntiJoin
 	}
-	hj := &exec.HashJoin{
-		Outer: ts.node, Inner: node,
-		OuterKeys: outerKeys, InnerKeys: innerKeys,
-		Type: jt, Residual: residual,
-	}
-	if residual != nil {
-		if cp, ok := sp.p.Mod.CompilePredicate(residual); ok {
-			hj.ResidualCompiled = cp
-		}
-	}
-	if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-		hj.EVJ = evj
-		hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-	}
-	ts.node = hj
+	ts.node = sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, jt, residual)
 	// Semi/anti joins keep only the outer columns; ts.cols unchanged.
 	return true, nil, nil
 }
@@ -301,18 +287,9 @@ func (sp *selectPlan) tryDecorrelateScalar(ts *treeState, op string, lhs sql.Exp
 		keyTypes = append(keyTypes, subScope.cols[i].t)
 	}
 
-	hj := &exec.HashJoin{
-		Outer: ts.node, Inner: node,
-		OuterKeys: outerKeys, InnerKeys: innerKeys,
-		Type: exec.LeftJoin,
-	}
-	if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-		hj.EVJ = evj
-		hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-	}
 	aggCol := len(ts.cols) + nKeys
 	aggT := subScope.cols[nKeys].t
-	ts.node = hj
+	ts.node = sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, exec.LeftJoin, nil)
 	ts.cols = append(ts.cols, subScope.cols...)
 
 	// Rebuild the comparison as a post filter over the widened row.

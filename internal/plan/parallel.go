@@ -51,9 +51,9 @@ func (r *scanRegion) safe() bool {
 }
 
 // buildParts replicates the region once per page-range partition. Every
-// replica gets its own deform closure (GCL bee) and freshly compiled
-// predicate closures (EVP bees) from the bee module, so partition workers
-// share no mutable state on the per-tuple path.
+// replica gets its own deform closure (GCL bee) and its own predicate
+// closures, instantiated from the region's EVP programs, so partition
+// workers share no mutable state on the per-tuple path.
 func (p *Planner) buildParts(r *scanRegion) ([]exec.Node, error) {
 	ranges := r.scan.Heap.Partitions(p.Workers)
 	if len(ranges) < 2 {
@@ -70,14 +70,8 @@ func (p *Planner) buildParts(r *scanRegion) ([]exec.Node, error) {
 		var node exec.Node = scan
 		for j := len(r.filters) - 1; j >= 0; j-- {
 			f := r.filters[j]
-			nf := &exec.Filter{Child: node, Pred: f.Pred}
-			if f.Compiled != nil {
-				if cp, ok := p.Mod.CompilePredicate(f.Pred); ok {
-					nf.Compiled = cp
-					nf.NoteCalls = f.NoteCalls
-				}
-			}
-			node = nf
+			node = &exec.Filter{Child: node, Pred: f.Pred,
+				Prog: f.Prog, Compiled: f.Prog.Row(), NoteCalls: f.NoteCalls}
 		}
 		parts[i] = node
 	}
@@ -172,15 +166,9 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 			for pi := range parts {
 				specs := append([]exec.AggSpec(nil), agg.Aggs...)
 				for si := range specs {
-					if specs[si].CompiledArg == nil {
-						continue
-					}
-					if ca, ok := p.Mod.CompileScalar(specs[si].Arg); ok {
-						specs[si].CompiledArg = ca
-					}
-					if cba, ok := p.Mod.CompileBatchScalar(specs[si].Arg); ok {
-						specs[si].CompiledBatchArg = cba
-						specs[si].Usage = p.Mod.Usage("query/EVA", specs[si].Arg.String())
+					if specs[si].CompiledArg != nil {
+						specs[si].CompiledArg = specs[si].Prog.Row()
+						specs[si].CompiledBatchArg = specs[si].Prog.BatchScalar()
 					}
 				}
 				partAggs[pi] = specs

@@ -103,6 +103,40 @@ func (p *Planner) scanFor(rel *catalog.Relation) (exec.Node, error) {
 	return scan, nil
 }
 
+// filterOver wraps child in a Filter on pred, carrying pred's EVP program
+// and its row form where the bee module provides them. A counted filter
+// reports its EVP invocations to the module's call statistics.
+func (p *Planner) filterOver(child exec.Node, pred expr.Expr, counted bool) *exec.Filter {
+	f := &exec.Filter{Child: child, Pred: pred, Prog: p.Mod.CompilePredicate(pred)}
+	if f.Compiled = f.Prog.Row(); f.Compiled != nil && counted {
+		f.NoteCalls = p.Mod.NoteEVPCall
+	}
+	return f
+}
+
+// compileQual returns the EVP row form and the bee handle of a join qual;
+// both are nil when there is no qual or the module compiles none.
+func (p *Planner) compileQual(qual expr.Expr) (core.CompiledPred, *core.Bee) {
+	prog := p.Mod.CompilePredicate(qual)
+	return prog.Row(), prog.Bee()
+}
+
+// hashJoin builds a hash join with its residual's EVP bee and its keys'
+// EVJ bee where the bee module provides them.
+func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, keyTypes []types.T, jt exec.JoinType, residual expr.Expr) *exec.HashJoin {
+	hj := &exec.HashJoin{
+		Outer: outer, Inner: inner,
+		OuterKeys: outerKeys, InnerKeys: innerKeys,
+		Type: jt, Residual: residual,
+	}
+	hj.ResidualCompiled, hj.ResidualBee = p.compileQual(residual)
+	if evj, ok := p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
+		hj.EVJ = evj
+		hj.NoteEVJ = p.Mod.NoteEVJCall
+	}
+	return hj
+}
+
 // estRows estimates a base relation's cardinality for join ordering.
 func (p *Planner) estRows(rel *catalog.Relation) float64 {
 	h, err := p.HeapFor(rel)

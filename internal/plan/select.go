@@ -180,12 +180,7 @@ func (p *Planner) planSelect(sel *sql.Select, parent *scope) (exec.Node, *scope,
 		} else {
 			pred = &expr.And{Kids: postExprs}
 		}
-		f := &exec.Filter{Child: ts.node, Pred: pred}
-		if cp, ok := p.Mod.CompilePredicate(pred); ok {
-			f.Compiled = cp
-			f.NoteCalls = p.Mod.NoteEVPCall
-		}
-		ts.node = f
+		ts.node = p.filterOver(ts.node, pred, true)
 	}
 
 	// --- Aggregation, projection, ordering ---
@@ -213,12 +208,7 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 		pred = &expr.And{Kids: kids}
 	}
 	sp.p.tryIndexScan(it, kids)
-	f := &exec.Filter{Child: it.node, Pred: pred}
-	if cp, ok := sp.p.Mod.CompilePredicate(pred); ok {
-		f.Compiled = cp
-		f.NoteCalls = sp.p.Mod.NoteEVPCall
-	}
-	it.node = f
+	it.node = sp.p.filterOver(it.node, pred, true)
 	it.est = it.est / float64(1+len(it.filters))
 	return nil
 }
@@ -424,19 +414,8 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 			keyTypes = append(keyTypes, items[next].cols[ii].t)
 			e.used = true
 		}
-		hj := &exec.HashJoin{
-			Outer:     ts.node,
-			Inner:     items[next].node,
-			OuterKeys: outerKeys,
-			InnerKeys: innerKeys,
-			Type:      exec.InnerJoin,
-		}
-		if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-			hj.EVJ = evj
-			hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-		}
 		itemOffset[next] = len(ts.cols)
-		ts.node = hj
+		ts.node = sp.p.hashJoin(ts.node, items[next].node, outerKeys, innerKeys, keyTypes, exec.InnerJoin, nil)
 		ts.cols = append(ts.cols, items[next].cols...)
 		inTree[next] = true
 	}
@@ -461,11 +440,7 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 		} else {
 			pred = &expr.And{Kids: leftovers}
 		}
-		f := &exec.Filter{Child: ts.node, Pred: pred}
-		if cp, ok := sp.p.Mod.CompilePredicate(pred); ok {
-			f.Compiled = cp
-		}
-		ts.node = f
+		ts.node = sp.p.filterOver(ts.node, pred, false)
 	}
 	return ts, nil
 }
@@ -593,31 +568,13 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 
 	var node exec.Node
 	if len(outerKeys) > 0 {
-		hj := &exec.HashJoin{
-			Outer: left.node, Inner: right.node,
-			OuterKeys: outerKeys, InnerKeys: innerKeys,
-			Type: jt, Residual: residual,
-		}
-		if residual != nil {
-			if cp, ok := sp.p.Mod.CompilePredicate(residual); ok {
-				hj.ResidualCompiled = cp
-			}
-		}
-		if evj, ok := sp.p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-			hj.EVJ = evj
-			hj.NoteEVJ = sp.p.Mod.NoteEVJCall
-		}
-		node = hj
+		node = sp.p.hashJoin(left.node, right.node, outerKeys, innerKeys, keyTypes, jt, residual)
 	} else {
 		nl := &exec.NLJoin{
 			Outer: left.node, Inner: &exec.Materialize{Child: right.node},
 			Type: jt, Qual: residual,
 		}
-		if residual != nil {
-			if cp, ok := sp.p.Mod.CompilePredicate(residual); ok {
-				nl.QualCompiled = cp
-			}
-		}
+		nl.QualCompiled, nl.QualBee = sp.p.compileQual(residual)
 		node = nl
 	}
 	return &fromItem{node: node, cols: combined, est: left.est * 1.2}, nil
@@ -675,11 +632,7 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 			if err != nil {
 				return nil, nil, err
 			}
-			f := &exec.Filter{Child: curNode, Pred: pred}
-			if cp, ok := p.Mod.CompilePredicate(pred); ok {
-				f.Compiled = cp
-			}
-			curNode = f
+			curNode = p.filterOver(curNode, pred, false)
 		}
 	}
 
@@ -880,13 +833,9 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 				spec.Arg = arg
 				// EVA: specialize the aggregate's input evaluation, in both
 				// the per-tuple and the per-batch form.
-				if ca, ok := p.Mod.CompileScalar(arg); ok {
-					spec.CompiledArg = ca
-				}
-				if cba, ok := p.Mod.CompileBatchScalar(arg); ok {
-					spec.CompiledBatchArg = cba
-					spec.Usage = p.Mod.Usage("query/EVA", arg.String())
-				}
+				spec.Prog = p.Mod.CompileScalar(arg)
+				spec.CompiledArg = spec.Prog.Row()
+				spec.CompiledBatchArg = spec.Prog.BatchScalar()
 			}
 			idx := len(sel.GroupBy) + len(aggs)
 			aggs = append(aggs, spec)

@@ -134,6 +134,18 @@ func TestAdminEndToEndTraceAndBenefits(t *testing.T) {
 
 	// pprof index is wired on the private mux.
 	adminGet(t, admin, "/debug/pprof/")
+
+	// The Bee Collector takes a dropped relation's bee out of every array
+	// of /bees — entries and benefits render from the same registry.
+	if !strings.Contains(string(body), `"kv"`) {
+		t.Fatalf("/bees does not list relation kv before the drop: %s", body)
+	}
+	if _, err := c.Exec("drop table kv"); err != nil {
+		t.Fatalf("drop table: %v", err)
+	}
+	if body = adminGet(t, admin, "/bees"); strings.Contains(string(body), `"kv"`) {
+		t.Errorf("/bees still lists relation kv after DROP TABLE: %s", body)
+	}
 }
 
 func TestAdminTraceToggle(t *testing.T) {
