@@ -6,13 +6,11 @@ import (
 	"sync"
 
 	"microspec/internal/catalog"
-
 	"microspec/internal/exec"
-	"microspec/internal/expr"
 	"microspec/internal/index/btree"
 	"microspec/internal/profile"
-	"microspec/internal/sql"
 	"microspec/internal/storage/heap"
+	"microspec/internal/trace"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -22,12 +20,11 @@ import (
 // enabled, the generic heap_fill_tuple otherwise — which is exactly the
 // code path the paper's bulk-loading experiment (Figure 8) measures.
 //
-// Concurrency: each statement runs as its own transaction under the
-// engine lock in *shared* mode plus its table's latch in exclusive mode,
-// so statements on different tables proceed in parallel and SELECTs are
-// never blocked (they read MVCC snapshots; see docs/CONCURRENCY.md).
-// On error the statement's undo log is replayed and the transaction
-// aborts — statements are atomic.
+// Concurrency: each statement runs as its own transaction (runOne) under
+// the engine lock in *shared* mode plus its table's latch in exclusive
+// mode, so statements on different tables proceed in parallel and SELECTs
+// are never blocked (they read MVCC snapshots; see docs/CONCURRENCY.md).
+// On error the transaction rolls back — statements are atomic.
 
 // insertRowLocked forms and stores one tuple version stamped with xid and
 // adds one index entry per index. Caller holds the table latch
@@ -44,15 +41,17 @@ func (db *DB) insertRowLocked(rel relHandle, values []types.Datum, xid uint64, p
 		return heap.TID{}, nil, err
 	}
 	db.advisorObserveRow(rel.rel, values)
+	ixs := db.byRel[rel.rel.ID]
+	keys := ownedKeys(ixs, values)
 	// Visibility-aware unique checks come first, before any effect that
 	// would need undoing. The B+tree cannot enforce uniqueness itself: it
 	// keeps one entry per version, and dead versions of a key linger until
 	// vacuum.
-	for _, ix := range db.byRel[rel.rel.ID] {
+	for i, ix := range ixs {
 		if !ix.Tree.Unique {
 			continue
 		}
-		if err := db.uniqueConflict(rel.heap, ix, indexKey(values, ix.Cols), xid, prof); err != nil {
+		if err := db.uniqueConflict(rel.heap, ix, keys[i], xid, prof); err != nil {
 			return heap.TID{}, nil, err
 		}
 	}
@@ -60,17 +59,9 @@ func (db *DB) insertRowLocked(rel relHandle, values []types.Datum, xid uint64, p
 	if err != nil {
 		return heap.TID{}, nil, err
 	}
-	keys := make([]btree.Key, len(db.byRel[rel.rel.ID]))
-	for i, ix := range db.byRel[rel.rel.ID] {
-		key := indexKey(values, ix.Cols)
-		// Own the key datums: values may alias caller buffers.
-		for j := range key {
-			key[j] = exec.CloneDatum(key[j])
-		}
-		ix.Tree.InsertVersion(key, tid, prof)
-		keys[i] = key
+	for i, ix := range ixs {
+		ix.Tree.InsertVersion(keys[i], tid, prof)
 	}
-	ixs := db.byRel[rel.rel.ID]
 	undo := func() error {
 		for i, ix := range ixs {
 			ix.Tree.Delete(keys[i], tid, nil)
@@ -78,6 +69,20 @@ func (db *DB) insertRowLocked(rel relHandle, values []types.Datum, xid uint64, p
 		return rel.heap.MarkDeleted(tid, xid, nil)
 	}
 	return tid, undo, nil
+}
+
+// ownedKeys builds values' key in each of ixs, with the key datums cloned:
+// the keys go into the trees, and values may alias caller buffers.
+func ownedKeys(ixs []*Index, values []types.Datum) []btree.Key {
+	keys := make([]btree.Key, len(ixs))
+	for i, ix := range ixs {
+		key := indexKey(values, ix.Cols)
+		for j := range key {
+			key[j] = exec.CloneDatum(key[j])
+		}
+		keys[i] = key
+	}
+	return keys
 }
 
 // uniqueConflict reports whether inserting key into ix would violate
@@ -142,286 +147,76 @@ func (db *DB) handleFor(name string) (relHandle, error) {
 	return relHandle{rel: rel, heap: h, latch: db.latches[rel.ID]}, nil
 }
 
-// stmtCommit finishes an auto-commit DML statement: append the commit
-// record (on a durable database), commit the statement transaction, bump
-// the data generation, and vacuum the table if its dead versions passed
-// the threshold. Caller still holds the table latch; the returned LSN is
-// what the caller must pass to waitDurable AFTER releasing it, so
-// concurrent committers can share one group-commit sync. If the commit
-// record cannot be appended (the log writer was killed), the transaction
-// aborts instead — its versions stay stamped with the aborted xid, which
-// keeps them invisible until vacuum reclaims them.
-func (db *DB) stmtCommit(rel relHandle, xid uint64, prof *profile.Counters) (uint64, error) {
-	lsn, err := db.logCommit(xid)
-	if err != nil {
-		db.tm.Abort(xid)
-		return 0, err
-	}
-	db.tm.Commit(xid)
-	db.dataGen.Add(1)
-	db.maybeVacuumLocked(rel, prof)
-	return lsn, nil
-}
-
-// stmtAbort rolls back an auto-commit DML statement: replay the undo log
-// newest-first, then abort the transaction. Caller still holds the table
-// latch. Conflict errors are counted here — the single funnel every
-// losing statement passes through.
-func (db *DB) stmtAbort(undos []func() error, xid uint64, cause error) {
-	for i := len(undos) - 1; i >= 0; i-- {
-		_ = undos[i]()
-	}
-	db.logAbort(xid)
-	db.tm.Abort(xid)
-	if isConflict(cause) {
-		db.obs.txnConflicts.Inc()
-	}
-}
-
 // isConflict reports whether err is (or wraps) a write-write conflict.
 func isConflict(err error) bool {
 	return err != nil && errors.Is(err, txn.ErrWriteConflict)
 }
 
-// execInsert handles INSERT INTO ... VALUES. slots carries bound
-// prepared-statement parameters (nil for ad-hoc statements). Like every
-// auto-commit DML wrapper, the durability wait runs after the latched
-// body returns — once the table latch and db.mu are released — so
-// concurrent statements amortize their commit-record syncs (group
-// commit); prefix durability makes visible-before-durable safe (see
-// docs/DURABILITY.md).
-func (db *DB) execInsert(s *sql.Insert, prof *profile.Counters, slots *expr.ParamSlots) (int64, error) {
-	n, lsn, err := db.execInsertLatched(s, prof, slots)
-	if err != nil {
-		return n, err
+// isPanic reports whether err is (or wraps) a contained panic.
+func isPanic(err error) bool {
+	if err == nil {
+		return false // before pe, which escapes, is allocated
 	}
-	return n, db.waitDurable(lsn)
+	var pe *exec.PanicError
+	return errors.As(err, &pe)
 }
 
-func (db *DB) execInsertLatched(s *sql.Insert, prof *profile.Counters, slots *expr.ParamSlots) (int64, uint64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rel, err := db.handleFor(s.Table)
-	if err != nil {
-		return 0, 0, err
-	}
-	colIdx, err := insertColumnMap(rel.rel, s.Cols)
-	if err != nil {
-		return 0, 0, err
-	}
-	rel.latch.Lock()
-	defer rel.latch.Unlock()
-	xid := db.tm.Begin()
-	var n int64
-	var undos []func() error
-	for _, rowExprs := range s.Rows {
-		if len(rowExprs) != len(colIdx) {
-			err = fmt.Errorf("engine: INSERT has %d values for %d columns", len(rowExprs), len(colIdx))
-			db.stmtAbort(undos, xid, err)
-			return 0, 0, err
-		}
-		values := make([]types.Datum, len(rel.rel.Attrs))
-		for i := range values {
-			values[i] = types.Null
-		}
-		for i, e := range rowExprs {
-			d, verr := evalConstAST(e, slots)
-			if verr != nil {
-				db.stmtAbort(undos, xid, verr)
-				return 0, 0, verr
-			}
-			values[colIdx[i]] = d
-		}
-		_, undo, ierr := db.insertRowLocked(rel, values, xid, prof)
-		if ierr != nil {
-			db.stmtAbort(undos, xid, ierr)
-			return 0, 0, ierr
-		}
-		undos = append(undos, undo)
-		n++
-	}
-	lsn, err := db.stmtCommit(rel, xid, prof)
-	if err != nil {
-		return 0, 0, err
-	}
-	return n, lsn, nil
-}
-
-func insertColumnMap(rel *catalog.Relation, cols []string) ([]int, error) {
-	if len(cols) == 0 {
-		idx := make([]int, len(rel.Attrs))
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx, nil
-	}
-	idx := make([]int, len(cols))
-	for i, name := range cols {
-		j := rel.AttrIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("engine: column %q not in %s", name, rel.Name)
-		}
-		idx[i] = j
-	}
-	return idx, nil
-}
-
-// evalConstAST evaluates a constant-only AST expression (INSERT values).
-// slots supplies $n parameter values for prepared statements; with slots
-// nil a placeholder is an error.
-func evalConstAST(e sql.Expr, slots *expr.ParamSlots) (types.Datum, error) {
-	switch n := e.(type) {
-	case *sql.NumLit:
-		c, err := parseNum(n)
-		return c, err
-	case *sql.StrLit:
-		return types.NewString(n.Val), nil
-	case *sql.NullLit:
-		return types.Null, nil
-	case *sql.BoolLit:
-		return types.NewBool(n.Val), nil
-	case *sql.DateLit:
-		d, err := types.ParseDate(n.Val)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewDate(d), nil
-	case *sql.Placeholder:
-		if slots == nil {
-			return types.Null, fmt.Errorf("engine: parameter $%d outside a prepared statement", n.Idx)
-		}
-		if n.Idx < 1 || n.Idx > len(slots.Vals) {
-			return types.Null, fmt.Errorf("engine: parameter $%d out of range (statement has %d)", n.Idx, len(slots.Vals))
-		}
-		return slots.Vals[n.Idx-1], nil
-	case *sql.UnOp:
-		if n.Op == "-" {
-			d, err := evalConstAST(n.Kid, slots)
-			if err != nil {
-				return types.Null, err
-			}
-			if d.Kind() == types.KindFloat64 {
-				return types.NewFloat64(-d.Float64()), nil
-			}
-			return types.NewInt64(-d.Int64()), nil
-		}
-	case *sql.BinOp:
-		l, err := evalConstAST(n.L, slots)
-		if err != nil {
-			return types.Null, err
-		}
-		r, err := evalConstAST(n.R, slots)
-		if err != nil {
-			return types.Null, err
-		}
-		switch n.Op {
-		case "+":
-			return expr.ApplyArith(expr.Add, l, r), nil
-		case "-":
-			return expr.ApplyArith(expr.Sub, l, r), nil
-		case "*":
-			return expr.ApplyArith(expr.Mul, l, r), nil
-		case "/":
-			return expr.ApplyArith(expr.Div, l, r), nil
-		}
-	}
-	return types.Null, fmt.Errorf("engine: INSERT values must be constants")
-}
-
-func parseNum(n *sql.NumLit) (types.Datum, error) {
-	if n.IsFloat {
-		var f float64
-		if _, err := fmt.Sscanf(n.Text, "%g", &f); err != nil {
-			return types.Null, fmt.Errorf("engine: bad number %q", n.Text)
-		}
-		return types.NewFloat64(f), nil
-	}
-	var v int64
-	if _, err := fmt.Sscanf(n.Text, "%d", &v); err != nil {
-		return types.Null, fmt.Errorf("engine: bad number %q", n.Text)
-	}
-	return types.NewInt64(v), nil
-}
-
-// execDML handles an ad hoc UPDATE or DELETE: compile the statement's
-// target (dmltarget.go) and run it once. slots carries bound parameters
-// when a PREPARE TRANSACTION body falls back to statement-at-a-time (nil
-// otherwise). The durability wait runs after the latched body releases
-// the table latch and db.mu (see execInsert).
-func (db *DB) execDML(stmt sql.Statement, prof *profile.Counters, slots *expr.ParamSlots) (int64, error) {
-	n, lsn, err := db.execDMLLatched(stmt, prof, slots)
-	if err != nil {
-		return n, err
-	}
-	return n, db.waitDurable(lsn)
-}
-
-func (db *DB) execDMLLatched(stmt sql.Statement, prof *profile.Counters, slots *expr.ParamSlots) (int64, uint64, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pl := db.planner
-	if slots != nil {
-		// The planner copy keeps the shared planner untouched.
-		cp := *db.planner
-		cp.Params = slots
-		cp.ParamTypes = make([]types.T, len(slots.Vals))
-		pl = &cp
-	}
-	t, err := db.compileDML(pl, stmt)
-	if err != nil {
-		return 0, 0, err
-	}
-	return db.execTargetLatched(t, prof)
-}
-
-// execTargetLatched runs one compiled UPDATE/DELETE as its own
-// transaction under its table's exclusive latch. Caller holds db.mu
-// (shared) and passes the returned LSN to waitDurable after releasing it.
-// A panic rolls the transaction back; if the target was running its WHERE
-// through an EVP bee, the bee is quarantined and the statement runs once
-// more, interpreted — the containment runSelect and Stmt.run apply to a
-// SELECT (a panic that was not a bee's finds no bee to retire and is
+// runOne runs one compiled statement as an auto-commit statement, which is
+// a one-operation transaction: take db.mu shared and the latch plan, begin,
+// run the op against the transaction's snapshot and undo log exactly as a
+// fused PREPARE TRANSACTION body runs it, then Txn.Commit — or
+// Txn.Rollback on an error, so statements are atomic. Commit releases the
+// latches and db.mu before it waits for the commit record to be durable,
+// so concurrent statements share one group-commit sync
+// (docs/DURABILITY.md). current returns the op and the plan to latch, under
+// the db.mu hold the transaction then owns: a target compiled for this
+// call or a kept one revalidated against ddlGen, under its own table's
+// latch; or one statement of a PREPARE TRANSACTION unit that is running
+// stepwise, under the unit's plan.
+//
+// A panic rolls the transaction back; if the op was a write running its
+// WHERE through an EVP bee, the bee is quarantined and the statement runs
+// once more, interpreted — the containment runSelect and Stmt.run apply to
+// a SELECT (a panic that was not a bee's finds no bee to retire and is
 // returned, so it cannot loop).
-func (db *DB) execTargetLatched(t *dmlTarget, prof *profile.Counters) (int64, uint64, error) {
-	t.rel.latch.Lock()
-	defer t.rel.latch.Unlock()
-	n, lsn, err := db.runTargetLatched(t, prof)
-	if err != nil { // keeps errors.As's escaping target off the success path
-		var pe *exec.PanicError
-		if errors.As(err, &pe) && t.retireBee() {
-			db.obs.quarantineRetries.Inc()
-			n, lsn, err = db.runTargetLatched(t, prof)
+func (db *DB) runOne(at *trace.Active, prof *profile.Counters, current func() (txnOp, *txnResolved, error)) (*Result, int64, error) {
+	for attempt := 0; ; attempt++ {
+		op, plan, err := db.lockedCurrent(current)
+		if err != nil {
+			return nil, 0, err
 		}
+		execSpan := at.Span("exec")
+		plan.latch()
+		tx := db.begin(prof, plan)
+		res, n, err := tx.runOps([]txnOp{op})
+		execSpan.End()
+		err = tx.end(at, err)
+		if attempt == 0 && isPanic(err) && op.target != nil && op.target.retireBee() {
+			db.obs.quarantineRetries.Inc()
+			continue
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		return res, n, nil
 	}
-	return n, lsn, err
 }
 
-// runTargetLatched is one attempt of execTargetLatched: one transaction,
-// committed, or rolled back on an error or a panic (which comes back as a
-// *exec.PanicError). Caller holds the table's exclusive latch.
-func (db *DB) runTargetLatched(t *dmlTarget, prof *profile.Counters) (_ int64, _ uint64, err error) {
-	xid := db.tm.Begin()
-	snap := db.tm.Snapshot(xid)
-	defer snap.Release()
-	var undos []func() error
+// lockedCurrent takes db.mu shared and calls current under it. The hold is
+// the caller's when current succeeds; an error releases it, and so does a
+// panic (in compiling statement text, say) on its way to the caller's
+// containment boundary — a leaked hold would block DDL for good.
+func (db *DB) lockedCurrent(current func() (txnOp, *txnResolved, error)) (op txnOp, plan *txnResolved, err error) {
+	db.mu.RLock()
+	held := false
 	defer func() {
-		// A panic (a faulty bee) must not leave the transaction open or
-		// half applied.
-		if r := recover(); r != nil {
-			db.stmtAbort(undos, xid, nil)
-			err = exec.NewPanicError(r)
+		if !held {
+			db.mu.RUnlock()
 		}
 	}()
-	n, err := t.run(snap, prof, &undos)
-	if err != nil {
-		db.stmtAbort(undos, xid, err)
-		return 0, 0, err
-	}
-	lsn, err := db.stmtCommit(t.rel, xid, prof)
-	if err != nil {
-		return 0, 0, err
-	}
-	return n, lsn, nil
+	op, plan, err = current()
+	held = err == nil
+	return op, plan, err
 }
 
 // applyUpdateLocked performs one MVCC update — stamp the old version
@@ -445,18 +240,15 @@ func (db *DB) applyUpdateLocked(rel relHandle, tid heap.TID, oldVal, newVal []ty
 	if err := rel.heap.MarkDeleted(tid, xid, prof); err != nil {
 		return nil, err
 	}
+	ixs := db.byRel[rel.rel.ID]
+	newKeys := ownedKeys(ixs, newVal)
 	// Unique checks on key-changing indexes, after the old version is
 	// stamped (its xmax == xid exempts it from its own check).
-	for _, ix := range db.byRel[rel.rel.ID] {
-		if !ix.Tree.Unique {
+	for i, ix := range ixs {
+		if !ix.Tree.Unique || !keyChanged(oldVal, newVal, ix.Cols) {
 			continue
 		}
-		oldKey := indexKey(oldVal, ix.Cols)
-		newKey := indexKey(newVal, ix.Cols)
-		if btreeCompare(oldKey, newKey) == 0 {
-			continue
-		}
-		if err := db.uniqueConflict(rel.heap, ix, newKey, xid, prof); err != nil {
+		if err := db.uniqueConflict(rel.heap, ix, newKeys[i], xid, prof); err != nil {
 			_ = rel.heap.UnmarkDeleted(tid, xid)
 			return nil, err
 		}
@@ -466,15 +258,8 @@ func (db *DB) applyUpdateLocked(rel relHandle, tid heap.TID, oldVal, newVal []ty
 		_ = rel.heap.UnmarkDeleted(tid, xid)
 		return nil, err
 	}
-	ixs := db.byRel[rel.rel.ID]
-	newKeys := make([]btree.Key, len(ixs))
 	for i, ix := range ixs {
-		key := indexKey(newVal, ix.Cols)
-		for j := range key {
-			key[j] = exec.CloneDatum(key[j])
-		}
-		ix.Tree.InsertVersion(key, newTID, prof)
-		newKeys[i] = key
+		ix.Tree.InsertVersion(newKeys[i], newTID, prof)
 	}
 	undo := func() error {
 		for i, ix := range ixs {
@@ -486,13 +271,14 @@ func (db *DB) applyUpdateLocked(rel relHandle, tid heap.TID, oldVal, newVal []ty
 	return undo, nil
 }
 
-func btreeCompare(a, b []types.Datum) int {
-	for i := range a {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
+// keyChanged reports whether two rows differ in any of cols.
+func keyChanged(a, b []types.Datum, cols []int) bool {
+	for _, c := range cols {
+		if a[c].Compare(b[c]) != 0 {
+			return true
 		}
 	}
-	return 0
+	return false
 }
 
 // deleteRowLocked stamps one version deleted. Index entries stay: older

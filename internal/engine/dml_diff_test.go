@@ -15,12 +15,12 @@ import (
 	"microspec/internal/types"
 )
 
-// Differential test of the compiled UPDATE/DELETE path: twin tables with
-// the same columns, one with an index on the key and one without, take
-// one seeded stream of INSERT/UPDATE/DELETE. The unindexed twin always
-// scans; the indexed one probes whenever the WHERE pins a key prefix. After
-// every step both must have reported the same affected count and hold the
-// same multiset of rows.
+// Differential test of the compiled write path: twin tables with the same
+// columns, one with an index on the key and one without, take one seeded
+// stream of INSERT/UPDATE/DELETE. The unindexed twin always scans; the
+// indexed one probes whenever the WHERE pins a key prefix. After every
+// step both must have reported the same affected count and hold the same
+// multiset of rows.
 
 // diffPair is one pair of twin tables.
 type diffPair struct {
@@ -38,6 +38,10 @@ var diffPairs = []diffPair{
 		[]string{"create index %s_k on %s (k)"}},
 	{"text", "c char(4) not null, s varchar(8) not null, v integer not null",
 		[]string{"create unique index %s_cs on %s (c, s)"}},
+	// The INSERT value forms: $n arithmetic, negation, NULL, an integer
+	// literal into the DOUBLE column, a column list, several rows.
+	{"num", "k integer not null, f double, v integer not null",
+		[]string{"create index %s_k on %s (k)"}},
 }
 
 // diffOp is one statement of the stream: text has %s for the table name
@@ -75,8 +79,8 @@ func (op diffOp) literalText() string {
 	return text
 }
 
-// diffDriver runs one statement through one of the engine's three write
-// entry points.
+// diffDriver runs one statement through one of the engine's write entry
+// points.
 type diffDriver interface {
 	run(op diffOp, table string) (int64, error)
 }
@@ -115,16 +119,23 @@ func (d stmtDriver) run(op diffOp, table string) (int64, error) {
 }
 
 // txnDriver wraps each statement in a PREPARE TRANSACTION body, so it
-// runs fused under the transaction bee's latch plan.
+// runs fused under the transaction bee's latch plan — or, with stepwise
+// set, with the unit's bee quarantined from the start, so that every
+// execution takes the stepwise runner.
 type txnDriver struct {
-	db   *DB
-	txns map[string]*TxnStmt
-	n    *int
+	db       *DB
+	txns     map[string]*TxnStmt
+	n        *int
+	stepwise bool
 }
 
 func (d txnDriver) prepare(body string) (*TxnStmt, error) {
 	*d.n++
-	return d.db.PrepareTxn(fmt.Sprintf("prepare transaction diff%d as begin; %s; commit", *d.n, body))
+	ts, err := d.db.PrepareTxn(fmt.Sprintf("prepare transaction diff%d as begin; %s; commit", *d.n, body))
+	if err == nil && d.stepwise {
+		ts.ct.bee.Quarantine()
+	}
+	return ts, err
 }
 
 func (d txnDriver) run(op diffOp, table string) (int64, error) {
@@ -321,6 +332,36 @@ func (g *diffGen) next(pair string) diffOp {
 		default:
 			op.text, op.params = "delete from %s where c = $1 and s = $2", []types.Datum{cArg, types.NewString(s)}
 		}
+	case "num":
+		k := types.NewInt64(int64(rng.Intn(16)))
+		f := types.NewFloat64(float64(rng.Intn(40)) / 4)
+		if rng.Intn(4) == 0 {
+			f = types.Null
+		}
+		switch c := rng.Intn(12); c {
+		case 0:
+			op.text, op.params = "insert into %s values ($1 + 1, -$2, $3)", []types.Datum{k, f, amount}
+		case 1:
+			op.text, op.params = "insert into %s values ($1, $2 * 2 - 1, $3 + $3)", []types.Datum{k, f, amount}
+		case 2:
+			op.text, op.params = "insert into %s values ($1, 3, $2)", []types.Datum{k, amount}
+		case 3:
+			op.text, op.params = "insert into %s values ($1, null, 1 + 2 * 3)", []types.Datum{k}
+		case 4:
+			op.text, op.params = "insert into %s (v, k) values ($2, $1)", []types.Datum{k, amount}
+		case 5:
+			op.text, op.params = "insert into %s values ($1, $2, $3), (15 - $1, -0.5, $3)", []types.Datum{k, f, amount}
+		case 6:
+			op.text, op.params = "update %s set f = f + $2, v = v + 1 where k = $1", []types.Datum{k, f}
+		case 7:
+			op.text, op.params = "update %s set f = -f where k = $1", []types.Datum{k}
+		case 8:
+			op.text, op.params = "update %s set f = $2 where k = $1 and f is null", []types.Datum{k, f}
+		case 9:
+			op.text, op.params = "delete from %s where f is null and v >= $1", []types.Datum{floor}
+		default:
+			op.text, op.params = "delete from %s where k = $1", []types.Datum{k}
+		}
 	}
 	if op.text == "" { // a capped case
 		return g.next(pair)
@@ -341,7 +382,10 @@ func tableRows(t *testing.T, db *DB, table string) []string {
 }
 
 func runDMLDifferential(t *testing.T, steps int, concurrent bool) {
-	modes := []string{"exec", "stmt", "txn"}
+	modes := []string{"exec", "stmt", "txn", "stepwise"}
+	// A mode's stream depends only on its seed and on what the statements
+	// did, so stock and bees, vacuum on and off must end in the same state.
+	final := map[string]string{}
 	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
 		for _, vacuumEvery := range []int{-1, 1} {
 			for mi, mode := range modes {
@@ -361,8 +405,8 @@ func runDMLDifferential(t *testing.T, steps int, concurrent bool) {
 						drv = execDriver{db}
 					case "stmt":
 						drv = stmtDriver{db, map[string]*Stmt{}}
-					case "txn":
-						drv = txnDriver{db, map[string]*TxnStmt{}, new(int)}
+					case "txn", "stepwise":
+						drv = txnDriver{db, map[string]*TxnStmt{}, new(int), mode == "stepwise"}
 					}
 					if concurrent {
 						stop := startDiffReaders(t, db)
@@ -395,8 +439,22 @@ func runDMLDifferential(t *testing.T, steps int, concurrent bool) {
 					if probes == 0 || scans == 0 {
 						t.Errorf("probes=%d scans=%d: the stream missed an access path", probes, scans)
 					}
-					if c := db.MetricsSnapshot().Counters; mode == "txn" && c["txn_bee.fallbacks"] != 0 {
+					var state []string
+					for _, p := range diffPairs {
+						state = append(state, tableRows(t, db, p.name+"_ix")...)
+					}
+					if got := fmt.Sprint(state); final[mode] == "" {
+						final[mode] = got
+					} else if got != final[mode] {
+						t.Errorf("final state differs from the first configuration's\n  first: %s\n  here:  %s", final[mode], got)
+					}
+					c := db.MetricsSnapshot().Counters
+					if mode == "txn" && c["txn_bee.fallbacks"] != 0 {
 						t.Errorf("txn_bee.fallbacks = %d: the bodies did not run fused", c["txn_bee.fallbacks"])
+					}
+					if mode == "stepwise" && (c["txn_bee.executions"] != 0 || c["txn_bee.fallbacks"] == 0) {
+						t.Errorf("txn_bee.executions = %d, fallbacks = %d: the bodies did not run stepwise",
+							c["txn_bee.executions"], c["txn_bee.fallbacks"])
 					}
 				})
 			}

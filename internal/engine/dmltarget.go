@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"microspec/internal/catalog"
 	"microspec/internal/core"
 	"microspec/internal/exec"
 	"microspec/internal/expr"
@@ -15,15 +16,16 @@ import (
 	"microspec/internal/types"
 )
 
-// dmlTarget is a compiled UPDATE or DELETE: everything about the
+// dmlTarget is a compiled INSERT, UPDATE or DELETE: everything about the
 // statement that is invariant across executions, bound once — the
-// relation handle and its deform routine, the WHERE clause lowered and
-// (for a target that is kept, on a bee-enabled database) compiled to its
-// EVP bee, the SET expressions and their ordinals, and the access path. It is to a write
-// what a cached plan is to a SELECT, and the only way the engine locates
-// rows to modify: db.Exec builds one per call, a prepared Stmt keeps one
-// until ddlGen moves, and a PREPARE TRANSACTION body holds one per fused
-// UPDATE/DELETE.
+// relation handle and its deform routine, the columns written and the
+// expressions that fill them (an INSERT's VALUES rows, an UPDATE's SET
+// list), and for UPDATE/DELETE the WHERE clause lowered and (for a target
+// that is kept, on a bee-enabled database) compiled to its EVP bee, and
+// the access path. It is to a write what a cached plan is to a SELECT, and
+// the only way SQL modifies rows: db.Exec builds one per call, a prepared
+// Stmt keeps one until ddlGen moves, and a PREPARE TRANSACTION body holds
+// one per write statement.
 //
 // Access path: when the WHERE pins a prefix of some index's key to
 // constants or $n (plan.Planner.EqProbeFor, over the matcher SELECT
@@ -37,17 +39,20 @@ import (
 // time; its owners (Stmt.mu, TxnStmt.mu, a single ad hoc call) already
 // guarantee that.
 type dmlTarget struct {
-	db  *DB
-	rel relHandle
-	acc *relAccess
+	db   *DB
+	kind dmlKind
+	rel  relHandle
+	acc  *relAccess
 
-	where expr.Expr         // nil: every row
+	where expr.Expr         // nil: every row (always nil for INSERT)
 	pred  core.CompiledPred // where's EVP bee routine; nil: interpret where
 	bee   *core.Bee         // that bee's handle
 
-	update   bool // false: DELETE
-	setExprs []expr.Expr
-	setCols  []int
+	// cols are the ordinals written and rows the expressions that fill
+	// them: one list per VALUES row of an INSERT, evaluated against no
+	// row; the SET list of an UPDATE, evaluated against the old row.
+	cols []int
+	rows [][]expr.Expr
 
 	// tree is the index to probe (nil: heap scan); keyExprs/keyTypes feed
 	// exec.ProbeKey.
@@ -55,16 +60,29 @@ type dmlTarget struct {
 	keyExprs []expr.Expr
 	keyTypes []types.T
 
+	// own is the latch plan of an auto-commit run: this table, exclusive.
+	// (Inside a PREPARE TRANSACTION body the unit's plan holds the latch.)
+	own    txnResolved
+	ownTab txnTable
+
 	// Scratch reused across executions.
 	ectx   expr.Ctx
 	key    btree.Key
 	tids   []heap.TID
 	gather func(btree.Key, heap.TID) bool // appends to tids
 	values []types.Datum                  // the version under consideration, deformed
-	newVal []types.Datum                  // UPDATE: the row being written
+	newVal []types.Datum                  // INSERT, UPDATE: the row being written
 	hits   []dmlHit
 	evals  int64 // pred calls this execution, for the module's EVP count
 }
+
+type dmlKind uint8
+
+const (
+	dmlInsert dmlKind = iota
+	dmlUpdate
+	dmlDelete
+)
 
 // dmlHit is one row located by a target: where it is and, for UPDATE,
 // what it held (an owned copy — the page is unpinned by apply time).
@@ -73,23 +91,34 @@ type dmlHit struct {
 	old expr.Row
 }
 
-// compileDML builds the target of an UPDATE or DELETE. pl supplies the
-// parameter slots ($n lower to slot reads, and pl.ParamTypes records the
-// types inferred for them) and the index metadata. Caller holds db.mu.
+// compileDML builds the target of an INSERT, UPDATE or DELETE. pl supplies
+// the parameter slots ($n lower to slot reads, and pl.ParamTypes records
+// the types inferred for them) and the index metadata. Everything that can
+// be wrong with the statement text — table, columns, arity, a literal of
+// the wrong class for its column — is an error here. Caller holds db.mu.
 func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, error) {
 	var (
 		table string
 		where sql.Expr
-		set   []sql.SetClause
+		names []string     // columns written, by name
+		rows  [][]sql.Expr // their values
 	)
 	t := &dmlTarget{db: db}
 	switch s := stmt.(type) {
+	case *sql.Insert:
+		table, names, rows, t.kind = s.Table, s.Cols, s.Rows, dmlInsert
 	case *sql.Update:
-		table, where, set, t.update = s.Table, s.Where, s.Set, true
+		table, where, t.kind = s.Table, s.Where, dmlUpdate
+		set := make([]sql.Expr, len(s.Set))
+		for i, sc := range s.Set {
+			names = append(names, sc.Col)
+			set[i] = sc.Expr
+		}
+		rows = [][]sql.Expr{set}
 	case *sql.Delete:
-		table, where = s.Table, s.Where
+		table, where, t.kind = s.Table, s.Where, dmlDelete
 	default:
-		return nil, fmt.Errorf("engine: %T is not an UPDATE or DELETE", stmt)
+		return nil, fmt.Errorf("engine: %T is not an INSERT, UPDATE or DELETE", stmt)
 	}
 	var err error
 	if t.rel, err = db.handleFor(table); err != nil {
@@ -98,6 +127,8 @@ func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, erro
 	if t.acc, err = db.accessFor(t.rel.rel); err != nil {
 		return nil, err
 	}
+	t.ownTab = txnTable{relHandle: t.rel, acc: t.acc, write: true}
+	t.own = txnResolved{latchOrder: []*txnTable{&t.ownTab}}
 	rel := t.rel.rel
 	if where != nil {
 		if t.where, err = pl.ConvertForRelation(where, rel); err != nil {
@@ -112,38 +143,107 @@ func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, erro
 			}
 		}
 	}
-	for _, sc := range set {
-		i := rel.AttrIndex(sc.Col)
+	for _, name := range names {
+		i := rel.AttrIndex(name)
 		if i < 0 {
-			return nil, fmt.Errorf("engine: column %q not in %s", sc.Col, rel.Name)
+			return nil, fmt.Errorf("engine: column %q not in %s", name, rel.Name)
 		}
-		e, err := pl.ConvertForRelation(sc.Expr, rel)
-		if err != nil {
-			return nil, err
-		}
-		t.setCols = append(t.setCols, i)
-		t.setExprs = append(t.setExprs, e)
+		t.cols = append(t.cols, i)
 	}
-	t.values = make([]types.Datum, len(rel.Attrs))
-	if t.update {
+	if t.kind == dmlInsert && len(names) == 0 { // no column list: every column, in order
+		for i := range rel.Attrs {
+			t.cols = append(t.cols, i)
+		}
+	}
+	var from *catalog.Relation // the row SET expressions read; VALUES read none
+	if t.kind == dmlUpdate {
+		from = rel
+	}
+	for _, row := range rows {
+		if len(row) != len(t.cols) {
+			return nil, fmt.Errorf("engine: INSERT has %d values for %d columns", len(row), len(t.cols))
+		}
+		exprs := make([]expr.Expr, len(row))
+		for j, e := range row {
+			attr := &rel.Attrs[t.cols[j]]
+			exprs[j], err = pl.ConvertAssigned(e, from, attr.Type)
+			if err == nil {
+				err = storable(attr, exprs[j].Type().Kind)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		t.rows = append(t.rows, exprs)
+	}
+	if t.kind != dmlInsert {
+		t.values = make([]types.Datum, len(rel.Attrs))
+	}
+	if t.kind != dmlDelete {
 		t.newVal = make([]types.Datum, len(rel.Attrs))
 	}
 	return t, nil
 }
 
-// run executes the statement as part of the transaction snap belongs to:
-// locate every matching row first, then modify them (a key-changing
-// update applied during the walk would meet the versions it just
-// created). Undo records append to *undo for the caller's rollback; the
-// caller holds the table latch exclusively — the probe walks the B+tree
-// under that same hold, never a second acquisition.
+// storable is the one class check between a value and the column it is
+// assigned to: character data does not go into a numeric, date or boolean
+// column, nor the reverse (the tuple former would read the wrong field of
+// the datum and store zero or blanks). compileDML applies it to each
+// expression's static kind, assign to each value's. Kinds within a class
+// convert when the tuple is formed; NULL (KindInvalid) has no class.
+func storable(attr *catalog.Attribute, k types.Kind) error {
+	if k == types.KindInvalid || attr.Type.ByValue() == (types.T{Kind: k}).ByValue() {
+		return nil
+	}
+	return fmt.Errorf("engine: column %s is %s, cannot store a %s value", attr.Name, attr.Type, k)
+}
+
+// assign evaluates one row's expressions into dst at the target's columns.
+func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) error {
+	for j, e := range exprs {
+		d := e.Eval(row, &t.ectx)
+		if err := storable(&t.rel.rel.Attrs[t.cols[j]], d.Kind()); err != nil {
+			return err
+		}
+		dst[t.cols[j]] = d
+	}
+	return nil
+}
+
+// run executes the statement as part of the transaction snap belongs to.
+// An UPDATE or DELETE locates every matching row first, then modifies them
+// (a key-changing update applied during the walk would meet the versions
+// it just created). Undo records append to *undo for the caller's
+// rollback; the caller holds the table latch exclusively — the probe walks
+// the B+tree under that same hold, never a second acquisition.
 func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func() error) (int64, error) {
 	t.ectx.Prof = prof
+	db, xid := t.db, snap.Self()
+	if t.kind == dmlInsert {
+		// insertRowLocked forms the stored bytes and clones the index keys
+		// before it returns, so every row is built in the same scratch.
+		for _, exprs := range t.rows {
+			for i := range t.newVal {
+				t.newVal[i] = types.Null
+			}
+			if err := t.assign(t.newVal, exprs, nil); err != nil {
+				return 0, err
+			}
+			_, u, err := db.insertRowLocked(t.rel, t.newVal, xid, prof)
+			if err != nil {
+				return 0, err
+			}
+			*undo = append(*undo, u)
+		}
+		return int64(len(t.rows)), nil
+	}
 	// Our own writes are what stale an uncorrelated subquery's cached
 	// result, so a reused target starts every execution without one.
 	exec.ResetExprCaches(t.where)
-	for _, e := range t.setExprs {
-		exec.ResetExprCaches(e)
+	for _, rows := range t.rows {
+		for _, e := range rows {
+			exec.ResetExprCaches(e)
+		}
 	}
 	err := t.collect(snap, prof)
 	if t.evals > 0 {
@@ -153,19 +253,16 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 	if err != nil {
 		return 0, err
 	}
-	db, xid := t.db, snap.Self()
 	for i := range t.hits {
 		h := &t.hits[i]
 		var u func() error
-		if t.update {
-			// applyUpdateLocked forms the stored bytes and clones the index
-			// keys before it returns, so the new row can live in scratch
-			// and alias the old row and the parameter slots.
+		if t.kind == dmlUpdate {
+			// As for INSERT: the new row lives in scratch and may alias the
+			// old row and the parameter slots.
 			copy(t.newVal, h.old)
-			for j, e := range t.setExprs {
-				t.newVal[t.setCols[j]] = e.Eval(h.old, &t.ectx)
+			if err = t.assign(t.newVal, t.rows[0], h.old); err == nil {
+				u, err = db.applyUpdateLocked(t.rel, h.tid, h.old, t.newVal, xid, prof)
 			}
-			u, err = db.applyUpdateLocked(t.rel, h.tid, h.old, t.newVal, xid, prof)
 		} else {
 			u, err = db.deleteRowLocked(t.rel, h.tid, xid, prof)
 		}
@@ -286,7 +383,7 @@ func (t *dmlTarget) consider(tid heap.TID, tup []byte, prof *profile.Counters) {
 		}
 	}
 	hit := dmlHit{tid: tid}
-	if t.update {
+	if t.kind == dmlUpdate {
 		hit.old = exec.CloneRow(t.values)
 	}
 	t.hits = append(t.hits, hit)

@@ -3,9 +3,11 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"microspec/internal/core"
+	"microspec/internal/sql"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -289,8 +291,11 @@ func TestPreparedDMLAfterDropTable(t *testing.T) {
 	}
 }
 
-// TestPrepareDMLErrorsSurfaceAtPrepare: like a SELECT, an UPDATE or
-// DELETE that cannot be compiled fails at Prepare.
+// TestPrepareDMLErrorsSurfaceAtPrepare: like a SELECT, an INSERT, UPDATE
+// or DELETE that cannot be compiled fails at Prepare — a bad table, column
+// or arity, a value that is not a constant, and a literal of the wrong
+// class for its column (which used to be stored as 0). The same texts fail
+// ad hoc and inside a PREPARE TRANSACTION body, and leave no row behind.
 func TestPrepareDMLErrorsSurfaceAtPrepare(t *testing.T) {
 	db := setupMini(t, core.AllRoutines)
 	for _, text := range []string{
@@ -298,11 +303,159 @@ func TestPrepareDMLErrorsSurfaceAtPrepare(t *testing.T) {
 		"update emp set nosuch = 1 where e_id = $1",
 		"update emp set e_salary = 1 where nosuch = $1",
 		"delete from emp where nosuch = 1",
+		"insert into nosuch values (1)",
+		"insert into dept (d_id, nosuch) values (9, 'x')",
+		"insert into dept values (9, 'nine')",
+		"insert into dept (d_id, d_name) values (9, 'nine', 'R1')",
+		"insert into dept values (9, d_name, 'R1')",
+		"insert into dept values ((select max(d_id) from dept) + 1, 'x', 'R1')",
+		"insert into dept values ('nine', 'nine', 'R1')",
+		"insert into dept values (9, 9, 'R1')",
+		"insert into dept values (9, -$1, 'R1')",
+		"insert into emp values (900, 1, 'x', -'abc', date '2000-01-01')",
+		"insert into emp values (900, 1, 'x', 1.0, 'yesterday')",
+		"update emp set e_salary = 'high' where e_id = $1",
+		"update emp set e_name = e_salary where e_id = $1",
+		"update emp set e_dept = -e_name where e_id = $1",
 	} {
 		if s, err := db.Prepare(text); err == nil {
 			s.Close()
 			t.Errorf("Prepare(%q) succeeded", text)
 		}
+		if !strings.Contains(text, "$") {
+			if _, err := db.Exec(text); err == nil {
+				t.Errorf("Exec(%q) succeeded", text)
+			}
+		}
+		if ts, err := db.PrepareTxn("prepare transaction bad as begin; " + text + "; commit"); err == nil {
+			ts.Close()
+			t.Errorf("PrepareTxn of %q succeeded", text)
+		}
+	}
+	// A $n of the wrong class is caught when the statement executes.
+	ins, err := db.Prepare("insert into dept values ($1, $2, 'R1')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ins.Close()
+	upd, err := db.Prepare("update emp set e_salary = $2 where e_id = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upd.Close()
+	unit, err := db.PrepareTxn("prepare transaction classes as begin; insert into dept values ($1, $2, 'R1'); commit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unit.Close()
+	if _, err := ins.Exec(types.NewString("nine"), types.NewString("nine")); err == nil {
+		t.Error("a character $1 went into an INTEGER column")
+	}
+	if _, err := ins.Exec(types.NewInt64(9), types.NewInt64(9)); err == nil {
+		t.Error("an integer $2 went into a VARCHAR column")
+	}
+	if _, _, err := unit.ExecTxn(types.NewInt64(9), types.NewFloat64(9)); err == nil {
+		t.Error("a double $2 went into a VARCHAR column in a unit")
+	}
+	if _, err := upd.Exec(types.NewInt64(1), types.NewString("high")); err == nil {
+		t.Error("a character $2 went into a DOUBLE column")
+	}
+	// Numeric kinds still convert among themselves.
+	if n, err := upd.Exec(types.NewInt64(1), types.NewInt64(7)); err != nil || n != 1 {
+		t.Errorf("an integer $2 into a DOUBLE column: n=%d err=%v", n, err)
+	}
+	if n, err := ins.Exec(types.NewFloat64(9), types.NewString("nine")); err != nil || n != 1 {
+		t.Errorf("a double $1 into an INTEGER column: n=%d err=%v", n, err)
+	}
+	if got := intResult(t, db, "select count(*) from dept"); got != 5 {
+		t.Errorf("dept has %d rows, want the 4 loaded and the one good insert", got)
+	}
+	if got := mustQuery(t, db, "select e_salary from emp where e_id = 1").Rows[0][0].Float64(); got != 7 {
+		t.Errorf("e_salary = %v, want 7", got)
+	}
+}
+
+// TestInsertNegatedNullIsNull: -NULL is NULL, as a literal and as a bound
+// $n, through db.Exec, Stmt.Exec and ExecTxn, fused and stepwise. (The
+// INSERT-only constant evaluator this replaces read the integer field of
+// the NULL datum and stored 0.)
+func TestInsertNegatedNullIsNull(t *testing.T) {
+	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := newDB(t, rs)
+		mustExec(t, db, "create table t (k integer not null, f double, v integer)",
+			"insert into t values (1, -null, -null)",
+			"insert into t values (2, 1 + null, 3 * -null)")
+		ins, err := db.Prepare("insert into t values ($1, -$2, -$3)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ins.Exec(types.NewInt64(3), types.Null, types.Null); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ins.Exec(types.NewInt64(4), types.NewFloat64(1.5), types.NewInt64(2)); err != nil {
+			t.Fatal(err)
+		}
+		ins.Close()
+		unit, err := db.PrepareTxn("prepare transaction negnull as begin; insert into t values ($1, -$2, -$3); commit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := unit.ExecTxn(types.NewInt64(5), types.Null, types.Null); err != nil {
+			t.Fatal(err)
+		}
+		unit.ct.bee.Quarantine()
+		if _, _, err := unit.ExecTxn(types.NewInt64(6), types.Null, types.Null); err != nil {
+			t.Fatal(err)
+		}
+		unit.Close()
+		want := "[[1 NULL NULL] [2 NULL NULL] [3 NULL NULL] [4 -1.50 -2] [5 NULL NULL] [6 NULL NULL]]"
+		if got := fmt.Sprint(tableRows(t, db, "t")); got != want {
+			t.Errorf("bees=%v: t holds %s, want %s", rs != core.Stock, got, want)
+		}
+		if got := intResult(t, db, "select count(*) from t where f is null and v is null"); got != 5 {
+			t.Errorf("bees=%v: %d rows with f and v NULL, want 5", rs != core.Stock, got)
+		}
+	}
+}
+
+// TestPreparedInsertPicksUpDDL: a prepared INSERT holds a compiled target
+// like UPDATE and DELETE, so DROP TABLE makes it fail cleanly — an error,
+// not a write into the dropped heap — and re-creating the table (here with
+// its columns in another order and a new index) brings it back on a
+// rebuilt target.
+func TestPreparedInsertPicksUpDDL(t *testing.T) {
+	db := newDB(t, core.AllRoutines)
+	mustExec(t, db, "create table t (k integer not null, v integer not null)")
+	ins, err := db.Prepare("insert into t (k, v) values ($1, $1 + 10)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ins.Close()
+	if n, err := ins.Exec(types.NewInt64(1)); err != nil || n != 1 {
+		t.Fatalf("n=%d err=%v", n, err)
+	}
+	replans0 := db.MetricsSnapshot().Counters["prepared.replans"]
+	mustExec(t, db, "drop table t")
+	for i := 0; i < 2; i++ {
+		if _, err := ins.Exec(types.NewInt64(2)); err == nil {
+			t.Error("INSERT into a dropped table succeeded")
+		}
+	}
+	mustExec(t, db, "create table t (v integer not null, k integer not null, primary key (k))")
+	for i := 0; i < 2; i++ {
+		if n, err := ins.Exec(types.NewInt64(int64(3 + i))); err != nil || n != 1 {
+			t.Errorf("after re-create: n=%d err=%v", n, err)
+		}
+	}
+	if _, err := ins.Exec(types.NewInt64(3)); err == nil {
+		t.Error("the rebuilt target does not maintain the new primary key")
+	}
+	// One replan, counted when the drift was noticed.
+	if got := db.MetricsSnapshot().Counters["prepared.replans"] - replans0; got != 1 {
+		t.Errorf("prepared.replans advanced by %d, want 1", got)
+	}
+	if got := fmt.Sprint(tableRows(t, db, "t")); got != "[[13 3] [14 4]]" {
+		t.Errorf("t holds %s, want [[13 3] [14 4]]", got)
 	}
 }
 
@@ -474,6 +627,21 @@ func TestDMLBeePanicRollsBackAndRetiresBee(t *testing.T) {
 	}
 	// DDL needs db.mu exclusively: a read hold leaked by the unwinding
 	// statement would hang it.
+	mustExec(t, db, "create table after_panic (k integer not null)")
+}
+
+// TestPanicBeforeTheWriteBeginsReleasesEngineLock: a panic while a write's
+// target is being compiled or revalidated — before any transaction owns
+// the db.mu hold — is contained like any other, and gives the hold back.
+func TestPanicBeforeTheWriteBeginsReleasesEngineLock(t *testing.T) {
+	db := newDB(t, core.AllRoutines)
+	_, err := db.execParsed(nil, &sql.Delete{Table: "t"}, nil, func() (*dmlTarget, error) {
+		panic("fault while compiling")
+	})
+	if !isPanic(err) {
+		t.Fatalf("err = %v, want a contained panic", err)
+	}
+	// DDL needs db.mu exclusively: a leaked read hold would hang it.
 	mustExec(t, db, "create table after_panic (k integer not null)")
 }
 

@@ -336,7 +336,7 @@ type QueryOpts struct {
 
 // Query parses, plans, and runs a SELECT.
 func (db *DB) Query(text string) (*Result, error) {
-	res, _, err := db.runSelect(context.Background(), text, nil, false, nil)
+	res, _, err := db.runSelect(context.Background(), text, nil, nil, false, nil)
 	return res, err
 }
 
@@ -344,20 +344,27 @@ func (db *DB) Query(text string) (*Result, error) {
 // deadline, or the statement timeout) stops execution mid-scan —
 // including inside parallel Gather workers — and returns ctx.Err().
 func (db *DB) QueryContext(ctx context.Context, text string) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, nil, false, nil)
+	res, _, err := db.runSelect(ctx, text, nil, nil, false, nil)
 	return res, err
 }
 
 // QueryWith runs a SELECT with per-call setting overrides (session-scoped
 // settings on the network server).
 func (db *DB) QueryWith(ctx context.Context, text string, opts QueryOpts) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, nil, false, &opts)
+	res, _, err := db.runSelect(ctx, text, nil, nil, false, &opts)
+	return res, err
+}
+
+// QueryAST is QueryWith for a SELECT the caller has already parsed (the
+// server parses once, to route); text is its SQL, for the query log.
+func (db *DB) QueryAST(ctx context.Context, sel *sql.Select, text string, opts QueryOpts) (*Result, error) {
+	res, _, err := db.runSelect(ctx, text, sel, nil, false, &opts)
 	return res, err
 }
 
 // QueryProfiled runs a SELECT charging abstract instructions to prof.
 func (db *DB) QueryProfiled(text string, prof *profile.Counters) (*Result, error) {
-	res, _, err := db.runSelect(context.Background(), text, prof, false, nil)
+	res, _, err := db.runSelect(context.Background(), text, nil, prof, false, nil)
 	return res, err
 }
 
@@ -373,7 +380,13 @@ func (db *DB) ExplainAnalyzeQuery(text string) (string, *Result, error) {
 // the context carries an active trace, the outline is stamped with the
 // trace ID so it can be cross-referenced with the admin plane's /traces.
 func (db *DB) ExplainAnalyzeQueryContext(ctx context.Context, text string) (string, *Result, error) {
-	res, root, err := db.runSelect(ctx, text, nil, true, nil)
+	return db.ExplainAnalyzeAST(ctx, nil, text)
+}
+
+// ExplainAnalyzeAST is ExplainAnalyzeQueryContext for an already-parsed
+// SELECT (nil: parse text).
+func (db *DB) ExplainAnalyzeAST(ctx context.Context, sel *sql.Select, text string) (string, *Result, error) {
+	res, root, err := db.runSelect(ctx, text, sel, nil, true, nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -384,9 +397,10 @@ func (db *DB) ExplainAnalyzeQueryContext(ctx context.Context, text string) (stri
 	return out, res, nil
 }
 
-// runSelect is the single SELECT execution path: parse, plan, optionally
-// instrument, execute, observe. Every public query entry point funnels
-// here so query-level metrics land in exactly one place.
+// runSelect is the single SELECT execution path: parse (unless the caller
+// passes sel, text already parsed), plan, optionally instrument, execute,
+// observe. Every public query entry point funnels here so query-level
+// metrics land in exactly one place.
 //
 // Execution runs inside a panic-containment boundary. When a plan
 // panics, the recovered error quarantines every query bee the plan used
@@ -396,7 +410,7 @@ func (db *DB) ExplainAnalyzeQueryContext(ctx context.Context, text string) (stri
 // generic routines — the paper's bee-unavailable path, enforced at
 // runtime. The retry happens only when at least one bee was newly
 // quarantined, so a second panic cannot loop.
-func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counters, analyze bool, opts *QueryOpts) (*Result, exec.Node, error) {
+func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, prof *profile.Counters, analyze bool, opts *QueryOpts) (*Result, exec.Node, error) {
 	if db.recovering.Load() {
 		return nil, nil, ErrRecovering
 	}
@@ -416,11 +430,14 @@ func (db *DB) runSelect(qctx context.Context, text string, prof *profile.Counter
 		qctx, cancel = context.WithTimeout(qctx, d)
 		defer cancel()
 	}
-	parseSpan := at.Span("parse")
-	sel, err := sql.ParseSelect(text)
-	parseSpan.End()
-	if err != nil {
-		return nil, nil, err
+	var err error
+	if sel == nil {
+		parseSpan := at.Span("parse")
+		sel, err = sql.ParseSelect(text)
+		parseSpan.End()
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -578,53 +595,74 @@ func (db *DB) Exec(text string) (int64, error) {
 }
 
 // ExecContext is Exec under a context: a trace carried by ctx gets
-// parse/exec/commit spans for the statement.
+// parse/plan/exec/commit spans for the statement.
 func (db *DB) ExecContext(ctx context.Context, text string) (int64, error) {
-	return db.execCtx(ctx, text, nil)
+	return db.execCtx(ctx, text, nil, nil)
+}
+
+// ExecAST is ExecContext for a statement the caller has already parsed
+// (the server parses once, to route); text is its SQL, for the statement
+// log.
+func (db *DB) ExecAST(ctx context.Context, stmt sql.Statement, text string) (int64, error) {
+	return db.execCtx(ctx, text, stmt, nil)
 }
 
 // ExecProfiled is Exec with instruction accounting.
 func (db *DB) ExecProfiled(text string, prof *profile.Counters) (int64, error) {
-	return db.execCtx(context.Background(), text, prof)
+	return db.execCtx(context.Background(), text, nil, prof)
 }
 
 // execCtx is the single funnel for statement-level metrics, mirroring
-// runSelect for the DML/DDL path.
-func (db *DB) execCtx(ctx context.Context, text string, prof *profile.Counters) (int64, error) {
+// runSelect for the DML/DDL path. stmt is text parsed, or nil to have it
+// parsed here.
+func (db *DB) execCtx(ctx context.Context, text string, stmt sql.Statement, prof *profile.Counters) (int64, error) {
 	if db.recovering.Load() {
 		return 0, ErrRecovering
 	}
 	start := time.Now()
 	at := trace.FromContext(ctx)
-	n, err := db.execStmtSafe(at, text, prof)
-	// The statement auto-commits: its effects are applied and visible the
-	// moment execution returns. The commit span covers the finalize work
-	// (statement metrics, slow-log admission).
-	commitSpan := at.Span("commit")
+	var n int64
+	var err error
+	if stmt == nil {
+		parseSpan := at.Span("parse")
+		stmt, err = sql.Parse(text)
+		parseSpan.End()
+	}
+	if err == nil {
+		// An ad hoc write's target is compiled for this one execution.
+		n, err = db.execParsed(at, stmt, prof, func() (*dmlTarget, error) {
+			planSpan := at.Span("plan")
+			defer planSpan.End()
+			return db.compileDML(db.planner, stmt)
+		})
+	}
 	db.obs.observeStmt(text, time.Since(start), n, err, at.ID())
-	commitSpan.End()
 	return n, err
 }
 
-// execStmtSafe is the DML/DDL containment boundary: a panic anywhere in
-// statement execution surfaces as a *exec.PanicError instead of taking
-// the process down. (DML bees — SCL — are not quarantined: specialized
-// storage has no generic form/deform fallback.)
-func (db *DB) execStmtSafe(at *trace.Active, text string, prof *profile.Counters) (n int64, err error) {
+// execParsed dispatches one DDL or DML statement, ad hoc or prepared,
+// inside the containment boundary: a panic anywhere in statement execution
+// surfaces as a *exec.PanicError instead of taking the process down. (DML
+// bees — SCL — are not quarantined: specialized storage has no generic
+// form/deform fallback.) A write runs as a one-operation transaction
+// (runOne) on the target the caller supplies, under that target's own
+// table latch.
+func (db *DB) execParsed(at *trace.Active, stmt sql.Statement, prof *profile.Counters, target func() (*dmlTarget, error)) (n int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError(r)
 		}
 	}()
-	return db.execStmt(at, text, prof)
-}
-
-func (db *DB) execStmt(at *trace.Active, text string, prof *profile.Counters) (int64, error) {
-	parseSpan := at.Span("parse")
-	stmt, err := sql.Parse(text)
-	parseSpan.End()
-	if err != nil {
-		return 0, err
+	switch stmt.(type) {
+	case *sql.Insert, *sql.Update, *sql.Delete:
+		_, n, err = db.runOne(at, prof, func() (txnOp, *txnResolved, error) {
+			t, err := target()
+			if err != nil {
+				return txnOp{}, nil, err
+			}
+			return txnOp{target: t}, &t.own, nil
+		})
+		return n, err
 	}
 	execSpan := at.Span("exec")
 	defer execSpan.End()
@@ -635,10 +673,6 @@ func (db *DB) execStmt(at *trace.Active, text string, prof *profile.Counters) (i
 		return 0, db.createIndex(s)
 	case *sql.DropTable:
 		return 0, db.dropTable(s.Name)
-	case *sql.Insert:
-		return db.execInsert(s, prof, nil)
-	case *sql.Update, *sql.Delete:
-		return db.execDML(s, prof, nil)
 	case *sql.Select:
 		return 0, fmt.Errorf("engine: use Query for SELECT")
 	default:

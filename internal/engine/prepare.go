@@ -20,8 +20,8 @@ import (
 // This file implements parameterized prepared statements — the payoff of
 // the slot-pointer design threaded through expr.Param, the planner, and
 // the query-bee compiler. PREPARE parses the statement and plans it once
-// — a SELECT into its plan tree, an UPDATE or DELETE into its compiled
-// target (dmltarget.go); every query bee it needs is created at that
+// — a SELECT into its plan tree, an INSERT, UPDATE or DELETE into its
+// compiled target (dmltarget.go); every query bee it needs is created at that
 // point, with parameter references compiled as slot reads. EXECUTE then
 // only writes the bound values into the slot array and re-runs the
 // cached plan or target: no parse, no plan, no bee compilation. Because bee
@@ -31,7 +31,7 @@ import (
 //
 // Cached plans are invalidated by two generation counters on the DB:
 // ddlGen (schema or routine-set changes → full replan, the plan may hold
-// dropped heaps or stale bees; a compiled UPDATE/DELETE target is rebuilt
+// dropped heaps or stale bees; a compiled write target is rebuilt
 // the same way, which is also how it picks up an index created after
 // PREPARE) and dataGen (row modifications → drop the plan's cross-run
 // caches — Materialize buffers, uncorrelated subquery results — while
@@ -50,9 +50,9 @@ type Stmt struct {
 	text string
 	opts QueryOpts
 	// sel is set for SELECT statements (planned eagerly, cached); ast for
-	// everything else. An UPDATE or DELETE is compiled eagerly too, into
-	// target; INSERT and DDL dispatch per execute like ad-hoc statements,
-	// with the parse amortized and parameters bound via slots.
+	// everything else. An INSERT, UPDATE or DELETE is compiled eagerly
+	// too, into target; DDL dispatches per execute like an ad-hoc
+	// statement, with the parse amortized.
 	sel *sql.Select
 	ast sql.Statement
 
@@ -70,8 +70,8 @@ type Stmt struct {
 	dataGen  uint64
 }
 
-// Prepare parses text once and, for a SELECT, UPDATE or DELETE, plans it
-// eagerly — creating its query bees and choosing its access path — so
+// Prepare parses text once and, for a SELECT, INSERT, UPDATE or DELETE,
+// plans it eagerly — creating its query bees and choosing its access path — so
 // executions only bind parameters and run, and a statement that cannot
 // be planned fails here. Placeholders are $1, $2, ... (1-based).
 func (db *DB) Prepare(text string) (*Stmt, error) {
@@ -118,12 +118,12 @@ func (db *DB) prepareWith(text string, opts QueryOpts, internal bool) (*Stmt, er
 		if err != nil {
 			return nil, err
 		}
-	case *sql.Update, *sql.Delete:
+	case *sql.Insert, *sql.Update, *sql.Delete:
 		s.ast = stmt
 		db.mu.RLock()
 		s.pl = *db.planner
 		s.pl.Params = s.slots
-		err = s.retargetLocked()
+		_, err = s.currentTarget()
 		db.mu.RUnlock()
 		if err != nil {
 			return nil, err
@@ -151,20 +151,29 @@ func (s *Stmt) replanLocked() error {
 	return nil
 }
 
-// retargetLocked compiles (or re-compiles) the UPDATE/DELETE target and
-// records the schema generation it is valid for; ParamTypes is inferred
-// afresh so bind coerces as it does for a SELECT. Caller holds db.mu
-// (read suffices) and s.mu when called from execOnce.
-func (s *Stmt) retargetLocked() error {
-	s.pl.ParamTypes = make([]types.T, s.nParams)
-	target, err := s.db.compileDML(&s.pl, s.ast)
-	if err != nil {
-		return err
+// currentTarget returns the compiled INSERT/UPDATE/DELETE target, built
+// first if there is none or DDL moved the schema since it was built: the
+// old one may hold a dropped heap, and a new index may offer it a probe.
+// It records the schema generation the target is valid for; ParamTypes is
+// inferred afresh so bind coerces as it does for a SELECT. Caller holds
+// db.mu (read suffices) and, when executing, s.mu.
+func (s *Stmt) currentTarget() (*dmlTarget, error) {
+	db := s.db
+	if s.target != nil && db.ddlGen.Load() != s.ddlGen {
+		s.target = nil
+		db.obs.preparedReplans.Inc()
 	}
-	target.compileBee()
-	s.target = target
-	s.ddlGen = s.db.ddlGen.Load()
-	return nil
+	if s.target == nil {
+		s.pl.ParamTypes = make([]types.T, s.nParams)
+		target, err := db.compileDML(&s.pl, s.ast)
+		if err != nil {
+			return nil, err
+		}
+		target.compileBee()
+		s.target = target
+		s.ddlGen = db.ddlGen.Load()
+	}
+	return s.target, nil
 }
 
 // Text returns the statement's SQL.
@@ -360,8 +369,8 @@ func (s *Stmt) Exec(params ...types.Datum) (int64, error) {
 
 // ExecContext is Exec under a context. DML executes as its own
 // transaction under the table latch and is not cancellable
-// mid-statement; ctx carries the request trace (bind/exec spans) and is
-// otherwise accepted for call-site symmetry with QueryContext.
+// mid-statement; ctx carries the request trace (bind/exec/commit spans)
+// and is otherwise accepted for call-site symmetry with QueryContext.
 func (s *Stmt) ExecContext(ctx context.Context, params ...types.Datum) (int64, error) {
 	db := s.db
 	start := time.Now()
@@ -384,66 +393,10 @@ func (s *Stmt) ExecContext(ctx context.Context, params ...types.Datum) (int64, e
 		db.obs.observeExecuteStmt(s.text, time.Since(start), 0, err, at.ID())
 		return 0, err
 	}
-	execSpan := at.Span("exec")
-	n, err := s.execOnce()
-	execSpan.End()
+	n, err := db.execParsed(at, s.ast, nil, s.currentTarget)
 	s.execs.Add(1)
 	db.obs.observeExecuteStmt(s.text, time.Since(start), n, err, at.ID())
 	return n, err
-}
-
-// execOnce dispatches one prepared DML/DDL execution inside the same
-// panic-containment boundary as ad-hoc statements.
-func (s *Stmt) execOnce() (n int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.NewPanicError(r)
-		}
-	}()
-	db := s.db
-	switch st := s.ast.(type) {
-	case *sql.Insert:
-		return db.execInsert(st, nil, s.slots)
-	case *sql.Update, *sql.Delete:
-		return s.execTarget()
-	case *sql.CreateTable:
-		return 0, db.createTable(st)
-	case *sql.CreateIndex:
-		return 0, db.createIndex(st)
-	case *sql.DropTable:
-		return 0, db.dropTable(st.Name)
-	default:
-		return 0, fmt.Errorf("engine: unsupported prepared statement %T", s.ast)
-	}
-}
-
-// execTarget runs the compiled UPDATE/DELETE and then, with every lock
-// released, waits for its commit record to be durable. Caller holds s.mu.
-func (s *Stmt) execTarget() (int64, error) {
-	n, lsn, err := s.execTargetLatched()
-	if err != nil {
-		return n, err
-	}
-	return n, s.db.waitDurable(lsn)
-}
-
-// execTargetLatched rebuilds the target first if DDL moved the schema
-// since it was built: the old one may hold a dropped heap, and a new
-// index may offer it a probe.
-func (s *Stmt) execTargetLatched() (int64, uint64, error) {
-	db := s.db
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if s.target != nil && db.ddlGen.Load() != s.ddlGen {
-		s.target = nil
-		db.obs.preparedReplans.Inc()
-	}
-	if s.target == nil {
-		if err := s.retargetLocked(); err != nil {
-			return 0, 0, err
-		}
-	}
-	return db.execTargetLatched(s.target, nil)
 }
 
 // bind writes the parameter values into the slot array the compiled plan

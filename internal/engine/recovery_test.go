@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"microspec/internal/core"
 	"microspec/internal/storage/disk"
+	"microspec/internal/trace"
 	"microspec/internal/types"
 )
 
@@ -48,6 +51,69 @@ func intResult(t testing.TB, db *DB, q string) int64 {
 		t.Fatalf("Query(%q): %d rows, want 1", q, len(r.Rows))
 	}
 	return r.Rows[0][0].Int64()
+}
+
+// TestCommitSpanCarriesTheDurabilityWait: on a durable database whose log
+// sync takes real time, a traced write's wait for its commit record sits in
+// the commit span — opened around Txn.Commit — and not in exec, through
+// all three write entry points. (db.Exec's commit span used to wrap only
+// the statement metrics, with the wait inside exec, and the prepared entry
+// points had no commit span.)
+func TestCommitSpanCarriesTheDurabilityWait(t *testing.T) {
+	db, dm := durableDB(t, false)
+	mustExec(t, db, "create table kv (k integer not null, v integer not null, primary key (k))",
+		"insert into kv values (1, 0)")
+	upd, err := db.Prepare("update kv set v = v + 1 where k = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upd.Close()
+	unit, err := db.PrepareTxn("prepare transaction bump as begin; update kv set v = v + 1 where k = $1; insert into kv values ($1 + 10, 0); commit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unit.Close()
+	const syncTime = 20 * time.Millisecond
+	dm.SetLatency(disk.LatencyModel{LogSyncTime: syncTime, Sleep: true})
+	db.Tracer().Enable(1)
+	k := types.NewInt64(1)
+	runs := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"db.ExecContext", func(ctx context.Context) error {
+			_, err := db.ExecContext(ctx, "update kv set v = v + 1 where k = 1")
+			return err
+		}},
+		{"Stmt.ExecContext", func(ctx context.Context) error { _, err := upd.ExecContext(ctx, k); return err }},
+		{"TxnStmt.ExecTxnContext", func(ctx context.Context) error { _, _, err := unit.ExecTxnContext(ctx, k); return err }},
+	}
+	for i, r := range runs {
+		id := uint64(i + 1)
+		at := db.Tracer().Start(id, "stmt", r.name)
+		err := r.run(trace.NewContext(context.Background(), at))
+		at.Finish(err)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		tr := db.Tracer().Find(id)
+		if tr == nil {
+			t.Fatalf("%s: trace not recorded", r.name)
+		}
+		dur := map[string]time.Duration{}
+		for _, sp := range tr.Spans {
+			dur[sp.Name] += sp.Dur
+		}
+		if dur["commit"] < syncTime {
+			t.Errorf("%s: commit span = %v, want at least the %v log sync (spans %v)", r.name, dur["commit"], syncTime, dur)
+		}
+		if _, ok := dur["exec"]; !ok || dur["exec"] >= syncTime {
+			t.Errorf("%s: exec span = %v, want one that does not hold the %v log sync (spans %v)", r.name, dur["exec"], syncTime, dur)
+		}
+	}
+	if got := intResult(t, db, "select v from kv where k = 1"); got != 3 {
+		t.Errorf("v = %d, want 3", got)
+	}
 }
 
 func TestRecoverCommittedWork(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"microspec/internal/index/btree"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
+	"microspec/internal/trace"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -158,6 +159,24 @@ func (t *Txn) Rollback() error {
 	}
 	t.release()
 	return firstErr
+}
+
+// end finishes a transaction on behalf of the runner that began it: with
+// err, what its body returned, non-nil it rolls back and returns err (the
+// cause is what the caller acts on); otherwise it commits, under the
+// request trace's commit span — the log append and the group-commit wait.
+func (t *Txn) end(at *trace.Active, err error) error {
+	if err != nil {
+		// Txn operations note their own lost races; a compiled statement
+		// run against t.undo (runOps) reports one only through err.
+		t.lostRace = t.lostRace || isConflict(err)
+		_ = t.Rollback()
+		return err
+	}
+	commitSpan := at.Span("commit")
+	err = t.Commit()
+	commitSpan.End()
+	return err
 }
 
 // release drops everything the transaction holds: its snapshot, its undo

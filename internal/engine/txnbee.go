@@ -12,6 +12,7 @@ import (
 	"microspec/internal/core"
 	"microspec/internal/exec"
 	"microspec/internal/profile"
+	"microspec/internal/trace"
 )
 
 // This file implements transaction bees — the fourth bee kind (see
@@ -31,7 +32,8 @@ import (
 // interactive Txn operations, vacuum) holds at most one table latch at
 // a time and never blocks on a second while holding the first — so the
 // multi-latch fused path cannot form a cycle with them or with another
-// fused transaction (both sort the same way). See docs/CONCURRENCY.md.
+// fused transaction (both sort the same way; a quarantined SQL unit's
+// stepwise ops take the same plan the same way). See docs/CONCURRENCY.md.
 //
 // Invalidation mirrors prepared statements (prepare.go): a DDL bump of
 // db.ddlGen makes the next Run re-resolve its handles (txn_bee.replans);
@@ -137,14 +139,15 @@ func (db *DB) CompileTxn(spec TxnSpec) (*CompiledTxn, error) {
 func (ct *CompiledTxn) register(res *txnResolved) error {
 	bee, ok := ct.db.mod.RegisterTxnBee(ct.spec.Name, txnBeeSource(ct.spec, res),
 		core.TxnOpBeeCost, core.TxnOpStockCost)
-	if !ok {
-		return fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
-	}
 	if ct.bee == nil {
 		// Set once, before the bee can run: a replan re-registers under
 		// the same name and gets the same entry, and Run reads the field
-		// without ct.mu.
+		// without ct.mu. A refused registration still hands back the entry
+		// that is out of service.
 		ct.bee = bee
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
 	}
 	return nil
 }
@@ -275,31 +278,32 @@ func (ct *CompiledTxn) Run(prof *profile.Counters, body func(tx *Txn) error) err
 		db.mu.RUnlock()
 		return err
 	}
+	return ct.runUnder(res, nil, prof, body)
+}
+
+// runUnder is Run from the point where the caller holds db.mu shared and
+// res is current (a TxnStmt revalidates its whole program under that hold
+// and enters here). at is the request's trace, nil when untraced.
+func (ct *CompiledTxn) runUnder(res *txnResolved, at *trace.Active, prof *profile.Counters, body func(tx *Txn) error) error {
+	execSpan := at.Span("exec")
 	res.latch()
-	tx := db.begin(prof, res) // owns db.mu and the latches from here
+	tx := ct.db.begin(prof, res) // owns db.mu and the latches from here
 	start := time.Now()
-	err = runTxnBody(db.mod, ct.bee, tx, body)
-	elapsed := time.Since(start).Nanoseconds()
-	if err != nil {
-		// Operations note their own lost races; a compiled statement run
-		// against tx.undo (txnstmt.go) reports one only through err.
-		tx.lostRace = tx.lostRace || isConflict(err)
-		_ = tx.Rollback() // err, the cause, is what the caller acts on
-		var pe *exec.PanicError
-		if errors.As(err, &pe) {
-			ct.bee.Quarantine()
-		}
-		return err
+	err := runTxnBody(ct.db.mod, ct.bee, tx, body)
+	execSpan.End()
+	if err == nil {
+		ct.execs.Add(1)
+		ct.db.obs.txnBeeExecs.Inc()
+		ct.bee.Note(tx.ops, time.Since(start).Nanoseconds())
+	} else if isPanic(err) {
+		ct.bee.Quarantine()
 	}
-	ct.execs.Add(1)
-	db.obs.txnBeeExecs.Inc()
-	ct.bee.Note(tx.ops, elapsed)
-	return tx.Commit()
+	return tx.end(at, err)
 }
 
 // runTxnBody runs the fused body behind a panic boundary: a panic
 // (including the injected-failpoint kind) converts to *exec.PanicError
-// so Run can quarantine the bee and the caller can fall back.
+// so the runner can quarantine the bee and the caller can fall back.
 func runTxnBody(mod *core.Module, bee *core.Bee, tx *Txn, body func(tx *Txn) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

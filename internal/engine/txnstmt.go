@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,49 +12,69 @@ import (
 	"microspec/internal/expr"
 	"microspec/internal/plan"
 	"microspec/internal/sql"
-	"microspec/internal/txn"
+	"microspec/internal/trace"
 	"microspec/internal/types"
 )
 
 // This file implements server-side named transactions: PREPARE
 // TRANSACTION name AS BEGIN; stmt; ...; COMMIT compiled into a
-// transaction bee (see txnbee.go). The per-statement plans are stitched
-// into one fused program at prepare time — INSERT column maps resolved,
-// each UPDATE/DELETE compiled to its target (dmltarget.go: predicate,
-// SET expressions and index probe chosen once), SELECTs planned through
-// the regular planner (index paths included) with their scan latches
-// stripped, since the fused latch plan already holds every table's
-// latch — and every statement reads the same parameter-slot array, so
-// EXECUTE TRANSACTION binds once and runs the whole unit under one latch
-// acquisition and one WAL commit record.
+// transaction bee (see txnbee.go). The body is compiled once, at prepare
+// time, into one program — each INSERT, UPDATE and DELETE to its target
+// (dmltarget.go: column map, value and SET expressions, predicate and
+// index probe chosen once), each SELECT planned through the regular
+// planner (index paths included) with its scan latches stripped, since
+// the unit's latch plan already holds every table's latch — and every
+// statement reads the same parameter-slot array. The program has two
+// runners. Fused, the bee's: EXECUTE TRANSACTION binds once and runs the
+// whole program as one transaction under one latch acquisition and one
+// WAL commit record. Stepwise, when the bee is out of service: the same
+// ops in order, each as its own transaction (runOne) under the same latch
+// plan — what a client without the bee would have sent, statement by
+// statement, and never a second compilation of the text.
 //
 // Invalidation follows prepared statements: ddlGen drift rebuilds the
-// fused program, dataGen drift resets the cached SELECT plans'
-// cross-run caches, and a panic quarantines the bee — the next Exec
-// (and the failed one's retry) runs the body statement-at-a-time, each
-// statement as its own auto-commit transaction, which is exactly the
-// path the client would have used without the bee.
+// program, whichever runner is next, dataGen drift resets the cached
+// SELECT plans' cross-run caches, and a panic in the fused run
+// quarantines the bee — the next Exec (and the failed one's retry) runs
+// stepwise.
 
-const (
-	opInsert = iota
-	opModify // UPDATE or DELETE
-	opSelect
-)
-
-// txnOp is one fused statement, compiled against pre-resolved state.
+// txnOp is one compiled statement of a program: a write's target or a
+// SELECT's plan — what a Stmt holds one of.
 type txnOp struct {
-	kind int
-
-	// opInsert
-	rel    *catalog.Relation
-	colIdx []int
-	rows   [][]sql.Expr
-
-	// opModify
-	target *dmlTarget
-
-	// opSelect
+	target  *dmlTarget
 	planned *plan.Planned
+}
+
+// runOps runs compiled statements, in order, as part of the transaction,
+// behind a panic boundary: a write through its target against the
+// transaction's snapshot and undo log, a SELECT under the snapshot. The
+// caller holds every latch they need. It returns the last SELECT's result
+// and the rows the writes affected.
+func (t *Txn) runOps(ops []txnOp) (res *Result, affected int64, err error) {
+	defer func() {
+		// A faulty bee must not leave the transaction open or half
+		// applied: the runner rolls back on the error.
+		if r := recover(); r != nil {
+			res, affected, err = nil, 0, exec.NewPanicError(r)
+		}
+	}()
+	for i := range ops {
+		if op := &ops[i]; op.target != nil {
+			n, err := op.target.run(t.snap, t.prof, &t.undo)
+			if err != nil {
+				return nil, 0, err
+			}
+			t.ops += n
+			affected += n
+		} else {
+			rows, err := collectSafe(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{}, Snap: t.snap}, op.planned.Root)
+			if err != nil {
+				return nil, 0, err
+			}
+			res = &Result{Cols: op.planned.Cols, Rows: rows}
+		}
+	}
+	return res, affected, nil
 }
 
 // TxnStmt is a prepared named transaction. Like Stmt, a TxnStmt
@@ -204,41 +223,30 @@ func (ts *TxnStmt) compileLocked() error {
 
 	prog := make([]txnOp, 0, len(ts.ast.Stmts))
 	for _, st := range ts.ast.Stmts {
-		switch s := st.(type) {
-		case *sql.Insert:
-			rel := res.tables[s.Table].rel
-			colIdx, err := insertColumnMap(rel, s.Cols)
+		if sel, ok := st.(*sql.Select); ok {
+			planned, err := ts.pl.PlanSelect(sel)
 			if err != nil {
 				return err
 			}
-			for _, row := range s.Rows {
-				if len(row) != len(colIdx) {
-					return fmt.Errorf("engine: INSERT has %d values for %d columns", len(row), len(colIdx))
-				}
-			}
-			prog = append(prog, txnOp{kind: opInsert, rel: rel, colIdx: colIdx, rows: s.Rows})
-		case *sql.Update, *sql.Delete:
-			// The target resolves the same handle the latch plan holds
-			// (both read the catalog under this one db.mu hold), so its
-			// probe runs under the fused latch — no second acquisition.
-			target, err := db.compileDML(&ts.pl, st)
-			if err != nil {
-				return err
-			}
-			target.compileBee()
-			prog = append(prog, txnOp{kind: opModify, target: target})
-		case *sql.Select:
-			planned, err := ts.pl.PlanSelect(s)
-			if err != nil {
-				return err
-			}
-			prog = append(prog, txnOp{kind: opSelect, planned: planned})
+			prog = append(prog, txnOp{planned: planned})
+			continue
 		}
+		// The target resolves the same handle the latch plan holds (both
+		// read the catalog under this one db.mu hold), so it runs under
+		// the unit's latch — no second acquisition.
+		target, err := db.compileDML(&ts.pl, st)
+		if err != nil {
+			return err
+		}
+		target.compileBee()
+		prog = append(prog, txnOp{target: target})
 	}
 
 	ct := &CompiledTxn{db: db, spec: spec}
 	ct.res.Store(res)
-	if err := ct.register(res); err != nil {
+	// A quarantined bee is no obstacle: the unit keeps its handle and runs
+	// the program built here stepwise.
+	if err := ct.register(res); err != nil && !ct.bee.Quarantined() {
 		return err
 	}
 	ts.ct = ct
@@ -288,12 +296,19 @@ func walkSelectSubqueries(sel *sql.Select, fn func(string)) {
 }
 
 // ExecTxn runs the named transaction with the given parameters: fused
-// when the bee is in service, statement-at-a-time otherwise. It returns
-// the last SELECT's result (nil if the body has none) and the total
-// number of rows affected by DML.
+// when the bee is in service, stepwise otherwise. It returns the last
+// SELECT's result (nil if the body has none) and the total number of rows
+// affected by DML.
 func (ts *TxnStmt) ExecTxn(params ...types.Datum) (*Result, int64, error) {
+	return ts.ExecTxnContext(context.Background(), params...)
+}
+
+// ExecTxnContext is ExecTxn under a context, which carries the request
+// trace (bind/exec/commit spans); a unit is not cancellable mid-run.
+func (ts *TxnStmt) ExecTxnContext(ctx context.Context, params ...types.Datum) (*Result, int64, error) {
 	db := ts.db
 	start := time.Now()
+	at := trace.FromContext(ctx)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if ts.closed {
@@ -302,32 +317,31 @@ func (ts *TxnStmt) ExecTxn(params ...types.Datum) (*Result, int64, error) {
 	if db.recovering.Load() {
 		return nil, 0, ErrRecovering
 	}
-	if err := ts.bind(params); err != nil {
+	bindSpan := at.Span("bind")
+	err := ts.bind(params)
+	bindSpan.End()
+	if err != nil {
 		return nil, 0, err
 	}
 
 	var res *Result
 	var affected int64
-	var err error
-	if !ts.ct.bee.Quarantined() {
-		res, affected, err = ts.runFused()
-		var pe *exec.PanicError
-		if errors.As(err, &pe) {
-			// The bee is quarantined now (Run did it); retry this same
-			// execution statement-at-a-time.
-			db.obs.txnBeeFallbacks.Inc()
-			res, affected, err = ts.runStmtAtATime()
-		}
-	} else {
+	fused := !ts.ct.bee.Quarantined()
+	if fused {
+		res, affected, err = ts.runFused(at)
+	}
+	if !fused || isPanic(err) {
+		// Out of service — as of this very panic, perhaps: run (or retry)
+		// this execution stepwise.
 		db.obs.txnBeeFallbacks.Inc()
-		res, affected, err = ts.runStmtAtATime()
+		res, affected, err = ts.runStepwise(at)
 	}
 	ts.execs.Add(1)
 	rows := affected
 	if res != nil {
 		rows += int64(len(res.Rows))
 	}
-	db.obs.observeExecuteStmt(ts.text, time.Since(start), rows, err, 0)
+	db.obs.observeExecuteStmt(ts.text, time.Since(start), rows, err, at.ID())
 	return res, affected, err
 }
 
@@ -345,139 +359,71 @@ func (ts *TxnStmt) bind(params []types.Datum) error {
 	return nil
 }
 
-// runFused executes the compiled program under the fused latch plan and
-// a single commit. Caller holds ts.mu.
-func (ts *TxnStmt) runFused() (*Result, int64, error) {
+// current brings the program up to date before a run: rebuilt if DDL moved
+// the schema (the ops hold relation handles and plans against the old
+// catalog), its SELECT plans' cross-run caches dropped if rows changed.
+// Caller holds ts.mu and db.mu shared.
+func (ts *TxnStmt) current() error {
 	db := ts.db
-	// DDL moved the schema: rebuild the whole fused program (the ops hold
-	// relation pointers and plans against the old catalog).
 	if db.ddlGen.Load() != ts.ddlGen {
-		db.mu.RLock()
-		err := ts.compileLocked()
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, 0, err
+		if err := ts.compileLocked(); err != nil {
+			return err
 		}
 		db.obs.txnBeeReplans.Inc()
 	} else if dg := db.dataGen.Load(); dg != ts.dataGen {
 		for _, op := range ts.prog {
-			if op.kind == opSelect {
+			if op.planned != nil {
 				exec.ResetCaches(op.planned.Root)
 			}
 		}
 		ts.dataGen = dg
 		db.obs.preparedResets.Inc()
 	}
-	var res *Result
-	var affected int64
-	err := ts.ct.Run(nil, func(tx *Txn) error {
-		for i := range ts.prog {
-			op := &ts.prog[i]
-			switch op.kind {
-			case opInsert:
-				n, err := ts.fusedInsert(tx, op)
-				if err != nil {
-					return err
-				}
-				affected += n
-			case opModify:
-				n, err := op.target.run(tx.snap, tx.prof, &tx.undo)
-				if err != nil {
-					return err
-				}
-				tx.ops += n
-				affected += n
-			case opSelect:
-				rows, err := collectSafe(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{}, Snap: tx.snap}, op.planned.Root)
-				if err != nil {
-					return err
-				}
-				res = &Result{Cols: op.planned.Cols, Rows: rows}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		ts.dataGen = db.dataGen.Load() // our own rollback bumped it
+	return nil
+}
+
+// runFused executes the whole program as the bee's one transaction: one
+// latch acquisition, one commit. Caller holds ts.mu.
+func (ts *TxnStmt) runFused(at *trace.Active) (res *Result, affected int64, err error) {
+	db := ts.db
+	db.mu.RLock()
+	if err := ts.current(); err != nil {
+		db.mu.RUnlock()
 		return nil, 0, err
 	}
-	ts.dataGen = db.dataGen.Load()
+	err = ts.ct.runUnder(ts.ct.res.Load(), at, nil, func(tx *Txn) (err error) {
+		res, affected, err = tx.runOps(ts.prog)
+		return err
+	})
+	ts.dataGen = db.dataGen.Load() // our own commit or rollback bumped it
+	if err != nil {
+		return nil, 0, err
+	}
 	return res, affected, nil
 }
 
-func (ts *TxnStmt) fusedInsert(tx *Txn, op *txnOp) (int64, error) {
-	var n int64
-	for _, rowExprs := range op.rows {
-		values := make([]types.Datum, len(op.rel.Attrs))
-		for i := range values {
-			values[i] = types.Null
-		}
-		for i, e := range rowExprs {
-			d, err := evalConstAST(e, ts.slots)
-			if err != nil {
-				return n, err
-			}
-			values[op.colIdx[i]] = d
-		}
-		if err := tx.Insert(op.rel.Name, values); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// runStmtAtATime is the fallback: each body statement runs as its own
-// auto-commit transaction through the regular statement paths — exactly
-// what a client without the transaction bee would have sent. Caller
-// holds ts.mu.
-func (ts *TxnStmt) runStmtAtATime() (*Result, int64, error) {
-	db := ts.db
+// runStepwise executes the same program one op, one transaction at a time
+// — what remains when the bee is out of service. Each op runs under the
+// unit's whole latch plan: its SELECT plans carry no scan latches of their
+// own. An op that fails leaves the ops before it committed, as the
+// statements of a client without the bee would be. Caller holds ts.mu.
+func (ts *TxnStmt) runStepwise(at *trace.Active) (*Result, int64, error) {
 	var res *Result
 	var affected int64
-	for _, st := range ts.ast.Stmts {
-		switch s := st.(type) {
-		case *sql.Insert:
-			n, err := db.execInsert(s, nil, ts.slots)
-			if err != nil {
-				return nil, affected, err
+	for i := 0; i < len(ts.prog); i++ { // a rebuild keeps the op count: same text
+		r, n, err := ts.db.runOne(at, nil, func() (txnOp, *txnResolved, error) {
+			if err := ts.current(); err != nil {
+				return txnOp{}, nil, err
 			}
-			affected += n
-		case *sql.Update, *sql.Delete:
-			n, err := db.execDML(s, nil, ts.slots)
-			if err != nil {
-				return nil, affected, err
-			}
-			affected += n
-		case *sql.Select:
-			r, err := db.selectWithSlots(s, ts.slots)
-			if err != nil {
-				return nil, affected, err
-			}
+			return ts.prog[i], ts.ct.res.Load(), nil
+		})
+		if err != nil {
+			return nil, affected, err
+		}
+		if r != nil {
 			res = r
 		}
+		affected += n
 	}
 	return res, affected, nil
-}
-
-// selectWithSlots plans and runs one SELECT with prepared-statement
-// slots bound — the statement-at-a-time form of a fused SELECT, with
-// its own snapshot.
-func (db *DB) selectWithSlots(sel *sql.Select, slots *expr.ParamSlots) (*Result, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	pl := *db.planner
-	pl.Params = slots
-	pl.ParamTypes = make([]types.T, len(slots.Vals))
-	planned, err := pl.PlanSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	snap := db.tm.Snapshot(txn.None)
-	defer snap.Release()
-	rows, err := collectSafe(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{}, Snap: snap}, planned.Root)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cols: planned.Cols, Rows: rows}, nil
 }

@@ -174,6 +174,64 @@ func TestExecTxnPanicFallsBackSameResults(t *testing.T) {
 	}
 }
 
+// TestExecTxnFallbackSurvivesDDL: a quarantined unit runs stepwise on its
+// compiled program, so it must rebuild that program on DDL like a fused
+// one — the registry refuses to re-register the quarantined bee, which the
+// rebuild tolerates — and the rebuilt UPDATE finds the new index.
+func TestExecTxnFallbackSurvivesDDL(t *testing.T) {
+	db := setupTxnStmt(t)
+	mustExec(t, db, "create table tally (k integer not null, n integer not null)",
+		"insert into tally values (1, 0)", "insert into tally values (2, 0)")
+	ts, err := db.PrepareTxn(`prepare transaction count_raise as begin;
+		update tally set n = n + 1 where k = $1;
+		insert into raise_log values ($1, $2);
+		select n from tally where k = $1;
+	commit`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	run := func(wantN int64) {
+		t.Helper()
+		res, affected, err := ts.ExecTxn(types.NewInt64(2), types.NewFloat64(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if affected != 2 || res == nil || len(res.Rows) != 1 || res.Rows[0][0].Int64() != wantN {
+			t.Fatalf("affected=%d result=%+v, want 2 and n=%d", affected, res, wantN)
+		}
+	}
+	db.Module().InjectBeePanic(core.TxnBeeKind, "count_raise")
+	run(1) // panics fused, quarantines, retries stepwise
+	db.Module().ClearBeePanic()
+	if probes, scans, _ := dmlCounters(db); probes != 0 || scans != 1 {
+		t.Fatalf("before the index: probes=%d scans=%d, want the stepwise retry's one scan", probes, scans)
+	}
+	mustExec(t, db, "create unique index tally_k on tally (k)")
+	run(2)
+	run(3)
+	if probes, scans, _ := dmlCounters(db); probes != 2 || scans != 1 {
+		t.Errorf("after the index: probes=%d scans=%d, want 2/1", probes, scans)
+	}
+	c := db.MetricsSnapshot().Counters
+	if c["txn_bee.executions"] != 0 || c["txn_bee.fallbacks"] != 3 || c["txn_bee.replans"] != 1 {
+		t.Errorf("txn_bee.executions=%d fallbacks=%d replans=%d, want 0/3/1",
+			c["txn_bee.executions"], c["txn_bee.fallbacks"], c["txn_bee.replans"])
+	}
+	if got := intResult(t, db, "select count(*) from raise_log"); got != 3 {
+		t.Errorf("raise_log has %d rows, want 3", got)
+	}
+	// The table going away is an error from the rebuild, not a run against
+	// the dropped heap; coming back, the unit runs again, still stepwise.
+	mustExec(t, db, "drop table tally")
+	if _, _, err := ts.ExecTxn(types.NewInt64(2), types.NewFloat64(5)); err == nil {
+		t.Error("a stepwise unit ran against a dropped table")
+	}
+	mustExec(t, db, "create table tally (k integer not null, n integer not null)",
+		"insert into tally values (2, 10)")
+	run(11)
+}
+
 func TestPrepareTxnRejectsBadBodies(t *testing.T) {
 	db := setupTxnStmt(t)
 	for _, text := range []string{

@@ -71,6 +71,11 @@ func (p *Planner) convertExpr(e sql.Expr, s *scope) (expr.Expr, error) {
 		if n.Op == "not" {
 			return &expr.Not{Kid: kid}, nil
 		}
+		if t := kid.Type(); t.Kind != types.KindInvalid && !t.ByValue() {
+			// Neg reads the operand's integer field, which a character
+			// datum leaves zero: -'abc' would be 0, not an error.
+			return nil, fmt.Errorf("plan: cannot negate %s, a %s value", kid, t)
+		}
 		return &expr.Neg{Kid: kid}, nil
 
 	case *sql.FuncCall:

@@ -147,14 +147,42 @@ func (p *Planner) estRows(rel *catalog.Relation) float64 {
 }
 
 // ConvertForRelation lowers an AST expression whose identifiers all
-// reference one relation's attributes (UPDATE/DELETE WHERE clauses and
-// SET expressions).
+// reference one relation's attributes (an UPDATE/DELETE WHERE clause).
 func (p *Planner) ConvertForRelation(e sql.Expr, rel *catalog.Relation) (expr.Expr, error) {
+	return p.convertExpr(e, relationScope(rel))
+}
+
+// ConvertAssigned lowers the value a write assigns to a column of type
+// hint: an UPDATE SET expression over rel's attributes or, with rel nil,
+// an INSERT value, which reads no row — literals, $n and arithmetic over
+// them. A $n standing alone takes hint as its type, so bind coerces it as
+// it does beside a column in a WHERE. An INSERT value without $n is folded
+// to its constant, which is what lets the caller type-check a literal
+// when it compiles.
+func (p *Planner) ConvertAssigned(e sql.Expr, rel *catalog.Relation, hint types.T) (expr.Expr, error) {
+	x, err := p.convertMaybeParam(e, relationScope(rel), hint)
+	if err != nil || rel != nil {
+		return x, err
+	}
+	if !rowIndependent(x, true) {
+		return nil, fmt.Errorf("plan: INSERT values must be constants, parameters or arithmetic over them")
+	}
+	if rowIndependent(x, false) {
+		return expr.NewConst(x.Eval(nil, &expr.Ctx{})), nil
+	}
+	return x, nil
+}
+
+// relationScope is the scope of one relation's attributes (none for nil).
+func relationScope(rel *catalog.Relation) *scope {
+	if rel == nil {
+		return &scope{}
+	}
 	cols := make([]column, len(rel.Attrs))
 	for i, a := range rel.Attrs {
 		cols[i] = column{tbl: rel.Name, name: a.Name, t: a.Type}
 	}
-	return p.convertExpr(e, &scope{cols: cols})
+	return &scope{cols: cols}
 }
 
 // baseRelation resolves a FROM-list base table to a catalog relation,

@@ -35,9 +35,9 @@ func (p *Planner) matchEqPrefix(conjuncts []expr.Expr, rel *catalog.Relation) (E
 		if !ok || cmp.Op != expr.EQ {
 			continue
 		}
-		if v, ok := cmp.L.(*expr.Var); ok && rowIndependent(cmp.R) {
+		if v, ok := cmp.L.(*expr.Var); ok && rowIndependent(cmp.R, true) {
 			eq[v.Idx] = cmp.R
-		} else if v, ok := cmp.R.(*expr.Var); ok && rowIndependent(cmp.L) {
+		} else if v, ok := cmp.R.(*expr.Var); ok && rowIndependent(cmp.L, true) {
 			eq[v.Idx] = cmp.L
 		}
 	}
@@ -91,17 +91,20 @@ func (p *Planner) EqProbeFor(rel *catalog.Relation, where expr.Expr) (EqProbe, b
 }
 
 // rowIndependent reports whether e reads nothing from the input row —
-// only constants, parameters, and arithmetic over them.
-func rowIndependent(e expr.Expr) bool {
+// only constants, parameters (where params admits them; without, e is a
+// constant), and arithmetic over them.
+func rowIndependent(e expr.Expr, params bool) bool {
 	switch n := e.(type) {
-	case *expr.Const, *expr.Param:
+	case *expr.Const:
 		return true
+	case *expr.Param:
+		return params
 	case *expr.DateArith:
-		return rowIndependent(n.L)
+		return rowIndependent(n.L, params)
 	case *expr.Arith:
-		return rowIndependent(n.L) && rowIndependent(n.R)
+		return rowIndependent(n.L, params) && rowIndependent(n.R, params)
 	case *expr.Neg:
-		return rowIndependent(n.Kid)
+		return rowIndependent(n.Kid, params)
 	default:
 		return false
 	}

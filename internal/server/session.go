@@ -208,13 +208,15 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 	}
 }
 
-// runQuery executes one ad-hoc statement. The SQL is parsed once here to
-// route SELECTs to the query path and everything else to Exec. A non-nil
-// return means the transport failed; statement errors are reported
-// in-band and return nil.
+// runQuery executes one ad-hoc statement. The SQL is parsed once, here, to
+// route SELECTs to the query path and everything else to Exec; the engine
+// takes the parsed statement. A non-nil return means the transport
+// failed; statement errors are reported in-band and return nil.
 func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 	srv := s.srv
+	parseSpan := at.Span("parse")
 	stmt, err := sql.Parse(q.SQL)
+	parseSpan.End()
 	if err != nil {
 		at.Finish(err)
 		return srv.writeError(s.conn, err)
@@ -234,12 +236,13 @@ func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 		return wire.WriteFrame(s.conn, wire.TDone,
 			wire.EncodeDone(wire.Done{TraceID: at.ID()}))
 	}
-	// The trace rides the context into the engine, where parse/plan/exec
+	// The trace rides the context into the engine, where plan/exec/commit
 	// spans attach to it; all Active methods are nil-safe for the common
 	// untraced request.
 	ctx := trace.NewContext(context.Background(), at)
-	if _, isSel := stmt.(*sql.Select); !isSel {
-		n, err := srv.db.ExecContext(ctx, q.SQL)
+	sel, isSel := stmt.(*sql.Select)
+	if !isSel {
+		n, err := srv.db.ExecAST(ctx, stmt, q.SQL)
 		at.Finish(err)
 		if err != nil {
 			return srv.writeError(s.conn, err)
@@ -250,9 +253,9 @@ func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 	var res *engine.Result
 	var analyze string
 	if q.Analyze {
-		analyze, res, err = srv.db.ExplainAnalyzeQueryContext(ctx, q.SQL)
+		analyze, res, err = srv.db.ExplainAnalyzeAST(ctx, sel, q.SQL)
 	} else {
-		res, err = srv.db.QueryWith(ctx, q.SQL, s.opts)
+		res, err = srv.db.QueryAST(ctx, sel, q.SQL, s.opts)
 	}
 	at.Finish(err)
 	if err != nil {
@@ -295,7 +298,7 @@ func (s *session) runExecute(st *engine.Stmt, e wire.Execute, at *trace.Active) 
 // rows returned.
 func (s *session) runExecuteTxn(ts *engine.TxnStmt, e wire.ExecuteTxn, at *trace.Active) error {
 	srv := s.srv
-	res, affected, err := ts.ExecTxn(e.Params...)
+	res, affected, err := ts.ExecTxnContext(trace.NewContext(context.Background(), at), e.Params...)
 	at.Finish(err)
 	if err != nil {
 		return srv.writeError(s.conn, err)
