@@ -301,22 +301,8 @@ func (db *DB) Respecialize(table, attr string, on bool) error {
 		tree := btree.New(id.name, id.unique)
 		db.installIDX(tree, nrel, id.cols)
 		ix := &Index{Name: id.name, Rel: nrel, Cols: id.cols, Tree: tree}
-		vals := make([]types.Datum, len(nrel.Attrs))
-		isc := nh.Scan(nil, nil)
-		for {
-			tid, tup, ok := isc.Next()
-			if !ok {
-				break
-			}
-			nacc.deform(tup, vals, len(vals), nil)
-			if err := ix.Tree.Insert(indexKey(vals, id.cols), tid, nil); err != nil {
-				isc.Close()
-				return fmt.Errorf("engine: respecialize %s: rebuild index %s: %w", table, id.name, err)
-			}
-		}
-		isc.Close()
-		if err := isc.Err(); err != nil {
-			return err
+		if err := db.backfillIndexLocked(ix, nh, nacc); err != nil {
+			return fmt.Errorf("engine: respecialize %s: rebuild index %s: %w", table, id.name, err)
 		}
 		db.addIndexLocked(ix)
 	}

@@ -161,8 +161,40 @@ func isPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// runOne runs one compiled statement as an auto-commit statement, which is
-// a one-operation transaction: take db.mu shared and the latch plan, begin,
+// beeRetired wraps a contained panic once it has been blamed: the query
+// bees the panicking statement ran — a plan's (runPlan), or the EVP bee of
+// a write's WHERE (runOps) — are out of service. The boundary cannot tell
+// whose fault the panic was, so it retires them all; a panic that was not a
+// bee's finds none to retire and stays unwrapped.
+type beeRetired struct{ error }
+
+func (e beeRetired) Unwrap() error { return e.error }
+
+func isBeeRetired(err error) bool {
+	if err == nil {
+		return false
+	}
+	var b beeRetired
+	return errors.As(err, &b)
+}
+
+// retry reports whether the statement whose attempt ended in err is owed
+// its one re-run, and counts it: the panic retired a query bee, so what is
+// compiled for the second attempt — a fresh plan, or a kept program that
+// current rebuilds when told "again" — finds the bee quarantined and runs
+// the generic routine in its place, the paper's bee-unavailable path
+// enforced at runtime. A second panic retires nothing new and is returned,
+// so it cannot loop.
+func (db *DB) retry(attempt int, err error) bool {
+	if attempt > 0 || !isBeeRetired(err) {
+		return false
+	}
+	db.obs.quarantineRetries.Inc()
+	return true
+}
+
+// runOne runs compiled statements as an auto-commit statement, which is a
+// one-operation transaction: take db.mu shared and the latch plan, begin,
 // run the op against the transaction's snapshot and undo log exactly as a
 // fused PREPARE TRANSACTION body runs it, then Txn.Commit — or
 // Txn.Rollback on an error, so statements are atomic. Commit releases the
@@ -170,29 +202,25 @@ func isPanic(err error) bool {
 // so concurrent statements share one group-commit sync
 // (docs/DURABILITY.md). current returns the op and the plan to latch, under
 // the db.mu hold the transaction then owns: a target compiled for this
-// call or a kept one revalidated against ddlGen, under its own table's
+// call or a kept one revalidated (prepared.current), under its own table's
 // latch; or one statement of a PREPARE TRANSACTION unit that is running
 // stepwise, under the unit's plan.
 //
-// A panic rolls the transaction back; if the op was a write running its
-// WHERE through an EVP bee, the bee is quarantined and the statement runs
-// once more, interpreted — the containment runSelect and Stmt.run apply to
-// a SELECT (a panic that was not a bee's finds no bee to retire and is
-// returned, so it cannot loop).
-func (db *DB) runOne(at *trace.Active, prof *profile.Counters, current func() (txnOp, *txnResolved, error)) (*Result, int64, error) {
+// A panic rolls the transaction back; if a query bee was retired for it,
+// the statement runs once more (retry), current being told so.
+func (db *DB) runOne(at *trace.Active, current func(again bool) ([]txnOp, *txnResolved, error)) (*Result, int64, error) {
 	for attempt := 0; ; attempt++ {
-		op, plan, err := db.lockedCurrent(current)
+		ops, plan, err := db.lockedCurrent(current, attempt > 0)
 		if err != nil {
 			return nil, 0, err
 		}
 		execSpan := at.Span("exec")
 		plan.latch()
-		tx := db.begin(prof, plan)
-		res, n, err := tx.runOps([]txnOp{op})
+		tx := db.begin(nil, plan)
+		res, n, err := tx.runOps(ops)
 		execSpan.End()
 		err = tx.end(at, err)
-		if attempt == 0 && isPanic(err) && op.target != nil && op.target.retireBee() {
-			db.obs.quarantineRetries.Inc()
+		if db.retry(attempt, err) {
 			continue
 		}
 		if err != nil {
@@ -206,7 +234,7 @@ func (db *DB) runOne(at *trace.Active, prof *profile.Counters, current func() (t
 // the caller's when current succeeds; an error releases it, and so does a
 // panic (in compiling statement text, say) on its way to the caller's
 // containment boundary — a leaked hold would block DDL for good.
-func (db *DB) lockedCurrent(current func() (txnOp, *txnResolved, error)) (op txnOp, plan *txnResolved, err error) {
+func (db *DB) lockedCurrent(current func(bool) ([]txnOp, *txnResolved, error), again bool) (ops []txnOp, plan *txnResolved, err error) {
 	db.mu.RLock()
 	held := false
 	defer func() {
@@ -214,9 +242,9 @@ func (db *DB) lockedCurrent(current func() (txnOp, *txnResolved, error)) (op txn
 			db.mu.RUnlock()
 		}
 	}()
-	op, plan, err = current()
+	ops, plan, err = current(again)
 	held = err == nil
-	return op, plan, err
+	return ops, plan, err
 }
 
 // applyUpdateLocked performs one MVCC update — stamp the old version

@@ -635,7 +635,7 @@ func TestDMLBeePanicRollsBackAndRetiresBee(t *testing.T) {
 // the db.mu hold — is contained like any other, and gives the hold back.
 func TestPanicBeforeTheWriteBeginsReleasesEngineLock(t *testing.T) {
 	db := newDB(t, core.AllRoutines)
-	_, err := db.execParsed(nil, &sql.Delete{Table: "t"}, nil, func() (*dmlTarget, error) {
+	_, err := db.execParsed(nil, &sql.Delete{Table: "t"}, func(bool) (*dmlTarget, error) {
 		panic("fault while compiling")
 	})
 	if !isPanic(err) {

@@ -8,7 +8,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -336,7 +335,7 @@ type QueryOpts struct {
 
 // Query parses, plans, and runs a SELECT.
 func (db *DB) Query(text string) (*Result, error) {
-	res, _, err := db.runSelect(context.Background(), text, nil, nil, false, nil)
+	res, _, err := db.runSelect(context.Background(), text, nil, nil, nil, false, nil)
 	return res, err
 }
 
@@ -344,27 +343,27 @@ func (db *DB) Query(text string) (*Result, error) {
 // deadline, or the statement timeout) stops execution mid-scan —
 // including inside parallel Gather workers — and returns ctx.Err().
 func (db *DB) QueryContext(ctx context.Context, text string) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, nil, nil, false, nil)
+	res, _, err := db.runSelect(ctx, text, nil, nil, nil, false, nil)
 	return res, err
 }
 
 // QueryWith runs a SELECT with per-call setting overrides (session-scoped
 // settings on the network server).
 func (db *DB) QueryWith(ctx context.Context, text string, opts QueryOpts) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, nil, nil, false, &opts)
+	res, _, err := db.runSelect(ctx, text, nil, nil, nil, false, &opts)
 	return res, err
 }
 
 // QueryAST is QueryWith for a SELECT the caller has already parsed (the
 // server parses once, to route); text is its SQL, for the query log.
 func (db *DB) QueryAST(ctx context.Context, sel *sql.Select, text string, opts QueryOpts) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, sel, nil, false, &opts)
+	res, _, err := db.runSelect(ctx, text, sel, nil, nil, false, &opts)
 	return res, err
 }
 
 // QueryProfiled runs a SELECT charging abstract instructions to prof.
 func (db *DB) QueryProfiled(text string, prof *profile.Counters) (*Result, error) {
-	res, _, err := db.runSelect(context.Background(), text, nil, prof, false, nil)
+	res, _, err := db.runSelect(context.Background(), text, nil, nil, prof, false, nil)
 	return res, err
 }
 
@@ -373,44 +372,58 @@ func (db *DB) QueryProfiled(text string, prof *profile.Counters) (*Result, error
 // actual rows, loops, and inclusive wall-clock time per node, with the
 // bee-routine markers intact — alongside the materialized result.
 func (db *DB) ExplainAnalyzeQuery(text string) (string, *Result, error) {
-	return db.ExplainAnalyzeQueryContext(context.Background(), text)
+	return db.ExplainAnalyzeAST(context.Background(), nil, text)
 }
 
-// ExplainAnalyzeQueryContext is ExplainAnalyzeQuery under a context; when
-// the context carries an active trace, the outline is stamped with the
-// trace ID so it can be cross-referenced with the admin plane's /traces.
-func (db *DB) ExplainAnalyzeQueryContext(ctx context.Context, text string) (string, *Result, error) {
-	return db.ExplainAnalyzeAST(ctx, nil, text)
-}
-
-// ExplainAnalyzeAST is ExplainAnalyzeQueryContext for an already-parsed
-// SELECT (nil: parse text).
+// ExplainAnalyzeAST is ExplainAnalyzeQuery under a context, for an
+// already-parsed SELECT (nil: parse text); when the context carries an
+// active trace, the outline is stamped with the trace ID so it can be
+// cross-referenced with the admin plane's /traces.
 func (db *DB) ExplainAnalyzeAST(ctx context.Context, sel *sql.Select, text string) (string, *Result, error) {
-	res, root, err := db.runSelect(ctx, text, sel, nil, true, nil)
+	res, root, err := db.runSelect(ctx, text, sel, nil, nil, true, nil)
 	if err != nil {
 		return "", nil, err
 	}
+	return analyzeOutline(ctx, root), res, nil
+}
+
+// analyzeOutline renders an executed, instrumented plan, stamped with the
+// trace ID when ctx carries a trace.
+func analyzeOutline(ctx context.Context, root exec.Node) string {
 	out := plan.ExplainAnalyze(root)
 	if at := trace.FromContext(ctx); at != nil {
 		out += "trace: " + trace.IDString(at.ID()) + "\n"
 	}
-	return out, res, nil
+	return out
+}
+
+// plannerWith returns a copy of the planner with opts' parallelism degree
+// and batch choice applied. Caller holds db.mu.
+func (db *DB) plannerWith(opts *QueryOpts) plan.Planner {
+	pl := *db.planner
+	if opts.Workers > 0 {
+		pl.Workers = opts.Workers
+	}
+	if opts.Batch != nil {
+		pl.Batch = *opts.Batch
+	}
+	return pl
 }
 
 // runSelect is the single SELECT execution path: parse (unless the caller
 // passes sel, text already parsed), plan, optionally instrument, execute,
-// observe. Every public query entry point funnels here so query-level
-// metrics land in exactly one place.
+// observe. Every query entry point funnels here, ad hoc and prepared, so
+// query-level metrics land in exactly one place. p is the prepared
+// statement whose kept plan to run (Stmt.run, which holds p.mu and has
+// bound the parameters); nil plans sel afresh for this call.
 //
-// Execution runs inside a panic-containment boundary. When a plan
-// panics, the recovered error quarantines every query bee the plan used
-// (the boundary cannot attribute the fault more precisely) and the query
-// transparently re-runs once: the replan's CompilePredicate/CompileScalar/
-// CompileJoinKeys calls find the bees quarantined and fall back to the
-// generic routines — the paper's bee-unavailable path, enforced at
-// runtime. The retry happens only when at least one bee was newly
-// quarantined, so a second panic cannot loop.
-func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, prof *profile.Counters, analyze bool, opts *QueryOpts) (*Result, exec.Node, error) {
+// Execution runs inside a panic-containment boundary (runPlan). When a
+// plan panics, the recovered error quarantines every query bee the plan
+// used (the boundary cannot attribute the fault more precisely) and the
+// query transparently re-runs once (retry): the replan's CompilePredicate/
+// CompileScalar/CompileJoinKeys calls find the bees quarantined and fall
+// back to the generic routines.
+func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *prepared, prof *profile.Counters, analyze bool, opts *QueryOpts) (*Result, exec.Node, error) {
 	if db.recovering.Load() {
 		return nil, nil, ErrRecovering
 	}
@@ -448,70 +461,87 @@ func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, prof
 	defer snap.Release()
 
 	pl := db.planner
-	if opts != nil && (opts.Workers > 0 || opts.Batch != nil) {
-		cp := *db.planner
-		if opts.Workers > 0 {
-			cp.Workers = opts.Workers
-		}
-		if opts.Batch != nil {
-			cp.Batch = *opts.Batch
-		}
+	if p == nil && opts != nil && (opts.Workers > 0 || opts.Batch != nil) {
+		cp := db.plannerWith(opts)
 		pl = &cp
+	}
+	// Traced requests get per-node instrumentation even without ANALYZE,
+	// so the trace carries a per-exec-node breakdown — of a plan built for
+	// this request. A kept plan is instrumented only once ANALYZE asked,
+	// and stays so (a rebuild included): its node counters accumulate
+	// across executions, which is what EXPLAIN ANALYZE of a prepared
+	// statement shows and why they are not folded into spans or metrics.
+	fold := p == nil && at != nil
+	instrument := analyze || fold
+	if p != nil {
+		p.analyzed = p.analyzed || analyze
+		instrument = p.analyzed
 	}
 
 	var planned *plan.Planned
-	var root exec.Node
 	var rows []expr.Row
 	for attempt := 0; ; attempt++ {
-		planSpan := at.Span("plan")
-		var compiled0, hits0 int64
-		if at != nil {
-			compiled0, hits0 = db.mod.Cache().Installs()
-		}
-		planned, err = pl.PlanSelect(sel)
-		if err != nil {
+		if p != nil {
+			if err = p.current(at, attempt > 0); err == nil {
+				planned = p.ops[0].planned
+			}
+		} else {
+			planSpan := at.Span("plan")
+			var compiled0, hits0 int64
+			if at != nil {
+				compiled0, hits0 = db.mod.Cache().Installs()
+			}
+			planned, err = pl.PlanSelect(sel)
+			if err == nil && at != nil {
+				// Bee compile vs. cache-hit attribution for this plan: bees it
+				// installed for the first time, and bees it found installed.
+				compiled, hits := db.mod.Cache().Installs()
+				planSpan.Note("bees compiled=%d cache_hits=%d", compiled-compiled0, hits-hits0)
+			}
 			planSpan.End()
-			return nil, nil, err
 		}
-		if at != nil {
-			// Bee compile vs. cache-hit attribution for this plan: bees it
-			// installed for the first time, and bees it found installed.
-			compiled, hits := db.mod.Cache().Installs()
-			planSpan.Note("bees compiled=%d cache_hits=%d", compiled-compiled0, hits-hits0)
+		if err != nil {
+			break
 		}
-		planSpan.End()
-		root = planned.Root
-		// Traced requests get per-node instrumentation even without
-		// ANALYZE, so the trace carries a per-exec-node breakdown. Ad-hoc
-		// plans are built fresh per request, so this never leaks
-		// instrumentation into reused plans.
-		if analyze || at != nil {
-			root = exec.Instrument(root)
+		if instrument && !isInstrumented(planned.Root) {
+			planned.Root = exec.Instrument(planned.Root)
 		}
 		execSpan := at.Span("exec")
-		rows, err = collectSafe(&exec.Ctx{Context: qctx, Expr: expr.Ctx{Prof: prof}, Snap: snap}, root)
+		rows, err = db.runPlan(&exec.Ctx{Context: qctx, Expr: expr.Ctx{Prof: prof}, Snap: snap}, planned.Root)
 		execSpan.End()
-		if at != nil {
-			foldNodeSpans(execSpan, root)
+		if fold {
+			foldNodeSpans(execSpan, planned.Root)
 		}
-		var pe *exec.PanicError
-		if attempt == 0 && errors.As(err, &pe) && quarantinePlanBees(root) > 0 {
-			db.obs.quarantineRetries.Inc()
-			continue
+		if !db.retry(attempt, err) {
+			break
 		}
-		break
 	}
-	db.obs.observeQuery(text, time.Since(start), int64(len(rows)), err, at.ID())
+	db.obs.observe(text, true, p != nil, time.Since(start), int64(len(rows)), err, at.ID())
 	if err != nil {
 		return nil, nil, err
 	}
+	root := planned.Root
 	db.obs.observeParallel(root)
 	db.obs.observeBatch(root)
 	db.advisorObservePlan(root, sel, time.Since(start))
-	if analyze {
+	if analyze && p == nil {
 		db.obs.foldNodeStats(root)
 	}
 	return &Result{Cols: planned.Cols, Rows: rows}, root, nil
+}
+
+// runPlan runs a plan to completion: the one place a SELECT executes —
+// an ad hoc query's, a prepared statement's, a PREPARE TRANSACTION
+// unit's, under the transaction's snapshot — and the one place a plan's
+// query bees are blamed for a panic. Every bee the plan ran is pulled from
+// service; if any was in service until now the error comes back marked
+// (beeRetired), for the runner above to rebuild and run once more.
+func (db *DB) runPlan(ctx *exec.Ctx, root exec.Node) ([]expr.Row, error) {
+	rows, err := collectSafe(ctx, root)
+	if isPanic(err) && quarantinePlanBees(root) > 0 {
+		err = beeRetired{err}
+	}
+	return rows, err
 }
 
 // foldNodeSpans attaches one fixed-duration child span per instrumented
@@ -591,31 +621,26 @@ func (db *DB) PlanQuery(text string) (*plan.Planned, error) {
 // Exec parses and executes a DDL or DML statement, returning the number
 // of affected rows (0 for DDL).
 func (db *DB) Exec(text string) (int64, error) {
-	return db.ExecProfiled(text, nil)
+	return db.execCtx(context.Background(), text, nil)
 }
 
 // ExecContext is Exec under a context: a trace carried by ctx gets
 // parse/plan/exec/commit spans for the statement.
 func (db *DB) ExecContext(ctx context.Context, text string) (int64, error) {
-	return db.execCtx(ctx, text, nil, nil)
+	return db.execCtx(ctx, text, nil)
 }
 
 // ExecAST is ExecContext for a statement the caller has already parsed
 // (the server parses once, to route); text is its SQL, for the statement
 // log.
 func (db *DB) ExecAST(ctx context.Context, stmt sql.Statement, text string) (int64, error) {
-	return db.execCtx(ctx, text, stmt, nil)
-}
-
-// ExecProfiled is Exec with instruction accounting.
-func (db *DB) ExecProfiled(text string, prof *profile.Counters) (int64, error) {
-	return db.execCtx(context.Background(), text, nil, prof)
+	return db.execCtx(ctx, text, stmt)
 }
 
 // execCtx is the single funnel for statement-level metrics, mirroring
 // runSelect for the DML/DDL path. stmt is text parsed, or nil to have it
 // parsed here.
-func (db *DB) execCtx(ctx context.Context, text string, stmt sql.Statement, prof *profile.Counters) (int64, error) {
+func (db *DB) execCtx(ctx context.Context, text string, stmt sql.Statement) (int64, error) {
 	if db.recovering.Load() {
 		return 0, ErrRecovering
 	}
@@ -630,13 +655,13 @@ func (db *DB) execCtx(ctx context.Context, text string, stmt sql.Statement, prof
 	}
 	if err == nil {
 		// An ad hoc write's target is compiled for this one execution.
-		n, err = db.execParsed(at, stmt, prof, func() (*dmlTarget, error) {
+		n, err = db.execParsed(at, stmt, func(bool) (*dmlTarget, error) {
 			planSpan := at.Span("plan")
 			defer planSpan.End()
 			return db.compileDML(db.planner, stmt)
 		})
 	}
-	db.obs.observeStmt(text, time.Since(start), n, err, at.ID())
+	db.obs.observe(text, false, false, time.Since(start), n, err, at.ID())
 	return n, err
 }
 
@@ -645,9 +670,9 @@ func (db *DB) execCtx(ctx context.Context, text string, stmt sql.Statement, prof
 // surfaces as a *exec.PanicError instead of taking the process down. (DML
 // bees — SCL — are not quarantined: specialized storage has no generic
 // form/deform fallback.) A write runs as a one-operation transaction
-// (runOne) on the target the caller supplies, under that target's own
-// table latch.
-func (db *DB) execParsed(at *trace.Active, stmt sql.Statement, prof *profile.Counters, target func() (*dmlTarget, error)) (n int64, err error) {
+// (runOne) on the target the caller supplies — again on the re-run a
+// retired bee earns it — under that target's own table latch.
+func (db *DB) execParsed(at *trace.Active, stmt sql.Statement, target func(again bool) (*dmlTarget, error)) (n int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError(r)
@@ -655,12 +680,12 @@ func (db *DB) execParsed(at *trace.Active, stmt sql.Statement, prof *profile.Cou
 	}()
 	switch stmt.(type) {
 	case *sql.Insert, *sql.Update, *sql.Delete:
-		_, n, err = db.runOne(at, prof, func() (txnOp, *txnResolved, error) {
-			t, err := target()
+		_, n, err = db.runOne(at, func(again bool) ([]txnOp, *txnResolved, error) {
+			t, err := target(again)
 			if err != nil {
-				return txnOp{}, nil, err
+				return nil, nil, err
 			}
-			return txnOp{target: t}, &t.own, nil
+			return []txnOp{{target: t}}, &t.own, nil
 		})
 		return n, err
 	}
@@ -768,18 +793,26 @@ func (db *DB) createIndex(s *sql.CreateIndex) error {
 	}
 	ix := &Index{Name: s.Name, Rel: rel, Cols: cols, Tree: btree.New(s.Name, s.Unique)}
 	db.installIDX(ix.Tree, rel, cols)
-	// Backfill from the heap.
-	h := db.heaps[rel.ID]
 	acc, err := db.accessFor(rel)
 	if err != nil {
 		return err
 	}
-	deform := acc.deform
-	// The backfill scan runs with a nil snapshot — latest committed —
-	// which is sound here because createIndex holds db.mu exclusively, so
-	// no transaction is in flight. Versions deleted-and-committed get no
-	// entry: no snapshot that could see them can exist either.
-	values := make([]types.Datum, len(rel.Attrs))
+	if err := db.backfillIndexLocked(ix, db.heaps[rel.ID], acc); err != nil {
+		return err
+	}
+	db.addIndexLocked(ix)
+	db.ddlGen.Add(1)
+	return db.checkpointLocked()
+}
+
+// backfillIndexLocked gives ix one entry per tuple of h, deformed through
+// acc: how CREATE INDEX, recovery and Respecialize build a tree over rows
+// that already exist. The scan runs with a nil snapshot — latest committed
+// — which is sound because the caller holds db.mu exclusively, so no
+// transaction is in flight. Versions deleted-and-committed get no entry:
+// no snapshot that could see them can exist either.
+func (db *DB) backfillIndexLocked(ix *Index, h *heap.Heap, acc *relAccess) error {
+	values := make([]types.Datum, len(ix.Rel.Attrs))
 	sc := h.Scan(nil, nil)
 	defer sc.Close()
 	for {
@@ -787,17 +820,12 @@ func (db *DB) createIndex(s *sql.CreateIndex) error {
 		if !ok {
 			break
 		}
-		deform(tup, values, len(values), nil)
-		if err := ix.Tree.Insert(indexKey(values, cols), tid, nil); err != nil {
+		acc.deform(tup, values, len(values), nil)
+		if err := ix.Tree.Insert(indexKey(values, ix.Cols), tid, nil); err != nil {
 			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	db.addIndexLocked(ix)
-	db.ddlGen.Add(1)
-	return db.checkpointLocked()
+	return sc.Err()
 }
 
 func (db *DB) addIndexLocked(ix *Index) {

@@ -178,73 +178,55 @@ func newObserver() *observer {
 	return o
 }
 
-func (o *observer) mode() string {
-	if o.beeMode.Load() {
-		return "bee"
+// observe records one finished statement — counters, latency histogram
+// and (past the threshold) a slow-query log entry: a read (SELECT) on the
+// query counters and the mode-split histogram, anything else on the
+// statement ones; the EXECUTE of a prepared statement or transaction also
+// on the prepared counter and the execute-path histogram (EXECUTE skips
+// parse and usually plan, so its latency distribution is the headline
+// number for the prepared-statement experiment, E13). traceID is the
+// request's trace ID (zero when untraced), stamped into slow entries.
+func (o *observer) observe(sql string, read, prepared bool, d time.Duration, rows int64, err error, traceID uint64) {
+	if prepared {
+		o.preparedExecs.Inc()
 	}
-	return "stock"
-}
-
-// observeQuery records one SELECT: counters, the mode-split latency
-// histogram, and (past the threshold) a slow-query log entry. traceID is
-// the request's trace ID (zero when untraced), stamped into slow entries.
-func (o *observer) observeQuery(sql string, d time.Duration, rows int64, err error, traceID uint64) {
-	o.queries.Inc()
+	if read {
+		o.queries.Inc()
+	} else {
+		o.statements.Inc()
+	}
 	if err != nil {
 		o.queryErrors.Inc()
+		var pe *exec.PanicError
 		switch {
+		case !read:
 		case errors.Is(err, context.DeadlineExceeded):
 			o.queriesTimedOut.Inc()
 		case errors.Is(err, context.Canceled):
 			o.queriesCancelled.Inc()
-		default:
-			var pe *exec.PanicError
-			if errors.As(err, &pe) {
-				o.queryPanics.Inc()
-			}
+		case errors.As(err, &pe):
+			o.queryPanics.Inc()
 		}
 		return
 	}
-	o.rowsReturned.Add(rows)
-	if o.beeMode.Load() {
+	mode := "dml"
+	switch {
+	case !read:
+		o.rowsAffected.Add(rows)
+		o.latStmt.Observe(d)
+	case o.beeMode.Load():
+		mode = "bee"
+		o.rowsReturned.Add(rows)
 		o.latBee.Observe(d)
-	} else {
+	default:
+		mode = "stock"
+		o.rowsReturned.Add(rows)
 		o.latStock.Observe(d)
 	}
-	o.noteSlow(sql, d, rows, o.mode(), traceID)
-}
-
-// observeStmt records one DDL/DML statement.
-func (o *observer) observeStmt(sql string, d time.Duration, rows int64, err error, traceID uint64) {
-	o.statements.Inc()
-	if err != nil {
-		o.queryErrors.Inc()
-		return
-	}
-	o.rowsAffected.Add(rows)
-	o.latStmt.Observe(d)
-	o.noteSlow(sql, d, rows, "dml", traceID)
-}
-
-// observeExecute records one EXECUTE of a prepared SELECT: the shared
-// query counters/histograms plus the execute-path latency histogram
-// (EXECUTE skips parse and usually plan, so its latency distribution is
-// the headline number for the prepared-statement experiment, E13).
-func (o *observer) observeExecute(sql string, d time.Duration, rows int64, err error, traceID uint64) {
-	o.preparedExecs.Inc()
-	o.observeQuery(sql, d, rows, err, traceID)
-	if err == nil {
+	if prepared {
 		o.latExecute.Observe(d)
 	}
-}
-
-// observeExecuteStmt records one EXECUTE of a prepared DML statement.
-func (o *observer) observeExecuteStmt(sql string, d time.Duration, rows int64, err error, traceID uint64) {
-	o.preparedExecs.Inc()
-	o.observeStmt(sql, d, rows, err, traceID)
-	if err == nil {
-		o.latExecute.Observe(d)
-	}
+	o.noteSlow(sql, d, rows, mode, traceID)
 }
 
 func (o *observer) noteSlow(sql string, d time.Duration, rows int64, mode string, traceID uint64) {

@@ -10,10 +10,10 @@ import (
 
 	"microspec/internal/exec"
 	"microspec/internal/expr"
+	"microspec/internal/metrics"
 	"microspec/internal/plan"
 	"microspec/internal/sql"
 	"microspec/internal/trace"
-	"microspec/internal/txn"
 	"microspec/internal/types"
 )
 
@@ -36,38 +36,178 @@ import (
 // PREPARE) and dataGen (row modifications → drop the plan's cross-run
 // caches — Materialize buffers, uncorrelated subquery results — while
 // keeping the compiled bees).
+//
+// A prepared statement (Stmt) and a prepared transaction (TxnStmt,
+// txnstmt.go) are the same object underneath — prepared, below — holding
+// one compiled op or several.
 
 // ErrStmtClosed is returned by Query/Exec on a closed prepared statement.
 var ErrStmtClosed = errors.New("engine: prepared statement is closed")
 
-// Stmt is a prepared statement bound to one DB. A Stmt serializes its own
-// executions (s.mu): the slot array the compiled bees read is shared with
-// the cached plan, so two concurrent EXECUTEs of one Stmt would race on
-// parameter values. Different Stmts — including Stmts for the same SQL
-// text on other sessions — execute concurrently like any queries.
-type Stmt struct {
-	db   *DB
-	text string
-	opts QueryOpts
-	// sel is set for SELECT statements (planned eagerly, cached); ast for
-	// everything else. An INSERT, UPDATE or DELETE is compiled eagerly
-	// too, into target; DDL dispatches per execute like an ad-hoc
-	// statement, with the parse amortized.
-	sel *sql.Select
-	ast sql.Statement
+// txnOp is one compiled statement: a write's target or a SELECT's plan.
+type txnOp struct {
+	target  *dmlTarget
+	planned *plan.Planned
+}
 
+// prepared is SQL text compiled once and kept: the statements, the slot
+// array their $n read, a private planner copy whose Params points at it,
+// the compiled ops, and the generations they are valid for. It serializes
+// its own executions (mu): the slot array is shared with the compiled
+// bees, so two concurrent executions would race on parameter values.
+type prepared struct {
+	db      *DB
+	text    string
+	stmts   []sql.Statement // one for a Stmt, the body of a TxnStmt
+	read    bool            // a SELECT statement: observed as a query
 	nParams int
 	execs   atomic.Int64
+	// build compiles stmts into ops; a TxnStmt's wraps compileOps in its
+	// latch plan. replans is the counter a DDL-driven rebuild moves.
+	build   func() ([]txnOp, error)
+	replans *metrics.Counter
 
 	mu       sync.Mutex
 	closed   bool
 	slots    *expr.ParamSlots
-	pl       plan.Planner // private copy: Params points at slots
-	planned  *plan.Planned
-	target   *dmlTarget
-	analyzed bool // root stays instrumented so loops accumulate
+	pl       plan.Planner
+	ops      []txnOp // nil: none yet, dropped, or closed
+	analyzed bool    // a SELECT's root stays instrumented so loops accumulate
 	ddlGen   uint64
 	dataGen  uint64
+}
+
+// init fills in a new prepared: the statements, a slot array sized by
+// their highest $n, and the planner copy that reads it.
+func (p *prepared) init(db *DB, text string, pl plan.Planner, stmts []sql.Statement) {
+	p.db, p.text, p.stmts, p.pl = db, text, stmts, pl
+	for _, st := range stmts {
+		p.nParams = max(p.nParams, sql.MaxParam(st))
+	}
+	p.slots = &expr.ParamSlots{Vals: make([]types.Datum, p.nParams)}
+	for i := range p.slots.Vals {
+		p.slots.Vals[i] = types.Null
+	}
+	p.pl.Params = p.slots
+}
+
+// compileOps compiles every statement: a SELECT to its plan, a write to
+// its target with the WHERE's EVP bee. Caller holds db.mu.
+func (p *prepared) compileOps() ([]txnOp, error) {
+	ops := make([]txnOp, len(p.stmts))
+	for i, st := range p.stmts {
+		if sel, ok := st.(*sql.Select); ok {
+			planned, err := p.pl.PlanSelect(sel)
+			if err != nil {
+				return nil, err
+			}
+			ops[i].planned = planned
+			continue
+		}
+		target, err := p.db.compileDML(&p.pl, st)
+		if err != nil {
+			return nil, err
+		}
+		target.compileBee()
+		ops[i].target = target
+	}
+	return ops, nil
+}
+
+// current brings the ops up to date before a run. They are rebuilt when
+// there are none, when DDL moved the schema or routine set (a plan may
+// hold dropped heaps or bees built for another specialization level, a
+// target a dropped heap — and a new index may offer it a probe), and when
+// again says the last run panicked and had a query bee retired: the
+// rebuild's compile calls find it quarantined and fall back to the generic
+// routine. ParamTypes is inferred afresh with them, so bind coerces for
+// the new plan. Otherwise, when rows changed since the last run, the
+// SELECT plans drop their cross-run caches and keep their compiled bees.
+// Caller holds db.mu (read suffices: compiling only reads catalog and heap
+// state) and, once the statement is published, p.mu.
+func (p *prepared) current(at *trace.Active, again bool) error {
+	db := p.db
+	if p.ops != nil && db.ddlGen.Load() != p.ddlGen {
+		p.ops = nil
+		p.replans.Inc()
+	}
+	if again {
+		p.ops = nil
+	}
+	if p.ops == nil {
+		planSpan := at.Span("plan")
+		defer planSpan.End()
+		p.pl.ParamTypes = make([]types.T, p.nParams)
+		ops, err := p.build()
+		p.ops, p.ddlGen, p.dataGen = ops, db.ddlGen.Load(), db.dataGen.Load()
+		return err
+	}
+	if dg := db.dataGen.Load(); dg != p.dataGen {
+		p.dataGen = dg
+		reset := false
+		for _, op := range p.ops {
+			if op.planned != nil {
+				exec.ResetCaches(op.planned.Root)
+				reset = true
+			}
+		}
+		if reset {
+			db.obs.preparedResets.Inc()
+		}
+	}
+	return nil
+}
+
+// bind begins an execution: it refuses a closed statement and a recovering
+// database, then writes the parameter values into the slot array the
+// compiled ops read. Values are coerced to the types inferred at plan time
+// where the coercion is lossless (integer → float); anything else is
+// passed through and compared with the generic cross-kind comparators.
+// Caller holds p.mu.
+func (p *prepared) bind(at *trace.Active, params []types.Datum) error {
+	if p.closed {
+		return ErrStmtClosed
+	}
+	if p.db.recovering.Load() {
+		return ErrRecovering
+	}
+	defer at.Span("bind").End()
+	if len(params) != p.nParams {
+		err := fmt.Errorf("engine: statement has %d parameters, got %d", p.nParams, len(params))
+		p.db.obs.observe(p.text, p.read, true, 0, 0, err, at.ID())
+		return err
+	}
+	for i, d := range params {
+		if i < len(p.pl.ParamTypes) {
+			d = coerceParam(d, p.pl.ParamTypes[i])
+		}
+		p.slots.Vals[i] = d
+	}
+	return nil
+}
+
+// NumParams returns how many $n placeholders the text has.
+func (p *prepared) NumParams() int { return p.nParams }
+
+// Executions returns how many times it has been executed.
+func (p *prepared) Executions() int64 { return p.execs.Load() }
+
+// close drops the compiled ops and reports whether this was the first
+// close. Executing afterwards fails with ErrStmtClosed.
+func (p *prepared) close() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	first := !p.closed
+	p.closed, p.ops = true, nil
+	return first
+}
+
+// Stmt is a prepared statement bound to one DB: the prepared core with one
+// statement. Different Stmts — including Stmts for the same SQL text on
+// other sessions — execute concurrently like any queries.
+type Stmt struct {
+	prepared
+	opts QueryOpts
 }
 
 // Prepare parses text once and, for a SELECT, INSERT, UPDATE or DELETE,
@@ -96,106 +236,41 @@ func (db *DB) prepareWith(text string, opts QueryOpts, internal bool) (*Stmt, er
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{db: db, text: text, opts: opts, nParams: sql.MaxParam(stmt)}
-	s.slots = &expr.ParamSlots{Vals: make([]types.Datum, s.nParams)}
-	for i := range s.slots.Vals {
-		s.slots.Vals[i] = types.Null
+	s := &Stmt{opts: opts}
+	s.build, s.replans = s.compileOps, db.obs.preparedReplans
+	_, s.read = stmt.(*sql.Select)
+	db.mu.RLock()
+	s.init(db, text, db.plannerWith(&opts), []sql.Statement{stmt})
+	switch stmt.(type) {
+	case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
+		err = s.current(nil, false)
 	}
-	switch st := stmt.(type) {
-	case *sql.Select:
-		s.sel = st
-		db.mu.RLock()
-		s.pl = *db.planner
-		if opts.Workers > 0 {
-			s.pl.Workers = opts.Workers
-		}
-		if opts.Batch != nil {
-			s.pl.Batch = *opts.Batch
-		}
-		s.pl.Params = s.slots
-		err = s.replanLocked()
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-	case *sql.Insert, *sql.Update, *sql.Delete:
-		s.ast = stmt
-		db.mu.RLock()
-		s.pl = *db.planner
-		s.pl.Params = s.slots
-		_, err = s.currentTarget()
-		db.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-	default:
-		s.ast = stmt
+	// DDL has nothing to compile: it dispatches per execute like an ad hoc
+	// statement, with the parse amortized.
+	db.mu.RUnlock()
+	if err != nil {
+		return nil, err
 	}
 	db.obs.prepares.Inc()
 	db.notePrepared(text)
 	return s, nil
 }
 
-// replanLocked plans (or re-plans) the SELECT and records the generation
-// stamps the plan is valid for. Caller holds db.mu (read suffices: the
-// planner only reads catalog/heap state) and s.mu when called from run.
-func (s *Stmt) replanLocked() error {
-	s.pl.ParamTypes = make([]types.T, s.nParams)
-	planned, err := s.pl.PlanSelect(s.sel)
-	if err != nil {
-		return err
-	}
-	s.planned = planned
-	s.ddlGen = s.db.ddlGen.Load()
-	s.dataGen = s.db.dataGen.Load()
-	return nil
-}
-
-// currentTarget returns the compiled INSERT/UPDATE/DELETE target, built
-// first if there is none or DDL moved the schema since it was built: the
-// old one may hold a dropped heap, and a new index may offer it a probe.
-// It records the schema generation the target is valid for; ParamTypes is
-// inferred afresh so bind coerces as it does for a SELECT. Caller holds
-// db.mu (read suffices) and, when executing, s.mu.
-func (s *Stmt) currentTarget() (*dmlTarget, error) {
-	db := s.db
-	if s.target != nil && db.ddlGen.Load() != s.ddlGen {
-		s.target = nil
-		db.obs.preparedReplans.Inc()
-	}
-	if s.target == nil {
-		s.pl.ParamTypes = make([]types.T, s.nParams)
-		target, err := db.compileDML(&s.pl, s.ast)
-		if err != nil {
-			return nil, err
-		}
-		target.compileBee()
-		s.target = target
-		s.ddlGen = db.ddlGen.Load()
-	}
-	return s.target, nil
-}
-
 // Text returns the statement's SQL.
 func (s *Stmt) Text() string { return s.text }
 
-// NumParams returns how many $n placeholders the statement has.
-func (s *Stmt) NumParams() int { return s.nParams }
-
 // IsSelect reports whether the statement is a query (Query/ExplainAnalyze)
 // rather than DML/DDL (Exec).
-func (s *Stmt) IsSelect() bool { return s.sel != nil }
+func (s *Stmt) IsSelect() bool { return s.read }
 
 // Columns returns the result columns of a prepared SELECT (nil for DML),
 // available before the first execution — the wire protocol's statement
 // description.
 func (s *Stmt) Columns() []exec.ColInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.planned == nil {
-		return nil
+	if planned := s.Plan(); planned != nil {
+		return planned.Cols
 	}
-	return s.planned.Cols
+	return nil
 }
 
 // Plan returns the cached plan of a prepared SELECT (nil for DML or a
@@ -204,22 +279,16 @@ func (s *Stmt) Columns() []exec.ColInfo {
 func (s *Stmt) Plan() *plan.Planned {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.planned
+	if len(s.ops) == 0 {
+		return nil
+	}
+	return s.ops[0].planned
 }
-
-// Executions returns how many times the statement has been executed.
-func (s *Stmt) Executions() int64 { return s.execs.Load() }
 
 // Close releases the statement. Executing a closed statement fails with
 // ErrStmtClosed; Close is idempotent.
 func (s *Stmt) Close() {
-	s.mu.Lock()
-	first := !s.closed
-	s.closed = true
-	s.planned = nil
-	s.target = nil
-	s.mu.Unlock()
-	if first {
+	if s.close() {
 		s.db.dropPrepared(s.text)
 	}
 }
@@ -254,112 +323,22 @@ func (s *Stmt) ExplainAnalyzeContext(ctx context.Context, params ...types.Datum)
 	if err != nil {
 		return "", nil, err
 	}
-	out := plan.ExplainAnalyze(root)
-	if at := trace.FromContext(ctx); at != nil {
-		out += "trace: " + trace.IDString(at.ID()) + "\n"
-	}
-	return out, res, nil
+	return analyzeOutline(ctx, root), res, nil
 }
 
-// run is the EXECUTE path for prepared SELECTs: bind, validate the cached
-// plan against the generation counters, run with the same panic
-// containment and quarantine-retry as ad-hoc queries.
-func (s *Stmt) run(qctx context.Context, analyze bool, params []types.Datum) (*Result, exec.Node, error) {
-	db := s.db
-	start := time.Now()
-	// EXECUTE traces get flat bind/plan/exec spans. Per-node spans are not
-	// folded here: the cached plan is only instrumented when ANALYZE asked
-	// for it, and its node counters accumulate across executions.
-	at := trace.FromContext(qctx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, ErrStmtClosed
-	}
-	if db.recovering.Load() {
-		return nil, nil, ErrRecovering
-	}
-	if s.sel == nil {
+// run is the EXECUTE path for prepared SELECTs: bind, then the one SELECT
+// runner (DB.runSelect) on the kept plan.
+func (s *Stmt) run(ctx context.Context, analyze bool, params []types.Datum) (*Result, exec.Node, error) {
+	if !s.read {
 		return nil, nil, fmt.Errorf("engine: prepared statement is not a SELECT; use Exec")
 	}
-	bindSpan := at.Span("bind")
-	err := s.bind(params)
-	bindSpan.End()
-	if err != nil {
-		db.obs.observeExecute(s.text, time.Since(start), 0, err, at.ID())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.bind(trace.FromContext(ctx), params); err != nil {
 		return nil, nil, err
-	}
-	if qctx == nil {
-		qctx = context.Background()
-	}
-	d := db.StatementTimeout()
-	if s.opts.Timeout > 0 {
-		d = s.opts.Timeout
-	}
-	if d > 0 {
-		var cancel context.CancelFunc
-		qctx, cancel = context.WithTimeout(qctx, d)
-		defer cancel()
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	// Same snapshot discipline as ad-hoc queries (see runSelect).
-	snap := db.tm.Snapshot(txn.None)
-	defer snap.Release()
-	if analyze {
-		s.analyzed = true
-	}
-	if s.planned != nil && db.ddlGen.Load() != s.ddlGen {
-		// Schema or routine set changed: the plan may reference dropped
-		// heaps or bees built for a different specialization level.
-		s.planned = nil
-		db.obs.preparedReplans.Inc()
-	}
-	var rows []expr.Row
-	var root exec.Node
-	for attempt := 0; ; attempt++ {
-		if s.planned == nil {
-			planSpan := at.Span("plan")
-			err = s.replanLocked()
-			planSpan.End()
-			if err != nil {
-				db.obs.observeExecute(s.text, time.Since(start), 0, err, at.ID())
-				return nil, nil, err
-			}
-		} else if dg := db.dataGen.Load(); dg != s.dataGen {
-			// Rows changed since the last execution: drop the plan's
-			// cross-run caches, keep its compiled bees.
-			exec.ResetCaches(s.planned.Root)
-			s.dataGen = dg
-			db.obs.preparedResets.Inc()
-		}
-		if s.analyzed && !isInstrumented(s.planned.Root) {
-			s.planned.Root = exec.Instrument(s.planned.Root)
-		}
-		root = s.planned.Root
-		execSpan := at.Span("exec")
-		rows, err = collectSafe(&exec.Ctx{Context: qctx, Expr: expr.Ctx{}, Snap: snap}, root)
-		execSpan.End()
-		var pe *exec.PanicError
-		if attempt == 0 && errors.As(err, &pe) && quarantinePlanBees(root) > 0 {
-			// Same containment as runSelect: quarantine the plan's bees and
-			// replan once — the new plan's compile calls find them
-			// quarantined and fall back to the generic routines.
-			db.obs.quarantineRetries.Inc()
-			s.planned = nil
-			continue
-		}
-		break
 	}
 	s.execs.Add(1)
-	db.obs.observeExecute(s.text, time.Since(start), int64(len(rows)), err, at.ID())
-	if err != nil {
-		return nil, nil, err
-	}
-	db.obs.observeParallel(root)
-	db.obs.observeBatch(root)
-	db.advisorObservePlan(root, s.sel, time.Since(start))
-	return &Result{Cols: s.planned.Cols, Rows: rows}, root, nil
+	return s.db.runSelect(ctx, s.text, s.stmts[0].(*sql.Select), &s.prepared, nil, analyze, &s.opts)
 }
 
 // Exec executes a prepared DML/DDL statement with the given parameters.
@@ -372,48 +351,25 @@ func (s *Stmt) Exec(params ...types.Datum) (int64, error) {
 // mid-statement; ctx carries the request trace (bind/exec/commit spans)
 // and is otherwise accepted for call-site symmetry with QueryContext.
 func (s *Stmt) ExecContext(ctx context.Context, params ...types.Datum) (int64, error) {
-	db := s.db
+	if s.read {
+		return 0, fmt.Errorf("engine: prepared statement is a SELECT; use Query")
+	}
 	start := time.Now()
 	at := trace.FromContext(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrStmtClosed
-	}
-	if db.recovering.Load() {
-		return 0, ErrRecovering
-	}
-	if s.sel != nil {
-		return 0, fmt.Errorf("engine: prepared statement is a SELECT; use Query")
-	}
-	bindSpan := at.Span("bind")
-	err := s.bind(params)
-	bindSpan.End()
-	if err != nil {
-		db.obs.observeExecuteStmt(s.text, time.Since(start), 0, err, at.ID())
+	if err := s.bind(at, params); err != nil {
 		return 0, err
 	}
-	n, err := db.execParsed(at, s.ast, nil, s.currentTarget)
-	s.execs.Add(1)
-	db.obs.observeExecuteStmt(s.text, time.Since(start), n, err, at.ID())
-	return n, err
-}
-
-// bind writes the parameter values into the slot array the compiled plan
-// reads. Values are coerced to the types inferred at plan time where the
-// coercion is lossless (integer → float); anything else is passed
-// through and compared with the generic cross-kind comparators.
-func (s *Stmt) bind(params []types.Datum) error {
-	if len(params) != s.nParams {
-		return fmt.Errorf("engine: statement has %d parameters, got %d", s.nParams, len(params))
-	}
-	for i, d := range params {
-		if i < len(s.pl.ParamTypes) {
-			d = coerceParam(d, s.pl.ParamTypes[i])
+	n, err := s.db.execParsed(at, s.stmts[0], func(again bool) (*dmlTarget, error) {
+		if err := s.current(at, again); err != nil {
+			return nil, err
 		}
-		s.slots.Vals[i] = d
-	}
-	return nil
+		return s.ops[0].target, nil
+	})
+	s.execs.Add(1)
+	s.db.obs.observe(s.text, false, true, time.Since(start), n, err, at.ID())
+	return n, err
 }
 
 func coerceParam(d types.Datum, t types.T) types.Datum {

@@ -194,8 +194,37 @@ func TestPreparedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	if _, err := st.Query(); err == nil {
-		t.Fatal("missing parameter accepted")
+	// A parameter-count error is an execution that failed, counted the same
+	// whichever prepared object it was bound to.
+	upd, err := db.Prepare("update emp set e_dept = $2 where e_id = $1")
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	defer upd.Close()
+	unit, err := db.PrepareTxn("prepare transaction move as begin; update emp set e_dept = $2 where e_id = $1; commit")
+	if err != nil {
+		t.Fatalf("PrepareTxn: %v", err)
+	}
+	defer unit.Close()
+	for _, bad := range []struct {
+		name    string
+		run     func() error
+		counted string
+	}{
+		{"Stmt.Query", func() error { _, err := st.Query(); return err }, "query.count"},
+		{"Stmt.Exec", func() error { _, err := upd.Exec(types.NewInt64(1)); return err }, "stmt.count"},
+		{"TxnStmt.ExecTxn", func() error { _, _, err := unit.ExecTxn(types.NewInt64(1)); return err }, "stmt.count"},
+	} {
+		before := db.MetricsSnapshot().Counters
+		if err := bad.run(); err == nil {
+			t.Fatalf("%s: missing parameter accepted", bad.name)
+		}
+		after := db.MetricsSnapshot().Counters
+		for _, c := range []string{"prepared.executions", "query.errors", bad.counted} {
+			if got := after[c] - before[c]; got != 1 {
+				t.Errorf("%s with a missing parameter: %s rose by %d, want 1", bad.name, c, got)
+			}
+		}
 	}
 	if _, err := st.Exec(types.NewInt64(1)); err == nil {
 		t.Fatal("Exec on SELECT accepted")

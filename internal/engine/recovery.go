@@ -13,7 +13,6 @@ import (
 	"microspec/internal/storage/page"
 	"microspec/internal/storage/wal"
 	"microspec/internal/txn"
-	"microspec/internal/types"
 )
 
 // This file implements ARIES-style redo-only crash recovery. The write
@@ -433,8 +432,7 @@ func (db *DB) attachHeapLocked(mr manifestRel) error {
 }
 
 // rebuildIndexLocked re-creates one B+tree from its manifest record by
-// scanning the recovered heap — the same backfill as CREATE INDEX, valid
-// here for the same reason (exclusive db.mu, no transaction in flight).
+// scanning the recovered heap — the same backfill as CREATE INDEX.
 func (db *DB) rebuildIndexLocked(mi manifestIndex) error {
 	rel, err := db.cat.Lookup(mi.Table)
 	if err != nil {
@@ -450,21 +448,8 @@ func (db *DB) rebuildIndexLocked(mi manifestIndex) error {
 	if err != nil {
 		return err
 	}
-	values := make([]types.Datum, len(rel.Attrs))
-	sc := h.Scan(nil, nil)
-	defer sc.Close()
-	for {
-		tid, tup, ok := sc.Next()
-		if !ok {
-			break
-		}
-		acc.deform(tup, values, len(values), nil)
-		if err := ix.Tree.Insert(indexKey(values, mi.Cols), tid, nil); err != nil {
-			return fmt.Errorf("engine: recover index %s: %w", mi.Name, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
+	if err := db.backfillIndexLocked(ix, h, acc); err != nil {
+		return fmt.Errorf("engine: recover index %s: %w", mi.Name, err)
 	}
 	db.addIndexLocked(ix)
 	return nil

@@ -467,6 +467,7 @@ func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]ty
 		rel.heap.SetWAL(nil)
 		defer rel.heap.SetWAL(db.wal)
 	}
+	ixs := db.byRel[rel.rel.ID]
 	var n int64
 	for {
 		values, ok := next()
@@ -481,12 +482,8 @@ func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]ty
 		if err != nil {
 			return n, err
 		}
-		for _, ix := range db.byRel[rel.rel.ID] {
-			key := indexKey(values, ix.Cols)
-			for i := range key {
-				key[i] = exec.CloneDatum(key[i])
-			}
-			if err := ix.Tree.Insert(key, tid, prof); err != nil {
+		for i, key := range ownedKeys(ixs, values) {
+			if err := ixs[i].Tree.Insert(key, tid, prof); err != nil {
 				return n, err
 			}
 		}

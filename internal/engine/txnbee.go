@@ -39,7 +39,9 @@ import (
 // db.ddlGen makes the next Run re-resolve its handles (txn_bee.replans);
 // a panic inside the fused body quarantines the bee, rolls the
 // transaction back, and surfaces a PanicError so the caller retries the
-// same transaction statement-at-a-time (txn_bee.fallbacks).
+// same transaction statement-at-a-time (txn_bee.fallbacks) — unless the
+// panic was under a compiled SQL statement whose own query bees took the
+// blame (Txn.runOps): then they are quarantined and this bee stays.
 
 // ErrTxnBeeUnavailable reports that a transaction bee cannot run —
 // quarantined after a panic, or its compilation was refused. Callers
@@ -295,7 +297,8 @@ func (ct *CompiledTxn) runUnder(res *txnResolved, at *trace.Active, prof *profil
 		ct.execs.Add(1)
 		ct.db.obs.txnBeeExecs.Inc()
 		ct.bee.Note(tx.ops, time.Since(start).Nanoseconds())
-	} else if isPanic(err) {
+	} else if isPanic(err) && !isBeeRetired(err) {
+		// Nothing narrower took the blame (runOps): the unit itself does.
 		ct.bee.Quarantine()
 	}
 	return tx.end(at, err)

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"microspec/internal/catalog"
@@ -24,7 +22,8 @@ import (
 // index probe chosen once), each SELECT planned through the regular
 // planner (index paths included) with its scan latches stripped, since
 // the unit's latch plan already holds every table's latch — and every
-// statement reads the same parameter-slot array. The program has two
+// statement reads the same parameter-slot array: the prepared core of
+// prepare.go with one op per statement. The program has two
 // runners. Fused, the bee's: EXECUTE TRANSACTION binds once and runs the
 // whole program as one transaction under one latch acquisition and one
 // WAL commit record. Stepwise, when the bee is out of service: the same
@@ -32,18 +31,14 @@ import (
 // plan — what a client without the bee would have sent, statement by
 // statement, and never a second compilation of the text.
 //
-// Invalidation follows prepared statements: ddlGen drift rebuilds the
+// Invalidation is the core's: ddlGen drift rebuilds the
 // program, whichever runner is next, dataGen drift resets the cached
-// SELECT plans' cross-run caches, and a panic in the fused run
-// quarantines the bee — the next Exec (and the failed one's retry) runs
-// stepwise.
-
-// txnOp is one compiled statement of a program: a write's target or a
-// SELECT's plan — what a Stmt holds one of.
-type txnOp struct {
-	target  *dmlTarget
-	planned *plan.Planned
-}
+// SELECT plans' cross-run caches. A panic in a run is blamed on the query
+// bees of the statement that panicked (runOps): they are quarantined, the
+// attempt rolls back, and the unit — or, stepwise, the statement — runs
+// once more on a rebuilt program. Only a panic that retires no query bee
+// quarantines the transaction bee — the next Exec (and the failed one's
+// retry) runs stepwise.
 
 // runOps runs compiled statements, in order, as part of the transaction,
 // behind a panic boundary: a write through its target against the
@@ -51,15 +46,21 @@ type txnOp struct {
 // caller holds every latch they need. It returns the last SELECT's result
 // and the rows the writes affected.
 func (t *Txn) runOps(ops []txnOp) (res *Result, affected int64, err error) {
+	var op *txnOp
 	defer func() {
 		// A faulty bee must not leave the transaction open or half
-		// applied: the runner rolls back on the error.
+		// applied: the runner rolls back on the error. A write's panic is
+		// blamed on its WHERE's EVP bee, as a SELECT's is on its plan's
+		// bees (runPlan).
 		if r := recover(); r != nil {
 			res, affected, err = nil, 0, exec.NewPanicError(r)
+			if op.target != nil && op.target.retireBee() {
+				err = beeRetired{err}
+			}
 		}
 	}()
 	for i := range ops {
-		if op := &ops[i]; op.target != nil {
+		if op = &ops[i]; op.target != nil {
 			n, err := op.target.run(t.snap, t.prof, &t.undo)
 			if err != nil {
 				return nil, 0, err
@@ -67,7 +68,8 @@ func (t *Txn) runOps(ops []txnOp) (res *Result, affected int64, err error) {
 			t.ops += n
 			affected += n
 		} else {
-			rows, err := collectSafe(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{}, Snap: t.snap}, op.planned.Root)
+			// Not cancellable: a unit runs to its commit or rollback.
+			rows, err := t.db.runPlan(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{Prof: t.prof}, Snap: t.snap}, op.planned.Root)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -77,25 +79,14 @@ func (t *Txn) runOps(ops []txnOp) (res *Result, affected int64, err error) {
 	return res, affected, nil
 }
 
-// TxnStmt is a prepared named transaction. Like Stmt, a TxnStmt
-// serializes its own executions (the slot array is shared with the
-// fused program); different TxnStmts execute concurrently.
+// TxnStmt is a prepared named transaction: the prepared core with one op
+// per body statement, plus the transaction bee that runs them fused. Like
+// a Stmt it serializes its own executions; different TxnStmts execute
+// concurrently.
 type TxnStmt struct {
-	db      *DB
-	name    string
-	text    string
-	ast     *sql.PrepareTxn
-	nParams int
-	execs   atomic.Int64
-
-	mu      sync.Mutex
-	closed  bool
-	slots   *expr.ParamSlots
-	pl      plan.Planner // private copy: Params points at slots, latches stripped
-	ct      *CompiledTxn
-	prog    []txnOp
-	ddlGen  uint64
-	dataGen uint64
+	prepared
+	name string
+	ct   *CompiledTxn
 }
 
 // PrepareTxn parses PREPARE TRANSACTION text and compiles the fused
@@ -117,13 +108,13 @@ func (db *DB) PrepareTxnAST(pt *sql.PrepareTxn, text string) (*TxnStmt, error) {
 	if db.recovering.Load() {
 		return nil, ErrRecovering
 	}
-	ts := &TxnStmt{db: db, name: pt.Name, text: text, ast: pt, nParams: sql.MaxParam(pt)}
-	ts.slots = &expr.ParamSlots{Vals: make([]types.Datum, ts.nParams)}
-	for i := range ts.slots.Vals {
-		ts.slots.Vals[i] = types.Null
-	}
+	ts := &TxnStmt{name: pt.Name}
+	ts.build, ts.replans = ts.compileUnit, db.obs.txnBeeReplans
 	db.mu.RLock()
-	err := ts.compileLocked()
+	// Serial execution: the unit runs under held latches; fan-out belongs
+	// to OLAP queries.
+	ts.init(db, text, db.plannerWith(&QueryOpts{Workers: 1}), pt.Stmts)
+	err := ts.current(nil, false)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -135,51 +126,33 @@ func (db *DB) PrepareTxnAST(pt *sql.PrepareTxn, text string) (*TxnStmt, error) {
 // Name returns the transaction's name (the EXECUTE TRANSACTION handle).
 func (ts *TxnStmt) Name() string { return ts.name }
 
-// NumParams returns how many $n placeholders the unit has.
-func (ts *TxnStmt) NumParams() int { return ts.nParams }
-
-// Executions returns how many times the unit has run (fused or fallen
-// back).
-func (ts *TxnStmt) Executions() int64 { return ts.execs.Load() }
-
 // Close releases the statement.
-func (ts *TxnStmt) Close() {
-	ts.mu.Lock()
-	ts.closed = true
-	ts.prog = nil
-	ts.mu.Unlock()
-}
+func (ts *TxnStmt) Close() { ts.close() }
 
-// compileLocked builds the fused program: the TxnSpec (write tables,
+// compileUnit builds the fused program: the TxnSpec (write tables,
 // read tables), the CompiledTxn latch plan, and the per-statement ops.
 // Caller holds db.mu (read suffices) and ts.mu when recompiling from Exec.
-func (ts *TxnStmt) compileLocked() error {
+func (ts *TxnStmt) compileUnit() ([]txnOp, error) {
 	db := ts.db
 	spec := TxnSpec{Name: ts.name}
-	written := map[string]bool{}
-	addWrite := func(name string) {
-		if !written[name] {
-			written[name] = true
-			spec.Writes = append(spec.Writes, name)
+	written, read := map[string]bool{}, map[string]bool{}
+	var readNames []string
+	note := func(seen map[string]bool, names *[]string, name string) {
+		if !seen[name] {
+			seen[name] = true
+			*names = append(*names, name)
 		}
 	}
-	var readNames []string
-	seenRead := map[string]bool{}
-	for _, st := range ts.ast.Stmts {
+	for _, st := range ts.stmts {
 		switch s := st.(type) {
 		case *sql.Insert:
-			addWrite(s.Table)
+			note(written, &spec.Writes, s.Table)
 		case *sql.Update:
-			addWrite(s.Table)
+			note(written, &spec.Writes, s.Table)
 		case *sql.Delete:
-			addWrite(s.Table)
+			note(written, &spec.Writes, s.Table)
 		case *sql.Select:
-			collectBaseTables(s, func(name string) {
-				if !seenRead[name] {
-					seenRead[name] = true
-					readNames = append(readNames, name)
-				}
-			})
+			collectBaseTables(s, func(name string) { note(read, &readNames, name) })
 		}
 	}
 	for _, name := range readNames {
@@ -196,50 +169,28 @@ func (ts *TxnStmt) compileLocked() error {
 
 	res, err := db.resolveTxn(spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	// The fused planner copy: slots bound, scan latches stripped (the
-	// latch plan already holds them — an inner IndexScan re-acquiring the
-	// same RWMutex would self-deadlock), serial execution (the unit runs
-	// under held latches; fan-out belongs to OLAP queries).
-	ts.pl = *db.planner
-	ts.pl.Params = ts.slots
-	ts.pl.ParamTypes = make([]types.T, ts.nParams)
-	ts.pl.Workers = 1
+	// The unit's planner copy strips the scan latches of the tables the
+	// latch plan already holds — an inner IndexScan re-acquiring the same
+	// RWMutex would self-deadlock. A write's target resolves the same
+	// handle the latch plan holds (both read the catalog under this one
+	// db.mu hold), so it runs under the unit's latch — no second
+	// acquisition.
 	baseIndexes := db.planner.IndexesFor
 	ts.pl.IndexesFor = func(rel *catalog.Relation) []plan.IndexMeta {
-		ims := baseIndexes(rel)
-		if res.tables[rel.Name] == nil {
-			return ims
-		}
-		out := make([]plan.IndexMeta, len(ims))
-		for i, im := range ims {
-			im.Latch = nil
-			out[i] = im
-		}
-		return out
-	}
-
-	prog := make([]txnOp, 0, len(ts.ast.Stmts))
-	for _, st := range ts.ast.Stmts {
-		if sel, ok := st.(*sql.Select); ok {
-			planned, err := ts.pl.PlanSelect(sel)
-			if err != nil {
-				return err
+		ims := baseIndexes(rel) // built per call: ours to edit
+		if res.tables[rel.Name] != nil {
+			for i := range ims {
+				ims[i].Latch = nil
 			}
-			prog = append(prog, txnOp{planned: planned})
-			continue
 		}
-		// The target resolves the same handle the latch plan holds (both
-		// read the catalog under this one db.mu hold), so it runs under
-		// the unit's latch — no second acquisition.
-		target, err := db.compileDML(&ts.pl, st)
-		if err != nil {
-			return err
-		}
-		target.compileBee()
-		prog = append(prog, txnOp{target: target})
+		return ims
+	}
+	ops, err := ts.compileOps()
+	if err != nil {
+		return nil, err
 	}
 
 	ct := &CompiledTxn{db: db, spec: spec}
@@ -247,13 +198,10 @@ func (ts *TxnStmt) compileLocked() error {
 	// A quarantined bee is no obstacle: the unit keeps its handle and runs
 	// the program built here stepwise.
 	if err := ct.register(res); err != nil && !ct.bee.Quarantined() {
-		return err
+		return nil, err
 	}
 	ts.ct = ct
-	ts.prog = prog
-	ts.ddlGen = db.ddlGen.Load()
-	ts.dataGen = db.dataGen.Load()
-	return nil
+	return ops, nil
 }
 
 // collectBaseTables visits every base-relation name a SELECT references,
@@ -284,12 +232,7 @@ func collectBaseTables(sel *sql.Select, fn func(string)) {
 	for _, tr := range sel.From {
 		visit(tr)
 	}
-	walkSelectSubqueries(sel, fn)
-}
-
-// walkSelectSubqueries finds base tables referenced from scalar/EXISTS/IN
-// subqueries in the SELECT's expressions.
-func walkSelectSubqueries(sel *sql.Select, fn func(string)) {
+	// Scalar/EXISTS/IN subqueries in the SELECT's expressions.
 	sql.WalkSelectSubqueries(sel, func(sub *sql.Select) {
 		collectBaseTables(sub, fn)
 	})
@@ -311,26 +254,23 @@ func (ts *TxnStmt) ExecTxnContext(ctx context.Context, params ...types.Datum) (*
 	at := trace.FromContext(ctx)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if ts.closed {
-		return nil, 0, ErrStmtClosed
-	}
-	if db.recovering.Load() {
-		return nil, 0, ErrRecovering
-	}
-	bindSpan := at.Span("bind")
-	err := ts.bind(params)
-	bindSpan.End()
-	if err != nil {
+	if err := ts.bind(at, params); err != nil {
 		return nil, 0, err
 	}
 
 	var res *Result
 	var affected int64
+	var err error
 	fused := !ts.ct.bee.Quarantined()
 	if fused {
-		res, affected, err = ts.runFused(at)
+		res, affected, err = ts.runFused(at, false)
+		if db.retry(0, err) {
+			// A query bee took the blame and the unit rolled back: once
+			// more, on a program rebuilt without it.
+			res, affected, err = ts.runFused(at, true)
+		}
 	}
-	if !fused || isPanic(err) {
+	if !fused || (isPanic(err) && ts.ct.bee.Quarantined()) {
 		// Out of service — as of this very panic, perhaps: run (or retry)
 		// this execution stepwise.
 		db.obs.txnBeeFallbacks.Inc()
@@ -341,58 +281,21 @@ func (ts *TxnStmt) ExecTxnContext(ctx context.Context, params ...types.Datum) (*
 	if res != nil {
 		rows += int64(len(res.Rows))
 	}
-	db.obs.observeExecuteStmt(ts.text, time.Since(start), rows, err, at.ID())
+	db.obs.observe(ts.text, false, true, time.Since(start), rows, err, at.ID())
 	return res, affected, err
-}
-
-// bind writes parameter values into the shared slot array.
-func (ts *TxnStmt) bind(params []types.Datum) error {
-	if len(params) != ts.nParams {
-		return fmt.Errorf("engine: transaction has %d parameters, got %d", ts.nParams, len(params))
-	}
-	for i, d := range params {
-		if i < len(ts.pl.ParamTypes) {
-			d = coerceParam(d, ts.pl.ParamTypes[i])
-		}
-		ts.slots.Vals[i] = d
-	}
-	return nil
-}
-
-// current brings the program up to date before a run: rebuilt if DDL moved
-// the schema (the ops hold relation handles and plans against the old
-// catalog), its SELECT plans' cross-run caches dropped if rows changed.
-// Caller holds ts.mu and db.mu shared.
-func (ts *TxnStmt) current() error {
-	db := ts.db
-	if db.ddlGen.Load() != ts.ddlGen {
-		if err := ts.compileLocked(); err != nil {
-			return err
-		}
-		db.obs.txnBeeReplans.Inc()
-	} else if dg := db.dataGen.Load(); dg != ts.dataGen {
-		for _, op := range ts.prog {
-			if op.planned != nil {
-				exec.ResetCaches(op.planned.Root)
-			}
-		}
-		ts.dataGen = dg
-		db.obs.preparedResets.Inc()
-	}
-	return nil
 }
 
 // runFused executes the whole program as the bee's one transaction: one
 // latch acquisition, one commit. Caller holds ts.mu.
-func (ts *TxnStmt) runFused(at *trace.Active) (res *Result, affected int64, err error) {
+func (ts *TxnStmt) runFused(at *trace.Active, again bool) (res *Result, affected int64, err error) {
 	db := ts.db
 	db.mu.RLock()
-	if err := ts.current(); err != nil {
+	if err := ts.current(at, again); err != nil {
 		db.mu.RUnlock()
 		return nil, 0, err
 	}
 	err = ts.ct.runUnder(ts.ct.res.Load(), at, nil, func(tx *Txn) (err error) {
-		res, affected, err = tx.runOps(ts.prog)
+		res, affected, err = tx.runOps(ts.ops)
 		return err
 	})
 	ts.dataGen = db.dataGen.Load() // our own commit or rollback bumped it
@@ -410,12 +313,12 @@ func (ts *TxnStmt) runFused(at *trace.Active) (res *Result, affected int64, err 
 func (ts *TxnStmt) runStepwise(at *trace.Active) (*Result, int64, error) {
 	var res *Result
 	var affected int64
-	for i := 0; i < len(ts.prog); i++ { // a rebuild keeps the op count: same text
-		r, n, err := ts.db.runOne(at, nil, func() (txnOp, *txnResolved, error) {
-			if err := ts.current(); err != nil {
-				return txnOp{}, nil, err
+	for i := range ts.stmts { // a rebuild keeps the op count: same text
+		r, n, err := ts.db.runOne(at, func(again bool) ([]txnOp, *txnResolved, error) {
+			if err := ts.current(at, again); err != nil {
+				return nil, nil, err
 			}
-			return ts.prog[i], ts.ct.res.Load(), nil
+			return ts.ops[i : i+1], ts.ct.res.Load(), nil
 		})
 		if err != nil {
 			return nil, affected, err

@@ -244,3 +244,50 @@ func TestPrepareTxnRejectsBadBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestExecTxnSelectBeePanicRetiresQueryBee: a panic in the EVP bee of a
+// SELECT inside a unit is blamed on that bee, not on the transaction bee.
+// The attempt rolls back, the query bee is quarantined, and the same
+// ExecTxn runs the unit once more, fused, on a program rebuilt without it.
+// (It used to quarantine the transaction bee, hit the same query bee in the
+// stepwise retry, and fail on every call with the INSERT already committed.)
+func TestExecTxnSelectBeePanicRetiresQueryBee(t *testing.T) {
+	db := setupTxnStmt(t)
+	ts, err := db.PrepareTxn(`prepare transaction log_high as begin;
+		insert into raise_log values ($1, $2);
+		select count(*) from emp where e_salary > $2;
+	commit`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	const want = 51 // emp-e earns 1000 + 10e + .50: e = 50..100
+	db.Module().InjectBeePanic("query/EVP", "")
+	defer db.Module().ClearBeePanic()
+	retries := db.MetricsSnapshot().Counters["quarantine_retries"]
+	for call := int64(1); call <= 3; call++ {
+		res, affected, err := ts.ExecTxn(types.NewInt64(call), types.NewFloat64(1500))
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if affected != 1 || res == nil || len(res.Rows) != 1 || res.Rows[0][0].Int64() != want {
+			t.Fatalf("call %d: affected=%d result=%+v, want 1 and count %d", call, affected, res, want)
+		}
+		if got := intResult(t, db, "select count(*) from raise_log"); got != call {
+			t.Fatalf("raise_log has %d rows after %d calls", got, call)
+		}
+	}
+	c := db.MetricsSnapshot().Counters
+	if got := c["quarantine_retries"] - retries; got != 1 {
+		t.Errorf("quarantine_retries rose by %d, want 1", got)
+	}
+	if c["txn_bee.fallbacks"] != 0 || c["txn_bee.executions"] != 3 {
+		t.Errorf("txn_bee.fallbacks=%d executions=%d, want 0/3: the unit stays fused",
+			c["txn_bee.fallbacks"], c["txn_bee.executions"])
+	}
+	for _, e := range db.Module().CacheEntries() {
+		if e.Quarantined != (e.Kind == "query/EVP") {
+			t.Errorf("%s %q: quarantined=%v, want only the query bee out of service", e.Kind, e.Name, e.Quarantined)
+		}
+	}
+}

@@ -186,7 +186,7 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 			ts.Close()
 			delete(s.txns, c.Name)
 		}
-		return wire.WriteFrame(s.conn, wire.TDone, wire.EncodeDone(wire.Done{})) != nil
+		return s.sendResult(nil, nil, 0, "", nil) != nil
 
 	case wire.TSet:
 		m, err := wire.DecodeSet(f.Payload)
@@ -195,10 +195,7 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 			srv.writeError(s.conn, err)
 			return true
 		}
-		if err := s.applySet(m); err != nil {
-			return srv.writeError(s.conn, err) != nil
-		}
-		return wire.WriteFrame(s.conn, wire.TDone, wire.EncodeDone(wire.Done{})) != nil
+		return s.sendResult(nil, nil, 0, "", s.applySet(m)) != nil
 
 	default:
 		srv.mBadFrames.Inc()
@@ -218,23 +215,19 @@ func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 	stmt, err := sql.Parse(q.SQL)
 	parseSpan.End()
 	if err != nil {
-		at.Finish(err)
-		return srv.writeError(s.conn, err)
+		return s.sendResult(at, nil, 0, "", err)
 	}
 	// PREPARE TRANSACTION registers a named fused unit on the session;
 	// the client fires it later with an ExecuteTxn frame.
 	if pt, ok := stmt.(*sql.PrepareTxn); ok {
 		ts, err := srv.db.PrepareTxnAST(pt, q.SQL)
-		at.Finish(err)
-		if err != nil {
-			return srv.writeError(s.conn, err)
+		if err == nil {
+			if old, ok := s.txns[pt.Name]; ok {
+				old.Close()
+			}
+			s.txns[pt.Name] = ts
 		}
-		if old, ok := s.txns[pt.Name]; ok {
-			old.Close()
-		}
-		s.txns[pt.Name] = ts
-		return wire.WriteFrame(s.conn, wire.TDone,
-			wire.EncodeDone(wire.Done{TraceID: at.ID()}))
+		return s.sendResult(at, nil, 0, "", err)
 	}
 	// The trace rides the context into the engine, where plan/exec/commit
 	// spans attach to it; all Active methods are nil-safe for the common
@@ -243,12 +236,7 @@ func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 	sel, isSel := stmt.(*sql.Select)
 	if !isSel {
 		n, err := srv.db.ExecAST(ctx, stmt, q.SQL)
-		at.Finish(err)
-		if err != nil {
-			return srv.writeError(s.conn, err)
-		}
-		return wire.WriteFrame(s.conn, wire.TDone,
-			wire.EncodeDone(wire.Done{Rows: n, TraceID: at.ID()}))
+		return s.sendResult(at, nil, n, "", err)
 	}
 	var res *engine.Result
 	var analyze string
@@ -257,25 +245,15 @@ func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 	} else {
 		res, err = srv.db.QueryAST(ctx, sel, q.SQL, s.opts)
 	}
-	at.Finish(err)
-	if err != nil {
-		return srv.writeError(s.conn, err)
-	}
-	return s.sendResult(res, analyze, at.ID())
+	return s.sendResult(at, res, 0, analyze, err)
 }
 
 // runExecute binds and runs a prepared statement.
 func (s *session) runExecute(st *engine.Stmt, e wire.Execute, at *trace.Active) error {
-	srv := s.srv
 	ctx := trace.NewContext(context.Background(), at)
 	if !st.IsSelect() {
 		n, err := st.ExecContext(ctx, e.Params...)
-		at.Finish(err)
-		if err != nil {
-			return srv.writeError(s.conn, err)
-		}
-		return wire.WriteFrame(s.conn, wire.TDone,
-			wire.EncodeDone(wire.Done{Rows: n, TraceID: at.ID()}))
+		return s.sendResult(at, nil, n, "", err)
 	}
 	var res *engine.Result
 	var analyze string
@@ -285,11 +263,7 @@ func (s *session) runExecute(st *engine.Stmt, e wire.Execute, at *trace.Active) 
 	} else {
 		res, err = st.QueryContext(ctx, e.Params...)
 	}
-	at.Finish(err)
-	if err != nil {
-		return srv.writeError(s.conn, err)
-	}
-	return s.sendResult(res, analyze, at.ID())
+	return s.sendResult(at, res, 0, analyze, err)
 }
 
 // runExecuteTxn binds and runs a named transaction in one round trip.
@@ -297,45 +271,36 @@ func (s *session) runExecute(st *engine.Stmt, e wire.Execute, at *trace.Active) 
 // has one) and a Done whose row count is the DML rows affected plus the
 // rows returned.
 func (s *session) runExecuteTxn(ts *engine.TxnStmt, e wire.ExecuteTxn, at *trace.Active) error {
-	srv := s.srv
 	res, affected, err := ts.ExecTxnContext(trace.NewContext(context.Background(), at), e.Params...)
-	at.Finish(err)
-	if err != nil {
-		return srv.writeError(s.conn, err)
-	}
-	if res == nil {
-		return wire.WriteFrame(s.conn, wire.TDone,
-			wire.EncodeDone(wire.Done{Rows: affected, TraceID: at.ID()}))
-	}
-	if err := wire.WriteFrame(s.conn, wire.TRowDesc,
-		wire.EncodeRowDesc(wire.RowDesc{Cols: colsOf(res.Cols)})); err != nil {
-		return err
-	}
-	for _, row := range res.Rows {
-		if err := wire.WriteFrame(s.conn, wire.TRow,
-			wire.EncodeRow(wire.Row{Vals: row})); err != nil {
-			return err
-		}
-	}
-	return wire.WriteFrame(s.conn, wire.TDone,
-		wire.EncodeDone(wire.Done{Rows: affected + int64(len(res.Rows)), TraceID: at.ID()}))
+	return s.sendResult(at, res, affected, "", err)
 }
 
-// sendResult streams RowDesc, the rows, and Done; traced requests get
-// their ID echoed on the Done frame so the client can correlate.
-func (s *session) sendResult(res *engine.Result, analyze string, traceID uint64) error {
-	if err := wire.WriteFrame(s.conn, wire.TRowDesc,
-		wire.EncodeRowDesc(wire.RowDesc{Cols: colsOf(res.Cols)})); err != nil {
-		return err
+// sendResult ends a request: it closes the trace (at, nil when there is
+// none) with the outcome and answers with the typed error or, on success,
+// RowDesc and the rows when the statement produced a result (res non-nil)
+// and a Done whose row count is affected plus the rows sent; traced
+// requests get their ID echoed on the Done frame so the client can
+// correlate.
+func (s *session) sendResult(at *trace.Active, res *engine.Result, affected int64, analyze string, err error) error {
+	at.Finish(err)
+	if err != nil {
+		return s.srv.writeError(s.conn, err)
 	}
-	for _, row := range res.Rows {
-		if err := wire.WriteFrame(s.conn, wire.TRow,
-			wire.EncodeRow(wire.Row{Vals: row})); err != nil {
+	if res != nil {
+		if err := wire.WriteFrame(s.conn, wire.TRowDesc,
+			wire.EncodeRowDesc(wire.RowDesc{Cols: colsOf(res.Cols)})); err != nil {
 			return err
 		}
+		for _, row := range res.Rows {
+			if err := wire.WriteFrame(s.conn, wire.TRow,
+				wire.EncodeRow(wire.Row{Vals: row})); err != nil {
+				return err
+			}
+		}
+		affected += int64(len(res.Rows))
 	}
 	return wire.WriteFrame(s.conn, wire.TDone,
-		wire.EncodeDone(wire.Done{Rows: int64(len(res.Rows)), Analyze: analyze, TraceID: traceID}))
+		wire.EncodeDone(wire.Done{Rows: affected, Analyze: analyze, TraceID: at.ID()}))
 }
 
 // applySet maps a SET request onto the session's QueryOpts. Settings
