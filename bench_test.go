@@ -3,9 +3,9 @@
 // for the experiment index). Each benchmark family runs the identical
 // workload on the stock engine and on the bee-enabled engine, so
 // `go test -bench=. -benchmem` prints the stock-vs-bee contrast for every
-// experiment. The cmd/ tools run the same experiments at larger scale
-// with the paper's measurement protocol (interleaved runs, outlier
-// dropping) and print the figures as tables.
+// experiment. `go run ./cmd/experiment <name>` runs the same experiments
+// at larger scale with the paper's measurement protocol (interleaved
+// runs, outlier dropping) and prints the figures as tables.
 package microspec_test
 
 import (
@@ -117,7 +117,7 @@ func BenchmarkQ6(b *testing.B) { benchBatchVariants(b, tpch.Queries()[6]) }
 
 // BenchmarkTPCHCold is E3 (Figure 5): representative queries with the
 // buffer pool dropped before every execution (the reported ns/op excludes
-// the simulated disk latency, which the tpch-bench tool adds; the page
+// the simulated disk latency, which `experiment tpch -fig 5` adds; the page
 // read counts still differ between the engines).
 func BenchmarkTPCHCold(b *testing.B) {
 	stock, bee := tpchPair(b)
@@ -291,7 +291,7 @@ func BenchmarkStorage(b *testing.B) {
 // q*/workers* sub-benchmarks add the intra-query parallelism contrast on
 // the scan-dominated Q1 and Q6 (compare ns/op at workers=1 vs workers=4;
 // on a single-core machine the degrees tie). The full snapshot JSON is
-// dumped by `tpch-bench -metrics out.json`.
+// appended by `experiment tpch -metrics`.
 func BenchmarkTPCHObserved(b *testing.B) {
 	stock, bee := tpchPair(b)
 	queries := tpch.Queries()

@@ -1,1147 +1,18 @@
-// Command loadgen drives the network server with N concurrent client
-// connections running a mixed workload — TPC-H point and range queries
-// plus a TPC-C-Payment-shaped read/modify/write transaction — and
-// reports throughput and latency percentiles per connection count,
-// writing the results to BENCH_server.json.
-//
-// By default it starts an in-process server on loopback over a TPC-H
-// database; -addr points it at an external microspec-server instead.
-// The TPC-C tables are created as bench_* over the wire (TPC-H and
-// TPC-C both own tables named "orders" and "customer", so the two
-// schemas cannot coexist verbatim in one database).
-//
-// Every point read against the seeded bench_kv table is verified
-// against its known value; -check makes any mismatch (or an in-process
-// drain failure) a non-zero exit, which is how the CI smoke job asserts
-// "zero mismatches, clean shutdown" — typically combined with -faults,
-// which arms a seeded fault-injecting page store once setup finishes.
-//
-// Usage:
-//
-//	loadgen [-addr host:port] [-conns 1,4,16] [-dur 2s] [-tpch 0.01]
-//	        [-faults] [-faultseed 1] [-check] [-out BENCH_server.json]
-//	        [-admin 127.0.0.1:0] [-trace 1] [-txnbees]
-//	        [-durable] [-naivesync] [-restart]
-//
-// With -txnbees each connection registers the Payment transaction as a
-// server-side named transaction (PREPARE TRANSACTION) and fires it with
-// a single ExecuteTxn frame — one round trip and one fused commit
-// instead of four prepared-statement round trips, exercising the
-// whole-transaction bee path end-to-end over the wire.
-//
-// With -durable the in-process server runs with write-ahead logging and
-// group commit, and every round additionally reports fsyncs-per-commit
-// (run once with -naivesync for the E16 baseline: one fsync per commit).
-// With -restart (implies -durable) the run ends with the kill-and-restart
-// experiment: crash the server, recover twice from the same survivor
-// image — once with the bee-cache warm restart, once cold
-// (NoManifestReplay) — and report the first-execution p50 of a prepared
-// statement set for pre-kill, warm-restart, and cold-restart servers.
-// Under -check, warm-restart first-execution p50 must stay within 2x of
-// the pre-kill p50.
-//
-// With -trace N the in-process server samples 1-in-N requests into its
-// trace ring and loadgen fires a few client-traced probe queries, printing
-// "client trace <id>" lines whose IDs match the server-side span trees at
-// the admin plane's /traces endpoint (started with -admin; against an
-// external server, start it with its own -admin/-trace flags instead).
-//
-// With -shift the run ends with the adaptive-specialization experiment
-// (E18): the advisor is enabled on the live server with a short decision
-// interval, a hot set of Q6-shaped lineitem predicates runs until the
-// advisor promotes it, then the hot set rotates — the old predicates
-// vanish from the workload and a disjoint set takes over. The report
-// captures pre-shift steady throughput, the post-shift dip, the
-// recovered tail once the advisor has re-specialized, and the
-// statically-specialized ceiling, plus the advisor's promotion/demotion
-// counts. Every query in the experiment is verified against expected
-// aggregates computed on the stock path; under -check, any mismatch —
-// or a run where the advisor never promoted or never demoted — exits
-// non-zero.
+// Command loadgen runs the experiments that need a live server and many
+// client connections: `loadgen sweep|restart|shift [flags]`. Each starts
+// an in-process server on loopback over a TPC-H database; `sweep -addr`
+// drives an external microspec-server instead. Run it bare to list them,
+// `loadgen <name> -h` for one experiment's flags and defaults;
+// EXPERIMENTS.md has the recipes. The table, the flags and the run
+// functions are internal/harness's.
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"flag"
-	"fmt"
-	"math/rand"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"microspec/internal/advisor"
-	"microspec/internal/client"
-	"microspec/internal/core"
-	"microspec/internal/engine"
 	"microspec/internal/harness"
-	"microspec/internal/server"
-	"microspec/internal/storage/disk"
-	"microspec/internal/tpch"
-	"microspec/internal/types"
-	"microspec/internal/wire"
 )
-
-const (
-	kvRows      = 2000
-	warehouses  = 2
-	districts   = 10
-	custPerDist = 30
-)
-
-// Round is one measured workload burst at a fixed connection count.
-type Round struct {
-	Name       string  `json:"name"`
-	Conns      int     `json:"conns"`
-	Ops        int64   `json:"ops"`
-	Errors     int64   `json:"errors"`
-	Conflicts  int64   `json:"conflicts,omitempty"`
-	Mismatches int64   `json:"mismatches"`
-	Seconds    float64 `json:"seconds"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	P50us      float64 `json:"p50_us"`
-	P95us      float64 `json:"p95_us"`
-	P99us      float64 `json:"p99_us"`
-	// FsyncsPerCommit is the log syncs the round cost per acknowledged
-	// commit (in-process -durable runs only): ~1.0 under -naivesync, and
-	// dropping well below 1.0 as group commit batches concurrent
-	// committers into shared syncs.
-	FsyncsPerCommit float64 `json:"fsyncs_per_commit,omitempty"`
-}
-
-// Report is the BENCH_server.json document.
-type Report struct {
-	Bench           string           `json:"bench"`
-	When            string           `json:"when"`
-	ScaleFactor     float64          `json:"scale_factor"`
-	Faults          bool             `json:"faults"`
-	TxnBees         bool             `json:"txn_bees,omitempty"`
-	Durable         bool             `json:"durable,omitempty"`
-	NaiveSync       bool             `json:"naive_sync,omitempty"`
-	IOLatencyUS     float64          `json:"io_latency_us,omitempty"`
-	Scaling         *Scaling         `json:"scaling,omitempty"`
-	Rounds          []Round          `json:"rounds"`
-	PreparedVsAdhoc *PreparedVsAdhoc `json:"prepared_vs_adhoc,omitempty"`
-	Shift           *ShiftReport     `json:"shift,omitempty"`
-	Restart         *RestartReport   `json:"restart,omitempty"`
-	FaultStats      *disk.FaultStats `json:"fault_stats,omitempty"`
-}
-
-// ShiftReport is the E18 adaptive-specialization experiment: throughput
-// through a mid-run rotation of the hot predicate set, with the advisor
-// re-specializing the engine online (no restart).
-type ShiftReport struct {
-	PhaseSeconds float64 `json:"phase_seconds"`
-	// PhaseAOpsSec is steady throughput on the first hot set after the
-	// advisor specialized it.
-	PhaseAOpsSec float64 `json:"phase_a_ops_per_sec"`
-	// DipOpsSec is throughput right after the shift, while the new hot
-	// set still runs interpreted.
-	DipOpsSec float64 `json:"dip_ops_per_sec"`
-	// PostShiftOpsSec is the recovered tail: the new hot set after the
-	// advisor promoted it.
-	PostShiftOpsSec float64 `json:"post_shift_ops_per_sec"`
-	// StaticOpsSec is the statically-specialized ceiling: the same new
-	// hot set with the advisor off (compile-on-first-use), measured warm.
-	StaticOpsSec float64 `json:"static_ops_per_sec"`
-	// RecoveryRatio = PostShiftOpsSec / StaticOpsSec (E18's headline:
-	// within 10% of the ceiling means ≥ 0.9).
-	RecoveryRatio float64 `json:"recovery_ratio"`
-	Promotions    int64   `json:"promotions"`
-	Demotions     int64   `json:"demotions"`
-	Cycles        int64   `json:"cycles"`
-	Mismatches    int64   `json:"mismatches"`
-}
-
-// RestartReport is the kill-and-restart experiment (E16's warm-restart
-// half): first-execution latency of a fixed prepared-statement set
-// against the pre-kill server, a recovered server with the bee-cache
-// warm restart, and a recovered server with manifest replay disabled.
-type RestartReport struct {
-	Statements     int     `json:"statements"`
-	PreKillP50us   float64 `json:"pre_kill_p50_us"`
-	WarmP50us      float64 `json:"warm_restart_p50_us"`
-	ColdP50us      float64 `json:"cold_restart_p50_us"`
-	WarmOverPre    float64 `json:"warm_over_pre"`
-	ColdOverWarm   float64 `json:"cold_over_warm"`
-	PreparedWarmed int     `json:"prepared_warmed"`
-	RecoveryMS     float64 `json:"recovery_ms"`
-}
-
-// Scaling summarizes the connection sweep: throughput at the smallest
-// and largest connection counts and their ratio (the E15 headline
-// number).
-type Scaling struct {
-	BaseConns  int     `json:"base_conns"`
-	BaseOpsSec float64 `json:"base_ops_per_sec"`
-	TopConns   int     `json:"top_conns"`
-	TopOpsSec  float64 `json:"top_ops_per_sec"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// PreparedVsAdhoc compares point-query throughput with and without
-// server-side prepared statements.
-type PreparedVsAdhoc struct {
-	Conns         int     `json:"conns"`
-	AdhocOpsSec   float64 `json:"adhoc_ops_per_sec"`
-	PrepareOpsSec float64 `json:"prepared_ops_per_sec"`
-	Speedup       float64 `json:"speedup"`
-}
 
 func main() {
-	addr := flag.String("addr", "", "server address; empty starts an in-process loopback server")
-	connsFlag := flag.String("conns", "1,4,16", "comma-separated connection counts to sweep")
-	dur := flag.Duration("dur", 2*time.Second, "duration of each measured round")
-	sf := flag.Float64("tpch", 0.01, "TPC-H scale factor for the in-process server")
-	secret := flag.String("secret", "", "Hello secret for -addr servers")
-	seed := flag.Int64("seed", 42, "workload RNG seed")
-	faults := flag.Bool("faults", false, "arm seeded disk faults on the in-process server after setup")
-	faultSeed := flag.Int64("faultseed", 1, "fault schedule seed (with -faults)")
-	check := flag.Bool("check", false, "exit non-zero on any mismatch or unclean shutdown")
-	ioLat := flag.Duration("latency", 0, "per-page disk read latency on the in-process server, really slept so connections overlap I/O (0 = warm in-memory mode)")
-	minScale := flag.Float64("minscale", 0, "minimum (top conns ops/s) / (base conns ops/s) ratio; below it the run exits non-zero (0 = no scaling gate)")
-	poolPages := flag.Int("poolpages", 0, "in-process buffer pool size in pages (0 = engine default; -faults defaults to 512 so the fault-injecting device sees real I/O)")
-	out := flag.String("out", "BENCH_server.json", "output report path (empty disables)")
-	adminAddr := flag.String("admin", "", "HTTP admin/telemetry address for the in-process server (empty = disabled)")
-	traceN := flag.Int("trace", 0, "sample 1-in-N requests on the in-process server and fire client-traced probes (0 = off)")
-	durable := flag.Bool("durable", false, "run the in-process server with write-ahead logging and group commit; rounds report fsyncs-per-commit")
-	naiveSync := flag.Bool("naivesync", false, "with -durable: one fsync per commit instead of group commit (the E16 baseline)")
-	fsyncLat := flag.Duration("fsynclat", 100*time.Microsecond, "with -durable: simulated fsync cost, really slept so group commit has something to amortize (0 = free syncs)")
-	restart := flag.Bool("restart", false, "end with the kill-and-restart experiment: warm vs cold prepared first-execution p50 (implies -durable)")
-	shift := flag.Bool("shift", false, "end with the adaptive-specialization experiment: rotate the hot predicate set mid-run and let the advisor re-specialize online (E18)")
-	txnBees := flag.Bool("txnbees", false, "run the Payment transaction through a server-side transaction bee: one ExecuteTxn round trip instead of four statement round trips")
-	flag.Parse()
-	if *restart {
-		*durable = true
-	}
-	if *durable && *faults {
-		fatalf("-durable and -faults are mutually exclusive (the faulty device has no log)")
-	}
-	if (*durable || *restart) && *addr != "" {
-		fatalf("-durable/-restart need the in-process server (drop -addr)")
-	}
-	if *shift && *addr != "" {
-		fatalf("-shift needs the in-process server (drop -addr)")
-	}
-
-	connCounts, err := parseConns(*connsFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	// In-process server unless pointed elsewhere.
-	var srv *server.Server
-	var admin *server.Admin
-	var db *engine.DB
-	var fd *disk.Faulty
-	var dm *disk.Manager     // the log-capable device under -durable
-	var engCfg engine.Config // kept for the -restart recovery configs
-	var latDev disk.Device   // armed with the -latency model after setup
-	target := *addr
-	if target == "" {
-		cfg := engine.Config{Routines: core.AllRoutines, PoolPages: *poolPages}
-		if *faults && *poolPages == 0 {
-			cfg.PoolPages = 512
-		}
-		if *ioLat > 0 && *poolPages == 0 && !*faults {
-			// I/O-bound mode wants a pool small enough that the workload
-			// actually misses; connections then scale by overlapping the
-			// slept page reads.
-			cfg.PoolPages = 128
-		}
-		if *faults {
-			fc := disk.DefaultChaosFaults
-			fc.Seed = *faultSeed
-			fd = disk.NewFaulty(disk.NewManager(disk.LatencyModel{}), fc)
-			cfg.Disk = fd
-			latDev = fd
-		} else if *ioLat > 0 {
-			dm = disk.NewManager(disk.LatencyModel{})
-			cfg.Disk = dm
-			latDev = dm
-		} else if *durable {
-			// Setup loads warm; the fsync cost arms after (below), so bulk
-			// load does not crawl through slept checkpoint syncs.
-			dm = disk.NewManager(disk.LatencyModel{})
-			cfg.Disk = dm
-		}
-		if *durable {
-			cfg.Durability = engine.DurabilityConfig{WAL: true, NaiveSync: *naiveSync}
-		}
-		if *shift {
-			// A short decision interval keeps the experiment brief, and
-			// pinning is effectively disabled so the abandoned hot set
-			// stays eligible for cold demotion after the shift.
-			cfg.Advisor = advisor.Config{Interval: 200 * time.Millisecond, PinStreak: 1 << 20}
-		}
-		engCfg = cfg
-		db = engine.Open(cfg)
-		fmt.Printf("loading TPC-H at SF %g...\n", *sf)
-		if err := tpch.CreateSchema(db); err != nil {
-			fatalf("tpch schema: %v", err)
-		}
-		if _, err := tpch.Load(db, tpch.NewGenerator(*sf), nil); err != nil {
-			fatalf("tpch load: %v", err)
-		}
-		srv, err = server.Listen(server.Config{Addr: "127.0.0.1:0", DB: db, MaxConns: 64})
-		if err != nil {
-			fatalf("listen: %v", err)
-		}
-		target = srv.Addr().String()
-		fmt.Printf("in-process server on %s\n", target)
-		if *traceN > 0 {
-			db.Tracer().Enable(*traceN)
-			fmt.Printf("tracing enabled (1 in %d requests)\n", *traceN)
-		}
-		if *adminAddr != "" {
-			admin, err = server.StartAdmin(*adminAddr, db)
-			if err != nil {
-				fatalf("admin: %v", err)
-			}
-			fmt.Printf("admin telemetry on http://%s (/metrics /traces /bees)\n", admin.Addr())
-		}
-	}
-
-	if err := setupBenchTables(target, *secret); err != nil {
-		fatalf("setup: %v", err)
-	}
-	if *txnBees {
-		fmt.Println("payment via transaction bees: one ExecuteTxn round trip per Payment")
-	}
-	if fd != nil {
-		fd.SetEnabled(true)
-		fmt.Printf("disk faults armed (seed %d)\n", *faultSeed)
-	}
-	if latDev != nil && *ioLat > 0 {
-		// Setup (TPC-H load, bench seeding) ran warm; measured rounds pay
-		// real, overlappable I/O waits.
-		m := disk.LatencyModel{ReadPerPage: *ioLat, WritePerPage: *ioLat * 6 / 5, Sleep: true}
-		if *durable {
-			m.LogSyncTime = *fsyncLat
-		}
-		latDev.SetLatency(m)
-		fmt.Printf("I/O-bound mode armed: %v per page read (slept)\n", *ioLat)
-	} else if dm != nil && *durable && *fsyncLat > 0 {
-		dm.SetLatency(disk.LatencyModel{LogSyncTime: *fsyncLat, Sleep: true})
-		fmt.Printf("durable mode armed: %v per log fsync (slept), %s\n", *fsyncLat,
-			map[bool]string{false: "group commit", true: "naive sync-per-commit"}[*naiveSync])
-	}
-
-	rep := &Report{
-		Bench:       "server",
-		When:        time.Now().UTC().Format(time.RFC3339),
-		ScaleFactor: *sf,
-		Faults:      *faults,
-		TxnBees:     *txnBees,
-		Durable:     *durable,
-		NaiveSync:   *durable && *naiveSync,
-		IOLatencyUS: float64(*ioLat) / float64(time.Microsecond),
-	}
-	// walCounters reads the cumulative commit/fsync counters so each round
-	// can report the fsyncs its commits actually cost (E16's group-commit
-	// vs naive-sync headline).
-	walCounters := func() (commits, fsyncs int64) {
-		if db == nil || !*durable {
-			return 0, 0
-		}
-		snap := db.MetricsSnapshot()
-		return snap.Counters["wal.commits"], snap.Counters["wal.fsyncs"]
-	}
-	nParts := tpch.NewGenerator(*sf).NumPart()
-	var mismatches int64
-	for _, n := range connCounts {
-		c0, f0 := walCounters()
-		r := runMixed(target, *secret, n, *dur, *seed, nParts, *txnBees)
-		if c1, f1 := walCounters(); c1 > c0 {
-			r.FsyncsPerCommit = float64(f1-f0) / float64(c1-c0)
-		}
-		mismatches += r.Mismatches
-		rep.Rounds = append(rep.Rounds, r)
-		fmt.Printf("mixed  conns=%-3d %8.0f ops/s  p50=%6.0fµs p95=%6.0fµs p99=%6.0fµs  errors=%d conflicts=%d mismatches=%d",
-			n, r.OpsPerSec, r.P50us, r.P95us, r.P99us, r.Errors, r.Conflicts, r.Mismatches)
-		if r.FsyncsPerCommit > 0 {
-			fmt.Printf("  fsyncs/commit=%.3f", r.FsyncsPerCommit)
-		}
-		fmt.Println()
-	}
-	scaleOK := true
-	if len(rep.Rounds) >= 2 {
-		base, top := rep.Rounds[0], rep.Rounds[0]
-		for _, r := range rep.Rounds[1:] {
-			if r.Conns < base.Conns {
-				base = r
-			}
-			if r.Conns > top.Conns {
-				top = r
-			}
-		}
-		if top.Conns > base.Conns && base.OpsPerSec > 0 {
-			sc := &Scaling{BaseConns: base.Conns, BaseOpsSec: base.OpsPerSec,
-				TopConns: top.Conns, TopOpsSec: top.OpsPerSec,
-				Speedup: top.OpsPerSec / base.OpsPerSec}
-			rep.Scaling = sc
-			fmt.Printf("scaling: %d conns → %d conns = %.2fx throughput\n",
-				base.Conns, top.Conns, sc.Speedup)
-			if *minScale > 0 && sc.Speedup < *minScale {
-				scaleOK = false
-				fmt.Fprintf(os.Stderr, "loadgen: scaling %.2fx below required %.2fx\n",
-					sc.Speedup, *minScale)
-			}
-		}
-	}
-
-	pva := runPreparedVsAdhoc(target, *secret, 4, *dur, *seed, nParts)
-	rep.PreparedVsAdhoc = pva
-	fmt.Printf("point queries: prepared %.0f ops/s vs ad-hoc %.0f ops/s (%.2fx)\n",
-		pva.PrepareOpsSec, pva.AdhocOpsSec, pva.Speedup)
-
-	// Client-traced probes: the printed IDs are findable verbatim at the
-	// admin plane's /traces?id= endpoint as full server-side span trees.
-	if *traceN > 0 {
-		runTracedProbes(target, *secret, *seed)
-	}
-
-	if db != nil {
-		fmt.Print(harness.FormatBeeBenefits(db, 10))
-	}
-	shiftOK := true
-	if *shift && db != nil {
-		sr := runShift(db, target, *secret, *dur)
-		rep.Shift = sr
-		mismatches += sr.Mismatches
-		if *check && (sr.Promotions < 1 || sr.Demotions < 1) {
-			shiftOK = false
-			fmt.Fprintf(os.Stderr, "loadgen: shift experiment saw %d promotions, %d demotions (want >= 1 each)\n",
-				sr.Promotions, sr.Demotions)
-		}
-	}
-	restartOK := true
-	if *restart && srv != nil {
-		rr := runRestart(db, srv, dm, engCfg, *secret, *seed, nParts)
-		rep.Restart = rr
-		srv, db = nil, nil // runRestart crashed and drained the original pair
-		if *check && rr.WarmOverPre > 2.0 {
-			restartOK = false
-			fmt.Fprintf(os.Stderr, "loadgen: warm-restart p50 %.0fµs is %.2fx pre-kill %.0fµs (limit 2x)\n",
-				rr.WarmP50us, rr.WarmOverPre, rr.PreKillP50us)
-		}
-	}
-	cleanShutdown := true
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			cleanShutdown = false
-			fmt.Fprintf(os.Stderr, "loadgen: shutdown: %v\n", err)
-		} else {
-			fmt.Println("server drained cleanly")
-		}
-	}
-	if admin != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		admin.Shutdown(ctx)
-		cancel()
-	}
-	if fd != nil {
-		fs := fd.FaultStats()
-		rep.FaultStats = &fs
-		fmt.Printf("injected faults: %d (read errs %d, bit flips %d, torn writes %d)\n",
-			fs.Injected, fs.ReadErrs, fs.BitFlips, fs.TornWrites)
-	}
-
-	if *out != "" {
-		buf, _ := json.MarshalIndent(rep, "", "  ")
-		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fatalf("write %s: %v", *out, err)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	if !scaleOK {
-		fatalf("scaling gate failed")
-	}
-	if !restartOK {
-		fatalf("check failed: warm restart slower than 2x pre-kill")
-	}
-	if !shiftOK {
-		fatalf("check failed: advisor never re-specialized across the shift")
-	}
-	if *check {
-		if mismatches > 0 {
-			fatalf("check failed: %d mismatches", mismatches)
-		}
-		if !cleanShutdown {
-			fatalf("check failed: unclean shutdown")
-		}
-		fmt.Println("check passed: zero mismatches, clean shutdown")
-	}
-}
-
-// restartTexts is the prepared-statement set the -restart experiment
-// times: distinct texts (each is its own plan and query-bee cache entry)
-// with real planning and bee-compilation cost behind the first prepare.
-func restartTexts() []string {
-	out := make([]string, 0, 16)
-	for i := 0; i < 16; i++ {
-		out = append(out, fmt.Sprintf(
-			"select count(*), sum(l_extendedprice) from lineitem where l_partkey = $1 and l_quantity < %d", i+3))
-	}
-	return out
-}
-
-// firstExecLatencies opens one connection (retrying through a recovering
-// server) and, per text, times Prepare + first Execute — the latency a
-// returning client pays for a "hot" statement right after a restart.
-func firstExecLatencies(addr, secret string, seed int64, nParts int) ([]time.Duration, error) {
-	c, err := client.DialConfig(client.Config{Addr: addr, Secret: secret, RetryRecovering: 30 * time.Second})
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	rng := rand.New(rand.NewSource(seed))
-	var lats []time.Duration
-	for _, text := range restartTexts() {
-		k := 1 + rng.Intn(nParts)
-		t0 := time.Now()
-		st, err := c.Prepare(text)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := st.Query(types.NewInt64(int64(k))); err != nil {
-			return nil, err
-		}
-		lats = append(lats, time.Since(t0))
-		st.Close()
-	}
-	return lats, nil
-}
-
-// recoverAndMeasure builds a server over one survivor image, opening the
-// listener before replay finishes (engine.RecoverDeferred — early dials
-// get the typed recovering error and the client driver retries), then
-// times the statement set's first executions against it.
-func recoverAndMeasure(cfg engine.Config, img *disk.Manager, secret string, seed int64, nParts int) (float64, engine.RecoveryStats, error) {
-	cfg.Disk = img
-	rdb, finish := engine.RecoverDeferred(cfg)
-	rsrv, err := server.Listen(server.Config{Addr: "127.0.0.1:0", DB: rdb, MaxConns: 64, Secret: secret})
-	if err != nil {
-		return 0, engine.RecoveryStats{}, err
-	}
-	done := make(chan error, 1)
-	go func() { done <- finish() }()
-	lats, lerr := firstExecLatencies(rsrv.Addr().String(), secret, seed, nParts)
-	if err := <-done; err != nil {
-		return 0, engine.RecoveryStats{}, fmt.Errorf("recovery: %w", err)
-	}
-	stats := rdb.RecoveryStats()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	rsrv.Shutdown(ctx)
-	cancel()
-	rdb.Close()
-	if lerr != nil {
-		return 0, stats, lerr
-	}
-	p50, _, _ := percentiles(lats)
-	return p50, stats, nil
-}
-
-// runRestart is the kill-and-restart experiment: measure pre-kill
-// first-execution p50, checkpoint (so the manifest carries the statement
-// set), crash, then recover the same survivor state twice — warm
-// (manifest replay re-plans and re-compiles every prepared text before
-// the listener admits clients) and cold (NoManifestReplay) — measuring
-// the same statement set against each.
-func runRestart(db *engine.DB, srv *server.Server, dm *disk.Manager, cfg engine.Config, secret string, seed int64, nParts int) *RestartReport {
-	rr := &RestartReport{Statements: len(restartTexts())}
-	addr := srv.Addr().String()
-	// Populate the plan and bee caches, then measure the steady state a
-	// client sees pre-kill.
-	if _, err := firstExecLatencies(addr, secret, seed, nParts); err != nil {
-		fatalf("restart warmup: %v", err)
-	}
-	lats, err := firstExecLatencies(addr, secret, seed+1, nParts)
-	if err != nil {
-		fatalf("restart pre-kill measure: %v", err)
-	}
-	rr.PreKillP50us, _, _ = percentiles(lats)
-	if err := db.Checkpoint(); err != nil {
-		fatalf("restart checkpoint: %v", err)
-	}
-
-	db.SimulateCrash()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	srv.Shutdown(ctx)
-	cancel()
-	warmImg, coldImg := dm.Crash(0), dm.Crash(0)
-
-	var stats engine.RecoveryStats
-	rr.WarmP50us, stats, err = recoverAndMeasure(cfg, warmImg, secret, seed+2, nParts)
-	if err != nil {
-		fatalf("warm restart: %v", err)
-	}
-	rr.PreparedWarmed = stats.PreparedWarm
-	rr.RecoveryMS = float64(stats.Elapsed) / float64(time.Millisecond)
-	coldCfg := cfg
-	coldCfg.Durability.NoManifestReplay = true
-	rr.ColdP50us, _, err = recoverAndMeasure(coldCfg, coldImg, secret, seed+2, nParts)
-	if err != nil {
-		fatalf("cold restart: %v", err)
-	}
-	if rr.PreKillP50us > 0 {
-		rr.WarmOverPre = rr.WarmP50us / rr.PreKillP50us
-	}
-	if rr.WarmP50us > 0 {
-		rr.ColdOverWarm = rr.ColdP50us / rr.WarmP50us
-	}
-	fmt.Printf("restart: first-exec p50 pre-kill=%.0fµs warm=%.0fµs cold=%.0fµs (%d stmts re-warmed, recovery %.1fms)\n",
-		rr.PreKillP50us, rr.WarmP50us, rr.ColdP50us, rr.PreparedWarmed, rr.RecoveryMS)
-	fmt.Printf("restart ratios: warm/pre=%.2fx cold/warm=%.2fx\n", rr.WarmOverPre, rr.ColdOverWarm)
-	return rr
-}
-
-// shiftTexts returns the two disjoint hot predicate sets of the E18
-// experiment: Q6-shaped lineitem aggregates whose fixed constants make
-// each text its own predicate bee. Phase A's set is hot first; the
-// shift replaces it wholesale with phase B's.
-func shiftTexts() (a, b []string) {
-	a = []string{
-		"select count(*), sum(l_extendedprice) from lineitem where l_quantity < 24.0",
-		"select count(*), sum(l_extendedprice) from lineitem where l_quantity >= 45.0",
-		"select count(*), sum(l_quantity) from lineitem where l_discount < 0.03",
-		"select count(*), sum(l_quantity) from lineitem where l_tax >= 0.07",
-	}
-	b = []string{
-		"select count(*), sum(l_extendedprice) from lineitem where l_quantity < 11.0",
-		"select count(*), sum(l_extendedprice) from lineitem where l_tax < 0.02",
-		"select count(*), sum(l_quantity) from lineitem where l_discount >= 0.08",
-		"select count(*), sum(l_quantity) from lineitem where l_extendedprice < 20000.0",
-	}
-	return a, b
-}
-
-// sumClose compares float aggregates with a relative tolerance: parallel
-// scans may sum partitions in a different order than the serial stock
-// pass that computed the expectation.
-func sumClose(got, want float64) bool {
-	diff := got - want
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := want
-	if scale < 0 {
-		scale = -scale
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	return diff <= 1e-9*scale
-}
-
-// runShift is the E18 adaptive-specialization experiment: enable the
-// advisor on the live server, let it specialize the phase-A hot set,
-// rotate the hot set to phase B mid-run, and measure the dip and the
-// recovered tail against the statically-specialized ceiling. Every query
-// is verified against aggregates computed on the stock path first.
-func runShift(db *engine.DB, addr, secret string, dur time.Duration) *ShiftReport {
-	phase := dur
-	if phase < 2*time.Second {
-		phase = 2 * time.Second // demotion needs heat to decay through several cycles
-	}
-	sr := &ShiftReport{PhaseSeconds: phase.Seconds()}
-	hotA, hotB := shiftTexts()
-
-	c, err := client.DialConfig(client.Config{Addr: addr, Secret: secret})
-	if err != nil {
-		fatalf("shift dial: %v", err)
-	}
-	defer c.Close()
-
-	// Raise the gate first, then compute expected aggregates: with the
-	// advisor up these run interpreted, so the expectations come from the
-	// stock path every later execution is checked against.
-	db.SetAdvisorEnabled(true)
-	snap0 := db.MetricsSnapshot()
-	type agg struct {
-		count int64
-		sum   float64
-	}
-	expect := make(map[string]agg)
-	for _, q := range append(append([]string{}, hotA...), hotB...) {
-		res, err := c.Query(q)
-		if err != nil || len(res.Rows) != 1 {
-			fatalf("shift expectation %q: %v", q, err)
-		}
-		expect[q] = agg{res.Rows[0][0].Int64(), res.Rows[0][1].Float64()}
-	}
-
-	exec1 := func(q string) {
-		res, err := c.Query(q)
-		e := expect[q]
-		if err != nil || len(res.Rows) != 1 ||
-			res.Rows[0][0].Int64() != e.count || !sumClose(res.Rows[0][1].Float64(), e.sum) {
-			sr.Mismatches++
-		}
-	}
-	// measure runs texts round-robin for d and returns the rate, checking
-	// every result.
-	measure := func(texts []string, d time.Duration) float64 {
-		var ops int64
-		t0 := time.Now()
-		for time.Since(t0) < d {
-			exec1(texts[int(ops)%len(texts)])
-			ops++
-		}
-		return float64(ops) / time.Since(t0).Seconds()
-	}
-	delta := func(name string) int64 {
-		return db.MetricsSnapshot().Counters[name] - snap0.Counters[name]
-	}
-
-	// Phase A: first half is the promotion transient, second half the
-	// specialized steady state.
-	measure(hotA, phase/2)
-	sr.PhaseAOpsSec = measure(hotA, phase/2)
-
-	// The shift: phase A's predicates vanish, phase B takes over. The
-	// first half after the shift is the dip (B still interpreted), the
-	// second the recovered tail (B promoted and compiled).
-	sr.DipOpsSec = measure(hotB, phase/2)
-	sr.PostShiftOpsSec = measure(hotB, phase/2)
-
-	// Keep B hot until the advisor has demoted the abandoned set — its
-	// heat has to decay below threshold for ColdStreak cycles.
-	deadline := time.Now().Add(phase + 4*time.Second)
-	for delta("advisor.demotions") == 0 && time.Now().Before(deadline) {
-		exec1(hotB[0])
-	}
-
-	sr.Promotions = delta("advisor.promotions")
-	sr.Demotions = delta("advisor.demotions")
-	sr.Cycles = delta("advisor.cycles")
-
-	// Statically-specialized ceiling: advisor off, compile on first use,
-	// measured warm over the same texts.
-	db.SetAdvisorEnabled(false)
-	for _, q := range hotB {
-		exec1(q)
-	}
-	sr.StaticOpsSec = measure(hotB, phase/2)
-	if sr.StaticOpsSec > 0 {
-		sr.RecoveryRatio = sr.PostShiftOpsSec / sr.StaticOpsSec
-	}
-
-	fmt.Printf("shift: phaseA=%.0f ops/s dip=%.0f post-shift=%.0f static=%.0f recovery=%.2f\n",
-		sr.PhaseAOpsSec, sr.DipOpsSec, sr.PostShiftOpsSec, sr.StaticOpsSec, sr.RecoveryRatio)
-	fmt.Printf("shift advisor: promotions=%d demotions=%d cycles=%d mismatches=%d\n",
-		sr.Promotions, sr.Demotions, sr.Cycles, sr.Mismatches)
-	return sr
-}
-
-// setupBenchTables creates and seeds the bench_* tables over the wire,
-// using prepared DML for the bulk inserts.
-func setupBenchTables(addr, secret string) error {
-	c, err := client.DialConfig(client.Config{Addr: addr, Secret: secret})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	for _, tbl := range []string{"bench_history", "bench_customer", "bench_district", "bench_kv"} {
-		c.Exec("drop table " + tbl) // best-effort: fresh server has none
-	}
-	ddl := []string{
-		`create table bench_kv (
-			k integer not null,
-			v varchar(32) not null,
-			primary key (k))`,
-		`create table bench_district (
-			d_w_id integer not null,
-			d_id integer not null,
-			d_ytd double not null,
-			primary key (d_w_id, d_id))`,
-		`create table bench_customer (
-			c_w_id integer not null,
-			c_d_id integer not null,
-			c_id integer not null,
-			c_balance double not null,
-			c_payment_cnt integer not null,
-			primary key (c_w_id, c_d_id, c_id))`,
-		`create table bench_history (
-			h_c_id integer not null,
-			h_d_id integer not null,
-			h_w_id integer not null,
-			h_amount double not null,
-			h_data varchar(24) not null)`,
-	}
-	for _, s := range ddl {
-		if _, err := c.Exec(s); err != nil {
-			return fmt.Errorf("%q: %w", s, err)
-		}
-	}
-	ins, err := c.Prepare("insert into bench_kv values ($1, $2)")
-	if err != nil {
-		return err
-	}
-	for k := 0; k < kvRows; k++ {
-		if _, err := ins.Exec(types.NewInt64(int64(k)), types.NewString(kvVal(k))); err != nil {
-			return fmt.Errorf("seed bench_kv %d: %w", k, err)
-		}
-	}
-	ins.Close()
-	for w := 1; w <= warehouses; w++ {
-		for d := 1; d <= districts; d++ {
-			if _, err := c.Exec(fmt.Sprintf(
-				"insert into bench_district values (%d, %d, 0.0)", w, d)); err != nil {
-				return err
-			}
-		}
-	}
-	insC, err := c.Prepare("insert into bench_customer values ($1, $2, $3, 1000.0, 0)")
-	if err != nil {
-		return err
-	}
-	defer insC.Close()
-	for w := 1; w <= warehouses; w++ {
-		for d := 1; d <= districts; d++ {
-			for cid := 1; cid <= custPerDist; cid++ {
-				if _, err := insC.Exec(types.NewInt64(int64(w)), types.NewInt64(int64(d)),
-					types.NewInt64(int64(cid))); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func kvVal(k int) string { return fmt.Sprintf("val-%d", k) }
-
-// runTracedProbes fires a few queries under client-minted trace IDs and
-// prints one log line per probe; each ID is the handle that joins this
-// line with the server-side span tree at /traces?id=<id>.
-func runTracedProbes(addr, secret string, seed int64) {
-	c, err := client.DialConfig(client.Config{Addr: addr, Secret: secret})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: traced probe dial: %v\n", err)
-		return
-	}
-	defer c.Close()
-	rng := rand.New(rand.NewSource(seed ^ 0x7ace))
-	probes := []string{
-		"select count(*), sum(l_extendedprice) from lineitem where l_quantity < 24",
-		"select p_name, p_retailprice from part where p_partkey = 1",
-		"select v from bench_kv where k = 7",
-	}
-	for _, q := range probes {
-		id := rng.Uint64() | 1 // nonzero: a zero ID would fall back to sampling
-		c.TraceNext(id)
-		start := time.Now()
-		res, err := c.Query(q)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: traced probe: %v\n", err)
-			continue
-		}
-		echo := "echo=missing"
-		if res.TraceID == id {
-			echo = "echo=ok"
-		}
-		fmt.Printf("client trace %016x latency=%v rows=%d %s sql=%q\n",
-			id, time.Since(start).Round(time.Microsecond), len(res.Rows), echo, q)
-	}
-}
-
-// worker is one connection's prepared workload.
-type worker struct {
-	c         *client.Conn
-	rng       *rand.Rand
-	nParts    int
-	txnBees   bool // payment via one ExecuteTxn instead of four statements
-	kvGet     *client.Stmt
-	partGet   *client.Stmt
-	liRange   *client.Stmt
-	payDist   *client.Stmt
-	payGet    *client.Stmt
-	payUpd    *client.Stmt
-	payHist   *client.Stmt
-	ops       int64
-	errs      int64
-	misses    int64
-	conflicts int64
-	lats      []time.Duration
-}
-
-func newWorker(addr, secret string, seed int64, nParts int, txnBees bool) (*worker, error) {
-	c, err := client.DialConfig(client.Config{Addr: addr, Secret: secret})
-	if err != nil {
-		return nil, err
-	}
-	w := &worker{c: c, rng: rand.New(rand.NewSource(seed)), nParts: nParts, txnBees: txnBees}
-	prepare := func(sql string) (*client.Stmt, error) { return c.Prepare(sql) }
-	if w.kvGet, err = prepare("select v from bench_kv where k = $1"); err != nil {
-		return nil, err
-	}
-	if w.partGet, err = prepare("select p_name, p_retailprice from part where p_partkey = $1"); err != nil {
-		return nil, err
-	}
-	if w.liRange, err = prepare(
-		"select count(*), sum(l_extendedprice) from lineitem where l_orderkey >= $1 and l_orderkey < $2"); err != nil {
-		return nil, err
-	}
-	if txnBees {
-		// The same Payment shape as the statement path below, fused
-		// server-side: $1=w_id, $2=d_id, $3=c_id, $4=amount.
-		if err := c.PrepareTxn(`prepare transaction pay as begin;
-			update bench_district set d_ytd = d_ytd + $4 where d_w_id = $1 and d_id = $2;
-			update bench_customer set c_balance = c_balance - $4, c_payment_cnt = c_payment_cnt + 1
-				where c_w_id = $1 and c_d_id = $2 and c_id = $3;
-			insert into bench_history values ($3, $2, $1, $4, 'payment');
-			select c_balance from bench_customer where c_w_id = $1 and c_d_id = $2 and c_id = $3;
-		commit`); err != nil {
-			return nil, fmt.Errorf("prepare transaction pay: %w", err)
-		}
-		return w, nil
-	}
-	if w.payDist, err = prepare(
-		"update bench_district set d_ytd = d_ytd + $1 where d_w_id = $2 and d_id = $3"); err != nil {
-		return nil, err
-	}
-	if w.payGet, err = prepare(
-		"select c_balance from bench_customer where c_w_id = $1 and c_d_id = $2 and c_id = $3"); err != nil {
-		return nil, err
-	}
-	if w.payUpd, err = prepare(
-		"update bench_customer set c_balance = c_balance - $1, c_payment_cnt = c_payment_cnt + 1 " +
-			"where c_w_id = $2 and c_d_id = $3 and c_id = $4"); err != nil {
-		return nil, err
-	}
-	if w.payHist, err = prepare(
-		"insert into bench_history values ($1, $2, $3, $4, 'payment')"); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func (w *worker) close() { w.c.Close() }
-
-// step runs one operation of the mixed workload and records its latency.
-// A first-updater-wins loss (the typed "write_conflict" error code) is
-// counted and retried once — the standard client reaction to MVCC
-// conflicts — rather than reported as an error.
-func (w *worker) step() {
-	start := time.Now()
-	op := w.pickOp()
-	err := op()
-	if isConflictErr(err) {
-		w.conflicts++
-		err = op()
-	}
-	w.lats = append(w.lats, time.Since(start))
-	w.ops++
-	if err != nil {
-		w.errs++
-	}
-}
-
-// pickOp selects one operation of the mixed workload.
-func (w *worker) pickOp() func() error {
-	switch p := w.rng.Intn(100); {
-	case p < 35: // verified point read on the seeded kv table
-		k := w.rng.Intn(kvRows)
-		return func() error {
-			res, err := w.kvGet.Query(types.NewInt64(int64(k)))
-			if err == nil && (len(res.Rows) != 1 || res.Rows[0][0].Str() != kvVal(k)) {
-				w.misses++
-			}
-			return err
-		}
-	case p < 55: // TPC-H point query
-		k := 1 + w.rng.Intn(w.nParts)
-		return func() error {
-			_, err := w.partGet.Query(types.NewInt64(int64(k)))
-			return err
-		}
-	case p < 70: // TPC-H range aggregate
-		lo := 1 + w.rng.Intn(1000)
-		return func() error {
-			_, err := w.liRange.Query(types.NewInt64(int64(lo)), types.NewInt64(int64(lo+64)))
-			return err
-		}
-	default: // TPC-C-Payment-shaped transaction
-		return w.payment
-	}
-}
-
-// isConflictErr reports whether err is the server's typed write-conflict
-// error.
-func isConflictErr(err error) bool {
-	var we *wire.Error
-	return errors.As(err, &we) && we.Code == wire.CodeConflict
-}
-
-func (w *worker) payment() error {
-	wid := int64(1 + w.rng.Intn(warehouses))
-	did := int64(1 + w.rng.Intn(districts))
-	cid := int64(1 + w.rng.Intn(custPerDist))
-	amount := 1.0 + float64(w.rng.Intn(500))/100
-	if w.txnBees {
-		res, err := w.c.ExecuteTxn("pay", types.NewInt64(wid), types.NewInt64(did),
-			types.NewInt64(cid), types.NewFloat64(amount))
-		if err != nil {
-			return err
-		}
-		if len(res.Rows) != 1 {
-			w.misses++
-			return fmt.Errorf("payment: customer (%d,%d,%d) missing", wid, did, cid)
-		}
-		return nil
-	}
-	if _, err := w.payDist.Exec(types.NewFloat64(amount),
-		types.NewInt64(wid), types.NewInt64(did)); err != nil {
-		return err
-	}
-	res, err := w.payGet.Query(types.NewInt64(wid), types.NewInt64(did), types.NewInt64(cid))
-	if err != nil {
-		return err
-	}
-	if len(res.Rows) != 1 {
-		w.misses++
-		return fmt.Errorf("payment: customer (%d,%d,%d) missing", wid, did, cid)
-	}
-	if _, err := w.payUpd.Exec(types.NewFloat64(amount),
-		types.NewInt64(wid), types.NewInt64(did), types.NewInt64(cid)); err != nil {
-		return err
-	}
-	_, err = w.payHist.Exec(types.NewInt64(cid), types.NewInt64(did), types.NewInt64(wid),
-		types.NewFloat64(amount))
-	return err
-}
-
-// runMixed drives n connections for dur and aggregates their counters.
-func runMixed(addr, secret string, n int, dur time.Duration, seed int64, nParts int, txnBees bool) Round {
-	workers := make([]*worker, n)
-	for i := range workers {
-		w, err := newWorker(addr, secret, seed+int64(i), nParts, txnBees)
-		if err != nil {
-			fatalf("worker %d: %v", i, err)
-		}
-		workers[i] = w
-	}
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	start := time.Now()
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			for !stop.Load() {
-				w.step()
-			}
-		}(w)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	r := Round{Name: "mixed", Conns: n, Seconds: elapsed.Seconds()}
-	var all []time.Duration
-	for _, w := range workers {
-		r.Ops += w.ops
-		r.Errors += w.errs
-		r.Conflicts += w.conflicts
-		r.Mismatches += w.misses
-		all = append(all, w.lats...)
-		w.close()
-	}
-	r.OpsPerSec = float64(r.Ops) / elapsed.Seconds()
-	r.P50us, r.P95us, r.P99us = percentiles(all)
-	return r
-}
-
-// runPreparedVsAdhoc measures point-query throughput twice at the same
-// connection count: once through prepared statements, once as ad-hoc SQL
-// text the server must parse and plan on every request.
-func runPreparedVsAdhoc(addr, secret string, n int, dur time.Duration, seed int64, nParts int) *PreparedVsAdhoc {
-	run := func(prepared bool) float64 {
-		var wg sync.WaitGroup
-		var stop atomic.Bool
-		var total atomic.Int64
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c, err := client.DialConfig(client.Config{Addr: addr, Secret: secret})
-				if err != nil {
-					fatalf("dial: %v", err)
-				}
-				defer c.Close()
-				rng := rand.New(rand.NewSource(seed + int64(i)))
-				var st *client.Stmt
-				if prepared {
-					if st, err = c.Prepare("select p_name, p_retailprice from part where p_partkey = $1"); err != nil {
-						fatalf("prepare: %v", err)
-					}
-				}
-				var ops int64
-				for !stop.Load() {
-					k := 1 + rng.Intn(nParts)
-					if prepared {
-						_, err = st.Query(types.NewInt64(int64(k)))
-					} else {
-						_, err = c.Query(fmt.Sprintf(
-							"select p_name, p_retailprice from part where p_partkey = %d", k))
-					}
-					if err == nil {
-						ops++
-					}
-				}
-				total.Add(ops)
-			}(i)
-		}
-		start := time.Now()
-		time.Sleep(dur)
-		stop.Store(true)
-		wg.Wait()
-		return float64(total.Load()) / time.Since(start).Seconds()
-	}
-	adhoc := run(false)
-	prep := run(true)
-	return &PreparedVsAdhoc{Conns: n, AdhocOpsSec: adhoc, PrepareOpsSec: prep,
-		Speedup: prep / adhoc}
-}
-
-func percentiles(lats []time.Duration) (p50, p95, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	at := func(q float64) float64 {
-		i := int(q * float64(len(lats)-1))
-		return float64(lats[i]) / float64(time.Microsecond)
-	}
-	return at(0.50), at(0.95), at(0.99)
-}
-
-func parseConns(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -conns element %q", f)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-conns is empty")
-	}
-	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "loadgen: "+format+"\n", args...)
-	os.Exit(1)
+	os.Exit(harness.Main("loadgen", true, os.Args[1:], os.Stdout, os.Stderr))
 }

@@ -2,8 +2,8 @@
 // dials, authenticates, and exposes Query/Prepare/Execute over the
 // internal/wire protocol. A Conn is one session and is not safe for
 // concurrent use — the protocol is strictly request/response — so
-// concurrent workloads open one Conn per goroutine (as cmd/loadgen
-// does).
+// concurrent workloads open one Conn per goroutine (as the
+// internal/harness workers behind cmd/loadgen do).
 package client
 
 import (

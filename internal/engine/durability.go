@@ -404,5 +404,5 @@ func (db *DB) wireDurability(cfg Config) {
 	}
 	db.walDev = ld
 	db.wal = wal.NewWriter(ld, cfg.Durability.NaiveSync)
-	db.pool.SetWALFlush(db.wal.WaitDurable)
+	db.pool.SetWALFlush(db.wal.WaitDurableStalled)
 }

@@ -16,9 +16,6 @@ import (
 // Empty string when nothing was attributed.
 func FormatBeeBenefits(db *engine.DB, top int) string {
 	all := db.Module().BeeBenefits()
-	if top <= 0 {
-		top = 10
-	}
 	// Only bees with measured run time make the table; registered bees
 	// the workload never drove through a timed path are summarized.
 	var bb []core.BeeBenefit

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"time"
@@ -34,14 +36,39 @@ type BulkLoadOptions struct {
 	// SmallRelationRows pads region and nation, which "each occupy only
 	// two disk pages" (the paper loads them with 1M rows instead).
 	SmallRelationRows int
-	PoolPages         int
-	// Runs repeats each timed load; the median is reported.
+	// Runs repeats each timed load; the minimum is reported.
 	Runs int
 }
 
 // DefaultBulkLoadOptions returns laptop-scale settings.
 func DefaultBulkLoadOptions() BulkLoadOptions {
-	return BulkLoadOptions{SF: 0.01, SmallRelationRows: 50000, PoolPages: 32768, Runs: 3}
+	return BulkLoadOptions{SF: 0.01, SmallRelationRows: 50000, Runs: 3}
+}
+
+var bulkLoadExperiment = Experiment{
+	Name:  "bulkload",
+	Ref:   "E6, E8: Figure 8 and the §VI-B instruction drill-down",
+	Smoke: []string{"-sf", "0.002", "-smallrows", "500", "-runs", "1"},
+	Bind: func(fs *flag.FlagSet) (any, func(io.Writer) error) {
+		o := DefaultBulkLoadOptions()
+		fs.Float64Var(&o.SF, "sf", o.SF, "TPC-H scale factor")
+		fs.IntVar(&o.SmallRelationRows, "smallrows", o.SmallRelationRows, "rows loaded into region and nation (the paper uses 1M)")
+		fs.IntVar(&o.Runs, "runs", o.Runs, "timed loads per relation (minimum reported)")
+		return &o, func(w io.Writer) error {
+			results, err := RunBulkLoad(o)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%s\n§VI-B drill-down (orders): total instructions stock vs bee\n", FormatBulkLoad(results))
+			for _, r := range results {
+				if r.Relation == "orders" {
+					fmt.Fprintf(w, "  total: %d vs %d (fill share: %d vs %d)\n",
+						r.StockTotalInstr, r.BeeTotalInstr, r.StockFillInstr, r.BeeFillInstr)
+				}
+			}
+			return nil
+		}
+	},
 }
 
 // RunBulkLoad regenerates Figure 8: for each TPC-H relation, the time to
@@ -99,8 +126,7 @@ func RunBulkLoad(o BulkLoadOptions) ([]BulkLoadResult, error) {
 			var elapsed time.Duration
 			for r := 0; r < runs; r++ {
 				db := engine.Open(engine.Config{
-					Routines: routines, PoolPages: o.PoolPages,
-					Latency: disk.DefaultColdLatency,
+					Routines: routines, Latency: disk.DefaultColdLatency,
 				})
 				if err := tpch.CreateSchema(db); err != nil {
 					return nil, err
@@ -124,7 +150,7 @@ func RunBulkLoad(o BulkLoadOptions) ([]BulkLoadResult, error) {
 				}
 			}
 			// Profiled pass on a fresh database.
-			db2 := engine.Open(engine.Config{Routines: routines, PoolPages: o.PoolPages})
+			db2 := engine.Open(engine.Config{Routines: routines})
 			if err := tpch.CreateSchema(db2); err != nil {
 				return nil, err
 			}
@@ -160,63 +186,6 @@ func FormatBulkLoad(results []BulkLoadResult) string {
 			r.Relation, r.Rows,
 			r.Stock.Round(time.Millisecond), r.Bee.Round(time.Millisecond),
 			r.Improvement, r.StockFillInstr, r.BeeFillInstr)
-	}
-	return b.String()
-}
-
-// StorageRow is E9's data: per-relation page counts, stock vs. bee.
-type StorageRow struct {
-	Relation         string
-	StockPages       int
-	BeePages         int
-	SavingPct        float64
-	TupleBees        int
-	SpecializedAttrs int
-}
-
-// RunStorageReport regenerates the storage/I-O saving implied by tuple
-// bees (experiment E9) over an existing pair.
-func RunStorageReport(stock, bee *engine.DB) ([]StorageRow, error) {
-	var out []StorageRow
-	for _, name := range tpch.TableNames() {
-		hs, err := stock.HeapOf(name)
-		if err != nil {
-			return nil, err
-		}
-		hb, err := bee.HeapOf(name)
-		if err != nil {
-			return nil, err
-		}
-		row := StorageRow{
-			Relation:   name,
-			StockPages: hs.NumPages(),
-			BeePages:   hb.NumPages(),
-		}
-		if row.StockPages > 0 {
-			row.SavingPct = 100 * float64(row.StockPages-row.BeePages) / float64(row.StockPages)
-		}
-		rel, err := bee.Catalog().Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		if rb := bee.Module().RelationBeeFor(rel); rb != nil && rb.DataSections != nil {
-			row.TupleBees = rb.DataSections.NumBees()
-			row.SpecializedAttrs = len(rb.DataSections.SpecializedAttrs())
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// FormatStorage renders the E9 table.
-func FormatStorage(rows []StorageRow) string {
-	var b strings.Builder
-	b.WriteString("Storage report (E9): tuple-bee page savings\n")
-	fmt.Fprintf(&b, "%-10s %12s %10s %8s %10s %10s\n",
-		"relation", "stock pages", "bee pages", "saving", "tuple bees", "spec attrs")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %12d %10d %7.1f%% %10d %10d\n",
-			r.Relation, r.StockPages, r.BeePages, r.SavingPct, r.TupleBees, r.SpecializedAttrs)
 	}
 	return b.String()
 }

@@ -1,12 +1,32 @@
 package harness
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
 	"microspec/internal/profile"
 )
+
+var caseStudyExperiment = Experiment{
+	Name:  "casestudy",
+	Ref:   "E1: §II case study",
+	Smoke: []string{"-sf", "0.002", "-runs", "1"},
+	Bind: func(fs *flag.FlagSet) (any, func(io.Writer) error) {
+		o := DefaultOptions()
+		o.bindScale(fs)
+		return &o, func(w io.Writer) error {
+			res, err := RunCaseStudy(o)
+			if err != nil {
+				return err
+			}
+			_, err = io.WriteString(w, res.Format())
+			return err
+		}
+	},
+}
 
 // CaseStudyResult reproduces the paper's §II case study: the query
 // `select o_comment from orders` on a stock vs. a bee-enabled database,

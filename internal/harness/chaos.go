@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -84,6 +86,40 @@ func DefaultChaosOptions() ChaosOptions {
 	}
 }
 
+var chaosExperiment = Experiment{
+	Name:  "chaos",
+	Ref:   "E11: seeded fault injection under TPC-H, TPC-C and concurrent DML",
+	Smoke: []string{"-sf", "0.002", "-q", "1,6", "-rounds", "1", "-tpcc-txns", "60", "-dml", "2"},
+	Bind: func(fs *flag.FlagSet) (any, func(io.Writer) error) {
+		o := DefaultChaosOptions()
+		fs.Int64Var(&o.Seed, "seed", o.Seed, "fault-schedule seed (same seed replays the same run)")
+		fs.Float64Var(&o.SF, "sf", o.SF, "TPC-H scale factor")
+		fs.IntVar(&o.PoolPages, "pool", o.PoolPages, "buffer-pool pages (small pool keeps reads flowing through the faulty device)")
+		fs.IntVar(&o.Rounds, "rounds", o.Rounds, "fault-injected executions per query")
+		bindQueries(fs, &o.Queries)
+		fs.Float64Var(&o.Faults.ReadErr, "read-err", o.Faults.ReadErr, "probability of a transient read error")
+		fs.Float64Var(&o.Faults.BitFlip, "bit-flip", o.Faults.BitFlip, "probability of a bit flip in a read page copy")
+		fs.Float64Var(&o.Faults.TornWrite, "torn", o.Faults.TornWrite, "probability of a torn (half-persisted) write")
+		fs.DurationVar(&o.Timeout, "timeout", o.Timeout, "statement timeout during fault rounds (0 = none), e.g. 500ms")
+		fs.IntVar(&o.TPCCTxns, "tpcc-txns", o.TPCCTxns, "TPC-C transactions to run under faults (0 = skip)")
+		fs.IntVar(&o.DMLWriters, "dml", o.DMLWriters, "background DML writers churning a side table during the query rounds; queries must still match their serial baselines (0 = off)")
+		return &o, func(w io.Writer) error {
+			report, err := RunChaos(o)
+			if err != nil {
+				return err
+			}
+			io.WriteString(w, report.Format())
+			if report.BeeBenefits != "" {
+				fmt.Fprintf(w, "\n%s", report.BeeBenefits)
+			}
+			if bad := report.Bad(); bad > 0 {
+				return fmt.Errorf("%d broken invariants", bad)
+			}
+			return nil
+		}
+	},
+}
+
 // Chaos outcome classes. Everything except OutcomeMismatch and
 // OutcomeOther is acceptable behaviour under fault injection.
 const (
@@ -147,7 +183,6 @@ type ChaosDMLResult struct {
 
 // ChaosReport is one chaos run's full account.
 type ChaosReport struct {
-	Options    ChaosOptions
 	Queries    []ChaosQueryResult
 	TPCC       ChaosTPCCResult
 	DML        ChaosDMLResult
@@ -170,50 +205,6 @@ func (r ChaosReport) Bad() int {
 	return n + r.TPCC.Panics
 }
 
-// datumsMatch compares two result cells, tolerating float rounding (the
-// quarantine fallback re-runs aggregates on the generic path).
-func datumsMatch(a, b types.Datum) bool {
-	if a.IsNull() != b.IsNull() {
-		return false
-	}
-	if a.IsNull() {
-		return true
-	}
-	if a.Kind() == types.KindFloat64 && b.Kind() == types.KindFloat64 {
-		af, bf := a.Float64(), b.Float64()
-		diff := af - bf
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if af > 1 || af < -1 {
-			scale = af
-			if scale < 0 {
-				scale = -scale
-			}
-		}
-		return diff/scale <= 1e-9
-	}
-	return a.Compare(b) == 0
-}
-
-func resultsMatch(a, b *engine.Result) bool {
-	if len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	for i := range a.Rows {
-		if len(a.Rows[i]) != len(b.Rows[i]) {
-			return false
-		}
-		for j := range a.Rows[i] {
-			if !datumsMatch(a.Rows[i][j], b.Rows[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // runOneChaosQuery executes one fault-injected round, containing any
 // panic that would escape the engine (none should).
 func runOneChaosQuery(db *engine.DB, q string) (res *engine.Result, err error) {
@@ -234,9 +225,6 @@ func RunChaos(o ChaosOptions) (ChaosReport, error) {
 	if o.Rounds < 1 {
 		o.Rounds = 1
 	}
-	if o.PoolPages <= 0 {
-		o.PoolPages = 256
-	}
 	fc := o.Faults
 	fc.Seed = o.Seed
 	fd := disk.NewFaulty(disk.NewManager(disk.LatencyModel{}), fc)
@@ -250,22 +238,14 @@ func RunChaos(o ChaosOptions) (ChaosReport, error) {
 	}
 
 	queries := tpch.Queries()
-	nums := o.Queries
-	if len(nums) == 0 {
-		nums = tpch.QueryNumbers()
-	}
-
+	nums := queriesOr22(o.Queries)
 	// Fault-free baselines (faults start disabled).
-	baselines := make(map[int]*engine.Result, len(nums))
-	for _, qn := range nums {
-		base, err := db.Query(queries[qn])
-		if err != nil {
-			return ChaosReport{}, fmt.Errorf("chaos: q%d baseline: %w", qn, err)
-		}
-		baselines[qn] = base
+	baselines, err := tpchBaselines(db, nums)
+	if err != nil {
+		return ChaosReport{}, fmt.Errorf("chaos: %w", err)
 	}
 
-	report := ChaosReport{Options: o}
+	var report ChaosReport
 
 	// Background writers churn a side table through the same pool,
 	// transaction manager, and vacuum the queries use; the fault-injected
@@ -432,9 +412,6 @@ func runChaosTPCC(o ChaosOptions) (ChaosTPCCResult, error) {
 	fc := o.Faults
 	fc.Seed = o.Seed + 1
 	fd := disk.NewFaulty(disk.NewManager(disk.LatencyModel{}), fc)
-	if o.TPCCWarehouses < 1 {
-		o.TPCCWarehouses = 1
-	}
 	cfg := tpcc.SmallConfig(o.TPCCWarehouses)
 	db, err := tpcc.NewDatabase(engine.Config{
 		Routines: core.AllRoutines, PoolPages: o.PoolPages,
@@ -478,24 +455,22 @@ func runChaosTPCC(o ChaosOptions) (ChaosTPCCResult, error) {
 	return res, nil
 }
 
+// outcomeCounts renders a tally as "class×n" items in class order.
+func outcomeCounts(tally map[string]int) []string {
+	out := make([]string, 0, len(tally))
+	for class, n := range tally {
+		out = append(out, fmt.Sprintf("%s×%d", class, n))
+	}
+	sort.Strings(out)
+	return out
+}
+
 // Format renders the chaos report.
 func (r ChaosReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos run (E11): seed=%d sf=%g pool=%d rounds=%d faults={read-err %.3f, bit-flip %.3f, torn %.3f, spike %.3f}\n",
-		r.Options.Seed, r.Options.SF, r.Options.PoolPages, r.Options.Rounds,
-		r.Options.Faults.ReadErr, r.Options.Faults.BitFlip, r.Options.Faults.TornWrite, r.Options.Faults.LatencySpike)
-	fmt.Fprintf(&b, "%-6s %s\n", "query", "outcomes")
+	fmt.Fprintf(&b, "Chaos run (E11)\n%-6s %s\n", "query", "outcomes")
 	for _, q := range r.Queries {
-		keys := make([]string, 0, len(q.Outcomes))
-		for k := range q.Outcomes {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, 0, len(keys))
-		for _, k := range keys {
-			parts = append(parts, fmt.Sprintf("%s×%d", k, q.Outcomes[k]))
-		}
-		fmt.Fprintf(&b, "q%-5d %s\n", q.Query, strings.Join(parts, " "))
+		fmt.Fprintf(&b, "q%-5d %s\n", q.Query, strings.Join(outcomeCounts(q.Outcomes), " "))
 	}
 	fs := r.FaultStats
 	fmt.Fprintf(&b, "faults injected: %d (read-errs %d, bit-flips %d, torn-writes %d, latency-spikes %d); bees quarantined: %d\n",
@@ -511,13 +486,8 @@ func (r ChaosReport) Format() string {
 		}
 		fmt.Fprintf(&b, "tpcc: %d txns, %d committed, %d rolled back, %d failed, %d panics escaped\n",
 			r.TPCC.Txns, r.TPCC.Committed, r.TPCC.RolledBack, failed, r.TPCC.Panics)
-		keys := make([]string, 0, len(r.TPCC.Outcomes))
-		for k := range r.TPCC.Outcomes {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "  %s×%d\n", k, r.TPCC.Outcomes[k])
+		for _, oc := range outcomeCounts(r.TPCC.Outcomes) {
+			fmt.Fprintf(&b, "  %s\n", oc)
 		}
 	}
 	if bad := r.Bad(); bad > 0 {

@@ -10,7 +10,7 @@ import (
 // TestChaosShortRun is a scaled-down E11: a seeded fault schedule over a
 // TPC-H query subset plus a short TPC-C stream. Every outcome must be a
 // baseline match or a typed error — Bad() == 0 is the invariant the full
-// chaos-bench run enforces in CI.
+// `experiment chaos` run enforces in CI.
 func TestChaosShortRun(t *testing.T) {
 	o := DefaultChaosOptions()
 	o.SF = 0.005

@@ -1,22 +1,26 @@
-// Package harness runs the paper's experiments: it builds stock and
-// bee-enabled database pairs over identical data and regenerates each
-// table and figure of the evaluation section (see DESIGN.md §3 for the
-// experiment index E1–E9). Results are returned structured and can be
-// rendered with the Format helpers.
+// Package harness runs the experiments: it builds stock and bee-enabled
+// database pairs over identical data and regenerates each table and
+// figure of the paper's evaluation section, plus the beyond-the-paper
+// measurements (DESIGN.md §3 is the index E1–E18). Every experiment is
+// one entry of the Experiments table — its options, its flags and its
+// run function live in one file — and both command fronts are Main.
 package harness
 
 import (
+	"flag"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
-	"microspec/internal/profile"
 	"microspec/internal/storage/disk"
 	"microspec/internal/tpch"
+	"microspec/internal/types"
 )
 
 // Options configures the TPC-H experiments.
@@ -34,35 +38,102 @@ type Options struct {
 	// Workers is the intra-query parallelism degree for both engines
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// StatementTimeout bounds every query on both engines (0 = none).
-	StatementTimeout time.Duration
 }
 
 // DefaultOptions returns laptop-scale settings.
 func DefaultOptions() Options {
-	return Options{SF: 0.01, Runs: 3, PoolPages: 32768}
+	return Options{SF: 0.01, Runs: 5, PoolPages: 32768}
 }
 
-func (o Options) queries() []int {
-	if len(o.Queries) > 0 {
-		return o.Queries
+// bindScale declares the two flags every TPC-H timing experiment has.
+func (o *Options) bindScale(fs *flag.FlagSet) {
+	fs.Float64Var(&o.SF, "sf", o.SF, "TPC-H scale factor")
+	fs.IntVar(&o.Runs, "runs", o.Runs, "timed runs per query (highest/lowest dropped)")
+}
+
+// bindInts declares a comma-separated integer list flag whose elements
+// must lie in [lo, hi]; an unset flag leaves *dst at its default.
+func bindInts(fs *flag.FlagSet, dst *[]int, name, usage string, lo, hi int) {
+	fs.Func(name, usage, func(s string) error {
+		*dst = nil
+		for _, part := range strings.Split(s, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil || n < lo || n > hi {
+				return fmt.Errorf("bad element %q", part)
+			}
+			*dst = append(*dst, n)
+		}
+		return nil
+	})
+}
+
+// bindQueries declares -q, the TPC-H query subset.
+func bindQueries(fs *flag.FlagSet, dst *[]int) {
+	bindInts(fs, dst, "q", "comma-separated query subset, e.g. 1,6,14 (default all 22)", 1, 22)
+}
+
+// queriesOr22 is the selected TPC-H query subset, or all 22.
+func queriesOr22(sel []int) []int {
+	if len(sel) > 0 {
+		return sel
 	}
 	return tpch.QueryNumbers()
+}
+
+// tpchBaselines runs each query once and keeps its result: the fault-free
+// answers a fault-injected or recovered database is compared against.
+func tpchBaselines(db *engine.DB, nums []int) (map[int]*engine.Result, error) {
+	queries := tpch.Queries()
+	baselines := make(map[int]*engine.Result, len(nums))
+	for _, qn := range nums {
+		base, err := db.Query(queries[qn])
+		if err != nil {
+			return nil, fmt.Errorf("q%d baseline: %w", qn, err)
+		}
+		baselines[qn] = base
+	}
+	return baselines, nil
+}
+
+// warmBoth loads both databases' relations into their buffer pools.
+func warmBoth(stock, bee *engine.DB) error {
+	if err := stock.WarmUp(); err != nil {
+		return err
+	}
+	return bee.WarmUp()
+}
+
+// ytdViolation returns the first warehouse that breaks TPC-C consistency
+// condition 1 — w_ytd equals the sum of its districts' d_ytd, within tol —
+// or 0 when all hold.
+func ytdViolation(db *engine.DB, warehouses int, tol float64) (int, error) {
+	for w := 1; w <= warehouses; w++ {
+		wr, err := db.Query(fmt.Sprintf("select w_ytd from warehouse where w_id = %d", w))
+		if err != nil || len(wr.Rows) != 1 {
+			return 0, fmt.Errorf("w_ytd probe: %v", err)
+		}
+		dr, err := db.Query(fmt.Sprintf("select sum(d_ytd) from district where d_w_id = %d", w))
+		if err != nil || len(dr.Rows) != 1 {
+			return 0, fmt.Errorf("d_ytd probe: %v", err)
+		}
+		if math.Abs(wr.Rows[0][0].Float64()-dr.Rows[0][0].Float64()) > tol {
+			return w, nil
+		}
+	}
+	return 0, nil
 }
 
 // BuildTPCHPair loads identical TPC-H data into a stock and a
 // bee-enabled database.
 func BuildTPCHPair(o Options) (stock, bee *engine.DB, err error) {
 	stock, err = tpch.NewDatabase(engine.Config{
-		Routines: core.Stock, PoolPages: o.PoolPages, Latency: disk.DefaultColdLatency,
-		Workers: o.Workers, StatementTimeout: o.StatementTimeout,
+		Routines: core.Stock, PoolPages: o.PoolPages, Latency: disk.DefaultColdLatency, Workers: o.Workers,
 	}, o.SF)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: building stock DB: %w", err)
 	}
 	bee, err = tpch.NewDatabase(engine.Config{
-		Routines: core.AllRoutines, PoolPages: o.PoolPages, Latency: disk.DefaultColdLatency,
-		Workers: o.Workers, StatementTimeout: o.StatementTimeout,
+		Routines: core.AllRoutines, PoolPages: o.PoolPages, Latency: disk.DefaultColdLatency, Workers: o.Workers,
 	}, o.SF)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: building bee DB: %w", err)
@@ -87,10 +158,13 @@ type Series struct {
 	Avg2    float64
 }
 
+// newSeries fills in each result's Improvement and the two averages.
 func newSeries(title string, results []QueryResult) Series {
 	s := Series{Title: title, Results: results}
 	var sumImp, sumStock, sumBee float64
-	for _, r := range results {
+	for i := range results {
+		r := &results[i]
+		r.Improvement = improvement(r.Stock, r.Bee)
 		sumImp += r.Improvement
 		sumStock += r.Stock
 		sumBee += r.Bee
@@ -98,9 +172,7 @@ func newSeries(title string, results []QueryResult) Series {
 	if len(results) > 0 {
 		s.Avg1 = sumImp / float64(len(results))
 	}
-	if sumStock > 0 {
-		s.Avg2 = 100 * (sumStock - sumBee) / sumStock
-	}
+	s.Avg2 = improvement(sumStock, sumBee)
 	return s
 }
 
@@ -149,253 +221,87 @@ func aggregate(samples []float64) float64 {
 	return sum / float64(len(samples))
 }
 
-// timeQuery measures one query on one database (uncontrasted callers).
-func timeQuery(db *engine.DB, q string, runs int, cold bool) (float64, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	samples := make([]float64, 0, runs)
-	for r := 0; r < runs; r++ {
-		s, err := timeOnce(db, q, cold)
-		if err != nil {
-			return 0, err
-		}
-		samples = append(samples, s)
-	}
-	return aggregate(samples), nil
-}
-
 // timeBoth measures one query on the stock and bee databases with the
 // runs interleaved, so scheduler noise hits both streams alike.
 func timeBoth(stock, bee *engine.DB, q string, runs int, cold bool) (float64, float64, error) {
+	dbs := [2]*engine.DB{stock, bee}
+	return timePaired(runs, func(side int) (float64, error) { return timeOnce(dbs[side], q, cold) })
+}
+
+// timePaired takes runs samples of each of two sides and aggregates them.
+// Which side goes first alternates run by run: whatever the earlier
+// position in a pair costs or saves (warm-up, the other side's garbage,
+// frequency drift) lands on both sides equally often, not always on
+// side 0.
+func timePaired(runs int, measure func(side int) (float64, error)) (float64, float64, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	ss := make([]float64, 0, runs)
-	bs := make([]float64, 0, runs)
+	var samples [2][]float64
 	for r := 0; r < runs; r++ {
-		s, err := timeOnce(stock, q, cold)
-		if err != nil {
-			return 0, 0, err
-		}
-		b, err := timeOnce(bee, q, cold)
-		if err != nil {
-			return 0, 0, err
-		}
-		ss = append(ss, s)
-		bs = append(bs, b)
-	}
-	return aggregate(ss), aggregate(bs), nil
-}
-
-// RunTPCHRuntime regenerates Figure 4 (warm cache) or Figure 5 (cold
-// cache): per-query run-time improvement of the bee-enabled DBMS.
-func RunTPCHRuntime(stock, bee *engine.DB, o Options, cold bool) (Series, error) {
-	title := "Figure 4: TPC-H run-time improvement, warm cache (%)"
-	if cold {
-		title = "Figure 5: TPC-H run-time improvement, cold cache (%)"
-	}
-	if !cold {
-		if err := stock.WarmUp(); err != nil {
-			return Series{}, err
-		}
-		if err := bee.WarmUp(); err != nil {
-			return Series{}, err
-		}
-	}
-	queries := tpch.Queries()
-	var results []QueryResult
-	for _, qn := range o.queries() {
-		st, bt, err := timeBoth(stock, bee, queries[qn], o.Runs, cold)
-		if err != nil {
-			return Series{}, fmt.Errorf("q%d: %w", qn, err)
-		}
-		results = append(results, QueryResult{
-			Query: qn, Stock: st, Bee: bt, Improvement: improvement(st, bt),
-		})
-	}
-	return newSeries(title, results), nil
-}
-
-// RunTPCHInstructions regenerates Figure 6: per-query reduction in
-// dynamic (abstract) instructions executed.
-func RunTPCHInstructions(stock, bee *engine.DB, o Options) (Series, error) {
-	if err := stock.WarmUp(); err != nil {
-		return Series{}, err
-	}
-	if err := bee.WarmUp(); err != nil {
-		return Series{}, err
-	}
-	queries := tpch.Queries()
-	var results []QueryResult
-	for _, qn := range o.queries() {
-		sp := &profile.Counters{}
-		if _, err := stock.QueryProfiled(queries[qn], sp); err != nil {
-			return Series{}, fmt.Errorf("q%d stock: %w", qn, err)
-		}
-		bp := &profile.Counters{}
-		if _, err := bee.QueryProfiled(queries[qn], bp); err != nil {
-			return Series{}, fmt.Errorf("q%d bee: %w", qn, err)
-		}
-		st, bt := float64(sp.Total()), float64(bp.Total())
-		results = append(results, QueryResult{
-			Query: qn, Stock: st, Bee: bt, Improvement: improvement(st, bt),
-		})
-	}
-	return newSeries("Figure 6: reduction in instructions executed (%)", results), nil
-}
-
-// AblationStep names one routine set of Figure 7.
-type AblationStep struct {
-	Label    string
-	Routines core.RoutineSet
-}
-
-// AblationSteps returns the paper's three Figure 7 configurations. All
-// three keep SCL and tuple bees (the bee database's storage format
-// requires GCL; the paper's "GCL" configuration is likewise the
-// relation-bee baseline every other routine stacks on).
-func AblationSteps() []AblationStep {
-	return []AblationStep{
-		{"GCL", core.RoutineSet{GCL: true, SCL: true, TupleBees: true}},
-		{"GCL+EVP", core.RoutineSet{GCL: true, SCL: true, TupleBees: true, EVP: true}},
-		{"GCL+EVP+EVJ", core.AllRoutines},
-	}
-}
-
-// RunAblation regenerates Figure 7: warm-cache run-time improvement with
-// successively more bee routines enabled on the same bee database. For
-// each query, the stock baseline and every routine set are measured in
-// interleaved rounds so machine noise hits all configurations alike.
-func RunAblation(stock, bee *engine.DB, o Options) ([]Series, error) {
-	if err := stock.WarmUp(); err != nil {
-		return nil, err
-	}
-	if err := bee.WarmUp(); err != nil {
-		return nil, err
-	}
-	queries := tpch.Queries()
-	steps := AblationSteps()
-	runs := o.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	type cell struct{ samples []float64 }
-	stockCells := map[int]*cell{}
-	stepCells := make([]map[int]*cell, len(steps))
-	for i := range steps {
-		stepCells[i] = map[int]*cell{}
-	}
-	for _, qn := range o.queries() {
-		stockCells[qn] = &cell{}
-		for i := range steps {
-			stepCells[i][qn] = &cell{}
-		}
-		for r := 0; r < runs; r++ {
-			s, err := timeOnce(stock, queries[qn], false)
+		for _, side := range [2]int{r % 2, 1 - r%2} {
+			s, err := measure(side)
 			if err != nil {
-				return nil, fmt.Errorf("q%d stock: %w", qn, err)
+				return 0, 0, err
 			}
-			stockCells[qn].samples = append(stockCells[qn].samples, s)
-			for i, step := range steps {
-				if err := bee.SetRoutines(step.Routines); err != nil {
-					return nil, err
-				}
-				b, err := timeOnce(bee, queries[qn], false)
-				if err != nil {
-					return nil, fmt.Errorf("q%d %s: %w", qn, step.Label, err)
-				}
-				stepCells[i][qn].samples = append(stepCells[i][qn].samples, b)
+			samples[side] = append(samples[side], s)
+		}
+	}
+	return aggregate(samples[0]), aggregate(samples[1]), nil
+}
+
+// percentilesUS sorts lats and returns the given quantiles in
+// microseconds (zeros for an empty sample).
+func percentilesUS(lats []time.Duration, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	if len(lats) == 0 {
+		return out
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	for i, q := range qs {
+		out[i] = float64(lats[int(q*float64(len(lats)-1))]) / float64(time.Microsecond)
+	}
+	return out
+}
+
+// floatClose compares float results with a 1e-9 relative tolerance: a
+// parallel scan may sum partitions in another order than the serial pass
+// that computed the expectation, and the quarantine fallback re-runs
+// aggregates on the generic path.
+func floatClose(got, want float64) bool {
+	scale := math.Max(math.Abs(want), 1)
+	return math.Abs(got-want) <= 1e-9*scale
+}
+
+// datumsMatch compares two result cells, floats by floatClose.
+func datumsMatch(a, b types.Datum) bool {
+	if a.IsNull() != b.IsNull() {
+		return false
+	}
+	if a.IsNull() {
+		return true
+	}
+	if a.Kind() == types.KindFloat64 && b.Kind() == types.KindFloat64 {
+		return floatClose(b.Float64(), a.Float64())
+	}
+	return a.Compare(b) == 0
+}
+
+func resultsMatch(a, b *engine.Result) bool {
+	if len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if len(a.Rows[i]) != len(b.Rows[i]) {
+			return false
+		}
+		for j := range a.Rows[i] {
+			if !datumsMatch(a.Rows[i][j], b.Rows[i][j]) {
+				return false
 			}
 		}
 	}
-	var out []Series
-	for i, step := range steps {
-		var results []QueryResult
-		for _, qn := range o.queries() {
-			st := aggregate(stockCells[qn].samples)
-			bt := aggregate(stepCells[i][qn].samples)
-			results = append(results, QueryResult{
-				Query: qn, Stock: st, Bee: bt, Improvement: improvement(st, bt),
-			})
-		}
-		out = append(out, newSeries("Figure 7 ("+step.Label+"): run-time improvement, warm cache (%)", results))
-	}
-	// Restore the full routine set.
-	if err := bee.SetRoutines(core.AllRoutines); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScalingResult is one query's warm-cache run time at each worker degree.
-type ScalingResult struct {
-	Query int
-	MS    []float64 // parallel to Scaling.Workers
-}
-
-// Scaling is the intra-query parallelism sweep: run time per query at
-// worker degrees 1..N on the same database.
-type Scaling struct {
-	Workers []int
-	Results []ScalingResult
-}
-
-// RunScaling measures intra-query parallelism: each query is timed warm
-// on db at every worker degree 1..maxWorkers. The database's original
-// worker degree is restored afterwards. See EXPERIMENTS.md §"Parallel
-// scaling" for the recipe and reference numbers.
-func RunScaling(db *engine.DB, o Options, maxWorkers int) (Scaling, error) {
-	if maxWorkers < 1 {
-		maxWorkers = 1
-	}
-	if err := db.WarmUp(); err != nil {
-		return Scaling{}, err
-	}
-	prev := db.Workers()
-	defer db.SetWorkers(prev)
-	queries := tpch.Queries()
-	var sc Scaling
-	for w := 1; w <= maxWorkers; w++ {
-		sc.Workers = append(sc.Workers, w)
-	}
-	for _, qn := range o.queries() {
-		r := ScalingResult{Query: qn}
-		for _, w := range sc.Workers {
-			db.SetWorkers(w)
-			ms, err := timeQuery(db, queries[qn], o.Runs, false)
-			if err != nil {
-				return Scaling{}, fmt.Errorf("q%d workers=%d: %w", qn, w, err)
-			}
-			r.MS = append(r.MS, ms)
-		}
-		sc.Results = append(sc.Results, r)
-	}
-	return sc, nil
-}
-
-// Format renders the scaling sweep with each query's speedup of the
-// highest degree over serial.
-func (s Scaling) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Intra-query parallelism: warm-cache run time (ms) by worker count\n")
-	fmt.Fprintf(&b, "%-6s", "query")
-	for _, w := range s.Workers {
-		fmt.Fprintf(&b, " %9s", fmt.Sprintf("w=%d", w))
-	}
-	fmt.Fprintf(&b, " %9s\n", "speedup")
-	for _, r := range s.Results {
-		fmt.Fprintf(&b, "q%-5d", r.Query)
-		for _, ms := range r.MS {
-			fmt.Fprintf(&b, " %9.2f", ms)
-		}
-		speedup := 0.0
-		if last := r.MS[len(r.MS)-1]; last > 0 {
-			speedup = r.MS[0] / last
-		}
-		fmt.Fprintf(&b, " %8.2fx\n", speedup)
-	}
-	return b.String()
+	return true
 }
 
 // Format renders a series as the paper's bar-chart data in table form.

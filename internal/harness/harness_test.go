@@ -8,8 +8,8 @@ import (
 )
 
 // The harness tests run every experiment at a tiny scale, checking
-// structure and internal consistency rather than absolute numbers (the
-// cmd/ tools run them at measurement scale).
+// structure and internal consistency rather than absolute numbers
+// (cmd/experiment runs them at measurement scale).
 
 func tinyOptions() Options {
 	return Options{SF: 0.002, Runs: 1, PoolPages: 4096, Queries: []int{1, 6}}

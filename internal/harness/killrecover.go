@@ -2,7 +2,9 @@ package harness
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 
@@ -70,6 +72,33 @@ func DefaultKillRecoverOptions() KillRecoverOptions {
 	}
 }
 
+var killRecoverExperiment = Experiment{
+	Name:  "killrecover",
+	Ref:   "E16: kill at every commit/checkpoint kill point, recover, verify",
+	Smoke: []string{"-seed", "3", "-sf", "0.002", "-pool", "128", "-rounds", "4", "-acked", "10", "-q", "6", "-tpcc-txns", "40"},
+	Bind: func(fs *flag.FlagSet) (any, func(io.Writer) error) {
+		o := DefaultKillRecoverOptions()
+		fs.Int64Var(&o.Seed, "seed", o.Seed, "seed of the DML keys, tear sizes and TPC-C stream (same seed replays the same run)")
+		fs.Float64Var(&o.SF, "sf", o.SF, "TPC-H scale factor")
+		fs.IntVar(&o.PoolPages, "pool", o.PoolPages, "buffer-pool pages (small, so redo has unflushed pages to restore)")
+		fs.IntVar(&o.Rounds, "rounds", o.Rounds, "kill-and-recover cycles, rotating through the kill kinds")
+		bindQueries(fs, &o.Queries)
+		fs.IntVar(&o.AckedPerRound, "acked", o.AckedPerRound, "acknowledged inserts before each kill")
+		fs.IntVar(&o.TPCCTxns, "tpcc-txns", o.TPCCTxns, "TPC-C transactions before the mid-commit kill, stepwise then fused (0 = skip)")
+		return &o, func(w io.Writer) error {
+			report, err := RunKillRecover(o)
+			if err != nil {
+				return err
+			}
+			io.WriteString(w, report.Format())
+			if bad := report.Bad(); bad > 0 {
+				return fmt.Errorf("%d rounds broke durability invariants", bad)
+			}
+			return nil
+		}
+	},
+}
+
 // KillRecoverRound records one cycle's verification.
 type KillRecoverRound struct {
 	Round     int
@@ -107,7 +136,6 @@ func (r KillRecoverTPCC) bad() bool {
 // transaction acknowledge a commit through different callers: TPCC runs
 // the bodies stepwise, TPCCFused through the transaction bees.
 type KillRecoverReport struct {
-	Options   KillRecoverOptions
 	Rounds    []KillRecoverRound
 	TPCC      KillRecoverTPCC
 	TPCCFused KillRecoverTPCC
@@ -150,14 +178,8 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 	if o.Rounds < 1 {
 		o.Rounds = 1
 	}
-	if o.PoolPages <= 0 {
-		o.PoolPages = 256
-	}
-	if o.AckedPerRound < 1 {
-		o.AckedPerRound = 50
-	}
 	rng := rand.New(rand.NewSource(o.Seed))
-	report := KillRecoverReport{Options: o}
+	var report KillRecoverReport
 
 	dm := disk.NewManager(disk.LatencyModel{})
 	db, err := tpch.NewDatabase(durableConfig(o, dm), o.SF)
@@ -172,17 +194,10 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 	}
 
 	queries := tpch.Queries()
-	nums := o.Queries
-	if len(nums) == 0 {
-		nums = tpch.QueryNumbers()
-	}
-	baselines := make(map[int]*engine.Result, len(nums))
-	for _, qn := range nums {
-		base, err := db.Query(queries[qn])
-		if err != nil {
-			return report, fmt.Errorf("killrecover: q%d baseline: %w", qn, err)
-		}
-		baselines[qn] = base
+	nums := queriesOr22(o.Queries)
+	baselines, err := tpchBaselines(db, nums)
+	if err != nil {
+		return report, fmt.Errorf("killrecover: %w", err)
 	}
 
 	acked := 0 // rows whose INSERT was acknowledged, cumulative
@@ -290,9 +305,6 @@ func runKillRecoverTPCC(o KillRecoverOptions, fused bool) KillRecoverTPCC {
 		res.Err = fmt.Sprintf(format, args...)
 		return res
 	}
-	if o.TPCCWarehouses < 1 {
-		o.TPCCWarehouses = 1
-	}
 	dm := disk.NewManager(disk.LatencyModel{})
 	cfg := tpcc.SmallConfig(o.TPCCWarehouses)
 	db, err := tpcc.NewDatabase(durableConfig(o, dm), cfg)
@@ -346,22 +358,11 @@ func runKillRecoverTPCC(o KillRecoverOptions, fused bool) KillRecoverTPCC {
 	if err != nil {
 		return fail("recover: %v", err)
 	}
-	// Consistency condition 1: per warehouse, w_ytd equals the sum of its
-	// districts' d_ytd.
-	for w := 1; w <= o.TPCCWarehouses; w++ {
-		wy, err := rdb.Query(fmt.Sprintf("select w_ytd from warehouse where w_id = %d", w))
-		if err != nil || len(wy.Rows) != 1 {
-			return fail("w_ytd probe: %v", err)
-		}
-		dy, err := rdb.Query(fmt.Sprintf("select sum(d_ytd) from district where d_w_id = %d", w))
-		if err != nil || len(dy.Rows) != 1 {
-			return fail("d_ytd probe: %v", err)
-		}
-		diff := wy.Rows[0][0].Float64() - dy.Rows[0][0].Float64()
-		if diff > 1e-6 || diff < -1e-6 {
-			res.YtdViolation = true
-		}
+	bad, err := ytdViolation(rdb, o.TPCCWarehouses, 1e-6)
+	if err != nil {
+		return fail("%v", err)
 	}
+	res.YtdViolation = bad != 0
 	// Every acknowledged NewOrder inserted exactly one order row; the
 	// killed transaction must not have.
 	if got := intCell(rdb, "select count(*) from orders"); got != baseOrders+int64(res.NewOrders) {
@@ -381,8 +382,7 @@ func intCell(db *engine.DB, q string) int64 {
 // Format renders the kill-and-recover report.
 func (r KillRecoverReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Kill-and-recover run (E16): seed=%d sf=%g pool=%d rounds=%d acked/round=%d\n",
-		r.Options.Seed, r.Options.SF, r.Options.PoolPages, r.Options.Rounds, r.Options.AckedPerRound)
+	b.WriteString("Kill-and-recover run (E16)\n")
 	fmt.Fprintf(&b, "%-8s %-15s %-7s %-6s %-9s %-9s %-9s %s\n",
 		"round", "kill", "acked", "torn", "redone", "discarded", "mismatch", "status")
 	for _, rd := range r.Rounds {

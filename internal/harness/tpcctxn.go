@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -25,68 +25,71 @@ import (
 
 // TPCCTxnOptions configures the compiled-transactions comparison.
 type TPCCTxnOptions struct {
-	Warehouses     int
-	Small          bool // laptop-scale population
-	Sessions       int  // concurrent terminals per mode
+	Warehouses     int // of the laptop-scale population (tpcc.SmallConfig)
+	Sessions       int // concurrent terminals per mode
 	TxnsPerSession int
 	Seed           int64
-	PoolPages      int
 }
 
 // DefaultTPCCTxnOptions returns laptop-scale settings: 8 sessions, as
 // the experiment is about amortizing per-operation overheads under
 // concurrency.
 func DefaultTPCCTxnOptions() TPCCTxnOptions {
-	return TPCCTxnOptions{Warehouses: 1, Small: true, Sessions: 8, TxnsPerSession: 1500, Seed: 1, PoolPages: 32768}
+	return TPCCTxnOptions{Warehouses: 1, Sessions: 8, TxnsPerSession: 1500, Seed: 1}
+}
+
+var txnBeesExperiment = Experiment{
+	Name:  "txnbees",
+	Ref:   "E17: compiled transactions, statement-at-a-time vs transaction bees",
+	Smoke: []string{"-sessions", "2", "-txns-per-session", "60"},
+	Bind: func(fs *flag.FlagSet) (any, func(io.Writer) error) {
+		o := DefaultTPCCTxnOptions()
+		fs.IntVar(&o.Sessions, "sessions", o.Sessions, "concurrent terminals per mode")
+		fs.IntVar(&o.TxnsPerSession, "txns-per-session", o.TxnsPerSession, "transactions per terminal")
+		return &o, func(w io.Writer) error {
+			rep, err := RunTPCCTxnBench(o)
+			if err != nil {
+				return err
+			}
+			_, err = io.WriteString(w, FormatTPCCTxn(rep))
+			return err
+		}
+	},
 }
 
 // TxnLatency is one transaction type's latency summary.
-type TxnLatency struct {
-	Count int64   `json:"count"`
-	P50us float64 `json:"p50_us"`
-	P95us float64 `json:"p95_us"`
-}
+type TxnLatency struct{ P50us, P95us float64 }
 
 // TPCCTxnMode is one execution mode's measurements.
 type TPCCTxnMode struct {
-	Mode       string                `json:"mode"` // "stmt" or "txn_bee"
-	TpmC       float64               `json:"tpmc"` // committed New-Order per minute
-	TPM        float64               `json:"tpm"`  // all committed transactions per minute
-	Committed  int64                 `json:"committed"`
-	RolledBack int64                 `json:"rolled_back"`
-	Conflicts  int64                 `json:"conflicts"`
-	Fallbacks  int64                 `json:"fallbacks,omitempty"`
-	ByType     map[string]TxnLatency `json:"by_type"`
+	Mode      string  // "stmt" or "txn_bee"
+	TpmC      float64 // committed New-Order per minute
+	TPM       float64 // all committed transactions per minute
+	Committed int64
+	Conflicts int64
+	Fallbacks int64
+	ByType    map[string]TxnLatency
 }
 
-// TPCCTxnReport is the BENCH_tpcc.json document.
+// TPCCTxnReport is both modes over the default mix (45/43/4/4/4).
 type TPCCTxnReport struct {
-	Bench          string      `json:"bench"`
-	Warehouses     int         `json:"warehouses"`
-	Sessions       int         `json:"sessions"`
-	TxnsPerSession int         `json:"txns_per_session"`
-	Mix            string      `json:"mix"`
-	Stmt           TPCCTxnMode `json:"stmt"`
-	TxnBee         TPCCTxnMode `json:"txn_bee"`
+	Stmt, TxnBee TPCCTxnMode
 	// TpmCUplift is the headline: txn-bee tpmC over statement-at-a-time.
-	TpmCUplift float64 `json:"tpmc_uplift"`
+	TpmCUplift float64
 }
 
 // sessionRun is one terminal's tally.
 type sessionRun struct {
-	committed, rolledBack, conflicts int64
-	byType                           [5]int64
-	lats                             [5][]time.Duration
+	committed, conflicts int64
+	byType               [5]int64
+	lats                 [5][]time.Duration
 }
 
 // runTPCCTxnMode loads a fresh database and drives it with o.Sessions
 // concurrent seeded terminals, all in one mode.
 func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
-	cfg := tpcc.DefaultConfig(o.Warehouses)
-	if o.Small {
-		cfg = tpcc.SmallConfig(o.Warehouses)
-	}
-	db, err := tpcc.NewDatabase(engine.Config{Routines: core.AllRoutines, PoolPages: o.PoolPages}, cfg)
+	cfg := tpcc.SmallConfig(o.Warehouses)
+	db, err := tpcc.NewDatabase(engine.Config{Routines: core.AllRoutines}, cfg)
 	if err != nil {
 		return TPCCTxnMode{}, fmt.Errorf("harness: tpcc load: %w", err)
 	}
@@ -119,7 +122,7 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 				t0 := time.Now()
 				var err error
 				for {
-					err = runTxnType(e, t)
+					err = txnBodies[t](e)
 					// A first-updater-wins loss is the client's cue to retry
 					// the transaction; the retry is part of this
 					// transaction's latency.
@@ -131,7 +134,6 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 				}
 				r.lats[t] = append(r.lats[t], time.Since(t0))
 				if errors.Is(err, tpcc.ErrRollback) {
-					r.rolledBack++
 					continue
 				}
 				if err != nil {
@@ -162,30 +164,23 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 		}
 	}
 	var merged [5][]time.Duration
+	var newOrders int64
 	for i := range runs {
 		m.Committed += runs[i].committed
-		m.RolledBack += runs[i].rolledBack
 		m.Conflicts += runs[i].conflicts
+		newOrders += runs[i].byType[tpcc.TxnNewOrder]
 		for t := 0; t < 5; t++ {
 			merged[t] = append(merged[t], runs[i].lats[t]...)
 		}
 	}
-	var newOrders int64
-	for i := range runs {
-		newOrders += runs[i].byType[tpcc.TxnNewOrder]
-	}
 	m.TPM = float64(m.Committed) / elapsed.Minutes()
 	m.TpmC = float64(newOrders) / elapsed.Minutes()
 	for t := tpcc.TxnType(0); t < 5; t++ {
-		lats := merged[t]
-		if len(lats) == 0 {
+		if len(merged[t]) == 0 {
 			continue
 		}
-		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-		at := func(q float64) float64 {
-			return float64(lats[int(q*float64(len(lats)-1))]) / float64(time.Microsecond)
-		}
-		m.ByType[t.String()] = TxnLatency{Count: int64(len(lats)), P50us: at(0.50), P95us: at(0.95)}
+		p := percentilesUS(merged[t], 0.50, 0.95)
+		m.ByType[t.String()] = TxnLatency{P50us: p[0], P95us: p[1]}
 	}
 	return m, nil
 }
@@ -202,39 +197,25 @@ func pickTxn(e *tpcc.Executor, mix tpcc.Mix) tpcc.TxnType {
 	return tpcc.TxnNewOrder
 }
 
-func runTxnType(e *tpcc.Executor, t tpcc.TxnType) error {
-	switch t {
-	case tpcc.TxnNewOrder:
-		return e.NewOrder()
-	case tpcc.TxnPayment:
-		return e.Payment()
-	case tpcc.TxnOrderStatus:
-		return e.OrderStatus()
-	case tpcc.TxnDelivery:
-		return e.Delivery()
-	default:
-		return e.StockLevel()
-	}
+// txnBodies maps a transaction type to the executor method that runs it.
+var txnBodies = [5]func(*tpcc.Executor) error{
+	tpcc.TxnNewOrder:    (*tpcc.Executor).NewOrder,
+	tpcc.TxnPayment:     (*tpcc.Executor).Payment,
+	tpcc.TxnOrderStatus: (*tpcc.Executor).OrderStatus,
+	tpcc.TxnDelivery:    (*tpcc.Executor).Delivery,
+	tpcc.TxnStockLevel:  (*tpcc.Executor).StockLevel,
 }
 
 // checkTPCCConsistency asserts the TPC-C consistency conditions the
-// workload maintains: condition 1 (per warehouse, w_ytd equals the sum
-// of its districts' d_ytd) and no order left without order lines.
+// workload maintains: condition 1 (ytdViolation) and no order left
+// without order lines.
 func checkTPCCConsistency(db *engine.DB, warehouses int) error {
-	for w := 1; w <= warehouses; w++ {
-		wr, err := db.Query(fmt.Sprintf("select w_ytd from warehouse where w_id = %d", w))
-		if err != nil {
-			return err
-		}
-		dr, err := db.Query(fmt.Sprintf("select sum(d_ytd) from district where d_w_id = %d", w))
-		if err != nil {
-			return err
-		}
-		diff := wr.Rows[0][0].Float64() - dr.Rows[0][0].Float64()
-		if diff > 1e-4 || diff < -1e-4 {
-			return fmt.Errorf("consistency: warehouse %d w_ytd %v != sum(d_ytd) %v",
-				w, wr.Rows[0][0], dr.Rows[0][0])
-		}
+	w, err := ytdViolation(db, warehouses, 1e-4)
+	if err != nil {
+		return err
+	}
+	if w != 0 {
+		return fmt.Errorf("consistency: warehouse %d w_ytd != sum(d_ytd)", w)
 	}
 	r, err := db.Query(`select count(*) from orders
 		where not exists (select * from order_line
@@ -253,13 +234,7 @@ func RunTPCCTxnBench(o TPCCTxnOptions) (TPCCTxnReport, error) {
 	if o.Sessions < 1 {
 		o.Sessions = 1
 	}
-	rep := TPCCTxnReport{
-		Bench:          "tpcc",
-		Warehouses:     o.Warehouses,
-		Sessions:       o.Sessions,
-		TxnsPerSession: o.TxnsPerSession,
-		Mix:            "default (45/43/4/4/4)",
-	}
+	var rep TPCCTxnReport
 	var err error
 	if rep.Stmt, err = runTPCCTxnMode(o, false); err != nil {
 		return rep, err
@@ -276,8 +251,7 @@ func RunTPCCTxnBench(o TPCCTxnOptions) (TPCCTxnReport, error) {
 // FormatTPCCTxn renders the comparison table.
 func FormatTPCCTxn(r TPCCTxnReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "compiled transactions (E17): %d sessions, %d txns/session, %d warehouse(s)\n",
-		r.Sessions, r.TxnsPerSession, r.Warehouses)
+	b.WriteString("compiled transactions (E17)\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s %12s %10s %10s\n", "mode", "tpmC", "tpm", "committed", "conflicts", "fallbacks")
 	for _, m := range []TPCCTxnMode{r.Stmt, r.TxnBee} {
 		fmt.Fprintf(&b, "%-10s %12.0f %12.0f %12d %10d %10d\n",
@@ -295,14 +269,4 @@ func FormatTPCCTxn(r TPCCTxnReport) string {
 		fmt.Fprintf(&b, "%-12s %9.0fµ %9.0fµ %11.0fµ %11.0fµ\n", name, s.P50us, s.P95us, t.P50us, t.P95us)
 	}
 	return b.String()
-}
-
-// MarshalTPCCTxn renders the report as indented JSON with a trailing
-// newline.
-func MarshalTPCCTxn(r TPCCTxnReport) ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

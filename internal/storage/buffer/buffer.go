@@ -98,16 +98,17 @@ type Pool struct {
 
 	// walFlush, when set, enforces the WAL-before-data rule: it is called
 	// with a page's LSN before that page is written back, and must block
-	// until the log is durable through the LSN. Pages never touched by a
-	// logged change (LSN 0) skip it.
-	walFlush func(lsn uint64) error
-	walStall int64 // write-backs that had to force the log first
+	// until the log is durable through the LSN, reporting whether the LSN
+	// was still ahead of the durable point when asked. Pages never touched
+	// by a logged change (LSN 0) skip it.
+	walFlush func(lsn uint64) (stalled bool, err error)
+	walStall int64 // write-backs that had to wait for the log first
 }
 
 // SetWALFlush installs the WAL-before-data hook (see Pool.walFlush).
 // Install it before any writes; it is not synchronized against in-flight
 // flushes.
-func (p *Pool) SetWALFlush(fn func(lsn uint64) error) {
+func (p *Pool) SetWALFlush(fn func(lsn uint64) (stalled bool, err error)) {
 	p.walFlush = fn
 }
 
@@ -277,8 +278,11 @@ func (p *Pool) GetNew(file disk.FileID, pageNo int) (*Handle, error) {
 func (p *Pool) flushLocked(f *frame) error {
 	if p.walFlush != nil {
 		if lsn := page.LSN(page.Page(f.buf)); lsn > 0 {
-			p.walStall++
-			if err := p.walFlush(lsn); err != nil {
+			stalled, err := p.walFlush(lsn)
+			if stalled {
+				p.walStall++
+			}
+			if err != nil {
 				return fmt.Errorf("buffer: WAL flush for page %d/%d: %w", f.key.file, f.key.page, err)
 			}
 		}
@@ -404,8 +408,9 @@ func (p *Pool) Stats() (hits, misses, writeOut int64) {
 	return p.hits, p.misses, p.writeOut
 }
 
-// WALStalls returns how many write-backs had to force the log durable
-// first (the WAL-before-data rule actually firing).
+// WALStalls returns how many write-backs found their page's LSN ahead of
+// the durable LSN and had to wait for the log first (the WAL-before-data
+// rule actually firing, not merely being consulted).
 func (p *Pool) WALStalls() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -189,3 +189,64 @@ func TestConcurrentMissSingleFlight(t *testing.T) {
 		t.Errorf("misses did not overlap: %v elapsed", elapsed)
 	}
 }
+
+// TestWALStallCountsOnlyRealStalls pins what wal.flush_stalls means. The
+// WAL-before-data hook is consulted for every write-back of a logged
+// page, but only a page whose LSN was ahead of the durable LSN counts as
+// a stall — and that page must not reach disk before the hook returns.
+func TestWALStallCountsOnlyRealStalls(t *testing.T) {
+	m, p, f := setup(t, 4, 2)
+	durable := uint64(100)
+	var asked []uint64
+	p.SetWALFlush(func(lsn uint64) (bool, error) {
+		asked = append(asked, lsn)
+		if _, writes, _ := m.Stats(); writes != 0 {
+			t.Errorf("page with LSN %d reached disk before the hook returned", lsn)
+		}
+		stalled := lsn > durable
+		if stalled {
+			durable = lsn // the hook waited the log forward
+		}
+		return stalled, nil
+	})
+	dirty := func(pageNo int, lsn uint64) {
+		h, err := p.Get(f, pageNo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page.SetLSN(page.Page(h.Bytes), lsn)
+		if err := h.Unpin(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dirty(0, 40) // already durable
+	m.ResetStats()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 1 || asked[0] != 40 {
+		t.Fatalf("hook consulted with %v, want [40]", asked)
+	}
+	if got := p.WALStalls(); got != 0 {
+		t.Errorf("write-back of an already-durable page counted %d stalls, want 0", got)
+	}
+	if _, writes, _ := m.Stats(); writes != 1 {
+		t.Errorf("already-durable page written %d times, want 1", writes)
+	}
+
+	dirty(1, 250) // ahead of the durable LSN
+	m.ResetStats()
+	if err := p.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 2 || asked[1] != 250 {
+		t.Fatalf("hook consulted with %v, want [40 250]", asked)
+	}
+	if got := p.WALStalls(); got != 1 {
+		t.Errorf("write-back of a page ahead of the log counted %d stalls, want exactly 1", got)
+	}
+	if _, writes, _ := m.Stats(); writes != 1 {
+		t.Errorf("stalled page written %d times, want 1", writes)
+	}
+}

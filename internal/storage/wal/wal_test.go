@@ -403,3 +403,30 @@ func TestCrashTornTailDiscarded(t *testing.T) {
 		t.Fatalf("scan end %d, want synced lsn %d", end, lsn)
 	}
 }
+
+// TestWaitDurableStalledReportsRealWaits: the buffer pool's stall counter
+// rests on this report. An LSN ahead of the durable point is a stall; the
+// same LSN asked for again is not, under either sync policy — although
+// the naive policy still issues its unconditional sync.
+func TestWaitDurableStalledReportsRealWaits(t *testing.T) {
+	for _, naive := range []bool{false, true} {
+		w := NewWriter(disk.NewManager(disk.LatencyModel{}), naive)
+		lsn, err := w.Append(&Record{Type: TCommit, Xid: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []bool{true, false} {
+			stalled, err := w.WaitDurableStalled(lsn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stalled != want {
+				t.Errorf("naive=%v call %d: stalled=%v, want %v", naive, i+1, stalled, want)
+			}
+		}
+		if batches, _ := w.Stats(); naive && batches != 2 {
+			t.Errorf("naive policy issued %d syncs for 2 waits, want 2", batches)
+		}
+		w.Close()
+	}
+}

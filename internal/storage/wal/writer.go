@@ -104,11 +104,21 @@ func (w *Writer) TailLSN() (uint64, error) {
 // commit the wait joins the current batch; under the naive policy it
 // issues its own sync.
 func (w *Writer) WaitDurable(lsn uint64) error {
+	_, err := w.WaitDurableStalled(lsn)
+	return err
+}
+
+// WaitDurableStalled is WaitDurable for the buffer pool's write-back
+// hook: it also reports whether lsn was ahead of the durable LSN when the
+// call arrived, i.e. whether the caller really had to wait for the log.
+func (w *Writer) WaitDurableStalled(lsn uint64) (stalled bool, err error) {
 	w.waits.Add(1)
-	if w.naive {
-		return w.naiveSync()
-	}
 	w.mu.Lock()
+	stalled = w.synced < lsn
+	if w.naive {
+		w.mu.Unlock()
+		return stalled, w.naiveSync()
+	}
 	defer w.mu.Unlock()
 	if lsn > w.wanted {
 		w.wanted = lsn
@@ -119,11 +129,11 @@ func (w *Writer) WaitDurable(lsn uint64) error {
 	}
 	if w.synced < lsn {
 		if w.failure != nil {
-			return fmt.Errorf("wal: writer dead after sync failure: %w", w.failure)
+			return stalled, fmt.Errorf("wal: writer dead after sync failure: %w", w.failure)
 		}
-		return ErrDead
+		return stalled, ErrDead
 	}
-	return nil
+	return stalled, nil
 }
 
 // SyncNow forces the log durable through everything appended so far

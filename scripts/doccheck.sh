@@ -9,6 +9,11 @@
 #    `pkg.Exported` (pkg a package under internal/), `Type.Member` or
 #    `pkg.Type.Member` must resolve to a declaration in the code, so a
 #    rename or a deletion cannot leave the prose describing what is gone.
+# 4. Every cmd/<name> and every `go run ./<path>` quoted in those files,
+#    the verify skill, scripts/*.sh and the CI workflow must name a
+#    directory that exists; cmd/ holds at most four binaries; and no
+#    BENCH_*.json sits at the repository root (bench/ is the benchmark of
+#    record, and a committed result file goes stale silently).
 #
 # Exits non-zero with one line per violation.
 set -u
@@ -111,6 +116,32 @@ for md in README.md DESIGN.md EXPERIMENTS.md docs/*.md; do
             fail=1
         fi
     done
+done
+
+# --- 4. quoted commands, binary count, result files ---------------------
+for f in README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKILL.md \
+    scripts/*.sh .github/workflows/ci.yml; do
+    [ -f "$f" ] || continue
+    dirs=$({
+        grep -oE 'cmd/[a-z][a-z0-9-]*' "$f"
+        grep -oE 'go run (-race )?\./[A-Za-z0-9_/-]+' "$f" | sed -E 's/^go run (-race )?\.\///'
+    } | sort -u)
+    for d in $dirs; do
+        if [ ! -d "$d" ]; then
+            echo "doccheck: $f: names $d, which is not a directory"
+            fail=1
+        fi
+    done
+done
+ncmd=$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)
+if [ "$ncmd" -gt 4 ]; then
+    echo "doccheck: cmd/ holds $ncmd binaries, at most 4 allowed (add an experiment to internal/harness instead)"
+    fail=1
+fi
+for j in BENCH_*.json; do
+    [ -e "$j" ] || continue
+    echo "doccheck: $j: result files are not committed at the root (regenerate with go run ./bench)"
+    fail=1
 done
 
 if [ "$fail" -ne 0 ]; then
