@@ -14,9 +14,9 @@ import (
 // values with memcmp".
 const MaxDictValues = 256
 
-// maxCombos bounds distinct tuple bees per relation: beeID is a uint16
+// MaxCombos bounds distinct tuple bees per relation: beeID is a uint16
 // and 0 is reserved for "no bee".
-const maxCombos = 1 << 16
+const MaxCombos = 1 << 16
 
 // DataSections is a relation's clustered tuple-bee value storage: one
 // dictionary per specialized attribute plus the combination table mapping
@@ -137,8 +137,8 @@ func (ds *DataSections) ResolveBee(values []types.Datum, prof *profile.Counters)
 	if beeID, ok := ds.comboIdx[string(key)]; ok {
 		return beeID, nil
 	}
-	if ds.nCombos >= maxCombos {
-		return 0, fmt.Errorf("tuple bee: relation %s exceeds %d tuple bees", ds.rel.Name, maxCombos-1)
+	if ds.nCombos >= MaxCombos {
+		return 0, fmt.Errorf("tuple bee: relation %s exceeds %d tuple bees", ds.rel.Name, MaxCombos-1)
 	}
 	beeID := uint16(ds.nCombos)
 	ds.nCombos++

@@ -8,16 +8,13 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"microspec/internal/advisor"
 	"microspec/internal/catalog"
 	"microspec/internal/core"
 	"microspec/internal/exec"
-	"microspec/internal/index/btree"
 	"microspec/internal/sql"
-	"microspec/internal/storage/heap"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -99,36 +96,10 @@ func (db *DB) advisorObservePlan(root exec.Node, sel *sql.Select, d time.Duratio
 	if len(compiled) == 0 && len(gated) == 0 {
 		return
 	}
+	var tables []string
+	collectBaseTables(sel, func(name string) { tables = append(tables, name) })
 	slow := int64(d) >= db.obs.slowNs.Load()
-	db.adv.ObservePlan(selectTables(sel), compiled, gated, slow)
-}
-
-// selectTables collects the base tables a SELECT reads (subqueries and
-// CTEs included) for bee→relation association.
-func selectTables(sel *sql.Select) []string {
-	if sel == nil {
-		return nil
-	}
-	var out []string
-	var walk func(s *sql.Select)
-	walk = func(s *sql.Select) {
-		if s == nil {
-			return
-		}
-		for _, c := range s.With {
-			walk(c.Sel)
-		}
-		for _, tr := range s.From {
-			switch v := tr.(type) {
-			case *sql.BaseTable:
-				out = append(out, v.Name)
-			case *sql.SubqueryRef:
-				walk(v.Sel)
-			}
-		}
-	}
-	walk(sel)
-	return out
+	db.adv.ObservePlan(tables, compiled, gated, slow)
 }
 
 // advisorObserveRow feeds one formed row into the advisor's
@@ -150,65 +121,76 @@ func (db *DB) advisorNoteDDL(table string) {
 
 // Respecialize flips one attribute's tuple-bee dictionary encoding on
 // or off, rewriting the relation's storage online: quiesce, vacuum,
-// materialize every live row, rebuild the heap under the new
-// specialization mask, reinsert (frozen — visible to every snapshot,
-// like recovered tuples), rebuild the indexes, and checkpoint so the
-// new layout is the durable truth. This is the advisor's actuator for
-// attribute promotions (observed NDV below threshold) and drift
-// demotions (NDV climbing toward the dictionary cap, where inserts
-// would start failing).
-func (db *DB) Respecialize(table, attr string, on bool) error {
+// materialize every live row, then DROP TABLE + CREATE TABLE under the new
+// specialization mask (dropTableLocked, newTableLocked), reinsert (frozen
+// — visible to every snapshot, like recovered tuples), rebuild each index
+// from its definition, and checkpoint so the new layout is the durable
+// truth. Every check that can refuse the rewrite — GCL, NOT NULL, the
+// dictionary and tuple-bee caps — runs before the drop, so a refused one
+// changes nothing. This is the advisor's actuator
+// for attribute promotions (observed NDV below threshold) and drift
+// demotions (NDV climbing toward the dictionary cap, where inserts would
+// start failing).
+func (db *DB) Respecialize(name, attr string, on bool) error {
 	if db.recovering.Load() {
 		return ErrRecovering
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rel, err := db.cat.Lookup(table)
+	tab, err := db.lookupTable(name)
 	if err != nil {
 		return err
 	}
-	ord := -1
-	for i := range rel.Attrs {
-		if rel.Attrs[i].Name == attr {
-			ord = i
-			break
-		}
-	}
+	rel := tab.rel
+	ord := rel.AttrIndex(attr)
 	if ord < 0 {
-		return fmt.Errorf("engine: respecialize %s: no attribute %q", table, attr)
+		return fmt.Errorf("engine: respecialize %s: no attribute %q", name, attr)
 	}
 	if rel.Attrs[ord].LowCard == on {
 		return nil // already in the requested state
 	}
 	if on && !rel.Attrs[ord].NotNull {
-		return fmt.Errorf("engine: respecialize %s.%s: nullable attributes cannot be dictionary-encoded", table, attr)
+		return fmt.Errorf("engine: respecialize %s.%s: nullable attributes cannot be dictionary-encoded", name, attr)
 	}
-	h := db.heaps[rel.ID]
-	if h == nil {
-		return fmt.Errorf("engine: respecialize %s: relation has no heap", table)
+	schema := catalog.Schema{Attrs: append([]catalog.Attribute(nil), rel.Attrs...)}
+	schema.Attrs[ord].LowCard = on
+	mask := db.mod.SpecMaskFor(schema)
+	// Specialized storage is deformable only by the GCL bee (core.Module.Deformer).
+	if mask != nil && !db.mod.Routines().GCL {
+		return fmt.Errorf("engine: respecialize %s.%s: specialized storage needs GCL, which is disabled", name, attr)
+	}
+	var spec []int // the new layout's specialized attributes
+	for i := range schema.Attrs {
+		if mask != nil && mask.Specialized[i] {
+			spec = append(spec, i)
+		}
 	}
 
 	// Vacuum first so a nil-snapshot scan sees exactly the committed
 	// rows — same quiesced-state argument as the checkpoint's vacuum
 	// pass (we hold db.mu exclusively; nothing is in flight).
-	handle := relHandle{rel: rel, heap: h, latch: db.latches[rel.ID]}
-	if _, err := db.vacuumTableLocked(handle, nil); err != nil {
-		return fmt.Errorf("engine: respecialize %s: vacuum: %w", table, err)
+	if _, err := db.vacuumTableLocked(tab, nil); err != nil {
+		return fmt.Errorf("engine: respecialize %s: vacuum: %w", name, err)
 	}
-	acc, err := db.accessFor(rel)
-	if err != nil {
-		return err
-	}
+	// The reinsert will build one dictionary per specialized attribute and
+	// one tuple bee per combination of their values (the key
+	// core.DataSections.ResolveBee builds); both are counted here, so a
+	// layout that cannot hold the rows is refused while the table is intact.
 	var rows [][]types.Datum
-	distinct := make(map[uint64]struct{})
-	sc := h.Scan(nil, nil)
+	dicts := make([]map[uint64]int, len(spec))
+	for p := range dicts {
+		dicts[p] = make(map[uint64]int)
+	}
+	combos := make(map[string]struct{})
+	key := make([]byte, len(spec))
+	sc := tab.heap.Scan(nil, nil)
 	for {
 		_, tup, ok := sc.Next()
 		if !ok {
 			break
 		}
 		vals := make([]types.Datum, len(rel.Attrs))
-		acc.deform(tup, vals, len(vals), nil)
+		tab.deform(tup, vals, len(vals), nil)
 		for i := range vals {
 			// Deformed byte payloads alias the pinned page; the rewrite
 			// outlives the pin, so copy them out.
@@ -216,95 +198,58 @@ func (db *DB) Respecialize(table, attr string, on bool) error {
 				vals[i].B = append([]byte(nil), b...)
 			}
 		}
-		if on {
-			if vals[ord].IsNull() {
+		for p, a := range spec {
+			if vals[a].IsNull() {
 				sc.Close()
-				return fmt.Errorf("engine: respecialize %s.%s: NULL value in existing rows", table, attr)
+				return fmt.Errorf("engine: respecialize %s.%s: NULL value in existing rows", name, rel.Attrs[a].Name)
 			}
-			distinct[vals[ord].Hash()] = struct{}{}
+			id, ok := dicts[p][vals[a].Hash()]
+			if !ok {
+				id = len(dicts[p])
+				dicts[p][vals[a].Hash()] = id
+			}
+			key[p] = byte(id) // wraps only past the dictionary cap, refused first below
 		}
+		combos[string(key)] = struct{}{}
 		rows = append(rows, vals)
 	}
 	sc.Close()
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("engine: respecialize %s: scan: %w", table, err)
+		return fmt.Errorf("engine: respecialize %s: scan: %w", name, err)
 	}
-	if on && len(distinct) >= core.MaxDictValues {
-		return fmt.Errorf("engine: respecialize %s.%s: %d distinct values exceed the dictionary cap (%d)",
-			table, attr, len(distinct), core.MaxDictValues)
-	}
-
-	// Capture what must survive the rebuild, then tear down the old
-	// storage exactly like DROP TABLE.
-	type idxDef struct {
-		name   string
-		cols   []int
-		unique bool
-	}
-	var idxs []idxDef
-	for _, ix := range db.byRel[rel.ID] {
-		idxs = append(idxs, idxDef{name: ix.Name, cols: ix.Cols, unique: ix.Tree.Unique})
-	}
-	pkey := append([]int(nil), rel.PKey...)
-	schema := catalog.Schema{Attrs: make([]catalog.Attribute, len(rel.Attrs))}
-	for i, a := range rel.Attrs {
-		schema.Attrs[i] = catalog.Attribute{
-			Name: a.Name, Type: a.Type, NotNull: a.NotNull, LowCard: a.LowCard,
+	for p, a := range spec {
+		if a == ord && len(dicts[p]) >= core.MaxDictValues {
+			return fmt.Errorf("engine: respecialize %s.%s: %d distinct values exceed the dictionary cap (%d)",
+				name, attr, len(dicts[p]), core.MaxDictValues)
 		}
 	}
-	schema.Attrs[ord].LowCard = on
+	if len(combos) >= core.MaxCombos {
+		return fmt.Errorf("engine: respecialize %s.%s: %d value combinations exceed the tuple-bee cap (%d)",
+			name, attr, len(combos), core.MaxCombos-1)
+	}
 
-	if _, err := db.cat.DropRelation(table); err != nil {
+	if err := db.dropTableLocked(tab); err != nil {
 		return err
 	}
-	if err := db.pool.InvalidateFile(h.File()); err != nil {
-		return err
-	}
-	h.Drop()
-	delete(db.heaps, rel.ID)
-	for _, ix := range db.byRel[rel.ID] {
-		delete(db.indexes, ix.Name)
-	}
-	delete(db.byRel, rel.ID)
-	delete(db.access, rel.ID)
-	delete(db.latches, rel.ID)
-	db.mod.OnDropRelation(rel)
-
-	// Recreate under the new mask (mirrors createTable) and reload.
-	spec := db.mod.SpecMaskFor(schema)
-	nrel, err := db.cat.CreateRelation(table, schema, pkey, spec)
+	ntab, err := db.newTableLocked(name, schema, rel.PKey, nil)
 	if err != nil {
 		return err
 	}
-	nh := heap.Create(db.dm, db.pool, nrel, db.tm)
-	nh.SetWAL(db.wal)
-	db.heaps[nrel.ID] = nh
-	db.latches[nrel.ID] = &sync.RWMutex{}
-	db.mod.OnCreateRelation(nrel)
-	db.wireBeeJournal(nrel, nh.File())
-	if err := db.refreshAccessLocked(nrel); err != nil {
-		return err
-	}
-	nacc := db.access[nrel.ID]
 	for _, vals := range rows {
-		tup, err := nacc.form(vals, nil)
+		tup, err := ntab.form(vals, nil)
 		if err != nil {
-			return fmt.Errorf("engine: respecialize %s: reform: %w", table, err)
+			return fmt.Errorf("engine: respecialize %s: reform: %w", name, err)
 		}
-		if _, err := nh.Insert(tup, txn.Frozen, nil); err != nil {
-			return fmt.Errorf("engine: respecialize %s: reinsert: %w", table, err)
+		if _, err := ntab.heap.Insert(tup, txn.Frozen, nil); err != nil {
+			return fmt.Errorf("engine: respecialize %s: reinsert: %w", name, err)
 		}
 	}
-	nrel.Stats.RowCount = nh.LiveTuples()
-	nrel.Stats.Pages = int64(nh.NumPages())
-	for _, id := range idxs {
-		tree := btree.New(id.name, id.unique)
-		db.installIDX(tree, nrel, id.cols)
-		ix := &Index{Name: id.name, Rel: nrel, Cols: id.cols, Tree: tree}
-		if err := db.backfillIndexLocked(ix, nh, nacc); err != nil {
-			return fmt.Errorf("engine: respecialize %s: rebuild index %s: %w", table, id.name, err)
+	ntab.rel.Stats.RowCount = ntab.heap.LiveTuples()
+	ntab.rel.Stats.Pages = int64(ntab.heap.NumPages())
+	for _, ix := range tab.indexes { // the dropped record keeps its definitions
+		if err := db.newIndexLocked(ntab, ix.Name, ix.Cols, ix.Tree.Unique); err != nil {
+			return fmt.Errorf("engine: respecialize %s: rebuild index %s: %w", name, ix.Name, err)
 		}
-		db.addIndexLocked(ix)
 	}
 	db.ddlGen.Add(1)
 	// The checkpoint that follows carries the flipped LowCard flag in

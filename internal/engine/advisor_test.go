@@ -6,6 +6,7 @@ import (
 
 	"microspec/internal/advisor"
 	"microspec/internal/core"
+	"microspec/internal/types"
 )
 
 // evpInCache counts real (non-phantom) query/EVP entries in the bee
@@ -141,46 +142,61 @@ func TestAdvisorQuarantineDemotesExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestAdvisorDDLDemotesExactlyOnce promotes a bee watching one table,
-// drops the table, and checks the DDL demotion fires exactly once.
+// TestAdvisorDDLDemotesExactlyOnce promotes the bees of a query watching
+// one table, drops the table, and checks the DDL demotion fires exactly
+// once per bee — whether the query names the table alone or inside an
+// explicit JOIN.
 func TestAdvisorDDLDemotesExactlyOnce(t *testing.T) {
-	db := newDB(t, core.AllRoutines)
-	mustExec(t, db,
-		`create table watched (w_id integer not null, w_val integer not null, primary key (w_id))`)
-	for i := 1; i <= 30; i++ {
-		mustExec(t, db, fmt.Sprintf("insert into watched values (%d, %d)", i, i*3))
-	}
-	adv := db.Advisor()
-	adv.SetEnabled(true)
+	for _, tc := range []struct {
+		name, query string
+		want        int64 // demotions, counted by hand
+	}{
+		{"scan", "select w_id from watched where w_val > 30 order by w_id", 1},
+		// The w_val > 30 EVP and the p_id = w_id EVJ both watch "watched".
+		{"join", "select w_id from probe join watched on p_id = w_id where w_val > 30 order by w_id", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newDB(t, core.AllRoutines)
+			mustExec(t, db,
+				`create table watched (w_id integer not null, w_val integer not null, primary key (w_id))`)
+			mustExec(t, db, `create table probe (p_id integer not null, primary key (p_id))`)
+			for i := 1; i <= 30; i++ {
+				mustExec(t, db, fmt.Sprintf("insert into watched values (%d, %d)", i, i*3))
+				mustExec(t, db, fmt.Sprintf("insert into probe values (%d)", i))
+			}
+			adv := db.Advisor()
+			adv.SetEnabled(true)
 
-	name := heatAndPromote(t, db, "select w_id from watched where w_val > 30 order by w_id")
-	ti, _ := db.Module().Bee("query/EVP", name).Tier()
-	if ti != core.TierCompiled {
-		t.Fatalf("state = %v, want compiled", ti)
-	}
+			name := heatAndPromote(t, db, tc.query)
+			ti, _ := db.Module().Bee("query/EVP", name).Tier()
+			if ti != core.TierCompiled {
+				t.Fatalf("state = %v, want compiled", ti)
+			}
 
-	mustExec(t, db, "drop table watched")
-	adv.RunCycle()
-	if st, _ := db.Module().Bee("query/EVP", name).Tier(); st != core.TierDemoted {
-		t.Fatalf("state after DDL cycle = %v, want demoted", st)
-	}
-	once := advisorCounter(db, "advisor.demotions")
-	if once != 1 {
-		t.Fatalf("advisor.demotions = %d, want exactly 1", once)
-	}
-	adv.RunCycle()
-	adv.RunCycle()
-	if got := advisorCounter(db, "advisor.demotions"); got != once {
-		t.Fatalf("DDL demotion flapped: %d → %d", once, got)
-	}
-	reasoned := false
-	for _, d := range adv.Decisions() {
-		if d.Action == "demote-bee" && d.Name == name {
-			reasoned = d.Reason != ""
-		}
-	}
-	if !reasoned {
-		t.Fatalf("DDL demotion missing from decisions: %+v", adv.Decisions())
+			mustExec(t, db, "drop table watched")
+			adv.RunCycle()
+			if st, _ := db.Module().Bee("query/EVP", name).Tier(); st != core.TierDemoted {
+				t.Fatalf("state after DDL cycle = %v, want demoted", st)
+			}
+			once := advisorCounter(db, "advisor.demotions")
+			if once != tc.want {
+				t.Fatalf("advisor.demotions = %d, want exactly %d; tiers: %+v", once, tc.want, db.Module().TierSnapshot())
+			}
+			adv.RunCycle()
+			adv.RunCycle()
+			if got := advisorCounter(db, "advisor.demotions"); got != once {
+				t.Fatalf("DDL demotion flapped: %d → %d", once, got)
+			}
+			reasoned := false
+			for _, d := range adv.Decisions() {
+				if d.Action == "demote-bee" && d.Name == name {
+					reasoned = d.Reason != ""
+				}
+			}
+			if !reasoned {
+				t.Fatalf("DDL demotion missing from decisions: %+v", adv.Decisions())
+			}
+		})
 	}
 }
 
@@ -267,6 +283,64 @@ func TestAdvisorRespecializesAttribute(t *testing.T) {
 	}
 	if n := mustQuery(t, db, "select count(*) from app where status = 's-7'").Rows[0][0].Int64(); n != 1 {
 		t.Fatalf("drift row lost by despec rewrite")
+	}
+}
+
+// TestRefusedRespecializeChangesNothing: a rewrite the new layout cannot
+// hold is refused before the table is touched — rows, primary key,
+// routines and the LowCard flag stay exactly as they were. Two refusals:
+// dictionary encoding needs the GCL bee, which is disabled; and turning on
+// a third low-cardinality attribute makes side³ = 68,921 value
+// combinations, more tuple bees than a uint16 beeID names, although each
+// attribute has only side = 41 values.
+func TestRefusedRespecializeChangesNothing(t *testing.T) {
+	const side = 41
+	for _, tc := range []struct {
+		name     string
+		routines core.RoutineSet
+		lowcard  string // the annotation on x and y
+		rows     int
+	}{
+		{"needs GCL", core.RoutineSet{TupleBees: true, SCL: true}, "", 2},
+		{"tuple-bee cap", core.AllRoutines, "lowcard", side * side * side},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := Open(Config{Routines: tc.routines, PoolPages: 1024})
+			mustExec(t, db, fmt.Sprintf("create table t (a integer not null, s integer not null, "+
+				"x integer not null %[1]s, y integer not null %[1]s, primary key (a))", tc.lowcard))
+			i := 0
+			if _, err := db.BulkLoad("t", nil, func() ([]types.Datum, bool) {
+				if i == tc.rows {
+					return nil, false
+				}
+				v := int32(i) // s, y, x: v's base-side digits
+				i++
+				return []types.Datum{types.NewInt32(v + 1), types.NewInt32(v / (side * side)),
+					types.NewInt32(v % side), types.NewInt32(v / side % side)}, true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Respecialize("t", "s", true); err == nil {
+				t.Fatal("Respecialize must be refused")
+			}
+			if n := mustQuery(t, db, "select count(*) from t").Rows[0][0].Int64(); n != int64(tc.rows) {
+				t.Fatalf("count after refused rewrite = %d, want %d", n, tc.rows)
+			}
+			if _, ok := db.IndexOf("t_pkey"); !ok {
+				t.Fatal("refused rewrite lost the primary key")
+			}
+			if r := mustQuery(t, db, "select x from t where a = 2"); len(r.Rows) != 1 || r.Rows[0][0].Int64() != 1 {
+				t.Fatalf("pk lookup after refused rewrite: %v", r.Rows)
+			}
+			mustExec(t, db, "insert into t values (0, 0, 0, 0)")
+			if _, err := db.Exec("insert into t values (0, 1, 1, 1)"); err == nil {
+				t.Fatal("primary key no longer enforced after refused rewrite")
+			}
+			rel, err := db.Catalog().Lookup("t")
+			if err != nil || rel.Attrs[1].LowCard {
+				t.Fatalf("after refused rewrite: rel %v, err %v; want t.s not low-cardinality", rel, err)
+			}
+		})
 	}
 }
 

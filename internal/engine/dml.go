@@ -3,9 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"microspec/internal/catalog"
 	"microspec/internal/exec"
 	"microspec/internal/index/btree"
 	"microspec/internal/profile"
@@ -31,17 +29,13 @@ import (
 // exclusively. The returned undo removes the index entries and stamps the
 // version dead (rollback makes it invisible even to latest-committed
 // readers).
-func (db *DB) insertRowLocked(rel relHandle, values []types.Datum, xid uint64, prof *profile.Counters) (heap.TID, func() error, error) {
-	acc, err := db.accessFor(rel.rel)
+func (db *DB) insertRowLocked(tab *table, values []types.Datum, xid uint64, prof *profile.Counters) (heap.TID, func() error, error) {
+	tup, err := tab.form(values, prof)
 	if err != nil {
 		return heap.TID{}, nil, err
 	}
-	tup, err := acc.form(values, prof)
-	if err != nil {
-		return heap.TID{}, nil, err
-	}
-	db.advisorObserveRow(rel.rel, values)
-	ixs := db.byRel[rel.rel.ID]
+	db.advisorObserveRow(tab.rel, values)
+	ixs := tab.indexes
 	keys := ownedKeys(ixs, values)
 	// Visibility-aware unique checks come first, before any effect that
 	// would need undoing. The B+tree cannot enforce uniqueness itself: it
@@ -51,11 +45,11 @@ func (db *DB) insertRowLocked(rel relHandle, values []types.Datum, xid uint64, p
 		if !ix.Tree.Unique {
 			continue
 		}
-		if err := db.uniqueConflict(rel.heap, ix, keys[i], xid, prof); err != nil {
+		if err := db.uniqueConflict(tab.heap, ix, keys[i], xid, prof); err != nil {
 			return heap.TID{}, nil, err
 		}
 	}
-	tid, err := rel.heap.Insert(tup, xid, prof)
+	tid, err := tab.heap.Insert(tup, xid, prof)
 	if err != nil {
 		return heap.TID{}, nil, err
 	}
@@ -66,7 +60,7 @@ func (db *DB) insertRowLocked(rel relHandle, values []types.Datum, xid uint64, p
 		for i, ix := range ixs {
 			ix.Tree.Delete(keys[i], tid, nil)
 		}
-		return rel.heap.MarkDeleted(tid, xid, nil)
+		return tab.heap.MarkDeleted(tid, xid, nil)
 	}
 	return tid, undo, nil
 }
@@ -126,25 +120,6 @@ func (db *DB) uniqueConflict(h *heap.Heap, ix *Index, key btree.Key, xid uint64,
 		return fmt.Errorf("index %s: duplicate key %v", ix.Name, key)
 	}
 	return nil
-}
-
-// relHandle pairs a relation with its heap and table latch.
-type relHandle struct {
-	rel   *catalog.Relation
-	heap  *heap.Heap
-	latch *sync.RWMutex
-}
-
-func (db *DB) handleFor(name string) (relHandle, error) {
-	rel, err := db.cat.Lookup(name)
-	if err != nil {
-		return relHandle{}, err
-	}
-	h, ok := db.heaps[rel.ID]
-	if !ok {
-		return relHandle{}, fmt.Errorf("engine: relation %s has no heap", name)
-	}
-	return relHandle{rel: rel, heap: h, latch: db.latches[rel.ID]}, nil
 }
 
 // isConflict reports whether err is (or wraps) a write-write conflict.
@@ -255,20 +230,16 @@ func (db *DB) lockedCurrent(current func(bool) ([]txnOp, *txnResolved, error), a
 // the entries when it reclaims the version. A *txn.ConflictError from the
 // delete stamp means another transaction updated the row first
 // (first-updater-wins); the caller must abort.
-func (db *DB) applyUpdateLocked(rel relHandle, tid heap.TID, oldVal, newVal []types.Datum, xid uint64, prof *profile.Counters) (func() error, error) {
-	acc, err := db.accessFor(rel.rel)
+func (db *DB) applyUpdateLocked(tab *table, tid heap.TID, oldVal, newVal []types.Datum, xid uint64, prof *profile.Counters) (func() error, error) {
+	tup, err := tab.form(newVal, prof)
 	if err != nil {
 		return nil, err
 	}
-	tup, err := acc.form(newVal, prof)
-	if err != nil {
+	db.advisorObserveRow(tab.rel, newVal)
+	if err := tab.heap.MarkDeleted(tid, xid, prof); err != nil {
 		return nil, err
 	}
-	db.advisorObserveRow(rel.rel, newVal)
-	if err := rel.heap.MarkDeleted(tid, xid, prof); err != nil {
-		return nil, err
-	}
-	ixs := db.byRel[rel.rel.ID]
+	ixs := tab.indexes
 	newKeys := ownedKeys(ixs, newVal)
 	// Unique checks on key-changing indexes, after the old version is
 	// stamped (its xmax == xid exempts it from its own check).
@@ -276,14 +247,14 @@ func (db *DB) applyUpdateLocked(rel relHandle, tid heap.TID, oldVal, newVal []ty
 		if !ix.Tree.Unique || !keyChanged(oldVal, newVal, ix.Cols) {
 			continue
 		}
-		if err := db.uniqueConflict(rel.heap, ix, newKeys[i], xid, prof); err != nil {
-			_ = rel.heap.UnmarkDeleted(tid, xid)
+		if err := db.uniqueConflict(tab.heap, ix, newKeys[i], xid, prof); err != nil {
+			_ = tab.heap.UnmarkDeleted(tid, xid)
 			return nil, err
 		}
 	}
-	newTID, err := rel.heap.Insert(tup, xid, prof)
+	newTID, err := tab.heap.Insert(tup, xid, prof)
 	if err != nil {
-		_ = rel.heap.UnmarkDeleted(tid, xid)
+		_ = tab.heap.UnmarkDeleted(tid, xid)
 		return nil, err
 	}
 	for i, ix := range ixs {
@@ -293,8 +264,8 @@ func (db *DB) applyUpdateLocked(rel relHandle, tid heap.TID, oldVal, newVal []ty
 		for i, ix := range ixs {
 			ix.Tree.Delete(newKeys[i], newTID, nil)
 		}
-		_ = rel.heap.MarkDeleted(newTID, xid, nil)
-		return rel.heap.UnmarkDeleted(tid, xid)
+		_ = tab.heap.MarkDeleted(newTID, xid, nil)
+		return tab.heap.UnmarkDeleted(tid, xid)
 	}
 	return undo, nil
 }
@@ -312,10 +283,10 @@ func keyChanged(a, b []types.Datum, cols []int) bool {
 // deleteRowLocked stamps one version deleted. Index entries stay: older
 // snapshots still resolve the version through them, and vacuum removes
 // them with the version itself. The undo clears the stamp.
-func (db *DB) deleteRowLocked(rel relHandle, tid heap.TID, xid uint64, prof *profile.Counters) (func() error, error) {
-	if err := rel.heap.MarkDeleted(tid, xid, prof); err != nil {
+func (db *DB) deleteRowLocked(tab *table, tid heap.TID, xid uint64, prof *profile.Counters) (func() error, error) {
+	if err := tab.heap.MarkDeleted(tid, xid, prof); err != nil {
 		return nil, err
 	}
-	undo := func() error { return rel.heap.UnmarkDeleted(tid, xid) }
+	undo := func() error { return tab.heap.UnmarkDeleted(tid, xid) }
 	return undo, nil
 }

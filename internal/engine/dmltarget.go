@@ -41,8 +41,7 @@ import (
 type dmlTarget struct {
 	db   *DB
 	kind dmlKind
-	rel  relHandle
-	acc  *relAccess
+	tab  *table
 
 	where expr.Expr         // nil: every row (always nil for INSERT)
 	pred  core.CompiledPred // where's EVP bee routine; nil: interpret where
@@ -121,15 +120,12 @@ func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, erro
 		return nil, fmt.Errorf("engine: %T is not an INSERT, UPDATE or DELETE", stmt)
 	}
 	var err error
-	if t.rel, err = db.handleFor(table); err != nil {
+	if t.tab, err = db.lookupTable(table); err != nil {
 		return nil, err
 	}
-	if t.acc, err = db.accessFor(t.rel.rel); err != nil {
-		return nil, err
-	}
-	t.ownTab = txnTable{relHandle: t.rel, acc: t.acc, write: true}
+	t.ownTab = txnTable{table: t.tab, write: true}
 	t.own = txnResolved{latchOrder: []*txnTable{&t.ownTab}}
-	rel := t.rel.rel
+	rel := t.tab.rel
 	if where != nil {
 		if t.where, err = pl.ConvertForRelation(where, rel); err != nil {
 			return nil, err
@@ -202,7 +198,7 @@ func storable(attr *catalog.Attribute, k types.Kind) error {
 func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) error {
 	for j, e := range exprs {
 		d := e.Eval(row, &t.ectx)
-		if err := storable(&t.rel.rel.Attrs[t.cols[j]], d.Kind()); err != nil {
+		if err := storable(&t.tab.rel.Attrs[t.cols[j]], d.Kind()); err != nil {
 			return err
 		}
 		dst[t.cols[j]] = d
@@ -229,7 +225,7 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 			if err := t.assign(t.newVal, exprs, nil); err != nil {
 				return 0, err
 			}
-			_, u, err := db.insertRowLocked(t.rel, t.newVal, xid, prof)
+			_, u, err := db.insertRowLocked(t.tab, t.newVal, xid, prof)
 			if err != nil {
 				return 0, err
 			}
@@ -261,10 +257,10 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 			// old row and the parameter slots.
 			copy(t.newVal, h.old)
 			if err = t.assign(t.newVal, t.rows[0], h.old); err == nil {
-				u, err = db.applyUpdateLocked(t.rel, h.tid, h.old, t.newVal, xid, prof)
+				u, err = db.applyUpdateLocked(t.tab, h.tid, h.old, t.newVal, xid, prof)
 			}
 		} else {
-			u, err = db.deleteRowLocked(t.rel, h.tid, xid, prof)
+			u, err = db.deleteRowLocked(t.tab, h.tid, xid, prof)
 		}
 		if err != nil {
 			return 0, err
@@ -341,7 +337,7 @@ func (t *dmlTarget) collectProbe(snap *txn.Snapshot, prof *profile.Counters) err
 // this snapshot cannot see or that vacuum has reclaimed. The deferred
 // release keeps a panicking bee from leaving the page pinned and latched.
 func (t *dmlTarget) considerAt(tid heap.TID, snap *txn.Snapshot, prof *profile.Counters) error {
-	tup, release, ok, err := t.rel.heap.Get(tid, snap, prof)
+	tup, release, ok, err := t.tab.heap.Get(tid, snap, prof)
 	if err != nil || !ok {
 		return err
 	}
@@ -352,7 +348,7 @@ func (t *dmlTarget) considerAt(tid heap.TID, snap *txn.Snapshot, prof *profile.C
 
 func (t *dmlTarget) collectScan(snap *txn.Snapshot, prof *profile.Counters) error {
 	var n int64
-	sc := t.rel.heap.Scan(snap, prof)
+	sc := t.tab.heap.Scan(snap, prof)
 	defer sc.Close() // idempotent; also unpins the current page on a panic
 	for {
 		tid, tup, ok := sc.Next()
@@ -369,7 +365,7 @@ func (t *dmlTarget) collectScan(snap *txn.Snapshot, prof *profile.Counters) erro
 // consider deforms one visible version and keeps it if the WHERE holds.
 // tup aliases a pinned page, so a kept row is copied.
 func (t *dmlTarget) consider(tid heap.TID, tup []byte, prof *profile.Counters) {
-	t.acc.deform(tup, t.values, len(t.values), prof)
+	t.tab.deform(tup, t.values, len(t.values), prof)
 	if t.where != nil {
 		var v types.Datum
 		if t.pred != nil {

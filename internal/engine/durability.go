@@ -181,8 +181,8 @@ func decodeCombo(rel *catalog.Relation, spec []int, md []manifestDatum) ([]types
 // assignment order — which is what lets recovery replay them sequentially
 // — and the record always precedes the first insert record referencing
 // the new ID (both appends happen in the inserting statement, in order).
-// Called at CREATE TABLE and again when recovery finishes replaying a
-// relation (replay itself must not re-log).
+// Called by newTableLocked, after recovery's replay (which must not
+// re-log).
 func (db *DB) wireBeeJournal(rel *catalog.Relation, file disk.FileID) {
 	if db.wal == nil {
 		return
@@ -223,12 +223,16 @@ type manifestIndex struct {
 // Caller holds db.mu exclusively.
 func (db *DB) manifestLocked() ([]byte, error) {
 	var m manifest
-	for _, rel := range db.cat.Relations() {
-		h, ok := db.heaps[rel.ID]
-		if !ok {
-			continue
-		}
-		mr := manifestRel{Name: rel.Name, File: uint32(h.File()), PKey: rel.PKey}
+	// Creation (RelID) order: recovery recreates the relations in the
+	// order listed, so a recovered catalog lists them as this one does.
+	tabs := make([]*table, 0, len(db.tables))
+	for _, tab := range db.tables {
+		tabs = append(tabs, tab)
+	}
+	sort.Slice(tabs, func(i, j int) bool { return tabs[i].rel.ID < tabs[j].rel.ID })
+	for _, tab := range tabs {
+		rel := tab.rel
+		mr := manifestRel{Name: rel.Name, File: uint32(tab.heap.File()), PKey: rel.PKey}
 		for _, a := range rel.Attrs {
 			mr.Attrs = append(mr.Attrs, manifestAttr{
 				Name: a.Name, Kind: uint8(a.Type.Kind), Width: a.Type.Width,
@@ -306,15 +310,10 @@ func (db *DB) checkpointLocked() error {
 	if db.wal == nil {
 		return nil
 	}
-	for _, rel := range db.cat.Relations() {
-		h, ok := db.heaps[rel.ID]
-		if !ok {
-			continue
-		}
-		handle := relHandle{rel: rel, heap: h, latch: db.latches[rel.ID]}
-		handle.latch.Lock()
-		_, err := db.vacuumTableLocked(handle, nil)
-		handle.latch.Unlock()
+	for _, tab := range db.tables {
+		tab.latch.Lock()
+		_, err := db.vacuumTableLocked(tab, nil)
+		tab.latch.Unlock()
 		if err != nil {
 			return fmt.Errorf("engine: checkpoint vacuum: %w", err)
 		}

@@ -75,7 +75,7 @@ type DB struct {
 	// mu is the engine's outermost lock, and under MVCC it is almost
 	// always held in *shared* mode: queries, DML statements, and
 	// interactive transactions all take RLock and rely on snapshots plus
-	// the per-table latches below for isolation. Exclusive mode is
+	// the table records' latches for isolation. Exclusive mode is
 	// reserved for operations that restructure the instance itself — DDL,
 	// SetRoutines, BulkLoad, cache drops — which quiesce everything.
 	// Lock ordering: db.mu → table latch → heap page latch (leaf); never
@@ -86,12 +86,11 @@ type DB struct {
 	// the snapshots every read resolves tuple visibility against.
 	tm *txn.Manager
 
-	// latches holds one latch per relation: DML statements and Txn write
-	// operations take it exclusively, index readers take it shared (the
-	// B+trees are not internally synchronized). Heap scans take no table
-	// latch at all — MVCC snapshots isolate them. The map itself is
-	// guarded by mu (mutated only under Lock, in DDL).
-	latches map[catalog.RelID]*sync.RWMutex
+	// tables holds one record per relation (see table) and indexes points
+	// into them by index name. Both maps are guarded by mu: mutated only
+	// under Lock, by the constructors and the destructor below.
+	tables  map[catalog.RelID]*table
+	indexes map[string]*Index
 
 	// vacEvery is the per-table dead-version vacuum threshold (≤ 0 =
 	// automatic vacuum disabled); see vacuum.go.
@@ -115,15 +114,6 @@ type DB struct {
 	ddlGen  atomic.Uint64
 	dataGen atomic.Uint64
 
-	heaps   map[catalog.RelID]*heap.Heap
-	indexes map[string]*Index
-	byRel   map[catalog.RelID][]*Index
-
-	// access caches the bee module's per-relation deform/form routines so
-	// per-tuple paths never take the module lock; it is rebuilt on DDL
-	// and on SetRoutines.
-	access map[catalog.RelID]*relAccess
-
 	// obs is the observability layer: metrics registry, latency
 	// histograms, and the slow-query log (see observe.go).
 	obs *observer
@@ -145,10 +135,23 @@ type DB struct {
 	adv *advisor.Advisor
 }
 
-// relAccess is the cached tuple-access pair for one relation.
-type relAccess struct {
-	deform core.DeformFunc
-	form   core.FormFunc
+// table is one relation's runtime state: its catalog entry, heap and table
+// latch, the bee module's deform/form routines — cached so per-tuple paths
+// never take the module lock — and its indexes. newTableLocked registers a record only once every part is built and
+// dropTableLocked removes it. The fields are written only under db.mu held
+// exclusively (DDL, SetRoutines, Respecialize, recovery) and read under
+// db.mu held shared.
+type table struct {
+	rel  *catalog.Relation
+	heap *heap.Heap
+	// latch: DML statements and Txn write operations take it exclusively,
+	// index readers take it shared (the B+trees are not internally
+	// synchronized). Heap scans take no table latch at all — MVCC
+	// snapshots isolate them.
+	latch   sync.RWMutex
+	deform  core.DeformFunc
+	form    core.FormFunc
+	indexes []*Index
 }
 
 // Index is a secondary (or primary) B+tree index.
@@ -179,14 +182,11 @@ func Open(cfg Config) *DB {
 		cat:      catalog.New(),
 		mod:      core.NewModule(cfg.Routines),
 		tm:       txn.NewManager(),
-		latches:  make(map[catalog.RelID]*sync.RWMutex),
+		tables:   make(map[catalog.RelID]*table),
+		indexes:  make(map[string]*Index),
 		vacEvery: vacEvery,
 		dm:       dm,
 		pool:     buffer.New(dm, cfg.PoolPages),
-		heaps:    make(map[catalog.RelID]*heap.Heap),
-		indexes:  make(map[string]*Index),
-		byRel:    make(map[catalog.RelID][]*Index),
-		access:   make(map[catalog.RelID]*relAccess),
 		obs:      newObserver(),
 
 		durCfg:    cfg.Durability,
@@ -200,24 +200,24 @@ func Open(cfg Config) *DB {
 	db.planner = &plan.Planner{
 		Cat: db.cat,
 		Mod: db.mod,
+		// Both are called during planning, which always runs under db.mu.
 		HeapFor: func(rel *catalog.Relation) (*heap.Heap, error) {
-			h, ok := db.heaps[rel.ID]
+			tab, ok := db.tables[rel.ID]
 			if !ok {
 				return nil, fmt.Errorf("engine: relation %s has no heap", rel.Name)
 			}
-			return h, nil
+			return tab.heap, nil
 		},
 		Workers: cfg.Workers,
 		Batch:   !cfg.NoBatch,
 		IndexesFor: func(rel *catalog.Relation) []plan.IndexMeta {
-			// Called during planning, which always runs under db.mu.
-			ixs := db.byRel[rel.ID]
-			metas := make([]plan.IndexMeta, len(ixs))
-			for i, ix := range ixs {
-				metas[i] = plan.IndexMeta{
-					Name: ix.Name, Cols: ix.Cols, Tree: ix.Tree,
-					Latch: db.latches[rel.ID],
-				}
+			tab, ok := db.tables[rel.ID]
+			if !ok {
+				return nil
+			}
+			metas := make([]plan.IndexMeta, len(tab.indexes))
+			for i, ix := range tab.indexes {
+				metas[i] = plan.IndexMeta{Name: ix.Name, Cols: ix.Cols, Tree: ix.Tree, Latch: &tab.latch}
 			}
 			return metas
 		},
@@ -296,11 +296,11 @@ func (db *DB) Pool() *buffer.Pool { return db.pool }
 func (db *DB) HeapOf(name string) (*heap.Heap, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	rel, err := db.cat.Lookup(name)
+	tab, err := db.lookupTable(name)
 	if err != nil {
 		return nil, err
 	}
-	return db.heaps[rel.ID], nil
+	return tab.heap, nil
 }
 
 // IndexOf returns a named index.
@@ -730,30 +730,15 @@ func (db *DB) createTable(s *sql.CreateTable) error {
 		}
 		pkey = append(pkey, idx)
 	}
-	// Relation-bee creation happens at schema-definition time: compute
-	// the tuple-bee storage mask, catalog the relation, create its heap,
-	// and ask the bee module to build its relation bee.
-	spec := db.mod.SpecMaskFor(schema)
-	rel, err := db.cat.CreateRelation(s.Name, schema, pkey, spec)
+	tab, err := db.newTableLocked(s.Name, schema, pkey, nil)
 	if err != nil {
 		return err
 	}
-	h := heap.Create(db.dm, db.pool, rel, db.tm)
-	h.SetWAL(db.wal)
-	db.heaps[rel.ID] = h
-	db.latches[rel.ID] = &sync.RWMutex{}
-	db.mod.OnCreateRelation(rel)
-	db.wireBeeJournal(rel, h.File())
-	if err := db.refreshAccessLocked(rel); err != nil {
-		return err
-	}
 	if len(pkey) > 0 {
-		tree := btree.New(s.Name+"_pkey", true)
-		db.installIDX(tree, rel, pkey)
-		db.addIndexLocked(&Index{
-			Name: s.Name + "_pkey", Rel: rel, Cols: pkey,
-			Tree: tree,
-		})
+		if err := db.newIndexLocked(tab, s.Name+"_pkey", pkey, true); err != nil {
+			_ = db.dropTableLocked(tab) // nothing pins a page of a new heap: cannot fail
+			return err
+		}
 	}
 	db.ddlGen.Add(1)
 	// DDL is not logged record-by-record; the checkpoint that follows it
@@ -761,118 +746,165 @@ func (db *DB) createTable(s *sql.CreateTable) error {
 	return db.checkpointLocked()
 }
 
-// installIDX asks the bee module for a specialized key comparator (the
-// IDX bee) and installs it on the tree.
-func (db *DB) installIDX(tree *btree.Tree, rel *catalog.Relation, cols []int) {
-	keyTypes := make([]types.T, len(cols))
-	for i, c := range cols {
-		keyTypes[i] = rel.Attrs[c].Type
+// newTableLocked is the one constructor of a table's runtime state, shared
+// by CREATE TABLE, Respecialize and recovery. Relation-bee creation happens
+// at schema-definition time: catalog the relation under the tuple-bee
+// storage mask the bee module computes for schema, build its relation bee,
+// cache its deform/form routines, give it a heap and arm the bee journal.
+// Only then is the record registered; a failure on the way unwinds through
+// the destructor, so a refused table leaves nothing behind. from is nil for
+// an empty heap. Recovery passes the relation's manifest record instead:
+// its tuple-bee combos (the checkpoint's, then the log's) are replayed
+// before anything deforms a tuple and before the journal is armed (replay
+// must not re-log), and its surviving file is attached — after redo, which
+// heap.Attach's live-tuple recount requires. Caller holds db.mu exclusively.
+func (db *DB) newTableLocked(name string, schema catalog.Schema, pkey []int, from *manifestRel) (*table, error) {
+	rel, err := db.cat.CreateRelation(name, schema, pkey, db.mod.SpecMaskFor(schema))
+	if err != nil {
+		return nil, err
 	}
-	if cmp, ok := db.mod.CompileIndexCmp(keyTypes); ok {
-		tree.SetComparator(func(a, b btree.Key) int { return cmp(a, b) })
+	tab := &table{rel: rel}
+	rb := db.mod.OnCreateRelation(rel)
+	if from != nil {
+		err = replayCombos(rel, rb, from.Bees)
 	}
+	if err == nil {
+		tab.deform, err = db.mod.Deformer(rel)
+	}
+	if err == nil {
+		tab.form = db.mod.Former(rel)
+		if from == nil {
+			tab.heap = heap.Create(db.dm, db.pool, rel, db.tm)
+		} else {
+			tab.heap, err = heap.Attach(db.dm, db.pool, rel, db.tm, disk.FileID(from.File))
+		}
+	}
+	if err != nil {
+		_ = db.dropTableLocked(tab) // no heap yet, no page to unpin: cannot fail
+		return nil, err
+	}
+	tab.heap.SetWAL(db.wal)
+	rel.Stats.RowCount = tab.heap.LiveTuples()
+	rel.Stats.Pages = int64(tab.heap.NumPages())
+	db.wireBeeJournal(rel, tab.heap.File())
+	db.tables[rel.ID] = tab
+	return tab, nil
+}
+
+// dropTableLocked is the one destructor of a table's runtime state, shared
+// by DROP TABLE, Respecialize and a constructor that failed part way: its
+// cached pages and heap file, catalog entry, relation bee (the Bee
+// Collector reclaims it), index entries and record. Caller holds db.mu
+// exclusively.
+func (db *DB) dropTableLocked(tab *table) error {
+	if tab.heap != nil {
+		// Dropped frames must leave the pool before the file goes away, or
+		// a later eviction/checkpoint would write back to a missing file.
+		if err := db.pool.InvalidateFile(tab.heap.File()); err != nil {
+			return err
+		}
+		tab.heap.Drop()
+	}
+	_, _ = db.cat.DropRelation(tab.rel.Name) // cataloged since the constructor began: cannot fail
+	db.mod.OnDropRelation(tab.rel)
+	for _, ix := range tab.indexes {
+		delete(db.indexes, ix.Name)
+	}
+	delete(db.tables, tab.rel.ID)
+	return nil
+}
+
+// lookupTable resolves a relation name to its record. Caller holds db.mu.
+// A cataloged relation always has one: both are registered and removed
+// together, under db.mu held exclusively.
+func (db *DB) lookupTable(name string) (*table, error) {
+	rel, err := db.cat.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return db.tables[rel.ID], nil
 }
 
 func (db *DB) createIndex(s *sql.CreateIndex) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.indexes[s.Name]; ok {
-		return fmt.Errorf("engine: index %q already exists", s.Name)
-	}
-	rel, err := db.cat.Lookup(s.Table)
+	tab, err := db.lookupTable(s.Table)
 	if err != nil {
 		return err
 	}
 	var cols []int
 	for _, name := range s.Cols {
-		i := rel.AttrIndex(name)
+		i := tab.rel.AttrIndex(name)
 		if i < 0 {
 			return fmt.Errorf("engine: column %q not in %s", name, s.Table)
 		}
 		cols = append(cols, i)
 	}
-	ix := &Index{Name: s.Name, Rel: rel, Cols: cols, Tree: btree.New(s.Name, s.Unique)}
-	db.installIDX(ix.Tree, rel, cols)
-	acc, err := db.accessFor(rel)
-	if err != nil {
+	if err := db.newIndexLocked(tab, s.Name, cols, s.Unique); err != nil {
 		return err
 	}
-	if err := db.backfillIndexLocked(ix, db.heaps[rel.ID], acc); err != nil {
-		return err
-	}
-	db.addIndexLocked(ix)
 	db.ddlGen.Add(1)
 	return db.checkpointLocked()
 }
 
-// backfillIndexLocked gives ix one entry per tuple of h, deformed through
-// acc: how CREATE INDEX, recovery and Respecialize build a tree over rows
-// that already exist. The scan runs with a nil snapshot — latest committed
-// — which is sound because the caller holds db.mu exclusively, so no
-// transaction is in flight. Versions deleted-and-committed get no entry:
-// no snapshot that could see them can exist either.
-func (db *DB) backfillIndexLocked(ix *Index, h *heap.Heap, acc *relAccess) error {
-	values := make([]types.Datum, len(ix.Rel.Attrs))
-	sc := h.Scan(nil, nil)
+// newIndexLocked is the one index constructor, shared by the primary key,
+// CREATE INDEX, Respecialize and recovery: a B+tree over tab's cols with
+// the bee module's specialized key comparator (the IDX bee) installed, one
+// entry per tuple already in the heap, registered on the record and by
+// name. The backfill scans with a nil snapshot — latest committed — which
+// is sound because the caller holds db.mu exclusively, so no transaction is
+// in flight. Versions deleted-and-committed get no entry: no snapshot that
+// could see them can exist either.
+func (db *DB) newIndexLocked(tab *table, name string, cols []int, unique bool) error {
+	if _, ok := db.indexes[name]; ok {
+		return fmt.Errorf("engine: index %q already exists", name)
+	}
+	tree := btree.New(name, unique)
+	keyTypes := make([]types.T, len(cols))
+	for i, c := range cols {
+		keyTypes[i] = tab.rel.Attrs[c].Type
+	}
+	if cmp, ok := db.mod.CompileIndexCmp(keyTypes); ok {
+		tree.SetComparator(func(a, b btree.Key) int { return cmp(a, b) })
+	}
+	values := make([]types.Datum, len(tab.rel.Attrs))
+	sc := tab.heap.Scan(nil, nil)
 	defer sc.Close()
 	for {
 		tid, tup, ok := sc.Next()
 		if !ok {
 			break
 		}
-		acc.deform(tup, values, len(values), nil)
-		if err := ix.Tree.Insert(indexKey(values, ix.Cols), tid, nil); err != nil {
+		tab.deform(tup, values, len(values), nil)
+		if err := tree.Insert(indexKey(values, cols), tid, nil); err != nil {
 			return err
 		}
 	}
-	return sc.Err()
-}
-
-func (db *DB) addIndexLocked(ix *Index) {
-	db.indexes[ix.Name] = ix
-	db.byRel[ix.Rel.ID] = append(db.byRel[ix.Rel.ID], ix)
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	ix := &Index{Name: name, Rel: tab.rel, Cols: cols, Tree: tree}
+	tab.indexes = append(tab.indexes, ix)
+	db.indexes[name] = ix
+	return nil
 }
 
 func (db *DB) dropTable(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rel, err := db.cat.DropRelation(name)
+	tab, err := db.lookupTable(name)
 	if err != nil {
 		return err
 	}
-	if h := db.heaps[rel.ID]; h != nil {
-		// Dropped frames must leave the pool before the file goes away, or
-		// a later eviction/checkpoint would write back to a missing file.
-		if err := db.pool.InvalidateFile(h.File()); err != nil {
-			return err
-		}
-		h.Drop()
-		delete(db.heaps, rel.ID)
+	if err := db.dropTableLocked(tab); err != nil {
+		return err
 	}
-	for _, ix := range db.byRel[rel.ID] {
-		delete(db.indexes, ix.Name)
-	}
-	delete(db.byRel, rel.ID)
-	delete(db.access, rel.ID)
-	delete(db.latches, rel.ID)
-	// The Bee Collector reclaims the relation's bees.
-	db.mod.OnDropRelation(rel)
 	// The advisor demotes this table's promoted bees next cycle: their
 	// guard assumption (the relation they were specialized against) is
 	// gone.
 	db.advisorNoteDDL(name)
 	db.ddlGen.Add(1)
 	return db.checkpointLocked()
-}
-
-// refreshAccessLocked recomputes the cached routines for one relation.
-func (db *DB) refreshAccessLocked(rel *catalog.Relation) error {
-	deform, err := db.mod.Deformer(rel)
-	if err != nil {
-		return err
-	}
-	db.access[rel.ID] = &relAccess{deform: deform, form: db.mod.Former(rel)}
-	return nil
 }
 
 // SetRoutines reconfigures the bee module's routine set and refreshes the
@@ -883,23 +915,16 @@ func (db *DB) SetRoutines(rs core.RoutineSet) error {
 	if err := db.mod.SetRoutines(rs); err != nil {
 		return err
 	}
-	for _, rel := range db.cat.Relations() {
-		if err := db.refreshAccessLocked(rel); err != nil {
+	for _, tab := range db.tables {
+		deform, err := db.mod.Deformer(tab.rel)
+		if err != nil {
 			return err
 		}
+		tab.deform, tab.form = deform, db.mod.Former(tab.rel)
 	}
 	db.obs.beeMode.Store(rs != core.Stock)
 	db.ddlGen.Add(1)
 	return nil
-}
-
-// accessFor returns the cached routines for a relation.
-func (db *DB) accessFor(rel *catalog.Relation) (*relAccess, error) {
-	a, ok := db.access[rel.ID]
-	if !ok {
-		return nil, fmt.Errorf("engine: relation %s has no cached access routines", rel.Name)
-	}
-	return a, nil
 }
 
 func indexKey(values []types.Datum, cols []int) btree.Key {
@@ -924,8 +949,8 @@ func (db *DB) DropCaches() error {
 func (db *DB) WarmUp() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, h := range db.heaps {
-		sc := h.Scan(nil, nil)
+	for _, tab := range db.tables {
+		sc := tab.heap.Scan(nil, nil)
 		for {
 			if _, _, ok := sc.Next(); !ok {
 				break
@@ -951,8 +976,8 @@ func (db *DB) TotalPages() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	total := 0
-	for _, h := range db.heaps {
-		total += h.NumPages()
+	for _, tab := range db.tables {
+		total += tab.heap.NumPages()
 	}
 	return total
 }

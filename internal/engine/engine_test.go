@@ -360,6 +360,31 @@ func TestDDLErrors(t *testing.T) {
 	if _, err := db.Query("select nosuchcol from nosuchtable"); err == nil {
 		t.Error("unknown table must fail")
 	}
+
+	// A table the bee module refuses (specialized storage, GCL disabled)
+	// leaves nothing behind: the name is free, and the next table gets
+	// working routines.
+	gclOff := Open(Config{Routines: core.RoutineSet{TupleBees: true}})
+	if _, err := gclOff.Exec("create table t (a integer not null, s char(1) not null lowcard, primary key (a))"); err == nil {
+		t.Fatal("specialized storage without GCL must fail")
+	}
+	if _, ok := gclOff.IndexOf("t_pkey"); ok {
+		t.Error("refused table left its primary key behind")
+	}
+	mustExec(t, gclOff, "create table t (a integer not null)")
+	mustExec(t, gclOff, "insert into t values (1)")
+	if n := mustQuery(t, gclOff, "select count(*) from t").Rows[0][0].Int64(); n != 1 {
+		t.Errorf("count after re-create = %d, want 1", n)
+	}
+	// So does one whose primary key would take an existing index's name.
+	mustExec(t, gclOff, "create index u_pkey on t (a)")
+	if _, err := gclOff.Exec("create table u (a integer not null, primary key (a))"); err == nil {
+		t.Error("primary key named like an existing index must fail")
+	}
+	if ix, ok := gclOff.IndexOf("u_pkey"); !ok || ix.Rel.Name != "t" {
+		t.Error("refused table replaced the existing index")
+	}
+	mustExec(t, gclOff, "create table u (a integer not null)")
 }
 
 func TestBulkLoadAndStats(t *testing.T) {

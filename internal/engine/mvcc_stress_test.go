@@ -110,12 +110,11 @@ func TestConcurrentUpdateReadVisibility(t *testing.T) {
 // debugDumpKey renders every index entry under key with its version
 // stamps and the snapshot's view — diagnostics for the test above.
 func debugDumpKey(t *Txn, indexName string, key []types.Datum) string {
-	ix, rel, err := t.indexFor(indexName)
+	rel, tids, err := t.walk(indexName, key, nil, false)
 	if err != nil {
 		return err.Error()
 	}
 	var b []byte
-	tids := t.collectPrefix(ix, rel, key)
 	b = fmt.Appendf(b, "snapshot self=%d; %d entries under key\n", t.id, len(tids))
 	for _, tid := range tids {
 		xmin, xmax, present, _ := rel.heap.Stamps(tid)

@@ -156,7 +156,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	for round := 1; round <= 8; round++ {
 		mustExec(t, db, fmt.Sprintf("update kv set v = %d", round))
 	}
-	dead := db.heaps[db.cat.Relations()[0].ID].DeadVersions()
+	dead := db.tables[db.cat.Relations()[0].ID].heap.DeadVersions()
 	if dead == 0 {
 		t.Fatal("updates left no dead versions to reclaim")
 	}
@@ -167,7 +167,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	if int64(n) != dead {
 		t.Errorf("vacuumed %d, want %d", n, dead)
 	}
-	if after := db.heaps[db.cat.Relations()[0].ID].DeadVersions(); after != 0 {
+	if after := db.tables[db.cat.Relations()[0].ID].heap.DeadVersions(); after != 0 {
 		t.Errorf("dead versions after vacuum = %d", after)
 	}
 	r := mustQuery(t, db, "select count(*), sum(v) from kv")
@@ -229,7 +229,7 @@ func TestThresholdVacuumTriggers(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf("update kv set v = %d", round))
 	}
 	rel := db.cat.Relations()[0]
-	if dead := db.heaps[rel.ID].DeadVersions(); dead >= 16 {
+	if dead := db.tables[rel.ID].heap.DeadVersions(); dead >= 16 {
 		t.Errorf("threshold vacuum never ran: %d dead versions", dead)
 	}
 	snap := db.MetricsSnapshot()

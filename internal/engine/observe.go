@@ -409,7 +409,8 @@ func (db *DB) registerCollectors() {
 		// Heaps and indexes (under the engine lock: DDL mutates the maps).
 		db.mu.RLock()
 		var pages, live, inserts, dead int64
-		for _, h := range db.heaps {
+		for _, tab := range db.tables {
+			h := tab.heap
 			pages += int64(h.NumPages())
 			live += h.LiveTuples()
 			inserts += h.Inserts()
@@ -422,7 +423,7 @@ func (db *DB) registerCollectors() {
 			splits += sp
 		}
 		nIndexes := len(db.indexes)
-		nRels := len(db.heaps)
+		nRels := len(db.tables)
 		db.mu.RUnlock()
 		s.SetGauge("heap.relations", int64(nRels))
 		s.SetGauge("heap.pages", pages)

@@ -3,13 +3,11 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"microspec/internal/catalog"
-	"microspec/internal/index/btree"
+	"microspec/internal/core"
 	"microspec/internal/storage/disk"
-	"microspec/internal/storage/heap"
 	"microspec/internal/storage/page"
 	"microspec/internal/storage/wal"
 	"microspec/internal/txn"
@@ -105,7 +103,34 @@ func RecoverDeferred(cfg Config) (*DB, func() error) {
 func (db *DB) runRecovery() error {
 	start := time.Now()
 	db.mu.Lock()
-	st := &db.recStats
+	man, err := db.replayLocked(&db.recStats)
+	db.mu.Unlock()
+	if err != nil {
+		return err
+	}
+
+	// Warm restart: re-plan and re-compile the manifest's prepared
+	// statements (bee cache, plan shapes) before the recovering flag
+	// clears. The internal prepare path bypasses the ErrRecovering guard.
+	if !db.durCfg.NoManifestReplay {
+		for _, text := range man.Prepared {
+			s, err := db.prepareWith(text, QueryOpts{}, true)
+			if err != nil {
+				continue // a text planned pre-crash may reference since-dropped schema
+			}
+			s.Close()
+			db.recStats.PreparedWarm++
+		}
+	}
+	db.recStats.Elapsed = time.Since(start)
+	return nil
+}
+
+// replayLocked is recovery up to the end-of-recovery checkpoint: analysis,
+// redo, the tables and indexes rebuilt, the manifest's prepared texts and
+// demotions restored. It returns the manifest the warm restart reads (empty
+// when the log had no checkpoint). Caller holds db.mu exclusively.
+func (db *DB) replayLocked(st *RecoveryStats) (*manifest, error) {
 	base, data := db.walDev.LogRead()
 	recs, end, torn := wal.Scan(base, data)
 	st.LogBytes = int64(len(data))
@@ -118,8 +143,7 @@ func (db *DB) runRecovery() error {
 	// committed work past the damage.
 	if torn > 0 {
 		if off := wal.ProbeDiscarded(data[end-base:]); off >= 0 {
-			db.mu.Unlock()
-			return fmt.Errorf("engine: recovery: log corrupt before tail: intact record at LSN %d after undecodable bytes at LSN %d",
+			return nil, fmt.Errorf("engine: recovery: log corrupt before tail: intact record at LSN %d after undecodable bytes at LSN %d",
 				end+uint64(off), end)
 		}
 	}
@@ -131,20 +155,19 @@ func (db *DB) runRecovery() error {
 	// exclusively — so commits before the anchor concern only state the
 	// checkpoint already captured.
 	ckptIdx := -1
-	var man *manifest
+	man := &manifest{}
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].Type == wal.TCheckpoint {
 			m, err := decodeManifest(recs[i].Manifest)
 			if err != nil {
-				db.mu.Unlock()
-				return err
+				return nil, err
 			}
 			man = m
 			ckptIdx = i
 			break
 		}
 	}
-	st.HadCheckpoint = man != nil
+	st.HadCheckpoint = ckptIdx >= 0
 	tail := recs[ckptIdx+1:]
 	committed := map[uint64]bool{txn.Frozen: true}
 	for i := range tail {
@@ -154,43 +177,42 @@ func (db *DB) runRecovery() error {
 		}
 	}
 
-	// Rebuild the catalog from the manifest. Heaps are attached only
-	// after redo (attach recounts live tuples from the page images), so
-	// for now record which files belong to relations.
-	rels := make(map[disk.FileID]*catalog.Relation)
-	if man != nil {
-		for _, mr := range man.Relations {
-			rel, err := db.recoverRelationLocked(mr, st)
-			if err != nil {
-				db.mu.Unlock()
-				return err
-			}
-			rels[disk.FileID(mr.File)] = rel
-			st.Relations++
-		}
+	// The manifest gives the schema, but tables are built only after redo
+	// (heap.Attach recounts live tuples from the page images): until then
+	// redo needs each relation's file, and appends the log's bee-combo
+	// records to the checkpoint's own combos.
+	rels := make(map[disk.FileID]*manifestRel)
+	for i := range man.Relations {
+		rels[disk.FileID(man.Relations[i].File)] = &man.Relations[i]
 	}
-
-	// Redo + discard against the raw pages.
 	if err := db.redoLocked(tail, committed, rels, st); err != nil {
-		db.mu.Unlock()
-		return err
+		return nil, err
 	}
 
-	// Attach heaps over the recovered pages and rebuild every index.
-	if man != nil {
-		for _, mr := range man.Relations {
-			if err := db.attachHeapLocked(mr); err != nil {
-				db.mu.Unlock()
-				return err
+	// Build every table over its recovered file, then every index.
+	for i := range man.Relations {
+		mr := &man.Relations[i]
+		schema := catalog.Schema{Attrs: make([]catalog.Attribute, len(mr.Attrs))}
+		for j, a := range mr.Attrs {
+			schema.Attrs[j] = catalog.Attribute{
+				Name: a.Name, Type: a.typ(), NotNull: a.NotNull, LowCard: a.LowCard,
 			}
 		}
-		for _, mi := range man.Indexes {
-			if err := db.rebuildIndexLocked(mi); err != nil {
-				db.mu.Unlock()
-				return err
-			}
-			st.Indexes++
+		if _, err := db.newTableLocked(mr.Name, schema, mr.PKey, mr); err != nil {
+			return nil, fmt.Errorf("engine: recover relation %s: %w", mr.Name, err)
 		}
+		st.Relations++
+		st.ReplayedBees += len(mr.Bees)
+	}
+	for _, mi := range man.Indexes {
+		tab, err := db.lookupTable(mi.Table)
+		if err == nil {
+			err = db.newIndexLocked(tab, mi.Name, mi.Cols, mi.Unique)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("engine: recover index %s: %w", mi.Name, err)
+		}
+		st.Indexes++
 	}
 	db.ddlGen.Add(1)
 	db.dataGen.Add(1)
@@ -198,98 +220,58 @@ func (db *DB) runRecovery() error {
 	// Seed the prepared-text set before the end-of-recovery checkpoint so
 	// its manifest carries the texts forward even if none is re-prepared
 	// before the next crash.
-	if man != nil {
-		db.prepMu.Lock()
-		for _, text := range man.Prepared {
-			if _, ok := db.prepTexts[text]; !ok {
-				db.prepTexts[text] = 0
-			}
+	db.prepMu.Lock()
+	for _, text := range man.Prepared {
+		if _, ok := db.prepTexts[text]; !ok {
+			db.prepTexts[text] = 0
 		}
-		db.prepMu.Unlock()
 	}
+	db.prepMu.Unlock()
 
 	// Restore the advisor's demotion denylist before both the
 	// end-of-recovery checkpoint (so the fresh manifest carries it
-	// forward) and the warm-restart replay below (so a demoted bee's own
-	// prepared text cannot re-compile — resurrect — it).
-	if man != nil {
-		for _, mb := range man.Demoted {
-			db.mod.RestoreDemotedBee(mb.Kind, mb.Name, demotedRestoreHold)
-			st.DemotedBees++
-		}
+	// forward) and the warm-restart replay after it (so a demoted bee's
+	// own prepared text cannot re-compile — resurrect — it).
+	for _, mb := range man.Demoted {
+		db.mod.RestoreDemotedBee(mb.Kind, mb.Name, demotedRestoreHold)
+		st.DemotedBees++
 	}
 
 	// End-of-recovery checkpoint: flushes the redone pages, writes a
 	// fresh manifest, and truncates the log — which also discards the
 	// torn tail bytes sitting between the old records and the new
 	// checkpoint record.
-	if err := db.checkpointLocked(); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	db.mu.Unlock()
-
-	// Warm restart: re-plan and re-compile the manifest's prepared
-	// statements (bee cache, plan shapes) before the recovering flag
-	// clears. The internal prepare path bypasses the ErrRecovering guard.
-	if man != nil && !db.durCfg.NoManifestReplay {
-		for _, text := range man.Prepared {
-			s, err := db.prepareWith(text, QueryOpts{}, true)
-			if err != nil {
-				continue // a text planned pre-crash may reference since-dropped schema
-			}
-			s.Close()
-			st.PreparedWarm++
-		}
-	}
-	st.Elapsed = time.Since(start)
-	return nil
+	return man, db.checkpointLocked()
 }
 
-// recoverRelationLocked re-creates one relation's catalog entry, latch,
-// and bee-module state from its manifest record, then replays the
-// manifest's tuple-bee combos: the resolve path assigns beeIDs
-// sequentially, so replaying the combos in the order the manifest
-// exported them reassigns the exact IDs the stored tuples reference. The
-// heap is attached later, after redo.
-func (db *DB) recoverRelationLocked(mr manifestRel, st *RecoveryStats) (*catalog.Relation, error) {
-	schema := catalog.Schema{Attrs: make([]catalog.Attribute, len(mr.Attrs))}
-	for i, a := range mr.Attrs {
-		schema.Attrs[i] = catalog.Attribute{
-			Name: a.Name, Type: a.typ(), NotNull: a.NotNull, LowCard: a.LowCard,
+// replayCombos replays a recovered relation's tuple-bee combos through the
+// resolve path in beeID order: IDs are assigned sequentially, so replaying
+// the combos in the order the checkpoint exported and the log recorded them
+// reassigns the exact IDs the stored tuples reference.
+func replayCombos(rel *catalog.Relation, rb *core.RelationBee, combos [][]manifestDatum) error {
+	if len(combos) == 0 {
+		return nil
+	}
+	if rb.DataSections == nil {
+		return fmt.Errorf("%d tuple bees to replay but storage is not specialized", len(combos))
+	}
+	spec := rb.DataSections.SpecializedAttrs()
+	for _, md := range combos {
+		vals, err := decodeCombo(rel, spec, md)
+		if err != nil {
+			return err
+		}
+		if err := rb.DataSections.ReplayCombo(vals); err != nil {
+			return err
 		}
 	}
-	spec := db.mod.SpecMaskFor(schema)
-	rel, err := db.cat.CreateRelation(mr.Name, schema, mr.PKey, spec)
-	if err != nil {
-		return nil, fmt.Errorf("engine: recover relation %s: %w", mr.Name, err)
-	}
-	db.latches[rel.ID] = &sync.RWMutex{}
-	rb := db.mod.OnCreateRelation(rel)
-	if len(mr.Bees) > 0 {
-		if rb.DataSections == nil {
-			return nil, fmt.Errorf("engine: recover relation %s: manifest has %d tuple bees but storage is not specialized",
-				mr.Name, len(mr.Bees))
-		}
-		specIdx := rb.DataSections.SpecializedAttrs()
-		for _, md := range mr.Bees {
-			vals, err := decodeCombo(rel, specIdx, md)
-			if err != nil {
-				return nil, err
-			}
-			if err := rb.DataSections.ReplayCombo(vals); err != nil {
-				return nil, fmt.Errorf("engine: recover relation %s: %w", mr.Name, err)
-			}
-			st.ReplayedBees++
-		}
-	}
-	return rel, db.refreshAccessLocked(rel)
+	return nil
 }
 
 // redoLocked replays the post-checkpoint log records against the raw
 // pages, then discards the inserts of transactions the log does not
 // prove committed.
-func (db *DB) redoLocked(tail []wal.Record, committed map[uint64]bool, rels map[disk.FileID]*catalog.Relation, st *RecoveryStats) error {
+func (db *DB) redoLocked(tail []wal.Record, committed map[uint64]bool, rels map[disk.FileID]*manifestRel, st *RecoveryStats) error {
 	type slotRef struct {
 		file disk.FileID
 		page int
@@ -302,15 +284,17 @@ func (db *DB) redoLocked(tail []wal.Record, committed map[uint64]bool, rels map[
 			// Bee creation replays for ALL transactions in log order, like
 			// inserts: beeIDs are assigned sequentially and never rolled
 			// back (an aborted statement's bee keeps its slot in the
-			// dictionary), so the log's creation order IS the ID sequence.
-			rel, ok := rels[rec.File]
+			// dictionary), so the log's creation order IS the ID sequence,
+			// continuing the checkpoint's.
+			mr, ok := rels[rec.File]
 			if !ok {
 				continue // dropped relation
 			}
-			if err := db.replayBeeRecordLocked(rel, rec); err != nil {
-				return err
+			var md []manifestDatum
+			if err := json.Unmarshal(rec.Combo, &md); err != nil {
+				return fmt.Errorf("engine: corrupt bee-combo record for %s: %w", mr.Name, err)
 			}
-			st.ReplayedBees++
+			mr.Bees = append(mr.Bees, md)
 			continue
 		}
 		if rec.Type != wal.TInsert && rec.Type != wal.TDelete {
@@ -384,73 +368,5 @@ func (db *DB) redoLocked(tail []wal.Record, committed map[uint64]bool, rels map[
 		}
 		hd.Unpin(dirty)
 	}
-	return nil
-}
-
-// replayBeeRecordLocked applies one bee-combo log record: decode the
-// values with the recovered relation's types and push them through the
-// same resolve path the crashed instance used, verifying the sequential
-// ID assignment lands where the record's position in the log says it must.
-func (db *DB) replayBeeRecordLocked(rel *catalog.Relation, rec *wal.Record) error {
-	rb := db.mod.RelationBeeFor(rel)
-	if rb == nil || rb.DataSections == nil {
-		return fmt.Errorf("engine: bee-combo record for %s, which has no specialized storage", rel.Name)
-	}
-	var md []manifestDatum
-	if err := json.Unmarshal(rec.Combo, &md); err != nil {
-		return fmt.Errorf("engine: corrupt bee-combo record for %s: %w", rel.Name, err)
-	}
-	vals, err := decodeCombo(rel, rb.DataSections.SpecializedAttrs(), md)
-	if err != nil {
-		return err
-	}
-	if err := rb.DataSections.ReplayCombo(vals); err != nil {
-		return fmt.Errorf("engine: replay bee for %s: %w", rel.Name, err)
-	}
-	return nil
-}
-
-// attachHeapLocked reopens one relation's heap over its surviving file
-// and refreshes the planner-visible statistics. With the relation's bees
-// fully replayed by now, it also re-arms the bee journal so post-recovery
-// inserts log their new combos.
-func (db *DB) attachHeapLocked(mr manifestRel) error {
-	rel, err := db.cat.Lookup(mr.Name)
-	if err != nil {
-		return err
-	}
-	h, err := heap.Attach(db.dm, db.pool, rel, db.tm, disk.FileID(mr.File))
-	if err != nil {
-		return err
-	}
-	h.SetWAL(db.wal)
-	db.heaps[rel.ID] = h
-	rel.Stats.RowCount = h.LiveTuples()
-	rel.Stats.Pages = int64(h.NumPages())
-	db.wireBeeJournal(rel, disk.FileID(mr.File))
-	return nil
-}
-
-// rebuildIndexLocked re-creates one B+tree from its manifest record by
-// scanning the recovered heap — the same backfill as CREATE INDEX.
-func (db *DB) rebuildIndexLocked(mi manifestIndex) error {
-	rel, err := db.cat.Lookup(mi.Table)
-	if err != nil {
-		return fmt.Errorf("engine: recover index %s: %w", mi.Name, err)
-	}
-	h, ok := db.heaps[rel.ID]
-	if !ok {
-		return fmt.Errorf("engine: recover index %s: relation %s has no heap", mi.Name, mi.Table)
-	}
-	ix := &Index{Name: mi.Name, Rel: rel, Cols: mi.Cols, Tree: btree.New(mi.Name, mi.Unique)}
-	db.installIDX(ix.Tree, rel, mi.Cols)
-	acc, err := db.accessFor(rel)
-	if err != nil {
-		return err
-	}
-	if err := db.backfillIndexLocked(ix, h, acc); err != nil {
-		return fmt.Errorf("engine: recover index %s: %w", mi.Name, err)
-	}
-	db.addIndexLocked(ix)
 	return nil
 }

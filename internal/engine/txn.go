@@ -3,8 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"microspec/internal/catalog"
 	"microspec/internal/exec"
 	"microspec/internal/expr"
 	"microspec/internal/index/btree"
@@ -59,7 +59,7 @@ type Txn struct {
 	plan *txnResolved
 	// touched lists the tables an interactive transaction modified: the
 	// ones Commit offers to vacuum.
-	touched map[catalog.RelID]relHandle
+	touched map[*table]bool
 	// ops counts operations, for the transaction bee's usage note.
 	ops int64
 	// lostRace records that an operation lost a first-updater-wins race,
@@ -119,14 +119,14 @@ func (t *Txn) Commit() error {
 	if t.plan != nil {
 		for _, tb := range t.plan.latchOrder {
 			if tb.write {
-				t.db.maybeVacuumLocked(tb.relHandle, t.prof)
+				t.db.maybeVacuumLocked(tb.table, t.prof)
 			}
 		}
 	}
-	for _, rel := range t.touched {
-		rel.latch.Lock()
-		t.db.maybeVacuumLocked(rel, t.prof)
-		rel.latch.Unlock()
+	for tab := range t.touched {
+		tab.latch.Lock()
+		t.db.maybeVacuumLocked(tab, t.prof)
+		tab.latch.Unlock()
 	}
 	t.release()
 	return t.db.waitDurable(lsn)
@@ -191,8 +191,8 @@ func (t *Txn) release() {
 	t.db.mu.RUnlock()
 }
 
-// table resolves a relation name to its handle and access routines:
-// through the catalog when interactive, in the latch plan when fused.
+// table resolves a relation name to its record and latch mode: through
+// the catalog when interactive, in the latch plan when fused.
 func (t *Txn) table(relName string) (txnTable, error) {
 	if t.done {
 		return txnTable{}, errTxnDone
@@ -204,15 +204,11 @@ func (t *Txn) table(relName string) (txnTable, error) {
 		}
 		return *tb, nil
 	}
-	rel, err := t.db.handleFor(relName)
+	tab, err := t.db.lookupTable(relName)
 	if err != nil {
 		return txnTable{}, err
 	}
-	acc, err := t.db.accessFor(rel.rel)
-	if err != nil {
-		return txnTable{}, err
-	}
-	return txnTable{relHandle: rel, acc: acc, write: true}, nil
+	return txnTable{table: tab, write: true}, nil
 }
 
 // indexFor resolves an index name to the index and its table.
@@ -238,25 +234,25 @@ func (t *Txn) indexFor(indexName string) (*Index, txnTable, error) {
 // beginWrite resolves relName for a write and takes its latch exclusively
 // unless the plan already holds it; the caller applies one *Locked
 // operation and hands the outcome to endWrite.
-func (t *Txn) beginWrite(relName string) (relHandle, error) {
+func (t *Txn) beginWrite(relName string) (*table, error) {
 	tb, err := t.table(relName)
 	if err != nil {
-		return relHandle{}, err
+		return nil, err
 	}
 	if !tb.write {
-		return relHandle{}, fmt.Errorf("engine: table %q is latched shared: declare it in TxnSpec.Writes", relName)
+		return nil, fmt.Errorf("engine: table %q is latched shared: declare it in TxnSpec.Writes", relName)
 	}
 	if t.plan == nil {
 		tb.latch.Lock()
 	}
-	return tb.relHandle, nil
+	return tb.table, nil
 }
 
 // endWrite ends the operation beginWrite began: release the per-operation
 // latch, then log the undo or note a lost race.
-func (t *Txn) endWrite(rel relHandle, undo func() error, err error) error {
+func (t *Txn) endWrite(tab *table, undo func() error, err error) error {
 	if t.plan == nil {
-		rel.latch.Unlock()
+		tab.latch.Unlock()
 	}
 	if err != nil {
 		t.lostRace = t.lostRace || isConflict(err)
@@ -270,25 +266,25 @@ func (t *Txn) endWrite(rel relHandle, undo func() error, err error) error {
 	}
 	// Rollback replays long after this operation released its latch.
 	t.undo = append(t.undo, func() error {
-		rel.latch.Lock()
-		defer rel.latch.Unlock()
+		tab.latch.Lock()
+		defer tab.latch.Unlock()
 		return undo()
 	})
 	if t.touched == nil {
-		t.touched = make(map[catalog.RelID]relHandle)
+		t.touched = make(map[*table]bool)
 	}
-	t.touched[rel.rel.ID] = rel
+	t.touched[tab] = true
 	return nil
 }
 
 // Insert adds one row to a relation.
 func (t *Txn) Insert(relName string, values []types.Datum) error {
-	rel, err := t.beginWrite(relName)
+	tab, err := t.beginWrite(relName)
 	if err != nil {
 		return err
 	}
-	_, undo, err := t.db.insertRowLocked(rel, values, t.id, t.prof)
-	return t.endWrite(rel, undo, err)
+	_, undo, err := t.db.insertRowLocked(tab, values, t.id, t.prof)
+	return t.endWrite(tab, undo, err)
 }
 
 // UpdateRow replaces the values of the row version at tid in relName.
@@ -296,64 +292,52 @@ func (t *Txn) Insert(relName string, values []types.Datum) error {
 // returned error wrapping txn.ErrWriteConflict means a concurrent
 // transaction updated the row first; roll back and retry.
 func (t *Txn) UpdateRow(relName string, tid heap.TID, oldValues, newValues []types.Datum) error {
-	rel, err := t.beginWrite(relName)
+	tab, err := t.beginWrite(relName)
 	if err != nil {
 		return err
 	}
-	undo, err := t.db.applyUpdateLocked(rel, tid, oldValues, newValues, t.id, t.prof)
-	return t.endWrite(rel, undo, err)
+	undo, err := t.db.applyUpdateLocked(tab, tid, oldValues, newValues, t.id, t.prof)
+	return t.endWrite(tab, undo, err)
 }
 
 // DeleteRow stamps the row version at tid deleted. Its index entries stay
 // until vacuum reclaims them with the version.
 func (t *Txn) DeleteRow(relName string, tid heap.TID) error {
-	rel, err := t.beginWrite(relName)
+	tab, err := t.beginWrite(relName)
 	if err != nil {
 		return err
 	}
-	undo, err := t.db.deleteRowLocked(rel, tid, t.id, t.prof)
-	return t.endWrite(rel, undo, err)
+	undo, err := t.db.deleteRowLocked(tab, tid, t.id, t.prof)
+	return t.endWrite(tab, undo, err)
 }
 
 // GetByIndex fetches the visible row whose index key prefix equals key.
 // The returned row is owned by the caller. Dead or
 // invisible-to-this-snapshot versions under the same key are skipped (the
 // index keeps one entry per version until vacuum).
-func (t *Txn) GetByIndex(indexName string, key []types.Datum) (expr.Row, heap.TID, bool, error) {
-	ix, tb, err := t.indexFor(indexName)
-	if err != nil {
-		return nil, heap.TID{}, false, err
+func (t *Txn) GetByIndex(indexName string, key []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
+	tb, tids, err := t.walk(indexName, key, nil, false)
+	if err == nil {
+		err = t.visit(tb, tids, func(r expr.Row, at heap.TID) bool {
+			row, tid, ok = r, at, true
+			return false
+		})
 	}
-	for _, tid := range t.collectPrefix(ix, tb, key) {
-		row, ok, err := t.fetchRow(tb, tid)
-		if err != nil {
-			return nil, heap.TID{}, false, err
-		}
-		if ok {
-			return row, tid, true, nil
-		}
-	}
-	return nil, heap.TID{}, false, nil
+	return row, tid, ok, err
 }
 
 // LastByIndexPrefix returns the visible row with the greatest key under
 // prefix (e.g. a customer's most recent order).
-func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (expr.Row, heap.TID, bool, error) {
-	ix, tb, err := t.indexFor(indexName)
-	if err != nil {
-		return nil, heap.TID{}, false, err
+func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
+	tb, tids, err := t.walk(indexName, prefix, nil, false)
+	if err == nil {
+		slices.Reverse(tids)
+		err = t.visit(tb, tids, func(r expr.Row, at heap.TID) bool {
+			row, tid, ok = r, at, true
+			return false
+		})
 	}
-	tids := t.collectPrefix(ix, tb, prefix)
-	for i := len(tids) - 1; i >= 0; i-- {
-		row, ok, err := t.fetchRow(tb, tids[i])
-		if err != nil {
-			return nil, heap.TID{}, false, err
-		}
-		if ok {
-			return row, tids[i], true, nil
-		}
-	}
-	return nil, heap.TID{}, false, nil
+	return row, tid, ok, err
 }
 
 // ScanIndexPrefix visits every visible row whose key starts with prefix,
@@ -361,54 +345,52 @@ func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (expr.Ro
 // UpdateRow/DeleteRow: the index positions are collected before fn runs,
 // so the tree walk never holds a per-operation latch across a callback.
 func (t *Txn) ScanIndexPrefix(indexName string, prefix []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	ix, tb, err := t.indexFor(indexName)
+	tb, tids, err := t.walk(indexName, prefix, nil, false)
 	if err != nil {
 		return err
 	}
-	return t.visit(tb, t.collectPrefix(ix, tb, prefix), fn)
+	return t.visit(tb, tids, fn)
 }
 
 // ScanIndexRange visits visible rows with lo <= key <= hi (prefix
 // semantics on both bounds), under the same callback rules.
 func (t *Txn) ScanIndexRange(indexName string, lo, hi []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	ix, tb, err := t.indexFor(indexName)
+	tb, tids, err := t.walk(indexName, lo, hi, true)
 	if err != nil {
 		return err
-	}
-	t.ops++
-	if t.plan == nil {
-		tb.latch.RLock()
-	}
-	var tids []heap.TID
-	ix.Tree.AscendRange(lo, hi, t.prof, func(_ btree.Key, tid heap.TID) bool {
-		tids = append(tids, tid)
-		return true
-	})
-	if t.plan == nil {
-		tb.latch.RUnlock()
 	}
 	return t.visit(tb, tids, fn)
 }
 
-// collectPrefix gathers the TIDs of every index entry under prefix; it is
-// the one index walk of a read operation, which it counts. An interactive
-// transaction holds the table latch in shared mode for the walk — the
-// B+tree is not internally synchronized, and concurrent DML mutates it
-// under the exclusive latch; a fused one's plan already holds it.
-func (t *Txn) collectPrefix(ix *Index, tb txnTable, prefix btree.Key) []heap.TID {
+// walk resolves an index name and gathers the TIDs of its entries under
+// prefix lo or, when ranged, from lo through hi (prefix semantics on both
+// bounds); it is the one index walk of a read operation, which it counts.
+// An interactive transaction holds the table latch in shared mode for the
+// walk — the B+tree is not internally synchronized, and concurrent DML
+// mutates it under the exclusive latch; a fused one's plan already holds it.
+func (t *Txn) walk(indexName string, lo, hi btree.Key, ranged bool) (txnTable, []heap.TID, error) {
+	ix, tb, err := t.indexFor(indexName)
+	if err != nil {
+		return txnTable{}, nil, err
+	}
 	t.ops++
 	if t.plan == nil {
 		tb.latch.RLock()
 	}
 	var tids []heap.TID
-	ix.Tree.AscendPrefix(prefix, t.prof, func(_ btree.Key, tid heap.TID) bool {
+	gather := func(_ btree.Key, tid heap.TID) bool {
 		tids = append(tids, tid)
 		return true
-	})
+	}
+	if ranged {
+		ix.Tree.AscendRange(lo, hi, t.prof, gather)
+	} else {
+		ix.Tree.AscendPrefix(lo, t.prof, gather)
+	}
 	if t.plan == nil {
 		tb.latch.RUnlock()
 	}
-	return tids
+	return tb, tids, nil
 }
 
 // visit hands fn the visible version, if any, at each TID in order.
@@ -436,7 +418,7 @@ func (t *Txn) fetchRow(tb txnTable, tid heap.TID) (expr.Row, bool, error) {
 	}
 	defer release()
 	values := make([]types.Datum, len(tb.rel.Attrs))
-	tb.acc.deform(tup, values, len(values), t.prof)
+	tb.deform(tup, values, len(values), t.prof)
 	return exec.CloneRow(values), true, nil
 }
 
@@ -452,11 +434,7 @@ func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]ty
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rel, err := db.handleFor(relName)
-	if err != nil {
-		return 0, err
-	}
-	acc, err := db.accessFor(rel.rel)
+	tab, err := db.lookupTable(relName)
 	if err != nil {
 		return 0, err
 	}
@@ -464,33 +442,32 @@ func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]ty
 	// and made durable wholesale by the checkpoint taken below, which is
 	// far cheaper than one record per row.
 	if db.wal != nil {
-		rel.heap.SetWAL(nil)
-		defer rel.heap.SetWAL(db.wal)
+		tab.heap.SetWAL(nil)
+		defer tab.heap.SetWAL(db.wal)
 	}
-	ixs := db.byRel[rel.rel.ID]
 	var n int64
 	for {
 		values, ok := next()
 		if !ok {
 			break
 		}
-		tup, err := acc.form(values, prof)
+		tup, err := tab.form(values, prof)
 		if err != nil {
 			return n, err
 		}
-		tid, err := rel.heap.Insert(tup, txn.Frozen, prof)
+		tid, err := tab.heap.Insert(tup, txn.Frozen, prof)
 		if err != nil {
 			return n, err
 		}
-		for i, key := range ownedKeys(ixs, values) {
-			if err := ixs[i].Tree.Insert(key, tid, prof); err != nil {
+		for i, key := range ownedKeys(tab.indexes, values) {
+			if err := tab.indexes[i].Tree.Insert(key, tid, prof); err != nil {
 				return n, err
 			}
 		}
 		n++
 	}
-	rel.rel.Stats.RowCount = rel.heap.LiveTuples()
-	rel.rel.Stats.Pages = int64(rel.heap.NumPages())
+	tab.rel.Stats.RowCount = tab.heap.LiveTuples()
+	tab.rel.Stats.Pages = int64(tab.heap.NumPages())
 	if n > 0 {
 		db.dataGen.Add(1)
 		if err := db.checkpointLocked(); err != nil {

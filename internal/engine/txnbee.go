@@ -58,11 +58,10 @@ type TxnSpec struct {
 	Reads  []string // tables only read through indexes: latched shared
 }
 
-// txnTable is one resolved table: handle, deform/form routines, and
-// whether the transaction may write it (its latch mode in a latch plan).
+// txnTable is one resolved table: its record and whether the transaction
+// may write it (its latch mode in a latch plan).
 type txnTable struct {
-	relHandle
-	acc   *relAccess
+	*table
 	write bool
 }
 
@@ -189,18 +188,14 @@ func (db *DB) resolveTxn(spec TxnSpec) (*txnResolved, error) {
 		if res.tables[name] != nil {
 			return fmt.Errorf("engine: txn %s declares table %s twice", spec.Name, name)
 		}
-		rel, err := db.handleFor(name)
+		tab, err := db.lookupTable(name)
 		if err != nil {
 			return err
 		}
-		acc, err := db.accessFor(rel.rel)
-		if err != nil {
-			return err
-		}
-		tb := &txnTable{relHandle: rel, acc: acc, write: write}
+		tb := &txnTable{table: tab, write: write}
 		res.tables[name] = tb
 		res.latchOrder = append(res.latchOrder, tb)
-		for _, ix := range db.byRel[rel.rel.ID] {
+		for _, ix := range tab.indexes {
 			res.indexes[ix.Name] = txnIndex{ix: ix, tb: tb}
 		}
 		return nil

@@ -175,7 +175,7 @@ func (ts *TxnStmt) compileUnit() ([]txnOp, error) {
 	// The unit's planner copy strips the scan latches of the tables the
 	// latch plan already holds — an inner IndexScan re-acquiring the same
 	// RWMutex would self-deadlock. A write's target resolves the same
-	// handle the latch plan holds (both read the catalog under this one
+	// record the latch plan holds (both read the catalog under this one
 	// db.mu hold), so it runs under the unit's latch — no second
 	// acquisition.
 	baseIndexes := db.planner.IndexesFor

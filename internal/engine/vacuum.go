@@ -18,38 +18,33 @@ import (
 // vacuumed after a DML commit (Config.VacuumEvery = 0 selects it).
 const DefaultVacuumEvery = 256
 
-// maybeVacuumLocked vacuums rel if its dead-version count passed the
-// configured threshold. Caller holds db.mu (shared) and rel's table latch
+// maybeVacuumLocked vacuums tab if its dead-version count passed the
+// configured threshold. Caller holds db.mu (shared) and tab's table latch
 // exclusively.
-func (db *DB) maybeVacuumLocked(rel relHandle, prof *profile.Counters) {
-	if db.vacEvery <= 0 || rel.heap.DeadVersions() < db.vacEvery {
+func (db *DB) maybeVacuumLocked(tab *table, prof *profile.Counters) {
+	if db.vacEvery <= 0 || tab.heap.DeadVersions() < db.vacEvery {
 		return
 	}
-	_, _ = db.vacuumTableLocked(rel, prof)
+	_, _ = db.vacuumTableLocked(tab, prof)
 }
 
-// vacuumTableLocked reclaims rel's dead versions up to the current
+// vacuumTableLocked reclaims tab's dead versions up to the current
 // horizon and drops their index entries. Caller holds db.mu (shared) and
-// rel's table latch exclusively: the latch keeps DML and index readers
+// tab's table latch exclusively: the latch keeps DML and index readers
 // out, while snapshot scans (which take no table latch) are protected by
 // the horizon — vacuum never touches a version a registered snapshot can
 // still see — and by the per-page latches, which make vacuum skip any
 // page a scanner window is holding.
-func (db *DB) vacuumTableLocked(rel relHandle, prof *profile.Counters) (int, error) {
-	acc, err := db.accessFor(rel.rel)
-	if err != nil {
-		return 0, err
-	}
+func (db *DB) vacuumTableLocked(tab *table, prof *profile.Counters) (int, error) {
 	horizon := db.tm.Horizon()
-	ixs := db.byRel[rel.rel.ID]
-	values := make([]types.Datum, len(rel.rel.Attrs))
+	values := make([]types.Datum, len(tab.rel.Attrs))
 	collect := func(tid heap.TID, tup []byte) {
-		acc.deform(tup, values, len(values), prof)
-		for _, ix := range ixs {
+		tab.deform(tup, values, len(values), prof)
+		for _, ix := range tab.indexes {
 			ix.Tree.Delete(indexKey(values, ix.Cols), tid, prof)
 		}
 	}
-	n, err := rel.heap.Vacuum(horizon, prof, collect)
+	n, err := tab.heap.Vacuum(horizon, prof, collect)
 	db.obs.vacuumRuns.Inc()
 	db.obs.vacuumReclaimed.Add(int64(n))
 	return n, err
@@ -62,15 +57,10 @@ func (db *DB) Vacuum() (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	total := 0
-	for _, rel := range db.cat.Relations() {
-		h, ok := db.heaps[rel.ID]
-		if !ok {
-			continue
-		}
-		handle := relHandle{rel: rel, heap: h, latch: db.latches[rel.ID]}
-		handle.latch.Lock()
-		n, err := db.vacuumTableLocked(handle, nil)
-		handle.latch.Unlock()
+	for _, tab := range db.tables {
+		tab.latch.Lock()
+		n, err := db.vacuumTableLocked(tab, nil)
+		tab.latch.Unlock()
 		if err != nil {
 			return total, err
 		}
