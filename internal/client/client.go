@@ -7,7 +7,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -45,15 +44,21 @@ func IsRecovering(err error) bool {
 	return errors.As(err, &we) && we.Code == wire.CodeRecovering
 }
 
-// Conn is one client session.
+// Conn is one client session. A read, write or framing error closes it:
+// a reply may still be in flight, so the stream can no longer be trusted,
+// and every later call returns the connection-closed error.
 type Conn struct {
 	cfg       Config
-	conn      net.Conn
-	r         *bufio.Reader
+	conn      net.Conn // nil once closed
+	in        *wire.Reader
+	out       []byte // the request being sent
 	SessionID uint64
 	stmtSeq   int
 	nextTrace uint64
 }
+
+// errClosed is what every call on a closed Conn returns.
+var errClosed = &wire.Error{Code: wire.CodeInternal, Msg: "connection closed"}
 
 // Result is one statement's fully read response.
 type Result struct {
@@ -62,6 +67,8 @@ type Result struct {
 	Affected int64  // Done.Rows: returned rows for SELECT, affected for DML
 	Analyze  string // EXPLAIN ANALYZE outline when requested
 	TraceID  uint64 // server-echoed trace ID; 0 when the request wasn't traced
+
+	numParams int // PrepareOK.NumParams, for Prepare
 }
 
 // TraceNext asks the server to trace the next Query or Execute on this
@@ -121,14 +128,17 @@ func dialOnce(cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{cfg: cfg, conn: nc, r: bufio.NewReader(nc)}
+	c := &Conn{cfg: cfg, conn: nc, in: wire.NewReader(nc)}
 	hello := wire.Hello{Version: wire.ProtocolVersion, User: cfg.User, Secret: cfg.Secret}
-	if err := wire.WriteFrame(nc, wire.THello, wire.EncodeHello(hello)); err != nil {
+	if c.out, err = wire.AppendHello(c.out, hello); err == nil {
+		_, err = nc.Write(c.out)
+	}
+	if err != nil {
 		nc.Close()
 		return nil, err
 	}
 	nc.SetReadDeadline(time.Now().Add(cfg.DialTimeout))
-	f, err := wire.ReadFrame(c.r)
+	f, err := c.in.Next()
 	nc.SetReadDeadline(time.Time{})
 	if err != nil {
 		nc.Close()
@@ -159,72 +169,96 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	wire.WriteFrame(c.conn, wire.TTerminate, nil)
+	if b, err := wire.AppendFrame(c.out[:0], wire.TTerminate, nil); err == nil {
+		c.conn.Write(b)
+	}
 	err := c.conn.Close()
 	c.conn = nil
 	return err
 }
 
-// roundTrip sends one request frame and reads frames until Done or Error.
-func (c *Conn) roundTrip(t wire.Type, payload []byte) (*Result, error) {
+// fail closes the connection after a transport or framing error and
+// returns err.
+func (c *Conn) fail(err error) error {
+	c.conn.Close()
+	c.conn = nil
+	return err
+}
+
+// roundTrip sends one request frame, which an Append* form has just
+// encoded at the start of c.out (err is its encoding error), with one
+// Write and reads the reply: RowDesc, Rows and Done, or PrepareOK when the
+// request is a Prepare, or an Error frame.
+func (c *Conn) roundTrip(b []byte, err error) (*Result, error) {
 	if c.conn == nil {
-		return nil, &wire.Error{Code: wire.CodeInternal, Msg: "connection closed"}
+		return nil, errClosed
 	}
-	if err := wire.WriteFrame(c.conn, t, payload); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, err // nothing was sent: the stream is still in step
+	}
+	c.out = b
+	if _, err := c.conn.Write(b); err != nil {
+		return nil, c.fail(err)
 	}
 	if d := c.cfg.RequestTimeout; d > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(d))
-		defer c.conn.SetReadDeadline(time.Time{})
+		nc := c.conn // fail may clear c.conn before the reset runs
+		nc.SetReadDeadline(time.Now().Add(d))
+		defer nc.SetReadDeadline(time.Time{})
+	}
+	end := wire.TDone
+	if wire.Type(b[0]) == wire.TPrepare {
+		end = wire.TPrepareOK
 	}
 	res := &Result{}
 	for {
-		f, err := wire.ReadFrame(c.r)
+		f, err := c.in.Next()
 		if err != nil {
-			return nil, err
+			return nil, c.fail(err)
 		}
-		switch f.Type {
-		case wire.TRowDesc:
-			rd, err := wire.DecodeRowDesc(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			res.Cols = rd.Cols
-		case wire.TRow:
-			row, err := wire.DecodeRow(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, row.Vals)
-		case wire.TDone:
-			dn, err := wire.DecodeDone(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			res.Affected = dn.Rows
-			res.Analyze = dn.Analyze
-			res.TraceID = dn.TraceID
-			return res, nil
-		case wire.TError:
+		switch {
+		case f.Type == wire.TError:
 			return nil, wire.DecodeError(f.Payload)
+		case f.Type == wire.TRowDesc && end == wire.TDone:
+			var rd wire.RowDesc
+			rd, err = wire.DecodeRowDesc(f.Payload)
+			res.Cols = rd.Cols
+		case f.Type == wire.TRow && end == wire.TDone:
+			var row wire.Row
+			row, err = wire.DecodeRow(f.Payload)
+			res.Rows = append(res.Rows, row.Vals)
+		case f.Type == wire.TDone && end == wire.TDone:
+			var dn wire.Done
+			if dn, err = wire.DecodeDone(f.Payload); err != nil {
+				return nil, c.fail(err)
+			}
+			res.Affected, res.Analyze, res.TraceID = dn.Rows, dn.Analyze, dn.TraceID
+			return res, nil
+		case f.Type == wire.TPrepareOK && end == wire.TPrepareOK:
+			var ok wire.PrepareOK
+			if ok, err = wire.DecodePrepareOK(f.Payload); err != nil {
+				return nil, c.fail(err)
+			}
+			res.Cols, res.numParams = ok.Cols, int(ok.NumParams)
+			return res, nil
 		default:
-			return nil, &wire.Error{Code: wire.CodeMalformed,
+			err = &wire.Error{Code: wire.CodeMalformed,
 				Msg: fmt.Sprintf("unexpected response frame %v", f.Type)}
+		}
+		if err != nil {
+			return nil, c.fail(err)
 		}
 	}
 }
 
 // Query runs one ad-hoc SQL statement (SELECT, DML, or DDL).
 func (c *Conn) Query(sql string) (*Result, error) {
-	return c.roundTrip(wire.TQuery,
-		wire.EncodeQuery(wire.Query{SQL: sql, TraceID: c.takeTrace()}))
+	return c.roundTrip(wire.AppendQuery(c.out[:0], wire.Query{SQL: sql, TraceID: c.takeTrace()}))
 }
 
 // QueryAnalyze runs a SELECT under EXPLAIN ANALYZE; Result.Analyze holds
 // the annotated plan outline.
 func (c *Conn) QueryAnalyze(sql string) (*Result, error) {
-	return c.roundTrip(wire.TQuery,
-		wire.EncodeQuery(wire.Query{SQL: sql, Analyze: true, TraceID: c.takeTrace()}))
+	return c.roundTrip(wire.AppendQuery(c.out[:0], wire.Query{SQL: sql, Analyze: true, TraceID: c.takeTrace()}))
 }
 
 // Exec runs DML/DDL and returns the affected row count.
@@ -239,7 +273,7 @@ func (c *Conn) Exec(sql string) (int64, error) {
 // Set changes one session-scoped setting ("timeout_ms", "workers",
 // "batch").
 func (c *Conn) Set(name, value string) error {
-	_, err := c.roundTrip(wire.TSet, wire.EncodeSet(wire.Set{Name: name, Value: value}))
+	_, err := c.roundTrip(wire.AppendSet(c.out[:0], wire.Set{Name: name, Value: value}))
 	return err
 }
 
@@ -255,8 +289,7 @@ func (c *Conn) PrepareTxn(sql string) error {
 // in one round trip. The Result carries the body's last SELECT (if any);
 // Affected counts DML rows plus returned rows.
 func (c *Conn) ExecuteTxn(name string, params ...types.Datum) (*Result, error) {
-	return c.roundTrip(wire.TExecuteTxn,
-		wire.EncodeExecuteTxn(wire.ExecuteTxn{Name: name, Params: params, TraceID: c.takeTrace()}))
+	return c.roundTrip(wire.AppendExecuteTxn(c.out[:0], wire.ExecuteTxn{Name: name, Params: params, TraceID: c.takeTrace()}))
 }
 
 // Stmt is a server-side prepared statement bound to its Conn.
@@ -272,39 +305,21 @@ type Stmt struct {
 func (c *Conn) Prepare(sql string) (*Stmt, error) {
 	c.stmtSeq++
 	name := fmt.Sprintf("s%d", c.stmtSeq)
-	if err := wire.WriteFrame(c.conn, wire.TPrepare,
-		wire.EncodePrepare(wire.Prepare{Name: name, SQL: sql})); err != nil {
-		return nil, err
-	}
-	f, err := wire.ReadFrame(c.r)
+	res, err := c.roundTrip(wire.AppendPrepare(c.out[:0], wire.Prepare{Name: name, SQL: sql}))
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case wire.TPrepareOK:
-		ok, err := wire.DecodePrepareOK(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		return &Stmt{c: c, name: name, NumParams: int(ok.NumParams), Cols: ok.Cols}, nil
-	case wire.TError:
-		return nil, wire.DecodeError(f.Payload)
-	default:
-		return nil, &wire.Error{Code: wire.CodeMalformed,
-			Msg: fmt.Sprintf("expected PrepareOK, got %v", f.Type)}
-	}
+	return &Stmt{c: c, name: name, NumParams: res.numParams, Cols: res.Cols}, nil
 }
 
 // Query executes a prepared SELECT with the given parameters.
 func (s *Stmt) Query(params ...types.Datum) (*Result, error) {
-	return s.c.roundTrip(wire.TExecute,
-		wire.EncodeExecute(wire.Execute{Name: s.name, Params: params, TraceID: s.c.takeTrace()}))
+	return s.c.roundTrip(wire.AppendExecute(s.c.out[:0], wire.Execute{Name: s.name, Params: params, TraceID: s.c.takeTrace()}))
 }
 
 // QueryAnalyze executes under EXPLAIN ANALYZE.
 func (s *Stmt) QueryAnalyze(params ...types.Datum) (*Result, error) {
-	return s.c.roundTrip(wire.TExecute,
-		wire.EncodeExecute(wire.Execute{Name: s.name, Analyze: true, Params: params, TraceID: s.c.takeTrace()}))
+	return s.c.roundTrip(wire.AppendExecute(s.c.out[:0], wire.Execute{Name: s.name, Analyze: true, Params: params, TraceID: s.c.takeTrace()}))
 }
 
 // Exec executes prepared DML.
@@ -318,7 +333,6 @@ func (s *Stmt) Exec(params ...types.Datum) (int64, error) {
 
 // Close drops the statement on the server.
 func (s *Stmt) Close() error {
-	_, err := s.c.roundTrip(wire.TCloseStmt,
-		wire.EncodeCloseStmt(wire.CloseStmt{Name: s.name}))
+	_, err := s.c.roundTrip(wire.AppendCloseStmt(s.c.out[:0], wire.CloseStmt{Name: s.name}))
 	return err
 }

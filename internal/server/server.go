@@ -31,7 +31,6 @@ import (
 
 	"microspec/internal/engine"
 	"microspec/internal/metrics"
-	"microspec/internal/txn"
 	"microspec/internal/wire"
 )
 
@@ -207,16 +206,19 @@ func (s *Server) dispatch() {
 // reject writes one typed error frame and closes the connection.
 func (s *Server) reject(conn net.Conn, code wire.ErrCode, msg string) {
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	wire.WriteFrame(conn, wire.TError, wire.EncodeError(code, msg))
+	if b, err := wire.AppendError(nil, code, msg); err == nil {
+		conn.Write(b)
+	}
 	conn.Close()
 }
 
 // serve runs one session: Hello handshake, then the request loop.
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
+	sess := &session{srv: s, conn: conn, in: wire.NewReader(conn)}
 	// Accept-to-first-byte deadline: the handshake must arrive promptly.
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
-	f, err := wire.ReadFrame(conn)
+	f, err := sess.in.Next()
 	if err != nil || f.Type != wire.THello {
 		s.mAuthFailures.Inc()
 		if err == nil {
@@ -227,7 +229,7 @@ func (s *Server) serve(conn net.Conn) {
 	hello, err := wire.DecodeHello(f.Payload)
 	if err != nil {
 		s.mAuthFailures.Inc()
-		s.writeError(conn, err)
+		sess.sendError(err)
 		return
 	}
 	if hello.Version != wire.ProtocolVersion {
@@ -249,13 +251,9 @@ func (s *Server) serve(conn net.Conn) {
 		s.mRejectedRecover.Inc()
 		return
 	}
-	sess := &session{
-		srv:   s,
-		conn:  conn,
-		id:    s.nextSID.Add(1),
-		stmts: make(map[string]*engine.Stmt),
-		txns:  make(map[string]*engine.TxnStmt),
-	}
+	sess.id = s.nextSID.Add(1)
+	sess.stmts = make(map[string]*engine.Stmt)
+	sess.txns = make(map[string]*engine.TxnStmt)
 	s.mu.Lock()
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
@@ -268,32 +266,10 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 		s.mActive.Add(-1)
 	}()
-	if err := wire.WriteFrame(conn, wire.THelloOK,
-		wire.EncodeHelloOK(wire.HelloOK{ServerVersion: ServerVersion, SessionID: sess.id})); err != nil {
+	if err := sess.reply(wire.AppendHelloOK(sess.out, wire.HelloOK{ServerVersion: ServerVersion, SessionID: sess.id})); err != nil {
 		return
 	}
 	sess.loop()
-}
-
-// writeError sends err as a typed error frame, mapping engine errors to
-// wire codes; the session continues unless the transport itself failed.
-func (s *Server) writeError(conn net.Conn, err error) error {
-	code := wire.CodeQuery
-	var we *wire.Error
-	switch {
-	case errors.As(err, &we):
-		code = we.Code
-	case errors.Is(err, context.DeadlineExceeded):
-		code = wire.CodeTimeout
-	case errors.Is(err, engine.ErrStmtClosed):
-		code = wire.CodeUnknownStmt
-	case errors.Is(err, engine.ErrRecovering):
-		code = wire.CodeRecovering
-	case errors.Is(err, txn.ErrWriteConflict):
-		code = wire.CodeConflict
-	}
-	s.mRequestErrs.Inc()
-	return wire.WriteFrame(conn, wire.TError, wire.EncodeError(code, err.Error()))
 }
 
 // Shutdown gracefully stops the server: new connections are rejected

@@ -18,7 +18,7 @@ import (
 )
 
 // startServer brings up a server on loopback over a freshly seeded DB.
-func startServer(t *testing.T, mut func(*Config)) (*Server, *engine.DB) {
+func startServer(t testing.TB, mut func(*Config)) (*Server, *engine.DB) {
 	t.Helper()
 	db := engine.Open(engine.Config{Routines: core.AllRoutines, PoolPages: 1024})
 	seed(t, db)
@@ -38,7 +38,7 @@ func startServer(t *testing.T, mut func(*Config)) (*Server, *engine.DB) {
 	return srv, db
 }
 
-func seed(t *testing.T, db *engine.DB) {
+func seed(t testing.TB, db *engine.DB) {
 	t.Helper()
 	stmts := []string{
 		`create table kv (

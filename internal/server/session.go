@@ -14,17 +14,32 @@ import (
 	"microspec/internal/exec"
 	"microspec/internal/sql"
 	"microspec/internal/trace"
+	"microspec/internal/txn"
 	"microspec/internal/wire"
+)
+
+// A reply is encoded into the session's buffer and written with one
+// Write; these two fixed sizes bound what that buffer holds.
+const (
+	// flushAt is the buffered size past which a reply is written early, so
+	// a large result streams instead of being held whole.
+	flushAt = 64 << 10
+	// keepCap is the most buffer capacity a session keeps between
+	// requests.
+	keepCap = 64 << 10
 )
 
 // session is one authenticated connection: its settings, its named
 // prepared statements, and its request loop. A session serves one
 // request at a time (the protocol is strictly request/response), so none
 // of the per-session state needs locking except the busy flag Shutdown
-// reads from another goroutine.
+// reads from another goroutine. Only the session's goroutine reads from
+// or writes to conn.
 type session struct {
 	srv   *Server
 	conn  net.Conn
+	in    *wire.Reader // every frame from the Hello on
+	out   []byte       // the reply being built
 	id    uint64
 	opts  engine.QueryOpts
 	stmts map[string]*engine.Stmt
@@ -33,7 +48,7 @@ type session struct {
 }
 
 // interruptIfIdle closes the connection unless a request is in flight —
-// the shutdown path's way of waking sessions parked in ReadFrame.
+// the shutdown path's way of waking sessions parked reading a frame.
 func (s *session) interruptIfIdle() {
 	if !s.busy.Load() {
 		s.conn.Close()
@@ -64,7 +79,7 @@ func (s *session) loop() {
 		// decoded request turns out to be traced; it includes the wait for
 		// the client's first byte, so idle sessions show the wait honestly.
 		readStart := time.Now()
-		f, err := wire.ReadFrame(s.conn)
+		f, err := s.in.Next()
 		readDur := time.Since(readStart)
 		if err != nil {
 			var nerr net.Error
@@ -76,7 +91,7 @@ func (s *session) loop() {
 			var we *wire.Error
 			if errors.As(err, &we) {
 				srv.mBadFrames.Inc()
-				srv.writeError(s.conn, err)
+				s.sendError(err)
 			}
 			return
 		}
@@ -105,7 +120,7 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 		decDur := time.Since(decStart)
 		if err != nil {
 			srv.mBadFrames.Inc()
-			srv.writeError(s.conn, err)
+			s.sendError(err)
 			return true
 		}
 		// A nonzero client-supplied TraceID forces sampling, so the client
@@ -119,19 +134,19 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 		p, err := wire.DecodePrepare(f.Payload)
 		if err != nil {
 			srv.mBadFrames.Inc()
-			srv.writeError(s.conn, err)
+			s.sendError(err)
 			return true
 		}
 		st, err := srv.db.PrepareWith(p.SQL, s.opts)
 		if err != nil {
-			return srv.writeError(s.conn, err) != nil
+			return s.sendError(err) != nil
 		}
 		if old, ok := s.stmts[p.Name]; ok {
 			old.Close()
 		}
 		s.stmts[p.Name] = st
 		ok := wire.PrepareOK{NumParams: uint16(st.NumParams()), Cols: colsOf(st.Columns())}
-		return wire.WriteFrame(s.conn, wire.TPrepareOK, wire.EncodePrepareOK(ok)) != nil
+		return s.reply(wire.AppendPrepareOK(s.out, ok)) != nil
 
 	case wire.TExecute:
 		decStart := time.Now()
@@ -139,12 +154,12 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 		decDur := time.Since(decStart)
 		if err != nil {
 			srv.mBadFrames.Inc()
-			srv.writeError(s.conn, err)
+			s.sendError(err)
 			return true
 		}
 		st, ok := s.stmts[e.Name]
 		if !ok {
-			return srv.writeError(s.conn, &wire.Error{
+			return s.sendError(&wire.Error{
 				Code: wire.CodeUnknownStmt, Msg: fmt.Sprintf("no prepared statement %q", e.Name)}) != nil
 		}
 		at := srv.db.Tracer().Start(e.TraceID, "execute", e.Name+": "+st.Text())
@@ -158,12 +173,12 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 		decDur := time.Since(decStart)
 		if err != nil {
 			srv.mBadFrames.Inc()
-			srv.writeError(s.conn, err)
+			s.sendError(err)
 			return true
 		}
 		ts, ok := s.txns[e.Name]
 		if !ok {
-			return srv.writeError(s.conn, &wire.Error{
+			return s.sendError(&wire.Error{
 				Code: wire.CodeUnknownStmt, Msg: fmt.Sprintf("no prepared transaction %q", e.Name)}) != nil
 		}
 		at := srv.db.Tracer().Start(e.TraceID, "execute_txn", e.Name)
@@ -175,7 +190,7 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 		c, err := wire.DecodeCloseStmt(f.Payload)
 		if err != nil {
 			srv.mBadFrames.Inc()
-			srv.writeError(s.conn, err)
+			s.sendError(err)
 			return true
 		}
 		if st, ok := s.stmts[c.Name]; ok {
@@ -192,14 +207,14 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 		m, err := wire.DecodeSet(f.Payload)
 		if err != nil {
 			srv.mBadFrames.Inc()
-			srv.writeError(s.conn, err)
+			s.sendError(err)
 			return true
 		}
 		return s.sendResult(nil, nil, 0, "", s.applySet(m)) != nil
 
 	default:
 		srv.mBadFrames.Inc()
-		srv.writeError(s.conn, &wire.Error{
+		s.sendError(&wire.Error{
 			Code: wire.CodeMalformed, Msg: fmt.Sprintf("unexpected frame %v", f.Type)})
 		return true
 	}
@@ -284,23 +299,79 @@ func (s *session) runExecuteTxn(ts *engine.TxnStmt, e wire.ExecuteTxn, at *trace
 func (s *session) sendResult(at *trace.Active, res *engine.Result, affected int64, analyze string, err error) error {
 	at.Finish(err)
 	if err != nil {
-		return s.srv.writeError(s.conn, err)
+		return s.sendError(err)
 	}
 	if res != nil {
-		if err := wire.WriteFrame(s.conn, wire.TRowDesc,
-			wire.EncodeRowDesc(wire.RowDesc{Cols: colsOf(res.Cols)})); err != nil {
+		if err := s.put(wire.AppendRowDesc(s.out, wire.RowDesc{Cols: colsOf(res.Cols)})); err != nil {
 			return err
 		}
 		for _, row := range res.Rows {
-			if err := wire.WriteFrame(s.conn, wire.TRow,
-				wire.EncodeRow(wire.Row{Vals: row})); err != nil {
+			if err := s.put(wire.AppendRow(s.out, wire.Row{Vals: row})); err != nil {
 				return err
 			}
 		}
 		affected += int64(len(res.Rows))
 	}
-	return wire.WriteFrame(s.conn, wire.TDone,
-		wire.EncodeDone(wire.Done{Rows: affected, Analyze: analyze, TraceID: at.ID()}))
+	return s.reply(wire.AppendDone(s.out, wire.Done{Rows: affected, Analyze: analyze, TraceID: at.ID()}))
+}
+
+// sendError answers with err as a typed error frame, mapping engine
+// errors to wire codes; the session continues unless the transport itself
+// failed.
+func (s *session) sendError(err error) error {
+	code := wire.CodeQuery
+	var we *wire.Error
+	switch {
+	case errors.As(err, &we):
+		code = we.Code
+	case errors.Is(err, context.DeadlineExceeded):
+		code = wire.CodeTimeout
+	case errors.Is(err, engine.ErrStmtClosed):
+		code = wire.CodeUnknownStmt
+	case errors.Is(err, engine.ErrRecovering):
+		code = wire.CodeRecovering
+	case errors.Is(err, txn.ErrWriteConflict):
+		code = wire.CodeConflict
+	}
+	s.srv.mRequestErrs.Inc()
+	return s.reply(wire.AppendError(s.out, code, err.Error()))
+}
+
+// put keeps a frame an Append* form added to the reply buffer, writing
+// the buffer early once it passes flushAt. An encoding error (a frame
+// over wire.MaxFrame) returns with the frame unsent.
+func (s *session) put(b []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	s.out = b
+	if len(s.out) > flushAt {
+		return s.write()
+	}
+	return nil
+}
+
+// reply puts the frame that ends a reply and writes what the buffer
+// holds: the request's one Write, unless put already streamed the rest.
+func (s *session) reply(b []byte, err error) error {
+	if err := s.put(b, err); err != nil {
+		return err
+	}
+	err = s.write()
+	if cap(s.out) > keepCap {
+		s.out = nil
+	}
+	return err
+}
+
+// write sends the buffer with one Write and empties it.
+func (s *session) write() error {
+	if len(s.out) == 0 {
+		return nil
+	}
+	_, err := s.conn.Write(s.out)
+	s.out = s.out[:0]
+	return err
 }
 
 // applySet maps a SET request onto the session's QueryOpts. Settings

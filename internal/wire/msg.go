@@ -6,10 +6,14 @@ import (
 	"microspec/internal/types"
 )
 
-// This file defines the typed messages carried in frame payloads, with
-// symmetric Encode*/Decode* pairs. Decoders reject truncation, trailing
-// garbage, and implausible element counts with *Error (CodeMalformed) —
-// they are safe on arbitrary bytes.
+// This file defines the typed messages carried in frame payloads. Each
+// message has one encoder, its Append* form, which appends the whole
+// frame (header and payload) to a caller's buffer; Encode* is the same
+// encoder returning the payload alone. Decoders reject truncation,
+// trailing garbage, and implausible element counts with *Error
+// (CodeMalformed) — they are safe on arbitrary bytes — and copy every
+// string and datum they return out of the payload, so a reader may reuse
+// the payload buffer once the message is decoded.
 
 // maxElems bounds decoded element counts (columns, parameters) before
 // allocation; real statements are far smaller, and a corrupt count should
@@ -25,13 +29,15 @@ type Hello struct {
 	Secret  string
 }
 
-func EncodeHello(m Hello) []byte {
-	var e enc
+func AppendHello(b []byte, m Hello) ([]byte, error) {
+	e := frame(b, THello)
 	e.u32(m.Version)
 	e.str(m.User)
 	e.str(m.Secret)
-	return e.b
+	return e.finish()
 }
+
+func EncodeHello(m Hello) []byte { return payloadOf(AppendHello(nil, m)) }
 
 func DecodeHello(p []byte) (Hello, error) {
 	d := dec{b: p}
@@ -45,12 +51,14 @@ type HelloOK struct {
 	SessionID     uint64
 }
 
-func EncodeHelloOK(m HelloOK) []byte {
-	var e enc
+func AppendHelloOK(b []byte, m HelloOK) ([]byte, error) {
+	e := frame(b, THelloOK)
 	e.str(m.ServerVersion)
 	e.u64(m.SessionID)
-	return e.b
+	return e.finish()
 }
+
+func EncodeHelloOK(m HelloOK) []byte { return payloadOf(AppendHelloOK(nil, m)) }
 
 func DecodeHelloOK(p []byte) (HelloOK, error) {
 	d := dec{b: p}
@@ -70,15 +78,17 @@ type Query struct {
 	TraceID uint64
 }
 
-func EncodeQuery(m Query) []byte {
-	var e enc
+func AppendQuery(b []byte, m Query) ([]byte, error) {
+	e := frame(b, TQuery)
 	e.u8(boolByte(m.Analyze))
 	e.str(m.SQL)
 	if m.TraceID != 0 {
 		e.u64(m.TraceID)
 	}
-	return e.b
+	return e.finish()
 }
+
+func EncodeQuery(m Query) []byte { return payloadOf(AppendQuery(nil, m)) }
 
 func DecodeQuery(p []byte) (Query, error) {
 	d := dec{b: p}
@@ -95,12 +105,14 @@ type Prepare struct {
 	SQL  string
 }
 
-func EncodePrepare(m Prepare) []byte {
-	var e enc
+func AppendPrepare(b []byte, m Prepare) ([]byte, error) {
+	e := frame(b, TPrepare)
 	e.str(m.Name)
 	e.str(m.SQL)
-	return e.b
+	return e.finish()
 }
+
+func EncodePrepare(m Prepare) []byte { return payloadOf(AppendPrepare(nil, m)) }
 
 func DecodePrepare(p []byte) (Prepare, error) {
 	d := dec{b: p}
@@ -115,16 +127,18 @@ type PrepareOK struct {
 	Cols      []Col
 }
 
-func EncodePrepareOK(m PrepareOK) []byte {
-	var e enc
+func AppendPrepareOK(b []byte, m PrepareOK) ([]byte, error) {
+	e := frame(b, TPrepareOK)
 	e.u16(m.NumParams)
-	encodeCols(&e, m.Cols)
-	return e.b
+	e.cols(m.Cols)
+	return e.finish()
 }
+
+func EncodePrepareOK(m PrepareOK) []byte { return payloadOf(AppendPrepareOK(nil, m)) }
 
 func DecodePrepareOK(p []byte) (PrepareOK, error) {
 	d := dec{b: p}
-	m := PrepareOK{NumParams: d.u16(), Cols: decodeCols(&d)}
+	m := PrepareOK{NumParams: d.u16(), Cols: d.cols()}
 	return m, d.done(TPrepareOK)
 }
 
@@ -138,30 +152,22 @@ type Execute struct {
 	TraceID uint64
 }
 
-func EncodeExecute(m Execute) []byte {
-	var e enc
+func AppendExecute(b []byte, m Execute) ([]byte, error) {
+	e := frame(b, TExecute)
 	e.str(m.Name)
 	e.u8(boolByte(m.Analyze))
-	e.u16(uint16(len(m.Params)))
-	for _, v := range m.Params {
-		e.datum(v)
-	}
+	e.datums(m.Params)
 	if m.TraceID != 0 {
 		e.u64(m.TraceID)
 	}
-	return e.b
+	return e.finish()
 }
+
+func EncodeExecute(m Execute) []byte { return payloadOf(AppendExecute(nil, m)) }
 
 func DecodeExecute(p []byte) (Execute, error) {
 	d := dec{b: p}
-	m := Execute{Name: d.str(), Analyze: d.u8() != 0}
-	n := int(d.u16())
-	if d.err == nil && n > 0 {
-		m.Params = make([]types.Datum, 0, min(n, maxElems))
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Params = append(m.Params, d.datum())
-		}
-	}
+	m := Execute{Name: d.str(), Analyze: d.u8() != 0, Params: d.datums()}
 	if d.rem() > 0 {
 		m.TraceID = d.u64()
 	}
@@ -178,29 +184,21 @@ type ExecuteTxn struct {
 	TraceID uint64
 }
 
-func EncodeExecuteTxn(m ExecuteTxn) []byte {
-	var e enc
+func AppendExecuteTxn(b []byte, m ExecuteTxn) ([]byte, error) {
+	e := frame(b, TExecuteTxn)
 	e.str(m.Name)
-	e.u16(uint16(len(m.Params)))
-	for _, v := range m.Params {
-		e.datum(v)
-	}
+	e.datums(m.Params)
 	if m.TraceID != 0 {
 		e.u64(m.TraceID)
 	}
-	return e.b
+	return e.finish()
 }
+
+func EncodeExecuteTxn(m ExecuteTxn) []byte { return payloadOf(AppendExecuteTxn(nil, m)) }
 
 func DecodeExecuteTxn(p []byte) (ExecuteTxn, error) {
 	d := dec{b: p}
-	m := ExecuteTxn{Name: d.str()}
-	n := int(d.u16())
-	if d.err == nil && n > 0 {
-		m.Params = make([]types.Datum, 0, min(n, maxElems))
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Params = append(m.Params, d.datum())
-		}
-	}
+	m := ExecuteTxn{Name: d.str(), Params: d.datums()}
 	if d.rem() > 0 {
 		m.TraceID = d.u64()
 	}
@@ -212,11 +210,13 @@ type CloseStmt struct {
 	Name string
 }
 
-func EncodeCloseStmt(m CloseStmt) []byte {
-	var e enc
+func AppendCloseStmt(b []byte, m CloseStmt) ([]byte, error) {
+	e := frame(b, TCloseStmt)
 	e.str(m.Name)
-	return e.b
+	return e.finish()
 }
+
+func EncodeCloseStmt(m CloseStmt) []byte { return payloadOf(AppendCloseStmt(nil, m)) }
 
 func DecodeCloseStmt(p []byte) (CloseStmt, error) {
 	d := dec{b: p}
@@ -230,12 +230,14 @@ type Set struct {
 	Value string
 }
 
-func EncodeSet(m Set) []byte {
-	var e enc
+func AppendSet(b []byte, m Set) ([]byte, error) {
+	e := frame(b, TSet)
 	e.str(m.Name)
 	e.str(m.Value)
-	return e.b
+	return e.finish()
 }
+
+func EncodeSet(m Set) []byte { return payloadOf(AppendSet(nil, m)) }
 
 func DecodeSet(p []byte) (Set, error) {
 	d := dec{b: p}
@@ -249,7 +251,7 @@ type Col struct {
 	Tag  byte
 }
 
-func encodeCols(e *enc, cols []Col) {
+func (e *enc) cols(cols []Col) {
 	e.u16(uint16(len(cols)))
 	for _, c := range cols {
 		e.str(c.Name)
@@ -257,7 +259,7 @@ func encodeCols(e *enc, cols []Col) {
 	}
 }
 
-func decodeCols(d *dec) []Col {
+func (d *dec) cols() []Col {
 	n := int(d.u16())
 	if d.err != nil || n == 0 {
 		return nil
@@ -269,20 +271,43 @@ func decodeCols(d *dec) []Col {
 	return cols
 }
 
+// datums writes a u16 count and the values: Execute's and ExecuteTxn's
+// parameters, a Row's values.
+func (e *enc) datums(vs []types.Datum) {
+	e.u16(uint16(len(vs)))
+	for _, v := range vs {
+		e.datum(v)
+	}
+}
+
+func (d *dec) datums() []types.Datum {
+	n := int(d.u16())
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	vs := make([]types.Datum, 0, min(n, maxElems))
+	for i := 0; i < n && d.err == nil; i++ {
+		vs = append(vs, d.datum())
+	}
+	return vs
+}
+
 // RowDesc announces a result's columns before its Row frames.
 type RowDesc struct {
 	Cols []Col
 }
 
-func EncodeRowDesc(m RowDesc) []byte {
-	var e enc
-	encodeCols(&e, m.Cols)
-	return e.b
+func AppendRowDesc(b []byte, m RowDesc) ([]byte, error) {
+	e := frame(b, TRowDesc)
+	e.cols(m.Cols)
+	return e.finish()
 }
+
+func EncodeRowDesc(m RowDesc) []byte { return payloadOf(AppendRowDesc(nil, m)) }
 
 func DecodeRowDesc(p []byte) (RowDesc, error) {
 	d := dec{b: p}
-	m := RowDesc{Cols: decodeCols(&d)}
+	m := RowDesc{Cols: d.cols()}
 	return m, d.done(TRowDesc)
 }
 
@@ -291,25 +316,17 @@ type Row struct {
 	Vals []types.Datum
 }
 
-func EncodeRow(m Row) []byte {
-	var e enc
-	e.u16(uint16(len(m.Vals)))
-	for _, v := range m.Vals {
-		e.datum(v)
-	}
-	return e.b
+func AppendRow(b []byte, m Row) ([]byte, error) {
+	e := frame(b, TRow)
+	e.datums(m.Vals)
+	return e.finish()
 }
+
+func EncodeRow(m Row) []byte { return payloadOf(AppendRow(nil, m)) }
 
 func DecodeRow(p []byte) (Row, error) {
 	d := dec{b: p}
-	n := int(d.u16())
-	var m Row
-	if d.err == nil && n > 0 {
-		m.Vals = make([]types.Datum, 0, min(n, maxElems))
-		for i := 0; i < n && d.err == nil; i++ {
-			m.Vals = append(m.Vals, d.datum())
-		}
-	}
+	m := Row{Vals: d.datums()}
 	return m, d.done(TRow)
 }
 
@@ -324,15 +341,17 @@ type Done struct {
 	TraceID uint64
 }
 
-func EncodeDone(m Done) []byte {
-	var e enc
+func AppendDone(b []byte, m Done) ([]byte, error) {
+	e := frame(b, TDone)
 	e.u64(uint64(m.Rows))
 	e.str(m.Analyze)
 	if m.TraceID != 0 {
 		e.u64(m.TraceID)
 	}
-	return e.b
+	return e.finish()
 }
+
+func EncodeDone(m Done) []byte { return payloadOf(AppendDone(nil, m)) }
 
 func DecodeDone(p []byte) (Done, error) {
 	d := dec{b: p}
@@ -343,13 +362,16 @@ func DecodeDone(p []byte) (Done, error) {
 	return m, d.done(TDone)
 }
 
-// EncodeError renders a typed error frame payload.
-func EncodeError(code ErrCode, msg string) []byte {
-	var e enc
+// AppendError appends a typed error frame.
+func AppendError(b []byte, code ErrCode, msg string) ([]byte, error) {
+	e := frame(b, TError)
 	e.str(string(code))
 	e.str(msg)
-	return e.b
+	return e.finish()
 }
+
+// EncodeError renders a typed error frame payload.
+func EncodeError(code ErrCode, msg string) []byte { return payloadOf(AppendError(nil, code, msg)) }
 
 // DecodeError parses a TError payload back into *Error. A payload too
 // damaged to decode still comes back as an *Error (CodeMalformed), so

@@ -10,10 +10,13 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"microspec/internal/types"
 )
@@ -21,9 +24,9 @@ import (
 // ProtocolVersion is negotiated in Hello; the server rejects mismatches.
 const ProtocolVersion = 1
 
-// MaxFrame bounds a frame payload (16 MiB). ReadFrame rejects larger
-// lengths before allocating, so a corrupt length prefix cannot OOM the
-// server.
+// MaxFrame bounds a frame payload (16 MiB). The frame reader rejects
+// larger lengths before allocating, so a corrupt length prefix cannot OOM
+// the server.
 const MaxFrame = 16 << 20
 
 // Type identifies a frame. Client-to-server types have the high bit
@@ -135,29 +138,75 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame writes one frame.
+// hdrLen is the frame header: the type byte and the payload length.
+const hdrLen = 5
+
+// keepPayload is the largest payload buffer a Reader keeps for reuse; a
+// larger frame gets a buffer of its own, so one big request does not pin
+// its size to the connection.
+const keepPayload = 64 << 10
+
+// AppendFrame appends one frame carrying an already encoded payload. Like
+// every Append* form it returns a CodeTooLarge *Error when the payload
+// exceeds MaxFrame; the bytes appended are then not a frame, and the
+// caller drops them instead of sending.
+func AppendFrame(b []byte, t Type, payload []byte) ([]byte, error) {
+	e := frame(slices.Grow(b, hdrLen+len(payload)), t)
+	e.b = append(e.b, payload...)
+	return e.finish()
+}
+
+// WriteFrame writes one frame with one Write call. Writes need no lock:
+// only a connection's own session goroutine writes to it, one reply at a
+// time.
 func WriteFrame(w io.Writer, t Type, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return &Error{Code: CodeTooLarge, Msg: fmt.Sprintf("payload %d bytes exceeds %d", len(payload), MaxFrame)}
+	b, err := AppendFrame(nil, t, payload)
+	if err != nil {
+		return err
 	}
-	hdr := make([]byte, 5, 5+len(payload))
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	// One Write call per frame keeps frames atomic under concurrent
-	// writers sharing a net.Conn.
-	_, err := w.Write(append(hdr, payload...))
+	_, err = w.Write(b)
 	return err
 }
 
-// ReadFrame reads one frame, enforcing MaxFrame before allocation and
-// rejecting unknown frame types. io.EOF is returned verbatim on a clean
-// boundary so callers can distinguish hangup from protocol damage.
+// Reader reads frames through one buffered reader into one reused
+// payload buffer.
+type Reader struct {
+	r   io.Reader
+	hdr [hdrLen]byte
+	buf []byte
+}
+
+// NewReader returns a frame reader over r, buffered, so a request costs
+// one read call however many frames it carries. It may read ahead of the
+// frame it returns, so all later reads from r must go through it.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReader(r)}
+}
+
+// Next reads one frame, enforcing MaxFrame and rejecting unknown frame
+// types before allocating. The payload is valid until the next call;
+// every Decode* copies what it returns out of it. io.EOF is returned
+// verbatim on a clean boundary so callers can distinguish hangup from
+// protocol damage.
+func (fr *Reader) Next() (Frame, error) {
+	f, err := readFrame(fr.r, fr.hdr[:], fr.buf)
+	if err == nil && cap(f.Payload) <= keepPayload {
+		fr.buf = f.Payload
+	}
+	return f, err
+}
+
+// ReadFrame reads one frame from r into a payload of its own. It reads
+// no byte past the frame, so consecutive calls may share r.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
+	var hdr [hdrLen]byte
+	return readFrame(r, hdr[:], nil)
+}
+
+// readFrame reads one frame into buf when it fits and into a new buffer
+// otherwise; hdr is the caller's header scratch.
+func readFrame(r io.Reader, hdr, buf []byte) (Frame, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err
 	}
 	t := Type(hdr[0])
@@ -168,7 +217,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if n > MaxFrame {
 		return Frame{}, &Error{Code: CodeTooLarge, Msg: fmt.Sprintf("frame length %d exceeds %d", n, MaxFrame)}
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, fmt.Errorf("wire: short frame body: %w", err)
 	}
@@ -177,8 +229,31 @@ func ReadFrame(r io.Reader) (Frame, error) {
 
 // --- encoding primitives ---
 
-// enc is an append-based payload builder.
-type enc struct{ b []byte }
+// enc is an append-based frame builder: frame writes the header with a
+// zero length, the message's fields append the payload, and finish
+// patches the length in.
+type enc struct {
+	b     []byte
+	start int // offset of the frame's header in b
+}
+
+func frame(b []byte, t Type) enc {
+	return enc{b: append(b, byte(t), 0, 0, 0, 0), start: len(b)}
+}
+
+func (e *enc) finish() ([]byte, error) {
+	n := len(e.b) - e.start - hdrLen
+	if n > MaxFrame {
+		return e.b, &Error{Code: CodeTooLarge, Msg: fmt.Sprintf("payload %d bytes exceeds %d", n, MaxFrame)}
+	}
+	binary.BigEndian.PutUint32(e.b[e.start+1:], uint32(n))
+	return e.b, nil
+}
+
+// payloadOf is the Encode* forms' view of a frame appended to an empty
+// buffer: its payload. An encoding over MaxFrame is returned too, so
+// WriteFrame reports it as it always has.
+func payloadOf(b []byte, _ error) []byte { return b[hdrLen:] }
 
 func (e *enc) u8(v byte)      { e.b = append(e.b, v) }
 func (e *enc) u16(v uint16)   { e.b = binary.BigEndian.AppendUint16(e.b, v) }
@@ -242,16 +317,23 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-func (d *dec) str() string {
+// span returns the next length-prefixed byte string. It aliases the
+// payload: callers copy it before returning it.
+func (d *dec) span() []byte {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+n > len(d.b) {
 		d.fail("string")
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	p := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	return p
 }
+
+func (d *dec) str() string { return string(d.span()) }
+
+// text decodes a string datum of kind k, copying its bytes once.
+func (d *dec) text(k types.Kind) types.Datum { return types.NewBytes(bytes.Clone(d.span()), k) }
 
 // rem reports how many undecoded bytes remain — the probe optional
 // trailing fields use before reading (a field added after protocol
@@ -337,9 +419,9 @@ func (d *dec) datum() types.Datum {
 	case tagDate:
 		return types.NewDate(int32(d.u32()))
 	case tagVarchar:
-		return types.NewString(d.str())
+		return d.text(types.KindVarchar)
 	case tagChar:
-		return types.NewChar(d.str())
+		return d.text(types.KindChar)
 	default:
 		if d.err == nil {
 			d.err = errMalformed("unknown datum tag 0x%02x at offset %d", tag, d.off-1)

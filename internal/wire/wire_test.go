@@ -11,25 +11,61 @@ import (
 	"microspec/internal/types"
 )
 
+// readers are the two ways to read frames: ReadFrame, one allocation per
+// frame and no read-ahead, and a Reader's reused buffer.
+var readers = map[string]func(io.Reader) func() (Frame, error){
+	"ReadFrame": func(r io.Reader) func() (Frame, error) { return func() (Frame, error) { return ReadFrame(r) } },
+	"Reader":    func(r io.Reader) func() (Frame, error) { return NewReader(r).Next },
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)}
+	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096),
+		bytes.Repeat([]byte{0xCD}, keepPayload+1), []byte("after a large frame")}
+	var stream bytes.Buffer
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, TQuery, p); err != nil {
+		if err := WriteFrame(&stream, TQuery, p); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
-	for _, p := range payloads {
-		f, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
+	for name, reader := range readers {
+		next := reader(bytes.NewReader(stream.Bytes()))
+		for _, p := range payloads {
+			f, err := next()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if f.Type != TQuery || !bytes.Equal(f.Payload, p) {
+				t.Fatalf("%s: frame mismatch: %v", name, f)
+			}
 		}
-		if f.Type != TQuery || !bytes.Equal(f.Payload, p) {
-			t.Fatalf("frame mismatch: %v", f)
+		if _, err := next(); err != io.EOF {
+			t.Fatalf("%s: expected clean EOF, got %v", name, err)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Fatalf("expected clean EOF, got %v", err)
+}
+
+// TestAppendForms: an Append* form appends one whole frame after what the
+// buffer holds, and its payload is exactly the Encode* form's.
+func TestAppendForms(t *testing.T) {
+	b := []byte("prefix")
+	b, err := AppendRow(b, Row{Vals: sampleDatums()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = AppendDone(b, Done{Rows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	want.WriteString("prefix")
+	WriteFrame(&want, TRow, EncodeRow(Row{Vals: sampleDatums()}))
+	WriteFrame(&want, TDone, EncodeDone(Done{Rows: 1}))
+	if !bytes.Equal(b, want.Bytes()) {
+		t.Fatalf("appended frames:\n got %x\nwant %x", b, want.Bytes())
+	}
+	var we *Error
+	if _, err := AppendQuery(nil, Query{SQL: string(make([]byte, MaxFrame))}); !errors.As(err, &we) || we.Code != CodeTooLarge {
+		t.Fatalf("oversized append: %v", err)
 	}
 }
 
@@ -41,14 +77,16 @@ func TestFrameLimits(t *testing.T) {
 	if !errors.As(err, &we) || we.Code != CodeTooLarge {
 		t.Fatalf("oversized write: %v", err)
 	}
-	// Oversized length prefix is rejected before allocation.
-	hdr := []byte{byte(TRow), 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.As(err, &we) || we.Code != CodeTooLarge {
-		t.Fatalf("oversized read: %v", err)
-	}
-	// Unknown frame type.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0x7F, 0, 0, 0, 0})); !errors.As(err, &we) || we.Code != CodeMalformed {
-		t.Fatalf("unknown type: %v", err)
+	for name, reader := range readers {
+		// Oversized length prefix is rejected before allocation.
+		hdr := []byte{byte(TRow), 0xFF, 0xFF, 0xFF, 0xFF}
+		if _, err := reader(bytes.NewReader(hdr))(); !errors.As(err, &we) || we.Code != CodeTooLarge {
+			t.Fatalf("%s: oversized read: %v", name, err)
+		}
+		// Unknown frame type.
+		if _, err := reader(bytes.NewReader([]byte{0x7F, 0, 0, 0, 0}))(); !errors.As(err, &we) || we.Code != CodeMalformed {
+			t.Fatalf("%s: unknown type: %v", name, err)
+		}
 	}
 }
 
@@ -207,6 +245,42 @@ func TestGoldenErrorFrame(t *testing.T) {
 	}
 }
 
+// TestDecodersCopyOutOfPayload pins what lets a Reader reuse its payload
+// buffer: no decoded string or datum aliases the payload. Each payload is
+// decoded, overwritten with 0xFF, and the value must equal a decode of an
+// untouched copy.
+func TestDecodersCopyOutOfPayload(t *testing.T) {
+	cols := []Col{{Name: "name", Tag: tagVarchar}, {Name: "c", Tag: tagChar}}
+	decoders := map[Type]struct {
+		payload []byte
+		decode  func([]byte) any
+	}{
+		THello:      {EncodeHello(Hello{Version: 1, User: "user", Secret: "secret"}), func(p []byte) any { m, _ := DecodeHello(p); return m }},
+		THelloOK:    {EncodeHelloOK(HelloOK{ServerVersion: "v1", SessionID: 3}), func(p []byte) any { m, _ := DecodeHelloOK(p); return m }},
+		TQuery:      {EncodeQuery(Query{SQL: "select 1"}), func(p []byte) any { m, _ := DecodeQuery(p); return m }},
+		TPrepare:    {EncodePrepare(Prepare{Name: "p", SQL: "select $1"}), func(p []byte) any { m, _ := DecodePrepare(p); return m }},
+		TPrepareOK:  {EncodePrepareOK(PrepareOK{NumParams: 1, Cols: cols}), func(p []byte) any { m, _ := DecodePrepareOK(p); return m }},
+		TExecute:    {EncodeExecute(Execute{Name: "p", Params: sampleDatums()}), func(p []byte) any { m, _ := DecodeExecute(p); return m }},
+		TExecuteTxn: {EncodeExecuteTxn(ExecuteTxn{Name: "t", Params: sampleDatums()}), func(p []byte) any { m, _ := DecodeExecuteTxn(p); return m }},
+		TCloseStmt:  {EncodeCloseStmt(CloseStmt{Name: "p"}), func(p []byte) any { m, _ := DecodeCloseStmt(p); return m }},
+		TSet:        {EncodeSet(Set{Name: "workers", Value: "2"}), func(p []byte) any { m, _ := DecodeSet(p); return m }},
+		TRowDesc:    {EncodeRowDesc(RowDesc{Cols: cols}), func(p []byte) any { m, _ := DecodeRowDesc(p); return m }},
+		TRow:        {EncodeRow(Row{Vals: sampleDatums()}), func(p []byte) any { m, _ := DecodeRow(p); return m }},
+		TDone:       {EncodeDone(Done{Rows: 2, Analyze: "SeqScan kv"}), func(p []byte) any { m, _ := DecodeDone(p); return m }},
+		TError:      {EncodeError(CodeQuery, "no such column"), func(p []byte) any { return *DecodeError(p) }},
+	}
+	for typ, d := range decoders {
+		pristine := append([]byte(nil), d.payload...)
+		got := d.decode(d.payload)
+		for i := range d.payload {
+			d.payload[i] = 0xFF
+		}
+		if want := d.decode(pristine); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: decoded value changed with its payload:\n got %+v\nwant %+v", typ, got, want)
+		}
+	}
+}
+
 // decodeAny dispatches a payload to its message decoder, as the server
 // and client loops do.
 func decodeAny(t Type, p []byte) error {
@@ -327,13 +401,19 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{0x85, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			fr, err := ReadFrame(r)
-			if err != nil {
-				break
+		for name, reader := range readers {
+			next := reader(bytes.NewReader(data))
+			for {
+				fr, err := next()
+				if err != nil {
+					var we *Error
+					if errors.As(err, &we) && we.Code != CodeMalformed && we.Code != CodeTooLarge {
+						t.Fatalf("%s: unexpected error code %v", name, we.Code)
+					}
+					break
+				}
+				_ = decodeAny(fr.Type, fr.Payload)
 			}
-			_ = decodeAny(fr.Type, fr.Payload)
 		}
 	})
 }
