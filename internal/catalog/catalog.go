@@ -78,9 +78,6 @@ type Relation struct {
 	// bee module when tuple bees are enabled for the relation. The storage
 	// layer consults it to know which attributes are physically stored.
 	Spec *SpecInfo
-
-	// Stats carries planner statistics, refreshed by the engine.
-	Stats Stats
 }
 
 // SpecInfo records the tuple-bee specialization of a relation's storage:
@@ -97,12 +94,6 @@ type SpecInfo struct {
 // IsSpecialized reports whether attribute i is tuple-bee specialized.
 func (r *Relation) IsSpecialized(i int) bool {
 	return r.Spec != nil && r.Spec.Specialized[i]
-}
-
-// Stats holds planner-visible statistics.
-type Stats struct {
-	RowCount int64
-	Pages    int64
 }
 
 // NumAttrs returns the attribute count (natts).

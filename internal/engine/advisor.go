@@ -244,8 +244,6 @@ func (db *DB) Respecialize(name, attr string, on bool) error {
 			return fmt.Errorf("engine: respecialize %s: reinsert: %w", name, err)
 		}
 	}
-	ntab.rel.Stats.RowCount = ntab.heap.LiveTuples()
-	ntab.rel.Stats.Pages = int64(ntab.heap.NumPages())
 	for _, ix := range tab.indexes { // the dropped record keeps its definitions
 		if err := db.newIndexLocked(ntab, ix.Name, ix.Cols, ix.Tree.Unique); err != nil {
 			return fmt.Errorf("engine: respecialize %s: rebuild index %s: %w", name, ix.Name, err)

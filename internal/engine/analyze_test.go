@@ -75,8 +75,8 @@ func TestExplainAnalyzeQ3Joins(t *testing.T) {
   Sort [{1 true} {2 false}] (actual rows=10 loops=1 time=X)
     Project l_orderkey, revenue, o_orderdate, o_shippriority (actual rows=24 loops=1 time=X)
       BatchHashAgg groups=3 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=24 loops=1 time=X)
-        HashJoin inner keys=[17]/[0] [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
-          HashJoin inner keys=[0]/[0] [EVJ] (actual rows=329 batches=92 rows/batch=3.6 loops=1 time=X)
+        HashJoin inner keys=[17]/[0] est=1457 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
+          HashJoin inner keys=[0]/[0] est=2913 [EVJ] (actual rows=329 batches=92 rows/batch=3.6 loops=1 time=X)
             BatchSeqScan lineitem (16 cols) batch=1024 filter=(l_shipdate > 1995-03-15) [GCL+EVP] (actual rows=5752 batches=166 rows/batch=34.7 loops=1 time=X)
             BatchSeqScan orders (9 cols) batch=1024 filter=(o_orderdate < 1995-03-15) [GCL+EVP] (actual rows=1583 batches=37 rows/batch=42.8 loops=1 time=X)
           BatchSeqScan customer (8 cols) batch=1024 filter=(c_mktsegment = 'BUILDING') [GCL+EVP] (actual rows=59 batches=6 rows/batch=9.8 loops=1 time=X)

@@ -784,8 +784,6 @@ func (db *DB) newTableLocked(name string, schema catalog.Schema, pkey []int, fro
 		return nil, err
 	}
 	tab.heap.SetWAL(db.wal)
-	rel.Stats.RowCount = tab.heap.LiveTuples()
-	rel.Stats.Pages = int64(tab.heap.NumPages())
 	db.wireBeeJournal(rel, tab.heap.File())
 	db.tables[rel.ID] = tab
 	return tab, nil

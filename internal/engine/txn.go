@@ -466,8 +466,6 @@ func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]ty
 		}
 		n++
 	}
-	tab.rel.Stats.RowCount = tab.heap.LiveTuples()
-	tab.rel.Stats.Pages = int64(tab.heap.NumPages())
 	if n > 0 {
 		db.dataGen.Add(1)
 		if err := db.checkpointLocked(); err != nil {

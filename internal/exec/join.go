@@ -74,6 +74,8 @@ type HashJoin struct {
 	EVJ *core.JoinKeyFuncs
 	// NoteEVJ, when set, receives the number of EVJ invocations at Close.
 	NoteEVJ func(int64)
+	// Est is the planner's estimate of the rows the join emits (EXPLAIN).
+	Est float64
 
 	evjCalls int64
 	// match, hashOuter (nil: generic hasher) and pairCost are the key
@@ -468,6 +470,8 @@ type NLJoin struct {
 	// bee's handle.
 	QualCompiled core.CompiledPred
 	QualBee      *core.Bee
+	// Est is the planner's estimate of the rows the join emits (EXPLAIN).
+	Est float64
 
 	outerRow expr.Row
 	matched  bool

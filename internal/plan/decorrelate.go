@@ -235,8 +235,9 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 	if negate {
 		jt = exec.AntiJoin
 	}
-	ts.node = sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, jt, residual)
-	// Semi/anti joins keep only the outer columns; ts.cols unchanged.
+	// Semi/anti joins keep only the outer columns (ts.cols unchanged) and
+	// at most every outer row.
+	ts.node = sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, jt, residual, ts.est)
 	return true, nil, nil
 }
 
@@ -289,7 +290,8 @@ func (sp *selectPlan) tryDecorrelateScalar(ts *treeState, op string, lhs sql.Exp
 
 	aggCol := len(ts.cols) + nKeys
 	aggT := subScope.cols[nKeys].t
-	ts.node = sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, exec.LeftJoin, nil)
+	// One aggregate row per key: the left join keeps the outer row count.
+	ts.node = sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, exec.LeftJoin, nil, ts.est)
 	ts.cols = append(ts.cols, subScope.cols...)
 
 	// Rebuild the comparison as a post filter over the widened row.

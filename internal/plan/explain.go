@@ -172,14 +172,14 @@ func describe(n exec.Node) (string, []exec.Node) {
 				res += " [EVP]"
 			}
 		}
-		return fmt.Sprintf("HashJoin %s keys=%v/%v%s%s", v.Type, v.OuterKeys, v.InnerKeys, bee, res),
+		return fmt.Sprintf("HashJoin %s keys=%v/%v est=%.0f%s%s", v.Type, v.OuterKeys, v.InnerKeys, v.Est, bee, res),
 			[]exec.Node{v.Outer, v.Inner}
 	case *exec.NLJoin:
 		qual := ""
 		if v.Qual != nil {
 			qual = " qual=" + v.Qual.String()
 		}
-		return fmt.Sprintf("NestedLoopJoin %s%s", v.Type, qual), []exec.Node{v.Outer, v.Inner}
+		return fmt.Sprintf("NestedLoopJoin %s est=%.0f%s", v.Type, v.Est, qual), []exec.Node{v.Outer, v.Inner}
 	case *exec.Gather:
 		mode := "stream"
 		switch {

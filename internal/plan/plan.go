@@ -1,7 +1,8 @@
 // Package plan turns parsed SQL statements into executable Volcano-style
-// plan trees. It owns join ordering (greedy left-deep), predicate
-// pushdown, aggregate extraction, subquery decorrelation, the EXPLAIN /
-// EXPLAIN ANALYZE renderers, and — at the end of planning — the
+// plan trees. It owns join ordering (left-deep: the largest item probes,
+// and a key-aware cardinality estimator orders the rest; estimate.go),
+// predicate pushdown, aggregate extraction, subquery decorrelation, the
+// EXPLAIN / EXPLAIN ANALYZE renderers, and — at the end of planning — the
 // intra-query parallelization pass that rewrites eligible scan regions
 // into Gather nodes with per-worker bee closures (parallel.go). It is
 // also where bees are placed into plans: every scan, filter, join, and
@@ -121,13 +122,14 @@ func (p *Planner) compileQual(qual expr.Expr) (core.CompiledPred, *core.Bee) {
 	return prog.Row(), prog.Bee()
 }
 
-// hashJoin builds a hash join with its residual's EVP bee and its keys'
-// EVJ bee where the bee module provides them.
-func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, keyTypes []types.T, jt exec.JoinType, residual expr.Expr) *exec.HashJoin {
+// hashJoin builds a hash join estimated to emit est rows, with its
+// residual's EVP bee and its keys' EVJ bee where the bee module provides
+// them.
+func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, keyTypes []types.T, jt exec.JoinType, residual expr.Expr, est float64) *exec.HashJoin {
 	hj := &exec.HashJoin{
 		Outer: outer, Inner: inner,
 		OuterKeys: outerKeys, InnerKeys: innerKeys,
-		Type: jt, Residual: residual,
+		Type: jt, Residual: residual, Est: est,
 	}
 	hj.ResidualCompiled, hj.ResidualBee = p.compileQual(residual)
 	if evj, ok := p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
@@ -135,15 +137,6 @@ func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, k
 		hj.NoteEVJ = p.Mod.NoteEVJCall
 	}
 	return hj
-}
-
-// estRows estimates a base relation's cardinality for join ordering.
-func (p *Planner) estRows(rel *catalog.Relation) float64 {
-	h, err := p.HeapFor(rel)
-	if err != nil || h.LiveTuples() == 0 {
-		return 1000
-	}
-	return float64(h.LiveTuples())
 }
 
 // ConvertForRelation lowers an AST expression whose identifiers all

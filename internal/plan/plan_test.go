@@ -332,3 +332,79 @@ func TestExplainMarksBeeRoutines(t *testing.T) {
 		t.Errorf("stock plan must not carry bee markers:\n%s", out2)
 	}
 }
+
+// TestEstimateBesideActual pins that EXPLAIN ANALYZE prints the planner's
+// estimate on every join line, next to the rows the join produced: tiny
+// shares no edge with the others, so it cross-joins last.
+func TestEstimateBesideActual(t *testing.T) {
+	db := planDB(t)
+	out, res, err := db.ExplainAnalyzeQuery("select count(*) from big, small, tiny where b_small = s_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Int64(); got != 10000 {
+		t.Fatalf("count = %d, want 10000", got)
+	}
+	for _, want := range []string{
+		"NestedLoopJoin inner est=10000 (actual rows=10000 ",
+		"HashJoin inner keys=[1]/[0] est=1000 [EVJ] (actual rows=1000 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("explain analyze missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestEstimatorElevenItemsMatchWrittenOrder runs an 11-item block, which
+// takes the greedy step, against the same join written as a JOIN … ON
+// chain, which keeps its written order: the rows must agree.
+func TestEstimatorElevenItemsMatchWrittenOrder(t *testing.T) {
+	db := engine.Open(engine.Config{Routines: core.AllRoutines, PoolPages: 256})
+	// t0 references t1..t5; t(i) references t(i+5). Sizes differ so the
+	// greedy order is not the written one.
+	mustExec(t, db, "create table t0 (k integer not null, a1 integer not null, a2 integer not null, a3 integer not null, a4 integer not null, a5 integer not null, primary key (k))")
+	for k := 1; k <= 200; k++ {
+		mustExec(t, db, fmt.Sprintf("insert into t0 values (%d, %d, %d, %d, %d, %d)", k, k%20+1, k*2%20+1, k*3%20+1, k*7%20+1, k*11%20+1))
+	}
+	for i := 1; i <= 10; i++ {
+		mustExec(t, db, fmt.Sprintf("create table t%d (k integer not null, n integer not null, primary key (k))", i))
+		rows := 20
+		if i > 5 {
+			rows = 5 + i
+		}
+		for k := 1; k <= rows; k++ {
+			mustExec(t, db, fmt.Sprintf("insert into t%d values (%d, %d)", i, k, (k*i)%5+1))
+		}
+	}
+	cols := "t0.k, t1.k, t2.k, t3.k, t4.k, t5.k, t6.k, t7.k, t8.k, t9.k, t10.k"
+	filter := "t7.k <= 3 and t3.k < 12"
+	conds := []string{}
+	for i := 1; i <= 5; i++ {
+		conds = append(conds, fmt.Sprintf("t0.a%d = t%d.k", i, i), fmt.Sprintf("t%d.n = t%d.k", i, i+5))
+	}
+	listed := fmt.Sprintf("select %s from t10, t9, t8, t7, t6, t5, t4, t3, t2, t1, t0 where %s and %s order by 1, 2, 3",
+		cols, strings.Join(conds, " and "), filter)
+	written := "select " + cols + " from t0"
+	for i := 1; i <= 5; i++ {
+		written += fmt.Sprintf(" join t%d on %s", i, conds[2*(i-1)])
+	}
+	for i := 1; i <= 5; i++ {
+		written += fmt.Sprintf(" join t%d on %s", i+5, conds[2*(i-1)+1])
+	}
+	written += " where " + filter + " order by 1, 2, 3"
+
+	got, err := db.Query(listed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Query(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 {
+		t.Fatal("the written-order join returned no rows")
+	}
+	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+		t.Fatalf("greedy order returned %d rows, written order %d:\n%v\n%v", len(got.Rows), len(want.Rows), got.Rows, want.Rows)
+	}
+}

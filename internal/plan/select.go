@@ -44,16 +44,19 @@ type fromItem struct {
 	est     float64
 	filters []sql.Expr // pushed-down single-item conjuncts
 	// rel is set for base-table items; attachFilters uses it to consider
-	// equality index scans.
-	rel *catalog.Relation
+	// equality index scans. rows is then the relation's row estimate before
+	// the pushed filters.
+	rel  *catalog.Relation
+	rows float64
 }
 
 // joinEdge is an equi-join conjunct between two from items.
 type joinEdge struct {
-	li, ri int
-	lIdent *sql.Ident // column of item li
-	rIdent *sql.Ident // column of item ri
-	used   bool
+	li, ri     int
+	lCol, rCol int        // the columns' ordinals in items li and ri
+	lIdent     *sql.Ident // column of item li
+	rIdent     *sql.Ident // column of item ri
+	used       bool
 }
 
 // planSelect plans one SELECT block. parent is the enclosing scope for
@@ -207,9 +210,9 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 	} else {
 		pred = &expr.And{Kids: kids}
 	}
-	sp.p.tryIndexScan(it, kids)
+	pinned := sp.p.tryIndexScan(it, kids)
 	it.node = sp.p.filterOver(it.node, pred, true)
-	it.est = it.est / float64(1+len(it.filters))
+	it.est = filteredEst(it.est, len(it.filters), pinned)
 	return nil
 }
 
@@ -217,34 +220,33 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 // index scan when the pushed conjuncts pin a prefix of some index's key
 // (see matchEqPrefix). The full filter stays on top as a recheck, so the
 // rewrite is always safe; the win is skipping the heap scan for point
-// and small-prefix lookups.
-func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) {
+// and small-prefix lookups. It reports whether the probe pins every column
+// of a unique key, i.e. fetches at most one row.
+func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
 	if it.rel == nil {
-		return
+		return false
 	}
 	if _, ok := it.node.(*exec.SeqScan); !ok {
-		return
+		return false
 	}
 	probe, ok := p.matchEqPrefix(conjuncts, it.rel)
 	if !ok {
-		return
+		return false
 	}
 	h, err := p.HeapFor(it.rel)
 	if err != nil {
-		return
+		return false
 	}
 	deform, err := p.Mod.Deformer(it.rel)
 	if err != nil {
-		return
+		return false
 	}
 	scan := exec.NewIndexScan(h, probe.Index.Tree, deform, 0, nil, nil, false)
 	scan.KeyExprs = probe.KeyExprs
 	scan.KeyTypes = probe.KeyTypes
 	scan.Latch = probe.Index.Latch
 	it.node = scan
-	if it.est > 100 {
-		it.est = 100
-	}
+	return probe.Index.Tree.Unique && len(probe.KeyExprs) == len(probe.Index.Cols)
 }
 
 // identEqEdge recognizes a two-item equi-join conjunct col_a = col_b.
@@ -258,19 +260,20 @@ func identEqEdge(c sql.Expr, itemCols [][]column) *joinEdge {
 	if !ok1 || !ok2 {
 		return nil
 	}
-	find := func(id *sql.Ident) int {
+	find := func(id *sql.Ident) (int, int) {
 		for i, cols := range itemCols {
 			if idx, err := findColumn(cols, id.Parts); err == nil && idx >= 0 {
-				return i
+				return i, idx
 			}
 		}
-		return -1
+		return -1, -1
 	}
-	a, bb := find(li), find(ri)
+	a, ac := find(li)
+	bb, bc := find(ri)
 	if a < 0 || bb < 0 || a == bb {
 		return nil
 	}
-	return &joinEdge{li: a, ri: bb, lIdent: li, rIdent: ri}
+	return &joinEdge{li: a, ri: bb, lCol: ac, rCol: bc, lIdent: li, rIdent: ri}
 }
 
 // factorOrEdges extracts equi-join conjuncts that appear in every branch
@@ -320,71 +323,30 @@ func splitDisjuncts(e sql.Expr) []sql.Expr {
 	return []sql.Expr{e}
 }
 
-// treeState is the join tree under construction.
+// treeState is the join tree under construction and its estimated rows.
 type treeState struct {
 	node exec.Node
 	cols []column
+	est  float64
 }
 
-// buildJoinTree greedily assembles a left-deep join tree: start from the
-// largest item (the probe side), repeatedly attach the smallest item
-// connected by an equi-join edge as the hash-join build side; cross-join
-// (materialized nested loop) only when nothing connects.
+// buildJoinTree assembles the left-deep join tree in the order joinOrder
+// chose: each item after the first (the probe side) is a hash-join build
+// side keyed on every equi-join edge linking it to the tree, or the inner
+// side of a materialized nested-loop cross join when no edge does.
 func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*treeState, error) {
-	n := len(items)
-	inTree := make([]bool, n)
-	itemOffset := make([]int, n)
-
-	// Start with the largest item.
-	start := 0
-	for i := 1; i < n; i++ {
-		if items[i].est > items[start].est {
-			start = i
-		}
+	if len(items) == 1 {
+		return &treeState{node: items[0].node, cols: append([]column(nil), items[0].cols...), est: items[0].est}, nil
 	}
-	ts := &treeState{node: items[start].node, cols: append([]column(nil), items[start].cols...)}
-	inTree[start] = true
-	itemOffset[start] = 0
-
-	for added := 1; added < n; added++ {
-		// Find the smallest item connected to the tree.
-		next := -1
-		for i := 0; i < n; i++ {
-			if inTree[i] {
-				continue
-			}
-			connected := false
-			for _, e := range edges {
-				if e.used {
-					continue
-				}
-				if e.li == i && inTree[e.ri] || e.ri == i && inTree[e.li] {
-					connected = true
-					break
-				}
-			}
-			if connected && (next < 0 || items[i].est < items[next].est) {
-				next = i
-			}
-		}
-		if next < 0 {
-			// Cross join with the smallest remaining item.
-			for i := 0; i < n; i++ {
-				if !inTree[i] && (next < 0 || items[i].est < items[next].est) {
-					next = i
-				}
-			}
-			itemOffset[next] = len(ts.cols)
-			ts.node = &exec.NLJoin{
-				Outer: ts.node,
-				Inner: &exec.Materialize{Child: items[next].node},
-				Type:  exec.InnerJoin,
-			}
-			ts.cols = append(ts.cols, items[next].cols...)
-			inTree[next] = true
-			continue
-		}
-
+	order, ests, err := joinOrder(items, edges)
+	if err != nil {
+		return nil, err
+	}
+	first := items[order[0]]
+	ts := &treeState{node: first.node, cols: append([]column(nil), first.cols...), est: first.est}
+	inTree := uint64(1) << order[0]
+	for k, next := range order[1:] {
+		ts.est = ests[k+1]
 		// Gather all unused edges connecting next to the tree as keys.
 		var outerKeys, innerKeys []int
 		var keyTypes []types.T
@@ -394,9 +356,9 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 			}
 			var treeIdent, itemIdent *sql.Ident
 			switch {
-			case e.li == next && inTree[e.ri]:
+			case e.li == next && inTree&(1<<e.ri) != 0:
 				itemIdent, treeIdent = e.lIdent, e.rIdent
-			case e.ri == next && inTree[e.li]:
+			case e.ri == next && inTree&(1<<e.li) != 0:
 				itemIdent, treeIdent = e.rIdent, e.lIdent
 			default:
 				continue
@@ -414,10 +376,18 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 			keyTypes = append(keyTypes, items[next].cols[ii].t)
 			e.used = true
 		}
-		itemOffset[next] = len(ts.cols)
-		ts.node = sp.p.hashJoin(ts.node, items[next].node, outerKeys, innerKeys, keyTypes, exec.InnerJoin, nil)
+		if len(outerKeys) == 0 {
+			ts.node = &exec.NLJoin{
+				Outer: ts.node,
+				Inner: &exec.Materialize{Child: items[next].node},
+				Type:  exec.InnerJoin,
+				Est:   ts.est,
+			}
+		} else {
+			ts.node = sp.p.hashJoin(ts.node, items[next].node, outerKeys, innerKeys, keyTypes, exec.InnerJoin, nil, ts.est)
+		}
 		ts.cols = append(ts.cols, items[next].cols...)
-		inTree[next] = true
+		inTree |= 1 << next
 	}
 
 	// Leftover edges (cycles) become post filters on the combined row.
@@ -479,7 +449,8 @@ func (sp *selectPlan) planTableRef(ref sql.TableRef) (*fromItem, error) {
 		for i, a := range rel.Attrs {
 			cols[i] = column{tbl: alias, name: a.Name, t: a.Type}
 		}
-		return &fromItem{node: node, cols: cols, est: p.estRows(rel), rel: rel}, nil
+		rows := p.estRows(rel)
+		return &fromItem{node: node, cols: cols, est: rows, rel: rel, rows: rows}, nil
 
 	case *sql.SubqueryRef:
 		node, sub, err := p.planSelect(r.Sel, sp.parent)
@@ -518,10 +489,11 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 	combined := append(append([]column(nil), left.cols...), right.cols...)
 
 	if r.Type == sql.JoinCross {
+		est := joinRefEst(left, right, nil, exec.InnerJoin)
 		return &fromItem{
-			node: &exec.NLJoin{Outer: left.node, Inner: &exec.Materialize{Child: right.node}, Type: exec.InnerJoin},
+			node: &exec.NLJoin{Outer: left.node, Inner: &exec.Materialize{Child: right.node}, Type: exec.InnerJoin, Est: est},
 			cols: combined,
-			est:  left.est * right.est,
+			est:  est,
 		}, nil
 	}
 
@@ -530,11 +502,13 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 		jt = exec.LeftJoin
 	}
 	itemCols := [][]column{left.cols, right.cols}
+	var edges []*joinEdge
 	var outerKeys, innerKeys []int
 	var keyTypes []types.T
 	var residualASTs []sql.Expr
 	for _, c := range splitConjuncts(r.On) {
 		if e := identEqEdge(c, itemCols); e != nil {
+			edges = append(edges, e)
 			lId, rId := e.lIdent, e.rIdent
 			if e.li == 1 {
 				lId, rId = rId, lId // normalize: left ident first
@@ -566,18 +540,19 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 		}
 	}
 
+	est := joinRefEst(left, right, edges, jt)
 	var node exec.Node
 	if len(outerKeys) > 0 {
-		node = sp.p.hashJoin(left.node, right.node, outerKeys, innerKeys, keyTypes, jt, residual)
+		node = sp.p.hashJoin(left.node, right.node, outerKeys, innerKeys, keyTypes, jt, residual, est)
 	} else {
 		nl := &exec.NLJoin{
 			Outer: left.node, Inner: &exec.Materialize{Child: right.node},
-			Type: jt, Qual: residual,
+			Type: jt, Qual: residual, Est: est,
 		}
 		nl.QualCompiled, nl.QualBee = sp.p.compileQual(residual)
 		node = nl
 	}
-	return &fromItem{node: node, cols: combined, est: left.est * 1.2}, nil
+	return &fromItem{node: node, cols: combined, est: est}, nil
 }
 
 // substVar is a pre-resolved substitution target for aggregate planning.
