@@ -263,88 +263,21 @@ func flattenAnd(e expr.Expr, into []expr.Expr) []expr.Expr {
 // conjuncts, it tells a semi/anti hash join how much of each inner row
 // its residual can read.
 func MaxVarIdx(e expr.Expr) (int, bool) {
-	switch n := e.(type) {
-	case nil:
-		return -1, true
-	case *expr.Const:
-		return -1, true
-	case *expr.Var:
-		return n.Idx, true
-	case *expr.Param:
-		return -1, true
-	case *expr.Cmp:
-		return maxVar2(n.L, n.R)
-	case *expr.Arith:
-		return maxVar2(n.L, n.R)
-	case *expr.And:
-		return maxVarList(n.Kids)
-	case *expr.Or:
-		return maxVarList(n.Kids)
-	case *expr.Not:
-		return MaxVarIdx(n.Kid)
-	case *expr.IsNull:
-		return MaxVarIdx(n.Kid)
-	case *expr.Like:
-		return MaxVarIdx(n.Kid)
-	case *expr.InList:
-		return MaxVarIdx(n.Kid)
-	case *expr.DateArith:
-		return MaxVarIdx(n.L)
-	case *expr.ExtractYear:
-		return MaxVarIdx(n.Kid)
-	case *expr.Neg:
-		return MaxVarIdx(n.Kid)
-	case *expr.Substring:
-		hi, ok := maxVar2(n.Start, n.Span)
-		if !ok {
-			return 0, false
-		}
-		k, ok := MaxVarIdx(n.Kid)
-		if !ok {
-			return 0, false
-		}
-		return max(hi, k), true
-	case *expr.Case:
-		hi := -1
-		for _, w := range n.Whens {
-			m, ok := maxVar2(w.Cond, w.Result)
-			if !ok {
-				return 0, false
-			}
-			hi = max(hi, m)
-		}
-		if n.Else != nil {
-			m, ok := MaxVarIdx(n.Else)
-			if !ok {
-				return 0, false
-			}
-			hi = max(hi, m)
-		}
-		return hi, true
-	}
-	return 0, false
-}
-
-func maxVar2(l, r expr.Expr) (int, bool) {
-	a, ok := MaxVarIdx(l)
-	if !ok {
-		return 0, false
-	}
-	b, ok := MaxVarIdx(r)
-	if !ok {
-		return 0, false
-	}
-	return max(a, b), true
-}
-
-func maxVarList(kids []expr.Expr) (int, bool) {
 	hi := -1
-	for _, k := range kids {
-		m, ok := MaxVarIdx(k)
-		if !ok {
-			return 0, false
+	ok := expr.Walk(e, func(e expr.Expr) bool {
+		switch n := e.(type) {
+		case *expr.Var:
+			hi = max(hi, n.Idx)
+		case *expr.Const, *expr.Param, *expr.Cmp, *expr.Arith, *expr.And, *expr.Or,
+			*expr.Not, *expr.IsNull, *expr.Like, *expr.InList, *expr.DateArith,
+			*expr.ExtractYear, *expr.Neg, *expr.Substring, *expr.Case:
+		default:
+			return false
 		}
-		hi = max(hi, m)
+		return true
+	})
+	if !ok {
+		return 0, false
 	}
 	return hi, true
 }

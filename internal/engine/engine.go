@@ -521,8 +521,7 @@ func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *p
 		return nil, nil, err
 	}
 	root := planned.Root
-	db.obs.observeParallel(root)
-	db.obs.observeBatch(root)
+	db.obs.observePlan(root)
 	db.advisorObservePlan(root, sel, time.Since(start))
 	if analyze && p == nil {
 		db.obs.foldNodeStats(root)
@@ -551,10 +550,10 @@ func foldNodeSpans(execSpan *trace.Span, root exec.Node) {
 	exec.WalkNodes(root, func(n exec.Node) {
 		switch in := n.(type) {
 		case *exec.Instrumented:
-			execSpan.ChildAt("exec.node."+exec.NodeTypeName(in.Inner), in.Elapsed,
+			execSpan.ChildAt("exec.node."+exec.NodeTypeName(in), in.Elapsed,
 				fmt.Sprintf("rows=%d loops=%d", in.Rows, in.Loops))
 		case *exec.InstrumentedBatch:
-			execSpan.ChildAt("exec.node."+exec.NodeTypeName(in.Inner), in.Elapsed,
+			execSpan.ChildAt("exec.node."+exec.NodeTypeName(in), in.Elapsed,
 				fmt.Sprintf("rows=%d batches=%d", in.Rows, in.Batches))
 		}
 	})

@@ -264,24 +264,40 @@ func (o *observer) resetSlow() {
 	o.mu.Unlock()
 }
 
-// observeParallel folds a finished plan's Gather worker statistics into
-// the parallel-execution metrics: the parallel_queries counter and the
-// per-worker scan/agg latency histograms (one observation per partition
-// worker run).
-func (o *observer) observeParallel(root exec.Node) {
-	found := false
-	exec.WalkGathers(root, func(g *exec.Gather) {
-		found = true
-		for _, ws := range g.WorkerStats() {
-			if ws.Agg {
-				o.latParAgg.Observe(ws.Elapsed)
-			} else {
-				o.latParScan.Observe(ws.Elapsed)
+// observePlan folds a finished plan's statistics in one walk: Gather
+// worker statistics into the parallel-execution metrics (the
+// parallel_queries counter and the per-worker scan/agg latency
+// histograms, one observation per partition worker run), and batch-scan
+// statistics into the batch-execution counters (how many queries took the
+// batch path and how many batches/rows moved through it).
+func (o *observer) observePlan(root exec.Node) {
+	var parallel, batch bool
+	var batches, rows int64
+	exec.WalkNodes(root, func(n exec.Node) {
+		switch v := n.(type) {
+		case *exec.Gather:
+			parallel = true
+			for _, ws := range v.WorkerStats() {
+				if ws.Agg {
+					o.latParAgg.Observe(ws.Elapsed)
+				} else {
+					o.latParScan.Observe(ws.Elapsed)
+				}
 			}
+		case *exec.BatchSeqScan:
+			batch = true
+			b, r := v.BatchStats()
+			batches += b
+			rows += r
 		}
 	})
-	if found {
+	if parallel {
 		o.parallel.Inc()
+	}
+	if batch {
+		o.batchQueries.Inc()
+		o.batchBatches.Add(batches)
+		o.batchRows.Add(rows)
 	}
 }
 
@@ -294,40 +310,18 @@ func (o *observer) foldNodeStats(root exec.Node) {
 	exec.WalkNodes(root, func(n exec.Node) {
 		switch in := n.(type) {
 		case *exec.Instrumented:
-			name := "exec.node." + exec.NodeTypeName(in.Inner)
+			name := "exec.node." + exec.NodeTypeName(in)
 			o.reg.Counter(name + ".rows").Add(in.Rows)
 			o.reg.Counter(name + ".loops").Add(in.Loops)
 			o.reg.Counter(name + ".time_ns").Add(int64(in.Elapsed))
 		case *exec.InstrumentedBatch:
-			name := "exec.node." + exec.NodeTypeName(in.Inner)
+			name := "exec.node." + exec.NodeTypeName(in)
 			o.reg.Counter(name + ".rows").Add(in.Rows)
 			o.reg.Counter(name + ".batches").Add(in.Batches)
 			o.reg.Counter(name + ".loops").Add(in.Loops)
 			o.reg.Counter(name + ".time_ns").Add(int64(in.Elapsed))
 		}
 	})
-}
-
-// observeBatch folds a finished plan's batch-scan statistics into the
-// batch-execution counters: how many queries took the batch path and how
-// many batches/rows moved through it.
-func (o *observer) observeBatch(root exec.Node) {
-	var batches, rows int64
-	found := false
-	exec.WalkNodes(root, func(n exec.Node) {
-		if bs, ok := n.(*exec.BatchSeqScan); ok {
-			found = true
-			b, r := bs.BatchStats()
-			batches += b
-			rows += r
-		}
-	})
-	if !found {
-		return
-	}
-	o.batchQueries.Inc()
-	o.batchBatches.Add(batches)
-	o.batchRows.Add(rows)
 }
 
 // --- public DB surface ---

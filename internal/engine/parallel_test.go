@@ -275,3 +275,35 @@ func TestParallelScanWithConcurrentDML(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestInListSubqueryStaysSerial pins ParallelSafeExpr's look under an IN
+// list: a scalar subquery there caches its result in the one node every
+// partition shares, so the plan must stay serial (run with -race).
+func TestInListSubqueryStaysSerial(t *testing.T) {
+	db := analyzeDB(t)
+	defer db.SetWorkers(2) // restore the golden-test degree
+	db.SetWorkers(4)
+	const sub = "(select max(o_orderkey) from orders where o_totalprice > 0)"
+	top, err := db.Query(sub[1 : len(sub)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := fmt.Sprintf("select l_returnflag, count(*) from lineitem where %s in (1, %d) group by l_returnflag",
+		sub, top.Rows[0][0].Int64())
+	plan, err := db.ExplainQuery(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plan, "Gather") {
+		t.Fatalf("a subquery under an IN list reached the partition workers:\n%s", plan)
+	}
+	got, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Query("select l_returnflag, count(*) from lineitem group by l_returnflag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, "in-list subquery", want, got)
+}

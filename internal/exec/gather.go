@@ -576,108 +576,24 @@ func (g *Gather) Schema() []ColInfo {
 	return cols
 }
 
-// WalkGathers visits every Gather in a plan tree (unwrapping analyzed
-// runs' Instrumented decorators) so the engine can fold worker statistics
-// into the metrics registry.
-func WalkGathers(n Node, fn func(*Gather)) {
-	switch in := n.(type) {
-	case *Instrumented:
-		n = in.Inner
-	case *InstrumentedBatch:
-		n = in.Inner
-	}
-	switch v := n.(type) {
-	case *Gather:
-		fn(v)
-		for _, p := range v.Parts {
-			WalkGathers(p, fn)
-		}
-	case *Filter:
-		WalkGathers(v.Child, fn)
-	case *Project:
-		WalkGathers(v.Child, fn)
-	case *Limit:
-		WalkGathers(v.Child, fn)
-	case *Sort:
-		WalkGathers(v.Child, fn)
-	case *Distinct:
-		WalkGathers(v.Child, fn)
-	case *Materialize:
-		WalkGathers(v.Child, fn)
-	case *HashAgg:
-		WalkGathers(v.Child, fn)
-	case *HashJoin:
-		WalkGathers(v.Outer, fn)
-		WalkGathers(v.Inner, fn)
-	case *NLJoin:
-		WalkGathers(v.Outer, fn)
-		WalkGathers(v.Inner, fn)
-	case *Rebatch:
-		WalkGathers(v.Child, fn)
-	case *BatchFilter:
-		WalkGathers(v.Child, fn)
-	case *BatchHashAgg:
-		WalkGathers(v.Child, fn)
-	}
-}
-
-// ParallelSafeExpr reports whether an expression may be evaluated
-// concurrently by partition workers. The walk is a whitelist: every node
-// type known to be stateless at Eval passes; anything else — subquery
-// expressions (which run stateful subplans and cache results), outer-row
-// references, and future node types — conservatively disqualifies the
-// plan from parallel execution, mirroring the bee module's fallback
+// ParallelSafeExpr reports whether partition workers may evaluate e
+// concurrently: every node of it must be of a type known to be stateless
+// at Eval. Subquery expressions (which run stateful subplans and cache
+// results), outer-row references and node types added later fail it, so
+// a plan carrying one stays serial — mirroring the bee module's fallback
 // behaviour for shapes its snippets do not cover.
 func ParallelSafeExpr(e expr.Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return true
-	case *expr.Var, *expr.Const, *expr.InList:
-		return true
-	case *expr.Param:
-		// Workers only read the bound slot values; binding happens before
-		// the plan runs.
-		return true
-	case *expr.Like:
-		return ParallelSafeExpr(n.Kid)
-	case *expr.Cmp:
-		return ParallelSafeExpr(n.L) && ParallelSafeExpr(n.R)
-	case *expr.Arith:
-		return ParallelSafeExpr(n.L) && ParallelSafeExpr(n.R)
-	case *expr.DateArith:
-		return ParallelSafeExpr(n.L)
-	case *expr.And:
-		for _, k := range n.Kids {
-			if !ParallelSafeExpr(k) {
-				return false
-			}
+	return expr.Walk(e, func(e expr.Expr) bool {
+		switch e.(type) {
+		case *expr.Var, *expr.Const, *expr.Cmp, *expr.Arith, *expr.DateArith,
+			*expr.And, *expr.Or, *expr.Not, *expr.Neg, *expr.IsNull, *expr.InList,
+			*expr.Like, *expr.ExtractYear, *expr.Substring, *expr.Case:
+			return true
+		case *expr.Param:
+			// Workers only read the bound slot values; binding happens before
+			// the plan runs.
+			return true
 		}
-		return true
-	case *expr.Or:
-		for _, k := range n.Kids {
-			if !ParallelSafeExpr(k) {
-				return false
-			}
-		}
-		return true
-	case *expr.Not:
-		return ParallelSafeExpr(n.Kid)
-	case *expr.Neg:
-		return ParallelSafeExpr(n.Kid)
-	case *expr.IsNull:
-		return ParallelSafeExpr(n.Kid)
-	case *expr.ExtractYear:
-		return ParallelSafeExpr(n.Kid)
-	case *expr.Substring:
-		return ParallelSafeExpr(n.Kid) && ParallelSafeExpr(n.Start) && ParallelSafeExpr(n.Span)
-	case *expr.Case:
-		for _, w := range n.Whens {
-			if !ParallelSafeExpr(w.Cond) || !ParallelSafeExpr(w.Result) {
-				return false
-			}
-		}
-		return ParallelSafeExpr(n.Else)
-	default:
 		return false
-	}
+	})
 }

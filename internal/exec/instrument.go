@@ -163,54 +163,6 @@ func (in *Instrumented) Close(ctx *Ctx) {
 // Schema implements Node.
 func (in *Instrumented) Schema() []ColInfo { return in.Inner.Schema() }
 
-// WalkNodes visits every node of a plan tree in pre-order, descending
-// through instrumentation wrappers, child links, batch subtrees, and
-// Gather partition subplans (but not subquery plans embedded in
-// expressions). It is the generic structural walker the engine uses to
-// collect per-node and batch statistics.
-func WalkNodes(n Node, fn func(Node)) {
-	if n == nil {
-		return
-	}
-	fn(n)
-	switch v := n.(type) {
-	case *Instrumented:
-		WalkNodes(v.Inner, fn)
-	case *InstrumentedBatch:
-		WalkNodes(v.Inner, fn)
-	case *Filter:
-		WalkNodes(v.Child, fn)
-	case *Project:
-		WalkNodes(v.Child, fn)
-	case *Limit:
-		WalkNodes(v.Child, fn)
-	case *Sort:
-		WalkNodes(v.Child, fn)
-	case *Distinct:
-		WalkNodes(v.Child, fn)
-	case *Materialize:
-		WalkNodes(v.Child, fn)
-	case *HashAgg:
-		WalkNodes(v.Child, fn)
-	case *HashJoin:
-		WalkNodes(v.Outer, fn)
-		WalkNodes(v.Inner, fn)
-	case *NLJoin:
-		WalkNodes(v.Outer, fn)
-		WalkNodes(v.Inner, fn)
-	case *Gather:
-		for _, p := range v.Parts {
-			WalkNodes(p, fn)
-		}
-	case *Rebatch:
-		WalkNodes(v.Child, fn)
-	case *BatchFilter:
-		WalkNodes(v.Child, fn)
-	case *BatchHashAgg:
-		WalkNodes(v.Child, fn)
-	}
-}
-
 // NodeTypeName returns the bare operator name of a plan node ("SeqScan",
 // "HashJoin", ...), unwrapping instrumentation.
 func NodeTypeName(n Node) string {

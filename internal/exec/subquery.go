@@ -55,6 +55,8 @@ func (s *ScalarSubquery) String() string { return "(scalar subquery)" }
 // Reset drops the uncorrelated cache (between statements).
 func (s *ScalarSubquery) Reset() { s.cached = false }
 
+func (s *ScalarSubquery) subplan() Node { return s.Plan }
+
 // ExistsSubquery implements EXISTS / NOT EXISTS.
 type ExistsSubquery struct {
 	Plan       Node
@@ -106,6 +108,8 @@ func (s *ExistsSubquery) String() string {
 
 // Reset drops the uncorrelated cache.
 func (s *ExistsSubquery) Reset() { s.cached = false }
+
+func (s *ExistsSubquery) subplan() Node { return s.Plan }
 
 // InSubquery implements expr IN (SELECT ...) / NOT IN. The subplan must
 // produce one column. For uncorrelated subqueries the result set is
@@ -213,39 +217,7 @@ func (s *InSubquery) Reset() {
 	s.sawNull = false
 }
 
-// ResetSubqueries walks an expression tree resetting subquery caches.
-func ResetSubqueries(e expr.Expr) {
-	switch n := e.(type) {
-	case *ScalarSubquery:
-		n.Reset()
-	case *ExistsSubquery:
-		n.Reset()
-	case *InSubquery:
-		n.Reset()
-		ResetSubqueries(n.Kid)
-	case *expr.And:
-		for _, k := range n.Kids {
-			ResetSubqueries(k)
-		}
-	case *expr.Or:
-		for _, k := range n.Kids {
-			ResetSubqueries(k)
-		}
-	case *expr.Not:
-		ResetSubqueries(n.Kid)
-	case *expr.Cmp:
-		ResetSubqueries(n.L)
-		ResetSubqueries(n.R)
-	case *expr.Arith:
-		ResetSubqueries(n.L)
-		ResetSubqueries(n.R)
-	case *expr.Case:
-		for _, w := range n.Whens {
-			ResetSubqueries(w.Cond)
-			ResetSubqueries(w.Result)
-		}
-		if n.Else != nil {
-			ResetSubqueries(n.Else)
-		}
-	}
-}
+func (s *InSubquery) subplan() Node { return s.Plan }
+
+// Child implements expr.Parent: Kid is the one child expression.
+func (s *InSubquery) Child() expr.Expr { return s.Kid }

@@ -116,13 +116,12 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 		wg.Add(1)
 		go func(e *tpcc.Executor, r *sessionRun) {
 			defer wg.Done()
-			mix := tpcc.DefaultMix
 			for n := 0; n < o.TxnsPerSession; n++ {
-				t := pickTxn(e, mix)
+				t := tpcc.DefaultMix.Pick(e.Rng)
 				t0 := time.Now()
 				var err error
 				for {
-					err = txnBodies[t](e)
+					err = e.Run(t)
 					// A first-updater-wins loss is the client's cue to retry
 					// the transaction; the retry is part of this
 					// transaction's latency.
@@ -183,27 +182,6 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 		m.ByType[t.String()] = TxnLatency{P50us: p[0], P95us: p[1]}
 	}
 	return m, nil
-}
-
-func pickTxn(e *tpcc.Executor, mix tpcc.Mix) tpcc.TxnType {
-	r := e.Rng.Intn(1000)
-	acc := 0
-	for t := tpcc.TxnType(0); t < 5; t++ {
-		acc += mix[t]
-		if r < acc {
-			return t
-		}
-	}
-	return tpcc.TxnNewOrder
-}
-
-// txnBodies maps a transaction type to the executor method that runs it.
-var txnBodies = [5]func(*tpcc.Executor) error{
-	tpcc.TxnNewOrder:    (*tpcc.Executor).NewOrder,
-	tpcc.TxnPayment:     (*tpcc.Executor).Payment,
-	tpcc.TxnOrderStatus: (*tpcc.Executor).OrderStatus,
-	tpcc.TxnDelivery:    (*tpcc.Executor).Delivery,
-	tpcc.TxnStockLevel:  (*tpcc.Executor).StockLevel,
 }
 
 // checkTPCCConsistency asserts the TPC-C consistency conditions the

@@ -36,7 +36,7 @@ func explainNode(b *strings.Builder, n exec.Node, depth int, analyze bool) {
 		inb = wrapped
 		n = wrapped.Inner
 	}
-	line, kids := describe(n)
+	line := describe(n)
 	if analyze && in != nil {
 		line += fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
 			in.Rows, in.Loops, in.Elapsed.Seconds()*1000)
@@ -57,15 +57,14 @@ func explainNode(b *strings.Builder, n exec.Node, depth int, analyze bool) {
 		}
 	}
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), line)
-	for _, kid := range kids {
-		explainNode(b, kid, depth+1, analyze)
-	}
+	exec.Children(n, func(kid exec.Node) { explainNode(b, kid, depth+1, analyze) }, nil)
 }
 
-// describe returns one node's outline line (bee-routine markers included)
-// and its children. Child links may point at exec.Instrumented wrappers
-// after an analyzed run; explainNode unwraps them.
-func describe(n exec.Node) (string, []exec.Node) {
+// describe returns one node's outline line (bee-routine markers
+// included); explainNode takes its children from exec.Children. Child links
+// may point at exec.Instrumented wrappers after an analyzed run;
+// explainNode unwraps them.
+func describe(n exec.Node) string {
 	switch v := n.(type) {
 	case *exec.SeqScan:
 		bee := ""
@@ -74,9 +73,9 @@ func describe(n exec.Node) (string, []exec.Node) {
 		}
 		if v.Partial {
 			return fmt.Sprintf("SeqScan %s (%d cols) pages=[%d,%d)%s",
-				v.Heap.Rel.Name, v.NAtts, v.Range.Lo, v.Range.Hi, bee), nil
+				v.Heap.Rel.Name, v.NAtts, v.Range.Lo, v.Range.Hi, bee)
 		}
-		return fmt.Sprintf("SeqScan %s (%d cols)%s", v.Heap.Rel.Name, v.NAtts, bee), nil
+		return fmt.Sprintf("SeqScan %s (%d cols)%s", v.Heap.Rel.Name, v.NAtts, bee)
 	case *exec.BatchSeqScan:
 		bee := ""
 		if v.NoteDeforms != nil {
@@ -89,77 +88,55 @@ func describe(n exec.Node) (string, []exec.Node) {
 		}
 		if v.Partial {
 			return fmt.Sprintf("BatchSeqScan %s (%d cols) batch=%d pages=[%d,%d)%s%s",
-				v.Heap.Rel.Name, v.NAtts, exec.BatchCap, v.Range.Lo, v.Range.Hi, fused, bee), nil
+				v.Heap.Rel.Name, v.NAtts, exec.BatchCap, v.Range.Lo, v.Range.Hi, fused, bee)
 		}
 		return fmt.Sprintf("BatchSeqScan %s (%d cols) batch=%d%s%s",
-			v.Heap.Rel.Name, v.NAtts, exec.BatchCap, fused, bee), nil
+			v.Heap.Rel.Name, v.NAtts, exec.BatchCap, fused, bee)
 	case *exec.BatchFilter:
 		bee := ""
 		if v.Compiled != nil {
 			bee = " [EVP]"
 		}
-		return fmt.Sprintf("BatchFilter %s%s", v.Pred, bee), []exec.Node{v.Child}
+		return fmt.Sprintf("BatchFilter %s%s", v.Pred, bee)
 	case *exec.Rebatch:
-		return "Rebatch", []exec.Node{v.Child}
+		return "Rebatch"
 	case *exec.BatchHashAgg:
-		bees := ""
-		for i := range v.Aggs {
-			if v.Aggs[i].CompiledArg != nil {
-				bees = " [EVA]"
-				break
-			}
-		}
-		names := make([]string, len(v.Aggs))
-		for i, a := range v.Aggs {
-			names[i] = a.Name
-		}
-		return fmt.Sprintf("BatchHashAgg groups=%d aggs=[%s]%s", len(v.GroupBy), strings.Join(names, ", "), bees),
-			[]exec.Node{v.Child}
+		list, bee := aggsLabel(v.Aggs)
+		return fmt.Sprintf("BatchHashAgg groups=%d aggs=%s%s", len(v.GroupBy), list, bee)
 	case *exec.IndexScan:
 		if len(v.KeyExprs) > 0 {
 			keys := make([]string, len(v.KeyExprs))
 			for i, e := range v.KeyExprs {
 				keys[i] = e.String()
 			}
-			return fmt.Sprintf("IndexScan %s via %s key=(%s)", v.Heap.Rel.Name, v.Tree.Name, strings.Join(keys, ", ")), nil
+			return fmt.Sprintf("IndexScan %s via %s key=(%s)", v.Heap.Rel.Name, v.Tree.Name, strings.Join(keys, ", "))
 		}
-		return fmt.Sprintf("IndexScan %s via %s", v.Heap.Rel.Name, v.Tree.Name), nil
+		return fmt.Sprintf("IndexScan %s via %s", v.Heap.Rel.Name, v.Tree.Name)
 	case *exec.ValuesNode:
-		return fmt.Sprintf("Values (%d rows)", len(v.Rows)), nil
+		return fmt.Sprintf("Values (%d rows)", len(v.Rows))
 	case *exec.Filter:
 		bee := ""
 		if v.Compiled != nil {
 			bee = " [EVP]"
 		}
-		return fmt.Sprintf("Filter %s%s", v.Pred, bee), []exec.Node{v.Child}
+		return fmt.Sprintf("Filter %s%s", v.Pred, bee)
 	case *exec.Project:
 		names := make([]string, len(v.Cols))
 		for i, c := range v.Cols {
 			names[i] = c.Name
 		}
-		return "Project " + strings.Join(names, ", "), []exec.Node{v.Child}
+		return "Project " + strings.Join(names, ", ")
 	case *exec.Limit:
-		return fmt.Sprintf("Limit %d offset %d", v.N, v.Offset), []exec.Node{v.Child}
+		return fmt.Sprintf("Limit %d offset %d", v.N, v.Offset)
 	case *exec.Sort:
-		return fmt.Sprintf("Sort %v", v.Keys), []exec.Node{v.Child}
+		return fmt.Sprintf("Sort %v", v.Keys)
 	case *exec.Distinct:
-		return "Distinct", []exec.Node{v.Child}
+		return "Distinct"
 	case *exec.Materialize:
-		return "Materialize", []exec.Node{v.Child}
+		return "Materialize"
 	case *exec.HashAgg:
-		bees := ""
-		for i := range v.Aggs {
-			if v.Aggs[i].CompiledArg != nil {
-				bees = " [EVA]"
-				break
-			}
-		}
-		names := make([]string, len(v.Aggs))
-		for i, a := range v.Aggs {
-			names[i] = a.Name
-		}
-		return fmt.Sprintf("HashAgg groups=%d aggs=[%s]%s", len(v.GroupBy), strings.Join(names, ", "), bees),
-			[]exec.Node{v.Child}
+		list, bee := aggsLabel(v.Aggs)
+		return fmt.Sprintf("HashAgg groups=%d aggs=%s%s", len(v.GroupBy), list, bee)
 	case *exec.HashJoin:
 		bee := ""
 		if v.EVJ != nil {
@@ -172,37 +149,38 @@ func describe(n exec.Node) (string, []exec.Node) {
 				res += " [EVP]"
 			}
 		}
-		return fmt.Sprintf("HashJoin %s keys=%v/%v est=%.0f%s%s", v.Type, v.OuterKeys, v.InnerKeys, v.Est, bee, res),
-			[]exec.Node{v.Outer, v.Inner}
+		return fmt.Sprintf("HashJoin %s keys=%v/%v est=%.0f%s%s", v.Type, v.OuterKeys, v.InnerKeys, v.Est, bee, res)
 	case *exec.NLJoin:
 		qual := ""
 		if v.Qual != nil {
 			qual = " qual=" + v.Qual.String()
 		}
-		return fmt.Sprintf("NestedLoopJoin %s est=%.0f%s", v.Type, v.Est, qual), []exec.Node{v.Outer, v.Inner}
+		return fmt.Sprintf("NestedLoopJoin %s est=%.0f%s", v.Type, v.Est, qual)
 	case *exec.Gather:
 		mode := "stream"
 		switch {
 		case len(v.Aggs) > 0 || v.GroupBy != nil:
-			mode = "partial-agg"
-			bees := ""
-			for i := range v.Aggs {
-				if v.Aggs[i].CompiledArg != nil {
-					bees = " [EVA]"
-					break
-				}
-			}
-			names := make([]string, len(v.Aggs))
-			for i, a := range v.Aggs {
-				names[i] = a.Name
-			}
-			return fmt.Sprintf("Gather workers=%d (%s groups=%d aggs=[%s])%s",
-				v.Workers, mode, len(v.GroupBy), strings.Join(names, ", "), bees), v.Parts
+			list, bee := aggsLabel(v.Aggs)
+			return fmt.Sprintf("Gather workers=%d (partial-agg groups=%d aggs=%s)%s",
+				v.Workers, len(v.GroupBy), list, bee)
 		case len(v.MergeKeys) > 0:
 			mode = "merge"
 		}
-		return fmt.Sprintf("Gather workers=%d (%s)", v.Workers, mode), v.Parts
+		return fmt.Sprintf("Gather workers=%d (%s)", v.Workers, mode)
 	default:
-		return fmt.Sprintf("%T", n), nil
+		return fmt.Sprintf("%T", n)
 	}
+}
+
+// aggsLabel renders an aggregate list as "[name, ...]" and the EVA marker
+// it earns when any argument runs a bee.
+func aggsLabel(aggs []exec.AggSpec) (list, bee string) {
+	names := make([]string, len(aggs))
+	for i, a := range aggs {
+		names[i] = a.Name
+		if a.CompiledArg != nil {
+			bee = " [EVA]"
+		}
+	}
+	return "[" + strings.Join(names, ", ") + "]", bee
 }

@@ -291,6 +291,19 @@ func TestGroupByExpressionMatching(t *testing.T) {
 	}
 }
 
+// An aggregate in SUBSTRING's FROM or FOR makes the SELECT an aggregation
+// and is substituted like one anywhere else in the output list.
+func TestAggregateUnderSubstring(t *testing.T) {
+	db := planDB(t)
+	r, err := db.Query(`select substring('abcdefghijklm' from 1 for count(*)) from tiny`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 1 || r.Rows[0][0].Str() != "abcdefghij" {
+		t.Fatalf("rows = %v, want one row abcdefghij", r.Rows)
+	}
+}
+
 func TestConvertForRelation(t *testing.T) {
 	db := planDB(t)
 	n, err := db.Exec("update tiny set t_flag = 'G' where t_id between 2 and 4")

@@ -343,7 +343,7 @@ func containsAggregate(e sql.Expr) bool {
 	case *sql.ExtractExpr:
 		return containsAggregate(n.X)
 	case *sql.SubstringExpr:
-		return containsAggregate(n.X)
+		return containsAggregate(n.X) || containsAggregate(n.From) || containsAggregate(n.For)
 	default:
 		return false
 	}

@@ -47,7 +47,7 @@ func TestSplitConjunctsAndDisjuncts(t *testing.T) {
 }
 
 func TestContainsAggregate(t *testing.T) {
-	stmt, _ := sql.Parse("select sum(x) + 1, y, case when max(z) > 2 then 1 end from t")
+	stmt, _ := sql.Parse("select sum(x) + 1, y, case when max(z) > 2 then 1 end, substring('abc' from 1 for count(*)) from t")
 	sel := stmt.(*sql.Select)
 	if !containsAggregate(sel.Items[0].Expr) {
 		t.Error("sum(x)+1 contains an aggregate")
@@ -57,5 +57,8 @@ func TestContainsAggregate(t *testing.T) {
 	}
 	if !containsAggregate(sel.Items[2].Expr) {
 		t.Error("aggregate inside CASE must be found")
+	}
+	if !containsAggregate(sel.Items[3].Expr) {
+		t.Error("aggregate in SUBSTRING's FOR must be found")
 	}
 }

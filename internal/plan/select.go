@@ -1006,6 +1006,15 @@ func (sp *selectPlan) convertSubst(e sql.Expr, s *scope, subst map[string]substV
 			b = &expr.Not{Kid: b}
 		}
 		return b, nil
+	case *sql.SubstringExpr:
+		var kids [3]expr.Expr
+		for i, k := range [3]sql.Expr{n.X, n.From, n.For} {
+			var err error
+			if kids[i], err = sp.convertSubst(k, s, subst); err != nil {
+				return nil, err
+			}
+		}
+		return &expr.Substring{Kid: kids[0], Start: kids[1], Span: kids[2]}, nil
 	default:
 		return sp.p.convertExpr(e, s)
 	}

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"microspec/internal/engine"
@@ -82,37 +83,41 @@ func NewDriver(db *engine.DB, cfg Config, mix Mix, seed int64, prof *profile.Cou
 	return &Driver{Exec: ex, Mix: mix}, nil
 }
 
-// pick selects a transaction type per the mix weights.
-func (d *Driver) pick() TxnType {
-	r := d.Exec.Rng.Intn(1000)
+// Pick draws a transaction type per the mix weights: one r.Intn(1000).
+func (m Mix) Pick(r *rand.Rand) TxnType {
+	n := r.Intn(1000)
 	acc := 0
 	for t := TxnType(0); t < numTxnTypes; t++ {
-		acc += d.Mix[t]
-		if r < acc {
+		acc += m[t]
+		if n < acc {
 			return t
 		}
 	}
 	return TxnNewOrder
 }
 
+// Run executes one transaction of type t.
+func (e *Executor) Run(t TxnType) error {
+	switch t {
+	case TxnNewOrder:
+		return e.NewOrder()
+	case TxnPayment:
+		return e.Payment()
+	case TxnOrderStatus:
+		return e.OrderStatus()
+	case TxnDelivery:
+		return e.Delivery()
+	case TxnStockLevel:
+		return e.StockLevel()
+	}
+	return fmt.Errorf("tpcc: unknown transaction type %d", int(t))
+}
+
 // RunOne executes one transaction of the mix; the returned type reports
 // what ran.
 func (d *Driver) RunOne() (TxnType, error) {
-	t := d.pick()
-	var err error
-	switch t {
-	case TxnNewOrder:
-		err = d.Exec.NewOrder()
-	case TxnPayment:
-		err = d.Exec.Payment()
-	case TxnOrderStatus:
-		err = d.Exec.OrderStatus()
-	case TxnDelivery:
-		err = d.Exec.Delivery()
-	case TxnStockLevel:
-		err = d.Exec.StockLevel()
-	}
-	return t, err
+	t := d.Mix.Pick(d.Exec.Rng)
+	return t, d.Exec.Run(t)
 }
 
 // RunFor executes transactions until the wall-clock duration elapses.

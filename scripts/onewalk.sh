@@ -1,0 +1,54 @@
+#!/bin/sh
+# onewalk.sh — run by the CI bench-smoke job.
+#
+# A tree names its children in one place: expr.Children for an
+# expression, exec.Children for a plan node (its child nodes and the
+# expressions it evaluates). WalkNodes, ResetCaches, WalkBees,
+# ParallelSafeExpr, core.MaxVarIdx and EXPLAIN are callers of them and keep
+# only their per-type actions (DESIGN.md §4.1). This fails if a walker
+# they replaced (WalkGathers, ResetSubqueries, walkExprBees, maxVar2,
+# maxVarList) is back, or if a non-test file reads a child link — .Child,
+# .Outer, .Inner or .Parts — in a `case *Filter:` / `case *exec.Filter:`
+# arm of a node type with children, outside the child table
+# (internal/exec/walk.go), plan/explain.go, exec/instrument.go's Instrument
+# and InstrumentBatch (which rewrite child links) and NodeTypeName (which
+# looks through the decorator it names), and the planner's rewrite passes
+# plan/batch.go and plan/parallel.go.
+set -u
+cd "$(dirname "$0")/.." || exit 1
+
+fail=0
+all=$(find . -name '*.go' ! -path './.git/*')
+hits=$(grep -nE '(^|[^A-Za-z0-9_])(WalkGathers|ResetSubqueries|walkExprBees|maxVar2|maxVarList)([^A-Za-z0-9_]|$)' $all)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "onewalk: a deleted walker is back"
+    fail=1
+fi
+src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' \
+    ! -path './internal/exec/walk.go' ! -path './internal/plan/explain.go' \
+    ! -path './internal/plan/batch.go' ! -path './internal/plan/parallel.go')
+hits=$(awk -v types='Instrumented|InstrumentedBatch|Rebatch|BatchFilter|BatchHashAgg|Filter|Project|Limit|Sort|Distinct|Materialize|HashAgg|HashJoin|NLJoin|Gather' '
+FNR == 1 { fn = ""; arm = 0 }
+/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); arm = 0 }
+{
+    ind = match($0, /[^\t]/) - 1
+    if (arm && ind <= armind && $0 ~ /^\t*(case |default:|\})/) arm = 0
+    if ($0 ~ "^\t*case .*\\*(exec\\.)?(" types ")[,:]") {
+        arm = 1; armind = ind; armline = FNR; armtext = $0
+    } else if (arm && $0 ~ /\.(Child|Outer|Inner|Parts)([^A-Za-z0-9_]|$)/ &&
+        !(FILENAME ~ /internal\/exec\/instrument\.go$/ && fn ~ /^(Instrument|InstrumentBatch|NodeTypeName)$/)) {
+        print FILENAME ":" armline ":" armtext
+        arm = 0
+    }
+}' $src)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "onewalk: a node-type case reads a child link outside the child table"
+    fail=1
+fi
+if [ "$fail" -ne 0 ]; then
+    echo "onewalk: FAILED — name a node's or expression's children in exec.Children / expr.Children and walk through them"
+    exit 1
+fi
+echo "onewalk: OK"
