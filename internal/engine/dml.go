@@ -2,10 +2,8 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 
 	"microspec/internal/exec"
-	"microspec/internal/index/btree"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
 	"microspec/internal/trace"
@@ -24,102 +22,25 @@ import (
 // are never blocked (they read MVCC snapshots; see docs/CONCURRENCY.md).
 // On error the transaction rolls back — statements are atomic.
 
-// insertRowLocked forms and stores one tuple version stamped with xid and
-// adds one index entry per index. Caller holds the table latch
-// exclusively. The returned undo removes the index entries and stamps the
-// version dead (rollback makes it invisible even to latest-committed
+// insertRowLocked stores one row version stamped with xid through the one
+// insert (storeLocked) and feeds it to the advisor. Caller holds the table
+// latch exclusively. The returned undo removes the index entries and stamps
+// the version dead (rollback makes it invisible even to latest-committed
 // readers).
-func (db *DB) insertRowLocked(tab *table, values []types.Datum, xid uint64, prof *profile.Counters) (heap.TID, func() error, error) {
-	tup, err := tab.form(values, prof)
+func (db *DB) insertRowLocked(tab *table, values []types.Datum, xid uint64, prof *profile.Counters) (func() error, error) {
+	tid, keys, err := db.storeLocked(tab, values, nil, xid, prof)
 	if err != nil {
-		return heap.TID{}, nil, err
+		return nil, err
 	}
 	db.advisorObserveRow(tab.rel, values)
 	ixs := tab.indexes
-	keys := ownedKeys(ixs, values)
-	// Visibility-aware unique checks come first, before any effect that
-	// would need undoing. The B+tree cannot enforce uniqueness itself: it
-	// keeps one entry per version, and dead versions of a key linger until
-	// vacuum.
-	for i, ix := range ixs {
-		if !ix.Tree.Unique {
-			continue
-		}
-		if err := db.uniqueConflict(tab.heap, ix, keys[i], xid, prof); err != nil {
-			return heap.TID{}, nil, err
-		}
-	}
-	tid, err := tab.heap.Insert(tup, xid, prof)
-	if err != nil {
-		return heap.TID{}, nil, err
-	}
-	for i, ix := range ixs {
-		ix.Tree.InsertVersion(keys[i], tid, prof)
-	}
 	undo := func() error {
 		for i, ix := range ixs {
 			ix.Tree.Delete(keys[i], tid, nil)
 		}
 		return tab.heap.MarkDeleted(tid, xid, nil)
 	}
-	return tid, undo, nil
-}
-
-// ownedKeys builds values' key in each of ixs, with the key datums cloned:
-// the keys go into the trees, and values may alias caller buffers.
-func ownedKeys(ixs []*Index, values []types.Datum) []btree.Key {
-	keys := make([]btree.Key, len(ixs))
-	for i, ix := range ixs {
-		key := indexKey(values, ix.Cols)
-		for j := range key {
-			key[j] = exec.CloneDatum(key[j])
-		}
-		keys[i] = key
-	}
-	return keys
-}
-
-// uniqueConflict reports whether inserting key into ix would violate
-// uniqueness from xid's point of view. The check is deliberately dirty:
-// an uncommitted insert of the same key by a concurrent transaction is a
-// write-write conflict (first-updater-wins — we cannot assume it will
-// abort), a committed live version is a duplicate, and versions that are
-// aborted, deleted-by-a-committed-transaction, or deleted by xid itself
-// do not count.
-func (db *DB) uniqueConflict(h *heap.Heap, ix *Index, key btree.Key, xid uint64, prof *profile.Counters) error {
-	for _, tid := range ix.Tree.SearchAll(key, prof) {
-		xmin, xmax, present, err := h.Stamps(tid)
-		if err != nil {
-			return err
-		}
-		if !present {
-			continue // vacuumed since the entry was collected
-		}
-		switch db.tm.Status(xmin) {
-		case txn.StatusAborted:
-			continue
-		case txn.StatusInProgress:
-			if xmin != xid {
-				return &txn.ConflictError{Mine: xid, Theirs: xmin}
-			}
-		}
-		if xmax == xid {
-			continue // deleted earlier in this transaction
-		}
-		if xmax != txn.None {
-			switch db.tm.Status(xmax) {
-			case txn.StatusCommitted:
-				continue // deleted for good
-			case txn.StatusAborted:
-				// Deleter rolled back: the version is live.
-			case txn.StatusInProgress:
-				// A concurrent deleter might abort; treat the version as
-				// live and fail — first-updater-wins keeps this rare.
-			}
-		}
-		return fmt.Errorf("index %s: duplicate key %v", ix.Name, key)
-	}
-	return nil
+	return undo, nil
 }
 
 // isConflict reports whether err is (or wraps) a write-write conflict.
@@ -223,43 +144,26 @@ func (db *DB) lockedCurrent(current func(bool) ([]txnOp, *txnResolved, error), a
 }
 
 // applyUpdateLocked performs one MVCC update — stamp the old version
-// deleted, insert the new version, index the new version — and returns
-// the undo that reverses all three. The old version's index entries are
-// deliberately KEPT: concurrent snapshots older than this transaction
-// still need to find the old version through the index; vacuum removes
-// the entries when it reclaims the version. A *txn.ConflictError from the
-// delete stamp means another transaction updated the row first
-// (first-updater-wins); the caller must abort.
+// deleted, then store and index the new version through the one insert
+// (storeLocked) — and returns the undo that reverses both. The old
+// version's index entries are deliberately KEPT: concurrent snapshots older
+// than this transaction still need to find the old version through the
+// index; vacuum removes the entries when it reclaims the version. The stamp
+// comes first so the old version (xmax == xid) is exempt from the new
+// one's uniqueness check. A *txn.ConflictError from the delete stamp means
+// another transaction updated the row first (first-updater-wins); the
+// caller must abort.
 func (db *DB) applyUpdateLocked(tab *table, tid heap.TID, oldVal, newVal []types.Datum, xid uint64, prof *profile.Counters) (func() error, error) {
-	tup, err := tab.form(newVal, prof)
-	if err != nil {
-		return nil, err
-	}
-	db.advisorObserveRow(tab.rel, newVal)
 	if err := tab.heap.MarkDeleted(tid, xid, prof); err != nil {
 		return nil, err
 	}
-	ixs := tab.indexes
-	newKeys := ownedKeys(ixs, newVal)
-	// Unique checks on key-changing indexes, after the old version is
-	// stamped (its xmax == xid exempts it from its own check).
-	for i, ix := range ixs {
-		if !ix.Tree.Unique || !keyChanged(oldVal, newVal, ix.Cols) {
-			continue
-		}
-		if err := db.uniqueConflict(tab.heap, ix, newKeys[i], xid, prof); err != nil {
-			_ = tab.heap.UnmarkDeleted(tid, xid)
-			return nil, err
-		}
-	}
-	newTID, err := tab.heap.Insert(tup, xid, prof)
+	newTID, newKeys, err := db.storeLocked(tab, newVal, oldVal, xid, prof)
 	if err != nil {
 		_ = tab.heap.UnmarkDeleted(tid, xid)
 		return nil, err
 	}
-	for i, ix := range ixs {
-		ix.Tree.InsertVersion(newKeys[i], newTID, prof)
-	}
+	db.advisorObserveRow(tab.rel, newVal)
+	ixs := tab.indexes
 	undo := func() error {
 		for i, ix := range ixs {
 			ix.Tree.Delete(newKeys[i], newTID, nil)

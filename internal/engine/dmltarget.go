@@ -68,9 +68,8 @@ type dmlTarget struct {
 	ectx   expr.Ctx
 	key    btree.Key
 	tids   []heap.TID
-	gather func(btree.Key, heap.TID) bool // appends to tids
-	values []types.Datum                  // the version under consideration, deformed
-	newVal []types.Datum                  // INSERT, UPDATE: the row being written
+	values []types.Datum // the version under consideration, deformed
+	newVal []types.Datum // INSERT, UPDATE: the row being written
 	hits   []dmlHit
 	evals  int64 // pred calls this execution, for the module's EVP count
 }
@@ -133,10 +132,6 @@ func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, erro
 		if probe, ok := pl.EqProbeFor(rel, t.where); ok {
 			t.tree, t.keyExprs, t.keyTypes = probe.Index.Tree, probe.KeyExprs, probe.KeyTypes
 			t.key = make(btree.Key, 0, len(t.keyExprs))
-			t.gather = func(_ btree.Key, tid heap.TID) bool {
-				t.tids = append(t.tids, tid)
-				return true
-			}
 		}
 	}
 	for _, name := range names {
@@ -225,7 +220,7 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 			if err := t.assign(t.newVal, exprs, nil); err != nil {
 				return 0, err
 			}
-			_, u, err := db.insertRowLocked(t.tab, t.newVal, xid, prof)
+			u, err := db.insertRowLocked(t.tab, t.newVal, xid, prof)
 			if err != nil {
 				return 0, err
 			}
@@ -310,7 +305,7 @@ func (t *dmlTarget) collect(snap *txn.Snapshot, prof *profile.Counters) error {
 			if match == exec.KeyMatchesNothing {
 				return nil
 			}
-			return t.collectProbe(snap, prof)
+			return t.probe(snap, prof)
 		}
 		// This binding cannot be expressed as a key (see exec.ProbeKey):
 		// scan, this execution only.
@@ -319,30 +314,17 @@ func (t *dmlTarget) collect(snap *txn.Snapshot, prof *profile.Counters) error {
 	return t.collectScan(snap, prof)
 }
 
-func (t *dmlTarget) collectProbe(snap *txn.Snapshot, prof *profile.Counters) error {
-	t.tids = t.tids[:0]
-	t.tree.AscendPrefix(t.key, prof, t.gather)
-	// Candidate versions: every index entry under the key.
+// probe considers every version filed under the key: the walk runs under
+// the exclusive table latch the caller already holds, and the visits skip
+// the versions snap cannot see.
+func (t *dmlTarget) probe(snap *txn.Snapshot, prof *profile.Counters) error {
+	t.tids = exec.IndexWalk(t.tids[:0], t.tree, t.key, t.key, nil, prof)
 	t.db.obs.dmlRowsExamined.Add(int64(len(t.tids)))
 	for _, tid := range t.tids {
-		if err := t.considerAt(tid, snap, prof); err != nil {
+		if _, err := exec.IndexVisit(t.tab.heap, tid, snap, prof, func(tup []byte) { t.consider(tid, tup, prof) }); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// considerAt fetches the version at tid if snap can see it. The index
-// holds one entry per version, so most TIDs under a hot key are versions
-// this snapshot cannot see or that vacuum has reclaimed. The deferred
-// release keeps a panicking bee from leaving the page pinned and latched.
-func (t *dmlTarget) considerAt(tid heap.TID, snap *txn.Snapshot, prof *profile.Counters) error {
-	tup, release, ok, err := t.tab.heap.Get(tid, snap, prof)
-	if err != nil || !ok {
-		return err
-	}
-	defer release()
-	t.consider(tid, tup, prof)
 	return nil
 }
 

@@ -29,7 +29,6 @@ import (
 	"microspec/internal/storage/wal"
 	"microspec/internal/trace"
 	"microspec/internal/txn"
-	"microspec/internal/types"
 )
 
 // Config controls a database instance.
@@ -145,9 +144,9 @@ type table struct {
 	rel  *catalog.Relation
 	heap *heap.Heap
 	// latch: DML statements and Txn write operations take it exclusively,
-	// index readers take it shared (the B+trees are not internally
-	// synchronized). Heap scans take no table latch at all — MVCC
-	// snapshots isolate them.
+	// index walks take it shared unless their caller holds it
+	// (exec.IndexWalk: the B+trees are not internally synchronized). Heap
+	// scans take no table latch at all — MVCC snapshots isolate them.
 	latch   sync.RWMutex
 	deform  core.DeformFunc
 	form    core.FormFunc
@@ -844,48 +843,6 @@ func (db *DB) createIndex(s *sql.CreateIndex) error {
 	return db.checkpointLocked()
 }
 
-// newIndexLocked is the one index constructor, shared by the primary key,
-// CREATE INDEX, Respecialize and recovery: a B+tree over tab's cols with
-// the bee module's specialized key comparator (the IDX bee) installed, one
-// entry per tuple already in the heap, registered on the record and by
-// name. The backfill scans with a nil snapshot — latest committed — which
-// is sound because the caller holds db.mu exclusively, so no transaction is
-// in flight. Versions deleted-and-committed get no entry: no snapshot that
-// could see them can exist either.
-func (db *DB) newIndexLocked(tab *table, name string, cols []int, unique bool) error {
-	if _, ok := db.indexes[name]; ok {
-		return fmt.Errorf("engine: index %q already exists", name)
-	}
-	tree := btree.New(name, unique)
-	keyTypes := make([]types.T, len(cols))
-	for i, c := range cols {
-		keyTypes[i] = tab.rel.Attrs[c].Type
-	}
-	if cmp, ok := db.mod.CompileIndexCmp(keyTypes); ok {
-		tree.SetComparator(func(a, b btree.Key) int { return cmp(a, b) })
-	}
-	values := make([]types.Datum, len(tab.rel.Attrs))
-	sc := tab.heap.Scan(nil, nil)
-	defer sc.Close()
-	for {
-		tid, tup, ok := sc.Next()
-		if !ok {
-			break
-		}
-		tab.deform(tup, values, len(values), nil)
-		if err := tree.Insert(indexKey(values, cols), tid, nil); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	ix := &Index{Name: name, Rel: tab.rel, Cols: cols, Tree: tree}
-	tab.indexes = append(tab.indexes, ix)
-	db.indexes[name] = ix
-	return nil
-}
-
 func (db *DB) dropTable(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -922,14 +879,6 @@ func (db *DB) SetRoutines(rs core.RoutineSet) error {
 	db.obs.beeMode.Store(rs != core.Stock)
 	db.ddlGen.Add(1)
 	return nil
-}
-
-func indexKey(values []types.Datum, cols []int) btree.Key {
-	key := make(btree.Key, len(cols))
-	for i, c := range cols {
-		key[i] = values[c]
-	}
-	return key
 }
 
 // --- Cache control (warm/cold experiments) ---

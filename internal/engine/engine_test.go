@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"microspec/internal/core"
@@ -420,6 +421,88 @@ func TestBulkLoadAndStats(t *testing.T) {
 	// Tuple bees were created for the two flag values.
 	if got := db.Module().Stats().TupleBees; got != 2 {
 		t.Errorf("tuple bees = %d, want 2", got)
+	}
+}
+
+// loadKeys bulk-loads one row per key into kv (k integer primary key, v).
+func loadKeys(db *DB, keys ...int) (int64, error) {
+	i := 0
+	return db.BulkLoad("kv", nil, func() ([]types.Datum, bool) {
+		if i >= len(keys) {
+			return nil, false
+		}
+		i++
+		return []types.Datum{types.NewInt32(int32(keys[i-1])), types.NewInt32(int32(i))}, true
+	})
+}
+
+// TestBulkLoadRefusedRowStoresNothing: a load stops at the first row the
+// uniqueness rule refuses, and that row is neither visible nor indexed.
+// (The load used to store the row in the heap before its index insert
+// failed: a seq scan counted it, an index lookup did not.)
+func TestBulkLoadRefusedRowStoresNothing(t *testing.T) {
+	db := newDB(t, core.AllRoutines)
+	mustExec(t, db, "create table kv (k integer not null, v integer not null, primary key (k))")
+	n, err := loadKeys(db, 1, 2, 1)
+	if n != 2 || err == nil || !strings.Contains(err.Error(), "duplicate key") {
+		t.Fatalf("BulkLoad: n=%d err=%v, want 2 and a duplicate-key error", n, err)
+	}
+	if got := intResult(t, db, "select count(*) from kv"); got != 2 {
+		t.Errorf("seq scan counts %d rows, want 2", got)
+	}
+	if got := intResult(t, db, "select count(*) from kv where k = 1"); got != 1 {
+		t.Errorf("index finds %d rows under k = 1, want 1", got)
+	}
+	if got := intResult(t, db, "select v from kv where k = 1"); got != 1 {
+		t.Errorf("k = 1 has v = %d, want the first row's 1", got)
+	}
+}
+
+// TestBulkLoadReusesDeletedKey: a key whose only version was deleted is
+// free to load, as it is to INSERT. (The tree's own check used to count
+// the dead version and refuse it.)
+func TestBulkLoadReusesDeletedKey(t *testing.T) {
+	db := newDB(t, core.AllRoutines)
+	mustExec(t, db, "create table kv (k integer not null, v integer not null, primary key (k))",
+		"insert into kv values (7, 0)", "delete from kv where k = 7")
+	if n, err := loadKeys(db, 7); n != 1 || err != nil {
+		t.Fatalf("BulkLoad of a deleted key: n=%d err=%v", n, err)
+	}
+	if got := intResult(t, db, "select v from kv where k = 7"); got != 1 {
+		t.Errorf("k = 7 has v = %d, want the loaded 1", got)
+	}
+	if _, err := loadKeys(db, 7); err == nil {
+		t.Error("loading a live key again succeeded")
+	}
+	if got := intResult(t, db, "select count(*) from kv"); got != 1 {
+		t.Errorf("%d rows, want 1", got)
+	}
+}
+
+// TestCreateIndexOwnsBackfilledKeys: an index built over rows already in
+// the heap (CREATE INDEX; recovery and Respecialize rebuild the same way)
+// keeps its own copy of character keys. Its backfill used to file the
+// deformed datums, which alias the buffer-pool frame: once the frame held
+// another page, lookups found nothing.
+func TestCreateIndexOwnsBackfilledKeys(t *testing.T) {
+	db := Open(Config{Routines: core.Stock, PoolPages: 16})
+	mustExec(t, db, "create table s (id integer not null, name varchar(40) not null)",
+		"create table other (id integer not null, pad varchar(40) not null)")
+	const rows = 1500
+	for i := 0; i < rows; i++ {
+		mustExec(t, db, fmt.Sprintf("insert into s values (%d, 'name-%06d')", i, i),
+			fmt.Sprintf("insert into other values (%d, 'pad-%06d-yyyyyyyyyyyyyyyy')", i, i))
+	}
+	mustExec(t, db, "create index s_name on s (name)")
+	if err := db.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, db, "select count(*) from other") // the frames now hold other's pages
+	for i := 0; i < rows; i += 37 {
+		q := fmt.Sprintf("select id from s where name = 'name-%06d'", i)
+		if r := mustQuery(t, db, q); len(r.Rows) != 1 || r.Rows[0][0].Int64() != int64(i) {
+			t.Fatalf("%s: %v", q, r.Rows)
+		}
 	}
 }
 

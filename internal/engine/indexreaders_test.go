@@ -1,0 +1,391 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"microspec/internal/core"
+	"microspec/internal/expr"
+	"microspec/internal/storage/heap"
+	"microspec/internal/types"
+)
+
+// Model test of the index read path: one table keyed (a, b), a Go map as
+// the reference, and a seeded stream of inserts, key-changing and other
+// updates, deletes, vacuums and bulk loads, some of them refused by the
+// uniqueness rule. After every step each index reader — ad hoc and
+// prepared point SELECTs (IndexScan), the four Txn readers, the DML probe
+// of a prepared UPDATE — and a seq scan must agree with the map. A
+// concurrent reader checks, meanwhile, that the readers agree with each
+// other inside one snapshot.
+
+type abKey struct{ a, b int }
+
+// idxModel is the reference: the live rows, by key.
+type idxModel map[abKey]int
+
+// under returns the rows with a in [a, a] and b in [lo, hi], ordered by b.
+func (m idxModel) under(a, lo, hi int) []string {
+	var bs []int
+	for k := range m {
+		if k.a == a && k.b >= lo && k.b <= hi {
+			bs = append(bs, k.b)
+		}
+	}
+	sort.Ints(bs)
+	out := make([]string, len(bs))
+	for i, b := range bs {
+		out[i] = fmt.Sprintf("%d:%d", b, m[abKey{a, b}])
+	}
+	return out
+}
+
+func (m idxModel) all() []string {
+	var out []string
+	for k, v := range m {
+		out = append(out, fmt.Sprintf("%d/%d:%d", k.a, k.b, v))
+	}
+	sort.Strings(out)
+	return out
+}
+
+const idxDomainA, idxDomainB = 4, 24
+
+func i32(v int) types.Datum { return types.NewInt32(int32(v)) }
+
+// idxReaders holds the prepared statements one goroutine reads through.
+type idxReaders struct {
+	t       *testing.T
+	db      *DB
+	point   *Stmt // select v … where a = $1 and b = $2
+	count   *Stmt // select count(*) … where a = $1
+	touchAt *Stmt // update … set v = v where a = $1: the DML probe
+}
+
+func newIdxReaders(t *testing.T, db *DB) *idxReaders {
+	r := &idxReaders{t: t, db: db}
+	for _, p := range []struct {
+		s    **Stmt
+		text string
+	}{
+		{&r.point, "select v from kv where a = $1 and b = $2"},
+		{&r.count, "select count(*) from kv where a = $1"},
+		{&r.touchAt, "update kv set v = v where a = $1"},
+	} {
+		s, err := db.Prepare(p.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*p.s = s
+	}
+	return r
+}
+
+func (r *idxReaders) close() {
+	r.point.Close()
+	r.count.Close()
+	r.touchAt.Close()
+}
+
+// rowsText renders (b, v) rows as the model does.
+func rowsText(rows []expr.Row) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = fmt.Sprintf("%d:%d", row[1].Int64(), row[2].Int64())
+	}
+	return out
+}
+
+// txnReads reads a's rows through the four Txn readers in one snapshot
+// and fails unless they agree with each other; it returns what the prefix
+// scan and the range scan over [lo, hi] found.
+func (r *idxReaders) txnReads(tx *Txn, a, lo, hi int) (prefix, ranged []expr.Row) {
+	t := r.t
+	if err := tx.ScanIndexPrefix("kv_pkey", []types.Datum{i32(a)}, func(row expr.Row, _ heap.TID) bool {
+		prefix = append(prefix, row)
+		return true
+	}); err != nil {
+		t.Errorf("ScanIndexPrefix(%d): %v", a, err)
+	}
+	for _, row := range prefix {
+		got, _, ok, err := tx.GetByIndex("kv_pkey", []types.Datum{row[0], row[1]})
+		if err != nil || !ok || got[2].Int64() != row[2].Int64() {
+			t.Errorf("GetByIndex(%d, %d) = %v, %v, %v; the prefix scan saw %v", a, row[1].Int64(), got, ok, err, row)
+		}
+	}
+	last, _, ok, err := tx.LastByIndexPrefix("kv_pkey", []types.Datum{i32(a)})
+	switch {
+	case err != nil:
+		t.Errorf("LastByIndexPrefix(%d): %v", a, err)
+	case ok != (len(prefix) > 0):
+		t.Errorf("LastByIndexPrefix(%d) found=%v with %d rows under the prefix", a, ok, len(prefix))
+	case ok && fmt.Sprint(last) != fmt.Sprint(prefix[len(prefix)-1]):
+		t.Errorf("LastByIndexPrefix(%d) = %v, want the last of %v", a, last, prefix)
+	}
+	if err := tx.ScanIndexRange("kv_pkey", []types.Datum{i32(a), i32(lo)}, []types.Datum{i32(a), i32(hi)}, func(row expr.Row, _ heap.TID) bool {
+		ranged = append(ranged, row)
+		return true
+	}); err != nil {
+		t.Errorf("ScanIndexRange(%d, [%d, %d]): %v", a, lo, hi, err)
+	}
+	return prefix, ranged
+}
+
+// check compares every reader with the model at key (a, b) and range
+// [lo, hi] under a.
+func (r *idxReaders) check(step string, m idxModel, a, b, lo, hi int) {
+	t, db := r.t, r.db
+	want, present := m[abKey{a, b}]
+	point := func(via string, res *Result, err error) {
+		switch {
+		case err != nil:
+			t.Errorf("%s: %s point (%d, %d): %v", step, via, a, b, err)
+		case present && (len(res.Rows) != 1 || res.Rows[0][0].Int64() != int64(want)):
+			t.Errorf("%s: %s point (%d, %d) = %v, want v=%d", step, via, a, b, res.Rows, want)
+		case !present && len(res.Rows) != 0:
+			t.Errorf("%s: %s point (%d, %d) = %v, want no row", step, via, a, b, res.Rows)
+		}
+	}
+	res, err := db.Query(fmt.Sprintf("select v from kv where a = %d and b = %d", a, b))
+	point("ad hoc", res, err)
+	res, err = r.point.Query(i32(a), i32(b))
+	point("prepared", res, err)
+
+	tx := db.Begin(nil)
+	row, _, ok, err := tx.GetByIndex("kv_pkey", []types.Datum{i32(a), i32(b)})
+	if err != nil || ok != present || (ok && row[2].Int64() != int64(want)) {
+		t.Errorf("%s: GetByIndex(%d, %d) = %v, %v, %v; want present=%v v=%d", step, a, b, row, ok, err, present, want)
+	}
+	prefix, ranged := r.txnReads(tx, a, lo, hi)
+	_ = tx.Commit()
+	if got, w := rowsText(prefix), m.under(a, 0, idxDomainB*8); fmt.Sprint(got) != fmt.Sprint(w) {
+		t.Errorf("%s: ScanIndexPrefix(%d) = %v, want %v", step, a, got, w)
+	}
+	if got, w := rowsText(ranged), m.under(a, lo, hi); fmt.Sprint(got) != fmt.Sprint(w) {
+		t.Errorf("%s: ScanIndexRange(%d, [%d, %d]) = %v, want %v", step, a, lo, hi, got, w)
+	}
+
+	n := int64(len(m.under(a, 0, idxDomainB*8)))
+	if res, err := r.count.Query(i32(a)); err != nil || res.Rows[0][0].Int64() != n {
+		t.Errorf("%s: prepared count under %d = %v, %v; want %d", step, a, res, err, n)
+	}
+	if got, err := r.touchAt.Exec(i32(a)); err != nil || got != n {
+		t.Errorf("%s: update under %d affected %d, %v; want %d", step, a, got, err, n)
+	}
+}
+
+// seqScanAgrees compares the whole table, read by a heap scan, with the model.
+func seqScanAgrees(t *testing.T, db *DB, step string, m idxModel) {
+	res := mustQuery(t, db, "select a, b, v from kv")
+	got := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		got[i] = fmt.Sprintf("%d/%d:%d", row[0].Int64(), row[1].Int64(), row[2].Int64())
+	}
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(m.all()) {
+		t.Fatalf("%s: seq scan %v, model %v", step, got, m.all())
+	}
+}
+
+// idxStep applies one random step to db and to the model and returns
+// its kind and a description.
+func idxStep(t *testing.T, db *DB, rng *rand.Rand, m idxModel) (string, string) {
+	a, b := rng.Intn(idxDomainA), rng.Intn(idxDomainB)
+	k := abKey{a, b}
+	_, exists := m[k]
+	v := rng.Intn(1000)
+	switch c := rng.Intn(12); {
+	case c < 3:
+		step := fmt.Sprintf("insert (%d, %d, %d)", a, b, v)
+		_, err := db.Exec(fmt.Sprintf("insert into kv values (%d, %d, %d)", a, b, v))
+		if exists != (err != nil) {
+			t.Fatalf("%s: err=%v with the key present=%v", step, err, exists)
+		}
+		if exists {
+			return "insert refused", step
+		}
+		m[k] = v
+		return "insert", step
+	case c < 5:
+		nb := rng.Intn(idxDomainB * 2)
+		_, taken := m[abKey{a, nb}]
+		step := fmt.Sprintf("move (%d, %d) to b=%d", a, b, nb)
+		n, err := db.Exec(fmt.Sprintf("update kv set b = %d where a = %d and b = %d", nb, a, b))
+		switch {
+		case !exists && (err != nil || n != 0):
+			t.Fatalf("%s: n=%d err=%v on an absent key", step, n, err)
+		case exists && nb != b && taken:
+			if err == nil {
+				t.Fatalf("%s: a key-changing update onto a live key succeeded", step)
+			}
+			return "move refused", step
+		case exists && (err != nil || n != 1):
+			t.Fatalf("%s: n=%d err=%v", step, n, err)
+		case exists:
+			old := m[k]
+			delete(m, k)
+			m[abKey{a, nb}] = old
+		}
+		return "move", step
+	case c < 7:
+		step := fmt.Sprintf("set (%d, %d) v=%d", a, b, v)
+		n, err := db.Exec(fmt.Sprintf("update kv set v = %d where a = %d and b = %d", v, a, b))
+		if err != nil || n != int64(len(m.under(a, b, b))) {
+			t.Fatalf("%s: n=%d err=%v", step, n, err)
+		}
+		if exists {
+			m[k] = v
+		}
+		return "set", step
+	case c < 9:
+		step := fmt.Sprintf("delete (%d, %d)", a, b)
+		n, err := db.Exec(fmt.Sprintf("delete from kv where a = %d and b = %d", a, b))
+		if err != nil || n != int64(len(m.under(a, b, b))) {
+			t.Fatalf("%s: n=%d err=%v", step, n, err)
+		}
+		delete(m, k)
+		return "delete", step
+	case c == 9:
+		if _, err := db.Vacuum(); err != nil {
+			t.Fatalf("vacuum: %v", err)
+		}
+		return "vacuum", "vacuum"
+	default:
+		// A bulk load of fresh keys; a third of the time one row repeats a
+		// live key, and the load must stop there with the rows before it
+		// loaded and indexed.
+		var rows [][]types.Datum
+		batch := map[abKey]bool{}
+		refuseAt := -1
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			k := abKey{rng.Intn(idxDomainA), rng.Intn(idxDomainB)}
+			if _, live := m[k]; live || batch[k] {
+				if refuseAt < 0 && rng.Intn(3) == 0 {
+					refuseAt = len(rows)
+					rows = append(rows, []types.Datum{i32(k.a), i32(k.b), i32(rng.Intn(1000))})
+				}
+				continue
+			}
+			batch[k] = true
+			rows = append(rows, []types.Datum{i32(k.a), i32(k.b), i32(rng.Intn(1000))})
+		}
+		i := 0
+		n, err := db.BulkLoad("kv", nil, func() ([]types.Datum, bool) {
+			if i >= len(rows) {
+				return nil, false
+			}
+			i++
+			return rows[i-1], true
+		})
+		want := len(rows)
+		if refuseAt >= 0 {
+			want = refuseAt
+		}
+		step := fmt.Sprintf("bulk load %v (refuse at %d)", rows, refuseAt)
+		if n != int64(want) || (err != nil) != (refuseAt >= 0) {
+			t.Fatalf("%s: n=%d err=%v", step, n, err)
+		}
+		for _, row := range rows[:want] {
+			m[abKey{int(row[0].Int32()), int(row[1].Int32())}] = int(row[2].Int32())
+		}
+		if refuseAt >= 0 {
+			return "load refused", step
+		}
+		return "load", step
+	}
+}
+
+// startIdxReader reads random keys until stopped, failing when the
+// readers disagree inside one transaction's snapshot, or a point read
+// finds a key the snapshot's prefix scan does not.
+func startIdxReader(t *testing.T, db *DB, seed int64) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		r := newIdxReaders(t, db)
+		defer r.close()
+		rng := rand.New(rand.NewSource(seed))
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			a, lo := rng.Intn(idxDomainA), rng.Intn(idxDomainB)
+			hi := lo + rng.Intn(idxDomainB)
+			tx := db.Begin(nil)
+			prefix, ranged := r.txnReads(tx, a, lo, hi)
+			_ = tx.Commit()
+			var inRange []expr.Row
+			for _, row := range prefix {
+				if b := int(row[1].Int64()); b >= lo && b <= hi {
+					inRange = append(inRange, row)
+				}
+			}
+			if fmt.Sprint(inRange) != fmt.Sprint(ranged) {
+				t.Errorf("one snapshot: prefix scan under %d has %v in [%d, %d], range scan %v", a, prefix, lo, hi, ranged)
+			}
+			if res, err := r.point.Query(i32(a), i32(lo)); err != nil || len(res.Rows) > 1 {
+				t.Errorf("point (%d, %d): %d rows, %v", a, lo, len(res.Rows), err)
+			}
+			runtime.Gosched()
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// TestIndexReadersAgree drives the model under two configurations (stock
+// routines without automatic vacuum; bees, among them the IDX comparator,
+// with vacuum after every few dead versions), with a concurrent reader.
+func TestIndexReadersAgree(t *testing.T) {
+	steps := 250
+	if testing.Short() {
+		steps = 60
+	}
+	for ci, cfg := range []Config{
+		{Routines: core.Stock, PoolPages: 256, VacuumEvery: -1},
+		{Routines: core.AllRoutines, PoolPages: 256, VacuumEvery: 4},
+	} {
+		t.Run(fmt.Sprintf("bees=%v", cfg.Routines != core.Stock), func(t *testing.T) {
+			db := Open(cfg)
+			mustExec(t, db, "create table kv (a integer not null, b integer not null, v integer not null, primary key (a, b))")
+			r := newIdxReaders(t, db)
+			defer r.close()
+			for _, q := range []string{"select v from kv where a = 1 and b = 2", "select count(*) from kv where a = 1"} {
+				if plan, err := db.ExplainQuery(q); err != nil || !strings.Contains(plan, "IndexScan") {
+					t.Fatalf("%s: want an index scan, got %v %v", q, plan, err)
+				}
+			}
+			stop := startIdxReader(t, db, int64(ci))
+			defer stop()
+			rng := rand.New(rand.NewSource(int64(34 + ci)))
+			m := idxModel{}
+			kinds := map[string]int{}
+			for i := 0; i < steps && !t.Failed(); i++ {
+				kind, what := idxStep(t, db, rng, m)
+				kinds[kind]++
+				step := fmt.Sprintf("step %d: %s", i, what)
+				seqScanAgrees(t, db, step, m)
+				for j := 0; j < 3; j++ {
+					a, b, lo := rng.Intn(idxDomainA), rng.Intn(idxDomainB*2), rng.Intn(idxDomainB)
+					r.check(step, m, a, b, lo, lo+rng.Intn(idxDomainB))
+				}
+			}
+			for _, kind := range []string{"insert", "insert refused", "move", "move refused", "set", "delete", "vacuum", "load", "load refused"} {
+				if kinds[kind] == 0 && !t.Failed() {
+					t.Errorf("the stream took no %q step (%v)", kind, kinds)
+				}
+			}
+		})
+	}
+}

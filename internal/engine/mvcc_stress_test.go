@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"microspec/internal/core"
+	"microspec/internal/exec"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -110,10 +111,11 @@ func TestConcurrentUpdateReadVisibility(t *testing.T) {
 // debugDumpKey renders every index entry under key with its version
 // stamps and the snapshot's view — diagnostics for the test above.
 func debugDumpKey(t *Txn, indexName string, key []types.Datum) string {
-	rel, tids, err := t.walk(indexName, key, nil, false)
+	ix, rel, err := t.indexFor(indexName)
 	if err != nil {
 		return err.Error()
 	}
+	tids := exec.IndexWalk(nil, ix.Tree, key, key, &rel.latch, nil)
 	var b []byte
 	b = fmt.Appendf(b, "snapshot self=%d; %d entries under key\n", t.id, len(tids))
 	for _, tid := range tids {

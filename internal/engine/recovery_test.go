@@ -423,6 +423,34 @@ func TestBulkLoadDurable(t *testing.T) {
 	}
 }
 
+// TestBulkLoadRefusedDurable: a load refused part way keeps the rows
+// before the refused one, and on a durable database they survive a crash:
+// the load checkpoints them before it returns the error. (It used to
+// return before its checkpoint, and recovery lost every row it had
+// reported loaded.)
+func TestBulkLoadRefusedDurable(t *testing.T) {
+	db, dm := durableDB(t, false)
+	mustExec(t, db, "create table kv (k integer not null, v integer not null, primary key (k))")
+	n, err := loadKeys(db, 1, 2, 3, 2, 4)
+	if n != 3 || err == nil {
+		t.Fatalf("BulkLoad: n=%d err=%v, want 3 rows and an error", n, err)
+	}
+	for _, name := range []string{"before the crash", "after recovery"} {
+		d := db
+		if name == "after recovery" {
+			d = crashRecover(t, db, dm, 0)
+		}
+		if got := intResult(t, d, "select count(*) from kv"); got != 3 {
+			t.Errorf("%s: %d rows, want 3", name, got)
+		}
+		for k := 1; k <= 3; k++ {
+			if got := intResult(t, d, fmt.Sprintf("select count(*) from kv where k = %d", k)); got != 1 {
+				t.Errorf("%s: index finds %d rows under k = %d, want 1", name, got, k)
+			}
+		}
+	}
+}
+
 func TestGroupCommitFewerFsyncsThanNaive(t *testing.T) {
 	// Sequential single-session commits can't batch, so compare the
 	// counters' plumbing here; the concurrency win is measured by the

@@ -283,7 +283,7 @@ func (t *Txn) Insert(relName string, values []types.Datum) error {
 	if err != nil {
 		return err
 	}
-	_, undo, err := t.db.insertRowLocked(tab, values, t.id, t.prof)
+	undo, err := t.db.insertRowLocked(tab, values, t.id, t.prof)
 	return t.endWrite(tab, undo, err)
 }
 
@@ -316,27 +316,20 @@ func (t *Txn) DeleteRow(relName string, tid heap.TID) error {
 // invisible-to-this-snapshot versions under the same key are skipped (the
 // index keeps one entry per version until vacuum).
 func (t *Txn) GetByIndex(indexName string, key []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
-	tb, tids, err := t.walk(indexName, key, nil, false)
-	if err == nil {
-		err = t.visit(tb, tids, func(r expr.Row, at heap.TID) bool {
-			row, tid, ok = r, at, true
-			return false
-		})
-	}
+	err = t.readIndex(indexName, key, key, false, func(r expr.Row, at heap.TID) bool {
+		row, tid, ok = r, at, true
+		return false
+	})
 	return row, tid, ok, err
 }
 
 // LastByIndexPrefix returns the visible row with the greatest key under
 // prefix (e.g. a customer's most recent order).
 func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
-	tb, tids, err := t.walk(indexName, prefix, nil, false)
-	if err == nil {
-		slices.Reverse(tids)
-		err = t.visit(tb, tids, func(r expr.Row, at heap.TID) bool {
-			row, tid, ok = r, at, true
-			return false
-		})
-	}
+	err = t.readIndex(indexName, prefix, prefix, true, func(r expr.Row, at heap.TID) bool {
+		row, tid, ok = r, at, true
+		return false
+	})
 	return row, tid, ok, err
 }
 
@@ -345,58 +338,43 @@ func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (row exp
 // UpdateRow/DeleteRow: the index positions are collected before fn runs,
 // so the tree walk never holds a per-operation latch across a callback.
 func (t *Txn) ScanIndexPrefix(indexName string, prefix []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	tb, tids, err := t.walk(indexName, prefix, nil, false)
-	if err != nil {
-		return err
-	}
-	return t.visit(tb, tids, fn)
+	return t.readIndex(indexName, prefix, prefix, false, fn)
 }
 
 // ScanIndexRange visits visible rows with lo <= key <= hi (prefix
 // semantics on both bounds), under the same callback rules.
 func (t *Txn) ScanIndexRange(indexName string, lo, hi []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	tb, tids, err := t.walk(indexName, lo, hi, true)
+	return t.readIndex(indexName, lo, hi, false, fn)
+}
+
+// readIndex is the one index read of a Txn, which it counts as one
+// operation: walk the named index from lo through hi (exec.IndexWalk; in
+// reverse key order when reverse), then hand fn each version the snapshot
+// sees, deformed through the table's routine (the GCL bee on a bee-enabled
+// database) into a row fn owns, until fn returns false. An interactive
+// transaction has the walk take the table latch shared; a fused one's plan
+// already holds it.
+func (t *Txn) readIndex(indexName string, lo, hi btree.Key, reverse bool, fn func(row expr.Row, tid heap.TID) bool) error {
+	ix, tb, err := t.indexFor(indexName)
 	if err != nil {
 		return err
 	}
-	return t.visit(tb, tids, fn)
-}
-
-// walk resolves an index name and gathers the TIDs of its entries under
-// prefix lo or, when ranged, from lo through hi (prefix semantics on both
-// bounds); it is the one index walk of a read operation, which it counts.
-// An interactive transaction holds the table latch in shared mode for the
-// walk — the B+tree is not internally synchronized, and concurrent DML
-// mutates it under the exclusive latch; a fused one's plan already holds it.
-func (t *Txn) walk(indexName string, lo, hi btree.Key, ranged bool) (txnTable, []heap.TID, error) {
-	ix, tb, err := t.indexFor(indexName)
-	if err != nil {
-		return txnTable{}, nil, err
-	}
 	t.ops++
-	if t.plan == nil {
-		tb.latch.RLock()
+	latch := &tb.latch
+	if t.plan != nil {
+		latch = nil
 	}
-	var tids []heap.TID
-	gather := func(_ btree.Key, tid heap.TID) bool {
-		tids = append(tids, tid)
-		return true
+	tids := exec.IndexWalk(nil, ix.Tree, lo, hi, latch, t.prof)
+	if reverse {
+		slices.Reverse(tids)
 	}
-	if ranged {
-		ix.Tree.AscendRange(lo, hi, t.prof, gather)
-	} else {
-		ix.Tree.AscendPrefix(lo, t.prof, gather)
-	}
-	if t.plan == nil {
-		tb.latch.RUnlock()
-	}
-	return tb, tids, nil
-}
-
-// visit hands fn the visible version, if any, at each TID in order.
-func (t *Txn) visit(tb txnTable, tids []heap.TID, fn func(row expr.Row, tid heap.TID) bool) error {
 	for _, tid := range tids {
-		row, ok, err := t.fetchRow(tb, tid)
+		var row expr.Row
+		ok, err := exec.IndexVisit(tb.heap, tid, t.snap, t.prof, func(tup []byte) {
+			values := make([]types.Datum, len(tb.rel.Attrs))
+			tb.deform(tup, values, len(values), t.prof)
+			row = exec.CloneRow(values)
+		})
 		if err != nil {
 			return err
 		}
@@ -407,27 +385,15 @@ func (t *Txn) visit(tb txnTable, tids []heap.TID, fn func(row expr.Row, tid heap
 	return nil
 }
 
-// fetchRow reads and deforms one tuple version through the table's deform
-// routine (the GCL bee on a bee-enabled database), filtered through the
-// transaction's snapshot. ok=false means the version is invisible or
-// gone.
-func (t *Txn) fetchRow(tb txnTable, tid heap.TID) (expr.Row, bool, error) {
-	tup, release, ok, err := tb.heap.Get(tid, t.snap, t.prof)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	defer release()
-	values := make([]types.Datum, len(tb.rel.Attrs))
-	tb.deform(tup, values, len(values), t.prof)
-	return exec.CloneRow(values), true, nil
-}
-
 // BulkLoad inserts rows produced by next() until it returns false,
 // bypassing per-row undo logging (loading populates fresh relations, as
-// in the paper's Figure 8 experiment). Rows are stamped txn.Frozen —
-// immediately visible to every snapshot — and the whole load runs under
-// the exclusive engine lock, quiescing all other activity. It returns the
-// number of rows loaded.
+// in the paper's Figure 8 experiment). Each row goes through the one
+// insert (storeLocked) stamped txn.Frozen — immediately visible to every
+// snapshot — and the whole load runs under the exclusive engine lock,
+// quiescing all other activity. A row the insert refuses (a duplicate key,
+// a value its column cannot store) ends the load: the rows before it stay
+// loaded, indexed and, on a durable database, checkpointed, and the error
+// is returned with their number.
 func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]types.Datum, bool)) (int64, error) {
 	if db.recovering.Load() {
 		return 0, ErrRecovering
@@ -446,23 +412,14 @@ func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]ty
 		defer tab.heap.SetWAL(db.wal)
 	}
 	var n int64
+	var loadErr error
 	for {
 		values, ok := next()
 		if !ok {
 			break
 		}
-		tup, err := tab.form(values, prof)
-		if err != nil {
-			return n, err
-		}
-		tid, err := tab.heap.Insert(tup, txn.Frozen, prof)
-		if err != nil {
-			return n, err
-		}
-		for i, key := range ownedKeys(tab.indexes, values) {
-			if err := tab.indexes[i].Tree.Insert(key, tid, prof); err != nil {
-				return n, err
-			}
+		if _, _, loadErr = db.storeLocked(tab, values, nil, txn.Frozen, prof); loadErr != nil {
+			break
 		}
 		n++
 	}
@@ -472,5 +429,5 @@ func (db *DB) BulkLoad(relName string, prof *profile.Counters, next func() ([]ty
 			return n, err
 		}
 	}
-	return n, nil
+	return n, loadErr
 }

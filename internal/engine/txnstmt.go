@@ -173,8 +173,9 @@ func (ts *TxnStmt) compileUnit() ([]txnOp, error) {
 	}
 
 	// The unit's planner copy strips the scan latches of the tables the
-	// latch plan already holds — an inner IndexScan re-acquiring the same
-	// RWMutex would self-deadlock. A write's target resolves the same
+	// latch plan already holds — a nil latch tells exec.IndexWalk it is
+	// held; an inner IndexScan re-acquiring the same RWMutex would
+	// self-deadlock. A write's target resolves the same
 	// record the latch plan holds (both read the catalog under this one
 	// db.mu hold), so it runs under the unit's latch — no second
 	// acquisition.

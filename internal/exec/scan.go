@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 
 	"microspec/internal/catalog"
@@ -138,10 +139,9 @@ type IndexScan struct {
 	// Reverse returns rows in descending key order (materialized).
 	Reverse bool
 	// Latch, when set, is the owning table's latch, held in shared mode
-	// while Open walks the B+tree: the tree is not internally
-	// synchronized and concurrent DML mutates it under the same latch in
-	// exclusive mode. Heap fetches in Next run latch-free against the
-	// snapshot.
+	// while Open walks the B+tree (see IndexWalk); nil when the plan runs
+	// under a holder of the latch. Heap fetches in Next run latch-free
+	// against the snapshot.
 	Latch *sync.RWMutex
 
 	tids []heap.TID
@@ -183,25 +183,13 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 			s.Lo = s.Lo[:0] // empty prefix: every entry
 		}
 	}
-	collect := func(_ btree.Key, tid heap.TID) bool {
-		s.tids = append(s.tids, tid)
-		return true
+	hi := s.Hi
+	if hi == nil {
+		hi = s.Lo
 	}
-	if s.Latch != nil {
-		s.Latch.RLock()
-	}
-	if s.Hi == nil {
-		s.Tree.AscendPrefix(s.Lo, ctx.Prof(), collect)
-	} else {
-		s.Tree.AscendRange(s.Lo, s.Hi, ctx.Prof(), collect)
-	}
-	if s.Latch != nil {
-		s.Latch.RUnlock()
-	}
+	s.tids = IndexWalk(s.tids, s.Tree, s.Lo, hi, s.Latch, ctx.Prof())
 	if s.Reverse {
-		for i, j := 0, len(s.tids)-1; i < j; i, j = i+1, j-1 {
-			s.tids[i], s.tids[j] = s.tids[j], s.tids[i]
-		}
+		slices.Reverse(s.tids)
 	}
 	return nil
 }
@@ -214,23 +202,18 @@ func (s *IndexScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 	for s.pos < len(s.tids) {
 		tid := s.tids[s.pos]
 		s.pos++
-		tup, release, ok, err := s.Heap.Get(tid, ctx.Snap, ctx.Prof())
+		var row expr.Row
+		ok, err := IndexVisit(s.Heap, tid, ctx.Snap, ctx.Prof(), func(tup []byte) {
+			ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
+			s.Deform(tup, s.buf, s.NAtts, ctx.Prof())
+			row = CloneRow(s.buf) // the deformed datums alias the page
+		})
 		if err != nil {
 			return nil, false, err
 		}
-		if !ok {
-			// The index keeps one entry per version, so a collected TID
-			// may be a version invisible to this snapshot, or one vacuum
-			// reclaimed since Open. Skip it; at most one version per key
-			// is visible.
-			continue
+		if ok {
+			return row, true, nil
 		}
-		ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
-		s.Deform(tup, s.buf, s.NAtts, ctx.Prof())
-		// Clone before unpin: the deformed datums alias the page.
-		row := CloneRow(s.buf)
-		release()
-		return row, true, nil
 	}
 	return nil, false, nil
 }

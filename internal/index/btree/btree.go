@@ -1,14 +1,18 @@
-// Package btree implements an in-memory B+tree index over heap TIDs, used
-// for the point lookups and range scans of the TPC-C transactions. Keys
-// are composite datum tuples compared lexicographically; duplicate keys
-// are permitted unless the index is declared unique. The tree charges
-// abstract instructions per descent to the profiler but no page I/O: index
-// pages are treated as resident, a deviation recorded in DESIGN.md (the
-// paper's experiments do not measure index I/O).
+// Package btree implements an in-memory B+tree index over heap TIDs: the
+// index every reader uses — SQL index scans, the DML probe of an UPDATE or
+// DELETE, the Txn point reads and scans the TPC-C transactions are written
+// in — all through exec.IndexWalk. Keys are composite datum tuples
+// compared lexicographically. The tree stores entries and nothing more:
+// MVCC keeps one entry per tuple version, so the same key legitimately
+// maps to several TIDs until vacuum removes the dead ones, and Unique is a
+// declaration the engine enforces with its visibility-aware rule before it
+// inserts (DESIGN.md §13.3). The tree charges abstract instructions per
+// descent to the profiler but no page I/O: index pages are treated as
+// resident, a deviation recorded in DESIGN.md (the paper's experiments do
+// not measure index I/O).
 package btree
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -94,7 +98,9 @@ type node struct {
 // Tree is the index. It is not internally synchronized; the engine
 // serializes writers and guards readers at a higher level.
 type Tree struct {
-	Name   string
+	Name string
+	// Unique declares the key unique. The tree does not enforce it (see
+	// the package comment); the engine reads it.
 	Unique bool
 	root   *node
 	size   int
@@ -151,31 +157,11 @@ func (t *Tree) cmpEntry(a entry, key Key, tid heap.TID) int {
 	}
 }
 
-// Insert adds (key, tid). For unique indexes it fails if the key exists.
-func (t *Tree) Insert(key Key, tid heap.TID, prof *profile.Counters) error {
+// Insert adds (key, tid), charging one descent. The tree keeps key: the
+// caller must not modify it afterwards.
+func (t *Tree) Insert(key Key, tid heap.TID, prof *profile.Counters) {
 	prof.Add(profile.CompStorage, profile.IndexDescend)
-	if t.Unique {
-		if _, ok := t.SearchEq(key, nil); ok {
-			return fmt.Errorf("index %s: duplicate key %v", t.Name, key)
-		}
-	}
-	t.insertEntry(key, tid)
-	return nil
-}
-
-// InsertVersion adds (key, tid) without the unique check. MVCC updates
-// keep one entry per tuple version — the same key legitimately maps to
-// several TIDs until vacuum removes the dead ones — so uniqueness cannot
-// be decided from the tree alone; the engine enforces it with a
-// visibility-aware probe before calling this.
-func (t *Tree) InsertVersion(key Key, tid heap.TID, prof *profile.Counters) {
-	prof.Add(profile.CompStorage, profile.IndexDescend)
-	t.insertEntry(key, tid)
-}
-
-func (t *Tree) insertEntry(key Key, tid heap.TID) {
-	k := append(Key(nil), key...) // own the key
-	newChild, sep := t.insert(t.root, k, tid)
+	newChild, sep := t.insert(t.root, key, tid)
 	if newChild != nil {
 		t.root = &node{
 			keys:     []Key{sep},
@@ -257,67 +243,28 @@ func (t *Tree) leafFor(key Key) *node {
 // SearchEq returns the TID of the first entry whose key's prefix equals
 // key, charging one descent.
 func (t *Tree) SearchEq(key Key, prof *profile.Counters) (heap.TID, bool) {
-	prof.Add(profile.CompStorage, profile.IndexDescend)
 	var out heap.TID
 	found := false
-	t.AscendPrefix(key, nil, func(_ Key, tid heap.TID) bool {
+	t.AscendPrefix(key, prof, func(_ Key, tid heap.TID) bool {
 		out, found = tid, true
 		return false
 	})
 	return out, found
 }
 
-// SearchAll returns the TIDs of every entry whose key prefix equals key.
-func (t *Tree) SearchAll(key Key, prof *profile.Counters) []heap.TID {
-	prof.Add(profile.CompStorage, profile.IndexDescend)
-	var out []heap.TID
-	t.AscendPrefix(key, nil, func(_ Key, tid heap.TID) bool {
-		out = append(out, tid)
-		return true
-	})
-	return out
-}
-
 // AscendPrefix visits, in key order, every entry whose key starts with
-// prefix (all entries if prefix is nil). fn returning false stops the
-// scan.
+// prefix (all entries if prefix is nil): the range [prefix, prefix].
 func (t *Tree) AscendPrefix(prefix Key, prof *profile.Counters, fn func(Key, heap.TID) bool) {
-	prof.Add(profile.CompStorage, profile.IndexDescend)
-	var n *node
-	if len(prefix) == 0 {
-		t.searches.Add(1)
-		n = t.root
-		for !n.leaf {
-			n = n.children[0]
-		}
-	} else {
-		n = t.leafFor(prefix)
-	}
-	for ; n != nil; n = n.next {
-		for _, e := range n.entries {
-			if len(prefix) > 0 {
-				c := t.cmp(e.key[:min(len(e.key), len(prefix))], prefix)
-				if c < 0 {
-					continue
-				}
-				if c > 0 {
-					return
-				}
-			}
-			if !fn(e.key, e.tid) {
-				return
-			}
-		}
-	}
+	t.AscendRange(prefix, prefix, prof, fn)
 }
 
-// AscendRange visits entries with lo <= key-prefix <= hi in key order.
-// Bounds compare against the entry key truncated to the bound's length,
-// so prefix bounds behave inclusively on both ends.
+// AscendRange visits entries with lo <= key-prefix <= hi in key order,
+// charging one descent; fn returning false stops the walk. Bounds compare
+// against the entry key truncated to the bound's length, so prefix bounds
+// behave inclusively on both ends, and an empty bound is open.
 func (t *Tree) AscendRange(lo, hi Key, prof *profile.Counters, fn func(Key, heap.TID) bool) {
 	prof.Add(profile.CompStorage, profile.IndexDescend)
-	n := t.leafFor(lo)
-	for ; n != nil; n = n.next {
+	for n := t.leafFor(lo); n != nil; n = n.next {
 		for _, e := range n.entries {
 			if t.cmp(e.key[:min(len(e.key), len(lo))], lo) < 0 {
 				continue
@@ -351,11 +298,4 @@ func (t *Tree) Delete(key Key, tid heap.TID, prof *profile.Counters) bool {
 		}
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

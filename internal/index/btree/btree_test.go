@@ -19,6 +19,16 @@ func ik(vs ...int) Key {
 
 func tid(n int) heap.TID { return heap.TID{Page: int32(n / 100), Slot: uint16(n % 100)} }
 
+// under returns the TIDs of every entry whose key starts with prefix.
+func under(tr *Tree, prefix Key) []heap.TID {
+	var out []heap.TID
+	tr.AscendPrefix(prefix, nil, func(_ Key, td heap.TID) bool {
+		out = append(out, td)
+		return true
+	})
+	return out
+}
+
 func TestCompare(t *testing.T) {
 	cases := []struct {
 		a, b Key
@@ -44,9 +54,7 @@ func TestInsertSearchManyRandom(t *testing.T) {
 	n := 5000
 	perm := rng.Perm(n)
 	for _, v := range perm {
-		if err := tr.Insert(ik(v), tid(v), nil); err != nil {
-			t.Fatal(err)
-		}
+		tr.Insert(ik(v), tid(v), nil)
 	}
 	if tr.Len() != n {
 		t.Fatalf("len = %d", tr.Len())
@@ -62,29 +70,30 @@ func TestInsertSearchManyRandom(t *testing.T) {
 	}
 }
 
-func TestUniqueConstraint(t *testing.T) {
+// TestUniqueTreeStoresEveryVersion: Unique is a declaration the engine
+// enforces; the tree files a second entry under a key like any other, as
+// MVCC needs for the versions of one row.
+func TestUniqueTreeStoresEveryVersion(t *testing.T) {
 	tr := New("u", true)
-	if err := tr.Insert(ik(1), tid(1), nil); err != nil {
-		t.Fatal(err)
+	tr.Insert(ik(1), tid(1), nil)
+	tr.Insert(ik(1), tid(2), nil)
+	if got := under(tr, ik(1)); len(got) != 2 || got[0] != tid(1) || got[1] != tid(2) {
+		t.Errorf("entries under the key: %v", got)
 	}
-	if err := tr.Insert(ik(1), tid(2), nil); err == nil {
-		t.Error("duplicate insert into unique index must fail")
-	}
-	if tr.Len() != 1 {
-		t.Errorf("len = %d", tr.Len())
+	if !tr.Unique || tr.Len() != 2 {
+		t.Errorf("Unique=%v Len=%d", tr.Unique, tr.Len())
 	}
 }
 
-func TestDuplicatesAndSearchAll(t *testing.T) {
+func TestDuplicatesUnderOnePrefix(t *testing.T) {
 	tr := New("multi", false)
 	for i := 0; i < 10; i++ {
 		tr.Insert(ik(5), tid(i), nil)
 	}
 	tr.Insert(ik(4), tid(100), nil)
 	tr.Insert(ik(6), tid(101), nil)
-	got := tr.SearchAll(ik(5), nil)
-	if len(got) != 10 {
-		t.Fatalf("SearchAll returned %d", len(got))
+	if got := under(tr, ik(5)); len(got) != 10 {
+		t.Fatalf("prefix walk returned %d", len(got))
 	}
 }
 
@@ -203,7 +212,7 @@ func TestDeleteSpecificDuplicate(t *testing.T) {
 	if !tr.Delete(ik(7), tid(2), nil) {
 		t.Fatal("delete of specific duplicate failed")
 	}
-	got := tr.SearchAll(ik(7), nil)
+	got := under(tr, ik(7))
 	if len(got) != 2 {
 		t.Fatalf("remaining = %d", len(got))
 	}
@@ -257,8 +266,8 @@ func TestTreeMatchesReferenceModel(t *testing.T) {
 // descent in leafFor: when many entries share one key (MVCC versions),
 // a leaf split can leave older duplicates in the left sibling with the
 // shared key as the parent separator. A right-biased descent (first
-// separator strictly greater) would land past them, making SearchAll,
-// SearchEq, AscendPrefix, and Delete miss every duplicate left of the
+// separator strictly greater) would land past them, making SearchEq,
+// AscendPrefix, AscendRange and Delete miss every duplicate left of the
 // split point — exactly the versions an older snapshot still needs.
 func TestDuplicatesAcrossLeafSplits(t *testing.T) {
 	tr := New("dup_split", false)
@@ -269,36 +278,36 @@ func TestDuplicatesAcrossLeafSplits(t *testing.T) {
 	n := 0
 	for round := 0; round < 40; round++ {
 		for k := 0; k < 10; k++ {
-			tr.InsertVersion(ik(hot-20+k), tid(n), nil)
+			tr.Insert(ik(hot-20+k), tid(n), nil)
 			n++
 		}
 		for v := 0; v < 10; v++ {
-			tr.InsertVersion(ik(hot), tid(n), nil)
+			tr.Insert(ik(hot), tid(n), nil)
 			n++
 		}
 		for k := 0; k < 10; k++ {
-			tr.InsertVersion(ik(hot+1+k), tid(n), nil)
+			tr.Insert(ik(hot+1+k), tid(n), nil)
 			n++
 		}
 	}
-	if got := len(tr.SearchAll(ik(hot), nil)); got != 400 {
-		t.Fatalf("SearchAll found %d of 400 duplicates", got)
+	if got := len(under(tr, ik(hot))); got != 400 {
+		t.Fatalf("prefix walk found %d of 400 duplicates", got)
 	}
 	if _, ok := tr.SearchEq(ik(hot), nil); !ok {
 		t.Fatal("SearchEq missed the hot key")
 	}
 	// Every (key, tid) pair must be individually deletable.
-	for _, td := range tr.SearchAll(ik(hot), nil) {
+	for _, td := range under(tr, ik(hot)) {
 		if !tr.Delete(ik(hot), td, nil) {
 			t.Fatalf("Delete missed (hot,%v)", td)
 		}
 	}
-	if got := len(tr.SearchAll(ik(hot), nil)); got != 0 {
+	if got := len(under(tr, ik(hot))); got != 0 {
 		t.Fatalf("%d duplicates survived deletion", got)
 	}
 	// Neighbors are untouched.
 	for k := 0; k < 10; k++ {
-		if got := len(tr.SearchAll(ik(hot-20+k), nil)); got != 40 {
+		if got := len(under(tr, ik(hot-20+k))); got != 40 {
 			t.Fatalf("neighbor %d: %d of 40 entries", hot-20+k, got)
 		}
 	}

@@ -56,8 +56,8 @@ type Planner struct {
 // IndexMeta describes one index usable for planning: the indexed column
 // ordinals (in key order) and the open handle the executor probes. Latch
 // is the owning table's latch; index scans walk the tree under it in
-// shared mode because the tree is not internally synchronized (see
-// exec.IndexScan.Latch).
+// shared mode because the tree is not internally synchronized, and a nil
+// Latch says the plan runs under a holder of it (see exec.IndexWalk).
 type IndexMeta struct {
 	Name  string
 	Cols  []int
