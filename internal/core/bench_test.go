@@ -74,9 +74,9 @@ func BenchmarkGCLDeformOrdersNoTupleBees(b *testing.B) {
 }
 
 // BenchmarkDeformBatch compares per-tuple deform dispatch against the
-// DeformBatch bee form over a page-sized run of tuples (the batch
-// executor's unit of work): generic loop, per-tuple GCL calls, and one
-// batch-GCL call.
+// batch bee form over a page-sized run of tuples (the batch executor's
+// unit of work): generic loop, per-tuple GCL calls, and one batch-GCL
+// call, each over every attribute.
 func benchBatchTuples(b *testing.B, m *Module, rel *catalog.Relation, n int) ([][]byte, []expr.Row) {
 	b.Helper()
 	tups := make([][]byte, n)
@@ -97,10 +97,13 @@ func BenchmarkDeformBatchGeneric(b *testing.B) {
 	rel := benchRelStock(b)
 	m.OnCreateRelation(rel)
 	tups, rows := benchBatchTuples(b, m, rel, 256)
-	deform := genericBatchDeform(rel)
+	deform, err := m.ScanDeformer(rel, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		deform(tups, rows, 9, nil)
+		deform.Batch(tups, rows, nil)
 	}
 }
 
@@ -120,11 +123,15 @@ func BenchmarkDeformBatchPerTupleGCL(b *testing.B) {
 func BenchmarkDeformBatchGCL(b *testing.B) {
 	m := NewModule(RoutineSet{GCL: true, SCL: true})
 	rel := benchRelStock(b)
-	rb := m.OnCreateRelation(rel)
+	m.OnCreateRelation(rel)
 	tups, rows := benchBatchTuples(b, m, rel, 256)
+	deform, err := m.ScanDeformer(rel, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rb.DeformBatch(tups, rows, 9, nil)
+		deform.Batch(tups, rows, nil)
 	}
 }
 

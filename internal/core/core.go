@@ -220,7 +220,8 @@ func (m *Module) RelationBeeFor(rel *catalog.Relation) *RelationBee {
 
 // DeformFunc extracts the first natts attributes of a stored tuple into
 // values — the signature shared by the generic slot_deform_tuple wrapper
-// and the GCL bee routine.
+// and the GCL bee routine. Scans deform through a ScanDeform over the
+// attributes they read instead (see ScanDeformer).
 type DeformFunc func(tup []byte, values []types.Datum, natts int, prof *profile.Counters)
 
 // Deformer returns the deform routine the executor should use for rel:
@@ -240,43 +241,6 @@ func (m *Module) Deformer(rel *catalog.Relation) (DeformFunc, error) {
 	return func(tup []byte, values []types.Datum, natts int, prof *profile.Counters) {
 		tuple.SlotDeform(rel, tup, values, natts, prof)
 	}, nil
-}
-
-// BatchDeformFunc is the batch form of DeformFunc: it extracts the first
-// natts attributes of every tuple in tups into the corresponding rows of
-// out (len(out) ≥ len(tups), each row at least natts wide). The batch
-// executor hands it a whole pinned heap page at a time, so the deform
-// loop — specialized or generic — runs without re-entering the caller
-// per tuple.
-type BatchDeformFunc func(tups [][]byte, out []expr.Row, natts int, prof *profile.Counters)
-
-// genericBatchDeform wraps the generic interpreted deform loop in the
-// batch signature (the stock engine's page-at-a-time path).
-func genericBatchDeform(rel *catalog.Relation) BatchDeformFunc {
-	return func(tups [][]byte, out []expr.Row, natts int, prof *profile.Counters) {
-		for i, tup := range tups {
-			tuple.SlotDeform(rel, tup, out[i], natts, prof)
-		}
-	}
-}
-
-// BatchDeformer returns the page-wise deform routine for rel: the
-// relation bee's DeformBatch form when GCL is enabled, otherwise the
-// generic loop wrapped in the batch signature. Mirrors Deformer. The
-// handle is the relation bee's when its specialized routine is the one
-// returned (the scan reports its deform time there), nil otherwise.
-func (m *Module) BatchDeformer(rel *catalog.Relation) (BatchDeformFunc, *Bee, error) {
-	m.mu.RLock()
-	rb := m.relBees[rel.ID]
-	useGCL := m.routines.GCL
-	m.mu.RUnlock()
-	if useGCL && rb != nil {
-		return rb.DeformBatch, rb.bee, nil
-	}
-	if rel.Spec != nil {
-		return nil, nil, fmt.Errorf("core: relation %s has specialized storage but GCL is disabled", rel.Name)
-	}
-	return genericBatchDeform(rel), nil, nil
 }
 
 // FormFunc forms the stored bytes of a tuple from its values.

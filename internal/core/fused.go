@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"microspec/internal/catalog"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/tuple"
@@ -26,12 +25,13 @@ import (
 // appends the ordinals of passing tuples to sel (rows of rejected
 // ordinals are left partially deformed — consumers must honour the
 // selection vector).
-type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32
+type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, sel []int32, prof *profile.Counters) []int32
 
 // fusedCheck is one conjunct scheduled into the deform program: pred runs
-// as soon as attributes [0, attr] have been deformed.
+// as soon as steps [0, step] have run, which write every list position
+// it reads.
 type fusedCheck struct {
-	attr int
+	step int
 	pred boolFrag
 	cost int64
 }
@@ -83,19 +83,20 @@ func (rc *rawCheck) take(c *types.Datum) bool {
 }
 
 // rawCheckFor returns the stored-bytes form of conjunct c, if it has one:
-// a comparison of a column that ops deforms with a fixed-offset word read
+// a comparison of a column that prog deforms with a fixed-offset word read
 // (not a tuple-bee hole, not behind a varlena) against a constant of the
-// column's class or a $n.
-func rawCheckFor(c expr.Expr, ops []deformOp, natts int) (rawCheck, bool) {
+// column's class or a $n. The column's Var ordinal is its position in
+// prog's attribute list.
+func rawCheckFor(c expr.Expr, prog *colProgram) (rawCheck, bool) {
 	cmp, ok := c.(*expr.Cmp)
 	if !ok {
 		return rawCheck{}, false
 	}
 	v, ok := cmp.L.(*expr.Var)
-	if !ok || v.Idx >= natts {
+	if !ok || v.Idx >= len(prog.at) {
 		return rawCheck{}, false
 	}
-	step := &ops[v.Idx]
+	step := &prog.ops[prog.at[v.Idx]]
 	if (step.op != deformOpWord4Const && step.op != deformOpWord8Const) || step.kind != v.T.Kind {
 		return rawCheck{}, false
 	}
@@ -130,44 +131,36 @@ func (rc *rawCheck) test(data []byte) tri {
 	return truth(cmp(rc.op, raw, rc.ci))
 }
 
-// Fused instantiates the fused GCL∘EVP routine for filtering rel's tuples
-// with the program's predicate over its first natts attributes. It
-// requires an EVP program in service, both routine classes enabled, a
-// non-nullable schema (the specialized deform program), and full snippet
-// coverage of every conjunct; otherwise nil and the planner keeps the
-// separate BatchSeqScan→BatchFilter pair.
+// Fused instantiates the fused GCL∘EVP routine for filtering the rows d
+// emits with the program's predicate, whose Var ordinals are positions in
+// d's attribute list. It requires an EVP program in service, d running
+// the specialized deform program (GCL enabled, a non-nullable schema), and
+// full snippet coverage of every conjunct; otherwise nil and the planner
+// keeps the separate BatchSeqScan→BatchFilter pair.
 //
 // Conjuncts with a stored-bytes form (rawCheckFor) run first, on the
 // tuple as stored; the rest are evaluated in ascending order of the
-// highest attribute they read, each as soon as the deform program has
-// reached it — not textual order. Filtering semantics are unaffected: a
+// highest position they read, each as soon as the deform program has
+// written it — not textual order. Filtering semantics are unaffected: a
 // row passes iff no conjunct evaluates to false or NULL, which is
 // order-independent for the side-effect-free expressions the snippet
 // library covers. The abstract-instruction charge is the deform cost of
-// the attributes actually deformed plus the per-term cost of every
-// conjunct actually evaluated, wherever it ran.
+// the steps actually run plus the per-term cost of every conjunct
+// actually evaluated, wherever it ran.
 //
 // The routine is a form of the predicate's EVP bee — same registry entry —
 // so a panic in either form quarantines both and the next plan falls back
 // to the generic path.
-func (p Program) Fused(rel *catalog.Relation, natts int) FusedScanFilterFunc {
-	if !p.inService() || p.bee.kind != kindEVP {
+func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
+	if !p.inService() || p.bee.kind != kindEVP || d.prog == nil {
 		return nil
 	}
-	m, b, e := p.m, p.bee, p.e
-	m.mu.RLock()
-	enabled := m.routines.GCL
-	rb := m.relBees[rel.ID]
-	m.mu.RUnlock()
-	if !enabled || rb == nil || rb.gclCost == nil {
-		return nil
-	}
-	ops := buildDeformProgram(rel)
+	m, b, e, prog := p.m, p.bee, p.e, d.prog
 	var raws []rawCheck
 	var checks []fusedCheck
 	var predCost int64
 	for _, c := range flattenAnd(e, nil) {
-		if rc, ok := rawCheckFor(c, ops, natts); ok && len(raws) < maxRawChecks {
+		if rc, ok := rawCheckFor(c, prog); ok && len(raws) < maxRawChecks {
 			raws = append(raws, rc)
 			predCost += rc.cost
 			continue
@@ -176,30 +169,30 @@ func (p Program) Fused(rel *catalog.Relation, natts int) FusedScanFilterFunc {
 		if fr.cls == clsNone {
 			return nil
 		}
-		attr, ok := MaxVarIdx(c)
-		if !ok || attr >= natts {
+		pos, ok := MaxVarIdx(c)
+		if !ok || pos >= len(prog.at) {
 			return nil
 		}
+		step := -1
+		if pos >= 0 {
+			step = int(prog.at[pos])
+		}
 		cost := int64(fr.terms) * evpTermCost
-		checks = append(checks, fusedCheck{attr: attr, pred: fr.truth(), cost: cost})
+		checks = append(checks, fusedCheck{step: step, pred: fr.truth(), cost: cost})
 		predCost += cost
 	}
 	slices.SortStableFunc(raws, func(a, b rawCheck) int { return int(a.off - b.off) })
-	slices.SortStableFunc(checks, func(a, b fusedCheck) int { return a.attr - b.attr })
+	slices.SortStableFunc(checks, func(a, b fusedCheck) int { return a.step - b.step })
 
-	var combos *comboTable
-	if rb.DataSections != nil {
-		combos = rb.DataSections.combos
-	}
-	gclCost := rb.gclCost
+	ops, combos, gclCost := prog.ops, prog.combos, prog.cost
 	// The fused bee replaces deform AND filter, so its benefit line pairs
 	// the full-deform-plus-predicate bee cost (the no-abandon worst case)
 	// against the generic loop plus interpreted predicate.
 	if !b.widen("EVP "+b.name+" (fused into GCL)",
-		gclCost[natts]+evpBaseCost+predCost, genericDeformCost(rel, natts)+stockExprCost(e)) {
+		gclCost[len(ops)]+evpBaseCost+predCost, prog.stockCost+stockExprCost(e)) {
 		return nil
 	}
-	return func(tups [][]byte, out []expr.Row, natts int, sel []int32, prof *profile.Counters) []int32 {
+	return func(tups [][]byte, out []expr.Row, sel []int32, prof *profile.Counters) []int32 {
 		m.maybePanic(b)
 		var bound [maxRawChecks]rawCheck
 		raws := bound[:copy(bound[:], raws)]
@@ -223,9 +216,9 @@ func (p Program) Fused(rel *catalog.Relation, natts int) FusedScanFilterFunc {
 			s, off := 0, 0
 			pass := true
 			for _, ck := range checks {
-				if ck.attr >= s {
-					off = runDeformSegment(ops, data, beeID, combos, values, s, ck.attr+1, off)
-					s = ck.attr + 1
+				if ck.step >= s {
+					off = runDeformSegment(ops, data, beeID, combos, values, s, ck.step+1, off)
+					s = ck.step + 1
 				}
 				evpCost += ck.cost
 				if ck.pred(values) != triTrue {
@@ -234,8 +227,8 @@ func (p Program) Fused(rel *catalog.Relation, natts int) FusedScanFilterFunc {
 				}
 			}
 			if pass {
-				runDeformSegment(ops, data, beeID, combos, values, s, natts, off)
-				s = natts
+				runDeformSegment(ops, data, beeID, combos, values, s, len(ops), off)
+				s = len(ops)
 				sel = append(sel, int32(i))
 			}
 			deformCost += gclCost[s]
@@ -259,9 +252,7 @@ func flattenAnd(e expr.Expr, into []expr.Expr) []expr.Expr {
 
 // MaxVarIdx returns the highest row ordinal e reads (-1 when it reads
 // none) and ok=false for shapes outside the snippet library's coverage —
-// the same node set compileNode handles. Besides scheduling fused
-// conjuncts, it tells a semi/anti hash join how much of each inner row
-// its residual can read.
+// the same node set compileNode handles. It schedules fused conjuncts.
 func MaxVarIdx(e expr.Expr) (int, bool) {
 	hi := -1
 	ok := expr.Walk(e, func(e expr.Expr) bool {

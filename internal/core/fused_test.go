@@ -12,10 +12,11 @@ import (
 	"microspec/internal/types"
 )
 
-// The fused scan-filter tests some conjuncts on the stored bytes. It must
-// select exactly the rows deform-then-evaluate selects, hand them over
-// fully deformed, and never test stored bytes for a column that has none
-// at a fixed offset (a tuple-bee hole, anything behind a varlena).
+// The fused scan-filter tests some conjuncts on the stored bytes. Over any
+// attribute list it must select exactly the rows deform-then-evaluate
+// selects, hand them over fully deformed, and never test stored bytes for
+// a column that has none at a fixed offset (a tuple-bee hole, anything
+// behind a varlena).
 
 // fusedSchema is lineitem- and orders-shaped at once: fixed-offset words
 // of every width, tuple-bee holes (one of them numeric) in the middle of
@@ -44,6 +45,10 @@ type fusedFixture struct {
 	pages [][][]byte
 	rng   *rand.Rand
 	slots *expr.ParamSlots
+	// atts is the attribute list conjuncts are written over (nil: every
+	// attribute); pos[a] is attribute a's position in it, -1 if unread.
+	atts []int
+	pos  []int
 }
 
 func newFusedFixture(t *testing.T, rs RoutineSet, seed int64) *fusedFixture {
@@ -55,6 +60,7 @@ func newFusedFixture(t *testing.T, rs RoutineSet, seed int64) *fusedFixture {
 		t.Fatal(err)
 	}
 	f.rel, f.rb = rel, f.m.OnCreateRelation(rel)
+	f.read(nil)
 	for p := 0; p < 6; p++ {
 		var page [][]byte
 		for i := 0; i < 50; i++ {
@@ -87,9 +93,40 @@ func (f *fusedFixture) values() []types.Datum {
 	}
 }
 
+// read makes atts the list later conjuncts are written over.
+func (f *fusedFixture) read(atts []int) {
+	f.atts, f.pos = atts, make([]int, len(f.rel.Attrs))
+	for a := range f.pos {
+		f.pos[a] = a
+		if atts != nil {
+			f.pos[a] = -1
+		}
+	}
+	for k, a := range atts {
+		f.pos[a] = k
+	}
+}
+
+// randomAtts draws an attribute list: every attribute one time in four,
+// otherwise a random subset holding at least one numeric column.
+func (f *fusedFixture) randomAtts() []int {
+	if f.rng.Intn(4) == 0 {
+		return nil
+	}
+	must := fusedNumericCols[f.rng.Intn(len(fusedNumericCols))]
+	var atts []int
+	for a := range f.rel.Attrs {
+		if a == must || f.rng.Intn(2) == 0 {
+			atts = append(atts, a)
+		}
+	}
+	return atts
+}
+
+// col is attribute i as a Var over the current list.
 func (f *fusedFixture) col(i int) *expr.Var {
 	a := &f.rel.Attrs[i]
-	return &expr.Var{Idx: i, T: a.Type, Name: a.Name}
+	return &expr.Var{Idx: f.pos[i], T: a.Type, Name: a.Name}
 }
 
 // comparand returns a right-hand side for a comparison against column i:
@@ -138,7 +175,24 @@ func (f *fusedFixture) comparand(i int) expr.Expr {
 
 var fusedNumericCols = []int{0, 1, 2, 4, 5, 6, 7, 10, 11}
 
+// conjunct draws a conjunct that reads only columns of the current list.
 func (f *fusedFixture) conjunct() expr.Expr {
+	for {
+		c := f.anyConjunct()
+		unread := false
+		expr.Walk(c, func(e expr.Expr) bool {
+			if v, ok := e.(*expr.Var); ok && v.Idx < 0 {
+				unread = true
+			}
+			return true
+		})
+		if !unread {
+			return c
+		}
+	}
+}
+
+func (f *fusedFixture) anyConjunct() expr.Expr {
 	r := f.rng
 	op := expr.CmpOp(r.Intn(6))
 	switch r.Intn(10) {
@@ -153,17 +207,17 @@ func (f *fusedFixture) conjunct() expr.Expr {
 	return &expr.Cmp{Op: op, L: f.col(i), R: f.comparand(i)}
 }
 
-// reference filters a page the slow way — deform everything, interpret —
-// and prices it by the fused routine's documented accounting: deform cost
-// of the attributes a tuple was deformed to, plus the terms of every
-// conjunct evaluated, stored-bytes conjuncts first (by offset), the rest
-// by the highest attribute they read.
-func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, natts int) (sel []int32, rows []expr.Row, deform, evp int64) {
+// reference filters a page the slow way — deform every attribute,
+// project onto d's list, interpret — and prices it by the fused routine's
+// documented accounting: the cost of the deform steps a tuple ran, plus
+// the terms of every conjunct evaluated, stored-bytes conjuncts first (by
+// offset), the rest by the highest list position they read.
+func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d *ScanDeform) (sel []int32, rows []expr.Row, deform, evp int64) {
 	t.Helper()
-	ops := buildDeformProgram(f.rel)
+	prog := d.prog
 	type sched struct {
 		e     expr.Expr
-		attr  int
+		steps int // steps that write every position e reads
 		raw   bool
 		off   int32
 		terms int64
@@ -172,8 +226,10 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, na
 	nraw := 0
 	for _, c := range flattenAnd(pred, nil) {
 		s := sched{e: c, terms: int64(compileNode(c).terms)}
-		s.attr, _ = MaxVarIdx(c)
-		if rc, ok := rawCheckFor(c, ops, natts); ok && nraw < maxRawChecks {
+		if pos, _ := MaxVarIdx(c); pos >= 0 {
+			s.steps = int(prog.at[pos]) + 1
+		}
+		if rc, ok := rawCheckFor(c, prog); ok && nraw < maxRawChecks {
 			s.raw, s.off = true, rc.off
 			nraw++
 		}
@@ -189,20 +245,16 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, na
 		case a.raw:
 			return int(a.off - b.off)
 		}
-		return a.attr - b.attr
+		return a.steps - b.steps
 	})
-	rows = make([]expr.Row, len(page))
-	for i := range rows {
-		rows[i] = make(expr.Row, len(f.rel.Attrs))
-	}
-	f.rb.DeformBatch(page, rows, len(f.rel.Attrs), nil)
+	rows = projected(f.rb, page, d.Atts)
 	ctx := &expr.Ctx{}
 	for i, row := range rows {
 		evp += evpBaseCost
-		deformed, pass := 0, true
+		steps, pass := 0, true
 		for _, s := range plan {
 			if !s.raw {
-				deformed = max(deformed, s.attr+1)
+				steps = max(steps, s.steps)
 			}
 			evp += s.terms * evpTermCost
 			if v := s.e.Eval(row, ctx); v.IsNull() || !v.Bool() {
@@ -211,12 +263,28 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, na
 			}
 		}
 		if pass {
-			deformed = natts
+			steps = len(prog.ops)
 			sel = append(sel, int32(i))
 		}
-		deform += f.rb.gclCost[deformed]
+		deform += prog.cost[steps]
 	}
 	return sel, rows, deform, evp
+}
+
+// projected deforms every attribute of each tuple with the relation bee's
+// full routine and keeps the attributes atts lists, in list order.
+func projected(rb *RelationBee, page [][]byte, atts []int) []expr.Row {
+	natts := len(rb.Rel.Attrs)
+	full := make(expr.Row, natts)
+	rows := make([]expr.Row, len(page))
+	for i, tup := range page {
+		rb.GCL(tup, full, natts, nil)
+		rows[i] = make(expr.Row, len(atts))
+		for k, a := range atts {
+			rows[i][k] = full[a]
+		}
+	}
+	return rows
 }
 
 func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
@@ -234,8 +302,16 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 			for i := range out {
 				out[i] = make(expr.Row, natts)
 			}
-			sawRaw, sawScheduled := 0, 0
+			sawRaw, sawScheduled, sawPruned := 0, 0, 0
 			for n := 0; n < 400; n++ {
+				f.read(f.randomAtts())
+				d, err := f.m.ScanDeformer(f.rel, f.atts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(d.Atts) < natts {
+					sawPruned++
+				}
 				kids := make([]expr.Expr, 1+f.rng.Intn(5))
 				for i := range kids {
 					kids[i] = f.conjunct()
@@ -244,41 +320,41 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 				if len(kids) == 1 {
 					pred = kids[0]
 				}
-				fused, ok := compileFused(f.m, f.rel, pred, natts)
+				fused, ok := compileFused(f.m, f.rel, pred, f.atts)
 				if !ok {
-					t.Fatalf("predicate %d did not fuse: %s", n, pred)
+					t.Fatalf("predicate %d did not fuse over %v: %s", n, d.Atts, pred)
 				}
 				for _, k := range kids {
-					if _, raw := rawCheckFor(k, buildDeformProgram(f.rel), natts); raw {
+					if _, raw := rawCheckFor(k, d.prog); raw {
 						sawRaw++
 					} else {
 						sawScheduled++
 					}
 				}
 				for pi, page := range f.pages {
-					wantSel, wantRows, wantDeform, wantEVP := f.reference(t, pred, page, natts)
+					wantSel, wantRows, wantDeform, wantEVP := f.reference(t, pred, page, d)
 					prof := &profile.Counters{}
-					sel := fused(page, out, natts, nil, prof)
+					sel := fused(page, out, nil, prof)
 					if !slices.Equal(sel, wantSel) {
-						t.Fatalf("predicate %d %s (params %v), page %d:\nfused selected %v\nreference     %v", n, pred, f.slots.Vals, pi, sel, wantSel)
+						t.Fatalf("predicate %d %s over %v (params %v), page %d:\nfused selected %v\nreference     %v", n, pred, d.Atts, f.slots.Vals, pi, sel, wantSel)
 					}
 					for _, i := range sel {
-						for a := 0; a < natts; a++ {
-							if !sameDatum(out[i][a], wantRows[i][a]) {
-								t.Fatalf("predicate %d %s, page %d row %d attr %d: fused deformed %v, reference %v", n, pred, pi, i, a, out[i][a], wantRows[i][a])
+						for k := range d.Atts {
+							if !sameDatum(out[i][k], wantRows[i][k]) {
+								t.Fatalf("predicate %d %s over %v, page %d row %d position %d: fused deformed %v, reference %v", n, pred, d.Atts, pi, i, k, out[i][k], wantRows[i][k])
 							}
 						}
 					}
 					if got := prof.Component(profile.CompDeform); got != wantDeform {
-						t.Fatalf("predicate %d %s, page %d: deform charge %d, accounting says %d", n, pred, pi, got, wantDeform)
+						t.Fatalf("predicate %d %s over %v, page %d: deform charge %d, accounting says %d", n, pred, d.Atts, pi, got, wantDeform)
 					}
 					if got := prof.Component(profile.CompExpr); got != wantEVP {
-						t.Fatalf("predicate %d %s, page %d: EVP charge %d, accounting says %d", n, pred, pi, got, wantEVP)
+						t.Fatalf("predicate %d %s over %v, page %d: EVP charge %d, accounting says %d", n, pred, d.Atts, pi, got, wantEVP)
 					}
 				}
 			}
-			if sawRaw < 100 || sawScheduled < 100 {
-				t.Errorf("generator covered %d stored-bytes and %d scheduled conjuncts; want plenty of both", sawRaw, sawScheduled)
+			if sawRaw < 100 || sawScheduled < 100 || sawPruned < 100 {
+				t.Errorf("generator covered %d stored-bytes and %d scheduled conjuncts over %d pruned lists; want plenty of each", sawRaw, sawScheduled, sawPruned)
 			}
 		})
 	}
@@ -290,6 +366,13 @@ func TestRawCheckEligibility(t *testing.T) {
 	bees := newFusedFixture(t, AllRoutines, 1)
 	plain := newFusedFixture(t, RoutineSet{GCL: true, SCL: true, EVP: true}, 1)
 	natts := len(bees.rel.Attrs)
+	prog := func(f *fusedFixture) *colProgram {
+		d, err := f.m.ScanDeformer(f.rel, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.prog
+	}
 	i32 := func(x int32) expr.Expr { return expr.NewConst(types.NewInt32(x)) }
 	slot := &expr.ParamSlots{Vals: []types.Datum{types.NewInt32(3)}}
 	cases := []struct {
@@ -336,7 +419,7 @@ func TestRawCheckEligibility(t *testing.T) {
 			f    *fusedFixture
 			want bool
 		}{{bees, c.bees}, {plain, c.plain}} {
-			if _, ok := rawCheckFor(c.c(side.f), buildDeformProgram(side.f.rel), natts); ok != side.want {
+			if _, ok := rawCheckFor(c.c(side.f), prog(side.f)); ok != side.want {
 				t.Errorf("%s (tuple bees %v): stored-bytes form = %v, want %v", c.name, side.f == bees, ok, side.want)
 			}
 		}
@@ -349,7 +432,7 @@ func TestFusedRejectsWithoutDeforming(t *testing.T) {
 	f := newFusedFixture(t, AllRoutines, 7)
 	natts := len(f.rel.Attrs)
 	pred := &expr.Cmp{Op: expr.GT, L: f.col(6), R: expr.NewConst(types.NewDate(20000))} // rejects everything
-	fused, ok := compileFused(f.m, f.rel, pred, natts)
+	fused, ok := compileFused(f.m, f.rel, pred, nil)
 	if !ok {
 		t.Fatal("predicate did not fuse")
 	}
@@ -359,7 +442,7 @@ func TestFusedRejectsWithoutDeforming(t *testing.T) {
 		out[i] = make(expr.Row, natts)
 	}
 	prof := &profile.Counters{}
-	if sel := fused(page, out, natts, nil, prof); len(sel) != 0 {
+	if sel := fused(page, out, nil, prof); len(sel) != 0 {
 		t.Fatalf("selected %v, want none", sel)
 	}
 	if got, want := prof.Component(profile.CompDeform), int64(len(page))*f.rb.gclCost[0]; got != want {

@@ -23,7 +23,13 @@ func compileScalar(m *Module, e expr.Expr) (CompiledPred, bool) {
 	return ca, ca != nil
 }
 
-func compileFused(m *Module, rel *catalog.Relation, e expr.Expr, natts int) (FusedScanFilterFunc, bool) {
-	fp := m.CompilePredicate(e).Fused(rel, natts)
+// compileFused fuses e, over positions in the attribute list atts (nil:
+// every attribute), into rel's deform routine over the same list.
+func compileFused(m *Module, rel *catalog.Relation, e expr.Expr, atts []int) (FusedScanFilterFunc, bool) {
+	d, err := m.ScanDeformer(rel, atts)
+	if err != nil {
+		return nil, false
+	}
+	fp := m.CompilePredicate(e).Fused(d)
 	return fp, fp != nil
 }

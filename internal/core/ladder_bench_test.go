@@ -71,7 +71,7 @@ func fconst(x float64) expr.Expr { return expr.NewConst(types.NewFloat64(x)) }
 // 4 k-row batch: the batch-EVA bee against the interpreter.
 func BenchmarkEVAArith(b *testing.B) {
 	db, rel, pages := lineitemPages(b, core.AllRoutines)
-	deform, _, err := db.Module().BatchDeformer(rel)
+	deform, err := db.Module().ScanDeformer(rel, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func BenchmarkEVAArith(b *testing.B) {
 		for i := range out {
 			out[i] = make(expr.Row, natts)
 		}
-		deform(page, out, natts, nil)
+		deform.Batch(page, out, nil)
 		if rows = append(rows, out...); len(rows) >= batch {
 			break
 		}
@@ -211,9 +211,13 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		db, rel, pages := lineitemPages(b, core.AllRoutines)
 		natts := len(rel.Attrs)
 		rows := scratch(pages, natts)
+		deform, err := db.Module().ScanDeformer(rel, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
-				fused := db.Module().CompilePredicate(p.make(rel)).Fused(rel, natts)
+				fused := db.Module().CompilePredicate(p.make(rel)).Fused(deform)
 				if fused == nil {
 					b.Fatal("predicate did not fuse")
 				}
@@ -225,14 +229,14 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					passed = 0
 					for _, page := range pages {
-						sel = fused(page, rows, natts, sel[:0], prof)
+						sel = fused(page, rows, sel[:0], prof)
 						passed += len(sel)
 					}
 				}
 				report(b, pages, prof, passed)
 				if allocs := testing.AllocsPerRun(1, func() {
 					for _, page := range pages {
-						sel = fused(page, rows, natts, sel[:0], prof)
+						sel = fused(page, rows, sel[:0], prof)
 					}
 				}); allocs != 0 {
 					b.Errorf("fused scan-filter allocated %.0f times per scan, want 0", allocs)
@@ -244,14 +248,14 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		db, rel, pages := lineitemPages(b, core.Stock)
 		natts := len(rel.Attrs)
 		rows := scratch(pages, natts)
-		deform, _, err := db.Module().BatchDeformer(rel)
+		deform, err := db.Module().ScanDeformer(rel, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
 				pred := p.make(rel)
-				if db.Module().CompilePredicate(pred).Fused(rel, natts) != nil {
+				if db.Module().CompilePredicate(pred).Fused(deform) != nil {
 					b.Fatal("the stock routine set must not fuse")
 				}
 				ctx := &expr.Ctx{Prof: &profile.Counters{}}
@@ -261,7 +265,7 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					passed = 0
 					for _, page := range pages {
-						deform(page, rows, natts, ctx.Prof)
+						deform.Batch(page, rows, ctx.Prof)
 						for _, row := range rows[:len(page)] {
 							if v := pred.Eval(row, ctx); !v.IsNull() && v.Bool() {
 								passed++

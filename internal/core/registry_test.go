@@ -422,8 +422,13 @@ func TestRegistryConcurrent(t *testing.T) {
 				if batch := p.Batch(); batch != nil {
 					batch([]expr.Row{row}, nil, nil, ctx)
 				}
-				if fused := p.Fused(rel, 2); fused != nil {
-					fused([][]byte{tup}, []expr.Row{make(expr.Row, 2)}, 2, nil, nil)
+				d, err := m.ScanDeformer(rel, []int{0, 1}[:1+i%2])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if fused := p.Fused(d); fused != nil {
+					fused([][]byte{tup}, []expr.Row{make(expr.Row, 2)}, nil, nil)
 				}
 				p.Bee().Note(1, 1)
 				a := m.CompileScalar(e.(*expr.Cmp).L)

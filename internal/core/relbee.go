@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"microspec/internal/catalog"
-	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/tuple"
 	"microspec/internal/types"
@@ -23,13 +23,9 @@ type RelationBee struct {
 	// to; nil when the relation kept the generic routines.
 	bee *Bee
 
-	// GCL extracts the first natts attributes of a stored tuple.
+	// GCL extracts the first natts attributes of a stored tuple. Scans run
+	// the routine over the attribute list they read instead (ScanDeformer).
 	GCL DeformFunc
-	// DeformBatch is the GCL routine's batch form: it runs the specialized
-	// per-attribute loop across every tuple of a page in one call, so the
-	// batch executor re-enters neither the caller nor the bee-dispatch
-	// wrapper per tuple.
-	DeformBatch BatchDeformFunc
 	// SCL forms the stored bytes of a tuple for the given beeID.
 	SCL func(values []types.Datum, beeID uint16, prof *profile.Counters) ([]byte, error)
 
@@ -46,6 +42,11 @@ type RelationBee struct {
 	gclCost []int64
 	// sclCost is the abstract instruction cost of one SCL invocation.
 	sclCost int64
+
+	// cols memoises the deform routines over the attribute lists scans
+	// read (see columns).
+	colMu sync.Mutex
+	cols  map[string]*columnList
 }
 
 // makeRelationBee is the Bee Maker's relation-bee path: it assembles the
@@ -67,7 +68,6 @@ func makeRelationBee(rel *catalog.Relation) *RelationBee {
 		rb.GCL = func(tup []byte, values []types.Datum, natts int, prof *profile.Counters) {
 			tuple.SlotDeform(rel, tup, values, natts, prof)
 		}
-		rb.DeformBatch = genericBatchDeform(rel)
 		rb.SCL = func(values []types.Datum, beeID uint16, prof *profile.Counters) ([]byte, error) {
 			return tuple.Form(rel, values, beeID, prof)
 		}
@@ -83,42 +83,20 @@ func makeRelationBee(rel *catalog.Relation) *RelationBee {
 // buildGCL assembles the deform routine as a flat op program with
 // constant offsets baked for the fixed prefix and tuple-bee holes wired
 // to the data section — exactly the structure of the paper's Listing 2,
-// executed without per-attribute dispatch on catalog metadata.
+// executed without per-attribute dispatch on catalog metadata. It is the
+// program over every attribute, one step per attribute, so its first
+// natts steps deform the first natts attributes.
 func (rb *RelationBee) buildGCL() {
-	rel := rb.Rel
-	natts := len(rel.Attrs)
-	ops := buildDeformProgram(rel)
-	cost := make([]int64, natts+1)
-	cost[0] = profile.GCLBase
-	for i, op := range ops {
-		var c int64
-		switch op.op {
-		case deformOpHole:
-			c = profile.GCLHoleAttr
-		case deformOpVarlenaConst, deformOpVarlenaDyn:
-			c = profile.GCLVarlenaAttr
-		default:
-			c = profile.GCLFixedAttr
-		}
-		cost[i+1] = cost[i] + c
-	}
-	rb.gclCost = cost
 	var combos *comboTable
 	if rb.DataSections != nil {
 		combos = rb.DataSections.combos
 	}
+	prog := newColProgram(rb.Rel, nil, combos)
+	ops, cost := prog.ops, prog.cost
+	rb.gclCost = cost
 	rb.GCL = func(tup []byte, values []types.Datum, natts int, prof *profile.Counters) {
 		prof.Add(profile.CompDeform, cost[natts])
 		runDeformProgram(ops, tup[tuple.HOff(tup):], tuple.BeeID(tup), combos, values, natts)
-	}
-	// The batch form hoists the bee call, the cost accounting, and the op
-	// program out of the per-tuple loop: one invocation deforms a whole
-	// page of tuples through the same specialized snippets.
-	rb.DeformBatch = func(tups [][]byte, out []expr.Row, natts int, prof *profile.Counters) {
-		prof.Add(profile.CompDeform, cost[natts]*int64(len(tups)))
-		for i, tup := range tups {
-			runDeformProgram(ops, tup[tuple.HOff(tup):], tuple.BeeID(tup), combos, out[i], natts)
-		}
 	}
 }
 

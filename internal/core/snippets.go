@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"microspec/internal/catalog"
+	"microspec/internal/profile"
 	"microspec/internal/types"
 )
 
@@ -169,6 +170,12 @@ const (
 	// deformOpHole fills a tuple-bee-specialized attribute from the data
 	// section (the paper's "values[2] = DATA_SECTION(bee_id, ...)").
 	deformOpHole
+	// Offset advances over an attribute a column list does not read but a
+	// later read attribute's offset depends on: the running offset moves
+	// past the attribute and no datum is stored.
+	deformOpSkipVarlenaConst
+	deformOpSkipFixedDyn
+	deformOpSkipVarlenaDyn
 )
 
 // deformOp is one program step.
@@ -180,6 +187,41 @@ type deformOp struct {
 	off     int32      // baked offset (const ops)
 	align   int32
 	width   int32
+}
+
+// cost is the step's abstract instruction cost; an advance costs what
+// deforming the attribute does.
+func (op *deformOp) cost() int64 {
+	switch op.op {
+	case deformOpHole:
+		return profile.GCLHoleAttr
+	case deformOpVarlenaConst, deformOpVarlenaDyn, deformOpSkipVarlenaConst, deformOpSkipVarlenaDyn:
+		return profile.GCLVarlenaAttr
+	}
+	return profile.GCLFixedAttr
+}
+
+// skip turns a stored attribute's step into its offset advance.
+func (op *deformOp) skip() {
+	switch op.op {
+	case deformOpVarlenaConst:
+		op.op = deformOpSkipVarlenaConst
+	case deformOpVarlenaDyn:
+		op.op = deformOpSkipVarlenaDyn
+	default:
+		op.op = deformOpSkipFixedDyn
+	}
+}
+
+// movesOffset reports whether a later dynamic-offset step reads the
+// running offset this step leaves: a varlena's, or any step behind one.
+func (op *deformOp) movesOffset() bool {
+	return op.op >= deformOpVarlenaConst && op.op <= deformOpVarlenaDyn
+}
+
+// dynamic reports whether the step reads the running offset.
+func (op *deformOp) dynamic() bool {
+	return op.op >= deformOpWord4Dyn && op.op <= deformOpVarlenaDyn
 }
 
 // buildDeformProgram lays out rel's attributes into a deform program.
@@ -223,9 +265,9 @@ func buildDeformProgram(rel *catalog.Relation) []deformOp {
 	return ops
 }
 
-// runDeformProgram executes the first natts steps of the program.
-func runDeformProgram(ops []deformOp, data []byte, beeID uint16, combos *comboTable, values []types.Datum, natts int) {
-	runDeformSegment(ops, data, beeID, combos, values, 0, natts, 0)
+// runDeformProgram executes the first n steps of the program.
+func runDeformProgram(ops []deformOp, data []byte, beeID uint16, combos *comboTable, values []types.Datum, n int) {
+	runDeformSegment(ops, data, beeID, combos, values, 0, n, 0)
 }
 
 // runDeformSegment executes steps [from, to) of the program, taking and
@@ -286,6 +328,14 @@ func runDeformSegment(ops []deformOp, data []byte, beeID uint16, combos *comboTa
 			off = start + n
 		case deformOpHole:
 			values[op.idx] = combos.get(beeID)[op.specPos]
+		case deformOpSkipVarlenaConst:
+			o := int(op.off)
+			off = o + 4 + int(binary.LittleEndian.Uint32(data[o:]))
+		case deformOpSkipFixedDyn:
+			off = alignUp(off, int(op.align)) + int(op.width)
+		case deformOpSkipVarlenaDyn:
+			o := (off + 3) &^ 3
+			off = o + 4 + int(binary.LittleEndian.Uint32(data[o:]))
 		}
 	}
 	return off

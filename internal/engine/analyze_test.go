@@ -53,9 +53,9 @@ func TestExplainAnalyzeQ1Aggregate(t *testing.T) {
   Project l_returnflag, l_linestatus, sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_qty, avg_price, avg_disc, count_order (actual rows=4 loops=1 time=X)
     Gather workers=2 (partial-agg groups=2 aggs=[sum(l_quantity), sum(l_extendedprice), sum((l_extendedprice * (1 - l_discount))), sum(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))), avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)]) [EVA] (actual rows=4 loops=1 time=X)
       Rebatch (actual rows=5845 loops=1 time=X)
-        BatchSeqScan lineitem (16 cols) batch=1024 pages=[0,83) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 time=X)
+        BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 time=X)
       Rebatch (actual rows=5808 loops=1 time=X)
-        BatchSeqScan lineitem (16 cols) batch=1024 pages=[83,166) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 time=X)
+        BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q1 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -75,11 +75,11 @@ func TestExplainAnalyzeQ3Joins(t *testing.T) {
   Sort [{1 true} {2 false}] (actual rows=10 loops=1 time=X)
     Project l_orderkey, revenue, o_orderdate, o_shippriority (actual rows=24 loops=1 time=X)
       BatchHashAgg groups=3 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=24 loops=1 time=X)
-        HashJoin inner keys=[17]/[0] est=1457 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
+        HashJoin inner keys=[5]/[0] est=1457 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
           HashJoin inner keys=[0]/[0] est=2913 [EVJ] (actual rows=329 batches=92 rows/batch=3.6 loops=1 time=X)
-            BatchSeqScan lineitem (16 cols) batch=1024 filter=(l_shipdate > 1995-03-15) [GCL+EVP] (actual rows=5752 batches=166 rows/batch=34.7 loops=1 time=X)
-            BatchSeqScan orders (9 cols) batch=1024 filter=(o_orderdate < 1995-03-15) [GCL+EVP] (actual rows=1583 batches=37 rows/batch=42.8 loops=1 time=X)
-          BatchSeqScan customer (8 cols) batch=1024 filter=(c_mktsegment = 'BUILDING') [GCL+EVP] (actual rows=59 batches=6 rows/batch=9.8 loops=1 time=X)
+            BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_shipdate) batch=1024 filter=(l_shipdate > 1995-03-15) [GCL+EVP] (actual rows=5752 batches=166 rows/batch=34.7 loops=1 time=X)
+            BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate, o_shippriority) batch=1024 filter=(o_orderdate < 1995-03-15) [GCL+EVP] (actual rows=1583 batches=37 rows/batch=42.8 loops=1 time=X)
+          BatchSeqScan customer (c_custkey, c_mktsegment) batch=1024 filter=(c_mktsegment = 'BUILDING') [GCL+EVP] (actual rows=59 batches=6 rows/batch=9.8 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q3 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -98,9 +98,9 @@ func TestExplainAnalyzeQ6Scan(t *testing.T) {
 	want := `Project revenue (actual rows=1 loops=1 time=X)
   Gather workers=2 (partial-agg groups=0 aggs=[sum((l_extendedprice * l_discount))]) [EVA] (actual rows=1 loops=1 time=X)
     Rebatch (actual rows=99 loops=1 time=X)
-      BatchSeqScan lineitem (16 cols) batch=1024 pages=[0,83) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[0,83) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 time=X)
     Rebatch (actual rows=154 loops=1 time=X)
-      BatchSeqScan lineitem (16 cols) batch=1024 pages=[83,166) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[83,166) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q6 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -224,4 +224,28 @@ func TestConcurrentQueriesAndSnapshots(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// maxAdHocPlanAllocs bounds parsing plus planning an ad hoc point read at
+// its count before scans emitted only the columns a statement reads: the
+// attribute list is derived on the stack and the deform routine over it
+// is found memoised, not built.
+const maxAdHocPlanAllocs = 68
+
+// TestAdHocPlanAllocs pins what planning wire_mixed's ad hoc point read
+// allocates once its bees and deform routine exist.
+func TestAdHocPlanAllocs(t *testing.T) {
+	db := analyzeDB(t)
+	const q = "select p_name, p_retailprice from part where p_partkey = 42"
+	if _, err := db.PlanQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := db.PlanQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAdHocPlanAllocs {
+		t.Fatalf("planning %q allocates %.0f times, want at most %d", q, allocs, maxAdHocPlanAllocs)
+	}
 }

@@ -14,7 +14,7 @@ import (
 // Volcano iterator pays one virtual Next call and one per-node bookkeeping
 // charge per tuple, diluting what the specialized bee routines buy on the
 // scan hot path. The batch path instead moves a whole pinned heap page of
-// rows per call: BatchSeqScan deforms the page in one DeformBatch bee
+// rows per call: BatchSeqScan deforms the page in one batch-deform bee
 // invocation, BatchFilter narrows a selection vector in one batch-EVP
 // invocation, HashJoin (join.go) builds from batches and probes a whole
 // outer batch per call, so joins stack batch to batch, and BatchHashAgg
@@ -122,12 +122,13 @@ func (r *rebatcher) next(ctx *Ctx, src BatchNode, cost int64) (expr.Row, bool, e
 }
 
 // BatchSeqScan reads a heap relation page by page, deforming every live
-// tuple of the pinned page in one DeformBatch invocation. The batch's
+// tuple of the pinned page in one batch-deform invocation. The batch's
 // rows alias the page; the scan holds the pin until the next NextBatch.
 type BatchSeqScan struct {
-	Heap   *heap.Heap
-	Deform core.BatchDeformFunc
-	NAtts  int
+	Heap *heap.Heap
+	// Deform is the relation's deform routine over the attributes the plan
+	// reads, as for SeqScan; the scan runs its batch form.
+	Deform *core.ScanDeform
 	// NoteDeforms receives the deform (GCL) call count at Close.
 	NoteDeforms func(int64)
 	// Fused, when set, replaces the separate Deform + BatchFilter pair with
@@ -139,13 +140,12 @@ type BatchSeqScan struct {
 	Fused     core.FusedScanFilterFunc
 	FusedPred expr.Expr
 	NoteFused func(int64)
-	// DeformBee and FusedBee, when set, are the relation bee behind Deform
-	// and the EVP bee behind Fused: they receive the rows processed and
-	// the wall time of the deform / fused bee invocations at Close — the
-	// per-bee benefit attribution feed. One page in usageSampleEvery is
-	// timed (two clock reads) and the total extrapolated from those.
-	DeformBee *core.Bee
-	FusedBee  *core.Bee
+	// FusedBee, when set, is the EVP bee behind Fused. It, or else the
+	// relation bee behind Deform (Deform.Bee), receives the rows processed
+	// and the wall time of the fused / deform bee invocations at Close —
+	// the per-bee benefit attribution feed. One page in usageSampleEvery
+	// is timed (two clock reads) and the total extrapolated from those.
+	FusedBee *core.Bee
 	// Range and Partial mirror SeqScan: a page interval for one partition
 	// of a parallel scan.
 	Range   heap.PageRange
@@ -166,18 +166,13 @@ type BatchSeqScan struct {
 	rb      rebatcher
 }
 
-// NewBatchSeqScan builds a page-wise batch scan over rel's heap. natts ≤ 0
-// scans all attributes.
-func NewBatchSeqScan(h *heap.Heap, deform core.BatchDeformFunc, natts int) *BatchSeqScan {
-	rel := h.Rel
-	if natts <= 0 || natts > len(rel.Attrs) {
-		natts = len(rel.Attrs)
-	}
+// NewBatchSeqScan builds a page-wise batch scan over rel's heap emitting
+// the attributes deform reads.
+func NewBatchSeqScan(h *heap.Heap, deform *core.ScanDeform) *BatchSeqScan {
 	return &BatchSeqScan{
 		Heap:   h,
 		Deform: deform,
-		NAtts:  natts,
-		cols:   relCols(rel, natts),
+		cols:   relCols(h.Rel, deform.Atts),
 	}
 }
 
@@ -192,11 +187,11 @@ func (s *BatchSeqScan) ensureRows(n int) {
 	if n <= len(s.rows) {
 		return
 	}
-	c := growBatchScratch(len(s.rows), n)
-	arena := make([]types.Datum, c*s.NAtts)
+	c, w := growBatchScratch(len(s.rows), n), len(s.cols)
+	arena := make([]types.Datum, c*w)
 	s.rows = make([]expr.Row, c)
 	for i := range s.rows {
-		s.rows[i] = arena[i*s.NAtts : (i+1)*s.NAtts : (i+1)*s.NAtts]
+		s.rows[i] = arena[i*w : (i+1)*w : (i+1)*w]
 	}
 }
 
@@ -232,16 +227,16 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		s.deforms += int64(len(tups))
 		s.rowsOut += int64(len(tups))
 		var t0 time.Time
-		timed := (s.FusedBee != nil || s.DeformBee != nil) && s.batches%usageSampleEvery == 0
+		timed := (s.FusedBee != nil || s.Deform.Bee != nil) && s.batches%usageSampleEvery == 0
 		if timed {
 			t0 = time.Now()
 		}
 		s.batches++
 		if s.Fused != nil {
 			s.fused += int64(len(tups))
-			s.sel = s.Fused(tups, s.rows, s.NAtts, s.sel[:0], ctx.Prof())
+			s.sel = s.Fused(tups, s.rows, s.sel[:0], ctx.Prof())
 		} else {
-			s.Deform(tups, s.rows, s.NAtts, ctx.Prof())
+			s.Deform.Batch(tups, s.rows, ctx.Prof())
 		}
 		if timed {
 			s.timedNs += int64(time.Since(t0))
@@ -271,7 +266,7 @@ func (s *BatchSeqScan) Close(*Ctx) {
 		if s.FusedBee != nil {
 			s.FusedBee.Note(s.fused, ns)
 		} else {
-			s.DeformBee.Note(s.deforms, ns)
+			s.Deform.Bee.Note(s.deforms, ns)
 		}
 	}
 	if s.NoteDeforms != nil && s.deforms > 0 {

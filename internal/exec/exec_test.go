@@ -421,11 +421,11 @@ func TestSeqScanOverHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deform, err := m.Deformer(rel)
+	deform, err := m.ScanDeformer(rel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := NewSeqScan(h, deform, 0)
+	scan := NewSeqScan(h, deform)
 	rows := mustCollect(t, scan)
 	if len(rows) != 100 {
 		t.Fatalf("scanned %d", len(rows))
@@ -433,10 +433,17 @@ func TestSeqScanOverHeap(t *testing.T) {
 	if rows[42][0].Int32() != 42 || rows[42][1].Str() != "n" {
 		t.Errorf("row 42 = %v", rows[42])
 	}
-	// Partial scan of only the first attribute.
-	part := NewSeqScan(h, deform, 1)
-	if cols := part.Schema(); len(cols) != 1 || cols[0].Name != "id" {
-		t.Errorf("partial schema = %v", cols)
+	// A scan of the second attribute alone emits it at position 0.
+	second, err := m.ScanDeformer(rel, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := NewSeqScan(h, second)
+	if cols := part.Schema(); len(cols) != 1 || cols[0].Name != "name" {
+		t.Errorf("pruned schema = %v", cols)
+	}
+	if rows := mustCollect(t, part); len(rows) != 100 || len(rows[42]) != 1 || rows[42][0].Str() != "n" {
+		t.Errorf("pruned row 42 = %v", rows[42])
 	}
 }
 
@@ -481,18 +488,22 @@ func TestIndexScanNode(t *testing.T) {
 		}
 		tree.Insert(btree.Key{i32(int32(i))}, tid, nil)
 	}
-	deform, err := m.Deformer(rel)
+	deform, err := m.ScanDeformer(rel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOnly, err := m.ScanDeformer(rel, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Range scan [10, 14].
-	scan := NewIndexScan(h, tree, deform, 0, btree.Key{i32(10)}, btree.Key{i32(14)}, false)
+	scan := NewIndexScan(h, tree, deform, btree.Key{i32(10)}, btree.Key{i32(14)}, false)
 	rows := mustCollect(t, scan)
 	if len(rows) != 5 || rows[0][0].Int32() != 10 || rows[4][1].Str() != "v14" {
 		t.Fatalf("range scan: %v", rows)
 	}
 	// Reverse prefix scan over everything.
-	rev := NewIndexScan(h, tree, deform, 1, nil, nil, true)
+	rev := NewIndexScan(h, tree, keyOnly, nil, nil, true)
 	rrows := mustCollect(t, rev)
 	if len(rrows) != 50 || rrows[0][0].Int32() != 49 {
 		t.Fatalf("reverse scan: first=%v n=%d", rrows[0], len(rrows))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"microspec/internal/core"
 	"microspec/internal/expr"
@@ -160,9 +159,8 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 		h.match, h.pairCost = h.genericMatch, profile.JoinQualNode*int64(len(h.OuterKeys))
 		h.hashOuter = nil
 	}
-	outerW := len(h.Outer.Schema())
-	h.width = outerW + len(h.Inner.Schema())
-	if err := h.buildTable(ctx, hashInner, h.buildWidth(outerW)); err != nil {
+	h.width = len(h.Outer.Schema()) + len(h.Inner.Schema())
+	if err := h.buildTable(ctx, hashInner); err != nil {
 		return err
 	}
 	h.outRows = nil
@@ -190,7 +188,7 @@ func (h *HashJoin) slot(hash uint64) uint64 {
 // The close is deferred so the inner subtree (and any buffer pins its
 // scans hold) is released even when a bee panic unwinds through the drain
 // loop.
-func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash, keep int) error {
+func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash) error {
 	h.build = rowArena{}
 	h.hashes = h.hashes[:0]
 	inner := asBatchNode(h.Inner)
@@ -210,8 +208,7 @@ func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash, keep int) error 
 		ctx.Prof().Add(profile.CompExec, int64(n)*profile.HashBuild)
 		h.hashes = hashKeys(b, hash, h.InnerKeys, roomFor(h.hashes, n))
 		for i := 0; i < n; i++ {
-			row := b.RowAt(i)
-			h.build.add(row[:min(keep, len(row))])
+			h.build.add(b.RowAt(i))
 		}
 	}
 	n := len(h.build.rows)
@@ -229,28 +226,6 @@ func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash, keep int) error 
 		h.heads[s] = int32(i + 1)
 	}
 	return nil
-}
-
-// buildWidth returns how many leading columns of each inner row the build
-// side must keep, given the outer row's width. A semi/anti join emits no
-// inner column, so it needs a row only up to the last column its qual
-// reads — the key columns and whatever the residual reads of the inner
-// side; when the residual cannot be analysed (subqueries, outer
-// references, only its compiled form present), and for inner/left joins,
-// the whole row stays.
-func (h *HashJoin) buildWidth(outerW int) int {
-	if !h.existsType() {
-		return math.MaxInt
-	}
-	keep := slices.Max(h.InnerKeys) + 1
-	if h.hasResidual() {
-		hi, ok := core.MaxVarIdx(h.Residual)
-		if h.Residual == nil || !ok {
-			return math.MaxInt
-		}
-		keep = max(keep, hi-outerW+1)
-	}
-	return keep
 }
 
 // hashKeys appends the key hash of every live row of b to out: one EVJ

@@ -16,11 +16,10 @@ import (
 // SeqScan reads a heap relation sequentially, deforming each stored tuple
 // through the routine the bee module selected (GCL or the generic loop).
 type SeqScan struct {
-	Heap   *heap.Heap
-	Deform core.DeformFunc
-	// NAtts is how many leading attributes the plan needs; deforming
-	// stops there (PostgreSQL's slot_deform_tuple does the same).
-	NAtts int
+	Heap *heap.Heap
+	// Deform is the relation's deform routine over the attributes the plan
+	// reads; the scan emits them densely, in relation order.
+	Deform *core.ScanDeform
 	// NoteDeforms, when set, receives the deform (GCL) call count at
 	// Close.
 	NoteDeforms func(int64)
@@ -38,36 +37,30 @@ type SeqScan struct {
 	cols    []ColInfo
 }
 
-// NewSeqScan builds a sequential scan over rel's heap. natts ≤ 0 scans
-// all attributes.
-func NewSeqScan(h *heap.Heap, deform core.DeformFunc, natts int) *SeqScan {
-	rel := h.Rel
-	if natts <= 0 || natts > len(rel.Attrs) {
-		natts = len(rel.Attrs)
-	}
+// NewSeqScan builds a sequential scan over rel's heap emitting the
+// attributes deform reads.
+func NewSeqScan(h *heap.Heap, deform *core.ScanDeform) *SeqScan {
 	return &SeqScan{
 		Heap:   h,
 		Deform: deform,
-		NAtts:  natts,
-		cols:   relCols(rel, natts),
+		cols:   relCols(h.Rel, deform.Atts),
 	}
 }
 
 // NewSeqScanRange builds a sequential scan over one page-range partition
-// of rel's heap — the per-worker leaf of a parallel (Gather) plan. Each
-// partition scan must carry its own deform closure so workers share no
-// mutable state on the hot path.
-func NewSeqScanRange(h *heap.Heap, deform core.DeformFunc, natts int, r heap.PageRange) *SeqScan {
-	s := NewSeqScan(h, deform, natts)
+// of rel's heap — the per-worker leaf of a parallel (Gather) plan. The
+// deform routine holds no mutable state, so partitions share it.
+func NewSeqScanRange(h *heap.Heap, deform *core.ScanDeform, r heap.PageRange) *SeqScan {
+	s := NewSeqScan(h, deform)
 	s.Range = r
 	s.Partial = true
 	return s
 }
 
-func relCols(rel *catalog.Relation, natts int) []ColInfo {
-	cols := make([]ColInfo, natts)
-	for i := 0; i < natts; i++ {
-		cols[i] = ColInfo{Name: rel.Attrs[i].Name, T: rel.Attrs[i].Type}
+func relCols(rel *catalog.Relation, atts []int) []ColInfo {
+	cols := make([]ColInfo, len(atts))
+	for i, a := range atts {
+		cols[i] = ColInfo{Name: rel.Attrs[a].Name, T: rel.Attrs[a].Type}
 	}
 	return cols
 }
@@ -80,7 +73,7 @@ func (s *SeqScan) Open(ctx *Ctx) error {
 		s.scanner = s.Heap.Scan(ctx.Snap, ctx.Prof())
 	}
 	if s.buf == nil {
-		s.buf = make(expr.Row, s.NAtts)
+		s.buf = make(expr.Row, len(s.cols))
 	}
 	return nil
 }
@@ -98,7 +91,7 @@ func (s *SeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 	}
 	ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
 	s.deforms++
-	s.Deform(tup, s.buf, s.NAtts, ctx.Prof())
+	s.Deform.Row(tup, s.buf, ctx.Prof())
 	return s.buf, true, nil
 }
 
@@ -119,10 +112,11 @@ func (s *SeqScan) Schema() []ColInfo { return s.cols }
 
 // IndexScan fetches tuples by index key or key range, in index order.
 type IndexScan struct {
-	Heap   *heap.Heap
-	Tree   *btree.Tree
-	Deform core.DeformFunc
-	NAtts  int
+	Heap *heap.Heap
+	Tree *btree.Tree
+	// Deform is the relation's deform routine over the attributes the plan
+	// reads, as for SeqScan.
+	Deform *core.ScanDeform
 	// Lo and Hi bound the scan (inclusive, prefix semantics); with Hi nil
 	// the scan uses prefix-equality on Lo.
 	Lo, Hi btree.Key
@@ -150,16 +144,12 @@ type IndexScan struct {
 	cols []ColInfo
 }
 
-// NewIndexScan builds an index scan.
-func NewIndexScan(h *heap.Heap, tree *btree.Tree, deform core.DeformFunc, natts int, lo, hi btree.Key, reverse bool) *IndexScan {
-	rel := h.Rel
-	if natts <= 0 || natts > len(rel.Attrs) {
-		natts = len(rel.Attrs)
-	}
+// NewIndexScan builds an index scan emitting the attributes deform reads.
+func NewIndexScan(h *heap.Heap, tree *btree.Tree, deform *core.ScanDeform, lo, hi btree.Key, reverse bool) *IndexScan {
 	return &IndexScan{
-		Heap: h, Tree: tree, Deform: deform, NAtts: natts,
+		Heap: h, Tree: tree, Deform: deform,
 		Lo: lo, Hi: hi, Reverse: reverse,
-		cols: relCols(rel, natts),
+		cols: relCols(h.Rel, deform.Atts),
 	}
 }
 
@@ -168,7 +158,7 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	s.tids = s.tids[:0]
 	s.pos = 0
 	if s.buf == nil {
-		s.buf = make(expr.Row, s.NAtts)
+		s.buf = make(expr.Row, len(s.cols))
 	}
 	if len(s.KeyExprs) > 0 {
 		if s.Lo == nil {
@@ -205,7 +195,7 @@ func (s *IndexScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 		var row expr.Row
 		ok, err := IndexVisit(s.Heap, tid, ctx.Snap, ctx.Prof(), func(tup []byte) {
 			ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
-			s.Deform(tup, s.buf, s.NAtts, ctx.Prof())
+			s.Deform.Row(tup, s.buf, ctx.Prof())
 			row = CloneRow(s.buf) // the deformed datums alias the page
 		})
 		if err != nil {

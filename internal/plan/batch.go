@@ -24,14 +24,13 @@ import (
 //     consumer (Sort, Project, Limit, NLJoin, Gather); a region rooted in
 //     a HashJoin needs no adapter, the join's own Next serves rows
 //
-// A scan is ineligible only when its relation has tuple-bee specialized
-// storage while GCL routines are disabled (no batch deformer exists); a
-// join reads such a child, like any row-only child (IndexScan, Project,
-// subquery output), as batches of one. Predicates always convert, falling
-// back to the generic interpreter per row inside BatchFilter when no
-// batch EVP bee applies. The batch and fused forms of a predicate are
-// instantiated from the program its row Filter already holds — batchify
-// admits and compiles nothing.
+// Every scan is eligible: its deform routine has a batch form. A join
+// reads a row-only child (IndexScan, Project, subquery output) as batches
+// of one. Predicates always convert, falling back to the generic
+// interpreter per row inside BatchFilter when no batch EVP bee applies.
+// The batch and fused forms of a predicate are instantiated from the
+// program its row Filter already holds — batchify admits and compiles
+// nothing.
 
 // batchify rewrites a finished plan onto the batch path; it is a no-op
 // when batching is disabled.
@@ -99,9 +98,9 @@ func (p *Planner) batchChild(n exec.Node) exec.Node {
 // batchRegion converts a Filter* chain over a SeqScan or a HashJoin into
 // the equivalent BatchFilter* chain over a BatchSeqScan or over the join
 // (its children rewritten in turn), or returns nil when n has any other
-// shape or the scanned relation has no batch deformer. Filters are
-// re-wrapped in the original order so per-row predicate evaluation order —
-// and thus profiling and fault behaviour — matches the tuple path exactly.
+// shape. Filters are re-wrapped in the original order so per-row predicate
+// evaluation order — and thus profiling and fault behaviour — matches the
+// tuple path exactly.
 func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 	var filters []*exec.Filter
 	for {
@@ -114,13 +113,8 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 			v.Inner = p.batchChild(v.Inner)
 			return p.batchFilters(v, filters)
 		case *exec.SeqScan:
-			deform, relBee, err := p.Mod.BatchDeformer(v.Heap.Rel)
-			if err != nil {
-				return nil
-			}
-			bs := exec.NewBatchSeqScan(v.Heap, deform, v.NAtts)
+			bs := exec.NewBatchSeqScan(v.Heap, v.Deform)
 			bs.NoteDeforms = v.NoteDeforms
-			bs.DeformBee = relBee
 			bs.Range = v.Range
 			bs.Partial = v.Partial
 			// Fuse the innermost compiled filter into the scan when the
@@ -131,7 +125,7 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 			// fusing it preserves predicate order for the rest.
 			if k := len(filters) - 1; k >= 0 {
 				f := filters[k]
-				if fp := f.Prog.Fused(v.Heap.Rel, bs.NAtts); fp != nil {
+				if fp := f.Prog.Fused(v.Deform); fp != nil {
 					bs.Fused = fp
 					bs.FusedPred = f.Pred
 					bs.NoteFused = f.NoteCalls

@@ -179,14 +179,20 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 		return false, nil, nil // uncorrelated or non-equality correlation
 	}
 
-	// Plan the modified subquery, projecting all columns so keys and
-	// residuals can resolve against its output.
+	// Plan the modified subquery. An EXISTS body emits its joined row, so
+	// keys and residuals resolve against its columns; its select list is
+	// not read, and the moved conjuncts still read the columns they name.
 	sub2 := *sub
 	sub2.Where = rebuildAnd(part.keep)
+	var body *existsBody
 	if extraOuterKey == nil {
-		sub2.Items = []sql.SelectItem{{Star: true}}
+		sub2.Items = nil
+		body = &existsBody{moved: append([]sql.Expr(nil), part.residuals...)}
+		for _, id := range part.innerIDs {
+			body.moved = append(body.moved, id)
+		}
 	}
-	node, subScope, err := sp.p.planSelect(&sub2, sp.parent)
+	node, subScope, err := sp.p.planBlock(&sub2, sp.parent, body)
 	if err != nil || subScope.correlated {
 		return false, nil, nil
 	}

@@ -93,8 +93,8 @@ func newJoinEst(items []*fromItem, edges []*joinEdge) *joinEst {
 	keyRows := map[colRef]float64{}
 	for _, e := range edges {
 		for _, c := range [2]colRef{{e.li, e.lCol}, {e.ri, e.rCol}} {
-			rel := items[c.item].rel
-			if rel == nil || len(rel.PKey) != 1 || rel.PKey[0] != c.col {
+			it := items[c.item]
+			if it.rel == nil || len(it.rel.PKey) != 1 || it.rel.PKey[0] != it.atts[c.col] {
 				continue
 			}
 			if k, ok := keyRows[root(c)]; !ok || j.rows[c.item] < k {
@@ -119,7 +119,8 @@ func newJoinEst(items []*fromItem, edges []*joinEdge) *joinEst {
 // edge links x to the tree. No estimate falls below one row.
 func (j *joinEst) attach(est float64, x int, set uint64) (float64, bool) {
 	sel, connected := 1.0, false
-	rel := j.items[x].rel
+	it := j.items[x]
+	rel := it.rel
 	var covered uint64 // x's primary-key positions an edge pins
 	for i, e := range j.edges {
 		col, other := e.lCol, e.ri
@@ -137,7 +138,7 @@ func (j *joinEst) attach(est float64, x int, set uint64) (float64, bool) {
 		sel *= j.sel[i]
 		if rel != nil {
 			for k, pk := range rel.PKey {
-				if pk == col {
+				if pk == it.atts[col] {
 					covered |= 1 << k
 				}
 			}
@@ -146,7 +147,7 @@ func (j *joinEst) attach(est float64, x int, set uint64) (float64, bool) {
 	if rel != nil && len(rel.PKey) > 1 && covered == 1<<len(rel.PKey)-1 {
 		sel = 1 / j.rows[x]
 	}
-	return math.Max(1, est*j.items[x].est*sel), connected
+	return math.Max(1, est*it.est*sel), connected
 }
 
 // joinOrder chooses the order in which buildJoinTree joins a block of two

@@ -18,9 +18,10 @@ import (
 func baseItem(name string, rows, est float64, pkey []int, cols ...string) *fromItem {
 	rel := &catalog.Relation{Name: name, PKey: pkey}
 	it := &fromItem{est: est, rows: rows, rel: rel}
-	for _, c := range cols {
+	for i, c := range cols {
 		rel.Attrs = append(rel.Attrs, catalog.Col(c, types.Int32, true))
 		it.cols = append(it.cols, column{tbl: name, name: c, t: types.Int32})
+		it.atts = append(it.atts, i)
 	}
 	return it
 }
@@ -197,5 +198,42 @@ func TestEstimatorGreedyAboveTenItems(t *testing.T) {
 	items, edges = trap(t, 61)
 	if _, _, err := joinOrder(items, edges); err == nil {
 		t.Fatalf("%d items planned, want an error", len(items))
+	}
+}
+
+// pruned keeps the columns of a base item at the relation ordinals keep,
+// as a scan of only those attributes emits them.
+func pruned(it *fromItem, keep ...int) *fromItem {
+	cols := it.cols
+	it.cols, it.atts = nil, keep
+	for _, a := range keep {
+		it.cols = append(it.cols, cols[a])
+	}
+	return it
+}
+
+// An item column ordinal is a relation ordinal only through the item's
+// attribute list: here the column at position 0 is not the key.
+func TestEstimatorMapsColumnsThroughAttributeList(t *testing.T) {
+	// b_x sits at position 0 of a scan of b that skips b's key, b_id.
+	a := baseItem("a", 1000, 1000, []int{0}, "a_id", "a_b")
+	b := pruned(baseItem("b", 100, 100, []int{0}, "b_id", "b_x"), 1)
+	items := []*fromItem{pruned(a, 1), b}
+	edges := edgesOf(t, items, [2]string{"a_b", "b_x"})
+	// No key in the class: each column counts its relation's rows, so
+	// 1000·100/1000, not the 1000·100/100 a key b_x would give.
+	if got, _ := newJoinEst(items, edges).attach(1000, 1, 1<<0); !near(got, 100) {
+		t.Fatalf("a ⋈ b = %v, want 100", got)
+	}
+	// ps_suppkey and ps_availqty sit at positions 0 and 1, the ordinals of
+	// partsupp's composite key: the edges pin half the key, not all of it.
+	li := baseItem("lineitem", 60000, 60000, nil, "l_suppkey", "l_qty")
+	ps := pruned(baseItem("partsupp", 8000, 8000, []int{0, 1}, "ps_partkey", "ps_suppkey", "ps_availqty"), 1, 2)
+	items = []*fromItem{li, ps}
+	edges = edgesOf(t, items, [2]string{"l_suppkey", "ps_suppkey"}, [2]string{"l_qty", "ps_availqty"})
+	// Per edge 1/60000, so 60000·8000/60000² rounds up to one row; a
+	// covered key would give 60000.
+	if got, _ := newJoinEst(items, edges).attach(60000, 1, 1<<0); !near(got, 1) {
+		t.Fatalf("lineitem ⋈ partsupp = %v, want 1 (the per-edge rule)", got)
 	}
 }

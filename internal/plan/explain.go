@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"microspec/internal/catalog"
 	"microspec/internal/exec"
 )
 
@@ -72,10 +73,10 @@ func describe(n exec.Node) string {
 			bee = " [GCL]"
 		}
 		if v.Partial {
-			return fmt.Sprintf("SeqScan %s (%d cols) pages=[%d,%d)%s",
-				v.Heap.Rel.Name, v.NAtts, v.Range.Lo, v.Range.Hi, bee)
+			return fmt.Sprintf("SeqScan %s %s pages=[%d,%d)%s",
+				v.Heap.Rel.Name, scanCols(v.Heap.Rel, v.Schema()), v.Range.Lo, v.Range.Hi, bee)
 		}
-		return fmt.Sprintf("SeqScan %s (%d cols)%s", v.Heap.Rel.Name, v.NAtts, bee)
+		return fmt.Sprintf("SeqScan %s %s%s", v.Heap.Rel.Name, scanCols(v.Heap.Rel, v.Schema()), bee)
 	case *exec.BatchSeqScan:
 		bee := ""
 		if v.NoteDeforms != nil {
@@ -87,11 +88,11 @@ func describe(n exec.Node) string {
 			bee = " [GCL+EVP]"
 		}
 		if v.Partial {
-			return fmt.Sprintf("BatchSeqScan %s (%d cols) batch=%d pages=[%d,%d)%s%s",
-				v.Heap.Rel.Name, v.NAtts, exec.BatchCap, v.Range.Lo, v.Range.Hi, fused, bee)
+			return fmt.Sprintf("BatchSeqScan %s %s batch=%d pages=[%d,%d)%s%s",
+				v.Heap.Rel.Name, scanCols(v.Heap.Rel, v.Schema()), exec.BatchCap, v.Range.Lo, v.Range.Hi, fused, bee)
 		}
-		return fmt.Sprintf("BatchSeqScan %s (%d cols) batch=%d%s%s",
-			v.Heap.Rel.Name, v.NAtts, exec.BatchCap, fused, bee)
+		return fmt.Sprintf("BatchSeqScan %s %s batch=%d%s%s",
+			v.Heap.Rel.Name, scanCols(v.Heap.Rel, v.Schema()), exec.BatchCap, fused, bee)
 	case *exec.BatchFilter:
 		bee := ""
 		if v.Compiled != nil {
@@ -170,6 +171,19 @@ func describe(n exec.Node) string {
 	default:
 		return fmt.Sprintf("%T", n)
 	}
+}
+
+// scanCols names what a scan of rel emits: "(N cols)" when it reads every
+// attribute, else the columns it reads.
+func scanCols(rel *catalog.Relation, cols []exec.ColInfo) string {
+	if len(cols) == len(rel.Attrs) {
+		return fmt.Sprintf("(%d cols)", len(cols))
+	}
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	return "(" + strings.Join(names, ", ") + ")"
 }
 
 // aggsLabel renders an aggregate list as "[name, ...]" and the EVA marker

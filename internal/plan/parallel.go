@@ -51,21 +51,17 @@ func (r *scanRegion) safe() bool {
 }
 
 // buildParts replicates the region once per page-range partition. Every
-// replica gets its own deform closure (GCL bee) and its own predicate
-// closures, instantiated from the region's EVP programs, so partition
-// workers share no mutable state on the per-tuple path.
-func (p *Planner) buildParts(r *scanRegion) ([]exec.Node, error) {
+// replica gets its own predicate closures, instantiated from the region's
+// EVP programs, and shares the scan's stateless deform routine, so
+// partition workers share no mutable state on the per-tuple path.
+func (p *Planner) buildParts(r *scanRegion) []exec.Node {
 	ranges := r.scan.Heap.Partitions(p.Workers)
 	if len(ranges) < 2 {
-		return nil, nil
+		return nil
 	}
 	parts := make([]exec.Node, len(ranges))
 	for i, pr := range ranges {
-		deform, err := p.Mod.Deformer(r.scan.Heap.Rel)
-		if err != nil {
-			return nil, err
-		}
-		scan := exec.NewSeqScanRange(r.scan.Heap, deform, r.scan.NAtts, pr)
+		scan := exec.NewSeqScanRange(r.scan.Heap, r.scan.Deform, pr)
 		scan.NoteDeforms = r.scan.NoteDeforms
 		var node exec.Node = scan
 		for j := len(r.filters) - 1; j >= 0; j-- {
@@ -75,7 +71,7 @@ func (p *Planner) buildParts(r *scanRegion) ([]exec.Node, error) {
 		}
 		parts[i] = node
 	}
-	return parts, nil
+	return parts
 }
 
 // parallelize rewrites a finished serial plan for intra-query
@@ -153,8 +149,8 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 			return nil
 		}
 	}
-	parts, err := p.buildParts(region)
-	if err != nil || parts == nil {
+	parts := p.buildParts(region)
+	if parts == nil {
 		return nil
 	}
 	// Per-partition EVA bee closures: each worker evaluates aggregate
@@ -211,8 +207,8 @@ func (p *Planner) tryGatherMerge(s *exec.Sort) exec.Node {
 			}
 		}
 	}
-	parts, err := p.buildParts(region)
-	if err != nil || parts == nil {
+	parts := p.buildParts(region)
+	if parts == nil {
 		return nil
 	}
 	for i, part := range parts {

@@ -86,18 +86,18 @@ func (p *Planner) PlanSelect(sel *sql.Select) (*Planned, error) {
 	return &Planned{Root: node, Cols: cols}, nil
 }
 
-// scanFor builds a sequential scan over a base relation through the bee
-// module's deformer selection.
-func (p *Planner) scanFor(rel *catalog.Relation) (exec.Node, error) {
+// scanFor builds a sequential scan emitting the attributes atts of a base
+// relation through the bee module's deformer selection.
+func (p *Planner) scanFor(rel *catalog.Relation, atts []int) (*exec.SeqScan, error) {
 	h, err := p.HeapFor(rel)
 	if err != nil {
 		return nil, err
 	}
-	deform, err := p.Mod.Deformer(rel)
+	deform, err := p.Mod.ScanDeformer(rel, atts)
 	if err != nil {
 		return nil, err
 	}
-	scan := exec.NewSeqScan(h, deform, 0)
+	scan := exec.NewSeqScan(h, deform)
 	if p.Mod.Routines().GCL {
 		scan.NoteDeforms = p.Mod.NoteGCLCall
 	}

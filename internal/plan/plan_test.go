@@ -348,7 +348,8 @@ func TestExplainMarksBeeRoutines(t *testing.T) {
 
 // TestEstimateBesideActual pins that EXPLAIN ANALYZE prints the planner's
 // estimate on every join line, next to the rows the join produced: tiny
-// shares no edge with the others, so it cross-joins last.
+// shares no edge with the others, so it cross-joins last. Each scan emits
+// the one column the statement reads of it.
 func TestEstimateBesideActual(t *testing.T) {
 	db := planDB(t)
 	out, res, err := db.ExplainAnalyzeQuery("select count(*) from big, small, tiny where b_small = s_id")
@@ -360,7 +361,9 @@ func TestEstimateBesideActual(t *testing.T) {
 	}
 	for _, want := range []string{
 		"NestedLoopJoin inner est=10000 (actual rows=10000 ",
-		"HashJoin inner keys=[1]/[0] est=1000 [EVJ] (actual rows=1000 ",
+		"HashJoin inner keys=[0]/[0] est=1000 [EVJ] (actual rows=1000 ",
+		"BatchSeqScan big (b_small) batch=1024 [GCL] (actual rows=1000 ",
+		"BatchSeqScan tiny (t_id) batch=1024 [GCL] (actual rows=10 ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain analyze missing %q:\n%s", want, out)

@@ -17,18 +17,25 @@ type EqProbe struct {
 }
 
 // matchEqPrefix is the one equality-prefix matcher: given the conjuncts
-// of a predicate over rel (Var ordinals are attribute ordinals), it
-// picks the index of rel whose key has the longest leading run of
-// columns pinned by `col = e` (either operand order) with e
-// row-independent — constants, $n parameters and arithmetic over them.
-// SELECT planning (tryIndexScan) and compiled UPDATE/DELETE (EqProbeFor)
+// of a predicate over rel, it picks the index of rel whose key has the
+// longest leading run of columns pinned by `col = e` (either operand
+// order) with e row-independent — constants, $n parameters and arithmetic
+// over them. A Var ordinal i names attribute atts[i], or attribute i when
+// atts is nil. SELECT planning (tryIndexScan, over a scan's attribute
+// list) and compiled UPDATE/DELETE (EqProbeFor, over the whole relation)
 // both call it. The caller keeps the full predicate as a recheck; the
 // probe only narrows which versions are fetched.
-func (p *Planner) matchEqPrefix(conjuncts []expr.Expr, rel *catalog.Relation) (EqProbe, bool) {
+func (p *Planner) matchEqPrefix(conjuncts []expr.Expr, rel *catalog.Relation, atts []int) (EqProbe, bool) {
 	if p.IndexesFor == nil {
 		return EqProbe{}, false
 	}
-	// Equality bindings: column ordinal → key expression.
+	attr := func(v *expr.Var) int {
+		if atts == nil {
+			return v.Idx
+		}
+		return atts[v.Idx]
+	}
+	// Equality bindings: attribute ordinal → key expression.
 	eq := map[int]expr.Expr{}
 	for _, c := range conjuncts {
 		cmp, ok := c.(*expr.Cmp)
@@ -36,9 +43,9 @@ func (p *Planner) matchEqPrefix(conjuncts []expr.Expr, rel *catalog.Relation) (E
 			continue
 		}
 		if v, ok := cmp.L.(*expr.Var); ok && rowIndependent(cmp.R, true) {
-			eq[v.Idx] = cmp.R
+			eq[attr(v)] = cmp.R
 		} else if v, ok := cmp.R.(*expr.Var); ok && rowIndependent(cmp.L, true) {
-			eq[v.Idx] = cmp.L
+			eq[attr(v)] = cmp.L
 		}
 	}
 	if len(eq) == 0 {
@@ -87,7 +94,7 @@ func (p *Planner) EqProbeFor(rel *catalog.Relation, where expr.Expr) (EqProbe, b
 	if and, ok := where.(*expr.And); ok {
 		conjuncts = and.Kids
 	}
-	return p.matchEqPrefix(conjuncts, rel)
+	return p.matchEqPrefix(conjuncts, rel, nil)
 }
 
 // rowIndependent reports whether e reads nothing from the input row —

@@ -17,6 +17,68 @@ type selectPlan struct {
 	parent *scope
 	ctes   map[string]*sql.Select
 	frames []*scope
+	// sel is the block's statement, and body is set when the block is a
+	// decorrelated EXISTS build side (see readAtts).
+	sel  *sql.Select
+	body *existsBody
+}
+
+// existsBody marks a block planned as the build side of a decorrelated
+// EXISTS: its select list is not read and it emits its joined row. moved
+// are the conjuncts the decorrelation took out of its WHERE (correlation
+// keys, residuals), which still read its columns.
+type existsBody struct {
+	moved []sql.Expr
+}
+
+// readAtts appends to into the attributes of rel, a FROM-list item named
+// alias, that the block reads, ascending: every attribute under a `*` in
+// the select list (an EXISTS body's excepted), otherwise those some
+// identifier could name — by name, and by alias when qualified. The
+// identifiers are the block's own, its subqueries' at any depth (a
+// correlated reference names a column of this block) and an EXISTS body's
+// moved conjuncts'. Naming too many is safe; a block that reads none
+// keeps the first attribute, so the item still has a row.
+func (sp *selectPlan) readAtts(rel *catalog.Relation, alias string, into []int) []int {
+	all := false
+	if sp.body == nil {
+		for _, it := range sp.sel.Items {
+			all = all || it.Star
+		}
+	}
+	var small [64]bool
+	read := small[:0]
+	if n := len(rel.Attrs); n <= len(small) {
+		read = small[:n]
+	} else {
+		read = make([]bool, n)
+	}
+	mark := func(id *sql.Ident) {
+		name := id.Parts[len(id.Parts)-1]
+		if len(id.Parts) > 2 || len(id.Parts) == 2 && id.Parts[0] != alias {
+			return
+		}
+		for i := range rel.Attrs {
+			read[i] = read[i] || rel.Attrs[i].Name == name
+		}
+	}
+	if !all {
+		sql.WalkIdents(sp.sel, mark)
+		if sp.body != nil {
+			for _, e := range sp.body.moved {
+				sql.WalkExprIdents(e, mark)
+			}
+		}
+	}
+	for i := range read {
+		if all || read[i] {
+			into = append(into, i)
+		}
+	}
+	if len(into) == 0 {
+		into = append(into, 0)
+	}
+	return into
 }
 
 // newScope creates a resolution frame belonging to this select block.
@@ -45,9 +107,12 @@ type fromItem struct {
 	filters []sql.Expr // pushed-down single-item conjuncts
 	// rel is set for base-table items; attachFilters uses it to consider
 	// equality index scans. rows is then the relation's row estimate before
-	// the pushed filters.
+	// the pushed filters, and atts[i] the relation ordinal of column i: a
+	// scan emits only the attributes its block reads (readAtts), so an item
+	// column ordinal is a relation ordinal only through atts.
 	rel  *catalog.Relation
 	rows float64
+	atts []int
 }
 
 // joinEdge is an equi-join conjunct between two from items.
@@ -64,7 +129,14 @@ type joinEdge struct {
 // and the output scope (cols named by the select list; correlated set if
 // the block references parent).
 func (p *Planner) planSelect(sel *sql.Select, parent *scope) (exec.Node, *scope, error) {
-	sp := &selectPlan{p: p, parent: parent}
+	return p.planBlock(sel, parent, nil)
+}
+
+// planBlock plans one SELECT block, an EXISTS build side when body is
+// set: then the output scope is the joined row's columns, and no
+// projection sits over it.
+func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (exec.Node, *scope, error) {
+	sp := &selectPlan{p: p, parent: parent, sel: sel, body: body}
 	if len(sel.With) > 0 {
 		sp.ctes = make(map[string]*sql.Select, len(sel.With))
 		for _, cte := range sel.With {
@@ -186,6 +258,9 @@ func (p *Planner) planSelect(sel *sql.Select, parent *scope) (exec.Node, *scope,
 		ts.node = p.filterOver(ts.node, pred, true)
 	}
 
+	if body != nil {
+		return ts.node, &scope{cols: ts.cols, parent: parent, correlated: sp.isCorrelated()}, nil
+	}
 	// --- Aggregation, projection, ordering ---
 	return sp.finishSelect(sel, ts)
 }
@@ -217,31 +292,21 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 }
 
 // tryIndexScan replaces a base-table sequential scan with an equality
-// index scan when the pushed conjuncts pin a prefix of some index's key
-// (see matchEqPrefix). The full filter stays on top as a recheck, so the
-// rewrite is always safe; the win is skipping the heap scan for point
-// and small-prefix lookups. It reports whether the probe pins every column
-// of a unique key, i.e. fetches at most one row.
+// index scan, emitting the same attributes, when the pushed conjuncts pin
+// a prefix of some index's key (see matchEqPrefix). The full filter stays
+// on top as a recheck, so the rewrite is always safe; the win is skipping
+// the heap scan for point and small-prefix lookups. It reports whether the
+// probe pins every column of a unique key, i.e. fetches at most one row.
 func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
-	if it.rel == nil {
+	seq, ok := it.node.(*exec.SeqScan)
+	if it.rel == nil || !ok {
 		return false
 	}
-	if _, ok := it.node.(*exec.SeqScan); !ok {
-		return false
-	}
-	probe, ok := p.matchEqPrefix(conjuncts, it.rel)
+	probe, ok := p.matchEqPrefix(conjuncts, it.rel, it.atts)
 	if !ok {
 		return false
 	}
-	h, err := p.HeapFor(it.rel)
-	if err != nil {
-		return false
-	}
-	deform, err := p.Mod.Deformer(it.rel)
-	if err != nil {
-		return false
-	}
-	scan := exec.NewIndexScan(h, probe.Index.Tree, deform, 0, nil, nil, false)
+	scan := exec.NewIndexScan(seq.Heap, probe.Index.Tree, seq.Deform, nil, nil, false)
 	scan.KeyExprs = probe.KeyExprs
 	scan.KeyTypes = probe.KeyTypes
 	scan.Latch = probe.Index.Latch
@@ -441,16 +506,18 @@ func (sp *selectPlan) planTableRef(ref sql.TableRef) (*fromItem, error) {
 		if err != nil {
 			return nil, err
 		}
-		node, err := p.scanFor(rel)
+		var buf [16]int
+		node, err := p.scanFor(rel, sp.readAtts(rel, alias, buf[:0]))
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]column, len(rel.Attrs))
-		for i, a := range rel.Attrs {
-			cols[i] = column{tbl: alias, name: a.Name, t: a.Type}
+		atts := node.Deform.Atts
+		cols := make([]column, len(atts))
+		for i, a := range atts {
+			cols[i] = column{tbl: alias, name: rel.Attrs[a].Name, t: rel.Attrs[a].Type}
 		}
 		rows := p.estRows(rel)
-		return &fromItem{node: node, cols: cols, est: rows, rel: rel, rows: rows}, nil
+		return &fromItem{node: node, cols: cols, est: rows, rel: rel, rows: rows, atts: atts}, nil
 
 	case *sql.SubqueryRef:
 		node, sub, err := p.planSelect(r.Sel, sp.parent)

@@ -62,6 +62,25 @@ func WalkSelectSubqueries(sel *Select, fn func(*Select)) {
 	})
 }
 
+// WalkIdents calls fn for every identifier in sel: its clauses, its CTEs
+// and derived tables, and its subqueries at any depth.
+func WalkIdents(sel *Select, fn func(*Ident)) {
+	walkSelectExprs(sel, func(e Expr) {
+		if id, ok := e.(*Ident); ok {
+			fn(id)
+		}
+	})
+}
+
+// WalkExprIdents calls fn for every identifier in e, subqueries included.
+func WalkExprIdents(e Expr, fn func(*Ident)) {
+	walkExpr(e, func(e Expr) {
+		if id, ok := e.(*Ident); ok {
+			fn(id)
+		}
+	})
+}
+
 func walkSelectExprs(sel *Select, fn func(Expr)) {
 	if sel == nil {
 		return

@@ -202,6 +202,20 @@ func fillFixed(dst []byte, a *catalog.Attribute, v types.Datum) {
 // values[i] receives a Datum whose byte payloads alias tup; callers that
 // outlive the underlying page must copy.
 func SlotDeform(rel *catalog.Relation, tup []byte, values []types.Datum, natts int, prof *profile.Counters) {
+	slotDeform(rel, tup, values, natts, nil, prof)
+}
+
+// SlotDeformColumns is SlotDeform over an attribute list (ascending
+// ordinals): it walks the prefix up to the list's last attribute, as
+// PostgreSQL's slot_getattr does, and stores attribute atts[k] in
+// values[k]. It charges what SlotDeform charges for that prefix.
+func SlotDeformColumns(rel *catalog.Relation, tup []byte, values []types.Datum, atts []int, prof *profile.Counters) {
+	slotDeform(rel, tup, values, atts[len(atts)-1]+1, atts, prof)
+}
+
+// slotDeform is the loop behind both: with atts nil it stores attribute i
+// in values[i], otherwise only the listed attributes, densely.
+func slotDeform(rel *catalog.Relation, tup []byte, values []types.Datum, natts int, atts []int, prof *profile.Counters) {
 	cost := int64(profile.DeformBase)
 	hasNulls := HasNulls(tup)
 	var bits []byte
@@ -211,12 +225,22 @@ func SlotDeform(rel *catalog.Relation, tup []byte, values []types.Datum, natts i
 	data := tup[HOff(tup):]
 	off := 0
 	slow := false
+	k := 0 // the next list position
 	for attnum := 0; attnum < natts; attnum++ {
 		thisatt := &rel.Attrs[attnum]
+		dst := attnum
+		if atts != nil {
+			if dst = -1; atts[k] == attnum {
+				dst = k
+				k++
+			}
+		}
 		if hasNulls {
 			cost += profile.DeformNullBitmapCheck
 			if attIsNull(attnum, bits) {
-				values[attnum] = types.Null
+				if dst >= 0 {
+					values[dst] = types.Null
+				}
 				slow = true
 				cost += profile.DeformNullAttr
 				continue
@@ -241,7 +265,9 @@ func SlotDeform(rel *catalog.Relation, tup []byte, values []types.Datum, natts i
 		if slow {
 			cost += profile.DeformSlowAttr
 		}
-		values[attnum] = fetchAtt(thisatt, data, off)
+		if dst >= 0 {
+			values[dst] = fetchAtt(thisatt, data, off)
+		}
 		if thisatt.Len == -1 {
 			off += 4 + int(binary.LittleEndian.Uint32(data[off:]))
 			slow = true
