@@ -867,9 +867,12 @@ func constFold(e expr.Expr) (types.Datum, bool) {
 func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
 	oIdx := append([]int(nil), outerIdx...)
 	iIdx := append([]int(nil), innerIdx...)
+	// A float key is not by-value here: its bits are not its value (-0.0
+	// equals 0.0, 1.0 equals the integer 1), so it is hashed and compared
+	// like the generic path does.
 	byVal := make([]bool, len(keyTypes))
 	for i, t := range keyTypes {
-		byVal[i] = t.ByValue()
+		byVal[i] = t.ByValue() && t.Kind != types.KindFloat64
 	}
 	jk := &JoinKeyFuncs{
 		HashOuterBatch: compileBatchKeyHash(oIdx, byVal),

@@ -7,6 +7,7 @@ package engine_test
 
 import (
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -247,5 +248,45 @@ func TestAdHocPlanAllocs(t *testing.T) {
 	})
 	if allocs > maxAdHocPlanAllocs {
 		t.Fatalf("planning %q allocates %.0f times, want at most %d", q, allocs, maxAdHocPlanAllocs)
+	}
+}
+
+// TestQ18FiltersOrdersWithABatchedSubPlan pins Q18's shape: the
+// uncorrelated `o_orderkey IN (subquery)` is pushed to orders, where it
+// filters the scan directly before any join, and EXPLAIN ANALYZE renders
+// its subplan under it — batched, with its actuals.
+func TestQ18FiltersOrdersWithABatchedSubPlan(t *testing.T) {
+	db := analyzeDB(t)
+	out, _, err := db.ExplainAnalyzeQuery(tpch.Queries()[18])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	indent := func(s string) int { return len(s) - len(strings.TrimLeft(s, " ")) }
+	at := slices.IndexFunc(lines, func(s string) bool {
+		return strings.HasPrefix(strings.TrimLeft(s, " "), "BatchFilter (o_orderkey IN (subquery))")
+	})
+	if at < 0 || at+2 >= len(lines) {
+		t.Fatalf("no BatchFilter for the IN conjunct:\n%s", out)
+	}
+	d := indent(lines[at])
+	if l := lines[at+1]; indent(l) != d+2 || !strings.HasPrefix(strings.TrimLeft(l, " "), "BatchSeqScan orders") {
+		t.Errorf("the IN filter is not directly over the orders scan:\n%s", out)
+	}
+	sub := slices.IndexFunc(lines[at+1:], func(s string) bool {
+		return indent(s) == d+2 && strings.HasPrefix(strings.TrimLeft(s, " "), "SubPlan (uncorrelated) (actual rows=")
+	})
+	if sub < 0 {
+		t.Fatalf("no SubPlan with actuals under the IN filter:\n%s", out)
+	}
+	batched := false
+	for _, l := range lines[at+2+sub:] {
+		if indent(l) <= d+2 {
+			break
+		}
+		batched = batched || strings.Contains(l, "BatchSeqScan lineitem")
+	}
+	if !batched {
+		t.Errorf("the subplan is not batched:\n%s", out)
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"microspec/internal/types"
 )
 
-// rowArena is the row store of the buffering operators (hash-join build
-// side, Sort, Materialize): add deep-copies a row into chunked datum
+// rowArena is the row store of the buffering operators (every hashTable,
+// Sort, Materialize): add deep-copies a row into chunked datum
 // storage and its by-reference payloads into chunked byte storage, so
 // buffering N rows costs O(chunks) allocations where CloneRow costs two
 // per row. Chunks are never moved, so every row add returned stays valid
@@ -39,9 +39,13 @@ const (
 )
 
 // grow returns the size of the next chunk — at least need — and advances
-// the doubling schedule, which starts at lo and stops at hi.
+// the doubling schedule, which stops at hi. It starts at lo unless the
+// owner set a first size (a hashTable set starts small).
 func grow(next *int, need, lo, hi int) int {
-	size := max(*next, lo, need)
+	if *next == 0 {
+		*next = lo
+	}
+	size := max(*next, need)
 	*next = min(2*size, hi)
 	return size
 }

@@ -235,7 +235,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 			return err
 		}
 		defer node.Close(wctx)
-		table := newAggTable()
+		table := newAggTable(len(g.Aggs))
 		keyBuf := make(expr.Row, len(g.GroupBy))
 		var rows, eva int64
 		// Batch fast path: a Rebatch-rooted partition is driven batch by
@@ -267,7 +267,8 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 			for i, ge := range g.GroupBy {
 				keyBuf[i] = ge.Eval(row, &wctx.Expr)
 			}
-			grp := table.find(keyBuf, len(g.Aggs))
+			grp := table.group(keyBuf)
+			st := table.states(grp)
 			for i := range specs {
 				spec := &specs[i]
 				var v types.Datum
@@ -278,7 +279,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 				case spec.Arg != nil:
 					v = spec.Arg.Eval(row, &wctx.Expr)
 				}
-				grp.states[i].add(&g.Aggs[i], v)
+				table.fold(st, grp, i, &g.Aggs[i], v)
 			}
 		}
 		partTables[part] = table
@@ -296,21 +297,23 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 	// Merge partial states in partition order: partitions cover the heap
 	// in page order, so first appearance across partitions equals the
 	// serial first-appearance order and parallel GROUP BY output order
-	// matches the serial plan.
-	merged := newAggTable()
+	// matches the serial plan. The first partition's table becomes the
+	// merged one, so its groups are not copied.
+	var merged *aggTable
 	for _, t := range partTables {
-		if t == nil {
-			continue
-		}
-		for _, pg := range t.order {
-			grp := merged.find(pg.keys, len(g.Aggs))
-			for i := range grp.states {
-				grp.states[i].merge(&pg.states[i])
-			}
+		switch {
+		case t == nil:
+		case merged == nil:
+			merged = t
+		default:
+			merged.merge(t)
 		}
 	}
-	if len(g.GroupBy) == 0 && len(merged.order) == 0 {
-		merged.find(nil, len(g.Aggs))
+	if merged == nil {
+		merged = newAggTable(len(g.Aggs))
+	}
+	if len(g.GroupBy) == 0 {
+		merged.global()
 	}
 	g.table = merged
 	return nil
@@ -451,15 +454,11 @@ func (g *Gather) openBatchStream(ctx *Ctx) {
 func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
 	switch {
 	case g.aggMode():
-		if g.table == nil || g.pos >= len(g.table.order) {
+		if g.table == nil || g.pos >= g.table.groups {
 			return nil, false, nil
 		}
-		grp := g.table.order[g.pos]
+		g.table.result(g.pos, g.Aggs, g.outBuf)
 		g.pos++
-		copy(g.outBuf, grp.keys)
-		for i := range g.Aggs {
-			g.outBuf[len(g.GroupBy)+i] = grp.states[i].result(&g.Aggs[i])
-		}
 		return g.outBuf, true, nil
 
 	case g.mergeMode():

@@ -24,13 +24,14 @@ type Instrumented struct {
 // Instrument recursively wraps a plan tree, rewriting every child link to
 // point at the wrapped child. A BatchNode gets the batch-counting
 // decorator, so batches keep flowing between batch-aware nodes under
-// analysis. Subquery plans embedded in expressions are left untouched:
-// their cost surfaces in the timing of the node that evaluates the
-// expression.
+// analysis. The subplans of subquery expressions are wrapped too, so
+// EXPLAIN ANALYZE reports their actuals; their time is also inside the
+// time of the node that evaluates the expression.
 func Instrument(n Node) Node {
 	if bn, ok := n.(BatchNode); ok {
 		return InstrumentBatch(bn)
 	}
+	instrumentSubplans(n)
 	switch v := n.(type) {
 	case *Filter:
 		v.Child = Instrument(v.Child)
@@ -66,6 +67,7 @@ func Instrument(n Node) Node {
 // InstrumentBatch wraps a batch subtree in InstrumentedBatch decorators,
 // mirroring Instrument for the batch-at-a-time path.
 func InstrumentBatch(n BatchNode) BatchNode {
+	instrumentSubplans(n)
 	switch v := n.(type) {
 	case *BatchFilter:
 		v.Child = InstrumentBatch(v.Child)
@@ -74,6 +76,17 @@ func InstrumentBatch(n BatchNode) BatchNode {
 		v.Inner = Instrument(v.Inner)
 	}
 	return &InstrumentedBatch{Inner: n}
+}
+
+// instrumentSubplans wraps the subplan of every subquery expression n
+// evaluates.
+func instrumentSubplans(n Node) {
+	Children(n, func(Node) {}, func(e expr.Expr) {
+		eachSubquery(e, func(sq subquery) {
+			p := sq.subplan()
+			*p = Instrument(*p)
+		})
+	})
 }
 
 // InstrumentedBatch decorates a BatchNode with EXPLAIN ANALYZE statistics:

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"microspec/internal/core"
@@ -248,6 +249,104 @@ func checkJoinAgainstOracle(t *testing.T, label string, outer, inner []expr.Row,
 	}
 }
 
+// groupingOracle groups rows by the key columns the nested-loop way:
+// each row is compared with every group found so far (NULL keys equal),
+// so groups come out in first-appearance order with their rows in input
+// order.
+func groupingOracle(rows []expr.Row, keys []int) [][]expr.Row {
+	var groups [][]expr.Row
+	for _, r := range rows {
+		g := slices.IndexFunc(groups, func(g []expr.Row) bool {
+			for _, k := range keys {
+				a, b := g[0][k], r[k]
+				if a.IsNull() != b.IsNull() || !a.IsNull() && a.Compare(b) != 0 {
+					return false
+				}
+			}
+			return true
+		})
+		if g < 0 {
+			groups = append(groups, nil)
+			g = len(groups) - 1
+		}
+		groups[g] = append(groups[g], r)
+	}
+	return groups
+}
+
+// checkGroupingAgainstOracle runs rows through HashAgg and BatchHashAgg
+// (every key shape, with COUNT(*), COUNT, SUM, MIN, MAX and
+// COUNT(DISTINCT)) and through Distinct, comparing each with the
+// nested-loop grouping.
+func checkGroupingAgainstOracle(t *testing.T, label string, rows []expr.Row, sizes []int) {
+	t.Helper()
+	v := &expr.Var{Idx: 2, T: types.Int32}
+	tag := &expr.Var{Idx: 3, T: types.Varchar(16)}
+	specs := []AggSpec{{Fn: AggCount}, {Fn: AggCount, Arg: v}, {Fn: AggSum, Arg: v},
+		{Fn: AggMin, Arg: tag}, {Fn: AggMax, Arg: tag}, {Fn: AggCount, Arg: v, Distinct: true}}
+	for _, keys := range joinKeySets {
+		var want []expr.Row
+		for _, g := range groupingOracle(rows, keys) {
+			var out expr.Row
+			for _, k := range keys {
+				out = append(out, g[0][k])
+			}
+			var n, sum int64
+			lo, hi := types.Null, types.Null
+			var seen []types.Datum
+			for _, r := range g {
+				if r[2].IsNull() {
+					continue
+				}
+				n, sum = n+1, sum+r[2].Int64()
+				if lo.IsNull() || r[3].Compare(lo) < 0 {
+					lo = r[3]
+				}
+				if hi.IsNull() || r[3].Compare(hi) > 0 {
+					hi = r[3]
+				}
+				if !slices.ContainsFunc(seen, r[2].Equal) {
+					seen = append(seen, r[2])
+				}
+			}
+			s := types.Null
+			if n > 0 {
+				s = i64(sum)
+			}
+			want = append(want, append(out, i64(int64(len(g))), i64(n), s, lo, hi, i64(int64(len(seen)))))
+		}
+		groupBy := make([]expr.Expr, len(keys))
+		for i, k := range keys {
+			groupBy[i] = &expr.Var{Idx: k, T: joinCols[k].T}
+		}
+		aggs := map[string]Node{
+			"HashAgg": &HashAgg{Child: &volatileRows{cols: joinCols, rows: rows}, GroupBy: groupBy, Aggs: specs},
+			"BatchHashAgg": &BatchHashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: joinCols, rows: rows},
+				sizes: sizes, dead: true}, GroupBy: groupBy, Aggs: specs},
+		}
+		for name, agg := range aggs {
+			got, err := Collect(&Ctx{}, agg)
+			if err == nil {
+				err = sameRows(got, want)
+			}
+			if err != nil {
+				t.Fatalf("%s: %s keys=%v: %v", label, name, keys, err)
+			}
+		}
+	}
+	var want []expr.Row
+	for _, g := range groupingOracle(rows, []int{0, 1, 2, 3}) {
+		want = append(want, g[0])
+	}
+	got, err := Collect(&Ctx{}, &Distinct{Child: &volatileRows{cols: joinCols, rows: rows}})
+	if err == nil {
+		err = sameRows(got, want)
+	}
+	if err != nil {
+		t.Fatalf("%s: Distinct: %v", label, err)
+	}
+}
+
 // batchInvariants checks every batch a join hands out: never empty, never
 // over BatchCap.
 type batchInvariants struct {
@@ -269,7 +368,9 @@ func (b *batchInvariants) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 // TestHashJoinMatchesNestedLoopOracle is the hash join's property test:
 // seeded random inputs with NULL and duplicate keys, plus the edge shapes
 // (empty sides, one outer row matching more than BatchCap inner rows, a
-// null extension falling exactly on a full output batch).
+// null extension falling exactly on a full output batch). The same inputs
+// drive the other users of the hashed row store — aggregation and
+// DISTINCT — against their nested-loop oracles.
 func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -277,6 +378,7 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 		inner := randomJoinRows(rng, rng.Intn(70), "i")
 		sizes := []int{1 + rng.Intn(7), 1 + rng.Intn(30)}
 		checkJoinAgainstOracle(t, fmt.Sprintf("seed %d", seed), outer, inner, sizes)
+		checkGroupingAgainstOracle(t, fmt.Sprintf("seed %d", seed), append(outer, inner...), sizes)
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -324,7 +426,7 @@ func TestHashJoinCloseReleasesRows(t *testing.T) {
 	if len(noted) != 1 || noted[0] == 0 {
 		t.Errorf("NoteEVJ calls = %v, want one non-zero report", noted)
 	}
-	if j.build.rows != nil || j.heads != nil || j.next != nil || j.outRows != nil ||
+	if j.build.rows.rows != nil || j.build.heads != nil || j.build.next != nil || j.outRows != nil ||
 		j.out.Rows != nil || j.ob != nil || j.rb.cur != nil || j.scratch != nil {
 		t.Errorf("closed join still references rows: %+v", j)
 	}
@@ -336,7 +438,7 @@ func TestHashJoinCloseReleasesRows(t *testing.T) {
 	}
 	d := &Distinct{Child: outer}
 	mustCollect(t, d)
-	if d.seen != nil {
+	if d.seen.rows.rows != nil || d.seen.heads != nil {
 		t.Error("closed Distinct still holds its rows")
 	}
 }

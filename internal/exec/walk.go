@@ -98,8 +98,29 @@ func WalkNodes(n Node, fn func(Node)) {
 // subquery is an expression that runs a subplan: ScalarSubquery,
 // ExistsSubquery and InSubquery.
 type subquery interface {
-	subplan() Node
+	subplan() *Node
+	correlated() bool
 	Reset()
+}
+
+// eachSubquery calls fn on every subquery expression in e, not descending
+// into their subplans.
+func eachSubquery(e expr.Expr, fn func(subquery)) {
+	expr.Walk(e, func(e expr.Expr) bool {
+		if sq, ok := e.(subquery); ok {
+			fn(sq)
+		}
+		return true
+	})
+}
+
+// Subplans calls fn on the subplan of every subquery expression n
+// evaluates, with whether it is correlated; subplans nested in those are
+// not visited. EXPLAIN renders them under n.
+func Subplans(n Node, fn func(plan Node, correlated bool)) {
+	Children(n, func(Node) {}, func(e expr.Expr) {
+		eachSubquery(e, func(sq subquery) { fn(*sq.subplan(), sq.correlated()) })
+	})
 }
 
 // walkTree calls node on n and on every plan node below it, and ex on every
@@ -123,7 +144,7 @@ func walkExprTree(e expr.Expr, node func(Node), ex func(expr.Expr)) {
 			ex(e)
 		}
 		if sq, ok := e.(subquery); ok {
-			walkTree(sq.subplan(), node, ex)
+			walkTree(*sq.subplan(), node, ex)
 		}
 		return true
 	})

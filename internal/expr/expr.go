@@ -26,6 +26,12 @@ type Ctx struct {
 	// OuterRows is a stack of outer rows for correlated subqueries; an
 	// OuterVar at depth d reads OuterRows[len-1-d].
 	OuterRows []Row
+	// Run is the executor state of the statement the expression is
+	// evaluated for, opaque to this package (internal/exec sets it): a
+	// subquery expression runs its subplan under the statement's snapshot
+	// and cancellation and reports its errors there. Nil outside a
+	// running plan.
+	Run any
 }
 
 // PushOuter binds an outer row for the duration of a subquery evaluation.

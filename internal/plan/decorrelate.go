@@ -15,7 +15,8 @@ import (
 // evaluated per lineitem row is quadratic; with it, TPC-H q2, q4, q17,
 // q20, q21, and q22 plan as semi/anti/left joins. Uncorrelated
 // subqueries are left as (cached) expression subplans, which is already
-// efficient.
+// efficient; an uncorrelated `x [NOT] IN (subquery)` conjunct filters its
+// FROM item before any join (pushIn in select.go).
 //
 // handleSubqueryConjunct returns handled=false to request the expression
 // fallback; it returns a replacement post-filter expression when the
@@ -175,8 +176,10 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 	if !part.ok {
 		return false, nil, nil
 	}
-	if len(part.innerIDs) == 0 && extraOuterKey == nil {
-		return false, nil, nil // uncorrelated or non-equality correlation
+	if len(part.innerIDs) == 0 {
+		// Uncorrelated (an uncorrelated IN is pushed to its FROM item
+		// instead) or non-equality correlation.
+		return false, nil, nil
 	}
 
 	// Plan the modified subquery. An EXISTS body emits its joined row, so
@@ -202,7 +205,7 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 	if extraOuterKey != nil {
 		outerKeys = append(outerKeys, *extraOuterKey)
 		innerKeys = append(innerKeys, 0)
-		keyTypes = append(keyTypes, subScope.cols[0].t)
+		keyTypes = append(keyTypes, joinKeyType(ts.cols[*extraOuterKey].t, subScope.cols[0].t))
 	}
 	for i := range part.innerIDs {
 		oi, err := findColumn(ts.cols, part.outerIDs[i].Parts)
@@ -215,7 +218,7 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 		}
 		outerKeys = append(outerKeys, oi)
 		innerKeys = append(innerKeys, ii)
-		keyTypes = append(keyTypes, subScope.cols[ii].t)
+		keyTypes = append(keyTypes, joinKeyType(ts.cols[oi].t, subScope.cols[ii].t))
 	}
 
 	var residual expr.Expr
@@ -230,11 +233,7 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 			}
 			kids = append(kids, e)
 		}
-		if len(kids) == 1 {
-			residual = kids[0]
-		} else {
-			residual = &expr.And{Kids: kids}
-		}
+		residual = conjunction(kids)
 	}
 
 	jt := exec.SemiJoin
@@ -291,7 +290,7 @@ func (sp *selectPlan) tryDecorrelateScalar(ts *treeState, op string, lhs sql.Exp
 		}
 		outerKeys = append(outerKeys, oi)
 		innerKeys = append(innerKeys, i)
-		keyTypes = append(keyTypes, subScope.cols[i].t)
+		keyTypes = append(keyTypes, joinKeyType(ts.cols[oi].t, subScope.cols[i].t))
 	}
 
 	aggCol := len(ts.cols) + nKeys

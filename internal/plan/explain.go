@@ -26,39 +26,57 @@ func ExplainAnalyze(n exec.Node) string {
 	return b.String()
 }
 
+// explainNode writes n's line, its children's outlines and then, each on
+// a "SubPlan" line, the subplans of the subquery expressions n evaluates.
 func explainNode(b *strings.Builder, n exec.Node, depth int, analyze bool) {
-	var in *exec.Instrumented
-	var inb *exec.InstrumentedBatch
+	stats := ""
+	if analyze {
+		stats = actuals(n)
+	}
 	switch wrapped := n.(type) {
 	case *exec.Instrumented:
-		in = wrapped
 		n = wrapped.Inner
 	case *exec.InstrumentedBatch:
-		inb = wrapped
 		n = wrapped.Inner
 	}
-	line := describe(n)
-	if analyze && in != nil {
-		line += fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
-			in.Rows, in.Loops, in.Elapsed.Seconds()*1000)
-	}
-	if analyze && inb != nil {
-		if inb.Batches == 0 && inb.Rows > 0 {
-			// Rows but no batches: drained row by row (a join under a
-			// row-only consumer, or any join of a tuple-path plan).
-			line += fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
-				inb.Rows, inb.Loops, inb.Elapsed.Seconds()*1000)
-		} else {
-			rpb := 0.0
-			if inb.Batches > 0 {
-				rpb = float64(inb.Rows) / float64(inb.Batches)
-			}
-			line += fmt.Sprintf(" (actual rows=%d batches=%d rows/batch=%.1f loops=%d time=%.3fms)",
-				inb.Rows, inb.Batches, rpb, inb.Loops, inb.Elapsed.Seconds()*1000)
-		}
-	}
+	line := describe(n) + stats
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), line)
 	exec.Children(n, func(kid exec.Node) { explainNode(b, kid, depth+1, analyze) }, nil)
+	exec.Subplans(n, func(sub exec.Node, correlated bool) {
+		line := "SubPlan (uncorrelated)"
+		if correlated {
+			line = "SubPlan (correlated)"
+		}
+		if analyze {
+			line += actuals(sub)
+		}
+		fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth+1), line)
+		explainNode(b, sub, depth+2, analyze)
+	})
+}
+
+// actuals renders the EXPLAIN ANALYZE statistics of an instrumented node,
+// "" for one that is not.
+func actuals(n exec.Node) string {
+	switch in := n.(type) {
+	case *exec.Instrumented:
+		return fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
+			in.Rows, in.Loops, in.Elapsed.Seconds()*1000)
+	case *exec.InstrumentedBatch:
+		if in.Batches == 0 && in.Rows > 0 {
+			// Rows but no batches: drained row by row (a join under a
+			// row-only consumer, or any join of a tuple-path plan).
+			return fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
+				in.Rows, in.Loops, in.Elapsed.Seconds()*1000)
+		}
+		rpb := 0.0
+		if in.Batches > 0 {
+			rpb = float64(in.Rows) / float64(in.Batches)
+		}
+		return fmt.Sprintf(" (actual rows=%d batches=%d rows/batch=%.1f loops=%d time=%.3fms)",
+			in.Rows, in.Batches, rpb, in.Loops, in.Elapsed.Seconds()*1000)
+	}
+	return ""
 }
 
 // describe returns one node's outline line (bee-routine markers

@@ -104,7 +104,8 @@ type fromItem struct {
 	node    exec.Node
 	cols    []column
 	est     float64
-	filters []sql.Expr // pushed-down single-item conjuncts
+	filters []sql.Expr  // pushed-down single-item conjuncts
+	in      []expr.Expr // pushed-down `e [NOT] IN (subquery)` conjuncts (pushIn)
 	// rel is set for base-table items; attachFilters uses it to consider
 	// equality index scans. rows is then the relation's row estimate before
 	// the pushed filters, and atts[i] the relation ordinal of column i: a
@@ -173,7 +174,9 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 		info := collectRefs(c, itemCols, outerForRefs)
 		switch {
 		case info.subquery:
-			subqConjs = append(subqConjs, c)
+			if !sp.pushIn(c, items, itemCols) {
+				subqConjs = append(subqConjs, c)
+			}
 		case info.unknown:
 			postFilters = append(postFilters, c) // will fail with a clear error
 		case len(info.items) <= 1 && !info.outer || len(info.items) == 1 && info.outer:
@@ -249,13 +252,7 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 		}
 	}
 	if len(postExprs) > 0 {
-		var pred expr.Expr
-		if len(postExprs) == 1 {
-			pred = postExprs[0]
-		} else {
-			pred = &expr.And{Kids: postExprs}
-		}
-		ts.node = p.filterOver(ts.node, pred, true)
+		ts.node = p.filterOver(ts.node, conjunction(postExprs), true)
 	}
 
 	if body != nil {
@@ -265,30 +262,68 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 	return sp.finishSelect(sel, ts)
 }
 
-// attachFilters wraps an item's node in a Filter for its pushed conjuncts.
+// attachFilters wraps an item's node in a Filter for its pushed conjuncts
+// and, above it, one for its pushed IN-subquery conjuncts: EVP compiles
+// no subquery, so keeping them apart leaves the other conjuncts their
+// compiled (and, batched, fused) filter.
 func (sp *selectPlan) attachFilters(it *fromItem) error {
-	if len(it.filters) == 0 {
-		return nil
-	}
-	s := sp.newScope(it.cols)
-	var kids []expr.Expr
-	for _, c := range it.filters {
-		e, err := sp.p.convertExpr(c, s)
-		if err != nil {
-			return err
+	pinned := false
+	if len(it.filters) > 0 {
+		s := sp.newScope(it.cols)
+		var kids []expr.Expr
+		for _, c := range it.filters {
+			e, err := sp.p.convertExpr(c, s)
+			if err != nil {
+				return err
+			}
+			kids = append(kids, e)
 		}
-		kids = append(kids, e)
+		pinned = sp.p.tryIndexScan(it, kids)
+		it.node = sp.p.filterOver(it.node, conjunction(kids), true)
 	}
-	var pred expr.Expr
-	if len(kids) == 1 {
-		pred = kids[0]
-	} else {
-		pred = &expr.And{Kids: kids}
+	if len(it.in) > 0 {
+		it.node = sp.p.filterOver(it.node, conjunction(it.in), true)
 	}
-	pinned := sp.p.tryIndexScan(it, kids)
-	it.node = sp.p.filterOver(it.node, pred, true)
-	it.est = filteredEst(it.est, len(it.filters), pinned)
+	if k := len(it.filters) + len(it.in); k > 0 {
+		it.est = filteredEst(it.est, k, pinned)
+	}
 	return nil
+}
+
+// conjunction returns the AND of kids, or the one kid.
+func conjunction(kids []expr.Expr) expr.Expr {
+	if len(kids) == 1 {
+		return kids[0]
+	}
+	return &expr.And{Kids: kids}
+}
+
+// pushIn pushes c, a WHERE conjunct, to the one FROM item it reads when it
+// is `e [NOT] IN (subquery)` whose e reads exactly that item and no outer
+// column and whose subquery is uncorrelated: the item then gives the join
+// only the rows the set keeps, like any single-item conjunct (TPC-H Q18's
+// orders). The subquery is planned once, against the item's columns; a
+// correlated one, or one naming another item, is not pushed and is
+// planned again where the conjunct goes instead (handleSubqueryConjunct).
+func (sp *selectPlan) pushIn(c sql.Expr, items []*fromItem, itemCols [][]column) bool {
+	n, ok := c.(*sql.InExpr)
+	if !ok || n.Sub == nil {
+		return false
+	}
+	info := collectRefs(n.X, itemCols, sp.parent)
+	if info.subquery || info.unknown || info.outer || len(info.items) != 1 {
+		return false
+	}
+	var it *fromItem
+	for i := range info.items {
+		it = items[i]
+	}
+	e, err := sp.p.planInSubquery(n, &scope{cols: it.cols, parent: sp.parent, ctes: sp.ctes})
+	if err != nil || e.(*exec.InSubquery).Correlated {
+		return false
+	}
+	it.in = append(it.in, e)
+	return true
 }
 
 // tryIndexScan replaces a base-table sequential scan with an equality
@@ -438,7 +473,7 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 			}
 			outerKeys = append(outerKeys, ti)
 			innerKeys = append(innerKeys, ii)
-			keyTypes = append(keyTypes, items[next].cols[ii].t)
+			keyTypes = append(keyTypes, joinKeyType(ts.cols[ti].t, items[next].cols[ii].t))
 			e.used = true
 		}
 		if len(outerKeys) == 0 {
@@ -469,13 +504,7 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 		leftovers = append(leftovers, l)
 	}
 	if len(leftovers) > 0 {
-		var pred expr.Expr
-		if len(leftovers) == 1 {
-			pred = leftovers[0]
-		} else {
-			pred = &expr.And{Kids: leftovers}
-		}
-		ts.node = sp.p.filterOver(ts.node, pred, false)
+		ts.node = sp.p.filterOver(ts.node, conjunction(leftovers), false)
 	}
 	return ts, nil
 }
@@ -584,7 +613,7 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 			ri, _ := findColumn(right.cols, rId.Parts)
 			outerKeys = append(outerKeys, li)
 			innerKeys = append(innerKeys, ri)
-			keyTypes = append(keyTypes, right.cols[ri].t)
+			keyTypes = append(keyTypes, joinKeyType(left.cols[li].t, right.cols[ri].t))
 			continue
 		}
 		residualASTs = append(residualASTs, c)
@@ -600,11 +629,7 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 			}
 			kids = append(kids, e)
 		}
-		if len(kids) == 1 {
-			residual = kids[0]
-		} else {
-			residual = &expr.And{Kids: kids}
-		}
+		residual = conjunction(kids)
 	}
 
 	est := joinRefEst(left, right, edges, jt)
