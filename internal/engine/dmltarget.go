@@ -64,7 +64,10 @@ type dmlTarget struct {
 	own    txnResolved
 	ownTab txnTable
 
-	// Scratch reused across executions.
+	// Scratch reused across executions. stmt is the statement the WHERE
+	// and SET expressions evaluate for (ectx.Run): their subqueries read
+	// its snapshot and record their errors in it.
+	stmt   exec.Ctx
 	ectx   expr.Ctx
 	key    btree.Key
 	tids   []heap.TID
@@ -198,7 +201,7 @@ func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) e
 		}
 		dst[t.cols[j]] = d
 	}
-	return nil
+	return t.stmt.Failed()
 }
 
 // run executes the statement as part of the transaction snap belongs to.
@@ -208,7 +211,8 @@ func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) e
 // rollback; the caller holds the table latch exclusively — the probe walks
 // the B+tree under that same hold, never a second acquisition.
 func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func() error) (int64, error) {
-	t.ectx.Prof = prof
+	t.stmt = exec.Ctx{Snap: snap}
+	t.ectx.Prof, t.ectx.Run = prof, &t.stmt
 	db, xid := t.db, snap.Self()
 	if t.kind == dmlInsert {
 		// insertRowLocked forms the stored bytes and clones the index keys
@@ -237,6 +241,9 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 		}
 	}
 	err := t.collect(snap, prof)
+	if err == nil {
+		err = t.stmt.Failed()
+	}
 	if t.evals > 0 {
 		t.db.mod.NoteEVPCall(t.evals)
 		t.evals = 0
