@@ -83,32 +83,27 @@ func (rc *rawCheck) take(c *types.Datum) bool {
 }
 
 // rawCheckFor returns the stored-bytes form of conjunct c, if it has one:
-// a comparison of a column that prog deforms with a fixed-offset word read
-// (not a tuple-bee hole, not behind a varlena) against a constant of the
-// column's class or a $n. The column's Var ordinal is its position in
-// prog's attribute list.
+// a comparison (expr.MatchColCmp, either operand order) of a column that
+// prog deforms with a fixed-offset word read (not a tuple-bee hole, not
+// behind a varlena) against a constant of the column's class or a $n.
+// The column's Var ordinal is its position in prog's attribute list.
 func rawCheckFor(c expr.Expr, prog *colProgram) (rawCheck, bool) {
-	cmp, ok := c.(*expr.Cmp)
-	if !ok {
+	cc, ok := expr.MatchColCmp(c)
+	if !ok || cc.Col.Idx >= len(prog.at) {
 		return rawCheck{}, false
 	}
-	v, ok := cmp.L.(*expr.Var)
-	if !ok || v.Idx >= len(prog.at) {
-		return rawCheck{}, false
-	}
-	step := &prog.ops[prog.at[v.Idx]]
-	if (step.op != deformOpWord4Const && step.op != deformOpWord8Const) || step.kind != v.T.Kind {
+	step := &prog.ops[prog.at[cc.Col.Idx]]
+	if (step.op != deformOpWord4Const && step.op != deformOpWord8Const) || step.kind != cc.Col.T.Kind {
 		return rawCheck{}, false
 	}
 	rc := rawCheck{
-		off: step.off, wide: step.op == deformOpWord8Const, kind: step.kind, op: cmp.Op, cost: evpTermCost,
+		off: step.off, wide: step.op == deformOpWord8Const, kind: step.kind, op: cc.Op, cost: evpTermCost,
 	}
-	if p, ok := cmp.R.(*expr.Param); ok {
-		rc.slot, rc.pi = p.Slot, p.Idx
+	if cc.P != nil {
+		rc.slot, rc.pi = cc.P.Slot, cc.P.Idx
 		return rc, true
 	}
-	k, ok := constFold(cmp.R)
-	if !ok || !rc.take(&k) {
+	if !rc.take(&cc.K) {
 		return rawCheck{}, false
 	}
 	return rc, true

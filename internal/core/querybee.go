@@ -695,7 +695,7 @@ func compileCmp(n *expr.Cmp) frag {
 		return frag{}
 	}
 	var r frag
-	if c, ok := constFold(n.R); ok && l.leaf == leafVar {
+	if c, ok := expr.FoldConst(n.R); ok && l.leaf == leafVar {
 		r = constFrag(c) // date '1995-01-01' + interval '3' month costs nothing per row
 	} else if r = compileNode(n.R); r.cls == clsNone {
 		return frag{}
@@ -824,42 +824,6 @@ func boxedCmp(op expr.CmpOp, l, r *frag) boolFrag {
 	}
 	lf, rf := l.boxed(), r.boxed()
 	return func(row expr.Row) tri { return cmpBoxed(op, lf(row), rf(row)) }
-}
-
-// constFold evaluates an expression made only of constants (e.g.
-// date '1995-01-01' + interval '3' month) at bee-creation time.
-func constFold(e expr.Expr) (types.Datum, bool) {
-	switch n := e.(type) {
-	case *expr.Const:
-		return n.D, true
-	case *expr.DateArith:
-		l, ok := constFold(n.L)
-		if !ok || l.IsNull() {
-			return types.Null, false
-		}
-		if n.Sub {
-			return types.NewDate(types.SubInterval(l.DateDays(), n.Iv)), true
-		}
-		return types.NewDate(types.AddInterval(l.DateDays(), n.Iv)), true
-	case *expr.Arith:
-		l, ok1 := constFold(n.L)
-		r, ok2 := constFold(n.R)
-		if !ok1 || !ok2 || l.IsNull() || r.IsNull() {
-			return types.Null, false
-		}
-		return expr.ApplyArith(n.Op, l, r), true
-	case *expr.Neg:
-		l, ok := constFold(n.Kid)
-		if !ok || l.IsNull() {
-			return types.Null, false
-		}
-		if l.Kind() == types.KindFloat64 {
-			return types.NewFloat64(-l.Float64()), true
-		}
-		return types.NewInt64(-l.Int64()), true
-	default:
-		return types.Null, false
-	}
 }
 
 // compileJoinKeys builds the EVJ hash/equality routines over baked key

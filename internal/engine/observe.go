@@ -402,13 +402,14 @@ func (db *DB) registerCollectors() {
 
 		// Heaps and indexes (under the engine lock: DDL mutates the maps).
 		db.mu.RLock()
-		var pages, live, inserts, dead int64
+		var pages, live, inserts, dead, skipped int64
 		for _, tab := range db.tables {
 			h := tab.heap
 			pages += int64(h.NumPages())
 			live += h.LiveTuples()
 			inserts += h.Inserts()
 			dead += h.DeadVersions()
+			skipped += h.PagesSkipped()
 		}
 		var searches, splits int64
 		for _, ix := range db.indexes {
@@ -424,6 +425,7 @@ func (db *DB) registerCollectors() {
 		s.SetGauge("heap.live_tuples", live)
 		s.SetGauge("heap.dead_versions", dead)
 		s.SetCounter("heap.inserts", inserts)
+		s.SetCounter("heap.pages_skipped", skipped)
 		s.SetGauge("index.count", int64(nIndexes))
 		s.SetCounter("index.searches", searches)
 		s.SetCounter("index.splits", splits)

@@ -178,9 +178,9 @@ func (db *DB) replayLocked(st *RecoveryStats) (*manifest, error) {
 	}
 
 	// The manifest gives the schema, but tables are built only after redo
-	// (heap.Attach recounts live tuples from the page images): until then
-	// redo needs each relation's file, and appends the log's bee-combo
-	// records to the checkpoint's own combos.
+	// (heap.Attach recounts live tuples and rebuilds page summaries from
+	// the page images): until then redo needs each relation's file, and
+	// appends the log's bee-combo records to the checkpoint's own combos.
 	rels := make(map[disk.FileID]*manifestRel)
 	for i := range man.Relations {
 		rels[disk.FileID(man.Relations[i].File)] = &man.Relations[i]

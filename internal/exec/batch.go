@@ -147,9 +147,11 @@ type BatchSeqScan struct {
 	// is timed (two clock reads) and the total extrapolated from those.
 	FusedBee *core.Bee
 	// Range and Partial mirror SeqScan: a page interval for one partition
-	// of a parallel scan.
+	// of a parallel scan. So do Bounds and Skipped.
 	Range   heap.PageRange
 	Partial bool
+	Bounds  []ScanBound
+	Skipped int64
 
 	deforms int64
 	fused   int64
@@ -157,6 +159,7 @@ type BatchSeqScan struct {
 	timed   int64 // pages timed
 	batches int64
 	rowsOut int64
+	bound   []heap.Bound
 	scanner *heap.Scanner
 	tupBuf  [][]byte
 	rows    []expr.Row
@@ -197,11 +200,7 @@ func (s *BatchSeqScan) ensureRows(n int) {
 
 // Open implements Node.
 func (s *BatchSeqScan) Open(ctx *Ctx) error {
-	if s.Partial {
-		s.scanner = s.Heap.ScanRange(ctx.Snap, s.Range, ctx.Prof())
-	} else {
-		s.scanner = s.Heap.Scan(ctx.Snap, ctx.Prof())
-	}
+	s.scanner, s.bound = openScanner(ctx, s.Heap, s.Range, s.Partial, s.Bounds, s.bound)
 	s.batches, s.rowsOut = 0, 0
 	s.rb.reset()
 	return nil
@@ -277,6 +276,7 @@ func (s *BatchSeqScan) Close(*Ctx) {
 	}
 	s.deforms, s.fused, s.timedNs, s.timed = 0, 0, 0, 0
 	if s.scanner != nil {
+		s.Skipped += s.scanner.PagesSkipped()
 		s.scanner.Close()
 		s.scanner = nil
 	}

@@ -106,7 +106,13 @@ type KillRecoverRound struct {
 	Acked     int // acknowledged inserts before the kill, cumulative
 	TornBytes int // torn tail carried into the survivor image
 	Replayed  engine.RecoveryStats
-	// Failures; all zero/false on a correct round.
+	// PagesSkipped counts the pages the round's range checks left unread
+	// on the recovered instance: its page summaries, rebuilt from the
+	// page images, at work.
+	PagesSkipped int64
+	// Failures; all zero/false on a correct round. QueryMismatches
+	// includes range checks whose bounded scan disagreed with the same
+	// range read without bounds.
 	QueryMismatches int
 	DMLLost         bool // an acked row missing after recovery
 	GhostRow        bool // the unacked (errored) op's row resurfaced
@@ -199,6 +205,8 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 	if err != nil {
 		return report, fmt.Errorf("killrecover: %w", err)
 	}
+	maxOrderKey := intCell(db, "select max(l_orderkey) from lineitem")
+	rangeRng := rand.New(rand.NewSource(o.Seed + 1)) // leaves rng's stream as it was
 
 	acked := 0 // rows whose INSERT was acknowledged, cumulative
 	var ackedSum int64
@@ -268,6 +276,28 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 				rd.QueryMismatches++
 			}
 		}
+		// Verify: range scans bounded by the recovered page summaries
+		// (rebuilt by Attach) return what the same ranges return read
+		// through an expression, which bounds nothing.
+		skipped0 := db.MetricsSnapshot().Counters["heap.pages_skipped"]
+		for i := 0; i < 4; i++ {
+			lo := rangeRng.Int63n(maxOrderKey + 1)
+			for _, q := range []string{
+				"select count(*), sum(l_extendedprice) from lineitem where l_orderkey %s >= %d and l_orderkey %s < %d",
+				"select count(*), sum(v) from kr_dml where k %s >= %d and k %s < %d",
+			} {
+				hi := lo + 1 + rangeRng.Int63n(400)
+				bounded, err1 := db.Query(fmt.Sprintf(q, "", lo, "", hi))
+				plain, err2 := db.Query(fmt.Sprintf(q, "+ 0", lo, "+ 0", hi))
+				switch {
+				case err1 != nil || err2 != nil:
+					rd.Err = fmt.Sprintf("range check after recovery: %v / %v", err1, err2)
+				case !resultsMatch(bounded, plain):
+					rd.QueryMismatches++
+				}
+			}
+		}
+		rd.PagesSkipped = db.MetricsSnapshot().Counters["heap.pages_skipped"] - skipped0
 		// Verify: exactly the acked rows, with their committed values.
 		res, err := db.Query("select count(*), sum(v) from kr_dml")
 		if err != nil {

@@ -29,6 +29,9 @@ func TestKillRecoverClean(t *testing.T) {
 	kinds := map[string]bool{}
 	for _, rd := range rep.Rounds {
 		kinds[rd.Kind] = true
+		if rd.PagesSkipped == 0 {
+			t.Errorf("round %d: the range checks skipped no page of the recovered tables", rd.Round)
+		}
 	}
 	for _, k := range killKinds {
 		if !kinds[k] {

@@ -82,6 +82,33 @@ func drain(srv *server.Server) error {
 	return srv.Shutdown(ctx)
 }
 
+// BenchTablesDDL creates the bench_* tables the mixed workload reads and
+// writes.
+var BenchTablesDDL = []string{
+	`create table bench_kv (
+		k integer not null,
+		v varchar(32) not null,
+		primary key (k))`,
+	`create table bench_district (
+		d_w_id integer not null,
+		d_id integer not null,
+		d_ytd double not null,
+		primary key (d_w_id, d_id))`,
+	`create table bench_customer (
+		c_w_id integer not null,
+		c_d_id integer not null,
+		c_id integer not null,
+		c_balance double not null,
+		c_payment_cnt integer not null,
+		primary key (c_w_id, c_d_id, c_id))`,
+	`create table bench_history (
+		h_c_id integer not null,
+		h_d_id integer not null,
+		h_w_id integer not null,
+		h_amount double not null,
+		h_data varchar(24) not null)`,
+}
+
 // setupBenchTables creates and seeds the bench_* tables over the wire,
 // using prepared DML for the bulk inserts.
 func setupBenchTables(addr, secret string) error {
@@ -93,31 +120,7 @@ func setupBenchTables(addr, secret string) error {
 	for _, tbl := range []string{"bench_history", "bench_customer", "bench_district", "bench_kv"} {
 		c.Exec("drop table " + tbl) // best-effort: fresh server has none
 	}
-	ddl := []string{
-		`create table bench_kv (
-			k integer not null,
-			v varchar(32) not null,
-			primary key (k))`,
-		`create table bench_district (
-			d_w_id integer not null,
-			d_id integer not null,
-			d_ytd double not null,
-			primary key (d_w_id, d_id))`,
-		`create table bench_customer (
-			c_w_id integer not null,
-			c_d_id integer not null,
-			c_id integer not null,
-			c_balance double not null,
-			c_payment_cnt integer not null,
-			primary key (c_w_id, c_d_id, c_id))`,
-		`create table bench_history (
-			h_c_id integer not null,
-			h_d_id integer not null,
-			h_w_id integer not null,
-			h_amount double not null,
-			h_data varchar(24) not null)`,
-	}
-	for _, s := range ddl {
+	for _, s := range BenchTablesDDL {
 		if _, err := c.Exec(s); err != nil {
 			return fmt.Errorf("%q: %w", s, err)
 		}

@@ -117,6 +117,7 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 			bs.NoteDeforms = v.NoteDeforms
 			bs.Range = v.Range
 			bs.Partial = v.Partial
+			bs.Bounds = v.Bounds
 			// Fuse the innermost compiled filter into the scan when the
 			// composed GCL∘EVP routine covers relation and predicate: the
 			// scan then deforms each tuple only as far as the predicate

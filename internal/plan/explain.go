@@ -56,27 +56,43 @@ func explainNode(b *strings.Builder, n exec.Node, depth int, analyze bool) {
 }
 
 // actuals renders the EXPLAIN ANALYZE statistics of an instrumented node,
-// "" for one that is not.
+// "" for one that is not. A scan whose bounds ruled pages out says how
+// many it skipped.
 func actuals(n exec.Node) string {
 	switch in := n.(type) {
 	case *exec.Instrumented:
-		return fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
-			in.Rows, in.Loops, in.Elapsed.Seconds()*1000)
+		return fmt.Sprintf(" (actual rows=%d loops=%d%s time=%.3fms)",
+			in.Rows, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
 	case *exec.InstrumentedBatch:
 		if in.Batches == 0 && in.Rows > 0 {
 			// Rows but no batches: drained row by row (a join under a
 			// row-only consumer, or any join of a tuple-path plan).
-			return fmt.Sprintf(" (actual rows=%d loops=%d time=%.3fms)",
-				in.Rows, in.Loops, in.Elapsed.Seconds()*1000)
+			return fmt.Sprintf(" (actual rows=%d loops=%d%s time=%.3fms)",
+				in.Rows, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
 		}
 		rpb := 0.0
 		if in.Batches > 0 {
 			rpb = float64(in.Rows) / float64(in.Batches)
 		}
-		return fmt.Sprintf(" (actual rows=%d batches=%d rows/batch=%.1f loops=%d time=%.3fms)",
-			in.Rows, in.Batches, rpb, in.Loops, in.Elapsed.Seconds()*1000)
+		return fmt.Sprintf(" (actual rows=%d batches=%d rows/batch=%.1f loops=%d%s time=%.3fms)",
+			in.Rows, in.Batches, rpb, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
 	}
 	return ""
+}
+
+// skipped renders the pages a scan's bounds ruled out, "" when none.
+func skipped(n exec.Node) string {
+	var k int64
+	switch v := n.(type) {
+	case *exec.SeqScan:
+		k = v.Skipped
+	case *exec.BatchSeqScan:
+		k = v.Skipped
+	}
+	if k == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" pages skipped=%d", k)
 }
 
 // describe returns one node's outline line (bee-routine markers

@@ -63,6 +63,7 @@ func (p *Planner) buildParts(r *scanRegion) []exec.Node {
 	for i, pr := range ranges {
 		scan := exec.NewSeqScanRange(r.scan.Heap, r.scan.Deform, pr)
 		scan.NoteDeforms = r.scan.NoteDeforms
+		scan.Bounds = r.scan.Bounds
 		var node exec.Node = scan
 		for j := len(r.filters) - 1; j >= 0; j-- {
 			f := r.filters[j]

@@ -127,7 +127,8 @@ func New(d disk.Device, capacity int) *Pool {
 	}
 }
 
-// Handle is a pinned page. Release it with Unpin.
+// Handle is a pinned page. Release it with Unpin. Get and GetNew return
+// it by value, so pinning a page allocates nothing.
 type Handle struct {
 	pool  *Pool
 	idx   int
@@ -179,7 +180,7 @@ func (p *Pool) readVerified(key pageKey, buf []byte) error {
 // for different pages proceed concurrently (the point of the I/O-bound
 // latency mode), and a second goroutine arriving for the same page waits
 // on the channel instead of issuing a duplicate read.
-func (p *Pool) Get(file disk.FileID, pageNo int) (*Handle, error) {
+func (p *Pool) Get(file disk.FileID, pageNo int) (Handle, error) {
 	key := pageKey{file, pageNo}
 	p.mu.Lock()
 	for {
@@ -199,12 +200,12 @@ func (p *Pool) Get(file disk.FileID, pageNo int) (*Handle, error) {
 			f.ref = true
 			p.hits++
 			p.mu.Unlock()
-			return &Handle{pool: p, idx: idx, Bytes: f.buf}, nil
+			return Handle{pool: p, idx: idx, Bytes: f.buf}, nil
 		}
 		idx, err := p.evictLocked()
 		if err != nil {
 			p.mu.Unlock()
-			return nil, err
+			return Handle{}, err
 		}
 		f := &p.frames[idx]
 		if f.buf == nil {
@@ -232,26 +233,26 @@ func (p *Pool) Get(file disk.FileID, pageNo int) (*Handle, error) {
 			f.pins = 0
 			f.valid = false
 			p.mu.Unlock()
-			return nil, rerr
+			return Handle{}, rerr
 		}
 		p.misses++
 		p.mu.Unlock()
-		return &Handle{pool: p, idx: idx, Bytes: f.buf}, nil
+		return Handle{pool: p, idx: idx, Bytes: f.buf}, nil
 	}
 }
 
 // GetNew pins a frame for a freshly extended page without reading from
 // disk (the page is known to be zero); the frame starts dirty.
-func (p *Pool) GetNew(file disk.FileID, pageNo int) (*Handle, error) {
+func (p *Pool) GetNew(file disk.FileID, pageNo int) (Handle, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := pageKey{file, pageNo}
 	if _, ok := p.table[key]; ok {
-		return nil, fmt.Errorf("buffer: page %v already cached", key)
+		return Handle{}, fmt.Errorf("buffer: page %v already cached", key)
 	}
 	idx, err := p.evictLocked()
 	if err != nil {
-		return nil, err
+		return Handle{}, err
 	}
 	f := &p.frames[idx]
 	if f.buf == nil {
@@ -267,7 +268,7 @@ func (p *Pool) GetNew(file disk.FileID, pageNo int) (*Handle, error) {
 	f.ref = true
 	f.valid = true
 	p.table[key] = idx
-	return &Handle{pool: p, idx: idx, Bytes: f.buf}, nil
+	return Handle{pool: p, idx: idx, Bytes: f.buf}, nil
 }
 
 // flushLocked stamps the frame's checksum and writes it back, forcing the
@@ -328,7 +329,7 @@ func (p *Pool) evictLocked() (int, error) {
 // page. Unpinning an unpinned page is a caller bug reported as an error
 // (the pool also counts it), consistent with the engine's
 // panic-containment policy of never taking the process down.
-func (h *Handle) Unpin(dirty bool) error {
+func (h Handle) Unpin(dirty bool) error {
 	p := h.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
