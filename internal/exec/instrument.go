@@ -60,6 +60,10 @@ func Instrument(n Node) Node {
 		v.Child = InstrumentBatch(v.Child)
 	case *BatchHashAgg:
 		v.Child = InstrumentBatch(v.Child)
+	case *SeqScan:
+		// Pages skipped before now belong to runs the wrapper's rows and
+		// loops do not count (a kept plan's plain EXECUTEs).
+		v.Skipped = 0
 	}
 	return &Instrumented{Inner: n}
 }
@@ -74,6 +78,8 @@ func InstrumentBatch(n BatchNode) BatchNode {
 	case *HashJoin:
 		v.Outer = Instrument(v.Outer)
 		v.Inner = Instrument(v.Inner)
+	case *BatchSeqScan:
+		v.Skipped = 0 // as for SeqScan in Instrument
 	}
 	return &InstrumentedBatch{Inner: n}
 }
