@@ -208,35 +208,27 @@ func (ts *TxnStmt) compileUnit() ([]txnOp, error) {
 // collectBaseTables visits every base-relation name a SELECT references,
 // including in joins, subqueries, and CTE bodies.
 func collectBaseTables(sel *sql.Select, fn func(string)) {
-	if sel == nil {
-		return
-	}
 	cte := map[string]bool{}
 	for _, w := range sel.With {
 		cte[w.Name] = true
-		collectBaseTables(w.Sel, fn)
 	}
-	var visit func(tr sql.TableRef)
-	visit = func(tr sql.TableRef) {
+	var from func(tr sql.TableRef)
+	from = func(tr sql.TableRef) {
 		switch t := tr.(type) {
 		case *sql.BaseTable:
 			if !cte[t.Name] {
 				fn(t.Name)
 			}
-		case *sql.SubqueryRef:
-			collectBaseTables(t.Sel, fn)
 		case *sql.JoinRef:
-			visit(t.Left)
-			visit(t.Right)
+			from(t.Left)
+			from(t.Right)
 		}
 	}
 	for _, tr := range sel.From {
-		visit(tr)
+		from(tr)
 	}
-	// Scalar/EXISTS/IN subqueries in the SELECT's expressions.
-	sql.WalkSelectSubqueries(sel, func(sub *sql.Select) {
-		collectBaseTables(sub, fn)
-	})
+	visit := func(s *sql.Select) { collectBaseTables(s, fn) }
+	sql.SelectChildren(sel, func(e sql.Expr) { sql.Walk(e, func(sql.Expr) bool { return true }, visit) }, visit)
 }
 
 // ExecTxn runs the named transaction with the given parameters: fused

@@ -13,9 +13,16 @@ import (
 
 // convertExpr lowers an AST expression to an executable expr.Expr,
 // resolving identifiers against s (and its ancestors, producing OuterVar
-// nodes) and planning any embedded subqueries. Aggregate calls are
-// rejected here: the select planner substitutes them before conversion.
+// nodes) and planning any embedded subqueries. Over a post-aggregation
+// scope, a subtree that names a GROUP BY key or an aggregate call becomes
+// a Var over the aggregate's output row; any other aggregate call is
+// rejected.
 func (p *Planner) convertExpr(e sql.Expr, s *scope) (expr.Expr, error) {
+	if s.subst != nil {
+		if i, ok := s.subst[astString(e)]; ok {
+			return &expr.Var{Idx: i, T: s.cols[i].t, Name: s.cols[i].name}, nil
+		}
+	}
 	switch n := e.(type) {
 	case *sql.Ident:
 		depth, idx, t, err := s.resolve(n.Parts)

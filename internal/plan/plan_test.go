@@ -291,16 +291,62 @@ func TestGroupByExpressionMatching(t *testing.T) {
 	}
 }
 
-// An aggregate in SUBSTRING's FROM or FOR makes the SELECT an aggregation
-// and is substituted like one anywhere else in the output list.
+// Expressions evaluated after aggregation — the select list, HAVING and
+// hidden ORDER BY keys — go through the same converter as any other, with
+// GROUP BY keys and aggregate calls substituted: every operator takes an
+// aggregate operand, and each keeps its type checks and typing rules.
 func TestAggregateUnderSubstring(t *testing.T) {
-	db := planDB(t)
-	r, err := db.Query(`select substring('abcdefghijklm' from 1 for count(*)) from tiny`)
-	if err != nil {
-		t.Fatal(err)
+	db := engine.Open(engine.Config{Routines: core.AllRoutines, PoolPages: 64})
+	for _, s := range []string{
+		`create table t (a integer not null, b integer, c varchar(10), d date)`,
+		`insert into t values (1, 10, 'x1', date '1995-01-01'), (1, 20, 'x2', date '1995-03-31'),
+			(2, null, 'y2', date '1996-12-31')`,
+	} {
+		mustExec(t, db, s)
 	}
-	if len(r.Rows) != 1 || r.Rows[0][0].Str() != "abcdefghij" {
-		t.Fatalf("rows = %v, want one row abcdefghij", r.Rows)
+	for _, c := range []struct {
+		query string
+		want  string // rows as "v,v;v,v", or the plan error's text
+		typ   string // the last output column's type, when set
+	}{
+		{query: `select substring('abcdefghijklm' from 1 for count(*)) from t`, want: "abc"},
+		{query: `select a from t group by a having sum(b) is null`, want: "2"},
+		{query: `select a from t group by a having sum(b) is not null`, want: "1"},
+		{query: `select a from t group by a having count(*) in (2, 3)`, want: "1"},
+		{query: `select a from t group by a having count(*) in (select a + 1 from t)`, want: "1"},
+		{query: `select a from t group by a having max(c) like 'y%'`, want: "2"},
+		{query: `select a, extract(year from max(d)) from t group by a order by a`, want: "1,1995;2,1996"},
+		{query: `select a, case when sum(b) is null then 'none' else 'some' end from t group by a order by a`,
+			want: "1,some;2,none"},
+		{query: `select a, max(d) + interval '1' day from t group by a order by a`,
+			want: "1,1995-04-01;2,1997-01-01", typ: "date"},
+		{query: `select a from t group by a having max(d) - interval '1' year < date '1995-01-01'`, want: "1"},
+		{query: `select a from t group by a order by sum(b) is not null`, want: "2;1"},
+		{query: `select a, -max(c) from t group by a`, want: "cannot negate"},
+		{query: `select a, case when count(*) > 1 then 1 else 2.5 end from t group by a order by a`,
+			want: "1,1;2,2.50", typ: "double"},
+	} {
+		r, err := db.Query(c.query)
+		if err != nil {
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: %v, want %s", c.query, err, c.want)
+			}
+			continue
+		}
+		var rows []string
+		for _, row := range r.Rows {
+			var vs []string
+			for _, v := range row {
+				vs = append(vs, v.String())
+			}
+			rows = append(rows, strings.Join(vs, ","))
+		}
+		if got := strings.Join(rows, ";"); got != c.want {
+			t.Errorf("%s: rows %s, want %s", c.query, got, c.want)
+		}
+		if typ := r.Cols[len(r.Cols)-1].T.String(); c.typ != "" && typ != c.typ {
+			t.Errorf("%s: last column typed %s, want %s", c.query, typ, c.typ)
+		}
 	}
 }
 

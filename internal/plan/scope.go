@@ -30,6 +30,9 @@ type scope struct {
 	cols   []column
 	parent *scope
 	ctes   map[string]*sql.Select
+	// subst is set on a post-aggregation scope: it maps each GROUP BY key
+	// and aggregate call, by astString, to its column ordinal.
+	subst map[string]int
 	// correlated is set when resolution inside this scope reached into an
 	// ancestor (the subquery is correlated).
 	correlated bool
@@ -226,7 +229,6 @@ type refInfo struct {
 // scope for correlated references.
 func collectRefs(e sql.Expr, itemCols [][]column, outer *scope) refInfo {
 	info := refInfo{items: map[int]bool{}}
-	var walk func(sql.Expr)
 	resolveIdent := func(parts []string) {
 		for i, cols := range itemCols {
 			if idx, err := findColumn(cols, parts); err == nil && idx >= 0 {
@@ -242,111 +244,26 @@ func collectRefs(e sql.Expr, itemCols [][]column, outer *scope) refInfo {
 		}
 		info.unknown = true
 	}
-	walk = func(e sql.Expr) {
-		switch n := e.(type) {
-		case nil:
-		case *sql.Ident:
-			resolveIdent(n.Parts)
-		case *sql.BinOp:
-			walk(n.L)
-			walk(n.R)
-		case *sql.UnOp:
-			walk(n.Kid)
-		case *sql.FuncCall:
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *sql.CaseExpr:
-			for _, w := range n.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			if n.Else != nil {
-				walk(n.Else)
-			}
-		case *sql.BetweenExpr:
-			walk(n.X)
-			walk(n.Lo)
-			walk(n.Hi)
-		case *sql.InExpr:
-			walk(n.X)
-			for _, it := range n.List {
-				walk(it)
-			}
-			if n.Sub != nil {
-				info.subquery = true
-			}
-		case *sql.ExistsExpr:
-			info.subquery = true
-		case *sql.SubqueryExpr:
-			info.subquery = true
-		case *sql.LikeExpr:
-			walk(n.X)
-		case *sql.IsNullExpr:
-			walk(n.X)
-		case *sql.ExtractExpr:
-			walk(n.X)
-		case *sql.SubstringExpr:
-			walk(n.X)
-			walk(n.From)
-			walk(n.For)
+	sql.Walk(e, func(e sql.Expr) bool {
+		if id, ok := e.(*sql.Ident); ok {
+			resolveIdent(id.Parts)
 		}
-	}
-	walk(e)
+		return true
+	}, func(*sql.Select) { info.subquery = true })
 	return info
 }
 
 // containsAggregate reports whether the AST expression contains an
-// aggregate function call.
+// aggregate function call outside its subqueries.
 func containsAggregate(e sql.Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *sql.FuncCall:
-		switch n.Name {
-		case "count", "sum", "avg", "min", "max":
-			return true
+	found := false
+	sql.Walk(e, func(e sql.Expr) bool {
+		if f, ok := e.(*sql.FuncCall); ok && isAggName(f.Name) {
+			found = true
 		}
-		for _, a := range n.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-		return false
-	case *sql.BinOp:
-		return containsAggregate(n.L) || containsAggregate(n.R)
-	case *sql.UnOp:
-		return containsAggregate(n.Kid)
-	case *sql.CaseExpr:
-		for _, w := range n.Whens {
-			if containsAggregate(w.Cond) || containsAggregate(w.Result) {
-				return true
-			}
-		}
-		return n.Else != nil && containsAggregate(n.Else)
-	case *sql.BetweenExpr:
-		return containsAggregate(n.X) || containsAggregate(n.Lo) || containsAggregate(n.Hi)
-	case *sql.InExpr:
-		if containsAggregate(n.X) {
-			return true
-		}
-		for _, it := range n.List {
-			if containsAggregate(it) {
-				return true
-			}
-		}
-		return false
-	case *sql.LikeExpr:
-		return containsAggregate(n.X)
-	case *sql.IsNullExpr:
-		return containsAggregate(n.X)
-	case *sql.ExtractExpr:
-		return containsAggregate(n.X)
-	case *sql.SubstringExpr:
-		return containsAggregate(n.X) || containsAggregate(n.From) || containsAggregate(n.For)
-	default:
-		return false
-	}
+		return !found
+	}, nil)
+	return found
 }
 
 // exprVar builds a Var or OuterVar for a resolved identifier.

@@ -672,13 +672,6 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 	return &fromItem{node: node, cols: combined, est: est}, nil
 }
 
-// substVar is a pre-resolved substitution target for aggregate planning.
-type substVar struct {
-	idx  int
-	t    types.T
-	name string
-}
-
 // finishSelect handles aggregation, HAVING, projection, DISTINCT, ORDER
 // BY, and LIMIT over the joined tree.
 func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *scope, error) {
@@ -710,17 +703,16 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 
 	curNode := ts.node
 	curScope := sp.newScope(ts.cols)
-	subst := map[string]substVar(nil)
 
 	if needAgg {
 		var err error
-		curNode, curScope, subst, err = sp.planAggregation(sel, ts, outASTs)
+		curNode, curScope, err = sp.planAggregation(sel, ts, outASTs)
 		if err != nil {
 			return nil, nil, err
 		}
 		// HAVING.
 		if sel.Having != nil {
-			pred, err := sp.convertSubst(sel.Having, curScope, subst)
+			pred, err := p.convertExpr(sel.Having, curScope)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -747,7 +739,7 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 			outCols = append(outCols, c)
 			continue
 		}
-		e, err := sp.convertSubst(ast, curScope, subst)
+		e, err := p.convertExpr(ast, curScope)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -812,7 +804,7 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 			if sel.Distinct {
 				return nil, nil, fmt.Errorf("plan: ORDER BY expression must appear in SELECT DISTINCT list")
 			}
-			e, err := sp.convertSubst(oi.Expr, curScope, subst)
+			e, err := p.convertExpr(oi.Expr, curScope)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -857,19 +849,19 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 
 // planAggregation builds the HashAgg node: group keys from GROUP BY,
 // aggregate specs extracted from the select list, HAVING, and ORDER BY.
-// It returns the post-aggregation scope and the substitution table used
-// to rewrite those expressions over the aggregate output.
-func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []sql.Expr) (exec.Node, *scope, map[string]substVar, error) {
+// It returns the post-aggregation scope, whose substitution table
+// rewrites those expressions over the aggregate output.
+func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []sql.Expr) (exec.Node, *scope, error) {
 	p := sp.p
 	joined := sp.newScope(ts.cols)
 
-	subst := map[string]substVar{}
+	subst := map[string]int{}
 	var groupExprs []expr.Expr
 	var postCols []column
 	for i, g := range sel.GroupBy {
 		e, err := p.convertExpr(g, joined)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		groupExprs = append(groupExprs, e)
 		key := astString(g)
@@ -881,126 +873,72 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 			}
 		}
 		postCols = append(postCols, col)
-		subst[key] = substVar{idx: i, t: e.Type(), name: col.name}
+		subst[key] = i
 	}
 
 	// Extract aggregate calls from every expression that will be
-	// evaluated post-aggregation.
+	// evaluated post-aggregation; their arguments and subqueries are not
+	// searched.
 	var aggs []exec.AggSpec
-	var extract func(e sql.Expr) error
-	seen := map[string]int{}
-	extract = func(e sql.Expr) error {
-		switch n := e.(type) {
-		case nil:
-			return nil
-		case *sql.FuncCall:
-			if !isAggName(n.Name) {
-				return fmt.Errorf("plan: unknown function %q", n.Name)
-			}
-			key := astString(n)
-			if _, ok := seen[key]; ok {
-				return nil
-			}
-			spec := exec.AggSpec{Distinct: n.Distinct, Name: key}
-			switch n.Name {
-			case "count":
-				spec.Fn = exec.AggCount
-			case "sum":
-				spec.Fn = exec.AggSum
-			case "avg":
-				spec.Fn = exec.AggAvg
-			case "min":
-				spec.Fn = exec.AggMin
-			case "max":
-				spec.Fn = exec.AggMax
-			}
-			if !n.Star {
-				if len(n.Args) != 1 {
-					return fmt.Errorf("plan: %s takes one argument", n.Name)
-				}
-				arg, err := p.convertExpr(n.Args[0], joined)
-				if err != nil {
-					return err
-				}
-				spec.Arg = arg
-				// EVA: specialize the aggregate's input evaluation, in both
-				// the per-tuple and the per-batch form.
-				spec.Prog = p.Mod.CompileScalar(arg)
-				spec.CompiledArg = spec.Prog.Row()
-				spec.CompiledBatchArg = spec.Prog.BatchScalar()
-			}
-			idx := len(sel.GroupBy) + len(aggs)
-			aggs = append(aggs, spec)
-			seen[key] = idx
-			subst[key] = substVar{idx: idx, t: spec.ResultType(), name: key}
-			return nil
-		case *sql.BinOp:
-			if err := extract(n.L); err != nil {
-				return err
-			}
-			return extract(n.R)
-		case *sql.UnOp:
-			return extract(n.Kid)
-		case *sql.CaseExpr:
-			for _, w := range n.Whens {
-				if err := extract(w.Cond); err != nil {
-					return err
-				}
-				if err := extract(w.Result); err != nil {
-					return err
-				}
-			}
-			return extract(n.Else)
-		case *sql.BetweenExpr:
-			if err := extract(n.X); err != nil {
-				return err
-			}
-			if err := extract(n.Lo); err != nil {
-				return err
-			}
-			return extract(n.Hi)
-		case *sql.LikeExpr:
-			return extract(n.X)
-		case *sql.IsNullExpr:
-			return extract(n.X)
-		case *sql.ExtractExpr:
-			return extract(n.X)
-		case *sql.SubstringExpr:
-			if err := extract(n.X); err != nil {
-				return err
-			}
-			if err := extract(n.From); err != nil {
-				return err
-			}
-			return extract(n.For)
-		case *sql.InExpr:
-			if err := extract(n.X); err != nil {
-				return err
-			}
-			for _, it := range n.List {
-				if err := extract(it); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			return nil
+	var err error
+	extract := func(e sql.Expr) bool {
+		if err != nil {
+			return false
 		}
+		n, ok := e.(*sql.FuncCall)
+		if !ok {
+			return true
+		}
+		if !isAggName(n.Name) {
+			err = fmt.Errorf("plan: unknown function %q", n.Name)
+			return false
+		}
+		key := astString(n)
+		if _, ok := subst[key]; ok {
+			return false
+		}
+		spec := exec.AggSpec{Distinct: n.Distinct, Name: key}
+		switch n.Name {
+		case "count":
+			spec.Fn = exec.AggCount
+		case "sum":
+			spec.Fn = exec.AggSum
+		case "avg":
+			spec.Fn = exec.AggAvg
+		case "min":
+			spec.Fn = exec.AggMin
+		case "max":
+			spec.Fn = exec.AggMax
+		}
+		if !n.Star {
+			if len(n.Args) != 1 {
+				err = fmt.Errorf("plan: %s takes one argument", n.Name)
+				return false
+			}
+			var arg expr.Expr
+			if arg, err = p.convertExpr(n.Args[0], joined); err != nil {
+				return false
+			}
+			spec.Arg = arg
+			// EVA: specialize the aggregate's input evaluation, in both
+			// the per-tuple and the per-batch form.
+			spec.Prog = p.Mod.CompileScalar(arg)
+			spec.CompiledArg = spec.Prog.Row()
+			spec.CompiledBatchArg = spec.Prog.BatchScalar()
+		}
+		subst[key] = len(sel.GroupBy) + len(aggs)
+		aggs = append(aggs, spec)
+		return false
 	}
-	gather := append([]sql.Expr(nil), outASTs...)
-	if sel.Having != nil {
-		gather = append(gather, sel.Having)
+	for _, e := range outASTs {
+		sql.Walk(e, extract, nil)
 	}
+	sql.Walk(sel.Having, extract, nil)
 	for _, oi := range sel.OrderBy {
-		gather = append(gather, oi.Expr)
+		sql.Walk(oi.Expr, extract, nil)
 	}
-	for _, e := range gather {
-		if e == nil {
-			continue
-		}
-		if err := extractAggsOnly(e, extract); err != nil {
-			return nil, nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 
 	for _, a := range aggs {
@@ -1013,22 +951,9 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 			break
 		}
 	}
-	return agg, sp.newScope(postCols), subst, nil
-}
-
-// extractAggsOnly walks e calling extract on aggregate FuncCall nodes
-// (skipping subtrees that match group-by keys is unnecessary: group keys
-// never contain aggregates).
-func extractAggsOnly(e sql.Expr, extract func(sql.Expr) error) error {
-	switch n := e.(type) {
-	case *sql.FuncCall:
-		if isAggName(n.Name) {
-			return extract(n)
-		}
-		return nil
-	default:
-		return extract(e)
-	}
+	post := sp.newScope(postCols)
+	post.subst = subst
+	return agg, post, nil
 }
 
 func isAggName(name string) bool {
@@ -1037,102 +962,4 @@ func isAggName(name string) bool {
 		return true
 	}
 	return false
-}
-
-// convertSubst converts an AST expression, first substituting any subtree
-// that matches a group-by key or extracted aggregate (by canonical string)
-// with a Var over the aggregate output row. With a nil substitution table
-// it is plain convertExpr.
-func (sp *selectPlan) convertSubst(e sql.Expr, s *scope, subst map[string]substVar) (expr.Expr, error) {
-	if subst == nil {
-		return sp.p.convertExpr(e, s)
-	}
-	if sv, ok := subst[astString(e)]; ok {
-		return &expr.Var{Idx: sv.idx, T: sv.t, Name: sv.name}, nil
-	}
-	switch n := e.(type) {
-	case *sql.BinOp:
-		l, err := sp.convertSubst(n.L, s, subst)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sp.convertSubst(n.R, s, subst)
-		if err != nil {
-			return nil, err
-		}
-		switch n.Op {
-		case "and":
-			return &expr.And{Kids: flattenAnd(l, r)}, nil
-		case "or":
-			return &expr.Or{Kids: flattenOr(l, r)}, nil
-		case "=", "<>", "<", "<=", ">", ">=":
-			return &expr.Cmp{Op: cmpOp(n.Op), L: l, R: r}, nil
-		default:
-			return &expr.Arith{Op: arithOp(n.Op), L: l, R: r}, nil
-		}
-	case *sql.UnOp:
-		k, err := sp.convertSubst(n.Kid, s, subst)
-		if err != nil {
-			return nil, err
-		}
-		if n.Op == "not" {
-			return &expr.Not{Kid: k}, nil
-		}
-		return &expr.Neg{Kid: k}, nil
-	case *sql.CaseExpr:
-		ce := &expr.Case{}
-		for _, w := range n.Whens {
-			c, err := sp.convertSubst(w.Cond, s, subst)
-			if err != nil {
-				return nil, err
-			}
-			r, err := sp.convertSubst(w.Result, s, subst)
-			if err != nil {
-				return nil, err
-			}
-			ce.Whens = append(ce.Whens, expr.When{Cond: c, Result: r})
-		}
-		if n.Else != nil {
-			var err error
-			ce.Else, err = sp.convertSubst(n.Else, s, subst)
-			if err != nil {
-				return nil, err
-			}
-		}
-		ce.T = ce.Whens[0].Result.Type()
-		return ce, nil
-	case *sql.BetweenExpr:
-		x1, err := sp.convertSubst(n.X, s, subst)
-		if err != nil {
-			return nil, err
-		}
-		x2, _ := sp.convertSubst(n.X, s, subst)
-		lo, err := sp.convertSubst(n.Lo, s, subst)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := sp.convertSubst(n.Hi, s, subst)
-		if err != nil {
-			return nil, err
-		}
-		var b expr.Expr = &expr.And{Kids: []expr.Expr{
-			&expr.Cmp{Op: expr.GE, L: x1, R: lo},
-			&expr.Cmp{Op: expr.LE, L: x2, R: hi},
-		}}
-		if n.Not {
-			b = &expr.Not{Kid: b}
-		}
-		return b, nil
-	case *sql.SubstringExpr:
-		var kids [3]expr.Expr
-		for i, k := range [3]sql.Expr{n.X, n.From, n.For} {
-			var err error
-			if kids[i], err = sp.convertSubst(k, s, subst); err != nil {
-				return nil, err
-			}
-		}
-		return &expr.Substring{Kid: kids[0], Start: kids[1], Span: kids[2]}, nil
-	default:
-		return sp.p.convertExpr(e, s)
-	}
 }

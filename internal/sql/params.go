@@ -40,28 +40,6 @@ func walkStmtExprs(s Statement, fn func(Expr)) {
 	}
 }
 
-// WalkSelectSubqueries visits every subquery SELECT nested in sel's
-// expressions (scalar, IN, EXISTS), at any depth. It does not visit sel
-// itself or its FROM-clause derived tables.
-func WalkSelectSubqueries(sel *Select, fn func(*Select)) {
-	walkSelectExprs(sel, func(e Expr) {
-		switch x := e.(type) {
-		case *InExpr:
-			if x.Sub != nil {
-				fn(x.Sub)
-			}
-		case *ExistsExpr:
-			if x.Sub != nil {
-				fn(x.Sub)
-			}
-		case *SubqueryExpr:
-			if x.Sel != nil {
-				fn(x.Sel)
-			}
-		}
-	})
-}
-
 // WalkIdents calls fn for every identifier in sel: its clauses, its CTEs
 // and derived tables, and its subqueries at any depth.
 func WalkIdents(sel *Select, fn func(*Ident)) {
@@ -81,85 +59,14 @@ func WalkExprIdents(e Expr, fn func(*Ident)) {
 	})
 }
 
+// walkSelectExprs visits every expression in sel: its clauses, its CTEs
+// and derived tables, and its subqueries at any depth.
 func walkSelectExprs(sel *Select, fn func(Expr)) {
-	if sel == nil {
-		return
-	}
-	for _, cte := range sel.With {
-		walkSelectExprs(cte.Sel, fn)
-	}
-	for _, it := range sel.Items {
-		walkExpr(it.Expr, fn)
-	}
-	for _, tr := range sel.From {
-		walkTableRefExprs(tr, fn)
-	}
-	walkExpr(sel.Where, fn)
-	for _, e := range sel.GroupBy {
-		walkExpr(e, fn)
-	}
-	walkExpr(sel.Having, fn)
-	for _, oi := range sel.OrderBy {
-		walkExpr(oi.Expr, fn)
-	}
+	SelectChildren(sel, func(e Expr) { walkExpr(e, fn) }, func(s *Select) { walkSelectExprs(s, fn) })
 }
 
-func walkTableRefExprs(tr TableRef, fn func(Expr)) {
-	switch t := tr.(type) {
-	case *SubqueryRef:
-		walkSelectExprs(t.Sel, fn)
-	case *JoinRef:
-		walkTableRefExprs(t.Left, fn)
-		walkTableRefExprs(t.Right, fn)
-		walkExpr(t.On, fn)
-	}
-}
-
-// walkExpr visits e and every expression nested under it.
+// walkExpr visits e and every expression nested under it, subqueries
+// included.
 func walkExpr(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *BinOp:
-		walkExpr(x.L, fn)
-		walkExpr(x.R, fn)
-	case *UnOp:
-		walkExpr(x.Kid, fn)
-	case *FuncCall:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Result, fn)
-		}
-		walkExpr(x.Else, fn)
-	case *BetweenExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Lo, fn)
-		walkExpr(x.Hi, fn)
-	case *InExpr:
-		walkExpr(x.X, fn)
-		for _, le := range x.List {
-			walkExpr(le, fn)
-		}
-		walkSelectExprs(x.Sub, fn)
-	case *ExistsExpr:
-		walkSelectExprs(x.Sub, fn)
-	case *SubqueryExpr:
-		walkSelectExprs(x.Sel, fn)
-	case *LikeExpr:
-		walkExpr(x.X, fn)
-	case *IsNullExpr:
-		walkExpr(x.X, fn)
-	case *ExtractExpr:
-		walkExpr(x.X, fn)
-	case *SubstringExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.From, fn)
-		walkExpr(x.For, fn)
-	}
+	Walk(e, func(e Expr) bool { fn(e); return true }, func(s *Select) { walkSelectExprs(s, fn) })
 }

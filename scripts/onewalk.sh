@@ -3,11 +3,19 @@
 #
 # A tree names its children in one place: expr.Children for an
 # expression, exec.Children for a plan node (its child nodes and the
-# expressions it evaluates). WalkNodes, ResetCaches, WalkBees,
-# ParallelSafeExpr, core.MaxVarIdx and EXPLAIN are callers of them and keep
-# only their per-type actions (DESIGN.md §4.1). This fails if a walker
-# they replaced (WalkGathers, ResetSubqueries, walkExprBees, maxVar2,
-# maxVarList) is back, or if a non-test file reads a child link — .Child,
+# expressions it evaluates), sql.Children for a SQL AST expression (its
+# child expressions and nested SELECTs). WalkNodes, ResetCaches, WalkBees,
+# ParallelSafeExpr, core.MaxVarIdx, EXPLAIN, MaxParam, the identifier
+# walks and the planner's reference, aggregate and extraction passes are
+# callers of them and keep only their per-type actions, and one converter,
+# plan's convertExpr, lowers every AST expression, after aggregation too
+# (DESIGN.md §4.1). This fails if a walker or converter they replaced
+# (WalkGathers, ResetSubqueries, walkExprBees, maxVar2, maxVarList,
+# convertSubst, extractAggsOnly) is back; if a non-test file has a
+# `case *sql.SubstringExpr:` arm — the three-child node each AST walker
+# once listed by hand — outside the child table (internal/sql/walk.go),
+# the converter (internal/plan/expr.go) and the printer (plan/scope.go's
+# astString); or if a non-test file reads a child link — .Child,
 # .Outer, .Inner or .Parts — in a `case *Filter:` / `case *exec.Filter:`
 # arm of a node type with children, outside the child table
 # (internal/exec/walk.go), plan/explain.go, exec/instrument.go's Instrument
@@ -19,10 +27,23 @@ cd "$(dirname "$0")/.." || exit 1
 
 fail=0
 all=$(find . -name '*.go' ! -path './.git/*')
-hits=$(grep -nE '(^|[^A-Za-z0-9_])(WalkGathers|ResetSubqueries|walkExprBees|maxVar2|maxVarList)([^A-Za-z0-9_]|$)' $all)
+hits=$(grep -nE '(^|[^A-Za-z0-9_])(WalkGathers|ResetSubqueries|walkExprBees|maxVar2|maxVarList|convertSubst|extractAggsOnly)([^A-Za-z0-9_]|$)' $all)
 if [ -n "$hits" ]; then
     echo "$hits"
     echo "onewalk: a deleted walker is back"
+    fail=1
+fi
+src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' \
+    ! -path './internal/sql/walk.go' ! -path './internal/plan/expr.go')
+hits=$(awk '
+FNR == 1 { fn = "" }
+/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) }
+/^\t*case .*\*(sql\.)?SubstringExpr[,:]/ &&
+    !(FILENAME ~ /internal\/plan\/scope\.go$/ && fn == "astString") { print FILENAME ":" FNR ":" $0 }
+' $src)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "onewalk: a SQL expression case names SUBSTRING outside the child table, the converter and the printer"
     fail=1
 fi
 src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' \
@@ -48,7 +69,7 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 if [ "$fail" -ne 0 ]; then
-    echo "onewalk: FAILED — name a node's or expression's children in exec.Children / expr.Children and walk through them"
+    echo "onewalk: FAILED — name a node's or expression's children in exec.Children / expr.Children / sql.Children and walk through them"
     exit 1
 fi
 echo "onewalk: OK"
