@@ -302,8 +302,8 @@ func (m *Module) FormTuple(rel *catalog.Relation, values []types.Datum, prof *pr
 	return m.Former(rel)(values, prof)
 }
 
-// CompiledPred is the tuple-at-a-time form of an EVP or EVA bee routine:
-// a specialized predicate (or aggregate-input) evaluator.
+// CompiledPred is the tuple-at-a-time form of an EVP bee routine: a
+// specialized predicate evaluator.
 type CompiledPred func(row expr.Row, ctx *expr.Ctx) types.Datum
 
 // CompiledBatchPred is the batch form of an EVP bee: it evaluates the
@@ -324,8 +324,8 @@ type CompiledBatchScalar func(rows []expr.Row, cand []int32, out []types.Datum, 
 // Program is one plan's compiled EVP or EVA bee: the registry entry the
 // expression was admitted under, and the fragment compiled from this
 // plan's expression, from which the tuple, batch, fused and per-partition
-// forms are instantiated (Row, Batch, BatchScalar, Fused) with no further
-// admission. The entry is shared by every plan that spells the expression
+// forms are instantiated (Row, Batch and Fused for EVP, BatchScalar for
+// EVA) with no further admission. The entry is shared by every plan that spells the expression
 // the same way; the fragment is not — it closes over this plan's column
 // ordinals and $n slots. The zero Program is the stock path: no bee, and
 // every form nil.
@@ -380,22 +380,14 @@ func (m *Module) compileExpr(kind string, enabled bool, e expr.Expr) Program {
 	return Program{bee: b} // out of service for this plan
 }
 
-// Row instantiates the tuple-at-a-time form: a predicate's three-valued
-// truth for an EVP program, the expression's value for an EVA one.
+// Row instantiates the tuple-at-a-time form of an EVP program: the
+// predicate's three-valued truth. An EVA program has no row form; it
+// runs batch by batch (BatchScalar).
 func (p Program) Row() CompiledPred {
-	if !p.inService() {
+	if !p.inService() || p.bee.kind != kindEVP {
 		return nil
 	}
-	m, b, cost := p.m, p.bee, p.cost
-	if b.kind == kindEVA {
-		val := p.fr.boxed()
-		return func(row expr.Row, ctx *expr.Ctx) types.Datum {
-			m.maybePanic(b)
-			ctx.Prof.Add(profile.CompExpr, cost)
-			return val(row)
-		}
-	}
-	t := p.fr.truth()
+	m, b, cost, t := p.m, p.bee, p.cost, p.fr.truth()
 	return func(row expr.Row, ctx *expr.Ctx) types.Datum {
 		m.maybePanic(b)
 		ctx.Prof.Add(profile.CompExpr, cost)

@@ -3,6 +3,7 @@ package core
 import (
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
+	"microspec/internal/types"
 )
 
 // The (routine, ok) shape these tests were written against, over the
@@ -18,9 +19,15 @@ func compileBatchPredicate(m *Module, e expr.Expr) (CompiledBatchPred, bool) {
 	return cp, cp != nil
 }
 
+// compileScalar reads an EVA program's batch form one row at a time.
 func compileScalar(m *Module, e expr.Expr) (CompiledPred, bool) {
-	ca := m.CompileScalar(e).Row()
-	return ca, ca != nil
+	bs := m.CompileScalar(e).BatchScalar()
+	if bs == nil {
+		return nil, false
+	}
+	return func(row expr.Row, ctx *expr.Ctx) types.Datum {
+		return bs([]expr.Row{row}, nil, nil, ctx)[0]
+	}, true
 }
 
 // compileFused fuses e, over positions in the attribute list atts (nil:

@@ -462,11 +462,24 @@ func compileNeg(n *expr.Neg) frag {
 
 // compileCase compiles CASE arms to a chain of compiled conditions — the
 // shape of the q8/q12/q14 aggregate inputs. The arms' results may differ
-// in kind (a DOUBLE arm beside ELSE 0), so the result stays boxed.
+// in kind (a DOUBLE arm beside ELSE 0), so the result stays boxed, each
+// arm's value in the CASE's type as the interpreter returns it.
 func compileCase(n *expr.Case) frag {
 	type arm struct {
 		cond   boolFrag
 		result predFunc
+	}
+	k := n.T.Kind
+	result := func(r frag) predFunc {
+		switch {
+		case !n.T.Numeric() || r.cls == clsInt && r.kind == k || r.cls == clsFloat && k == types.KindFloat64:
+			return r.boxed()
+		case r.cls == clsInt && r.kind < k && k == types.KindFloat64:
+			f := frag{cls: clsFloat, f: r.floats()}
+			return f.boxed()
+		}
+		d := r.boxed()
+		return func(row expr.Row) types.Datum { return d(row).Widen(k) }
 	}
 	arms := make([]arm, len(n.Whens))
 	terms := 1
@@ -475,7 +488,7 @@ func compileCase(n *expr.Case) frag {
 		if c.cls == clsNone || r.cls == clsNone {
 			return frag{}
 		}
-		arms[i] = arm{cond: c.truth(), result: r.boxed()}
+		arms[i] = arm{cond: c.truth(), result: result(r)}
 		terms += c.terms + r.terms
 	}
 	var elseF predFunc
@@ -484,7 +497,7 @@ func compileCase(n *expr.Case) frag {
 		if e.cls == clsNone {
 			return frag{}
 		}
-		elseF = e.boxed()
+		elseF = result(e)
 		terms += e.terms
 	}
 	return frag{cls: clsBoxed, terms: terms, d: func(row expr.Row) types.Datum {

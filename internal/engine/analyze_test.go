@@ -54,10 +54,8 @@ func TestExplainAnalyzeQ1Aggregate(t *testing.T) {
 	want := `Sort [{0 false} {1 false}] (actual rows=4 loops=1 time=X)
   Project l_returnflag, l_linestatus, sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_qty, avg_price, avg_disc, count_order (actual rows=4 loops=1 time=X)
     Gather workers=2 (partial-agg groups=2 aggs=[sum(l_quantity), sum(l_extendedprice), sum((l_extendedprice * (1 - l_discount))), sum(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))), avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)]) [EVA] (actual rows=4 loops=1 time=X)
-      Rebatch (actual rows=5845 loops=1 time=X)
-        BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 time=X)
-      Rebatch (actual rows=5808 loops=1 time=X)
-        BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q1 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -76,7 +74,7 @@ func TestExplainAnalyzeQ3Joins(t *testing.T) {
 	want := `Limit 10 offset 0 (actual rows=10 loops=1 time=X)
   Sort [{1 true} {2 false}] (actual rows=10 loops=1 time=X)
     Project l_orderkey, revenue, o_orderdate, o_shippriority (actual rows=24 loops=1 time=X)
-      BatchHashAgg groups=3 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=24 loops=1 time=X)
+      HashAgg groups=3 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=24 loops=1 time=X)
         HashJoin inner keys=[5]/[0] est=1457 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
           HashJoin inner keys=[0]/[0] est=2913 [EVJ] (actual rows=329 batches=92 rows/batch=3.6 loops=1 time=X)
             BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_shipdate) batch=1024 filter=(l_shipdate > 1995-03-15) [GCL+EVP] (actual rows=5752 batches=166 rows/batch=34.7 loops=1 time=X)
@@ -99,10 +97,8 @@ func TestExplainAnalyzeQ6Scan(t *testing.T) {
 	}
 	want := `Project revenue (actual rows=1 loops=1 time=X)
   Gather workers=2 (partial-agg groups=0 aggs=[sum((l_extendedprice * l_discount))]) [EVA] (actual rows=1 loops=1 time=X)
-    Rebatch (actual rows=99 loops=1 time=X)
-      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[0,83) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 time=X)
-    Rebatch (actual rows=154 loops=1 time=X)
-      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[83,166) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 time=X)
+    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[0,83) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 time=X)
+    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[83,166) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q6 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -119,10 +115,8 @@ func TestExplainAnalyzeLiRange(t *testing.T) {
 	db := analyzeDB(t)
 	const want = `Project count(*), sum(l_extendedprice) (actual rows=1 loops=1 time=X)
   Gather workers=2 (partial-agg groups=0 aggs=[count(*), sum(l_extendedprice)]) [EVA] (actual rows=1 loops=1 time=X)
-    Rebatch (actual rows=252 loops=1 time=X)
-      BatchSeqScan lineitem (l_orderkey, l_extendedprice) batch=1024 pages=[0,83) filter=((l_orderkey >= $1) AND (l_orderkey < $2)) [GCL+EVP] (actual rows=252 batches=4 rows/batch=63.0 loops=1 pages skipped=79 time=X)
-    Rebatch (actual rows=0 loops=1 time=X)
-      BatchSeqScan lineitem (l_orderkey, l_extendedprice) batch=1024 pages=[83,166) filter=((l_orderkey >= $1) AND (l_orderkey < $2)) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 pages skipped=83 time=X)
+    BatchSeqScan lineitem (l_orderkey, l_extendedprice) batch=1024 pages=[0,83) filter=((l_orderkey >= $1) AND (l_orderkey < $2)) [GCL+EVP] (actual rows=252 batches=4 rows/batch=63.0 loops=1 pages skipped=79 time=X)
+    BatchSeqScan lineitem (l_orderkey, l_extendedprice) batch=1024 pages=[83,166) filter=((l_orderkey >= $1) AND (l_orderkey < $2)) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 pages skipped=83 time=X)
 `
 	h, err := db.HeapOf("lineitem")
 	if err != nil {

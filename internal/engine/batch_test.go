@@ -43,10 +43,10 @@ func TestBatchMatchesTupleTPCH(t *testing.T) {
 
 // TestBatchPlanShapes pins that the planner actually chooses the batch
 // path by default and renders it: a serial scan→filter→agg spine becomes
-// BatchHashAgg over a BatchSeqScan with the filter fused into the scan
-// (the composed [GCL+EVP] routine), joins take their scans' batches
-// directly (no Rebatch beneath a HashJoin) and feed a BatchHashAgg, and
-// disabling batching restores the tuple operators.
+// HashAgg directly over a BatchSeqScan with the filter fused into the
+// scan (the composed [GCL+EVP] routine), joins take their scans' batches
+// directly (no Rebatch beneath a HashJoin) and feed a HashAgg directly,
+// and disabling batching restores the tuple operators.
 func TestBatchPlanShapes(t *testing.T) {
 	db := analyzeDB(t)
 	defer db.SetWorkers(2)
@@ -57,17 +57,20 @@ func TestBatchPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"BatchHashAgg", "BatchSeqScan lineitem", "batch=1024", "filter=", "[GCL+EVP]"} {
+	for _, want := range []string{"BatchSeqScan lineitem", "batch=1024", "filter=", "[GCL+EVP]"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("serial Q6 explain missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "Rebatch") || !directlyOver(out, "HashAgg", "BatchSeqScan lineitem") {
+		t.Errorf("serial Q6 should aggregate directly over its batch scan, no Rebatch:\n%s", out)
 	}
 
 	out, err = db.ExplainQuery(tpch.Queries()[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(out, "Rebatch") || !strings.Contains(out, "BatchHashAgg") ||
+	if strings.Contains(out, "Rebatch") || !directlyOver(out, "HashAgg", "HashJoin") ||
 		strings.Count(out, "HashJoin") != 2 || strings.Count(out, "BatchSeqScan") != 3 {
 		t.Errorf("Q3 should batch scan → join → join → aggregate with no Rebatch:\n%s", out)
 	}
@@ -80,6 +83,21 @@ func TestBatchPlanShapes(t *testing.T) {
 	if strings.Contains(out, "Batch") || strings.Contains(out, "Rebatch") {
 		t.Errorf("batch-disabled plan still contains batch nodes:\n%s", out)
 	}
+}
+
+// directlyOver reports whether some line of an EXPLAIN outline starting
+// with parent has, as its first child, a line starting with child.
+func directlyOver(out, parent, child string) bool {
+	lines := strings.Split(out, "\n")
+	for i := 0; i+1 < len(lines); i++ {
+		p := strings.TrimLeft(lines[i], " ")
+		c := strings.TrimLeft(lines[i+1], " ")
+		if strings.HasPrefix(p, parent) && strings.HasPrefix(c, child) &&
+			len(lines[i+1])-len(c) == len(lines[i])-len(p)+2 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestBatchMetrics asserts the batch-execution counters accumulate: every

@@ -371,15 +371,16 @@ func (db *DB) QueryProfiled(text string, prof *profile.Counters) (*Result, error
 // actual rows, loops, and inclusive wall-clock time per node, with the
 // bee-routine markers intact — alongside the materialized result.
 func (db *DB) ExplainAnalyzeQuery(text string) (string, *Result, error) {
-	return db.ExplainAnalyzeAST(context.Background(), nil, text)
+	return db.ExplainAnalyzeAST(context.Background(), nil, text, QueryOpts{})
 }
 
-// ExplainAnalyzeAST is ExplainAnalyzeQuery under a context, for an
-// already-parsed SELECT (nil: parse text); when the context carries an
-// active trace, the outline is stamped with the trace ID so it can be
-// cross-referenced with the admin plane's /traces.
-func (db *DB) ExplainAnalyzeAST(ctx context.Context, sel *sql.Select, text string) (string, *Result, error) {
-	res, root, err := db.runSelect(ctx, text, sel, nil, nil, true, nil)
+// ExplainAnalyzeAST is ExplainAnalyzeQuery under a context and per-call
+// settings (a session's, as for QueryAST), for an already-parsed SELECT
+// (nil: parse text); when the context carries an active trace, the
+// outline is stamped with the trace ID so it can be cross-referenced with
+// the admin plane's /traces.
+func (db *DB) ExplainAnalyzeAST(ctx context.Context, sel *sql.Select, text string, opts QueryOpts) (string, *Result, error) {
+	res, root, err := db.runSelect(ctx, text, sel, nil, nil, true, &opts)
 	if err != nil {
 		return "", nil, err
 	}

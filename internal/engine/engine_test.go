@@ -233,6 +233,45 @@ func TestDistinctAndCase(t *testing.T) {
 	}
 }
 
+// A CASE is typed by its widest numeric arm, and every arm's value comes
+// back in that type: on the stock and the bee engine, as a column and as
+// an aggregate's input under GROUP BY. The result column's type and the
+// kind of every datum in it must agree.
+func TestCaseArmsTakeTheWidestType(t *testing.T) {
+	for _, c := range []struct {
+		expr string
+		kind types.Kind
+		want []float64 // by a = 0, 1, 2
+	}{
+		{"case when a > 1 then 1 when a > 0 then 2.5 else 3 end", types.KindFloat64, []float64{3, 2.5, 1}},
+		{"case when a > 1 then 1 else 2.5 end", types.KindFloat64, []float64{2.5, 2.5, 1}},
+		{"case when a > 1 then a else b end", types.KindFloat64, []float64{0.5, 1.5, 2}},
+		{"case when a > 1 then b else 4 end", types.KindFloat64, []float64{4, 4, 2.5}},
+		{"case when a > 1 then a else 7 end", types.KindInt64, []float64{7, 7, 2}},
+	} {
+		for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+			db := newDB(t, rs)
+			mustExec(t, db, "create table t (a integer not null, b double not null, primary key (a))",
+				"insert into t values (0, 0.5)", "insert into t values (1, 1.5)", "insert into t values (2, 2.5)")
+			for _, q := range []string{
+				"select " + c.expr + " from t order by a",
+				"select a, max(" + c.expr + ") from t group by a order by a",
+			} {
+				r := mustQuery(t, db, q)
+				col := len(r.Cols) - 1
+				if got := r.Cols[col].T.Kind; got != c.kind {
+					t.Errorf("bees=%v %s: column typed %s, want %s", rs.EVA, q, got, c.kind)
+				}
+				for i, row := range r.Rows {
+					if v := row[col]; v.Kind() != c.kind || v.Float64() != c.want[i] {
+						t.Errorf("bees=%v %s: row %d is %s %v, want %s %v", rs.EVA, q, i, v.Kind(), v, c.kind, c.want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDerivedTableAndCTE(t *testing.T) {
 	db := setupMini(t, core.AllRoutines)
 	r := mustQuery(t, db, `

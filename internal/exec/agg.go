@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"time"
 	"unsafe"
 
 	"microspec/internal/core"
@@ -36,16 +37,14 @@ type AggSpec struct {
 	Arg      expr.Expr // nil for COUNT(*)
 	Distinct bool
 	Name     string
-	// Prog is Arg's EVA program, when the bee module compiled it; the two
-	// forms below are instantiated from it (again per Gather partition),
-	// and its bee receives the batch form's row count and observed wall
-	// time per drained batch (per-bee benefit attribution).
+	// Prog is Arg's EVA program, when the bee module compiled it; the form
+	// below is instantiated from it (again per Gather partition), and its
+	// bee receives the row count and observed wall time per drained batch
+	// (per-bee benefit attribution).
 	Prog core.Program
-	// CompiledArg is the EVA bee routine for Arg: the aggregate's
-	// per-tuple input evaluated without a tree walk.
-	CompiledArg core.CompiledPred
-	// CompiledBatchArg is CompiledArg's batch form: one invocation
-	// evaluates Arg for every live row of a batch (batch path only).
+	// CompiledBatchArg is the EVA bee routine for Arg: one invocation
+	// evaluates the aggregate's input for every live row of a batch,
+	// without a tree walk.
 	CompiledBatchArg core.CompiledBatchScalar
 }
 
@@ -104,7 +103,7 @@ func (s *aggState) add(spec *AggSpec, v types.Datum) {
 }
 
 // addSum is the non-DISTINCT sum/avg transition with the spec checks
-// hoisted out: the batch drain calls it in a per-spec loop after skipping
+// hoisted out: the drain calls it in a per-spec loop after skipping
 // NULL inputs, so it stays small enough to inline.
 func (s *aggState) addSum(v types.Datum) {
 	s.count++
@@ -165,10 +164,9 @@ func (s *aggState) result(spec *AggSpec) types.Datum {
 const stateChunkBytes = 32 << 10
 
 // aggTable holds the groups of one aggregation in first-appearance order.
-// HashAgg and BatchHashAgg own one; a parallel Gather builds one per
-// partition and merges them in partition order, which reproduces the
-// serial first-appearance order exactly (partitions cover the heap in
-// page order).
+// HashAgg owns one; a parallel Gather builds one per partition and merges
+// them in partition order, which reproduces the serial first-appearance
+// order exactly (partitions cover the heap in page order).
 //
 // The group keys are a hashTable set, so a group's number is its key's
 // entry. The aggregate states sit in chunks of 2^lg groups
@@ -233,11 +231,8 @@ func (t *aggTable) global() int {
 }
 
 // group returns the number of keys's group, adding it on first
-// appearance; with no keys (no GROUP BY) it is the one global group.
+// appearance.
 func (t *aggTable) group(keys expr.Row) int {
-	if len(keys) == 0 {
-		return t.global()
-	}
 	return t.groupHashed(keys, rowHash(keys))
 }
 
@@ -303,7 +298,9 @@ func (t *aggTable) result(g int, aggs []AggSpec, out expr.Row) {
 
 // HashAgg groups rows by the GroupBy expressions and computes Aggs per
 // group. Output columns are the group keys followed by the aggregates.
-// With no GroupBy it produces exactly one row (global aggregation).
+// With no GroupBy it produces exactly one row (global aggregation). It
+// reads its child as batches, as HashJoin does — a row-at-a-time child
+// as batches of one — through drainBatchesIntoAgg.
 type HashAgg struct {
 	Child   Node
 	GroupBy []expr.Expr
@@ -313,6 +310,7 @@ type HashAgg struct {
 
 	evaCalls int64
 
+	drain  *aggDrain // built on the first Open, reused by every later one
 	table  *aggTable
 	pos    int
 	cols   []ColInfo
@@ -321,47 +319,15 @@ type HashAgg struct {
 
 // Open implements Node: it consumes the whole child.
 func (a *HashAgg) Open(ctx *Ctx) error {
-	a.table = newAggTable(len(a.Aggs))
-	a.pos = 0
-	if a.outBuf == nil {
+	if a.drain == nil {
+		a.drain = newAggDrain(a.GroupBy, a.Aggs, a.Aggs)
 		a.outBuf = make(expr.Row, len(a.GroupBy)+len(a.Aggs))
 	}
-	if err := a.Child.Open(ctx); err != nil {
-		return err
-	}
-	defer a.Child.Close(ctx)
-	keyBuf := make(expr.Row, len(a.GroupBy))
-	for {
-		row, ok, err := a.Child.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple+int64(len(a.Aggs))*profile.AggTransition)
-		for i, ge := range a.GroupBy {
-			keyBuf[i] = ge.Eval(row, &ctx.Expr)
-		}
-		g := a.table.group(keyBuf)
-		st := a.table.states(g)
-		for i := range a.Aggs {
-			spec := &a.Aggs[i]
-			var v types.Datum
-			switch {
-			case spec.CompiledArg != nil:
-				a.evaCalls++
-				v = spec.CompiledArg(row, &ctx.Expr)
-			case spec.Arg != nil:
-				v = spec.Arg.Eval(row, &ctx.Expr)
-			}
-			a.table.fold(st, g, i, spec, v)
-		}
-	}
-	if len(a.GroupBy) == 0 {
-		a.table.global()
-	}
-	return nil
+	a.table = newAggTable(len(a.Aggs))
+	a.pos = 0
+	_, eva, err := drainBatchesIntoAgg(ctx, a.Child, a.drain, a.table)
+	a.evaCalls += eva
+	return err
 }
 
 // Next implements Node.
@@ -385,22 +351,243 @@ func (a *HashAgg) Close(*Ctx) {
 
 // Schema implements Node.
 func (a *HashAgg) Schema() []ColInfo {
-	if a.cols != nil {
-		return a.cols
+	if a.cols == nil {
+		a.cols = aggSchema(a.GroupBy, a.Aggs)
 	}
-	cols := make([]ColInfo, 0, len(a.GroupBy)+len(a.Aggs))
-	for i, g := range a.GroupBy {
+	return a.cols
+}
+
+// aggSchema is an aggregation's output: the group keys, then the
+// aggregates.
+func aggSchema(groupBy []expr.Expr, aggs []AggSpec) []ColInfo {
+	cols := make([]ColInfo, 0, len(groupBy)+len(aggs))
+	for i, g := range groupBy {
 		cols = append(cols, ColInfo{Name: fmt.Sprintf("group%d", i), T: g.Type()})
 	}
-	for _, s := range a.Aggs {
+	for _, s := range aggs {
 		name := s.Name
 		if name == "" {
 			name = s.Fn.String()
 		}
 		cols = append(cols, ColInfo{Name: name, T: s.ResultType()})
 	}
-	a.cols = cols
 	return cols
+}
+
+// aggDrain is drainBatchesIntoAgg's setup for one aggregation over one
+// input: which specs share an argument, and the per-batch scratch.
+// HashAgg builds one, and a Gather one per partition, on first use and
+// reuse it across Opens, so an aggregate a correlated subplan reruns per
+// outer row allocates only its group table per run. One drain runs at a
+// time on a setup.
+type aggDrain struct {
+	groupBy []expr.Expr
+	// evalSpecs supply the evaluation forms (a Gather partition's private
+	// EVA bees), addSpecs the accumulation specs.
+	evalSpecs, addSpecs []AggSpec
+	// owner[i] is the first spec with spec i's argument (by rendered
+	// text, the bee cache's identity too). The owner evaluates the
+	// argument once per batch; the later specs fold the owner's value
+	// column — Q1 asks for both sum and avg of l_quantity and of
+	// l_extendedprice. A column someone shares (shared[owner]) lives in
+	// cols[owner] until the batch is done; the others reuse vbuf.
+	owner  []int
+	shared []bool
+	cols   [][]types.Datum
+	vbuf   []types.Datum
+	keyBuf expr.Row
+	// Live row bi belongs to group gids[bi&per], whose states are
+	// sts[bi&per]: per is all ones under GROUP BY and 0 for a global
+	// aggregate, whose one group needs no per-row scratch.
+	per  int
+	gids []int
+	sts  [][]aggState
+	// rows reads a row-at-a-time child as batches of one.
+	rows rowBatches
+}
+
+func newAggDrain(groupBy []expr.Expr, evalSpecs, addSpecs []AggSpec) *aggDrain {
+	n := len(addSpecs)
+	d := &aggDrain{
+		groupBy: groupBy, evalSpecs: evalSpecs, addSpecs: addSpecs,
+		owner: make([]int, n), shared: make([]bool, n), cols: make([][]types.Datum, n),
+		keyBuf: make(expr.Row, len(groupBy)), per: -1,
+	}
+	if len(groupBy) == 0 {
+		d.per, d.gids, d.sts = 0, make([]int, 1), make([][]aggState, 1)
+	}
+	args := make(map[string]int, n)
+	for i := range evalSpecs {
+		d.owner[i] = i
+		if evalSpecs[i].Arg == nil {
+			continue
+		}
+		key := evalSpecs[i].Arg.String()
+		if first, ok := args[key]; ok {
+			d.owner[i], d.shared[first] = first, true
+		} else {
+			args[key] = i
+		}
+	}
+	return d
+}
+
+// drainBatchesIntoAgg opens child, folds every row it produces into
+// table, and closes it: the one loop that folds aggregate input, behind
+// HashAgg and each partition of Gather's partial aggregation. A child
+// that is not a BatchNode is read as batches of one row. Group
+// first-appearance order equals the row order of the input: batches
+// cover the heap in page order and rows within a batch stay in slot
+// order. The drain is batch-shaped, not row-shaped. Each batch goes
+// through three column-style passes:
+//
+//  1. Group resolution — once per batch for a global aggregate, once per
+//     row otherwise, in row order (preserving first-appearance order). A
+//     row whose key equals the previous row's reuses its group without
+//     re-probing the table.
+//  2. Argument evaluation — per distinct argument, the batch-EVA bee (or
+//     the interpreter per row) fills a reusable value column.
+//  3. Transition — per spec, a tight loop folds the value column into the
+//     group states, with the spec checks (NULL skip, DISTINCT, kind)
+//     hoisted out of the per-row switch for the count/sum/avg shapes.
+//
+// Each state sees its inputs in row order, so float accumulation is
+// bit-identical whatever the batch sizes.
+func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (rows, eva int64, err error) {
+	src := asBatchNode(child, &d.rows)
+	// The close is deferred so the child (and any buffer pins its scans
+	// hold) is released even when its Open fails halfway or a bee panic
+	// unwinds through the loop.
+	defer src.Close(ctx)
+	if err := src.Open(ctx); err != nil {
+		return 0, 0, err
+	}
+	groupBy, evalSpecs, addSpecs := d.groupBy, d.evalSpecs, d.addSpecs
+	keyBuf, per, gids, sts := d.keyBuf, d.per, d.gids, d.sts
+	if per == 0 {
+		// The one group exists over no rows too.
+		g := table.global()
+		gids[0], sts[0] = g, table.states(g)
+	}
+	naggs := len(addSpecs)
+	for {
+		b, ok, err := src.NextBatch(ctx)
+		if err != nil {
+			return rows, eva, err
+		}
+		if !ok {
+			return rows, eva, nil
+		}
+		n := b.Count()
+		if n == 0 {
+			continue
+		}
+		rows += int64(n)
+		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch+int64(n)*int64(naggs)*profile.AggTransition)
+		// Scratch is sized to the observed live-row count, not BatchCap: a
+		// selective filter passes a handful of rows per page, and oversized
+		// pointer-bearing scratch costs more in zeroing than it saves.
+		if per != 0 {
+			if len(gids) < n {
+				c := growBatchScratch(len(gids), n)
+				gids, sts = make([]int, c), make([][]aggState, c)
+				d.gids, d.sts = gids, sts
+			}
+			// prev is per-batch: keyBuf datums may alias the batch's row
+			// storage, which the next NextBatch overwrites.
+			prev := -1
+			for bi := 0; bi < n; bi++ {
+				row := b.RowAt(bi)
+				same := prev >= 0
+				for i, gexp := range groupBy {
+					k := gexp.Eval(row, &ctx.Expr)
+					if same {
+						if k.IsNull() != keyBuf[i].IsNull() ||
+							(!k.IsNull() && k.Compare(keyBuf[i]) != 0) {
+							same = false
+						}
+					}
+					keyBuf[i] = k
+				}
+				if !same {
+					prev = table.group(keyBuf)
+				}
+				gids[bi] = prev
+			}
+			// Once the batch's groups exist: a new group may move the
+			// states of an earlier one (see aggTable).
+			for bi := 0; bi < n; bi++ {
+				sts[bi] = table.states(gids[bi])
+			}
+		}
+		for i := range evalSpecs {
+			spec := &evalSpecs[i]
+			ad := &addSpecs[i]
+			var vals []types.Datum
+			switch {
+			case spec.Arg == nil: // COUNT(*): no value column
+			case d.owner[i] != i:
+				vals = d.cols[d.owner[i]]
+			default:
+				buf := &d.vbuf
+				if d.shared[i] {
+					buf = &d.cols[i]
+				}
+				if cap(*buf) < n {
+					*buf = make([]types.Datum, 0, growBatchScratch(cap(*buf), n))
+				}
+				vals = (*buf)[:0]
+				switch {
+				case spec.CompiledBatchArg != nil:
+					eva += int64(n)
+					if bee := spec.Prog.Bee(); bee != nil {
+						t0 := time.Now()
+						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
+						bee.Note(int64(n), int64(time.Since(t0)))
+					} else {
+						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
+					}
+				default:
+					for bi := 0; bi < n; bi++ {
+						vals = append(vals, spec.Arg.Eval(b.RowAt(bi), &ctx.Expr))
+					}
+				}
+				*buf = vals
+			}
+			switch {
+			case vals == nil: // COUNT(*)
+				if ad.Fn == AggCount && !ad.Distinct {
+					if per == 0 {
+						sts[0][i].count += int64(n)
+					} else {
+						for bi := 0; bi < n; bi++ {
+							sts[bi][i].count++
+						}
+					}
+					break
+				}
+				for bi := 0; bi < n; bi++ {
+					table.fold(sts[bi&per], gids[bi&per], i, ad, types.Datum{})
+				}
+			case ad.Distinct || ad.Fn == AggMin || ad.Fn == AggMax:
+				for bi := 0; bi < n; bi++ {
+					table.fold(sts[bi&per], gids[bi&per], i, ad, vals[bi])
+				}
+			case ad.Fn == AggCount:
+				for bi := 0; bi < n; bi++ {
+					if !vals[bi].IsNull() {
+						sts[bi&per][i].count++
+					}
+				}
+			default: // sum/avg
+				for bi := 0; bi < n; bi++ {
+					if v := vals[bi]; !v.IsNull() {
+						sts[bi&per][i].addSum(v)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Distinct removes duplicate rows (SELECT DISTINCT), preserving first

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,8 @@ func (c countedExpr) Eval(row expr.Row, ctx *expr.Ctx) types.Datum {
 
 // Specs with the same argument share one value column per batch: the
 // argument is evaluated once per live row however many aggregates fold
-// it, and the result equals the tuple path's — groups, order and all.
+// it, over a batch source and over a row source alike, and the two
+// results are equal — groups, order and all.
 func TestBatchAggEvaluatesSharedArgumentOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rows := randomJoinRows(rng, 500, "r")
@@ -43,24 +45,21 @@ func TestBatchAggEvaluatesSharedArgumentOnce(t *testing.T) {
 			{Fn: AggCount, Arg: wrap(v), Distinct: true},
 		}
 	}
-	for _, dead := range []bool{false, true} {
+	collect := func(label string, child Node) []expr.Row {
+		t.Helper()
 		evals = 0
-		batch := &BatchHashAgg{
-			Child:   &volatileBatches{volatileRows: volatileRows{cols: joinCols, rows: rows}, sizes: []int{7, 64, 1, 30}, dead: dead},
-			GroupBy: []expr.Expr{k},
-			Aggs:    specs(counted),
-		}
-		got := mustCollect(t, batch)
+		got := mustCollect(t, &HashAgg{Child: child, GroupBy: []expr.Expr{k}, Aggs: specs(counted)})
 		if want := 3 * len(rows); evals != want {
-			t.Errorf("dead=%v: %d argument evaluations for %d rows and 3 distinct arguments, want %d", dead, evals, len(rows), want)
+			t.Errorf("%s: %d argument evaluations for %d rows and 3 distinct arguments, want %d", label, evals, len(rows), want)
 		}
-		tuple := &HashAgg{
-			Child:   &volatileRows{cols: joinCols, rows: rows},
-			GroupBy: []expr.Expr{k},
-			Aggs:    specs(func(e expr.Expr) expr.Expr { return e }),
-		}
-		if err := sameRows(got, mustCollect(t, tuple)); err != nil {
-			t.Errorf("dead=%v: batch aggregation differs from the tuple path: %v", dead, err)
+		return got
+	}
+	byRow := collect("rows", &volatileRows{cols: joinCols, rows: rows})
+	for _, dead := range []bool{false, true} {
+		label := fmt.Sprintf("batches dead=%v", dead)
+		got := collect(label, &volatileBatches{volatileRows: volatileRows{cols: joinCols, rows: rows}, sizes: []int{7, 64, 1, 30}, dead: dead})
+		if err := sameRows(got, byRow); err != nil {
+			t.Errorf("%s: aggregation differs from the row source's: %v", label, err)
 		}
 	}
 }

@@ -17,12 +17,14 @@ import (
 // rows per call: BatchSeqScan deforms the page in one batch-deform bee
 // invocation, BatchFilter narrows a selection vector in one batch-EVP
 // invocation, HashJoin (join.go) builds from batches and probes a whole
-// outer batch per call, so joins stack batch to batch, and BatchHashAgg
-// consumes batches directly. Batching ends where a row-only consumer
-// (Sort, Project, Limit, NLJoin) sits: a Rebatch adapter hands a scan or
-// filter subtree's batches to it row by row, and a HashJoin's own Next
-// does the same for its output. Row visit order is identical to the
-// tuple path, so results are bit-identical.
+// outer batch per call, so joins stack batch to batch, and HashAgg and
+// Gather's partial aggregation (agg.go) fold whole batches. Those three
+// read any child as batches — a row-at-a-time child as batches of one.
+// Batching ends where a row-only consumer (Sort, Project, Limit, NLJoin)
+// sits: a Rebatch adapter hands a scan or filter subtree's batches to it
+// row by row, and a HashJoin's own Next does the same for its output.
+// Row visit order is identical to the tuple path, so results are
+// bit-identical.
 
 // BatchCap is the row capacity of a Batch. Page-wise batches can never
 // exceed a page's maximum slot count (~680 at 8 KiB pages), so the target
@@ -379,9 +381,9 @@ func (f *BatchFilter) Schema() []ColInfo { return f.Child.Schema() }
 // consumer: its Next hands out the current batch's selected rows one by
 // one, fetching the next batch on demand. The planner roots every scan or
 // filter subtree that feeds a row-only consumer (Sort, Project, Limit,
-// NLJoin, a Gather partition) in a Rebatch; hash joins and aggregation
-// take batches directly. Returned rows satisfy the usual Node contract
-// (valid until the following Next).
+// NLJoin) in a Rebatch; hash joins, aggregation and Gather's partial
+// aggregation take batches directly. Returned rows satisfy the usual Node
+// contract (valid until the following Next).
 type Rebatch struct {
 	Child BatchNode
 
@@ -404,250 +406,3 @@ func (r *Rebatch) Close(ctx *Ctx) { r.Child.Close(ctx) }
 
 // Schema implements Node.
 func (r *Rebatch) Schema() []ColInfo { return r.Child.Schema() }
-
-// drainBatchesIntoAgg consumes src's batches into an aggregation table —
-// the shared inner loop of BatchHashAgg and Gather's batch-aware partial
-// aggregation. evalSpecs supplies the evaluation closures (a partition
-// worker passes its private EVA bees); addSpecs the accumulation specs.
-// Group first-appearance order equals the tuple path's: batches cover the
-// heap in page order and rows within a batch stay in slot order.
-// The drain is batch-shaped, not row-shaped. Each batch goes through
-// three column-style passes:
-//
-//  1. Group resolution — once per batch for a global aggregate, once per
-//     row otherwise, in row order (preserving the tuple path's group
-//     first-appearance order). A row whose key equals the previous row's
-//     reuses its group without re-probing the table.
-//  2. Argument evaluation — per distinct argument, the batch-EVA bee (or
-//     the per-row closure/interpreter) fills a reusable value column.
-//  3. Transition — per spec, a tight loop folds the value column into the
-//     group states, with the spec checks (NULL skip, DISTINCT, kind)
-//     hoisted out of the per-row switch for the count/sum/avg shapes.
-//
-// Each state sees its inputs in row order, so float accumulation is
-// bit-identical to the tuple path.
-func drainBatchesIntoAgg(ctx *Ctx, src BatchNode, groupBy []expr.Expr, evalSpecs, addSpecs []AggSpec, table *aggTable, keyBuf expr.Row) (rows, eva int64, err error) {
-	// Live row bi belongs to group gids[bi&per], whose states are
-	// sts[bi&per]: per is all ones under GROUP BY and 0 for a global
-	// aggregate, whose one group (created here, so it exists over no
-	// rows too) needs no per-row scratch.
-	var (
-		gids []int
-		sts  [][]aggState
-		vbuf []types.Datum
-	)
-	per := -1
-	if len(groupBy) == 0 {
-		g := table.global()
-		per, gids, sts = 0, []int{g}, [][]aggState{table.states(g)}
-	}
-	naggs := len(addSpecs)
-	// owner[i] is the first spec with spec i's argument (by rendered text,
-	// the bee cache's identity too). The owner evaluates the argument once
-	// per batch; the later specs fold the owner's value column — Q1 asks
-	// for both sum and avg of l_quantity and of l_extendedprice. A column
-	// someone shares lives in cols[owner] until the batch is done; the
-	// others reuse vbuf.
-	owner := make([]int, naggs)
-	cols := make([][]types.Datum, naggs)
-	shared := make([]bool, naggs)
-	args := make(map[string]int, naggs)
-	for i := range evalSpecs {
-		owner[i] = i
-		if evalSpecs[i].Arg == nil {
-			continue
-		}
-		key := evalSpecs[i].Arg.String()
-		if first, ok := args[key]; ok {
-			owner[i], shared[first] = first, true
-		} else {
-			args[key] = i
-		}
-	}
-	for {
-		b, ok, err := src.NextBatch(ctx)
-		if err != nil {
-			return rows, eva, err
-		}
-		if !ok {
-			return rows, eva, nil
-		}
-		n := b.Count()
-		if n == 0 {
-			continue
-		}
-		rows += int64(n)
-		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch+int64(n)*int64(naggs)*profile.AggTransition)
-		// Scratch is sized to the observed live-row count, not BatchCap: a
-		// selective filter passes a handful of rows per page, and oversized
-		// pointer-bearing scratch costs more in zeroing than it saves.
-		if per != 0 {
-			if len(gids) < n {
-				c := growBatchScratch(len(gids), n)
-				gids, sts = make([]int, c), make([][]aggState, c)
-			}
-			// prev is per-batch: keyBuf datums may alias the batch's row
-			// storage, which the next NextBatch overwrites.
-			prev := -1
-			for bi := 0; bi < n; bi++ {
-				row := b.RowAt(bi)
-				same := prev >= 0
-				for i, gexp := range groupBy {
-					k := gexp.Eval(row, &ctx.Expr)
-					if same {
-						if k.IsNull() != keyBuf[i].IsNull() ||
-							(!k.IsNull() && k.Compare(keyBuf[i]) != 0) {
-							same = false
-						}
-					}
-					keyBuf[i] = k
-				}
-				if !same {
-					prev = table.group(keyBuf)
-				}
-				gids[bi] = prev
-			}
-			// Once the batch's groups exist: a new group may move the
-			// states of an earlier one (see aggTable).
-			for bi := 0; bi < n; bi++ {
-				sts[bi] = table.states(gids[bi])
-			}
-		}
-		for i := range evalSpecs {
-			spec := &evalSpecs[i]
-			ad := &addSpecs[i]
-			var vals []types.Datum
-			switch {
-			case spec.Arg == nil: // COUNT(*): no value column
-			case owner[i] != i:
-				vals = cols[owner[i]]
-			default:
-				buf := &vbuf
-				if shared[i] {
-					buf = &cols[i]
-				}
-				if cap(*buf) < n {
-					*buf = make([]types.Datum, 0, growBatchScratch(cap(*buf), n))
-				}
-				vals = (*buf)[:0]
-				switch {
-				case spec.CompiledBatchArg != nil:
-					eva += int64(n)
-					if bee := spec.Prog.Bee(); bee != nil {
-						t0 := time.Now()
-						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
-						bee.Note(int64(n), int64(time.Since(t0)))
-					} else {
-						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
-					}
-				case spec.CompiledArg != nil:
-					eva += int64(n)
-					for bi := 0; bi < n; bi++ {
-						vals = append(vals, spec.CompiledArg(b.RowAt(bi), &ctx.Expr))
-					}
-				default:
-					for bi := 0; bi < n; bi++ {
-						vals = append(vals, spec.Arg.Eval(b.RowAt(bi), &ctx.Expr))
-					}
-				}
-				*buf = vals
-			}
-			switch {
-			case vals == nil: // COUNT(*)
-				if ad.Fn == AggCount && !ad.Distinct {
-					if len(groupBy) == 0 {
-						sts[0][i].count += int64(n)
-					} else {
-						for bi := 0; bi < n; bi++ {
-							sts[bi&per][i].count++
-						}
-					}
-					break
-				}
-				for bi := 0; bi < n; bi++ {
-					table.fold(sts[bi&per], gids[bi&per], i, ad, types.Datum{})
-				}
-			case ad.Distinct || ad.Fn == AggMin || ad.Fn == AggMax:
-				for bi := 0; bi < n; bi++ {
-					table.fold(sts[bi&per], gids[bi&per], i, ad, vals[bi])
-				}
-			case ad.Fn == AggCount:
-				for bi := 0; bi < n; bi++ {
-					if !vals[bi].IsNull() {
-						sts[bi&per][i].count++
-					}
-				}
-			default: // sum/avg
-				for bi := 0; bi < n; bi++ {
-					if v := vals[bi]; !v.IsNull() {
-						sts[bi&per][i].addSum(v)
-					}
-				}
-			}
-		}
-	}
-}
-
-// BatchHashAgg is HashAgg's batch-consuming form: it drains its child
-// batch by batch (the no-GROUP-BY and few-group shapes of TPC-H Q1/Q6
-// are its target), with the same group table, transition functions, and
-// output order as HashAgg.
-type BatchHashAgg struct {
-	Child   BatchNode
-	GroupBy []expr.Expr
-	Aggs    []AggSpec
-	// NoteEVA receives the number of EVA invocations at Close.
-	NoteEVA func(int64)
-
-	evaCalls int64
-	table    *aggTable
-	pos      int
-	cols     []ColInfo
-	outBuf   expr.Row
-}
-
-// Open implements Node: it consumes the whole child.
-func (a *BatchHashAgg) Open(ctx *Ctx) error {
-	a.table = newAggTable(len(a.Aggs))
-	a.pos = 0
-	if a.outBuf == nil {
-		a.outBuf = make(expr.Row, len(a.GroupBy)+len(a.Aggs))
-	}
-	if err := a.Child.Open(ctx); err != nil {
-		return err
-	}
-	defer a.Child.Close(ctx)
-	keyBuf := make(expr.Row, len(a.GroupBy))
-	_, eva, err := drainBatchesIntoAgg(ctx, a.Child, a.GroupBy, a.Aggs, a.Aggs, a.table, keyBuf)
-	a.evaCalls += eva
-	return err
-}
-
-// Next implements Node.
-func (a *BatchHashAgg) Next(ctx *Ctx) (expr.Row, bool, error) {
-	if a.pos >= a.table.groups {
-		return nil, false, nil
-	}
-	a.table.result(a.pos, a.Aggs, a.outBuf)
-	a.pos++
-	return a.outBuf, true, nil
-}
-
-// Close implements Node.
-func (a *BatchHashAgg) Close(*Ctx) {
-	if a.NoteEVA != nil && a.evaCalls > 0 {
-		a.NoteEVA(a.evaCalls)
-		a.evaCalls = 0
-	}
-	a.table = nil
-}
-
-// Schema implements Node (group keys then aggregates, like HashAgg).
-func (a *BatchHashAgg) Schema() []ColInfo {
-	if a.cols != nil {
-		return a.cols
-	}
-	tmp := HashAgg{GroupBy: a.GroupBy, Aggs: a.Aggs}
-	a.cols = tmp.Schema()
-	return a.cols
-}

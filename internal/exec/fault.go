@@ -47,7 +47,7 @@ func WalkBees(n Node, fn func(b *core.Bee, inService bool)) {
 func nodeBees(n Node, fn func(*core.Bee, bool)) {
 	aggBees := func(specs []AggSpec) {
 		for i := range specs {
-			if b := specs[i].Prog.Bee(); b != nil && specs[i].CompiledArg != nil {
+			if b := specs[i].Prog.Bee(); b != nil && specs[i].CompiledBatchArg != nil {
 				fn(b, true)
 			}
 		}
@@ -69,8 +69,6 @@ func nodeBees(n Node, fn func(*core.Bee, bool)) {
 			fn(b, v.Compiled != nil)
 		}
 	case *HashAgg:
-		aggBees(v.Aggs)
-	case *BatchHashAgg:
 		aggBees(v.Aggs)
 	case *HashJoin:
 		if v.EVJ != nil && v.EVJ.Bee != nil {

@@ -1,30 +1,30 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"microspec/internal/expr"
 	"microspec/internal/profile"
-	"microspec/internal/types"
 )
 
 // Gather is the executor's intra-query parallelism node. It owns one
-// subplan per heap partition (a page-range SeqScan, usually under a
-// Filter) and drives them on a bounded worker pool. It runs in one of
-// three modes, chosen by the planner:
+// subplan per heap partition (a page-range scan, usually under a
+// filter) and drives them on a bounded worker pool. It runs in one of
+// two modes, chosen by the planner:
 //
-//   - Aggregation: GroupBy/Aggs are set. Each worker aggregates its
-//     partition into a local group table (partial aggregation); the
-//     gather point merges the partial states in partition order, which
-//     reproduces the serial first-appearance group order exactly.
+//   - Aggregation (MergeKeys unset): GroupBy/Aggs mirror the HashAgg the
+//     Gather replaces. Each worker drains its partition into a local
+//     group table through the aggregation drain HashAgg uses (partial
+//     aggregation); the gather point merges the partial states in
+//     partition order, which reproduces the serial first-appearance
+//     group order exactly.
 //   - Sorted-run merge: MergeKeys is set. Each partition subplan ends in
 //     a Sort; workers sort their runs in parallel and the gather point
 //     k-way merges them, so the Gather's output is globally ordered.
-//   - Row streaming: neither is set. Workers stream their partition's
-//     rows into a channel in arrival order (nondeterministic; the planner
-//     only uses this mode under an order-restoring Sort).
+//
+// Both modes do all their parallel work in Open, so no worker runs
+// while the Gather hands out rows.
 //
 // Bees stay per-worker: every partition subplan carries its own deform
 // (GCL), predicate (EVP), and aggregate-input (EVA) closures, so the
@@ -39,10 +39,10 @@ type Gather struct {
 	// goroutines run concurrently.
 	Workers int
 
-	// GroupBy and Aggs select aggregation mode; they mirror the HashAgg
-	// fields the Gather replaces. PartAggs carries per-partition AggSpec
-	// copies whose CompiledArg closures (EVA bees) are private to one
-	// worker; entry i may be nil to share Aggs.
+	// GroupBy and Aggs are the aggregation mode's HashAgg fields.
+	// PartAggs carries per-partition AggSpec copies whose
+	// CompiledBatchArg closures (EVA bees) are private to one worker;
+	// entry i may be nil to share Aggs.
 	GroupBy  []expr.Expr
 	Aggs     []AggSpec
 	PartAggs [][]AggSpec
@@ -56,17 +56,15 @@ type Gather struct {
 
 	cols []ColInfo
 
+	// drains[i] is partition i's aggregation setup, built on its first
+	// run and reused by every later one.
+	drains []*aggDrain
+
 	// Runtime state, reset by Open.
 	table    *aggTable
 	pos      int
 	outBuf   expr.Row
-	rowCh    chan expr.Row
-	batchCh  chan *Batch
-	curBatch *Batch
-	batchPos int
-	done     chan struct{}
 	wg       sync.WaitGroup
-	finish   sync.Once
 	heads    []expr.Row
 	opened   []bool
 	evaCalls int64
@@ -89,8 +87,7 @@ type WorkerStat struct {
 	Agg bool
 }
 
-func (g *Gather) aggMode() bool   { return len(g.Aggs) > 0 || g.GroupBy != nil }
-func (g *Gather) mergeMode() bool { return !g.aggMode() && len(g.MergeKeys) > 0 }
+func (g *Gather) mergeMode() bool { return len(g.MergeKeys) > 0 }
 
 // poolSize returns the number of goroutines the pool runs.
 func (g *Gather) poolSize() int {
@@ -183,41 +180,31 @@ func runPart(part int, wctx *Ctx, work func(part int, wctx *Ctx) error) (err err
 	return work(part, wctx)
 }
 
-// Open implements Node. In aggregation and merge modes all parallel work
-// happens here (the node is a pipeline breaker, like HashAgg and Sort);
-// in streaming mode workers run concurrently with Next.
+// Open implements Node. All parallel work happens here: the node is a
+// pipeline breaker, like HashAgg and Sort.
 func (g *Gather) Open(ctx *Ctx) error {
 	g.pos = 0
 	g.table = nil
-	g.rowCh = nil
-	g.batchCh = nil
-	g.curBatch = nil
-	g.batchPos = 0
 	g.heads = nil
 	g.opened = nil
 	g.err = nil
 	g.evaCalls = 0
-	g.finish = sync.Once{}
 	g.statMu.Lock()
 	g.stats = g.stats[:0]
 	g.statMu.Unlock()
 
-	switch {
-	case g.aggMode():
-		return g.openAgg(ctx)
-	case g.mergeMode():
+	if g.mergeMode() {
 		return g.openMerge(ctx)
-	default:
-		g.openStream(ctx)
-		return nil
 	}
+	return g.openAgg(ctx)
 }
 
 // openAgg runs partial aggregation on the pool and merges the partition
 // tables in partition order.
 func (g *Gather) openAgg(ctx *Ctx) error {
-	if g.outBuf == nil {
+	if g.drains == nil {
 		g.outBuf = make(expr.Row, len(g.GroupBy)+len(g.Aggs))
+		g.drains = make([]*aggDrain, len(g.Parts))
 	}
 	partTables := make([]*aggTable, len(g.Parts))
 	var evaTotal int64
@@ -225,62 +212,20 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 
 	g.runPool(ctx, func(part int, wctx *Ctx) error {
 		start := time.Now()
-		specs := g.Aggs
-		if g.PartAggs != nil && g.PartAggs[part] != nil {
-			specs = g.PartAggs[part]
+		// The worker builds its partition's setup, so the scratch the
+		// drain writes per row is not allocated beside another
+		// partition's (a shared cache line).
+		if g.drains[part] == nil {
+			specs := g.Aggs
+			if g.PartAggs != nil && g.PartAggs[part] != nil {
+				specs = g.PartAggs[part]
+			}
+			g.drains[part] = newAggDrain(g.GroupBy, specs, g.Aggs)
 		}
-		node := g.Parts[part]
-		if err := node.Open(wctx); err != nil {
-			node.Close(wctx) // release pins of a partially-opened subtree
-			return err
-		}
-		defer node.Close(wctx)
 		table := newAggTable(len(g.Aggs))
-		keyBuf := make(expr.Row, len(g.GroupBy))
-		var rows, eva int64
-		// Batch fast path: a Rebatch-rooted partition is driven batch by
-		// batch, skipping the per-tuple iterator boundary entirely.
-		// (Analyzed runs wrap parts in Instrumented and take the tuple
-		// loop below; Rebatch still moves batches underneath it.)
-		if rb, ok := node.(*Rebatch); ok {
-			rows, eva, err := drainBatchesIntoAgg(wctx, rb.Child, g.GroupBy, specs, g.Aggs, table, keyBuf)
-			if err != nil {
-				return err
-			}
-			partTables[part] = table
-			evaMu.Lock()
-			evaTotal += eva
-			evaMu.Unlock()
-			g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start), Agg: true})
-			return nil
-		}
-		for {
-			row, ok, err := node.Next(wctx)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			rows++
-			wctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple+int64(len(g.Aggs))*profile.AggTransition)
-			for i, ge := range g.GroupBy {
-				keyBuf[i] = ge.Eval(row, &wctx.Expr)
-			}
-			grp := table.group(keyBuf)
-			st := table.states(grp)
-			for i := range specs {
-				spec := &specs[i]
-				var v types.Datum
-				switch {
-				case spec.CompiledArg != nil:
-					eva++
-					v = spec.CompiledArg(row, &wctx.Expr)
-				case spec.Arg != nil:
-					v = spec.Arg.Eval(row, &wctx.Expr)
-				}
-				table.fold(st, grp, i, &g.Aggs[i], v)
-			}
+		rows, eva, err := drainBatchesIntoAgg(wctx, g.Parts[part], g.drains[part], table)
+		if err != nil {
+			return err
 		}
 		partTables[part] = table
 		evaMu.Lock()
@@ -353,193 +298,51 @@ func (g *Gather) openMerge(ctx *Ctx) error {
 	return nil
 }
 
-// openStream starts workers that push cloned rows into a channel; Next
-// consumes until the pool drains. When every partition is Rebatch-rooted,
-// workers exchange whole cloned batches instead of single rows, cutting
-// channel operations by the batch size.
-func (g *Gather) openStream(ctx *Ctx) {
-	allBatch := len(g.Parts) > 0
-	for _, p := range g.Parts {
-		if _, ok := p.(*Rebatch); !ok {
-			allBatch = false
-			break
-		}
-	}
-	if allBatch {
-		g.openBatchStream(ctx)
-		return
-	}
-	g.rowCh = make(chan expr.Row, 64)
-	g.done = make(chan struct{})
-	ch, done := g.rowCh, g.done
-	go func() {
-		g.runPool(ctx, func(part int, wctx *Ctx) error {
-			start := time.Now()
-			node := g.Parts[part]
-			if err := node.Open(wctx); err != nil {
-				node.Close(wctx) // release pins of a partially-opened subtree
-				return err
-			}
-			defer node.Close(wctx)
-			var rows int64
-			for {
-				row, ok, err := node.Next(wctx)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				rows++
-				select {
-				case ch <- CloneRow(row):
-				case <-done:
-					g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-					return nil
-				}
-			}
-			g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-			return nil
-		})
-		close(ch)
-	}()
-}
-
-// openBatchStream is openStream's batch form: each worker drives its
-// partition's batch subtree directly and ships compacted, deep-copied
-// batches (the originals alias worker-pinned pages) over a batch channel.
-func (g *Gather) openBatchStream(ctx *Ctx) {
-	g.batchCh = make(chan *Batch, 8)
-	g.done = make(chan struct{})
-	ch, done := g.batchCh, g.done
-	go func() {
-		g.runPool(ctx, func(part int, wctx *Ctx) error {
-			start := time.Now()
-			node := g.Parts[part].(*Rebatch)
-			if err := node.Open(wctx); err != nil {
-				node.Close(wctx) // release pins of a partially-opened subtree
-				return err
-			}
-			defer node.Close(wctx)
-			var rows int64
-			for {
-				b, ok, err := node.Child.NextBatch(wctx)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				n := b.Count()
-				rows += int64(n)
-				out := &Batch{Rows: make([]expr.Row, n), N: n}
-				for i := 0; i < n; i++ {
-					out.Rows[i] = CloneRow(b.RowAt(i))
-				}
-				select {
-				case ch <- out:
-				case <-done:
-					g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-					return nil
-				}
-			}
-			g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start)})
-			return nil
-		})
-		close(ch)
-	}()
-}
-
 // Next implements Node.
 func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
-	switch {
-	case g.aggMode():
+	if !g.mergeMode() {
 		if g.table == nil || g.pos >= g.table.groups {
 			return nil, false, nil
 		}
 		g.table.result(g.pos, g.Aggs, g.outBuf)
 		g.pos++
 		return g.outBuf, true, nil
-
-	case g.mergeMode():
-		best := -1
-		for i, row := range g.heads {
-			if row == nil {
-				continue
-			}
-			if best < 0 || compareRows(row, g.heads[best], g.MergeKeys) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil, false, nil
-		}
-		row := g.heads[best]
-		next, ok, err := g.Parts[best].Next(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			g.heads[best] = next
-		} else {
-			g.heads[best] = nil
-		}
-		return row, true, nil
-
-	default:
-		if g.batchCh != nil {
-			for {
-				if g.curBatch != nil && g.batchPos < g.curBatch.Count() {
-					row := g.curBatch.RowAt(g.batchPos)
-					g.batchPos++
-					return row, true, nil
-				}
-				b, ok := <-g.batchCh
-				if !ok {
-					// Pool drained: surface any worker error.
-					return nil, false, g.loadErr()
-				}
-				g.curBatch, g.batchPos = b, 0
-			}
-		}
-		row, ok := <-g.rowCh
-		if !ok {
-			// Pool drained: surface any worker error.
-			return nil, false, g.loadErr()
-		}
-		return row, true, nil
 	}
+	best := -1
+	for i, row := range g.heads {
+		if row == nil {
+			continue
+		}
+		if best < 0 || compareRows(row, g.heads[best], g.MergeKeys) < 0 {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, false, nil
+	}
+	row := g.heads[best]
+	next, ok, err := g.Parts[best].Next(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	if ok {
+		g.heads[best] = next
+	} else {
+		g.heads[best] = nil
+	}
+	return row, true, nil
 }
 
-// Close implements Node; it stops streaming workers, waits for the pool,
-// and reports pooled bee-call counts.
+// Close implements Node; it closes a merge's parts and reports pooled
+// bee-call counts.
 func (g *Gather) Close(ctx *Ctx) {
-	g.finish.Do(func() {
-		if g.done != nil {
-			close(g.done)
-			// Unblock workers parked on a full channel, then wait.
-			if g.rowCh != nil {
-				go func() {
-					for range g.rowCh {
-					}
-				}()
-			}
-			if g.batchCh != nil {
-				go func() {
-					for range g.batchCh {
-					}
-				}()
-			}
-			g.wg.Wait()
-		}
-		if g.mergeMode() {
-			g.closeParts(ctx)
-		}
-		if g.NoteEVA != nil && g.evaCalls > 0 {
-			g.NoteEVA(g.evaCalls)
-			g.evaCalls = 0
-		}
-	})
+	if g.mergeMode() {
+		g.closeParts(ctx)
+	}
+	if g.NoteEVA != nil && g.evaCalls > 0 {
+		g.NoteEVA(g.evaCalls)
+		g.evaCalls = 0
+	}
 }
 
 func (g *Gather) closeParts(ctx *Ctx) {
@@ -554,25 +357,13 @@ func (g *Gather) closeParts(ctx *Ctx) {
 // Schema implements Node. In aggregation mode it mirrors HashAgg's output
 // (group keys then aggregates); otherwise it is the partition schema.
 func (g *Gather) Schema() []ColInfo {
-	if !g.aggMode() {
+	if g.mergeMode() {
 		return g.Parts[0].Schema()
 	}
-	if g.cols != nil {
-		return g.cols
+	if g.cols == nil {
+		g.cols = aggSchema(g.GroupBy, g.Aggs)
 	}
-	cols := make([]ColInfo, 0, len(g.GroupBy)+len(g.Aggs))
-	for i, ge := range g.GroupBy {
-		cols = append(cols, ColInfo{Name: fmt.Sprintf("group%d", i), T: ge.Type()})
-	}
-	for _, s := range g.Aggs {
-		name := s.Name
-		if name == "" {
-			name = s.Fn.String()
-		}
-		cols = append(cols, ColInfo{Name: name, T: s.ResultType()})
-	}
-	g.cols = cols
-	return cols
+	return g.cols
 }
 
 // ParallelSafeExpr reports whether partition workers may evaluate e

@@ -8,9 +8,9 @@ import (
 )
 
 // hashTable is the executor's one hashed row store. The hash join's build
-// side, the aggregation groups of HashAgg, BatchHashAgg and Gather (its
-// partial tables and their merge), Distinct's rows, COUNT(DISTINCT)'s
-// values and InSubquery's set are each one of these. Rows live in a
+// side, the aggregation groups of HashAgg and Gather (its partial tables
+// and their merge), Distinct's rows, COUNT(DISTINCT)'s values and
+// InSubquery's set are each one of these. Rows live in a
 // rowArena (entry i is rows.rows[i], in insertion order) and are found
 // through a chained index: a power-of-two heads table and a per-entry next
 // link, both 1-based entry ordinals with 0 as the end mark, plus each

@@ -176,8 +176,9 @@ func storeCases() []storeCase {
 }
 
 // TestHashStoreMatchesSortOracle drives every user of the hashed row
-// store — GROUP BY on the tuple and batch paths and as a Gather's partial
-// tables and their merge, COUNT(DISTINCT), DISTINCT, IN and NOT IN —
+// store — GROUP BY over a row source and over a batch source and as a
+// Gather's partial tables and their merge (over row parts, batch parts
+// and instrumented parts), COUNT(DISTINCT), DISTINCT, IN and NOT IN —
 // against a sort-based oracle, on keys that are NULL, repeat, and are
 // spelled several ways Compare calls equal (1 and 1.0, -0.0 and 0.0, CHAR
 // with trailing blanks). Output order is first appearance throughout.
@@ -202,27 +203,31 @@ func TestHashStoreMatchesSortOracle(t *testing.T) {
 				keys = storeKeys
 			}
 			want := oracleAgg(c.rows, global, true)
-			got, err := Collect(&Ctx{}, &HashAgg{Child: src(), GroupBy: keys, Aggs: storeAggs(true)})
-			check(fmt.Sprintf("HashAgg global=%v", global), got, err, want)
-			got, err = Collect(&Ctx{}, &BatchHashAgg{Child: batches(c.rows), GroupBy: keys, Aggs: storeAggs(true)})
-			check(fmt.Sprintf("BatchHashAgg global=%v", global), got, err, want)
+			for _, child := range []Node{src(), batches(c.rows)} {
+				got, err := Collect(&Ctx{}, &HashAgg{Child: child, GroupBy: keys, Aggs: storeAggs(true)})
+				check(fmt.Sprintf("HashAgg over %T global=%v", child, global), got, err, want)
+			}
 
 			// A Gather merges partial tables in partition order; DISTINCT
-			// aggregates never run in one.
+			// aggregates never run in one. Its parts are row sources,
+			// batch sources, or either under EXPLAIN ANALYZE's wrappers.
 			want = oracleAgg(c.rows, global, false)
 			third := len(c.rows) / 3
 			parts := [][]expr.Row{c.rows[:third], c.rows[third : 2*third], c.rows[2*third:]}
-			for _, batched := range []bool{false, true} {
+			for _, kind := range []string{"rows", "batches", "instrumented"} {
 				g := &Gather{Workers: 2, GroupBy: keys, Aggs: storeAggs(false)}
-				for _, p := range parts {
-					if batched {
-						g.Parts = append(g.Parts, &Rebatch{Child: batches(p)})
-					} else {
-						g.Parts = append(g.Parts, &volatileRows{cols: storeCols, rows: p})
+				for i, p := range parts {
+					var part Node = &volatileRows{cols: storeCols, rows: p}
+					if kind == "batches" || (kind == "instrumented" && i == 1) {
+						part = batches(p)
 					}
+					if kind == "instrumented" {
+						part = Instrument(part)
+					}
+					g.Parts = append(g.Parts, part)
 				}
-				got, err = Collect(&Ctx{}, g)
-				check(fmt.Sprintf("Gather batched=%v global=%v", batched, global), got, err, want)
+				got, err := Collect(&Ctx{}, g)
+				check(fmt.Sprintf("Gather over %s global=%v", kind, global), got, err, want)
 			}
 		}
 
@@ -268,12 +273,13 @@ func TestHashStoreMatchesSortOracle(t *testing.T) {
 	}
 }
 
-// A global aggregate's Open allocates no key table, no index and no
-// per-row group scratch: at most the 6,192 bytes this Open allocated
-// (go1.24, amd64) when every group was a map entry.
-func TestGlobalAggregateOpenAllocs(t *testing.T) {
-	agg := &BatchHashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: storeCols,
-		rows: storeRows(rand.New(rand.NewSource(1)), 64, 5, true)}, sizes: []int{64}}, Aggs: storeAggs(false)}
+// raceEnabled is set under -race (race_test.go), whose instrumentation
+// changes allocation counts.
+var raceEnabled bool
+
+// openAllocs reports what one Open of agg allocates once it has run
+// before — an aggregate a correlated subplan reruns per outer row.
+func openAllocs(agg *HashAgg) (allocs, bytes int64) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		ctx := &Ctx{}
@@ -284,8 +290,38 @@ func TestGlobalAggregateOpenAllocs(t *testing.T) {
 			agg.Close(ctx)
 		}
 	})
-	if got := res.AllocedBytesPerOp(); got > 6192 {
-		t.Errorf("a global aggregate's Open allocates %d bytes, want ≤ 6,192", got)
+	return res.AllocsPerOp(), res.AllocedBytesPerOp()
+}
+
+// A global aggregate's Open allocates no key table, no index and no
+// per-row group scratch: over batches, at most the 6,192 bytes this Open
+// allocated (go1.24, amd64) when every group was a map entry. Over a row
+// source, read as batches of one, an Open allocates no more than over
+// batches — the drain's setup is built once, not per Open — and no more
+// than the per-row loop it replaced did (go1.24, amd64, without -race,
+// whose instrumentation allocates more): 3 allocations and 840 bytes for
+// a global aggregate, 14 and 12,472 grouped by the numeric key (five
+// values and NULL).
+func TestGlobalAggregateOpenAllocs(t *testing.T) {
+	rows := storeRows(rand.New(rand.NewSource(1)), 64, 5, true)
+	for _, c := range []struct {
+		keys          []expr.Expr
+		allocs, bytes int64
+	}{{nil, 3, 840}, {storeKeys[:1], 14, 12472}} {
+		batchAllocs, batchBytes := openAllocs(&HashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: storeCols, rows: rows},
+			sizes: []int{64}}, GroupBy: c.keys, Aggs: storeAggs(false)})
+		if c.keys == nil && batchBytes > 6192 {
+			t.Errorf("a global aggregate's Open over batches allocates %d bytes, want ≤ 6,192", batchBytes)
+		}
+		allocs, bytes := openAllocs(&HashAgg{Child: &volatileRows{cols: storeCols, rows: rows}, GroupBy: c.keys, Aggs: storeAggs(false)})
+		if allocs > batchAllocs || bytes > batchBytes {
+			t.Errorf("%d group keys: an Open over rows allocates %d times, %d bytes; over batches %d, %d",
+				len(c.keys), allocs, bytes, batchAllocs, batchBytes)
+		}
+		if !raceEnabled && (allocs > c.allocs || bytes > c.bytes) {
+			t.Errorf("%d group keys: an Open over rows allocates %d times, %d bytes; want ≤ %d, %d",
+				len(c.keys), allocs, bytes, c.allocs, c.bytes)
+		}
 	}
 }
 
@@ -297,7 +333,7 @@ func TestGroupByAllocsPerChunk(t *testing.T) {
 		for i := range rows {
 			rows[i] = expr.Row{i64(int64(i)), types.NewChar("k"), i32(int32(i))}
 		}
-		agg := &BatchHashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: storeCols, rows: rows},
+		agg := &HashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: storeCols, rows: rows},
 			sizes: []int{64}}, GroupBy: storeKeys[:1], Aggs: storeAggs(false)[:3]}
 		return testing.AllocsPerRun(3, func() {
 			ctx := &Ctx{}

@@ -58,8 +58,6 @@ func Instrument(n Node) Node {
 		}
 	case *Rebatch:
 		v.Child = InstrumentBatch(v.Child)
-	case *BatchHashAgg:
-		v.Child = InstrumentBatch(v.Child)
 	case *SeqScan:
 		// Pages skipped before now belong to runs the wrapper's rows and
 		// loops do not count (a kept plan's plain EXECUTEs).

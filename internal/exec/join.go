@@ -95,6 +95,9 @@ type HashJoin struct {
 	cur     int32
 	matched bool
 
+	// outerRows and innerRows read a row-at-a-time child as batches of one.
+	outerRows, innerRows rowBatches
+
 	width   int        // combined row width
 	outCap  int        // rows per output batch, see outArenaDatums
 	outRows []expr.Row // output arena (inner/left), grown to occupancy
@@ -132,11 +135,14 @@ func (r *rowBatches) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 	return &r.b, true, nil
 }
 
-func asBatchNode(n Node) BatchNode {
+// asBatchNode reads n as batches: n itself when it is a BatchNode,
+// otherwise rows, a consumer's reusable adapter, set to read n.
+func asBatchNode(n Node, rows *rowBatches) BatchNode {
 	if bn, ok := n.(BatchNode); ok {
 		return bn
 	}
-	return &rowBatches{Node: n}
+	rows.Node = n
+	return rows
 }
 
 // Open implements Node: it (re)builds the hash table from the inner child.
@@ -163,7 +169,7 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 	}
 	h.ob = nil
 	h.rb.reset()
-	h.outer = asBatchNode(h.Outer)
+	h.outer = asBatchNode(h.Outer, &h.outerRows)
 	return h.outer.Open(ctx)
 }
 
@@ -176,7 +182,7 @@ func (h *HashJoin) hasResidual() bool { return h.Residual != nil || h.ResidualCo
 // loop.
 func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash) error {
 	h.build.reset()
-	inner := asBatchNode(h.Inner)
+	inner := asBatchNode(h.Inner, &h.innerRows)
 	defer inner.Close(ctx)
 	if err := inner.Open(ctx); err != nil {
 		return err

@@ -274,10 +274,10 @@ func groupingOracle(rows []expr.Row, keys []int) [][]expr.Row {
 	return groups
 }
 
-// checkGroupingAgainstOracle runs rows through HashAgg and BatchHashAgg
-// (every key shape, with COUNT(*), COUNT, SUM, MIN, MAX and
-// COUNT(DISTINCT)) and through Distinct, comparing each with the
-// nested-loop grouping.
+// checkGroupingAgainstOracle runs rows through HashAgg over a row source
+// and over a batch source (every key shape, with COUNT(*), COUNT, SUM,
+// MIN, MAX and COUNT(DISTINCT)) and through Distinct, comparing each
+// with the nested-loop grouping.
 func checkGroupingAgainstOracle(t *testing.T, label string, rows []expr.Row, sizes []int) {
 	t.Helper()
 	v := &expr.Var{Idx: 2, T: types.Int32}
@@ -320,8 +320,8 @@ func checkGroupingAgainstOracle(t *testing.T, label string, rows []expr.Row, siz
 			groupBy[i] = &expr.Var{Idx: k, T: joinCols[k].T}
 		}
 		aggs := map[string]Node{
-			"HashAgg": &HashAgg{Child: &volatileRows{cols: joinCols, rows: rows}, GroupBy: groupBy, Aggs: specs},
-			"BatchHashAgg": &BatchHashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: joinCols, rows: rows},
+			"HashAgg over rows": &HashAgg{Child: &volatileRows{cols: joinCols, rows: rows}, GroupBy: groupBy, Aggs: specs},
+			"HashAgg over batches": &HashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: joinCols, rows: rows},
 				sizes: sizes, dead: true}, GroupBy: groupBy, Aggs: specs},
 		}
 		for name, agg := range aggs {

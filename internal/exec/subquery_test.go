@@ -132,20 +132,21 @@ func TestFailedSubplanCachesOnlyUnderAStatement(t *testing.T) {
 	}
 }
 
-// A subquery that fails above a streaming Gather fails the statement
+// A subquery that fails above a merge Gather fails the statement
 // without touching the context its workers read (run with -race).
 func TestSubplanFailureAboveGather(t *testing.T) {
+	keys := []SortKey{{Idx: 0}}
 	parts := make([]Node, 4)
 	for i := range parts {
 		rows := make([]expr.Row, 500)
 		for j := range rows {
 			rows[j] = expr.Row{i32(int32(j))}
 		}
-		parts[i] = vals(intCols("a"), rows...)
+		parts[i] = &Sort{Child: vals(intCols("a"), rows...), Keys: keys}
 	}
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	root := &Project{Child: &Gather{Parts: parts, Workers: 4},
+	root := &Project{Child: &Gather{Parts: parts, Workers: 4, MergeKeys: keys},
 		Exprs: []expr.Expr{&ScalarSubquery{Plan: &failingNode{}, T: types.Int32}}, Cols: intCols("s")}
 	if _, err := Collect(&Ctx{Context: cctx}, root); !errors.Is(err, errSubplan) {
 		t.Fatalf("Collect returned %v, want the subplan's error", err)

@@ -59,10 +59,6 @@ func Children(n Node, kid func(Node), ex func(expr.Expr)) {
 		list(v.GroupBy)
 		aggs(v.Aggs)
 		kid(v.Child)
-	case *BatchHashAgg:
-		list(v.GroupBy)
-		aggs(v.Aggs)
-		kid(v.Child)
 	case *HashJoin:
 		one(v.Residual)
 		kid(v.Outer)

@@ -17,7 +17,7 @@ import (
 // this package and internal/expr with an Eval method).
 var walkables = []any{
 	&SeqScan{}, &IndexScan{}, &ValuesNode{}, &BatchSeqScan{}, &BatchFilter{}, &Rebatch{},
-	&BatchHashAgg{}, &Filter{}, &Project{}, &Limit{}, &Sort{}, &Distinct{}, &Materialize{},
+	&Filter{}, &Project{}, &Limit{}, &Sort{}, &Distinct{}, &Materialize{},
 	&HashAgg{}, &HashJoin{}, &NLJoin{}, &Gather{}, &Instrumented{}, &InstrumentedBatch{},
 	&ScalarSubquery{}, &ExistsSubquery{}, &InSubquery{},
 	&expr.Var{}, &expr.OuterVar{}, &expr.Const{}, &expr.Param{}, &expr.Cmp{}, &expr.Arith{},

@@ -134,17 +134,18 @@ type When struct {
 	Result Expr
 }
 
-// Eval implements Expr.
+// Eval implements Expr. An arm's value is returned in the CASE's type T:
+// an integer arm of a double CASE yields a double.
 func (c *Case) Eval(row Row, ctx *Ctx) types.Datum {
 	ctx.Prof.Add(profile.CompExpr, profile.ExprNode)
 	for _, w := range c.Whens {
 		v := w.Cond.Eval(row, ctx)
 		if !v.IsNull() && v.Bool() {
-			return w.Result.Eval(row, ctx)
+			return w.Result.Eval(row, ctx).Widen(c.T.Kind)
 		}
 	}
 	if c.Else != nil {
-		return c.Else.Eval(row, ctx)
+		return c.Else.Eval(row, ctx).Widen(c.T.Kind)
 	}
 	return types.Null
 }

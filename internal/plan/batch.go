@@ -18,16 +18,18 @@ import (
 //
 // Rewrites:
 //
-//   - HashAgg(region)  → BatchHashAgg(batch region)   (Q1/Q6, and every
-//     aggregate directly over a join)
+//   - HashAgg(region)  → HashAgg(batch region)   (Q1/Q6, and every
+//     aggregate directly over a join); likewise each partition of a
+//     partial-aggregation Gather
 //   - region elsewhere → Rebatch(batch region) under the row-only
-//     consumer (Sort, Project, Limit, NLJoin, Gather); a region rooted in
-//     a HashJoin needs no adapter, the join's own Next serves rows
+//     consumer (Sort, Project, Limit, NLJoin); a region rooted in a
+//     HashJoin needs no adapter, the join's own Next serves rows
 //
-// Every scan is eligible: its deform routine has a batch form. A join
-// reads a row-only child (IndexScan, Project, subquery output) as batches
-// of one. Predicates always convert, falling back to the generic
-// interpreter per row inside BatchFilter when no batch EVP bee applies.
+// Every scan is eligible: its deform routine has a batch form. A join or
+// an aggregation reads a row-only child (IndexScan, Project, subquery
+// output) as batches of one. Predicates always convert, falling back to
+// the generic interpreter per row inside BatchFilter when no batch EVP
+// bee applies.
 // The batch and fused forms of a predicate are instantiated from the
 // program its row Filter already holds — batchify admits and compiles
 // nothing.
@@ -51,15 +53,7 @@ func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 	}
 	switch v := n.(type) {
 	case *exec.HashAgg:
-		if bn := p.batchRegion(v.Child); bn != nil {
-			return &exec.BatchHashAgg{
-				Child:   bn,
-				GroupBy: v.GroupBy,
-				Aggs:    v.Aggs,
-				NoteEVA: v.NoteEVA,
-			}
-		}
-		v.Child = p.batchRewrite(v.Child)
+		v.Child = p.batchChild(v.Child)
 	case *exec.Filter:
 		v.Child = p.batchRewrite(v.Child)
 	case *exec.Project:
@@ -76,11 +70,11 @@ func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 		v.Outer = p.batchRewrite(v.Outer)
 		v.Inner = p.batchRewrite(v.Inner)
 	case *exec.Gather:
-		// Each partition subplan batches independently; Gather detects
-		// Rebatch-rooted parts and drives them batch-wise (partial
-		// aggregation and batch streaming) without the tuple boundary.
+		// Each partition subplan batches independently: a partial
+		// aggregation's part is a bare batch region, a merge's part a
+		// Sort over a Rebatch.
 		for i := range v.Parts {
-			v.Parts[i] = p.batchRewrite(v.Parts[i])
+			v.Parts[i] = p.batchChild(v.Parts[i])
 		}
 	}
 	return n

@@ -135,9 +135,6 @@ func describe(n exec.Node) string {
 		return fmt.Sprintf("BatchFilter %s%s", v.Pred, bee)
 	case *exec.Rebatch:
 		return "Rebatch"
-	case *exec.BatchHashAgg:
-		list, bee := aggsLabel(v.Aggs)
-		return fmt.Sprintf("BatchHashAgg groups=%d aggs=%s%s", len(v.GroupBy), list, bee)
 	case *exec.IndexScan:
 		if len(v.KeyExprs) > 0 {
 			keys := make([]string, len(v.KeyExprs))
@@ -192,16 +189,12 @@ func describe(n exec.Node) string {
 		}
 		return fmt.Sprintf("NestedLoopJoin %s est=%.0f%s", v.Type, v.Est, qual)
 	case *exec.Gather:
-		mode := "stream"
-		switch {
-		case len(v.Aggs) > 0 || v.GroupBy != nil:
-			list, bee := aggsLabel(v.Aggs)
-			return fmt.Sprintf("Gather workers=%d (partial-agg groups=%d aggs=%s)%s",
-				v.Workers, len(v.GroupBy), list, bee)
-		case len(v.MergeKeys) > 0:
-			mode = "merge"
+		if len(v.MergeKeys) > 0 {
+			return fmt.Sprintf("Gather workers=%d (merge)", v.Workers)
 		}
-		return fmt.Sprintf("Gather workers=%d (%s)", v.Workers, mode)
+		list, bee := aggsLabel(v.Aggs)
+		return fmt.Sprintf("Gather workers=%d (partial-agg groups=%d aggs=%s)%s",
+			v.Workers, len(v.GroupBy), list, bee)
 	default:
 		return fmt.Sprintf("%T", n)
 	}
@@ -226,7 +219,7 @@ func aggsLabel(aggs []exec.AggSpec) (list, bee string) {
 	names := make([]string, len(aggs))
 	for i, a := range aggs {
 		names[i] = a.Name
-		if a.CompiledArg != nil {
+		if a.CompiledBatchArg != nil {
 			bee = " [EVA]"
 		}
 	}

@@ -108,10 +108,19 @@ func (p *Planner) convertExpr(e sql.Expr, s *scope) (expr.Expr, error) {
 				return nil, err
 			}
 		}
-		ce.T = ce.Whens[0].Result.Type()
-		// Numeric CASE arms with mixed int/float widen to float.
-		if n.Else != nil && ce.Else.Type().Kind == types.KindFloat64 {
-			ce.T = types.Float64
+		// A CASE is typed by its widest numeric arm (integer < bigint <
+		// double), so mixed int/float arms give a double; otherwise by its
+		// first typed arm. Eval widens every arm's value to the type.
+		arm := func(t types.T) {
+			if ce.T.Kind == types.KindInvalid || ce.T.Numeric() && t.Numeric() && t.Kind > ce.T.Kind {
+				ce.T = t
+			}
+		}
+		for _, w := range ce.Whens {
+			arm(w.Result.Type())
+		}
+		if ce.Else != nil {
+			arm(ce.Else.Type())
 		}
 		return ce, nil
 

@@ -158,13 +158,12 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 	// inputs through its own compiled routine.
 	var partAggs [][]exec.AggSpec
 	for i := range agg.Aggs {
-		if agg.Aggs[i].CompiledArg != nil {
+		if agg.Aggs[i].CompiledBatchArg != nil {
 			partAggs = make([][]exec.AggSpec, len(parts))
 			for pi := range parts {
 				specs := append([]exec.AggSpec(nil), agg.Aggs...)
 				for si := range specs {
-					if specs[si].CompiledArg != nil {
-						specs[si].CompiledArg = specs[si].Prog.Row()
+					if specs[si].CompiledBatchArg != nil {
 						specs[si].CompiledBatchArg = specs[si].Prog.BatchScalar()
 					}
 				}

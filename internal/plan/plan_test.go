@@ -196,11 +196,14 @@ func TestCorrelatedScalarDecorrelatesToLeftJoin(t *testing.T) {
 	if len(joins) != 1 || joins[0].Type != exec.LeftJoin {
 		t.Fatalf("want one left join, got %d joins", len(joins))
 	}
-	// The aggregate subplan is grouped on the correlation key (a
-	// BatchHashAgg: its scan spine is batch-eligible).
-	aggs := nodesOf[*exec.BatchHashAgg](walk(joins[0].Inner))
+	// The aggregate subplan is grouped on the correlation key, and reads
+	// its batch-eligible scan spine directly: no Rebatch between them.
+	aggs := nodesOf[*exec.HashAgg](walk(joins[0].Inner))
 	if len(aggs) != 1 || len(aggs[0].GroupBy) != 1 {
 		t.Fatalf("decorrelated subplan must group by the key, got %v", aggs)
+	}
+	if _, ok := aggs[0].Child.(exec.BatchNode); !ok {
+		t.Fatalf("the aggregate reads a %T, want its batch region directly", aggs[0].Child)
 	}
 }
 
@@ -324,7 +327,7 @@ func TestAggregateUnderSubstring(t *testing.T) {
 		{query: `select a from t group by a order by sum(b) is not null`, want: "2;1"},
 		{query: `select a, -max(c) from t group by a`, want: "cannot negate"},
 		{query: `select a, case when count(*) > 1 then 1 else 2.5 end from t group by a order by a`,
-			want: "1,1;2,2.50", typ: "double"},
+			want: "1,1.00;2,2.50", typ: "double"},
 	} {
 		r, err := db.Query(c.query)
 		if err != nil {

@@ -920,10 +920,8 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 				return false
 			}
 			spec.Arg = arg
-			// EVA: specialize the aggregate's input evaluation, in both
-			// the per-tuple and the per-batch form.
+			// EVA: specialize the aggregate's input evaluation.
 			spec.Prog = p.Mod.CompileScalar(arg)
-			spec.CompiledArg = spec.Prog.Row()
 			spec.CompiledBatchArg = spec.Prog.BatchScalar()
 		}
 		subst[key] = len(sel.GroupBy) + len(aggs)
@@ -946,7 +944,7 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 	}
 	agg := &exec.HashAgg{Child: ts.node, GroupBy: groupExprs, Aggs: aggs}
 	for i := range aggs {
-		if aggs[i].CompiledArg != nil {
+		if aggs[i].CompiledBatchArg != nil {
 			agg.NoteEVA = p.Mod.NoteEVACall
 			break
 		}

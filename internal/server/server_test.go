@@ -192,6 +192,47 @@ func TestSessionSettings(t *testing.T) {
 	}
 }
 
+// An analyzed query runs under the session's settings, like the same
+// query without ANALYZE: SET workers 1 plans it serially, and SET
+// timeout_ms bounds it.
+func TestAnalyzeHonorsSessionSettings(t *testing.T) {
+	db := engine.Open(engine.Config{Routines: core.AllRoutines, PoolPages: 1024, Workers: 4})
+	seed(t, db)
+	// Enough pages for the aggregate to be split across workers.
+	for i := 200; i < 3000; i++ {
+		if _, err := db.Exec(fmt.Sprintf("insert into kv values (%d, 'val-%d')", i, i)); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+	}
+	srv, _ := startServer(t, func(c *Config) { c.DB = db })
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	const agg = "select count(*), sum(k) from kv where k >= 0"
+	for _, workers := range []string{"4", "1"} {
+		if err := c.Set("workers", workers); err != nil {
+			t.Fatalf("Set workers %s: %v", workers, err)
+		}
+		res, err := c.QueryAnalyze(agg)
+		if err != nil {
+			t.Fatalf("QueryAnalyze: %v", err)
+		}
+		if got := strings.Contains(res.Analyze, "Gather"); got != (workers != "1") {
+			t.Errorf("workers %s: Gather in the analyzed plan is %v:\n%s", workers, got, res.Analyze)
+		}
+	}
+	if err := c.Set("timeout_ms", "1"); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	_, err = c.QueryAnalyze("select count(*) from kv a, kv b where a.v <> b.v")
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeTimeout {
+		t.Fatalf("analyzed query past the session timeout: got %v, want a timeout error", err)
+	}
+}
+
 func TestAuth(t *testing.T) {
 	srv, _ := startServer(t, func(c *Config) { c.Secret = "hunter2" })
 	if _, err := client.DialConfig(client.Config{Addr: srv.Addr().String(), Secret: "wrong"}); err == nil {

@@ -256,7 +256,7 @@ func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 	var res *engine.Result
 	var analyze string
 	if q.Analyze {
-		analyze, res, err = srv.db.ExplainAnalyzeAST(ctx, sel, q.SQL)
+		analyze, res, err = srv.db.ExplainAnalyzeAST(ctx, sel, q.SQL, s.opts)
 	} else {
 		res, err = srv.db.QueryAST(ctx, sel, q.SQL, s.opts)
 	}

@@ -86,6 +86,23 @@ func (d Datum) Float64() float64 {
 	}
 }
 
+// Widen returns a numeric datum as kind k when k is the wider numeric
+// kind (integer < bigint < double); any other datum, NULL included, is
+// returned unchanged. A CASE returns every arm's value in its own type
+// through it.
+func (d Datum) Widen(k Kind) Datum {
+	if d.kind == KindInvalid || d.kind >= k {
+		return d
+	}
+	switch k {
+	case KindInt64:
+		return Datum{I: d.I, kind: KindInt64}
+	case KindFloat64:
+		return NewFloat64(float64(d.I))
+	}
+	return d
+}
+
 // Bool returns the value of a BOOLEAN datum.
 func (d Datum) Bool() bool { return d.I != 0 }
 
