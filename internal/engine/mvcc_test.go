@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -238,6 +239,72 @@ func TestThresholdVacuumTriggers(t *testing.T) {
 	}
 	if snap.Counters["vacuum.reclaimed"] == 0 {
 		t.Error("vacuum.reclaimed counter never incremented")
+	}
+}
+
+// TestVacuumVisitsOnlyStampedPages loads a table of over 200 pages and
+// updates rows on k of them until the threshold trigger fires. The run
+// reclaims every dead version but visits only the k pages the delete
+// stamps touched: vacuum.pages is k, and the triggering statement reads
+// a handful of buffer pages, not the table.
+func TestVacuumVisitsOnlyStampedPages(t *testing.T) {
+	const k, perPage = 6, 4
+	db := Open(Config{Routines: core.AllRoutines, PoolPages: 1024, VacuumEvery: k * perPage})
+	mustExec(t, db, "create table wide (k integer not null, v integer not null, pad char(200) not null, primary key (k))")
+	pad := strings.Repeat("x", 200)
+	i := 0
+	if _, err := db.BulkLoad("wide", nil, func() ([]types.Datum, bool) {
+		if i >= 8000 {
+			return nil, false
+		}
+		i++
+		return []types.Datum{types.NewInt32(int32(i)), types.NewInt32(0), types.NewChar(pad)}, true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tab := db.tables[db.cat.Relations()[0].ID]
+	if n := tab.heap.NumPages(); n < 200 {
+		t.Fatalf("table has %d pages, want at least 200", n)
+	}
+	// Keys by page, read back from the heap.
+	keys := map[int][]int64{}
+	values := make([]types.Datum, len(tab.rel.Attrs))
+	sc := tab.heap.Scan(nil, nil)
+	for {
+		tid, tup, ok := sc.Next()
+		if !ok {
+			break
+		}
+		tab.deform(tup, values, len(values), nil)
+		keys[int(tid.Page)] = append(keys[int(tid.Page)], values[0].Int64())
+	}
+	sc.Close()
+	var stmts []string
+	for j := range k {
+		for _, key := range keys[10+37*j][:perPage] {
+			stmts = append(stmts, fmt.Sprintf("update wide set v = 1 where k = %d", key))
+		}
+	}
+	mustExec(t, db, stmts[:len(stmts)-1]...)
+	before := db.MetricsSnapshot().Counters
+	mustExec(t, db, stmts[len(stmts)-1]) // crosses VacuumEvery
+	after := db.MetricsSnapshot().Counters
+	if runs := after["vacuum.runs"] - before["vacuum.runs"]; runs != 1 {
+		t.Fatalf("the last update triggered %d vacuum runs, want 1", runs)
+	}
+	if got := after["vacuum.reclaimed"]; got != k*perPage {
+		t.Errorf("vacuum.reclaimed = %d, want %d", got, k*perPage)
+	}
+	if got := after["vacuum.pages"]; got != k {
+		t.Errorf("vacuum.pages = %d, want the %d pages holding a stamp", got, k)
+	}
+	gets := after["buffer.hits"] + after["buffer.misses"] - before["buffer.hits"] - before["buffer.misses"]
+	if gets > 50 {
+		t.Errorf("the triggering update read %d buffer pages of a %d-page table", gets, tab.heap.NumPages())
+	}
+	r := mustQuery(t, db, "select count(*), sum(v) from wide")
+	if r.Rows[0][0].Int64() != 8000 || r.Rows[0][1].Int64() != k*perPage {
+		t.Errorf("after vacuum: %v", r.Rows[0])
 	}
 }
 

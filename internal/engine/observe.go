@@ -98,10 +98,12 @@ type observer struct {
 	dmlRowsExamined *metrics.Counter
 
 	// Concurrency-control counters (see docs/CONCURRENCY.md and
-	// DESIGN.md §13): first-updater-wins losses and vacuum activity.
+	// DESIGN.md §13): first-updater-wins losses and vacuum activity (runs,
+	// versions reclaimed, pages visited).
 	txnConflicts    *metrics.Counter
 	vacuumRuns      *metrics.Counter
 	vacuumReclaimed *metrics.Counter
+	vacuumPages     *metrics.Counter
 
 	// Durability counters (see docs/DURABILITY.md and DESIGN.md §14).
 	walCommits  *metrics.Counter
@@ -163,6 +165,7 @@ func newObserver() *observer {
 		txnConflicts:    reg.Counter("txn.conflicts"),
 		vacuumRuns:      reg.Counter("vacuum.runs"),
 		vacuumReclaimed: reg.Counter("vacuum.reclaimed"),
+		vacuumPages:     reg.Counter("vacuum.pages"),
 
 		walCommits:  reg.Counter("wal.commits"),
 		checkpoints: reg.Counter("checkpoint.count"),

@@ -106,7 +106,10 @@ func (t *Txn) Commit() error {
 	if err != nil {
 		// The commit record never reached the log: abort instead. No undo
 		// replay is needed — the versions stay stamped with the aborted
-		// xid, invisible until vacuum reclaims them.
+		// xid, invisible to every snapshot. Its inserts are left off the
+		// vacuum queue (their undo would have put them there), which is
+		// safe only because the log writer is dead: every later vacuum
+		// fails at its TailLSN (heap.Vacuum).
 		t.db.tm.Abort(t.id)
 		t.release()
 		return err

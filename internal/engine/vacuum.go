@@ -12,7 +12,8 @@ import (
 // registered or future snapshot can see them — the horizon computed by
 // the transaction manager. The trigger is per table: after a DML commit,
 // the table vacuums itself when its stamped-dead count passes
-// Config.VacuumEvery. See docs/CONCURRENCY.md for the full policy.
+// Config.VacuumEvery, and the run visits only the pages a delete stamp
+// touched (heap.Vacuum). See docs/CONCURRENCY.md for the full policy.
 
 // DefaultVacuumEvery is the dead-version threshold above which a table is
 // vacuumed after a DML commit (Config.VacuumEvery = 0 selects it).
@@ -44,15 +45,17 @@ func (db *DB) vacuumTableLocked(tab *table, prof *profile.Counters) (int, error)
 			ix.Tree.Delete(indexKey(values, ix.Cols), tid, prof)
 		}
 	}
-	n, err := tab.heap.Vacuum(horizon, prof, collect)
+	n, pages, err := tab.heap.Vacuum(horizon, prof, collect)
 	db.obs.vacuumRuns.Inc()
 	db.obs.vacuumReclaimed.Add(int64(n))
+	db.obs.vacuumPages.Add(int64(pages))
 	return n, err
 }
 
-// Vacuum reclaims dead versions in every relation and returns the total
-// number of versions removed. Tests and the admin plane call it; normal
-// operation relies on the per-table threshold trigger.
+// Vacuum runs one vacuum pass over every relation — each visits the pages
+// its heap queued, as the threshold trigger's run does — and returns the
+// total number of versions removed. Tests and the admin plane call it;
+// normal operation relies on the per-table threshold trigger.
 func (db *DB) Vacuum() (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

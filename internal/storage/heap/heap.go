@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,10 +68,14 @@ type verSlot struct {
 // in length, only ever widened — under the exclusive latch, with atomic
 // stores — and read with atomic loads and no latch at all (see
 // Scanner.excluded). A fresh page's summary is empty: min above max.
+//
+// queued is set while the page is on its heap's vacuum queue (see
+// Heap.enqueue), so the queue holds each page at most once.
 type pageMeta struct {
-	latch latch.RW
-	vers  []verSlot
-	sum   []atomic.Int64
+	latch  latch.RW
+	queued atomic.Bool
+	vers   []verSlot
+	sum    []atomic.Int64
 }
 
 // SummaryCol is one attribute the page summaries cover: a NOT NULL
@@ -184,6 +189,13 @@ type Heap struct {
 	liveTuples atomic.Int64
 	inserts    atomic.Int64
 	deadHint   atomic.Int64 // stamped-dead versions not yet vacuumed
+
+	// vacQ lists, unordered, the pages that may hold a version vacuum can
+	// reclaim: MarkDeleted puts a page on it whenever it stamps there, and
+	// Vacuum visits only these pages. pageMeta.queued keeps a page on it
+	// at most once, so it never outgrows the page count.
+	vacMu sync.Mutex
+	vacQ  []int32
 
 	// sum is the page-summary layout; sumOf[a] is attribute a's column
 	// in it, -1 when a is not summarised (see SummaryIndex). skipped counts the pages closed
@@ -535,7 +547,8 @@ func (h *Heap) Stamps(tid TID) (xmin, xmax uint64, present bool, err error) {
 // first-updater-wins: if another transaction already stamped the
 // version and has not aborted, a *txn.ConflictError is returned and the
 // caller must abort. The stamp is an atomic CAS under the shared page
-// latch, so deletes neither block nor are blocked by reader windows.
+// latch, so deletes neither block nor are blocked by reader windows. A
+// stamp puts its page on the vacuum queue (see Vacuum).
 func (h *Heap) MarkDeleted(tid TID, xid uint64, prof *profile.Counters) error {
 	prof.Add(profile.CompStorage, profile.PageAccess)
 	m := h.meta(int(tid.Page))
@@ -554,21 +567,35 @@ func (h *Heap) MarkDeleted(tid TID, xid uint64, prof *profile.Counters) error {
 			if atomic.CompareAndSwapUint64(&vs.xmax, txn.None, xid) {
 				h.liveTuples.Add(-1)
 				h.deadHint.Add(1)
+				h.enqueue(int(tid.Page), m)
 				return h.logDelete(tid, xid)
 			}
 			continue
 		}
 		// A stamp from an aborted transaction whose undo has not run yet
-		// (or raced us) is dead weight: take it over.
+		// (or raced us) is dead weight: take it over. Its stamper already
+		// counted the version dead, and its undo no longer finds its own
+		// stamp to uncount, so the count stays as it is.
 		if h.tm != nil && h.tm.Status(cur) == txn.StatusAborted {
 			if atomic.CompareAndSwapUint64(&vs.xmax, cur, xid) {
-				h.deadHint.Add(1)
+				h.enqueue(int(tid.Page), m)
 				return h.logDelete(tid, xid)
 			}
 			continue
 		}
 		return &txn.ConflictError{Mine: xid, Theirs: cur}
 	}
+}
+
+// enqueue puts page pageNo, whose state is m, on the vacuum queue
+// unless it is there already.
+func (h *Heap) enqueue(pageNo int, m *pageMeta) {
+	if !m.queued.CompareAndSwap(false, true) {
+		return
+	}
+	h.vacMu.Lock()
+	h.vacQ = append(h.vacQ, int32(pageNo))
+	h.vacMu.Unlock()
 }
 
 // logDelete appends the logical delete record for xid's xmax stamp on
@@ -612,13 +639,35 @@ func (h *Heap) UnmarkDeleted(tid TID, xid uint64) error {
 // those inserted by aborted transactions. Reclaimed slots are marked
 // dead on the page (slots are never reused; space compaction is future
 // work) and reported to collect with a copy of the tuple bytes so the
-// caller can drop index entries. Pages whose latch is held by a reader
-// window are skipped — they keep their dead versions until the next
-// pass. The caller serializes Vacuum against writers on this heap (the
-// engine holds the table latch exclusively).
-func (h *Heap) Vacuum(horizon uint64, prof *profile.Counters, collect func(tid TID, tup []byte)) (reclaimed int, err error) {
+// caller can drop index entries. It returns how many versions it
+// reclaimed and how many pages it visited. The caller serializes Vacuum
+// against writers on this heap (the engine holds the table latch
+// exclusively).
+//
+// Vacuum visits only the pages on the vacuum queue, in ascending page
+// order, and leaves the rest of the heap unread. A page leaves the queue
+// when its turn comes — its flag is cleared before its latch is taken,
+// so a stamp that lands from then on queues it again — and goes back on
+// it when its latch is held by a reader window (TryLock fails), when it
+// still holds a stamp whose deleter is in progress or committed at or
+// after horizon, or when an error ends the run before the page was
+// visited. A stamp whose deleter aborted does not keep a page queued:
+// the deleter's undo clears it, and a takeover re-stamps and so
+// re-queues. Every reclaimable version is on a queued page because
+// every one carries a stamp MarkDeleted made:
+//   - a delete or an update's old version carries its deleter's stamp;
+//   - an aborted insert carries the self-stamp its undo made through
+//     MarkDeleted;
+//   - a heap from Attach starts with an empty queue and needs none: redo
+//     deleted losers and committed deletes physically, and Attach loads
+//     every surviving tuple frozen-and-live.
+//
+// The one abort without undo is a commit whose log append failed, which
+// leaves its inserts unstamped; it happens only on a dead log writer, and
+// then Vacuum fails at TailLSN before visiting any page.
+func (h *Heap) Vacuum(horizon uint64, prof *profile.Counters, collect func(tid TID, tup []byte)) (reclaimed, visited int, err error) {
 	if h.tm == nil {
-		return 0, nil
+		return 0, 0, nil
 	}
 	// Reclaiming a slot physically changes the page, but the change is
 	// covered by the victims' delete/commit records rather than a record
@@ -634,73 +683,116 @@ func (h *Heap) Vacuum(horizon uint64, prof *profile.Counters, collect func(tid T
 	var walTail uint64
 	if h.wal != nil {
 		if walTail, err = h.wal.TailLSN(); err != nil {
-			return 0, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, err)
+			return 0, 0, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, err)
 		}
 	}
-	n := int(h.numPages.Load())
+	h.vacMu.Lock()
+	pages := h.vacQ
+	h.vacQ = nil
+	h.vacMu.Unlock()
+	slices.Sort(pages)
+	// pages[:kept] go back on the queue, joined by any page a concurrent
+	// stamp queued meanwhile; the slice's array is reused run to run.
+	kept := 0
+	requeue := func(pageNo int32, m *pageMeta) {
+		if m.queued.CompareAndSwap(false, true) {
+			pages[kept] = pageNo
+			kept++
+		}
+	}
+	defer func() {
+		h.vacMu.Lock()
+		h.vacQ = append(pages[:kept], h.vacQ...)
+		h.vacMu.Unlock()
+	}()
 	var tids []TID
 	var tups [][]byte
-	for pageNo := 0; pageNo < n; pageNo++ {
-		m := h.meta(pageNo)
-		if m == nil || !m.latch.TryLock() {
-			continue // busy page: next pass gets it
+	for i, pageNo := range pages {
+		m := h.meta(int(pageNo))
+		m.queued.Store(false)
+		if !m.latch.TryLock() {
+			requeue(pageNo, m) // busy page: next run gets it
+			continue
 		}
-		hd, gerr := h.pool.Get(h.file, pageNo)
-		if gerr != nil {
-			m.latch.Unlock()
-			return reclaimed, gerr
-		}
-		prof.Add(profile.CompStorage, profile.PageAccess)
-		p := page.Page(hd.Bytes)
-		tids, tups = tids[:0], tups[:0]
-		dirty := false
-		slots := page.NumSlots(p)
-		if len(m.vers) < slots {
-			slots = len(m.vers)
-		}
-		for slot := 0; slot < slots; slot++ {
-			if !page.IsLive(p, slot) {
-				continue
-			}
-			xmin, xmax := m.stamp(slot)
-			dead := h.tm.Status(xmin) == txn.StatusAborted ||
-				(xmax != txn.None && xmax < horizon && h.tm.Status(xmax) == txn.StatusCommitted)
-			if !dead {
-				continue
-			}
-			b, terr := page.GetTuple(p, slot)
-			if terr != nil {
-				m.latch.Unlock()
-				hd.Unpin(dirty)
-				return reclaimed, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, terr)
-			}
-			if derr := page.DeleteTuple(p, slot); derr != nil {
-				m.latch.Unlock()
-				hd.Unpin(dirty)
-				return reclaimed, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, derr)
-			}
-			if !dirty {
-				dirty = true
-				if walTail > page.LSN(p) {
-					page.SetLSN(p, walTail)
-				}
-			}
-			tids = append(tids, TID{Page: int32(pageNo), Slot: uint16(slot)})
-			tups = append(tups, append([]byte(nil), b...))
-			reclaimed++
-			h.deadHint.Add(-1)
-		}
-		m.latch.Unlock()
-		hd.Unpin(dirty)
+		var pending bool
+		tids, tups, pending, err = h.vacuumPage(int(pageNo), m, horizon, walTail, prof, tids[:0], tups[:0])
+		reclaimed += len(tids)
 		// Index cleanup runs outside the page latch: collect may descend
 		// B+trees, and page latches are leaves of the latch order.
 		if collect != nil {
-			for i, tid := range tids {
-				collect(tid, tups[i])
+			for j, tid := range tids {
+				collect(tid, tups[j])
 			}
 		}
+		if err != nil {
+			requeue(pageNo, m)
+			kept += copy(pages[kept:], pages[i+1:]) // still flagged
+			return reclaimed, visited, err
+		}
+		visited++
+		if pending {
+			requeue(pageNo, m)
+		}
 	}
-	return reclaimed, nil
+	return reclaimed, visited, nil
+}
+
+// vacuumPage reclaims the dead versions on page pageNo, whose latch the
+// caller holds exclusively and vacuumPage releases, appending their TIDs
+// and tuple copies to tids and tups. pending reports a version left with
+// a delete stamp that may yet make it reclaimable: its deleter is in
+// progress, or committed at or after horizon.
+func (h *Heap) vacuumPage(pageNo int, m *pageMeta, horizon, walTail uint64, prof *profile.Counters, tids []TID, tups [][]byte) (_ []TID, _ [][]byte, pending bool, err error) {
+	hd, err := h.pool.Get(h.file, pageNo)
+	if err != nil {
+		m.latch.Unlock()
+		return tids, tups, false, err
+	}
+	prof.Add(profile.CompStorage, profile.PageAccess)
+	p := page.Page(hd.Bytes)
+	dirty := false
+	defer func() {
+		m.latch.Unlock()
+		hd.Unpin(dirty)
+	}()
+	slots := page.NumSlots(p)
+	if len(m.vers) < slots {
+		slots = len(m.vers)
+	}
+	for slot := 0; slot < slots; slot++ {
+		if !page.IsLive(p, slot) {
+			continue
+		}
+		xmin, xmax := m.stamp(slot)
+		dead := h.tm.Status(xmin) == txn.StatusAborted
+		if !dead && xmax != txn.None {
+			if st := h.tm.Status(xmax); st == txn.StatusCommitted && xmax < horizon {
+				dead = true
+			} else if st != txn.StatusAborted {
+				pending = true
+			}
+		}
+		if !dead {
+			continue
+		}
+		b, err := page.GetTuple(p, slot)
+		if err != nil {
+			return tids, tups, pending, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, err)
+		}
+		if err := page.DeleteTuple(p, slot); err != nil {
+			return tids, tups, pending, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, err)
+		}
+		if !dirty {
+			dirty = true
+			if walTail > page.LSN(p) {
+				page.SetLSN(p, walTail)
+			}
+		}
+		tids = append(tids, TID{Page: int32(pageNo), Slot: uint16(slot)})
+		tups = append(tups, append([]byte(nil), b...))
+		h.deadHint.Add(-1)
+	}
+	return tids, tups, pending, nil
 }
 
 // Scan returns a sequential scanner positioned before the first tuple,

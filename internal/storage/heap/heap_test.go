@@ -325,7 +325,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 		t.Fatal("no dead versions recorded")
 	}
 	var collected []TID
-	reclaimed, err := h.Vacuum(tm.Horizon(), nil, func(tid TID, tup []byte) {
+	reclaimed, _, err := h.Vacuum(tm.Horizon(), nil, func(tid TID, tup []byte) {
 		collected = append(collected, tid)
 		if len(tup) == 0 {
 			t.Error("vacuum collected empty tuple bytes")
@@ -401,7 +401,7 @@ func TestVacuumStampsPageLSN(t *testing.T) {
 	}
 	tm.Commit(del)
 
-	if n, err := h.Vacuum(tm.Horizon(), nil, nil); err != nil || n != 1 {
+	if n, _, err := h.Vacuum(tm.Horizon(), nil, nil); err != nil || n != 1 {
 		t.Fatalf("vacuum: reclaimed=%d err=%v, want 1", n, err)
 	}
 	hd, err := pool.Get(h.File(), 0)
@@ -425,7 +425,7 @@ func TestVacuumRespectsSnapshotHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	tm.Commit(w)
-	reclaimed, err := h.Vacuum(tm.Horizon(), nil, nil)
+	reclaimed, _, err := h.Vacuum(tm.Horizon(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestVacuumRespectsSnapshotHorizon(t *testing.T) {
 	}
 	release()
 	old.Release()
-	reclaimed, err = h.Vacuum(tm.Horizon(), nil, nil)
+	reclaimed, _, err = h.Vacuum(tm.Horizon(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
