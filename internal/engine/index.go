@@ -14,8 +14,8 @@ import (
 // This file is the one write path into the B+tree indexes: every index
 // entry the engine stores goes in through storeLocked (a row) or
 // newIndexLocked (an index over the rows already stored), and both decide
-// uniqueness by uniqueConflict first. The read path is exec.IndexWalk and
-// exec.IndexVisit.
+// uniqueness by uniqueConflict first. The read path is exec.IndexWalk,
+// exec.IndexVisit and exec.IndexFirst.
 
 // storeLocked is the one insert of a row version: it forms values, applies
 // the uniqueness rule to every unique index the row would file a new key

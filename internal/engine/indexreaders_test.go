@@ -389,3 +389,244 @@ func TestIndexReadersAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestFirstRowReadersAgree checks the one-row readers against the prefix
+// scan under MVCC churn. In one transaction's snapshot, GetByIndex on a
+// full key of the unique primary key (visited newest first), on a prefix
+// of it and on a non-unique index (walked and visited in one pass), and
+// FirstByIndexPrefix must each return the first row ScanIndexPrefix
+// returns for the same key. A background writer commits updates, deletes
+// and re-inserts, leaves aborted versions behind and vacuums; the reading
+// transaction stays open for several rounds, so the newest version of a
+// key is often invisible to it, and updates rows itself.
+func TestFirstRowReadersAgree(t *testing.T) {
+	rounds := 400
+	if testing.Short() {
+		rounds = 100
+	}
+	db := Open(Config{Routines: core.AllRoutines, PoolPages: 256, VacuumEvery: 8})
+	mustExec(t, db,
+		"create table kv (a integer not null, b integer not null, v integer not null, primary key (a, b))",
+		"create index kv_by_v on kv (a, v)")
+	for a := 0; a < idxDomainA; a++ {
+		for b := 0; b < 8; b++ {
+			mustExec(t, db, fmt.Sprintf("insert into kv values (%d, %d, %d)", a, b, b%3))
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(41))
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			a, b, v := rng.Intn(idxDomainA), rng.Intn(8), rng.Intn(3)
+			var err error
+			switch c := rng.Intn(10); {
+			case c < 5:
+				_, err = db.Exec(fmt.Sprintf("update kv set v = %d where a = %d and b = %d", v, a, b))
+			case c < 7:
+				_, err = db.Exec(fmt.Sprintf("delete from kv where a = %d and b = %d", a, b))
+				if err == nil {
+					_, err = db.Exec(fmt.Sprintf("insert into kv values (%d, %d, %d)", a, b, v))
+				}
+			case c < 9:
+				// An aborted version: the newest entry under its key.
+				tx := db.Begin(nil)
+				if row, tid, ok, gerr := tx.GetByIndex("kv_pkey", []types.Datum{i32(a), i32(b)}); gerr != nil {
+					err = gerr
+				} else if ok {
+					err = tx.UpdateRow("kv", tid, row, []types.Datum{row[0], row[1], i32(v)})
+				}
+				_ = tx.Rollback()
+			default:
+				_, err = db.Vacuum()
+			}
+			if err != nil && !isConflict(err) && !strings.Contains(err.Error(), "duplicate key") {
+				t.Errorf("writer step %d: %v", i, err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+
+	rng := rand.New(rand.NewSource(42))
+	stale, own := 0, 0
+	var tx *Txn
+	var pinned map[abKey]int // what tx read first, by key
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		if tx == nil || rng.Intn(8) == 0 {
+			if tx != nil {
+				_ = tx.Commit()
+			}
+			tx, pinned = db.Begin(nil), map[abKey]int{}
+		}
+		a := rng.Intn(idxDomainA)
+		rows := firstRowsAgree(t, tx, a)
+		for _, row := range rows {
+			k := abKey{a, int(row[1].Int64())}
+			if v, seen := pinned[k]; seen && v != int(row[2].Int64()) {
+				t.Fatalf("round %d: %v read v=%d, earlier in the same snapshot v=%d", round, k, row[2].Int64(), v)
+			}
+			pinned[k] = int(row[2].Int64())
+		}
+		// A fresh snapshot that reads a different row has seen a version
+		// the pinned one cannot: the newest-first visit went past it.
+		fresh := db.Begin(nil)
+		for _, row := range rows {
+			now, _, ok, err := fresh.GetByIndex("kv_pkey", []types.Datum{row[0], row[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok || now[2].Int64() != row[2].Int64() {
+				stale++
+			}
+		}
+		_ = fresh.Commit()
+		if len(rows) > 0 && rng.Intn(4) == 0 {
+			// The transaction's own update: its version is the newest
+			// under the key, and the only one it sees.
+			row := rows[rng.Intn(len(rows))]
+			_, tid, _, err := tx.GetByIndex("kv_pkey", []types.Datum{row[0], row[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv := (int(row[2].Int64()) + 1) % 3
+			switch err := tx.UpdateRow("kv", tid, row, []types.Datum{row[0], row[1], i32(nv)}); {
+			case isConflict(err):
+				_ = tx.Rollback()
+				tx = nil
+				continue
+			case err != nil:
+				t.Fatal(err)
+			}
+			got, _, ok, err := tx.GetByIndex("kv_pkey", []types.Datum{row[0], row[1]})
+			if err != nil || !ok || got[2].Int64() != int64(nv) {
+				t.Fatalf("round %d: after its own update of %v the transaction reads %v, %v, %v", round, row, got, ok, err)
+			}
+			pinned[abKey{a, int(row[1].Int64())}] = nv
+			own++
+			firstRowsAgree(t, tx, a)
+		}
+	}
+	if tx != nil {
+		_ = tx.Rollback()
+	}
+	t.Logf("%d stale reads, %d own updates", stale, own)
+	if stale == 0 || own == 0 {
+		t.Errorf("the run read no stale version (%d) or made no own update (%d)", stale, own)
+	}
+}
+
+// firstRowsAgree checks, in tx's snapshot, every one-row read under a
+// against the prefix scan's first row, and returns the rows under a.
+func firstRowsAgree(t *testing.T, tx *Txn, a int) []expr.Row {
+	t.Helper()
+	type hit struct {
+		row expr.Row
+		tid heap.TID
+	}
+	scan := func(index string, key ...types.Datum) []hit {
+		var out []hit
+		if err := tx.ScanIndexPrefix(index, key, func(row expr.Row, tid heap.TID) bool {
+			out = append(out, hit{row, tid})
+			return true
+		}); err != nil {
+			t.Fatalf("ScanIndexPrefix(%s, %v): %v", index, key, err)
+		}
+		return out
+	}
+	same := func(what string, key []types.Datum, want []hit, row expr.Row, tid heap.TID, ok bool, err error) {
+		t.Helper()
+		switch {
+		case err != nil:
+			t.Fatalf("%s%v: %v", what, key, err)
+		case ok != (len(want) > 0):
+			t.Fatalf("%s%v found=%v; the prefix scan has %d rows", what, key, ok, len(want))
+		case ok && (tid != want[0].tid || fmt.Sprint(row) != fmt.Sprint(want[0].row)):
+			t.Fatalf("%s%v = %v at %v; the prefix scan's first is %v at %v", what, key, row, tid, want[0].row, want[0].tid)
+		}
+	}
+	rows := scan("kv_pkey", i32(a))
+	prefix := []types.Datum{i32(a)}
+	row, tid, ok, err := tx.GetByIndex("kv_pkey", prefix)
+	same("GetByIndex kv_pkey", prefix, rows, row, tid, ok, err)
+	row, tid, ok, err = tx.FirstByIndexPrefix("kv_pkey", prefix)
+	same("FirstByIndexPrefix kv_pkey", prefix, rows, row, tid, ok, err)
+	for b := 0; b < 8; b++ {
+		key := []types.Datum{i32(a), i32(b)}
+		row, tid, ok, err := tx.GetByIndex("kv_pkey", key)
+		same("GetByIndex kv_pkey", key, scan("kv_pkey", key...), row, tid, ok, err)
+	}
+	byV := scan("kv_by_v", i32(a))
+	row, tid, ok, err = tx.GetByIndex("kv_by_v", prefix)
+	same("GetByIndex kv_by_v", prefix, byV, row, tid, ok, err)
+	row, tid, ok, err = tx.FirstByIndexPrefix("kv_by_v", prefix)
+	same("FirstByIndexPrefix kv_by_v", prefix, byV, row, tid, ok, err)
+	for v := 0; v < 3; v++ {
+		key := []types.Datum{i32(a), i32(v)}
+		row, tid, ok, err := tx.GetByIndex("kv_by_v", key)
+		same("GetByIndex kv_by_v", key, scan("kv_by_v", key...), row, tid, ok, err)
+	}
+	out := make([]expr.Row, len(rows))
+	for i, h := range rows {
+		out[i] = h.row
+	}
+	return out
+}
+
+// TestGetByIndexAllocs pins a Txn point read at one allocation per row it
+// returns — the datum slice it deforms into — plus one byte buffer when
+// the row carries a by-reference payload. The walk appends into the
+// Txn's scratch and the heap visit releases its page without a closure.
+// Each key has dead versions in front of and behind the visible one, on
+// the newest-first path (a full unique key) and the walk-and-visit path
+// (a prefix, a non-unique index) alike.
+func TestGetByIndexAllocs(t *testing.T) {
+	for _, routines := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := Open(Config{Routines: routines, PoolPages: 64, VacuumEvery: -1})
+		mustExec(t, db,
+			"create table fw (k integer not null, j integer not null, v integer not null, primary key (k, j))",
+			"create index fw_v on fw (v)",
+			"create table vc (k integer not null, j integer not null, s varchar(16) not null, primary key (k, j))",
+			"create index vc_s on vc (s)",
+			"insert into fw values (1, 1, 7)", "insert into vc values (1, 1, 'seven')")
+		for i := 0; i < 3; i++ {
+			mustExec(t, db, "update fw set v = 7 where k = 1", "update vc set s = 'seven' where k = 1")
+		}
+		tx := db.Begin(nil) // sees the third update's versions
+		mustExec(t, db, "update fw set v = 7 where k = 1", "update vc set s = 'seven' where k = 1")
+		for _, c := range []struct {
+			index string
+			key   []types.Datum
+			want  float64
+		}{
+			{"fw_pkey", []types.Datum{i32(1), i32(1)}, 1},
+			{"fw_pkey", []types.Datum{i32(1)}, 1},
+			{"fw_v", []types.Datum{i32(7)}, 1},
+			{"vc_pkey", []types.Datum{i32(1), i32(1)}, 2},
+			{"vc_pkey", []types.Datum{i32(1)}, 2},
+			{"vc_s", []types.Datum{types.NewString("seven")}, 2},
+		} {
+			got := testing.AllocsPerRun(200, func() {
+				if _, _, ok, err := tx.GetByIndex(c.index, c.key); !ok || err != nil {
+					t.Fatalf("GetByIndex(%s, %v): %v, %v", c.index, c.key, ok, err)
+				}
+			})
+			if got != c.want {
+				t.Errorf("bees=%v: GetByIndex(%s, %v) costs %v allocations, want %v", routines != core.Stock, c.index, c.key, got, c.want)
+			}
+		}
+		_ = tx.Commit()
+	}
+}

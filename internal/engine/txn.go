@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"microspec/internal/exec"
 	"microspec/internal/expr"
@@ -65,6 +66,10 @@ type Txn struct {
 	// lostRace records that an operation lost a first-updater-wins race,
 	// so Rollback counts the transaction on txn.conflicts once.
 	lostRace bool
+	// tids is the scratch an index walk appends to (readIndex); a read
+	// takes it off the Txn while it visits, so a read nested in its fn
+	// gets a slice of its own.
+	tids []heap.TID
 }
 
 // errTxnDone is returned by an operation on a transaction that already
@@ -314,22 +319,30 @@ func (t *Txn) DeleteRow(relName string, tid heap.TID) error {
 	return t.endWrite(tab, undo, err)
 }
 
-// GetByIndex fetches the visible row whose index key prefix equals key.
-// The returned row is owned by the caller. Dead or
-// invisible-to-this-snapshot versions under the same key are skipped (the
-// index keeps one entry per version until vacuum).
+// GetByIndex fetches the visible row whose index key prefix equals key
+// (the first in key order when several are visible). The returned row is
+// owned by the caller. Dead or invisible-to-this-snapshot versions under
+// the same key are skipped (the index keeps one entry per version until
+// vacuum).
 func (t *Txn) GetByIndex(indexName string, key []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
-	err = t.readIndex(indexName, key, key, false, func(r expr.Row, at heap.TID) bool {
-		row, tid, ok = r, at, true
-		return false
-	})
-	return row, tid, ok, err
+	return t.readFirst(indexName, key)
+}
+
+// FirstByIndexPrefix returns the visible row with the least key under
+// prefix (e.g. a district's oldest new order): the mirror of
+// LastByIndexPrefix.
+func (t *Txn) FirstByIndexPrefix(indexName string, prefix []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
+	return t.readFirst(indexName, prefix)
 }
 
 // LastByIndexPrefix returns the visible row with the greatest key under
 // prefix (e.g. a customer's most recent order).
 func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
-	err = t.readIndex(indexName, prefix, prefix, true, func(r expr.Row, at heap.TID) bool {
+	ix, tb, err := t.indexFor(indexName)
+	if err != nil {
+		return nil, heap.TID{}, false, err
+	}
+	err = t.readIndex(ix, tb, prefix, prefix, true, func(r expr.Row, at heap.TID) bool {
 		row, tid, ok = r, at, true
 		return false
 	})
@@ -341,42 +354,62 @@ func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (row exp
 // UpdateRow/DeleteRow: the index positions are collected before fn runs,
 // so the tree walk never holds a per-operation latch across a callback.
 func (t *Txn) ScanIndexPrefix(indexName string, prefix []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	return t.readIndex(indexName, prefix, prefix, false, fn)
+	return t.ScanIndexRange(indexName, prefix, prefix, fn)
 }
 
 // ScanIndexRange visits visible rows with lo <= key <= hi (prefix
 // semantics on both bounds), under the same callback rules.
 func (t *Txn) ScanIndexRange(indexName string, lo, hi []types.Datum, fn func(row expr.Row, tid heap.TID) bool) error {
-	return t.readIndex(indexName, lo, hi, false, fn)
-}
-
-// readIndex is the one index read of a Txn, which it counts as one
-// operation: walk the named index from lo through hi (exec.IndexWalk; in
-// reverse key order when reverse), then hand fn each version the snapshot
-// sees, deformed through the table's routine (the GCL bee on a bee-enabled
-// database) into a row fn owns, until fn returns false. An interactive
-// transaction has the walk take the table latch shared; a fused one's plan
-// already holds it.
-func (t *Txn) readIndex(indexName string, lo, hi btree.Key, reverse bool, fn func(row expr.Row, tid heap.TID) bool) error {
 	ix, tb, err := t.indexFor(indexName)
 	if err != nil {
 		return err
 	}
-	t.ops++
-	latch := &tb.latch
-	if t.plan != nil {
-		latch = nil
+	return t.readIndex(ix, tb, lo, hi, false, fn)
+}
+
+// readFirst is the one-row read behind GetByIndex and FirstByIndexPrefix,
+// counted as one operation. A full key of a unique index has at most one
+// version visible to any snapshot (the uniqueness rule, engine/index.go),
+// and since the heap appends, the newest version — the one a current
+// snapshot sees — is the last entry under the key: that read visits in
+// reverse. Any other key walks forward and stops at the first visible
+// version (exec.IndexFirst), visiting as it walks.
+func (t *Txn) readFirst(indexName string, key btree.Key) (row expr.Row, tid heap.TID, ok bool, err error) {
+	ix, tb, err := t.indexFor(indexName)
+	if err != nil {
+		return nil, heap.TID{}, false, err
 	}
-	tids := exec.IndexWalk(nil, ix.Tree, lo, hi, latch, t.prof)
+	if ix.Tree.Unique && len(key) == len(ix.Cols) {
+		err = t.readIndex(ix, tb, key, key, true, func(r expr.Row, at heap.TID) bool {
+			row, tid, ok = r, at, true
+			return false
+		})
+		return row, tid, ok, err
+	}
+	t.ops++
+	tid, ok, err = exec.IndexFirst(ix.Tree, key, key, tb.heap, t.snap, t.walkLatch(tb), t.prof, func(tup []byte) {
+		row = t.ownedRow(tb, tup)
+	})
+	return row, tid, ok, err
+}
+
+// readIndex is the collect-then-visit read of a Txn, which it counts as
+// one operation: walk ix from lo through hi (exec.IndexWalk, into the
+// Txn's scratch; in reverse key order when reverse), then hand fn each
+// version the snapshot sees, as a row fn owns, until fn returns false.
+// No latch is held while fn runs, so fn may write.
+func (t *Txn) readIndex(ix *Index, tb txnTable, lo, hi btree.Key, reverse bool, fn func(row expr.Row, tid heap.TID) bool) error {
+	t.ops++
+	tids := exec.IndexWalk(t.tids[:0], ix.Tree, lo, hi, t.walkLatch(tb), t.prof)
+	t.tids = nil
+	defer func() { t.tids = tids[:0] }()
 	if reverse {
 		slices.Reverse(tids)
 	}
 	for _, tid := range tids {
 		var row expr.Row
 		ok, err := exec.IndexVisit(tb.heap, tid, t.snap, t.prof, func(tup []byte) {
-			values := make([]types.Datum, len(tb.rel.Attrs))
-			tb.deform(tup, values, len(values), t.prof)
-			row = exec.CloneRow(values)
+			row = t.ownedRow(tb, tup)
 		})
 		if err != nil {
 			return err
@@ -386,6 +419,26 @@ func (t *Txn) readIndex(indexName string, lo, hi btree.Key, reverse bool, fn fun
 		}
 	}
 	return nil
+}
+
+// walkLatch is the latch an index walk of tb takes: the table's, for an
+// interactive transaction; none for a fused one, whose plan holds it.
+func (t *Txn) walkLatch(tb txnTable) *sync.RWMutex {
+	if t.plan != nil {
+		return nil
+	}
+	return &tb.latch
+}
+
+// ownedRow deforms tup through the table's routine (the GCL bee on a
+// bee-enabled database) straight into the row it returns, then copies the
+// by-reference payloads off the page: one datum slice, and one byte buffer
+// only when the row has such payloads.
+func (t *Txn) ownedRow(tb txnTable, tup []byte) expr.Row {
+	row := make(expr.Row, len(tb.rel.Attrs))
+	tb.deform(tup, row, len(row), t.prof)
+	exec.OwnBytes(row)
+	return row
 }
 
 // BulkLoad inserts rows produced by next() until it returns false,

@@ -114,25 +114,30 @@ type Node interface {
 // collection) from fragmenting the heap.
 func CloneRow(row expr.Row) expr.Row {
 	out := make(expr.Row, len(row))
+	copy(out, row)
+	OwnBytes(out)
+	return out
+}
+
+// OwnBytes copies row's by-reference payloads into one new buffer and
+// points row at the copies, so row no longer aliases a page or a deform
+// buffer. A row without such payloads is left as it is and costs nothing.
+func OwnBytes(row expr.Row) {
 	total := 0
 	for i := range row {
 		total += len(row[i].Bytes())
 	}
 	if total == 0 {
-		copy(out, row)
-		return out
+		return
 	}
 	buf := make([]byte, 0, total)
 	for i, d := range row {
 		if b := d.Bytes(); b != nil {
 			start := len(buf)
 			buf = append(buf, b...)
-			out[i] = types.NewBytes(buf[start:len(buf):len(buf)], d.Kind())
-		} else {
-			out[i] = d
+			row[i] = types.NewBytes(buf[start:len(buf):len(buf)], d.Kind())
 		}
 	}
-	return out
 }
 
 // CloneDatum deep-copies one datum.

@@ -1,15 +1,16 @@
 // Package btree implements an in-memory B+tree index over heap TIDs: the
 // index every reader uses — SQL index scans, the DML probe of an UPDATE or
 // DELETE, the Txn point reads and scans the TPC-C transactions are written
-// in — all through exec.IndexWalk. Keys are composite datum tuples
-// compared lexicographically. The tree stores entries and nothing more:
-// MVCC keeps one entry per tuple version, so the same key legitimately
-// maps to several TIDs until vacuum removes the dead ones, and Unique is a
-// declaration the engine enforces with its visibility-aware rule before it
-// inserts (DESIGN.md §13.3). The tree charges abstract instructions per
-// descent to the profiler but no page I/O: index pages are treated as
-// resident, a deviation recorded in DESIGN.md (the paper's experiments do
-// not measure index I/O).
+// in — all through exec.IndexWalk or exec.IndexFirst. Keys are composite
+// datum tuples compared lexicographically. The tree stores entries and
+// nothing more: MVCC keeps one entry per tuple version, so the same key
+// legitimately maps to several TIDs until vacuum removes the dead ones,
+// and Unique is a declaration the engine enforces with its
+// visibility-aware rule before it inserts (DESIGN.md §13.3). The tree
+// charges abstract instructions per descent and per entry a walk compares
+// to the profiler but no page I/O: index pages are treated as resident, a
+// deviation recorded in DESIGN.md (the paper's experiments do not measure
+// index I/O).
 package btree
 
 import (
@@ -258,25 +259,38 @@ func (t *Tree) AscendPrefix(prefix Key, prof *profile.Counters, fn func(Key, hea
 	t.AscendRange(prefix, prefix, prof, fn)
 }
 
-// AscendRange visits entries with lo <= key-prefix <= hi in key order,
-// charging one descent; fn returning false stops the walk. Bounds compare
-// against the entry key truncated to the bound's length, so prefix bounds
-// behave inclusively on both ends, and an empty bound is open.
+// AscendRange visits entries with lo <= key-prefix <= hi in key order;
+// fn returning false stops the walk. Bounds compare against the entry key
+// truncated to the bound's length, so prefix bounds behave inclusively on
+// both ends, and an empty bound is open. The walk binary-searches the
+// first leaf for the first entry at or above lo; every later entry is at
+// or above it, so from there only hi is tested. It charges one descent
+// and one IndexEntry per entry compared with a bound.
 func (t *Tree) AscendRange(lo, hi Key, prof *profile.Counters, fn func(Key, heap.TID) bool) {
-	prof.Add(profile.CompStorage, profile.IndexDescend)
-	for n := t.leafFor(lo); n != nil; n = n.next {
-		for _, e := range n.entries {
-			if t.cmp(e.key[:min(len(e.key), len(lo))], lo) < 0 {
-				continue
-			}
-			if len(hi) > 0 && t.cmp(e.key[:min(len(e.key), len(hi))], hi) > 0 {
-				return
+	n := t.leafFor(lo)
+	compared, i := 0, 0
+	if len(lo) > 0 {
+		i = sort.Search(len(n.entries), func(i int) bool {
+			compared++
+			k := n.entries[i].key
+			return t.cmp(k[:min(len(k), len(lo))], lo) >= 0
+		})
+	}
+walk:
+	for ; n != nil; n, i = n.next, 0 {
+		for _, e := range n.entries[i:] {
+			if len(hi) > 0 {
+				compared++
+				if t.cmp(e.key[:min(len(e.key), len(hi))], hi) > 0 {
+					break walk
+				}
 			}
 			if !fn(e.key, e.tid) {
-				return
+				break walk
 			}
 		}
 	}
+	prof.Add(profile.CompStorage, profile.IndexDescend+int64(compared)*profile.IndexEntry)
 }
 
 // Delete removes the (key, tid) entry. Leaves are not rebalanced (lazy

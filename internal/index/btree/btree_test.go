@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
 	"microspec/internal/types"
 )
@@ -309,6 +310,117 @@ func TestDuplicatesAcrossLeafSplits(t *testing.T) {
 	for k := 0; k < 10; k++ {
 		if got := len(under(tr, ik(hot-20+k))); got != 40 {
 			t.Fatalf("neighbor %d: %d of 40 entries", hot-20+k, got)
+		}
+	}
+}
+
+// modelEntry is one (key, TID) pair of the reference copy.
+type modelEntry struct {
+	key Key
+	tid heap.TID
+}
+
+// TestAscendRangeMatchesLinearPass is the model test of the seeking walk:
+// random composite keys (a, b, c) with dozens of versions each, spanning
+// leaf splits, filed with ascending TIDs as the heap hands them out, and
+// some deleted again. For random lo/hi prefixes of every length, empty
+// ones included, AscendRange must hand fn exactly the (key, TID) sequence
+// a linear pass over a sorted copy yields — also when fn stops early —
+// and compare no more entries than the seek in the first leaf plus one
+// per entry it hands over and the one that ends the walk.
+func TestAscendRangeMatchesLinearPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	tr := New("model", false)
+	var ref []modelEntry
+	randKey := func(n, slack int) Key {
+		k := make(Key, n)
+		for i := range k {
+			k[i] = types.NewInt32(int32(rng.Intn(4+slack) - slack/2))
+		}
+		return k
+	}
+	for i := 0; i < 6000; i++ {
+		k := randKey(3, 0)
+		tr.Insert(k, tid(i), nil)
+		ref = append(ref, modelEntry{k, tid(i)})
+	}
+	// Deletes: a random thousand, then every version under (1, 2), which
+	// empties whole leaves (lazy deletion does not merge them), so a seek
+	// can land on a leaf with nothing at or above its bound.
+	kept := ref[:0]
+	for _, e := range ref {
+		if rng.Intn(6) != 0 && Compare(e.key[:2], ik(1, 2)) != 0 {
+			kept = append(kept, e)
+		} else if !tr.Delete(e.key, e.tid, nil) {
+			t.Fatalf("Delete(%v, %v) missed", e.key, e.tid)
+		}
+	}
+	ref = kept
+	if tr.Len() != len(ref) || len(ref) < 4000 {
+		t.Fatalf("%d entries in the tree, %d in the copy", tr.Len(), len(ref))
+	}
+	empty := 0
+	n := tr.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	for ; n != nil; n = n.next {
+		if len(n.entries) == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no leaf was emptied")
+	}
+	sort.Slice(ref, func(i, j int) bool {
+		if c := Compare(ref[i].key, ref[j].key); c != 0 {
+			return c < 0
+		}
+		a, b := ref[i].tid, ref[j].tid
+		return a.Page < b.Page || (a.Page == b.Page && a.Slot < b.Slot)
+	})
+	if _, splits := tr.Stats(); splits < 50 {
+		t.Fatalf("only %d splits: the keys' versions do not span leaves", splits)
+	}
+	trunc := func(k Key, n int) Key { return k[:min(len(k), n)] }
+	for round := 0; round < 1000; round++ {
+		lo, hi := randKey(rng.Intn(4), 2), randKey(rng.Intn(4), 2)
+		if rng.Intn(4) == 0 {
+			hi = lo // a prefix read
+		}
+		var want []modelEntry
+		for _, e := range ref {
+			if Compare(trunc(e.key, len(lo)), lo) < 0 {
+				continue
+			}
+			if len(hi) > 0 && Compare(trunc(e.key, len(hi)), hi) > 0 {
+				break
+			}
+			want = append(want, e)
+		}
+		stop := len(want) + 1
+		if rng.Intn(2) == 0 {
+			stop = 1 + rng.Intn(len(want)+1)
+			want = want[:min(stop, len(want))]
+		}
+		var got []modelEntry
+		prof := &profile.Counters{}
+		tr.AscendRange(lo, hi, prof, func(k Key, td heap.TID) bool {
+			got = append(got, modelEntry{k, td})
+			return len(got) < stop
+		})
+		if len(got) != len(want) {
+			t.Fatalf("round %d [%v, %v] stop %d: %d entries, want %d", round, lo, hi, stop, len(got), len(want))
+		}
+		for i := range want {
+			if Compare(got[i].key, want[i].key) != 0 || got[i].tid != want[i].tid {
+				t.Fatalf("round %d [%v, %v]: entry %d is (%v, %v), want (%v, %v)", round, lo, hi, i, got[i].key, got[i].tid, want[i].key, want[i].tid)
+			}
+		}
+		// Seven probes find any slot of a leaf of at most 64 entries.
+		maxCompared := int64(7 + len(got) + 1)
+		if compared := (prof.Total() - profile.IndexDescend) / profile.IndexEntry; compared > maxCompared {
+			t.Fatalf("round %d [%v, %v]: compared %d entries to hand over %d", round, lo, hi, compared, len(got))
 		}
 	}
 }

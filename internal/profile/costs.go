@@ -131,6 +131,12 @@ const (
 	AggTransition = 85
 	// IndexDescend: one B+tree descent.
 	IndexDescend = 520
+	// IndexEntry: comparing one leaf entry's key with a walk's bound (the
+	// comparator call on the truncated key, the leaf-slot advance). A
+	// walk pays it per entry it compares — the probes of the binary search
+	// in its first leaf, then one per entry tested against the upper
+	// bound — not per entry under the key it returns.
+	IndexEntry = 30
 	// InsertTuple: per-tuple heap-insert bookkeeping beyond fill.
 	InsertTuple = 620
 )

@@ -482,38 +482,66 @@ func (m *pageMeta) stampInsert(slot int, xid uint64) {
 // pinned page; the caller must call release exactly once when done, and
 // the page's reader latch is held until then.
 func (h *Heap) Get(tid TID, snap *txn.Snapshot, prof *profile.Counters) (tup []byte, release func(), ok bool, err error) {
+	tup, m, hd, ok, err := h.pin(tid, snap, prof)
+	if !ok {
+		return nil, nil, false, err
+	}
+	return tup, func() {
+		m.latch.RUnlock()
+		hd.Unpin(false)
+	}, true, nil
+}
+
+// Visit is Get with the release its own: it hands fn the version at tid
+// if snap can see it, while the page is pinned and its reader latch held,
+// and reports whether it did. It allocates nothing — Get's release
+// closure costs one allocation per version — and the release is
+// deferred, so a panic inside fn still unpins the page.
+func (h *Heap) Visit(tid TID, snap *txn.Snapshot, prof *profile.Counters, fn func(tup []byte)) (bool, error) {
+	tup, m, hd, ok, err := h.pin(tid, snap, prof)
+	if !ok {
+		return false, err
+	}
+	defer func() {
+		m.latch.RUnlock()
+		hd.Unpin(false)
+	}()
+	fn(tup)
+	return true, nil
+}
+
+// pin is the fetch behind Get and Visit: on ok it returns the visible
+// version's bytes with its page pinned and the page's reader latch held.
+func (h *Heap) pin(tid TID, snap *txn.Snapshot, prof *profile.Counters) ([]byte, *pageMeta, buffer.Handle, bool, error) {
 	prof.Add(profile.CompStorage, profile.PageAccess)
 	m := h.meta(int(tid.Page))
 	if m == nil {
-		return nil, nil, false, nil
+		return nil, nil, buffer.Handle{}, false, nil
 	}
 	hd, err := h.pool.Get(h.file, int(tid.Page))
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, buffer.Handle{}, false, err
 	}
 	m.latch.RLock()
 	p := page.Page(hd.Bytes)
 	if int(tid.Slot) >= page.NumSlots(p) || !page.IsLive(p, int(tid.Slot)) {
 		m.latch.RUnlock()
 		hd.Unpin(false)
-		return nil, nil, false, nil
+		return nil, nil, buffer.Handle{}, false, nil
 	}
 	xmin, xmax := m.stamp(int(tid.Slot))
 	if !snap.Visible(xmin, xmax) {
 		m.latch.RUnlock()
 		hd.Unpin(false)
-		return nil, nil, false, nil
+		return nil, nil, buffer.Handle{}, false, nil
 	}
 	b, err := page.GetTuple(p, int(tid.Slot))
 	if err != nil {
 		m.latch.RUnlock()
 		hd.Unpin(false)
-		return nil, nil, false, fmt.Errorf("heap %s: %w", h.Rel.Name, err)
+		return nil, nil, buffer.Handle{}, false, fmt.Errorf("heap %s: %w", h.Rel.Name, err)
 	}
-	return b, func() {
-		m.latch.RUnlock()
-		hd.Unpin(false)
-	}, true, nil
+	return b, m, hd, true, nil
 }
 
 // Stamps returns the version stamp of the tuple at tid; present is false

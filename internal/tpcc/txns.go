@@ -463,19 +463,12 @@ func (e *Executor) delivery(txn *engine.Txn, p delParams) error {
 
 	for d := int32(1); d <= int32(e.Cfg.DistrictsPerWH); d++ {
 		// Oldest new_order in the district.
-		var noRow expr.Row
-		var noTID heap.TID
-		err := txn.ScanIndexPrefix("new_order_pkey",
-			[]types.Datum{i32d(w), i32d(d)},
-			func(row expr.Row, tid heap.TID) bool {
-				noRow = row
-				noTID = tid
-				return false
-			})
+		noRow, noTID, found, err := txn.FirstByIndexPrefix("new_order_pkey",
+			[]types.Datum{i32d(w), i32d(d)})
 		if err != nil {
 			return err
 		}
-		if noRow == nil {
+		if !found {
 			continue // district fully delivered
 		}
 		orderID := noRow[2]
