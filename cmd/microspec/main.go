@@ -27,8 +27,10 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -37,6 +39,7 @@ import (
 	"microspec/internal/client"
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/sql"
 	"microspec/internal/tpch"
 	"microspec/internal/trace"
 	"microspec/internal/types"
@@ -77,7 +80,7 @@ func main() {
 	}
 	fmt.Printf("microspec (%s engine) — end statements with ';', \\q to quit\n", mode)
 	txns := map[string]*engine.TxnStmt{}
-	repl(func(stmt string) { run(db, txns, stmt) }, func(cmd string) bool { return meta(db, txns, cmd) })
+	repl(func(stmt string) { run(os.Stdout, db, txns, stmt) }, func(cmd string) bool { return meta(db, txns, cmd) })
 }
 
 // repl reads semicolon-terminated statements from stdin, dispatching
@@ -206,59 +209,68 @@ func buildDB(routines core.RoutineSet, sf float64) (*engine.DB, error) {
 	return db, nil
 }
 
-func run(db *engine.DB, txns map[string]*engine.TxnStmt, stmt string) {
-	trimmed := strings.TrimSpace(stmt)
-	lower := strings.ToLower(trimmed)
+// run executes one statement on the in-process engine and writes its
+// outcome to w. The statement is parsed once and routed on its AST, as
+// the server's session routes it: PREPARE TRANSACTION registers a fused
+// unit, a SELECT runs as a query, anything else through Exec. Only a
+// leading EXPLAIN [ANALYZE] is stripped first, since the grammar has none.
+func run(w io.Writer, db *engine.DB, txns map[string]*engine.TxnStmt, stmt string) {
+	text := strings.TrimSuffix(strings.TrimSpace(stmt), ";")
 	start := time.Now()
-	if strings.HasPrefix(lower, "prepare transaction") {
-		ts, err := db.PrepareTxn(strings.TrimSuffix(trimmed, ";"))
+	if rest, analyze, ok := stripExplain(text, strings.ToLower(text)); ok {
+		if analyze {
+			out, res, err := db.ExplainAnalyzeQuery(rest)
+			if err != nil {
+				fmt.Fprintf(w, "error: %v\n", err)
+				return
+			}
+			fmt.Fprint(w, out)
+			fmt.Fprintf(w, "(%d rows, %v)\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
+			return
+		}
+		out, err := db.ExplainQuery(rest)
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(w, "error: %v\n", err)
+			return
+		}
+		fmt.Fprint(w, out)
+		return
+	}
+	parsed, err := sql.Parse(text)
+	if err != nil {
+		fmt.Fprintf(w, "error: %v\n", err)
+		return
+	}
+	ctx := context.Background()
+	switch s := parsed.(type) {
+	case *sql.PrepareTxn:
+		ts, err := db.PrepareTxnAST(s, text)
+		if err != nil {
+			fmt.Fprintf(w, "error: %v\n", err)
 			return
 		}
 		if old, ok := txns[ts.Name()]; ok {
 			old.Close()
 		}
 		txns[ts.Name()] = ts
-		fmt.Printf("transaction %q prepared (%d params) — run with \\txn %s [params...]\n",
+		fmt.Fprintf(w, "transaction %q prepared (%d params) — run with \\txn %s [params...]\n",
 			ts.Name(), ts.NumParams(), ts.Name())
-		return
-	}
-	if rest, analyze, ok := stripExplain(trimmed, lower); ok {
-		if analyze {
-			out, res, err := db.ExplainAnalyzeQuery(rest)
-			if err != nil {
-				fmt.Printf("error: %v\n", err)
-				return
-			}
-			fmt.Print(out)
-			fmt.Printf("(%d rows, %v)\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
-			return
-		}
-		out, err := db.ExplainQuery(rest)
+	case *sql.Select:
+		res, err := db.QueryAST(ctx, s, text, engine.QueryOpts{})
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(w, "error: %v\n", err)
 			return
 		}
-		fmt.Print(out)
-		return
-	}
-	if strings.HasPrefix(lower, "select") || strings.HasPrefix(lower, "with") {
-		res, err := db.Query(trimmed)
+		printResult(w, res)
+		fmt.Fprintf(w, "(%d rows, %v)\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
+	default:
+		n, err := db.ExecAST(ctx, s, text)
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(w, "error: %v\n", err)
 			return
 		}
-		printResult(res)
-		fmt.Printf("(%d rows, %v)\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
-		return
+		fmt.Fprintf(w, "ok (%d rows affected, %v)\n", n, time.Since(start).Round(time.Microsecond))
 	}
-	n, err := db.Exec(trimmed)
-	if err != nil {
-		fmt.Printf("error: %v\n", err)
-		return
-	}
-	fmt.Printf("ok (%d rows affected, %v)\n", n, time.Since(start).Round(time.Microsecond))
 }
 
 // stripExplain detects a leading EXPLAIN [ANALYZE] and returns the rest
@@ -280,7 +292,7 @@ func stripExplain(stmt, lower string) (rest string, analyze, ok bool) {
 	return rest, false, true
 }
 
-func printResult(res *engine.Result) {
+func printResult(w io.Writer, res *engine.Result) {
 	if len(res.Cols) == 0 {
 		return
 	}
@@ -288,7 +300,7 @@ func printResult(res *engine.Result) {
 	for i, c := range res.Cols {
 		names[i] = c.Name
 	}
-	fmt.Println(strings.Join(names, " | "))
+	fmt.Fprintln(w, strings.Join(names, " | "))
 	limit := len(res.Rows)
 	if limit > 50 {
 		limit = 50
@@ -298,10 +310,10 @@ func printResult(res *engine.Result) {
 		for i, d := range row {
 			parts[i] = d.String()
 		}
-		fmt.Println(strings.Join(parts, " | "))
+		fmt.Fprintln(w, strings.Join(parts, " | "))
 	}
 	if limit < len(res.Rows) {
-		fmt.Printf("... (%d more rows)\n", len(res.Rows)-limit)
+		fmt.Fprintf(w, "... (%d more rows)\n", len(res.Rows)-limit)
 	}
 }
 
@@ -439,7 +451,7 @@ func meta(db *engine.DB, txns map[string]*engine.TxnStmt, cmd string) bool {
 			fmt.Printf("error: %v\n", err)
 			break
 		}
-		printResult(res)
+		printResult(os.Stdout, res)
 		fmt.Printf("ok (%d rows affected, %v)\n", affected, time.Since(start).Round(time.Microsecond))
 	case "\\explain":
 		if len(fields) < 2 {

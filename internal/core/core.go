@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
@@ -78,7 +77,11 @@ type Stats struct {
 	TupleBees    int
 	QueryBees    int
 	// TxnBees counts compiled whole-transaction bees (see txnbee.go).
-	TxnBees  int
+	TxnBees int
+	// GCLCalls, EVPCalls, EVJCalls and EVACalls are the rows every
+	// relation, EVP, EVJ and EVA bee has reported through Bee.Note, and
+	// SCLCalls the tuples formed by SCL bees: the registry's per-routine
+	// totals, which outlive dropped bees.
 	GCLCalls int64
 	SCLCalls int64
 	EVPCalls int64
@@ -91,13 +94,6 @@ type Stats struct {
 	QuarantinedNow int
 }
 
-// callCounters holds the per-tuple invocation counts updated on hot
-// paths; they are atomics so the per-tuple routines never take the
-// module lock.
-type callCounters struct {
-	gcl, scl, evp, evj, eva atomic.Int64
-}
-
 // Module is the Generic Bee Module: one per database.
 type Module struct {
 	mu       sync.RWMutex
@@ -105,7 +101,6 @@ type Module struct {
 	relBees  map[catalog.RelID]*RelationBee
 	reg      registry
 	place    *Placement
-	calls    callCounters
 	inject   panicInjector
 }
 
@@ -263,7 +258,7 @@ func (m *Module) Former(rel *catalog.Relation) FormFunc {
 	}
 	if useSCL && rb != nil {
 		scl := rb.SCL
-		counter := &m.calls.scl
+		counter := &m.reg.totals.scl
 		return func(values []types.Datum, prof *profile.Counters) ([]byte, error) {
 			if len(values) != natts {
 				return nil, fmt.Errorf("relation %s: %d values for %d attributes", rel.Name, len(values), natts)
@@ -540,19 +535,6 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 	return jk, true
 }
 
-// NoteGCLCall lets the executor report bee invocations for the module's
-// statistics without taking its lock on the per-tuple path.
-func (m *Module) NoteGCLCall(n int64) { m.calls.gcl.Add(n) }
-
-// NoteEVPCall reports n EVP invocations.
-func (m *Module) NoteEVPCall(n int64) { m.calls.evp.Add(n) }
-
-// NoteEVJCall reports n EVJ invocations.
-func (m *Module) NoteEVJCall(n int64) { m.calls.evj.Add(n) }
-
-// NoteEVACall reports n EVA invocations.
-func (m *Module) NoteEVACall(n int64) { m.calls.eva.Add(n) }
-
 // NoteParallelPlan is called by the planner when it marks a plan
 // parallel-safe: every bee closure in the plan was freshly instantiated
 // per partition worker, so the placement optimizer records the plan as
@@ -561,12 +543,13 @@ func (m *Module) NoteParallelPlan() { m.place.MarkParallelSafe() }
 
 // Stats returns a snapshot of bee-module statistics.
 func (m *Module) Stats() Stats {
+	t := &m.reg.totals
 	s := Stats{
-		GCLCalls: m.calls.gcl.Load(),
-		SCLCalls: m.calls.scl.Load(),
-		EVPCalls: m.calls.evp.Load(),
-		EVJCalls: m.calls.evj.Load(),
-		EVACalls: m.calls.eva.Load(),
+		GCLCalls: t.gcl.Load(),
+		SCLCalls: t.scl.Load(),
+		EVPCalls: t.evp.Load(),
+		EVJCalls: t.evj.Load(),
+		EVACalls: t.eva.Load(),
 	}
 	m.reg.count(&s)
 	m.mu.RLock()

@@ -84,8 +84,11 @@ type Bee struct {
 	reg        *registry
 	kind, name string
 
-	// Usage, reported by executor nodes at Close without the lock.
+	// Usage, reported by executor nodes at Close without the lock, and
+	// the registry's per-routine total that Note also bumps (nil for the
+	// kinds with none).
 	rows, ns atomic.Int64
+	total    *atomic.Int64
 	// quarantined is written under reg.mu and read without it.
 	quarantined atomic.Bool
 
@@ -109,16 +112,25 @@ func (b *Bee) Kind() string { return b.kind }
 func (b *Bee) Name() string { return b.name }
 
 // Note reports rows processed by the bee over ns nanoseconds of observed
-// wall time. Executors accumulate locally and call this once at Close.
+// wall time (0 where the caller does not time the bee). It is the only
+// usage feed: every plan node that runs a bee, every DML target and the
+// transaction runner accumulate locally and call Note on the handle they
+// hold, once, at Close. Note also bumps the registry's per-routine total
+// that Module.Stats reports. Deforms on IndexScan, Txn reads, vacuum and
+// index backfill, and IDX comparisons, report nothing.
 func (b *Bee) Note(rows, ns int64) {
 	if b == nil || rows <= 0 {
 		return
 	}
 	b.rows.Add(rows)
 	b.ns.Add(ns)
+	if b.total != nil {
+		b.total.Add(rows)
+	}
 }
 
-// Rows returns how many rows the bee has processed on timed paths.
+// Rows returns how many rows the bee has processed: every run of every
+// plan node that used it, timed or not.
 func (b *Bee) Rows() int64 {
 	if b == nil {
 		return 0
@@ -193,13 +205,37 @@ type registry struct {
 	// had to cache it, flushed copies written, cached forms dropped, and
 	// quarantine events.
 	hits, misses, writes, evictions, quarantines int64
+
+	totals usageTotals
+}
+
+// usageTotals are the per-routine sums of the rows bees reported
+// (Bee.Note), plus the tuples SCL bees formed (Former). They are kept
+// apart from the entries, so they stay monotonic when a bee is dropped.
+type usageTotals struct {
+	gcl, scl, evp, evj, eva atomic.Int64
+}
+
+// of returns the total a bee of kind reports into, nil for none.
+func (t *usageTotals) of(kind string) *atomic.Int64 {
+	switch kind {
+	case kindRelation:
+		return &t.gcl
+	case kindEVP:
+		return &t.evp
+	case kindEVJ:
+		return &t.evj
+	case kindEVA:
+		return &t.eva
+	}
+	return nil
 }
 
 func (r *registry) create(kind, name string) *Bee {
 	if r.bees == nil {
 		r.bees = make(map[beeKey]*Bee)
 	}
-	b := &Bee{reg: r, kind: kind, name: name}
+	b := &Bee{reg: r, kind: kind, name: name, total: r.totals.of(kind)}
 	r.bees[beeKey{kind, name}] = b
 	return b
 }
@@ -647,7 +683,8 @@ func (m *Module) DemotedBees() []TierInfo {
 type BeeBenefit struct {
 	Kind string `json:"kind"`
 	Name string `json:"name"`
-	// Rows is how many rows the bee has processed (timed paths only).
+	// Rows is how many rows the bee has processed, over every run that
+	// used it (Bee.Rows).
 	Rows int64 `json:"rows"`
 	// ObservedNs is the wall time spent inside the bee routine.
 	ObservedNs int64 `json:"observed_ns"`

@@ -74,7 +74,7 @@ type dmlTarget struct {
 	values []types.Datum // the version under consideration, deformed
 	newVal []types.Datum // INSERT, UPDATE: the row being written
 	hits   []dmlHit
-	evals  int64 // pred calls this execution, for the module's EVP count
+	evals  int64 // pred calls this execution, noted to bee at its end
 }
 
 type dmlKind uint8
@@ -244,10 +244,8 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 	if err == nil {
 		err = t.stmt.Failed()
 	}
-	if t.evals > 0 {
-		t.db.mod.NoteEVPCall(t.evals)
-		t.evals = 0
-	}
+	t.bee.Note(t.evals, 0)
+	t.evals = 0
 	if err != nil {
 		return 0, err
 	}

@@ -39,8 +39,8 @@ type AggSpec struct {
 	Name     string
 	// Prog is Arg's EVA program, when the bee module compiled it; the form
 	// below is instantiated from it (again per Gather partition), and its
-	// bee receives the row count and observed wall time per drained batch
-	// (per-bee benefit attribution).
+	// bee receives the rows evaluated and their observed wall time once
+	// per drain.
 	Prog core.Program
 	// CompiledBatchArg is the EVA bee routine for Arg: one invocation
 	// evaluates the aggregate's input for every live row of a batch,
@@ -305,10 +305,6 @@ type HashAgg struct {
 	Child   Node
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
-	// NoteEVA, when set, receives the number of EVA invocations at Close.
-	NoteEVA func(int64)
-
-	evaCalls int64
 
 	drain  *aggDrain // built on the first Open, reused by every later one
 	table  *aggTable
@@ -325,8 +321,7 @@ func (a *HashAgg) Open(ctx *Ctx) error {
 	}
 	a.table = newAggTable(len(a.Aggs))
 	a.pos = 0
-	_, eva, err := drainBatchesIntoAgg(ctx, a.Child, a.drain, a.table)
-	a.evaCalls += eva
+	_, err := drainBatchesIntoAgg(ctx, a.Child, a.drain, a.table)
 	return err
 }
 
@@ -341,13 +336,7 @@ func (a *HashAgg) Next(ctx *Ctx) (expr.Row, bool, error) {
 }
 
 // Close implements Node.
-func (a *HashAgg) Close(*Ctx) {
-	if a.NoteEVA != nil && a.evaCalls > 0 {
-		a.NoteEVA(a.evaCalls)
-		a.evaCalls = 0
-	}
-	a.table = nil
-}
+func (a *HashAgg) Close(*Ctx) { a.table = nil }
 
 // Schema implements Node.
 func (a *HashAgg) Schema() []ColInfo {
@@ -404,14 +393,21 @@ type aggDrain struct {
 	sts  [][]aggState
 	// rows reads a row-at-a-time child as batches of one.
 	rows rowBatches
+	// eva[i] is what spec i's EVA bee evaluated during the current drain,
+	// noted to the bee when the drain ends.
+	eva []beeUsage
 }
+
+// beeUsage accumulates a bee's rows and timed wall time until it is
+// noted.
+type beeUsage struct{ rows, ns int64 }
 
 func newAggDrain(groupBy []expr.Expr, evalSpecs, addSpecs []AggSpec) *aggDrain {
 	n := len(addSpecs)
 	d := &aggDrain{
 		groupBy: groupBy, evalSpecs: evalSpecs, addSpecs: addSpecs,
 		owner: make([]int, n), shared: make([]bool, n), cols: make([][]types.Datum, n),
-		keyBuf: make(expr.Row, len(groupBy)), per: -1,
+		keyBuf: make(expr.Row, len(groupBy)), per: -1, eva: make([]beeUsage, n),
 	}
 	if len(groupBy) == 0 {
 		d.per, d.gids, d.sts = 0, make([]int, 1), make([][]aggState, 1)
@@ -452,15 +448,22 @@ func newAggDrain(groupBy []expr.Expr, evalSpecs, addSpecs []AggSpec) *aggDrain {
 //     hoisted out of the per-row switch for the count/sum/avg shapes.
 //
 // Each state sees its inputs in row order, so float accumulation is
-// bit-identical whatever the batch sizes.
-func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (rows, eva int64, err error) {
+// bit-identical whatever the batch sizes. Each EVA bee's rows and timed
+// wall time are noted once, when the drain ends.
+func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (rows int64, err error) {
 	src := asBatchNode(child, &d.rows)
 	// The close is deferred so the child (and any buffer pins its scans
 	// hold) is released even when its Open fails halfway or a bee panic
 	// unwinds through the loop.
-	defer src.Close(ctx)
+	defer func() {
+		src.Close(ctx)
+		for i, u := range d.eva {
+			d.evalSpecs[i].Prog.Bee().Note(u.rows, u.ns)
+			d.eva[i] = beeUsage{}
+		}
+	}()
 	if err := src.Open(ctx); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	groupBy, evalSpecs, addSpecs := d.groupBy, d.evalSpecs, d.addSpecs
 	keyBuf, per, gids, sts := d.keyBuf, d.per, d.gids, d.sts
@@ -473,10 +476,10 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 	for {
 		b, ok, err := src.NextBatch(ctx)
 		if err != nil {
-			return rows, eva, err
+			return rows, err
 		}
 		if !ok {
-			return rows, eva, nil
+			return rows, nil
 		}
 		n := b.Count()
 		if n == 0 {
@@ -539,11 +542,11 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 				vals = (*buf)[:0]
 				switch {
 				case spec.CompiledBatchArg != nil:
-					eva += int64(n)
-					if bee := spec.Prog.Bee(); bee != nil {
+					if spec.Prog.Bee() != nil {
 						t0 := time.Now()
 						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
-						bee.Note(int64(n), int64(time.Since(t0)))
+						d.eva[i].rows += int64(n)
+						d.eva[i].ns += int64(time.Since(t0))
 					} else {
 						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
 					}

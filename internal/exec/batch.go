@@ -21,8 +21,9 @@ import (
 // Gather's partial aggregation (agg.go) fold whole batches. Those three
 // read any child as batches — a row-at-a-time child as batches of one.
 // Batching ends where a row-only consumer (Sort, Project, Limit, NLJoin)
-// sits: a Rebatch adapter hands a scan or filter subtree's batches to it
-// row by row, and a HashJoin's own Next does the same for its output.
+// sits: it reads the region's root — a BatchSeqScan, BatchFilter or
+// HashJoin — through that node's own Next, which hands out the current
+// batch row by row.
 // Row visit order is identical to the tuple path, so results are
 // bit-identical.
 
@@ -131,22 +132,20 @@ type BatchSeqScan struct {
 	// Deform is the relation's deform routine over the attributes the plan
 	// reads, as for SeqScan; the scan runs its batch form.
 	Deform *core.ScanDeform
-	// NoteDeforms receives the deform (GCL) call count at Close.
-	NoteDeforms func(int64)
 	// Fused, when set, replaces the separate Deform + BatchFilter pair with
 	// the composed GCL∘EVP routine: each tuple is deformed only as far as
 	// the predicate's conjuncts need, rejected tuples are abandoned early,
 	// and the scan emits batches whose selection vector lists the passing
 	// rows. FusedPred is the predicate the routine implements (EXPLAIN and
-	// bee walking); NoteFused receives its row-evaluation count at Close.
+	// bee walking).
 	Fused     core.FusedScanFilterFunc
 	FusedPred expr.Expr
-	NoteFused func(int64)
-	// FusedBee, when set, is the EVP bee behind Fused. It, or else the
-	// relation bee behind Deform (Deform.Bee), receives the rows processed
-	// and the wall time of the fused / deform bee invocations at Close —
-	// the per-bee benefit attribution feed. One page in usageSampleEvery
-	// is timed (two clock reads) and the total extrapolated from those.
+	// FusedBee, when set, is the EVP bee behind Fused. At Close the
+	// relation bee (Deform.Bee) receives the rows deformed and FusedBee
+	// the rows evaluated; the wall time of the bee invocations goes with
+	// FusedBee when the scan is fused, else with the relation bee. One
+	// page in usageSampleEvery is timed (two clock reads) and the total
+	// extrapolated from those.
 	FusedBee *core.Bee
 	// Range and Partial mirror SeqScan: a page interval for one partition
 	// of a parallel scan. So do Bounds and Skipped.
@@ -262,20 +261,15 @@ func (s *BatchSeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (s *BatchSeqScan) Close(*Ctx) {
+	var ns int64
 	if s.timed > 0 {
-		ns := s.timedNs * s.batches / s.timed
-		if s.FusedBee != nil {
-			s.FusedBee.Note(s.fused, ns)
-		} else {
-			s.Deform.Bee.Note(s.deforms, ns)
-		}
+		ns = s.timedNs * s.batches / s.timed
 	}
-	if s.NoteDeforms != nil && s.deforms > 0 {
-		s.NoteDeforms(s.deforms)
+	if s.FusedBee != nil {
+		s.FusedBee.Note(s.fused, ns)
+		ns = 0
 	}
-	if s.NoteFused != nil && s.fused > 0 {
-		s.NoteFused(s.fused)
-	}
+	s.Deform.Bee.Note(s.deforms, ns)
 	s.deforms, s.fused, s.timedNs, s.timed = 0, 0, 0, 0
 	if s.scanner != nil {
 		s.Skipped += s.scanner.PagesSkipped()
@@ -299,12 +293,9 @@ type BatchFilter struct {
 	Child    BatchNode
 	Pred     expr.Expr
 	Compiled core.CompiledBatchPred
-	// NoteCalls receives the number of compiled (EVP) row evaluations at
-	// Close, like Filter.NoteCalls.
-	NoteCalls func(int64)
 	// Bee is Pred's EVP bee, set even when Compiled is nil because the
 	// compile was refused; it receives the compiled predicate's row count
-	// and observed wall time at Close (per-bee benefit attribution).
+	// and observed wall time at Close.
 	Bee *core.Bee
 
 	calls int64
@@ -367,42 +358,9 @@ func (f *BatchFilter) Next(ctx *Ctx) (expr.Row, bool, error) {
 // Close implements Node.
 func (f *BatchFilter) Close(ctx *Ctx) {
 	f.Bee.Note(f.calls, f.beeNs)
-	if f.NoteCalls != nil && f.calls > 0 {
-		f.NoteCalls(f.calls)
-	}
 	f.calls, f.beeNs = 0, 0
 	f.Child.Close(ctx)
 }
 
 // Schema implements Node.
 func (f *BatchFilter) Schema() []ColInfo { return f.Child.Schema() }
-
-// Rebatch bridges a batch-producing subtree into a tuple-at-a-time
-// consumer: its Next hands out the current batch's selected rows one by
-// one, fetching the next batch on demand. The planner roots every scan or
-// filter subtree that feeds a row-only consumer (Sort, Project, Limit,
-// NLJoin) in a Rebatch; hash joins, aggregation and Gather's partial
-// aggregation take batches directly. Returned rows satisfy the usual Node
-// contract (valid until the following Next).
-type Rebatch struct {
-	Child BatchNode
-
-	rb rebatcher
-}
-
-// Open implements Node.
-func (r *Rebatch) Open(ctx *Ctx) error {
-	r.rb.reset()
-	return r.Child.Open(ctx)
-}
-
-// Next implements Node.
-func (r *Rebatch) Next(ctx *Ctx) (expr.Row, bool, error) {
-	return r.rb.next(ctx, r.Child, profile.ExecNodeTuple)
-}
-
-// Close implements Node.
-func (r *Rebatch) Close(ctx *Ctx) { r.Child.Close(ctx) }
-
-// Schema implements Node.
-func (r *Rebatch) Schema() []ColInfo { return r.Child.Schema() }

@@ -17,13 +17,10 @@ type Filter struct {
 	// Prog is Pred's EVP program, from which Compiled was instantiated and
 	// the planner's later passes instantiate the batch, fused and
 	// per-partition forms. It carries the bee's handle even when the
-	// compile was refused and Compiled is nil.
+	// compile was refused and Compiled is nil; the bee receives the number
+	// of Compiled invocations at Close.
 	Prog     core.Program
 	Compiled core.CompiledPred
-	// NoteCalls, when set, receives the number of compiled-predicate
-	// (EVP) invocations at Close — the module's bee-call statistics
-	// without per-tuple synchronization.
-	NoteCalls func(int64)
 
 	calls int64
 }
@@ -56,10 +53,8 @@ func (f *Filter) eval(row expr.Row, ctx *Ctx) types.Datum {
 
 // Close implements Node.
 func (f *Filter) Close(ctx *Ctx) {
-	if f.NoteCalls != nil && f.calls > 0 {
-		f.NoteCalls(f.calls)
-		f.calls = 0
-	}
+	f.Prog.Bee().Note(f.calls, 0)
+	f.calls = 0
 	f.Child.Close(ctx)
 }
 

@@ -46,8 +46,6 @@ type Gather struct {
 	GroupBy  []expr.Expr
 	Aggs     []AggSpec
 	PartAggs [][]AggSpec
-	// NoteEVA receives the pooled EVA invocation count at Close.
-	NoteEVA func(int64)
 
 	// MergeKeys selects sorted-run merge mode: every part emits rows
 	// sorted by these keys (the planner roots each part in a Sort, whose
@@ -61,13 +59,12 @@ type Gather struct {
 	drains []*aggDrain
 
 	// Runtime state, reset by Open.
-	table    *aggTable
-	pos      int
-	outBuf   expr.Row
-	wg       sync.WaitGroup
-	heads    []expr.Row
-	opened   []bool
-	evaCalls int64
+	table  *aggTable
+	pos    int
+	outBuf expr.Row
+	wg     sync.WaitGroup
+	heads  []expr.Row
+	opened []bool
 
 	errMu sync.Mutex
 	err   error
@@ -188,7 +185,6 @@ func (g *Gather) Open(ctx *Ctx) error {
 	g.heads = nil
 	g.opened = nil
 	g.err = nil
-	g.evaCalls = 0
 	g.statMu.Lock()
 	g.stats = g.stats[:0]
 	g.statMu.Unlock()
@@ -207,8 +203,6 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 		g.drains = make([]*aggDrain, len(g.Parts))
 	}
 	partTables := make([]*aggTable, len(g.Parts))
-	var evaTotal int64
-	var evaMu sync.Mutex
 
 	g.runPool(ctx, func(part int, wctx *Ctx) error {
 		start := time.Now()
@@ -223,21 +217,17 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 			g.drains[part] = newAggDrain(g.GroupBy, specs, g.Aggs)
 		}
 		table := newAggTable(len(g.Aggs))
-		rows, eva, err := drainBatchesIntoAgg(wctx, g.Parts[part], g.drains[part], table)
+		rows, err := drainBatchesIntoAgg(wctx, g.Parts[part], g.drains[part], table)
 		if err != nil {
 			return err
 		}
 		partTables[part] = table
-		evaMu.Lock()
-		evaTotal += eva
-		evaMu.Unlock()
 		g.noteStat(WorkerStat{Part: part, Rows: rows, Elapsed: time.Since(start), Agg: true})
 		return nil
 	})
 	if err := g.loadErr(); err != nil {
 		return err
 	}
-	g.evaCalls = evaTotal
 
 	// Merge partial states in partition order: partitions cover the heap
 	// in page order, so first appearance across partitions equals the
@@ -333,15 +323,11 @@ func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
 	return row, true, nil
 }
 
-// Close implements Node; it closes a merge's parts and reports pooled
-// bee-call counts.
+// Close implements Node; it closes a merge's parts (an aggregation's
+// drains closed theirs).
 func (g *Gather) Close(ctx *Ctx) {
 	if g.mergeMode() {
 		g.closeParts(ctx)
-	}
-	if g.NoteEVA != nil && g.evaCalls > 0 {
-		g.NoteEVA(g.evaCalls)
-		g.evaCalls = 0
 	}
 }
 

@@ -56,8 +56,6 @@ func Instrument(n Node) Node {
 		for i := range v.Parts {
 			v.Parts[i] = Instrument(v.Parts[i])
 		}
-	case *Rebatch:
-		v.Child = InstrumentBatch(v.Child)
 	case *SeqScan:
 		// Pages skipped before now belong to runs the wrapper's rows and
 		// loops do not count (a kept plan's plain EXECUTEs).

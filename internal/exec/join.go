@@ -64,17 +64,17 @@ type HashJoin struct {
 	// Residual is an optional extra qual evaluated over the combined row.
 	Residual expr.Expr
 	// ResidualCompiled is the EVP form of Residual, if compiled, and
-	// ResidualBee that bee's handle.
+	// ResidualBee that bee's handle; the bee receives the number of
+	// ResidualCompiled evaluations at Close.
 	ResidualCompiled core.CompiledPred
 	ResidualBee      *core.Bee
-	// EVJ is the specialized key-evaluation bee, nil for the generic path.
+	// EVJ is the specialized key-evaluation bee, nil for the generic path;
+	// EVJ.Bee receives the number of candidate pairs qualified at Close.
 	EVJ *core.JoinKeyFuncs
-	// NoteEVJ, when set, receives the number of EVJ invocations at Close.
-	NoteEVJ func(int64)
 	// Est is the planner's estimate of the rows the join emits (EXPLAIN).
 	Est float64
 
-	evjCalls int64
+	evjCalls, residualCalls int64
 	// match, hashOuter (nil: generic hasher) and pairCost are the key
 	// evaluation form chosen at Open.
 	match     func(outer, inner expr.Row) bool
@@ -245,6 +245,7 @@ func (h *HashJoin) genericMatch(outer, inner expr.Row) bool {
 func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
 	var v types.Datum
 	if h.ResidualCompiled != nil {
+		h.residualCalls++
 		v = h.ResidualCompiled(combined, &ctx.Expr)
 	} else {
 		v = h.Residual.Eval(combined, &ctx.Expr)
@@ -396,10 +397,11 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 // holds no rows between executions; the pointer-free scratch (hashes,
 // selection) is kept for the next Open.
 func (h *HashJoin) Close(ctx *Ctx) {
-	if h.NoteEVJ != nil && h.evjCalls > 0 {
-		h.NoteEVJ(h.evjCalls)
+	if h.EVJ != nil {
+		h.EVJ.Bee.Note(h.evjCalls, 0)
 	}
-	h.evjCalls = 0
+	h.ResidualBee.Note(h.residualCalls, 0)
+	h.evjCalls, h.residualCalls = 0, 0
 	h.Outer.Close(ctx)
 	h.build.reset()
 	h.outer, h.ob = nil, nil
@@ -423,16 +425,18 @@ type NLJoin struct {
 	Type         JoinType
 	Qual         expr.Expr
 	// QualCompiled is the EVP form of Qual, if compiled, and QualBee that
-	// bee's handle.
+	// bee's handle; the bee receives the number of QualCompiled
+	// evaluations at Close.
 	QualCompiled core.CompiledPred
 	QualBee      *core.Bee
 	// Est is the planner's estimate of the rows the join emits (EXPLAIN).
 	Est float64
 
-	outerRow expr.Row
-	matched  bool
-	combined expr.Row
-	innerOn  bool
+	qualCalls int64
+	outerRow  expr.Row
+	matched   bool
+	combined  expr.Row
+	innerOn   bool
 }
 
 // Open implements Node.
@@ -451,6 +455,7 @@ func (n *NLJoin) qualOK(combined expr.Row, ctx *Ctx) bool {
 	}
 	var v types.Datum
 	if n.QualCompiled != nil {
+		n.qualCalls++
 		v = n.QualCompiled(combined, &ctx.Expr)
 	} else {
 		ctx.Prof().Add(profile.CompJoin, profile.JoinQualNode)
@@ -527,6 +532,8 @@ func (n *NLJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (n *NLJoin) Close(ctx *Ctx) {
+	n.QualBee.Note(n.qualCalls, 0)
+	n.qualCalls = 0
 	if n.innerOn {
 		n.Inner.Close(ctx)
 		n.innerOn = false

@@ -411,20 +411,22 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 // TestHashJoinCloseReleasesRows pins that a closed join — as a cached
 // prepared plan holds it between executions — keeps no reference to its
 // build side, its output, or its outer child's batches, and that Close
-// reports EVJ calls exactly once.
+// reports the EVJ bee's pairs exactly once.
 func TestHashJoinCloseReleasesRows(t *testing.T) {
-	jk, ok := core.NewModule(core.AllRoutines).CompileJoinKeys([]int{0}, []int{0}, []types.T{types.Int32})
+	mod := core.NewModule(core.AllRoutines)
+	jk, ok := mod.CompileJoinKeys([]int{0}, []int{0}, []types.T{types.Int32})
 	if !ok {
 		t.Fatal("EVJ compile failed")
 	}
-	var noted []int64
 	outer, inner := joinInputs()
 	j := &HashJoin{Outer: outer, Inner: inner, OuterKeys: []int{0}, InnerKeys: []int{0},
-		Type: LeftJoin, EVJ: jk, NoteEVJ: func(n int64) { noted = append(noted, n) }}
+		Type: LeftJoin, EVJ: jk}
 	mustCollect(t, j) // Collect closes
+	once := jk.Bee.Rows()
 	j.Close(&Ctx{})
-	if len(noted) != 1 || noted[0] == 0 {
-		t.Errorf("NoteEVJ calls = %v, want one non-zero report", noted)
+	if once == 0 || jk.Bee.Rows() != once || mod.Stats().EVJCalls != once {
+		t.Errorf("EVJ bee rows %d after Collect, %d after a second Close, module total %d; want one non-zero report",
+			once, jk.Bee.Rows(), mod.Stats().EVJCalls)
 	}
 	if j.build.rows.rows != nil || j.build.heads != nil || j.build.next != nil || j.outRows != nil ||
 		j.out.Rows != nil || j.ob != nil || j.rb.cur != nil || j.scratch != nil {

@@ -20,10 +20,8 @@ type SeqScan struct {
 	Heap *heap.Heap
 	// Deform is the relation's deform routine over the attributes the plan
 	// reads; the scan emits them densely, in relation order.
+	// Deform.Bee, the relation bee, receives the rows deformed at Close.
 	Deform *core.ScanDeform
-	// NoteDeforms, when set, receives the deform (GCL) call count at
-	// Close.
-	NoteDeforms func(int64)
 	// Range restricts the scan to a page interval — one partition of a
 	// parallel scan. The zero value (Lo == Hi == 0 with Whole true left
 	// unset) means the whole heap.
@@ -169,10 +167,8 @@ func (s *SeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (s *SeqScan) Close(*Ctx) {
-	if s.NoteDeforms != nil && s.deforms > 0 {
-		s.NoteDeforms(s.deforms)
-		s.deforms = 0
-	}
+	s.Deform.Bee.Note(s.deforms, 0)
+	s.deforms = 0
 	if s.scanner != nil {
 		s.Skipped += s.scanner.PagesSkipped()
 		s.scanner.Close()

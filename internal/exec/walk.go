@@ -32,8 +32,6 @@ func Children(n Node, kid func(Node), ex func(expr.Expr)) {
 		kid(v.Inner)
 	case *InstrumentedBatch:
 		kid(v.Inner)
-	case *Rebatch:
-		kid(v.Child)
 	case *BatchSeqScan:
 		one(v.FusedPred)
 	case *IndexScan:

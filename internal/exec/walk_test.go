@@ -16,7 +16,7 @@ import (
 // package with a Schema method) and every expression type (the types of
 // this package and internal/expr with an Eval method).
 var walkables = []any{
-	&SeqScan{}, &IndexScan{}, &ValuesNode{}, &BatchSeqScan{}, &BatchFilter{}, &Rebatch{},
+	&SeqScan{}, &IndexScan{}, &ValuesNode{}, &BatchSeqScan{}, &BatchFilter{},
 	&Filter{}, &Project{}, &Limit{}, &Sort{}, &Distinct{}, &Materialize{},
 	&HashAgg{}, &HashJoin{}, &NLJoin{}, &Gather{}, &Instrumented{}, &InstrumentedBatch{},
 	&ScalarSubquery{}, &ExistsSubquery{}, &InSubquery{},

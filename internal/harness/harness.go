@@ -103,26 +103,6 @@ func warmBoth(stock, bee *engine.DB) error {
 	return bee.WarmUp()
 }
 
-// ytdViolation returns the first warehouse that breaks TPC-C consistency
-// condition 1 — w_ytd equals the sum of its districts' d_ytd, within tol —
-// or 0 when all hold.
-func ytdViolation(db *engine.DB, warehouses int, tol float64) (int, error) {
-	for w := 1; w <= warehouses; w++ {
-		wr, err := db.Query(fmt.Sprintf("select w_ytd from warehouse where w_id = %d", w))
-		if err != nil || len(wr.Rows) != 1 {
-			return 0, fmt.Errorf("w_ytd probe: %v", err)
-		}
-		dr, err := db.Query(fmt.Sprintf("select sum(d_ytd) from district where d_w_id = %d", w))
-		if err != nil || len(dr.Rows) != 1 {
-			return 0, fmt.Errorf("d_ytd probe: %v", err)
-		}
-		if math.Abs(wr.Rows[0][0].Float64()-dr.Rows[0][0].Float64()) > tol {
-			return w, nil
-		}
-	}
-	return 0, nil
-}
-
 // BuildTPCHPair loads identical TPC-H data into a stock and a
 // bee-enabled database.
 func BuildTPCHPair(o Options) (stock, bee *engine.DB, err error) {

@@ -127,14 +127,14 @@ func (r KillRecoverRound) bad() bool {
 type KillRecoverTPCC struct {
 	Txns      int // committed before the kill
 	NewOrders int // committed NewOrder transactions (each inserts one order)
-	// Violations; all false on a correct run.
-	YtdViolation    bool // w_ytd != sum(d_ytd) after recovery
-	OrdersViolation bool // committed orders missing or ghosts present
+	// Violations; all zero on a correct run.
+	Inconsistent    string // the consistency conditions tpcc.Check found broken after recovery
+	OrdersViolation bool   // committed orders missing or ghosts present
 	Err             string
 }
 
 func (r KillRecoverTPCC) bad() bool {
-	return r.YtdViolation || r.OrdersViolation || r.Err != ""
+	return r.Inconsistent != "" || r.OrdersViolation || r.Err != ""
 }
 
 // KillRecoverReport is one run's full account. The TPC-C phase runs
@@ -327,8 +327,8 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 // runKillRecoverTPCC loads TPC-C on a durable database, commits a seeded
 // stream — through the transaction bees when fused, stepwise otherwise —
 // kills mid-commit, recovers, and checks the benchmark's consistency
-// condition 1 (w_ytd = sum of d_ytd) plus exact durability of every
-// acknowledged NewOrder.
+// conditions (tpcc.Check) plus exact durability of every acknowledged
+// NewOrder.
 func runKillRecoverTPCC(o KillRecoverOptions, fused bool) KillRecoverTPCC {
 	res := KillRecoverTPCC{}
 	fail := func(format string, args ...any) KillRecoverTPCC {
@@ -388,11 +388,9 @@ func runKillRecoverTPCC(o KillRecoverOptions, fused bool) KillRecoverTPCC {
 	if err != nil {
 		return fail("recover: %v", err)
 	}
-	bad, err := ytdViolation(rdb, o.TPCCWarehouses, 1e-6)
-	if err != nil {
-		return fail("%v", err)
+	if err := tpcc.Check(rdb, o.TPCCWarehouses); err != nil {
+		res.Inconsistent = err.Error()
 	}
-	res.YtdViolation = bad != 0
 	// Every acknowledged NewOrder inserted exactly one order row; the
 	// killed transaction must not have.
 	if got := intCell(rdb, "select count(*) from orders"); got != baseOrders+int64(res.NewOrders) {
@@ -442,8 +440,8 @@ func (r KillRecoverReport) Format() string {
 		switch {
 		case m.res.Err != "":
 			status = "ERROR: " + m.res.Err
-		case m.res.YtdViolation:
-			status = "YTD-VIOLATION"
+		case m.res.Inconsistent != "":
+			status = "CONSISTENCY-VIOLATION: " + m.res.Inconsistent
 		case m.res.OrdersViolation:
 			status = "ORDERS-VIOLATION"
 		}

@@ -152,7 +152,7 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 	default:
 	}
 
-	if err := checkTPCCConsistency(db, o.Warehouses); err != nil {
+	if err := tpcc.Check(db, o.Warehouses); err != nil {
 		return TPCCTxnMode{}, fmt.Errorf("harness: %s mode: %w", mode, err)
 	}
 
@@ -182,29 +182,6 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 		m.ByType[t.String()] = TxnLatency{P50us: p[0], P95us: p[1]}
 	}
 	return m, nil
-}
-
-// checkTPCCConsistency asserts the TPC-C consistency conditions the
-// workload maintains: condition 1 (ytdViolation) and no order left
-// without order lines.
-func checkTPCCConsistency(db *engine.DB, warehouses int) error {
-	w, err := ytdViolation(db, warehouses, 1e-4)
-	if err != nil {
-		return err
-	}
-	if w != 0 {
-		return fmt.Errorf("consistency: warehouse %d w_ytd != sum(d_ytd)", w)
-	}
-	r, err := db.Query(`select count(*) from orders
-		where not exists (select * from order_line
-			where ol_w_id = o_w_id and ol_d_id = o_d_id and ol_o_id = o_id)`)
-	if err != nil {
-		return err
-	}
-	if n := r.Rows[0][0].Int64(); n != 0 {
-		return fmt.Errorf("consistency: %d orders without order lines", n)
-	}
-	return nil
 }
 
 // RunTPCCTxnBench runs both modes and assembles the report.

@@ -16,14 +16,14 @@ import (
 // children are regions where they can be, batches flow scan → join → join
 // unbroken, and batching ends only at the first row-only consumer.
 //
-// Rewrites:
+// Every region becomes its batch form wherever it sits:
 //
-//   - HashAgg(region)  → HashAgg(batch region)   (Q1/Q6, and every
-//     aggregate directly over a join); likewise each partition of a
-//     partial-aggregation Gather
-//   - region elsewhere → Rebatch(batch region) under the row-only
-//     consumer (Sort, Project, Limit, NLJoin); a region rooted in a
-//     HashJoin needs no adapter, the join's own Next serves rows
+//   - under a HashAgg (Q1/Q6, and every aggregate directly over a join),
+//     likewise each partition of a partial-aggregation Gather, the
+//     consumer reads batches;
+//   - under a row-only consumer (Sort, Project, Limit, NLJoin) the
+//     region's root — BatchSeqScan, BatchFilter or HashJoin — serves rows
+//     through its own Next, with no adapter between.
 //
 // Every scan is eligible: its deform routine has a batch form. A join or
 // an aggregation reads a row-only child (IndexScan, Project, subquery
@@ -43,17 +43,15 @@ func (p *Planner) batchify(n exec.Node) exec.Node {
 	return p.batchRewrite(n)
 }
 
-// batchRewrite rewrites the subtree under a row-only consumer.
+// batchRewrite returns the batch region n is, or else n with its children
+// rewritten.
 func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 	if bn := p.batchRegion(n); bn != nil {
-		if hj, ok := bn.(*exec.HashJoin); ok {
-			return hj
-		}
-		return &exec.Rebatch{Child: bn}
+		return bn
 	}
 	switch v := n.(type) {
 	case *exec.HashAgg:
-		v.Child = p.batchChild(v.Child)
+		v.Child = p.batchRewrite(v.Child)
 	case *exec.Filter:
 		v.Child = p.batchRewrite(v.Child)
 	case *exec.Project:
@@ -72,21 +70,12 @@ func (p *Planner) batchRewrite(n exec.Node) exec.Node {
 	case *exec.Gather:
 		// Each partition subplan batches independently: a partial
 		// aggregation's part is a bare batch region, a merge's part a
-		// Sort over a Rebatch.
+		// Sort over a batch region.
 		for i := range v.Parts {
-			v.Parts[i] = p.batchChild(v.Parts[i])
+			v.Parts[i] = p.batchRewrite(v.Parts[i])
 		}
 	}
 	return n
-}
-
-// batchChild rewrites one child of a batch consumer: the batch region
-// itself where the child is one, otherwise the rewritten row subtree.
-func (p *Planner) batchChild(n exec.Node) exec.Node {
-	if bn := p.batchRegion(n); bn != nil {
-		return bn
-	}
-	return p.batchRewrite(n)
 }
 
 // batchRegion converts a Filter* chain over a SeqScan or a HashJoin into
@@ -103,12 +92,11 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 			filters = append(filters, v)
 			n = v.Child
 		case *exec.HashJoin:
-			v.Outer = p.batchChild(v.Outer)
-			v.Inner = p.batchChild(v.Inner)
+			v.Outer = p.batchRewrite(v.Outer)
+			v.Inner = p.batchRewrite(v.Inner)
 			return p.batchFilters(v, filters)
 		case *exec.SeqScan:
 			bs := exec.NewBatchSeqScan(v.Heap, v.Deform)
-			bs.NoteDeforms = v.NoteDeforms
 			bs.Range = v.Range
 			bs.Partial = v.Partial
 			bs.Bounds = v.Bounds
@@ -123,7 +111,6 @@ func (p *Planner) batchRegion(n exec.Node) exec.BatchNode {
 				if fp := f.Prog.Fused(v.Deform); fp != nil {
 					bs.Fused = fp
 					bs.FusedPred = f.Pred
-					bs.NoteFused = f.NoteCalls
 					bs.FusedBee = f.Prog.Bee()
 					filters = filters[:k]
 				}
@@ -141,7 +128,7 @@ func (p *Planner) batchFilters(node exec.BatchNode, filters []*exec.Filter) exec
 	for j := len(filters) - 1; j >= 0; j-- {
 		f := filters[j]
 		node = &exec.BatchFilter{Child: node, Pred: f.Pred,
-			Bee: f.Prog.Bee(), Compiled: f.Prog.Batch(), NoteCalls: f.NoteCalls}
+			Bee: f.Prog.Bee(), Compiled: f.Prog.Batch()}
 	}
 	return node
 }

@@ -65,8 +65,9 @@ func actuals(n exec.Node) string {
 			in.Rows, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
 	case *exec.InstrumentedBatch:
 		if in.Batches == 0 && in.Rows > 0 {
-			// Rows but no batches: drained row by row (a join under a
-			// row-only consumer, or any join of a tuple-path plan).
+			// Rows but no batches: drained row by row (a batch region's
+			// root under a row-only consumer, or any join of a
+			// tuple-path plan).
 			return fmt.Sprintf(" (actual rows=%d loops=%d%s time=%.3fms)",
 				in.Rows, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
 		}
@@ -103,7 +104,7 @@ func describe(n exec.Node) string {
 	switch v := n.(type) {
 	case *exec.SeqScan:
 		bee := ""
-		if v.NoteDeforms != nil {
+		if v.Deform.Bee != nil {
 			bee = " [GCL]"
 		}
 		if v.Partial {
@@ -113,7 +114,7 @@ func describe(n exec.Node) string {
 		return fmt.Sprintf("SeqScan %s %s%s", v.Heap.Rel.Name, scanCols(v.Heap.Rel, v.Schema()), bee)
 	case *exec.BatchSeqScan:
 		bee := ""
-		if v.NoteDeforms != nil {
+		if v.Deform.Bee != nil {
 			bee = " [GCL]"
 		}
 		fused := ""
@@ -133,8 +134,6 @@ func describe(n exec.Node) string {
 			bee = " [EVP]"
 		}
 		return fmt.Sprintf("BatchFilter %s%s", v.Pred, bee)
-	case *exec.Rebatch:
-		return "Rebatch"
 	case *exec.IndexScan:
 		if len(v.KeyExprs) > 0 {
 			keys := make([]string, len(v.KeyExprs))

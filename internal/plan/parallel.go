@@ -62,13 +62,12 @@ func (p *Planner) buildParts(r *scanRegion) []exec.Node {
 	parts := make([]exec.Node, len(ranges))
 	for i, pr := range ranges {
 		scan := exec.NewSeqScanRange(r.scan.Heap, r.scan.Deform, pr)
-		scan.NoteDeforms = r.scan.NoteDeforms
 		scan.Bounds = r.scan.Bounds
 		var node exec.Node = scan
 		for j := len(r.filters) - 1; j >= 0; j-- {
 			f := r.filters[j]
 			node = &exec.Filter{Child: node, Pred: f.Pred,
-				Prog: f.Prog, Compiled: f.Prog.Row(), NoteCalls: f.NoteCalls}
+				Prog: f.Prog, Compiled: f.Prog.Row()}
 		}
 		parts[i] = node
 	}
@@ -179,7 +178,6 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 		GroupBy:  agg.GroupBy,
 		Aggs:     agg.Aggs,
 		PartAggs: partAggs,
-		NoteEVA:  agg.NoteEVA,
 	}
 }
 

@@ -97,22 +97,14 @@ func (p *Planner) scanFor(rel *catalog.Relation, atts []int) (*exec.SeqScan, err
 	if err != nil {
 		return nil, err
 	}
-	scan := exec.NewSeqScan(h, deform)
-	if p.Mod.Routines().GCL {
-		scan.NoteDeforms = p.Mod.NoteGCLCall
-	}
-	return scan, nil
+	return exec.NewSeqScan(h, deform), nil
 }
 
 // filterOver wraps child in a Filter on pred, carrying pred's EVP program
-// and its row form where the bee module provides them. A counted filter
-// reports its EVP invocations to the module's call statistics.
-func (p *Planner) filterOver(child exec.Node, pred expr.Expr, counted bool) *exec.Filter {
-	f := &exec.Filter{Child: child, Pred: pred, Prog: p.Mod.CompilePredicate(pred)}
-	if f.Compiled = f.Prog.Row(); f.Compiled != nil && counted {
-		f.NoteCalls = p.Mod.NoteEVPCall
-	}
-	return f
+// and its row form where the bee module provides them.
+func (p *Planner) filterOver(child exec.Node, pred expr.Expr) *exec.Filter {
+	prog := p.Mod.CompilePredicate(pred)
+	return &exec.Filter{Child: child, Pred: pred, Prog: prog, Compiled: prog.Row()}
 }
 
 // compileQual returns the EVP row form and the bee handle of a join qual;
@@ -132,10 +124,7 @@ func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, k
 		Type: jt, Residual: residual, Est: est,
 	}
 	hj.ResidualCompiled, hj.ResidualBee = p.compileQual(residual)
-	if evj, ok := p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes); ok {
-		hj.EVJ = evj
-		hj.NoteEVJ = p.Mod.NoteEVJCall
-	}
+	hj.EVJ, _ = p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes)
 	return hj
 }
 

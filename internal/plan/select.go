@@ -252,7 +252,7 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 		}
 	}
 	if len(postExprs) > 0 {
-		ts.node = p.filterOver(ts.node, conjunction(postExprs), true)
+		ts.node = p.filterOver(ts.node, conjunction(postExprs))
 	}
 
 	if body != nil {
@@ -282,10 +282,10 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 		if seq, ok := it.node.(*exec.SeqScan); ok {
 			seq.Bounds = scanBounds(seq, kids, nil)
 		}
-		it.node = sp.p.filterOver(it.node, conjunction(kids), true)
+		it.node = sp.p.filterOver(it.node, conjunction(kids))
 	}
 	if len(it.in) > 0 {
-		it.node = sp.p.filterOver(it.node, conjunction(it.in), true)
+		it.node = sp.p.filterOver(it.node, conjunction(it.in))
 	}
 	if k := len(it.filters) + len(it.in); k > 0 {
 		it.est = filteredEst(it.est, k, pinned)
@@ -529,7 +529,7 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 		leftovers = append(leftovers, l)
 	}
 	if len(leftovers) > 0 {
-		ts.node = sp.p.filterOver(ts.node, conjunction(leftovers), false)
+		ts.node = sp.p.filterOver(ts.node, conjunction(leftovers))
 	}
 	return ts, nil
 }
@@ -716,7 +716,7 @@ func (sp *selectPlan) finishSelect(sel *sql.Select, ts *treeState) (exec.Node, *
 			if err != nil {
 				return nil, nil, err
 			}
-			curNode = p.filterOver(curNode, pred, false)
+			curNode = p.filterOver(curNode, pred)
 		}
 	}
 
@@ -943,12 +943,6 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 		postCols = append(postCols, column{name: a.Name, t: a.ResultType()})
 	}
 	agg := &exec.HashAgg{Child: ts.node, GroupBy: groupExprs, Aggs: aggs}
-	for i := range aggs {
-		if aggs[i].CompiledBatchArg != nil {
-			agg.NoteEVA = p.Mod.NoteEVACall
-			break
-		}
-	}
 	post := sp.newScope(postCols)
 	post.subst = subst
 	return agg, post, nil

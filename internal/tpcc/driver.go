@@ -120,26 +120,6 @@ func (d *Driver) RunOne() (TxnType, error) {
 	return t, d.Exec.Run(t)
 }
 
-// RunFor executes transactions until the wall-clock duration elapses.
-func (d *Driver) RunFor(dur time.Duration) (Stats, error) {
-	var st Stats
-	start := time.Now()
-	for time.Since(start) < dur {
-		t, err := d.RunOne()
-		if err != nil {
-			if errors.Is(err, ErrRollback) {
-				st.RolledBack++
-				continue
-			}
-			return st, err
-		}
-		st.Committed++
-		st.ByType[t]++
-	}
-	st.Elapsed = time.Since(start)
-	return st, nil
-}
-
 // RunN executes exactly n transactions (committed or rolled back).
 func (d *Driver) RunN(n int) (Stats, error) {
 	var st Stats

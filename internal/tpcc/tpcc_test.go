@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"microspec/internal/core"
@@ -290,8 +291,9 @@ func TestPaymentByLastName(t *testing.T) {
 }
 
 func TestWarehouseYtdConsistency(t *testing.T) {
-	// Invariant (TPC-C consistency condition 1): w_ytd equals the sum of
-	// its districts' d_ytd after any number of payments.
+	// Invariant (TPC-C consistency condition 1, with 2–4 checked beside
+	// it): w_ytd equals the sum of its districts' d_ytd after any number
+	// of payments.
 	db := smallDB(t, core.AllRoutines)
 	ex := NewExecutor(db, SmallConfig(1), 31)
 	for i := 0; i < 50; i++ {
@@ -299,11 +301,39 @@ func TestWarehouseYtdConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w, _ := db.Query("select w_ytd from warehouse where w_id = 1")
-	d, _ := db.Query("select sum(d_ytd) from district where d_w_id = 1")
-	diff := w.Rows[0][0].Float64() - d.Rows[0][0].Float64()
-	if diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("w_ytd %v != sum(d_ytd) %v", w.Rows[0][0], d.Rows[0][0])
+	if err := Check(db, 1); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckReportsEachCondition breaks each consistency condition in a
+// different district of a freshly loaded database, which Check passes,
+// and expects Check to name every one.
+func TestCheckReportsEachCondition(t *testing.T) {
+	db := smallDB(t, core.AllRoutines)
+	if err := Check(db, 1); err != nil {
+		t.Fatalf("a fresh load: %v", err)
+	}
+	for _, stmt := range []string{
+		"update warehouse set w_ytd = w_ytd + 1 where w_id = 1",
+		"update district set d_next_o_id = d_next_o_id + 1 where d_w_id = 1 and d_id = 2",
+		"delete from new_order where no_w_id = 1 and no_d_id = 3 and no_o_id = 55",
+		"update orders set o_ol_cnt = o_ol_cnt + 1 where o_w_id = 1 and o_d_id = 4 and o_id = 1",
+		"delete from order_line where ol_w_id = 1 and ol_d_id = 5 and ol_o_id = 1",
+	} {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	err := Check(db, 1)
+	if err == nil {
+		t.Fatal("Check passed a database that breaks every condition")
+	}
+	for _, want := range []string{"condition 1: warehouse 1", "condition 2: district 1/2", "condition 3: district 1/3",
+		"condition 4: district 1/4", "condition 4: district 1/5", "1 orders without order lines"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Check's report lacks %q:\n%v", want, err)
+		}
 	}
 }
 

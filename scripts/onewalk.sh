@@ -49,7 +49,7 @@ fi
 src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' \
     ! -path './internal/exec/walk.go' ! -path './internal/plan/explain.go' \
     ! -path './internal/plan/batch.go' ! -path './internal/plan/parallel.go')
-hits=$(awk -v types='Instrumented|InstrumentedBatch|Rebatch|BatchFilter|Filter|Project|Limit|Sort|Distinct|Materialize|HashAgg|HashJoin|NLJoin|Gather' '
+hits=$(awk -v types='Instrumented|InstrumentedBatch|BatchFilter|Filter|Project|Limit|Sort|Distinct|Materialize|HashAgg|HashJoin|NLJoin|Gather' '
 FNR == 1 { fn = ""; arm = 0 }
 /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); arm = 0 }
 {
