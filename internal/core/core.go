@@ -57,7 +57,7 @@ type RoutineSet struct {
 	// EVA and IDX are the extensions the paper's §VIII names as future
 	// work: micro-specialized aggregation (compiled aggregate-input
 	// evaluation, see CompileScalar) and micro-specialized index-key
-	// comparison (see CompileIndexCmp).
+	// encoding (see CompileKeyEncoder).
 	EVA bool
 	IDX bool
 }
@@ -460,24 +460,6 @@ func (p Program) BatchScalar() CompiledBatchScalar {
 		}
 		return out
 	}
-}
-
-// CompileIndexCmp attempts to create an IDX bee: a key comparator with
-// the per-position kinds baked in, replacing the generic per-datum kind
-// dispatch in B+tree descents (the index analogue of the paper's §VIII
-// indexing target). The returned comparator handles prefix keys like
-// btree.Compare.
-func (m *Module) CompileIndexCmp(keyTypes []types.T) (func(a, b []types.Datum) int, bool) {
-	if !m.Routines().IDX || len(keyTypes) == 0 {
-		return nil, false
-	}
-	name := fmt.Sprintf("cmp%d", len(keyTypes))
-	if _, ok := m.reg.admit(kindIDX, name); !ok {
-		return nil, false
-	}
-	cmp := compileIndexCmp(keyTypes)
-	_, ok := m.reg.install(kindIDX, name, "IDX", 0, 0)
-	return cmp, ok
 }
 
 // BatchKeyHash is the batch form of an EVJ key hasher, in the style of

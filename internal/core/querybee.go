@@ -947,83 +947,3 @@ func compileBatchKeyHash(idx []int, byVal []bool) BatchKeyHash {
 		return out
 	}
 }
-
-// compileIndexCmp builds the IDX comparator: per-position comparison
-// variants selected once at bee creation, with prefix semantics matching
-// btree.Compare (shorter keys bound longer ones).
-func compileIndexCmp(keyTypes []types.T) func(a, b []types.Datum) int {
-	byVal := make([]bool, len(keyTypes))
-	for i, t := range keyTypes {
-		byVal[i] = t.ByValue()
-	}
-	// Single by-value key: the dominant shape (integer primary keys).
-	if len(byVal) == 1 && byVal[0] {
-		return func(a, b []types.Datum) int {
-			if len(a) == 0 || len(b) == 0 {
-				return len(a) - len(b)
-			}
-			x, y := a[0], b[0]
-			if x.IsNull() || y.IsNull() {
-				return nullCmp(x, y)
-			}
-			switch {
-			case x.I < y.I:
-				return -1
-			case x.I > y.I:
-				return 1
-			}
-			return cmpLen(a, b)
-		}
-	}
-	return func(a, b []types.Datum) int {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		for i := 0; i < n; i++ {
-			x, y := a[i], b[i]
-			if x.IsNull() || y.IsNull() {
-				if c := nullCmp(x, y); c != 0 {
-					return c
-				}
-				continue
-			}
-			if byVal[i] {
-				switch {
-				case x.I < y.I:
-					return -1
-				case x.I > y.I:
-					return 1
-				}
-				continue
-			}
-			if c := x.Compare(y); c != 0 {
-				return c
-			}
-		}
-		return cmpLen(a, b)
-	}
-}
-
-func nullCmp(x, y types.Datum) int {
-	xn, yn := x.IsNull(), y.IsNull()
-	switch {
-	case xn && yn:
-		return 0
-	case xn:
-		return -1
-	default:
-		return 1
-	}
-}
-
-func cmpLen(a, b []types.Datum) int {
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}

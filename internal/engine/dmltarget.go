@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"microspec/internal/catalog"
 	"microspec/internal/core"
@@ -53,11 +54,12 @@ type dmlTarget struct {
 	cols []int
 	rows [][]expr.Expr
 
-	// tree is the index to probe (nil: heap scan); keyExprs/keyTypes feed
-	// exec.ProbeKey.
+	// tree is the index to probe (nil: heap scan); keyExprs/keyTypes and
+	// the index's encoder enc feed exec.ProbeKey.
 	tree     *btree.Tree
 	keyExprs []expr.Expr
 	keyTypes []types.T
+	enc      core.KeyEncoder
 
 	// own is the latch plan of an auto-commit run: this table, exclusive.
 	// (Inside a PREPARE TRANSACTION body the unit's plan holds the latch.)
@@ -133,8 +135,7 @@ func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, erro
 			return nil, err
 		}
 		if probe, ok := pl.EqProbeFor(rel, t.where); ok {
-			t.tree, t.keyExprs, t.keyTypes = probe.Index.Tree, probe.KeyExprs, probe.KeyTypes
-			t.key = make(btree.Key, 0, len(t.keyExprs))
+			t.tree, t.keyExprs, t.keyTypes, t.enc = probe.Index.Tree, probe.KeyExprs, probe.KeyTypes, probe.Index.Enc
 		}
 	}
 	for _, name := range names {
@@ -193,11 +194,22 @@ func storable(attr *catalog.Attribute, k types.Kind) error {
 }
 
 // assign evaluates one row's expressions into dst at the target's columns.
+// A DOUBLE assigned to an integral column becomes the integer it rounds
+// to, as PostgreSQL's assignment cast makes it: the tuple former and the
+// index key encoder read an integral column's datums as integers.
 func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) error {
 	for j, e := range exprs {
 		d := e.Eval(row, &t.ectx)
-		if err := storable(&t.tab.rel.Attrs[t.cols[j]], d.Kind()); err != nil {
+		attr := &t.tab.rel.Attrs[t.cols[j]]
+		if err := storable(attr, d.Kind()); err != nil {
 			return err
+		}
+		if d.Kind() == types.KindFloat64 && attr.Type.Kind != types.KindFloat64 {
+			f := math.RoundToEven(d.Float64())
+			if !(f >= math.MinInt64 && f < math.MaxInt64) {
+				return fmt.Errorf("engine: column %s is %s, cannot store %v", attr.Name, attr.Type, d.Float64())
+			}
+			d = types.MakeNumeric(int64(f), attr.Type.Kind)
 		}
 		dst[t.cols[j]] = d
 	}
@@ -304,7 +316,9 @@ func (t *dmlTarget) collect(snap *txn.Snapshot, prof *profile.Counters) error {
 	obs := t.db.obs
 	if t.tree != nil {
 		var match exec.KeyMatch
-		t.key, match = exec.ProbeKey(t.key[:0], t.keyExprs, t.keyTypes, &t.ectx)
+		// t.values is free until the versions are considered: the key's
+		// datums are built in it.
+		t.key, match = exec.ProbeKey(t.key[:0], t.values, t.enc, t.keyExprs, t.keyTypes, &t.ectx)
 		if match != exec.KeyNeedsScan {
 			obs.dmlIndexProbes.Inc()
 			if match == exec.KeyMatchesNothing {

@@ -3,11 +3,14 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"microspec/internal/core"
+	"microspec/internal/expr"
 	"microspec/internal/sql"
+	"microspec/internal/storage/heap"
 	"microspec/internal/txn"
 	"microspec/internal/types"
 )
@@ -164,7 +167,7 @@ func TestProbeKeyAcrossKeyKinds(t *testing.T) {
 				fmt.Sprintf("insert into %s values ('abc', 0)", tbl))
 		}
 		cases := []struct{ a, b, where string }{
-			{"fk", "fs", "k = 3"}, {"fk", "fs", "k = 0"}, {"fk", "fs", "k = -2"},
+			{"fk", "fs", "k = 3"}, {"fk", "fs", "k = 0"}, {"fk", "fs", "k = -0.0"}, {"fk", "fs", "k = -2"},
 			{"fk", "fs", "k = 3.5"}, {"fk", "fs", "k = 4"},
 			{"ck", "cs", "k = 'ab'"}, {"ck", "cs", "k = 'ab    '"}, {"ck", "cs", "k = 'abcd'"},
 			{"vk", "vs", "k = 'ab'"}, {"vk", "vs", "k = 'ab '"}, {"vk", "vs", "k = 'abc'"},
@@ -183,6 +186,130 @@ func TestProbeKeyAcrossKeyKinds(t *testing.T) {
 				t.Errorf("bees=%v %s: indexed update %d, select %d, unindexed update %d",
 					rs != core.Stock, c.where, na, qa, nb)
 			}
+		}
+	}
+}
+
+// TestProbeKeyDoubleZeros: on a DOUBLE key, k = 0, k = -0.0 and k = $1
+// bound to either zero find what the unindexed twin finds, and each goes
+// through the index: the key encoding writes -0 as +0, so no zero needs
+// the scan fallback.
+func TestProbeKeyDoubleZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := newDB(t, rs)
+		mustExec(t, db,
+			"create table fk (k double not null, v integer not null, primary key (k))",
+			"create table fs (k double not null, v integer not null)")
+		for _, tbl := range []string{"fk", "fs"} {
+			mustExec(t, db, fmt.Sprintf("insert into %s values (-1.0, 0)", tbl),
+				fmt.Sprintf("insert into %s values (0.0, 0)", tbl),
+				fmt.Sprintf("insert into %s values (1.0, 0)", tbl))
+		}
+		count := func(tbl, where string, args ...types.Datum) int {
+			t.Helper()
+			st, err := db.Prepare(fmt.Sprintf("select v from %s where %s", tbl, where))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			r, err := st.Query(args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(r.Rows)
+		}
+		bees := rs != core.Stock
+		for _, c := range []struct {
+			where string
+			args  []types.Datum
+		}{
+			{"k = 0", nil}, {"k = -0.0", nil}, {"k = 0.0", nil},
+			{"k = $1", []types.Datum{types.NewFloat64(0)}},
+			{"k = $1", []types.Datum{types.NewFloat64(negZero)}},
+			{"k = $1", []types.Datum{types.NewInt64(0)}},
+		} {
+			if a, b := count("fk", c.where, c.args...), count("fs", c.where, c.args...); a != 1 || b != 1 {
+				t.Errorf("bees=%v select %s %v: indexed %d rows, unindexed %d, want 1", bees, c.where, c.args, a, b)
+			}
+			probes0, scans0, _ := dmlCounters(db)
+			upd, err := db.Prepare("update fk set v = v + 1 where " + c.where)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := upd.Exec(c.args...)
+			upd.Close()
+			if err != nil || n != 1 {
+				t.Errorf("bees=%v update %s %v: n=%d err=%v, want 1", bees, c.where, c.args, n, err)
+			}
+			if probes, scans, _ := dmlCounters(db); probes != probes0+1 || scans != scans0 {
+				t.Errorf("bees=%v update %s %v: probes %d → %d, scans %d → %d: want one index probe", bees, c.where, c.args, probes0, probes, scans0, scans)
+			}
+		}
+		// NaN still takes the scan: Datum.Compare calls it equal to
+		// everything.
+		_, scans0, _ := dmlCounters(db)
+		upd, err := db.Prepare("update fk set v = v + 1 where k = $1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer upd.Close()
+		if _, err := upd.Exec(types.NewFloat64(math.NaN())); err != nil {
+			t.Fatal(err)
+		}
+		if _, scans, _ := dmlCounters(db); scans != scans0+1 {
+			t.Errorf("bees=%v NaN key: seq_scans %d → %d, want one scan", bees, scans0, scans)
+		}
+	}
+}
+
+// TestDoubleKeyNegativeZeroIsDuplicate: 0.0 and -0.0 are one key. With
+// bees on, the IDX comparator once ordered DOUBLE keys by their raw bits
+// read as an integer, so a primary key accepted both zeros.
+func TestDoubleKeyNegativeZeroIsDuplicate(t *testing.T) {
+	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := newDB(t, rs)
+		mustExec(t, db, "create table t (k double, v integer, primary key (k))",
+			"insert into t values (0.0, 1)")
+		ins, err := db.Prepare("insert into t values ($1, 2)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ins.Exec(types.NewFloat64(math.Copysign(0, -1)))
+		ins.Close()
+		if err == nil || !strings.Contains(err.Error(), "duplicate key") {
+			t.Errorf("bees=%v: inserting -0.0 beside 0.0: %v, want a duplicate key", rs != core.Stock, err)
+		}
+		if _, err := db.Exec("insert into t values (-0.0, 3)"); err == nil || !strings.Contains(err.Error(), "duplicate key") {
+			t.Errorf("bees=%v: inserting the literal -0.0 beside 0.0: %v, want a duplicate key", rs != core.Stock, err)
+		}
+		if got := intResult(t, db, "select count(*) from t"); got != 1 {
+			t.Errorf("bees=%v: %d rows, want 1", rs != core.Stock, got)
+		}
+	}
+}
+
+// TestDoubleKeyRangeScan: a range read over a DOUBLE key with negative
+// and positive keys returns the keys in the range in numeric order. With
+// bees on, the raw-bits comparator sorted every negative key after the
+// positive ones, and the read over [-2.5, 1.5] returned [-3 1].
+func TestDoubleKeyRangeScan(t *testing.T) {
+	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := newDB(t, rs)
+		mustExec(t, db, "create table t (k double, v integer, primary key (k))")
+		for _, k := range []string{"-3.0", "-2.0", "-1.0", "1.0", "2.0"} {
+			mustExec(t, db, "insert into t values ("+k+", 0)")
+		}
+		tx := db.Begin(nil)
+		var got []float64
+		err := tx.ScanIndexRange("t_pkey", []types.Datum{types.NewFloat64(-2.5)}, []types.Datum{types.NewFloat64(1.5)},
+			func(row expr.Row, _ heap.TID) bool {
+				got = append(got, row[0].Float64())
+				return true
+			})
+		_ = tx.Commit()
+		if err != nil || fmt.Sprint(got) != "[-2 -1 1]" {
+			t.Errorf("bees=%v: ScanIndexRange [-2.5, 1.5] = %v (%v), want [-2 -1 1]", rs != core.Stock, got, err)
 		}
 	}
 }
@@ -369,6 +496,12 @@ func TestPrepareDMLErrorsSurfaceAtPrepare(t *testing.T) {
 	}
 	if got := intResult(t, db, "select count(*) from dept"); got != 5 {
 		t.Errorf("dept has %d rows, want the 4 loaded and the one good insert", got)
+	}
+	// The double became the integer it holds: the tuple former reads an
+	// INTEGER column's datum as an integer, and once stored the raw bits
+	// of 9.0 as 0.
+	if got := intResult(t, db, "select count(*) from dept where d_id = 9"); got != 1 {
+		t.Errorf("%d rows with d_id 9, want the double 9 stored as 9", got)
 	}
 	if got := mustQuery(t, db, "select e_salary from emp where e_id = 1").Rows[0][0].Float64(); got != 7 {
 		t.Errorf("e_salary = %v, want 7", got)

@@ -159,6 +159,9 @@ type Index struct {
 	Rel  *catalog.Relation
 	Cols []int // attribute ordinals forming the key
 	Tree *btree.Tree
+	// Enc encodes the index's keys: the IDX bee on a bee-enabled
+	// database, the generic encoder otherwise.
+	Enc core.KeyEncoder
 }
 
 // Open creates an empty database.
@@ -216,7 +219,7 @@ func Open(cfg Config) *DB {
 			}
 			metas := make([]plan.IndexMeta, len(tab.indexes))
 			for i, ix := range tab.indexes {
-				metas[i] = plan.IndexMeta{Name: ix.Name, Cols: ix.Cols, Tree: ix.Tree, Latch: &tab.latch}
+				metas[i] = plan.IndexMeta{Name: ix.Name, Cols: ix.Cols, Tree: ix.Tree, Enc: ix.Enc, Latch: &tab.latch}
 			}
 			return metas
 		},

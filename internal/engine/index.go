@@ -24,8 +24,10 @@ import (
 // stamped xid and files it under its key in every index. A refused row
 // stores nothing. It records no undo and observes nothing: insertRowLocked
 // and applyUpdateLocked wrap it for transactions, BulkLoad calls it as it
-// is. The returned keys are the ones filed. Caller holds tab's latch
-// exclusively, or db.mu exclusively.
+// is. The returned keys are the ones filed, each encoded by its index's
+// encoder into an allocation of its own size: values may alias caller
+// buffers or a pinned page, and the key shares no memory with them. Caller
+// holds tab's latch exclusively, or db.mu exclusively.
 func (db *DB) storeLocked(tab *table, values, old []types.Datum, xid uint64, prof *profile.Counters) (heap.TID, []btree.Key, error) {
 	tup, err := tab.form(values, prof)
 	if err != nil {
@@ -33,11 +35,13 @@ func (db *DB) storeLocked(tab *table, values, old []types.Datum, xid uint64, pro
 	}
 	keys := make([]btree.Key, len(tab.indexes))
 	for i, ix := range tab.indexes {
-		keys[i] = ownedKey(values, ix.Cols)
+		if keys[i], err = ix.Enc(nil, values, ix.Cols); err != nil {
+			return heap.TID{}, nil, err
+		}
 		if old != nil && !keyChanged(old, values, ix.Cols) {
 			continue
 		}
-		if err := db.uniqueConflict(tab.heap, ix, keys[i], xid); err != nil {
+		if err := db.uniqueConflict(tab.heap, ix, keys[i], values, xid); err != nil {
 			return heap.TID{}, nil, err
 		}
 	}
@@ -53,7 +57,8 @@ func (db *DB) storeLocked(tab *table, values, old []types.Datum, xid uint64, pro
 
 // uniqueConflict is the one uniqueness rule: it reports whether filing key
 // in ix would violate ix's declared uniqueness from xid's point of view (nil
-// for an index not declared unique). The B+tree cannot decide it: it keeps
+// for an index not declared unique); values is the row key was encoded
+// from, for the error. The B+tree cannot decide it: it keeps
 // one entry per version, and dead versions of a key linger until vacuum. The
 // check is deliberately dirty: an uncommitted insert of the same key by a
 // concurrent transaction is a write-write conflict (first-updater-wins — we
@@ -63,7 +68,7 @@ func (db *DB) storeLocked(tab *table, values, old []types.Datum, xid uint64, pro
 // txn.Frozen. The probe is part of the insert it guards and is not charged
 // as a descent of its own. Caller holds the table latch exclusively, or
 // db.mu exclusively.
-func (db *DB) uniqueConflict(h *heap.Heap, ix *Index, key btree.Key, xid uint64) error {
+func (db *DB) uniqueConflict(h *heap.Heap, ix *Index, key btree.Key, values []types.Datum, xid uint64) error {
 	if !ix.Tree.Unique {
 		return nil
 	}
@@ -97,35 +102,20 @@ func (db *DB) uniqueConflict(h *heap.Heap, ix *Index, key btree.Key, xid uint64)
 				// live and fail — first-updater-wins keeps this rare.
 			}
 		}
-		return fmt.Errorf("index %s: duplicate key %v", ix.Name, key)
+		dup := make([]types.Datum, len(ix.Cols))
+		for i, c := range ix.Cols {
+			dup[i] = values[c]
+		}
+		return fmt.Errorf("index %s: duplicate key %v", ix.Name, dup)
 	}
 	return nil
 }
 
-// ownedKey builds values' key over cols with the datums cloned: the key
-// goes into a tree, and values may alias caller buffers or a pinned page.
-func ownedKey(values []types.Datum, cols []int) btree.Key {
-	key := make(btree.Key, len(cols))
-	for i, c := range cols {
-		key[i] = exec.CloneDatum(values[c])
-	}
-	return key
-}
-
-// indexKey builds values' key over cols, aliasing values.
-func indexKey(values []types.Datum, cols []int) btree.Key {
-	key := make(btree.Key, len(cols))
-	for i, c := range cols {
-		key[i] = values[c]
-	}
-	return key
-}
-
 // newIndexLocked is the one index constructor, shared by the primary key,
-// CREATE INDEX, Respecialize and recovery: a B+tree over tab's cols with
-// the bee module's specialized key comparator (the IDX bee) installed, one
-// entry per tuple already in the heap, registered on the record and by
-// name. The backfill scans with a nil snapshot — latest committed — which
+// CREATE INDEX, Respecialize and recovery: a B+tree over tab's cols whose
+// keys the bee module's key encoder writes (the IDX bee, or the generic
+// encoder on stock), one entry per tuple already in the heap, registered
+// on the record and by name. The backfill scans with a nil snapshot — latest committed — which
 // is sound because the caller holds db.mu exclusively, so no transaction is
 // in flight. Versions deleted-and-committed get no entry: no snapshot that
 // could see them can exist either. Each entry passes the uniqueness rule
@@ -134,14 +124,11 @@ func (db *DB) newIndexLocked(tab *table, name string, cols []int, unique bool) e
 	if _, ok := db.indexes[name]; ok {
 		return fmt.Errorf("engine: index %q already exists", name)
 	}
-	ix := &Index{Name: name, Rel: tab.rel, Cols: cols, Tree: btree.New(name, unique)}
 	keyTypes := make([]types.T, len(cols))
 	for i, c := range cols {
 		keyTypes[i] = tab.rel.Attrs[c].Type
 	}
-	if cmp, ok := db.mod.CompileIndexCmp(keyTypes); ok {
-		ix.Tree.SetComparator(func(a, b btree.Key) int { return cmp(a, b) })
-	}
+	ix := &Index{Name: name, Rel: tab.rel, Cols: cols, Tree: btree.New(name, unique), Enc: db.mod.CompileKeyEncoder(keyTypes)}
 	values := make([]types.Datum, len(tab.rel.Attrs))
 	sc := tab.heap.Scan(nil, nil)
 	defer sc.Close()
@@ -151,8 +138,11 @@ func (db *DB) newIndexLocked(tab *table, name string, cols []int, unique bool) e
 			break
 		}
 		tab.deform(tup, values, len(values), nil)
-		key := ownedKey(values, cols)
-		if err := db.uniqueConflict(tab.heap, ix, key, txn.Frozen); err != nil {
+		key, err := ix.Enc(nil, values, cols)
+		if err != nil {
+			return err
+		}
+		if err := db.uniqueConflict(tab.heap, ix, key, values, txn.Frozen); err != nil {
 			return err
 		}
 		ix.Tree.Insert(key, tid, nil)

@@ -630,3 +630,53 @@ func TestGetByIndexAllocs(t *testing.T) {
 		_ = tx.Commit()
 	}
 }
+
+// TestPreparedProbeAllocs pins what a prepared point SELECT (IndexScan)
+// and a prepared primary-key UPDATE (the DML probe) allocate per
+// execution, once warm: both build their key through exec.ProbeKey into
+// scratch they keep, and the UPDATE files its new version's key in one
+// allocation of the key's size. Before index keys were bytes the counts
+// were 8 and 13.
+func TestPreparedProbeAllocs(t *testing.T) {
+	const maxSelect, maxUpdate = 8, 12
+	for _, routines := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := Open(Config{Routines: routines, PoolPages: 256})
+		mustExec(t, db, "create table pt (k integer not null, j integer not null, v integer not null, s varchar(16) not null, primary key (k, j))")
+		for k := 0; k < 64; k++ {
+			mustExec(t, db, fmt.Sprintf("insert into pt values (%d, 1, 0, 'x%d')", k, k))
+		}
+		sel, err := db.Prepare("select v, s from pt where k = $1 and j = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		upd, err := db.Prepare("update pt set v = v + 1 where k = $1 and j = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		query := func() {
+			i++
+			if r, err := sel.Query(types.NewInt64(int64(i % 64))); err != nil || len(r.Rows) != 1 {
+				t.Fatalf("select k = %d: %v, %v", i%64, r, err)
+			}
+		}
+		update := func() {
+			i++
+			if n, err := upd.Exec(types.NewInt64(int64(i % 64))); err != nil || n != 1 {
+				t.Fatalf("update k = %d: %d, %v", i%64, n, err)
+			}
+		}
+		for range 300 { // warm every scratch buffer
+			query()
+			update()
+		}
+		if got := testing.AllocsPerRun(500, query); got > maxSelect {
+			t.Errorf("bees=%v: a prepared point select allocates %v times, want at most %d", routines != core.Stock, got, maxSelect)
+		}
+		if got := testing.AllocsPerRun(500, update); got > maxUpdate {
+			t.Errorf("bees=%v: a prepared pk update allocates %v times, want at most %d", routines != core.Stock, got, maxUpdate)
+		}
+		sel.Close()
+		upd.Close()
+	}
+}

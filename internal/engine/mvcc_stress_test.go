@@ -115,7 +115,11 @@ func debugDumpKey(t *Txn, indexName string, key []types.Datum) string {
 	if err != nil {
 		return err.Error()
 	}
-	tids := exec.IndexWalk(nil, ix.Tree, key, key, &rel.latch, nil)
+	enc, err := ix.Enc(nil, key, nil)
+	if err != nil {
+		return err.Error()
+	}
+	tids := exec.IndexWalk(nil, ix.Tree, enc, enc, &rel.latch, nil)
 	var b []byte
 	b = fmt.Appendf(b, "snapshot self=%d; %d entries under key\n", t.id, len(tids))
 	for _, tid := range tids {

@@ -70,6 +70,11 @@ type Txn struct {
 	// takes it off the Txn while it visits, so a read nested in its fn
 	// gets a slice of its own.
 	tids []heap.TID
+	// keys is the scratch a read encodes its key bounds in (keyBounds),
+	// keyBuf its first backing array. The walk is done with the bounds
+	// before fn runs, so a read nested in fn may overwrite them.
+	keys   btree.Key
+	keyBuf [64]byte
 }
 
 // errTxnDone is returned by an operation on a transaction that already
@@ -342,7 +347,11 @@ func (t *Txn) LastByIndexPrefix(indexName string, prefix []types.Datum) (row exp
 	if err != nil {
 		return nil, heap.TID{}, false, err
 	}
-	err = t.readIndex(ix, tb, prefix, prefix, true, func(r expr.Row, at heap.TID) bool {
+	lo, hi, err := t.keyBounds(ix, prefix, prefix)
+	if err != nil {
+		return nil, heap.TID{}, false, err
+	}
+	err = t.readIndex(ix, tb, lo, hi, true, func(r expr.Row, at heap.TID) bool {
 		row, tid, ok = r, at, true
 		return false
 	})
@@ -364,7 +373,35 @@ func (t *Txn) ScanIndexRange(indexName string, lo, hi []types.Datum, fn func(row
 	if err != nil {
 		return err
 	}
-	return t.readIndex(ix, tb, lo, hi, false, fn)
+	loKey, hiKey, err := t.keyBounds(ix, lo, hi)
+	if err != nil {
+		return err
+	}
+	return t.readIndex(ix, tb, loKey, hiKey, false, fn)
+}
+
+// keyBounds encodes lo and hi, keys or key prefixes of ix in key order,
+// through ix's encoder into the Txn's scratch; hi costs nothing more when
+// it is the same slice as lo. The bounds hold until the next read.
+func (t *Txn) keyBounds(ix *Index, lo, hi []types.Datum) (btree.Key, btree.Key, error) {
+	if t.keys == nil {
+		t.keys = t.keyBuf[:0]
+	}
+	buf, err := ix.Enc(t.keys[:0], lo, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := len(buf)
+	if len(hi) != len(lo) || len(hi) > 0 && &hi[0] != &lo[0] {
+		if buf, err = ix.Enc(buf, hi, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	t.keys = buf
+	if len(buf) == n {
+		return buf, buf, nil
+	}
+	return buf[:n:n], buf[n:], nil
 }
 
 // readFirst is the one-row read behind GetByIndex and FirstByIndexPrefix,
@@ -374,12 +411,16 @@ func (t *Txn) ScanIndexRange(indexName string, lo, hi []types.Datum, fn func(row
 // snapshot sees — is the last entry under the key: that read visits in
 // reverse. Any other key walks forward and stops at the first visible
 // version (exec.IndexFirst), visiting as it walks.
-func (t *Txn) readFirst(indexName string, key btree.Key) (row expr.Row, tid heap.TID, ok bool, err error) {
+func (t *Txn) readFirst(indexName string, vals []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
 	ix, tb, err := t.indexFor(indexName)
 	if err != nil {
 		return nil, heap.TID{}, false, err
 	}
-	if ix.Tree.Unique && len(key) == len(ix.Cols) {
+	key, _, err := t.keyBounds(ix, vals, vals)
+	if err != nil {
+		return nil, heap.TID{}, false, err
+	}
+	if ix.Tree.Unique && len(vals) == len(ix.Cols) {
 		err = t.readIndex(ix, tb, key, key, true, func(r expr.Row, at heap.TID) bool {
 			row, tid, ok = r, at, true
 			return false

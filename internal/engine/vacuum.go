@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"microspec/internal/index/btree"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
 	"microspec/internal/types"
@@ -39,10 +40,17 @@ func (db *DB) maybeVacuumLocked(tab *table, prof *profile.Counters) {
 func (db *DB) vacuumTableLocked(tab *table, prof *profile.Counters) (int, error) {
 	horizon := db.tm.Horizon()
 	values := make([]types.Datum, len(tab.rel.Attrs))
+	var key btree.Key // one buffer every reclaimed version's keys are encoded in
 	collect := func(tid heap.TID, tup []byte) {
 		tab.deform(tup, values, len(values), prof)
 		for _, ix := range tab.indexes {
-			ix.Tree.Delete(indexKey(values, ix.Cols), tid, prof)
+			// A deformed version holds its columns' own kinds, which the
+			// encoder never refuses; were it to, the entry would stay and
+			// readers skip it (exec.IndexVisit finds the version gone).
+			var err error
+			if key, err = ix.Enc(key[:0], values, ix.Cols); err == nil {
+				ix.Tree.Delete(key, tid, prof)
+			}
 		}
 	}
 	n, pages, err := tab.heap.Vacuum(horizon, prof, collect)

@@ -21,6 +21,9 @@ func i64(v int64) types.Datum   { return types.NewInt64(v) }
 func f64(v float64) types.Datum { return types.NewFloat64(v) }
 func str(s string) types.Datum  { return types.NewString(s) }
 
+// intKey encodes the key of a one-INTEGER-column index.
+func intKey(v int) btree.Key { return btree.AppendInt(nil, int64(v)) }
+
 func vals(cols []ColInfo, rows ...expr.Row) *ValuesNode {
 	return &ValuesNode{Rows: rows, Cols: cols}
 }
@@ -486,7 +489,7 @@ func TestIndexScanNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree.Insert(btree.Key{i32(int32(i))}, tid, nil)
+		tree.Insert(intKey(i), tid, nil)
 	}
 	deform, err := m.ScanDeformer(rel, nil)
 	if err != nil {
@@ -497,7 +500,7 @@ func TestIndexScanNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Range scan [10, 14].
-	scan := NewIndexScan(h, tree, deform, btree.Key{i32(10)}, btree.Key{i32(14)}, false)
+	scan := NewIndexScan(h, tree, deform, intKey(10), intKey(14), false)
 	rows := mustCollect(t, scan)
 	if len(rows) != 5 || rows[0][0].Int32() != 10 || rows[4][1].Str() != "v14" {
 		t.Fatalf("range scan: %v", rows)

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 
+	"microspec/internal/core"
 	"microspec/internal/expr"
 	"microspec/internal/index/btree"
 	"microspec/internal/types"
@@ -33,19 +34,25 @@ const maxExactFloat = 1 << 53
 
 // ProbeKey is the one probe-key builder, shared by IndexScan.Open and the
 // engine's compiled UPDATE/DELETE: it evaluates the row-independent key
-// expressions (constants, $n slots) and converts each value losslessly to
-// its key column's kind, appending to dst. The conversion is what makes an
-// index probe agree with the predicate it stands in for under every
-// comparator: the IDX bee compares by-value key positions on the raw
-// representation, so a DOUBLE 2.0 probing an INTEGER column must become
-// the integer 2 first — left as a double it finds nothing.
-func ProbeKey(dst btree.Key, keyExprs []expr.Expr, keyTypes []types.T, ctx *expr.Ctx) (btree.Key, KeyMatch) {
+// expressions (constants, $n slots) into vals, scratch of len(keyExprs)
+// datums, converts each value losslessly to its key column's kind, and
+// appends the key the index's encoder enc writes for them to dst. The
+// conversion is what makes an index probe agree with the predicate it
+// stands in for: the encoder writes each column in its own class and
+// refuses a datum of another, so a DOUBLE 2.0 probing an INTEGER column
+// must become the integer 2 first, and a value no key of the column
+// equals (2.5, NULL) must be answered without the index.
+func ProbeKey(dst btree.Key, vals []types.Datum, enc core.KeyEncoder, keyExprs []expr.Expr, keyTypes []types.T, ctx *expr.Ctx) (btree.Key, KeyMatch) {
 	for i, e := range keyExprs {
 		d, m := probeDatum(e.Eval(nil, ctx), keyTypes[i].Kind)
 		if m != KeyExact {
 			return dst, m
 		}
-		dst = append(dst, d)
+		vals[i] = d
+	}
+	dst, err := enc(dst, vals[:len(keyExprs)], nil)
+	if err != nil {
+		return dst, KeyNeedsScan
 	}
 	return dst, KeyExact
 }
@@ -83,24 +90,23 @@ func probeDatum(d types.Datum, col types.Kind) (types.Datum, KeyMatch) {
 	case types.KindFloat64:
 		switch d.Kind() {
 		case types.KindFloat64:
-			// NaN compares equal to everything under Datum.Compare, and the
-			// two zeros are equal with different bits.
-			if f := d.Float64(); f != f || f == 0 {
+			// NaN compares equal to everything under Datum.Compare; the key
+			// encoding has one NaN above +Inf. (-0 is encoded as +0.)
+			if f := d.Float64(); f != f {
 				return d, KeyNeedsScan
 			}
 			return d, KeyExact
 		case types.KindInt32, types.KindInt64, types.KindDate, types.KindBool:
 			v := d.Int64()
-			if v == 0 || v < -maxExactFloat || v > maxExactFloat {
+			if v < -maxExactFloat || v > maxExactFloat {
 				return d, KeyNeedsScan
 			}
 			return types.NewFloat64(float64(v)), KeyExact
 		}
 		return d, KeyNeedsScan
 	case types.KindChar, types.KindVarchar:
-		// Character kinds compare through Datum.Compare under every
-		// comparator (CHAR padding trimmed per operand), so the value
-		// probes as it is.
+		// Character kinds encode as Datum.Compare compares them (CHAR
+		// padding trimmed per operand), so the value probes as it is.
 		if k := d.Kind(); k == types.KindChar || k == types.KindVarchar {
 			return d, KeyExact
 		}

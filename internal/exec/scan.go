@@ -196,9 +196,10 @@ type IndexScan struct {
 	// types, which ProbeKey converts each value to. A value equality
 	// cannot match (NULL, 2.5 against an INTEGER) makes the scan empty; one
 	// that cannot be converted makes it walk the whole index and leave the
-	// decision to the filter above it.
+	// decision to the filter above it. KeyEnc is the index's key encoder.
 	KeyExprs []expr.Expr
 	KeyTypes []types.T
+	KeyEnc   core.KeyEncoder
 	// Reverse returns rows in descending key order (materialized).
 	Reverse bool
 	// Latch, when set, is the owning table's latch, held in shared mode
@@ -207,10 +208,11 @@ type IndexScan struct {
 	// against the snapshot.
 	Latch *sync.RWMutex
 
-	tids []heap.TID
-	pos  int
-	buf  expr.Row
-	cols []ColInfo
+	tids    []heap.TID
+	pos     int
+	buf     expr.Row
+	keyVals []types.Datum // ProbeKey's scratch
+	cols    []ColInfo
 }
 
 // NewIndexScan builds an index scan emitting the attributes deform reads.
@@ -230,11 +232,11 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		s.buf = make(expr.Row, len(s.cols))
 	}
 	if len(s.KeyExprs) > 0 {
-		if s.Lo == nil {
-			s.Lo = make(btree.Key, 0, len(s.KeyExprs))
+		if s.keyVals == nil {
+			s.keyVals = make([]types.Datum, len(s.KeyExprs))
 		}
 		var match KeyMatch
-		s.Lo, match = ProbeKey(s.Lo[:0], s.KeyExprs, s.KeyTypes, &ctx.Expr)
+		s.Lo, match = ProbeKey(s.Lo[:0], s.keyVals, s.KeyEnc, s.KeyExprs, s.KeyTypes, &ctx.Expr)
 		switch match {
 		case KeyMatchesNothing:
 			return nil

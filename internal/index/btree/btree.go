@@ -1,8 +1,9 @@
 // Package btree implements an in-memory B+tree index over heap TIDs: the
 // index every reader uses — SQL index scans, the DML probe of an UPDATE or
 // DELETE, the Txn point reads and scans the TPC-C transactions are written
-// in — all through exec.IndexWalk or exec.IndexFirst. Keys are composite
-// datum tuples compared lexicographically. The tree stores entries and
+// in — all through exec.IndexWalk or exec.IndexFirst. Keys are the
+// order-preserving byte encodings of composite datum tuples (key.go),
+// compared with bytes.Compare. The tree stores entries and
 // nothing more: MVCC keeps one entry per tuple version, so the same key
 // legitimately maps to several TIDs until vacuum removes the dead ones,
 // and Unique is a declaration the engine enforces with its
@@ -14,74 +15,15 @@
 package btree
 
 import (
-	"sort"
+	"bytes"
 	"sync/atomic"
 
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
-	"microspec/internal/types"
 )
 
 // degree is the maximum number of keys per node; nodes split at degree.
 const degree = 64
-
-// Key is a composite index key.
-type Key []types.Datum
-
-// Compare orders two keys lexicographically. A shorter key that is a
-// prefix of the longer compares equal on the shared prefix then less,
-// which makes prefix keys usable as inclusive lower bounds. NULLs sort
-// first.
-func Compare(a, b Key) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := datumCmp(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// datumCmp is a comparison with an inlinable fast path for the by-value
-// kinds that dominate index keys (integers, dates).
-func datumCmp(x, y types.Datum) int {
-	xk, yk := x.Kind(), y.Kind()
-	if xk == yk {
-		switch xk {
-		case types.KindInt32, types.KindInt64, types.KindDate, types.KindBool:
-			switch {
-			case x.I < y.I:
-				return -1
-			case x.I > y.I:
-				return 1
-			default:
-				return 0
-			}
-		case types.KindInvalid: // both NULL
-			return 0
-		}
-	}
-	xn, yn := x.IsNull(), y.IsNull()
-	switch {
-	case xn && yn:
-		return 0
-	case xn:
-		return -1
-	case yn:
-		return 1
-	}
-	return x.Compare(y)
-}
 
 type entry struct {
 	key Key
@@ -105,7 +47,6 @@ type Tree struct {
 	Unique bool
 	root   *node
 	size   int
-	cmp    func(a, b Key) int
 
 	// searches counts descents to a leaf (point lookups, range-scan
 	// positioning, deletes); splits counts node splits. Atomics: readers
@@ -119,18 +60,9 @@ func (t *Tree) Stats() (searches, splits int64) {
 	return t.searches.Load(), t.splits.Load()
 }
 
-// New returns an empty tree using the generic key comparator.
+// New returns an empty tree.
 func New(name string, unique bool) *Tree {
-	return &Tree{Name: name, Unique: unique, root: &node{leaf: true}, cmp: Compare}
-}
-
-// SetComparator installs a specialized key comparator (the IDX bee
-// routine: per-position kinds baked at creation). It must order keys
-// exactly like Compare and may only be called on an empty tree.
-func (t *Tree) SetComparator(cmp func(a, b Key) int) {
-	if t.size == 0 && cmp != nil {
-		t.cmp = cmp
-	}
+	return &Tree{Name: name, Unique: unique, root: &node{leaf: true}}
 }
 
 // Len returns the number of entries.
@@ -138,8 +70,8 @@ func (t *Tree) Len() int { return t.size }
 
 // cmpEntry orders entries by key then TID so duplicates have a stable
 // total order and (key,tid) pairs are unique.
-func (t *Tree) cmpEntry(a entry, key Key, tid heap.TID) int {
-	if c := t.cmp(a.key, key); c != 0 {
+func cmpEntry(a *entry, key Key, tid heap.TID) int {
+	if c := bytes.Compare(a.key, key); c != 0 {
 		return c
 	}
 	switch {
@@ -156,6 +88,38 @@ func (t *Tree) cmpEntry(a entry, key Key, tid heap.TID) int {
 	default:
 		return 0
 	}
+}
+
+// seekEntry returns the first position in es whose entry is at or after
+// (key, tid). The binary searches here are written out, not sort.Search
+// over a closure: a descent is the index's whole cost.
+func seekEntry(es []entry, key Key, tid heap.TID) int {
+	i, j := 0, len(es)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if cmpEntry(&es[h], key, tid) < 0 {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// seekSep returns the first position in keys whose separator compares
+// with key at or above c: 0 finds the first separator >= key, 1 the first
+// separator > key.
+func seekSep(keys []Key, key Key, c int) int {
+	i, j := 0, len(keys)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if bytes.Compare(keys[h], key) < c {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // Insert adds (key, tid), charging one descent. The tree keeps key: the
@@ -176,9 +140,7 @@ func (t *Tree) Insert(key Key, tid heap.TID, prof *profile.Counters) {
 // the separator key.
 func (t *Tree) insert(n *node, key Key, tid heap.TID) (*node, Key) {
 	if n.leaf {
-		i := sort.Search(len(n.entries), func(i int) bool {
-			return t.cmpEntry(n.entries[i], key, tid) >= 0
-		})
+		i := seekEntry(n.entries, key, tid)
 		n.entries = append(n.entries, entry{})
 		copy(n.entries[i+1:], n.entries[i:])
 		n.entries[i] = entry{key: key, tid: tid}
@@ -193,9 +155,7 @@ func (t *Tree) insert(n *node, key Key, tid heap.TID) (*node, Key) {
 		t.splits.Add(1)
 		return right, right.entries[0].key
 	}
-	i := sort.Search(len(n.keys), func(i int) bool {
-		return t.cmp(n.keys[i], key) > 0
-	})
+	i := seekSep(n.keys, key, 1)
 	newChild, sep := t.insert(n.children[i], key, tid)
 	if newChild == nil {
 		return nil, nil
@@ -233,10 +193,7 @@ func (t *Tree) leafFor(key Key) *node {
 	t.searches.Add(1)
 	n := t.root
 	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool {
-			return t.cmp(n.keys[i], key) >= 0
-		})
-		n = n.children[i]
+		n = n.children[seekSep(n.keys, key, 0)]
 	}
 	return n
 }
@@ -261,8 +218,9 @@ func (t *Tree) AscendPrefix(prefix Key, prof *profile.Counters, fn func(Key, hea
 
 // AscendRange visits entries with lo <= key-prefix <= hi in key order;
 // fn returning false stops the walk. Bounds compare against the entry key
-// truncated to the bound's length, so prefix bounds behave inclusively on
-// both ends, and an empty bound is open. The walk binary-searches the
+// truncated to the bound's length in bytes — the encoding of the bound's
+// columns, since a prefix encodes as a byte prefix — so prefix bounds
+// behave inclusively on both ends, and an empty bound is open. The walk binary-searches the
 // first leaf for the first entry at or above lo; every later entry is at
 // or above it, so from there only hi is tested. It charges one descent
 // and one IndexEntry per entry compared with a bound.
@@ -270,18 +228,21 @@ func (t *Tree) AscendRange(lo, hi Key, prof *profile.Counters, fn func(Key, heap
 	n := t.leafFor(lo)
 	compared, i := 0, 0
 	if len(lo) > 0 {
-		i = sort.Search(len(n.entries), func(i int) bool {
-			compared++
-			k := n.entries[i].key
-			return t.cmp(k[:min(len(k), len(lo))], lo) >= 0
-		})
+		for j := len(n.entries); i < j; compared++ {
+			h := int(uint(i+j) >> 1)
+			if k := n.entries[h].key; bytes.Compare(k[:min(len(k), len(lo))], lo) < 0 {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
 	}
 walk:
 	for ; n != nil; n, i = n.next, 0 {
 		for _, e := range n.entries[i:] {
 			if len(hi) > 0 {
 				compared++
-				if t.cmp(e.key[:min(len(e.key), len(hi))], hi) > 0 {
+				if bytes.Compare(e.key[:min(len(e.key), len(hi))], hi) > 0 {
 					break walk
 				}
 			}
@@ -299,10 +260,8 @@ func (t *Tree) Delete(key Key, tid heap.TID, prof *profile.Counters) bool {
 	prof.Add(profile.CompStorage, profile.IndexDescend)
 	n := t.leafFor(key)
 	for ; n != nil; n = n.next {
-		i := sort.Search(len(n.entries), func(i int) bool {
-			return t.cmpEntry(n.entries[i], key, tid) >= 0
-		})
-		if i < len(n.entries) && t.cmpEntry(n.entries[i], key, tid) == 0 {
+		i := seekEntry(n.entries, key, tid)
+		if i < len(n.entries) && cmpEntry(&n.entries[i], key, tid) == 0 {
 			n.entries = append(n.entries[:i], n.entries[i+1:]...)
 			t.size--
 			return true

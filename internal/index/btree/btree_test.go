@@ -1,21 +1,28 @@
 package btree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
-	"microspec/internal/types"
 )
 
+// ik encodes a key of INTEGER columns.
 func ik(vs ...int) Key {
-	k := make(Key, len(vs))
-	for i, v := range vs {
-		k[i] = types.NewInt32(int32(v))
+	var k Key
+	for _, v := range vs {
+		k = AppendInt(k, int64(v))
 	}
 	return k
+}
+
+// col decodes column i of a key of non-NULL INTEGER columns.
+func col(k Key, i int) int {
+	return int(int64(binary.BigEndian.Uint64(k[9*i+1:]) ^ 1<<63))
 }
 
 func tid(n int) heap.TID { return heap.TID{Page: int32(n / 100), Slot: uint16(n % 100)} }
@@ -30,21 +37,23 @@ func under(tr *Tree, prefix Key) []heap.TID {
 	return out
 }
 
-func TestCompare(t *testing.T) {
+func TestKeyOrder(t *testing.T) {
+	null := AppendNull(nil)
 	cases := []struct {
 		a, b Key
 		want int
 	}{
 		{ik(1), ik(2), -1},
+		{ik(-1), ik(0), -1},
 		{ik(2, 5), ik(2, 5), 0},
 		{ik(2), ik(2, 5), -1}, // prefix is less
 		{ik(2, 5), ik(2), 1},
-		{Key{types.Null}, ik(0), -1}, // nulls first
-		{Key{types.Null}, Key{types.Null}, 0},
+		{null, ik(0), -1}, // nulls first
+		{null, null, 0},
 	}
 	for i, c := range cases {
-		if got := Compare(c.a, c.b); got != c.want {
-			t.Errorf("case %d: Compare = %d, want %d", i, got, c.want)
+		if got := bytes.Compare(c.a, c.b); got != c.want {
+			t.Errorf("case %d: bytes.Compare = %d, want %d", i, got, c.want)
 		}
 	}
 }
@@ -119,7 +128,7 @@ func TestAscendPrefixComposite(t *testing.T) {
 		t.Fatalf("prefix scan found %d, want 5", len(keys))
 	}
 	for i, k := range keys {
-		if k[0].Int32() != 2 || k[1].Int32() != 3 || k[2].Int32() != int32(i+1) {
+		if col(k, 0) != 2 || col(k, 1) != 3 || col(k, 2) != i+1 {
 			t.Errorf("entry %d: %v", i, k)
 		}
 	}
@@ -132,7 +141,7 @@ func TestAscendPrefixComposite(t *testing.T) {
 	if len(all) != 60 {
 		t.Fatalf("full scan found %d", len(all))
 	}
-	if !sort.SliceIsSorted(all, func(i, j int) bool { return Compare(all[i], all[j]) < 0 }) {
+	if !sort.SliceIsSorted(all, func(i, j int) bool { return bytes.Compare(all[i], all[j]) < 0 }) {
 		t.Error("full scan not in key order")
 	}
 }
@@ -144,7 +153,7 @@ func TestAscendRange(t *testing.T) {
 	}
 	var got []int
 	tr.AscendRange(ik(20), ik(29), nil, func(k Key, _ heap.TID) bool {
-		got = append(got, int(k[0].Int32()))
+		got = append(got, col(k, 0))
 		return true
 	})
 	if len(got) != 10 || got[0] != 20 || got[9] != 29 {
@@ -170,7 +179,7 @@ func TestRangeWithCompositePrefixBounds(t *testing.T) {
 	// Prefix bounds (1,2)..(1,2) select the whole district.
 	var oids []int
 	tr.AscendRange(ik(1, 2), ik(1, 2), nil, func(k Key, _ heap.TID) bool {
-		oids = append(oids, int(k[2].Int32()))
+		oids = append(oids, col(k, 2))
 		return true
 	})
 	if len(oids) != 20 || oids[0] != 3000 {
@@ -247,7 +256,7 @@ func TestTreeMatchesReferenceModel(t *testing.T) {
 	sort.Ints(want)
 	var got []int
 	tr.AscendPrefix(nil, nil, func(k Key, _ heap.TID) bool {
-		got = append(got, int(k[0].Int32()))
+		got = append(got, col(k, 0))
 		return true
 	})
 	if len(got) != len(want) {
@@ -333,9 +342,9 @@ func TestAscendRangeMatchesLinearPass(t *testing.T) {
 	tr := New("model", false)
 	var ref []modelEntry
 	randKey := func(n, slack int) Key {
-		k := make(Key, n)
-		for i := range k {
-			k[i] = types.NewInt32(int32(rng.Intn(4+slack) - slack/2))
+		var k Key
+		for range n {
+			k = AppendInt(k, int64(rng.Intn(4+slack)-slack/2))
 		}
 		return k
 	}
@@ -349,7 +358,7 @@ func TestAscendRangeMatchesLinearPass(t *testing.T) {
 	// can land on a leaf with nothing at or above its bound.
 	kept := ref[:0]
 	for _, e := range ref {
-		if rng.Intn(6) != 0 && Compare(e.key[:2], ik(1, 2)) != 0 {
+		if rng.Intn(6) != 0 && !bytes.Equal(e.key[:18], ik(1, 2)) {
 			kept = append(kept, e)
 		} else if !tr.Delete(e.key, e.tid, nil) {
 			t.Fatalf("Delete(%v, %v) missed", e.key, e.tid)
@@ -373,7 +382,7 @@ func TestAscendRangeMatchesLinearPass(t *testing.T) {
 		t.Fatal("no leaf was emptied")
 	}
 	sort.Slice(ref, func(i, j int) bool {
-		if c := Compare(ref[i].key, ref[j].key); c != 0 {
+		if c := bytes.Compare(ref[i].key, ref[j].key); c != 0 {
 			return c < 0
 		}
 		a, b := ref[i].tid, ref[j].tid
@@ -390,10 +399,10 @@ func TestAscendRangeMatchesLinearPass(t *testing.T) {
 		}
 		var want []modelEntry
 		for _, e := range ref {
-			if Compare(trunc(e.key, len(lo)), lo) < 0 {
+			if bytes.Compare(trunc(e.key, len(lo)), lo) < 0 {
 				continue
 			}
-			if len(hi) > 0 && Compare(trunc(e.key, len(hi)), hi) > 0 {
+			if len(hi) > 0 && bytes.Compare(trunc(e.key, len(hi)), hi) > 0 {
 				break
 			}
 			want = append(want, e)
@@ -413,7 +422,7 @@ func TestAscendRangeMatchesLinearPass(t *testing.T) {
 			t.Fatalf("round %d [%v, %v] stop %d: %d entries, want %d", round, lo, hi, stop, len(got), len(want))
 		}
 		for i := range want {
-			if Compare(got[i].key, want[i].key) != 0 || got[i].tid != want[i].tid {
+			if !bytes.Equal(got[i].key, want[i].key) || got[i].tid != want[i].tid {
 				t.Fatalf("round %d [%v, %v]: entry %d is (%v, %v), want (%v, %v)", round, lo, hi, i, got[i].key, got[i].tid, want[i].key, want[i].tid)
 			}
 		}

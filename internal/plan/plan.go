@@ -57,11 +57,13 @@ type Planner struct {
 // ordinals (in key order) and the open handle the executor probes. Latch
 // is the owning table's latch; index scans walk the tree under it in
 // shared mode because the tree is not internally synchronized, and a nil
-// Latch says the plan runs under a holder of it (see exec.IndexWalk).
+// Latch says the plan runs under a holder of it (see exec.IndexWalk). Enc
+// encodes the index's keys.
 type IndexMeta struct {
 	Name  string
 	Cols  []int
 	Tree  *btree.Tree
+	Enc   core.KeyEncoder
 	Latch *sync.RWMutex
 }
 

@@ -369,6 +369,7 @@ func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
 	scan := exec.NewIndexScan(seq.Heap, probe.Index.Tree, seq.Deform, nil, nil, false)
 	scan.KeyExprs = probe.KeyExprs
 	scan.KeyTypes = probe.KeyTypes
+	scan.KeyEnc = probe.Index.Enc
 	scan.Latch = probe.Index.Latch
 	it.node = scan
 	return probe.Index.Tree.Unique && len(probe.KeyExprs) == len(probe.Index.Cols)

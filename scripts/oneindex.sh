@@ -11,7 +11,11 @@
 # or a heap's Get outside the walk/visit file, or a tree's Insert outside
 # the write file (internal/index/btree itself excepted), or if a name the
 # two paths replaced (SearchAll, InsertVersion, Txn.walk, Txn.visit,
-# Txn.fetchRow, collectProbe, considerAt) is back anywhere.
+# Txn.fetchRow, collectProbe, considerAt) is back anywhere. Keys are
+# order-preserving bytes the tree compares with bytes.Compare (the IDX bee
+# encodes them, btree/key.go defines the format), so the datum comparators
+# they replaced (datumCmp, SetComparator, CompileIndexCmp,
+# compileIndexCmp) must not come back either.
 set -u
 cd "$(dirname "$0")/.." || exit 1
 
@@ -37,6 +41,12 @@ hits=$(grep -nE '(^|[^A-Za-z0-9_])(SearchAll|InsertVersion|collectProbe|consider
 if [ -n "$hits" ]; then
     echo "$hits"
     echo "oneindex: a deleted index walker or insert is back"
+    fail=1
+fi
+hits=$(grep -nE '(^|[^A-Za-z0-9_])(datumCmp|SetComparator|CompileIndexCmp|compileIndexCmp)([^A-Za-z0-9_]|$)' $all)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "oneindex: a datum key comparator is back; index keys are bytes compared with bytes.Compare"
     fail=1
 fi
 if [ "$fail" -ne 0 ]; then
