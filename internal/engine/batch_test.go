@@ -16,8 +16,8 @@ import (
 
 // TestBatchMatchesTupleTPCH runs all 22 TPC-H queries with the batch path
 // disabled and enabled, at workers=1 and workers=4, and requires identical
-// results — including row order, which batchify preserves by visiting
-// rows in heap page/slot order exactly like the tuple path.
+// results — including row order, which the batch form of a region keeps
+// by visiting rows in heap page/slot order exactly like the row form.
 func TestBatchMatchesTupleTPCH(t *testing.T) {
 	db := analyzeDB(t)
 	defer db.SetWorkers(2) // restore the golden-test degree

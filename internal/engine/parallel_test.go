@@ -77,7 +77,7 @@ func TestParallelMatchesSerialTPCH(t *testing.T) {
 }
 
 // parallelDB builds a bee-enabled database with one multi-page table
-// ("wide", 5000 rows) whose filtered scans parallelize, plus an unrelated
+// ("wide", 5000 rows) whose filtered scans run partitioned, plus an unrelated
 // "scratch" table for concurrent-DML tests.
 func parallelDB(t testing.TB) *engine.DB {
 	t.Helper()

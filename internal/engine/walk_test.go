@@ -91,7 +91,8 @@ func TestWalkBeesFindsSubplanBeesUnderEveryOperator(t *testing.T) {
 
 // The walks that every prepared execution, every SELECT and every panic
 // take — cache reset, the observer fold, the quarantine walk — allocate
-// nothing, and neither does the Var bound a semi/anti join takes of its
+// nothing, before and after EXPLAIN ANALYZE has wrapped the kept plan in
+// decorators, and neither does the Var bound a semi/anti join takes of its
 // residual.
 func TestPlanWalksAllocateNothing(t *testing.T) {
 	db := setupMini(t, core.AllRoutines)
@@ -106,19 +107,37 @@ func TestPlanWalksAllocateNothing(t *testing.T) {
 	if _, err := st.Query(); err != nil {
 		t.Fatal(err)
 	}
-	root := st.ops[0].planned.Root
-	for _, c := range []struct {
-		name string
-		run  func()
-	}{
-		{"ResetCaches", func() { exec.ResetCaches(root) }},
-		{"observePlan", func() { db.obs.observePlan(root) }},
-		{"quarantinePlanBees", func() { quarantinePlanBees(root) }},
-	} {
-		if n := testing.AllocsPerRun(100, c.run); n != 0 {
-			t.Errorf("%s: %.1f allocations per run, want 0", c.name, n)
+	walks := func(root exec.Node, when string) {
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"ResetCaches", func() { exec.ResetCaches(root) }},
+			{"observePlan", func() { db.obs.observePlan(root) }},
+			{"quarantinePlanBees", func() { quarantinePlanBees(root) }},
+		} {
+			if n := testing.AllocsPerRun(100, c.run); n != 0 {
+				t.Errorf("%s %s: %.1f allocations per run, want 0", c.name, when, n)
+			}
 		}
 	}
+	walks(st.ops[0].planned.Root, "before EXPLAIN ANALYZE")
+	if _, _, err := st.ExplainAnalyze(); err != nil {
+		t.Fatal(err)
+	}
+	root := st.ops[0].planned.Root
+	batches := 0
+	exec.WalkNodes(root, func(n exec.Node) {
+		if in, ok := n.(*exec.InstrumentedBatch); ok {
+			if _, ok := in.Inner.(*exec.BatchFilter); ok {
+				batches++
+			}
+		}
+	})
+	if batches == 0 {
+		t.Fatal("the analyzed plan has no instrumented BatchFilter; the decorator links go untested")
+	}
+	walks(root, "after EXPLAIN ANALYZE")
 	var residual *exec.HashJoin
 	exec.WalkNodes(root, func(n exec.Node) {
 		if j, ok := n.(*exec.HashJoin); ok && j.Residual != nil {

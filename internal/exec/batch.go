@@ -290,7 +290,9 @@ func (s *BatchSeqScan) BatchStats() (batches, rows int64) { return s.batches, s.
 // generic interpreter per row. Batches that filter down to zero rows are
 // skipped, so consumers never see an empty batch.
 type BatchFilter struct {
-	Child    BatchNode
+	// Child is a BatchNode; the link is typed Node so Children can hand
+	// it out like every other.
+	Child    Node
 	Pred     expr.Expr
 	Compiled core.CompiledBatchPred
 	// Bee is Pred's EVP bee, set even when Compiled is nil because the
@@ -313,7 +315,7 @@ func (f *BatchFilter) Open(ctx *Ctx) error {
 // NextBatch implements BatchNode.
 func (f *BatchFilter) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 	for {
-		b, ok, err := f.Child.NextBatch(ctx)
+		b, ok, err := f.Child.(BatchNode).NextBatch(ctx)
 		if err != nil || !ok {
 			return nil, false, err
 		}

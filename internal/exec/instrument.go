@@ -21,74 +21,33 @@ type Instrumented struct {
 	Elapsed time.Duration
 }
 
-// Instrument recursively wraps a plan tree, rewriting every child link to
-// point at the wrapped child. A BatchNode gets the batch-counting
-// decorator, so batches keep flowing between batch-aware nodes under
-// analysis. The subplans of subquery expressions are wrapped too, so
-// EXPLAIN ANALYZE reports their actuals; their time is also inside the
-// time of the node that evaluates the expression.
+// Instrument recursively wraps a plan tree, replacing every child link
+// with the wrapped child. A BatchNode gets the batch-counting decorator,
+// so batches keep flowing between batch-aware nodes under analysis. The
+// subplans of subquery expressions are wrapped too, so EXPLAIN ANALYZE
+// reports their actuals; their time is also inside the time of the node
+// that evaluates the expression. A Gather's partitions are wrapped one
+// by one; a part is driven by exactly one worker at a time, so its
+// counters need no locking.
 func Instrument(n Node) Node {
-	if bn, ok := n.(BatchNode); ok {
-		return InstrumentBatch(bn)
-	}
-	instrumentSubplans(n)
-	switch v := n.(type) {
-	case *Filter:
-		v.Child = Instrument(v.Child)
-	case *Project:
-		v.Child = Instrument(v.Child)
-	case *Limit:
-		v.Child = Instrument(v.Child)
-	case *Sort:
-		v.Child = Instrument(v.Child)
-	case *Distinct:
-		v.Child = Instrument(v.Child)
-	case *Materialize:
-		v.Child = Instrument(v.Child)
-	case *HashAgg:
-		v.Child = Instrument(v.Child)
-	case *NLJoin:
-		v.Outer = Instrument(v.Outer)
-		v.Inner = Instrument(v.Inner)
-	case *Gather:
-		// Each partition subplan is wrapped separately; a part is driven by
-		// exactly one worker at a time, so its counters need no locking.
-		for i := range v.Parts {
-			v.Parts[i] = Instrument(v.Parts[i])
-		}
-	case *SeqScan:
-		// Pages skipped before now belong to runs the wrapper's rows and
-		// loops do not count (a kept plan's plain EXECUTEs).
-		v.Skipped = 0
-	}
-	return &Instrumented{Inner: n}
-}
-
-// InstrumentBatch wraps a batch subtree in InstrumentedBatch decorators,
-// mirroring Instrument for the batch-at-a-time path.
-func InstrumentBatch(n BatchNode) BatchNode {
-	instrumentSubplans(n)
-	switch v := n.(type) {
-	case *BatchFilter:
-		v.Child = InstrumentBatch(v.Child)
-	case *HashJoin:
-		v.Outer = Instrument(v.Outer)
-		v.Inner = Instrument(v.Inner)
-	case *BatchSeqScan:
-		v.Skipped = 0 // as for SeqScan in Instrument
-	}
-	return &InstrumentedBatch{Inner: n}
-}
-
-// instrumentSubplans wraps the subplan of every subquery expression n
-// evaluates.
-func instrumentSubplans(n Node) {
-	Children(n, func(Node) {}, func(e expr.Expr) {
+	Children(n, func(k *Node) { *k = Instrument(*k) }, func(e expr.Expr) {
 		eachSubquery(e, func(sq subquery) {
 			p := sq.subplan()
 			*p = Instrument(*p)
 		})
 	})
+	// Pages skipped before now belong to runs the wrapper's rows and loops
+	// do not count (a kept plan's plain EXECUTEs).
+	switch v := n.(type) {
+	case *SeqScan:
+		v.Skipped = 0
+	case *BatchSeqScan:
+		v.Skipped = 0
+	}
+	if _, ok := n.(BatchNode); ok {
+		return &InstrumentedBatch{Inner: n}
+	}
+	return &Instrumented{Inner: n}
 }
 
 // InstrumentedBatch decorates a BatchNode with EXPLAIN ANALYZE statistics:
@@ -96,7 +55,9 @@ func instrumentSubplans(n Node) {
 // time. One timing sample per batch instead of per row keeps the analyze
 // overhead on the batch path negligible.
 type InstrumentedBatch struct {
-	Inner BatchNode
+	// Inner is a BatchNode; the link is typed Node so Children can hand
+	// it out like every other.
+	Inner Node
 
 	Rows    int64
 	Batches int64
@@ -116,7 +77,7 @@ func (in *InstrumentedBatch) Open(ctx *Ctx) error {
 // NextBatch implements BatchNode.
 func (in *InstrumentedBatch) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 	start := time.Now()
-	b, ok, err := in.Inner.NextBatch(ctx)
+	b, ok, err := in.Inner.(BatchNode).NextBatch(ctx)
 	in.Elapsed += time.Since(start)
 	if ok {
 		in.Batches++

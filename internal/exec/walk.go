@@ -2,16 +2,16 @@ package exec
 
 import "microspec/internal/expr"
 
-// Children names n's children: it calls kid on every child plan node —
-// decorator inners, child links, Gather partitions — and ex on every
-// expression n evaluates (predicates, projections, probe keys, group keys
-// and aggregate arguments); absent expressions are skipped and ex may be
-// nil. It is the one place a plan node's children are named: WalkNodes,
-// ResetCaches, WalkBees and EXPLAIN go through it, so a new node type or
-// child field is listed here once (TestChildrenReportEveryField fails
-// until it is). Instrument and the planner's rewrite passes replace child
-// links and keep their own cases.
-func Children(n Node, kid func(Node), ex func(expr.Expr)) {
+// Children names n's children: it calls kid on the link to every child
+// plan node — decorator inners, child links, Gather partitions — and ex on
+// every expression n evaluates (predicates, projections, probe keys, group
+// keys and aggregate arguments); absent expressions are skipped and ex may
+// be nil. kid may replace the child through its link. It is the one place
+// a plan node's children are named: WalkNodes, ResetCaches, WalkBees and
+// EXPLAIN read through it, and Instrument and the planner's lowering
+// replace children through it, so a new node type or child field is
+// listed here once (TestChildrenReportEveryField fails until it is).
+func Children(n Node, kid func(*Node), ex func(expr.Expr)) {
 	one := func(e expr.Expr) {
 		if e != nil && ex != nil {
 			ex(e)
@@ -29,50 +29,50 @@ func Children(n Node, kid func(Node), ex func(expr.Expr)) {
 	}
 	switch v := n.(type) {
 	case *Instrumented:
-		kid(v.Inner)
+		kid(&v.Inner)
 	case *InstrumentedBatch:
-		kid(v.Inner)
+		kid(&v.Inner)
 	case *BatchSeqScan:
 		one(v.FusedPred)
 	case *IndexScan:
 		list(v.KeyExprs)
 	case *BatchFilter:
 		one(v.Pred)
-		kid(v.Child)
+		kid(&v.Child)
 	case *Filter:
 		one(v.Pred)
-		kid(v.Child)
+		kid(&v.Child)
 	case *Project:
 		list(v.Exprs)
-		kid(v.Child)
+		kid(&v.Child)
 	case *Limit:
-		kid(v.Child)
+		kid(&v.Child)
 	case *Sort:
-		kid(v.Child)
+		kid(&v.Child)
 	case *Distinct:
-		kid(v.Child)
+		kid(&v.Child)
 	case *Materialize:
-		kid(v.Child)
+		kid(&v.Child)
 	case *HashAgg:
 		list(v.GroupBy)
 		aggs(v.Aggs)
-		kid(v.Child)
+		kid(&v.Child)
 	case *HashJoin:
 		one(v.Residual)
-		kid(v.Outer)
-		kid(v.Inner)
+		kid(&v.Outer)
+		kid(&v.Inner)
 	case *NLJoin:
 		one(v.Qual)
-		kid(v.Outer)
-		kid(v.Inner)
+		kid(&v.Outer)
+		kid(&v.Inner)
 	case *Gather:
 		list(v.GroupBy)
 		aggs(v.Aggs)
 		for _, specs := range v.PartAggs {
 			aggs(specs)
 		}
-		for _, p := range v.Parts {
-			kid(p)
+		for i := range v.Parts {
+			kid(&v.Parts[i])
 		}
 	}
 }
@@ -86,7 +86,7 @@ func WalkNodes(n Node, fn func(Node)) {
 		return
 	}
 	fn(n)
-	Children(n, func(k Node) { WalkNodes(k, fn) }, nil)
+	Children(n, func(k *Node) { WalkNodes(*k, fn) }, nil)
 }
 
 // subquery is an expression that runs a subplan: ScalarSubquery,
@@ -112,7 +112,7 @@ func eachSubquery(e expr.Expr, fn func(subquery)) {
 // evaluates, with whether it is correlated; subplans nested in those are
 // not visited. EXPLAIN renders them under n.
 func Subplans(n Node, fn func(plan Node, correlated bool)) {
-	Children(n, func(Node) {}, func(e expr.Expr) {
+	Children(n, func(*Node) {}, func(e expr.Expr) {
 		eachSubquery(e, func(sq subquery) { fn(*sq.subplan(), sq.correlated()) })
 	})
 }
@@ -126,7 +126,7 @@ func walkTree(n Node, node func(Node), ex func(expr.Expr)) {
 		return
 	}
 	node(n)
-	Children(n, func(k Node) { walkTree(k, node, ex) },
+	Children(n, func(k *Node) { walkTree(*k, node, ex) },
 		func(e expr.Expr) { walkExprTree(e, node, ex) })
 }
 

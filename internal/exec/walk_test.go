@@ -62,9 +62,9 @@ func declaredReceivers(t *testing.T, dir, pkg, method string) []string {
 // TestChildrenReportEveryField fills every field that can hold a child —
 // Node, BatchNode, expr.Expr, AggSpec, expr.When and slices of them — of
 // every plan node and expression type with distinct sentinels, and
-// requires the tree walk to report each one. A new node or expression
-// type, or a new child field, fails here until Children (or
-// expr.Children) lists it.
+// requires the tree walk to report each one, and every child link to
+// be settable. A new node or expression type, or a new child field, fails
+// here until Children (or expr.Children) lists it.
 func TestChildrenReportEveryField(t *testing.T) {
 	var declared []string
 	declared = append(declared, declaredReceivers(t, ".", "exec", "Schema")...)
@@ -147,6 +147,22 @@ func TestChildrenReportEveryField(t *testing.T) {
 				t.Errorf("%s: the walk misses a child field (%d children filled, %d reported)", name, len(want), len(got)-1)
 				break
 			}
+		}
+
+		// Every child link Children hands out is the node's own field: a
+		// child set through it is the child the next walk reports.
+		if n, ok := v.(Node); ok {
+			set := map[Node]bool{}
+			Children(n, func(k *Node) {
+				s := &ValuesNode{}
+				set[s] = true
+				*k = s
+			}, nil)
+			Children(n, func(k *Node) {
+				if !set[*k] {
+					t.Errorf("%s: a child set through its link did not stick", name)
+				}
+			}, nil)
 		}
 	}
 }

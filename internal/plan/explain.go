@@ -41,7 +41,7 @@ func explainNode(b *strings.Builder, n exec.Node, depth int, analyze bool) {
 	}
 	line := describe(n) + stats
 	fmt.Fprintf(b, "%s%s\n", strings.Repeat("  ", depth), line)
-	exec.Children(n, func(kid exec.Node) { explainNode(b, kid, depth+1, analyze) }, nil)
+	exec.Children(n, func(kid *exec.Node) { explainNode(b, *kid, depth+1, analyze) }, nil)
 	exec.Subplans(n, func(sub exec.Node, correlated bool) {
 		line := "SubPlan (uncorrelated)"
 		if correlated {

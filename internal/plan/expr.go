@@ -433,16 +433,15 @@ func (p *Planner) planSubSelect(sel *sql.Select, s *scope) (exec.Node, *scope, e
 	if err != nil {
 		return nil, nil, err
 	}
-	// Uncorrelated subplans get the same parallelization and batch passes
-	// as the root. Parallelizing is also a correctness requirement, not
-	// just speed: a CTE aggregated both in the outer tree and inside a
-	// subquery (TPC-H Q15) must sum floats with the same partitioning on
-	// both sides, or the last-ulp difference breaks equality comparisons
-	// between them. Correlated subplans stay serial and tuple-at-a-time:
-	// they rerun per outer row, and their outer references are not
-	// parallel-safe.
+	// Uncorrelated subplans are lowered as the root is. Parallelizing is
+	// also a correctness requirement, not just speed: a CTE aggregated
+	// both in the outer tree and inside a subquery (TPC-H Q15) must sum
+	// floats with the same partitioning on both sides, or the last-ulp
+	// difference breaks equality comparisons between them. Correlated
+	// subplans stay serial and tuple-at-a-time: they rerun per outer row,
+	// and their outer references are not parallel-safe.
 	if !sub.correlated {
-		node = p.batchify(p.parallelize(node))
+		node = p.lower(node)
 	}
 	return node, sub, nil
 }

@@ -2,9 +2,10 @@
 // plan trees. It owns join ordering (left-deep: the largest item probes,
 // and a key-aware cardinality estimator orders the rest; estimate.go),
 // predicate pushdown, aggregate extraction, subquery decorrelation, the
-// EXPLAIN / EXPLAIN ANALYZE renderers, and — at the end of planning — the
-// intra-query parallelization pass that rewrites eligible scan regions
-// into Gather nodes with per-worker bee closures (parallel.go). It is
+// EXPLAIN / EXPLAIN ANALYZE renderers, and — at the end of planning —
+// lowering, one walk that emits every scan region in its executed form:
+// row or batch, whole or split into Gather partitions with per-worker bee
+// closures (lower.go). It is
 // also where bees are placed into plans: every scan, filter, join, and
 // aggregate consults the bee module (internal/core) for a specialized
 // routine and falls back to the generic evaluator when none applies.
@@ -31,11 +32,10 @@ type Planner struct {
 	// HeapFor resolves a relation to its heap (provided by the engine).
 	HeapFor func(rel *catalog.Relation) (*heap.Heap, error)
 	// Workers is the intra-query parallelism degree; plans stay serial
-	// when it is ≤ 1 (see parallelize).
+	// when it is ≤ 1 (see lower.go).
 	Workers int
-	// Batch enables the batch-at-a-time rewrite of eligible scan spines
-	// (see batch.go); it runs after parallelize so partition subplans
-	// batch too.
+	// Batch makes lowering emit every scan region, Gather partitions
+	// included, in its batch-at-a-time form (see lower.go).
 	Batch bool
 	// Params is the prepared-statement slot array $n placeholders bind
 	// to. Nil outside a prepared statement, in which case placeholders
@@ -79,8 +79,7 @@ func (p *Planner) PlanSelect(sel *sql.Select) (*Planned, error) {
 	if err != nil {
 		return nil, err
 	}
-	node = p.parallelize(node)
-	node = p.batchify(node)
+	node = p.lower(node)
 	cols := make([]exec.ColInfo, len(sc.cols))
 	for i, c := range sc.cols {
 		cols[i] = exec.ColInfo{Name: c.name, T: c.t}

@@ -103,8 +103,8 @@ func TestFilterPushdownBelowJoin(t *testing.T) {
 	if len(joins) != 1 {
 		t.Fatalf("hash joins = %d", len(joins))
 	}
-	// Both single-table predicates must sit below the join. The batchify
-	// pass converts pushed Filter→SeqScan spines, and on a bee-enabled
+	// Both single-table predicates must sit below the join. Lowering
+	// emits pushed Filter→SeqScan regions in batch form, and on a bee-enabled
 	// database each filter fuses into its scan (scan.Fused non-nil).
 	sideFused := func(n exec.Node) int {
 		fused := 0

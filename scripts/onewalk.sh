@@ -18,19 +18,22 @@
 # astString); or if a non-test file reads a child link — .Child,
 # .Outer, .Inner or .Parts — in a `case *Filter:` / `case *exec.Filter:`
 # arm of a node type with children, outside the child table
-# (internal/exec/walk.go), plan/explain.go, exec/instrument.go's Instrument
-# and InstrumentBatch (which rewrite child links) and NodeTypeName (which
-# looks through the decorator it names), and the planner's rewrite passes
-# plan/batch.go and plan/parallel.go.
+# (internal/exec/walk.go), plan/explain.go, exec/instrument.go's
+# NodeTypeName (which looks through the decorator it names) and
+# plan/lower.go's regionOf (which follows a region's Filter chain).
+# Instrument and the planner's lowering replace child links through
+# exec.Children, so it also fails if a rewrite pass they replaced
+# (batchify, parallelize, batchRewrite, parRewrite, batchRegion,
+# scanRegionOf, buildParts, InstrumentBatch) is back.
 set -u
 cd "$(dirname "$0")/.." || exit 1
 
 fail=0
 all=$(find . -name '*.go' ! -path './.git/*')
-hits=$(grep -nE '(^|[^A-Za-z0-9_])(WalkGathers|ResetSubqueries|walkExprBees|maxVar2|maxVarList|convertSubst|extractAggsOnly)([^A-Za-z0-9_]|$)' $all)
+hits=$(grep -nE '(^|[^A-Za-z0-9_])(WalkGathers|ResetSubqueries|walkExprBees|maxVar2|maxVarList|convertSubst|extractAggsOnly|batchify|parallelize|batchRewrite|parRewrite|batchRegion|scanRegionOf|buildParts|InstrumentBatch)([^A-Za-z0-9_]|$)' $all)
 if [ -n "$hits" ]; then
     echo "$hits"
-    echo "onewalk: a deleted walker is back"
+    echo "onewalk: a deleted walker or rewrite pass is back"
     fail=1
 fi
 src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' \
@@ -47,8 +50,7 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' \
-    ! -path './internal/exec/walk.go' ! -path './internal/plan/explain.go' \
-    ! -path './internal/plan/batch.go' ! -path './internal/plan/parallel.go')
+    ! -path './internal/exec/walk.go' ! -path './internal/plan/explain.go')
 hits=$(awk -v types='Instrumented|InstrumentedBatch|BatchFilter|Filter|Project|Limit|Sort|Distinct|Materialize|HashAgg|HashJoin|NLJoin|Gather' '
 FNR == 1 { fn = ""; arm = 0 }
 /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn); arm = 0 }
@@ -58,7 +60,8 @@ FNR == 1 { fn = ""; arm = 0 }
     if ($0 ~ "^\t*case .*\\*(exec\\.)?(" types ")[,:]") {
         arm = 1; armind = ind; armline = FNR; armtext = $0
     } else if (arm && $0 ~ /\.(Child|Outer|Inner|Parts)([^A-Za-z0-9_]|$)/ &&
-        !(FILENAME ~ /internal\/exec\/instrument\.go$/ && fn ~ /^(Instrument|InstrumentBatch|NodeTypeName)$/)) {
+        !(FILENAME ~ /internal\/exec\/instrument\.go$/ && fn == "NodeTypeName") &&
+        !(FILENAME ~ /internal\/plan\/lower\.go$/ && fn == "regionOf")) {
         print FILENAME ":" armline ":" armtext
         arm = 0
     }
