@@ -28,6 +28,10 @@ var (
 	tpchOnce  sync.Once
 	tpchStock *engine.DB
 	tpchBee   *engine.DB
+
+	noBatchOnce  sync.Once
+	noBatchStock *engine.DB
+	noBatchBee   *engine.DB
 )
 
 func tpchPair(b *testing.B) (*engine.DB, *engine.DB) {
@@ -48,6 +52,26 @@ func tpchPair(b *testing.B) (*engine.DB, *engine.DB) {
 		}
 	})
 	return tpchStock, tpchBee
+}
+
+// noBatchPair is tpchPair's twin on the tuple-at-a-time path: the stock
+// and bee engines opened with Config.NoBatch.
+func noBatchPair(b *testing.B) (*engine.DB, *engine.DB) {
+	b.Helper()
+	noBatchOnce.Do(func() {
+		o := harness.DefaultOptions()
+		open := func(rs core.RoutineSet) *engine.DB {
+			db, err := tpch.NewDatabase(engine.Config{
+				Routines: rs, PoolPages: o.PoolPages, Workers: o.Workers, NoBatch: true,
+			}, benchSF)
+			if err != nil {
+				panic(err)
+			}
+			return db
+		}
+		noBatchStock, noBatchBee = open(core.Stock), open(core.AllRoutines)
+	})
+	return noBatchStock, noBatchBee
 }
 
 func benchQuery(b *testing.B, db *engine.DB, q string) {
@@ -82,28 +106,23 @@ func BenchmarkTPCHWarm(b *testing.B) {
 
 // benchBatchVariants is E12 (DESIGN.md §10): one scan-heavy query under
 // the three executor configurations — generic tuple-at-a-time (stock
-// engine, batching off), bee tuple-at-a-time (bee engine, batching off),
-// and bee batch-at-a-time (bee engine, the default). The batch/tuple
-// contrast on the same bee engine isolates the executor model from the
-// bee routines themselves.
+// engine, NoBatch), bee tuple-at-a-time (bee engine, NoBatch), and bee
+// batch-at-a-time (bee engine, the default). The batch/tuple contrast
+// between the two bee engines isolates the executor model from the bee
+// routines themselves.
 func benchBatchVariants(b *testing.B, q string) {
-	stock, bee := tpchPair(b)
+	_, bee := tpchPair(b)
+	tupleStock, tupleBee := noBatchPair(b)
 	variants := []struct {
-		name  string
-		db    *engine.DB
-		batch bool
+		name string
+		db   *engine.DB
 	}{
-		{"generic", stock, false},
-		{"bee-tuple", bee, false},
-		{"bee-batch", bee, true},
+		{"generic", tupleStock},
+		{"bee-tuple", tupleBee},
+		{"bee-batch", bee},
 	}
 	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			prev := v.db.BatchEnabled()
-			v.db.SetBatch(v.batch)
-			defer v.db.SetBatch(prev)
-			benchQuery(b, v.db, q)
-		})
+		b.Run(v.name, func(b *testing.B) { benchQuery(b, v.db, q) })
 	}
 }
 
@@ -168,8 +187,8 @@ func BenchmarkTPCHInstructions(b *testing.B) {
 	}
 }
 
-// BenchmarkTPCHAblation is E5 (Figure 7): q6 under the three bee-routine
-// sets (q6 is the paper's showcase for EVP).
+// BenchmarkTPCHAblation is E5 (Figure 7): q6 at the three bee-routine
+// levels (q6 is the paper's showcase for EVP).
 func BenchmarkTPCHAblation(b *testing.B) {
 	_, bee := tpchPair(b)
 	q := tpch.Queries()[6]

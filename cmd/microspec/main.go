@@ -15,7 +15,7 @@
 // microspec-server over the wire protocol instead of an in-process
 // database: statements execute remotely, EXPLAIN ANALYZE is served by
 // the remote engine, and \set name value changes session-scoped
-// settings (timeout_ms, workers, batch). Engine-introspection meta
+// settings (timeout_ms, workers). Engine-introspection meta
 // commands (\bees, \cache, ...) need the in-process engine and are
 // unavailable remotely.
 //
@@ -181,7 +181,7 @@ func metaRemote(conn *client.Conn, cmd string) bool {
 		return false
 	case "\\set":
 		if len(fields) != 3 {
-			fmt.Println("usage: \\set <timeout_ms|workers|batch> <value>")
+			fmt.Println("usage: \\set <timeout_ms|workers> <value>")
 			break
 		}
 		if err := conn.Set(fields[1], fields[2]); err != nil {

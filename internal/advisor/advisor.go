@@ -25,82 +25,52 @@ import (
 	"microspec/internal/types"
 )
 
-// Config tunes the decision loop. The zero value of every field selects
-// the default noted on it; Enabled gates the whole subsystem.
+// Config tunes the decision loop. The zero value of each field selects
+// the default noted on it. The advisor starts disabled; SetEnabled (the
+// engine's SetAdvisorEnabled, the admin plane, \advisor) switches it on.
 type Config struct {
-	// Enabled starts the advisor with engine.Open. The shell/admin
-	// endpoint can toggle it at runtime either way.
-	Enabled bool
-	// Interval is the background cycle period (default 1s). Zero or
-	// negative with Enabled set selects the default; tests that call
-	// RunCycle directly can set Enabled=false and drive cycles by hand.
+	// Interval is the background cycle period (default 1s).
 	Interval time.Duration
-	// Budget caps promotions (bee and attribute) per cycle (default 4).
-	Budget int
-	// HotThreshold is the decayed demand at which a candidate is
-	// promoted (default 3 — three plan compiles/executions in the
-	// recent past).
-	HotThreshold float64
 	// PinStreak is how many consecutive hot cycles a compiled bee needs
 	// to be pinned (default 3).
 	PinStreak int
-	// ColdStreak is how many consecutive cycles below HotThreshold/2 a
-	// compiled (not pinned) bee survives before cold demotion
-	// (default 3).
-	ColdStreak int
-	// DemoteHold is the hysteresis: cycles a guard-break demotion holds
-	// before the bee may become a candidate again (default 8).
-	DemoteHold int
-	// DecayFactor multiplies all heat each cycle (default 0.5).
-	DecayFactor float64
-	// NDVMax is the observed-NDV ceiling for promoting an attribute to
-	// tuple-bee dictionary encoding (default 16).
-	NDVMax int
-	// DriftNDV is the observed-NDV level at which a specialized
-	// attribute is considered drifting and despecialized, safely below
-	// the hard core.MaxDictValues limit (default 128).
-	DriftNDV int
-	// MinRows is the minimum observed row count before the advisor
-	// trusts a sketch either way (default 256).
-	MinRows int64
-	// SlowBoost is the extra heat weight for bees seen in slow queries
-	// (default 4).
-	SlowBoost float64
 }
+
+// The decision loop's fixed thresholds.
+const (
+	// budget caps promotions (bee and attribute) per cycle.
+	budget = 4
+	// hotThreshold is the decayed demand at which a candidate is promoted
+	// (three plan compiles/executions in the recent past).
+	hotThreshold = 3.0
+	// coldStreak is how many consecutive cycles below hotThreshold/2 a
+	// compiled (not pinned) bee survives before cold demotion.
+	coldStreak = 3
+	// demoteHold is the hysteresis: cycles a guard-break demotion holds
+	// before the bee may become a candidate again.
+	demoteHold = 8
+	// decayFactor multiplies all heat each cycle.
+	decayFactor = 0.5
+	// ndvMax is the observed-NDV ceiling for promoting an attribute to
+	// tuple-bee dictionary encoding.
+	ndvMax = 16
+	// driftNDV is the observed-NDV level at which a specialized attribute
+	// is considered drifting and despecialized, safely below the hard
+	// core.MaxDictValues limit.
+	driftNDV = core.MaxDictValues / 2
+	// minRows is the minimum observed row count before the advisor trusts
+	// a sketch either way.
+	minRows = 256
+	// slowBoost is the heat weight of a bee seen in a slow query.
+	slowBoost = 4.0
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.Budget <= 0 {
-		c.Budget = 4
-	}
-	if c.HotThreshold <= 0 {
-		c.HotThreshold = 3
-	}
 	if c.PinStreak <= 0 {
 		c.PinStreak = 3
-	}
-	if c.ColdStreak <= 0 {
-		c.ColdStreak = 3
-	}
-	if c.DemoteHold <= 0 {
-		c.DemoteHold = 8
-	}
-	if c.DecayFactor <= 0 || c.DecayFactor >= 1 {
-		c.DecayFactor = 0.5
-	}
-	if c.NDVMax <= 0 {
-		c.NDVMax = 16
-	}
-	if c.DriftNDV <= 0 {
-		c.DriftNDV = core.MaxDictValues / 2
-	}
-	if c.MinRows <= 0 {
-		c.MinRows = 256
-	}
-	if c.SlowBoost <= 0 {
-		c.SlowBoost = 4
 	}
 	return c
 }
@@ -185,7 +155,6 @@ func New(cfg Config, deps Deps) *Advisor {
 		pendingDDL: make(map[string]struct{}),
 		attrHold:   make(map[string]int),
 	}
-	a.SetEnabled(cfg.Enabled)
 	return a
 }
 
@@ -257,7 +226,7 @@ func (a *Advisor) ObservePlan(tables []string, compiled, gated []*core.Bee, slow
 	}
 	w := 1.0
 	if slow {
-		w = a.cfg.SlowBoost
+		w = slowBoost
 	}
 	for _, b := range compiled {
 		b.Touch(tables, w)
@@ -354,18 +323,18 @@ func (a *Advisor) RunCycle() {
 			continue
 		}
 		var reason string
-		sticky, hold := true, a.cfg.DemoteHold
+		sticky, hold := true, demoteHold
 		switch {
 		case ti.Bee.Quarantined():
 			reason = "quarantined after a runtime panic"
 		case a.ddlHit(ddl, ti.Rels):
 			reason = "DDL invalidated watched table"
-		case ti.Bee.Rows() >= a.cfg.MinRows && ti.Bee.SignedEstSavedNs() < 0:
+		case ti.Bee.Rows() >= minRows && ti.Bee.SignedEstSavedNs() < 0:
 			reason = "measured est_saved negative"
-		case ti.State == core.TierCompiled && ti.Heat < a.cfg.HotThreshold/2:
+		case ti.State == core.TierCompiled && ti.Heat < hotThreshold/2:
 			a.mu.Lock()
 			a.coldStreak[ti.Bee]++
-			cold := a.coldStreak[ti.Bee] >= a.cfg.ColdStreak
+			cold := a.coldStreak[ti.Bee] >= coldStreak
 			a.mu.Unlock()
 			if !cold {
 				continue
@@ -389,40 +358,40 @@ func (a *Advisor) RunCycle() {
 	}
 
 	// --- Attribute tiering from the NDV sketches. ---
-	budget := a.cfg.Budget
+	left := budget
 	if a.deps.Attrs != nil && a.deps.Respecialize != nil {
 		for _, am := range a.sortedAttrs() {
 			key := am.Table + "." + am.Name
 			ndv, rows := a.sketchStats(am.Table, am.Ord)
-			if am.LowCard && rows >= a.cfg.MinRows && ndv > a.cfg.DriftNDV {
+			if am.LowCard && rows >= minRows && ndv > driftNDV {
 				if err := a.deps.Respecialize(am.Table, am.Name, false); err == nil {
 					a.deps.Demotions.Inc()
 					a.record(Decision{Action: "despec-attr", Name: key,
 						Reason: "value-distribution drift: observed NDV " +
-							itoa(ndv) + " > " + itoa(a.cfg.DriftNDV)})
+							itoa(ndv) + " > " + itoa(driftNDV)})
 					a.mu.Lock()
-					a.attrHold[key] = a.cfg.DemoteHold
+					a.attrHold[key] = demoteHold
 					a.mu.Unlock()
 				}
 				continue
 			}
-			if !am.LowCard && am.NotNull && rows >= a.cfg.MinRows && ndv > 0 && ndv <= a.cfg.NDVMax {
+			if !am.LowCard && am.NotNull && rows >= minRows && ndv > 0 && ndv <= ndvMax {
 				a.mu.Lock()
 				_, held := a.attrHold[key]
 				a.mu.Unlock()
 				if held {
 					continue
 				}
-				if budget <= 0 {
+				if left <= 0 {
 					a.deps.Skipped.Inc()
 					continue
 				}
 				if err := a.deps.Respecialize(am.Table, am.Name, true); err == nil {
-					budget--
+					left--
 					a.deps.Promotions.Inc()
 					a.record(Decision{Action: "spec-attr", Name: key,
 						Reason: "low cardinality: observed NDV " + itoa(ndv) +
-							" ≤ " + itoa(a.cfg.NDVMax)})
+							" ≤ " + itoa(ndvMax)})
 				}
 			}
 		}
@@ -432,22 +401,22 @@ func (a *Advisor) RunCycle() {
 	for _, ti := range tiers {
 		switch ti.State {
 		case core.TierCandidate:
-			if ti.Heat < a.cfg.HotThreshold {
+			if ti.Heat < hotThreshold {
 				continue
 			}
-			if budget <= 0 {
+			if left <= 0 {
 				a.deps.Skipped.Inc()
 				continue
 			}
 			if ti.Bee.Promote() {
-				budget--
+				left--
 				a.deps.Promotions.Inc()
 				changed = true
 				a.record(Decision{Action: "promote-bee", Kind: ti.Kind, Name: ti.Name,
-					Reason: "hot: decayed demand " + ftoa(ti.Heat) + " ≥ " + ftoa(a.cfg.HotThreshold)})
+					Reason: "hot: decayed demand " + ftoa(ti.Heat) + " ≥ " + ftoa(hotThreshold)})
 			}
 		case core.TierCompiled:
-			if ti.Heat >= a.cfg.HotThreshold {
+			if ti.Heat >= hotThreshold {
 				a.mu.Lock()
 				a.hotStreak[ti.Bee]++
 				pin := a.hotStreak[ti.Bee] >= a.cfg.PinStreak
@@ -467,7 +436,7 @@ func (a *Advisor) RunCycle() {
 	if changed && a.deps.Invalidate != nil {
 		a.deps.Invalidate()
 	}
-	mod.TierDecay(a.cfg.DecayFactor)
+	mod.TierDecay(decayFactor)
 }
 
 func (a *Advisor) ddlHit(ddl map[string]struct{}, rels []string) bool {

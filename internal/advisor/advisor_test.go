@@ -35,10 +35,10 @@ func counter(reg *metrics.Registry, name string) int64 {
 }
 
 // TestPromotionAndPin drives the whole hot path by hand: demand
-// accumulates, the candidate is promoted once it crosses HotThreshold,
+// accumulates, the candidate is promoted once it crosses hotThreshold,
 // and a persistently hot compiled bee is pinned after PinStreak cycles.
 func TestPromotionAndPin(t *testing.T) {
-	a, mod, reg := testAdvisor(Config{HotThreshold: 3, PinStreak: 2})
+	a, mod, reg := testAdvisor(Config{PinStreak: 2})
 
 	obs := []*core.Bee{candidate(mod, "(x < 10)")}
 	a.ObservePlan([]string{"t"}, nil, obs, false)
@@ -81,7 +81,7 @@ func TestPromotionAndPin(t *testing.T) {
 // and checks the demotion fires once — further idle cycles must not
 // demote it again (no flapping, no double-counted metrics).
 func TestColdDemotionIsExactlyOnce(t *testing.T) {
-	a, mod, reg := testAdvisor(Config{HotThreshold: 3, ColdStreak: 2, PinStreak: 99})
+	a, mod, reg := testAdvisor(Config{PinStreak: 99})
 
 	obs := []*core.Bee{candidate(mod, "(x < 10)")}
 	for i := 0; i < 5; i++ {
@@ -110,9 +110,10 @@ func TestColdDemotionIsExactlyOnce(t *testing.T) {
 }
 
 // TestSlowQueriesBoostHeat: one slow execution must outweigh several
-// fast ones, so the hot-set tracks where specialization pays most.
+// fast ones, so the hot-set tracks where specialization pays most. Each
+// bee starts with one unit of demand from its refused compile.
 func TestSlowQueriesBoostHeat(t *testing.T) {
-	a, mod, _ := testAdvisor(Config{HotThreshold: 4, SlowBoost: 4})
+	a, mod, _ := testAdvisor(Config{})
 	a.ObservePlan([]string{"t"}, nil, []*core.Bee{candidate(mod, "(slow)")}, true)
 	a.ObservePlan([]string{"t"}, nil, []*core.Bee{candidate(mod, "(fast)")}, false)
 	a.RunCycle()
@@ -126,8 +127,8 @@ func TestSlowQueriesBoostHeat(t *testing.T) {
 
 // TestPromotionBudget caps per-cycle promotions and counts the skips.
 func TestPromotionBudget(t *testing.T) {
-	a, mod, reg := testAdvisor(Config{HotThreshold: 1, Budget: 2})
-	names := []string{"(a)", "(b)", "(c)", "(d)", "(e)"}
+	a, mod, reg := testAdvisor(Config{})
+	names := []string{"(a)", "(b)", "(c)", "(d)", "(e)", "(f)"}
 	for _, n := range names {
 		obs := []*core.Bee{candidate(mod, n)}
 		for i := 0; i < 3; i++ {
@@ -135,11 +136,11 @@ func TestPromotionBudget(t *testing.T) {
 		}
 	}
 	a.RunCycle()
-	if got := counter(reg, "advisor.promotions"); got != 2 {
-		t.Fatalf("promotions = %d, want budget of 2", got)
+	if got := counter(reg, "advisor.promotions"); got != budget {
+		t.Fatalf("promotions = %d, want budget of %d", got, budget)
 	}
-	if got := counter(reg, "advisor.skipped"); got != 3 {
-		t.Fatalf("skipped = %d, want 3", got)
+	if got := counter(reg, "advisor.skipped"); got != int64(len(names)-budget) {
+		t.Fatalf("skipped = %d, want %d", got, len(names)-budget)
 	}
 }
 

@@ -2,9 +2,9 @@ package advisor
 
 // ndvSketch is the lightweight per-attribute distinct-value sketch the
 // advisor uses for both directions of tuple-bee tiering: an attribute
-// whose observed NDV stays below Config.NDVMax is a promotion candidate
+// whose observed NDV stays below ndvMax is a promotion candidate
 // (dictionary-encode it), and a specialized attribute whose NDV climbs
-// past Config.DriftNDV is drifting toward the hard MaxDictValues limit
+// past driftNDV is drifting toward the hard MaxDictValues limit
 // and must be despecialized before inserts start failing.
 //
 // The sketch stores value hashes in a bounded set: exact up to the
@@ -19,7 +19,7 @@ type ndvSketch struct {
 }
 
 // sketchBound caps per-attribute sketch memory. It only needs to exceed
-// the largest threshold the advisor compares against (DriftNDV).
+// the largest threshold the advisor compares against (driftNDV).
 const sketchBound = 512
 
 func (s *ndvSketch) add(h uint64) {

@@ -270,8 +270,7 @@ func (c *Conn) Exec(sql string) (int64, error) {
 	return res.Affected, nil
 }
 
-// Set changes one session-scoped setting ("timeout_ms", "workers",
-// "batch").
+// Set changes one session-scoped setting ("timeout_ms" or "workers").
 func (c *Conn) Set(name, value string) error {
 	_, err := c.roundTrip(wire.AppendSet(c.out[:0], wire.Set{Name: name, Value: value}))
 	return err

@@ -55,7 +55,7 @@ func BenchmarkGCLDeformOrders(b *testing.B) {
 }
 
 func BenchmarkGCLDeformOrdersNoTupleBees(b *testing.B) {
-	m := NewModule(RoutineSet{GCL: true, SCL: true})
+	m := NewModule(GCL)
 	c := catalog.New()
 	rel, err := c.CreateRelation("orders", ordersSchema(), []int{0}, nil)
 	if err != nil {
@@ -108,7 +108,7 @@ func BenchmarkDeformBatchGeneric(b *testing.B) {
 }
 
 func BenchmarkDeformBatchPerTupleGCL(b *testing.B) {
-	m := NewModule(RoutineSet{GCL: true, SCL: true})
+	m := NewModule(GCL)
 	rel := benchRelStock(b)
 	rb := m.OnCreateRelation(rel)
 	tups, rows := benchBatchTuples(b, m, rel, 256)
@@ -121,7 +121,7 @@ func BenchmarkDeformBatchPerTupleGCL(b *testing.B) {
 }
 
 func BenchmarkDeformBatchGCL(b *testing.B) {
-	m := NewModule(RoutineSet{GCL: true, SCL: true})
+	m := NewModule(GCL)
 	rel := benchRelStock(b)
 	m.OnCreateRelation(rel)
 	tups, rows := benchBatchTuples(b, m, rel, 256)

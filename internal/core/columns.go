@@ -220,7 +220,7 @@ func (m *Module) ScanDeformer(rel *catalog.Relation, atts []int) (*ScanDeform, e
 	}
 	m.mu.RLock()
 	rb := m.relBees[rel.ID]
-	useGCL := m.routines.GCL
+	useGCL := m.routines.applies(routineGCL)
 	m.mu.RUnlock()
 	var cl *columnList
 	if rb != nil {

@@ -42,32 +42,63 @@ import (
 	"microspec/internal/types"
 )
 
-// RoutineSet selects which bee routines the module applies, mirroring the
-// paper's Figure 7 ablation (GCL / GCL+EVP / GCL+EVP+EVJ). SCL rides with
-// GCL on the modification path. TupleBees additionally enables
-// attribute-value specialization; it changes the stored tuple format of
-// annotated relations, so it must be chosen before data is loaded.
-type RoutineSet struct {
-	GCL       bool
-	SCL       bool
-	EVP       bool
-	EVJ       bool
-	TupleBees bool
+// RoutineSet is the routine level: which bee routines the module applies.
+// The four levels are cumulative and mirror the paper's Figure 7 ablation
+// (stock, GCL, GCL+EVP, all); each applies every routine of the level below
+// it. SCL and tuple bees ride with GCL: tuple bees change the stored tuple
+// format of annotated relations, which only the GCL bee deforms, so the
+// level must be chosen before data is loaded.
+type RoutineSet uint8
 
-	// EVA and IDX are the extensions the paper's §VIII names as future
-	// work: micro-specialized aggregation (compiled aggregate-input
-	// evaluation, see CompileScalar) and micro-specialized index-key
-	// encoding (see CompileKeyEncoder).
-	EVA bool
-	IDX bool
+const (
+	// Stock disables every micro-specialization (the stock DBMS).
+	Stock RoutineSet = iota
+	// GCL applies the relation bees (GCL deform, SCL form) and tuple bees.
+	GCL
+	// GCLEVP adds EVP query bees (specialized predicate evaluation).
+	GCLEVP
+	// AllRoutines adds EVJ and the extensions the paper's §VIII names as
+	// future work: micro-specialized aggregation (EVA, see CompileScalar)
+	// and index-key encoding (IDX, see CompileKeyEncoder).
+	AllRoutines
+)
+
+var levelNames = [...]string{Stock: "stock", GCL: "GCL", GCLEVP: "GCL+EVP", AllRoutines: "all"}
+
+// String names the level; /bees renders the level by this name.
+func (r RoutineSet) String() string {
+	if int(r) < len(levelNames) {
+		return levelNames[r]
+	}
+	return fmt.Sprintf("RoutineSet(%d)", uint8(r))
 }
 
-// AllRoutines enables every micro-specialization, including the paper's
-// future-work extensions (EVA, IDX).
-var AllRoutines = RoutineSet{GCL: true, SCL: true, EVP: true, EVJ: true, TupleBees: true, EVA: true, IDX: true}
+// MarshalText renders the level by name in JSON.
+func (r RoutineSet) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
-// Stock disables every micro-specialization (the stock DBMS).
-var Stock = RoutineSet{}
+// routine is one of the seven bee routines a level may apply.
+type routine uint8
+
+const (
+	routineGCL routine = iota
+	routineSCL
+	routineTupleBees
+	routineEVP
+	routineEVJ
+	routineEVA
+	routineIDX
+	numRoutines
+)
+
+// firstLevel is the lowest level that applies each routine.
+var firstLevel = [numRoutines]RoutineSet{
+	routineGCL: GCL, routineSCL: GCL, routineTupleBees: GCL,
+	routineEVP: GCLEVP,
+	routineEVJ: AllRoutines, routineEVA: AllRoutines, routineIDX: AllRoutines,
+}
+
+// applies reports whether level r applies routine x.
+func (r RoutineSet) applies(x routine) bool { return r >= firstLevel[x] }
 
 // Stats counts bee-module activity. The bee counts are the bees with a
 // cached executable form now: QueryBees covers the EVP, EVA, EVJ and IDX
@@ -104,7 +135,7 @@ type Module struct {
 	inject   panicInjector
 }
 
-// NewModule returns a bee module with the given routine set.
+// NewModule returns a bee module at the given routine level.
 func NewModule(rs RoutineSet) *Module {
 	return &Module{
 		routines: rs,
@@ -113,30 +144,23 @@ func NewModule(rs RoutineSet) *Module {
 	}
 }
 
-// Routines returns the active routine set.
+// Routines returns the active routine level.
 func (m *Module) Routines() RoutineSet {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.routines
 }
 
-// SetRoutines reconfigures which routines are invoked. Disabling
-// TupleBees after relations were created with specialized storage is
-// rejected: the stored format depends on it.
+// SetRoutines reconfigures which routines are invoked. A level below GCL
+// is rejected while a relation has specialized storage: only the GCL bee
+// can deform it.
 func (m *Module) SetRoutines(rs RoutineSet) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !rs.TupleBees && m.routines.TupleBees {
+	if !rs.applies(routineGCL) {
 		for _, rb := range m.relBees {
 			if rb.DataSections != nil {
-				return fmt.Errorf("core: cannot disable tuple bees: relation %s has specialized storage", rb.Rel.Name)
-			}
-		}
-	}
-	if !rs.GCL {
-		for _, rb := range m.relBees {
-			if rb.DataSections != nil {
-				return fmt.Errorf("core: cannot disable GCL: relation %s has specialized storage that only GCL can deform", rb.Rel.Name)
+				return fmt.Errorf("core: cannot select level %s: relation %s has specialized storage that only GCL can deform", rs, rb.Rel.Name)
 			}
 		}
 	}
@@ -151,7 +175,7 @@ func (m *Module) SetRoutines(rs RoutineSet) error {
 func (m *Module) SpecMaskFor(schema catalog.Schema) *catalog.SpecInfo {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if !m.routines.TupleBees {
+	if !m.routines.applies(routineTupleBees) {
 		return nil
 	}
 	mask := make([]bool, len(schema.Attrs))
@@ -225,7 +249,7 @@ type DeformFunc func(tup []byte, values []types.Datum, natts int, prof *profile.
 func (m *Module) Deformer(rel *catalog.Relation) (DeformFunc, error) {
 	m.mu.RLock()
 	rb := m.relBees[rel.ID]
-	useGCL := m.routines.GCL
+	useGCL := m.routines.applies(routineGCL)
 	m.mu.RUnlock()
 	if useGCL && rb != nil {
 		return rb.GCL, nil
@@ -248,7 +272,7 @@ type FormFunc func(values []types.Datum, prof *profile.Counters) ([]byte, error)
 func (m *Module) Former(rel *catalog.Relation) FormFunc {
 	m.mu.RLock()
 	rb := m.relBees[rel.ID]
-	useSCL := m.routines.SCL
+	useSCL := m.routines.applies(routineSCL)
 	m.mu.RUnlock()
 
 	natts := len(rel.Attrs)
@@ -346,7 +370,7 @@ func (p Program) inService() bool { return p.fr.cls != clsNone }
 // executor keeps the generic interpreted evaluator — exactly the paper's
 // fallback behaviour.
 func (m *Module) CompilePredicate(e expr.Expr) Program {
-	return m.compileExpr(kindEVP, m.Routines().EVP, e)
+	return m.compileExpr(kindEVP, m.Routines().applies(routineEVP), e)
 }
 
 // CompileScalar attempts to create an EVA query bee: a specialized
@@ -355,7 +379,7 @@ func (m *Module) CompilePredicate(e expr.Expr) Program {
 // micro-specialization target; the per-tuple hot path of aggregation is
 // evaluating the transition input).
 func (m *Module) CompileScalar(e expr.Expr) Program {
-	return m.compileExpr(kindEVA, m.Routines().EVA, e)
+	return m.compileExpr(kindEVA, m.Routines().applies(routineEVA), e)
 }
 
 func (m *Module) compileExpr(kind string, enabled bool, e expr.Expr) Program {
@@ -488,7 +512,7 @@ type JoinKeyFuncs struct {
 // the given key ordinals. Returns (nil, false) when EVJ is disabled or the
 // bee is out of service.
 func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (*JoinKeyFuncs, bool) {
-	if !m.Routines().EVJ || len(outerIdx) == 0 {
+	if !m.Routines().applies(routineEVJ) || len(outerIdx) == 0 {
 		return nil, false
 	}
 	name := fmt.Sprintf("keys%v", outerIdx)

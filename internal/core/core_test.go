@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -460,15 +461,81 @@ func TestCompileJoinKeys(t *testing.T) {
 }
 
 func TestRoutineToggles(t *testing.T) {
-	m := NewModule(RoutineSet{GCL: true, SCL: true})
+	m := NewModule(GCL)
 	if _, ok := compilePredicate(m, &expr.Cmp{Op: expr.EQ, L: &expr.Var{Idx: 0, T: types.Int32}, R: expr.NewConst(types.NewInt32(1))}); ok {
 		t.Error("EVP off must not compile")
 	}
 	if err := m.SetRoutines(AllRoutines); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Routines().EVP {
+	if m.Routines() != AllRoutines {
 		t.Error("routines not updated")
+	}
+}
+
+// TestRoutineLevelsNest: the four routine levels are cumulative, from no
+// routine at Stock to all seven at AllRoutines; each level's name
+// round-trips through JSON (the /bees rendering); and SetRoutines refuses
+// only a level below GCL over tuple-bee storage.
+func TestRoutineLevelsNest(t *testing.T) {
+	levels := []RoutineSet{Stock, GCL, GCLEVP, AllRoutines}
+	applied := func(l RoutineSet) (n int) {
+		for x := routine(0); x < numRoutines; x++ {
+			if l.applies(x) {
+				n++
+			}
+		}
+		return n
+	}
+	if n := applied(Stock); n != 0 {
+		t.Errorf("stock applies %d routines, want none", n)
+	}
+	if n := applied(AllRoutines); n != int(numRoutines) || numRoutines != 7 {
+		t.Errorf("AllRoutines applies %d of %d routines, want all seven", n, numRoutines)
+	}
+	for i, l := range levels {
+		if i > 0 {
+			below := levels[i-1]
+			for x := routine(0); x < numRoutines; x++ {
+				if below.applies(x) && !l.applies(x) {
+					t.Errorf("level %s drops routine %d that %s applies", l, x, below)
+				}
+			}
+			if applied(l) <= applied(below) {
+				t.Errorf("level %s applies no routine beyond %s", l, below)
+			}
+		}
+		b, err := json.Marshal(struct {
+			Routines RoutineSet `json:"routines"`
+		}{l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back struct {
+			Routines string `json:"routines"`
+		}
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		var named []RoutineSet
+		for _, m := range levels {
+			if m.String() == back.Routines {
+				named = append(named, m)
+			}
+		}
+		if len(named) != 1 || named[0] != l {
+			t.Errorf("level %d renders as %s, which names levels %v", uint8(l), b, named)
+		}
+	}
+
+	m, _, _ := beeDB(t, AllRoutines)
+	if err := m.SetRoutines(Stock); err == nil || m.Routines() != AllRoutines {
+		t.Errorf("SetRoutines(Stock) over tuple-bee storage: err %v, level now %s; want refused", err, m.Routines())
+	}
+	for _, l := range levels[1:] {
+		if err := m.SetRoutines(l); err != nil || m.Routines() != l {
+			t.Errorf("SetRoutines(%s): err %v, level now %s", l, err, m.Routines())
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func TestCompileScalarCaseExpr(t *testing.T) {
 		t.Error("EVA disagrees with the interpreter")
 	}
 	// Disabled without the EVA routine.
-	if _, ok := compileScalar(NewModule(RoutineSet{EVP: true}), e); ok {
+	if _, ok := compileScalar(NewModule(GCLEVP), e); ok {
 		t.Error("EVA off must not compile")
 	}
 }

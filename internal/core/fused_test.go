@@ -51,10 +51,15 @@ type fusedFixture struct {
 	pos  []int
 }
 
-func newFusedFixture(t *testing.T, rs RoutineSet, seed int64) *fusedFixture {
+// newFusedFixture builds the fixture's relation at AllRoutines; without
+// lowcard its schema carries no annotations, so it keeps plain storage.
+func newFusedFixture(t *testing.T, lowcard bool, seed int64) *fusedFixture {
 	t.Helper()
-	f := &fusedFixture{m: NewModule(rs), rng: rand.New(rand.NewSource(seed)), slots: &expr.ParamSlots{Vals: make([]types.Datum, 4)}}
+	f := &fusedFixture{m: NewModule(AllRoutines), rng: rand.New(rand.NewSource(seed)), slots: &expr.ParamSlots{Vals: make([]types.Datum, 4)}}
 	schema := fusedSchema()
+	for i := range schema.Attrs {
+		schema.Attrs[i].LowCard = schema.Attrs[i].LowCard && lowcard
+	}
 	rel, err := catalog.New().CreateRelation("li", schema, []int{0}, f.m.SpecMaskFor(schema))
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +302,14 @@ func projected(rb *RelationBee, page [][]byte, atts []int) []expr.Row {
 
 func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		rs   RoutineSet
+		name    string
+		lowcard bool
 	}{
-		{"tuple bees", AllRoutines},
-		{"plain storage", RoutineSet{GCL: true, SCL: true, EVP: true}},
+		{"tuple bees", true},
+		{"plain storage", false},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			f := newFusedFixture(t, cfg.rs, 42)
+			f := newFusedFixture(t, cfg.lowcard, 42)
 			natts := len(f.rel.Attrs)
 			out := make([]expr.Row, 50)
 			for i := range out {
@@ -371,8 +376,8 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 // Which columns have a stored-bytes form is a property of the deform
 // program, not of the predicate's looks.
 func TestRawCheckEligibility(t *testing.T) {
-	bees := newFusedFixture(t, AllRoutines, 1)
-	plain := newFusedFixture(t, RoutineSet{GCL: true, SCL: true, EVP: true}, 1)
+	bees := newFusedFixture(t, true, 1)
+	plain := newFusedFixture(t, false, 1)
 	natts := len(bees.rel.Attrs)
 	prog := func(f *fusedFixture) *colProgram {
 		d, err := f.m.ScanDeformer(f.rel, nil)
@@ -437,7 +442,7 @@ func TestRawCheckEligibility(t *testing.T) {
 // A selective scan over fixed-offset columns deforms nothing for the
 // tuples it rejects: the charge is the base cost alone.
 func TestFusedRejectsWithoutDeforming(t *testing.T) {
-	f := newFusedFixture(t, AllRoutines, 7)
+	f := newFusedFixture(t, true, 7)
 	natts := len(f.rel.Attrs)
 	pred := &expr.Cmp{Op: expr.GT, L: f.col(6), R: expr.NewConst(types.NewDate(20000))} // rejects everything
 	fused, ok := compileFused(f.m, f.rel, pred, nil)

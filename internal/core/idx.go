@@ -27,7 +27,7 @@ func (m *Module) CompileKeyEncoder(keyTypes []types.T) KeyEncoder {
 	for i, t := range keyTypes {
 		classes[i] = btree.ClassOf(t.Kind)
 	}
-	if m.Routines().IDX && len(keyTypes) > 0 {
+	if m.Routines().applies(routineIDX) && len(keyTypes) > 0 {
 		name := keyLayoutName(classes)
 		if _, ok := m.reg.admit(kindIDX, name); ok {
 			enc := compileKeyEncoder(keyTypes, classes)

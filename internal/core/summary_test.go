@@ -13,15 +13,13 @@ import (
 // TestSummaryOffsetsMatchDeformProgram holds the heap's page-summary
 // layout to the offsets the GCL deform program bakes, for every TPC-H and
 // bench_* relation, with tuple bees (whose holes shift the offsets) and
-// without: a summarised column is read at exactly the word the bee reads,
+// with the TPC-H lowcard annotations dropped: a summarised column is read at exactly the word the bee reads,
 // and every NOT NULL INTEGER, BIGINT or DATE word the bee reads at a
 // constant offset in a relation without nullable columns is summarised.
 func TestSummaryOffsetsMatchDeformProgram(t *testing.T) {
-	for _, rs := range []core.RoutineSet{core.AllRoutines, {GCL: true, SCL: true, EVP: true}} {
-		db := engine.Open(engine.Config{Routines: rs, Workers: 1})
-		if err := tpch.CreateSchema(db); err != nil {
-			t.Fatal(err)
-		}
+	for _, lowcard := range []bool{true, false} {
+		db := engine.Open(engine.Config{Routines: core.AllRoutines, Workers: 1})
+		createTPCHSchema(t, db, lowcard)
 		for _, s := range harness.BenchTablesDDL {
 			if _, err := db.Exec(s); err != nil {
 				t.Fatal(err)
@@ -45,7 +43,7 @@ func TestSummaryOffsetsMatchDeformProgram(t *testing.T) {
 				summarised++
 				if w, ok := baked[c.Att]; !ok || w.Off != c.Off || w.Wide != c.Wide {
 					t.Errorf("tuple bees %v: %s.%s summarised at offset %d (wide %v), deform program bakes %+v (ok %v)",
-						rs.TupleBees, name, rel.Attrs[c.Att].Name, c.Off, c.Wide, w, ok)
+						lowcard, name, rel.Attrs[c.Att].Name, c.Off, c.Wide, w, ok)
 				}
 			}
 			if rel.HasNullable {
@@ -56,16 +54,16 @@ func TestSummaryOffsetsMatchDeformProgram(t *testing.T) {
 				case types.KindInt32, types.KindInt64, types.KindDate:
 					if !in[a] {
 						t.Errorf("tuple bees %v: %s.%s is a constant-offset integral word but not summarised",
-							rs.TupleBees, name, rel.Attrs[a].Name)
+							lowcard, name, rel.Attrs[a].Name)
 					}
 				}
 			}
 		}
-		if rs.TupleBees && holes == 0 {
+		if lowcard && holes == 0 {
 			t.Error("no relation has a tuple-bee hole: the tuple-bee layout went untested")
 		}
 		if summarised == 0 {
-			t.Errorf("tuple bees %v: no column summarised", rs.TupleBees)
+			t.Errorf("tuple bees %v: no column summarised", lowcard)
 		}
 		db.Close()
 	}

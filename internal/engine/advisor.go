@@ -20,8 +20,8 @@ import (
 )
 
 // wireAdvisor constructs the advisor over this DB's bee module. The
-// advisor is always present (so the admin plane can enable it at
-// runtime); the background loop starts only when configured on.
+// advisor is always present, disabled until SetAdvisorEnabled (the admin
+// plane, \advisor) switches it on.
 func (db *DB) wireAdvisor(cfg Config) {
 	db.adv = advisor.New(cfg.Advisor, advisor.Deps{
 		Mod: db.mod,
@@ -35,9 +35,6 @@ func (db *DB) wireAdvisor(cfg Config) {
 		Skipped:      db.obs.advisorSkipped,
 		Cycles:       db.obs.advisorCycles,
 	})
-	if cfg.Advisor.Enabled {
-		db.adv.Start()
-	}
 }
 
 // Advisor returns the DB's adaptive specialization advisor.
@@ -155,10 +152,6 @@ func (db *DB) Respecialize(name, attr string, on bool) error {
 	schema := catalog.Schema{Attrs: append([]catalog.Attribute(nil), rel.Attrs...)}
 	schema.Attrs[ord].LowCard = on
 	mask := db.mod.SpecMaskFor(schema)
-	// Specialized storage is deformable only by the GCL bee (core.Module.Deformer).
-	if mask != nil && !db.mod.Routines().GCL {
-		return fmt.Errorf("engine: respecialize %s.%s: specialized storage needs GCL, which is disabled", name, attr)
-	}
 	var spec []int // the new layout's specialized attributes
 	for i := range schema.Attrs {
 		if mask != nil && mask.Specialized[i] {

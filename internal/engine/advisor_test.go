@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"microspec/internal/advisor"
 	"microspec/internal/core"
 	"microspec/internal/types"
 )
@@ -203,21 +202,19 @@ func TestAdvisorDDLDemotesExactlyOnce(t *testing.T) {
 // TestAdvisorRespecializesAttribute exercises the online storage
 // rewrite end to end: a low-NDV attribute is dictionary-specialized by
 // the advisor, data and indexes survive, and when the sketches later
-// see the value distribution drift past DriftNDV the attribute is
-// despecialized exactly once.
+// see the value distribution drift past 128 distinct values (the
+// advisor's drift level) the attribute is despecialized exactly once. The
+// advisor trusts a sketch from 256 rows and promotes at 16 distinct values
+// or fewer, so the load is 300 rows of three statuses.
 func TestAdvisorRespecializesAttribute(t *testing.T) {
-	db := Open(Config{
-		Routines:  core.AllRoutines,
-		PoolPages: 1024,
-		Advisor:   advisor.Config{MinRows: 8, NDVMax: 4, DriftNDV: 8},
-	})
+	db := Open(Config{Routines: core.AllRoutines, PoolPages: 1024})
 	mustExec(t, db,
 		`create table app (id integer not null, status varchar(8) not null, primary key (id))`)
 	adv := db.Advisor()
 	adv.SetEnabled(true)
 
 	statuses := []string{"new", "open", "done"}
-	for i := 1; i <= 24; i++ {
+	for i := 1; i <= 300; i++ {
 		mustExec(t, db, fmt.Sprintf("insert into app values (%d, '%s')", i, statuses[i%3]))
 	}
 
@@ -240,22 +237,22 @@ func TestAdvisorRespecializesAttribute(t *testing.T) {
 	}
 
 	// Data, primary-key index, and DML all survive the rewrite.
-	if n := mustQuery(t, db, "select count(*) from app").Rows[0][0].Int64(); n != 24 {
-		t.Fatalf("count after spec = %d, want 24", n)
+	if n := mustQuery(t, db, "select count(*) from app").Rows[0][0].Int64(); n != 300 {
+		t.Fatalf("count after spec = %d, want 300", n)
 	}
-	if n := mustQuery(t, db, "select count(*) from app where status = 'open'").Rows[0][0].Int64(); n != 8 {
-		t.Fatalf("status='open' after spec = %d, want 8", n)
+	if n := mustQuery(t, db, "select count(*) from app where status = 'open'").Rows[0][0].Int64(); n != 100 {
+		t.Fatalf("status='open' after spec = %d, want 100", n)
 	}
 	r := mustQuery(t, db, "select status from app where id = 5")
 	if len(r.Rows) != 1 || r.Rows[0][0].Str() != statuses[5%3] {
 		t.Fatalf("pk lookup after spec: %v", r.Rows)
 	}
-	mustExec(t, db, "insert into app values (100, 'new')")
+	mustExec(t, db, "insert into app values (1000, 'new')")
 
-	// Drift: a burst of distinct values pushes observed NDV past
-	// DriftNDV → despecialize, exactly once.
-	for i := 1; i <= 12; i++ {
-		mustExec(t, db, fmt.Sprintf("insert into app values (%d, 's-%d')", 200+i, i))
+	// Drift: a burst of distinct values pushes observed NDV past the
+	// drift level → despecialize, exactly once.
+	for i := 1; i <= 130; i++ {
+		mustExec(t, db, fmt.Sprintf("insert into app values (%d, 's-%d')", 2000+i, i))
 	}
 	adv.RunCycle()
 	if attrLowCard() {
@@ -278,8 +275,8 @@ func TestAdvisorRespecializesAttribute(t *testing.T) {
 	if got := despecs(); got != 1 {
 		t.Fatalf("despecialization flapped: %d decisions", got)
 	}
-	if n := mustQuery(t, db, "select count(*) from app").Rows[0][0].Int64(); n != 37 {
-		t.Fatalf("count after despec = %d, want 37", n)
+	if n := mustQuery(t, db, "select count(*) from app").Rows[0][0].Int64(); n != 431 {
+		t.Fatalf("count after despec = %d, want 431", n)
 	}
 	if n := mustQuery(t, db, "select count(*) from app where status = 's-7'").Rows[0][0].Int64(); n != 1 {
 		t.Fatalf("drift row lost by despec rewrite")
@@ -288,60 +285,49 @@ func TestAdvisorRespecializesAttribute(t *testing.T) {
 
 // TestRefusedRespecializeChangesNothing: a rewrite the new layout cannot
 // hold is refused before the table is touched — rows, primary key,
-// routines and the LowCard flag stay exactly as they were. Two refusals:
-// dictionary encoding needs the GCL bee, which is disabled; and turning on
-// a third low-cardinality attribute makes side³ = 68,921 value
-// combinations, more tuple bees than a uint16 beeID names, although each
-// attribute has only side = 41 values.
+// routines and the LowCard flag stay exactly as they were. Turning on a
+// third low-cardinality attribute makes side³ = 68,921 value combinations,
+// more tuple bees than a uint16 beeID names, although each attribute has
+// only side = 41 values.
 func TestRefusedRespecializeChangesNothing(t *testing.T) {
-	const side = 41
-	for _, tc := range []struct {
-		name     string
-		routines core.RoutineSet
-		lowcard  string // the annotation on x and y
-		rows     int
-	}{
-		{"needs GCL", core.RoutineSet{TupleBees: true, SCL: true}, "", 2},
-		{"tuple-bee cap", core.AllRoutines, "lowcard", side * side * side},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			db := Open(Config{Routines: tc.routines, PoolPages: 1024})
-			mustExec(t, db, fmt.Sprintf("create table t (a integer not null, s integer not null, "+
-				"x integer not null %[1]s, y integer not null %[1]s, primary key (a))", tc.lowcard))
-			i := 0
-			if _, err := db.BulkLoad("t", nil, func() ([]types.Datum, bool) {
-				if i == tc.rows {
-					return nil, false
-				}
-				v := int32(i) // s, y, x: v's base-side digits
-				i++
-				return []types.Datum{types.NewInt32(v + 1), types.NewInt32(v / (side * side)),
-					types.NewInt32(v % side), types.NewInt32(v / side % side)}, true
-			}); err != nil {
-				t.Fatal(err)
+	t.Run("tuple-bee cap", func(t *testing.T) {
+		const side, rows = 41, 41 * 41 * 41
+		db := Open(Config{Routines: core.AllRoutines, PoolPages: 1024})
+		mustExec(t, db, "create table t (a integer not null, s integer not null, "+
+			"x integer not null lowcard, y integer not null lowcard, primary key (a))")
+		i := 0
+		if _, err := db.BulkLoad("t", nil, func() ([]types.Datum, bool) {
+			if i == rows {
+				return nil, false
 			}
-			if err := db.Respecialize("t", "s", true); err == nil {
-				t.Fatal("Respecialize must be refused")
-			}
-			if n := mustQuery(t, db, "select count(*) from t").Rows[0][0].Int64(); n != int64(tc.rows) {
-				t.Fatalf("count after refused rewrite = %d, want %d", n, tc.rows)
-			}
-			if _, ok := db.IndexOf("t_pkey"); !ok {
-				t.Fatal("refused rewrite lost the primary key")
-			}
-			if r := mustQuery(t, db, "select x from t where a = 2"); len(r.Rows) != 1 || r.Rows[0][0].Int64() != 1 {
-				t.Fatalf("pk lookup after refused rewrite: %v", r.Rows)
-			}
-			mustExec(t, db, "insert into t values (0, 0, 0, 0)")
-			if _, err := db.Exec("insert into t values (0, 1, 1, 1)"); err == nil {
-				t.Fatal("primary key no longer enforced after refused rewrite")
-			}
-			rel, err := db.Catalog().Lookup("t")
-			if err != nil || rel.Attrs[1].LowCard {
-				t.Fatalf("after refused rewrite: rel %v, err %v; want t.s not low-cardinality", rel, err)
-			}
-		})
-	}
+			v := int32(i) // s, y, x: v's base-side digits
+			i++
+			return []types.Datum{types.NewInt32(v + 1), types.NewInt32(v / (side * side)),
+				types.NewInt32(v % side), types.NewInt32(v / side % side)}, true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Respecialize("t", "s", true); err == nil {
+			t.Fatal("Respecialize must be refused")
+		}
+		if n := mustQuery(t, db, "select count(*) from t").Rows[0][0].Int64(); n != rows {
+			t.Fatalf("count after refused rewrite = %d, want %d", n, rows)
+		}
+		if _, ok := db.IndexOf("t_pkey"); !ok {
+			t.Fatal("refused rewrite lost the primary key")
+		}
+		if r := mustQuery(t, db, "select x from t where a = 2"); len(r.Rows) != 1 || r.Rows[0][0].Int64() != 1 {
+			t.Fatalf("pk lookup after refused rewrite: %v", r.Rows)
+		}
+		mustExec(t, db, "insert into t values (0, 0, 0, 0)")
+		if _, err := db.Exec("insert into t values (0, 1, 1, 1)"); err == nil {
+			t.Fatal("primary key no longer enforced after refused rewrite")
+		}
+		rel, err := db.Catalog().Lookup("t")
+		if err != nil || rel.Attrs[1].LowCard {
+			t.Fatalf("after refused rewrite: rel %v, err %v; want t.s not low-cardinality", rel, err)
+		}
+	})
 }
 
 // TestRecoveryHonorsDemotedBees: a sticky (guard-break) demotion lands

@@ -11,27 +11,47 @@ import (
 	"sync"
 	"testing"
 
+	"microspec/internal/core"
+	"microspec/internal/engine"
 	"microspec/internal/tpch"
 )
 
-// TestBatchMatchesTupleTPCH runs all 22 TPC-H queries with the batch path
-// disabled and enabled, at workers=1 and workers=4, and requires identical
-// results — including row order, which the batch form of a region keeps
-// by visiting rows in heap page/slot order exactly like the row form.
+var (
+	noBatchOnce sync.Once
+	noBatchTPCH *engine.DB
+)
+
+// noBatchDB is analyzeDB's twin on the tuple-at-a-time path: the same
+// TPC-H data opened with Config.NoBatch.
+func noBatchDB(t *testing.T) *engine.DB {
+	t.Helper()
+	noBatchOnce.Do(func() {
+		db, err := tpch.NewDatabase(engine.Config{Routines: core.AllRoutines, Workers: 2, NoBatch: true}, 0.002)
+		if err != nil {
+			panic(err)
+		}
+		noBatchTPCH = db
+	})
+	return noBatchTPCH
+}
+
+// TestBatchMatchesTupleTPCH runs all 22 TPC-H queries on the batch path
+// and on a NoBatch database, at workers=1 and workers=4, and requires
+// identical results — including row order, which the batch form of a
+// region keeps by visiting rows in heap page/slot order exactly like the
+// row form.
 func TestBatchMatchesTupleTPCH(t *testing.T) {
-	db := analyzeDB(t)
+	db, tupleDB := analyzeDB(t), noBatchDB(t)
 	defer db.SetWorkers(2) // restore the golden-test degree
-	defer db.SetBatch(true)
 	for _, workers := range []int{1, 4} {
 		db.SetWorkers(workers)
+		tupleDB.SetWorkers(workers)
 		for q := 1; q <= 22; q++ {
 			sql := tpch.Queries()[q]
-			db.SetBatch(false)
-			tuple, err := db.Query(sql)
+			tuple, err := tupleDB.Query(sql)
 			if err != nil {
 				t.Fatalf("Q%d workers=%d tuple: %v", q, workers, err)
 			}
-			db.SetBatch(true)
 			batch, err := db.Query(sql)
 			if err != nil {
 				t.Fatalf("Q%d workers=%d batch: %v", q, workers, err)
@@ -46,11 +66,10 @@ func TestBatchMatchesTupleTPCH(t *testing.T) {
 // HashAgg directly over a BatchSeqScan with the filter fused into the
 // scan (the composed [GCL+EVP] routine), joins take their scans' batches
 // directly (no Rebatch beneath a HashJoin) and feed a HashAgg directly,
-// and disabling batching restores the tuple operators.
+// and a NoBatch database plans the tuple operators.
 func TestBatchPlanShapes(t *testing.T) {
 	db := analyzeDB(t)
 	defer db.SetWorkers(2)
-	defer db.SetBatch(true)
 
 	db.SetWorkers(1)
 	out, err := db.ExplainQuery(tpch.Queries()[6])
@@ -75,8 +94,7 @@ func TestBatchPlanShapes(t *testing.T) {
 		t.Errorf("Q3 should batch scan → join → join → aggregate with no Rebatch:\n%s", out)
 	}
 
-	db.SetBatch(false)
-	out, err = db.ExplainQuery(tpch.Queries()[6])
+	out, err = noBatchDB(t).ExplainQuery(tpch.Queries()[6])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +119,8 @@ func directlyOver(out, parent, child string) bool {
 }
 
 // TestBatchMetrics asserts the batch-execution counters accumulate: every
-// batch-path query bumps batch_queries and moves page-sized batches.
+// batch-path query bumps batch_queries and moves page-sized batches, and
+// a query on a NoBatch database bumps none.
 func TestBatchMetrics(t *testing.T) {
 	db := parallelDB(t)
 	db.ResetMetrics()
@@ -117,13 +136,12 @@ func TestBatchMetrics(t *testing.T) {
 			snap.Counters["batch.batches"], snap.Counters["batch.rows"])
 	}
 
-	// A batch-disabled query must not count.
-	db.SetBatch(false)
-	defer db.SetBatch(true)
-	if _, err := db.Query("select count(*) from wide where w_val < 2000"); err != nil {
+	tupleDB := noBatchDB(t)
+	tupleDB.ResetMetrics()
+	if _, err := tupleDB.Query("select count(*) from lineitem where l_quantity < 20"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.MetricsSnapshot().Counters["batch_queries"]; got != 1 {
+	if got := tupleDB.MetricsSnapshot().Counters["batch_queries"]; got != 0 {
 		t.Fatalf("tuple-path query bumped batch_queries to %d", got)
 	}
 }

@@ -33,8 +33,8 @@ import (
 
 // Config controls a database instance.
 type Config struct {
-	// Routines selects the micro-specializations (core.Stock for the
-	// stock DBMS, core.AllRoutines for the fully bee-enabled one).
+	// Routines is the routine level (core.Stock for the stock DBMS,
+	// core.AllRoutines for the fully bee-enabled one).
 	Routines core.RoutineSet
 	// PoolPages is the buffer-pool capacity in pages (default 32768,
 	// 256 MiB — enough to hold the benchmark datasets warm).
@@ -48,11 +48,9 @@ type Config struct {
 	// Disk overrides the page store. Nil means a plain disk.Manager with
 	// the Latency model; the chaos harness passes a *disk.Faulty here.
 	Disk disk.Device
-	// StatementTimeout bounds every query's execution; zero means no
-	// limit. Adjustable later with SetStatementTimeout.
-	StatementTimeout time.Duration
-	// NoBatch disables the batch-at-a-time executor path (on by default;
-	// see internal/plan/batch.go). Adjustable later with SetBatch.
+	// NoBatch plans every query on the tuple-at-a-time executor path
+	// instead of the batch-at-a-time one (see internal/plan/lower.go): the
+	// reference path the batch path is checked against.
 	NoBatch bool
 	// VacuumEvery is the per-table dead-version threshold above which a
 	// DML commit triggers a vacuum pass on its table. Zero selects
@@ -65,7 +63,8 @@ type Config struct {
 	// Advisor configures the adaptive specialization advisor: the
 	// background loop that promotes hot predicates and low-NDV
 	// attributes and demotes bees whose guard assumptions break (see
-	// internal/advisor and docs/ADAPTIVE.md).
+	// internal/advisor and docs/ADAPTIVE.md). It starts disabled;
+	// SetAdvisorEnabled switches it on.
 	Advisor advisor.Config
 }
 
@@ -130,7 +129,7 @@ type DB struct {
 	prepTexts  map[string]int
 
 	// adv is the adaptive specialization advisor (always constructed,
-	// enabled per Config.Advisor or at runtime via the admin plane).
+	// enabled at runtime by SetAdvisorEnabled).
 	adv *advisor.Advisor
 }
 
@@ -195,7 +194,6 @@ func Open(cfg Config) *DB {
 		prepTexts: make(map[string]int),
 	}
 	db.obs.beeMode.Store(cfg.Routines != core.Stock)
-	db.stmtTimeoutNs.Store(int64(cfg.StatementTimeout))
 	db.wireDurability(cfg)
 	db.registerCollectors()
 	db.wireAdvisor(cfg)
@@ -245,22 +243,6 @@ func (db *DB) Workers() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.planner.Workers
-}
-
-// SetBatch toggles the batch-at-a-time executor path for subsequent
-// plans; running queries are unaffected (the choice is baked into a plan
-// when it is built).
-func (db *DB) SetBatch(on bool) {
-	db.mu.Lock()
-	db.planner.Batch = on
-	db.mu.Unlock()
-}
-
-// BatchEnabled reports whether new plans use the batch executor path.
-func (db *DB) BatchEnabled() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.planner.Batch
 }
 
 // Module exposes the bee module (for experiment configuration and stats).
@@ -320,9 +302,9 @@ type Result struct {
 }
 
 // QueryOpts overrides per-call execution settings — the server maps each
-// session's SET commands onto these, so sessions tune timeout,
-// parallelism, and batching independently over one shared DB. Zero
-// values mean "use the database default".
+// session's SET commands onto these, so sessions tune timeout and
+// parallelism independently over one shared DB. Zero values mean "use
+// the database default".
 type QueryOpts struct {
 	// Timeout bounds this call's execution; 0 falls back to the
 	// database-wide statement timeout.
@@ -330,9 +312,6 @@ type QueryOpts struct {
 	// Workers overrides the intra-query parallelism degree; 0 keeps the
 	// database default, 1 forces a serial plan.
 	Workers int
-	// Batch overrides the batch-at-a-time executor choice; nil keeps the
-	// database default.
-	Batch *bool
 }
 
 // Query parses, plans, and runs a SELECT.
@@ -401,14 +380,11 @@ func analyzeOutline(ctx context.Context, root exec.Node) string {
 }
 
 // plannerWith returns a copy of the planner with opts' parallelism degree
-// and batch choice applied. Caller holds db.mu.
+// applied. Caller holds db.mu.
 func (db *DB) plannerWith(opts *QueryOpts) plan.Planner {
 	pl := *db.planner
 	if opts.Workers > 0 {
 		pl.Workers = opts.Workers
-	}
-	if opts.Batch != nil {
-		pl.Batch = *opts.Batch
 	}
 	return pl
 }
@@ -464,7 +440,7 @@ func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *p
 	defer snap.Release()
 
 	pl := db.planner
-	if p == nil && opts != nil && (opts.Workers > 0 || opts.Batch != nil) {
+	if p == nil && opts != nil && opts.Workers > 0 {
 		cp := db.plannerWith(opts)
 		pl = &cp
 	}
@@ -865,7 +841,7 @@ func (db *DB) dropTable(name string) error {
 	return db.checkpointLocked()
 }
 
-// SetRoutines reconfigures the bee module's routine set and refreshes the
+// SetRoutines reconfigures the bee module's routine level and refreshes the
 // cached per-relation access routines.
 func (db *DB) SetRoutines(rs core.RoutineSet) error {
 	db.mu.Lock()

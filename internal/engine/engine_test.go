@@ -260,11 +260,11 @@ func TestCaseArmsTakeTheWidestType(t *testing.T) {
 				r := mustQuery(t, db, q)
 				col := len(r.Cols) - 1
 				if got := r.Cols[col].T.Kind; got != c.kind {
-					t.Errorf("bees=%v %s: column typed %s, want %s", rs.EVA, q, got, c.kind)
+					t.Errorf("level %s %s: column typed %s, want %s", rs, q, got, c.kind)
 				}
 				for i, row := range r.Rows {
 					if v := row[col]; v.Kind() != c.kind || v.Float64() != c.want[i] {
-						t.Errorf("bees=%v %s: row %d is %s %v, want %s %v", rs.EVA, q, i, v.Kind(), v, c.kind, c.want[i])
+						t.Errorf("level %s %s: row %d is %s %v, want %s %v", rs, q, i, v.Kind(), v, c.kind, c.want[i])
 					}
 				}
 			}
@@ -401,30 +401,16 @@ func TestDDLErrors(t *testing.T) {
 		t.Error("unknown table must fail")
 	}
 
-	// A table the bee module refuses (specialized storage, GCL disabled)
-	// leaves nothing behind: the name is free, and the next table gets
-	// working routines.
-	gclOff := Open(Config{Routines: core.RoutineSet{TupleBees: true}})
-	if _, err := gclOff.Exec("create table t (a integer not null, s char(1) not null lowcard, primary key (a))"); err == nil {
-		t.Fatal("specialized storage without GCL must fail")
-	}
-	if _, ok := gclOff.IndexOf("t_pkey"); ok {
-		t.Error("refused table left its primary key behind")
-	}
-	mustExec(t, gclOff, "create table t (a integer not null)")
-	mustExec(t, gclOff, "insert into t values (1)")
-	if n := mustQuery(t, gclOff, "select count(*) from t").Rows[0][0].Int64(); n != 1 {
-		t.Errorf("count after re-create = %d, want 1", n)
-	}
-	// So does one whose primary key would take an existing index's name.
-	mustExec(t, gclOff, "create index u_pkey on t (a)")
-	if _, err := gclOff.Exec("create table u (a integer not null, primary key (a))"); err == nil {
+	// A table whose primary key would take an existing index's name is
+	// refused and leaves nothing behind: the index stays, the name is free.
+	mustExec(t, db, "create table t (a integer not null)", "create index u_pkey on t (a)")
+	if _, err := db.Exec("create table u (a integer not null, primary key (a))"); err == nil {
 		t.Error("primary key named like an existing index must fail")
 	}
-	if ix, ok := gclOff.IndexOf("u_pkey"); !ok || ix.Rel.Name != "t" {
+	if ix, ok := db.IndexOf("u_pkey"); !ok || ix.Rel.Name != "t" {
 		t.Error("refused table replaced the existing index")
 	}
-	mustExec(t, gclOff, "create table u (a integer not null)")
+	mustExec(t, db, "create table u (a integer not null)")
 }
 
 func TestBulkLoadAndStats(t *testing.T) {
@@ -587,7 +573,7 @@ func TestEngineSetRoutines(t *testing.T) {
 	// Turning EVP/EVJ/EVA off must keep results identical (GCL stays: the
 	// storage is specialized).
 	want := mustQuery(t, db, "select d_region, sum(e_salary) from emp, dept where e_dept = d_id group by d_region order by d_region")
-	if err := db.SetRoutines(core.RoutineSet{GCL: true, SCL: true, TupleBees: true}); err != nil {
+	if err := db.SetRoutines(core.GCL); err != nil {
 		t.Fatal(err)
 	}
 	got := mustQuery(t, db, "select d_region, sum(e_salary) from emp, dept where e_dept = d_id group by d_region order by d_region")

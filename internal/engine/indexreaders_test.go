@@ -393,9 +393,8 @@ func TestIndexReadersAgree(t *testing.T) {
 // TestFirstRowReadersAgree checks the one-row readers against the prefix
 // scan under MVCC churn. In one transaction's snapshot, GetByIndex on a
 // full key of the unique primary key (visited newest first), on a prefix
-// of it and on a non-unique index (walked and visited in one pass), and
-// FirstByIndexPrefix must each return the first row ScanIndexPrefix
-// returns for the same key. A background writer commits updates, deletes
+// of it and on a non-unique index (walked and visited in one pass) must
+// each return the first row ScanIndexPrefix returns for the same key. A background writer commits updates, deletes
 // and re-inserts, leaves aborted versions behind and vacuums; the reading
 // transaction stays open for several rounds, so the newest version of a
 // key is often invisible to it, and updates rows itself.
@@ -561,8 +560,6 @@ func firstRowsAgree(t *testing.T, tx *Txn, a int) []expr.Row {
 	prefix := []types.Datum{i32(a)}
 	row, tid, ok, err := tx.GetByIndex("kv_pkey", prefix)
 	same("GetByIndex kv_pkey", prefix, rows, row, tid, ok, err)
-	row, tid, ok, err = tx.FirstByIndexPrefix("kv_pkey", prefix)
-	same("FirstByIndexPrefix kv_pkey", prefix, rows, row, tid, ok, err)
 	for b := 0; b < 8; b++ {
 		key := []types.Datum{i32(a), i32(b)}
 		row, tid, ok, err := tx.GetByIndex("kv_pkey", key)
@@ -571,8 +568,6 @@ func firstRowsAgree(t *testing.T, tx *Txn, a int) []expr.Row {
 	byV := scan("kv_by_v", i32(a))
 	row, tid, ok, err = tx.GetByIndex("kv_by_v", prefix)
 	same("GetByIndex kv_by_v", prefix, byV, row, tid, ok, err)
-	row, tid, ok, err = tx.FirstByIndexPrefix("kv_by_v", prefix)
-	same("FirstByIndexPrefix kv_by_v", prefix, byV, row, tid, ok, err)
 	for v := 0; v < 3; v++ {
 		key := []types.Datum{i32(a), i32(v)}
 		row, tid, ok, err := tx.GetByIndex("kv_by_v", key)

@@ -115,7 +115,7 @@ func (p *prepared) compileOps() ([]txnOp, error) {
 }
 
 // current brings the ops up to date before a run. They are rebuilt when
-// there are none, when DDL moved the schema or routine set (a plan may
+// there are none, when DDL moved the schema or routine level (a plan may
 // hold dropped heaps or bees built for another specialization level, a
 // target a dropped heap — and a new index may offer it a probe), and when
 // again says the last run panicked and had a query bee retired: the
@@ -219,8 +219,8 @@ func (db *DB) Prepare(text string) (*Stmt, error) {
 }
 
 // PrepareWith is Prepare with session-scoped setting overrides baked into
-// the cached plan (parallelism degree, batch choice) and applied per
-// execution (timeout).
+// the cached plan (parallelism degree) and applied per execution
+// (timeout).
 func (db *DB) PrepareWith(text string, opts QueryOpts) (*Stmt, error) {
 	return db.prepareWith(text, opts, false)
 }

@@ -205,7 +205,7 @@ func TestBoundedScansMatchUnbounded(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if h, _ := db.HeapOf("zs"); h.NumPages() < 8 || cfg.rs.TupleBees != (h.Rel.Spec != nil) {
+			if h, _ := db.HeapOf("zs"); h.NumPages() < 8 || (cfg.rs != core.Stock) != (h.Rel.Spec != nil) {
 				t.Fatalf("zs has %d pages and tuple-bee layout %v; want enough for parallel plans, and holes with tuple bees",
 					h.NumPages(), h.Rel.Spec != nil)
 			}

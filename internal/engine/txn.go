@@ -325,19 +325,13 @@ func (t *Txn) DeleteRow(relName string, tid heap.TID) error {
 }
 
 // GetByIndex fetches the visible row whose index key prefix equals key
-// (the first in key order when several are visible). The returned row is
+// (the first in key order when several are visible, e.g. a district's
+// oldest new order under a prefix of its key). The returned row is
 // owned by the caller. Dead or invisible-to-this-snapshot versions under
 // the same key are skipped (the index keeps one entry per version until
 // vacuum).
 func (t *Txn) GetByIndex(indexName string, key []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
 	return t.readFirst(indexName, key)
-}
-
-// FirstByIndexPrefix returns the visible row with the least key under
-// prefix (e.g. a district's oldest new order): the mirror of
-// LastByIndexPrefix.
-func (t *Txn) FirstByIndexPrefix(indexName string, prefix []types.Datum) (row expr.Row, tid heap.TID, ok bool, err error) {
-	return t.readFirst(indexName, prefix)
 }
 
 // LastByIndexPrefix returns the visible row with the greatest key under
@@ -404,9 +398,9 @@ func (t *Txn) keyBounds(ix *Index, lo, hi []types.Datum) (btree.Key, btree.Key, 
 	return buf[:n:n], buf[n:], nil
 }
 
-// readFirst is the one-row read behind GetByIndex and FirstByIndexPrefix,
-// counted as one operation. A full key of a unique index has at most one
-// version visible to any snapshot (the uniqueness rule, engine/index.go),
+// readFirst is the one-row read behind GetByIndex, counted as one
+// operation. A full key of a unique index has at most one version
+// visible to any snapshot (the uniqueness rule, engine/index.go),
 // and since the heap appends, the newest version — the one a current
 // snapshot sees — is the last entry under the key: that read visits in
 // reverse. Any other key walks forward and stops at the first visible

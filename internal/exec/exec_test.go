@@ -499,19 +499,22 @@ func TestIndexScanNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Range scan [10, 14].
-	scan := NewIndexScan(h, tree, deform, intKey(10), intKey(14), false)
+	// Point lookup through the probe key.
+	scan := NewIndexScan(h, tree, deform)
+	scan.KeyExprs = []expr.Expr{expr.NewConst(i32(12))}
+	scan.KeyTypes = []types.T{types.Int32}
+	scan.KeyEnc = m.CompileKeyEncoder(scan.KeyTypes)
 	rows := mustCollect(t, scan)
-	if len(rows) != 5 || rows[0][0].Int32() != 10 || rows[4][1].Str() != "v14" {
-		t.Fatalf("range scan: %v", rows)
+	if len(rows) != 1 || rows[0][0].Int32() != 12 || rows[0][1].Str() != "v12" {
+		t.Fatalf("point lookup: %v", rows)
 	}
-	// Reverse prefix scan over everything.
-	rev := NewIndexScan(h, tree, keyOnly, nil, nil, true)
-	rrows := mustCollect(t, rev)
-	if len(rrows) != 50 || rrows[0][0].Int32() != 49 {
-		t.Fatalf("reverse scan: first=%v n=%d", rrows[0], len(rrows))
+	// No key: every entry, in key order.
+	all := NewIndexScan(h, tree, keyOnly)
+	arows := mustCollect(t, all)
+	if len(arows) != 50 || arows[0][0].Int32() != 0 || arows[49][0].Int32() != 49 {
+		t.Fatalf("full scan: first=%v n=%d", arows[0], len(arows))
 	}
-	if cols := rev.Schema(); len(cols) != 1 || cols[0].Name != "k" {
+	if cols := all.Schema(); len(cols) != 1 || cols[0].Name != "k" {
 		t.Fatalf("schema: %v", cols)
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"microspec/internal/catalog"
@@ -179,29 +178,25 @@ func (s *SeqScan) Close(*Ctx) {
 // Schema implements Node.
 func (s *SeqScan) Schema() []ColInfo { return s.cols }
 
-// IndexScan fetches tuples by index key or key range, in index order.
+// IndexScan fetches tuples by an equality key prefix, in index order.
 type IndexScan struct {
 	Heap *heap.Heap
 	Tree *btree.Tree
 	// Deform is the relation's deform routine over the attributes the plan
 	// reads, as for SeqScan.
 	Deform *core.ScanDeform
-	// Lo and Hi bound the scan (inclusive, prefix semantics); with Hi nil
-	// the scan uses prefix-equality on Lo.
-	Lo, Hi btree.Key
-	// KeyExprs, when set, are evaluated at every Open to rebuild Lo — the
-	// equality prefix key of a parameterized point lookup, re-bound per
-	// prepared-statement EXECUTE. The expressions must be row-independent
-	// (constants and parameters); KeyTypes holds the matching key columns'
-	// types, which ProbeKey converts each value to. A value equality
-	// cannot match (NULL, 2.5 against an INTEGER) makes the scan empty; one
-	// that cannot be converted makes it walk the whole index and leave the
-	// decision to the filter above it. KeyEnc is the index's key encoder.
+	// KeyExprs are evaluated at every Open to build the equality prefix
+	// key the scan walks — a point lookup's key, re-bound per
+	// prepared-statement EXECUTE; with none the scan walks every entry.
+	// The expressions must be row-independent (constants and parameters);
+	// KeyTypes holds the matching key columns' types, which ProbeKey
+	// converts each value to. A value equality cannot match (NULL, 2.5
+	// against an INTEGER) makes the scan empty; one that cannot be
+	// converted makes it walk the whole index and leave the decision to
+	// the filter above it. KeyEnc is the index's key encoder.
 	KeyExprs []expr.Expr
 	KeyTypes []types.T
 	KeyEnc   core.KeyEncoder
-	// Reverse returns rows in descending key order (materialized).
-	Reverse bool
 	// Latch, when set, is the owning table's latch, held in shared mode
 	// while Open walks the B+tree (see IndexWalk); nil when the plan runs
 	// under a holder of the latch. Heap fetches in Next run latch-free
@@ -211,17 +206,14 @@ type IndexScan struct {
 	tids    []heap.TID
 	pos     int
 	buf     expr.Row
+	key     btree.Key     // the probe key, rebuilt at every Open
 	keyVals []types.Datum // ProbeKey's scratch
 	cols    []ColInfo
 }
 
 // NewIndexScan builds an index scan emitting the attributes deform reads.
-func NewIndexScan(h *heap.Heap, tree *btree.Tree, deform *core.ScanDeform, lo, hi btree.Key, reverse bool) *IndexScan {
-	return &IndexScan{
-		Heap: h, Tree: tree, Deform: deform,
-		Lo: lo, Hi: hi, Reverse: reverse,
-		cols: relCols(h.Rel, deform.Atts),
-	}
+func NewIndexScan(h *heap.Heap, tree *btree.Tree, deform *core.ScanDeform) *IndexScan {
+	return &IndexScan{Heap: h, Tree: tree, Deform: deform, cols: relCols(h.Rel, deform.Atts)}
 }
 
 // Open implements Node.
@@ -236,22 +228,15 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 			s.keyVals = make([]types.Datum, len(s.KeyExprs))
 		}
 		var match KeyMatch
-		s.Lo, match = ProbeKey(s.Lo[:0], s.keyVals, s.KeyEnc, s.KeyExprs, s.KeyTypes, &ctx.Expr)
+		s.key, match = ProbeKey(s.key[:0], s.keyVals, s.KeyEnc, s.KeyExprs, s.KeyTypes, &ctx.Expr)
 		switch match {
 		case KeyMatchesNothing:
 			return nil
 		case KeyNeedsScan:
-			s.Lo = s.Lo[:0] // empty prefix: every entry
+			s.key = s.key[:0] // empty prefix: every entry
 		}
 	}
-	hi := s.Hi
-	if hi == nil {
-		hi = s.Lo
-	}
-	s.tids = IndexWalk(s.tids, s.Tree, s.Lo, hi, s.Latch, ctx.Prof())
-	if s.Reverse {
-		slices.Reverse(s.tids)
-	}
+	s.tids = IndexWalk(s.tids, s.Tree, s.key, s.key, s.Latch, ctx.Prof())
 	return nil
 }
 

@@ -159,7 +159,7 @@ func RunBulkLoad(o BulkLoadOptions) ([]BulkLoadResult, error) {
 				return nil, err
 			}
 			res.Rows = n
-			if !routines.SCL {
+			if routines == core.Stock {
 				res.Stock = elapsed
 				res.StockFillInstr = prof.Component(profile.CompFill)
 				res.StockTotalInstr = prof.Total()

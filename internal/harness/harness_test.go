@@ -110,7 +110,7 @@ func TestRunAblationAdditivity(t *testing.T) {
 	if evp < gcl-10 {
 		t.Errorf("EVP must not regress q6 materially: GCL=%.1f%%, +EVP=%.1f%%", gcl, evp)
 	}
-	// The routine set is restored afterwards.
+	// The routine level is restored afterwards.
 	if bee.Module().Routines() != core.AllRoutines {
 		t.Error("ablation must restore AllRoutines")
 	}

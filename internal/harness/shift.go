@@ -138,7 +138,7 @@ func RunShift(o ServerOptions, w io.Writer) error {
 	postShift := measure(hotB, phase/2)
 
 	// Keep B hot until the advisor has demoted the abandoned set — its
-	// heat has to decay below threshold for ColdStreak cycles.
+	// heat has to decay below threshold for the advisor's cold streak.
 	deadline := time.Now().Add(phase + 4*time.Second)
 	for delta("advisor.demotions") == 0 && time.Now().Before(deadline) {
 		exec1(hotB[0])

@@ -164,27 +164,28 @@ func RunTPCHInstructions(stock, bee *engine.DB, o Options) (Series, error) {
 	return newSeries("Figure 6: reduction in instructions executed (%)", results), nil
 }
 
-// AblationStep names one routine set of Figure 7.
+// AblationStep names one routine level of Figure 7.
 type AblationStep struct {
 	Label    string
 	Routines core.RoutineSet
 }
 
-// AblationSteps returns the paper's three Figure 7 configurations. All
-// three keep SCL and tuple bees (the bee database's storage format
-// requires GCL; the paper's "GCL" configuration is likewise the
-// relation-bee baseline every other routine stacks on).
+// AblationSteps returns the paper's three Figure 7 configurations: the
+// levels above stock. Every level keeps SCL and tuple bees (the bee
+// database's storage format requires GCL; the paper's "GCL"
+// configuration is likewise the relation-bee baseline every other routine
+// stacks on).
 func AblationSteps() []AblationStep {
 	return []AblationStep{
-		{"GCL", core.RoutineSet{GCL: true, SCL: true, TupleBees: true}},
-		{"GCL+EVP", core.RoutineSet{GCL: true, SCL: true, TupleBees: true, EVP: true}},
+		{"GCL", core.GCL},
+		{"GCL+EVP", core.GCLEVP},
 		{"GCL+EVP+EVJ", core.AllRoutines},
 	}
 }
 
 // RunAblation regenerates Figure 7: warm-cache run-time improvement with
 // successively more bee routines enabled on the same bee database. For
-// each query, the stock baseline and every routine set are measured in
+// each query, the stock baseline and every routine level are measured in
 // interleaved rounds so machine noise hits all configurations alike.
 func RunAblation(stock, bee *engine.DB, o Options) ([]Series, error) {
 	if err := warmBoth(stock, bee); err != nil {
@@ -230,7 +231,7 @@ func RunAblation(stock, bee *engine.DB, o Options) ([]Series, error) {
 		}
 		out = append(out, newSeries("Figure 7 ("+step.Label+"): run-time improvement, warm cache (%)", results))
 	}
-	// Restore the full routine set.
+	// Restore the full routine level.
 	if err := bee.SetRoutines(core.AllRoutines); err != nil {
 		return nil, err
 	}

@@ -366,7 +366,7 @@ func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
 	if !ok {
 		return false
 	}
-	scan := exec.NewIndexScan(seq.Heap, probe.Index.Tree, seq.Deform, nil, nil, false)
+	scan := exec.NewIndexScan(seq.Heap, probe.Index.Tree, seq.Deform)
 	scan.KeyExprs = probe.KeyExprs
 	scan.KeyTypes = probe.KeyTypes
 	scan.KeyEnc = probe.Index.Enc

@@ -1,10 +1,10 @@
 // Package server is the network front end: a TCP server speaking the
 // internal/wire protocol over a shared engine.DB. Each connection is one
 // session with its own session-scoped settings (statement timeout,
-// parallelism degree, batch choice) and its own named prepared
-// statements; all sessions share the engine's bee module, so a statement
-// prepared on one session finds the query bees another session's
-// identical statement already put in the bee cache.
+// parallelism degree) and its own named prepared statements; all
+// sessions share the engine's bee module, so a statement prepared on one
+// session finds the query bees another session's identical statement
+// already put in the bee cache.
 //
 // Sessions execute concurrently against the engine's MVCC storage:
 // reads run against snapshots and never block writers, and concurrent

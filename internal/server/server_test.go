@@ -163,13 +163,15 @@ func TestSessionSettings(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	for _, kv := range [][2]string{{"timeout_ms", "5000"}, {"workers", "2"}, {"batch", "off"}} {
+	for _, kv := range [][2]string{{"timeout_ms", "5000"}, {"workers", "2"}} {
 		if err := c.Set(kv[0], kv[1]); err != nil {
 			t.Fatalf("Set %v: %v", kv, err)
 		}
 	}
-	if err := c.Set("bogus", "1"); err == nil {
-		t.Fatal("unknown setting accepted")
+	for _, name := range []string{"bogus", "batch"} {
+		if err := c.Set(name, "1"); err == nil {
+			t.Fatalf("unknown setting %q accepted", name)
+		}
 	}
 	if _, err := c.Query("select count(*) from kv"); err != nil {
 		t.Fatalf("query after settings: %v", err)

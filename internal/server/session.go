@@ -391,17 +391,6 @@ func (s *session) applySet(m wire.Set) error {
 			return &wire.Error{Code: wire.CodeQuery, Msg: fmt.Sprintf("bad workers %q", m.Value)}
 		}
 		s.opts.Workers = n
-	case "batch":
-		switch strings.ToLower(m.Value) {
-		case "on", "true", "1":
-			on := true
-			s.opts.Batch = &on
-		case "off", "false", "0":
-			off := false
-			s.opts.Batch = &off
-		default:
-			return &wire.Error{Code: wire.CodeQuery, Msg: fmt.Sprintf("bad batch %q", m.Value)}
-		}
 	default:
 		return &wire.Error{Code: wire.CodeQuery, Msg: fmt.Sprintf("unknown setting %q", m.Name)}
 	}

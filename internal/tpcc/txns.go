@@ -463,7 +463,7 @@ func (e *Executor) delivery(txn *engine.Txn, p delParams) error {
 
 	for d := int32(1); d <= int32(e.Cfg.DistrictsPerWH); d++ {
 		// Oldest new_order in the district.
-		noRow, noTID, found, err := txn.FirstByIndexPrefix("new_order_pkey",
+		noRow, noTID, found, err := txn.GetByIndex("new_order_pkey",
 			[]types.Datum{i32d(w), i32d(d)})
 		if err != nil {
 			return err

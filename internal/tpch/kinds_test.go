@@ -110,7 +110,7 @@ func wrapExprs(v reflect.Value, rep *kindReport, seen map[uintptr]bool) {
 }
 
 func TestStaticKindsMatchRuntime(t *testing.T) {
-	// The stock routine set compiles nothing, so every expression is
+	// The stock routine level compiles nothing, so every expression is
 	// evaluated by the (wrapped) interpreter nodes; one worker, so the
 	// report needs no lock.
 	db, err := NewDatabase(engine.Config{Routines: core.Stock, Workers: 1}, testSF)

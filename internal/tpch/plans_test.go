@@ -22,7 +22,7 @@ const plansSF = 0.01
 
 // TestPlanShapesMatchRecorded pins the plan of every TPC-H query under
 // every planner configuration — stock and bee routines, one and four
-// workers, batching on and off — as a digest of its EXPLAIN text in
+// workers, the batch path and a NoBatch database — as a digest of its EXPLAIN text in
 // testdata/plans.json. The result digests check what a plan returns; this
 // checks which plan it is, so a planner refactor that must not change
 // plans can prove it. A moved plan prints its EXPLAIN text; run with
@@ -34,14 +34,13 @@ func TestPlanShapesMatchRecorded(t *testing.T) {
 		name     string
 		routines core.RoutineSet
 	}{{"stock", core.Stock}, {"bee", core.AllRoutines}} {
-		db, err := NewDatabase(engine.Config{Routines: rs.routines}, plansSF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			for _, batch := range []bool{true, false} {
+		for _, batch := range []bool{true, false} {
+			db, err := NewDatabase(engine.Config{Routines: rs.routines, NoBatch: !batch}, plansSF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
 				db.SetWorkers(workers)
-				db.SetBatch(batch)
 				for _, qn := range QueryNumbers() {
 					text, err := db.ExplainQuery(Queries()[qn])
 					if err != nil {

@@ -224,7 +224,7 @@ func DecodeCloseStmt(p []byte) (CloseStmt, error) {
 	return m, d.done(TCloseStmt)
 }
 
-// Set changes one session-scoped setting (timeout, workers, batch).
+// Set changes one session-scoped setting (timeout_ms or workers).
 type Set struct {
 	Name  string
 	Value string

@@ -11,9 +11,11 @@
 #    rename or a deletion cannot leave the prose describing what is gone.
 # 4. Every cmd/<name> and every `go run ./<path>` quoted in those files,
 #    the verify skill, scripts/*.sh and the CI workflow must name a
-#    directory that exists; cmd/ holds at most four binaries; and no
-#    BENCH_*.json sits at the repository root (bench/ is the benchmark of
-#    record, and a committed result file goes stale silently).
+#    directory that exists; every internal/.../*.go path named in those
+#    Markdown files, the verify skill or a Go comment must name a file
+#    that exists; cmd/ holds at most four binaries; and no BENCH_*.json
+#    sits at the repository root (bench/ is the benchmark of record, and a
+#    committed result file goes stale silently).
 #
 # Exits non-zero with one line per violation.
 set -u
@@ -133,6 +135,25 @@ for f in README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKIL
         fi
     done
 done
+stale=$({
+    for f in README.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skills/verify/SKILL.md; do
+        [ -f "$f" ] && grep -noE 'internal/[A-Za-z0-9_/]+\.go' "$f" | sed "s|^|$f:|"
+    done
+    grep -noE '//.*' $(find . -name '*.go' ! -path './.git/*') | awk '{
+        line = $0; sub(/^[^:]+:[0-9]+:/, "", line)
+        split($0, at, ":")
+        while (match(line, /internal\/[A-Za-z0-9_\/]+\.go/)) {
+            print at[1] ":" at[2] ":" substr(line, RSTART, RLENGTH)
+            line = substr(line, RSTART + RLENGTH)
+        }
+    }'
+} | while IFS=: read -r f n p; do
+    [ -e "$p" ] || echo "doccheck: $f:$n: names $p, which does not exist"
+done)
+if [ -n "$stale" ]; then
+    echo "$stale"
+    fail=1
+fi
 ncmd=$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)
 if [ "$ncmd" -gt 4 ]; then
     echo "doccheck: cmd/ holds $ncmd binaries, at most 4 allowed (add an experiment to internal/harness instead)"
