@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
@@ -37,6 +38,102 @@ type ScanDeform struct {
 	// prog is the specialized program the routine runs, nil for the
 	// generic loop; the fused scan-filter schedules its conjuncts on it.
 	prog *colProgram
+
+	// omitted memoises the routine's variants without some hole steps
+	// (Omit), keyed by the omitted positions.
+	omitMu  sync.Mutex
+	omitted map[string]*ScanDeform
+}
+
+// BeeKeys reads values of a scan's tuple-bee holes by bee ID, in place of
+// the rows: a value a tuple bee stores lives once in the relation's data
+// section, so a row's value of such a column is a function of its tuple's
+// bee ID.
+type BeeKeys struct {
+	combos *comboTable
+	spec   []uint16 // data-section position of each key
+}
+
+// Fill writes bee id's values of the keys into keys. It reads the
+// combination table with plain loads (DESIGN.md §8.4).
+func (k *BeeKeys) Fill(id uint16, keys []types.Datum) {
+	vals := k.combos.get(id)
+	for i, sp := range k.spec {
+		keys[i] = vals[sp]
+	}
+}
+
+// BeeKeys returns the reader of list positions pos by bee ID when d runs
+// the specialized program and every one of them is a tuple-bee hole of
+// it; otherwise nil, and the positions can only be read from rows.
+func (d *ScanDeform) BeeKeys(pos []int) *BeeKeys {
+	p := d.prog
+	if p == nil || p.combos == nil || len(pos) == 0 {
+		return nil
+	}
+	k := &BeeKeys{combos: p.combos, spec: make([]uint16, len(pos))}
+	for i, x := range pos {
+		if x < 0 || x >= len(p.at) || p.at[x] < 0 || p.ops[p.at[x]].op != deformOpHole {
+			return nil
+		}
+		k.spec[i] = p.ops[p.at[x]].specPos
+	}
+	return k
+}
+
+// Omit returns d without the steps that write list positions pos, which
+// BeeKeys must cover: for a scan whose consumer reads those positions by
+// bee ID and nothing reads them from the rows. The positions stay in the
+// list — no Var ordinal moves — and hold whatever the row held before.
+// Variants are memoised on d.
+func (d *ScanDeform) Omit(pos []int) *ScanDeform {
+	var buf [16]byte
+	key := attsKey(buf[:0], pos, len(d.Atts))
+	d.omitMu.Lock()
+	defer d.omitMu.Unlock()
+	if o := d.omitted[string(key)]; o != nil {
+		return o
+	}
+	o := d.prog.without(pos).routine(d.Atts, d.Bee)
+	if d.omitted == nil {
+		d.omitted = make(map[string]*ScanDeform)
+	}
+	d.omitted[string(key)] = o
+	return o
+}
+
+// without returns the program less the steps writing list positions pos,
+// each a tuple-bee hole: a hole moves no offset, so dropping its step
+// leaves every other step's reads unchanged. at[x] is -1 for a dropped
+// position.
+func (p *colProgram) without(pos []int) *colProgram {
+	q := &colProgram{
+		at:        make([]int32, len(p.at)),
+		cost:      []int64{p.cost[0]},
+		stockCost: p.stockCost,
+		combos:    p.combos,
+	}
+	drop := make([]bool, len(p.ops))
+	for _, x := range pos {
+		drop[p.at[x]] = true
+	}
+	step := make([]int32, len(p.ops))
+	for s, op := range p.ops {
+		step[s] = -1
+		if drop[s] {
+			continue
+		}
+		step[s] = int32(len(q.ops))
+		q.ops = append(q.ops, op)
+		q.cost = append(q.cost, q.cost[len(q.cost)-1]+op.cost())
+	}
+	for x, s := range p.at {
+		q.at[x] = -1
+		if s >= 0 {
+			q.at[x] = step[s]
+		}
+	}
+	return q
 }
 
 // colProgram is the GCL deform program over one attribute list: a step

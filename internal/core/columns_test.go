@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,4 +201,82 @@ func check(t *testing.T, form string, rel *catalog.Relation, d *core.ScanDeform,
 
 func same(a, b types.Datum) bool {
 	return a.Kind() == b.Kind() && a.I == b.I && string(a.B) == string(b.B)
+}
+
+// TestOmittedHoles holds a routine without some of its tuple-bee holes
+// (ScanDeform.Omit) to the full routine: every other position is deformed
+// the same, the omitted ones are left as the row held them, the charge
+// falls by one hole step each, and BeeKeys reads the omitted values by
+// the tuple's bee ID. Lists holding a column that is not a hole get no
+// BeeKeys.
+func TestOmittedHoles(t *testing.T) {
+	db := columnRelations(t, true)
+	rng := rand.New(rand.NewSource(46))
+	sawOmit, sawRefused := 0, 0
+	for _, rel := range db.Catalog().Relations() {
+		if rel.Spec == nil {
+			continue
+		}
+		tups, full := storedRows(t, db, rel)
+		for n := 0; n < 40; n++ {
+			atts := randomList(rng, len(rel.Attrs))
+			var holes, plain []int // list positions
+			for k, a := range atts {
+				if rel.IsSpecialized(a) {
+					holes = append(holes, k)
+				} else {
+					plain = append(plain, k)
+				}
+			}
+			d, err := db.Module().ScanDeformer(rel, atts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain != nil && d.BeeKeys(append([]int{plain[0]}, holes...)) != nil {
+				t.Fatalf("%s %v: BeeKeys covers position %d, which is no tuple-bee hole", rel.Name, atts, plain[0])
+			}
+			if holes == nil {
+				sawRefused++
+				continue
+			}
+			omit := holes[:1+rng.Intn(len(holes))]
+			keys := d.BeeKeys(omit)
+			if keys == nil {
+				t.Fatalf("%s %v: no BeeKeys for holes %v", rel.Name, atts, omit)
+			}
+			o := d.Omit(omit)
+			if o != d.Omit(append([]int(nil), omit...)) {
+				t.Errorf("%s %v: Omit(%v) is not memoised", rel.Name, atts, omit)
+			}
+			sawOmit++
+			sentinel := types.NewInt64(-46)
+			var fullCost, omitCost profile.Counters
+			row, got, vals := make(expr.Row, len(atts)), make(expr.Row, len(atts)), make(expr.Row, len(omit))
+			for i, tup := range tups {
+				for k := range got {
+					got[k] = sentinel
+				}
+				d.Row(tup, row, &fullCost)
+				o.Row(tup, got, &omitCost)
+				keys.Fill(tuple.BeeID(tup), vals)
+				for k := range atts {
+					want := full[i][atts[k]]
+					if j := slices.Index(omit, k); j >= 0 {
+						if !same(got[k], sentinel) || !same(vals[j], want) {
+							t.Fatalf("%s %v omitting %v, tuple %d position %d: deformed %v, by bee ID %v, want untouched and %v",
+								rel.Name, atts, omit, i, k, got[k], vals[j], want)
+						}
+					} else if !same(got[k], want) {
+						t.Fatalf("%s %v omitting %v, tuple %d position %d: %v, want %v", rel.Name, atts, omit, i, k, got[k], want)
+					}
+				}
+			}
+			if saved := fullCost.Total() - omitCost.Total(); saved != int64(len(tups)*len(omit))*profile.GCLHoleAttr {
+				t.Errorf("%s %v omitting %v: charge fell by %d over %d tuples, want %d per omitted hole", rel.Name, atts, omit, saved, len(tups), profile.GCLHoleAttr)
+			}
+		}
+	}
+	if sawOmit < 20 || sawRefused < 5 {
+		t.Errorf("covered %d lists with holes omitted and %d without holes; want more of each", sawOmit, sawRefused)
+	}
 }

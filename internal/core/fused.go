@@ -25,7 +25,45 @@ import (
 // appends the ordinals of passing tuples to sel (rows of rejected
 // ordinals are left partially deformed — consumers must honour the
 // selection vector).
-type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, sel []int32, prof *profile.Counters) []int32
+// vt is the verdict memo of the scan running the routine.
+type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, sel []int32, vt *Verdicts, prof *profile.Counters) []int32
+
+// Verdicts memoises a fused routine's verdict stage. A conjunct that reads
+// only tuple-bee holes is a function of the tuple's bee ID, so entry id
+// holds the joint verdict of those conjuncts for bee id, or unknown until
+// a tuple of that ID is first seen. The scan running the routine owns the
+// memo and resets it at every Open: rebinding a $n changes verdicts.
+// Entries are computed from the data section's combination table with
+// plain loads (DESIGN.md §8.4) — an ID a stored tuple carries always has
+// its entry — so bee IDs that DML creates mid-scan need no hook.
+type Verdicts struct {
+	v []uint8 // verdictUnknown, verdictPass or verdictFail
+	// Sighted counts the IDs whose verdict was computed since the last
+	// Reset.
+	Sighted int64
+}
+
+const (
+	verdictUnknown uint8 = iota
+	verdictPass
+	verdictFail
+)
+
+// Reset forgets every verdict, keeping the memo's storage.
+func (vt *Verdicts) Reset() {
+	clear(vt.v)
+	vt.Sighted = 0
+}
+
+// entry returns id's slot, growing the memo to cover it.
+func (vt *Verdicts) entry(id uint16) *uint8 {
+	if int(id) >= len(vt.v) {
+		v := make([]uint8, max(2*len(vt.v), int(id)+1, MaxDictValues))
+		copy(v, vt.v)
+		vt.v = v
+	}
+	return &vt.v[id]
+}
 
 // fusedCheck is one conjunct scheduled into the deform program: pred runs
 // as soon as steps [0, step] have run, which write every list position
@@ -89,7 +127,7 @@ func (rc *rawCheck) take(c *types.Datum) bool {
 // The column's Var ordinal is its position in prog's attribute list.
 func rawCheckFor(c expr.Expr, prog *colProgram) (rawCheck, bool) {
 	cc, ok := expr.MatchColCmp(c)
-	if !ok || cc.Col.Idx >= len(prog.at) {
+	if !ok || cc.Col.Idx >= len(prog.at) || prog.at[cc.Col.Idx] < 0 {
 		return rawCheck{}, false
 	}
 	step := &prog.ops[prog.at[cc.Col.Idx]]
@@ -126,6 +164,34 @@ func (rc *rawCheck) test(data []byte) tri {
 	return truth(cmp(rc.op, raw, rc.ci))
 }
 
+// holeSteps returns the program steps that write the positions c reads
+// when every one is a tuple-bee hole (nil when c reads another column or
+// none); ok is false when c reads a position the program does not write.
+func holeSteps(c expr.Expr, prog *colProgram) (steps []int32, ok bool) {
+	holes := true
+	ok = true
+	expr.Walk(c, func(e expr.Expr) bool {
+		v, isVar := e.(*expr.Var)
+		if !isVar {
+			return true
+		}
+		if v.Idx < 0 || v.Idx >= len(prog.at) || prog.at[v.Idx] < 0 {
+			ok = false
+			return false
+		}
+		if s := prog.at[v.Idx]; prog.ops[s].op != deformOpHole {
+			holes = false
+		} else if !slices.Contains(steps, s) {
+			steps = append(steps, s)
+		}
+		return true
+	})
+	if !ok || !holes {
+		return nil, ok
+	}
+	return steps, true
+}
+
 // Fused instantiates the fused GCL∘EVP routine for filtering the rows d
 // emits with the program's predicate, whose Var ordinals are positions in
 // d's attribute list. It requires an EVP program in service, d running
@@ -133,15 +199,19 @@ func (rc *rawCheck) test(data []byte) tri {
 // full snippet coverage of every conjunct; otherwise nil and the planner
 // keeps the separate BatchSeqScan→BatchFilter pair.
 //
-// Conjuncts with a stored-bytes form (rawCheckFor) run first, on the
-// tuple as stored; the rest are evaluated in ascending order of the
-// highest position they read, each as soon as the deform program has
-// written it — not textual order. Filtering semantics are unaffected: a
-// row passes iff no conjunct evaluates to false or NULL, which is
-// order-independent for the side-effect-free expressions the snippet
-// library covers. The abstract-instruction charge is the deform cost of
-// the steps actually run plus the per-term cost of every conjunct
-// actually evaluated, wherever it ran.
+// Conjuncts that read only tuple-bee holes run first, as one verdict per
+// bee ID (Verdicts): the first tuple of an ID fills the holes they read
+// and evaluates them, every later one reads the memo. Conjuncts with a
+// stored-bytes form (rawCheckFor) run next, on the tuple as stored; the
+// rest are evaluated in ascending order of the highest position they read,
+// each as soon as the deform program has written it — not textual order.
+// Filtering semantics are unaffected: a row passes iff no conjunct
+// evaluates to false or NULL, which is order-independent for the
+// side-effect-free expressions the snippet library covers. The
+// abstract-instruction charge is the deform cost of the steps actually run
+// plus the per-term cost of every conjunct actually evaluated, wherever it
+// ran; a verdict costs profile.BeeIDLookup per tuple, plus its conjuncts'
+// terms on an ID's first sight.
 //
 // The routine is a form of the predicate's EVP bee — same registry entry —
 // so a panic in either form quarantines both and the next plan falls back
@@ -153,8 +223,27 @@ func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
 	m, b, e, prog := p.m, p.bee, p.e, d.prog
 	var raws []rawCheck
 	var checks []fusedCheck
+	var verdicts []fusedCheck
+	var verdictSteps []int32
 	var predCost int64
 	for _, c := range flattenAnd(e, nil) {
+		holes, ok := holeSteps(c, prog)
+		if !ok {
+			return nil
+		}
+		if holes != nil {
+			fr := compileNode(c)
+			if fr.cls == clsNone {
+				return nil
+			}
+			verdicts = append(verdicts, fusedCheck{pred: fr.truth(), cost: int64(fr.terms) * evpTermCost})
+			for _, s := range holes {
+				if !slices.Contains(verdictSteps, s) {
+					verdictSteps = append(verdictSteps, s)
+				}
+			}
+			continue
+		}
 		if rc, ok := rawCheckFor(c, prog); ok && len(raws) < maxRawChecks {
 			raws = append(raws, rc)
 			predCost += rc.cost
@@ -178,6 +267,9 @@ func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
 	}
 	slices.SortStableFunc(raws, func(a, b rawCheck) int { return int(a.off - b.off) })
 	slices.SortStableFunc(checks, func(a, b fusedCheck) int { return a.step - b.step })
+	if verdicts != nil {
+		predCost += profile.BeeIDLookup
+	}
 
 	ops, combos, gclCost := prog.ops, prog.combos, prog.cost
 	// The fused bee replaces deform AND filter, so its benefit line pairs
@@ -187,7 +279,7 @@ func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
 		gclCost[len(ops)]+evpBaseCost+predCost, prog.stockCost+stockExprCost(e)) {
 		return nil
 	}
-	return func(tups [][]byte, out []expr.Row, sel []int32, prof *profile.Counters) []int32 {
+	return func(tups [][]byte, out []expr.Row, sel []int32, vt *Verdicts, prof *profile.Counters) []int32 {
 		m.maybePanic(b)
 		var bound [maxRawChecks]rawCheck
 		raws := bound[:copy(bound[:], raws)]
@@ -199,6 +291,21 @@ func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
 	tuples:
 		for i, tup := range tups {
 			data := tup[tuple.HOff(tup):]
+			if verdicts != nil {
+				id := tuple.BeeID(tup)
+				v := vt.entry(id)
+				if *v == verdictUnknown {
+					var cost int64
+					*v, cost = verdict(verdicts, verdictSteps, ops, combos.get(id), out[i])
+					vt.Sighted++
+					evpCost += cost
+				}
+				evpCost += profile.BeeIDLookup
+				if *v != verdictPass {
+					deformCost += gclCost[0]
+					continue
+				}
+			}
 			for ri := range raws {
 				evpCost += raws[ri].cost
 				if raws[ri].test(data) != triTrue {
@@ -232,6 +339,24 @@ func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
 		prof.Add(profile.CompExpr, evpCost)
 		return sel
 	}
+}
+
+// verdict evaluates the verdict conjuncts for one bee ID, whose
+// data-section values are vals: it fills the hole steps they read into
+// values (a row the routine deforms in full if the tuple passes), then
+// evaluates them in order up to the first that is not true. cost is the
+// terms of those it evaluated.
+func verdict(conjuncts []fusedCheck, steps []int32, ops []deformOp, vals []types.Datum, values expr.Row) (v uint8, cost int64) {
+	for _, s := range steps {
+		values[ops[s].idx] = vals[ops[s].specPos]
+	}
+	for _, c := range conjuncts {
+		cost += c.cost
+		if c.pred(values) != triTrue {
+			return verdictFail, cost
+		}
+	}
+	return verdictPass, cost
 }
 
 // flattenAnd appends e's conjuncts (nested ANDs flattened) to into.

@@ -9,6 +9,7 @@ import (
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
+	"microspec/internal/storage/tuple"
 	"microspec/internal/types"
 )
 
@@ -215,12 +216,29 @@ func (f *fusedFixture) anyConjunct() expr.Expr {
 	return &expr.Cmp{Op: op, L: f.col(i), R: f.comparand(i)}
 }
 
+// readsOnlyHoles reports whether c reads columns and every one it reads
+// is a tuple-bee attribute of the fixture's relation.
+func (f *fusedFixture) readsOnlyHoles(c expr.Expr, d *ScanDeform) bool {
+	vars, holes := 0, true
+	expr.Walk(c, func(e expr.Expr) bool {
+		if v, ok := e.(*expr.Var); ok {
+			vars++
+			holes = holes && f.rel.IsSpecialized(d.Atts[v.Idx])
+		}
+		return true
+	})
+	return vars > 0 && holes
+}
+
 // reference filters a page the slow way — deform every attribute,
 // project onto d's list, interpret — and prices it by the fused routine's
 // documented accounting: the cost of the deform steps a tuple ran, plus
-// the terms of every conjunct evaluated, stored-bytes conjuncts first (by
-// offset), the rest by the highest list position they read.
-func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d *ScanDeform) (sel []int32, rows []expr.Row, deform, evp int64) {
+// the terms of every conjunct evaluated. Conjuncts over tuple-bee columns
+// alone go first, as one verdict per bee ID: a lookup per tuple and their
+// terms once per ID. Stored-bytes conjuncts follow (by offset), the rest
+// by the highest list position they read. ids is the number of bee IDs
+// whose verdict was computed.
+func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d *ScanDeform) (sel []int32, rows []expr.Row, deform, evp, ids int64) {
 	t.Helper()
 	prog := d.prog
 	type sched struct {
@@ -230,10 +248,14 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d 
 		off   int32
 		terms int64
 	}
-	var plan []sched
+	var plan, verdict []sched
 	nraw := 0
 	for _, c := range flattenAnd(pred, nil) {
 		s := sched{e: c, terms: int64(compileNode(c).terms)}
+		if f.readsOnlyHoles(c, d) {
+			verdict = append(verdict, s)
+			continue
+		}
 		if pos, _ := MaxVarIdx(c); pos >= 0 {
 			s.steps = int(prog.at[pos]) + 1
 		}
@@ -262,8 +284,29 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d 
 	})
 	rows = projected(f.rb, page, d.Atts)
 	ctx := &expr.Ctx{}
+	verdicts := map[uint16]bool{}
 	for i, row := range rows {
 		evp += evpBaseCost
+		if verdict != nil {
+			id := tuple.BeeID(page[i])
+			v, seen := verdicts[id]
+			if !seen {
+				v = true
+				for _, s := range verdict {
+					evp += s.terms * evpTermCost
+					if r := s.e.Eval(row, ctx); r.IsNull() || !r.Bool() {
+						v = false
+						break
+					}
+				}
+				verdicts[id] = v
+			}
+			evp += profile.BeeIDLookup
+			if !v {
+				deform += prog.cost[0]
+				continue
+			}
+		}
 		steps, pass := 0, true
 		for _, s := range plan {
 			if !s.raw {
@@ -281,7 +324,7 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d 
 		}
 		deform += prog.cost[steps]
 	}
-	return sel, rows, deform, evp
+	return sel, rows, deform, evp, int64(len(verdicts))
 }
 
 // projected deforms every attribute of each tuple with the relation bee's
@@ -315,7 +358,7 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 			for i := range out {
 				out[i] = make(expr.Row, natts)
 			}
-			sawRaw, sawScheduled, sawPruned := 0, 0, 0
+			sawRaw, sawScheduled, sawVerdict, sawPruned := 0, 0, 0, 0
 			for n := 0; n < 400; n++ {
 				f.read(f.randomAtts())
 				d, err := f.m.ScanDeformer(f.rel, f.atts)
@@ -338,16 +381,20 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 					t.Fatalf("predicate %d did not fuse over %v: %s", n, d.Atts, pred)
 				}
 				for _, k := range kids {
-					if _, raw := rawCheckFor(k, d.prog); raw {
+					switch _, raw := rawCheckFor(k, d.prog); {
+					case f.readsOnlyHoles(k, d):
+						sawVerdict++
+					case raw:
 						sawRaw++
-					} else {
+					default:
 						sawScheduled++
 					}
 				}
 				for pi, page := range f.pages {
-					wantSel, wantRows, wantDeform, wantEVP := f.reference(t, pred, page, d)
+					wantSel, wantRows, wantDeform, wantEVP, wantIDs := f.reference(t, pred, page, d)
 					prof := &profile.Counters{}
-					sel := fused(page, out, nil, prof)
+					vt := &Verdicts{}
+					sel := fused(page, out, nil, vt, prof)
 					if !slices.Equal(sel, wantSel) {
 						t.Fatalf("predicate %d %s over %v (params %v), page %d:\nfused selected %v\nreference     %v", n, pred, d.Atts, f.slots.Vals, pi, sel, wantSel)
 					}
@@ -364,10 +411,13 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 					if got := prof.Component(profile.CompExpr); got != wantEVP {
 						t.Fatalf("predicate %d %s over %v, page %d: EVP charge %d, accounting says %d", n, pred, d.Atts, pi, got, wantEVP)
 					}
+					if vt.Sighted != wantIDs {
+						t.Fatalf("predicate %d %s over %v, page %d: %d verdicts computed, want one per bee ID (%d)", n, pred, d.Atts, pi, vt.Sighted, wantIDs)
+					}
 				}
 			}
-			if sawRaw < 100 || sawScheduled < 100 || sawPruned < 100 {
-				t.Errorf("generator covered %d stored-bytes and %d scheduled conjuncts over %d pruned lists; want plenty of each", sawRaw, sawScheduled, sawPruned)
+			if sawRaw < 100 || sawScheduled < 100 || sawPruned < 100 || cfg.lowcard && sawVerdict < 50 {
+				t.Errorf("generator covered %d stored-bytes, %d verdict and %d scheduled conjuncts over %d pruned lists; want plenty of each", sawRaw, sawVerdict, sawScheduled, sawPruned)
 			}
 		})
 	}
@@ -455,7 +505,7 @@ func TestFusedRejectsWithoutDeforming(t *testing.T) {
 		out[i] = make(expr.Row, natts)
 	}
 	prof := &profile.Counters{}
-	if sel := fused(page, out, nil, prof); len(sel) != 0 {
+	if sel := fused(page, out, nil, &Verdicts{}, prof); len(sel) != 0 {
 		t.Fatalf("selected %v, want none", sel)
 	}
 	if got, want := prof.Component(profile.CompDeform), int64(len(page))*f.rb.gclCost[0]; got != want {

@@ -222,6 +222,7 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 					b.Fatal("predicate did not fuse")
 				}
 				prof := &profile.Counters{}
+				vt := &core.Verdicts{}
 				sel := make([]int32, 0, len(rows))
 				passed := 0
 				b.ReportAllocs()
@@ -229,14 +230,14 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					passed = 0
 					for _, page := range pages {
-						sel = fused(page, rows, sel[:0], prof)
+						sel = fused(page, rows, sel[:0], vt, prof)
 						passed += len(sel)
 					}
 				}
 				report(b, pages, prof, passed)
 				if allocs := testing.AllocsPerRun(1, func() {
 					for _, page := range pages {
-						sel = fused(page, rows, sel[:0], prof)
+						sel = fused(page, rows, sel[:0], vt, prof)
 					}
 				}); allocs != 0 {
 					b.Errorf("fused scan-filter allocated %.0f times per scan, want 0", allocs)

@@ -428,7 +428,7 @@ func TestRegistryConcurrent(t *testing.T) {
 					return
 				}
 				if fused := p.Fused(d); fused != nil {
-					fused([][]byte{tup}, []expr.Row{make(expr.Row, 2)}, nil, nil)
+					fused([][]byte{tup}, []expr.Row{make(expr.Row, 2)}, nil, &Verdicts{}, nil)
 				}
 				p.Bee().Note(1, 1)
 				a := m.CompileScalar(e.(*expr.Cmp).L)

@@ -223,6 +223,16 @@ func (ds *DataSections) dictLookup(pos, attIdx int, v types.Datum, prof *profile
 	a := &ds.rel.Attrs[attIdx]
 	var vb []byte
 	if a.Type.ByValue() {
+		// The stored value takes the column's kind, as a stored word
+		// deformed by the column's type does: an integral literal for a
+		// DOUBLE column is its value as a DOUBLE, one for an INTEGER column
+		// of another integral kind keeps its value.
+		switch {
+		case a.Type.Kind == types.KindFloat64 && v.Kind() != types.KindFloat64:
+			v = types.NewFloat64(float64(v.I))
+		case a.Type.Kind != types.KindFloat64 && v.Kind() != types.KindFloat64:
+			v = types.MakeNumeric(v.I, a.Type.Kind)
+		}
 		var kb [8]byte
 		u := uint64(v.Int64())
 		for i := 0; i < 8; i++ {

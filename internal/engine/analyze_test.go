@@ -42,6 +42,10 @@ var timeRE = regexp.MustCompile(`time=[0-9.]+ms`)
 
 func normalize(s string) string { return timeRE.ReplaceAllString(s, "time=X") }
 
+// Q1 groups by two LOWCARD columns of the scan it sits on, so the Gather
+// reads its group keys by tuple-bee ID: "bee-keyed ids=N" counts the IDs
+// the two partitions resolved to groups (each partition resolves its own),
+// far fewer than the rows.
 func TestExplainAnalyzeQ1Aggregate(t *testing.T) {
 	db := analyzeDB(t)
 	out, res, err := db.ExplainAnalyzeQuery(tpch.Queries()[1])
@@ -53,7 +57,7 @@ func TestExplainAnalyzeQ1Aggregate(t *testing.T) {
 	}
 	want := `Sort [{0 false} {1 false}] (actual rows=4 loops=1 time=X)
   Project l_returnflag, l_linestatus, sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_qty, avg_price, avg_disc, count_order (actual rows=4 loops=1 time=X)
-    Gather workers=2 (partial-agg groups=2 aggs=[sum(l_quantity), sum(l_extendedprice), sum((l_extendedprice * (1 - l_discount))), sum(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))), avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)]) [EVA] (actual rows=4 loops=1 time=X)
+    Gather workers=2 (partial-agg groups=2 aggs=[sum(l_quantity), sum(l_extendedprice), sum((l_extendedprice * (1 - l_discount))), sum(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))), avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)]) [EVA] (actual rows=4 loops=1 bee-keyed ids=208 time=X)
       BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 time=X)
       BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 time=X)
 `
@@ -83,6 +87,42 @@ func TestExplainAnalyzeQ3Joins(t *testing.T) {
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q3 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// Q10's `l_returnflag = 'R'` reads a LOWCARD column alone, so the fused
+// scan decides it once per tuple-bee ID: "verdict ids=N" counts the IDs
+// whose verdict the scan computed. Plain EXPLAIN shows neither note.
+func TestExplainAnalyzeQ10Verdicts(t *testing.T) {
+	db := analyzeDB(t)
+	out, res, err := db.ExplainAnalyzeQuery(tpch.Queries()[10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 20 {
+		t.Fatalf("Q10 returned %d rows, want 20", len(res.Rows))
+	}
+	want := `Limit 20 offset 0 (actual rows=20 loops=1 time=X)
+  Sort [{2 true}] (actual rows=20 loops=1 time=X)
+    Project c_custkey, c_name, revenue, c_acctbal, n_name, c_address, c_phone, c_comment (actual rows=68 loops=1 time=X)
+      HashAgg groups=7 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=68 loops=1 time=X)
+        HashJoin inner keys=[10]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
+          HashJoin inner keys=[5]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
+            HashJoin inner keys=[0]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
+              BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_returnflag) batch=1024 filter=(l_returnflag = 'R') [GCL+EVP] (actual rows=3189 batches=166 rows/batch=19.2 loops=1 verdict ids=109 time=X)
+              BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate) batch=1024 filter=((o_orderdate >= 1993-10-01) AND (o_orderdate < (1993-10-01 + interval '3m0d'))) [GCL+EVP] (actual rows=126 batches=37 rows/batch=3.4 loops=1 time=X)
+            BatchSeqScan customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_comment) batch=1024 [GCL] (actual rows=300 batches=6 rows/batch=50.0 loops=1 time=X)
+          BatchSeqScan nation (n_nationkey, n_name) batch=1024 [GCL] (actual rows=25 batches=1 rows/batch=25.0 loops=1 time=X)
+`
+	if got := normalize(out); got != want {
+		t.Fatalf("Q10 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	plain, err := db.ExplainQuery(tpch.Queries()[10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(plain, "verdict") || strings.Contains(plain, "bee-keyed") {
+		t.Fatalf("plain EXPLAIN names the analyzed run's notes:\n%s", plain)
 	}
 }
 

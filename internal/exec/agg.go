@@ -305,6 +305,13 @@ type HashAgg struct {
 	Child   Node
 	GroupBy []expr.Expr
 	Aggs    []AggSpec
+	// BeeKeys, when set, reads every GroupBy key by tuple-bee ID: the
+	// child is a scan region whose batches carry their rows' bee IDs, and
+	// the drain resolves each ID to its group once (aggDrain).
+	BeeKeys *core.BeeKeys
+	// KeyedIDs counts the bee IDs the drain resolved to groups, over every
+	// run since Instrument wrapped the node (EXPLAIN ANALYZE).
+	KeyedIDs int64
 
 	drain  *aggDrain // built on the first Open, reused by every later one
 	table  *aggTable
@@ -316,12 +323,13 @@ type HashAgg struct {
 // Open implements Node: it consumes the whole child.
 func (a *HashAgg) Open(ctx *Ctx) error {
 	if a.drain == nil {
-		a.drain = newAggDrain(a.GroupBy, a.Aggs, a.Aggs)
+		a.drain = newAggDrain(a.GroupBy, a.BeeKeys, a.Aggs, a.Aggs)
 		a.outBuf = make(expr.Row, len(a.GroupBy)+len(a.Aggs))
 	}
 	a.table = newAggTable(len(a.Aggs))
 	a.pos = 0
 	_, err := drainBatchesIntoAgg(ctx, a.Child, a.drain, a.table)
+	a.KeyedIDs += a.drain.sighted
 	return err
 }
 
@@ -371,6 +379,14 @@ func aggSchema(groupBy []expr.Expr, aggs []AggSpec) []ColInfo {
 // time on a setup.
 type aggDrain struct {
 	groupBy []expr.Expr
+	// keys, when set, reads the group keys by tuple-bee ID: a batch that
+	// carries IDs resolves a row's group through byID, whose entry id is
+	// the group of bee id plus one (0: not seen in this drain), and probes
+	// the table only on an ID's first sight. sighted counts those first
+	// sights in the last drain.
+	keys    *core.BeeKeys
+	byID    []int32
+	sighted int64
 	// evalSpecs supply the evaluation forms (a Gather partition's private
 	// EVA bees), addSpecs the accumulation specs.
 	evalSpecs, addSpecs []AggSpec
@@ -402,10 +418,10 @@ type aggDrain struct {
 // noted.
 type beeUsage struct{ rows, ns int64 }
 
-func newAggDrain(groupBy []expr.Expr, evalSpecs, addSpecs []AggSpec) *aggDrain {
+func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []AggSpec) *aggDrain {
 	n := len(addSpecs)
 	d := &aggDrain{
-		groupBy: groupBy, evalSpecs: evalSpecs, addSpecs: addSpecs,
+		groupBy: groupBy, keys: keys, evalSpecs: evalSpecs, addSpecs: addSpecs,
 		owner: make([]int, n), shared: make([]bool, n), cols: make([][]types.Datum, n),
 		keyBuf: make(expr.Row, len(groupBy)), per: -1, eva: make([]beeUsage, n),
 	}
@@ -440,7 +456,10 @@ func newAggDrain(groupBy []expr.Expr, evalSpecs, addSpecs []AggSpec) *aggDrain {
 //  1. Group resolution — once per batch for a global aggregate, once per
 //     row otherwise, in row order (preserving first-appearance order). A
 //     row whose key equals the previous row's reuses its group without
-//     re-probing the table.
+//     re-probing the table. Under bee keys (aggDrain.keys) a batch that
+//     carries bee IDs resolves a row by its ID instead, and probes the
+//     table with the ID's data-section values only on its first sight —
+//     the first row of that ID, so groups appear in the same order.
 //  2. Argument evaluation — per distinct argument, the batch-EVA bee (or
 //     the interpreter per row) fills a reusable value column.
 //  3. Transition — per spec, a tight loop folds the value column into the
@@ -467,6 +486,9 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 	}
 	groupBy, evalSpecs, addSpecs := d.groupBy, d.evalSpecs, d.addSpecs
 	keyBuf, per, gids, sts := d.keyBuf, d.per, d.gids, d.sts
+	// byID numbers this drain's table's groups.
+	clear(d.byID)
+	d.sighted = 0
 	if per == 0 {
 		// The one group exists over no rows too.
 		g := table.global()
@@ -496,27 +518,35 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 				gids, sts = make([]int, c), make([][]aggState, c)
 				d.gids, d.sts = gids, sts
 			}
-			// prev is per-batch: keyBuf datums may alias the batch's row
-			// storage, which the next NextBatch overwrites.
-			prev := -1
-			for bi := 0; bi < n; bi++ {
-				row := b.RowAt(bi)
-				same := prev >= 0
-				for i, gexp := range groupBy {
-					k := gexp.Eval(row, &ctx.Expr)
-					if same {
-						if k.IsNull() != keyBuf[i].IsNull() ||
-							(!k.IsNull() && k.Compare(keyBuf[i]) != 0) {
-							same = false
+			probes := int64(0)
+			if d.keys != nil && b.IDs != nil {
+				probes = d.groupsByID(b, table)
+				ctx.Prof().Add(profile.CompExec, int64(n)*profile.BeeIDLookup)
+			} else {
+				// prev is per-batch: keyBuf datums may alias the batch's row
+				// storage, which the next NextBatch overwrites.
+				prev := -1
+				for bi := 0; bi < n; bi++ {
+					row := b.RowAt(bi)
+					same := prev >= 0
+					for i, gexp := range groupBy {
+						k := gexp.Eval(row, &ctx.Expr)
+						if same {
+							if k.IsNull() != keyBuf[i].IsNull() ||
+								(!k.IsNull() && k.Compare(keyBuf[i]) != 0) {
+								same = false
+							}
 						}
+						keyBuf[i] = k
 					}
-					keyBuf[i] = k
+					if !same {
+						prev = table.group(keyBuf)
+						probes++
+					}
+					gids[bi] = prev
 				}
-				if !same {
-					prev = table.group(keyBuf)
-				}
-				gids[bi] = prev
 			}
+			ctx.Prof().Add(profile.CompExec, probes*profile.HashProbe)
 			// Once the batch's groups exist: a new group may move the
 			// states of an earlier one (see aggTable).
 			for bi := 0; bi < n; bi++ {
@@ -591,6 +621,38 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 			}
 		}
 	}
+}
+
+// groupsByID fills d.gids for a batch that carries bee IDs: a row's group
+// is its ID's, found in byID, and an ID seen first in this drain probes
+// the table with its keys read from the data section. It returns the
+// number of probes.
+func (d *aggDrain) groupsByID(b *Batch, table *aggTable) (probes int64) {
+	ids, sel, gids, byID := b.IDs, b.Sel, d.gids, d.byID
+	for bi, n := 0, b.Count(); bi < n; bi++ {
+		r := bi
+		if sel != nil {
+			r = int(sel[bi])
+		}
+		id := ids[r]
+		if int(id) >= len(byID) {
+			// Bee IDs grow as DML creates them; a concurrent insert's may
+			// be past anything seen so far.
+			grown := make([]int32, max(2*len(byID), int(id)+1, core.MaxDictValues))
+			copy(grown, byID)
+			byID, d.byID = grown, grown
+		}
+		g := byID[id] - 1
+		if g < 0 {
+			d.keys.Fill(id, d.keyBuf)
+			g = int32(table.group(d.keyBuf))
+			byID[id] = g + 1
+			d.sighted++
+			probes++
+		}
+		gids[bi] = int(g)
+	}
+	return probes
 }
 
 // Distinct removes duplicate rows (SELECT DISTINCT), preserving first

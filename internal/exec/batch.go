@@ -7,6 +7,7 @@ import (
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
+	"microspec/internal/storage/tuple"
 	"microspec/internal/types"
 )
 
@@ -48,6 +49,9 @@ type Batch struct {
 	Rows []expr.Row
 	N    int
 	Sel  []int32
+	// IDs, when set, holds the tuple-bee ID of each of Rows[:N]: a scan
+	// feeding a bee-keyed aggregation hands them up (BatchSeqScan.BeeIDs).
+	IDs []uint16
 }
 
 // Count returns the number of live rows.
@@ -153,21 +157,30 @@ type BatchSeqScan struct {
 	Partial bool
 	Bounds  []ScanBound
 	Skipped int64
+	// BeeIDs makes every batch carry its rows' tuple-bee IDs (Batch.IDs),
+	// for a bee-keyed aggregation directly above the scan region.
+	BeeIDs bool
+	// VerdictIDs counts the bee IDs whose verdict the fused routine
+	// computed (core.Verdicts), over every run since Instrument wrapped
+	// the scan, as Skipped does.
+	VerdictIDs int64
 
-	deforms int64
-	fused   int64
-	timedNs int64 // wall time of the timed pages' bee invocations
-	timed   int64 // pages timed
-	batches int64
-	rowsOut int64
-	bound   []heap.Bound
-	scanner *heap.Scanner
-	tupBuf  [][]byte
-	rows    []expr.Row
-	sel     []int32
-	batch   Batch
-	cols    []ColInfo
-	rb      rebatcher
+	deforms  int64
+	fused    int64
+	timedNs  int64 // wall time of the timed pages' bee invocations
+	timed    int64 // pages timed
+	batches  int64
+	rowsOut  int64
+	bound    []heap.Bound
+	scanner  *heap.Scanner
+	tupBuf   [][]byte
+	rows     []expr.Row
+	sel      []int32
+	ids      []uint16
+	verdicts core.Verdicts
+	batch    Batch
+	cols     []ColInfo
+	rb       rebatcher
 }
 
 // NewBatchSeqScan builds a page-wise batch scan over rel's heap emitting
@@ -203,6 +216,7 @@ func (s *BatchSeqScan) ensureRows(n int) {
 func (s *BatchSeqScan) Open(ctx *Ctx) error {
 	s.scanner, s.bound = openScanner(ctx, s.Heap, s.Range, s.Partial, s.Bounds, s.bound)
 	s.batches, s.rowsOut = 0, 0
+	s.verdicts.Reset()
 	s.rb.reset()
 	return nil
 }
@@ -234,7 +248,7 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		s.batches++
 		if s.Fused != nil {
 			s.fused += int64(len(tups))
-			s.sel = s.Fused(tups, s.rows, s.sel[:0], ctx.Prof())
+			s.sel = s.Fused(tups, s.rows, s.sel[:0], &s.verdicts, ctx.Prof())
 		} else {
 			s.Deform.Batch(tups, s.rows, ctx.Prof())
 		}
@@ -242,14 +256,23 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 			s.timedNs += int64(time.Since(t0))
 			s.timed++
 		}
-		if s.Fused == nil {
-			s.batch = Batch{Rows: s.rows, N: len(tups)}
-			return &s.batch, true, nil
+		s.batch = Batch{Rows: s.rows, N: len(tups)}
+		if s.Fused != nil {
+			if len(s.sel) == 0 {
+				continue
+			}
+			s.batch.Sel = s.sel
 		}
-		if len(s.sel) == 0 {
-			continue
+		if s.BeeIDs {
+			if cap(s.ids) < len(tups) {
+				s.ids = make([]uint16, growBatchScratch(cap(s.ids), len(tups)))
+			}
+			ids := s.ids[:len(tups)]
+			for i, tup := range tups {
+				ids[i] = tuple.BeeID(tup)
+			}
+			s.batch.IDs = ids
 		}
-		s.batch = Batch{Rows: s.rows, N: len(tups), Sel: s.sel}
 		return &s.batch, true, nil
 	}
 }
@@ -271,6 +294,8 @@ func (s *BatchSeqScan) Close(*Ctx) {
 	}
 	s.Deform.Bee.Note(s.deforms, ns)
 	s.deforms, s.fused, s.timedNs, s.timed = 0, 0, 0, 0
+	s.VerdictIDs += s.verdicts.Sighted
+	s.verdicts.Sighted = 0
 	if s.scanner != nil {
 		s.Skipped += s.scanner.PagesSkipped()
 		s.scanner.Close()

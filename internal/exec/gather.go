@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"microspec/internal/core"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 )
@@ -46,6 +47,10 @@ type Gather struct {
 	GroupBy  []expr.Expr
 	Aggs     []AggSpec
 	PartAggs [][]AggSpec
+	// BeeKeys and KeyedIDs are HashAgg's: every partition's drain reads
+	// the group keys by tuple-bee ID.
+	BeeKeys  *core.BeeKeys
+	KeyedIDs int64
 
 	// MergeKeys selects sorted-run merge mode: every part emits rows
 	// sorted by these keys (the planner roots each part in a Sort, whose
@@ -214,7 +219,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 			if g.PartAggs != nil && g.PartAggs[part] != nil {
 				specs = g.PartAggs[part]
 			}
-			g.drains[part] = newAggDrain(g.GroupBy, specs, g.Aggs)
+			g.drains[part] = newAggDrain(g.GroupBy, g.BeeKeys, specs, g.Aggs)
 		}
 		table := newAggTable(len(g.Aggs))
 		rows, err := drainBatchesIntoAgg(wctx, g.Parts[part], g.drains[part], table)
@@ -227,6 +232,11 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 	})
 	if err := g.loadErr(); err != nil {
 		return err
+	}
+	for _, d := range g.drains {
+		if d != nil {
+			g.KeyedIDs += d.sighted
+		}
 	}
 
 	// Merge partial states in partition order: partitions cover the heap

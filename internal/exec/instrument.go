@@ -36,13 +36,18 @@ func Instrument(n Node) Node {
 			*p = Instrument(*p)
 		})
 	})
-	// Pages skipped before now belong to runs the wrapper's rows and loops
-	// do not count (a kept plan's plain EXECUTEs).
+	// Pages skipped, verdicts computed and bee IDs resolved before now
+	// belong to runs the wrapper's rows and loops do not count (a kept
+	// plan's plain EXECUTEs).
 	switch v := n.(type) {
 	case *SeqScan:
 		v.Skipped = 0
 	case *BatchSeqScan:
-		v.Skipped = 0
+		v.Skipped, v.VerdictIDs = 0, 0
+	case *HashAgg:
+		v.KeyedIDs = 0
+	case *Gather:
+		v.KeyedIDs = 0
 	}
 	if _, ok := n.(BatchNode); ok {
 		return &InstrumentedBatch{Inner: n}

@@ -62,38 +62,54 @@ func actuals(n exec.Node) string {
 	switch in := n.(type) {
 	case *exec.Instrumented:
 		return fmt.Sprintf(" (actual rows=%d loops=%d%s time=%.3fms)",
-			in.Rows, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
+			in.Rows, in.Loops, runNotes(in.Inner), in.Elapsed.Seconds()*1000)
 	case *exec.InstrumentedBatch:
 		if in.Batches == 0 && in.Rows > 0 {
 			// Rows but no batches: drained row by row (a batch region's
 			// root under a row-only consumer, or any join of a
 			// tuple-path plan).
 			return fmt.Sprintf(" (actual rows=%d loops=%d%s time=%.3fms)",
-				in.Rows, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
+				in.Rows, in.Loops, runNotes(in.Inner), in.Elapsed.Seconds()*1000)
 		}
 		rpb := 0.0
 		if in.Batches > 0 {
 			rpb = float64(in.Rows) / float64(in.Batches)
 		}
 		return fmt.Sprintf(" (actual rows=%d batches=%d rows/batch=%.1f loops=%d%s time=%.3fms)",
-			in.Rows, in.Batches, rpb, in.Loops, skipped(in.Inner), in.Elapsed.Seconds()*1000)
+			in.Rows, in.Batches, rpb, in.Loops, runNotes(in.Inner), in.Elapsed.Seconds()*1000)
 	}
 	return ""
 }
 
-// skipped renders the pages a scan's bounds ruled out, "" when none.
-func skipped(n exec.Node) string {
-	var k int64
+// runNotes renders what a node's run did by tuple-bee ID and the pages a
+// scan's bounds ruled out: "bee-keyed ids=N" on an aggregation that read
+// its group keys by bee ID (the IDs it resolved to groups), "verdict
+// ids=N" on a scan whose fused routine computed verdicts for N IDs, and
+// "pages skipped=N"; "" when there is none of them.
+func runNotes(n exec.Node) string {
+	var k, verdicts int64
 	switch v := n.(type) {
 	case *exec.SeqScan:
 		k = v.Skipped
 	case *exec.BatchSeqScan:
-		k = v.Skipped
+		k, verdicts = v.Skipped, v.VerdictIDs
+	case *exec.HashAgg:
+		if v.BeeKeys != nil {
+			return fmt.Sprintf(" bee-keyed ids=%d", v.KeyedIDs)
+		}
+	case *exec.Gather:
+		if v.BeeKeys != nil {
+			return fmt.Sprintf(" bee-keyed ids=%d", v.KeyedIDs)
+		}
 	}
-	if k == 0 {
-		return ""
+	s := ""
+	if verdicts > 0 {
+		s = fmt.Sprintf(" verdict ids=%d", verdicts)
 	}
-	return fmt.Sprintf(" pages skipped=%d", k)
+	if k > 0 {
+		s += fmt.Sprintf(" pages skipped=%d", k)
+	}
+	return s
 }
 
 // describe returns one node's outline line (bee-routine markers

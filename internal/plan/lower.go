@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"microspec/internal/core"
 	"microspec/internal/exec"
+	"microspec/internal/expr"
 	"microspec/internal/storage/heap"
 )
 
@@ -45,11 +47,15 @@ import (
 const minParallelPages = 8
 
 // region is a Filter chain, outermost first, over a SeqScan or a HashJoin.
+// An aggregation reading the scan's group keys by bee ID (beeKeys) sets
+// beeIDs, and deform when the scan need not deform those keys.
 type region struct {
 	top     exec.Node
 	filters []*exec.Filter
 	scan    *exec.SeqScan
 	join    *exec.HashJoin
+	beeIDs  bool
+	deform  *core.ScanDeform
 }
 
 // regionOf matches n against Filter* over a SeqScan or a HashJoin; ok is
@@ -84,6 +90,7 @@ func (p *Planner) lower(n exec.Node) exec.Node {
 		if g := p.tryGatherAgg(v); g != nil {
 			return g
 		}
+		return p.lowerAgg(v)
 	case *exec.Sort:
 		if g := p.tryGatherMerge(v); g != nil {
 			return g
@@ -113,8 +120,12 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 	case r.join != nil:
 		node = r.join
 	case p.Batch:
-		bs := exec.NewBatchSeqScan(r.scan.Heap, r.scan.Deform)
-		bs.Bounds = r.scan.Bounds
+		deform := r.scan.Deform
+		if r.deform != nil {
+			deform = r.deform
+		}
+		bs := exec.NewBatchSeqScan(r.scan.Heap, deform)
+		bs.Bounds, bs.BeeIDs = r.scan.Bounds, r.beeIDs
 		if part != nil {
 			bs.Range, bs.Partial = *part, true
 		}
@@ -126,7 +137,7 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 		// the predicate order for the rest.
 		if k := len(filters) - 1; k >= 0 {
 			f := filters[k]
-			if fp := f.Prog.Fused(r.scan.Deform); fp != nil {
+			if fp := f.Prog.Fused(deform); fp != nil {
 				bs.Fused, bs.FusedPred, bs.FusedBee = fp, f.Pred, f.Prog.Bee()
 				filters = filters[:k]
 			}
@@ -150,6 +161,81 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 		}
 	}
 	return node
+}
+
+// lowerAgg lowers a serial HashAgg: a region beneath it is built with the
+// aggregation's bee keys (beeKeys), any other child is lowered as usual.
+func (p *Planner) lowerAgg(agg *exec.HashAgg) exec.Node {
+	exec.Children(agg, func(k *exec.Node) {
+		r, ok := regionOf(*k)
+		if !ok {
+			*k = p.lower(*k)
+			return
+		}
+		agg.BeeKeys = p.beeKeys(&r, agg.GroupBy, agg.Aggs)
+		*k = p.build(r, nil)
+	}, nil)
+	return agg
+}
+
+// beeKeys returns the reader of an aggregation's group keys by tuple-bee
+// ID when the aggregation sits directly on r, a scan region in batch
+// form, and every key is a column the scan's deform program fills from a
+// tuple-bee hole; nil otherwise, and the drain evaluates the keys per
+// row. It marks r's scan to hand up its rows' bee IDs and, when nothing
+// else reads a key column from the rows, to skip deforming it: no
+// filter or aggregate argument names it, and none of them holds a
+// subquery, which could read the whole row as its outer row.
+func (p *Planner) beeKeys(r *region, groupBy []expr.Expr, aggs []exec.AggSpec) *core.BeeKeys {
+	if !p.Batch || r.scan == nil || len(groupBy) == 0 {
+		return nil
+	}
+	pos := make([]int, len(groupBy))
+	for i, g := range groupBy {
+		v, ok := g.(*expr.Var)
+		if !ok {
+			return nil
+		}
+		pos[i] = v.Idx
+	}
+	keys := r.scan.Deform.BeeKeys(pos)
+	if keys == nil {
+		return nil
+	}
+	r.beeIDs = true
+	// reads marks the positions e reads; it is false when e might read
+	// the whole row (a subquery takes the row as its outer row).
+	read := make([]bool, len(r.scan.Deform.Atts))
+	reads := func(e expr.Expr) bool {
+		expr.Walk(e, func(e expr.Expr) bool {
+			if v, ok := e.(*expr.Var); ok && v.Idx >= 0 && v.Idx < len(read) {
+				read[v.Idx] = true
+			}
+			return true
+		})
+		return exec.ParallelSafeExpr(e)
+	}
+	for _, f := range r.filters {
+		if !reads(f.Pred) {
+			return keys
+		}
+	}
+	for i := range aggs {
+		if !reads(aggs[i].Arg) {
+			return keys
+		}
+	}
+	var omit []int
+	for _, x := range pos {
+		if !read[x] {
+			read[x] = true // a key listed twice is omitted once
+			omit = append(omit, x)
+		}
+	}
+	if omit != nil {
+		r.deform = r.scan.Deform.Omit(omit)
+	}
+	return keys
 }
 
 // partitions returns the scan region n is and the page ranges to split it
@@ -195,6 +281,7 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 			return nil
 		}
 	}
+	keys := p.beeKeys(&r, agg.GroupBy, agg.Aggs)
 	parts := make([]exec.Node, len(ranges))
 	for i := range ranges {
 		parts[i] = p.build(r, &ranges[i])
@@ -224,6 +311,7 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 		GroupBy:  agg.GroupBy,
 		Aggs:     agg.Aggs,
 		PartAggs: partAggs,
+		BeeKeys:  keys,
 	}
 }
 

@@ -125,6 +125,13 @@ const (
 	// aggregation, excluding the qual/key evaluation accounted above.
 	HashProbe = 90
 	HashBuild = 130
+	// BeeIDLookup: reading a tuple's 16-bit bee ID and its entry in a
+	// dense per-ID array — a bee-keyed aggregation's group number, or a
+	// fused scan's verdict — two loads and a bounds test. It replaces the
+	// per-row group-key evaluation, comparison and hash probe, or the hole
+	// deform and comparison of a conjunct over tuple-bee columns; the
+	// probe or the evaluation is paid once per ID, on its first sight.
+	BeeIDLookup = 4
 	// SortCompare: one comparison inside a sort.
 	SortCompare = 60
 	// AggTransition: one aggregate-state transition.
