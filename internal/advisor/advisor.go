@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"microspec/internal/core"
+	"microspec/internal/index/btree"
 	"microspec/internal/metrics"
 	"microspec/internal/types"
 )
@@ -130,6 +131,7 @@ type Advisor struct {
 
 	skMu     sync.Mutex
 	sketches map[string][]*ndvSketch // table → per-ordinal sketches
+	keyBuf   btree.Key               // a value's key encoding, under skMu
 
 	mu         sync.Mutex
 	hotStreak  map[*core.Bee]int
@@ -248,8 +250,9 @@ func (a *Advisor) ObserveRow(table string, values []types.Datum) {
 		sk = append(sk, &ndvSketch{})
 	}
 	a.sketches[table] = sk
-	for i, v := range values {
-		sk[i].add(v.Hash())
+	for i := range values {
+		a.keyBuf, _ = btree.AppendDatum(a.keyBuf[:0], btree.ClassOf(values[i].Kind()), &values[i])
+		sk[i].add(btree.Hash(a.keyBuf))
 	}
 	a.skMu.Unlock()
 }

@@ -486,17 +486,17 @@ func (p Program) BatchScalar() CompiledBatchScalar {
 	}
 }
 
-// BatchKeyHash is the batch form of an EVJ key hasher, in the style of
+// BatchKeyHash is the batch form of a join key hasher, in the style of
 // CompiledBatchPred: one invocation hashes the key columns of every live
-// row of a batch (cand nil means all of rows), appending to out in
-// live-row order, so the bee-call wrapper runs once per batch.
-type BatchKeyHash func(rows []expr.Row, cand []int32, out []uint64) []uint64
+// row of a batch (cand nil means all of rows) into out in live-row order,
+// or refuses a datum outside its column's class (btree.ClassError).
+type BatchKeyHash func(rows []expr.Row, cand []int32, out []uint64) ([]uint64, error)
 
-// JoinKeyFuncs is an EVJ bee routine for hash joins: specialized hash and
-// equality over baked key ordinals and types. The hashers and the
-// per-candidate Match share the bee's registry entry.
+// JoinKeyFuncs is a hash join's key evaluation: the EVJ bee routine
+// (CompileJoinKeys) or StockJoinKeys, which it specializes. A bee's
+// hashers and per-candidate Match share its registry entry.
 type JoinKeyFuncs struct {
-	// Bee is the EVJ bee's registry entry.
+	// Bee is the EVJ bee's registry entry, nil for the stock routine.
 	Bee *Bee
 	// HashOuterBatch hashes the outer rows' key columns.
 	HashOuterBatch BatchKeyHash
@@ -531,7 +531,7 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 		return inner(outer, innerRow)
 	}
 	guard := func(h BatchKeyHash) BatchKeyHash {
-		return func(rows []expr.Row, cand []int32, out []uint64) []uint64 {
+		return func(rows []expr.Row, cand []int32, out []uint64) ([]uint64, error) {
 			m.maybePanic(b)
 			return h(rows, cand, out)
 		}

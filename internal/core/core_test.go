@@ -429,14 +429,20 @@ func TestCompileJoinKeys(t *testing.T) {
 	if !jk.Match(outer, inner) {
 		t.Error("keys 7=7 must match")
 	}
-	hashOne := func(h BatchKeyHash, row expr.Row) uint64 { return h([]expr.Row{row}, nil, nil)[0] }
+	hashOne := func(h BatchKeyHash, row expr.Row) uint64 {
+		hv, err := h([]expr.Row{row}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hv[0]
+	}
 	if hashOne(jk.HashOuterBatch, outer) != hashOne(jk.HashInnerBatch, inner) {
 		t.Error("hashes of equal keys must agree")
 	}
 	// The candidate form hashes only the listed rows, in list order.
 	other := expr.Row{types.NewInt32(9), types.NewInt32(0)}
-	got := jk.HashOuterBatch([]expr.Row{other, outer, other}, []int32{1, 0}, nil)
-	if len(got) != 2 || got[0] != hashOne(jk.HashOuterBatch, outer) || got[1] != hashOne(jk.HashOuterBatch, other) {
+	got, err := jk.HashOuterBatch([]expr.Row{other, outer, other}, []int32{1, 0}, nil)
+	if err != nil || len(got) != 2 || got[0] != hashOne(jk.HashOuterBatch, outer) || got[1] != hashOne(jk.HashOuterBatch, other) {
 		t.Errorf("candidate hashing = %v", got)
 	}
 	inner[1] = types.NewInt32(8)

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 
+	"microspec/internal/expr"
 	"microspec/internal/index/btree"
+	"microspec/internal/profile"
 	"microspec/internal/types"
 )
 
@@ -23,10 +26,7 @@ type KeyEncoder func(dst btree.Key, vals []types.Datum, cols []int) (btree.Key, 
 // depends on which routine filled it.
 func (m *Module) CompileKeyEncoder(keyTypes []types.T) KeyEncoder {
 	keyTypes = slices.Clone(keyTypes)
-	classes := make([]btree.Class, len(keyTypes))
-	for i, t := range keyTypes {
-		classes[i] = btree.ClassOf(t.Kind)
-	}
+	classes := keyClasses(keyTypes)
 	if m.Routines().applies(routineIDX) && len(keyTypes) > 0 {
 		name := keyLayoutName(classes)
 		if _, ok := m.reg.admit(kindIDX, name); ok {
@@ -36,9 +36,23 @@ func (m *Module) CompileKeyEncoder(keyTypes []types.T) KeyEncoder {
 			}
 		}
 	}
+	return genericKeyEncoder(keyTypes)
+}
+
+// genericKeyEncoder is btree.AppendKey over keyTypes.
+func genericKeyEncoder(keyTypes []types.T) KeyEncoder {
 	return func(dst btree.Key, vals []types.Datum, cols []int) (btree.Key, error) {
 		return btree.AppendKey(dst, keyTypes, vals, cols)
 	}
+}
+
+// keyClasses returns the class of each column of a layout.
+func keyClasses(keyTypes []types.T) []btree.Class {
+	classes := make([]btree.Class, len(keyTypes))
+	for i, t := range keyTypes {
+		classes[i] = btree.ClassOf(t.Kind)
+	}
+	return classes
 }
 
 // keyLayoutName names the IDX bee of a layout by its column classes, one
@@ -54,8 +68,8 @@ func keyLayoutName(classes []btree.Class) string {
 // compileKeyEncoder builds the IDX bee for a layout. A layout of integral
 // columns only — every TPC-C primary key — gets a loop that writes each
 // column's nine bytes with no class test, its room reserved as nine bytes
-// a column (a NULL uses one); any other layout sizes the key exactly and
-// encodes each position in the class baked for it.
+// a column (a NULL uses one); any other layout is the generic encoder with
+// each position's class baked.
 func compileKeyEncoder(keyTypes []types.T, classes []btree.Class) KeyEncoder {
 	width := len(classes)
 	if !slices.ContainsFunc(classes, func(c btree.Class) bool { return c != btree.ClassInt }) {
@@ -87,31 +101,117 @@ func compileKeyEncoder(keyTypes []types.T, classes []btree.Class) KeyEncoder {
 		}
 	}
 	return func(dst btree.Key, vals []types.Datum, cols []int) (btree.Key, error) {
-		n := len(vals)
-		if cols != nil {
-			n = len(cols)
-		}
-		if n > width {
-			return dst, btree.TooWide(n, width)
-		}
-		at := func(i int) *types.Datum {
-			if cols != nil {
-				return &vals[cols[i]]
+		return btree.AppendClassKey(dst, keyTypes, classes, vals, cols)
+	}
+}
+
+// StockJoinKeys is the JoinState analogue the EVJ bee specializes:
+// encodedJoinKeys over the generic encoder, charged per key column.
+func StockJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
+	jk := encodedJoinKeys(genericKeyEncoder(slices.Clone(keyTypes)), outerIdx, innerIdx)
+	jk.Cost = profile.JoinQualNode * int64(len(outerIdx))
+	return jk
+}
+
+// compileJoinKeys builds the EVJ bee: encodedJoinKeys over the key
+// encoder compiled for the key's class layout, except that an integral
+// layout (every TPC-H join) compares the values themselves, exact as the
+// ClassInt encoding is a bijection of the value.
+func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
+	var jk *JoinKeyFuncs
+	if slices.ContainsFunc(keyTypes, func(t types.T) bool { return btree.ClassOf(t.Kind) != btree.ClassInt }) {
+		keyTypes = slices.Clone(keyTypes)
+		jk = encodedJoinKeys(compileKeyEncoder(keyTypes, keyClasses(keyTypes)), outerIdx, innerIdx)
+	} else {
+		jk = wordJoinKeys(slices.Clone(outerIdx), slices.Clone(innerIdx), keyTypes)
+	}
+	jk.Cost = int64(15 + 8*len(outerIdx)) // profile.EVJBase + n*EVJKey
+	return jk
+}
+
+// wordJoinKeys compares integral keys as their values and hashes them as
+// an FNV-1a fold of the values, which exec's slot spreads itself. A NULL
+// matches nothing; a datum of another class is refused, as by the IDX bee.
+func wordJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
+	hash := func(row expr.Row, idx []int) (uint64, error) {
+		h := uint64(14695981039346656037)
+		for j, k := range idx {
+			w := uint64(row[k].I)
+			if row[k].IsNull() {
+				w = nullKeyHash
+			} else if btree.ClassOf(row[k].Kind()) != btree.ClassInt {
+				return 0, btree.Refused(j, keyTypes[j], &row[k])
 			}
-			return &vals[i]
+			h = (h ^ w) * 1099511628211
 		}
-		size := 0
-		for i := 0; i < n; i++ {
-			size += btree.DatumSize(classes[i], at(i))
-		}
-		dst = btree.Grow(dst, size)
-		start := len(dst)
-		for i := 0; i < n; i++ {
-			var ok bool
-			if dst, ok = btree.AppendDatum(dst, classes[i], at(i)); !ok {
-				return dst[:start], btree.Refused(i, keyTypes[i], at(i))
+		return h, nil
+	}
+	return &JoinKeyFuncs{
+		HashOuterBatch: eachKey(outerIdx, hash),
+		HashInnerBatch: eachKey(innerIdx, hash),
+		Match: func(outer, inner expr.Row) bool {
+			for k, o := range outerIdx {
+				a, b := &outer[o], &inner[innerIdx[k]]
+				if a.IsNull() || b.IsNull() || a.I != b.I {
+					return false
+				}
 			}
+			return true
+		},
+	}
+}
+
+// nullKeyHash is the word of a NULL integral key column, which matches
+// nothing: it only has to keep NULLs out of the chains of real keys.
+const nullKeyHash = 0x9e3779b97f4a7c15
+
+// eachKey is the batch hasher of key columns idx by hash.
+func eachKey(idx []int, hash func(row expr.Row, idx []int) (uint64, error)) BatchKeyHash {
+	return func(rows []expr.Row, cand []int32, out []uint64) ([]uint64, error) {
+		n := len(rows)
+		if cand != nil {
+			n = len(cand)
 		}
-		return dst, nil
+		for j := 0; j < n; j++ {
+			r := j
+			if cand != nil {
+				r = int(cand[j])
+			}
+			h, err := hash(rows[r], idx)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, h)
+		}
+		return out, nil
+	}
+}
+
+// encodedJoinKeys hashes (btree.Hash) and compares (bytes.Equal) join
+// keys as enc encodes them; a key with a NULL column matches nothing. No
+// encoding is kept: a candidate pair encodes both keys again.
+func encodedJoinKeys(enc KeyEncoder, outerIdx, innerIdx []int) *JoinKeyFuncs {
+	oIdx, iIdx := slices.Clone(outerIdx), slices.Clone(innerIdx)
+	var ob, ib btree.Key
+	hash := func(buf *btree.Key) func(expr.Row, []int) (uint64, error) {
+		return func(row expr.Row, idx []int) (h uint64, err error) {
+			*buf, err = enc((*buf)[:0], row, idx)
+			return btree.Hash(*buf), err
+		}
+	}
+	return &JoinKeyFuncs{
+		HashOuterBatch: eachKey(oIdx, hash(&ob)),
+		HashInnerBatch: eachKey(iIdx, hash(&ib)),
+		Match: func(outer, inner expr.Row) bool {
+			for k, o := range oIdx {
+				if outer[o].IsNull() || inner[iIdx[k]].IsNull() {
+					return false
+				}
+			}
+			var oerr, ierr error
+			ob, oerr = enc(ob[:0], outer, oIdx)
+			ib, ierr = enc(ib[:0], inner, iIdx)
+			return oerr == nil && ierr == nil && bytes.Equal(ob, ib)
+		},
 	}
 }

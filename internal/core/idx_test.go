@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"microspec/internal/expr"
 	"microspec/internal/index/btree"
 	"microspec/internal/types"
 )
@@ -316,4 +319,70 @@ func FuzzKeyEncoding(f *testing.F) {
 		b := mk(b1, b2, b3, nulls>>4, shape>>6)
 		checkKeys(t, layout, m.CompileKeyEncoder(layout), stock.CompileKeyEncoder(layout), a, b)
 	})
+}
+
+// The EVJ bee and the stock join keys decide equality as the key encoding
+// does: two rows join iff neither key has a NULL column and their
+// btree.AppendKey encodings are bytes.Equal, and rows that join hash
+// equally on the two sides — over random layouts of every class, with
+// values of every kind of a column's class, edge values and NaNs of
+// different bits. A value of another class is refused by both hashers.
+func TestJoinKeysAgreeWithKeyEncoding(t *testing.T) {
+	m := NewModule(AllRoutines)
+	rng := rand.New(rand.NewSource(47))
+	hash := func(h BatchKeyHash, row []types.Datum) uint64 {
+		hv, err := h([]expr.Row{row}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hv[0]
+	}
+	for range 500 {
+		layout := randLayout(rng)
+		idx := make([]int, len(layout))
+		for i := range idx {
+			idx[i] = i
+		}
+		bee, ok := m.CompileJoinKeys(idx, idx, layout)
+		if !ok {
+			t.Fatal("no EVJ bee")
+		}
+		routines := map[string]*JoinKeyFuncs{"bee": bee, "stock": StockJoinKeys(idx, idx, layout)}
+		keys := make([][]types.Datum, 12)
+		for k := range keys {
+			keys[k] = make([]types.Datum, len(layout))
+			for i, ty := range layout {
+				keys[k][i] = randDatum(rng, ty)
+				if btree.ClassOf(ty.Kind) == btree.ClassFloat && rng.Intn(6) == 0 {
+					keys[k][i] = types.NewFloat64(math.Float64frombits(0x7FF8000000000000 | uint64(rng.Intn(3))<<63 | uint64(rng.Intn(3))))
+				}
+			}
+		}
+		for _, a := range keys {
+			ea, _ := btree.AppendKey(nil, layout, a, nil)
+			for _, b := range keys {
+				eb, _ := btree.AppendKey(nil, layout, b, nil)
+				want := bytes.Equal(ea, eb) && !slices.ContainsFunc(a, types.Datum.IsNull) && !slices.ContainsFunc(b, types.Datum.IsNull)
+				for name, jk := range routines {
+					if got := jk.Match(a, b); got != want {
+						t.Fatalf("%s, layout %v: %v joins %v: %v, want %v", name, layout, a, b, got, want)
+					}
+					if want && hash(jk.HashOuterBatch, a) != hash(jk.HashInnerBatch, b) {
+						t.Fatalf("%s, layout %v: %v and %v join but hash apart", name, layout, a, b)
+					}
+				}
+			}
+		}
+		other := slices.Clone(keys[0])
+		other[0] = types.NewString("x")
+		if btree.ClassOf(layout[0].Kind) == btree.ClassChar {
+			other[0] = types.NewInt32(1)
+		}
+		for name, jk := range routines {
+			var ce btree.ClassError
+			if _, err := jk.HashOuterBatch([]expr.Row{other}, nil, nil); !errors.As(err, &ce) {
+				t.Fatalf("%s, layout %v: hashing %v: %v, want a class error", name, layout, other, err)
+			}
+		}
+	}
 }

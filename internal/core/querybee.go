@@ -838,112 +838,3 @@ func boxedCmp(op expr.CmpOp, l, r *frag) boolFrag {
 	lf, rf := l.boxed(), r.boxed()
 	return func(row expr.Row) tri { return cmpBoxed(op, lf(row), rf(row)) }
 }
-
-// compileJoinKeys builds the EVJ hash/equality routines over baked key
-// ordinals and types.
-func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
-	oIdx := append([]int(nil), outerIdx...)
-	iIdx := append([]int(nil), innerIdx...)
-	// A float key is not by-value here: its bits are not its value (-0.0
-	// equals 0.0, 1.0 equals the integer 1), so it is hashed and compared
-	// like the generic path does.
-	byVal := make([]bool, len(keyTypes))
-	for i, t := range keyTypes {
-		byVal[i] = t.ByValue() && t.Kind != types.KindFloat64
-	}
-	jk := &JoinKeyFuncs{
-		HashOuterBatch: compileBatchKeyHash(oIdx, byVal),
-		HashInnerBatch: compileBatchKeyHash(iIdx, byVal),
-		Cost:           int64(15 + 8*len(oIdx)), // profile.EVJBase + n*EVJKey
-	}
-	// Single-key fast paths: the dominant TPC-H shape.
-	if len(oIdx) == 1 && byVal[0] {
-		o, i := oIdx[0], iIdx[0]
-		jk.Match = func(outer, inner expr.Row) bool {
-			a, b := outer[o], inner[i]
-			if a.IsNull() || b.IsNull() {
-				return false
-			}
-			return a.I == b.I
-		}
-		return jk
-	}
-	jk.Match = func(outer, inner expr.Row) bool {
-		for k := range oIdx {
-			a, b := outer[oIdx[k]], inner[iIdx[k]]
-			if a.IsNull() || b.IsNull() {
-				return false
-			}
-			if byVal[k] {
-				if a.I != b.I {
-					return false
-				}
-			} else if a.Compare(b) != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	return jk
-}
-
-// nullKeyHash is the hash of a NULL join key. NULL keys never match, so
-// the value only has to keep them out of the chains of real keys.
-const nullKeyHash = 0x9e3779b97f4a7c15
-
-// hashByValKey hashes one by-value key datum: its raw 8-byte value. The
-// hash table spreads these bits itself (exec.HashJoin multiplies before
-// taking a slot), so no byte loop is needed here.
-func hashByValKey(d types.Datum) uint64 {
-	if d.IsNull() {
-		return nullKeyHash
-	}
-	return uint64(d.I)
-}
-
-// compileBatchKeyHash builds one side's batch key hasher. The key-kind
-// dispatch happens here, once per bee: the returned routine's row loop is
-// straight-line for the single by-value key (the dominant TPC-H shape)
-// and consults only the baked byVal flags otherwise.
-func compileBatchKeyHash(idx []int, byVal []bool) BatchKeyHash {
-	if len(idx) == 1 && byVal[0] {
-		k := idx[0]
-		return func(rows []expr.Row, cand []int32, out []uint64) []uint64 {
-			if cand != nil {
-				for _, i := range cand {
-					out = append(out, hashByValKey(rows[i][k]))
-				}
-				return out
-			}
-			for _, row := range rows {
-				out = append(out, hashByValKey(row[k]))
-			}
-			return out
-		}
-	}
-	hashRow := func(row expr.Row) uint64 {
-		h := uint64(14695981039346656037)
-		for j, k := range idx {
-			var x uint64
-			if byVal[j] {
-				x = hashByValKey(row[k])
-			} else {
-				x = row[k].Hash()
-			}
-			h = (h ^ x) * 1099511628211
-		}
-		return h
-	}
-	return func(rows []expr.Row, cand []int32, out []uint64) []uint64 {
-		if cand != nil {
-			for _, i := range cand {
-				out = append(out, hashRow(rows[i]))
-			}
-			return out
-		}
-		for _, row := range rows {
-			out = append(out, hashRow(row))
-		}
-		return out
-	}
-}

@@ -14,6 +14,7 @@ import (
 	"microspec/internal/catalog"
 	"microspec/internal/core"
 	"microspec/internal/exec"
+	"microspec/internal/index/btree"
 	"microspec/internal/sql"
 	"microspec/internal/txn"
 	"microspec/internal/types"
@@ -170,10 +171,11 @@ func (db *DB) Respecialize(name, attr string, on bool) error {
 	// core.DataSections.ResolveBee builds); both are counted here, so a
 	// layout that cannot hold the rows is refused while the table is intact.
 	var rows [][]types.Datum
-	dicts := make([]map[uint64]int, len(spec))
+	dicts := make([]map[string]int, len(spec)) // a value's key encoding → its ID
 	for p := range dicts {
-		dicts[p] = make(map[uint64]int)
+		dicts[p] = make(map[string]int)
 	}
+	var enc btree.Key
 	combos := make(map[string]struct{})
 	key := make([]byte, len(spec))
 	sc := tab.heap.Scan(nil, nil)
@@ -196,10 +198,11 @@ func (db *DB) Respecialize(name, attr string, on bool) error {
 				sc.Close()
 				return fmt.Errorf("engine: respecialize %s.%s: NULL value in existing rows", name, rel.Attrs[a].Name)
 			}
-			id, ok := dicts[p][vals[a].Hash()]
+			enc, _ = btree.AppendDatum(enc[:0], btree.ClassOf(rel.Attrs[a].Type.Kind), &vals[a])
+			id, ok := dicts[p][string(enc)]
 			if !ok {
 				id = len(dicts[p])
-				dicts[p][vals[a].Hash()] = id
+				dicts[p][string(enc)] = id
 			}
 			key[p] = byte(id) // wraps only past the dictionary cap, refused first below
 		}

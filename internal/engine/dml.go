@@ -174,16 +174,6 @@ func (db *DB) applyUpdateLocked(tab *table, tid heap.TID, oldVal, newVal []types
 	return undo, nil
 }
 
-// keyChanged reports whether two rows differ in any of cols.
-func keyChanged(a, b []types.Datum, cols []int) bool {
-	for _, c := range cols {
-		if a[c].Compare(b[c]) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // deleteRowLocked stamps one version deleted. Index entries stay: older
 // snapshots still resolve the version through them, and vacuum removes
 // them with the version itself. The undo clears the stamp.

@@ -289,6 +289,42 @@ func TestDoubleKeyNegativeZeroIsDuplicate(t *testing.T) {
 	}
 }
 
+// An UPDATE that moves a DOUBLE primary key away from NaN files a new key,
+// so it is checked for uniqueness. Before keys were compared as their
+// encodings, "key changed" asked Datum.Compare, which calls NaN equal to
+// everything: the update skipped the check and the table held 5.0 twice.
+func TestUpdateAwayFromNaNKeyIsChecked(t *testing.T) {
+	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := newDB(t, rs)
+		mustExec(t, db, "create table t (k double, v integer, primary key (k))")
+		ins, err := db.Prepare("insert into t values ($1, $2)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]types.Datum{{types.NewFloat64(math.NaN()), types.NewInt32(1)}, {types.NewFloat64(5), types.NewInt32(2)}} {
+			if _, err := ins.Exec(r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ins.Close()
+		if _, err := db.Exec("update t set k = 5.0 where v = 1"); err == nil || !strings.Contains(err.Error(), "duplicate key") {
+			t.Errorf("bees=%v: moving the NaN key onto 5.0: %v, want a duplicate key", rs != core.Stock, err)
+		}
+		if got := intResult(t, db, "select count(*) from t where k = 5.0"); got != 1 {
+			t.Errorf("bees=%v: %d rows hold the key 5.0, want 1", rs != core.Stock, got)
+		}
+		// A NaN key is one value: a second NaN is a duplicate.
+		up, err := db.Prepare("update t set k = $1 where v = 2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := up.Exec(types.NewFloat64(math.NaN())); err == nil || !strings.Contains(err.Error(), "duplicate key") {
+			t.Errorf("bees=%v: a second NaN key: %v, want a duplicate key", rs != core.Stock, err)
+		}
+		up.Close()
+	}
+}
+
 // TestDoubleKeyRangeScan: a range read over a DOUBLE key with negative
 // and positive keys returns the keys in the range in numeric order. With
 // bees on, the raw-bits comparator sorted every negative key after the

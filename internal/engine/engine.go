@@ -150,6 +150,8 @@ type table struct {
 	deform  core.DeformFunc
 	form    core.FormFunc
 	indexes []*Index
+	// oldKey is storeLocked's scratch for an updated row's old keys.
+	oldKey btree.Key
 }
 
 // Index is a secondary (or primary) B+tree index.

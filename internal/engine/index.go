@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 
 	"microspec/internal/exec"
@@ -19,10 +20,10 @@ import (
 
 // storeLocked is the one insert of a row version: it forms values, applies
 // the uniqueness rule to every unique index the row would file a new key
-// in — all of them for an insert (old nil); for an update, those whose
-// columns differ from old, the version it replaces — then stores the tuple
-// stamped xid and files it under its key in every index. A refused row
-// stores nothing. It records no undo and observes nothing: insertRowLocked
+// in — all of them for an insert (old nil); for an update, those where
+// the key's encoding differs from old's, the version it replaces — then
+// stores the tuple stamped xid and files it under its key in every index.
+// A refused row stores nothing. It records no undo and observes nothing: insertRowLocked
 // and applyUpdateLocked wrap it for transactions, BulkLoad calls it as it
 // is. The returned keys are the ones filed, each encoded by its index's
 // encoder into an allocation of its own size: values may alias caller
@@ -38,8 +39,10 @@ func (db *DB) storeLocked(tab *table, values, old []types.Datum, xid uint64, pro
 		if keys[i], err = ix.Enc(nil, values, ix.Cols); err != nil {
 			return heap.TID{}, nil, err
 		}
-		if old != nil && !keyChanged(old, values, ix.Cols) {
-			continue
+		if old != nil { // a key that encodes as before is filed already
+			if tab.oldKey, err = ix.Enc(tab.oldKey[:0], old, ix.Cols); err == nil && bytes.Equal(tab.oldKey, keys[i]) {
+				continue
+			}
 		}
 		if err := db.uniqueConflict(tab.heap, ix, keys[i], values, xid); err != nil {
 			return heap.TID{}, nil, err

@@ -179,6 +179,52 @@ func TestParallelSortMerge(t *testing.T) {
 	assertSameResult(t, "sort-merge", serial, parallel)
 }
 
+// A prepared statement keeps its parallel plan, and with it the page
+// ranges its heap was split into at planning. The last partition runs to
+// the heap's end when the plan opens, so both Gather modes read the pages
+// appended since: before, the prepared aggregate counted only the rows of
+// the planned pages and the sorted-run merge missed the new rows.
+func TestKeptParallelPlanReadsAppendedPages(t *testing.T) {
+	db := parallelDB(t)
+	queries := []string{
+		"select count(*), sum(w_val) from wide",
+		"select w_id, w_grp from wide where w_val < 9000 order by w_grp desc, w_id",
+	}
+	stmts := make([]*engine.Stmt, len(queries))
+	for i, q := range queries {
+		requireGatherPlan(t, db, q)
+		s, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		stmts[i] = s
+	}
+	check := func(when string) {
+		for i, q := range queries {
+			want, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := stmts[i].Query()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, when+": "+q, want, got)
+		}
+	}
+	check("as loaded")
+	for i := 5001; i <= 10000; i++ {
+		if _, err := db.Exec(fmt.Sprintf("insert into wide values (%d, %d, %d.25, 'pad-%d')", i, i%7, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after the table doubled")
+	if res, err := stmts[0].Query(); err != nil || res.Rows[0][0].Int64() != 10000 {
+		t.Fatalf("the prepared count after the table doubled: %v, %v; want 10000", res, err)
+	}
+}
+
 // TestParallelExplainAnalyzeAndMetrics asserts workers=N renders on
 // Gather nodes in analyzed plans and that the parallel metrics
 // (parallel_queries counter, per-worker histograms) accumulate.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -8,7 +9,6 @@ import (
 	"unsafe"
 
 	"microspec/internal/core"
-
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/types"
@@ -230,14 +230,10 @@ func (t *aggTable) global() int {
 	return 0
 }
 
-// group returns the number of keys's group, adding it on first
-// appearance.
-func (t *aggTable) group(keys expr.Row) int {
-	return t.groupHashed(keys, rowHash(keys))
-}
-
-func (t *aggTable) groupHashed(keys expr.Row, hash uint64) int {
-	g, added := t.keys.insert(keys, hash)
+// group returns the number of the group of keys, whose key is key as k
+// encodes it, adding it on first appearance.
+func (t *aggTable) group(key []byte, keys expr.Row, k *rowKey) int {
+	g, added := t.keys.insert(key, keys, k)
 	if added {
 		t.newGroup()
 	}
@@ -245,36 +241,40 @@ func (t *aggTable) groupHashed(keys expr.Row, hash uint64) int {
 }
 
 // fold adds v to aggregate i of group g, whose states are st. A DISTINCT
-// aggregate folds a value only on its first appearance in the group.
-func (t *aggTable) fold(st []aggState, g, i int, spec *AggSpec, v types.Datum) {
-	if !spec.Distinct || t.firstSeen(g, i, v) {
-		st[i].add(spec, v)
+// aggregate folds a value only on its first appearance in the group (a
+// NULL never is), its (group, value) pair keyed by seen[i].
+func (t *aggTable) fold(st []aggState, g, i int, spec *AggSpec, v types.Datum, seen []rowKey) error {
+	if spec.Distinct {
+		if v.IsNull() {
+			return nil
+		}
+		if t.seen == nil {
+			t.seen = make([]hashTable, t.naggs)
+		}
+		pair := [2]types.Datum{types.NewInt64(int64(g)), v}
+		key, err := seen[i].of(pair[:])
+		if err != nil {
+			return err
+		}
+		if _, added := t.seen[i].insert(key, pair[:], &seen[i]); !added {
+			return nil
+		}
 	}
+	st[i].add(spec, v)
+	return nil
 }
 
-// firstSeen records v as an input of DISTINCT aggregate i in group g and
-// reports whether it is the first such; a NULL never is.
-func (t *aggTable) firstSeen(g, i int, v types.Datum) bool {
-	if v.IsNull() {
-		return false
-	}
-	if t.seen == nil {
-		t.seen = make([]hashTable, t.naggs)
-	}
-	pair := [2]types.Datum{types.NewInt64(int64(g)), v}
-	_, added := t.seen[i].insert(pair[:], rowHash(pair[:]))
-	return added
-}
-
-// merge folds o's groups into t in o's group order: a partition table's
-// partial states into the gather point's.
-func (t *aggTable) merge(o *aggTable) {
+// merge folds o's groups, keyed by k, into t in o's group order: a
+// partition table's partial states into the gather point's.
+func (t *aggTable) merge(o *aggTable, k *rowKey) {
 	for g := 0; g < o.groups; g++ {
 		var mg int
 		if o.keys.len() == 0 {
 			mg = t.global()
 		} else {
-			mg = t.groupHashed(o.keys.rows.rows[g], o.keys.hashes[g])
+			row := o.keys.rows.rows[g]
+			key, _ := k.of(row) // it was encoded before
+			mg = t.group(key, row, k)
 		}
 		dst, src := t.states(mg), o.states(g)
 		for i := range dst {
@@ -401,6 +401,11 @@ type aggDrain struct {
 	cols   [][]types.Datum
 	vbuf   []types.Datum
 	keyBuf expr.Row
+	// key encodes keyBuf, prev the last row's; seen[i] keys DISTINCT
+	// spec i's (group, value) pairs.
+	key  rowKey
+	prev []byte
+	seen []rowKey
 	// Live row bi belongs to group gids[bi&per], whose states are
 	// sts[bi&per]: per is all ones under GROUP BY and 0 for a global
 	// aggregate, whose one group needs no per-row scratch.
@@ -424,6 +429,10 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 		groupBy: groupBy, keys: keys, evalSpecs: evalSpecs, addSpecs: addSpecs,
 		owner: make([]int, n), shared: make([]bool, n), cols: make([][]types.Datum, n),
 		keyBuf: make(expr.Row, len(groupBy)), per: -1, eva: make([]beeUsage, n),
+		key: rowKey{cols: make([]ColInfo, len(groupBy))},
+	}
+	for i, g := range groupBy {
+		d.key.cols[i].T = g.Type()
 	}
 	if len(groupBy) == 0 {
 		d.per, d.gids, d.sts = 0, make([]int, 1), make([][]aggState, 1)
@@ -433,6 +442,12 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 		d.owner[i] = i
 		if evalSpecs[i].Arg == nil {
 			continue
+		}
+		if addSpecs[i].Distinct {
+			if d.seen == nil {
+				d.seen = make([]rowKey, n)
+			}
+			d.seen[i].cols = []ColInfo{{T: types.Int64}, {T: addSpecs[i].Arg.Type()}}
 		}
 		key := evalSpecs[i].Arg.String()
 		if first, ok := args[key]; ok {
@@ -520,28 +535,27 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 			}
 			probes := int64(0)
 			if d.keys != nil && b.IDs != nil {
-				probes = d.groupsByID(b, table)
+				if probes, err = d.groupsByID(b, table); err != nil {
+					return rows, err
+				}
 				ctx.Prof().Add(profile.CompExec, int64(n)*profile.BeeIDLookup)
 			} else {
-				// prev is per-batch: keyBuf datums may alias the batch's row
-				// storage, which the next NextBatch overwrites.
+				// prev, the group of d.prev, is per-batch, so the probes
+				// charged do not depend on where batches end.
 				prev := -1
 				for bi := 0; bi < n; bi++ {
 					row := b.RowAt(bi)
-					same := prev >= 0
 					for i, gexp := range groupBy {
-						k := gexp.Eval(row, &ctx.Expr)
-						if same {
-							if k.IsNull() != keyBuf[i].IsNull() ||
-								(!k.IsNull() && k.Compare(keyBuf[i]) != 0) {
-								same = false
-							}
-						}
-						keyBuf[i] = k
+						keyBuf[i] = gexp.Eval(row, &ctx.Expr)
 					}
-					if !same {
-						prev = table.group(keyBuf)
+					key, err := d.key.of(keyBuf)
+					if err != nil {
+						return rows, err
+					}
+					if prev < 0 || !bytes.Equal(key, d.prev) {
+						prev = table.group(key, keyBuf, &d.key)
 						probes++
+						d.prev, d.key.buf = key, d.prev
 					}
 					gids[bi] = prev
 				}
@@ -600,11 +614,13 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 					break
 				}
 				for bi := 0; bi < n; bi++ {
-					table.fold(sts[bi&per], gids[bi&per], i, ad, types.Datum{})
+					table.fold(sts[bi&per], gids[bi&per], i, ad, types.Datum{}, nil)
 				}
 			case ad.Distinct || ad.Fn == AggMin || ad.Fn == AggMax:
 				for bi := 0; bi < n; bi++ {
-					table.fold(sts[bi&per], gids[bi&per], i, ad, vals[bi])
+					if err := table.fold(sts[bi&per], gids[bi&per], i, ad, vals[bi], d.seen); err != nil {
+						return rows, err
+					}
 				}
 			case ad.Fn == AggCount:
 				for bi := 0; bi < n; bi++ {
@@ -627,7 +643,7 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 // is its ID's, found in byID, and an ID seen first in this drain probes
 // the table with its keys read from the data section. It returns the
 // number of probes.
-func (d *aggDrain) groupsByID(b *Batch, table *aggTable) (probes int64) {
+func (d *aggDrain) groupsByID(b *Batch, table *aggTable) (probes int64, err error) {
 	ids, sel, gids, byID := b.IDs, b.Sel, d.gids, d.byID
 	for bi, n := 0, b.Count(); bi < n; bi++ {
 		r := bi
@@ -645,28 +661,36 @@ func (d *aggDrain) groupsByID(b *Batch, table *aggTable) (probes int64) {
 		g := byID[id] - 1
 		if g < 0 {
 			d.keys.Fill(id, d.keyBuf)
-			g = int32(table.group(d.keyBuf))
+			key, err := d.key.of(d.keyBuf)
+			if err != nil {
+				return probes, err
+			}
+			g = int32(table.group(key, d.keyBuf, &d.key))
 			byID[id] = g + 1
 			d.sighted++
 			probes++
 		}
 		gids[bi] = int(g)
 	}
-	return probes
+	return probes, nil
 }
 
 // Distinct removes duplicate rows (SELECT DISTINCT), preserving first
-// appearance order. The rows it returns are its set's entries, valid
-// until Close.
+// appearance order, keyed whole. The rows it returns are its set's
+// entries, valid until Close.
 type Distinct struct {
 	Child Node
 
 	seen hashTable
+	key  rowKey
 }
 
 // Open implements Node.
 func (d *Distinct) Open(ctx *Ctx) error {
 	d.seen = hashTable{}
+	if d.key.cols == nil {
+		d.key.cols = d.Child.Schema()
+	}
 	return d.Child.Open(ctx)
 }
 
@@ -678,7 +702,11 @@ func (d *Distinct) Next(ctx *Ctx) (expr.Row, bool, error) {
 			return nil, false, err
 		}
 		ctx.Prof().Add(profile.CompExec, profile.HashProbe)
-		if e, added := d.seen.insert(row, rowHash(row)); added {
+		key, err := d.key.of(row)
+		if err != nil {
+			return nil, false, err
+		}
+		if e, added := d.seen.insert(key, row, &d.key); added {
 			return d.seen.rows.rows[e], true, nil
 		}
 	}
@@ -699,21 +727,27 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and orders its child's rows. The rows live in an
-// arena until Close, so they stay valid across Next calls (Gather's
-// sorted-run merge relies on it).
+// Sort materializes and orders its child's rows, each stored with its key
+// as one more datum past the row Next returns. The rows live in an arena
+// until Close, so they stay valid across Next calls (Gather's sorted-run
+// merge relies on it).
 type Sort struct {
 	Child Node
 	Keys  []SortKey
 
 	buf rowArena
 	pos int
+	key rowKey
+	tmp expr.Row
 }
 
 // Open implements Node.
 func (s *Sort) Open(ctx *Ctx) error {
 	s.buf = rowArena{}
 	s.pos = 0
+	if s.key.cols == nil {
+		s.key = rowKey{cols: s.Child.Schema(), keys: s.Keys}
+	}
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -726,14 +760,16 @@ func (s *Sort) Open(ctx *Ctx) error {
 		if !ok {
 			break
 		}
-		s.buf.add(row)
+		key, err := s.key.of(row)
+		if err != nil {
+			return err
+		}
+		s.tmp = append(append(s.tmp[:0], row...), types.NewBytes(key, types.KindVarchar))
+		s.buf.add(s.tmp)
 	}
 	ctx.Prof().Add(profile.CompExec, sortCost(len(s.buf.rows)))
-	// slices.SortStableFunc, not sort.SliceStable: the generic comparator
-	// avoids the reflection-based swapper on this hot path.
-	slices.SortStableFunc(s.buf.rows, func(a, b expr.Row) int {
-		return compareRows(a, b, s.Keys)
-	})
+	w := len(s.tmp) - 1
+	slices.SortStableFunc(s.buf.rows, func(a, b expr.Row) int { return bytes.Compare(a[w].B, b[w].B) })
 	return nil
 }
 
@@ -749,30 +785,6 @@ func sortCost(n int) int64 {
 	return int64(n) * int64(log) * profile.SortCompare
 }
 
-func compareRows(a, b expr.Row, keys []SortKey) int {
-	for _, k := range keys {
-		av, bv := a[k.Idx], b[k.Idx]
-		var c int
-		switch {
-		case av.IsNull() && bv.IsNull():
-			c = 0
-		case av.IsNull():
-			c = 1 // NULLS LAST
-		case bv.IsNull():
-			c = -1
-		default:
-			c = av.Compare(bv)
-		}
-		if k.Desc {
-			c = -c
-		}
-		if c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
 // Next implements Node.
 func (s *Sort) Next(ctx *Ctx) (expr.Row, bool, error) {
 	if s.pos >= len(s.buf.rows) {
@@ -780,7 +792,7 @@ func (s *Sort) Next(ctx *Ctx) (expr.Row, bool, error) {
 	}
 	row := s.buf.rows[s.pos]
 	s.pos++
-	return row, true, nil
+	return row[: len(row)-1 : len(row)-1], true, nil
 }
 
 // Close implements Node: it releases the sorted rows, so a cached plan

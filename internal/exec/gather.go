@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
@@ -70,6 +71,9 @@ type Gather struct {
 	wg     sync.WaitGroup
 	heads  []expr.Row
 	opened []bool
+	// headKeys[i] is heads[i]'s sort key.
+	headKeys [][]byte
+	sortKey  rowKey
 
 	errMu sync.Mutex
 	err   error
@@ -251,7 +255,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 		case merged == nil:
 			merged = t
 		default:
-			merged.merge(t)
+			merged.merge(t, &g.drains[0].key)
 		}
 	}
 	if merged == nil {
@@ -284,18 +288,31 @@ func (g *Gather) openMerge(ctx *Ctx) error {
 	}
 	// Prime one head row per run. Part rows must stay valid across Next
 	// calls (guaranteed by the Sort rooting each part).
+	if g.headKeys == nil {
+		g.sortKey = rowKey{cols: g.Parts[0].Schema(), keys: g.MergeKeys}
+		g.headKeys = make([][]byte, len(g.Parts))
+	}
 	g.heads = make([]expr.Row, len(g.Parts))
-	for i, p := range g.Parts {
-		row, ok, err := p.Next(ctx)
-		if err != nil {
+	for i := range g.Parts {
+		if err := g.advance(ctx, i); err != nil {
 			g.closeParts(ctx)
 			return err
 		}
-		if ok {
-			g.heads[i] = row
-		}
 	}
 	return nil
+}
+
+// advance makes part i's next row its head, with its sort key, or leaves
+// the part without a head when its run is done.
+func (g *Gather) advance(ctx *Ctx, i int) error {
+	row, ok, err := g.Parts[i].Next(ctx)
+	g.heads[i] = nil
+	if err != nil || !ok {
+		return err
+	}
+	key, err := g.sortKey.of(row)
+	g.heads[i], g.headKeys[i] = row, append(g.headKeys[i][:0], key...)
+	return err
 }
 
 // Next implements Node.
@@ -310,10 +327,7 @@ func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
 	}
 	best := -1
 	for i, row := range g.heads {
-		if row == nil {
-			continue
-		}
-		if best < 0 || compareRows(row, g.heads[best], g.MergeKeys) < 0 {
+		if row != nil && (best < 0 || bytes.Compare(g.headKeys[i], g.headKeys[best]) < 0) {
 			best = i
 		}
 	}
@@ -321,14 +335,8 @@ func (g *Gather) Next(ctx *Ctx) (expr.Row, bool, error) {
 		return nil, false, nil
 	}
 	row := g.heads[best]
-	next, ok, err := g.Parts[best].Next(ctx)
-	if err != nil {
+	if err := g.advance(ctx, best); err != nil {
 		return nil, false, err
-	}
-	if ok {
-		g.heads[best] = next
-	} else {
-		g.heads[best] = nil
 	}
 	return row, true, nil
 }

@@ -1,10 +1,11 @@
 package exec
 
 import (
+	"bytes"
 	"math/bits"
 
 	"microspec/internal/expr"
-	"microspec/internal/types"
+	"microspec/internal/index/btree"
 )
 
 // hashTable is the executor's one hashed row store. The hash join's build
@@ -14,17 +15,19 @@ import (
 // rowArena (entry i is rows.rows[i], in insertion order) and are found
 // through a chained index: a power-of-two heads table and a per-entry next
 // link, both 1-based entry ordinals with 0 as the end mark, plus each
-// entry's hash, so a colliding chain is rejected before rows are compared.
+// entry's hash, so a colliding chain is rejected before keys are compared.
 //
 // It is used in one of two modes:
 //
 //   - multiset (the join build): the build appends rows and their hashes
 //     unindexed and link indexes them once, every chain in insertion
-//     order;
-//   - set (every other user): insert adds a row no entry equals and links
-//     it at once, doubling the index when entries outnumber slots. An
-//     entry's ordinal is then its group number, and entries are in first
-//     appearance order.
+//     order; the join's key routine compares a candidate's keys;
+//   - set (every other user): rows are one entry iff their rowKey
+//     encodings are bytes.Equal (hashed with btree.Hash; an entry keeps
+//     its row, and a candidate is encoded again). insert adds a row no
+//     entry equals and links it at once, doubling the index when entries
+//     outnumber slots. An entry's ordinal is then its group number, and
+//     entries are in first appearance order.
 //
 // The zero value is an empty table that has allocated nothing, and a set
 // grows from one entry: a small GROUP BY pays for a small table.
@@ -44,37 +47,47 @@ const (
 	setMinBytes  = 64
 )
 
-// hashSeed and hashFold are the generic row hash, an FNV-1a fold of the
-// datums' hashes: start from hashSeed and fold each key datum in turn.
-// Datum.Hash agrees with Datum.Compare, so rows rowsEqual calls equal
-// hash equally.
-const hashSeed uint64 = 14695981039346656037
-
-func hashFold(h uint64, d types.Datum) uint64 { return (h ^ d.Hash()) * 1099511628211 }
-
-// rowHash is the generic hash of a whole row, the one every set user
-// keys by.
-func rowHash(row expr.Row) uint64 {
-	h := hashSeed
-	for i := range row {
-		h = hashFold(h, row[i])
-	}
-	return h
+// rowKey encodes keys of rows of schema cols into reused scratch: the
+// columns keys name (nil: all, ascending), each in its static type's
+// class as btree.AppendSortColumn writes it, so NULL equals NULL, 1
+// equals 1.0 in a DOUBLE column, ±0 and every NaN are one key each, and
+// bytes.Compare orders rows as ORDER BY keys does.
+type rowKey struct {
+	cols     []ColInfo
+	keys     []SortKey
+	buf, alt []byte
 }
 
-// rowsEqual is the set's key equality: NULL equals NULL (GROUP BY and
-// DISTINCT put NULLs in one group), other datums compare by Compare.
-func rowsEqual(a, b expr.Row) bool {
-	for i := range a {
-		an, bn := a[i].IsNull(), b[i].IsNull()
-		if an != bn {
-			return false
+// of returns row's key, valid until the next call. A datum outside its
+// column's class is refused with a btree.ClassError.
+func (k *rowKey) of(row expr.Row) ([]byte, error) {
+	n := len(k.keys)
+	if k.keys == nil {
+		n = len(k.cols)
+	}
+	if k.buf = k.buf[:0]; k.buf == nil {
+		k.buf = make([]byte, 0, 32*n) // room for most keys at once
+	}
+	for i := 0; i < n; i++ {
+		c, desc := i, false
+		if k.keys != nil {
+			c, desc = k.keys[i].Idx, k.keys[i].Desc
 		}
-		if !an && a[i].Compare(b[i]) != 0 {
-			return false
+		t := k.cols[c].T
+		var ok bool
+		if k.buf, ok = btree.AppendSortColumn(k.buf, btree.ClassOf(t.Kind), &row[c], desc); !ok {
+			return nil, btree.Refused(i, t, &row[c])
 		}
 	}
-	return true
+	return k.buf, nil
+}
+
+// is reports whether row's key is key, which may be of's last result.
+func (k *rowKey) is(row expr.Row, key []byte) bool {
+	k.buf, k.alt = k.alt, k.buf
+	enc, err := k.of(row)
+	k.buf, k.alt = k.alt, k.buf
+	return err == nil && bytes.Equal(enc, key)
 }
 
 // len returns the number of entries.
@@ -114,23 +127,26 @@ func (t *hashTable) link(slots int) {
 	}
 }
 
-// find returns the entry equal to key, or -1.
-func (t *hashTable) find(key expr.Row, hash uint64) int {
+// find returns the set's entry whose key, as k encodes it, is key, or -1,
+// and key's hash.
+func (t *hashTable) find(key []byte, k *rowKey) (entry int, hash uint64) {
+	hash = btree.Hash(key)
 	for e := t.first(hash); e != 0; e = t.next[e-1] {
-		if t.hashes[e-1] == hash && rowsEqual(t.rows.rows[e-1], key) {
-			return int(e - 1)
+		if t.hashes[e-1] == hash && k.is(t.rows.rows[e-1], key) {
+			return int(e - 1), hash
 		}
 	}
-	return -1
+	return -1, hash
 }
 
-// insert returns the entry equal to key, storing a deep copy of key as
-// the next entry when there is none; added reports that it did.
-func (t *hashTable) insert(key expr.Row, hash uint64) (entry int, added bool) {
-	if e := t.find(key, hash); e >= 0 {
+// insert returns the set's entry for row, whose key is key, adding a deep
+// copy of row when there is none; added reports that it did.
+func (t *hashTable) insert(key []byte, row expr.Row, k *rowKey) (entry int, added bool) {
+	e, hash := t.find(key, k)
+	if e >= 0 {
 		return e, false
 	}
-	e := len(t.hashes)
+	e = len(t.hashes)
 	if t.rows.rows == nil {
 		t.rows.nextDatum, t.rows.nextBytes = setMinDatums, setMinBytes
 		t.rows.rows = make([]expr.Row, 0, setMinRows)
@@ -138,7 +154,7 @@ func (t *hashTable) insert(key expr.Row, hash uint64) (entry int, added bool) {
 			t.hashes = make([]uint64, 0, setMinRows)
 		}
 	}
-	t.rows.add(key)
+	t.rows.add(row)
 	t.hashes = append(roomFor(t.hashes, 1), hash)
 	if e >= len(t.heads) {
 		t.link(max(2*len(t.heads), setMinSlots))

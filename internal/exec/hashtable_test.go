@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,16 +13,21 @@ import (
 )
 
 // storeCols is the schema of the store tests: a numeric key that mixes
-// integers and floats, a CHAR key, and an integer value.
+// integers and floats, a CHAR key, a VARCHAR key and an integer value.
 var storeCols = []ColInfo{
-	{Name: "n", T: types.Float64}, {Name: "c", T: types.Char(4)}, {Name: "v", T: types.Int32},
+	{Name: "n", T: types.Float64}, {Name: "c", T: types.Char(4)}, {Name: "s", T: types.Varchar(4)}, {Name: "v", T: types.Int32},
 }
 
+// storeNaNs are NaNs of different bits, one key value.
+var storeNaNs = []float64{math.NaN(), math.Float64frombits(0xFFF8000000000000), math.Float64frombits(0x7FF0000000000001)}
+
 // storeRows draws n rows from `groups` keys g, each spelled several ways
-// that Compare calls equal: an odd g's numeric key is a fraction, an even
-// g's an integer written as an integer or as a float (zero also as -0.0),
-// and the CHAR key comes with and without trailing blanks. With nulls,
-// NULL keys and values appear about one time in eight.
+// that are one key: an odd g's numeric key is a fraction, g = 2's a NaN
+// of any bits, another even g's an integer written as an integer or as a
+// float (zero also as -0.0); the CHAR key comes with and without trailing
+// blanks; the VARCHAR key holds zero bytes, which no key of another group
+// may run into. With nulls, NULL keys and values appear about one time in
+// eight.
 func storeRows(rng *rand.Rand, n, groups int, nulls bool) []expr.Row {
 	null := func() bool { return nulls && rng.Intn(8) == 0 }
 	rows := make([]expr.Row, n)
@@ -33,6 +39,8 @@ func storeRows(rng *rand.Rand, n, groups int, nulls bool) []expr.Row {
 			num = types.Null
 		case g%2 == 1:
 			num = f64(float64(b) + 0.5)
+		case b == 1:
+			num = f64(storeNaNs[rng.Intn(len(storeNaNs))])
 		case b == 0 && rng.Intn(3) == 0:
 			num = f64(math.Copysign(0, -1))
 		case rng.Intn(2) == 0:
@@ -44,27 +52,39 @@ func storeRows(rng *rand.Rand, n, groups int, nulls bool) []expr.Row {
 		if null() {
 			ch = types.Null
 		}
+		vs := str([]string{"a", "a\x00", "a\x00b", "\x00", ""}[g%5])
+		if null() {
+			vs = types.Null
+		}
 		v := i32(int32(rng.Intn(50)))
 		if null() {
 			v = types.Null
 		}
-		rows[i] = expr.Row{num, ch, v}
+		rows[i] = expr.Row{num, ch, vs, v}
 	}
 	return rows
 }
 
-// nullsFirst orders datums for the oracle's sort: NULL first, then by
-// Compare, so the datums Compare calls equal are adjacent.
-func nullsFirst(a, b types.Datum) int {
+// keyOrder orders datums as their key encodings do: NULL first, then by
+// Compare, except that every NaN is one value above +Inf. The datums it
+// calls equal are one key.
+func keyOrder(a, b types.Datum) int {
 	switch {
-	case a.IsNull() && b.IsNull():
-		return 0
-	case a.IsNull():
-		return -1
-	case b.IsNull():
-		return 1
+	case a.IsNull() || b.IsNull():
+		return cmp.Compare(btoi(!a.IsNull()), btoi(!b.IsNull()))
+	case isNaN(a) || isNaN(b):
+		return cmp.Compare(btoi(isNaN(a)), btoi(isNaN(b)))
 	}
 	return a.Compare(b)
+}
+
+func isNaN(d types.Datum) bool { return d.Kind() == types.KindFloat64 && math.IsNaN(d.Float64()) }
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sortGroups is the oracle's grouping: it stably sorts the row indexes by
@@ -78,7 +98,7 @@ func sortGroups(rows []expr.Row, keys []int) [][]int {
 	}
 	cmp := func(a, b int) int {
 		for _, k := range keys {
-			if c := nullsFirst(rows[a][k], rows[b][k]); c != 0 {
+			if c := keyOrder(rows[a][k], rows[b][k]); c != 0 {
 				return c
 			}
 		}
@@ -99,8 +119,8 @@ func sortGroups(rows []expr.Row, keys []int) [][]int {
 }
 
 var (
-	storeKeys = []expr.Expr{&expr.Var{Idx: 0, T: types.Float64}, &expr.Var{Idx: 1, T: types.Char(4)}}
-	storeV    = &expr.Var{Idx: 2, T: types.Int32}
+	storeKeys = []expr.Expr{&expr.Var{Idx: 0, T: types.Float64}, &expr.Var{Idx: 1, T: types.Char(4)}, &expr.Var{Idx: 2, T: types.Varchar(4)}}
+	storeV    = &expr.Var{Idx: 3, T: types.Int32}
 )
 
 // storeAggs are the aggregates under test; distinct adds COUNT(DISTINCT v).
@@ -115,12 +135,12 @@ func storeAggs(distinct bool) []AggSpec {
 	return specs
 }
 
-// oracleAgg is GROUP BY n, c over storeAggs, from sortGroups; global
+// oracleAgg is GROUP BY n, c, s over storeAggs, from sortGroups; global
 // drops the keys (one group, also over no rows).
 func oracleAgg(rows []expr.Row, global, distinct bool) []expr.Row {
 	runs := [][]int{nil}
 	if !global {
-		runs = sortGroups(rows, []int{0, 1})
+		runs = sortGroups(rows, []int{0, 1, 2})
 	} else {
 		for i := range rows {
 			runs[0] = append(runs[0], i)
@@ -130,11 +150,11 @@ func oracleAgg(rows []expr.Row, global, distinct bool) []expr.Row {
 	for _, run := range runs {
 		var row expr.Row
 		if !global {
-			row = expr.Row{rows[run[0]][0], rows[run[0]][1]}
+			row = slices.Clone(rows[run[0]][:3])
 		}
 		var vs []types.Datum
 		for _, i := range run {
-			if v := rows[i][2]; !v.IsNull() {
+			if v := rows[i][3]; !v.IsNull() {
 				vs = append(vs, v)
 			}
 		}
@@ -179,9 +199,11 @@ func storeCases() []storeCase {
 // store — GROUP BY over a row source and over a batch source and as a
 // Gather's partial tables and their merge (over row parts, batch parts
 // and instrumented parts), COUNT(DISTINCT), DISTINCT, IN and NOT IN —
-// against a sort-based oracle, on keys that are NULL, repeat, and are
-// spelled several ways Compare calls equal (1 and 1.0, -0.0 and 0.0, CHAR
-// with trailing blanks). Output order is first appearance throughout.
+// (uncorrelated and correlated), and ORDER BY through Sort and a Gather's
+// sorted-run merge — against a sort-based oracle, on keys that are NULL,
+// repeat, are spelled several ways that are one key (1 and 1.0, -0.0 and
+// 0.0, NaNs of different bits, CHAR with trailing blanks) and hold zero
+// bytes. Output order is first appearance throughout, sorted for ORDER BY.
 func TestHashStoreMatchesSortOracle(t *testing.T) {
 	for _, c := range storeCases() {
 		src := func() Node { return &volatileRows{cols: storeCols, rows: c.rows} }
@@ -232,44 +254,81 @@ func TestHashStoreMatchesSortOracle(t *testing.T) {
 		}
 
 		var want []expr.Row
-		for _, run := range sortGroups(c.rows, []int{0, 1, 2}) {
+		for _, run := range sortGroups(c.rows, []int{0, 1, 2, 3}) {
 			want = append(want, c.rows[run[0]])
 		}
 		got, err := Collect(&Ctx{}, &Distinct{Child: src()})
 		check("Distinct", got, err, want)
 
-		// IN and NOT IN: the set is the numeric keys of the first half,
-		// probed with every row's numeric key; the oracle searches them
-		// sorted.
+		// IN and NOT IN, uncorrelated and correlated (rescanned per row):
+		// the set is the numeric or the VARCHAR keys of the first half,
+		// probed with every row's; the oracle searches them sorted.
 		half := c.rows[:len(c.rows)/2]
-		set := &volatileRows{cols: storeCols[:1], rows: make([]expr.Row, len(half))}
-		var sorted []types.Datum
-		sawNull := false
-		for i, r := range half {
-			set.rows[i] = r[:1]
-			if r[0].IsNull() {
-				sawNull = true
-			} else {
-				sorted = append(sorted, r[0])
-			}
-		}
-		slices.SortFunc(sorted, types.Datum.Compare)
-		for _, negate := range []bool{false, true} {
-			want = want[:0]
-			for _, r := range c.rows {
-				v := types.Null
-				if !r[0].IsNull() {
-					_, found := slices.BinarySearchFunc(sorted, r[0], types.Datum.Compare)
-					if found || !sawNull {
-						v = types.NewBool(found != negate)
-					}
+		for _, col := range []int{0, 2} {
+			set := &volatileRows{cols: storeCols[col : col+1], rows: make([]expr.Row, len(half))}
+			var sorted []types.Datum
+			sawNull := false
+			for i, r := range half {
+				set.rows[i] = r[col : col+1]
+				if r[col].IsNull() {
+					sawNull = true
+				} else {
+					sorted = append(sorted, r[col])
 				}
-				want = append(want, expr.Row{v})
 			}
-			in := &InSubquery{Kid: storeKeys[0], Plan: set, Negate: negate}
-			got, err = Collect(&Ctx{}, &Project{Child: src(), Exprs: []expr.Expr{in}, Cols: []ColInfo{{Name: "in", T: types.Bool}}})
-			check(fmt.Sprintf("InSubquery negate=%v", negate), got, err, want)
+			slices.SortFunc(sorted, keyOrder)
+			for _, correlated := range []bool{false, true} {
+				if correlated && len(c.rows) > 2_000 {
+					continue
+				}
+				for _, negate := range []bool{false, true} {
+					want = want[:0]
+					for _, r := range c.rows {
+						v := types.Null
+						if !r[col].IsNull() {
+							_, found := slices.BinarySearchFunc(sorted, r[col], keyOrder)
+							if found || !sawNull {
+								v = types.NewBool(found != negate)
+							}
+						}
+						want = append(want, expr.Row{v})
+					}
+					in := &InSubquery{Kid: storeKeys[col], Plan: set, Correlated: correlated, Negate: negate}
+					got, err = Collect(&Ctx{}, &Project{Child: src(), Exprs: []expr.Expr{in}, Cols: []ColInfo{{Name: "in", T: types.Bool}}})
+					check(fmt.Sprintf("InSubquery over %s correlated=%v negate=%v", storeCols[col].Name, correlated, negate), got, err, want)
+				}
+			}
 		}
+
+		// ORDER BY, ascending with NULLs last and descending with NULLs
+		// first, by Sort and by a Gather merging sorted runs: a stable
+		// sort, ties in input order.
+		keys := []SortKey{{Idx: 0, Desc: true}, {Idx: 1}, {Idx: 2, Desc: true}, {Idx: 3}}
+		want = slices.Clone(c.rows)
+		slices.SortStableFunc(want, func(a, b expr.Row) int {
+			for _, k := range keys {
+				c := keyOrder(a[k.Idx], b[k.Idx])
+				if a[k.Idx].IsNull() != b[k.Idx].IsNull() {
+					c = -c
+				}
+				if k.Desc {
+					c = -c
+				}
+				if c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		got, err = Collect(&Ctx{}, &Sort{Child: src(), Keys: keys})
+		check("Sort", got, err, want)
+		third := len(c.rows) / 3
+		g := &Gather{Workers: 2, MergeKeys: keys}
+		for _, p := range [][]expr.Row{c.rows[:third], c.rows[third : 2*third], c.rows[2*third:]} {
+			g.Parts = append(g.Parts, &Sort{Child: batches(p), Keys: keys})
+		}
+		got, err = Collect(&Ctx{}, g)
+		check("Gather merging sorted runs", got, err, want)
 	}
 }
 
@@ -331,7 +390,7 @@ func TestGroupByAllocsPerChunk(t *testing.T) {
 	allocs := func(groups int) float64 {
 		rows := make([]expr.Row, groups)
 		for i := range rows {
-			rows[i] = expr.Row{i64(int64(i)), types.NewChar("k"), i32(int32(i))}
+			rows[i] = expr.Row{i64(int64(i)), types.NewChar("k"), str("k"), i32(int32(i))}
 		}
 		agg := &HashAgg{Child: &volatileBatches{volatileRows: volatileRows{cols: storeCols, rows: rows},
 			sizes: []int{64}}, GroupBy: storeKeys[:1], Aggs: storeAggs(false)[:3]}

@@ -45,13 +45,14 @@ func (j JoinType) String() string {
 // BatchNode (tuple-path plans, IndexScan, Project, subquery output) is
 // read as batches of one.
 //
-// Key evaluation has two forms, chosen at plan time:
+// Keys are compared as their btree.Key encodings, each pair of columns
+// in the class of JoinKeyType, by one of two forms chosen at plan time,
+// neither of which keeps a copy of the build side's keys:
 //
-//   - generic: the JoinState analogue — hash with the generic datum
-//     hasher and compare keys with the generic comparator, charging
-//     JoinQualNode per candidate pair;
-//   - EVJ bee: the specialized batch hasher and per-pair equality with
-//     baked key ordinals and types, charging the bee's (smaller) cost.
+//   - stock (core.StockJoinKeys), the JoinState analogue, charging
+//     JoinQualNode per key column per candidate pair;
+//   - EVJ bee: the encoder compiled for the key's class layout, with
+//     baked key ordinals, charging the bee's (smaller) cost.
 //
 // Every candidate pair (equal stored hash) is qualified, also after a
 // semi/anti row's outcome is known, so EVJ call counts and instruction
@@ -75,11 +76,8 @@ type HashJoin struct {
 	Est float64
 
 	evjCalls, residualCalls int64
-	// match, hashOuter (nil: generic hasher) and pairCost are the key
-	// evaluation form chosen at Open.
-	match     func(outer, inner expr.Row) bool
-	hashOuter core.BatchKeyHash
-	pairCost  int64
+	// keys is EVJ or stock, built on the first Open that needs it.
+	keys, stock *core.JoinKeyFuncs
 
 	// build is the build side, entry i the i-th inner row.
 	build hashTable
@@ -150,16 +148,19 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 	if len(h.OuterKeys) != len(h.InnerKeys) || len(h.OuterKeys) == 0 {
 		return fmt.Errorf("hash join: bad key lists %v/%v", h.OuterKeys, h.InnerKeys)
 	}
-	var hashInner core.BatchKeyHash
-	if h.EVJ != nil {
-		h.match, h.pairCost = h.EVJ.Match, h.EVJ.Cost
-		hashInner, h.hashOuter = h.EVJ.HashInnerBatch, h.EVJ.HashOuterBatch
-	} else {
-		h.match, h.pairCost = h.genericMatch, profile.JoinQualNode*int64(len(h.OuterKeys))
-		h.hashOuter = nil
+	if h.keys = h.EVJ; h.keys == nil {
+		if h.stock == nil {
+			os, is := h.Outer.Schema(), h.Inner.Schema()
+			kt := make([]types.T, len(h.OuterKeys))
+			for i := range kt {
+				kt[i] = JoinKeyType(os[h.OuterKeys[i]].T, is[h.InnerKeys[i]].T)
+			}
+			h.stock = core.StockJoinKeys(h.OuterKeys, h.InnerKeys, kt)
+		}
+		h.keys = h.stock
 	}
 	h.width = len(h.Outer.Schema()) + len(h.Inner.Schema())
-	if err := h.buildTable(ctx, hashInner); err != nil {
+	if err := h.buildTable(ctx); err != nil {
 		return err
 	}
 	h.outRows = nil
@@ -176,11 +177,21 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 func (h *HashJoin) existsType() bool  { return h.Type == SemiJoin || h.Type == AntiJoin }
 func (h *HashJoin) hasResidual() bool { return h.Residual != nil || h.ResidualCompiled != nil }
 
+// JoinKeyType is the type a pair of key columns is encoded in, for a hash
+// join and for IN (subquery): the DOUBLE side's when there is one, so 1
+// and 1.0 are one key, else the inner side's.
+func JoinKeyType(outer, inner types.T) types.T {
+	if outer.Kind == types.KindFloat64 {
+		return outer
+	}
+	return inner
+}
+
 // buildTable drains the inner child into the build table and links it.
 // The close is deferred so the inner subtree (and any buffer pins its
 // scans hold) is released even when a bee panic unwinds through the drain
 // loop.
-func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash) error {
+func (h *HashJoin) buildTable(ctx *Ctx) error {
 	h.build.reset()
 	inner := asBatchNode(h.Inner, &h.innerRows)
 	defer inner.Close(ctx)
@@ -197,7 +208,9 @@ func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash) error {
 		}
 		n := b.Count()
 		ctx.Prof().Add(profile.CompExec, int64(n)*profile.HashBuild)
-		h.build.hashes = hashKeys(b, hash, h.InnerKeys, roomFor(h.build.hashes, n))
+		if h.build.hashes, err = h.keys.HashInnerBatch(b.Rows[:b.N], b.Sel, roomFor(h.build.hashes, n)); err != nil {
+			return err
+		}
 		for i := 0; i < n; i++ {
 			h.build.rows.add(b.RowAt(i))
 		}
@@ -207,39 +220,6 @@ func (h *HashJoin) buildTable(ctx *Ctx, hash core.BatchKeyHash) error {
 	}
 	h.build.link(0)
 	return nil
-}
-
-// hashKeys appends the key hash of every live row of b to out: one EVJ
-// invocation when the bee is present, the generic datum hasher otherwise.
-func hashKeys(b *Batch, evj core.BatchKeyHash, keys []int, out []uint64) []uint64 {
-	if evj != nil {
-		return evj(b.Rows[:b.N], b.Sel, out)
-	}
-	for i, n := 0, b.Count(); i < n; i++ {
-		out = append(out, genericHash(b.RowAt(i), keys))
-	}
-	return out
-}
-
-// genericHash is rowHash over the key columns.
-func genericHash(row expr.Row, keys []int) uint64 {
-	h := hashSeed
-	for _, k := range keys {
-		h = hashFold(h, row[k])
-	}
-	return h
-}
-
-// genericMatch is the generic join-qual evaluation for one candidate
-// pair — the per-pair code the EVJ bee specializes.
-func (h *HashJoin) genericMatch(outer, inner expr.Row) bool {
-	for i := range h.OuterKeys {
-		a, b := outer[h.OuterKeys[i]], inner[h.InnerKeys[i]]
-		if a.IsNull() || b.IsNull() || a.Compare(b) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
@@ -271,7 +251,9 @@ func (h *HashJoin) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 				continue
 			}
 			ctx.Prof().Add(profile.CompExec, int64(n)*(profile.ExecNodeTuple+profile.HashProbe))
-			h.hv = hashKeys(b, h.hashOuter, h.OuterKeys, h.hv[:0])
+			if h.hv, err = h.keys.HashOuterBatch(b.Rows[:b.N], b.Sel, h.hv[:0]); err != nil {
+				return nil, false, err
+			}
 			h.ob, h.opos, h.cur = b, 0, chainUnopened
 		}
 		if out := h.probe(ctx); out != nil {
@@ -315,7 +297,7 @@ scan:
 			}
 			pairs++
 			inner := h.build.rows.rows[i]
-			if !h.match(outer, inner) || (exists && h.matched) {
+			if !h.keys.Match(outer, inner) || (exists && h.matched) {
 				continue
 			}
 			if !exists || residual {
@@ -353,7 +335,7 @@ scan:
 	if h.opos == n {
 		h.ob = nil
 	}
-	ctx.Prof().Add(profile.CompJoin, pairs*h.pairCost)
+	ctx.Prof().Add(profile.CompJoin, pairs*h.keys.Cost)
 	if h.EVJ != nil {
 		h.evjCalls += pairs
 	}

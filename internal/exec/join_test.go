@@ -184,7 +184,7 @@ func sameRows(got, want []expr.Row) error {
 		}
 		for j := range got[i] {
 			g, w := got[i][j], want[i][j]
-			if g.Kind() != w.Kind() || (!g.IsNull() && g.Compare(w) != 0) {
+			if g.Kind() != w.Kind() || (!g.IsNull() && g.Compare(w) != 0) || isNaN(g) != isNaN(w) {
 				return fmt.Errorf("row %d col %d: got %v, want %v", i, j, g, w)
 			}
 		}

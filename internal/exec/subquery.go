@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 
 	"microspec/internal/expr"
@@ -155,8 +156,9 @@ func (s *ExistsSubquery) subplan() *Node { return &s.Plan }
 func (s *ExistsSubquery) correlated() bool { return s.Correlated }
 
 // InSubquery implements expr IN (SELECT ...) / NOT IN. The subplan must
-// produce one column. An uncorrelated subplan is drained once into a
-// hashTable set; a correlated one is rescanned per outer row.
+// produce one column, which it drains into a hashTable set, keyed in the
+// class of JoinKeyType over the two static types: once when it is
+// uncorrelated, per outer row when it is correlated.
 type InSubquery struct {
 	Kid        expr.Expr
 	Plan       Node
@@ -166,6 +168,7 @@ type InSubquery struct {
 	built   bool
 	set     hashTable
 	sawNull bool
+	key     rowKey
 }
 
 // Eval implements expr.Expr.
@@ -174,11 +177,12 @@ func (s *InSubquery) Eval(row expr.Row, ctx *expr.Ctx) types.Datum {
 	if v.IsNull() {
 		return types.Null
 	}
-	if s.Correlated {
-		return s.evalCorrelated(v, row, ctx)
+	if s.key.cols == nil {
+		s.key.cols = []ColInfo{{T: JoinKeyType(s.Kid.Type(), s.Plan.Schema()[0].T)}}
 	}
-	if !s.built {
-		if err := s.build(ctx); err != nil {
+	if !s.built || s.Correlated {
+		s.Reset()
+		if err := s.build(row, ctx); err != nil {
 			s.Reset()
 			if fail(ctx, err) {
 				// The statement fails; its later rows read NULL, as
@@ -189,8 +193,13 @@ func (s *InSubquery) Eval(row expr.Row, ctx *expr.Ctx) types.Datum {
 		}
 		s.built = true
 	}
-	key := [1]types.Datum{v}
-	found := s.set.find(key[:], rowHash(key[:])) >= 0
+	key, err := s.key.of((&[1]types.Datum{v})[:])
+	if err != nil {
+		fail(ctx, err)
+		return types.Null
+	}
+	e, _ := s.set.find(key, &s.key)
+	found := e >= 0
 	if !found && s.sawNull {
 		// SQL: x NOT IN (set containing NULL) is unknown.
 		return types.Null
@@ -198,36 +207,20 @@ func (s *InSubquery) Eval(row expr.Row, ctx *expr.Ctx) types.Datum {
 	return types.NewBool(found != s.Negate)
 }
 
-func (s *InSubquery) build(ctx *expr.Ctx) error {
-	return drain(subCtx(ctx, nil), s.Plan, func(r expr.Row) bool {
+func (s *InSubquery) build(outer expr.Row, ctx *expr.Ctx) (err error) {
+	derr := drain(subCtx(ctx, outer), s.Plan, func(r expr.Row) bool {
 		ctx.Prof.Add(profile.CompExec, profile.EmitRow)
 		if r[0].IsNull() {
 			s.sawNull = true
-		} else {
-			s.set.insert(r[:1], rowHash(r[:1]))
+			return true
 		}
-		return true
+		var key []byte
+		if key, err = s.key.of(r); err == nil {
+			s.set.insert(key, r[:1], &s.key)
+		}
+		return err == nil
 	})
-}
-
-func (s *InSubquery) evalCorrelated(v types.Datum, row expr.Row, ctx *expr.Ctx) types.Datum {
-	found, sawNull := false, false
-	if err := drain(subCtx(ctx, row), s.Plan, func(r expr.Row) bool {
-		switch {
-		case r[0].IsNull():
-			sawNull = true
-		case r[0].Compare(v) == 0:
-			found = true
-		}
-		return !found
-	}); err != nil {
-		fail(ctx, err)
-		return types.Null
-	}
-	if !found && sawNull {
-		return types.Null
-	}
-	return types.NewBool(found != s.Negate)
+	return cmp.Or(derr, err)
 }
 
 // Type implements expr.Expr.
@@ -241,10 +234,10 @@ func (s *InSubquery) String() string {
 	return fmt.Sprintf("(%s %s (subquery))", s.Kid, op)
 }
 
-// Reset drops the uncorrelated cache.
+// Reset drops the set.
 func (s *InSubquery) Reset() {
 	s.built = false
-	s.set = hashTable{}
+	s.set.reset()
 	s.sawNull = false
 }
 

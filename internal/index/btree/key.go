@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 
 	"microspec/internal/types"
@@ -26,15 +27,18 @@ import (
 // Every column's encoding is self-delimiting, so bytes.Compare orders two
 // keys as Datum.Compare orders their columns in turn, NULLs first, and
 // the encoding of a key prefix is a byte prefix of the full key's: prefix
-// and range bounds keep their meaning. The one departure from
-// Datum.Compare is NaN, which Compare calls equal to everything and the
-// encoding places after +Inf.
+// and range bounds keep their meaning. It is every key's definition, not
+// only the index's: join, group, DISTINCT and IN-set keys are equal iff
+// their encodings are, hashed by Hash, and ORDER BY sorts by
+// AppendSortColumn's form. NaN is one key, above +Inf, where
+// Datum.Compare (predicates, MIN/MAX) calls it equal to everything.
 type Key []byte
 
 // Column marker bytes.
 const (
-	keyNull  = 0x00
-	keyValue = 0x01
+	keyNull     = 0x00
+	keyValue    = 0x01
+	keyNullLast = 0x02 // a sort key's NULL, after every value
 )
 
 // FixedSize is the encoded size of a non-NULL ClassInt or ClassFloat
@@ -144,6 +148,31 @@ func AppendDatum(dst Key, c Class, d *types.Datum) (Key, bool) {
 	return dst, false
 }
 
+// AppendSortColumn appends d as an ORDER BY key column in class c: its
+// encoding, NULL marked keyNullLast, all bytes complemented when desc. A
+// column's encoding is prefix-free, so bytes.Compare orders such keys
+// ascending with NULLs last or descending with NULLs first.
+func AppendSortColumn(dst Key, c Class, d *types.Datum, desc bool) (Key, bool) {
+	start := len(dst)
+	ok := true
+	if d.IsNull() {
+		dst = append(dst, keyNullLast)
+	} else if dst, ok = AppendDatum(dst, c, d); !ok {
+		return dst, false
+	}
+	if desc {
+		for i := start; i < len(dst); i++ {
+			dst[i] = ^dst[i]
+		}
+	}
+	return dst, true
+}
+
+var hashSeed = maphash.MakeSeed()
+
+// Hash is the hash of an encoded key, one seed per process.
+func Hash(k []byte) uint64 { return maphash.Bytes(hashSeed, k) }
+
 // DatumSize is the encoded size of d as a column of class c.
 func DatumSize(c Class, d *types.Datum) int {
 	switch {
@@ -162,6 +191,12 @@ func DatumSize(c Class, d *types.Datum) int {
 // columns cols reads a row. dst grows, when it must, by exactly the key's
 // size, so a key encoded into nil is one allocation of its own size.
 func AppendKey(dst Key, keyTypes []types.T, vals []types.Datum, cols []int) (Key, error) {
+	return AppendClassKey(dst, keyTypes, nil, vals, cols)
+}
+
+// AppendClassKey is AppendKey with the columns' classes given, as a bee
+// bakes them into its layout (nil: each column's ClassOf its type).
+func AppendClassKey(dst Key, keyTypes []types.T, classes []Class, vals []types.Datum, cols []int) (Key, error) {
 	n := len(vals)
 	if cols != nil {
 		n = len(cols)
@@ -169,22 +204,27 @@ func AppendKey(dst Key, keyTypes []types.T, vals []types.Datum, cols []int) (Key
 	if n > len(keyTypes) {
 		return dst, TooWide(n, len(keyTypes))
 	}
-	at := func(i int) *types.Datum {
-		if cols != nil {
-			return &vals[cols[i]]
+	at := func(i int) (Class, *types.Datum) {
+		c := ClassOf(keyTypes[i].Kind)
+		if classes != nil {
+			c = classes[i]
 		}
-		return &vals[i]
+		if cols != nil {
+			return c, &vals[cols[i]]
+		}
+		return c, &vals[i]
 	}
 	size := 0
 	for i := 0; i < n; i++ {
-		size += DatumSize(ClassOf(keyTypes[i].Kind), at(i))
+		size += DatumSize(at(i))
 	}
 	dst = Grow(dst, size)
 	start := len(dst)
 	for i := 0; i < n; i++ {
+		c, d := at(i)
 		var ok bool
-		if dst, ok = AppendDatum(dst, ClassOf(keyTypes[i].Kind), at(i)); !ok {
-			return dst[:start], Refused(i, keyTypes[i], at(i))
+		if dst, ok = AppendDatum(dst, c, d); !ok {
+			return dst[:start], Refused(i, keyTypes[i], d)
 		}
 	}
 	return dst, nil
@@ -201,10 +241,15 @@ func Grow(dst Key, n int) Key {
 	return k
 }
 
-// Refused is the error of a key encoder handed a datum of another class
-// than its key column's.
+// ClassError is the error of a key encoder handed a datum of another
+// class than its key column's, which it refuses rather than mis-encode.
+type ClassError string
+
+func (e ClassError) Error() string { return string(e) }
+
+// Refused returns the ClassError of column col, of type t, handed d.
 func Refused(col int, t types.T, d *types.Datum) error {
-	return fmt.Errorf("btree: key column %d is %s, cannot encode a %s value", col, t, d.Kind())
+	return ClassError(fmt.Sprintf("btree: key column %d is %s, cannot encode a %s value", col, t, d.Kind()))
 }
 
 // TooWide is the error of a key encoder handed n columns for an index of

@@ -205,7 +205,7 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 	if extraOuterKey != nil {
 		outerKeys = append(outerKeys, *extraOuterKey)
 		innerKeys = append(innerKeys, 0)
-		keyTypes = append(keyTypes, joinKeyType(ts.cols[*extraOuterKey].t, subScope.cols[0].t))
+		keyTypes = append(keyTypes, exec.JoinKeyType(ts.cols[*extraOuterKey].t, subScope.cols[0].t))
 	}
 	for i := range part.innerIDs {
 		oi, err := findColumn(ts.cols, part.outerIDs[i].Parts)
@@ -218,7 +218,7 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 		}
 		outerKeys = append(outerKeys, oi)
 		innerKeys = append(innerKeys, ii)
-		keyTypes = append(keyTypes, joinKeyType(ts.cols[oi].t, subScope.cols[ii].t))
+		keyTypes = append(keyTypes, exec.JoinKeyType(ts.cols[oi].t, subScope.cols[ii].t))
 	}
 
 	var residual expr.Expr
@@ -290,7 +290,7 @@ func (sp *selectPlan) tryDecorrelateScalar(ts *treeState, op string, lhs sql.Exp
 		}
 		outerKeys = append(outerKeys, oi)
 		innerKeys = append(innerKeys, i)
-		keyTypes = append(keyTypes, joinKeyType(ts.cols[oi].t, subScope.cols[i].t))
+		keyTypes = append(keyTypes, exec.JoinKeyType(ts.cols[oi].t, subScope.cols[i].t))
 	}
 
 	aggCol := len(ts.cols) + nKeys

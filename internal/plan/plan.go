@@ -129,17 +129,6 @@ func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, k
 	return hj
 }
 
-// joinKeyType is the type a join key pair is hashed and compared as: the
-// float side's when there is one, else the inner side's. The EVJ bee
-// compares float keys by value, not by their bits, so its by-value path
-// never pairs an integer key with a float key (1 = 1.0, -0.0 = 0.0).
-func joinKeyType(outer, inner types.T) types.T {
-	if outer.Kind == types.KindFloat64 {
-		return outer
-	}
-	return inner
-}
-
 // ConvertForRelation lowers an AST expression whose identifiers all
 // reference one relation's attributes (an UPDATE/DELETE WHERE clause).
 func (p *Planner) ConvertForRelation(e sql.Expr, rel *catalog.Relation) (expr.Expr, error) {

@@ -499,7 +499,7 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 			}
 			outerKeys = append(outerKeys, ti)
 			innerKeys = append(innerKeys, ii)
-			keyTypes = append(keyTypes, joinKeyType(ts.cols[ti].t, items[next].cols[ii].t))
+			keyTypes = append(keyTypes, exec.JoinKeyType(ts.cols[ti].t, items[next].cols[ii].t))
 			e.used = true
 		}
 		if len(outerKeys) == 0 {
@@ -639,7 +639,7 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 			ri, _ := findColumn(right.cols, rId.Parts)
 			outerKeys = append(outerKeys, li)
 			innerKeys = append(innerKeys, ri)
-			keyTypes = append(keyTypes, joinKeyType(left.cols[li].t, right.cols[ri].t))
+			keyTypes = append(keyTypes, exec.JoinKeyType(left.cols[li].t, right.cols[ri].t))
 			continue
 		}
 		residualASTs = append(residualASTs, c)

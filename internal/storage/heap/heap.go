@@ -830,16 +830,19 @@ func (h *Heap) Scan(snap *txn.Snapshot, prof *profile.Counters) *Scanner {
 }
 
 // PageRange is a half-open page interval [Lo, Hi) of a heap — the unit of
-// work a parallel scan hands to one worker.
+// work a parallel scan hands to one worker. ToEnd extends it, when a scan
+// of it starts, to the heap's last page then.
 type PageRange struct {
 	Lo, Hi int
+	ToEnd  bool
 }
 
 // Partitions splits the heap's current pages into at most n contiguous
 // page ranges of near-equal size for parallel scans. Fewer than n ranges
 // are returned when the heap has fewer than n pages; an empty heap yields
-// nil. The page count is a snapshot: like Scan, concurrently appended
-// pages are not covered.
+// nil. The last range runs to the heap's end (ToEnd), so a kept split
+// still covers the pages appended after it: a scan of it, like Scan,
+// reads the pages there are when it starts.
 func (h *Heap) Partitions(n int) []PageRange {
 	pages := int(h.numPages.Load())
 	if pages == 0 || n <= 0 {
@@ -856,7 +859,7 @@ func (h *Heap) Partitions(n int) []PageRange {
 		if i < extra {
 			hi++
 		}
-		out = append(out, PageRange{Lo: lo, Hi: hi})
+		out = append(out, PageRange{Lo: lo, Hi: hi, ToEnd: i == n-1})
 		lo = hi
 	}
 	return out
@@ -868,7 +871,7 @@ func (h *Heap) Partitions(n int) []PageRange {
 // page latches underneath are already concurrency-safe.
 func (h *Heap) ScanRange(snap *txn.Snapshot, r PageRange, prof *profile.Counters) *Scanner {
 	n := int(h.numPages.Load())
-	if r.Hi > n {
+	if r.Hi > n || r.ToEnd {
 		r.Hi = n
 	}
 	if r.Lo < 0 {

@@ -186,45 +186,6 @@ func (d Datum) Equal(o Datum) bool {
 	return d.Compare(o) == 0
 }
 
-// Hash returns a 64-bit hash of the datum that agrees with Compare across
-// kinds: datums Compare calls equal hash equally. So an integral float
-// hashes as its integer (1.0 as 1) and -0.0 as 0.0; CHAR ignores its
-// padding. Hash joins, aggregation, DISTINCT and IN-sets key by it.
-func (d Datum) Hash() uint64 {
-	if d.IsNull() {
-		return 0x9e3779b97f4a7c15
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	switch d.kind {
-	case KindChar, KindVarchar:
-		b := d.B
-		if d.kind == KindChar {
-			b = trimRightSpace(b)
-		}
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime64
-		}
-	default:
-		v := uint64(d.I)
-		if d.kind == KindFloat64 {
-			if f := d.Float64(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
-				v = uint64(int64(f))
-			}
-		}
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	return h
-}
-
 // String formats the datum for result output.
 func (d Datum) String() string {
 	if d.IsNull() {

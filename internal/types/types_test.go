@@ -95,28 +95,6 @@ func TestDatumCompare(t *testing.T) {
 	}
 }
 
-func TestDatumHashConsistentWithEqual(t *testing.T) {
-	if NewChar("M  ").Hash() != NewString("M").Hash() {
-		t.Error("char padding must not affect hash")
-	}
-	if NewInt32(42).Hash() != NewInt32(42).Hash() {
-		t.Error("equal ints must hash equal")
-	}
-	if NewInt32(42).Hash() == NewInt32(43).Hash() {
-		t.Error("suspicious collision on adjacent ints")
-	}
-	err := quick.Check(func(a, b int64) bool {
-		da, db := NewInt64(a), NewInt64(b)
-		if a == b {
-			return da.Hash() == db.Hash()
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCompareAntisymmetry(t *testing.T) {
 	err := quick.Check(func(a, b int64) bool {
 		da, db := NewInt64(a), NewInt64(b)
