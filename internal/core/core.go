@@ -502,8 +502,13 @@ type JoinKeyFuncs struct {
 	HashOuterBatch BatchKeyHash
 	// HashInnerBatch hashes the inner rows' key columns.
 	HashInnerBatch BatchKeyHash
-	// Match reports whether outer and inner rows join.
-	Match func(outer, inner expr.Row) bool
+	// Probe takes the key of a probe row — an outer row when outer is
+	// set, else an inner one — for the Match calls that follow: a probe
+	// row's key is evaluated once, however many candidates it meets.
+	Probe func(row expr.Row, outer bool)
+	// Match reports whether built, a row of the other side, joins the row
+	// Probe last took.
+	Match func(built expr.Row) bool
 	// Cost is the abstract instruction cost of one Match invocation.
 	Cost int64
 }
@@ -525,10 +530,10 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 		return nil, false
 	}
 	jk.Bee = b
-	inner := jk.Match
-	jk.Match = func(outer, innerRow expr.Row) bool {
+	match := jk.Match
+	jk.Match = func(built expr.Row) bool {
 		m.maybePanic(b)
-		return inner(outer, innerRow)
+		return match(built)
 	}
 	guard := func(h BatchKeyHash) BatchKeyHash {
 		return func(rows []expr.Row, cand []int32, out []uint64) ([]uint64, error) {

@@ -426,7 +426,7 @@ func TestCompileJoinKeys(t *testing.T) {
 	}
 	outer := expr.Row{types.NewInt32(7), types.NewInt32(0)}
 	inner := expr.Row{types.NewInt32(0), types.NewInt32(7)}
-	if !jk.Match(outer, inner) {
+	if !joins(jk, outer, inner) {
 		t.Error("keys 7=7 must match")
 	}
 	hashOne := func(h BatchKeyHash, row expr.Row) uint64 {
@@ -446,18 +446,18 @@ func TestCompileJoinKeys(t *testing.T) {
 		t.Errorf("candidate hashing = %v", got)
 	}
 	inner[1] = types.NewInt32(8)
-	if jk.Match(outer, inner) {
+	if joins(jk, outer, inner) {
 		t.Error("7=8 must not match")
 	}
 	// Multi-key with strings.
 	jk2, _ := m.CompileJoinKeys([]int{0, 1}, []int{0, 1}, []types.T{types.Int32, types.Varchar(4)})
 	a := expr.Row{types.NewInt32(1), types.NewString("ab")}
 	b := expr.Row{types.NewInt32(1), types.NewString("ab")}
-	if !jk2.Match(a, b) || hashOne(jk2.HashOuterBatch, a) != hashOne(jk2.HashInnerBatch, b) {
+	if !joins(jk2, a, b) || hashOne(jk2.HashOuterBatch, a) != hashOne(jk2.HashInnerBatch, b) {
 		t.Error("multi-key match/hash wrong")
 	}
 	b[1] = types.NewString("ac")
-	if jk2.Match(a, b) {
+	if joins(jk2, a, b) {
 		t.Error("different strings must not match")
 	}
 	// Disabled.

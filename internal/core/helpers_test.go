@@ -40,3 +40,9 @@ func compileFused(m *Module, rel *catalog.Relation, e expr.Expr, atts []int) (Fu
 	fp := m.CompilePredicate(e).Fused(d)
 	return fp, fp != nil
 }
+
+// joins reports whether outer and inner join under jk, outer probing.
+func joins(jk *JoinKeyFuncs, outer, inner expr.Row) bool {
+	jk.Probe(outer, true)
+	return jk.Match(inner)
+}

@@ -106,22 +106,29 @@ func compileKeyEncoder(keyTypes []types.T, classes []btree.Class) KeyEncoder {
 }
 
 // StockJoinKeys is the JoinState analogue the EVJ bee specializes:
-// encodedJoinKeys over the generic encoder, charged per key column.
+// encodedJoinKeys over the generic encoder, which looks up each column's
+// class per call, charged per key column.
 func StockJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
-	jk := encodedJoinKeys(genericKeyEncoder(slices.Clone(keyTypes)), outerIdx, innerIdx)
+	keyTypes = slices.Clone(keyTypes)
+	jk := encodedJoinKeys(func(dst btree.Key, row expr.Row, idx []int) (btree.Key, error) {
+		return btree.AppendScratchKey(dst, keyTypes, nil, row, idx)
+	}, outerIdx, innerIdx)
 	jk.Cost = profile.JoinQualNode * int64(len(outerIdx))
 	return jk
 }
 
-// compileJoinKeys builds the EVJ bee: encodedJoinKeys over the key
-// encoder compiled for the key's class layout, except that an integral
-// layout (every TPC-H join) compares the values themselves, exact as the
+// compileJoinKeys builds the EVJ bee: encodedJoinKeys over an encoder
+// with the key's class layout baked, except that an integral layout
+// (every TPC-H join) compares the values themselves, exact as the
 // ClassInt encoding is a bijection of the value.
 func compileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
 	var jk *JoinKeyFuncs
 	if slices.ContainsFunc(keyTypes, func(t types.T) bool { return btree.ClassOf(t.Kind) != btree.ClassInt }) {
 		keyTypes = slices.Clone(keyTypes)
-		jk = encodedJoinKeys(compileKeyEncoder(keyTypes, keyClasses(keyTypes)), outerIdx, innerIdx)
+		classes := keyClasses(keyTypes)
+		jk = encodedJoinKeys(func(dst btree.Key, row expr.Row, idx []int) (btree.Key, error) {
+			return btree.AppendScratchKey(dst, keyTypes, classes, row, idx)
+		}, outerIdx, innerIdx)
 	} else {
 		jk = wordJoinKeys(slices.Clone(outerIdx), slices.Clone(innerIdx), keyTypes)
 	}
@@ -146,12 +153,20 @@ func wordJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) *JoinKeyFuncs {
 		}
 		return h, nil
 	}
+	var probe expr.Row
+	var pIdx, bIdx []int
 	return &JoinKeyFuncs{
 		HashOuterBatch: eachKey(outerIdx, hash),
 		HashInnerBatch: eachKey(innerIdx, hash),
-		Match: func(outer, inner expr.Row) bool {
-			for k, o := range outerIdx {
-				a, b := &outer[o], &inner[innerIdx[k]]
+		Probe: func(row expr.Row, outer bool) {
+			probe, pIdx, bIdx = row, outerIdx, innerIdx
+			if !outer {
+				pIdx, bIdx = innerIdx, outerIdx
+			}
+		},
+		Match: func(built expr.Row) bool {
+			for k, p := range pIdx {
+				a, b := &probe[p], &built[bIdx[k]]
 				if a.IsNull() || b.IsNull() || a.I != b.I {
 					return false
 				}
@@ -188,30 +203,45 @@ func eachKey(idx []int, hash func(row expr.Row, idx []int) (uint64, error)) Batc
 }
 
 // encodedJoinKeys hashes (btree.Hash) and compares (bytes.Equal) join
-// keys as enc encodes them; a key with a NULL column matches nothing. No
-// encoding is kept: a candidate pair encodes both keys again.
-func encodedJoinKeys(enc KeyEncoder, outerIdx, innerIdx []int) *JoinKeyFuncs {
+// keys as enc encodes them into reused scratch; a key with a NULL column
+// matches nothing. No build-side encoding is kept: Probe encodes the probe
+// row's key once, and each candidate's Match encodes the built row's.
+func encodedJoinKeys(enc func(dst btree.Key, row expr.Row, idx []int) (btree.Key, error), outerIdx, innerIdx []int) *JoinKeyFuncs {
 	oIdx, iIdx := slices.Clone(outerIdx), slices.Clone(innerIdx)
-	var ob, ib btree.Key
-	hash := func(buf *btree.Key) func(expr.Row, []int) (uint64, error) {
-		return func(row expr.Row, idx []int) (h uint64, err error) {
-			*buf, err = enc((*buf)[:0], row, idx)
-			return btree.Hash(*buf), err
-		}
+	var pb, bb btree.Key
+	var bIdx []int
+	probeOK := false
+	hash := func(row expr.Row, idx []int) (h uint64, err error) {
+		bb, err = enc(bb[:0], row, idx)
+		return btree.Hash(bb), err
 	}
 	return &JoinKeyFuncs{
-		HashOuterBatch: eachKey(oIdx, hash(&ob)),
-		HashInnerBatch: eachKey(iIdx, hash(&ib)),
-		Match: func(outer, inner expr.Row) bool {
-			for k, o := range oIdx {
-				if outer[o].IsNull() || inner[iIdx[k]].IsNull() {
+		HashOuterBatch: eachKey(oIdx, hash),
+		HashInnerBatch: eachKey(iIdx, hash),
+		Probe: func(row expr.Row, outer bool) {
+			pIdx := oIdx
+			if bIdx = iIdx; !outer {
+				pIdx, bIdx = iIdx, oIdx
+			}
+			var err error
+			pb, err = enc(pb[:0], row, pIdx)
+			probeOK = err == nil
+			for _, k := range pIdx {
+				probeOK = probeOK && !row[k].IsNull()
+			}
+		},
+		Match: func(built expr.Row) bool {
+			if !probeOK {
+				return false
+			}
+			for _, k := range bIdx {
+				if built[k].IsNull() {
 					return false
 				}
 			}
-			var oerr, ierr error
-			ob, oerr = enc(ob[:0], outer, oIdx)
-			ib, ierr = enc(ib[:0], inner, iIdx)
-			return oerr == nil && ierr == nil && bytes.Equal(ob, ib)
+			var err error
+			bb, err = enc(bb[:0], built, bIdx)
+			return err == nil && bytes.Equal(pb, bb)
 		},
 	}
 }

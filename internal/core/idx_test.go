@@ -17,10 +17,9 @@ import (
 // keys orders them as Datum.Compare orders the datums, column by column
 // with NULLs first and a prefix before its extensions; the IDX bee writes
 // the generic encoder's bytes for every layout; and a prefix's encoding is
-// a byte prefix of the full key's. NaN is left out of the order property:
-// Datum.Compare calls NaN equal to everything, which no total order can
-// reproduce (the encoding puts every NaN above +Inf, see
-// TestKeyEncodingZerosAndNaN).
+// a byte prefix of the full key's. NaNs of different bits are tested on
+// their own (TestKeyEncodingZerosAndNaN): the encoding puts every NaN above
+// +Inf as one value, which is how Datum.Compare orders them too.
 
 // keyCompare is the order keys had before they were bytes: column by
 // column, NULLs first, then Datum.Compare; a prefix sorts before the keys
@@ -364,8 +363,13 @@ func TestJoinKeysAgreeWithKeyEncoding(t *testing.T) {
 				eb, _ := btree.AppendKey(nil, layout, b, nil)
 				want := bytes.Equal(ea, eb) && !slices.ContainsFunc(a, types.Datum.IsNull) && !slices.ContainsFunc(b, types.Datum.IsNull)
 				for name, jk := range routines {
-					if got := jk.Match(a, b); got != want {
-						t.Fatalf("%s, layout %v: %v joins %v: %v, want %v", name, layout, a, b, got, want)
+					jk.Probe(a, true)
+					if got := jk.Match(b); got != want {
+						t.Fatalf("%s, layout %v: outer %v joins %v: %v, want %v", name, layout, a, b, got, want)
+					}
+					jk.Probe(b, false)
+					if got := jk.Match(a); got != want {
+						t.Fatalf("%s, layout %v: inner %v joins %v: %v, want %v", name, layout, b, a, got, want)
 					}
 					if want && hash(jk.HashOuterBatch, a) != hash(jk.HashInnerBatch, b) {
 						t.Fatalf("%s, layout %v: %v and %v join but hash apart", name, layout, a, b)
@@ -384,5 +388,49 @@ func TestJoinKeysAgreeWithKeyEncoding(t *testing.T) {
 				t.Fatalf("%s, layout %v: hashing %v: %v, want a class error", name, layout, other, err)
 			}
 		}
+	}
+}
+
+// The encoded join keys encode a probe row's key once, however many
+// candidates it meets, in either join orientation: one encoder call per
+// probe row plus one per candidate (the built row's key), where each
+// candidate pair once encoded both keys.
+func TestJoinKeysEncodeEachProbeRowOnce(t *testing.T) {
+	layout := []types.T{types.Varchar(8), types.Int32}
+	calls := 0
+	jk := encodedJoinKeys(func(dst btree.Key, row expr.Row, idx []int) (btree.Key, error) {
+		calls++
+		return btree.AppendScratchKey(dst, layout, nil, row, idx)
+	}, []int{0, 1}, []int{1, 2})
+	outer := expr.Row{types.NewString("a"), types.NewInt32(1)}
+	inner := expr.Row{types.NewInt32(0), types.NewString("a"), types.NewInt32(1)}
+	const candidates = 5
+	for _, probeOuter := range []bool{true, false} {
+		probe, built := outer, inner
+		if !probeOuter {
+			probe, built = inner, outer
+		}
+		for rows := 1; rows <= 3; rows++ {
+			calls = 0
+			for range rows {
+				jk.Probe(probe, probeOuter)
+				for range candidates {
+					if !jk.Match(built) {
+						t.Fatalf("outer probes=%v: %v does not join %v", probeOuter, probe, built)
+					}
+				}
+			}
+			if want := rows * (1 + candidates); calls != want {
+				t.Errorf("outer probes=%v, %d probe rows of %d candidates: %d encoder calls, want %d",
+					probeOuter, rows, candidates, calls, want)
+			}
+		}
+	}
+	// A probe key with a NULL column matches nothing, and no candidate is
+	// encoded for it.
+	calls = 0
+	jk.Probe(expr.Row{types.Null, types.NewInt32(1)}, true)
+	if jk.Match(inner) || calls != 1 {
+		t.Errorf("NULL probe key: matched or encoded %d times, want no match and one call", calls)
 	}
 }

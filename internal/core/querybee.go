@@ -653,23 +653,24 @@ func floatArith(op expr.ArithOp, l, r *frag) floatFrag {
 // --- Comparison: operand class × shape, the operator a baked constant ---
 
 // cmp applies op to two values of one class. It orders like
-// Datum.Compare — a NaN is neither less nor greater, so it equals
-// everything — which for integers is the ordinary order.
+// Datum.Compare — a NaN equals only a NaN and sorts above +Inf — which for
+// integers is the ordinary order. Each operator tests its ordinary
+// comparison first and looks for a NaN only when that fails; for integers
+// the x == x tests fold away.
 func cmp[T int64 | float64](op expr.CmpOp, a, b T) bool {
-	lt, gt := a < b, a > b
 	switch op {
 	case expr.EQ:
-		return !lt && !gt
+		return a == b || a != a && b != b
 	case expr.NE:
-		return lt || gt
+		return a != b && (a == a || b == b)
 	case expr.LT:
-		return lt
+		return a < b || a == a && b != b
 	case expr.LE:
-		return !gt
+		return a <= b || b != b
 	case expr.GT:
-		return gt
+		return a > b || a != a && b == b
 	}
-	return !lt
+	return a >= b || a != a
 }
 
 // cmpFrags is the general shape: both operands are called.

@@ -246,8 +246,7 @@ func TestProbeKeyDoubleZeros(t *testing.T) {
 				t.Errorf("bees=%v update %s %v: probes %d → %d, scans %d → %d: want one index probe", bees, c.where, c.args, probes0, probes, scans0, scans)
 			}
 		}
-		// NaN still takes the scan: Datum.Compare calls it equal to
-		// everything.
+		// NaN still takes the scan: ProbeKey builds no key for it.
 		_, scans0, _ := dmlCounters(db)
 		upd, err := db.Prepare("update fk set v = v + 1 where k = $1")
 		if err != nil {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"microspec/internal/core"
 	"microspec/internal/expr"
@@ -45,6 +46,17 @@ func (j JoinType) String() string {
 // BatchNode (tuple-path plans, IndexScan, Project, subquery output) is
 // read as batches of one.
 //
+// A semi or anti join with BuildOuter set hashes its outer side instead:
+// Open drains the outer child into the table, streams the inner child
+// through it, and marks each outer row a candidate pair joins (the
+// residual is evaluated only while the row is unmarked); NextBatch then
+// emits the marked outer rows (semi) or the unmarked ones (anti) from the
+// table, in insertion order — the outer order. The candidate pairs are
+// the same as the probe-side form's, and so are the rows and their order.
+// The per-row charges follow the work: an outer row pays the build and,
+// as in either form, the node's per-tuple overhead; an inner row pays a
+// probe.
+//
 // Keys are compared as their btree.Key encodings, each pair of columns
 // in the class of JoinKeyType, by one of two forms chosen at plan time,
 // neither of which keeps a copy of the build side's keys:
@@ -56,12 +68,17 @@ func (j JoinType) String() string {
 //
 // Every candidate pair (equal stored hash) is qualified, also after a
 // semi/anti row's outcome is known, so EVJ call counts and instruction
-// charges do not depend on how rows are batched.
+// charges do not depend on how rows are batched or which side is hashed.
+// A probe row's key is taken (JoinKeyFuncs.Probe) at its first candidate.
 type HashJoin struct {
 	Outer, Inner Node
 	// OuterKeys/InnerKeys are key column ordinals in each child's schema.
 	OuterKeys, InnerKeys []int
 	Type                 JoinType
+	// BuildOuter, on a semi or anti join, hashes the outer side and
+	// streams the inner one: the planner sets it when it estimates the
+	// outer side no larger than the inner.
+	BuildOuter bool
 	// Residual is an optional extra qual evaluated over the combined row.
 	Residual expr.Expr
 	// ResidualCompiled is the EVP form of Residual, if compiled, and
@@ -79,19 +96,23 @@ type HashJoin struct {
 	// keys is EVJ or stock, built on the first Open that needs it.
 	keys, stock *core.JoinKeyFuncs
 
-	// build is the build side, entry i the i-th inner row.
+	// build is the build side, entry i the i-th inner row (the i-th outer
+	// row under BuildOuter, hit[i] whether a pair joined it).
 	build hashTable
+	hit   []bool
 
 	// Probe state: ob is the outer batch being probed (nil when a new one
 	// is due), hv its live rows' key hashes, opos the live row in progress,
-	// cur that row's chain cursor, and matched whether it has produced a
-	// residual-surviving match yet.
+	// cur that row's chain cursor, matched whether it has produced a
+	// residual-surviving match yet, and probed whether its key is taken.
+	// Under BuildOuter, opos is the next table entry to emit.
 	outer   BatchNode
 	ob      *Batch
 	hv      []uint64
 	opos    int
 	cur     int32
 	matched bool
+	probed  bool
 
 	// outerRows and innerRows read a row-at-a-time child as batches of one.
 	outerRows, innerRows rowBatches
@@ -143,10 +164,14 @@ func asBatchNode(n Node, rows *rowBatches) BatchNode {
 	return rows
 }
 
-// Open implements Node: it (re)builds the hash table from the inner child.
+// Open implements Node: it (re)builds the hash table from the inner child
+// or, under BuildOuter, from the outer child, and then marks it.
 func (h *HashJoin) Open(ctx *Ctx) error {
 	if len(h.OuterKeys) != len(h.InnerKeys) || len(h.OuterKeys) == 0 {
 		return fmt.Errorf("hash join: bad key lists %v/%v", h.OuterKeys, h.InnerKeys)
+	}
+	if h.BuildOuter && !h.existsType() {
+		return fmt.Errorf("hash join: a %s join cannot hash its outer side", h.Type)
 	}
 	if h.keys = h.EVJ; h.keys == nil {
 		if h.stock == nil {
@@ -160,17 +185,23 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 		h.keys = h.stock
 	}
 	h.width = len(h.Outer.Schema()) + len(h.Inner.Schema())
-	if err := h.buildTable(ctx); err != nil {
-		return err
-	}
 	h.outRows = nil
 	h.outCap = max(64, min(BatchCap, outArenaDatums/h.width))
 	if h.existsType() && h.hasResidual() {
 		h.scratch = make(expr.Row, h.width)
 	}
-	h.ob = nil
+	h.ob, h.opos = nil, 0
 	h.rb.reset()
 	h.outer = asBatchNode(h.Outer, &h.outerRows)
+	if h.BuildOuter {
+		if err := h.fill(ctx, h.outer, h.keys.HashOuterBatch, profile.HashBuild+profile.ExecNodeTuple); err != nil {
+			return err
+		}
+		return h.mark(ctx)
+	}
+	if err := h.fill(ctx, asBatchNode(h.Inner, &h.innerRows), h.keys.HashInnerBatch, profile.HashBuild); err != nil {
+		return err
+	}
 	return h.outer.Open(ctx)
 }
 
@@ -187,19 +218,19 @@ func JoinKeyType(outer, inner types.T) types.T {
 	return inner
 }
 
-// buildTable drains the inner child into the build table and links it.
-// The close is deferred so the inner subtree (and any buffer pins its
-// scans hold) is released even when a bee panic unwinds through the drain
-// loop.
-func (h *HashJoin) buildTable(ctx *Ctx) error {
+// fill opens a child, drains it, whose key columns hash, into the build
+// table, charging cost per row, links the table and closes the child.
+// The close is deferred so the drained subtree (and any buffer pins its
+// scans hold) is released before the other child is opened, and also
+// when a bee panic unwinds through the drain loop.
+func (h *HashJoin) fill(ctx *Ctx, child BatchNode, hash core.BatchKeyHash, cost int64) error {
 	h.build.reset()
-	inner := asBatchNode(h.Inner, &h.innerRows)
-	defer inner.Close(ctx)
-	if err := inner.Open(ctx); err != nil {
+	defer child.Close(ctx)
+	if err := child.Open(ctx); err != nil {
 		return err
 	}
 	for {
-		b, ok, err := inner.NextBatch(ctx)
+		b, ok, err := child.NextBatch(ctx)
 		if err != nil {
 			return err
 		}
@@ -207,8 +238,8 @@ func (h *HashJoin) buildTable(ctx *Ctx) error {
 			break
 		}
 		n := b.Count()
-		ctx.Prof().Add(profile.CompExec, int64(n)*profile.HashBuild)
-		if h.build.hashes, err = h.keys.HashInnerBatch(b.Rows[:b.N], b.Sel, roomFor(h.build.hashes, n)); err != nil {
+		ctx.Prof().Add(profile.CompExec, int64(n)*cost)
+		if h.build.hashes, err = hash(b.Rows[:b.N], b.Sel, roomFor(h.build.hashes, n)); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -220,6 +251,73 @@ func (h *HashJoin) buildTable(ctx *Ctx) error {
 	}
 	h.build.link(0)
 	return nil
+}
+
+// mark streams the inner child through the table of outer rows
+// (BuildOuter), setting hit for every outer row a candidate pair joins.
+// An empty table marks nothing, so the inner child is not read.
+func (h *HashJoin) mark(ctx *Ctx) error {
+	h.hit = slices.Grow(h.hit[:0], h.build.len())[:h.build.len()]
+	clear(h.hit)
+	if h.build.len() == 0 {
+		return nil
+	}
+	inner := asBatchNode(h.Inner, &h.innerRows)
+	defer inner.Close(ctx)
+	if err := inner.Open(ctx); err != nil {
+		return err
+	}
+	residual := h.hasResidual()
+	for {
+		if err := ctx.Canceled(); err != nil {
+			return err
+		}
+		b, ok, err := inner.NextBatch(ctx)
+		if err != nil || !ok {
+			return err
+		}
+		n := b.Count()
+		ctx.Prof().Add(profile.CompExec, int64(n)*profile.HashProbe)
+		if h.hv, err = h.keys.HashInnerBatch(b.Rows[:b.N], b.Sel, h.hv[:0]); err != nil {
+			return err
+		}
+		var pairs int64
+		for j := 0; j < n; j++ {
+			in, hv, probed := b.RowAt(j), h.hv[j], false
+			for cur := h.build.first(hv); cur != 0; cur = h.build.next[cur-1] {
+				i := cur - 1
+				if h.build.hashes[i] != hv {
+					continue
+				}
+				pairs++
+				if !probed {
+					h.keys.Probe(in, false)
+					probed = true
+				}
+				outer := h.build.rows.rows[i]
+				if !h.keys.Match(outer) || h.hit[i] {
+					continue
+				}
+				if residual {
+					copy(h.scratch, outer)
+					copy(h.scratch[len(outer):], in)
+					if !h.residualOK(h.scratch, ctx) {
+						continue
+					}
+				}
+				h.hit[i] = true
+			}
+		}
+		h.notePairs(ctx, pairs)
+	}
+}
+
+// notePairs charges and counts the candidate pairs a pass qualified.
+func (h *HashJoin) notePairs(ctx *Ctx, pairs int64) {
+	ctx.Prof().Add(profile.CompJoin, pairs*h.keys.Cost)
+	if h.EVJ != nil {
+		h.evjCalls += pairs
+	}
 }
 
 func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
@@ -237,6 +335,9 @@ func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
 // batches: its rows reference the outer batch's datums, which the outer
 // child's next NextBatch invalidates.
 func (h *HashJoin) NextBatch(ctx *Ctx) (*Batch, bool, error) {
+	if h.BuildOuter {
+		return h.emitMarked(ctx)
+	}
 	for {
 		if err := ctx.Canceled(); err != nil {
 			return nil, false, err
@@ -262,10 +363,36 @@ func (h *HashJoin) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 	}
 }
 
+// emitMarked returns the next batch of the table's outer rows a semi
+// join keeps (marked) or an anti join keeps (unmarked): a window of up to
+// BatchCap entries with a selection vector, skipping windows that keep
+// none.
+func (h *HashJoin) emitMarked(ctx *Ctx) (*Batch, bool, error) {
+	rows, keep := h.build.rows.rows, h.Type == SemiJoin
+	for h.opos < len(rows) {
+		if err := ctx.Canceled(); err != nil {
+			return nil, false, err
+		}
+		lo, hi := h.opos, min(h.opos+BatchCap, len(rows))
+		h.opos = hi
+		sel := h.sel[:0]
+		for i := lo; i < hi; i++ {
+			if h.hit[i] == keep {
+				sel = append(sel, int32(i-lo))
+			}
+		}
+		if h.sel = sel; len(sel) > 0 {
+			h.out = Batch{Rows: rows[lo:hi], N: hi - lo, Sel: sel}
+			return &h.out, true, nil
+		}
+	}
+	return nil, false, nil
+}
+
 // probe continues the current outer batch and returns the output batch,
 // or nil when the rows probed produced nothing. It clears h.ob once the
 // outer batch is used up; otherwise the output filled and (opos, cur,
-// matched) say where the next call resumes.
+// matched, probed) say where the next call resumes.
 func (h *HashJoin) probe(ctx *Ctx) *Batch {
 	b := h.ob
 	n := b.Count()
@@ -284,7 +411,7 @@ scan:
 		hv := h.hv[h.opos]
 		if cur == chainUnopened {
 			cur = h.build.first(hv)
-			h.matched = false
+			h.matched, h.probed = false, false
 		}
 		for cur != 0 {
 			if out == h.outCap {
@@ -296,8 +423,12 @@ scan:
 				continue
 			}
 			pairs++
+			if !h.probed {
+				h.keys.Probe(outer, true)
+				h.probed = true
+			}
 			inner := h.build.rows.rows[i]
-			if !h.keys.Match(outer, inner) || (exists && h.matched) {
+			if !h.keys.Match(inner) || (exists && h.matched) {
 				continue
 			}
 			if !exists || residual {
@@ -335,10 +466,7 @@ scan:
 	if h.opos == n {
 		h.ob = nil
 	}
-	ctx.Prof().Add(profile.CompJoin, pairs*h.keys.Cost)
-	if h.EVJ != nil {
-		h.evjCalls += pairs
-	}
+	h.notePairs(ctx, pairs)
 	if exists {
 		if len(sel) == 0 {
 			return nil
@@ -377,7 +505,7 @@ func (h *HashJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 // Close implements Node. It releases the build side and everything that
 // points into it or into the outer child's batches, so a cached plan
 // holds no rows between executions; the pointer-free scratch (hashes,
-// selection) is kept for the next Open.
+// marks, selection) is kept for the next Open.
 func (h *HashJoin) Close(ctx *Ctx) {
 	if h.EVJ != nil {
 		h.EVJ.Bee.Note(h.evjCalls, 0)

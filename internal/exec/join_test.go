@@ -199,7 +199,10 @@ var joinKeySets = [][]int{{0}, {1}, {0, 1}}
 // checkJoinAgainstOracle runs one outer/inner input through every
 // combination of join type, key shape, residual, EVJ, and child kind
 // (batches, batches with a selection vector, rows as batches of one),
-// comparing each result row for row and in order with the oracle.
+// comparing each result row for row and in order with the oracle. A semi
+// or anti join runs in both orientations — hashing the inner side and,
+// under BuildOuter, the outer one — and both must qualify the same
+// candidate pairs: equal EVJ call counts and join instruction charges.
 func checkJoinAgainstOracle(t *testing.T, label string, outer, inner []expr.Row, sizes []int) {
 	t.Helper()
 	mod := core.NewModule(core.AllRoutines)
@@ -223,24 +226,39 @@ func checkJoinAgainstOracle(t *testing.T, label string, outer, inner []expr.Row,
 		for _, typ := range []JoinType{InnerJoin, LeftJoin, SemiJoin, AntiJoin} {
 			for _, res := range []expr.Expr{nil, residual} {
 				want := nestedLoopOracle(outer, inner, keys, keys, typ, res)
+				orientations := []bool{false}
+				if typ == SemiJoin || typ == AntiJoin {
+					orientations = append(orientations, true)
+				}
 				for kind, child := range children {
 					for _, evj := range []bool{false, true} {
-						j := &HashJoin{Outer: child(outer), Inner: child(inner),
-							OuterKeys: keys, InnerKeys: keys, Type: typ, Residual: res}
-						if evj {
-							jk, ok := mod.CompileJoinKeys(keys, keys, keyTypes)
-							if !ok {
-								t.Fatal("EVJ compile failed")
+						var pairs, charged []int64
+						for _, buildOuter := range orientations {
+							j := &HashJoin{Outer: child(outer), Inner: child(inner),
+								OuterKeys: keys, InnerKeys: keys, Type: typ, Residual: res, BuildOuter: buildOuter}
+							if evj {
+								jk, ok := mod.CompileJoinKeys(keys, keys, keyTypes)
+								if !ok {
+									t.Fatal("EVJ compile failed")
+								}
+								j.EVJ = jk
 							}
-							j.EVJ = jk
+							prof := &profile.Counters{}
+							before := mod.Stats().EVJCalls
+							got, err := Collect(&Ctx{Expr: expr.Ctx{Prof: prof}}, &batchInvariants{BatchNode: j, t: t})
+							if err == nil {
+								err = sameRows(got, want)
+							}
+							if err != nil {
+								t.Fatalf("%s: %s join keys=%v residual=%v evj=%v children=%s build outer=%v: %v",
+									label, typ, keys, res != nil, evj, kind, buildOuter, err)
+							}
+							pairs = append(pairs, mod.Stats().EVJCalls-before)
+							charged = append(charged, prof.Component(profile.CompJoin))
 						}
-						got, err := Collect(&Ctx{}, &batchInvariants{BatchNode: j, t: t})
-						if err == nil {
-							err = sameRows(got, want)
-						}
-						if err != nil {
-							t.Fatalf("%s: %s join keys=%v residual=%v evj=%v children=%s: %v",
-								label, typ, keys, res != nil, evj, kind, err)
+						if len(pairs) == 2 && (pairs[0] != pairs[1] || charged[0] != charged[1]) {
+							t.Fatalf("%s: %s join keys=%v residual=%v evj=%v children=%s: EVJ calls %d/%d and join charges %d/%d by orientation, want equal",
+								label, typ, keys, res != nil, evj, kind, pairs[0], pairs[1], charged[0], charged[1])
 						}
 					}
 				}
@@ -397,6 +415,19 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 	probe[4][0], probe[4][1] = i32(1), str("a")
 	checkJoinAgainstOracle(t, "expansion past BatchCap", probe, wide, []int{5})
 
+	// Semi/anti joins hashing either side: duplicate keys on both sides,
+	// NULL keys, residuals failing on some candidates (randomJoinRows'
+	// payloads), an outer side of more than BatchCap rows emitted in
+	// windows, and sides of one row.
+	dup := randomJoinRows(rng, BatchCap+300, "d")
+	checkJoinAgainstOracle(t, "outer beyond BatchCap", dup, randomJoinRows(rng, 40, "q"), []int{1, BatchCap})
+	checkJoinAgainstOracle(t, "one row each side", some[:1], some[1:2], []int{1})
+	nulls := randomJoinRows(rng, 20, "n")
+	for _, r := range nulls[:10] {
+		r[0], r[1] = types.Null, types.Null
+	}
+	checkJoinAgainstOracle(t, "NULL keys on both sides", nulls, nulls, []int{1})
+
 	// Exactly BatchCap matches, then an unmatched row: a left join's null
 	// extension arrives when the output batch is already full.
 	full := wide[:BatchCap]
@@ -442,6 +473,48 @@ func TestHashJoinCloseReleasesRows(t *testing.T) {
 	mustCollect(t, d)
 	if d.seen.rows.rows != nil || d.seen.heads != nil {
 		t.Error("closed Distinct still holds its rows")
+	}
+}
+
+// loggedBatches records its Open and Close calls in a shared log.
+type loggedBatches struct {
+	BatchNode
+	name string
+	log  *[]string
+}
+
+func (l *loggedBatches) Open(ctx *Ctx) error {
+	*l.log = append(*l.log, l.name+" open")
+	return l.BatchNode.Open(ctx)
+}
+
+func (l *loggedBatches) Close(ctx *Ctx) {
+	*l.log = append(*l.log, l.name+" close")
+	l.BatchNode.Close(ctx)
+}
+
+// TestHashJoinClosesHashedSideFirst pins that Open closes the side it
+// hashed before it opens the other, in either orientation, so the drained
+// subtree holds no rows or buffer pins while the other side streams.
+func TestHashJoinClosesHashedSideFirst(t *testing.T) {
+	for _, buildOuter := range []bool{false, true} {
+		var log []string
+		j := &HashJoin{
+			Outer:     &loggedBatches{keyedBatches(100, func(i int) int32 { return int32(i) }), "outer", &log},
+			Inner:     &loggedBatches{keyedBatches(10, func(i int) int32 { return int32(i) }), "inner", &log},
+			OuterKeys: []int{0}, InnerKeys: []int{0}, Type: SemiJoin, BuildOuter: buildOuter,
+		}
+		if err := j.Open(&Ctx{}); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"inner open", "inner close", "outer open"}
+		if buildOuter {
+			want = []string{"outer open", "outer close", "inner open", "inner close"}
+		}
+		if !slices.Equal(log, want) {
+			t.Errorf("buildOuter=%v: Open did %q, want %q", buildOuter, log, want)
+		}
+		j.Close(&Ctx{})
 	}
 }
 

@@ -90,8 +90,9 @@ func probeDatum(d types.Datum, col types.Kind) (types.Datum, KeyMatch) {
 	case types.KindFloat64:
 		switch d.Kind() {
 		case types.KindFloat64:
-			// NaN compares equal to everything under Datum.Compare; the key
-			// encoding has one NaN above +Inf. (-0 is encoded as +0.)
+			// A NaN takes the scan: predicates and the key encoding agree
+			// on it (one value above +Inf), but no probe key is built for
+			// it. (-0 is encoded as +0.)
 			if f := d.Float64(); f != f {
 				return d, KeyNeedsScan
 			}

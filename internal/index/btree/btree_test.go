@@ -9,6 +9,7 @@ import (
 
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
+	"microspec/internal/types"
 )
 
 // ik encodes a key of INTEGER columns.
@@ -430,6 +431,36 @@ func TestAscendRangeMatchesLinearPass(t *testing.T) {
 		maxCompared := int64(7 + len(got) + 1)
 		if compared := (prof.Total() - profile.IndexDescend) / profile.IndexEntry; compared > maxCompared {
 			t.Fatalf("round %d [%v, %v]: compared %d entries to hand over %d", round, lo, hi, compared, len(got))
+		}
+	}
+}
+
+// BenchmarkAppendKeyScratch encodes a VARCHAR and an INTEGER key into a
+// reused buffer, as a hash join encodes its candidate keys, in the sized
+// form (AppendClassKey, which measures the key in a pass of its own first)
+// and in one pass (AppendScratchKey).
+func BenchmarkAppendKeyScratch(b *testing.B) {
+	keys := []struct {
+		name string
+		t    types.T
+		d    types.Datum
+	}{
+		{"varchar", types.Varchar(16), types.NewString("key-0001234")},
+		{"int", types.Int32, types.NewInt32(1234)},
+	}
+	forms := []struct {
+		name string
+		enc  func(Key, []types.T, []Class, []types.Datum, []int) (Key, error)
+	}{{"sized", AppendClassKey}, {"one-pass", AppendScratchKey}}
+	for _, k := range keys {
+		for _, f := range forms {
+			b.Run(k.name+"/"+f.name, func(b *testing.B) {
+				kt, vals := []types.T{k.t}, []types.Datum{k.d}
+				var dst Key
+				for i := 0; i < b.N; i++ {
+					dst, _ = f.enc(dst[:0], kt, nil, vals, nil)
+				}
+			})
 		}
 	}
 }

@@ -30,8 +30,8 @@ import (
 // and range bounds keep their meaning. It is every key's definition, not
 // only the index's: join, group, DISTINCT and IN-set keys are equal iff
 // their encodings are, hashed by Hash, and ORDER BY sorts by
-// AppendSortColumn's form. NaN is one key, above +Inf, where
-// Datum.Compare (predicates, MIN/MAX) calls it equal to everything.
+// AppendSortColumn's form. NaN is one key, above +Inf, as Datum.Compare
+// (predicates, MIN/MAX) orders it too.
 type Key []byte
 
 // Column marker bytes.
@@ -197,6 +197,20 @@ func AppendKey(dst Key, keyTypes []types.T, vals []types.Datum, cols []int) (Key
 // AppendClassKey is AppendKey with the columns' classes given, as a bee
 // bakes them into its layout (nil: each column's ClassOf its type).
 func AppendClassKey(dst Key, keyTypes []types.T, classes []Class, vals []types.Datum, cols []int) (Key, error) {
+	return appendKey(dst, keyTypes, classes, vals, cols, true)
+}
+
+// AppendScratchKey is AppendClassKey in one pass: dst grows as append
+// grows it, not by exactly the key's size. It is the form for a reused
+// scratch buffer (a hash join's), where sizing the key first would be a
+// pass over its columns of its own.
+func AppendScratchKey(dst Key, keyTypes []types.T, classes []Class, vals []types.Datum, cols []int) (Key, error) {
+	return appendKey(dst, keyTypes, classes, vals, cols, false)
+}
+
+// appendKey encodes a key for AppendClassKey (sized, growing dst by
+// exactly the key's size) and AppendScratchKey (one pass).
+func appendKey(dst Key, keyTypes []types.T, classes []Class, vals []types.Datum, cols []int, sized bool) (Key, error) {
 	n := len(vals)
 	if cols != nil {
 		n = len(cols)
@@ -214,11 +228,13 @@ func AppendClassKey(dst Key, keyTypes []types.T, classes []Class, vals []types.D
 		}
 		return c, &vals[i]
 	}
-	size := 0
-	for i := 0; i < n; i++ {
-		size += DatumSize(at(i))
+	if sized {
+		size := 0
+		for i := 0; i < n; i++ {
+			size += DatumSize(at(i))
+		}
+		dst = Grow(dst, size)
 	}
-	dst = Grow(dst, size)
 	start := len(dst)
 	for i := 0; i < n; i++ {
 		c, d := at(i)

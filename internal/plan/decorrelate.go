@@ -241,8 +241,11 @@ func (sp *selectPlan) tryDecorrelateExists(ts *treeState, sub *sql.Select, negat
 		jt = exec.AntiJoin
 	}
 	// Semi/anti joins keep only the outer columns (ts.cols unchanged) and
-	// at most every outer row.
-	ts.node = sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, jt, residual, ts.est)
+	// at most every outer row. The join hashes the side estimated smaller:
+	// the outer rows when they are no more than the subquery's.
+	hj := sp.p.hashJoin(ts.node, node, outerKeys, innerKeys, keyTypes, jt, residual, ts.est)
+	hj.BuildOuter = ts.est <= subScope.est
+	ts.node = hj
 	return true, nil, nil
 }
 

@@ -196,7 +196,11 @@ func describe(n exec.Node) string {
 				res += " [EVP]"
 			}
 		}
-		return fmt.Sprintf("HashJoin %s keys=%v/%v est=%.0f%s%s", v.Type, v.OuterKeys, v.InnerKeys, v.Est, bee, res)
+		build := ""
+		if v.BuildOuter {
+			build = " build=outer"
+		}
+		return fmt.Sprintf("HashJoin %s keys=%v/%v est=%.0f%s%s%s", v.Type, v.OuterKeys, v.InnerKeys, v.Est, build, bee, res)
 	case *exec.NLJoin:
 		qual := ""
 		if v.Qual != nil {

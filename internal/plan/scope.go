@@ -36,6 +36,9 @@ type scope struct {
 	// correlated is set when resolution inside this scope reached into an
 	// ancestor (the subquery is correlated).
 	correlated bool
+	// est is set on the output scope of a block planBlock planned: the
+	// estimated rows of its joined, filtered FROM list.
+	est float64
 }
 
 func (s *scope) lookupCTE(name string) (*sql.Select, bool) {

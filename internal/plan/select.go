@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"microspec/internal/catalog"
@@ -190,18 +191,14 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 			} else {
 				items[idx].filters = append(items[idx].filters, c)
 			}
-		case len(info.items) == 2 && !info.outer:
+		default:
 			if e := identEqEdge(c, itemCols); e != nil {
 				edges = append(edges, e)
-			} else {
-				// OR-of-ANDs with a join predicate repeated in every
-				// branch (the q19 shape): factor the common equality out
-				// as a join edge so the pair hash-joins instead of
-				// cross-joining; the OR itself remains a post filter.
-				edges = append(edges, factorOrEdges(c, itemCols)...)
-				postFilters = append(postFilters, c)
+				continue
 			}
-		default:
+			// Any other conjunct over two or more items stays a post
+			// filter; an OR first yields what every branch implies.
+			edges = append(edges, sp.factorOr(c, items, itemCols)...)
 			postFilters = append(postFilters, c)
 		}
 	}
@@ -256,10 +253,14 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 	}
 
 	if body != nil {
-		return ts.node, &scope{cols: ts.cols, parent: parent, correlated: sp.isCorrelated()}, nil
+		return ts.node, &scope{cols: ts.cols, parent: parent, correlated: sp.isCorrelated(), est: ts.est}, nil
 	}
 	// --- Aggregation, projection, ordering ---
-	return sp.finishSelect(sel, ts)
+	node, out, err := sp.finishSelect(sel, ts)
+	if out != nil {
+		out.est = ts.est
+	}
+	return node, out, err
 }
 
 // attachFilters wraps an item's node in a Filter for its pushed conjuncts
@@ -402,41 +403,107 @@ func identEqEdge(c sql.Expr, itemCols [][]column) *joinEdge {
 	return &joinEdge{li: a, ri: bb, lCol: ac, rCol: bc, lIdent: li, rIdent: ri}
 }
 
-// factorOrEdges extracts equi-join conjuncts that appear in every branch
-// of an OR as implied join edges (A∧X ∨ A∧Y ⇒ A).
-func factorOrEdges(c sql.Expr, itemCols [][]column) []*joinEdge {
-	or, ok := c.(*sql.BinOp)
-	if !ok || or.Op != "or" {
-		return nil
-	}
+// factorOr draws from c, a WHERE conjunct over two or more FROM items,
+// what every branch of it implies when it is an OR; c itself stays the
+// post-join filter, so no result changes:
+//
+//   - an equi-join conjunct of every branch is a join edge, so the pair
+//     hash-joins instead of cross-joining (A∧X ∨ A∧Y ⇒ A; TPC-H Q19);
+//   - an item every branch restricts — with conjuncts naming that item
+//     alone, no subquery and no outer column — is given the OR of those
+//     restrictions as pushed filters, the conjuncts common to every
+//     branch factored out first as filters of their own (A∧X ∨ A∧Y ⇒
+//     A ∧ (X ∨ Y)), as PostgreSQL's extract_restriction_or_clauses does.
+//     Q19's lineitem gets l_shipmode IN (…) and l_shipinstruct = … alone,
+//     which its fused scan decides once per tuple-bee ID; Q7's two nations
+//     each get their n_name OR, before any join. An explicit JOIN item is
+//     given none: its right side may be the nullable one.
+//
+// It returns the edges and appends the restrictions to the items' filters,
+// skipping one an item already has.
+func (sp *selectPlan) factorOr(c sql.Expr, items []*fromItem, itemCols [][]column) []*joinEdge {
 	branches := splitDisjuncts(c)
 	if len(branches) < 2 {
 		return nil
 	}
-	first := splitConjuncts(branches[0])
-	var edges []*joinEdge
-	for _, cand := range first {
-		e := identEqEdge(cand, itemCols)
-		if e == nil {
-			continue
-		}
-		want := astString(cand)
-		inAll := true
-		for _, b := range branches[1:] {
-			found := false
-			for _, cc := range splitConjuncts(b) {
-				if astString(cc) == want {
-					found = true
-					break
+	// conj[b] are branch b's conjuncts, seen[b] their astStrings, and
+	// own[b][i] those naming item i alone.
+	conj := make([][]sql.Expr, len(branches))
+	seen := make([]map[string]bool, len(branches))
+	own := make([]map[int][]sql.Expr, len(branches))
+	for b, br := range branches {
+		conj[b] = splitConjuncts(br)
+		seen[b], own[b] = map[string]bool{}, map[int][]sql.Expr{}
+		for _, x := range conj[b] {
+			seen[b][astString(x)] = true
+			info := collectRefs(x, itemCols, sp.parent)
+			if len(info.items) == 1 && !info.outer && !info.subquery && !info.unknown {
+				for i := range info.items {
+					own[b][i] = append(own[b][i], x)
 				}
 			}
-			if !found {
-				inAll = false
-				break
+		}
+	}
+	inEvery := func(x sql.Expr) bool {
+		k := astString(x)
+		for b := range branches {
+			if !seen[b][k] {
+				return false
 			}
 		}
-		if inAll {
+		return true
+	}
+	var edges []*joinEdge
+	for _, x := range conj[0] {
+		if e := identEqEdge(x, itemCols); e != nil && inEvery(x) {
 			edges = append(edges, e)
+		}
+	}
+	for i, it := range items {
+		restricted := true
+		for b := range branches {
+			restricted = restricted && len(own[b][i]) > 0
+		}
+		if !restricted {
+			continue
+		}
+		if _, join := sp.sel.From[i].(*sql.JoinRef); join {
+			continue
+		}
+		var derived []sql.Expr
+		for _, x := range own[0][i] {
+			if inEvery(x) {
+				derived = append(derived, x)
+			}
+		}
+		var or sql.Expr
+		for b := range branches {
+			var rest []sql.Expr
+			for _, x := range own[b][i] {
+				if !inEvery(x) {
+					rest = append(rest, x)
+				}
+			}
+			if len(rest) == 0 {
+				// This branch restricts the item by the common conjuncts
+				// alone, so the OR of the rest restricts nothing.
+				or = nil
+				break
+			}
+			if and := rebuildAnd(rest); or == nil {
+				or = and
+			} else {
+				or = &sql.BinOp{Op: "or", L: or, R: and}
+			}
+		}
+		if or != nil {
+			derived = append(derived, or)
+		}
+		for _, x := range derived {
+			k := astString(x)
+			if !slices.ContainsFunc(it.filters, func(f sql.Expr) bool { return astString(f) == k }) {
+				it.filters = append(it.filters, x)
+			}
 		}
 	}
 	return edges

@@ -127,7 +127,8 @@ func (d Datum) AsNum() float64 { return d.Float64() }
 
 // Compare orders two non-null datums of compatible kinds. Integral kinds
 // and dates compare numerically with each other; floats compare
-// numerically with any numeric; character kinds compare bytewise with CHAR
+// numerically with any numeric, a NaN equal only to a NaN and above +Inf
+// (the key encoding's order); character kinds compare bytewise with CHAR
 // padding trimmed. It returns -1, 0, or +1.
 func (d Datum) Compare(o Datum) int {
 	switch d.kind {
@@ -159,11 +160,19 @@ func (d Datum) Compare(o Datum) int {
 	}
 }
 
+// cmpFloat orders floats as the key encoding does: numerically, -0 equal
+// to +0, and every NaN equal to every other and above +Inf.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a == a: // b is NaN, a is not
+		return -1
+	case b == b: // a is NaN, b is not
 		return 1
 	default:
 		return 0
