@@ -333,17 +333,18 @@ type CompiledPred func(row expr.Row, ctx *expr.Ctx) types.Datum
 // once per tuple.
 type CompiledBatchPred func(rows []expr.Row, cand []int32, out []int32, ctx *expr.Ctx) []int32
 
-// CompiledBatchScalar is the batch form of an EVA bee: one invocation
+// CompiledBatchVec is the batch form of an EVA bee: one invocation
 // evaluates the aggregate's input expression for every live row of a
-// batch (cand nil means all of rows), appending the results to out in
-// live-row order. As with CompiledBatchPred, the bee-call wrapper and
-// cost accounting run once per page instead of once per tuple.
-type CompiledBatchScalar func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum
+// batch (cand nil means all of rows) into out, in live-row order and in
+// the Vec class the expression's static kind resolved to. As with
+// CompiledBatchPred, the bee-call wrapper and cost accounting run once per
+// page instead of once per tuple.
+type CompiledBatchVec func(rows []expr.Row, cand []int32, out *Vec, ctx *expr.Ctx)
 
 // Program is one plan's compiled EVP or EVA bee: the registry entry the
 // expression was admitted under, and the fragment compiled from this
 // plan's expression, from which the tuple, batch, fused and per-partition
-// forms are instantiated (Row, Batch and Fused for EVP, BatchScalar for
+// forms are instantiated (Row, Batch and Fused for EVP, BatchVec for
 // EVA) with no further admission. The entry is shared by every plan that spells the expression
 // the same way; the fragment is not — it closes over this plan's column
 // ordinals and $n slots. The zero Program is the stock path: no bee, and
@@ -401,7 +402,7 @@ func (m *Module) compileExpr(kind string, enabled bool, e expr.Expr) Program {
 
 // Row instantiates the tuple-at-a-time form of an EVP program: the
 // predicate's three-valued truth. An EVA program has no row form; it
-// runs batch by batch (BatchScalar).
+// runs batch by batch (BatchVec).
 func (p Program) Row() CompiledPred {
 	if !p.inService() || p.bee.kind != kindEVP {
 		return nil
@@ -441,48 +442,17 @@ func (p Program) Batch() CompiledBatchPred {
 	}
 }
 
-// BatchScalar instantiates the batch form of an EVA program.
-func (p Program) BatchScalar() CompiledBatchScalar {
+// BatchVec instantiates the batch form of an EVA program: the one form
+// an EVA bee has.
+func (p Program) BatchVec() CompiledBatchVec {
 	if !p.inService() {
 		return nil
 	}
-	m, b, cost := p.m, p.bee, p.cost
-	// Bare column references skip the evaluator closure entirely: the
-	// batch loop copies the column straight out of the rows. Cost and
-	// quarantine accounting are unchanged.
-	if p.fr.leaf == leafVar {
-		idx := p.fr.idx
-		return func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
-			m.maybePanic(b)
-			if cand != nil {
-				ctx.Prof.Add(profile.CompExpr, cost*int64(len(cand)))
-				for _, i := range cand {
-					out = append(out, rows[i][idx])
-				}
-				return out
-			}
-			ctx.Prof.Add(profile.CompExpr, cost*int64(len(rows)))
-			for i := range rows {
-				out = append(out, rows[i][idx])
-			}
-			return out
-		}
-	}
-	val := p.fr.boxed()
-	return func(rows []expr.Row, cand []int32, out []types.Datum, ctx *expr.Ctx) []types.Datum {
+	m, b, cost, src := p.m, p.bee, p.cost, p.fr.vecSource()
+	return func(rows []expr.Row, cand []int32, out *Vec, ctx *expr.Ctx) {
 		m.maybePanic(b)
-		if cand != nil {
-			ctx.Prof.Add(profile.CompExpr, cost*int64(len(cand)))
-			for _, i := range cand {
-				out = append(out, val(rows[i]))
-			}
-			return out
-		}
-		ctx.Prof.Add(profile.CompExpr, cost*int64(len(rows)))
-		for i := range rows {
-			out = append(out, val(rows[i]))
-		}
-		return out
+		ctx.Prof.Add(profile.CompExpr, cost*int64(live(rows, cand)))
+		src.fill(rows, cand, out)
 	}
 }
 

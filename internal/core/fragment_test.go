@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"microspec/internal/expr"
+	"microspec/internal/profile"
 	"microspec/internal/types"
 )
 
@@ -281,12 +282,60 @@ func TestTypedReadGuardsKind(t *testing.T) {
 	if got := fr.truth()(expr.Row{types.Null}); got != triNull {
 		t.Errorf("NULL < 5 = %d, want unknown", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("reading a DOUBLE datum through an int64 column must panic, not compare its bits")
-		}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("reading a DOUBLE datum through an int64 column must panic, not compare its bits")
+			}
+		}()
+		fr.truth()(expr.Row{types.NewFloat64(1.5)})
 	}()
-	fr.truth()(expr.Row{types.NewFloat64(1.5)})
+
+	// The EVA bee's vector form guards its reads the same way — a bare
+	// column read in its own loop, and a typed expression — and the panic
+	// quarantines the bee, so the query's re-run compiles no bee form and
+	// the interpreter, dispatching on the runtime kind, evaluates instead.
+	m := NewModule(AllRoutines)
+	i64, f64 := &expr.Var{Idx: 0, T: types.Int64, Name: "iv"}, &expr.Var{Idx: 0, T: types.Float64, Name: "fv"}
+	for _, c := range []struct {
+		arg expr.Expr
+		lie types.Datum
+	}{
+		{i64, types.NewFloat64(1.5)},
+		{f64, types.NewInt64(3)},
+		{&expr.Arith{Op: expr.Add, L: i64, R: expr.NewConst(types.NewInt64(1))}, types.NewFloat64(1.5)},
+		{&expr.Arith{Op: expr.Mul, L: f64, R: expr.NewConst(types.NewFloat64(2))}, types.NewInt32(3)},
+	} {
+		p := m.CompileScalar(c.arg)
+		bv := p.BatchVec()
+		if bv == nil {
+			t.Fatalf("%s: no vector form", c.arg)
+		}
+		ctx := &expr.Ctx{Prof: &profile.Counters{}}
+		var v Vec
+		bv([]expr.Row{{types.Null}, {c.lie}}[:1], nil, &v, ctx) // NULL is no lie
+		if v.Len() != 1 || v.Nulls == nil || !v.Nulls[0] {
+			t.Errorf("%s over NULL: %+v, want one NULL entry", c.arg, v)
+		}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			bv([]expr.Row{{types.Null}, {c.lie}}, []int32{1}, &v, ctx)
+			return nil
+		}()
+		if got != errKindGuard {
+			t.Errorf("%s over %v: recovered %v, want the kind guard's panic", c.arg, c.lie, got)
+			continue
+		}
+		if !p.Bee().Quarantine() {
+			t.Errorf("%s: the bee was already out of service", c.arg)
+		}
+		if m.CompileScalar(c.arg).BatchVec() != nil {
+			t.Errorf("%s: the re-run compiled a vector form from a quarantined bee", c.arg)
+		}
+		if d := c.arg.Eval(expr.Row{c.lie}, ctx); d.IsNull() {
+			t.Errorf("%s: the interpreter gave NULL for %v", c.arg, c.lie)
+		}
+	}
 }
 
 // fakeExpr stands for any node type the snippet library does not know.

@@ -19,14 +19,17 @@ func compileBatchPredicate(m *Module, e expr.Expr) (CompiledBatchPred, bool) {
 	return cp, cp != nil
 }
 
-// compileScalar reads an EVA program's batch form one row at a time.
+// compileScalar reads an EVA program's batch form one row at a time,
+// boxing the one value of its vector.
 func compileScalar(m *Module, e expr.Expr) (CompiledPred, bool) {
-	bs := m.CompileScalar(e).BatchScalar()
-	if bs == nil {
+	bv := m.CompileScalar(e).BatchVec()
+	if bv == nil {
 		return nil, false
 	}
+	var v Vec
 	return func(row expr.Row, ctx *expr.Ctx) types.Datum {
-		return bs([]expr.Row{row}, nil, nil, ctx)[0]
+		bv([]expr.Row{row}, nil, &v, ctx)
+		return v.At(0)
 	}, true
 }
 

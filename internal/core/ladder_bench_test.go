@@ -101,27 +101,27 @@ func BenchmarkEVAArith(b *testing.B) {
 		b.ReportMetric(float64(prof.Component(profile.CompExpr))/perRow, "instr/row")
 	}
 	b.Run("bee", func(b *testing.B) {
-		var evas []core.CompiledBatchScalar
+		var evas []core.CompiledBatchVec
 		for _, a := range args {
-			eva := db.Module().CompileScalar(a).BatchScalar()
+			eva := db.Module().CompileScalar(a).BatchVec()
 			if eva == nil {
 				b.Fatalf("%s did not compile", a)
 			}
 			evas = append(evas, eva)
 		}
 		ctx := &expr.Ctx{Prof: &profile.Counters{}}
-		out := make([]types.Datum, 0, batch)
+		var out core.Vec
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, eva := range evas {
-				out = eva(rows, nil, out[:0], ctx)
+				eva(rows, nil, &out, ctx)
 			}
 		}
 		report(b, ctx.Prof)
 	})
 	b.Run("stock", func(b *testing.B) {
-		if core.NewModule(core.Stock).CompileScalar(discPrice).BatchScalar() != nil {
+		if core.NewModule(core.Stock).CompileScalar(discPrice).BatchVec() != nil {
 			b.Fatal("the stock routine set must not compile an EVA bee")
 		}
 		ctx := &expr.Ctx{Prof: &profile.Counters{}}

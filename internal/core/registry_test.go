@@ -432,8 +432,8 @@ func TestRegistryConcurrent(t *testing.T) {
 				}
 				p.Bee().Note(1, 1)
 				a := m.CompileScalar(e.(*expr.Cmp).L)
-				if bs := a.BatchScalar(); bs != nil {
-					bs([]expr.Row{row}, nil, nil, ctx)
+				if bv := a.BatchVec(); bv != nil {
+					bv([]expr.Row{row}, nil, &Vec{}, ctx)
 				}
 				m.CompileJoinKeys([]int{0}, []int{1}, []types.T{types.Int32})
 			}

@@ -128,10 +128,11 @@ func TestExplainAnalyzeQ10Verdicts(t *testing.T) {
 
 // Q19's OR repeats `l_shipmode IN (…)` and `l_shipinstruct = …` in every
 // branch above the join; the planner factors them out as lineitem's own
-// filters (with the OR of the quantity ranges beside them), so the fused
-// lineitem scan decides its LOWCARD conjuncts once per tuple-bee ID, and
-// part is given the OR of its branch restrictions. The full OR stays
-// above the join.
+// filters (with the OR of the quantity ranges beside them), and part is
+// given the OR of its branch restrictions. The full OR stays above the
+// join. At SF 0.002 no part passes its restriction, so the join's build
+// side is empty and lineitem, the probe side, is never opened (loops=0);
+// TestExplainAnalyzeQ19VerdictsWithParts shows its verdicts.
 func TestExplainAnalyzeQ19Verdicts(t *testing.T) {
 	db := analyzeDB(t)
 	out, res, err := db.ExplainAnalyzeQuery(tpch.Queries()[19])
@@ -145,11 +146,37 @@ func TestExplainAnalyzeQ19Verdicts(t *testing.T) {
   HashAgg groups=0 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=1 loops=1 time=X)
     BatchFilter (((p_partkey = l_partkey) AND (p_brand = 'Brand#12') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (l_quantity >= 1) AND (l_quantity <= 11) AND (p_size >= 1) AND (p_size <= 5) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#23') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (l_quantity >= 10) AND (l_quantity <= 20) AND (p_size >= 1) AND (p_size <= 10) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#34') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (l_quantity >= 20) AND (l_quantity <= 30) AND (p_size >= 1) AND (p_size <= 15) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON'))) [EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
       HashJoin inner keys=[0]/[0] est=1457 [EVJ] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
-        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) [GCL+EVP] (actual rows=517 batches=158 rows/batch=3.3 loops=1 verdict ids=109 time=X)
+        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=0 time=X)
         BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#12') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#23') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#34') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q19 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// Q19 with brands that SF 0.002's parts have, so the join's build side is
+// not empty and lineitem is scanned: its fused scan decides the LOWCARD
+// conjuncts factored out of the OR once per tuple-bee ID ("verdict
+// ids=N"), the same scan as Q19's own.
+func TestExplainAnalyzeQ19VerdictsWithParts(t *testing.T) {
+	db := analyzeDB(t)
+	q := strings.NewReplacer("Brand#12", "Brand#14", "Brand#23", "Brand#15", "Brand#34", "Brand#13").Replace(tpch.Queries()[19])
+	out, res, err := db.ExplainAnalyzeQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("Q19 returned %d rows, want 1", len(res.Rows))
+	}
+	want := `Project revenue (actual rows=1 loops=1 time=X)
+  HashAgg groups=0 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=1 loops=1 time=X)
+    BatchFilter (((p_partkey = l_partkey) AND (p_brand = 'Brand#14') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (l_quantity >= 1) AND (l_quantity <= 11) AND (p_size >= 1) AND (p_size <= 5) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#15') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (l_quantity >= 10) AND (l_quantity <= 20) AND (p_size >= 1) AND (p_size <= 10) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#13') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (l_quantity >= 20) AND (l_quantity <= 30) AND (p_size >= 1) AND (p_size <= 15) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON'))) [EVP] (actual rows=2 batches=2 rows/batch=1.0 loops=1 time=X)
+      HashJoin inner keys=[0]/[0] est=1457 [EVJ] (actual rows=5 batches=5 rows/batch=1.0 loops=1 time=X)
+        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) [GCL+EVP] (actual rows=517 batches=158 rows/batch=3.3 loops=1 verdict ids=109 time=X)
+        BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#14') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#15') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#13') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=3 batches=2 rows/batch=1.5 loops=1 time=X)
+`
+	if got := normalize(out); got != want {
+		t.Fatalf("Q19 with parts explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

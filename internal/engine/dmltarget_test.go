@@ -246,18 +246,71 @@ func TestProbeKeyDoubleZeros(t *testing.T) {
 				t.Errorf("bees=%v update %s %v: probes %d → %d, scans %d → %d: want one index probe", bees, c.where, c.args, probes0, probes, scans0, scans)
 			}
 		}
-		// NaN still takes the scan: ProbeKey builds no key for it.
-		_, scans0, _ := dmlCounters(db)
+		// A NaN probes the index too: predicates and the key encoding
+		// agree that NaN is one value, above +Inf, so the update finds the
+		// NaN row through its key and changes that row alone.
+		ins, err := db.Prepare("insert into fk values ($1, 0)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ins.Exec(types.NewFloat64(math.NaN())); err != nil {
+			t.Fatal(err)
+		}
+		ins.Close()
+		before := mustQuery(t, db, "select k, v from fk order by k").Rows
+		probes0, scans0, _ := dmlCounters(db)
 		upd, err := db.Prepare("update fk set v = v + 1 where k = $1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer upd.Close()
-		if _, err := upd.Exec(types.NewFloat64(math.NaN())); err != nil {
-			t.Fatal(err)
+		if n, err := upd.Exec(types.NewFloat64(math.Float64frombits(0x7FF0000000000001))); err != nil || n != 1 {
+			t.Errorf("bees=%v NaN key: n=%d err=%v, want the one NaN row", bees, n, err)
 		}
-		if _, scans, _ := dmlCounters(db); scans != scans0+1 {
-			t.Errorf("bees=%v NaN key: seq_scans %d → %d, want one scan", bees, scans0, scans)
+		if probes, scans, _ := dmlCounters(db); probes != probes0+1 || scans != scans0 {
+			t.Errorf("bees=%v NaN key: probes %d → %d, scans %d → %d: want one index probe", bees, probes0, probes, scans0, scans)
+		}
+		after := mustQuery(t, db, "select k, v from fk order by k").Rows
+		for i := range before {
+			want := before[i][1].Int64()
+			if k := before[i][0].Float64(); k != k {
+				want++
+			}
+			if i >= len(after) || after[i][1].Int64() != want {
+				t.Errorf("bees=%v NaN key: rows %v → %v, want only the NaN row's v incremented", bees, before, after)
+				break
+			}
+		}
+	}
+}
+
+// TestProbeKeyNaNOnIntegralKey: no integer equals NaN, so a NaN probing
+// an INTEGER key is answered without the index or a scan, and finds what
+// the unindexed twin finds: nothing.
+func TestProbeKeyNaNOnIntegralKey(t *testing.T) {
+	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
+		db := newDB(t, rs)
+		mustExec(t, db,
+			"create table ik (k integer not null, v integer not null, primary key (k))",
+			"create table isk (k integer not null, v integer not null)",
+			"insert into ik values (0, 0)", "insert into ik values (1, 0)",
+			"insert into isk values (0, 0)", "insert into isk values (1, 0)")
+		nan := types.NewFloat64(math.NaN())
+		for _, tbl := range []string{"ik", "isk"} {
+			probes0, scans0, _ := dmlCounters(db)
+			upd, err := db.Prepare("update " + tbl + " set v = v + 1 where k = $1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := upd.Exec(nan)
+			upd.Close()
+			if err != nil || n != 0 {
+				t.Errorf("bees=%v %s: NaN key updated %d rows (err %v), want 0", rs != core.Stock, tbl, n, err)
+			}
+			probes, scans, _ := dmlCounters(db)
+			if tbl == "ik" && (probes != probes0+1 || scans != scans0) {
+				t.Errorf("bees=%v: NaN on an INTEGER key: probes %d → %d, scans %d → %d: want it answered as matching nothing", rs != core.Stock, probes0, probes, scans0, scans)
+			}
 		}
 	}
 }

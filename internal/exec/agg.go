@@ -43,9 +43,9 @@ type AggSpec struct {
 	// per drain.
 	Prog core.Program
 	// CompiledBatchArg is the EVA bee routine for Arg: one invocation
-	// evaluates the aggregate's input for every live row of a batch,
-	// without a tree walk.
-	CompiledBatchArg core.CompiledBatchScalar
+	// evaluates the aggregate's input for every live row of a batch into
+	// a vector of the argument's class, without a tree walk.
+	CompiledBatchArg core.CompiledBatchVec
 }
 
 // ResultType reports the aggregate's output type.
@@ -102,9 +102,11 @@ func (s *aggState) add(spec *AggSpec, v types.Datum) {
 	}
 }
 
-// addSum is the non-DISTINCT sum/avg transition with the spec checks
-// hoisted out: the drain calls it in a per-spec loop after skipping
-// NULL inputs, so it stays small enough to inline.
+// addSum is the non-DISTINCT sum/avg transition of a boxed input with the
+// spec checks hoisted out: the drain calls it in a per-spec loop after
+// skipping NULL inputs, so it stays small enough to inline. A typed input
+// folds in foldVec's own loops, which do what addSum does without the
+// kind test.
 func (s *aggState) addSum(v types.Datum) {
 	s.count++
 	if v.Kind() == types.KindFloat64 {
@@ -392,15 +394,16 @@ type aggDrain struct {
 	evalSpecs, addSpecs []AggSpec
 	// owner[i] is the first spec with spec i's argument (by rendered
 	// text, the bee cache's identity too). The owner evaluates the
-	// argument once per batch; the later specs fold the owner's value
-	// column — Q1 asks for both sum and avg of l_quantity and of
-	// l_extendedprice. A column someone shares (shared[owner]) lives in
-	// cols[owner] until the batch is done; the others reuse vbuf.
-	owner  []int
-	shared []bool
-	cols   [][]types.Datum
-	vbuf   []types.Datum
-	keyBuf expr.Row
+	// argument once per batch into a core.Vec; the later specs fold the
+	// owner's vector — Q1 asks for both sum and avg of l_quantity and of
+	// l_extendedprice. An argument someone shares (shared[owner]) has its
+	// own vector, vecs[owner], kept until the batch is done; the others
+	// are folded as soon as they are evaluated and reuse scratch.
+	owner   []int
+	shared  []bool
+	vecs    []core.Vec
+	scratch core.Vec
+	keyBuf  expr.Row
 	// key encodes keyBuf, prev the last row's; seen[i] keys DISTINCT
 	// spec i's (group, value) pairs.
 	key  rowKey
@@ -415,8 +418,10 @@ type aggDrain struct {
 	// rows reads a row-at-a-time child as batches of one.
 	rows rowBatches
 	// eva[i] is what spec i's EVA bee evaluated during the current drain,
-	// noted to the bee when the drain ends.
-	eva []beeUsage
+	// noted to the bee when the drain ends: every batch's rows, and the
+	// wall time of the batches usage picks, scaled to all of them.
+	eva   []beeUsage
+	usage usageSampler
 }
 
 // beeUsage accumulates a bee's rows and timed wall time until it is
@@ -427,7 +432,7 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 	n := len(addSpecs)
 	d := &aggDrain{
 		groupBy: groupBy, keys: keys, evalSpecs: evalSpecs, addSpecs: addSpecs,
-		owner: make([]int, n), shared: make([]bool, n), cols: make([][]types.Datum, n),
+		owner: make([]int, n), shared: make([]bool, n), vecs: make([]core.Vec, n),
 		keyBuf: make(expr.Row, len(groupBy)), per: -1, eva: make([]beeUsage, n),
 		key: rowKey{cols: make([]ColInfo, len(groupBy))},
 	}
@@ -475,15 +480,17 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 //     carries bee IDs resolves a row by its ID instead, and probes the
 //     table with the ID's data-section values only on its first sight —
 //     the first row of that ID, so groups appear in the same order.
-//  2. Argument evaluation — per distinct argument, the batch-EVA bee (or
-//     the interpreter per row) fills a reusable value column.
-//  3. Transition — per spec, a tight loop folds the value column into the
-//     group states, with the spec checks (NULL skip, DISTINCT, kind)
-//     hoisted out of the per-row switch for the count/sum/avg shapes.
+//  2. Argument evaluation — per distinct argument, the batch-EVA bee
+//     fills a vector of the argument's class (int64, float64 or datums,
+//     with a NULL mask); the interpreter, per row, fills a datum vector.
+//  3. Transition — per spec, foldVec folds the vector into the group
+//     states with a loop per aggregate and class: a typed vector is
+//     summed, counted and compared unboxed.
 //
 // Each state sees its inputs in row order, so float accumulation is
-// bit-identical whatever the batch sizes. Each EVA bee's rows and timed
-// wall time are noted once, when the drain ends.
+// bit-identical whatever the batch sizes and whichever vector class
+// carries them. Each EVA bee's rows and sampled wall time are noted once,
+// when the drain ends.
 func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (rows int64, err error) {
 	src := asBatchNode(child, &d.rows)
 	// The close is deferred so the child (and any buffer pins its scans
@@ -492,9 +499,10 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 	defer func() {
 		src.Close(ctx)
 		for i, u := range d.eva {
-			d.evalSpecs[i].Prog.Bee().Note(u.rows, u.ns)
+			d.evalSpecs[i].Prog.Bee().Note(u.rows, d.usage.scale(u.ns))
 			d.eva[i] = beeUsage{}
 		}
+		d.usage = usageSampler{}
 	}()
 	if err := src.Open(ctx); err != nil {
 		return 0, err
@@ -509,7 +517,6 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 		g := table.global()
 		gids[0], sts[0] = g, table.states(g)
 	}
-	naggs := len(addSpecs)
 	for {
 		b, ok, err := src.NextBatch(ctx)
 		if err != nil {
@@ -523,7 +530,7 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 			continue
 		}
 		rows += int64(n)
-		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch+int64(n)*int64(naggs)*profile.AggTransition)
+		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch)
 		// Scratch is sized to the observed live-row count, not BatchCap: a
 		// selective filter passes a handful of rows per page, and oversized
 		// pointer-bearing scratch costs more in zeroing than it saves.
@@ -567,42 +574,11 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 				sts[bi] = table.states(gids[bi])
 			}
 		}
+		timed := d.usage.next()
 		for i := range evalSpecs {
-			spec := &evalSpecs[i]
 			ad := &addSpecs[i]
-			var vals []types.Datum
-			switch {
-			case spec.Arg == nil: // COUNT(*): no value column
-			case d.owner[i] != i:
-				vals = d.cols[d.owner[i]]
-			default:
-				buf := &d.vbuf
-				if d.shared[i] {
-					buf = &d.cols[i]
-				}
-				if cap(*buf) < n {
-					*buf = make([]types.Datum, 0, growBatchScratch(cap(*buf), n))
-				}
-				vals = (*buf)[:0]
-				switch {
-				case spec.CompiledBatchArg != nil:
-					if spec.Prog.Bee() != nil {
-						t0 := time.Now()
-						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
-						d.eva[i].rows += int64(n)
-						d.eva[i].ns += int64(time.Since(t0))
-					} else {
-						vals = spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, vals, &ctx.Expr)
-					}
-				default:
-					for bi := 0; bi < n; bi++ {
-						vals = append(vals, spec.Arg.Eval(b.RowAt(bi), &ctx.Expr))
-					}
-				}
-				*buf = vals
-			}
-			switch {
-			case vals == nil: // COUNT(*)
+			if evalSpecs[i].Arg == nil { // COUNT(*): no input column
+				ctx.Prof().Add(profile.CompExec, int64(n)*profile.AggTransition)
 				if ad.Fn == AggCount && !ad.Distinct {
 					if per == 0 {
 						sts[0][i].count += int64(n)
@@ -611,33 +587,140 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 							sts[bi][i].count++
 						}
 					}
-					break
+					continue
 				}
 				for bi := 0; bi < n; bi++ {
 					table.fold(sts[bi&per], gids[bi&per], i, ad, types.Datum{}, nil)
 				}
-			case ad.Distinct || ad.Fn == AggMin || ad.Fn == AggMax:
-				for bi := 0; bi < n; bi++ {
-					if err := table.fold(sts[bi&per], gids[bi&per], i, ad, vals[bi], d.seen); err != nil {
-						return rows, err
-					}
+				continue
+			}
+			v := &d.vecs[d.owner[i]]
+			if d.owner[i] == i {
+				if !d.shared[i] {
+					v = &d.scratch
 				}
-			case ad.Fn == AggCount:
-				for bi := 0; bi < n; bi++ {
-					if !vals[bi].IsNull() {
-						sts[bi&per][i].count++
-					}
-				}
-			default: // sum/avg
-				for bi := 0; bi < n; bi++ {
-					if v := vals[bi]; !v.IsNull() {
-						sts[bi&per][i].addSum(v)
-					}
-				}
+				d.evaluate(ctx, i, b, v, timed)
+			}
+			cost := int64(profile.AggTransition)
+			if v.Class != core.VecBoxed && !ad.Distinct {
+				cost = profile.AggTypedTransition
+			}
+			ctx.Prof().Add(profile.CompExec, int64(n)*cost)
+			if err := foldVec(table, sts, gids, per, i, ad, v, d.seen); err != nil {
+				return rows, err
 			}
 		}
 	}
 }
+
+// evaluate fills v with evaluation spec i's argument for the live rows of
+// b: through the EVA bee, timed when the batch is one the drain's usage
+// sampler picked, or through the interpreter, row by row, into datums.
+func (d *aggDrain) evaluate(ctx *Ctx, i int, b *Batch, v *core.Vec, timed bool) {
+	spec := &d.evalSpecs[i]
+	if spec.CompiledBatchArg == nil {
+		v.Reset(core.VecBoxed, 0, b.Count())
+		for bi := range v.Datums {
+			x := spec.Arg.Eval(b.RowAt(bi), &ctx.Expr)
+			if v.Datums[bi] = x; x.IsNull() {
+				v.SetNull(bi)
+			}
+		}
+		return
+	}
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, v, &ctx.Expr)
+	if timed {
+		d.eva[i].ns += int64(time.Since(t0))
+	}
+	d.eva[i].rows += int64(v.Len())
+}
+
+// foldVec folds aggregate i's input vector v, one value per live row, into
+// the batch's group states: row bi's are sts[bi&per], of group
+// gids[bi&per]. A typed vector folds unboxed, in a loop per aggregate and
+// class; MIN and MAX box a value only when it becomes the new extreme. A
+// boxed vector folds datums as the interpreter returned them, and a
+// DISTINCT aggregate boxes every value for its seen set.
+func foldVec(table *aggTable, sts [][]aggState, gids []int, per, i int, ad *AggSpec, v *core.Vec, seen []rowKey) error {
+	nulls := v.Nulls
+	sum := ad.Fn == AggSum || ad.Fn == AggAvg
+	switch {
+	case ad.Distinct:
+		for bi := 0; bi < v.Len(); bi++ {
+			if err := table.fold(sts[bi&per], gids[bi&per], i, ad, v.At(bi), seen); err != nil {
+				return err
+			}
+		}
+	case ad.Fn == AggCount:
+		for bi := 0; bi < v.Len(); bi++ {
+			if nulls == nil || !nulls[bi] {
+				sts[bi&per][i].count++
+			}
+		}
+	case sum && v.Class == core.VecFloat:
+		for bi, x := range v.Floats {
+			if nulls == nil || !nulls[bi] {
+				s := &sts[bi&per][i]
+				s.count++
+				s.sumF += x
+			}
+		}
+	case sum && v.Class == core.VecInt:
+		for bi, x := range v.Ints {
+			if nulls == nil || !nulls[bi] {
+				s := &sts[bi&per][i]
+				s.count++
+				s.sumI += x
+				s.sumF += float64(x)
+			}
+		}
+	case sum:
+		for bi, x := range v.Datums {
+			if nulls == nil || !nulls[bi] {
+				sts[bi&per][i].addSum(x)
+			}
+		}
+	case v.Class == core.VecFloat:
+		foldExtreme(sts, per, i, ad.Fn == AggMin, v.Floats, nulls, types.Datum.Float64, types.NewFloat64)
+	case v.Class == core.VecInt:
+		kind := v.Kind
+		foldExtreme(sts, per, i, ad.Fn == AggMin, v.Ints, nulls, types.Datum.Int64,
+			func(x int64) types.Datum { return types.MakeNumeric(x, kind) })
+	default:
+		for bi, x := range v.Datums {
+			sts[bi&per][i].add(ad, x)
+		}
+	}
+	return nil
+}
+
+// foldExtreme folds a typed vector into MIN (isMin) or MAX states. A
+// state's extreme stays boxed, unboxed by raw for each comparison and
+// replaced by box(x) only when x beats it.
+func foldExtreme[T int64 | float64](sts [][]aggState, per, i int, isMin bool, vals []T, nulls []bool, raw func(types.Datum) T, box func(T) types.Datum) {
+	for bi, x := range vals {
+		if nulls != nil && nulls[bi] {
+			continue
+		}
+		s := &sts[bi&per][i]
+		s.count++
+		if isMin {
+			if s.min.IsNull() || below(x, raw(s.min)) {
+				s.min = box(x)
+			}
+		} else if s.max.IsNull() || below(raw(s.max), x) {
+			s.max = box(x)
+		}
+	}
+}
+
+// below orders as Datum.Compare does: a NaN sorts above every number and
+// equals another NaN. For integers it is a < b.
+func below[T int64 | float64](a, b T) bool { return a < b || a == a && b != b }
 
 // groupsByID fills d.gids for a batch that carries bee IDs: a row's group
 // is its ID's, found in byID, and an ID seen first in this drain probes

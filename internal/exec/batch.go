@@ -33,11 +33,37 @@ import (
 // capacity of 1024 covers any single page without reallocation.
 const BatchCap = 1024
 
-// usageSampleEvery is the page sampling of the scan's benefit-attribution
-// timing. A clock read costs as much as filtering a dozen tuples on the
-// stored bytes, so timing every page of a selective fused scan would be
-// a measurable share of the scan it measures.
+// usageSampleEvery is the batch sampling of the benefit-attribution
+// timing of the scan's and the aggregation drain's bees. A clock read
+// costs as much as filtering a dozen tuples on the stored bytes, so timing
+// every page of a selective fused scan, or every argument of every batch
+// an aggregate folds, would be a measurable share of the work it measures.
 const usageSampleEvery = 4
+
+// usageSampler is the one sampling rule: the first batch and every
+// usageSampleEvery-th after it are timed, and the wall time of the timed
+// batches is scaled to all of them. Rows are counted on every batch by
+// the sampler's owner.
+type usageSampler struct{ batches, timed int64 }
+
+// next counts a batch and reports whether to time it.
+func (u *usageSampler) next() bool {
+	t := u.batches%usageSampleEvery == 0
+	u.batches++
+	if t {
+		u.timed++
+	}
+	return t
+}
+
+// scale extrapolates ns, the wall time of the timed batches, to every
+// batch counted.
+func (u *usageSampler) scale(ns int64) int64 {
+	if u.timed == 0 {
+		return 0
+	}
+	return ns * u.batches / u.timed
+}
 
 // Batch is a reusable set of rows with an optional selection vector.
 // Rows[:N] are filled by the producer; when Sel is non-nil only the row
@@ -147,9 +173,9 @@ type BatchSeqScan struct {
 	// FusedBee, when set, is the EVP bee behind Fused. At Close the
 	// relation bee (Deform.Bee) receives the rows deformed and FusedBee
 	// the rows evaluated; the wall time of the bee invocations goes with
-	// FusedBee when the scan is fused, else with the relation bee. One
-	// page in usageSampleEvery is timed (two clock reads) and the total
-	// extrapolated from those.
+	// FusedBee when the scan is fused, else with the relation bee. The
+	// pages usageSampler picks are timed (two clock reads each) and the
+	// total extrapolated from those.
 	FusedBee *core.Bee
 	// Range and Partial mirror SeqScan: a page interval for one partition
 	// of a parallel scan. So do Bounds and Skipped.
@@ -168,7 +194,7 @@ type BatchSeqScan struct {
 	deforms  int64
 	fused    int64
 	timedNs  int64 // wall time of the timed pages' bee invocations
-	timed    int64 // pages timed
+	usage    usageSampler
 	batches  int64
 	rowsOut  int64
 	bound    []heap.Bound
@@ -241,7 +267,7 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		s.deforms += int64(len(tups))
 		s.rowsOut += int64(len(tups))
 		var t0 time.Time
-		timed := (s.FusedBee != nil || s.Deform.Bee != nil) && s.batches%usageSampleEvery == 0
+		timed := s.usage.next() && (s.FusedBee != nil || s.Deform.Bee != nil)
 		if timed {
 			t0 = time.Now()
 		}
@@ -254,7 +280,6 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		}
 		if timed {
 			s.timedNs += int64(time.Since(t0))
-			s.timed++
 		}
 		s.batch = Batch{Rows: s.rows, N: len(tups)}
 		if s.Fused != nil {
@@ -284,16 +309,13 @@ func (s *BatchSeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (s *BatchSeqScan) Close(*Ctx) {
-	var ns int64
-	if s.timed > 0 {
-		ns = s.timedNs * s.batches / s.timed
-	}
+	ns := s.usage.scale(s.timedNs)
 	if s.FusedBee != nil {
 		s.FusedBee.Note(s.fused, ns)
 		ns = 0
 	}
 	s.Deform.Bee.Note(s.deforms, ns)
-	s.deforms, s.fused, s.timedNs, s.timed = 0, 0, 0, 0
+	s.deforms, s.fused, s.timedNs, s.usage = 0, 0, 0, usageSampler{}
 	s.VerdictIDs += s.verdicts.Sighted
 	s.verdicts.Sighted = 0
 	if s.scanner != nil {

@@ -42,9 +42,10 @@ func (j JoinType) String() string {
 // datums reference the outer batch and the build arena in place;
 // semi/anti joins narrow the outer batch's selection vector. An outer
 // batch that expands past the output cap is resumed on the next call. Rows come
-// out in outer order, then inner insertion order. A child that is not a
-// BatchNode (tuple-path plans, IndexScan, Project, subquery output) is
-// read as batches of one.
+// out in outer order, then inner insertion order. An inner or semi join
+// whose table came out empty ends without opening its outer child: no
+// outer row can join. A child that is not a BatchNode (tuple-path plans,
+// IndexScan, Project, subquery output) is read as batches of one.
 //
 // A semi or anti join with BuildOuter set hashes its outer side instead:
 // Open drains the outer child into the table, streams the inner child
@@ -202,6 +203,12 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 	if err := h.fill(ctx, asBatchNode(h.Inner, &h.innerRows), h.keys.HashInnerBatch, profile.HashBuild); err != nil {
 		return err
 	}
+	if h.build.len() == 0 && (h.Type == InnerJoin || h.Type == SemiJoin) {
+		// No outer row can join an empty table: the outer child is never
+		// opened, and NextBatch ends at once.
+		h.outer = nil
+		return nil
+	}
 	return h.outer.Open(ctx)
 }
 
@@ -343,6 +350,9 @@ func (h *HashJoin) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 			return nil, false, err
 		}
 		if h.ob == nil {
+			if h.outer == nil {
+				return nil, false, nil // an empty build side (Open)
+			}
 			b, ok, err := h.outer.NextBatch(ctx)
 			if err != nil || !ok {
 				return nil, false, err
@@ -512,7 +522,9 @@ func (h *HashJoin) Close(ctx *Ctx) {
 	}
 	h.ResidualBee.Note(h.residualCalls, 0)
 	h.evjCalls, h.residualCalls = 0, 0
-	h.Outer.Close(ctx)
+	if h.outer != nil {
+		h.Outer.Close(ctx)
+	}
 	h.build.reset()
 	h.outer, h.ob = nil, nil
 	h.outRows, h.out, h.scratch = nil, Batch{}, nil

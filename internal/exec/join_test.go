@@ -518,6 +518,43 @@ func TestHashJoinClosesHashedSideFirst(t *testing.T) {
 	}
 }
 
+// TestHashJoinEmptyBuildSkipsStreamedSide: when the hashed side is empty
+// and no row can come out, the join never opens the side it would stream.
+// Hashing the inner side, an inner or semi join does not open its outer
+// child, while a left or anti join still reads every outer row; hashing
+// the outer side (a semi or anti join), the inner child is not opened.
+func TestHashJoinEmptyBuildSkipsStreamedSide(t *testing.T) {
+	key := func(i int) int32 { return int32(i) }
+	for _, buildOuter := range []bool{false, true} {
+		for _, typ := range []JoinType{InnerJoin, LeftJoin, SemiJoin, AntiJoin} {
+			if buildOuter && typ != SemiJoin && typ != AntiJoin {
+				continue
+			}
+			var log []string
+			outer, inner := keyedBatches(100, key), keyedBatches(0, key)
+			streamed := "outer"
+			if buildOuter {
+				outer, inner, streamed = keyedBatches(0, key), keyedBatches(100, key), "inner"
+			}
+			j := &HashJoin{
+				Outer:     &loggedBatches{outer, "outer", &log},
+				Inner:     &loggedBatches{inner, "inner", &log},
+				OuterKeys: []int{0}, InnerKeys: []int{0}, Type: typ, BuildOuter: buildOuter,
+			}
+			rows := runJoin(t, &Ctx{}, j)
+			reads := !buildOuter && (typ == LeftJoin || typ == AntiJoin)
+			wantRows := 0
+			if reads {
+				wantRows = 100
+			}
+			if opened := slices.Contains(log, streamed+" open"); opened != reads || rows != wantRows {
+				t.Errorf("buildOuter=%v %s: %s child opened=%v, %d rows (log %q); want opened=%v, %d rows",
+					buildOuter, typ, streamed, opened, rows, log, reads, wantRows)
+			}
+		}
+	}
+}
+
 // staticBatches serves prebuilt batches without allocating, so the
 // allocation guard and the ladder rungs measure the join alone.
 type staticBatches struct {

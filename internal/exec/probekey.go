@@ -17,11 +17,11 @@ const (
 	// finds exactly the entries SQL equality on those columns matches.
 	KeyExact KeyMatch = iota
 	// KeyMatchesNothing: some value is NULL, or a number the column cannot
-	// hold (2.5 or 1e12 against an INTEGER) — equality is false or unknown
-	// for every row, so there is nothing to search for.
+	// hold (2.5, 1e12 or NaN against an INTEGER) — equality is false or
+	// unknown for every row, so there is nothing to search for.
 	KeyMatchesNothing
 	// KeyNeedsScan: some value cannot be converted to its column's kind
-	// without changing what equality means (text against a number, NaN, an
+	// without changing what equality means (text against a number, an
 	// integer beyond a DOUBLE's exact range). The caller must examine every
 	// row with the predicate itself; the index is not consulted.
 	KeyNeedsScan
@@ -73,7 +73,10 @@ func probeDatum(d types.Datum, col types.Kind) (types.Datum, KeyMatch) {
 			v = d.Int64()
 		case types.KindFloat64:
 			f := d.Float64()
-			if !(f >= -maxExactFloat && f <= maxExactFloat) { // also NaN
+			if f != f {
+				return d, KeyMatchesNothing // NaN equals only NaN, no integer
+			}
+			if f < -maxExactFloat || f > maxExactFloat {
 				return d, KeyNeedsScan
 			}
 			v = int64(f)
@@ -90,12 +93,9 @@ func probeDatum(d types.Datum, col types.Kind) (types.Datum, KeyMatch) {
 	case types.KindFloat64:
 		switch d.Kind() {
 		case types.KindFloat64:
-			// A NaN takes the scan: predicates and the key encoding agree
-			// on it (one value above +Inf), but no probe key is built for
-			// it. (-0 is encoded as +0.)
-			if f := d.Float64(); f != f {
-				return d, KeyNeedsScan
-			}
+			// Predicates and the key encoding agree on NaN (one value,
+			// above +Inf) and on zero (-0 is encoded as +0), so every
+			// DOUBLE probes as it is.
 			return d, KeyExact
 		case types.KindInt32, types.KindInt64, types.KindDate, types.KindBool:
 			v := d.Int64()

@@ -296,7 +296,7 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 				specs := append([]exec.AggSpec(nil), agg.Aggs...)
 				for si := range specs {
 					if specs[si].CompiledBatchArg != nil {
-						specs[si].CompiledBatchArg = specs[si].Prog.BatchScalar()
+						specs[si].CompiledBatchArg = specs[si].Prog.BatchVec()
 					}
 				}
 				partAggs[pi] = specs

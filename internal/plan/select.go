@@ -990,7 +990,7 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 			spec.Arg = arg
 			// EVA: specialize the aggregate's input evaluation.
 			spec.Prog = p.Mod.CompileScalar(arg)
-			spec.CompiledBatchArg = spec.Prog.BatchScalar()
+			spec.CompiledBatchArg = spec.Prog.BatchVec()
 		}
 		subst[key] = len(sel.GroupBy) + len(aggs)
 		aggs = append(aggs, spec)

@@ -134,8 +134,18 @@ const (
 	BeeIDLookup = 4
 	// SortCompare: one comparison inside a sort.
 	SortCompare = 60
-	// AggTransition: one aggregate-state transition.
+	// AggTransition: one aggregate-state transition of a boxed datum — the
+	// interpreter's value, or an EVA bee's character, CASE or $n value.
 	AggTransition = 85
+	// AggTypedTransition: one transition of a value an EVA bee evaluated
+	// into a typed vector, in place of AggTransition, so not a background
+	// cost: the per-aggregate, per-class loop of exec.foldVec, with no
+	// dispatch on the aggregate or the datum's kind. The NULL-mask test
+	// (2), the row's state address (sts[bi&per][i]: the mask, two bounds
+	// checks, two loads — 6), count++ (3), the sum's load-add-store (3)
+	// and the loop step (2). An integral sum's second add and a MIN/MAX
+	// store of a new extreme are rare or small enough to leave out.
+	AggTypedTransition = 16
 	// IndexDescend: one B+tree descent.
 	IndexDescend = 520
 	// IndexEntry: comparing one leaf entry's key with a walk's bound (the

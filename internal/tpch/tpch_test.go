@@ -230,3 +230,51 @@ func TestQ1Sanity(t *testing.T) {
 		}
 	}
 }
+
+// TestQ1AggregatesBitIdentical: Q1's eight aggregates at SF 0.01 with
+// the bee engine's typed aggregate input are, bit for bit
+// (math.Float64bits), those of the engine folding the interpreter's
+// datums, batching on and off. Serially the reference is the stock
+// engine. At two workers it is the GCL+EVP level, which stores lineitem
+// in the same pages, so its partitions split the rows where the bee's do;
+// the stock engine's pages differ, and with them where a partial sum
+// starts. The bee folds the float64 values its EVA bee computes in the
+// order the reference folds its datums.
+func TestQ1AggregatesBitIdentical(t *testing.T) {
+	for _, noBatch := range []bool{false, true} {
+		dbs := map[core.RoutineSet]*engine.DB{}
+		for _, rs := range []core.RoutineSet{core.Stock, core.GCLEVP, core.AllRoutines} {
+			db, err := NewDatabase(engine.Config{Routines: rs, NoBatch: noBatch}, 0.01)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dbs[rs] = db
+		}
+		q1 := func(rs core.RoutineSet, workers int) *engine.Result {
+			dbs[rs].SetWorkers(workers)
+			r, err := dbs[rs].Query(Queries()[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		for _, c := range []struct {
+			ref     core.RoutineSet
+			workers int
+		}{{core.Stock, 1}, {core.GCLEVP, 1}, {core.GCLEVP, 2}} {
+			want, got := q1(c.ref, c.workers), q1(core.AllRoutines, c.workers)
+			if len(got.Rows) != len(want.Rows) || len(got.Rows) == 0 {
+				t.Fatalf("batch=%v workers=%d: %d groups, %s %d", !noBatch, c.workers, len(got.Rows), c.ref, len(want.Rows))
+			}
+			for ri, row := range got.Rows {
+				for col := 2; col < len(row); col++ {
+					g, w := row[col], want.Rows[ri][col]
+					if g.Kind() != w.Kind() || g.I != w.I {
+						t.Errorf("batch=%v workers=%d group %d %s: %v (bits %#x), %s %v (bits %#x)",
+							!noBatch, c.workers, ri, got.Cols[col].Name, g, uint64(g.I), c.ref, w, uint64(w.I))
+					}
+				}
+			}
+		}
+	}
+}
