@@ -101,6 +101,9 @@ func TestColumnDeformMatchesFullDeform(t *testing.T) {
 						t.Errorf("%s: specialized routine %v for a relation with nullable columns %v", rel.Name, gcl.Bee != nil, rel.HasNullable)
 					}
 					check(t, "GCL", rel, gcl, tups, want)
+					if gcl.Bee != nil {
+						checkColumns(t, rng, rel, gcl, tups, want)
+					}
 					if rel.Spec == nil {
 						generic, err := stock.ScanDeformer(rel, atts)
 						if err != nil {
@@ -194,6 +197,52 @@ func check(t *testing.T, form string, rel *catalog.Relation, d *core.ScanDeform,
 			if !same(row[k], want[i][k]) || !same(batch[i][k], want[i][k]) {
 				t.Fatalf("%s %s over %v, tuple %d position %d: row form %v, batch form %v, full deform %v",
 					form, rel.Name, d.Atts, i, k, row[k], batch[i][k], want[i][k])
+			}
+		}
+	}
+}
+
+// checkColumns holds the column form over a random subset of the list's
+// stored fixed-width positions to the full deform, bee IDs included, and
+// requires it to refuse a list that also names a tuple-bee hole or a
+// character column.
+func checkColumns(t *testing.T, rng *rand.Rand, rel *catalog.Relation, d *core.ScanDeform, tups [][]byte, want []expr.Row) {
+	t.Helper()
+	var pos, other []int
+	for x, a := range d.Atts {
+		switch rel.Attrs[a].Type.Kind {
+		case types.KindChar, types.KindVarchar:
+			other = append(other, x)
+		default:
+			if rel.IsSpecialized(a) {
+				other = append(other, x)
+			} else if rng.Intn(2) == 0 {
+				pos = append(pos, x)
+			}
+		}
+	}
+	if len(other) > 0 {
+		bad := append(append([]int(nil), pos...), other[rng.Intn(len(other))])
+		if d.Columns(bad) != nil {
+			t.Fatalf("%s over %v: a column form of positions %v, one neither stored nor fixed-width", rel.Name, d.Atts, bad)
+		}
+	}
+	form := d.Columns(pos)
+	if form == nil {
+		t.Fatalf("%s over %v: no column form of fixed-width positions %v", rel.Name, d.Atts, pos)
+	}
+	cols := make([]core.Vec, len(d.Atts))
+	ids := make([]uint16, len(tups))
+	if n := form(tups, cols, ids, nil, nil); n != len(tups) {
+		t.Fatalf("%s over %v: %d of %d tuples", rel.Name, d.Atts, n, len(tups))
+	}
+	for i, tup := range tups {
+		if ids[i] != tuple.BeeID(tup) {
+			t.Fatalf("%s tuple %d: bee ID %d, stored %d", rel.Name, i, ids[i], tuple.BeeID(tup))
+		}
+		for _, x := range pos {
+			if got := cols[x].At(i); !same(got, want[i][x]) {
+				t.Fatalf("%s over %v, tuple %d position %d: column form %v, full deform %v", rel.Name, d.Atts, i, x, got, want[i][x])
 			}
 		}
 	}

@@ -171,7 +171,10 @@ func (m *Module) SetRoutines(rs RoutineSet) error {
 // SpecMaskFor computes the tuple-bee storage mask for a schema: with
 // TupleBees enabled, every annotated low-cardinality attribute is
 // specialized out of the stored tuple. The engine passes the result to
-// catalog.CreateRelation. A nil return means stock storage.
+// catalog.CreateRelation and to a respecialisation. A nil return means
+// stock storage, always so for a schema with a nullable attribute: its
+// relation bee keeps the generic deform (makeRelationBee), which has no
+// tuple-bee holes, so only stock storage can be read.
 func (m *Module) SpecMaskFor(schema catalog.Schema) *catalog.SpecInfo {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -181,7 +184,10 @@ func (m *Module) SpecMaskFor(schema catalog.Schema) *catalog.SpecInfo {
 	mask := make([]bool, len(schema.Attrs))
 	n := 0
 	for i, a := range schema.Attrs {
-		if a.LowCard && a.NotNull {
+		if !a.NotNull {
+			return nil
+		}
+		if a.LowCard {
 			mask[i] = true
 			n++
 		}
@@ -334,12 +340,15 @@ type CompiledPred func(row expr.Row, ctx *expr.Ctx) types.Datum
 type CompiledBatchPred func(rows []expr.Row, cand []int32, out []int32, ctx *expr.Ctx) []int32
 
 // CompiledBatchVec is the batch form of an EVA bee: one invocation
-// evaluates the aggregate's input expression for every live row of a
-// batch (cand nil means all of rows) into out, in live-row order and in
-// the Vec class the expression's static kind resolved to. As with
+// evaluates the aggregate's input expression for the n live rows of a
+// batch into a vector of the class the expression's static kind resolved
+// to, in live-row order. The batch is its rows (sel nil means all of
+// rows) or, for a column batch, cols: a vector per list position, every
+// value live. The result is valid until the next invocation and must not
+// be modified: a bare column's is the column itself. As with
 // CompiledBatchPred, the bee-call wrapper and cost accounting run once per
-// page instead of once per tuple.
-type CompiledBatchVec func(rows []expr.Row, cand []int32, out *Vec, ctx *expr.Ctx)
+// batch instead of once per tuple.
+type CompiledBatchVec func(rows []expr.Row, sel []int32, cols []Vec, n int, ctx *expr.Ctx) *Vec
 
 // Program is one plan's compiled EVP or EVA bee: the registry entry the
 // expression was admitted under, and the fragment compiled from this
@@ -443,17 +452,29 @@ func (p Program) Batch() CompiledBatchPred {
 }
 
 // BatchVec instantiates the batch form of an EVA program: the one form
-// an EVA bee has.
+// an EVA bee has, a vector program of its own (vec.go), so every plan
+// partition instantiates one.
 func (p Program) BatchVec() CompiledBatchVec {
 	if !p.inService() {
 		return nil
 	}
-	m, b, cost, src := p.m, p.bee, p.cost, p.fr.vecSource()
-	return func(rows []expr.Row, cand []int32, out *Vec, ctx *expr.Ctx) {
+	m, b, vp := p.m, p.bee, newVecProg(p.e, &p.fr, p.cost)
+	return func(rows []expr.Row, sel []int32, cols []Vec, n int, ctx *expr.Ctx) *Vec {
 		m.maybePanic(b)
-		ctx.Prof.Add(profile.CompExpr, cost*int64(live(rows, cand)))
-		src.fill(rows, cand, out)
+		ctx.Prof.Add(profile.CompExpr, vp.charge(n, cols != nil))
+		return vp.eval(&vecIn{rows: rows, sel: sel, cols: cols, n: n})
 	}
+}
+
+// Columns returns the list positions an EVA program's batch form reads
+// as column leaves, and whether it can run on a column batch: the program
+// is in service and its argument typed, with no boxed operand (a $n, a
+// CASE, a character value). A constant argument reads none.
+func (p Program) Columns() ([]int, bool) {
+	if !p.inService() {
+		return nil, false
+	}
+	return newVecProg(p.e, &p.fr, p.cost).columns()
 }
 
 // BatchKeyHash is the batch form of a join key hasher, in the style of

@@ -312,14 +312,13 @@ func TestTypedReadGuardsKind(t *testing.T) {
 			t.Fatalf("%s: no vector form", c.arg)
 		}
 		ctx := &expr.Ctx{Prof: &profile.Counters{}}
-		var v Vec
-		bv([]expr.Row{{types.Null}, {c.lie}}[:1], nil, &v, ctx) // NULL is no lie
+		v := bv([]expr.Row{{types.Null}, {c.lie}}[:1], nil, nil, 1, ctx) // NULL is no lie
 		if v.Len() != 1 || v.Nulls == nil || !v.Nulls[0] {
 			t.Errorf("%s over NULL: %+v, want one NULL entry", c.arg, v)
 		}
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			bv([]expr.Row{{types.Null}, {c.lie}}, []int32{1}, &v, ctx)
+			bv([]expr.Row{{types.Null}, {c.lie}}, []int32{1}, nil, 1, ctx)
 			return nil
 		}()
 		if got != errKindGuard {

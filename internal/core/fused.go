@@ -38,6 +38,8 @@ type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, sel []int32, vt *Ve
 // its entry — so bee IDs that DML creates mid-scan need no hook.
 type Verdicts struct {
 	v []uint8 // verdictUnknown, verdictPass or verdictFail
+	// row is the scratch row a column form evaluates verdicts over.
+	row expr.Row
 	// Sighted counts the IDs whose verdict was computed since the last
 	// Reset.
 	Sighted int64
@@ -192,6 +194,86 @@ func holeSteps(c expr.Expr, prog *colProgram) (steps []int32, ok bool) {
 	return steps, true
 }
 
+// fusedStages is the predicate's conjuncts sorted into the fused
+// routine's stages over one deform program: verdicts (conjuncts over
+// tuple-bee holes alone, with the hole steps they read), stored-bytes
+// checks, and checks scheduled after the deform step that writes the
+// highest position they read.
+type fusedStages struct {
+	prog         *colProgram
+	e            expr.Expr
+	raws         []rawCheck
+	checks       []fusedCheck
+	verdicts     []fusedCheck
+	verdictSteps []int32
+	predCost     int64
+}
+
+// fusedStages sorts p's conjuncts over d's program; ok is false when p is
+// not an EVP program in service, d runs no specialized program, or some
+// conjunct is outside the snippet library.
+func (p Program) fusedStages(d *ScanDeform) (st fusedStages, ok bool) {
+	if !p.inService() || p.bee.kind != kindEVP || d.prog == nil {
+		return st, false
+	}
+	prog := d.prog
+	st.prog, st.e = prog, p.e
+	for _, c := range flattenAnd(p.e, nil) {
+		holes, ok := holeSteps(c, prog)
+		if !ok {
+			return st, false
+		}
+		if holes != nil {
+			fr := compileNode(c)
+			if fr.cls == clsNone {
+				return st, false
+			}
+			st.verdicts = append(st.verdicts, fusedCheck{pred: fr.truth(), cost: int64(fr.terms) * evpTermCost})
+			for _, s := range holes {
+				if !slices.Contains(st.verdictSteps, s) {
+					st.verdictSteps = append(st.verdictSteps, s)
+				}
+			}
+			continue
+		}
+		if rc, ok := rawCheckFor(c, prog); ok && len(st.raws) < maxRawChecks {
+			st.raws = append(st.raws, rc)
+			st.predCost += rc.cost
+			continue
+		}
+		fr := compileNode(c)
+		if fr.cls == clsNone {
+			return st, false
+		}
+		pos, ok := MaxVarIdx(c)
+		if !ok || pos >= len(prog.at) {
+			return st, false
+		}
+		step := -1
+		if pos >= 0 {
+			step = int(prog.at[pos])
+		}
+		cost := int64(fr.terms) * evpTermCost
+		st.checks = append(st.checks, fusedCheck{step: step, pred: fr.truth(), cost: cost})
+		st.predCost += cost
+	}
+	slices.SortStableFunc(st.raws, func(a, b rawCheck) int { return int(a.off - b.off) })
+	slices.SortStableFunc(st.checks, func(a, b fusedCheck) int { return a.step - b.step })
+	if st.verdicts != nil {
+		st.predCost += profile.BeeIDLookup
+	}
+	return st, true
+}
+
+// widen records the fused form on b's benefit line: deformCost, the
+// deform the form runs for a passing tuple, plus the predicate, against
+// the generic loop plus the interpreted predicate. It reports whether b
+// is still in service.
+func (st *fusedStages) widen(b *Bee, deformCost int64) bool {
+	return b.widen("EVP "+b.name+" (fused into GCL)",
+		deformCost+evpBaseCost+st.predCost, st.prog.stockCost+stockExprCost(st.e))
+}
+
 // Fused instantiates the fused GCL∘EVP routine for filtering the rows d
 // emits with the program's predicate, whose Var ordinals are positions in
 // d's attribute list. It requires an EVP program in service, d running
@@ -217,66 +299,17 @@ func holeSteps(c expr.Expr, prog *colProgram) (steps []int32, ok bool) {
 // so a panic in either form quarantines both and the next plan falls back
 // to the generic path.
 func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
-	if !p.inService() || p.bee.kind != kindEVP || d.prog == nil {
+	st, ok := p.fusedStages(d)
+	if !ok {
 		return nil
 	}
-	m, b, e, prog := p.m, p.bee, p.e, d.prog
-	var raws []rawCheck
-	var checks []fusedCheck
-	var verdicts []fusedCheck
-	var verdictSteps []int32
-	var predCost int64
-	for _, c := range flattenAnd(e, nil) {
-		holes, ok := holeSteps(c, prog)
-		if !ok {
-			return nil
-		}
-		if holes != nil {
-			fr := compileNode(c)
-			if fr.cls == clsNone {
-				return nil
-			}
-			verdicts = append(verdicts, fusedCheck{pred: fr.truth(), cost: int64(fr.terms) * evpTermCost})
-			for _, s := range holes {
-				if !slices.Contains(verdictSteps, s) {
-					verdictSteps = append(verdictSteps, s)
-				}
-			}
-			continue
-		}
-		if rc, ok := rawCheckFor(c, prog); ok && len(raws) < maxRawChecks {
-			raws = append(raws, rc)
-			predCost += rc.cost
-			continue
-		}
-		fr := compileNode(c)
-		if fr.cls == clsNone {
-			return nil
-		}
-		pos, ok := MaxVarIdx(c)
-		if !ok || pos >= len(prog.at) {
-			return nil
-		}
-		step := -1
-		if pos >= 0 {
-			step = int(prog.at[pos])
-		}
-		cost := int64(fr.terms) * evpTermCost
-		checks = append(checks, fusedCheck{step: step, pred: fr.truth(), cost: cost})
-		predCost += cost
-	}
-	slices.SortStableFunc(raws, func(a, b rawCheck) int { return int(a.off - b.off) })
-	slices.SortStableFunc(checks, func(a, b fusedCheck) int { return a.step - b.step })
-	if verdicts != nil {
-		predCost += profile.BeeIDLookup
-	}
-
+	m, b, prog := p.m, p.bee, d.prog
+	raws, checks, verdicts, verdictSteps := st.raws, st.checks, st.verdicts, st.verdictSteps
 	ops, combos, gclCost := prog.ops, prog.combos, prog.cost
 	// The fused bee replaces deform AND filter, so its benefit line pairs
 	// the full-deform-plus-predicate bee cost (the no-abandon worst case)
 	// against the generic loop plus interpreted predicate.
-	if !b.widen("EVP "+b.name+" (fused into GCL)",
-		gclCost[len(ops)]+evpBaseCost+predCost, prog.stockCost+stockExprCost(e)) {
+	if !st.widen(b, gclCost[len(ops)]) {
 		return nil
 	}
 	return func(tups [][]byte, out []expr.Row, sel []int32, vt *Verdicts, prof *profile.Counters) []int32 {

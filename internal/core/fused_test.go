@@ -358,7 +358,7 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 			for i := range out {
 				out[i] = make(expr.Row, natts)
 			}
-			sawRaw, sawScheduled, sawVerdict, sawPruned := 0, 0, 0, 0
+			sawRaw, sawScheduled, sawVerdict, sawPruned, sawColumns := 0, 0, 0, 0, 0
 			for n := 0; n < 400; n++ {
 				f.read(f.randomAtts())
 				d, err := f.m.ScanDeformer(f.rel, f.atts)
@@ -379,6 +379,20 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 				fused, ok := compileFused(f.m, f.rel, pred, f.atts)
 				if !ok {
 					t.Fatalf("predicate %d did not fuse over %v: %s", n, d.Atts, pred)
+				}
+				// The column form exists exactly when no conjunct is
+				// scheduled after a deform step.
+				prog := f.m.CompilePredicate(pred)
+				st, _ := prog.fusedStages(d)
+				var pos []int
+				for x, a := range d.Atts {
+					if k := f.rel.Attrs[a].Type.Kind; !f.rel.IsSpecialized(a) && k != types.KindChar && k != types.KindVarchar && f.rng.Intn(2) == 0 {
+						pos = append(pos, x)
+					}
+				}
+				colForm := prog.FusedColumns(d, pos)
+				if (colForm != nil) != (st.checks == nil) {
+					t.Fatalf("predicate %d %s over %v: column form %v with %d scheduled conjuncts", n, pred, d.Atts, colForm != nil, len(st.checks))
 				}
 				for _, k := range kids {
 					switch _, raw := rawCheckFor(k, d.prog); {
@@ -414,12 +428,55 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 					if vt.Sighted != wantIDs {
 						t.Fatalf("predicate %d %s over %v, page %d: %d verdicts computed, want one per bee ID (%d)", n, pred, d.Atts, pi, vt.Sighted, wantIDs)
 					}
+					if colForm != nil {
+						sawColumns++
+						checkFusedColumns(t, colForm, d, pos, page, wantSel, wantRows, wantEVP, wantIDs)
+					}
 				}
 			}
-			if sawRaw < 100 || sawScheduled < 100 || sawPruned < 100 || cfg.lowcard && sawVerdict < 50 {
-				t.Errorf("generator covered %d stored-bytes, %d verdict and %d scheduled conjuncts over %d pruned lists; want plenty of each", sawRaw, sawVerdict, sawScheduled, sawPruned)
+			if sawRaw < 100 || sawScheduled < 100 || sawPruned < 100 || cfg.lowcard && sawVerdict < 50 || sawColumns < 50 {
+				t.Errorf("generator covered %d stored-bytes, %d verdict and %d scheduled conjuncts over %d pruned lists, and %d column-form pages; want plenty of each",
+					sawRaw, sawVerdict, sawScheduled, sawPruned, sawColumns)
 			}
 		})
+	}
+}
+
+// checkFusedColumns holds the fused routine's column form to the row
+// form's reference on one page: the same tuples pass, each written at the
+// next dense index with its bee ID; the predicate is charged the same;
+// a rejected tuple's deform costs the base and a passing one the column
+// program's.
+func checkFusedColumns(t *testing.T, form ColumnScanFunc, d *ScanDeform, pos []int, page [][]byte,
+	wantSel []int32, wantRows []expr.Row, wantEVP, wantIDs int64) {
+	t.Helper()
+	cols := make([]Vec, len(d.Atts))
+	ids := make([]uint16, len(page))
+	prof := &profile.Counters{}
+	vt := &Verdicts{}
+	if n := form(page, cols, ids, vt, prof); n != len(wantSel) {
+		t.Fatalf("over %v: column form passed %d tuples, reference %d", d.Atts, n, len(wantSel))
+	}
+	for j, i := range wantSel {
+		if ids[j] != tuple.BeeID(page[i]) {
+			t.Fatalf("over %v, passing tuple %d: bee ID %d, stored %d", d.Atts, j, ids[j], tuple.BeeID(page[i]))
+		}
+		for _, x := range pos {
+			if got := cols[x].At(j); !sameDatum(got, wantRows[i][x]) {
+				t.Fatalf("over %v, tuple %d position %d: column form %v, reference %v", d.Atts, i, x, got, wantRows[i][x])
+			}
+		}
+	}
+	cd, _ := d.columnDeform(pos)
+	wantDeform := int64(len(page)-len(wantSel))*profile.GCLBase + int64(len(wantSel))*cd.cost
+	if got := prof.Component(profile.CompDeform); got != wantDeform {
+		t.Fatalf("over %v: column form deform charge %d, want %d", d.Atts, got, wantDeform)
+	}
+	if got := prof.Component(profile.CompExpr); got != wantEVP {
+		t.Fatalf("over %v: column form EVP charge %d, row form %d", d.Atts, got, wantEVP)
+	}
+	if vt.Sighted != wantIDs {
+		t.Fatalf("over %v: column form computed %d verdicts, want %d", d.Atts, vt.Sighted, wantIDs)
 	}
 }
 

@@ -26,10 +26,8 @@ func compileScalar(m *Module, e expr.Expr) (CompiledPred, bool) {
 	if bv == nil {
 		return nil, false
 	}
-	var v Vec
 	return func(row expr.Row, ctx *expr.Ctx) types.Datum {
-		bv([]expr.Row{row}, nil, &v, ctx)
-		return v.At(0)
+		return bv([]expr.Row{row}, nil, nil, 1, ctx).At(0)
 	}, true
 }
 

@@ -68,7 +68,9 @@ func col(b *testing.B, rel *catalog.Relation, name string) *expr.Var {
 func fconst(x float64) expr.Expr { return expr.NewConst(types.NewFloat64(x)) }
 
 // BenchmarkEVAArith evaluates Q1's two computed aggregate inputs over a
-// 4 k-row batch: the batch-EVA bee against the interpreter.
+// 4 k-row batch: the batch-EVA bee on rows and on a column batch (the
+// kernels read the columns' vectors, as Q1's plan does) against the
+// interpreter.
 func BenchmarkEVAArith(b *testing.B) {
 	db, rel, pages := lineitemPages(b, core.AllRoutines)
 	deform, err := db.Module().ScanDeformer(rel, nil)
@@ -110,12 +112,34 @@ func BenchmarkEVAArith(b *testing.B) {
 			evas = append(evas, eva)
 		}
 		ctx := &expr.Ctx{Prof: &profile.Counters{}}
-		var out core.Vec
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, eva := range evas {
-				eva(rows, nil, &out, ctx)
+				eva(rows, nil, nil, len(rows), ctx)
+			}
+		}
+		report(b, ctx.Prof)
+	})
+	b.Run("bee-columns", func(b *testing.B) {
+		cols := make([]core.Vec, natts)
+		for _, c := range []*expr.Var{price, disc, tax} {
+			v := &cols[c.Idx]
+			v.Reset(core.VecFloat, 0, batch)
+			for j, row := range rows {
+				v.Floats[j] = row[c.Idx].Float64()
+			}
+		}
+		var evas []core.CompiledBatchVec
+		for _, a := range args {
+			evas = append(evas, db.Module().CompileScalar(a).BatchVec())
+		}
+		ctx := &expr.Ctx{Prof: &profile.Counters{}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, eva := range evas {
+				eva(nil, nil, cols, batch, ctx)
 			}
 		}
 		report(b, ctx.Prof)

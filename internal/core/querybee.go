@@ -557,18 +557,27 @@ func compileSubstring(n *expr.Substring) frag {
 // conversion so no compiler may fuse it into a consumer's add.
 
 func arith[T int64 | float64](op expr.ArithOp, a, b T) (T, bool) {
+	var x T
 	switch op {
 	case expr.Add:
-		return a + b, true
+		x = a + b
 	case expr.Sub:
-		return a - b, true
+		x = a - b
 	case expr.Mul:
-		return T(a * b), true
+		x = T(a * b)
+	default:
+		if b == 0 {
+			return 0, false
+		}
+		x = a / b
 	}
-	if b == 0 {
-		return 0, false
+	// Of two NaN operands the hardware returns the first the instruction
+	// names, and the compiler may name either first for + and *: take a's,
+	// as the interpreter does. For integers the test folds away.
+	if x != x && a != a {
+		x = a + a
 	}
-	return a / b, true
+	return x, true
 }
 
 // arithFrags is the general shape: both operands are called.

@@ -433,7 +433,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				p.Bee().Note(1, 1)
 				a := m.CompileScalar(e.(*expr.Cmp).L)
 				if bv := a.BatchVec(); bv != nil {
-					bv([]expr.Row{row}, nil, &Vec{}, ctx)
+					bv([]expr.Row{row}, nil, nil, 1, ctx)
 				}
 				m.CompileJoinKeys([]int{0}, []int{1}, []types.T{types.Int32})
 			}

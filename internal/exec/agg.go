@@ -394,16 +394,14 @@ type aggDrain struct {
 	evalSpecs, addSpecs []AggSpec
 	// owner[i] is the first spec with spec i's argument (by rendered
 	// text, the bee cache's identity too). The owner evaluates the
-	// argument once per batch into a core.Vec; the later specs fold the
-	// owner's vector — Q1 asks for both sum and avg of l_quantity and of
-	// l_extendedprice. An argument someone shares (shared[owner]) has its
-	// own vector, vecs[owner], kept until the batch is done; the others
-	// are folded as soon as they are evaluated and reuse scratch.
-	owner   []int
-	shared  []bool
-	vecs    []core.Vec
-	scratch core.Vec
-	keyBuf  expr.Row
+	// argument once per batch into a core.Vec, cur[owner]; the later specs
+	// fold the owner's vector — Q1 asks for both sum and avg of l_quantity
+	// and of l_extendedprice. The EVA bee's vector is its own; vecs[i] is
+	// the interpreter's, for spec i.
+	owner  []int
+	cur    []*core.Vec
+	vecs   []core.Vec
+	keyBuf expr.Row
 	// key encodes keyBuf, prev the last row's; seen[i] keys DISTINCT
 	// spec i's (group, value) pairs.
 	key  rowKey
@@ -432,7 +430,7 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 	n := len(addSpecs)
 	d := &aggDrain{
 		groupBy: groupBy, keys: keys, evalSpecs: evalSpecs, addSpecs: addSpecs,
-		owner: make([]int, n), shared: make([]bool, n), vecs: make([]core.Vec, n),
+		owner: make([]int, n), cur: make([]*core.Vec, n), vecs: make([]core.Vec, n),
 		keyBuf: make(expr.Row, len(groupBy)), per: -1, eva: make([]beeUsage, n),
 		key: rowKey{cols: make([]ColInfo, len(groupBy))},
 	}
@@ -456,7 +454,7 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 		}
 		key := evalSpecs[i].Arg.String()
 		if first, ok := args[key]; ok {
-			d.owner[i], d.shared[first] = first, true
+			d.owner[i] = first
 		} else {
 			args[key] = i
 		}
@@ -481,8 +479,12 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 //     table with the ID's data-section values only on its first sight —
 //     the first row of that ID, so groups appear in the same order.
 //  2. Argument evaluation — per distinct argument, the batch-EVA bee
-//     fills a vector of the argument's class (int64, float64 or datums,
-//     with a NULL mask); the interpreter, per row, fills a datum vector.
+//     evaluates a vector of the argument's class (int64, float64 or
+//     datums, with a NULL mask) with its vector kernels; the interpreter,
+//     per row, fills a datum vector. A column batch (Batch.Cols) comes
+//     only from a scan lowering chose for this drain: its groups resolve
+//     by bee ID or it has none, and every argument is an EVA bee's whose
+//     column leaves read the scan's vectors.
 //  3. Transition — per spec, foldVec folds the vector into the group
 //     states with a loop per aggregate and class: a typed vector is
 //     summed, counted and compared unboxed.
@@ -594,13 +596,10 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 				}
 				continue
 			}
-			v := &d.vecs[d.owner[i]]
 			if d.owner[i] == i {
-				if !d.shared[i] {
-					v = &d.scratch
-				}
-				d.evaluate(ctx, i, b, v, timed)
+				d.cur[i] = d.evaluate(ctx, i, b, timed)
 			}
+			v := d.cur[d.owner[i]]
 			cost := int64(profile.AggTransition)
 			if v.Class != core.VecBoxed && !ad.Distinct {
 				cost = profile.AggTypedTransition
@@ -613,12 +612,14 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 	}
 }
 
-// evaluate fills v with evaluation spec i's argument for the live rows of
-// b: through the EVA bee, timed when the batch is one the drain's usage
-// sampler picked, or through the interpreter, row by row, into datums.
-func (d *aggDrain) evaluate(ctx *Ctx, i int, b *Batch, v *core.Vec, timed bool) {
+// evaluate returns evaluation spec i's argument for the live rows of b:
+// the EVA bee's vector, timed when the batch is one the drain's usage
+// sampler picked, or the interpreter's, row by row, into datums. Only the
+// EVA bee reads a column batch.
+func (d *aggDrain) evaluate(ctx *Ctx, i int, b *Batch, timed bool) *core.Vec {
 	spec := &d.evalSpecs[i]
 	if spec.CompiledBatchArg == nil {
+		v := &d.vecs[i]
 		v.Reset(core.VecBoxed, 0, b.Count())
 		for bi := range v.Datums {
 			x := spec.Arg.Eval(b.RowAt(bi), &ctx.Expr)
@@ -626,17 +627,18 @@ func (d *aggDrain) evaluate(ctx *Ctx, i int, b *Batch, v *core.Vec, timed bool) 
 				v.SetNull(bi)
 			}
 		}
-		return
+		return v
 	}
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	spec.CompiledBatchArg(b.Rows[:b.N], b.Sel, v, &ctx.Expr)
+	v := spec.CompiledBatchArg(b.Rows, b.Sel, b.Cols, b.Count(), &ctx.Expr)
 	if timed {
 		d.eva[i].ns += int64(time.Since(t0))
 	}
 	d.eva[i].rows += int64(v.Len())
+	return v
 }
 
 // foldVec folds aggregate i's input vector v, one value per live row, into

@@ -8,12 +8,12 @@ import (
 )
 
 // rowArena is the row store of the buffering operators (every hashTable,
-// Sort, Materialize): add deep-copies a row into chunked datum
-// storage and its by-reference payloads into chunked byte storage, so
-// buffering N rows costs O(chunks) allocations where CloneRow costs two
-// per row. Chunks are never moved, so every row add returned stays valid
-// until the arena is dropped (assign the zero value); dropping it is how
-// an operator releases its buffered rows.
+// Sort, Materialize) and of Collect's result: add deep-copies a row into
+// chunked datum storage and its by-reference payloads into chunked byte
+// storage, so buffering N rows costs O(chunks) allocations where CloneRow
+// costs two per row. Chunks are never moved, so every row add returned
+// stays valid until the arena is dropped (assign the zero value);
+// dropping it is how an operator releases its buffered rows.
 type rowArena struct {
 	// rows lists every stored row in insertion order. Owners may reorder
 	// it (Sort does).
@@ -51,22 +51,32 @@ func grow(next *int, need, lo, hi int) int {
 }
 
 // add stores a deep copy of row and returns it.
-func (a *rowArena) add(row expr.Row) expr.Row {
+func (a *rowArena) add(row expr.Row) expr.Row { return a.put(row, false) }
+
+// put is add. With exact set it sizes the first datum chunk, the first
+// byte chunk and rows from the row, where add starts at the arena
+// minimums: the rows after it double them, so a one-row result allocates
+// what copying that one row would (Collect).
+func (a *rowArena) put(row expr.Row, exact bool) expr.Row {
 	w := len(row)
+	total := 0
+	for i := range row {
+		total += len(row[i].B)
+	}
+	minDatums, minBytes, minRows := arenaMinDatums, arenaMinBytes, 64
+	if exact {
+		minDatums, minBytes, minRows = max(w, 1), max(total, 1), 1
+	}
 	if len(a.datums) < w {
-		a.datums = make([]types.Datum, grow(&a.nextDatum, w, arenaMinDatums, arenaMaxDatums))
+		a.datums = make([]types.Datum, grow(&a.nextDatum, w, minDatums, arenaMaxDatums))
 	}
 	out := expr.Row(a.datums[:w:w])
 	a.datums = a.datums[w:]
 	copy(out, row)
 
-	total := 0
-	for i := range row {
-		total += len(row[i].B)
-	}
 	if total > 0 {
 		if cap(a.bytes)-len(a.bytes) < total {
-			a.bytes = make([]byte, 0, grow(&a.nextBytes, total, arenaMinBytes, arenaMaxBytes))
+			a.bytes = make([]byte, 0, grow(&a.nextBytes, total, minBytes, arenaMaxBytes))
 		}
 		for i := range out {
 			if b := out[i].B; b != nil {
@@ -76,7 +86,10 @@ func (a *rowArena) add(row expr.Row) expr.Row {
 			}
 		}
 	}
-	a.rows = append(roomFor(a.rows, 1), out)
+	if cap(a.rows) == len(a.rows) {
+		a.rows = slices.Grow(a.rows, max(len(a.rows), minRows))
+	}
+	a.rows = append(a.rows, out)
 	return out
 }
 

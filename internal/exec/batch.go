@@ -34,10 +34,11 @@ import (
 const BatchCap = 1024
 
 // usageSampleEvery is the batch sampling of the benefit-attribution
-// timing of the scan's and the aggregation drain's bees. A clock read
-// costs as much as filtering a dozen tuples on the stored bytes, so timing
-// every page of a selective fused scan, or every argument of every batch
-// an aggregate folds, would be a measurable share of the work it measures.
+// timing of the scan's, BatchFilter's and the aggregation drain's bees. A
+// clock read costs as much as filtering a dozen tuples on the stored
+// bytes, so timing every page of a selective fused scan, or every argument
+// of every batch an aggregate folds, would be a measurable share of the
+// work it measures.
 const usageSampleEvery = 4
 
 // usageSampler is the one sampling rule: the first batch and every
@@ -71,13 +72,22 @@ func (u *usageSampler) scale(ns int64) int64 {
 // datums, which may alias the producer's pinned page — is valid until the
 // next NextBatch or Close call on the producing subtree. Consumers may
 // set Sel (filters do) but must not reorder Rows.
+//
+// A column batch has Cols instead of Rows: N live rows, every one live
+// (no Sel), and for each list position an aggregation's arguments read a
+// core.Vec of its class holding those rows' values. Only a scan whose
+// BatchSeqScan.Columns is set produces one, and only the aggregation
+// drain directly above it consumes it.
 type Batch struct {
 	Rows []expr.Row
 	N    int
 	Sel  []int32
-	// IDs, when set, holds the tuple-bee ID of each of Rows[:N]: a scan
-	// feeding a bee-keyed aggregation hands them up (BatchSeqScan.BeeIDs).
+	// IDs, when set, holds the tuple-bee ID of each of Rows[:N], or of
+	// each row of a column batch: a scan feeding a bee-keyed aggregation
+	// hands them up (BatchSeqScan.BeeIDs).
 	IDs []uint16
+	// Cols holds a column batch's columns by list position.
+	Cols []core.Vec
 }
 
 // Count returns the number of live rows.
@@ -167,7 +177,7 @@ type BatchSeqScan struct {
 	// the predicate's conjuncts need, rejected tuples are abandoned early,
 	// and the scan emits batches whose selection vector lists the passing
 	// rows. FusedPred is the predicate the routine implements (EXPLAIN and
-	// bee walking).
+	// bee walking), set when Fused or the column form (Columns) runs it.
 	Fused     core.FusedScanFilterFunc
 	FusedPred expr.Expr
 	// FusedBee, when set, is the EVP bee behind Fused. At Close the
@@ -186,6 +196,12 @@ type BatchSeqScan struct {
 	// BeeIDs makes every batch carry its rows' tuple-bee IDs (Batch.IDs),
 	// for a bee-keyed aggregation directly above the scan region.
 	BeeIDs bool
+	// Columns, when set, makes the scan emit column batches (Batch.Cols)
+	// for the aggregation directly above it: the column form of the
+	// deform, or of the fused routine when FusedPred is set, writes the
+	// columns ColumnPos lists of the passing tuples, and no others.
+	Columns   core.ColumnScanFunc
+	ColumnPos []int
 	// VerdictIDs counts the bee IDs whose verdict the fused routine
 	// computed (core.Verdicts), over every run since Instrument wrapped
 	// the scan, as Skipped does.
@@ -203,6 +219,7 @@ type BatchSeqScan struct {
 	rows     []expr.Row
 	sel      []int32
 	ids      []uint16
+	vecs     []core.Vec
 	verdicts core.Verdicts
 	batch    Batch
 	cols     []ColInfo
@@ -262,41 +279,56 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		if !ok {
 			return nil, false, s.scanner.Err()
 		}
-		s.ensureRows(len(tups))
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch)
 		s.deforms += int64(len(tups))
 		s.rowsOut += int64(len(tups))
+		var ids []uint16
+		if s.BeeIDs {
+			if cap(s.ids) < len(tups) {
+				s.ids = make([]uint16, growBatchScratch(cap(s.ids), len(tups)))
+			}
+			ids = s.ids[:len(tups)]
+		}
 		var t0 time.Time
 		timed := s.usage.next() && (s.FusedBee != nil || s.Deform.Bee != nil)
 		if timed {
 			t0 = time.Now()
 		}
 		s.batches++
-		if s.Fused != nil {
+		if s.FusedPred != nil {
 			s.fused += int64(len(tups))
+		}
+		n := len(tups)
+		switch {
+		case s.Columns != nil:
+			if s.vecs == nil {
+				s.vecs = make([]core.Vec, len(s.cols))
+			}
+			n = s.Columns(tups, s.vecs, ids, &s.verdicts, ctx.Prof())
+			s.batch = Batch{N: n, Cols: s.vecs}
+		case s.Fused != nil:
+			s.ensureRows(len(tups))
 			s.sel = s.Fused(tups, s.rows, s.sel[:0], &s.verdicts, ctx.Prof())
-		} else {
+			n = len(s.sel)
+			s.batch = Batch{Rows: s.rows, N: len(tups), Sel: s.sel}
+		default:
+			s.ensureRows(len(tups))
 			s.Deform.Batch(tups, s.rows, ctx.Prof())
+			s.batch = Batch{Rows: s.rows, N: len(tups)}
 		}
 		if timed {
 			s.timedNs += int64(time.Since(t0))
 		}
-		s.batch = Batch{Rows: s.rows, N: len(tups)}
-		if s.Fused != nil {
-			if len(s.sel) == 0 {
-				continue
-			}
-			s.batch.Sel = s.sel
+		if s.FusedPred != nil && n == 0 {
+			continue
 		}
-		if s.BeeIDs {
-			if cap(s.ids) < len(tups) {
-				s.ids = make([]uint16, growBatchScratch(cap(s.ids), len(tups)))
+		if ids != nil {
+			if s.Columns == nil { // a column form writes the passing tuples' own
+				for i, tup := range tups {
+					ids[i] = tuple.BeeID(tup)
+				}
 			}
-			ids := s.ids[:len(tups)]
-			for i, tup := range tups {
-				ids[i] = tuple.BeeID(tup)
-			}
-			s.batch.IDs = ids
+			s.batch.IDs = ids[:s.batch.N]
 		}
 		return &s.batch, true, nil
 	}
@@ -344,11 +376,13 @@ type BatchFilter struct {
 	Compiled core.CompiledBatchPred
 	// Bee is Pred's EVP bee, set even when Compiled is nil because the
 	// compile was refused; it receives the compiled predicate's row count
-	// and observed wall time at Close.
+	// at Close, and its wall time: that of the batches usageSampler picks,
+	// scaled to all of them.
 	Bee *core.Bee
 
 	calls int64
 	beeNs int64
+	usage usageSampler
 	sel   []int32
 	rb    rebatcher
 }
@@ -370,7 +404,7 @@ func (f *BatchFilter) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		out := f.sel[:0]
 		if f.Compiled != nil {
 			f.calls += int64(b.Count())
-			if f.Bee != nil {
+			if f.Bee != nil && f.usage.next() {
 				t0 := time.Now()
 				out = f.Compiled(b.Rows[:b.N], b.Sel, out, &ctx.Expr)
 				f.beeNs += int64(time.Since(t0))
@@ -406,8 +440,8 @@ func (f *BatchFilter) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (f *BatchFilter) Close(ctx *Ctx) {
-	f.Bee.Note(f.calls, f.beeNs)
-	f.calls, f.beeNs = 0, 0
+	f.Bee.Note(f.calls, f.usage.scale(f.beeNs))
+	f.calls, f.beeNs, f.usage = 0, 0, usageSampler{}
 	f.Child.Close(ctx)
 }
 

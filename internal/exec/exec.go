@@ -150,23 +150,34 @@ func CloneDatum(d types.Datum) types.Datum {
 }
 
 // Collect drains a node into a fully materialized result (Open through
-// Close), cloning every row. It is the standard entry point for running
-// a plan to completion, and it makes ctx the statement context its
-// subquery expressions run under.
+// Close), copying every row into one arena sized from the first row (see
+// rowArena.put), so a large result costs allocations per chunk, not per
+// row. It is the standard entry point for running a plan to completion,
+// and it makes ctx the statement context its subquery expressions run
+// under. It runs drain's loop itself, so the arena stays on its stack.
 func Collect(ctx *Ctx, n Node) ([]expr.Row, error) {
 	if ctx.Expr.Run == nil {
 		ctx.Expr.Run = ctx
 	}
-	var out []expr.Row
-	err := drain(ctx, n, func(row expr.Row) bool {
-		ctx.Prof().Add(profile.CompExec, profile.EmitRow)
-		out = append(out, CloneRow(row))
-		return true
-	})
-	if err != nil {
+	if err := open(ctx, n); err != nil {
 		return nil, err
 	}
-	return out, nil
+	defer n.Close(ctx)
+	var out rowArena
+	for {
+		row, ok, err := next(ctx, n)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			if ctx.failed != nil {
+				return nil, ctx.failed
+			}
+			return out.rows, nil
+		}
+		ctx.Prof().Add(profile.CompExec, profile.EmitRow)
+		out.put(row, true)
+	}
 }
 
 // drain runs n under ctx — Open, Next until the rows run out or fn
@@ -174,19 +185,12 @@ func Collect(ctx *Ctx, n Node) ([]expr.Row, error) {
 // only during fn. A subplan that failed the statement fails the drain
 // with its error, also when it was the last to run (see fail).
 func drain(ctx *Ctx, n Node, fn func(expr.Row) bool) error {
-	if err := n.Open(ctx); err != nil {
-		// Close even though Open failed: a multi-child Open (join build,
-		// Gather) may have opened part of the subtree before the error,
-		// and open scans hold buffer pins. Close is idempotent.
-		n.Close(ctx)
+	if err := open(ctx, n); err != nil {
 		return err
 	}
 	defer n.Close(ctx)
 	for {
-		if err := ctx.Canceled(); err != nil {
-			return err
-		}
-		row, ok, err := n.Next(ctx)
+		row, ok, err := next(ctx, n)
 		if err != nil {
 			return err
 		}
@@ -194,4 +198,24 @@ func drain(ctx *Ctx, n Node, fn func(expr.Row) bool) error {
 			return ctx.failed
 		}
 	}
+}
+
+// open opens n for a drain, closing it again when Open fails: a
+// multi-child Open (join build, Gather) may have opened part of the
+// subtree before the error, and open scans hold buffer pins. Close is
+// idempotent.
+func open(ctx *Ctx, n Node) error {
+	err := n.Open(ctx)
+	if err != nil {
+		n.Close(ctx)
+	}
+	return err
+}
+
+// next is one step of a drain: a cancellation poll, then n's next row.
+func next(ctx *Ctx, n Node) (expr.Row, bool, error) {
+	if err := ctx.Canceled(); err != nil {
+		return nil, false, err
+	}
+	return n.Next(ctx)
 }

@@ -1,9 +1,9 @@
 package exec
 
 import (
-	"testing"
-
 	"fmt"
+	"runtime"
+	"testing"
 
 	"microspec/internal/catalog"
 	"microspec/internal/core"
@@ -550,5 +550,72 @@ func TestHashJoinRejectsEmptyKeys(t *testing.T) {
 	j := &HashJoin{Outer: outer, Inner: inner, Type: InnerJoin}
 	if err := j.Open(&Ctx{}); err == nil {
 		t.Error("hash join without keys must fail to open")
+	}
+}
+
+// TestCollectAllocs pins Collect's result arena: a one-row result
+// allocates no more objects or bytes than copying that row with CloneRow
+// into a result slice, and a 75,000-row result of one VARCHAR column —
+// the case study's `select o_comment from orders` — allocates per chunk,
+// not per row. Every row must be a copy that outlives the source.
+func TestCollectAllocs(t *testing.T) {
+	comment := func(i int) types.Datum {
+		return types.NewString(fmt.Sprintf("comment %05d pads this out to a typical o_comment", i))
+	}
+	src := func(n int) *ValuesNode {
+		v := &ValuesNode{Cols: []ColInfo{{Name: "c", T: types.Varchar(79)}, {Name: "k", T: types.Int32}}}
+		for i := range n {
+			v.Rows = append(v.Rows, expr.Row{comment(i), i32(int32(i))})
+		}
+		return v
+	}
+	one := src(1)
+	ctx := &Ctx{}
+	var rows []expr.Row
+	cloneAllocs := testing.AllocsPerRun(20, func() {
+		rows = append([]expr.Row(nil), CloneRow(one.Rows[0]))
+	})
+	collectAllocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if rows, err = Collect(ctx, one); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if raceEnabled { // the race detector's instrumentation allocates
+		collectAllocs = cloneAllocs
+	}
+	if collectAllocs > cloneAllocs {
+		t.Errorf("a one-row result: %.0f allocations, CloneRow %.0f", collectAllocs, cloneAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rows, _ = Collect(ctx, one)
+	runtime.ReadMemStats(&after)
+	collectBytes := after.TotalAlloc - before.TotalAlloc
+	runtime.ReadMemStats(&before)
+	rows = append([]expr.Row(nil), CloneRow(one.Rows[0]))
+	runtime.ReadMemStats(&after)
+	if cloneBytes := after.TotalAlloc - before.TotalAlloc; collectBytes > cloneBytes && !raceEnabled {
+		t.Errorf("a one-row result: %d bytes, CloneRow %d", collectBytes, cloneBytes)
+	}
+
+	const n = 75000
+	big := src(n)
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if rows, err = Collect(ctx, big); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 && !raceEnabled {
+		t.Errorf("a %d-row result: %.0f allocations, want at most 400", n, allocs)
+	}
+	for i := range big.Rows {
+		big.Rows[i][0].B[0] = 'X' // the result must not alias its source
+	}
+	for _, i := range []int{0, 1, n / 2, n - 1} {
+		if want := comment(i); len(rows) != n || rows[i][0].Compare(want) != 0 || rows[i][1].Int32() != int32(i) {
+			t.Fatalf("row %d: %v, want [%v %d]", i, rows[i], want, i)
+		}
 	}
 }

@@ -54,10 +54,10 @@ func nodeBees(n Node, fn func(*core.Bee, bool)) {
 	}
 	switch v := n.(type) {
 	case *BatchSeqScan:
-		// A fused scan-filter is a form of the predicate's EVP bee, so
-		// quarantining it disables all three forms; the GCL half is
-		// excluded by the policy above.
-		if v.Fused != nil && v.FusedBee != nil {
+		// A fused scan-filter, row or column form, is a form of the
+		// predicate's EVP bee, so quarantining it disables every form;
+		// the GCL half is excluded by the policy above.
+		if v.FusedPred != nil && v.FusedBee != nil {
 			fn(v.FusedBee, true)
 		}
 	case *BatchFilter:

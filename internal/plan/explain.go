@@ -134,8 +134,15 @@ func describe(n exec.Node) string {
 			bee = " [GCL]"
 		}
 		fused := ""
-		if v.Fused != nil {
-			fused = fmt.Sprintf(" filter=%s", v.FusedPred)
+		if v.Columns != nil {
+			names := make([]string, len(v.ColumnPos))
+			for i, x := range v.ColumnPos {
+				names[i] = v.Schema()[x].Name
+			}
+			fused = " columns=(" + strings.Join(names, ", ") + ")"
+		}
+		if v.FusedPred != nil {
+			fused += fmt.Sprintf(" filter=%s", v.FusedPred)
 			bee = " [GCL+EVP]"
 		}
 		if v.Partial {

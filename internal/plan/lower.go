@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"microspec/internal/core"
 	"microspec/internal/exec"
 	"microspec/internal/expr"
@@ -12,15 +14,19 @@ import (
 // HashJoin — in the form it executes in. One builder, build, decides that
 // form: the row form or the batch form (internal/exec/batch.go), over the
 // whole heap or over one page-range partition of a Gather. Neither choice
-// changes which rows come out or in what order, so every form returns what
-// the serial row plan returns.
+// changes which rows come out or in what order.
 //
-// A partition exists where parallelism keeps the result byte-identical to
-// the serial plan:
+// A partition exists where parallelism keeps the result the serial
+// plan's — the same rows and groups in the same order, integers exact:
 //
 //   - a HashAgg over a scan region becomes a partial-aggregation Gather
 //     (merging partition tables in page order reproduces the serial
-//     first-appearance group order);
+//     first-appearance group order). A float SUM or AVG adds each
+//     partition's partial sum to the others, so it agrees with the serial
+//     plan's to 1e-9 relative, not always in the last bits, and is
+//     bit-identical only between runs over the same storage layout and
+//     partitioning: tuple-bee storage packs more tuples per page, so the
+//     stock and bee engines split a heap at different tuples;
 //   - a Sort (optionally over a Project) over a scan region becomes a
 //     sorted-run-merge Gather (ties resolve in partition page order,
 //     matching the serial stable sort).
@@ -29,7 +35,8 @@ import (
 // visible rows. Joins and subquery-bearing predicates stay serial too.
 //
 // In batch form a region runs batch at a time wherever it sits. Under a
-// HashAgg or a Gather the consumer reads batches; under a row-only
+// HashAgg or a Gather the consumer reads batches — column batches when
+// columnBatch finds the aggregation needs nothing else; under a row-only
 // consumer (Sort, Project, Limit, NLJoin) the region's root —
 // BatchSeqScan, BatchFilter or HashJoin — serves rows through its own
 // Next. exec.HashJoin is a batch node in every plan, so regions stack:
@@ -48,7 +55,9 @@ const minParallelPages = 8
 
 // region is a Filter chain, outermost first, over a SeqScan or a HashJoin.
 // An aggregation reading the scan's group keys by bee ID (beeKeys) sets
-// beeIDs, and deform when the scan need not deform those keys.
+// beeIDs, and deform when the scan need not deform those keys. One that
+// reads column batches (columnBatch) sets colScan, the column form of the
+// scan, and columns, the list positions its arguments read.
 type region struct {
 	top     exec.Node
 	filters []*exec.Filter
@@ -56,6 +65,8 @@ type region struct {
 	join    *exec.HashJoin
 	beeIDs  bool
 	deform  *core.ScanDeform
+	colScan core.ColumnScanFunc
+	columns []int
 }
 
 // regionOf matches n against Filter* over a SeqScan or a HashJoin; ok is
@@ -129,13 +140,23 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 		if part != nil {
 			bs.Range, bs.Partial = *part, true
 		}
-		// Fuse the innermost compiled filter into the scan when the
-		// composed GCL∘EVP routine covers relation and predicate: the scan
-		// then deforms each tuple only as far as the predicate needs,
+		// A column batch's scan runs the column form of its deform, fused
+		// with its one filter if it has one; the form holds no mutable
+		// state, so partitions share it, as they share the deform.
+		// Otherwise fuse the innermost compiled filter into the scan when
+		// the composed GCL∘EVP routine covers relation and predicate: the
+		// scan then deforms each tuple only as far as the predicate needs,
 		// instead of fully deforming rows the filter discards. The row
 		// form evaluates the innermost filter first, so fusing it keeps
 		// the predicate order for the rest.
-		if k := len(filters) - 1; k >= 0 {
+		if r.colScan != nil {
+			bs.Columns, bs.ColumnPos = r.colScan, r.columns
+			if len(filters) == 1 {
+				bs.FusedPred, bs.FusedBee = filters[0].Pred, filters[0].Prog.Bee()
+				filters = nil
+			}
+		}
+		if k := len(filters) - 1; k >= 0 && bs.Columns == nil {
 			f := filters[k]
 			if fp := f.Prog.Fused(deform); fp != nil {
 				bs.Fused, bs.FusedPred, bs.FusedBee = fp, f.Pred, f.Prog.Bee()
@@ -173,6 +194,7 @@ func (p *Planner) lowerAgg(agg *exec.HashAgg) exec.Node {
 			return
 		}
 		agg.BeeKeys = p.beeKeys(&r, agg.GroupBy, agg.Aggs)
+		p.columnBatch(&r, agg.GroupBy, agg.BeeKeys, agg.Aggs)
 		*k = p.build(r, nil)
 	}, nil)
 	return agg
@@ -238,6 +260,51 @@ func (p *Planner) beeKeys(r *region, groupBy []expr.Expr, aggs []exec.AggSpec) *
 	return keys
 }
 
+// columnBatch marks r's scan to emit column batches (exec.Batch.Cols) to
+// the aggregation directly above it, when the aggregation needs nothing
+// from the rows but what a column batch carries:
+//   - r is a scan region in batch form whose predicate is entirely fused
+//     — no filter, or one whose every conjunct is a stored-bytes check or
+//     a bee-ID verdict (core.Program.FusedColumns);
+//   - the group keys are read by bee ID (keys), or there are none;
+//   - every argument is an EVA bee's with a typed vector form that reads
+//     only columns (core.Program.Columns), each a stored fixed-width
+//     column of the scan's deform program (core.ScanDeform.Columns).
+func (p *Planner) columnBatch(r *region, groupBy []expr.Expr, keys *core.BeeKeys, aggs []exec.AggSpec) {
+	if !p.Batch || r.scan == nil || len(groupBy) > 0 && keys == nil || len(r.filters) > 1 {
+		return
+	}
+	var pos []int
+	for i := range aggs {
+		if aggs[i].Arg == nil {
+			continue
+		}
+		if aggs[i].CompiledBatchArg == nil {
+			return
+		}
+		cols, ok := aggs[i].Prog.Columns()
+		if !ok {
+			return
+		}
+		for _, x := range cols {
+			if !slices.Contains(pos, x) {
+				pos = append(pos, x)
+			}
+		}
+	}
+	slices.Sort(pos)
+	deform := r.scan.Deform
+	if r.deform != nil {
+		deform = r.deform
+	}
+	if len(r.filters) == 1 {
+		r.colScan = r.filters[0].Prog.FusedColumns(deform, pos)
+	} else {
+		r.colScan = deform.Columns(pos)
+	}
+	r.columns = pos
+}
+
 // partitions returns the scan region n is and the page ranges to split it
 // into, or no ranges when n may not run partitioned: parallelism is off,
 // n is not a scan region, a predicate is not parallel-safe (a subquery or
@@ -282,6 +349,7 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 		}
 	}
 	keys := p.beeKeys(&r, agg.GroupBy, agg.Aggs)
+	p.columnBatch(&r, agg.GroupBy, keys, agg.Aggs)
 	parts := make([]exec.Node, len(ranges))
 	for i := range ranges {
 		parts[i] = p.build(r, &ranges[i])

@@ -94,6 +94,23 @@ const (
 	// EVPTerm: one comparison term inside the specialized predicate.
 	EVPTerm = 7
 
+	// --- EVA bee routine: the vector form ---
+	//
+	// A typed aggregate argument is a tree of vector kernels, one loop per
+	// node (core/vec.go). The bee call costs EVPBase once per batch, and
+	// a boxed argument EVPBase + EVPTerm per term per row, as a predicate.
+
+	// EVAVecElem: one element of one kernel node (Arith, Neg, widening,
+	// date ± interval, EXTRACT): an operand load or two, the operation, a
+	// store and the loop step. A column leaf of a column batch costs
+	// nothing: the kernel reads the scan's vector.
+	EVAVecElem = 5
+	// EVAVecGather: reading one row's value of a column leaf out of the
+	// batch's rows — the row and datum loads, the kind guard and the store
+	// into the leaf's vector — once per leaf, however often the argument
+	// names it.
+	EVAVecGather = 6
+
 	// --- Generic join qualification vs. EVJ ---
 
 	// JoinQualNode: generic per-pair join-qual evaluation overhead

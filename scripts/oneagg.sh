@@ -7,21 +7,23 @@
 # and evaluates every argument through the EVA bee's one compiled form,
 # CompiledBatchArg (core.Program.BatchVec: a typed vector per argument).
 # Its callers are HashAgg.Open and Gather.openAgg (a partial-aggregation
-# Gather's partitions). This fails if non-test Go names a deleted second
-# path — the BatchHashAgg node, the EVA row form CompiledArg, the boxed
-# batch form CompiledBatchScalar / BatchScalar, or Gather's stream modes
-# (openStream, openBatchStream and their rowCh/batchCh channels) — or if
-# the drain gains another caller.
+# Gather's partitions). The EVA bee's typed path is its vector program
+# (core/vec.go): kernels over column vectors. This fails if non-test Go
+# names a deleted second path — the BatchHashAgg node, the EVA row form
+# CompiledArg, the boxed batch form CompiledBatchScalar / BatchScalar, the
+# per-row closure fill the vector kernels replaced (vecSource, fillFrom),
+# or Gather's stream modes (openStream, openBatchStream and their
+# rowCh/batchCh channels) — or if the drain gains another caller.
 set -u
 cd "$(dirname "$0")/.." || exit 1
 
 fail=0
 src=$(find . -name '*.go' ! -name '*_test.go' ! -path './.git/*')
-hits=$(grep -nE '(^|[^A-Za-z0-9_])(BatchHashAgg|CompiledArg|CompiledBatchScalar|BatchScalar|openStream|openBatchStream|rowCh|batchCh)([^A-Za-z0-9_]|$)' $src |
+hits=$(grep -nE '(^|[^A-Za-z0-9_])(BatchHashAgg|CompiledArg|CompiledBatchScalar|BatchScalar|vecSource|fillFrom|openStream|openBatchStream|rowCh|batchCh)([^A-Za-z0-9_]|$)' $src |
     grep -vE '^[^:]+:[0-9]+:[[:space:]]*//')
 if [ -n "$hits" ]; then
     echo "$hits"
-    echo "oneagg: a deleted aggregation loop, EVA row or boxed batch form, or Gather stream mode is back"
+    echo "oneagg: a deleted aggregation loop, EVA row, boxed batch or per-row fill form, or Gather stream mode is back"
     fail=1
 fi
 hits=$(awk '
