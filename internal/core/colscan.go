@@ -23,7 +23,7 @@ import (
 // When ids is set (at least len(tups) long) ids[j] is that tuple's bee ID.
 // It returns the number of tuples that passed; the vectors hold that many
 // values. vt is the verdict memo of the scan running the routine.
-type ColumnScanFunc func(tups [][]byte, cols []Vec, ids []uint16, vt *Verdicts, prof *profile.Counters) int
+type ColumnScanFunc func(tups [][]byte, cols []Vec, ids []uint16, vt *ScanState, prof *profile.Counters) int
 
 // colDeform is the deform program of a column form: the steps writing the
 // wanted positions, and the offset advances a dynamic-offset one depends
@@ -151,7 +151,7 @@ func (d *ScanDeform) Columns(pos []int) ColumnScanFunc {
 	if !ok {
 		return nil
 	}
-	return func(tups [][]byte, cols []Vec, ids []uint16, _ *Verdicts, prof *profile.Counters) int {
+	return func(tups [][]byte, cols []Vec, ids []uint16, _ *ScanState, prof *profile.Counters) int {
 		prof.Add(profile.CompDeform, cd.cost*int64(len(tups)))
 		cd.reset(cols, len(tups))
 		for j, tup := range tups {
@@ -182,7 +182,7 @@ func (p Program) FusedColumns(d *ScanDeform, pos []int) ColumnScanFunc {
 	m, b, prog := p.m, p.bee, d.prog
 	raws, verdicts, verdictSteps := st.raws, st.verdicts, st.verdictSteps
 	ops, combos, width := prog.ops, prog.combos, len(prog.at)
-	return func(tups [][]byte, cols []Vec, ids []uint16, vt *Verdicts, prof *profile.Counters) int {
+	return func(tups [][]byte, cols []Vec, ids []uint16, vt *ScanState, prof *profile.Counters) int {
 		m.maybePanic(b)
 		var bound [maxRawChecks]rawCheck
 		raws := bound[:copy(bound[:], raws)]
@@ -234,7 +234,7 @@ func (p Program) FusedColumns(d *ScanDeform, pos []int) ColumnScanFunc {
 
 // scratch returns a row of width datums the verdict stage of a column
 // form fills hole values into: a column form has no rows of its own.
-func (vt *Verdicts) scratch(width int) expr.Row {
+func (vt *ScanState) scratch(width int) expr.Row {
 	if len(vt.row) < width {
 		vt.row = make(expr.Row, width)
 	}

@@ -25,25 +25,33 @@ import (
 // appends the ordinals of passing tuples to sel (rows of rejected
 // ordinals are left partially deformed — consumers must honour the
 // selection vector).
-// vt is the verdict memo of the scan running the routine.
-type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, sel []int32, vt *Verdicts, prof *profile.Counters) []int32
+// vt is the state of the scan running the routine.
+type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, sel []int32, vt *ScanState, prof *profile.Counters) []int32
 
-// Verdicts memoises a fused routine's verdict stage. A conjunct that reads
-// only tuple-bee holes is a function of the tuple's bee ID, so entry id
-// holds the joint verdict of those conjuncts for bee id, or unknown until
-// a tuple of that ID is first seen. The scan running the routine owns the
-// memo and resets it at every Open: rebinding a $n changes verdicts.
-// Entries are computed from the data section's combination table with
-// plain loads (DESIGN.md §8.4) — an ID a stored tuple carries always has
-// its entry — so bee IDs that DML creates mid-scan need no hook.
-type Verdicts struct {
+// ScanState is what a fused routine reads and writes that belongs to the
+// scan running it, not to the routine, which plans share. It holds the
+// verdict memo: a conjunct over tuple-bee holes alone is a function of
+// the bee ID, so entry id holds those conjuncts' joint verdict for bee id,
+// or unknown until a tuple of that ID is first seen; entries come from the
+// data section's combination table with plain loads (DESIGN.md §8.4), so
+// bee IDs that DML creates mid-scan need no hook. It also holds the key
+// sets the set checks test. The scan resets the memo and binds the sets
+// at every Open: rebinding a $n changes verdicts, a build side its keys.
+type ScanState struct {
 	v []uint8 // verdictUnknown, verdictPass or verdictFail
 	// row is the scratch row a column form evaluates verdicts over.
 	row expr.Row
 	// Sighted counts the IDs whose verdict was computed since the last
 	// Reset.
 	Sighted int64
+	// Keys holds each set check's set, Rejected the tuples it rejected.
+	Keys     [MaxKeySets]*KeySet
+	Rejected [MaxKeySets]int64
 }
+
+// MaxKeySets bounds the set checks of one fused routine; a scan tests
+// further join filters on the deformed datum.
+const MaxKeySets = 4
 
 const (
 	verdictUnknown uint8 = iota
@@ -52,13 +60,13 @@ const (
 )
 
 // Reset forgets every verdict, keeping the memo's storage.
-func (vt *Verdicts) Reset() {
+func (vt *ScanState) Reset() {
 	clear(vt.v)
 	vt.Sighted = 0
 }
 
 // entry returns id's slot, growing the memo to cover it.
-func (vt *Verdicts) entry(id uint16) *uint8 {
+func (vt *ScanState) entry(id uint16) *uint8 {
 	if int(id) >= len(vt.v) {
 		v := make([]uint8, max(2*len(vt.v), int(id)+1, MaxDictValues))
 		copy(v, vt.v)
@@ -80,7 +88,9 @@ type fusedCheck struct {
 // on the stored tuple bytes, before anything is deformed: the column's
 // deform step reads a by-value word at a fixed offset, so the offset, the
 // width, the kind, the operator and the comparand are all baked and a
-// rejected tuple is never deformed at all.
+// rejected tuple is never deformed at all. A set check (setCheckFor) is a
+// rawCheck whose comparand is a join filter's key set, which the routine
+// reads from the scan's state: only the word's place is baked.
 type rawCheck struct {
 	off  int32      // baked data offset of the column
 	wide bool       // an 8-byte word (int64, float64), else 4 (int32, date)
@@ -149,14 +159,53 @@ func rawCheckFor(c expr.Expr, prog *colProgram) (rawCheck, bool) {
 	return rc, true
 }
 
+// setCheckFor returns the set check of list position pos: its column must
+// be an INTEGER, BIGINT or DATE that prog reads as one word at a fixed
+// offset.
+func setCheckFor(pos int, prog *colProgram) (rawCheck, bool) {
+	if prog == nil || pos < 0 || pos >= len(prog.at) || prog.at[pos] < 0 {
+		return rawCheck{}, false
+	}
+	step := &prog.ops[prog.at[pos]]
+	switch {
+	case step.op != deformOpWord4Const && step.op != deformOpWord8Const:
+	case step.kind == types.KindInt32, step.kind == types.KindInt64, step.kind == types.KindDate:
+		return rawCheck{off: step.off, wide: step.op == deformOpWord8Const, kind: step.kind, cost: profile.JoinFilterTest}, true
+	}
+	return rawCheck{}, false
+}
+
+// StoredKey reports whether a join filter on list position pos has a set
+// check; otherwise the scan tests the deformed datum.
+func (d *ScanDeform) StoredKey(pos int) bool {
+	_, ok := setCheckFor(pos, d.prog)
+	return ok
+}
+
+// setChecks returns the set checks of list positions keys, in order, or
+// ok=false when one has none or there are more than MaxKeySets.
+func setChecks(prog *colProgram, keys []int) ([]rawCheck, bool) {
+	sets := make([]rawCheck, len(keys))
+	for i, x := range keys {
+		var ok bool
+		if sets[i], ok = setCheckFor(x, prog); !ok || i >= MaxKeySets {
+			return nil, false
+		}
+	}
+	return sets, true
+}
+
+// word reads the checked column's stored word from a tuple's data area.
+func (rc *rawCheck) word(data []byte) int64 {
+	if rc.wide {
+		return int64(binary.LittleEndian.Uint64(data[rc.off:]))
+	}
+	return int64(int32(binary.LittleEndian.Uint32(data[rc.off:])))
+}
+
 // test evaluates the (bound) check on a tuple's data area.
 func (rc *rawCheck) test(data []byte) tri {
-	var raw int64
-	if rc.wide {
-		raw = int64(binary.LittleEndian.Uint64(data[rc.off:]))
-	} else {
-		raw = int64(int32(binary.LittleEndian.Uint32(data[rc.off:])))
-	}
+	raw := rc.word(data)
 	switch {
 	case rc.slot != nil:
 		return cmpBoxed(rc.op, types.MakeNumeric(raw, rc.kind), rc.slot.Vals[rc.pi])
@@ -276,51 +325,78 @@ func (st *fusedStages) widen(b *Bee, deformCost int64) bool {
 
 // Fused instantiates the fused GCL∘EVP routine for filtering the rows d
 // emits with the program's predicate, whose Var ordinals are positions in
-// d's attribute list. It requires an EVP program in service, d running
-// the specialized deform program (GCL enabled, a non-nullable schema), and
-// full snippet coverage of every conjunct; otherwise nil and the planner
-// keeps the separate BatchSeqScan→BatchFilter pair.
+// d's attribute list, and with a set check on each list position keys
+// names. It requires an EVP program in service, d running the specialized
+// deform program (GCL enabled, a non-nullable schema), full snippet
+// coverage of every conjunct and a set check for each key; otherwise nil
+// and the planner keeps the separate BatchSeqScan→BatchFilter pair.
 //
 // Conjuncts that read only tuple-bee holes run first, as one verdict per
-// bee ID (Verdicts): the first tuple of an ID fills the holes they read
-// and evaluates them, every later one reads the memo. Conjuncts with a
-// stored-bytes form (rawCheckFor) run next, on the tuple as stored; the
-// rest are evaluated in ascending order of the highest position they read,
-// each as soon as the deform program has written it — not textual order.
-// Filtering semantics are unaffected: a row passes iff no conjunct
-// evaluates to false or NULL, which is order-independent for the
+// bee ID (ScanState): the first tuple of an ID fills the holes they read
+// and evaluates them, every later one reads the memo. The set checks
+// (ScanState.Keys) and the conjuncts with a stored-bytes form
+// (rawCheckFor) run next, on the tuple as stored; the rest are evaluated in
+// ascending order of the highest position they read, each as soon as the
+// deform program has written it — not textual order. Filtering semantics
+// are unaffected: a row passes iff no conjunct evaluates to false or NULL
+// and every set holds its key, which is order-independent for the
 // side-effect-free expressions the snippet library covers. The
 // abstract-instruction charge is the deform cost of the steps actually run
 // plus the per-term cost of every conjunct actually evaluated, wherever it
-// ran; a verdict costs profile.BeeIDLookup per tuple, plus its conjuncts'
-// terms on an ID's first sight.
+// ran, and profile.JoinFilterTest per set check; a verdict costs
+// profile.BeeIDLookup per tuple, plus its conjuncts' terms on an ID's
+// first sight.
 //
 // The routine is a form of the predicate's EVP bee — same registry entry —
 // so a panic in either form quarantines both and the next plan falls back
 // to the generic path.
-func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
+func (p Program) Fused(d *ScanDeform, keys []int) FusedScanFilterFunc {
 	st, ok := p.fusedStages(d)
 	if !ok {
 		return nil
 	}
-	m, b, prog := p.m, p.bee, d.prog
-	raws, checks, verdicts, verdictSteps := st.raws, st.checks, st.verdicts, st.verdictSteps
-	ops, combos, gclCost := prog.ops, prog.combos, prog.cost
+	sets, ok := setChecks(d.prog, keys)
+	if !ok {
+		return nil
+	}
 	// The fused bee replaces deform AND filter, so its benefit line pairs
 	// the full-deform-plus-predicate bee cost (the no-abandon worst case)
 	// against the generic loop plus interpreted predicate.
-	if !st.widen(b, gclCost[len(ops)]) {
+	if !st.widen(p.bee, d.prog.cost[len(d.prog.ops)]) {
 		return nil
 	}
-	return func(tups [][]byte, out []expr.Row, sel []int32, vt *Verdicts, prof *profile.Counters) []int32 {
-		m.maybePanic(b)
+	return st.routine(sets, p.m, p.bee)
+}
+
+// KeyFiltered instantiates the fused routine of a scan with no predicate
+// of its own: the set checks of list positions keys, then the deform of
+// the tuples that pass; nil where Fused would refuse the keys.
+func (d *ScanDeform) KeyFiltered(keys []int) FusedScanFilterFunc {
+	sets, ok := setChecks(d.prog, keys)
+	if !ok || len(sets) == 0 {
+		return nil
+	}
+	return fusedStages{prog: d.prog}.routine(sets, nil, nil)
+}
+
+// routine returns the fused routine running st's stages with set checks
+// sets; m and b are the predicate's module and EVP bee, nil when there is
+// no predicate to call.
+func (st fusedStages) routine(sets []rawCheck, m *Module, b *Bee) FusedScanFilterFunc {
+	raws, checks, verdicts, verdictSteps := st.raws, st.checks, st.verdicts, st.verdictSteps
+	ops, combos, gclCost := st.prog.ops, st.prog.combos, st.prog.cost
+	return func(tups [][]byte, out []expr.Row, sel []int32, vt *ScanState, prof *profile.Counters) []int32 {
+		evpCost, deformCost := int64(0), int64(0)
+		if m != nil {
+			m.maybePanic(b)
+			evpCost = int64(len(tups)) * evpBaseCost
+		}
 		var bound [maxRawChecks]rawCheck
 		raws := bound[:copy(bound[:], raws)]
 		for ri := range raws {
 			raws[ri].bind()
 		}
-		deformCost := int64(0)
-		evpCost := int64(len(tups)) * evpBaseCost
+		keys, rejected := vt.Keys[:len(sets)], vt.Rejected[:len(sets)]
 	tuples:
 		for i, tup := range tups {
 			data := tup[tuple.HOff(tup):]
@@ -337,6 +413,14 @@ func (p Program) Fused(d *ScanDeform) FusedScanFilterFunc {
 				if *v != verdictPass {
 					deformCost += gclCost[0]
 					continue
+				}
+			}
+			for si := range sets {
+				evpCost += sets[si].cost
+				if !keys[si].Has(sets[si].word(data)) {
+					rejected[si]++
+					deformCost += gclCost[0]
+					continue tuples
 				}
 			}
 			for ri := range raws {

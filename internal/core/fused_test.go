@@ -407,7 +407,7 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 				for pi, page := range f.pages {
 					wantSel, wantRows, wantDeform, wantEVP, wantIDs := f.reference(t, pred, page, d)
 					prof := &profile.Counters{}
-					vt := &Verdicts{}
+					vt := &ScanState{}
 					sel := fused(page, out, nil, vt, prof)
 					if !slices.Equal(sel, wantSel) {
 						t.Fatalf("predicate %d %s over %v (params %v), page %d:\nfused selected %v\nreference     %v", n, pred, d.Atts, f.slots.Vals, pi, sel, wantSel)
@@ -453,7 +453,7 @@ func checkFusedColumns(t *testing.T, form ColumnScanFunc, d *ScanDeform, pos []i
 	cols := make([]Vec, len(d.Atts))
 	ids := make([]uint16, len(page))
 	prof := &profile.Counters{}
-	vt := &Verdicts{}
+	vt := &ScanState{}
 	if n := form(page, cols, ids, vt, prof); n != len(wantSel) {
 		t.Fatalf("over %v: column form passed %d tuples, reference %d", d.Atts, n, len(wantSel))
 	}
@@ -562,7 +562,7 @@ func TestFusedRejectsWithoutDeforming(t *testing.T) {
 		out[i] = make(expr.Row, natts)
 	}
 	prof := &profile.Counters{}
-	if sel := fused(page, out, nil, &Verdicts{}, prof); len(sel) != 0 {
+	if sel := fused(page, out, nil, &ScanState{}, prof); len(sel) != 0 {
 		t.Fatalf("selected %v, want none", sel)
 	}
 	if got, want := prof.Component(profile.CompDeform), int64(len(page))*f.rb.gclCost[0]; got != want {

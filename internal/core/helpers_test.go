@@ -38,7 +38,7 @@ func compileFused(m *Module, rel *catalog.Relation, e expr.Expr, atts []int) (Fu
 	if err != nil {
 		return nil, false
 	}
-	fp := m.CompilePredicate(e).Fused(d)
+	fp := m.CompilePredicate(e).Fused(d, nil)
 	return fp, fp != nil
 }
 

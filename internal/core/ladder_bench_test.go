@@ -241,12 +241,12 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		}
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
-				fused := db.Module().CompilePredicate(p.make(rel)).Fused(deform)
+				fused := db.Module().CompilePredicate(p.make(rel)).Fused(deform, nil)
 				if fused == nil {
 					b.Fatal("predicate did not fuse")
 				}
 				prof := &profile.Counters{}
-				vt := &core.Verdicts{}
+				vt := &core.ScanState{}
 				sel := make([]int32, 0, len(rows))
 				passed := 0
 				b.ReportAllocs()
@@ -280,7 +280,7 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
 				pred := p.make(rel)
-				if db.Module().CompilePredicate(pred).Fused(deform) != nil {
+				if db.Module().CompilePredicate(pred).Fused(deform, nil) != nil {
 					b.Fatal("the stock routine set must not fuse")
 				}
 				ctx := &expr.Ctx{Prof: &profile.Counters{}}

@@ -427,8 +427,8 @@ func TestRegistryConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if fused := p.Fused(d); fused != nil {
-					fused([][]byte{tup}, []expr.Row{make(expr.Row, 2)}, nil, &Verdicts{}, nil)
+				if fused := p.Fused(d, nil); fused != nil {
+					fused([][]byte{tup}, []expr.Row{make(expr.Row, 2)}, nil, &ScanState{}, nil)
 				}
 				p.Bee().Note(1, 1)
 				a := m.CompileScalar(e.(*expr.Cmp).L)

@@ -80,9 +80,9 @@ func TestExplainAnalyzeQ3Joins(t *testing.T) {
     Project l_orderkey, revenue, o_orderdate, o_shippriority (actual rows=24 loops=1 time=X)
       HashAgg groups=3 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=24 loops=1 time=X)
         HashJoin inner keys=[5]/[0] est=1457 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
-          HashJoin inner keys=[0]/[0] est=2913 [EVJ] (actual rows=329 batches=92 rows/batch=3.6 loops=1 time=X)
-            BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_shipdate) batch=1024 filter=(l_shipdate > 1995-03-15) [GCL+EVP] (actual rows=5752 batches=166 rows/batch=34.7 loops=1 time=X)
-            BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate, o_shippriority) batch=1024 filter=(o_orderdate < 1995-03-15) [GCL+EVP] (actual rows=1583 batches=37 rows/batch=42.8 loops=1 time=X)
+          HashJoin inner keys=[0]/[0] est=2913 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
+            BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_shipdate) batch=1024 filter=(l_shipdate > 1995-03-15) join filter=(l_orderkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=65 batches=24 rows/batch=2.7 loops=1 join filter rejected=10204 pages=0 time=X)
+            BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate, o_shippriority) batch=1024 filter=(o_orderdate < 1995-03-15) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=368 batches=37 rows/batch=9.9 loops=1 join filter rejected=2306 pages=0 time=X)
           BatchSeqScan customer (c_custkey, c_mktsegment) batch=1024 filter=(c_mktsegment = 'BUILDING') [GCL+EVP] (actual rows=59 batches=6 rows/batch=9.8 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
@@ -109,9 +109,9 @@ func TestExplainAnalyzeQ10Verdicts(t *testing.T) {
         HashJoin inner keys=[10]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
           HashJoin inner keys=[5]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
             HashJoin inner keys=[0]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
-              BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_returnflag) batch=1024 filter=(l_returnflag = 'R') [GCL+EVP] (actual rows=3189 batches=166 rows/batch=19.2 loops=1 verdict ids=109 time=X)
-              BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate) batch=1024 filter=((o_orderdate >= 1993-10-01) AND (o_orderdate < (1993-10-01 + interval '3m0d'))) [GCL+EVP] (actual rows=126 batches=37 rows/batch=3.4 loops=1 time=X)
-            BatchSeqScan customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_comment) batch=1024 [GCL] (actual rows=300 batches=6 rows/batch=50.0 loops=1 time=X)
+              BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_returnflag) batch=1024 filter=(l_returnflag = 'R') join filter=(l_orderkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=272 batches=86 rows/batch=3.2 loops=1 verdict ids=109 pages skipped=1 join filter rejected=2894 pages=1 time=X)
+              BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate) batch=1024 filter=((o_orderdate >= 1993-10-01) AND (o_orderdate < (1993-10-01 + interval '3m0d'))) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=126 batches=37 rows/batch=3.4 loops=1 join filter rejected=0 pages=0 time=X)
+            BatchSeqScan customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_comment) batch=1024 join filter=(c_nationkey from HashJoin inner keys=[10]/[0]) [GCL] (actual rows=300 batches=6 rows/batch=50.0 loops=1 join filter rejected=0 pages=0 time=X)
           BatchSeqScan nation (n_nationkey, n_name) batch=1024 [GCL] (actual rows=25 batches=1 rows/batch=25.0 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
@@ -146,7 +146,7 @@ func TestExplainAnalyzeQ19Verdicts(t *testing.T) {
   HashAgg groups=0 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=1 loops=1 time=X)
     BatchFilter (((p_partkey = l_partkey) AND (p_brand = 'Brand#12') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (l_quantity >= 1) AND (l_quantity <= 11) AND (p_size >= 1) AND (p_size <= 5) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#23') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (l_quantity >= 10) AND (l_quantity <= 20) AND (p_size >= 1) AND (p_size <= 10) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#34') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (l_quantity >= 20) AND (l_quantity <= 30) AND (p_size >= 1) AND (p_size <= 15) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON'))) [EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
       HashJoin inner keys=[0]/[0] est=1457 [EVJ] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
-        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=0 time=X)
+        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) join filter=(l_partkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=0 join filter rejected=0 pages=0 time=X)
         BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#12') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#23') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#34') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
 `
 	if got := normalize(out); got != want {
@@ -172,7 +172,7 @@ func TestExplainAnalyzeQ19VerdictsWithParts(t *testing.T) {
   HashAgg groups=0 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=1 loops=1 time=X)
     BatchFilter (((p_partkey = l_partkey) AND (p_brand = 'Brand#14') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (l_quantity >= 1) AND (l_quantity <= 11) AND (p_size >= 1) AND (p_size <= 5) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#15') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (l_quantity >= 10) AND (l_quantity <= 20) AND (p_size >= 1) AND (p_size <= 10) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#13') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (l_quantity >= 20) AND (l_quantity <= 30) AND (p_size >= 1) AND (p_size <= 15) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON'))) [EVP] (actual rows=2 batches=2 rows/batch=1.0 loops=1 time=X)
       HashJoin inner keys=[0]/[0] est=1457 [EVJ] (actual rows=5 batches=5 rows/batch=1.0 loops=1 time=X)
-        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) [GCL+EVP] (actual rows=517 batches=158 rows/batch=3.3 loops=1 verdict ids=109 time=X)
+        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) join filter=(l_partkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=5 batches=5 rows/batch=1.0 loops=1 verdict ids=109 join filter rejected=846 pages=0 time=X)
         BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#14') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#15') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#13') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=3 batches=2 rows/batch=1.5 loops=1 time=X)
 `
 	if got := normalize(out); got != want {

@@ -14,7 +14,7 @@ import (
 	"microspec/internal/tpch"
 )
 
-var joinRowsRE = regexp.MustCompile(`Join .*\(actual rows=(\d+)`)
+var joinRowsRE = regexp.MustCompile(`(?m)^ *\w*Join .*\(actual rows=(\d+)`)
 
 // scanOf names the relation a scan (with any fused or stacked filter)
 // reads, or "" for any other subtree.

@@ -103,7 +103,7 @@ func TestTypedAggregatesMatchStock(t *testing.T) {
 			queries = append(queries,
 				"select "+aggs+" from "+tbl,
 				"select g, "+aggs+" from "+tbl+" group by g",
-				"select k % 3, "+aggs+" from "+tbl+" where k > 100 group by k % 3")
+				"select k - k / 3 * 3, "+aggs+" from "+tbl+" where k > 100 group by k - k / 3 * 3")
 		}
 	}
 	// Over zeros alone, MIN and MAX keep the first of -0 and 0 they meet.
@@ -111,6 +111,13 @@ func TestTypedAggregatesMatchStock(t *testing.T) {
 		queries = append(queries,
 			"select min(d), max(d), sum(d), min(d * 1.0), max(-d) from "+tbl+" where d = 0",
 			"select g, min(d), max(d), sum(d), min(d * 1.0), max(-d) from "+tbl+" where d = 0 group by g")
+	}
+	// A query every engine must refuse: the lexer has no %. Any other
+	// error, stock's included, fails the test instead of passing as a
+	// failure both engines share.
+	expectErr := map[string]bool{"select k % 3, count(*) from ta group by k % 3": true}
+	for q := range expectErr {
+		queries = append(queries, q)
 	}
 	for _, workers := range []int{1, 2} {
 		stock.SetWorkers(workers)
@@ -126,6 +133,9 @@ func TestTypedAggregatesMatchStock(t *testing.T) {
 		}
 		for _, q := range queries {
 			want, wantErr := stock.Query(q)
+			if (wantErr != nil) != expectErr[q] {
+				t.Fatalf("%s, workers=%d: stock error %v, expected an error: %v", q, workers, wantErr, expectErr[q])
+			}
 			for bi, db := range bees {
 				label := fmt.Sprintf("%s, workers=%d, batch=%v", q, workers, bi == 0)
 				got, err := db.Query(q)

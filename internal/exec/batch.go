@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"time"
 
 	"microspec/internal/core"
@@ -203,9 +204,14 @@ type BatchSeqScan struct {
 	Columns   core.ColumnScanFunc
 	ColumnPos []int
 	// VerdictIDs counts the bee IDs whose verdict the fused routine
-	// computed (core.Verdicts), over every run since Instrument wrapped
+	// computed (core.ScanState), over every run since Instrument wrapped
 	// the scan, as Skipped does.
 	VerdictIDs int64
+	// KeyFilters are the join filters on the scan's columns (joinfilter.go):
+	// Fused tests the Stored ones, in order, and the scan the others on
+	// the deformed datum before a row leaves it. A scan with filters
+	// skips pages whose every tuple is rejected, as a fused one does.
+	KeyFilters []KeyFilter
 
 	deforms  int64
 	fused    int64
@@ -220,7 +226,7 @@ type BatchSeqScan struct {
 	sel      []int32
 	ids      []uint16
 	vecs     []core.Vec
-	verdicts core.Verdicts
+	verdicts core.ScanState
 	batch    Batch
 	cols     []ColInfo
 	rb       rebatcher
@@ -257,7 +263,8 @@ func (s *BatchSeqScan) ensureRows(n int) {
 
 // Open implements Node.
 func (s *BatchSeqScan) Open(ctx *Ctx) error {
-	s.scanner, s.bound = openScanner(ctx, s.Heap, s.Range, s.Partial, s.Bounds, s.bound)
+	s.bound = bindBounds(bindKeys(s.KeyFilters, s.Heap, s.Deform.Atts, &s.verdicts, s.bound[:0]), s.Bounds)
+	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial, s.bound)
 	s.batches, s.rowsOut = 0, 0
 	s.verdicts.Reset()
 	s.rb.reset()
@@ -319,7 +326,11 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		if timed {
 			s.timedNs += int64(time.Since(t0))
 		}
-		if s.FusedPred != nil && n == 0 {
+		if len(s.KeyFilters) > 0 && slices.ContainsFunc(s.KeyFilters, func(kf KeyFilter) bool { return !kf.Stored }) {
+			s.sel = testKeys(s.KeyFilters, &s.batch, s.sel, ctx.Prof())
+			s.batch.Sel, n = s.sel, len(s.sel)
+		}
+		if n == 0 {
 			continue
 		}
 		if ids != nil {
@@ -351,6 +362,7 @@ func (s *BatchSeqScan) Close(*Ctx) {
 	s.VerdictIDs += s.verdicts.Sighted
 	s.verdicts.Sighted = 0
 	if s.scanner != nil {
+		noteKeys(s.KeyFilters, s.bound, &s.verdicts)
 		s.Skipped += s.scanner.PagesSkipped()
 		s.scanner.Close()
 		s.scanner = nil

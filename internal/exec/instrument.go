@@ -44,6 +44,9 @@ func Instrument(n Node) Node {
 		v.Skipped = 0
 	case *BatchSeqScan:
 		v.Skipped, v.VerdictIDs = 0, 0
+		for i := range v.KeyFilters {
+			v.KeyFilters[i].Rejected, v.KeyFilters[i].Skipped = 0, 0
+		}
 	case *HashAgg:
 		v.KeyedIDs = 0
 	case *Gather:

@@ -92,6 +92,9 @@ type HashJoin struct {
 	EVJ *core.JoinKeyFuncs
 	// Est is the planner's estimate of the rows the join emits (EXPLAIN).
 	Est float64
+	// Filters are the join filters PlaceFilters gave the join, published
+	// at the end of every fill (joinfilter.go).
+	Filters []JoinFilter
 
 	evjCalls, residualCalls int64
 	// keys is EVJ or stock, built on the first Open that needs it.
@@ -226,12 +229,16 @@ func JoinKeyType(outer, inner types.T) types.T {
 }
 
 // fill opens a child, drains it, whose key columns hash, into the build
-// table, charging cost per row, links the table and closes the child.
-// The close is deferred so the drained subtree (and any buffer pins its
-// scans hold) is released before the other child is opened, and also
-// when a bee panic unwinds through the drain loop.
+// table, charging cost per row, links the table, publishes the join's
+// filters and closes the child. The close is deferred so the drained
+// subtree (and any buffer pins its scans hold) is released before the
+// other child is opened, and also when a bee panic unwinds through the
+// drain loop.
 func (h *HashJoin) fill(ctx *Ctx, child BatchNode, hash core.BatchKeyHash, cost int64) error {
 	h.build.reset()
+	for i := range h.Filters {
+		h.Filters[i].ready = false
+	}
 	defer child.Close(ctx)
 	if err := child.Open(ctx); err != nil {
 		return err
@@ -257,6 +264,13 @@ func (h *HashJoin) fill(ctx *Ctx, child BatchNode, hash core.BatchKeyHash, cost 
 		return fmt.Errorf("hash join: build side of %d rows exceeds the 32-bit chain index", n)
 	}
 	h.build.link(0)
+	keys := h.InnerKeys
+	if h.BuildOuter {
+		keys = h.OuterKeys
+	}
+	for i := range h.Filters {
+		h.Filters[i].publish(h.build.rows.rows, keys[h.Filters[i].Key])
+	}
 	return nil
 }
 

@@ -2,13 +2,19 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"microspec/internal/catalog"
 	"microspec/internal/core"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
+	"microspec/internal/storage/buffer"
+	"microspec/internal/storage/disk"
+	"microspec/internal/storage/heap"
+	"microspec/internal/txn"
 	"microspec/internal/types"
 )
 
@@ -437,6 +443,49 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 		{i32(1), str("a"), i32(-1), str("e2")},
 	}
 	checkJoinAgainstOracle(t, "null extension on a full batch", edge, full, []int{3})
+
+	// Join filters: the side a filter may stand on is a heap scan with
+	// random integral keys — duplicates, negatives, the INTEGER domain's
+	// ends, NULLs where the column allows them — tested on the datum
+	// (nullable) and on the stored word (NOT NULL, GCL).
+	ends := []int32{math.MinInt32, math.MaxInt32, -3, -1, 0, 2, 5}
+	small := []int32{-3, -2, -1, 0, 1, 2, 3}
+	var rejected int64
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, notNull := range []bool{false, true} {
+			outer := filterKeyRows(rng, 20+rng.Intn(60), "o", ends, !notNull)
+			inner := filterKeyRows(rng, rng.Intn(70), "i", small[:1+rng.Intn(len(small))], !notNull)
+			r, _ := checkFilteredJoin(t, fmt.Sprintf("filter seed %d notNull=%v", seed, notNull), outer, inner, notNull)
+			rejected += r
+			// A build spanning the domain's ends keeps its range alone.
+			r, _ = checkFilteredJoin(t, fmt.Sprintf("range-only seed %d notNull=%v", seed, notNull), inner, outer, notNull)
+			rejected += r
+		}
+	}
+	for _, notNull := range []bool{false, true} {
+		some := filterKeyRows(rng, 40, "e", ends, !notNull)
+		checkFilteredJoin(t, "filter over an empty build", some, nil, notNull)
+		checkFilteredJoin(t, "filter over an empty probe", nil, some, notNull)
+		// Every value of [-3, 3] built: a full domain keeps no bitmap.
+		full := filterKeyRows(rng, 30, "d", small, false)
+		for i, v := range small {
+			full[i][0] = i32(v)
+		}
+		checkFilteredJoin(t, "filter over a full-domain build", some, full, notNull)
+	}
+	if rejected == 0 {
+		t.Fatal("no join filter rejected a row")
+	}
+
+	// Clustered keys over several pages: the published range skips pages.
+	var clustered []expr.Row
+	for i := 0; i < 3000; i++ {
+		clustered = append(clustered, expr.Row{i32(int32(i)), str("s"), i32(int32(i % 10)), str("c")})
+	}
+	if _, skipped := checkFilteredJoin(t, "clustered keys", clustered, clustered[1200:1210], true); skipped == 0 {
+		t.Fatal("a clustered probe side skipped no page")
+	}
 }
 
 // TestHashJoinCloseReleasesRows pins that a closed join — as a cached
@@ -707,4 +756,140 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 			b.ReportMetric(joinInstrPerRow(b, j, rows), "instr/row")
 		})
 	}
+}
+
+// filterRel is a heap-backed relation of joinCols rows, for the join
+// filter cases: its key column k is nullable (the generic deform, which
+// tests the filter on the datum) or NOT NULL under AllRoutines (the GCL
+// program, which tests it on the stored word).
+type filterRel struct {
+	m    *core.Module
+	h    *heap.Heap
+	rows []expr.Row
+}
+
+func newFilterRel(t *testing.T, rows []expr.Row, notNull bool) *filterRel {
+	t.Helper()
+	routines := core.Stock
+	if notNull {
+		routines = core.AllRoutines
+	}
+	m := core.NewModule(routines)
+	rel, err := catalog.New().CreateRelation("f", catalog.Schema{Attrs: []catalog.Attribute{
+		catalog.Col("k", types.Int32, notNull), catalog.Col("s", types.Varchar(8), false),
+		catalog.Col("v", types.Int32, false), catalog.Col("tag", types.Varchar(16), false),
+	}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.OnCreateRelation(rel)
+	dm := disk.NewManager(disk.LatencyModel{})
+	h := heap.Create(dm, buffer.New(dm, 64), rel, nil)
+	for _, r := range rows {
+		tup, err := m.FormTuple(rel, r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Insert(tup, txn.Frozen, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &filterRel{m: m, h: h, rows: rows}
+}
+
+// scan returns a fresh batch scan of the relation.
+func (r *filterRel) scan(t *testing.T) *BatchSeqScan {
+	d, err := r.m.ScanDeformer(r.h.Rel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewBatchSeqScan(r.h, d)
+}
+
+// fuseKeys readies s's join filters as lowering does: the ones the deform
+// reads as a stored word go to a predicate-less fused routine.
+func fuseKeys(s *BatchSeqScan) {
+	var stored []int
+	for i := range s.KeyFilters {
+		kf := &s.KeyFilters[i]
+		if kf.Stored = s.Deform.StoredKey(kf.Pos); kf.Stored {
+			stored = append(stored, kf.Pos)
+		}
+	}
+	if stored != nil {
+		s.Fused = s.Deform.KeyFiltered(stored)
+	}
+}
+
+// filterKeyRows draws n rows whose keys come from dom, NULL one time in
+// six when nulls is set.
+func filterKeyRows(rng *rand.Rand, n int, side string, dom []int32, nulls bool) []expr.Row {
+	rows := randomJoinRows(rng, n, side)
+	for _, r := range rows {
+		r[0] = i32(dom[rng.Intn(len(dom))])
+		if nulls && rng.Intn(6) == 0 {
+			r[0] = types.Null
+		}
+	}
+	return rows
+}
+
+// checkFilteredJoin runs the join of two heap scans (outer and inner rows)
+// of every type and orientation, every key shape and with and without a
+// residual, under join filters, against the nested-loop oracle, and
+// requires a filter exactly where it is sound: on the outer scan of an
+// inner join or an inner-hashing semi join, on the inner scan of a semi or
+// anti join hashing its outer side, and nowhere else. It returns the rows
+// and pages the filters ruled out.
+func checkFilteredJoin(t *testing.T, label string, outer, inner []expr.Row, notNull bool) (rejected, skipped int64) {
+	t.Helper()
+	or, ir := newFilterRel(t, outer, notNull), newFilterRel(t, inner, notNull)
+	residual := &expr.Cmp{Op: expr.LT,
+		L: &expr.Var{Idx: 2, T: types.Int32}, R: &expr.Var{Idx: len(joinCols) + 2, T: types.Int32}}
+	for _, keys := range joinKeySets {
+		for _, typ := range []JoinType{InnerJoin, LeftJoin, SemiJoin, AntiJoin} {
+			for _, buildOuter := range []bool{false, true} {
+				if buildOuter && typ != SemiJoin && typ != AntiJoin {
+					continue
+				}
+				for _, res := range []expr.Expr{nil, residual} {
+					os, is := or.scan(t), ir.scan(t)
+					j := &HashJoin{Outer: os, Inner: is, OuterKeys: keys, InnerKeys: keys, Type: typ, Residual: res, BuildOuter: buildOuter}
+					j.PlaceFilters()
+					probe, other := os, is
+					if buildOuter {
+						probe, other = is, os
+					}
+					sound := keys[0] == 0 && (typ == InnerJoin || typ == SemiJoin || buildOuter)
+					if got := len(probe.KeyFilters) == 1 && len(j.Filters) == 1; got != sound || len(other.KeyFilters) != 0 {
+						t.Fatalf("%s: %s join keys=%v build outer=%v: filters on the probe scan %d, other %d, join %d; want one exactly when sound (%v)",
+							label, typ, keys, buildOuter, len(probe.KeyFilters), len(other.KeyFilters), len(j.Filters), sound)
+					}
+					fuseKeys(probe)
+					want := nestedLoopOracle(outer, inner, keys, keys, typ, res)
+					got, err := Collect(&Ctx{}, &batchInvariants{BatchNode: j, t: t})
+					if err == nil {
+						err = sameRows(got, want)
+					}
+					if err != nil {
+						t.Fatalf("%s: %s join keys=%v residual=%v build outer=%v: %v", label, typ, keys, res != nil, buildOuter, err)
+					}
+					for _, kf := range probe.KeyFilters {
+						rejected, skipped = rejected+kf.Rejected, skipped+kf.Skipped
+					}
+				}
+			}
+		}
+	}
+	// A filter stops at a left join: not from its inner (null-extended)
+	// side, nor through its outer side, to the scan under it.
+	left := &HashJoin{Outer: or.scan(t), Inner: ir.scan(t), OuterKeys: []int{0}, InnerKeys: []int{0}, Type: LeftJoin}
+	for _, pos := range []int{0, len(joinCols)} {
+		top := &HashJoin{Outer: left, Inner: or.scan(t), OuterKeys: []int{pos}, InnerKeys: []int{0}, Type: InnerJoin}
+		top.PlaceFilters()
+		if len(top.Filters) != 0 {
+			t.Fatalf("%s: a filter on column %d crossed a left join", label, pos)
+		}
+	}
+	return rejected, skipped
 }

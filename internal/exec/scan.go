@@ -34,6 +34,10 @@ type SeqScan struct {
 	// count).
 	Bounds  []ScanBound
 	Skipped int64
+	// KeyFilters are the join filters placed on the scan's columns
+	// (HashJoin.PlaceFilters). A row scan tests none: lowering hands them
+	// to its batch form, and the tuple path places none.
+	KeyFilters []KeyFilter
 
 	deforms int64
 	bound   []heap.Bound
@@ -94,20 +98,18 @@ func bindBounds(dst []heap.Bound, terms []ScanBound) []heap.Bound {
 }
 
 // openScanner starts a scan of h over r (the whole heap unless partial)
-// restricted by terms, bound into buf's storage, which it returns for
-// the next Open to reuse.
-func openScanner(ctx *Ctx, h *heap.Heap, r heap.PageRange, partial bool, terms []ScanBound, buf []heap.Bound) (*heap.Scanner, []heap.Bound) {
+// restricted by bounds.
+func openScanner(ctx *Ctx, h *heap.Heap, r heap.PageRange, partial bool, bounds []heap.Bound) *heap.Scanner {
 	var sc *heap.Scanner
 	if partial {
 		sc = h.ScanRange(ctx.Snap, r, ctx.Prof())
 	} else {
 		sc = h.Scan(ctx.Snap, ctx.Prof())
 	}
-	if len(terms) > 0 {
-		buf = bindBounds(buf[:0], terms)
-		sc.SetBounds(buf)
+	if len(bounds) > 0 {
+		sc.SetBounds(bounds)
 	}
-	return sc, buf
+	return sc
 }
 
 // NewSeqScan builds a sequential scan over rel's heap emitting the
@@ -140,7 +142,8 @@ func relCols(rel *catalog.Relation, atts []int) []ColInfo {
 
 // Open implements Node.
 func (s *SeqScan) Open(ctx *Ctx) error {
-	s.scanner, s.bound = openScanner(ctx, s.Heap, s.Range, s.Partial, s.Bounds, s.bound)
+	s.bound = bindBounds(s.bound[:0], s.Bounds)
+	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial, s.bound)
 	if s.buf == nil {
 		s.buf = make(expr.Row, len(s.cols))
 	}

@@ -84,15 +84,18 @@ func actuals(n exec.Node) string {
 // runNotes renders what a node's run did by tuple-bee ID and the pages a
 // scan's bounds ruled out: "bee-keyed ids=N" on an aggregation that read
 // its group keys by bee ID (the IDs it resolved to groups), "verdict
-// ids=N" on a scan whose fused routine computed verdicts for N IDs, and
-// "pages skipped=N"; "" when there is none of them.
+// ids=N" on a scan whose fused routine computed verdicts for N IDs,
+// "pages skipped=N", and on a scan with join filters "join filter
+// rejected=R pages=P", the rows and pages they ruled out; "" when there
+// is none of them.
 func runNotes(n exec.Node) string {
 	var k, verdicts int64
+	var keys []exec.KeyFilter
 	switch v := n.(type) {
 	case *exec.SeqScan:
 		k = v.Skipped
 	case *exec.BatchSeqScan:
-		k, verdicts = v.Skipped, v.VerdictIDs
+		k, verdicts, keys = v.Skipped, v.VerdictIDs, v.KeyFilters
 	case *exec.HashAgg:
 		if v.BeeKeys != nil {
 			return fmt.Sprintf(" bee-keyed ids=%d", v.KeyedIDs)
@@ -108,6 +111,13 @@ func runNotes(n exec.Node) string {
 	}
 	if k > 0 {
 		s += fmt.Sprintf(" pages skipped=%d", k)
+	}
+	var rejected, pages int64
+	for _, kf := range keys {
+		rejected, pages = rejected+kf.Rejected, pages+kf.Skipped
+	}
+	if keys != nil {
+		s += fmt.Sprintf(" join filter rejected=%d pages=%d", rejected, pages)
 	}
 	return s
 }
@@ -144,6 +154,9 @@ func describe(n exec.Node) string {
 		if v.FusedPred != nil {
 			fused += fmt.Sprintf(" filter=%s", v.FusedPred)
 			bee = " [GCL+EVP]"
+		}
+		for _, kf := range v.KeyFilters {
+			fused += fmt.Sprintf(" join filter=(%s from HashJoin %s keys=%v/%v)", v.Schema()[kf.Pos].Name, kf.Type, kf.OuterKeys, kf.InnerKeys)
 		}
 		if v.Partial {
 			return fmt.Sprintf("BatchSeqScan %s %s batch=%d pages=[%d,%d)%s%s",

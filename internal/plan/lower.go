@@ -120,6 +120,9 @@ func (p *Planner) lower(n exec.Node) exec.Node {
 // own; the whole heap's row form is the planned region itself.
 func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 	if r.join != nil {
+		if p.Batch {
+			r.join.PlaceFilters()
+		}
 		exec.Children(r.join, func(k *exec.Node) { *k = p.lower(*k) }, nil)
 	}
 	if !p.Batch && part == nil {
@@ -156,12 +159,29 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 				filters = nil
 			}
 		}
+		// Join filters on the scan's columns are tested on the stored
+		// word by the fused routine where the deform program reads it as
+		// one, by a predicate-less fused routine when no filter fuses,
+		// and on the datum otherwise.
+		var stored []int
+		if part == nil && bs.Columns == nil {
+			bs.KeyFilters = r.scan.KeyFilters
+			for i := range bs.KeyFilters {
+				kf := &bs.KeyFilters[i]
+				if kf.Stored = len(stored) < core.MaxKeySets && deform.StoredKey(kf.Pos); kf.Stored {
+					stored = append(stored, kf.Pos)
+				}
+			}
+		}
 		if k := len(filters) - 1; k >= 0 && bs.Columns == nil {
 			f := filters[k]
-			if fp := f.Prog.Fused(deform); fp != nil {
+			if fp := f.Prog.Fused(deform, stored); fp != nil {
 				bs.Fused, bs.FusedPred, bs.FusedBee = fp, f.Pred, f.Prog.Bee()
 				filters = filters[:k]
 			}
+		}
+		if bs.Fused == nil && stored != nil {
+			bs.Fused = deform.KeyFiltered(stored)
 		}
 		node = bs
 	default:

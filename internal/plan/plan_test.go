@@ -411,7 +411,7 @@ func TestEstimateBesideActual(t *testing.T) {
 	for _, want := range []string{
 		"NestedLoopJoin inner est=10000 (actual rows=10000 ",
 		"HashJoin inner keys=[0]/[0] est=1000 [EVJ] (actual rows=1000 ",
-		"BatchSeqScan big (b_small) batch=1024 [GCL] (actual rows=1000 ",
+		"BatchSeqScan big (b_small) batch=1024 join filter=(b_small from HashJoin inner keys=[0]/[0]) [GCL] (actual rows=1000 ",
 		"BatchSeqScan tiny (t_id) batch=1024 [GCL] (actual rows=10 ",
 	} {
 		if !strings.Contains(out, want) {

@@ -149,6 +149,13 @@ const (
 	// deform and comparison of a conjunct over tuple-bee columns; the
 	// probe or the evaluation is paid once per ID, on its first sight.
 	BeeIDLookup = 4
+	// JoinFilterTest: testing one row's key against a join filter, a
+	// hash join's build-key set handed to a scan under its probe side —
+	// the key's load (the stored word under bees, the deformed datum's
+	// under stock), the range compares and the bitmap's word and bit. It
+	// is charged per test on both engines, so a rejected row's saving
+	// (its deform, probe and everything above) is the same on both.
+	JoinFilterTest = 8
 	// SortCompare: one comparison inside a sort.
 	SortCompare = 60
 	// AggTransition: one aggregate-state transition of a boxed datum — the

@@ -884,10 +884,12 @@ func (h *Heap) ScanRange(snap *txn.Snapshot, r PageRange, prof *profile.Counters
 // attribute: a row can pass only if Lo ≤ its value of the attribute ≤
 // Hi. Col is the attribute's position in the heap's SummaryCols (see
 // SummaryIndex). A scanner given bounds skips, unread and unpinned,
-// every page whose summary lies wholly outside one of them.
+// every page whose summary lies wholly outside one of them, and counts
+// the page in Skipped of the first bound that ruled it out.
 type Bound struct {
-	Col    int
-	Lo, Hi int64
+	Col     int
+	Lo, Hi  int64
+	Skipped int64
 }
 
 // Scanner iterates a heap page by page, holding a pin and the page's
@@ -910,7 +912,8 @@ type Scanner struct {
 }
 
 // SetBounds restricts the scan to pages whose summaries admit every
-// bound. Call it before the first Next or NextPage; the scanner keeps b.
+// bound. Call it before the first Next or NextPage; the scanner keeps b
+// and counts in it.
 func (s *Scanner) SetBounds(b []Bound) { s.bounds = b }
 
 // PagesSkipped returns how many pages the scan's bounds have ruled out
@@ -923,8 +926,10 @@ func (s *Scanner) PagesSkipped() int64 { return s.skipped }
 // inserted, and its page widened, before the snapshot was taken (see
 // Insert), and widening only ever grows each word.
 func (s *Scanner) excluded(m *pageMeta) bool {
-	for _, b := range s.bounds {
+	for i := range s.bounds {
+		b := &s.bounds[i]
 		if m.sum[2*b.Col+1].Load() < b.Lo || m.sum[2*b.Col].Load() > b.Hi {
+			b.Skipped++
 			return true
 		}
 	}
