@@ -103,7 +103,7 @@ func BenchmarkDeformBatchGeneric(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		deform.Batch(tups, rows, nil)
+		deform.Batch(tups, &ScanBatch{Rows: rows}, nil, nil)
 	}
 }
 
@@ -131,7 +131,7 @@ func BenchmarkDeformBatchGCL(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		deform.Batch(tups, rows, nil)
+		deform.Batch(tups, &ScanBatch{Rows: rows}, nil, nil)
 	}
 }
 

@@ -6,24 +6,15 @@ import (
 
 	"microspec/internal/expr"
 	"microspec/internal/profile"
-	"microspec/internal/storage/tuple"
 	"microspec/internal/types"
 )
 
-// This file is the column form of a scan's deform, plain and fused with
-// its predicate: the deform of a column batch. Where the row forms write
-// every attribute of the scan's list into a row of datums, a column form
-// writes only the columns a consumer asks for — the fixed-width columns
-// an aggregation's arguments read — each into a Vec of its class, densely
-// for the tuples that pass, and deforms nothing else.
-
-// ColumnScanFunc is a column form: it deforms columns of a page's tuples
-// that pass its predicate (every tuple, for the plain form) into cols,
-// indexed by list position, writing the j-th passing tuple's values at j.
-// When ids is set (at least len(tups) long) ids[j] is that tuple's bee ID.
-// It returns the number of tuples that passed; the vectors hold that many
-// values. vt is the verdict memo of the scan running the routine.
-type ColumnScanFunc func(tups [][]byte, cols []Vec, ids []uint16, vt *ScanState, prof *profile.Counters) int
+// This file is the column form of a scan's deform (ScanDeform.Routine
+// with cols): the deform of a column batch. Where the row form writes
+// every attribute of the scan's list into a row of datums, the column
+// form writes only the columns a consumer asks for — the fixed-width
+// columns an aggregation's arguments read — each into a Vec of its class,
+// densely for the tuples that pass, and deforms nothing else.
 
 // colDeform is the deform program of a column form: the steps writing the
 // wanted positions, and the offset advances a dynamic-offset one depends
@@ -141,94 +132,6 @@ func (cd *colDeform) run(data []byte, cols []Vec, j int) {
 			o = (off + 3) &^ 3
 			off = o + 4 + int(binary.LittleEndian.Uint32(data[o:]))
 		}
-	}
-}
-
-// Columns instantiates the plain column form of d over list positions
-// pos: every tuple passes. It returns nil where columnDeform refuses.
-func (d *ScanDeform) Columns(pos []int) ColumnScanFunc {
-	cd, ok := d.columnDeform(pos)
-	if !ok {
-		return nil
-	}
-	return func(tups [][]byte, cols []Vec, ids []uint16, _ *ScanState, prof *profile.Counters) int {
-		prof.Add(profile.CompDeform, cd.cost*int64(len(tups)))
-		cd.reset(cols, len(tups))
-		for j, tup := range tups {
-			cd.run(tup[tuple.HOff(tup):], cols, j)
-			if ids != nil {
-				ids[j] = tuple.BeeID(tup)
-			}
-		}
-		return len(tups)
-	}
-}
-
-// FusedColumns instantiates the column form of the fused GCL∘EVP routine
-// over d, writing list positions pos of the tuples that pass. It requires
-// everything Fused does, and a predicate decided entirely before the
-// deform: every conjunct a bee-ID verdict or a stored-bytes check.
-// Otherwise it returns nil. The charge is Fused's, with the column
-// program's deform cost for a passing tuple.
-func (p Program) FusedColumns(d *ScanDeform, pos []int) ColumnScanFunc {
-	st, ok := p.fusedStages(d)
-	if !ok || st.checks != nil {
-		return nil
-	}
-	cd, ok := d.columnDeform(pos)
-	if !ok || !st.widen(p.bee, cd.cost) {
-		return nil
-	}
-	m, b, prog := p.m, p.bee, d.prog
-	raws, verdicts, verdictSteps := st.raws, st.verdicts, st.verdictSteps
-	ops, combos, width := prog.ops, prog.combos, len(prog.at)
-	return func(tups [][]byte, cols []Vec, ids []uint16, vt *ScanState, prof *profile.Counters) int {
-		m.maybePanic(b)
-		var bound [maxRawChecks]rawCheck
-		raws := bound[:copy(bound[:], raws)]
-		for ri := range raws {
-			raws[ri].bind()
-		}
-		cd.reset(cols, len(tups))
-		deformCost := int64(0)
-		evpCost := int64(len(tups)) * evpBaseCost
-		n := 0
-	tuples:
-		for _, tup := range tups {
-			data := tup[tuple.HOff(tup):]
-			if verdicts != nil {
-				id := tuple.BeeID(tup)
-				v := vt.entry(id)
-				if *v == verdictUnknown {
-					var cost int64
-					*v, cost = verdict(verdicts, verdictSteps, ops, combos.get(id), vt.scratch(width))
-					vt.Sighted++
-					evpCost += cost
-				}
-				evpCost += profile.BeeIDLookup
-				if *v != verdictPass {
-					deformCost += profile.GCLBase
-					continue
-				}
-			}
-			for ri := range raws {
-				evpCost += raws[ri].cost
-				if raws[ri].test(data) != triTrue {
-					deformCost += profile.GCLBase
-					continue tuples
-				}
-			}
-			cd.run(data, cols, n)
-			if ids != nil {
-				ids[n] = tuple.BeeID(tup)
-			}
-			n++
-			deformCost += cd.cost
-		}
-		cd.shrink(cols, n)
-		prof.Add(profile.CompDeform, deformCost)
-		prof.Add(profile.CompExpr, evpCost)
-		return n
 	}
 }
 

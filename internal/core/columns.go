@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"microspec/internal/catalog"
-	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/tuple"
 	"microspec/internal/types"
@@ -27,10 +26,11 @@ type ScanDeform struct {
 	Atts []int
 	// Row deforms one stored tuple into values[:len(Atts)].
 	Row func(tup []byte, values []types.Datum, prof *profile.Counters)
-	// Batch deforms a page's tuples, tups[i] into out[i], in one call: the
-	// batch executor re-enters neither the caller nor the bee-dispatch
-	// wrapper per tuple.
-	Batch func(tups [][]byte, out []expr.Row, prof *profile.Counters)
+	// Batch is the routine's batch form, the scan routine with no stages
+	// (Routine): it deforms a page's tuples, tups[i] into b.Rows[i], in one
+	// call, so the batch executor re-enters neither the caller nor the
+	// bee-dispatch wrapper per tuple.
+	Batch ScanRoutine
 	// Bee is the relation bee's registry entry when the routine runs the
 	// specialized program (scans report its deform time there), else nil.
 	Bee *Bee
@@ -205,13 +205,25 @@ func (p *colProgram) routine(atts []int, bee *Bee) *ScanDeform {
 		},
 		// The batch form hoists the cost accounting and the bee call out of
 		// the per-tuple loop.
-		Batch: func(tups [][]byte, out []expr.Row, prof *profile.Counters) {
+		Batch: func(tups [][]byte, b *ScanBatch, _ *ScanState, prof *profile.Counters) {
 			prof.Add(profile.CompDeform, cost*int64(len(tups)))
 			for i, tup := range tups {
-				runDeformProgram(ops, tup[tuple.HOff(tup):], tuple.BeeID(tup), combos, out[i], len(ops))
+				runDeformProgram(ops, tup[tuple.HOff(tup):], tuple.BeeID(tup), combos, b.Rows[i], len(ops))
 			}
+			b.allLive(tups)
 		},
 	}
+}
+
+// allLive completes the row form of a batch deform without stages: every
+// tuple's row is live.
+func (b *ScanBatch) allLive(tups [][]byte) {
+	if b.IDs != nil {
+		for i, tup := range tups {
+			b.IDs[i] = tuple.BeeID(tup)
+		}
+	}
+	b.N, b.Sel = len(tups), nil
 }
 
 // genericScanDeform wraps the generic loop (tuple.SlotDeformColumns) in
@@ -222,10 +234,11 @@ func genericScanDeform(rel *catalog.Relation, atts []int) *ScanDeform {
 		Row: func(tup []byte, values []types.Datum, prof *profile.Counters) {
 			tuple.SlotDeformColumns(rel, tup, values, atts, prof)
 		},
-		Batch: func(tups [][]byte, out []expr.Row, prof *profile.Counters) {
+		Batch: func(tups [][]byte, b *ScanBatch, _ *ScanState, prof *profile.Counters) {
 			for i, tup := range tups {
-				tuple.SlotDeformColumns(rel, tup, out[i], atts, prof)
+				tuple.SlotDeformColumns(rel, tup, b.Rows[i], atts, prof)
 			}
+			b.allLive(tups)
 		},
 	}
 }

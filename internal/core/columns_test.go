@@ -189,7 +189,7 @@ func check(t *testing.T, form string, rel *catalog.Relation, d *core.ScanDeform,
 	for i := range batch {
 		batch[i] = make(expr.Row, w)
 	}
-	d.Batch(tups, batch, nil)
+	d.Batch(tups, &core.ScanBatch{Rows: batch}, nil, nil)
 	row := make(expr.Row, w)
 	for i, tup := range tups {
 		d.Row(tup, row, nil)
@@ -208,7 +208,7 @@ func check(t *testing.T, form string, rel *catalog.Relation, d *core.ScanDeform,
 // character column.
 func checkColumns(t *testing.T, rng *rand.Rand, rel *catalog.Relation, d *core.ScanDeform, tups [][]byte, want []expr.Row) {
 	t.Helper()
-	var pos, other []int
+	pos, other := []int{}, []int(nil)
 	for x, a := range d.Atts {
 		switch rel.Attrs[a].Type.Kind {
 		case types.KindChar, types.KindVarchar:
@@ -223,18 +223,19 @@ func checkColumns(t *testing.T, rng *rand.Rand, rel *catalog.Relation, d *core.S
 	}
 	if len(other) > 0 {
 		bad := append(append([]int(nil), pos...), other[rng.Intn(len(other))])
-		if d.Columns(bad) != nil {
+		if _, _, columnar := d.Routine(core.Program{}, nil, bad); columnar {
 			t.Fatalf("%s over %v: a column form of positions %v, one neither stored nor fixed-width", rel.Name, d.Atts, bad)
 		}
 	}
-	form := d.Columns(pos)
-	if form == nil {
+	form, _, columnar := d.Routine(core.Program{}, nil, pos)
+	if !columnar {
 		t.Fatalf("%s over %v: no column form of fixed-width positions %v", rel.Name, d.Atts, pos)
 	}
 	cols := make([]core.Vec, len(d.Atts))
 	ids := make([]uint16, len(tups))
-	if n := form(tups, cols, ids, nil, nil); n != len(tups) {
-		t.Fatalf("%s over %v: %d of %d tuples", rel.Name, d.Atts, n, len(tups))
+	b := core.ScanBatch{Cols: cols, IDs: ids}
+	if form(tups, &b, &core.ScanState{}, nil); b.N != len(tups) {
+		t.Fatalf("%s over %v: %d of %d tuples", rel.Name, d.Atts, b.N, len(tups))
 	}
 	for i, tup := range tups {
 		if ids[i] != tuple.BeeID(tup) {

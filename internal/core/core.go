@@ -352,10 +352,12 @@ type CompiledBatchVec func(rows []expr.Row, sel []int32, cols []Vec, n int, ctx 
 
 // Program is one plan's compiled EVP or EVA bee: the registry entry the
 // expression was admitted under, and the fragment compiled from this
-// plan's expression, from which the tuple, batch, fused and per-partition
-// forms are instantiated (Row, Batch and Fused for EVP, BatchVec for
-// EVA) with no further admission. The entry is shared by every plan that spells the expression
-// the same way; the fragment is not — it closes over this plan's column
+// plan's expression, from which its forms are instantiated with no
+// further admission: Row and Batch for EVP, BatchVec for EVA, and the
+// fused scan routine (ScanDeform.Routine). It is the one thing a plan
+// node holds for the bee; the node's caller instantiates the form it
+// runs. The entry is shared by every plan that spells the expression the
+// same way; the fragment is not — it closes over this plan's column
 // ordinals and $n slots. The zero Program is the stock path: no bee, and
 // every form nil.
 type Program struct {
@@ -371,7 +373,10 @@ type Program struct {
 // gate), so the plan's unserved demand can be noted on it.
 func (p Program) Bee() *Bee { return p.bee }
 
-func (p Program) inService() bool { return p.fr.cls != clsNone }
+// Served reports whether the plan runs the bee's code: the compile was
+// admitted and covered the expression. A plan interprets a program that
+// is not served.
+func (p Program) Served() bool { return p.fr.cls != clsNone }
 
 // CompilePredicate attempts to create an EVP query bee for e. It returns
 // the zero Program when EVP is disabled, and one whose forms are all nil
@@ -413,7 +418,7 @@ func (m *Module) compileExpr(kind string, enabled bool, e expr.Expr) Program {
 // predicate's three-valued truth. An EVA program has no row form; it
 // runs batch by batch (BatchVec).
 func (p Program) Row() CompiledPred {
-	if !p.inService() || p.bee.kind != kindEVP {
+	if !p.Served() || p.bee.kind != kindEVP {
 		return nil
 	}
 	m, b, cost, t := p.m, p.bee, p.cost, p.fr.truth()
@@ -426,7 +431,7 @@ func (p Program) Row() CompiledPred {
 
 // Batch instantiates the batch form of an EVP program.
 func (p Program) Batch() CompiledBatchPred {
-	if !p.inService() {
+	if !p.Served() {
 		return nil
 	}
 	m, b, cost, t := p.m, p.bee, p.cost, p.fr.truth()
@@ -452,10 +457,10 @@ func (p Program) Batch() CompiledBatchPred {
 }
 
 // BatchVec instantiates the batch form of an EVA program: the one form
-// an EVA bee has, a vector program of its own (vec.go), so every plan
-// partition instantiates one.
+// an EVA bee has, a vector program of its own (vec.go), so every
+// aggregation drain — a Gather partition's too — instantiates one.
 func (p Program) BatchVec() CompiledBatchVec {
-	if !p.inService() {
+	if !p.Served() {
 		return nil
 	}
 	m, b, vp := p.m, p.bee, newVecProg(p.e, &p.fr, p.cost)
@@ -471,7 +476,7 @@ func (p Program) BatchVec() CompiledBatchVec {
 // is in service and its argument typed, with no boxed operand (a $n, a
 // CASE, a character value). A constant argument reads none.
 func (p Program) Columns() ([]int, bool) {
-	if !p.inService() {
+	if !p.Served() {
 		return nil, false
 	}
 	return newVecProg(p.e, &p.fr, p.cost).columns()
@@ -538,8 +543,8 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 }
 
 // NoteParallelPlan is called by the planner when it marks a plan
-// parallel-safe: every bee closure in the plan was freshly instantiated
-// per partition worker, so the placement optimizer records the plan as
+// parallel-safe: every partition worker instantiates the plan's bee
+// closures of its own, so the placement optimizer records the plan as
 // duplicated across cores.
 func (m *Module) NoteParallelPlan() { m.place.MarkParallelSafe() }
 

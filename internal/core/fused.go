@@ -11,8 +11,9 @@ import (
 	"microspec/internal/types"
 )
 
-// This file is the fused GCL∘EVP bee: one routine that interleaves a
-// filter predicate's conjuncts into the relation's deform program. The
+// This file is a batch scan's routine (ScanDeform.Routine) and the fused
+// GCL∘EVP bee it may carry: one routine that interleaves a filter
+// predicate's conjuncts into the relation's deform program. The
 // separate batch path deforms every attribute of every tuple before the
 // filter sees any of them; on a selective scan most of that work is
 // thrown away. The fused routine instead tests what it can on the tuple
@@ -20,13 +21,33 @@ import (
 // needs, and abandons it at the first failing one — composing the two
 // specialized routines the way a hand-written scan loop would.
 
-// FusedScanFilterFunc is the composed scan-filter routine: it deforms the
-// live tuples of a page into out while evaluating the predicate, and
-// appends the ordinals of passing tuples to sel (rows of rejected
-// ordinals are left partially deformed — consumers must honour the
-// selection vector).
-// vt is the state of the scan running the routine.
-type FusedScanFilterFunc func(tups [][]byte, out []expr.Row, sel []int32, vt *ScanState, prof *profile.Counters) []int32
+// ScanRoutine is a batch scan's one routine: its deform, fused with the
+// stages Routine gave it. It deforms the tuples of a page that pass the
+// stages — every tuple, for a routine with none — into b, and leaves in b
+// which rows are live. vt is the state of the scan running the routine.
+type ScanRoutine func(tups [][]byte, b *ScanBatch, vt *ScanState, prof *profile.Counters)
+
+// ScanBatch is the page a ScanRoutine writes. The scan provides Rows (at
+// least one per tuple) for the row form or Cols (one per list position)
+// for the column form, IDs when it hands bee IDs up, and Sel's storage;
+// the routine sets N and Sel.
+type ScanBatch struct {
+	// Rows receive the row form's tuples, tuple i in Rows[i]; the row of a
+	// tuple the stages reject is left partially deformed.
+	Rows []expr.Row
+	// Cols receive the column form's columns, by list position: the j-th
+	// passing tuple's values at j, and nothing of the other positions.
+	Cols []Vec
+	// IDs, when set, receive each live row's tuple-bee ID: IDs[i] is
+	// Rows[i]'s, or the j-th column entry's.
+	IDs []uint16
+	// N is the number of rows written: one per tuple in the row form, one
+	// per passing tuple in the column form.
+	N int
+	// Sel lists the row form's passing ordinals, appended to Sel[:0], when
+	// the routine has stages, and is nil when every row is live.
+	Sel []int32
+}
 
 // ScanState is what a fused routine reads and writes that belongs to the
 // scan running it, not to the routine, which plans share. It holds the
@@ -262,7 +283,7 @@ type fusedStages struct {
 // not an EVP program in service, d runs no specialized program, or some
 // conjunct is outside the snippet library.
 func (p Program) fusedStages(d *ScanDeform) (st fusedStages, ok bool) {
-	if !p.inService() || p.bee.kind != kindEVP || d.prog == nil {
+	if !p.Served() || p.bee.kind != kindEVP || d.prog == nil {
 		return st, false
 	}
 	prog := d.prog
@@ -323,69 +344,82 @@ func (st *fusedStages) widen(b *Bee, deformCost int64) bool {
 		deformCost+evpBaseCost+st.predCost, st.prog.stockCost+stockExprCost(st.e))
 }
 
-// Fused instantiates the fused GCL∘EVP routine for filtering the rows d
-// emits with the program's predicate, whose Var ordinals are positions in
-// d's attribute list, and with a set check on each list position keys
-// names. It requires an EVP program in service, d running the specialized
-// deform program (GCL enabled, a non-nullable schema), full snippet
-// coverage of every conjunct and a set check for each key; otherwise nil
-// and the planner keeps the separate BatchSeqScan→BatchFilter pair.
+// Routine instantiates the routine of a batch scan running d, the one
+// constructor of every form a scan runs. It reports whether the routine
+// took pred, and whether it is the column form.
 //
-// Conjuncts that read only tuple-bee holes run first, as one verdict per
-// bee ID (ScanState): the first tuple of an ID fills the holes they read
-// and evaluates them, every later one reads the memo. The set checks
-// (ScanState.Keys) and the conjuncts with a stored-bytes form
-// (rawCheckFor) run next, on the tuple as stored; the rest are evaluated in
-// ascending order of the highest position they read, each as soon as the
-// deform program has written it — not textual order. Filtering semantics
-// are unaffected: a row passes iff no conjunct evaluates to false or NULL
-// and every set holds its key, which is order-independent for the
-// side-effect-free expressions the snippet library covers. The
-// abstract-instruction charge is the deform cost of the steps actually run
-// plus the per-term cost of every conjunct actually evaluated, wherever it
-// ran, and profile.JoinFilterTest per set check; a verdict costs
+//   - cols, when set, asks for the column form, writing list positions
+//     cols of the passing tuples and nothing else. It needs d's
+//     specialized program, stored fixed-width columns (columnDeform), and
+//     pred — unless pred is the zero Program — fused whole, decided before
+//     the deform. Otherwise the routine is the row form.
+//   - pred is fused when it is an EVP program in service, d runs the
+//     specialized program (GCL enabled, a non-nullable schema) and the
+//     snippet library covers every conjunct; otherwise the planner keeps
+//     it in a separate BatchFilter.
+//   - keys are the list positions whose join filter the routine tests on
+//     the stored word (ScanState.Keys): each an INTEGER, BIGINT or DATE
+//     the program reads as one word at a fixed offset, at most MaxKeySets.
+//
+// A routine with none of these is d's batch deform, d.Batch.
+//
+// The stages run in one order. Conjuncts that read only tuple-bee holes
+// run first, as one verdict per bee ID (ScanState): the first tuple of an
+// ID fills the holes they read and evaluates them, every later one reads
+// the memo. The set checks and the conjuncts with a stored-bytes form
+// (rawCheckFor) run next, on the tuple as stored. The row form deforms
+// the rest and evaluates the remaining conjuncts in ascending order of
+// the highest position they read, each as soon as the deform program has
+// written it — not textual order. Filtering semantics are unaffected: a
+// row passes iff no conjunct evaluates to false or NULL and every set
+// holds its key, which is order-independent for the side-effect-free
+// expressions the snippet library covers. The abstract-instruction charge
+// is the deform cost of the steps actually run plus the per-term cost of
+// every conjunct actually evaluated, wherever it ran, and
+// profile.JoinFilterTest per set check; a verdict costs
 // profile.BeeIDLookup per tuple, plus its conjuncts' terms on an ID's
 // first sight.
 //
-// The routine is a form of the predicate's EVP bee — same registry entry —
-// so a panic in either form quarantines both and the next plan falls back
-// to the generic path.
-func (p Program) Fused(d *ScanDeform, keys []int) FusedScanFilterFunc {
-	st, ok := p.fusedStages(d)
-	if !ok {
-		return nil
+// A fused routine is a form of the predicate's EVP bee — same registry
+// entry — so a panic in any form quarantines every form and the next plan
+// falls back to the generic path. Its benefit line pairs the bee's full
+// deform plus predicate (the no-abandon worst case) against the generic
+// loop plus the interpreted predicate.
+func (d *ScanDeform) Routine(pred Program, keys, cols []int) (r ScanRoutine, fused, columnar bool) {
+	sets, _ := setChecks(d.prog, keys)
+	st, ok := pred.fusedStages(d)
+	if cols != nil {
+		cd, colOK := d.columnDeform(cols)
+		switch {
+		case !colOK:
+		case pred.bee == nil:
+			return fusedStages{prog: d.prog}.routine(sets, cd, nil, nil), false, true
+		case ok && st.checks == nil && st.widen(pred.bee, cd.cost):
+			return st.routine(sets, cd, pred.m, pred.bee), true, true
+		}
 	}
-	sets, ok := setChecks(d.prog, keys)
-	if !ok {
-		return nil
+	if ok && st.widen(pred.bee, d.prog.cost[len(d.prog.ops)]) {
+		return st.routine(sets, nil, pred.m, pred.bee), true, false
 	}
-	// The fused bee replaces deform AND filter, so its benefit line pairs
-	// the full-deform-plus-predicate bee cost (the no-abandon worst case)
-	// against the generic loop plus interpreted predicate.
-	if !st.widen(p.bee, d.prog.cost[len(d.prog.ops)]) {
-		return nil
+	if len(sets) > 0 {
+		return fusedStages{prog: d.prog}.routine(sets, nil, nil, nil), false, false
 	}
-	return st.routine(sets, p.m, p.bee)
+	return d.Batch, false, false
 }
 
-// KeyFiltered instantiates the fused routine of a scan with no predicate
-// of its own: the set checks of list positions keys, then the deform of
-// the tuples that pass; nil where Fused would refuse the keys.
-func (d *ScanDeform) KeyFiltered(keys []int) FusedScanFilterFunc {
-	sets, ok := setChecks(d.prog, keys)
-	if !ok || len(sets) == 0 {
-		return nil
-	}
-	return fusedStages{prog: d.prog}.routine(sets, nil, nil)
-}
-
-// routine returns the fused routine running st's stages with set checks
-// sets; m and b are the predicate's module and EVP bee, nil when there is
-// no predicate to call.
-func (st fusedStages) routine(sets []rawCheck, m *Module, b *Bee) FusedScanFilterFunc {
+// routine returns the routine running st's stages with set checks sets,
+// then the row deform, or the column deform cd when it is set; m and b
+// are the predicate's module and EVP bee, nil when there is no predicate
+// to call. It is not inlined: the copy of the closure an inlined call
+// makes calls the small helpers the closure's own compile inlines
+// (tuple.BeeID, rawCheck.word), and the per-tuple loop slows by a tenth.
+//
+//go:noinline
+func (st fusedStages) routine(sets []rawCheck, cd *colDeform, m *Module, b *Bee) ScanRoutine {
 	raws, checks, verdicts, verdictSteps := st.raws, st.checks, st.verdicts, st.verdictSteps
-	ops, combos, gclCost := st.prog.ops, st.prog.combos, st.prog.cost
-	return func(tups [][]byte, out []expr.Row, sel []int32, vt *ScanState, prof *profile.Counters) []int32 {
+	ops, combos, gclCost, width := st.prog.ops, st.prog.combos, st.prog.cost, len(st.prog.at)
+	rejectCost := gclCost[0] // a tuple the stages reject: the deform's base alone
+	return func(tups [][]byte, o *ScanBatch, vt *ScanState, prof *profile.Counters) {
 		evpCost, deformCost := int64(0), int64(0)
 		if m != nil {
 			m.maybePanic(b)
@@ -397,6 +431,12 @@ func (st fusedStages) routine(sets []rawCheck, m *Module, b *Bee) FusedScanFilte
 			raws[ri].bind()
 		}
 		keys, rejected := vt.Keys[:len(sets)], vt.Rejected[:len(sets)]
+		rows, cols, ids, sel, n := o.Rows, o.Cols, o.IDs, o.Sel[:0], 0
+		if cd != nil {
+			cd.reset(cols, len(tups))
+		} else if sel == nil {
+			sel = make([]int32, 0, len(tups)) // empty, not every row
+		}
 	tuples:
 		for i, tup := range tups {
 			data := tup[tuple.HOff(tup):]
@@ -405,13 +445,13 @@ func (st fusedStages) routine(sets []rawCheck, m *Module, b *Bee) FusedScanFilte
 				v := vt.entry(id)
 				if *v == verdictUnknown {
 					var cost int64
-					*v, cost = verdict(verdicts, verdictSteps, ops, combos.get(id), out[i])
+					*v, cost = verdict(verdicts, verdictSteps, ops, combos.get(id), vt.scratch(width))
 					vt.Sighted++
 					evpCost += cost
 				}
 				evpCost += profile.BeeIDLookup
 				if *v != verdictPass {
-					deformCost += gclCost[0]
+					deformCost += rejectCost
 					continue
 				}
 			}
@@ -419,19 +459,28 @@ func (st fusedStages) routine(sets []rawCheck, m *Module, b *Bee) FusedScanFilte
 				evpCost += sets[si].cost
 				if !keys[si].Has(sets[si].word(data)) {
 					rejected[si]++
-					deformCost += gclCost[0]
+					deformCost += rejectCost
 					continue tuples
 				}
 			}
 			for ri := range raws {
 				evpCost += raws[ri].cost
 				if raws[ri].test(data) != triTrue {
-					deformCost += gclCost[0]
+					deformCost += rejectCost
 					continue tuples
 				}
 			}
 			beeID := tuple.BeeID(tup)
-			values := out[i]
+			if cd != nil {
+				cd.run(data, cols, n)
+				if ids != nil {
+					ids[n] = beeID
+				}
+				n++
+				deformCost += cd.cost
+				continue
+			}
+			values := rows[i]
 			s, off := 0, 0
 			pass := true
 			for _, ck := range checks {
@@ -449,12 +498,20 @@ func (st fusedStages) routine(sets []rawCheck, m *Module, b *Bee) FusedScanFilte
 				runDeformSegment(ops, data, beeID, combos, values, s, len(ops), off)
 				s = len(ops)
 				sel = append(sel, int32(i))
+				if ids != nil {
+					ids[i] = beeID
+				}
 			}
 			deformCost += gclCost[s]
 		}
+		if cd != nil {
+			cd.shrink(cols, n)
+			o.N, o.Sel = n, nil
+		} else {
+			o.N, o.Sel = len(tups), sel
+		}
 		prof.Add(profile.CompDeform, deformCost)
 		prof.Add(profile.CompExpr, evpCost)
-		return sel
 	}
 }
 

@@ -384,13 +384,16 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 				// scheduled after a deform step.
 				prog := f.m.CompilePredicate(pred)
 				st, _ := prog.fusedStages(d)
-				var pos []int
+				pos := []int{}
 				for x, a := range d.Atts {
 					if k := f.rel.Attrs[a].Type.Kind; !f.rel.IsSpecialized(a) && k != types.KindChar && k != types.KindVarchar && f.rng.Intn(2) == 0 {
 						pos = append(pos, x)
 					}
 				}
-				colForm := prog.FusedColumns(d, pos)
+				colForm, _, columnar := d.Routine(prog, nil, pos)
+				if !columnar {
+					colForm = nil
+				}
 				if (colForm != nil) != (st.checks == nil) {
 					t.Fatalf("predicate %d %s over %v: column form %v with %d scheduled conjuncts", n, pred, d.Atts, colForm != nil, len(st.checks))
 				}
@@ -447,15 +450,16 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 // next dense index with its bee ID; the predicate is charged the same;
 // a rejected tuple's deform costs the base and a passing one the column
 // program's.
-func checkFusedColumns(t *testing.T, form ColumnScanFunc, d *ScanDeform, pos []int, page [][]byte,
+func checkFusedColumns(t *testing.T, form ScanRoutine, d *ScanDeform, pos []int, page [][]byte,
 	wantSel []int32, wantRows []expr.Row, wantEVP, wantIDs int64) {
 	t.Helper()
 	cols := make([]Vec, len(d.Atts))
 	ids := make([]uint16, len(page))
 	prof := &profile.Counters{}
 	vt := &ScanState{}
-	if n := form(page, cols, ids, vt, prof); n != len(wantSel) {
-		t.Fatalf("over %v: column form passed %d tuples, reference %d", d.Atts, n, len(wantSel))
+	b := ScanBatch{Cols: cols, IDs: ids}
+	if form(page, &b, vt, prof); b.N != len(wantSel) {
+		t.Fatalf("over %v: column form passed %d tuples, reference %d", d.Atts, b.N, len(wantSel))
 	}
 	for j, i := range wantSel {
 		if ids[j] != tuple.BeeID(page[i]) {

@@ -3,6 +3,7 @@ package core
 import (
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
+	"microspec/internal/profile"
 	"microspec/internal/types"
 )
 
@@ -31,14 +32,38 @@ func compileScalar(m *Module, e expr.Expr) (CompiledPred, bool) {
 	}, true
 }
 
+// fusedFunc is the row form of a scan routine in the shape these tests
+// call it: tups[i] deformed into out[i], the passing ordinals appended to
+// sel.
+type fusedFunc func(tups [][]byte, out []expr.Row, sel []int32, vt *ScanState, prof *profile.Counters) []int32
+
+// rowRoutine reads a row-form scan routine as a fusedFunc.
+func rowRoutine(r ScanRoutine) fusedFunc {
+	return func(tups [][]byte, out []expr.Row, sel []int32, vt *ScanState, prof *profile.Counters) []int32 {
+		b := ScanBatch{Rows: out, Sel: sel}
+		r(tups, &b, vt, prof)
+		return b.Sel
+	}
+}
+
+// fuse returns the row-form routine of d fused with prog and set checks on
+// list positions keys, or nil when prog does not fuse.
+func fuse(d *ScanDeform, prog Program, keys []int) fusedFunc {
+	r, fused, _ := d.Routine(prog, keys, nil)
+	if !fused {
+		return nil
+	}
+	return rowRoutine(r)
+}
+
 // compileFused fuses e, over positions in the attribute list atts (nil:
 // every attribute), into rel's deform routine over the same list.
-func compileFused(m *Module, rel *catalog.Relation, e expr.Expr, atts []int) (FusedScanFilterFunc, bool) {
+func compileFused(m *Module, rel *catalog.Relation, e expr.Expr, atts []int) (fusedFunc, bool) {
 	d, err := m.ScanDeformer(rel, atts)
 	if err != nil {
 		return nil, false
 	}
-	fp := m.CompilePredicate(e).Fused(d, nil)
+	fp := fuse(d, m.CompilePredicate(e), nil)
 	return fp, fp != nil
 }
 

@@ -73,8 +73,8 @@ func TestKeySetHoldsItsKeys(t *testing.T) {
 }
 
 // TestFusedSetChecksMatchDatumMembership is the set check's property test:
-// the fused routine with set comparands — with a predicate of its own
-// (Program.Fused) or none (ScanDeform.KeyFiltered) — must select exactly
+// the fused routine with set comparands — with a predicate of its own or
+// none (ScanDeform.Routine) — must select exactly
 // the tuples the unfused deform plus a membership test of each key datum
 // (and the predicate, deform-then-evaluate) selects, over random attribute
 // lists, key columns of every stored width, and sets of every form. A
@@ -131,10 +131,11 @@ func TestFusedSetChecksMatchDatumMembership(t *testing.T) {
 				vt.Keys[i] = &sets[i]
 			}
 			var pred expr.Expr
-			routine := d.KeyFiltered(keys)
+			keyed, _, _ := d.Routine(Program{}, keys, nil)
+			routine := rowRoutine(keyed)
 			if f.rng.Intn(2) == 0 {
 				pred = f.conjunct()
-				if routine = f.m.CompilePredicate(pred).Fused(d, keys); routine == nil {
+				if routine = fuse(d, f.m.CompilePredicate(pred), keys); routine == nil {
 					t.Fatalf("%s over %v with keys %v did not fuse", pred, d.Atts, keys)
 				}
 				sawPred++

@@ -85,7 +85,7 @@ func BenchmarkEVAArith(b *testing.B) {
 		for i := range out {
 			out[i] = make(expr.Row, natts)
 		}
-		deform.Batch(page, out, nil)
+		deform.Batch(page, &core.ScanBatch{Rows: out}, nil, nil)
 		if rows = append(rows, out...); len(rows) >= batch {
 			break
 		}
@@ -241,27 +241,27 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		}
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
-				fused := db.Module().CompilePredicate(p.make(rel)).Fused(deform, nil)
-				if fused == nil {
+				fused, ok, _ := deform.Routine(db.Module().CompilePredicate(p.make(rel)), nil, nil)
+				if !ok {
 					b.Fatal("predicate did not fuse")
 				}
 				prof := &profile.Counters{}
 				vt := &core.ScanState{}
-				sel := make([]int32, 0, len(rows))
+				out := core.ScanBatch{Rows: rows, Sel: make([]int32, 0, len(rows))}
 				passed := 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					passed = 0
 					for _, page := range pages {
-						sel = fused(page, rows, sel[:0], vt, prof)
-						passed += len(sel)
+						fused(page, &out, vt, prof)
+						passed += len(out.Sel)
 					}
 				}
 				report(b, pages, prof, passed)
 				if allocs := testing.AllocsPerRun(1, func() {
 					for _, page := range pages {
-						sel = fused(page, rows, sel[:0], vt, prof)
+						fused(page, &out, vt, prof)
 					}
 				}); allocs != 0 {
 					b.Errorf("fused scan-filter allocated %.0f times per scan, want 0", allocs)
@@ -280,7 +280,7 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
 				pred := p.make(rel)
-				if db.Module().CompilePredicate(pred).Fused(deform, nil) != nil {
+				if _, fused, _ := deform.Routine(db.Module().CompilePredicate(pred), nil, nil); fused {
 					b.Fatal("the stock routine set must not fuse")
 				}
 				ctx := &expr.Ctx{Prof: &profile.Counters{}}
@@ -290,7 +290,7 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					passed = 0
 					for _, page := range pages {
-						deform.Batch(page, rows, ctx.Prof)
+						deform.Batch(page, &core.ScanBatch{Rows: rows}, nil, ctx.Prof)
 						for _, row := range rows[:len(page)] {
 							if v := pred.Eval(row, ctx); !v.IsNull() && v.Bool() {
 								passed++

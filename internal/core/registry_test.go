@@ -427,7 +427,7 @@ func TestRegistryConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if fused := p.Fused(d, nil); fused != nil {
+				if fused := fuse(d, p, nil); fused != nil {
 					fused([][]byte{tup}, []expr.Row{make(expr.Row, 2)}, nil, &ScanState{}, nil)
 				}
 				p.Bee().Note(1, 1)

@@ -176,7 +176,7 @@ type vnode struct {
 }
 
 // vecProg is one instance of an EVA bee's vector form. Its nodes hold
-// per-batch scratch, so each plan partition instantiates its own.
+// per-batch scratch, so each aggregation drain instantiates its own.
 type vecProg struct {
 	root   *vnode   // nil for a boxed argument
 	leaves []*vnode // the distinct columns root reads, each read once per batch

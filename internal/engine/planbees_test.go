@@ -10,77 +10,95 @@ import (
 	"microspec/internal/tpch"
 )
 
+// nestedLoopQueries are plans no TPC-H query has: a non-equi inner join,
+// whose qual runs in a row Filter above the NestedLoopJoin, and a
+// non-equi left join, whose qual is the NestedLoopJoin's own.
+var nestedLoopQueries = map[string]string{
+	"NL filter": "select count(*) from nation a, nation b where a.n_nationkey < b.n_nationkey",
+	"NL qual":   "select count(*) from nation a left join nation b on a.n_nationkey < b.n_nationkey",
+}
+
 // TestPlanBeesAreRegistryEntries is the property the plan→registry string
-// conventions used to carry: for every TPC-H plan, serial and parallel,
-// each handle the plan carries is the registry's entry for that bee; a
-// panic quarantines exactly those, so the very next plan of the same text
-// compiles none of them; and the interpreted re-run returns what a stock
-// database returns.
+// conventions used to carry: for every TPC-H plan and the nested-loop
+// plans, serial and parallel, in batch form and on a NoBatch database
+// (row Filters), each handle the plan carries is the registry's entry for
+// that bee; a panic quarantines exactly those, so the very next plan of
+// the same text compiles none of them; and the interpreted re-run returns
+// what a stock database returns.
 func TestPlanBeesAreRegistryEntries(t *testing.T) {
 	const sf = 0.002
-	db, err := tpch.NewDatabase(engine.Config{Routines: core.AllRoutines, Workers: 1}, sf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stock, err := tpch.NewDatabase(engine.Config{Routines: core.Stock, Workers: 1}, sf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := db.Module()
-	planBees := func(label, sql string) map[*core.Bee]bool {
-		planned, err := db.PlanQuery(sql)
-		if err != nil {
-			t.Fatalf("%s: plan: %v", label, err)
-		}
-		running := map[*core.Bee]bool{}
-		exec.WalkBees(planned.Root, func(b *core.Bee, inService bool) {
-			if mod.Bee(b.Kind(), b.Name()) != b {
-				t.Errorf("%s: the plan's handle for %s %q is not the registry's entry", label, b.Kind(), b.Name())
-			}
-			if inService {
-				running[b] = true
-			}
-		})
-		return running
-	}
+	type query struct{ label, sql string }
+	var queries []query
 	for _, q := range tpch.QueryNumbers() {
-		sql := tpch.Queries()[q]
-		want, err := stock.Query(sql)
+		queries = append(queries, query{fmt.Sprintf("Q%d", q), tpch.Queries()[q]})
+	}
+	for _, label := range []string{"NL filter", "NL qual"} {
+		queries = append(queries, query{label, nestedLoopQueries[label]})
+	}
+	for _, noBatch := range []bool{false, true} {
+		db, err := tpch.NewDatabase(engine.Config{Routines: core.AllRoutines, Workers: 1, NoBatch: noBatch}, sf)
 		if err != nil {
-			t.Fatalf("Q%d stock: %v", q, err)
+			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("Q%d workers=%d", q, workers)
-			db.SetWorkers(workers)
-			bees := planBees(label, sql)
-			if len(bees) == 0 {
-				t.Fatalf("%s: the plan carries no bee", label)
-			}
-
-			// Every bee panics: the engine quarantines the plan's bees and
-			// re-runs the query once, interpreted.
-			retries := db.MetricsSnapshot().Counters["quarantine_retries"]
-			mod.InjectBeePanic("", "")
-			got, err := db.Query(sql)
-			mod.ClearBeePanic()
+		mod := db.Module()
+		planBees := func(label, sql string) map[*core.Bee]bool {
+			planned, err := db.PlanQuery(sql)
 			if err != nil {
-				t.Fatalf("%s with panicking bees: %v", label, err)
+				t.Fatalf("%s: plan: %v", label, err)
 			}
-			if n := db.MetricsSnapshot().Counters["quarantine_retries"] - retries; n != 1 {
-				t.Fatalf("%s: %d quarantine retries, want 1", label, n)
-			}
-			assertSameResult(t, label, want, got)
-			for b := range bees {
-				if !b.Quarantined() {
-					t.Errorf("%s: %s %q ran in the panicked plan and is not quarantined", label, b.Kind(), b.Name())
+			running := map[*core.Bee]bool{}
+			exec.WalkBees(planned.Root, func(b *core.Bee, inService bool) {
+				if mod.Bee(b.Kind(), b.Name()) != b {
+					t.Errorf("%s: the plan's handle for %s %q is not the registry's entry", label, b.Kind(), b.Name())
 				}
-			}
-			for b := range planBees(label+" replanned", sql) {
-				if bees[b] {
-					t.Errorf("%s: the next plan compiled the quarantined %s %q again", label, b.Kind(), b.Name())
+				if inService {
+					running[b] = true
 				}
+			})
+			return running
+		}
+		for _, q := range queries {
+			want, err := stock.Query(q.sql)
+			if err != nil {
+				t.Fatalf("%s stock: %v", q.label, err)
 			}
-			mod.ClearQuarantine()
+			for _, workers := range []int{1, 2} {
+				label := fmt.Sprintf("%s workers=%d nobatch=%v", q.label, workers, noBatch)
+				db.SetWorkers(workers)
+				bees := planBees(label, q.sql)
+				if len(bees) == 0 {
+					t.Fatalf("%s: the plan carries no bee", label)
+				}
+
+				// Every bee panics: the engine quarantines the plan's bees and
+				// re-runs the query once, interpreted.
+				retries := db.MetricsSnapshot().Counters["quarantine_retries"]
+				mod.InjectBeePanic("", "")
+				got, err := db.Query(q.sql)
+				mod.ClearBeePanic()
+				if err != nil {
+					t.Fatalf("%s with panicking bees: %v", label, err)
+				}
+				if n := db.MetricsSnapshot().Counters["quarantine_retries"] - retries; n != 1 {
+					t.Fatalf("%s: %d quarantine retries, want 1", label, n)
+				}
+				assertSameResult(t, label, want, got)
+				for b := range bees {
+					if !b.Quarantined() {
+						t.Errorf("%s: %s %q ran in the panicked plan and is not quarantined", label, b.Kind(), b.Name())
+					}
+				}
+				for b := range planBees(label+" replanned", q.sql) {
+					if bees[b] {
+						t.Errorf("%s: the next plan compiled the quarantined %s %q again", label, b.Kind(), b.Name())
+					}
+				}
+				mod.ClearQuarantine()
+			}
 		}
 	}
 }

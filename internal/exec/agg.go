@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 	"unsafe"
 
 	"microspec/internal/core"
@@ -37,15 +36,12 @@ type AggSpec struct {
 	Arg      expr.Expr // nil for COUNT(*)
 	Distinct bool
 	Name     string
-	// Prog is Arg's EVA program, when the bee module compiled it; the form
-	// below is instantiated from it (again per Gather partition), and its
-	// bee receives the rows evaluated and their observed wall time once
-	// per drain.
+	// Prog is Arg's EVA program. Each aggregation drain — a HashAgg's, or
+	// a Gather partition's — instantiates its vector form (one invocation
+	// evaluates the argument for every live row of a batch into a vector
+	// of its class, without a tree walk), and its bee receives the rows
+	// evaluated and their observed wall time once per drain.
 	Prog core.Program
-	// CompiledBatchArg is the EVA bee routine for Arg: one invocation
-	// evaluates the aggregate's input for every live row of a batch into
-	// a vector of the argument's class, without a tree walk.
-	CompiledBatchArg core.CompiledBatchVec
 }
 
 // ResultType reports the aggregate's output type.
@@ -325,7 +321,7 @@ type HashAgg struct {
 // Open implements Node: it consumes the whole child.
 func (a *HashAgg) Open(ctx *Ctx) error {
 	if a.drain == nil {
-		a.drain = newAggDrain(a.GroupBy, a.BeeKeys, a.Aggs, a.Aggs)
+		a.drain = newAggDrain(a.GroupBy, a.BeeKeys, a.Aggs)
 		a.outBuf = make(expr.Row, len(a.GroupBy)+len(a.Aggs))
 	}
 	a.table = newAggTable(len(a.Aggs))
@@ -374,11 +370,12 @@ func aggSchema(groupBy []expr.Expr, aggs []AggSpec) []ColInfo {
 }
 
 // aggDrain is drainBatchesIntoAgg's setup for one aggregation over one
-// input: which specs share an argument, and the per-batch scratch.
-// HashAgg builds one, and a Gather one per partition, on first use and
-// reuse it across Opens, so an aggregate a correlated subplan reruns per
-// outer row allocates only its group table per run. One drain runs at a
-// time on a setup.
+// input: which specs share an argument, their EVA bees' callers, and the
+// per-batch scratch. HashAgg builds one, and a Gather one per partition,
+// on first use and reuse it across Opens, so an aggregate a correlated
+// subplan reruns per outer row allocates only its group table per run,
+// and each partition's worker runs callers of its own. One drain runs at
+// a time on a setup.
 type aggDrain struct {
 	groupBy []expr.Expr
 	// keys, when set, reads the group keys by tuple-bee ID: a batch that
@@ -389,19 +386,19 @@ type aggDrain struct {
 	keys    *core.BeeKeys
 	byID    []int32
 	sighted int64
-	// evalSpecs supply the evaluation forms (a Gather partition's private
-	// EVA bees), addSpecs the accumulation specs.
-	evalSpecs, addSpecs []AggSpec
+	specs   []AggSpec
 	// owner[i] is the first spec with spec i's argument (by rendered
 	// text, the bee cache's identity too). The owner evaluates the
-	// argument once per batch into a core.Vec, cur[owner]; the later specs
-	// fold the owner's vector — Q1 asks for both sum and avg of l_quantity
-	// and of l_extendedprice. The EVA bee's vector is its own; vecs[i] is
-	// the interpreter's, for spec i.
-	owner  []int
-	cur    []*core.Vec
-	vecs   []core.Vec
-	keyBuf expr.Row
+	// argument once per batch into a core.Vec, cur[owner], through its
+	// caller, callers[owner]; the later specs fold the owner's vector — Q1
+	// asks for both sum and avg of l_quantity and of l_extendedprice. The
+	// EVA bee's vector is its own; vecs[i] is the interpreter's, for spec
+	// i.
+	owner   []int
+	cur     []*core.Vec
+	callers []caller
+	vecs    []core.Vec
+	keyBuf  expr.Row
 	// key encodes keyBuf, prev the last row's; seen[i] keys DISTINCT
 	// spec i's (group, value) pairs.
 	key  rowKey
@@ -415,23 +412,14 @@ type aggDrain struct {
 	sts  [][]aggState
 	// rows reads a row-at-a-time child as batches of one.
 	rows rowBatches
-	// eva[i] is what spec i's EVA bee evaluated during the current drain,
-	// noted to the bee when the drain ends: every batch's rows, and the
-	// wall time of the batches usage picks, scaled to all of them.
-	eva   []beeUsage
-	usage usageSampler
 }
 
-// beeUsage accumulates a bee's rows and timed wall time until it is
-// noted.
-type beeUsage struct{ rows, ns int64 }
-
-func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []AggSpec) *aggDrain {
-	n := len(addSpecs)
+func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, specs []AggSpec) *aggDrain {
+	n := len(specs)
 	d := &aggDrain{
-		groupBy: groupBy, keys: keys, evalSpecs: evalSpecs, addSpecs: addSpecs,
-		owner: make([]int, n), cur: make([]*core.Vec, n), vecs: make([]core.Vec, n),
-		keyBuf: make(expr.Row, len(groupBy)), per: -1, eva: make([]beeUsage, n),
+		groupBy: groupBy, keys: keys, specs: specs,
+		owner: make([]int, n), cur: make([]*core.Vec, n), callers: make([]caller, n), vecs: make([]core.Vec, n),
+		keyBuf: make(expr.Row, len(groupBy)), per: -1,
 		key: rowKey{cols: make([]ColInfo, len(groupBy))},
 	}
 	for i, g := range groupBy {
@@ -441,22 +429,23 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 		d.per, d.gids, d.sts = 0, make([]int, 1), make([][]aggState, 1)
 	}
 	args := make(map[string]int, n)
-	for i := range evalSpecs {
+	for i := range specs {
 		d.owner[i] = i
-		if evalSpecs[i].Arg == nil {
+		if specs[i].Arg == nil {
 			continue
 		}
-		if addSpecs[i].Distinct {
+		if specs[i].Distinct {
 			if d.seen == nil {
 				d.seen = make([]rowKey, n)
 			}
-			d.seen[i].cols = []ColInfo{{T: types.Int64}, {T: addSpecs[i].Arg.Type()}}
+			d.seen[i].cols = []ColInfo{{T: types.Int64}, {T: specs[i].Arg.Type()}}
 		}
-		key := evalSpecs[i].Arg.String()
+		key := specs[i].Arg.String()
 		if first, ok := args[key]; ok {
 			d.owner[i] = first
 		} else {
 			args[key] = i
+			d.callers[i].open(specs[i].Prog, vecForm)
 		}
 	}
 	return d
@@ -491,8 +480,8 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, evalSpecs, addSpecs []
 //
 // Each state sees its inputs in row order, so float accumulation is
 // bit-identical whatever the batch sizes and whichever vector class
-// carries them. Each EVA bee's rows and sampled wall time are noted once,
-// when the drain ends.
+// carries them. Each EVA bee's caller notes its rows and sampled wall
+// time once, when the drain ends.
 func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (rows int64, err error) {
 	src := asBatchNode(child, &d.rows)
 	// The close is deferred so the child (and any buffer pins its scans
@@ -500,16 +489,14 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 	// unwinds through the loop.
 	defer func() {
 		src.Close(ctx)
-		for i, u := range d.eva {
-			d.evalSpecs[i].Prog.Bee().Note(u.rows, d.usage.scale(u.ns))
-			d.eva[i] = beeUsage{}
+		for i := range d.callers {
+			d.callers[i].note()
 		}
-		d.usage = usageSampler{}
 	}()
 	if err := src.Open(ctx); err != nil {
 		return 0, err
 	}
-	groupBy, evalSpecs, addSpecs := d.groupBy, d.evalSpecs, d.addSpecs
+	groupBy, specs := d.groupBy, d.specs
 	keyBuf, per, gids, sts := d.keyBuf, d.per, d.gids, d.sts
 	// byID numbers this drain's table's groups.
 	clear(d.byID)
@@ -576,10 +563,9 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 				sts[bi] = table.states(gids[bi])
 			}
 		}
-		timed := d.usage.next()
-		for i := range evalSpecs {
-			ad := &addSpecs[i]
-			if evalSpecs[i].Arg == nil { // COUNT(*): no input column
+		for i := range specs {
+			ad := &specs[i]
+			if ad.Arg == nil { // COUNT(*): no input column
 				ctx.Prof().Add(profile.CompExec, int64(n)*profile.AggTransition)
 				if ad.Fn == AggCount && !ad.Distinct {
 					if per == 0 {
@@ -597,7 +583,7 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 				continue
 			}
 			if d.owner[i] == i {
-				d.cur[i] = d.evaluate(ctx, i, b, timed)
+				d.cur[i] = d.callers[i].eval(ad.Arg, b, &d.vecs[i], ctx)
 			}
 			v := d.cur[d.owner[i]]
 			cost := int64(profile.AggTransition)
@@ -610,35 +596,6 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 			}
 		}
 	}
-}
-
-// evaluate returns evaluation spec i's argument for the live rows of b:
-// the EVA bee's vector, timed when the batch is one the drain's usage
-// sampler picked, or the interpreter's, row by row, into datums. Only the
-// EVA bee reads a column batch.
-func (d *aggDrain) evaluate(ctx *Ctx, i int, b *Batch, timed bool) *core.Vec {
-	spec := &d.evalSpecs[i]
-	if spec.CompiledBatchArg == nil {
-		v := &d.vecs[i]
-		v.Reset(core.VecBoxed, 0, b.Count())
-		for bi := range v.Datums {
-			x := spec.Arg.Eval(b.RowAt(bi), &ctx.Expr)
-			if v.Datums[bi] = x; x.IsNull() {
-				v.SetNull(bi)
-			}
-		}
-		return v
-	}
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	v := spec.CompiledBatchArg(b.Rows, b.Sel, b.Cols, b.Count(), &ctx.Expr)
-	if timed {
-		d.eva[i].ns += int64(time.Since(t0))
-	}
-	d.eva[i].rows += int64(v.Len())
-	return v
 }
 
 // foldVec folds aggregate i's input vector v, one value per live row, into

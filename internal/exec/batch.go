@@ -1,14 +1,13 @@
 package exec
 
 import (
+	"cmp"
 	"slices"
-	"time"
 
 	"microspec/internal/core"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
-	"microspec/internal/storage/tuple"
 	"microspec/internal/types"
 )
 
@@ -34,39 +33,6 @@ import (
 // capacity of 1024 covers any single page without reallocation.
 const BatchCap = 1024
 
-// usageSampleEvery is the batch sampling of the benefit-attribution
-// timing of the scan's, BatchFilter's and the aggregation drain's bees. A
-// clock read costs as much as filtering a dozen tuples on the stored
-// bytes, so timing every page of a selective fused scan, or every argument
-// of every batch an aggregate folds, would be a measurable share of the
-// work it measures.
-const usageSampleEvery = 4
-
-// usageSampler is the one sampling rule: the first batch and every
-// usageSampleEvery-th after it are timed, and the wall time of the timed
-// batches is scaled to all of them. Rows are counted on every batch by
-// the sampler's owner.
-type usageSampler struct{ batches, timed int64 }
-
-// next counts a batch and reports whether to time it.
-func (u *usageSampler) next() bool {
-	t := u.batches%usageSampleEvery == 0
-	u.batches++
-	if t {
-		u.timed++
-	}
-	return t
-}
-
-// scale extrapolates ns, the wall time of the timed batches, to every
-// batch counted.
-func (u *usageSampler) scale(ns int64) int64 {
-	if u.timed == 0 {
-		return 0
-	}
-	return ns * u.batches / u.timed
-}
-
 // Batch is a reusable set of rows with an optional selection vector.
 // Rows[:N] are filled by the producer; when Sel is non-nil only the row
 // ordinals it lists (ascending) are live. The batch — including the row
@@ -77,8 +43,8 @@ func (u *usageSampler) scale(ns int64) int64 {
 // A column batch has Cols instead of Rows: N live rows, every one live
 // (no Sel), and for each list position an aggregation's arguments read a
 // core.Vec of its class holding those rows' values. Only a scan whose
-// BatchSeqScan.Columns is set produces one, and only the aggregation
-// drain directly above it consumes it.
+// routine is the column form (BatchSeqScan.ColumnPos) produces one, and
+// only the aggregation drain directly above it consumes it.
 type Batch struct {
 	Rows []expr.Row
 	N    int
@@ -165,29 +131,29 @@ func (r *rebatcher) next(ctx *Ctx, src BatchNode, cost int64) (expr.Row, bool, e
 	}
 }
 
-// BatchSeqScan reads a heap relation page by page, deforming every live
-// tuple of the pinned page in one batch-deform invocation. The batch's
+// BatchSeqScan reads a heap relation page by page, running its routine
+// over every live tuple of the pinned page in one invocation. The batch's
 // rows alias the page; the scan holds the pin until the next NextBatch.
 type BatchSeqScan struct {
 	Heap *heap.Heap
 	// Deform is the relation's deform routine over the attributes the plan
-	// reads, as for SeqScan; the scan runs its batch form.
+	// reads, as for SeqScan. Deform.Bee, the relation bee, receives the
+	// rows deformed at Close.
 	Deform *core.ScanDeform
-	// Fused, when set, replaces the separate Deform + BatchFilter pair with
-	// the composed GCL∘EVP routine: each tuple is deformed only as far as
-	// the predicate's conjuncts need, rejected tuples are abandoned early,
-	// and the scan emits batches whose selection vector lists the passing
-	// rows. FusedPred is the predicate the routine implements (EXPLAIN and
-	// bee walking), set when Fused or the column form (Columns) runs it.
-	Fused     core.FusedScanFilterFunc
-	FusedPred expr.Expr
-	// FusedBee, when set, is the EVP bee behind Fused. At Close the
-	// relation bee (Deform.Bee) receives the rows deformed and FusedBee
-	// the rows evaluated; the wall time of the bee invocations goes with
-	// FusedBee when the scan is fused, else with the relation bee. The
-	// pages usageSampler picks are timed (two clock reads each) and the
-	// total extrapolated from those.
-	FusedBee *core.Bee
+	// Routine is the scan's one routine (core.ScanDeform.Routine): the
+	// batch deform, or the deform fused with Pred, with the stored join
+	// filters' set checks, or in column form. A fused routine deforms each
+	// tuple only as far as the predicate's conjuncts need, abandons
+	// rejected tuples early, and the scan emits batches whose selection
+	// vector lists the passing rows.
+	Routine core.ScanRoutine
+	// Pred and Prog, when set, are the predicate Routine fused and its EVP
+	// program, whose bee receives the rows evaluated at Close and the wall
+	// time of the routine's invocations: the pages usageSampler picks are
+	// timed (two clock reads each) and the total extrapolated from those.
+	// Without a fused predicate the wall time goes with the relation bee.
+	Pred expr.Expr
+	Prog core.Program
 	// Range and Partial mirror SeqScan: a page interval for one partition
 	// of a parallel scan. So do Bounds and Skipped.
 	Range   heap.PageRange
@@ -197,26 +163,22 @@ type BatchSeqScan struct {
 	// BeeIDs makes every batch carry its rows' tuple-bee IDs (Batch.IDs),
 	// for a bee-keyed aggregation directly above the scan region.
 	BeeIDs bool
-	// Columns, when set, makes the scan emit column batches (Batch.Cols)
-	// for the aggregation directly above it: the column form of the
-	// deform, or of the fused routine when FusedPred is set, writes the
-	// columns ColumnPos lists of the passing tuples, and no others.
-	Columns   core.ColumnScanFunc
+	// ColumnPos, when set, is the list positions a column-form Routine
+	// writes: the scan emits column batches (Batch.Cols) for the
+	// aggregation directly above it, holding those columns of the passing
+	// tuples and no others.
 	ColumnPos []int
 	// VerdictIDs counts the bee IDs whose verdict the fused routine
 	// computed (core.ScanState), over every run since Instrument wrapped
 	// the scan, as Skipped does.
 	VerdictIDs int64
 	// KeyFilters are the join filters on the scan's columns (joinfilter.go):
-	// Fused tests the Stored ones, in order, and the scan the others on
+	// Routine tests the Stored ones, in order, and the scan the others on
 	// the deformed datum before a row leaves it. A scan with filters
 	// skips pages whose every tuple is rejected, as a fused one does.
 	KeyFilters []KeyFilter
 
-	deforms  int64
-	fused    int64
-	timedNs  int64 // wall time of the timed pages' bee invocations
-	usage    usageSampler
+	call     caller
 	batches  int64
 	rowsOut  int64
 	bound    []heap.Bound
@@ -226,6 +188,7 @@ type BatchSeqScan struct {
 	sel      []int32
 	ids      []uint16
 	vecs     []core.Vec
+	out      core.ScanBatch
 	verdicts core.ScanState
 	batch    Batch
 	cols     []ColInfo
@@ -236,9 +199,10 @@ type BatchSeqScan struct {
 // the attributes deform reads.
 func NewBatchSeqScan(h *heap.Heap, deform *core.ScanDeform) *BatchSeqScan {
 	return &BatchSeqScan{
-		Heap:   h,
-		Deform: deform,
-		cols:   relCols(h.Rel, deform.Atts),
+		Heap:    h,
+		Deform:  deform,
+		Routine: deform.Batch,
+		cols:    relCols(h.Rel, deform.Atts),
 	}
 }
 
@@ -265,6 +229,11 @@ func (s *BatchSeqScan) ensureRows(n int) {
 func (s *BatchSeqScan) Open(ctx *Ctx) error {
 	s.bound = bindBounds(bindKeys(s.KeyFilters, s.Heap, s.Deform.Atts, &s.verdicts, s.bound[:0]), s.Bounds)
 	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial, s.bound)
+	if !s.call.made {
+		// The routine's wall time goes with the EVP bee it fused, else with
+		// the relation bee.
+		s.call = caller{made: true, bee: cmp.Or(s.Prog.Bee(), s.Deform.Bee)}
+	}
 	s.batches, s.rowsOut = 0, 0
 	s.verdicts.Reset()
 	s.rb.reset()
@@ -287,59 +256,38 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 			return nil, false, s.scanner.Err()
 		}
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch)
-		s.deforms += int64(len(tups))
 		s.rowsOut += int64(len(tups))
-		var ids []uint16
+		s.batches++
+		s.out = core.ScanBatch{Sel: s.sel[:0]}
 		if s.BeeIDs {
 			if cap(s.ids) < len(tups) {
 				s.ids = make([]uint16, growBatchScratch(cap(s.ids), len(tups)))
 			}
-			ids = s.ids[:len(tups)]
+			s.out.IDs = s.ids[:len(tups)]
 		}
-		var t0 time.Time
-		timed := s.usage.next() && (s.FusedBee != nil || s.Deform.Bee != nil)
-		if timed {
-			t0 = time.Now()
-		}
-		s.batches++
-		if s.FusedPred != nil {
-			s.fused += int64(len(tups))
-		}
-		n := len(tups)
-		switch {
-		case s.Columns != nil:
+		if s.ColumnPos != nil {
 			if s.vecs == nil {
 				s.vecs = make([]core.Vec, len(s.cols))
 			}
-			n = s.Columns(tups, s.vecs, ids, &s.verdicts, ctx.Prof())
-			s.batch = Batch{N: n, Cols: s.vecs}
-		case s.Fused != nil:
+			s.out.Cols = s.vecs
+		} else {
 			s.ensureRows(len(tups))
-			s.sel = s.Fused(tups, s.rows, s.sel[:0], &s.verdicts, ctx.Prof())
-			n = len(s.sel)
-			s.batch = Batch{Rows: s.rows, N: len(tups), Sel: s.sel}
-		default:
-			s.ensureRows(len(tups))
-			s.Deform.Batch(tups, s.rows, ctx.Prof())
-			s.batch = Batch{Rows: s.rows, N: len(tups)}
+			s.out.Rows = s.rows
 		}
-		if timed {
-			s.timedNs += int64(time.Since(t0))
+		s.call.scan(s.Routine, tups, &s.out, &s.verdicts, ctx.Prof())
+		if s.out.Sel != nil {
+			s.sel = s.out.Sel
 		}
+		s.batch = Batch{Rows: s.out.Rows, N: s.out.N, Sel: s.out.Sel, Cols: s.out.Cols}
 		if len(s.KeyFilters) > 0 && slices.ContainsFunc(s.KeyFilters, func(kf KeyFilter) bool { return !kf.Stored }) {
 			s.sel = testKeys(s.KeyFilters, &s.batch, s.sel, ctx.Prof())
-			s.batch.Sel, n = s.sel, len(s.sel)
+			s.batch.Sel = s.sel
 		}
-		if n == 0 {
+		if s.batch.Count() == 0 {
 			continue
 		}
-		if ids != nil {
-			if s.Columns == nil { // a column form writes the passing tuples' own
-				for i, tup := range tups {
-					ids[i] = tuple.BeeID(tup)
-				}
-			}
-			s.batch.IDs = ids[:s.batch.N]
+		if s.out.IDs != nil {
+			s.batch.IDs = s.out.IDs[:s.batch.N]
 		}
 		return &s.batch, true, nil
 	}
@@ -352,13 +300,10 @@ func (s *BatchSeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (s *BatchSeqScan) Close(*Ctx) {
-	ns := s.usage.scale(s.timedNs)
-	if s.FusedBee != nil {
-		s.FusedBee.Note(s.fused, ns)
-		ns = 0
+	if s.Prog.Bee() != nil {
+		s.Deform.Bee.Note(s.call.rows, 0)
 	}
-	s.Deform.Bee.Note(s.deforms, ns)
-	s.deforms, s.fused, s.timedNs, s.usage = 0, 0, 0, usageSampler{}
+	s.call.note()
 	s.VerdictIDs += s.verdicts.Sighted
 	s.verdicts.Sighted = 0
 	if s.scanner != nil {
@@ -383,24 +328,19 @@ func (s *BatchSeqScan) BatchStats() (batches, rows int64) { return s.batches, s.
 type BatchFilter struct {
 	// Child is a BatchNode; the link is typed Node so Children can hand
 	// it out like every other.
-	Child    Node
-	Pred     expr.Expr
-	Compiled core.CompiledBatchPred
-	// Bee is Pred's EVP bee, set even when Compiled is nil because the
-	// compile was refused; it receives the compiled predicate's row count
-	// at Close, and its wall time: that of the batches usageSampler picks,
-	// scaled to all of them.
-	Bee *core.Bee
+	Child Node
+	Pred  expr.Expr
+	// Prog is Pred's EVP program, as for Filter.
+	Prog core.Program
 
-	calls int64
-	beeNs int64
-	usage usageSampler
-	sel   []int32
-	rb    rebatcher
+	call caller
+	sel  []int32
+	rb   rebatcher
 }
 
 // Open implements Node.
 func (f *BatchFilter) Open(ctx *Ctx) error {
+	f.call.open(f.Prog, batchForm)
 	f.rb.reset()
 	return f.Child.Open(ctx)
 }
@@ -413,34 +353,11 @@ func (f *BatchFilter) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 			return nil, false, err
 		}
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch)
-		out := f.sel[:0]
-		if f.Compiled != nil {
-			f.calls += int64(b.Count())
-			if f.Bee != nil && f.usage.next() {
-				t0 := time.Now()
-				out = f.Compiled(b.Rows[:b.N], b.Sel, out, &ctx.Expr)
-				f.beeNs += int64(time.Since(t0))
-			} else {
-				out = f.Compiled(b.Rows[:b.N], b.Sel, out, &ctx.Expr)
-			}
-		} else if b.Sel != nil {
-			for _, i := range b.Sel {
-				if v := f.Pred.Eval(b.Rows[i], &ctx.Expr); !v.IsNull() && v.Bool() {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for i := 0; i < b.N; i++ {
-				if v := f.Pred.Eval(b.Rows[i], &ctx.Expr); !v.IsNull() && v.Bool() {
-					out = append(out, int32(i))
-				}
-			}
-		}
-		f.sel = out
-		if len(out) == 0 {
+		f.sel = f.call.filter(f.Pred, b, f.sel[:0], ctx)
+		if len(f.sel) == 0 {
 			continue
 		}
-		b.Sel = out
+		b.Sel = f.sel
 		return b, true, nil
 	}
 }
@@ -452,8 +369,7 @@ func (f *BatchFilter) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (f *BatchFilter) Close(ctx *Ctx) {
-	f.Bee.Note(f.calls, f.usage.scale(f.beeNs))
-	f.calls, f.beeNs, f.usage = 0, 0, usageSampler{}
+	f.call.note()
 	f.Child.Close(ctx)
 }
 

@@ -57,11 +57,11 @@ func TestFilterInterpretedAndCompiled(t *testing.T) {
 	}
 
 	m := core.NewModule(core.AllRoutines)
-	cp := m.CompilePredicate(pred).Row()
-	if cp == nil {
+	prog := m.CompilePredicate(pred)
+	if !prog.Served() {
 		t.Fatal("compile failed")
 	}
-	rows2 := mustCollect(t, &Filter{Child: src(), Pred: pred, Compiled: cp})
+	rows2 := mustCollect(t, &Filter{Child: src(), Pred: pred, Prog: prog})
 	if len(rows2) != 2 || rows2[1][0].Int32() != 9 {
 		t.Fatalf("compiled filter: %v", rows2)
 	}

@@ -24,67 +24,55 @@ func NewPanicError(val any) *PanicError {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("query panic: %v", e.Val) }
 
-// WalkBees reports the handle of every query bee wired into a plan tree
-// (EVP filter and join-residual predicates, EVA aggregate inputs, EVJ join
-// keys), subquery subplans included: a bee panic inside a subquery unwinds
+// WalkBees reports the handle of every query bee wired into a plan tree,
+// subquery subplans included: a bee panic inside a subquery unwinds
 // through the outer plan's recover boundary, so the subplan's bees are
-// quarantine candidates exactly like the outer plan's. inService tells
-// whether the plan runs the bee's code; it is false for a filter predicate
-// whose compile admission refused — the plan interprets it, and the handle
-// is there for the advisor to count the unserved demand on. Relation bees
-// (GCL/SCL) are deliberately excluded: specialized storage has no generic
-// deform fallback, so they are not quarantine candidates.
+// quarantine candidates exactly like the outer plan's. One rule finds
+// them: a node's programs (EVP filters, fused scan predicates, join
+// residuals and quals, EVA aggregate inputs), served or not, and a hash
+// join's EVJ bee. inService tells whether the plan runs the bee's code;
+// it is false for a program whose compile admission refused — the plan
+// interprets it, and the handle is there for the advisor to count the
+// unserved demand on. Relation bees (GCL/SCL) are deliberately excluded:
+// specialized storage has no generic deform fallback, so they are not
+// quarantine candidates.
 //
 // The engine uses the result to quarantine a panicking plan's bees: the
 // panic's recover boundary cannot attribute the fault to one closure, so
 // the policy is to quarantine all of them (see DESIGN.md §9).
 func WalkBees(n Node, fn func(b *core.Bee, inService bool)) {
-	walkTree(n, func(n Node) { nodeBees(n, fn) }, nil)
+	walkTree(n, func(n Node) {
+		programs(n, func(p core.Program) {
+			if b := p.Bee(); b != nil {
+				fn(b, p.Served())
+			}
+		})
+		if j, ok := n.(*HashJoin); ok && j.EVJ != nil {
+			fn(j.EVJ.Bee, true)
+		}
+	}, nil)
 }
 
-// nodeBees reports the query bees one plan node holds: which field keeps
-// each handle, and whether the plan runs that bee's code.
-func nodeBees(n Node, fn func(*core.Bee, bool)) {
-	aggBees := func(specs []AggSpec) {
-		for i := range specs {
-			if b := specs[i].Prog.Bee(); b != nil && specs[i].CompiledBatchArg != nil {
-				fn(b, true)
-			}
-		}
-	}
+// programs calls fn on every program n holds.
+func programs(n Node, fn func(core.Program)) {
 	switch v := n.(type) {
 	case *BatchSeqScan:
-		// A fused scan-filter, row or column form, is a form of the
-		// predicate's EVP bee, so quarantining it disables every form;
-		// the GCL half is excluded by the policy above.
-		if v.FusedPred != nil && v.FusedBee != nil {
-			fn(v.FusedBee, true)
-		}
+		fn(v.Prog)
 	case *BatchFilter:
-		if v.Bee != nil {
-			fn(v.Bee, v.Compiled != nil)
-		}
+		fn(v.Prog)
 	case *Filter:
-		if b := v.Prog.Bee(); b != nil {
-			fn(b, v.Compiled != nil)
-		}
-	case *HashAgg:
-		aggBees(v.Aggs)
+		fn(v.Prog)
 	case *HashJoin:
-		if v.EVJ != nil && v.EVJ.Bee != nil {
-			fn(v.EVJ.Bee, true)
-		}
-		if v.ResidualCompiled != nil && v.ResidualBee != nil {
-			fn(v.ResidualBee, true)
-		}
+		fn(v.Prog)
 	case *NLJoin:
-		if v.QualCompiled != nil && v.QualBee != nil {
-			fn(v.QualBee, true)
+		fn(v.Prog)
+	case *HashAgg:
+		for i := range v.Aggs {
+			fn(v.Aggs[i].Prog)
 		}
 	case *Gather:
-		aggBees(v.Aggs)
-		for _, specs := range v.PartAggs {
-			aggBees(specs)
+		for i := range v.Aggs {
+			fn(v.Aggs[i].Prog)
 		}
 	}
 }

@@ -4,29 +4,26 @@ import (
 	"microspec/internal/core"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
-	"microspec/internal/types"
 )
 
-// Filter passes through rows satisfying the predicate. When the bee
-// module compiled the predicate, Compiled is the EVP bee routine and Pred
-// is kept only for display; otherwise Pred is evaluated by the generic
-// interpreter (the FuncExprState path).
+// Filter passes through rows satisfying the predicate: its EVP bee's row
+// form when the bee module compiled it, else the generic interpreter (the
+// FuncExprState path).
 type Filter struct {
 	Child Node
 	Pred  expr.Expr
-	// Prog is Pred's EVP program, from which Compiled was instantiated and
-	// the planner's later passes instantiate the batch, fused and
-	// per-partition forms. It carries the bee's handle even when the
-	// compile was refused and Compiled is nil; the bee receives the number
-	// of Compiled invocations at Close.
-	Prog     core.Program
-	Compiled core.CompiledPred
+	// Prog is Pred's EVP program. It carries the bee's handle even when
+	// the compile was refused and the filter interprets Pred.
+	Prog core.Program
 
-	calls int64
+	call caller
 }
 
 // Open implements Node.
-func (f *Filter) Open(ctx *Ctx) error { return f.Child.Open(ctx) }
+func (f *Filter) Open(ctx *Ctx) error {
+	f.call.open(f.Prog, rowForm)
+	return f.Child.Open(ctx)
+}
 
 // Next implements Node.
 func (f *Filter) Next(ctx *Ctx) (expr.Row, bool, error) {
@@ -36,25 +33,15 @@ func (f *Filter) Next(ctx *Ctx) (expr.Row, bool, error) {
 			return nil, false, err
 		}
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
-		v := f.eval(row, ctx)
-		if !v.IsNull() && v.Bool() {
+		if v := f.call.pred(f.Pred, row, ctx); !v.IsNull() && v.Bool() {
 			return row, true, nil
 		}
 	}
 }
 
-func (f *Filter) eval(row expr.Row, ctx *Ctx) types.Datum {
-	if f.Compiled != nil {
-		f.calls++
-		return f.Compiled(row, &ctx.Expr)
-	}
-	return f.Pred.Eval(row, &ctx.Expr)
-}
-
 // Close implements Node.
 func (f *Filter) Close(ctx *Ctx) {
-	f.Prog.Bee().Note(f.calls, 0)
-	f.calls = 0
+	f.call.note()
 	f.Child.Close(ctx)
 }
 

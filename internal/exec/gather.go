@@ -28,10 +28,12 @@ import (
 // Both modes do all their parallel work in Open, so no worker runs
 // while the Gather hands out rows.
 //
-// Bees stay per-worker: every partition subplan carries its own deform
-// (GCL), predicate (EVP), and aggregate-input (EVA) closures, so the
-// per-tuple hot path shares no mutable state across workers. Each worker
-// likewise owns a private profile.Counters, merged at the gather point.
+// Bees stay per-worker: every partition subplan carries its own
+// predicate (EVP) closures and every partition's drain its own
+// aggregate-input (EVA) ones, and the deform (GCL) routine holds no
+// mutable state, so the per-tuple hot path shares none across workers.
+// Each worker likewise owns a private profile.Counters, merged at the
+// gather point.
 type Gather struct {
 	// Parts are the per-partition subplans. Each is driven by exactly one
 	// worker at a time and must not share mutable state with its
@@ -41,13 +43,11 @@ type Gather struct {
 	// goroutines run concurrently.
 	Workers int
 
-	// GroupBy and Aggs are the aggregation mode's HashAgg fields.
-	// PartAggs carries per-partition AggSpec copies whose
-	// CompiledBatchArg closures (EVA bees) are private to one worker;
-	// entry i may be nil to share Aggs.
-	GroupBy  []expr.Expr
-	Aggs     []AggSpec
-	PartAggs [][]AggSpec
+	// GroupBy and Aggs are the aggregation mode's HashAgg fields. Each
+	// partition's drain makes its own callers of the aggregates' EVA
+	// programs, so the closures a worker runs are private to it.
+	GroupBy []expr.Expr
+	Aggs    []AggSpec
 	// BeeKeys and KeyedIDs are HashAgg's: every partition's drain reads
 	// the group keys by tuple-bee ID.
 	BeeKeys  *core.BeeKeys
@@ -219,11 +219,7 @@ func (g *Gather) openAgg(ctx *Ctx) error {
 		// drain writes per row is not allocated beside another
 		// partition's (a shared cache line).
 		if g.drains[part] == nil {
-			specs := g.Aggs
-			if g.PartAggs != nil && g.PartAggs[part] != nil {
-				specs = g.PartAggs[part]
-			}
-			g.drains[part] = newAggDrain(g.GroupBy, g.BeeKeys, specs, g.Aggs)
+			g.drains[part] = newAggDrain(g.GroupBy, g.BeeKeys, g.Aggs)
 		}
 		table := newAggTable(len(g.Aggs))
 		rows, err := drainBatchesIntoAgg(wctx, g.Parts[part], g.drains[part], table)

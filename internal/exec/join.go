@@ -80,13 +80,10 @@ type HashJoin struct {
 	// streams the inner one: the planner sets it when it estimates the
 	// outer side no larger than the inner.
 	BuildOuter bool
-	// Residual is an optional extra qual evaluated over the combined row.
+	// Residual is an optional extra qual evaluated over the combined row,
+	// and Prog its EVP program, as for Filter.
 	Residual expr.Expr
-	// ResidualCompiled is the EVP form of Residual, if compiled, and
-	// ResidualBee that bee's handle; the bee receives the number of
-	// ResidualCompiled evaluations at Close.
-	ResidualCompiled core.CompiledPred
-	ResidualBee      *core.Bee
+	Prog     core.Program
 	// EVJ is the specialized key-evaluation bee, nil for the generic path;
 	// EVJ.Bee receives the number of candidate pairs qualified at Close.
 	EVJ *core.JoinKeyFuncs
@@ -96,7 +93,8 @@ type HashJoin struct {
 	// at the end of every fill (joinfilter.go).
 	Filters []JoinFilter
 
-	evjCalls, residualCalls int64
+	evjCalls int64
+	call     caller
 	// keys is EVJ or stock, built on the first Open that needs it.
 	keys, stock *core.JoinKeyFuncs
 
@@ -177,6 +175,7 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 	if h.BuildOuter && !h.existsType() {
 		return fmt.Errorf("hash join: a %s join cannot hash its outer side", h.Type)
 	}
+	h.call.open(h.Prog, rowForm)
 	if h.keys = h.EVJ; h.keys == nil {
 		if h.stock == nil {
 			os, is := h.Outer.Schema(), h.Inner.Schema()
@@ -216,7 +215,7 @@ func (h *HashJoin) Open(ctx *Ctx) error {
 }
 
 func (h *HashJoin) existsType() bool  { return h.Type == SemiJoin || h.Type == AntiJoin }
-func (h *HashJoin) hasResidual() bool { return h.Residual != nil || h.ResidualCompiled != nil }
+func (h *HashJoin) hasResidual() bool { return h.Residual != nil }
 
 // JoinKeyType is the type a pair of key columns is encoded in, for a hash
 // join and for IN (subquery): the DOUBLE side's when there is one, so 1
@@ -342,13 +341,7 @@ func (h *HashJoin) notePairs(ctx *Ctx, pairs int64) {
 }
 
 func (h *HashJoin) residualOK(combined expr.Row, ctx *Ctx) bool {
-	var v types.Datum
-	if h.ResidualCompiled != nil {
-		h.residualCalls++
-		v = h.ResidualCompiled(combined, &ctx.Expr)
-	} else {
-		v = h.Residual.Eval(combined, &ctx.Expr)
-	}
+	v := h.call.pred(h.Residual, combined, ctx)
 	return !v.IsNull() && v.Bool()
 }
 
@@ -534,8 +527,8 @@ func (h *HashJoin) Close(ctx *Ctx) {
 	if h.EVJ != nil {
 		h.EVJ.Bee.Note(h.evjCalls, 0)
 	}
-	h.ResidualBee.Note(h.residualCalls, 0)
-	h.evjCalls, h.residualCalls = 0, 0
+	h.call.note()
+	h.evjCalls = 0
 	if h.outer != nil {
 		h.Outer.Close(ctx)
 	}
@@ -559,26 +552,24 @@ func (h *HashJoin) Schema() []ColInfo {
 type NLJoin struct {
 	Outer, Inner Node
 	Type         JoinType
-	Qual         expr.Expr
-	// QualCompiled is the EVP form of Qual, if compiled, and QualBee that
-	// bee's handle; the bee receives the number of QualCompiled
-	// evaluations at Close.
-	QualCompiled core.CompiledPred
-	QualBee      *core.Bee
+	// Qual is the join qual, and Prog its EVP program, as for Filter.
+	Qual expr.Expr
+	Prog core.Program
 	// Est is the planner's estimate of the rows the join emits (EXPLAIN).
 	Est float64
 
-	qualCalls int64
-	outerRow  expr.Row
-	matched   bool
-	combined  expr.Row
-	innerOn   bool
+	call     caller
+	outerRow expr.Row
+	matched  bool
+	combined expr.Row
+	innerOn  bool
 }
 
 // Open implements Node.
 func (n *NLJoin) Open(ctx *Ctx) error {
 	n.outerRow = nil
 	n.innerOn = false
+	n.call.open(n.Prog, rowForm)
 	if n.combined == nil {
 		n.combined = make(expr.Row, len(n.Outer.Schema())+len(n.Inner.Schema()))
 	}
@@ -586,17 +577,13 @@ func (n *NLJoin) Open(ctx *Ctx) error {
 }
 
 func (n *NLJoin) qualOK(combined expr.Row, ctx *Ctx) bool {
-	if n.Qual == nil && n.QualCompiled == nil {
+	if n.Qual == nil {
 		return true
 	}
-	var v types.Datum
-	if n.QualCompiled != nil {
-		n.qualCalls++
-		v = n.QualCompiled(combined, &ctx.Expr)
-	} else {
+	if !n.call.served() {
 		ctx.Prof().Add(profile.CompJoin, profile.JoinQualNode)
-		v = n.Qual.Eval(combined, &ctx.Expr)
 	}
+	v := n.call.pred(n.Qual, combined, ctx)
 	return !v.IsNull() && v.Bool()
 }
 
@@ -668,8 +655,7 @@ func (n *NLJoin) Next(ctx *Ctx) (expr.Row, bool, error) {
 
 // Close implements Node.
 func (n *NLJoin) Close(ctx *Ctx) {
-	n.QualBee.Note(n.qualCalls, 0)
-	n.qualCalls = 0
+	n.call.note()
 	if n.innerOn {
 		n.Inner.Close(ctx)
 		n.innerOn = false

@@ -816,9 +816,7 @@ func fuseKeys(s *BatchSeqScan) {
 			stored = append(stored, kf.Pos)
 		}
 	}
-	if stored != nil {
-		s.Fused = s.Deform.KeyFiltered(stored)
-	}
+	s.Routine, _, _ = s.Deform.Routine(core.Program{}, stored, nil)
 }
 
 // filterKeyRows draws n rows whose keys come from dom, NULL one time in
@@ -890,6 +888,27 @@ func checkFilteredJoin(t *testing.T, label string, outer, inner []expr.Row, notN
 		if len(top.Filters) != 0 {
 			t.Fatalf("%s: a filter on column %d crossed a left join", label, pos)
 		}
+	}
+	// Two joins on one probe column, placed top-down as lowering does: the
+	// lower join's keys reach the scan column the upper join's already
+	// filter, so the scan tests one set, and the result is the oracle's.
+	os := or.scan(t)
+	lower := &HashJoin{Outer: os, Inner: ir.scan(t), OuterKeys: []int{0}, InnerKeys: []int{0}, Type: InnerJoin}
+	upper := &HashJoin{Outer: lower, Inner: or.scan(t), OuterKeys: []int{0}, InnerKeys: []int{0}, Type: InnerJoin}
+	upper.PlaceFilters()
+	lower.PlaceFilters()
+	if len(os.KeyFilters) != 1 || len(upper.Filters) != 1 || len(lower.Filters) != 0 {
+		t.Fatalf("%s: two joins on one column: %d filters on the scan, upper join %d, lower %d; want one, the upper's",
+			label, len(os.KeyFilters), len(upper.Filters), len(lower.Filters))
+	}
+	fuseKeys(os)
+	want := nestedLoopOracle(nestedLoopOracle(outer, inner, []int{0}, []int{0}, InnerJoin, nil), outer, []int{0}, []int{0}, InnerJoin, nil)
+	got, err := Collect(&Ctx{}, &batchInvariants{BatchNode: upper, t: t})
+	if err == nil {
+		err = sameRows(got, want)
+	}
+	if err != nil {
+		t.Fatalf("%s: two joins on one column: %v", label, err)
 	}
 	return rejected, skipped
 }

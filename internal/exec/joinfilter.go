@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"microspec/internal/core"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
@@ -54,9 +56,12 @@ func filterable(t types.T) bool {
 // PlaceFilters gives j a filter per key column integral on both sides and
 // produced under j's probe side (the outer child, or the streamed inner
 // one under BuildOuter) by a scan, SeqScan (before lowering) or
-// BatchSeqScan, and appends it to the scan's KeyFilters. A left join and
-// an inner-hashing anti join publish none: a row no build row matches
-// still comes out of them. Each column of a composite key is necessary.
+// BatchSeqScan, and appends it to the scan's KeyFilters — unless the scan
+// already has a filter on that column: dropping a join filter is always
+// sound, and a second set on one column mostly repeats the first. A left
+// join and an inner-hashing anti join publish none: a row no build row
+// matches still comes out of them. Each column of a composite key is
+// necessary.
 func (j *HashJoin) PlaceFilters() {
 	probe, build, pk, bk := j.Outer, j.Inner, j.OuterKeys, j.InnerKeys
 	switch {
@@ -74,18 +79,22 @@ func (j *HashJoin) PlaceFilters() {
 		if src == nil || !filterable(src.Schema()[pos].T) || !filterable(bs[bk[k]].T) {
 			continue
 		}
+		var kfs *[]KeyFilter
+		switch s := src.(type) {
+		case *SeqScan:
+			kfs = &s.KeyFilters
+		case *BatchSeqScan:
+			kfs = &s.KeyFilters
+		}
+		if slices.ContainsFunc(*kfs, func(kf KeyFilter) bool { return kf.Pos == pos }) {
+			continue
+		}
 		if j.Filters == nil {
 			// One allocation, never outgrown: scans keep pointers into it.
 			j.Filters = make([]JoinFilter, 0, len(pk))
 		}
 		j.Filters = append(j.Filters, JoinFilter{Key: k, Type: j.Type, OuterKeys: j.OuterKeys, InnerKeys: j.InnerKeys})
-		kf := KeyFilter{JoinFilter: &j.Filters[len(j.Filters)-1], Pos: pos}
-		switch s := src.(type) {
-		case *SeqScan:
-			s.KeyFilters = append(s.KeyFilters, kf)
-		case *BatchSeqScan:
-			s.KeyFilters = append(s.KeyFilters, kf)
-		}
+		*kfs = append(*kfs, KeyFilter{JoinFilter: &j.Filters[len(j.Filters)-1], Pos: pos})
 	}
 }
 

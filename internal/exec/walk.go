@@ -33,7 +33,7 @@ func Children(n Node, kid func(*Node), ex func(expr.Expr)) {
 	case *InstrumentedBatch:
 		kid(&v.Inner)
 	case *BatchSeqScan:
-		one(v.FusedPred)
+		one(v.Pred)
 	case *IndexScan:
 		list(v.KeyExprs)
 	case *BatchFilter:
@@ -68,9 +68,6 @@ func Children(n Node, kid func(*Node), ex func(expr.Expr)) {
 	case *Gather:
 		list(v.GroupBy)
 		aggs(v.Aggs)
-		for _, specs := range v.PartAggs {
-			aggs(specs)
-		}
 		for i := range v.Parts {
 			kid(&v.Parts[i])
 		}

@@ -144,15 +144,15 @@ func describe(n exec.Node) string {
 			bee = " [GCL]"
 		}
 		fused := ""
-		if v.Columns != nil {
+		if v.ColumnPos != nil {
 			names := make([]string, len(v.ColumnPos))
 			for i, x := range v.ColumnPos {
 				names[i] = v.Schema()[x].Name
 			}
 			fused = " columns=(" + strings.Join(names, ", ") + ")"
 		}
-		if v.FusedPred != nil {
-			fused += fmt.Sprintf(" filter=%s", v.FusedPred)
+		if v.Pred != nil {
+			fused += fmt.Sprintf(" filter=%s", v.Pred)
 			bee = " [GCL+EVP]"
 		}
 		for _, kf := range v.KeyFilters {
@@ -166,7 +166,7 @@ func describe(n exec.Node) string {
 			v.Heap.Rel.Name, scanCols(v.Heap.Rel, v.Schema()), exec.BatchCap, fused, bee)
 	case *exec.BatchFilter:
 		bee := ""
-		if v.Compiled != nil {
+		if v.Prog.Served() {
 			bee = " [EVP]"
 		}
 		return fmt.Sprintf("BatchFilter %s%s", v.Pred, bee)
@@ -183,7 +183,7 @@ func describe(n exec.Node) string {
 		return fmt.Sprintf("Values (%d rows)", len(v.Rows))
 	case *exec.Filter:
 		bee := ""
-		if v.Compiled != nil {
+		if v.Prog.Served() {
 			bee = " [EVP]"
 		}
 		return fmt.Sprintf("Filter %s%s", v.Pred, bee)
@@ -212,7 +212,7 @@ func describe(n exec.Node) string {
 		res := ""
 		if v.Residual != nil {
 			res = " residual=" + v.Residual.String()
-			if v.ResidualCompiled != nil {
+			if v.Prog.Served() {
 				res += " [EVP]"
 			}
 		}
@@ -258,7 +258,7 @@ func aggsLabel(aggs []exec.AggSpec) (list, bee string) {
 	names := make([]string, len(aggs))
 	for i, a := range aggs {
 		names[i] = a.Name
-		if a.CompiledBatchArg != nil {
+		if a.Prog.Served() {
 			bee = " [EVA]"
 		}
 	}

@@ -44,10 +44,12 @@ import (
 // and a predicate the batch EVP bee does not cover falls back to the
 // generic interpreter per row inside BatchFilter.
 //
-// Lowering admits and compiles nothing: the batch, fused and per-partition
-// forms of a predicate are instantiated from the program its row Filter
-// holds, and partitions share the scan's stateless deform routine, so
-// workers share no mutable state on the per-tuple path.
+// Lowering admits and compiles nothing: every node it emits holds the
+// program its row Filter held, and the node's caller instantiates the
+// form it runs (exec/caller.go); a scan's routine is built by one call,
+// core.ScanDeform.Routine, which may fuse a filter's program. Partitions
+// share the scan's stateless deform routine, so workers share no mutable
+// state on the per-tuple path.
 
 // minParallelPages is the smallest heap (in pages) worth partitioning:
 // below it, worker startup costs more than the scan itself.
@@ -56,8 +58,8 @@ const minParallelPages = 8
 // region is a Filter chain, outermost first, over a SeqScan or a HashJoin.
 // An aggregation reading the scan's group keys by bee ID (beeKeys) sets
 // beeIDs, and deform when the scan need not deform those keys. One that
-// reads column batches (columnBatch) sets colScan, the column form of the
-// scan, and columns, the list positions its arguments read.
+// can read column batches (columnBatch) sets columns, the list positions
+// its arguments read, non-nil even when they read none.
 type region struct {
 	top     exec.Node
 	filters []*exec.Filter
@@ -65,7 +67,6 @@ type region struct {
 	join    *exec.HashJoin
 	beeIDs  bool
 	deform  *core.ScanDeform
-	colScan core.ColumnScanFunc
 	columns []int
 }
 
@@ -91,11 +92,42 @@ func regionOf(n exec.Node) (r region, ok bool) {
 }
 
 // lower emits a finished plan in its executed form; it returns the plan
-// unchanged when there is no bee module.
+// unchanged when there is no bee module. In batch form the hash joins get
+// their join filters first (placeFilters).
 func (p *Planner) lower(n exec.Node) exec.Node {
 	if p.Mod == nil {
 		return n
 	}
+	if p.Batch {
+		placeFilters(n)
+	}
+	return p.lowerNode(n)
+}
+
+// placeFilters gives the hash joins of the plan rooted at n their join
+// filters (exec.HashJoin.PlaceFilters) before lowering builds the scans
+// that test them: the joins on one key column first, then those on a
+// composite key, each pass top-down. A scan column takes one filter, and
+// one column of a composite key's set holds every value any key has
+// there, so a column that a single-column key reaches keeps that key's.
+func placeFilters(n exec.Node) {
+	var joins []*exec.HashJoin
+	exec.WalkNodes(n, func(n exec.Node) {
+		if j, ok := n.(*exec.HashJoin); ok {
+			joins = append(joins, j)
+		}
+	})
+	for _, composite := range []bool{false, true} {
+		for _, j := range joins {
+			if len(j.OuterKeys) > 1 == composite {
+				j.PlaceFilters()
+			}
+		}
+	}
+}
+
+// lowerNode is lower's walk.
+func (p *Planner) lowerNode(n exec.Node) exec.Node {
 	switch v := n.(type) {
 	case *exec.HashAgg:
 		if g := p.tryGatherAgg(v); g != nil {
@@ -110,20 +142,18 @@ func (p *Planner) lower(n exec.Node) exec.Node {
 	if r, ok := regionOf(n); ok {
 		return p.build(r, nil)
 	}
-	exec.Children(n, func(k *exec.Node) { *k = p.lower(*k) }, nil)
+	exec.Children(n, func(k *exec.Node) { *k = p.lowerNode(*k) }, nil)
 	return n
 }
 
 // build emits r over part, or over the whole heap when part is nil, in
 // batch form when batching is on and in row form otherwise. A join's
-// children are lowered in turn. A partition gets predicate closures of its
-// own; the whole heap's row form is the planned region itself.
+// children are lowered in turn. A partition gets filter nodes, and so
+// callers, of its own; the whole heap's row form is the planned region
+// itself.
 func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 	if r.join != nil {
-		if p.Batch {
-			r.join.PlaceFilters()
-		}
-		exec.Children(r.join, func(k *exec.Node) { *k = p.lower(*k) }, nil)
+		exec.Children(r.join, func(k *exec.Node) { *k = p.lowerNode(*k) }, nil)
 	}
 	if !p.Batch && part == nil {
 		return r.top
@@ -143,28 +173,11 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 		if part != nil {
 			bs.Range, bs.Partial = *part, true
 		}
-		// A column batch's scan runs the column form of its deform, fused
-		// with its one filter if it has one; the form holds no mutable
-		// state, so partitions share it, as they share the deform.
-		// Otherwise fuse the innermost compiled filter into the scan when
-		// the composed GCL∘EVP routine covers relation and predicate: the
-		// scan then deforms each tuple only as far as the predicate needs,
-		// instead of fully deforming rows the filter discards. The row
-		// form evaluates the innermost filter first, so fusing it keeps
-		// the predicate order for the rest.
-		if r.colScan != nil {
-			bs.Columns, bs.ColumnPos = r.colScan, r.columns
-			if len(filters) == 1 {
-				bs.FusedPred, bs.FusedBee = filters[0].Pred, filters[0].Prog.Bee()
-				filters = nil
-			}
-		}
 		// Join filters on the scan's columns are tested on the stored
-		// word by the fused routine where the deform program reads it as
-		// one, by a predicate-less fused routine when no filter fuses,
-		// and on the datum otherwise.
+		// word by the scan's routine where the deform program reads it as
+		// one, and on the datum otherwise.
 		var stored []int
-		if part == nil && bs.Columns == nil {
+		if part == nil {
 			bs.KeyFilters = r.scan.KeyFilters
 			for i := range bs.KeyFilters {
 				kf := &bs.KeyFilters[i]
@@ -173,15 +186,27 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 				}
 			}
 		}
-		if k := len(filters) - 1; k >= 0 && bs.Columns == nil {
-			f := filters[k]
-			if fp := f.Prog.Fused(deform, stored); fp != nil {
-				bs.Fused, bs.FusedPred, bs.FusedBee = fp, f.Pred, f.Prog.Bee()
-				filters = filters[:k]
-			}
+		// The routine fuses the innermost filter into the scan when the
+		// composed GCL∘EVP routine covers relation and predicate: the scan
+		// then deforms each tuple only as far as the predicate needs,
+		// instead of fully deforming rows the filter discards. The row form
+		// evaluates the innermost filter first, so fusing it keeps the
+		// predicate order for the rest. A region an aggregation reads as
+		// column batches gets the column form where it applies, its one
+		// filter, if any, fused whole.
+		var pred core.Program
+		k := len(filters) - 1
+		if k >= 0 {
+			pred = filters[k].Prog
 		}
-		if bs.Fused == nil && stored != nil {
-			bs.Fused = deform.KeyFiltered(stored)
+		var fused, columnar bool
+		bs.Routine, fused, columnar = deform.Routine(pred, stored, r.columns)
+		if fused {
+			bs.Pred, bs.Prog = filters[k].Pred, filters[k].Prog
+			filters = filters[:k]
+		}
+		if columnar {
+			bs.ColumnPos = r.columns
 		}
 		node = bs
 	default:
@@ -194,11 +219,9 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 	for j := len(filters) - 1; j >= 0; j-- {
 		f := filters[j]
 		if p.Batch {
-			node = &exec.BatchFilter{Child: node, Pred: f.Pred,
-				Bee: f.Prog.Bee(), Compiled: f.Prog.Batch()}
+			node = &exec.BatchFilter{Child: node, Pred: f.Pred, Prog: f.Prog}
 		} else {
-			node = &exec.Filter{Child: node, Pred: f.Pred,
-				Prog: f.Prog, Compiled: f.Prog.Row()}
+			node = &exec.Filter{Child: node, Pred: f.Pred, Prog: f.Prog}
 		}
 	}
 	return node
@@ -210,7 +233,7 @@ func (p *Planner) lowerAgg(agg *exec.HashAgg) exec.Node {
 	exec.Children(agg, func(k *exec.Node) {
 		r, ok := regionOf(*k)
 		if !ok {
-			*k = p.lower(*k)
+			*k = p.lowerNode(*k)
 			return
 		}
 		agg.BeeKeys = p.beeKeys(&r, agg.GroupBy, agg.Aggs)
@@ -281,26 +304,23 @@ func (p *Planner) beeKeys(r *region, groupBy []expr.Expr, aggs []exec.AggSpec) *
 }
 
 // columnBatch marks r's scan to emit column batches (exec.Batch.Cols) to
-// the aggregation directly above it, when the aggregation needs nothing
-// from the rows but what a column batch carries:
-//   - r is a scan region in batch form whose predicate is entirely fused
-//     — no filter, or one whose every conjunct is a stored-bytes check or
-//     a bee-ID verdict (core.Program.FusedColumns);
+// the aggregation directly above it where the scan's routine can take the
+// column form (core.ScanDeform.Routine), when the aggregation needs
+// nothing from the rows but what a column batch carries:
+//   - r is a scan region in batch form with no join filter and at most
+//     one filter, whose program is served;
 //   - the group keys are read by bee ID (keys), or there are none;
 //   - every argument is an EVA bee's with a typed vector form that reads
-//     only columns (core.Program.Columns), each a stored fixed-width
-//     column of the scan's deform program (core.ScanDeform.Columns).
+//     only columns (core.Program.Columns).
 func (p *Planner) columnBatch(r *region, groupBy []expr.Expr, keys *core.BeeKeys, aggs []exec.AggSpec) {
-	if !p.Batch || r.scan == nil || len(groupBy) > 0 && keys == nil || len(r.filters) > 1 {
+	if !p.Batch || r.scan == nil || len(groupBy) > 0 && keys == nil || len(r.filters) > 1 ||
+		len(r.filters) == 1 && !r.filters[0].Prog.Served() || r.scan.KeyFilters != nil {
 		return
 	}
-	var pos []int
+	pos := []int{}
 	for i := range aggs {
 		if aggs[i].Arg == nil {
 			continue
-		}
-		if aggs[i].CompiledBatchArg == nil {
-			return
 		}
 		cols, ok := aggs[i].Prog.Columns()
 		if !ok {
@@ -313,15 +333,6 @@ func (p *Planner) columnBatch(r *region, groupBy []expr.Expr, keys *core.BeeKeys
 		}
 	}
 	slices.Sort(pos)
-	deform := r.scan.Deform
-	if r.deform != nil {
-		deform = r.deform
-	}
-	if len(r.filters) == 1 {
-		r.colScan = r.filters[0].Prog.FusedColumns(deform, pos)
-	} else {
-		r.colScan = deform.Columns(pos)
-	}
 	r.columns = pos
 }
 
@@ -374,32 +385,13 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 	for i := range ranges {
 		parts[i] = p.build(r, &ranges[i])
 	}
-	// Per-partition EVA bee closures: each worker evaluates aggregate
-	// inputs through its own compiled routine.
-	var partAggs [][]exec.AggSpec
-	for i := range agg.Aggs {
-		if agg.Aggs[i].CompiledBatchArg != nil {
-			partAggs = make([][]exec.AggSpec, len(parts))
-			for pi := range parts {
-				specs := append([]exec.AggSpec(nil), agg.Aggs...)
-				for si := range specs {
-					if specs[si].CompiledBatchArg != nil {
-						specs[si].CompiledBatchArg = specs[si].Prog.BatchVec()
-					}
-				}
-				partAggs[pi] = specs
-			}
-			break
-		}
-	}
 	p.Mod.NoteParallelPlan()
 	return &exec.Gather{
-		Parts:    parts,
-		Workers:  len(parts),
-		GroupBy:  agg.GroupBy,
-		Aggs:     agg.Aggs,
-		PartAggs: partAggs,
-		BeeKeys:  keys,
+		Parts:   parts,
+		Workers: len(parts),
+		GroupBy: agg.GroupBy,
+		Aggs:    agg.Aggs,
+		BeeKeys: keys,
 	}
 }
 

@@ -101,18 +101,9 @@ func (p *Planner) scanFor(rel *catalog.Relation, atts []int) (*exec.SeqScan, err
 	return exec.NewSeqScan(h, deform), nil
 }
 
-// filterOver wraps child in a Filter on pred, carrying pred's EVP program
-// and its row form where the bee module provides them.
+// filterOver wraps child in a Filter on pred, carrying pred's EVP program.
 func (p *Planner) filterOver(child exec.Node, pred expr.Expr) *exec.Filter {
-	prog := p.Mod.CompilePredicate(pred)
-	return &exec.Filter{Child: child, Pred: pred, Prog: prog, Compiled: prog.Row()}
-}
-
-// compileQual returns the EVP row form and the bee handle of a join qual;
-// both are nil when there is no qual or the module compiles none.
-func (p *Planner) compileQual(qual expr.Expr) (core.CompiledPred, *core.Bee) {
-	prog := p.Mod.CompilePredicate(qual)
-	return prog.Row(), prog.Bee()
+	return &exec.Filter{Child: child, Pred: pred, Prog: p.Mod.CompilePredicate(pred)}
 }
 
 // hashJoin builds a hash join estimated to emit est rows, with its
@@ -122,9 +113,8 @@ func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, k
 	hj := &exec.HashJoin{
 		Outer: outer, Inner: inner,
 		OuterKeys: outerKeys, InnerKeys: innerKeys,
-		Type: jt, Residual: residual, Est: est,
+		Type: jt, Residual: residual, Prog: p.Mod.CompilePredicate(residual), Est: est,
 	}
-	hj.ResidualCompiled, hj.ResidualBee = p.compileQual(residual)
 	hj.EVJ, _ = p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes)
 	return hj
 }

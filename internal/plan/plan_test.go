@@ -105,11 +105,11 @@ func TestFilterPushdownBelowJoin(t *testing.T) {
 	}
 	// Both single-table predicates must sit below the join. Lowering
 	// emits pushed Filter→SeqScan regions in batch form, and on a bee-enabled
-	// database each filter fuses into its scan (scan.Fused non-nil).
+	// database each filter fuses into its scan (scan.Pred non-nil).
 	sideFused := func(n exec.Node) int {
 		fused := 0
 		for _, s := range nodesOf[*exec.BatchSeqScan](walk(n)) {
-			if s.Fused != nil {
+			if s.Pred != nil {
 				fused++
 			}
 		}

@@ -730,12 +730,10 @@ func (sp *selectPlan) planJoinRef(r *sql.JoinRef) (*fromItem, error) {
 	if len(outerKeys) > 0 {
 		node = sp.p.hashJoin(left.node, right.node, outerKeys, innerKeys, keyTypes, jt, residual, est)
 	} else {
-		nl := &exec.NLJoin{
+		node = &exec.NLJoin{
 			Outer: left.node, Inner: &exec.Materialize{Child: right.node},
-			Type: jt, Qual: residual, Est: est,
+			Type: jt, Qual: residual, Prog: sp.p.Mod.CompilePredicate(residual), Est: est,
 		}
-		nl.QualCompiled, nl.QualBee = sp.p.compileQual(residual)
-		node = nl
 	}
 	return &fromItem{node: node, cols: combined, est: est}, nil
 }
@@ -990,7 +988,6 @@ func (sp *selectPlan) planAggregation(sel *sql.Select, ts *treeState, outASTs []
 			spec.Arg = arg
 			// EVA: specialize the aggregate's input evaluation.
 			spec.Prog = p.Mod.CompileScalar(arg)
-			spec.CompiledBatchArg = spec.Prog.BatchVec()
 		}
 		subst[key] = len(sel.GroupBy) + len(aggs)
 		aggs = append(aggs, spec)

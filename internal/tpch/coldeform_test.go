@@ -14,7 +14,7 @@ import (
 )
 
 // TestColumnDeformMatchesSlotDeform holds the column form of a scan's
-// deform (core.ScanDeform.Columns, the column batches' deform) to the
+// routine (core.ScanDeform.Routine, the column batches' deform) to the
 // generic loop (tuple.SlotDeformColumns) over random attribute lists and
 // random fixed-width column subsets of every TPC-H relation, on tuples
 // formed from the relation's generated rows. Each relation is declared
@@ -67,7 +67,7 @@ func TestColumnDeformMatchesSlotDeform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var pos []int
+			pos := []int{}
 			for x, a := range atts {
 				switch rel.Attrs[a].Type.Kind {
 				case types.KindChar, types.KindVarchar:
@@ -77,18 +77,16 @@ func TestColumnDeformMatchesSlotDeform(t *testing.T) {
 					}
 				}
 			}
-			form := d.Columns(pos)
-			if form == nil {
-				if pos != nil {
-					t.Fatalf("%s over %v: no column form for fixed-width positions %v", name, atts, pos)
-				}
-				continue
+			form, _, columnar := d.Routine(core.Program{}, nil, pos)
+			if !columnar {
+				t.Fatalf("%s over %v: no column form for fixed-width positions %v", name, atts, pos)
 			}
 			lists++
-			cols := make([]core.Vec, len(atts))
-			if got := form(tups, cols, nil, &core.ScanState{}, nil); got != len(tups) {
-				t.Fatalf("%s over %v: column form passed %d of %d tuples", name, atts, got, len(tups))
+			b := core.ScanBatch{Cols: make([]core.Vec, len(atts))}
+			if form(tups, &b, &core.ScanState{}, nil); b.N != len(tups) {
+				t.Fatalf("%s over %v: column form passed %d of %d tuples", name, atts, b.N, len(tups))
 			}
+			cols := b.Cols
 			want := make([]types.Datum, len(atts))
 			for j, tup := range tups {
 				tuple.SlotDeformColumns(rel, tup, want, atts, nil)

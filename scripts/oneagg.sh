@@ -4,10 +4,11 @@
 # An aggregate folds its input in one loop (DESIGN.md §10.2):
 # drainBatchesIntoAgg in internal/exec/agg.go, which reads any child as
 # batches — a row-at-a-time child as batches of one, as HashJoin does —
-# and evaluates every argument through the EVA bee's one compiled form,
-# CompiledBatchArg (core.Program.BatchVec: a typed vector per argument).
-# Its callers are HashAgg.Open and Gather.openAgg (a partial-aggregation
-# Gather's partitions). The EVA bee's typed path is its vector program
+# and evaluates every argument through the EVA bee's one form, its vector
+# program (core.Program.BatchVec: a typed vector per argument), run by the
+# drain's caller of the spec's program (internal/exec/caller.go; each
+# partition's drain makes its own). Its callers are HashAgg.Open and
+# Gather.openAgg (a partial-aggregation Gather's partitions). The EVA bee's typed path is its vector program
 # (core/vec.go): kernels over column vectors. This fails if non-test Go
 # names a deleted second path — the BatchHashAgg node, the EVA row form
 # CompiledArg, the boxed batch form CompiledBatchScalar / BatchScalar, the

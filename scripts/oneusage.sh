@@ -1,9 +1,11 @@
 #!/bin/sh
 # oneusage.sh — run by the CI bench-smoke job, next to oneagg.sh.
 #
-# A bee's use is reported one way (DESIGN.md §12.3): every plan node that
-# runs a bee calls Bee.Note on the handle it holds, once, at Close, and
-# the registry's per-routine totals behind Module.Stats are bumped inside
+# A bee's use is reported one way (DESIGN.md §12.3): Bee.Note, once per
+# run, at Close — for an EVP or EVA program by the node's Bee Caller
+# (internal/exec/caller.go, which counts and times what it runs), for a
+# relation or EVJ bee by the scan or join that holds the handle — and the
+# registry's per-routine totals behind Module.Stats are bumped inside
 # Note. This fails if non-test Go names a deleted second feed — the
 # module's call counters (callCounters, NoteGCLCall, NoteEVPCall,
 # NoteEVJCall, NoteEVACall) or the planner's hooks on plan nodes
