@@ -42,7 +42,8 @@ func BenchmarkGCLDeformOrders(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rb := m.OnCreateRelation(rel)
+	m.OnCreateRelation(rel)
+	deform := wholeRow(b, m, rel)
 	tup, err := m.FormTuple(rel, ordersValues("O", "2-HIGH", 0), nil)
 	if err != nil {
 		b.Fatal(err)
@@ -50,7 +51,7 @@ func BenchmarkGCLDeformOrders(b *testing.B) {
 	values := make([]types.Datum, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rb.GCL(tup, values, 9, nil)
+		deform.Row(tup, values, nil)
 	}
 }
 
@@ -61,7 +62,8 @@ func BenchmarkGCLDeformOrdersNoTupleBees(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rb := m.OnCreateRelation(rel)
+	m.OnCreateRelation(rel)
+	deform := wholeRow(b, m, rel)
 	tup, err := m.FormTuple(rel, ordersValues("O", "2-HIGH", 0), nil)
 	if err != nil {
 		b.Fatal(err)
@@ -69,7 +71,7 @@ func BenchmarkGCLDeformOrdersNoTupleBees(b *testing.B) {
 	values := make([]types.Datum, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rb.GCL(tup, values, 9, nil)
+		deform.Row(tup, values, nil)
 	}
 }
 
@@ -110,12 +112,13 @@ func BenchmarkDeformBatchGeneric(b *testing.B) {
 func BenchmarkDeformBatchPerTupleGCL(b *testing.B) {
 	m := NewModule(GCL)
 	rel := benchRelStock(b)
-	rb := m.OnCreateRelation(rel)
+	m.OnCreateRelation(rel)
+	deform := wholeRow(b, m, rel)
 	tups, rows := benchBatchTuples(b, m, rel, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, tup := range tups {
-			rb.GCL(tup, rows[j], 9, nil)
+			deform.Row(tup, rows[j], nil)
 		}
 	}
 }

@@ -133,7 +133,7 @@ func storedRows(t *testing.T, db *engine.DB, rel *catalog.Relation) ([][]byte, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	deform, err := db.Module().Deformer(rel)
+	deform, err := db.Module().ScanDeformer(rel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func storedRows(t *testing.T, db *engine.DB, rel *catalog.Relation) ([][]byte, [
 		}
 		tup = append([]byte(nil), tup...)
 		row := make(expr.Row, len(rel.Attrs))
-		deform(tup, row, len(row), nil)
+		deform.Row(tup, row, nil)
 		tups, rows = append(tups, tup), append(rows, row)
 	}
 	if err := sc.Err(); err != nil || len(tups) == 0 {
@@ -223,11 +223,11 @@ func checkColumns(t *testing.T, rng *rand.Rand, rel *catalog.Relation, d *core.S
 	}
 	if len(other) > 0 {
 		bad := append(append([]int(nil), pos...), other[rng.Intn(len(other))])
-		if _, _, columnar := d.Routine(core.Program{}, nil, bad); columnar {
+		if _, _, columnar := d.Routine(nil, nil, bad); columnar {
 			t.Fatalf("%s over %v: a column form of positions %v, one neither stored nor fixed-width", rel.Name, d.Atts, bad)
 		}
 	}
-	form, _, columnar := d.Routine(core.Program{}, nil, pos)
+	form, _, columnar := d.Routine(nil, nil, pos)
 	if !columnar {
 		t.Fatalf("%s over %v: no column form of fixed-width positions %v", rel.Name, d.Atts, pos)
 	}

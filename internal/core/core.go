@@ -243,29 +243,15 @@ func (m *Module) RelationBeeFor(rel *catalog.Relation) *RelationBee {
 	return m.relBees[rel.ID]
 }
 
-// DeformFunc extracts the first natts attributes of a stored tuple into
-// values — the signature shared by the generic slot_deform_tuple wrapper
-// and the GCL bee routine. Scans deform through a ScanDeform over the
-// attributes they read instead (see ScanDeformer).
-type DeformFunc func(tup []byte, values []types.Datum, natts int, prof *profile.Counters)
-
-// Deformer returns the deform routine the executor should use for rel:
-// the GCL bee when enabled (the Bee Caller path), otherwise the generic
-// interpreted loop. Relations with specialized storage require GCL.
-func (m *Module) Deformer(rel *catalog.Relation) (DeformFunc, error) {
-	m.mu.RLock()
-	rb := m.relBees[rel.ID]
-	useGCL := m.routines.applies(routineGCL)
-	m.mu.RUnlock()
-	if useGCL && rb != nil {
-		return rb.GCL, nil
+// Deformer returns rel's whole-row deform in the shape the benchmark
+// ladder (bench/ladder.go) times: ScanDeformer's routine over every
+// attribute, which always deforms all of them, whatever natts says.
+func (m *Module) Deformer(rel *catalog.Relation) (func(tup []byte, values []types.Datum, natts int, prof *profile.Counters), error) {
+	d, err := m.ScanDeformer(rel, nil)
+	if err != nil {
+		return nil, err
 	}
-	if rel.Spec != nil {
-		return nil, fmt.Errorf("core: relation %s has specialized storage but GCL is disabled", rel.Name)
-	}
-	return func(tup []byte, values []types.Datum, natts int, prof *profile.Counters) {
-		tuple.SlotDeform(rel, tup, values, natts, prof)
-	}, nil
+	return func(tup []byte, values []types.Datum, _ int, prof *profile.Counters) { d.Row(tup, values, prof) }, nil
 }
 
 // FormFunc forms the stored bytes of a tuple from its values.
@@ -340,15 +326,14 @@ type CompiledPred func(row expr.Row, ctx *expr.Ctx) types.Datum
 type CompiledBatchPred func(rows []expr.Row, cand []int32, out []int32, ctx *expr.Ctx) []int32
 
 // CompiledBatchVec is the batch form of an EVA bee: one invocation
-// evaluates the aggregate's input expression for the n live rows of a
-// batch into a vector of the class the expression's static kind resolved
-// to, in live-row order. The batch is its rows (sel nil means all of
-// rows) or, for a column batch, cols: a vector per list position, every
-// value live. The result is valid until the next invocation and must not
-// be modified: a bare column's is the column itself. As with
-// CompiledBatchPred, the bee-call wrapper and cost accounting run once per
-// batch instead of once per tuple.
-type CompiledBatchVec func(rows []expr.Row, sel []int32, cols []Vec, n int, ctx *expr.Ctx) *Vec
+// evaluates the aggregate's input expression for the live rows of a
+// batch, a row batch or a column batch (VecIn), into a vector of the
+// class the expression's static kind fixes, in live-row order. The result
+// is valid until the next invocation and must not be modified: a bare
+// column's is the column itself. As with CompiledBatchPred, the bee-call
+// wrapper and cost accounting run once per batch instead of once per
+// tuple.
+type CompiledBatchVec func(in *VecIn, ctx *expr.Ctx) *Vec
 
 // Program is one plan's compiled EVP or EVA bee: the registry entry the
 // expression was admitted under, and the fragment compiled from this
@@ -464,22 +449,11 @@ func (p Program) BatchVec() CompiledBatchVec {
 		return nil
 	}
 	m, b, vp := p.m, p.bee, newVecProg(p.e, &p.fr, p.cost)
-	return func(rows []expr.Row, sel []int32, cols []Vec, n int, ctx *expr.Ctx) *Vec {
+	return func(in *VecIn, ctx *expr.Ctx) *Vec {
 		m.maybePanic(b)
-		ctx.Prof.Add(profile.CompExpr, vp.charge(n, cols != nil))
-		return vp.eval(&vecIn{rows: rows, sel: sel, cols: cols, n: n})
+		ctx.Prof.Add(profile.CompExpr, vp.charge(in.N, in.Cols != nil))
+		return vp.eval(in)
 	}
-}
-
-// Columns returns the list positions an EVA program's batch form reads
-// as column leaves, and whether it can run on a column batch: the program
-// is in service and its argument typed, with no boxed operand (a $n, a
-// CASE, a character value). A constant argument reads none.
-func (p Program) Columns() ([]int, bool) {
-	if !p.Served() {
-		return nil, false
-	}
-	return newVecProg(p.e, &p.fr, p.cost).columns()
 }
 
 // BatchKeyHash is the batch form of a join key hasher, in the style of

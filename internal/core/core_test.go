@@ -74,7 +74,7 @@ func TestSpecMask(t *testing.T) {
 }
 
 func TestSCLGCLRoundTripSpecialized(t *testing.T) {
-	m, rel, rb := beeDB(t, AllRoutines)
+	m, rel, _ := beeDB(t, AllRoutines)
 	vals := ordersValues("O", "2-HIGH", 0)
 	tup, err := m.FormTuple(rel, vals, nil)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestSCLGCLRoundTripSpecialized(t *testing.T) {
 		t.Fatal("specialized tuple must carry a beeID")
 	}
 	out := make([]types.Datum, 9)
-	rb.GCL(tup, out, 9, nil)
+	wholeRow(t, m, rel).Row(tup, out, nil)
 	for i := range vals {
 		if out[i].Compare(vals[i]) != 0 {
 			t.Errorf("attr %d: got %v want %v", i, out[i], vals[i])
@@ -155,7 +155,7 @@ func TestGCLCostMatchesPaper(t *testing.T) {
 	tup, _ := m.FormTuple(rel, ordersValues("O", "2-HIGH", 0), nil)
 	prof := &profile.Counters{}
 	out := make([]types.Datum, 9)
-	rb.GCL(tup, out, 9, prof)
+	wholeRow(t, m, rel).Row(tup, out, prof)
 	got := prof.Component(profile.CompDeform)
 	// Paper: the specialized GetColumnsToLongs has ≈146 instructions.
 	if got < 135 || got > 160 {
@@ -218,10 +218,14 @@ func TestDeformerSelection(t *testing.T) {
 }
 
 func TestPartialGCLDeform(t *testing.T) {
-	m, rel, rb := beeDB(t, AllRoutines)
+	m, rel, _ := beeDB(t, AllRoutines)
 	tup, _ := m.FormTuple(rel, ordersValues("P", "1-URGENT", 3), nil)
-	out := make([]types.Datum, 9)
-	rb.GCL(tup, out, 6, nil)
+	out := make([]types.Datum, 6)
+	d, err := m.ScanDeformer(rel, []int{0, 1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Row(tup, out, nil)
 	if out[2].Str() != "P" || out[5].Str() != "1-URGENT" {
 		t.Errorf("partial deform: %v %v", out[2], out[5])
 	}
@@ -245,7 +249,7 @@ func TestNullableRelationFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]types.Datum, 2)
-	rb.GCL(tup, out, 2, nil)
+	wholeRow(t, m, rel).Row(tup, out, nil)
 	if out[0].Int32() != 1 || !out[1].IsNull() {
 		t.Errorf("fallback deform: %v %v", out[0], out[1])
 	}

@@ -280,10 +280,10 @@ type fusedStages struct {
 }
 
 // fusedStages sorts p's conjuncts over d's program; ok is false when p is
-// not an EVP program in service, d runs no specialized program, or some
-// conjunct is outside the snippet library.
-func (p Program) fusedStages(d *ScanDeform) (st fusedStages, ok bool) {
-	if !p.Served() || p.bee.kind != kindEVP || d.prog == nil {
+// nil (no predicate) or not an EVP program in service, d runs no
+// specialized program, or some conjunct is outside the snippet library.
+func (p *Program) fusedStages(d *ScanDeform) (st fusedStages, ok bool) {
+	if p == nil || !p.Served() || p.bee.kind != kindEVP || d.prog == nil {
 		return st, false
 	}
 	prog := d.prog
@@ -351,12 +351,15 @@ func (st *fusedStages) widen(b *Bee, deformCost int64) bool {
 //   - cols, when set, asks for the column form, writing list positions
 //     cols of the passing tuples and nothing else. It needs d's
 //     specialized program, stored fixed-width columns (columnDeform), and
-//     pred — unless pred is the zero Program — fused whole, decided before
-//     the deform. Otherwise the routine is the row form.
-//   - pred is fused when it is an EVP program in service, d runs the
+//     pred, if there is one, fused whole, decided before the deform.
+//     Otherwise the routine is the row form.
+//   - pred, the scan's filter's program, nil when the scan has no filter,
+//     is fused when it is an EVP program in service, d runs the
 //     specialized program (GCL enabled, a non-nullable schema) and the
 //     snippet library covers every conjunct; otherwise the planner keeps
-//     it in a separate BatchFilter.
+//     it in a separate BatchFilter. A filter whose program is the zero
+//     Program (EVP disabled) is never fused, so it never reaches a
+//     column form.
 //   - keys are the list positions whose join filter the routine tests on
 //     the stored word (ScanState.Keys): each an INTEGER, BIGINT or DATE
 //     the program reads as one word at a fixed offset, at most MaxKeySets.
@@ -385,16 +388,16 @@ func (st *fusedStages) widen(b *Bee, deformCost int64) bool {
 // falls back to the generic path. Its benefit line pairs the bee's full
 // deform plus predicate (the no-abandon worst case) against the generic
 // loop plus the interpreted predicate.
-func (d *ScanDeform) Routine(pred Program, keys, cols []int) (r ScanRoutine, fused, columnar bool) {
+func (d *ScanDeform) Routine(pred *Program, keys, cols []int) (r ScanRoutine, fused, columnar bool) {
 	sets, _ := setChecks(d.prog, keys)
 	st, ok := pred.fusedStages(d)
-	if cols != nil {
+	if cols != nil && (pred == nil || ok && st.checks == nil) {
 		cd, colOK := d.columnDeform(cols)
 		switch {
 		case !colOK:
-		case pred.bee == nil:
+		case pred == nil:
 			return fusedStages{prog: d.prog}.routine(sets, cd, nil, nil), false, true
-		case ok && st.checks == nil && st.widen(pred.bee, cd.cost):
+		case st.widen(pred.bee, cd.cost):
 			return st.routine(sets, cd, pred.m, pred.bee), true, true
 		}
 	}

@@ -282,7 +282,7 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d 
 		}
 		return a.steps - b.steps
 	})
-	rows = projected(f.rb, page, d.Atts)
+	rows = projected(wholeRow(t, f.m, f.rel), page, d.Atts)
 	ctx := &expr.Ctx{}
 	verdicts := map[uint16]bool{}
 	for i, row := range rows {
@@ -327,14 +327,13 @@ func (f *fusedFixture) reference(t *testing.T, pred expr.Expr, page [][]byte, d 
 	return sel, rows, deform, evp, int64(len(verdicts))
 }
 
-// projected deforms every attribute of each tuple with the relation bee's
-// full routine and keeps the attributes atts lists, in list order.
-func projected(rb *RelationBee, page [][]byte, atts []int) []expr.Row {
-	natts := len(rb.Rel.Attrs)
-	full := make(expr.Row, natts)
+// projected deforms every attribute of each tuple with the whole-row
+// routine and keeps the attributes atts lists, in list order.
+func projected(whole *ScanDeform, page [][]byte, atts []int) []expr.Row {
+	full := make(expr.Row, len(whole.Atts))
 	rows := make([]expr.Row, len(page))
 	for i, tup := range page {
-		rb.GCL(tup, full, natts, nil)
+		whole.Row(tup, full, nil)
 		rows[i] = make(expr.Row, len(atts))
 		for k, a := range atts {
 			rows[i][k] = full[a]
@@ -390,7 +389,7 @@ func TestFusedRawStageMatchesDeformThenEvaluate(t *testing.T) {
 						pos = append(pos, x)
 					}
 				}
-				colForm, _, columnar := d.Routine(prog, nil, pos)
+				colForm, _, columnar := d.Routine(&prog, nil, pos)
 				if !columnar {
 					colForm = nil
 				}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"testing"
+
 	"microspec/internal/catalog"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
@@ -28,7 +30,7 @@ func compileScalar(m *Module, e expr.Expr) (CompiledPred, bool) {
 		return nil, false
 	}
 	return func(row expr.Row, ctx *expr.Ctx) types.Datum {
-		return bv([]expr.Row{row}, nil, nil, 1, ctx).At(0)
+		return bv(&VecIn{Rows: []expr.Row{row}, N: 1}, ctx).At(0)
 	}, true
 }
 
@@ -49,7 +51,7 @@ func rowRoutine(r ScanRoutine) fusedFunc {
 // fuse returns the row-form routine of d fused with prog and set checks on
 // list positions keys, or nil when prog does not fuse.
 func fuse(d *ScanDeform, prog Program, keys []int) fusedFunc {
-	r, fused, _ := d.Routine(prog, keys, nil)
+	r, fused, _ := d.Routine(&prog, keys, nil)
 	if !fused {
 		return nil
 	}
@@ -71,4 +73,14 @@ func compileFused(m *Module, rel *catalog.Relation, e expr.Expr, atts []int) (fu
 func joins(jk *JoinKeyFuncs, outer, inner expr.Row) bool {
 	jk.Probe(outer, true)
 	return jk.Match(inner)
+}
+
+// wholeRow is rel's whole-row deform under m.
+func wholeRow(tb testing.TB, m *Module, rel *catalog.Relation) *ScanDeform {
+	tb.Helper()
+	d, err := m.ScanDeformer(rel, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }

@@ -131,7 +131,7 @@ func TestFusedSetChecksMatchDatumMembership(t *testing.T) {
 				vt.Keys[i] = &sets[i]
 			}
 			var pred expr.Expr
-			keyed, _, _ := d.Routine(Program{}, keys, nil)
+			keyed, _, _ := d.Routine(nil, keys, nil)
 			routine := rowRoutine(keyed)
 			if f.rng.Intn(2) == 0 {
 				pred = f.conjunct()

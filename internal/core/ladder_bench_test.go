@@ -116,7 +116,7 @@ func BenchmarkEVAArith(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, eva := range evas {
-				eva(rows, nil, nil, len(rows), ctx)
+				eva(&core.VecIn{Rows: rows, N: len(rows)}, ctx)
 			}
 		}
 		report(b, ctx.Prof)
@@ -139,7 +139,7 @@ func BenchmarkEVAArith(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, eva := range evas {
-				eva(nil, nil, cols, batch, ctx)
+				eva(&core.VecIn{Cols: cols, N: batch}, ctx)
 			}
 		}
 		report(b, ctx.Prof)
@@ -241,7 +241,8 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		}
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
-				fused, ok, _ := deform.Routine(db.Module().CompilePredicate(p.make(rel)), nil, nil)
+				prog := db.Module().CompilePredicate(p.make(rel))
+				fused, ok, _ := deform.Routine(&prog, nil, nil)
 				if !ok {
 					b.Fatal("predicate did not fuse")
 				}
@@ -280,7 +281,8 @@ func BenchmarkFusedScanFilter(b *testing.B) {
 		for _, p := range preds {
 			b.Run(p.name, func(b *testing.B) {
 				pred := p.make(rel)
-				if _, fused, _ := deform.Routine(db.Module().CompilePredicate(pred), nil, nil); fused {
+				prog := db.Module().CompilePredicate(pred)
+				if _, fused, _ := deform.Routine(&prog, nil, nil); fused {
 					b.Fatal("the stock routine set must not fuse")
 				}
 				ctx := &expr.Ctx{Prof: &profile.Counters{}}

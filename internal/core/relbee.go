@@ -23,9 +23,6 @@ type RelationBee struct {
 	// to; nil when the relation kept the generic routines.
 	bee *Bee
 
-	// GCL extracts the first natts attributes of a stored tuple. Scans run
-	// the routine over the attribute list they read instead (ScanDeformer).
-	GCL DeformFunc
 	// SCL forms the stored bytes of a tuple for the given beeID.
 	SCL func(values []types.Datum, beeID uint16, prof *profile.Counters) ([]byte, error)
 
@@ -65,9 +62,6 @@ func makeRelationBee(rel *catalog.Relation) *RelationBee {
 		rb.DataSections = newDataSections(rel)
 	}
 	if rel.HasNullable {
-		rb.GCL = func(tup []byte, values []types.Datum, natts int, prof *profile.Counters) {
-			tuple.SlotDeform(rel, tup, values, natts, prof)
-		}
 		rb.SCL = func(values []types.Datum, beeID uint16, prof *profile.Counters) ([]byte, error) {
 			return tuple.Form(rel, values, beeID, prof)
 		}
@@ -80,25 +74,11 @@ func makeRelationBee(rel *catalog.Relation) *RelationBee {
 	return rb
 }
 
-// buildGCL assembles the deform routine as a flat op program with
-// constant offsets baked for the fixed prefix and tuple-bee holes wired
-// to the data section — exactly the structure of the paper's Listing 2,
-// executed without per-attribute dispatch on catalog metadata. It is the
-// program over every attribute, one step per attribute, so its first
-// natts steps deform the first natts attributes.
-func (rb *RelationBee) buildGCL() {
-	var combos *comboTable
-	if rb.DataSections != nil {
-		combos = rb.DataSections.combos
-	}
-	prog := newColProgram(rb.Rel, nil, combos)
-	ops, cost := prog.ops, prog.cost
-	rb.gclCost = cost
-	rb.GCL = func(tup []byte, values []types.Datum, natts int, prof *profile.Counters) {
-		prof.Add(profile.CompDeform, cost[natts])
-		runDeformProgram(ops, tup[tuple.HOff(tup):], tuple.BeeID(tup), combos, values, natts)
-	}
-}
+// buildGCL prices the GCL program over every attribute (the structure of
+// the paper's Listing 2), one step per attribute, so gclCost[n] is the
+// cost of deforming the first n. ScanDeformer builds the routine itself
+// per attribute list; a whole-row read runs the list of every attribute.
+func (rb *RelationBee) buildGCL() { rb.gclCost = newColProgram(rb.Rel, nil, nil).cost }
 
 // buildSCL assembles the fill routine as a flat op program (the
 // pre-compiled snippet variants selected per attribute, with constant

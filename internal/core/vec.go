@@ -11,8 +11,8 @@ type VecClass uint8
 
 // Vec classes, one per fragment class an aggregate argument resolves to.
 const (
-	// VecBoxed holds datums: character kinds, CASE, $n and truth values,
-	// and every value the interpreter evaluates.
+	// VecBoxed holds datums: character and other kinds, and a batch whose
+	// evaluator returned a datum of another kind than the static one.
 	VecBoxed VecClass = iota
 	// VecInt holds the raw I of INTEGER, BIGINT, DATE and BOOLEAN values.
 	VecInt
@@ -26,11 +26,11 @@ const vecCap = 1024
 
 // Vec is one column or one expression's values for the live rows of a
 // batch, in live-row order: a column of a column batch, or an aggregate's
-// input. The class is fixed by the static kind, so an integral or DOUBLE
-// value is read as an int64 or float64, never boxed in a types.Datum. A
-// Vec is scratch its owner reuses batch after batch: Reset keeps every
-// slice's capacity, so a vector grows with the largest batch it has held,
-// never per batch.
+// input. The class is fixed by the static kind (Fill), so an integral or
+// DOUBLE value is read as an int64 or float64, never boxed in a
+// types.Datum, whoever evaluated it. A Vec is scratch its owner reuses
+// batch after batch: Reset keeps every slice's capacity, so a vector grows
+// with the largest batch it has held, never per batch.
 type Vec struct {
 	Class VecClass
 	// Kind is the kind a VecInt value boxes to.
@@ -58,6 +58,54 @@ func (v *Vec) Reset(cls VecClass, kind types.Kind, n int) {
 		v.Floats = sized(v.Floats, n)
 	default:
 		v.Datums = sized(v.Datums, n)
+	}
+}
+
+// Fill evaluates f, an expression of static kind k, over every live row
+// of in into v, in the class k fixes: VecInt for INTEGER, BIGINT, DATE and
+// BOOLEAN, VecFloat for DOUBLE, VecBoxed for any other kind. Every
+// evaluator that computes a value per row — the interpreter, a boxed
+// argument's fragment — fills its vector here.
+func (v *Vec) Fill(k types.Kind, in *VecIn, f func(expr.Row) types.Datum) {
+	switch classOf(k) {
+	case clsInt:
+		v.Reset(VecInt, k, in.N)
+	case clsFloat:
+		v.Reset(VecFloat, 0, in.N)
+	default:
+		v.Reset(VecBoxed, 0, in.N)
+	}
+	rows := in.rowsOf()
+	for j := range in.N {
+		v.put(j, f(rows[in.at(j)]))
+	}
+}
+
+// put stores d as entry j. A NULL sets the mask. A datum of another kind
+// than the class holds — an expression whose Type() its value does not
+// match — turns the vector boxed for the rest of the batch: the entries
+// before j are boxed (At) into Datums, so no value is ever unboxed as the
+// wrong kind.
+func (v *Vec) put(j int, d types.Datum) {
+	k := d.Kind()
+	switch {
+	case v.Class == VecBoxed:
+		if v.Datums[j] = d; k == types.KindInvalid {
+			v.SetNull(j)
+		}
+	case k == types.KindInvalid:
+		v.SetNull(j)
+	case v.Class == VecInt && k == v.Kind:
+		v.Ints[j] = d.I
+	case v.Class == VecFloat && k == types.KindFloat64:
+		v.Floats[j] = d.Float64()
+	default:
+		boxed := sized(v.Datums, v.n)
+		for i := range j {
+			boxed[i] = v.At(i)
+		}
+		v.Class, v.Datums = VecBoxed, boxed
+		boxed[j] = d
 	}
 }
 
@@ -130,9 +178,10 @@ func (v *Vec) At(i int) types.Datum {
 // its operands' vectors, each element by the code the fragment closures
 // use (arith, AddInterval, DateYear), so results, NULLs and rounding are
 // the closures'. A column leaf aliases the column batch's vector; over
-// rows it is read out of the rows once per batch. A boxed argument
+// rows it is read out of the rows once per batch. Any other argument
 // (character kinds, CASE, $n, truth values) is evaluated row by row by
-// its fragment, into datums.
+// its fragment over the batch's rows (VecIn.rowsOf) into the vector class
+// its static kind fixes (Vec.Fill), as the interpreter's values are.
 
 // vop is a vector program node's kernel.
 type vop uint8
@@ -152,7 +201,7 @@ const (
 	// vYear is EXTRACT(YEAR FROM ...).
 	vYear
 	// vRaw is a boxed operand of vDate or vYear read as its raw I, row by
-	// row: the fragment's rawInts over a boxed subtree. Rows only.
+	// row: the fragment's rawInts over a boxed subtree.
 	vRaw
 )
 
@@ -180,12 +229,10 @@ type vnode struct {
 type vecProg struct {
 	root   *vnode   // nil for a boxed argument
 	leaves []*vnode // the distinct columns root reads, each read once per batch
-	raw    bool     // some node is vRaw: the program reads rows only
 	nodes  int      // kernel nodes: leaves, constants and vRaw excluded
-	// boxed evaluates a boxed argument per row; bare, when boxed is nil,
-	// is the list position of a boxed bare column.
+	// boxed evaluates a boxed argument per row, of static kind kind.
 	boxed predFunc
-	bare  int
+	kind  types.Kind
 	cost  int64 // a boxed argument's per-row cost
 	out   Vec   // a boxed argument's values, or a constant root's
 	slab  []vnode
@@ -200,7 +247,7 @@ func (p *vecProg) node(nd vnode) *vnode {
 
 // newVecProg compiles the vector form of e, whose fragment is fr.
 func newVecProg(e expr.Expr, fr *frag, cost int64) *vecProg {
-	p := &vecProg{cost: cost}
+	p := &vecProg{cost: cost, kind: e.Type().Kind}
 	if fr.cls == clsInt || fr.cls == clsFloat {
 		// Every expression node compiles to at most one node and a widening
 		// of each operand, so one slab holds the program.
@@ -210,11 +257,7 @@ func newVecProg(e expr.Expr, fr *frag, cost int64) *vecProg {
 		p.root = p.compile(e)
 		return p
 	}
-	if fr.leaf == leafVar {
-		p.bare = fr.idx
-	} else {
-		p.boxed = fr.boxed()
-	}
+	p.boxed = fr.boxed()
 	return p
 }
 
@@ -307,40 +350,58 @@ func (p *vecProg) rawInts(e expr.Expr) *vnode {
 	if fr.cls == clsInt {
 		return p.compile(e)
 	}
-	p.raw = true
 	return p.node(vnode{op: vRaw, cls: VecInt, d: fr.boxed()})
 }
 
-// columns returns the list positions the program reads as column leaves,
-// and whether it can run on a column batch: a typed argument with no
-// boxed operand.
-func (p *vecProg) columns() ([]int, bool) {
-	if p.root == nil || p.raw {
-		return nil, false
-	}
-	pos := make([]int, len(p.leaves))
-	for i, l := range p.leaves {
-		pos[i] = l.idx
-	}
-	return pos, true
+// VecIn is a batch as an aggregation's argument evaluators read it: a
+// row batch's live rows (Sel nil means all of Rows), or a column batch's
+// vectors by list position (Cols), every row live, with Rows nil until a
+// reader asks for them. N is the live row count. An evaluator that reads
+// rows — the interpreter, a boxed argument, a vRaw operand — reads them
+// through rowsOf, so every evaluator reads every batch. The drain that
+// owns a VecIn sets its fields per batch and reuses its rows.
+type VecIn struct {
+	Rows []expr.Row
+	Sel  []int32
+	Cols []Vec
+	N    int
+
+	built []expr.Row
 }
 
-// vecIn is a vector program's input: the live rows of a batch (sel nil
-// means all of rows), or a column batch's vectors by list position. n is
-// the live row count.
-type vecIn struct {
-	rows []expr.Row
-	sel  []int32
-	cols []Vec
-	n    int
-}
-
-// rowAt is the row ordinal of live row j.
-func (in *vecIn) rowAt(j int) int {
-	if in.sel != nil {
-		return int(in.sel[j])
+// at is the row ordinal of live row j.
+func (in *VecIn) at(j int) int {
+	if in.Sel != nil {
+		return int(in.Sel[j])
 	}
 	return j
+}
+
+// rowsOf returns the batch's rows. A column batch's are built on the first
+// call in the batch, into an arena reused batch after batch: row j holds
+// live row j's value (Vec.At) at every list position the batch has a
+// column for; the other positions hold nothing a reader reads.
+func (in *VecIn) rowsOf() []expr.Row {
+	if in.Rows != nil {
+		return in.Rows
+	}
+	if w := len(in.Cols); len(in.built) < in.N {
+		c := max(in.N, min(max(2*len(in.built), in.N+in.N/2), vecCap))
+		arena := make([]types.Datum, c*w)
+		in.built = make([]expr.Row, c)
+		for i := range in.built {
+			in.built[i] = arena[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	in.Rows = in.built[:in.N]
+	for x := range in.Cols {
+		if c := &in.Cols[x]; c.Len() == in.N {
+			for j, row := range in.Rows {
+				row[x] = c.At(j)
+			}
+		}
+	}
+	return in.Rows
 }
 
 // charge is the abstract instruction cost of evaluating n live rows.
@@ -357,9 +418,10 @@ func (p *vecProg) charge(n int, columns bool) int64 {
 
 // eval evaluates the program over in; the result is valid until the next
 // eval, and aliases a column of in when the argument is a bare column.
-func (p *vecProg) eval(in *vecIn) *Vec {
+func (p *vecProg) eval(in *VecIn) *Vec {
 	if p.root == nil {
-		return p.evalBoxed(in)
+		p.out.Fill(p.kind, in, p.boxed)
+		return &p.out
 	}
 	for _, l := range p.leaves {
 		l.read(in)
@@ -367,7 +429,7 @@ func (p *vecProg) eval(in *vecIn) *Vec {
 	v := p.root.eval(in)
 	if v == nil { // a constant argument
 		nd := p.root
-		p.out.Reset(nd.cls, nd.kind, in.n)
+		p.out.Reset(nd.cls, nd.kind, in.N)
 		if nd.cls == VecInt {
 			for j := range p.out.Ints {
 				p.out.Ints[j] = nd.ci
@@ -382,34 +444,12 @@ func (p *vecProg) eval(in *vecIn) *Vec {
 	return v
 }
 
-// evalBoxed evaluates a boxed argument row by row into datums.
-func (p *vecProg) evalBoxed(in *vecIn) *Vec {
-	if in.rows == nil {
-		panic("core: a boxed aggregate argument reads rows, and the batch has columns only")
-	}
-	out := &p.out
-	out.Reset(VecBoxed, 0, in.n)
-	for j := range out.Datums {
-		row := in.rows[in.rowAt(j)]
-		var d types.Datum
-		if p.boxed != nil {
-			d = p.boxed(row)
-		} else {
-			d = row[p.bare]
-		}
-		if out.Datums[j] = d; d.IsNull() {
-			out.SetNull(j)
-		}
-	}
-	return out
-}
-
 // read sets a column leaf's vector for the batch: the column batch's own,
 // or its values read out of the rows, kind-guarded like the fragments'
 // reads.
-func (l *vnode) read(in *vecIn) {
-	if in.cols != nil {
-		c := &in.cols[l.idx]
+func (l *vnode) read(in *VecIn) {
+	if in.Cols != nil {
+		c := &in.Cols[l.idx]
 		if c.Class != l.cls || l.cls == VecInt && c.Kind != l.kind {
 			panic(errKindGuard)
 		}
@@ -417,17 +457,17 @@ func (l *vnode) read(in *vecIn) {
 		return
 	}
 	out := &l.out
-	out.Reset(l.cls, l.kind, in.n)
+	out.Reset(l.cls, l.kind, in.N)
 	if l.cls == VecInt {
 		for j := range out.Ints {
-			v, ok := intAt(in.rows[in.rowAt(j)], l.idx, l.kind)
+			v, ok := intAt(in.Rows[in.at(j)], l.idx, l.kind)
 			if out.Ints[j] = v; !ok {
 				out.SetNull(j)
 			}
 		}
 	} else {
 		for j := range out.Floats {
-			v, ok := floatAt(in.rows[in.rowAt(j)], l.idx)
+			v, ok := floatAt(in.Rows[in.at(j)], l.idx)
 			if out.Floats[j] = v; !ok {
 				out.SetNull(j)
 			}
@@ -438,7 +478,7 @@ func (l *vnode) read(in *vecIn) {
 
 // eval runs the node's kernel, returning its vector, or nil for a
 // constant (its value is ci or cf).
-func (nd *vnode) eval(in *vecIn) *Vec {
+func (nd *vnode) eval(in *VecIn) *Vec {
 	switch nd.op {
 	case vVar:
 		return nd.cur
@@ -446,7 +486,7 @@ func (nd *vnode) eval(in *vecIn) *Vec {
 		return nil
 	}
 	out := &nd.out
-	out.Reset(nd.cls, nd.kind, in.n)
+	out.Reset(nd.cls, nd.kind, in.N)
 	switch nd.op {
 	case vNeg:
 		a := nd.l.eval(in)
@@ -492,11 +532,9 @@ func (nd *vnode) eval(in *vecIn) *Vec {
 			}
 		}
 	case vRaw:
-		if in.rows == nil {
-			panic("core: a boxed operand reads rows, and the batch has columns only")
-		}
+		rows := in.rowsOf()
 		for j := range out.Ints {
-			d := nd.d(in.rows[in.rowAt(j)])
+			d := nd.d(rows[in.at(j)])
 			if out.Ints[j] = d.I; d.IsNull() {
 				out.SetNull(j)
 			}

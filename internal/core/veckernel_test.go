@@ -118,9 +118,6 @@ func TestVectorKernelsMatchInterpreter(t *testing.T) {
 		if bv == nil {
 			t.Fatalf("%s: no vector form", e)
 		}
-		if _, ok := p.Columns(); !ok {
-			t.Fatalf("%s: a typed tree over columns must run on a column batch", e)
-		}
 		typed++
 		for _, nulls := range []bool{false, true} {
 			rows := make([]expr.Row, n)
@@ -153,13 +150,13 @@ func TestVectorKernelsMatchInterpreter(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			check("rows", bv(rows, nil, nil, n, ctx), all)
+			check("rows", bv(&VecIn{Rows: rows, N: n}, ctx), all)
 			var sel []int32
 			var live []int
 			for i := 0; i < n; i += 1 + rng.Intn(3) {
 				sel, live = append(sel, int32(i)), append(live, i)
 			}
-			check("selection", bv(rows, sel, nil, len(sel), ctx), live)
+			check("selection", bv(&VecIn{Rows: rows, Sel: sel, N: len(sel)}, ctx), live)
 			// The same values as a column batch: a vector per column,
 			// NULLs in its mask.
 			cols := make([]Vec, len(kernelCols))
@@ -180,7 +177,7 @@ func TestVectorKernelsMatchInterpreter(t *testing.T) {
 					}
 				}
 			}
-			check("columns", bv(nil, nil, cols, n, ctx), all)
+			check("columns", bv(&VecIn{Cols: cols, N: n}, ctx), all)
 		}
 	}
 	if typed == 0 {
@@ -189,34 +186,77 @@ func TestVectorKernelsMatchInterpreter(t *testing.T) {
 }
 
 // TestVectorFormOfBoxedArguments: a boxed argument ($n, CASE, a
-// character column) keeps the row-by-row boxed path and cannot run on a
-// column batch.
+// character column, a boxed operand of EXTRACT) is evaluated row by row
+// into the vector class its static kind fixes, on a row batch and on a
+// column batch, whose rows are built from its vectors.
 func TestVectorFormOfBoxedArguments(t *testing.T) {
 	m := NewModule(AllRoutines)
 	slots := &expr.ParamSlots{Vals: []types.Datum{types.NewInt64(7)}}
 	iv := &expr.Var{Idx: 0, T: types.Int64, Name: "iv"}
-	for _, e := range []expr.Expr{
-		&expr.Param{Idx: 0, Slot: slots},
-		&expr.Var{Idx: 1, T: types.Varchar(8), Name: "s"},
-		&expr.Case{Whens: []expr.When{{Cond: &expr.Cmp{Op: expr.GT, L: iv, R: expr.NewConst(types.NewInt64(0))}, Result: iv}},
-			Else: expr.NewConst(types.NewInt64(1)), T: types.Int64},
-		&expr.ExtractYear{Kid: &expr.Param{Idx: 0, Slot: slots}},
+	for _, c := range []struct {
+		e    expr.Expr
+		cls  VecClass
+		cols bool // reads only column 0, so it runs on a column batch too
+	}{
+		{&expr.Param{Idx: 0, Slot: slots}, VecBoxed, true},
+		{&expr.Var{Idx: 1, T: types.Varchar(8), Name: "s"}, VecBoxed, false},
+		{&expr.Case{Whens: []expr.When{{Cond: &expr.Cmp{Op: expr.GT, L: iv, R: expr.NewConst(types.NewInt64(0))}, Result: iv}},
+			Else: expr.NewConst(types.NewInt64(1)), T: types.Int64}, VecInt, true},
+		{&expr.ExtractYear{Kid: &expr.Param{Idx: 0, Slot: slots}}, VecInt, true},
 	} {
-		p := m.CompileScalar(e)
-		if _, ok := p.Columns(); ok {
-			t.Errorf("%s: a boxed argument claims a column form", e)
-		}
-		bv := p.BatchVec()
+		e := c.e
+		bv := m.CompileScalar(e).BatchVec()
 		if bv == nil {
 			t.Fatalf("%s: no vector form", e)
 		}
 		rows := []expr.Row{{types.NewInt64(-2), types.NewString("x")}, {types.Null, types.Null}}
 		ctx := &expr.Ctx{Prof: &profile.Counters{}}
-		v := bv(rows, nil, nil, len(rows), ctx)
-		for i, row := range rows {
-			if want := e.Eval(row, ctx); !sameDatum(v.At(i), want) {
-				t.Errorf("%s row %d: got %v, want %v", e, i, v.At(i), want)
+		check := func(label string, v *Vec) {
+			t.Helper()
+			if want := c.cls; v.Class != want && e.Type().Kind != types.KindInvalid {
+				t.Errorf("%s %s: class %d, want %d", e, label, v.Class, want)
+			}
+			for i, row := range rows {
+				if want := e.Eval(row, ctx); !sameDatum(v.At(i), want) {
+					t.Errorf("%s %s row %d: got %v, want %v", e, label, i, v.At(i), want)
+				}
 			}
 		}
+		check("rows", bv(&VecIn{Rows: rows, N: len(rows)}, ctx))
+		if c.cols {
+			cols := make([]Vec, 2)
+			cols[0].Reset(VecInt, types.KindInt64, 2)
+			cols[0].Ints[0] = -2
+			cols[0].SetNull(1)
+			check("columns", bv(&VecIn{Cols: cols, N: 2}, ctx))
+		}
+	}
+}
+
+// TestVecFillBoxesAnotherKind: a value of another kind than a typed
+// vector's static one turns the vector boxed, keeping the values before
+// it and the NULL mask.
+func TestVecFillBoxesAnotherKind(t *testing.T) {
+	fill := func(k types.Kind, vals ...types.Datum) *Vec {
+		rows := make([]expr.Row, len(vals))
+		for i, d := range vals {
+			rows[i] = expr.Row{d}
+		}
+		var v Vec
+		v.Fill(k, &VecIn{Rows: rows, N: len(rows)}, func(row expr.Row) types.Datum { return row[0] })
+		return &v
+	}
+	vals := []types.Datum{types.NewInt64(5), types.Null, types.NewFloat64(1.5), types.NewInt64(-1)}
+	v := fill(types.KindInt64, vals...)
+	if v.Class != VecBoxed {
+		t.Fatalf("class %d, want VecBoxed", v.Class)
+	}
+	for i, want := range vals {
+		if got := v.At(i); !sameDatum(got, want) {
+			t.Errorf("entry %d: %v, want %v", i, got, want)
+		}
+	}
+	if v := fill(types.KindFloat64, types.NewFloat64(2.5), types.Null); v.Class != VecFloat || v.Floats[0] != 2.5 || !v.Nulls[1] {
+		t.Errorf("a DOUBLE vector of DOUBLE values: %+v", v)
 	}
 }

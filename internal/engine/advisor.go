@@ -185,7 +185,7 @@ func (db *DB) Respecialize(name, attr string, on bool) error {
 			break
 		}
 		vals := make([]types.Datum, len(rel.Attrs))
-		tab.deform(tup, vals, len(vals), nil)
+		tab.deform(tup, vals, nil)
 		for i := range vals {
 			// Deformed byte payloads alias the pinned page; the rewrite
 			// outlives the pin, so copy them out.

@@ -2,10 +2,11 @@ package engine
 
 // Column batches: an aggregation directly on a batch scan whose predicate
 // is entirely fused, whose group keys are read by bee ID (or absent) and
-// whose arguments read only fixed-width columns reads column batches —
-// the scan deforms the arguments' columns into typed vectors and the EVA
-// bee's vector kernels read them directly. Every result must be the stock
-// engine's and the row path's, bit for bit.
+// whose arguments read only stored fixed-width columns reads column
+// batches — the scan deforms the arguments' columns into typed vectors,
+// the EVA bee's vector kernels read them directly, and the interpreter or
+// a boxed argument reads rows built from them. Every result must be the
+// stock engine's and the row path's, bit for bit, at every routine level.
 
 import (
 	"fmt"
@@ -16,37 +17,104 @@ import (
 	"microspec/internal/types"
 )
 
-// colDBs opens the stock reference and the bee engine with batching on
-// and off, each holding tk's 3000 rows.
-func colDBs(t *testing.T) (stock, batch, noBatch *DB) {
+// tkDB opens a database of cfg holding tk's 3000 rows.
+func tkDB(t *testing.T, cfg Config) *DB {
 	t.Helper()
-	stock = Open(Config{Routines: core.Stock, PoolPages: 1024})
-	batch = Open(Config{Routines: core.AllRoutines, PoolPages: 1024})
-	noBatch = Open(Config{Routines: core.AllRoutines, PoolPages: 1024, NoBatch: true})
-	for _, db := range []*DB{stock, batch, noBatch} {
-		mustExec(t, db, tkSchema)
-		ins, err := db.Prepare("insert into tk values ($1, $2, $3, $4, $5, $6, $7)")
-		if err != nil {
+	cfg.PoolPages = 1024
+	db := Open(cfg)
+	mustExec(t, db, tkSchema)
+	ins, err := db.Prepare("insert into tk values ($1, $2, $3, $4, $5, $6, $7)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ins.Close()
+	for k := 1; k <= 3000; k++ {
+		if _, err := ins.Exec(taRow(k, false)...); err != nil {
 			t.Fatal(err)
 		}
-		for k := 1; k <= 3000; k++ {
-			if _, err := ins.Exec(taRow(k, false)...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ins.Close()
 	}
-	return stock, batch, noBatch
+	return db
+}
+
+// colDBs opens the stock reference and the bee engine with batching on
+// and off.
+func colDBs(t *testing.T) (stock, batch, noBatch *DB) {
+	t.Helper()
+	return tkDB(t, Config{Routines: core.Stock}), tkDB(t, Config{Routines: core.AllRoutines}),
+		tkDB(t, Config{Routines: core.AllRoutines, NoBatch: true})
+}
+
+// quarantineEVA takes every EVA bee db has compiled out of service, as a
+// panic would, leaving its other bees in service.
+func quarantineEVA(db *DB) {
+	for _, e := range db.Module().CacheEntries() {
+		if e.Kind == "query/EVA" {
+			db.Module().Bee(e.Kind, e.Name).Quarantine()
+		}
+	}
+}
+
+// colDB is one engine TestColumnBatchesMatchStock compares with stock,
+// and what its plans show: column batches (columns), an [EVA] marker, a
+// filtered scan's filter kept (filtered: BatchFilter, no column batch).
+type colDB struct {
+	name string
+	db   *DB
+	// evaOff quarantines the EVA bees before each query.
+	evaOff bool
+	// columns, eva: whether a plan that can read column batches does, and
+	// shows [EVA]; keepsFilter: whether a filtered one keeps a BatchFilter
+	// over row batches instead.
+	columns, eva, keepsFilter bool
+}
+
+// explain plans q on c's engine and checks what the plan shows; filtered
+// reports whether q has a WHERE clause.
+func (c *colDB) explain(t *testing.T, label, q string, filtered bool) {
+	t.Helper()
+	if c.evaOff {
+		if _, err := c.db.ExplainQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		quarantineEVA(c.db)
+	}
+	out, err := c.db.ExplainQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCols := c.columns && !(filtered && c.keepsFilter)
+	if got := strings.Contains(out, " columns=("); got != wantCols {
+		t.Fatalf("%s %s: reads column batches %v, want %v:\n%s", c.name, label, got, wantCols, out)
+	}
+	if got := strings.Contains(out, "[EVA]"); got != c.eva {
+		t.Fatalf("%s %s: [EVA] %v, want %v:\n%s", c.name, label, got, c.eva, out)
+	}
+	if filtered && c.keepsFilter && !strings.Contains(out, "BatchFilter ") {
+		t.Fatalf("%s %s: the filter is gone:\n%s", c.name, label, out)
+	}
 }
 
 func TestColumnBatchesMatchStock(t *testing.T) {
 	stock, batch, noBatch := colDBs(t)
+	dbs := []*colDB{
+		{name: "bee", db: batch, columns: true, eva: true},
+		{name: "nobatch", db: noBatch, eva: true},
+		// GCL: column batches where there is no filter; a filter's program
+		// is the zero Program, which never fuses, so it stays a BatchFilter.
+		{name: "GCL", db: tkDB(t, Config{Routines: core.GCL}), columns: true, keepsFilter: true},
+		// GCL+EVP and a quarantined EVA bee: the interpreter reads column
+		// batches.
+		{name: "GCL+EVP", db: tkDB(t, Config{Routines: core.GCLEVP}), columns: true},
+		{name: "EVA quarantined", db: tkDB(t, Config{Routines: core.AllRoutines}), evaOff: true, columns: true},
+	}
 	// Typed arguments over every kernel: bare columns, arithmetic that
 	// divides by zero and wraps, widening, negation, date arithmetic and
-	// EXTRACT, and a constant.
+	// EXTRACT, and a constant; and boxed ones: a CASE and a $n-free truth
+	// value.
 	aggs := "sum(i), avg(d), min(dt), max(b), count(*), sum(i * 2 - 1), sum(b * 3 + i), " +
 		"sum(d * 2.5 - i), max(-d), min(-i), sum(i / (i - 3)), avg(d / (i - 2)), " +
-		"max(dt + 1), min(dt - interval '1' month), sum(extract(year from dt)), sum(2), count(distinct i * 2)"
+		"max(dt + 1), min(dt - interval '1' month), sum(extract(year from dt)), sum(2), count(distinct i * 2), " +
+		"sum(case when i > 7 then d else 1.5 end), max(b > 2)"
 	filters := []string{
 		"",
 		" where i > 3 and d < 1.5",
@@ -65,11 +133,10 @@ func TestColumnBatchesMatchStock(t *testing.T) {
 		{" where i > $1", [][]types.Datum{{types.NewInt32(3)}, {types.NewFloat64(2.5)}, {types.Null}}},
 		{" where d < $1 and g <> $2", [][]types.Datum{{types.NewInt64(1), types.NewChar("C")}, {types.NewFloat64(-0.5), types.NewChar("A")}}},
 	}
-	dbs := []*DB{batch, noBatch}
 	check := func(label string, want *Result, wantErr error, got []*Result, errs []error) {
 		t.Helper()
-		for i := range dbs {
-			l := fmt.Sprintf("%s, batch=%v", label, i == 0)
+		for i, c := range dbs {
+			l := fmt.Sprintf("%s, %s", label, c.name)
 			if (errs[i] != nil) != (wantErr != nil) {
 				t.Fatalf("%s: error %v, stock's %v", l, errs[i], wantErr)
 			}
@@ -79,8 +146,9 @@ func TestColumnBatchesMatchStock(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2} {
-		for _, db := range []*DB{stock, batch, noBatch} {
-			db.SetWorkers(workers)
+		stock.SetWorkers(workers)
+		for _, c := range dbs {
+			c.db.SetWorkers(workers)
 		}
 		for _, f := range filters {
 			for _, group := range []string{"", "g, "} {
@@ -88,34 +156,28 @@ func TestColumnBatchesMatchStock(t *testing.T) {
 				if group != "" {
 					q += " group by g"
 				}
-				out, err := batch.ExplainQuery(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !strings.Contains(out, " columns=(") {
-					t.Fatalf("workers=%d: %s does not read column batches:\n%s", workers, q, out)
-				}
+				label := fmt.Sprintf("workers=%d: %s", workers, q)
 				want, wantErr := stock.Query(q)
 				var got []*Result
 				var errs []error
-				for _, db := range dbs {
-					r, err := db.Query(q)
+				for _, c := range dbs {
+					c.explain(t, label, q, f != "")
+					r, err := c.db.Query(q)
 					got, errs = append(got, r), append(errs, err)
 				}
-				check(fmt.Sprintf("workers=%d: %s", workers, q), want, wantErr, got, errs)
+				check(label, want, wantErr, got, errs)
 			}
 		}
 		for _, pc := range prepared {
 			q := "select g, " + aggs + " from tk" + pc.where + " group by g"
-			out, err := batch.ExplainQuery(strings.NewReplacer("$1", "3", "$2", "'C'").Replace(q))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(out, " columns=(") {
-				t.Fatalf("workers=%d: %s does not read column batches:\n%s", workers, q, out)
-			}
+			label := fmt.Sprintf("workers=%d: %s", workers, q)
 			var stmts []*Stmt
-			for _, db := range []*DB{stock, batch, noBatch} {
+			for i := -1; i < len(dbs); i++ {
+				db := stock
+				if i >= 0 {
+					dbs[i].explain(t, label, strings.NewReplacer("$1", "3", "$2", "'C'").Replace(q), true)
+					db = dbs[i].db
+				}
 				st, err := db.Prepare(q)
 				if err != nil {
 					t.Fatal(err)
@@ -131,60 +193,76 @@ func TestColumnBatchesMatchStock(t *testing.T) {
 					r, err := st.Query(params...)
 					got, errs = append(got, r), append(errs, err)
 				}
-				check(fmt.Sprintf("workers=%d: %s %v", workers, q, params), want, wantErr, got, errs)
+				check(fmt.Sprintf("%s %v", label, params), want, wantErr, got, errs)
 			}
 		}
 	}
-	// A GROUP BY that is not by bee ID, a filter the stored bytes cannot
-	// decide and a boxed argument keep row batches.
-	for _, q := range []string{
-		"select i, sum(d) from tk group by i",
-		"select sum(i) from tk where s like 's0%'",
-		"select sum(case when i > 0 then d else 1.5 end) from tk",
+	// A GROUP BY that is not by bee ID and a filter the stored bytes
+	// cannot decide keep row batches; a boxed argument reads column
+	// batches.
+	for _, c := range []struct {
+		q       string
+		columns bool
+	}{
+		{"select i, sum(d) from tk group by i", false},
+		{"select sum(i) from tk where s like 's0%'", false},
+		{"select sum(case when i > 0 then d else 1.5 end) from tk", true},
 	} {
-		out, err := batch.ExplainQuery(q)
+		out, err := batch.ExplainQuery(c.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(out, " columns=(") {
-			t.Errorf("%s reads column batches:\n%s", q, out)
+		if got := strings.Contains(out, " columns=("); got != c.columns {
+			t.Errorf("%s reads column batches %v, want %v:\n%s", c.q, got, c.columns, out)
 		}
 	}
-	requireNoQuarantine(t, batch)
-	requireNoQuarantine(t, noBatch)
+	for _, c := range dbs {
+		if !c.evaOff {
+			requireNoQuarantine(t, c.db)
+		}
+	}
 }
 
 // TestColumnBatchEVAPanicQuarantines: an EVA bee that panics on a column
 // batch is quarantined like any bee, and the re-run — with no EVA bee, so
-// on row batches and the interpreter — returns the same rows.
+// on the interpreter — returns the same rows. A panic quarantines every
+// bee of its plan, a fused filter's EVP bee too, so the unfiltered query
+// still reads column batches, now through the interpreter, while the
+// filtered one reads rows under a BatchFilter.
 func TestColumnBatchEVAPanicQuarantines(t *testing.T) {
 	stock, batch, _ := colDBs(t)
-	const q = "select g, sum(d * 2.5 - i), avg(b), count(*) from tk where i > 3 group by g"
-	for _, workers := range []int{1, 2} {
-		stock.SetWorkers(workers)
-		batch.SetWorkers(workers)
-		batch.Module().ClearQuarantine()
-		want := mustQuery(t, stock, q)
-		if out, err := batch.ExplainQuery(q); err != nil || !strings.Contains(out, " columns=(") {
-			t.Fatalf("workers=%d: no column batches (%v):\n%s", workers, err, out)
-		}
-		before := batch.Module().Stats().Quarantined
-		batch.Module().InjectBeePanic("query/EVA", "")
-		got, err := batch.Query(q)
-		batch.Module().ClearBeePanic()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sameRows(t, fmt.Sprintf("workers=%d", workers), want.Rows, got.Rows)
-		if n := batch.Module().Stats().Quarantined; n <= before {
-			t.Fatalf("workers=%d: quarantines %d, want more than %d", workers, n, before)
-		}
-		out, err := batch.ExplainQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(out, " columns=(") || strings.Contains(out, "[EVA]") {
-			t.Errorf("workers=%d: the quarantined EVA bee still runs:\n%s", workers, out)
+	for _, q := range []string{
+		"select g, sum(d * 2.5 - i), avg(b), count(*) from tk group by g",
+		"select g, sum(d * 2.5 - i), avg(b), count(*) from tk where i > 3 group by g",
+	} {
+		filtered := strings.Contains(q, "where")
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("workers=%d: %s", workers, q)
+			stock.SetWorkers(workers)
+			batch.SetWorkers(workers)
+			batch.Module().ClearQuarantine()
+			want := mustQuery(t, stock, q)
+			if out, err := batch.ExplainQuery(q); err != nil || !strings.Contains(out, " columns=(") {
+				t.Fatalf("%s: no column batches (%v):\n%s", label, err, out)
+			}
+			before := batch.Module().Stats().Quarantined
+			batch.Module().InjectBeePanic("query/EVA", "")
+			got, err := batch.Query(q)
+			batch.Module().ClearBeePanic()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameRows(t, label, want.Rows, got.Rows)
+			if n := batch.Module().Stats().Quarantined; n <= before {
+				t.Fatalf("%s: quarantines %d, want more than %d", label, n, before)
+			}
+			out, err := batch.ExplainQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(out, "[EVA]") || strings.Contains(out, " columns=(") == filtered {
+				t.Errorf("%s: after the quarantine, want no [EVA] and column batches %v:\n%s", label, !filtered, out)
+			}
 		}
 	}
 }

@@ -366,7 +366,7 @@ func (t *dmlTarget) collectScan(snap *txn.Snapshot, prof *profile.Counters) erro
 // consider deforms one visible version and keeps it if the WHERE holds.
 // tup aliases a pinned page, so a kept row is copied.
 func (t *dmlTarget) consider(tid heap.TID, tup []byte, prof *profile.Counters) {
-	t.tab.deform(tup, t.values, len(t.values), prof)
+	t.tab.deform(tup, t.values, prof)
 	if t.where != nil {
 		var v types.Datum
 		if t.pred != nil {

@@ -29,6 +29,7 @@ import (
 	"microspec/internal/storage/wal"
 	"microspec/internal/trace"
 	"microspec/internal/txn"
+	"microspec/internal/types"
 )
 
 // Config controls a database instance.
@@ -146,8 +147,10 @@ type table struct {
 	// index walks take it shared unless their caller holds it
 	// (exec.IndexWalk: the B+trees are not internally synchronized). Heap
 	// scans take no table latch at all — MVCC snapshots isolate them.
-	latch   sync.RWMutex
-	deform  core.DeformFunc
+	latch sync.RWMutex
+	// deform is the relation's whole-row deform, ScanDeformer's routine
+	// over every attribute.
+	deform  func(tup []byte, values []types.Datum, prof *profile.Counters)
 	form    core.FormFunc
 	indexes []*Index
 	// oldKey is storeLocked's scratch for an updated row's old keys.
@@ -749,10 +752,9 @@ func (db *DB) newTableLocked(name string, schema catalog.Schema, pkey []int, fro
 		err = replayCombos(rel, rb, from.Bees)
 	}
 	if err == nil {
-		tab.deform, err = db.mod.Deformer(rel)
+		err = tab.bindRoutines(db.mod)
 	}
 	if err == nil {
-		tab.form = db.mod.Former(rel)
 		if from == nil {
 			tab.heap = heap.Create(db.dm, db.pool, rel, db.tm)
 		} else {
@@ -843,6 +845,17 @@ func (db *DB) dropTable(name string) error {
 	return db.checkpointLocked()
 }
 
+// bindRoutines sets tab's cached access routines at the module's current
+// routine level: the whole-row deform and the former.
+func (tab *table) bindRoutines(m *core.Module) error {
+	d, err := m.ScanDeformer(tab.rel, nil)
+	if err != nil {
+		return err
+	}
+	tab.deform, tab.form = d.Row, m.Former(tab.rel)
+	return nil
+}
+
 // SetRoutines reconfigures the bee module's routine level and refreshes the
 // cached per-relation access routines.
 func (db *DB) SetRoutines(rs core.RoutineSet) error {
@@ -852,11 +865,9 @@ func (db *DB) SetRoutines(rs core.RoutineSet) error {
 		return err
 	}
 	for _, tab := range db.tables {
-		deform, err := db.mod.Deformer(tab.rel)
-		if err != nil {
+		if err := tab.bindRoutines(db.mod); err != nil {
 			return err
 		}
-		tab.deform, tab.form = deform, db.mod.Former(tab.rel)
 	}
 	db.obs.beeMode.Store(rs != core.Stock)
 	db.ddlGen.Add(1)

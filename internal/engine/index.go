@@ -140,7 +140,7 @@ func (db *DB) newIndexLocked(tab *table, name string, cols []int, unique bool) e
 		if !ok {
 			break
 		}
-		tab.deform(tup, values, len(values), nil)
+		tab.deform(tup, values, nil)
 		key, err := ix.Enc(nil, values, cols)
 		if err != nil {
 			return err

@@ -275,7 +275,7 @@ func TestVacuumVisitsOnlyStampedPages(t *testing.T) {
 		if !ok {
 			break
 		}
-		tab.deform(tup, values, len(values), nil)
+		tab.deform(tup, values, nil)
 		keys[int(tid.Page)] = append(keys[int(tid.Page)], values[0].Int64())
 	}
 	sc.Close()

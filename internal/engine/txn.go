@@ -471,7 +471,7 @@ func (t *Txn) walkLatch(tb txnTable) *sync.RWMutex {
 // only when the row has such payloads.
 func (t *Txn) ownedRow(tb txnTable, tup []byte) expr.Row {
 	row := make(expr.Row, len(tb.rel.Attrs))
-	tb.deform(tup, row, len(row), t.prof)
+	tb.deform(tup, row, t.prof)
 	exec.OwnBytes(row)
 	return row
 }

@@ -73,10 +73,15 @@ func taRow(k int, nulls bool) []types.Datum {
 
 func TestTypedAggregatesMatchStock(t *testing.T) {
 	stock := Open(Config{Routines: core.Stock, PoolPages: 1024})
+	// The bee engine with batching on and off, and the GCL and GCL+EVP
+	// levels, whose aggregate inputs the interpreter evaluates.
 	bees := []*DB{
 		Open(Config{Routines: core.AllRoutines, PoolPages: 1024}),
 		Open(Config{Routines: core.AllRoutines, PoolPages: 1024, NoBatch: true}),
+		Open(Config{Routines: core.GCL, PoolPages: 1024}),
+		Open(Config{Routines: core.GCLEVP, PoolPages: 1024}),
 	}
+	names := []string{"bee", "nobatch", "GCL", "GCL+EVP"}
 	for _, db := range append([]*DB{stock}, bees...) {
 		mustExec(t, db, taSchema, tkSchema)
 		for _, tbl := range []string{"ta", "tk"} {
@@ -137,7 +142,7 @@ func TestTypedAggregatesMatchStock(t *testing.T) {
 				t.Fatalf("%s, workers=%d: stock error %v, expected an error: %v", q, workers, wantErr, expectErr[q])
 			}
 			for bi, db := range bees {
-				label := fmt.Sprintf("%s, workers=%d, batch=%v", q, workers, bi == 0)
+				label := fmt.Sprintf("%s, workers=%d, %s", q, workers, names[bi])
 				got, err := db.Query(q)
 				if (err != nil) != (wantErr != nil) {
 					t.Fatalf("%s: error %v, stock's %v", label, err, wantErr)

@@ -42,7 +42,7 @@ func (db *DB) vacuumTableLocked(tab *table, prof *profile.Counters) (int, error)
 	values := make([]types.Datum, len(tab.rel.Attrs))
 	var key btree.Key // one buffer every reclaimed version's keys are encoded in
 	collect := func(tid heap.TID, tup []byte) {
-		tab.deform(tup, values, len(values), prof)
+		tab.deform(tup, values, prof)
 		for _, ix := range tab.indexes {
 			// A deformed version holds its columns' own kinds, which the
 			// encoder never refuses; were it to, the entry would stay and

@@ -98,22 +98,6 @@ func (s *aggState) add(spec *AggSpec, v types.Datum) {
 	}
 }
 
-// addSum is the non-DISTINCT sum/avg transition of a boxed input with the
-// spec checks hoisted out: the drain calls it in a per-spec loop after
-// skipping NULL inputs, so it stays small enough to inline. A typed input
-// folds in foldVec's own loops, which do what addSum does without the
-// kind test.
-func (s *aggState) addSum(v types.Datum) {
-	s.count++
-	if v.Kind() == types.KindFloat64 {
-		s.sumF += v.Float64()
-	} else {
-		i := v.Int64()
-		s.sumI += i
-		s.sumF += float64(i)
-	}
-}
-
 // merge folds another partition's partial state into s — the gather-point
 // half of two-phase parallel aggregation. Counts and sums are additive;
 // min/max compare; DISTINCT states cannot be merged (cross-partition
@@ -389,12 +373,13 @@ type aggDrain struct {
 	specs   []AggSpec
 	// owner[i] is the first spec with spec i's argument (by rendered
 	// text, the bee cache's identity too). The owner evaluates the
-	// argument once per batch into a core.Vec, cur[owner], through its
-	// caller, callers[owner]; the later specs fold the owner's vector — Q1
-	// asks for both sum and avg of l_quantity and of l_extendedprice. The
-	// EVA bee's vector is its own; vecs[i] is the interpreter's, for spec
-	// i.
+	// argument once per batch, in, into a core.Vec, cur[owner], through
+	// its caller, callers[owner]; the later specs fold the owner's vector
+	// — Q1 asks for both sum and avg of l_quantity and of l_extendedprice.
+	// The EVA bee's vector is its own; vecs[i] is the interpreter's, for
+	// spec i.
 	owner   []int
+	in      core.VecIn
 	cur     []*core.Vec
 	callers []caller
 	vecs    []core.Vec
@@ -467,13 +452,11 @@ func newAggDrain(groupBy []expr.Expr, keys *core.BeeKeys, specs []AggSpec) *aggD
 //     carries bee IDs resolves a row by its ID instead, and probes the
 //     table with the ID's data-section values only on its first sight —
 //     the first row of that ID, so groups appear in the same order.
-//  2. Argument evaluation — per distinct argument, the batch-EVA bee
-//     evaluates a vector of the argument's class (int64, float64 or
-//     datums, with a NULL mask) with its vector kernels; the interpreter,
-//     per row, fills a datum vector. A column batch (Batch.Cols) comes
-//     only from a scan lowering chose for this drain: its groups resolve
-//     by bee ID or it has none, and every argument is an EVA bee's whose
-//     column leaves read the scan's vectors.
+//  2. Argument evaluation — per distinct argument, the EVA bee's vector
+//     kernels or the interpreter, per row, fill a vector of the class the
+//     argument's static kind fixes (int64, float64 or datums, with a NULL
+//     mask). Either reads any batch, a column batch (Batch.Cols) too,
+//     whose rows core.VecIn builds from its vectors for a row reader.
 //  3. Transition — per spec, foldVec folds the vector into the group
 //     states with a loop per aggregate and class: a typed vector is
 //     summed, counted and compared unboxed.
@@ -520,6 +503,7 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 		}
 		rows += int64(n)
 		ctx.Prof().Add(profile.CompExec, profile.ExecNodeBatch)
+		d.in.Rows, d.in.Sel, d.in.Cols, d.in.N = b.Rows, b.Sel, b.Cols, n
 		// Scratch is sized to the observed live-row count, not BatchCap: a
 		// selective filter passes a handful of rows per page, and oversized
 		// pointer-bearing scratch costs more in zeroing than it saves.
@@ -583,7 +567,7 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 				continue
 			}
 			if d.owner[i] == i {
-				d.cur[i] = d.callers[i].eval(ad.Arg, b, &d.vecs[i], ctx)
+				d.cur[i] = d.callers[i].eval(ad.Arg, &d.in, &d.vecs[i], ctx)
 			}
 			v := d.cur[d.owner[i]]
 			cost := int64(profile.AggTransition)
@@ -602,8 +586,8 @@ func drainBatchesIntoAgg(ctx *Ctx, child Node, d *aggDrain, table *aggTable) (ro
 // the batch's group states: row bi's are sts[bi&per], of group
 // gids[bi&per]. A typed vector folds unboxed, in a loop per aggregate and
 // class; MIN and MAX box a value only when it becomes the new extreme. A
-// boxed vector folds datums as the interpreter returned them, and a
-// DISTINCT aggregate boxes every value for its seen set.
+// boxed vector folds its datums, and a DISTINCT aggregate boxes every
+// value for its seen set.
 func foldVec(table *aggTable, sts [][]aggState, gids []int, per, i int, ad *AggSpec, v *core.Vec, seen []rowKey) error {
 	nulls := v.Nulls
 	sum := ad.Fn == AggSum || ad.Fn == AggAvg
@@ -635,12 +619,6 @@ func foldVec(table *aggTable, sts [][]aggState, gids []int, per, i int, ad *AggS
 				s.count++
 				s.sumI += x
 				s.sumF += float64(x)
-			}
-		}
-	case sum:
-		for bi, x := range v.Datums {
-			if nulls == nil || !nulls[bi] {
-				sts[bi&per][i].addSum(x)
 			}
 		}
 	case v.Class == core.VecFloat:

@@ -40,11 +40,13 @@ const BatchCap = 1024
 // next NextBatch or Close call on the producing subtree. Consumers may
 // set Sel (filters do) but must not reorder Rows.
 //
-// A column batch has Cols instead of Rows: N live rows, every one live
-// (no Sel), and for each list position an aggregation's arguments read a
-// core.Vec of its class holding those rows' values. Only a scan whose
-// routine is the column form (BatchSeqScan.ColumnPos) produces one, and
-// only the aggregation drain directly above it consumes it.
+// A column batch has Cols instead of Rows: N rows, every one live (no
+// Sel), and for each list position an aggregation's arguments read a
+// core.Vec of its class holding those rows' values. A scan whose routine
+// is the column form (BatchSeqScan.ColumnPos) produces it for the
+// aggregation drain directly above, where it is a batch like any other:
+// every evaluator reads it, a row reader through the rows core.VecIn
+// builds from the vectors once per batch.
 type Batch struct {
 	Rows []expr.Row
 	N    int

@@ -139,26 +139,19 @@ func (c *caller) filter(e expr.Expr, b *Batch, out []int32, ctx *Ctx) []int32 {
 	return out
 }
 
-// eval evaluates the aggregate argument e over the live rows of b: the
-// vector form, or the interpreter row by row into tmp's datums. Only the
-// vector form reads a column batch.
-func (c *caller) eval(e expr.Expr, b *Batch, tmp *core.Vec, ctx *Ctx) *core.Vec {
-	n := b.Count()
+// eval evaluates the aggregate argument e over the live rows of a batch,
+// a row batch or a column batch: the vector form, or the interpreter row
+// by row into tmp. Either fills the vector class e's static kind fixes.
+func (c *caller) eval(e expr.Expr, in *core.VecIn, tmp *core.Vec, ctx *Ctx) *core.Vec {
 	if c.vec == nil {
-		tmp.Reset(core.VecBoxed, 0, n)
-		for bi := range tmp.Datums {
-			x := e.Eval(b.RowAt(bi), &ctx.Expr)
-			if tmp.Datums[bi] = x; x.IsNull() {
-				tmp.SetNull(bi)
-			}
-		}
+		tmp.Fill(e.Type().Kind, in, func(row expr.Row) types.Datum { return e.Eval(row, &ctx.Expr) })
 		return tmp
 	}
-	if !c.start(n) {
-		return c.vec(b.Rows, b.Sel, b.Cols, n, &ctx.Expr)
+	if !c.start(in.N) {
+		return c.vec(in, &ctx.Expr)
 	}
 	t0 := time.Now()
-	v := c.vec(b.Rows, b.Sel, b.Cols, n, &ctx.Expr)
+	v := c.vec(in, &ctx.Expr)
 	c.ns += int64(time.Since(t0))
 	return v
 }

@@ -816,7 +816,7 @@ func fuseKeys(s *BatchSeqScan) {
 			stored = append(stored, kf.Pos)
 		}
 	}
-	s.Routine, _, _ = s.Deform.Routine(core.Program{}, stored, nil)
+	s.Routine, _, _ = s.Deform.Routine(nil, stored, nil)
 }
 
 // filterKeyRows draws n rows whose keys come from dom, NULL one time in

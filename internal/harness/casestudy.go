@@ -133,7 +133,7 @@ func fullWidthDeform(db *engine.DB) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	deform, err := db.Module().Deformer(rel)
+	deform, err := db.Module().ScanDeformer(rel, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -146,7 +146,7 @@ func fullWidthDeform(db *engine.DB) (int64, error) {
 		if !ok {
 			break
 		}
-		deform(tup, row, len(row), prof)
+		deform.Row(tup, row, prof)
 	}
 	return prof.Component(profile.CompDeform), sc.Err()
 }

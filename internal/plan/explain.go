@@ -225,6 +225,9 @@ func describe(n exec.Node) string {
 		qual := ""
 		if v.Qual != nil {
 			qual = " qual=" + v.Qual.String()
+			if v.Prog.Served() {
+				qual += " [EVP]"
+			}
 		}
 		return fmt.Sprintf("NestedLoopJoin %s est=%.0f%s", v.Type, v.Est, qual)
 	case *exec.Gather:

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"slices"
-
 	"microspec/internal/core"
 	"microspec/internal/exec"
 	"microspec/internal/expr"
@@ -35,8 +33,8 @@ import (
 // visible rows. Joins and subquery-bearing predicates stay serial too.
 //
 // In batch form a region runs batch at a time wherever it sits. Under a
-// HashAgg or a Gather the consumer reads batches — column batches when
-// columnBatch finds the aggregation needs nothing else; under a row-only
+// HashAgg or a Gather the consumer reads batches — column batches where
+// the plan's shape and the scan's routine allow (aggInput); under a row-only
 // consumer (Sort, Project, Limit, NLJoin) the region's root —
 // BatchSeqScan, BatchFilter or HashJoin — serves rows through its own
 // Next. exec.HashJoin is a batch node in every plan, so regions stack:
@@ -56,10 +54,10 @@ import (
 const minParallelPages = 8
 
 // region is a Filter chain, outermost first, over a SeqScan or a HashJoin.
-// An aggregation reading the scan's group keys by bee ID (beeKeys) sets
-// beeIDs, and deform when the scan need not deform those keys. One that
-// can read column batches (columnBatch) sets columns, the list positions
-// its arguments read, non-nil even when they read none.
+// An aggregation over it (aggInput) sets beeIDs when it reads the scan's
+// group keys by bee ID, deform when the scan need not deform those keys,
+// and columns when it can read column batches: the list positions its
+// arguments read, non-nil even when they read none.
 type region struct {
 	top     exec.Node
 	filters []*exec.Filter
@@ -175,14 +173,17 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 		}
 		// Join filters on the scan's columns are tested on the stored
 		// word by the scan's routine where the deform program reads it as
-		// one, and on the datum otherwise.
+		// one, and on the datum otherwise, which a column batch has not.
 		var stored []int
+		cols := r.columns
 		if part == nil {
 			bs.KeyFilters = r.scan.KeyFilters
 			for i := range bs.KeyFilters {
 				kf := &bs.KeyFilters[i]
 				if kf.Stored = len(stored) < core.MaxKeySets && deform.StoredKey(kf.Pos); kf.Stored {
 					stored = append(stored, kf.Pos)
+				} else {
+					cols = nil
 				}
 			}
 		}
@@ -192,21 +193,21 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 		// instead of fully deforming rows the filter discards. The row form
 		// evaluates the innermost filter first, so fusing it keeps the
 		// predicate order for the rest. A region an aggregation reads as
-		// column batches gets the column form where it applies, its one
-		// filter, if any, fused whole.
-		var pred core.Program
+		// column batches gets the column form where the routine can write
+		// every column and fuse the one filter, if any, whole.
+		var pred *core.Program
 		k := len(filters) - 1
 		if k >= 0 {
-			pred = filters[k].Prog
+			pred = &filters[k].Prog
 		}
 		var fused, columnar bool
-		bs.Routine, fused, columnar = deform.Routine(pred, stored, r.columns)
+		bs.Routine, fused, columnar = deform.Routine(pred, stored, cols)
 		if fused {
 			bs.Pred, bs.Prog = filters[k].Pred, filters[k].Prog
 			filters = filters[:k]
 		}
 		if columnar {
-			bs.ColumnPos = r.columns
+			bs.ColumnPos = cols
 		}
 		node = bs
 	default:
@@ -228,7 +229,7 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 }
 
 // lowerAgg lowers a serial HashAgg: a region beneath it is built with the
-// aggregation's bee keys (beeKeys), any other child is lowered as usual.
+// aggregation's input (aggInput), any other child is lowered as usual.
 func (p *Planner) lowerAgg(agg *exec.HashAgg) exec.Node {
 	exec.Children(agg, func(k *exec.Node) {
 		r, ok := regionOf(*k)
@@ -236,59 +237,72 @@ func (p *Planner) lowerAgg(agg *exec.HashAgg) exec.Node {
 			*k = p.lowerNode(*k)
 			return
 		}
-		agg.BeeKeys = p.beeKeys(&r, agg.GroupBy, agg.Aggs)
-		p.columnBatch(&r, agg.GroupBy, agg.BeeKeys, agg.Aggs)
+		agg.BeeKeys = p.aggInput(&r, agg.GroupBy, agg.Aggs)
 		*k = p.build(r, nil)
 	}, nil)
 	return agg
 }
 
-// beeKeys returns the reader of an aggregation's group keys by tuple-bee
-// ID when the aggregation sits directly on r, a scan region in batch
-// form, and every key is a column the scan's deform program fills from a
-// tuple-bee hole; nil otherwise, and the drain evaluates the keys per
-// row. It marks r's scan to hand up its rows' bee IDs and, when nothing
-// else reads a key column from the rows, to skip deforming it: no
-// filter or aggregate argument names it, and none of them holds a
-// subquery, which could read the whole row as its outer row.
-func (p *Planner) beeKeys(r *region, groupBy []expr.Expr, aggs []exec.AggSpec) *core.BeeKeys {
-	if !p.Batch || r.scan == nil || len(groupBy) == 0 {
+// aggInput readies r, a scan region in batch form under an aggregation,
+// for what the aggregation reads, and returns the reader of its group keys
+// by tuple-bee ID, or nil and the drain evaluates the keys per row.
+//   - Bee keys: every key is a column the scan's deform program fills from
+//     a tuple-bee hole. The scan hands up its rows' bee IDs, and skips
+//     deforming a key column no filter or argument names, when none holds
+//     a subquery, which could read the whole row as its outer row.
+//   - Column batches: the keys are bee keys or none, there is at most one
+//     filter and no argument holds a subquery. The scan is asked for the
+//     columns the arguments read; its routine (core.ScanDeform.Routine, in
+//     build) takes the column form only when it writes each as a stored
+//     fixed-width column, fuses the filter, if any, whole, and tests no
+//     join filter on the datum.
+func (p *Planner) aggInput(r *region, groupBy []expr.Expr, aggs []exec.AggSpec) *core.BeeKeys {
+	if !p.Batch || r.scan == nil {
 		return nil
 	}
-	pos := make([]int, len(groupBy))
-	for i, g := range groupBy {
-		v, ok := g.(*expr.Var)
-		if !ok {
-			return nil
-		}
-		pos[i] = v.Idx
-	}
-	keys := r.scan.Deform.BeeKeys(pos)
-	if keys == nil {
-		return nil
-	}
-	r.beeIDs = true
-	// reads marks the positions e reads; it is false when e might read
-	// the whole row (a subquery takes the row as its outer row).
+	// read marks the positions e reads; safe turns false when e might read
+	// the whole row.
 	read := make([]bool, len(r.scan.Deform.Atts))
-	reads := func(e expr.Expr) bool {
+	safe := true
+	reads := func(e expr.Expr) {
+		safe = safe && exec.ParallelSafeExpr(e)
 		expr.Walk(e, func(e expr.Expr) bool {
 			if v, ok := e.(*expr.Var); ok && v.Idx >= 0 && v.Idx < len(read) {
 				read[v.Idx] = true
 			}
 			return true
 		})
-		return exec.ParallelSafeExpr(e)
-	}
-	for _, f := range r.filters {
-		if !reads(f.Pred) {
-			return keys
-		}
 	}
 	for i := range aggs {
-		if !reads(aggs[i].Arg) {
-			return keys
+		reads(aggs[i].Arg)
+	}
+	pos := make([]int, len(groupBy))
+	for i, g := range groupBy {
+		v, ok := g.(*expr.Var)
+		if !ok {
+			pos = nil
+			break
 		}
+		pos[i] = v.Idx
+	}
+	keys := r.scan.Deform.BeeKeys(pos)
+	if safe && len(r.filters) <= 1 && (keys != nil || len(groupBy) == 0) {
+		r.columns = []int{}
+		for x, ok := range read {
+			if ok {
+				r.columns = append(r.columns, x)
+			}
+		}
+	}
+	if keys == nil {
+		return nil
+	}
+	r.beeIDs = true
+	for _, f := range r.filters {
+		reads(f.Pred)
+	}
+	if !safe {
+		return keys
 	}
 	var omit []int
 	for _, x := range pos {
@@ -301,39 +315,6 @@ func (p *Planner) beeKeys(r *region, groupBy []expr.Expr, aggs []exec.AggSpec) *
 		r.deform = r.scan.Deform.Omit(omit)
 	}
 	return keys
-}
-
-// columnBatch marks r's scan to emit column batches (exec.Batch.Cols) to
-// the aggregation directly above it where the scan's routine can take the
-// column form (core.ScanDeform.Routine), when the aggregation needs
-// nothing from the rows but what a column batch carries:
-//   - r is a scan region in batch form with no join filter and at most
-//     one filter, whose program is served;
-//   - the group keys are read by bee ID (keys), or there are none;
-//   - every argument is an EVA bee's with a typed vector form that reads
-//     only columns (core.Program.Columns).
-func (p *Planner) columnBatch(r *region, groupBy []expr.Expr, keys *core.BeeKeys, aggs []exec.AggSpec) {
-	if !p.Batch || r.scan == nil || len(groupBy) > 0 && keys == nil || len(r.filters) > 1 ||
-		len(r.filters) == 1 && !r.filters[0].Prog.Served() || r.scan.KeyFilters != nil {
-		return
-	}
-	pos := []int{}
-	for i := range aggs {
-		if aggs[i].Arg == nil {
-			continue
-		}
-		cols, ok := aggs[i].Prog.Columns()
-		if !ok {
-			return
-		}
-		for _, x := range cols {
-			if !slices.Contains(pos, x) {
-				pos = append(pos, x)
-			}
-		}
-	}
-	slices.Sort(pos)
-	r.columns = pos
 }
 
 // partitions returns the scan region n is and the page ranges to split it
@@ -379,8 +360,7 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 			return nil
 		}
 	}
-	keys := p.beeKeys(&r, agg.GroupBy, agg.Aggs)
-	p.columnBatch(&r, agg.GroupBy, keys, agg.Aggs)
+	keys := p.aggInput(&r, agg.GroupBy, agg.Aggs)
 	parts := make([]exec.Node, len(ranges))
 	for i := range ranges {
 		parts[i] = p.build(r, &ranges[i])

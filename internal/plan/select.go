@@ -169,8 +169,8 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 	// --- WHERE classification ---
 	outerForRefs := sp.parent
 	var edges []*joinEdge
-	var postFilters []sql.Expr // conjuncts evaluated over the joined row
-	var subqConjs []sql.Expr   // conjuncts containing subqueries
+	var post []postConj      // conjuncts evaluated over joined rows
+	var subqConjs []sql.Expr // conjuncts containing subqueries
 	for _, c := range splitConjuncts(sel.Where) {
 		info := collectRefs(c, itemCols, outerForRefs)
 		switch {
@@ -179,7 +179,7 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 				subqConjs = append(subqConjs, c)
 			}
 		case info.unknown:
-			postFilters = append(postFilters, c) // will fail with a clear error
+			post = append(post, postConj{c: c}) // will fail with a clear error
 		case len(info.items) <= 1 && !info.outer || len(info.items) == 1 && info.outer:
 			// Single-item (possibly correlated) predicate: push to the scan.
 			idx := 0
@@ -187,7 +187,7 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 				idx = i
 			}
 			if len(info.items) == 0 {
-				postFilters = append(postFilters, c)
+				post = append(post, postConj{c: c})
 			} else {
 				items[idx].filters = append(items[idx].filters, c)
 			}
@@ -197,9 +197,16 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 				continue
 			}
 			// Any other conjunct over two or more items stays a post
-			// filter; an OR first yields what every branch implies.
+			// filter, or a nested-loop join's qual; an OR first yields what
+			// every branch implies.
 			edges = append(edges, sp.factorOr(c, items, itemCols)...)
-			postFilters = append(postFilters, c)
+			pc := postConj{c: c}
+			for i := range info.items {
+				if !info.outer {
+					pc.items |= 1 << i
+				}
+			}
+			post = append(post, pc)
 		}
 	}
 
@@ -211,7 +218,7 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 	}
 
 	// --- Join ordering ---
-	ts, err := sp.buildJoinTree(items, edges)
+	ts, err := sp.buildJoinTree(items, edges, post)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -238,15 +245,19 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 	}
 
 	// --- Remaining post-join filters ---
-	if len(postFilters) > 0 {
-		s := sp.newScope(ts.cols)
-		for _, c := range postFilters {
-			e, err := p.convertExpr(c, s)
-			if err != nil {
-				return nil, nil, err
-			}
-			postExprs = append(postExprs, e)
+	var s *scope
+	for _, pc := range post {
+		if pc.used {
+			continue
 		}
+		if s == nil {
+			s = sp.newScope(ts.cols)
+		}
+		e, err := p.convertExpr(pc.c, s)
+		if err != nil {
+			return nil, nil, err
+		}
+		postExprs = append(postExprs, e)
 	}
 	if len(postExprs) > 0 {
 		ts.node = p.filterOver(ts.node, conjunction(postExprs))
@@ -318,7 +329,10 @@ func scanBounds(scan *exec.SeqScan, conjuncts []expr.Expr, into []exec.ScanBound
 
 // conjunction returns the AND of kids, or the one kid.
 func conjunction(kids []expr.Expr) expr.Expr {
-	if len(kids) == 1 {
+	switch len(kids) {
+	case 0:
+		return nil
+	case 1:
 		return kids[0]
 	}
 	return &expr.And{Kids: kids}
@@ -516,6 +530,17 @@ func splitDisjuncts(e sql.Expr) []sql.Expr {
 	return []sql.Expr{e}
 }
 
+// postConj is a WHERE conjunct evaluated over joined rows: in a Filter
+// above the join tree, or, when it names two or more FROM items (items,
+// their mask) and no outer column, as the qual of the first nested-loop
+// join that has every one of them (used), which passes up only the pairs
+// it keeps.
+type postConj struct {
+	c     sql.Expr
+	items uint64
+	used  bool
+}
+
 // treeState is the join tree under construction and its estimated rows.
 type treeState struct {
 	node exec.Node
@@ -526,8 +551,9 @@ type treeState struct {
 // buildJoinTree assembles the left-deep join tree in the order joinOrder
 // chose: each item after the first (the probe side) is a hash-join build
 // side keyed on every equi-join edge linking it to the tree, or the inner
-// side of a materialized nested-loop cross join when no edge does.
-func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*treeState, error) {
+// side of a materialized nested-loop join when no edge does, whose qual
+// is the post conjuncts no join took yet that the joined items cover.
+func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge, post []postConj) (*treeState, error) {
 	if len(items) == 1 {
 		return &treeState{node: items[0].node, cols: append([]column(nil), items[0].cols...), est: items[0].est}, nil
 	}
@@ -569,18 +595,33 @@ func (sp *selectPlan) buildJoinTree(items []*fromItem, edges []*joinEdge) (*tree
 			keyTypes = append(keyTypes, exec.JoinKeyType(ts.cols[ti].t, items[next].cols[ii].t))
 			e.used = true
 		}
+		cols := append(ts.cols, items[next].cols...)
+		inTree |= 1 << next
 		if len(outerKeys) == 0 {
+			var kids []expr.Expr
+			s := sp.newScope(cols)
+			for i := range post {
+				if pc := &post[i]; !pc.used && pc.items != 0 && pc.items&^inTree == 0 {
+					e, err := sp.p.convertExpr(pc.c, s)
+					if err != nil {
+						return nil, err
+					}
+					kids, pc.used = append(kids, e), true
+				}
+			}
+			qual := conjunction(kids)
 			ts.node = &exec.NLJoin{
 				Outer: ts.node,
 				Inner: &exec.Materialize{Child: items[next].node},
 				Type:  exec.InnerJoin,
+				Qual:  qual,
+				Prog:  sp.p.Mod.CompilePredicate(qual),
 				Est:   ts.est,
 			}
 		} else {
 			ts.node = sp.p.hashJoin(ts.node, items[next].node, outerKeys, innerKeys, keyTypes, exec.InnerJoin, nil, ts.est)
 		}
-		ts.cols = append(ts.cols, items[next].cols...)
-		inTree |= 1 << next
+		ts.cols = cols
 	}
 
 	// Leftover edges (cycles) become post filters on the combined row.

@@ -99,6 +99,9 @@ const (
 	// A typed aggregate argument is a tree of vector kernels, one loop per
 	// node (core/vec.go). The bee call costs EVPBase once per batch, and
 	// a boxed argument EVPBase + EVPTerm per term per row, as a predicate.
+	// A row the drain builds from a column batch's vectors for a reader
+	// that needs rows is not charged: it is the datum store the column
+	// deform did not make.
 
 	// EVAVecElem: one element of one kernel node (Arith, Neg, widening,
 	// date ± interval, EXTRACT): an operand load or two, the operation, a
@@ -158,17 +161,21 @@ const (
 	JoinFilterTest = 8
 	// SortCompare: one comparison inside a sort.
 	SortCompare = 60
-	// AggTransition: one aggregate-state transition of a boxed datum — the
-	// interpreter's value, or an EVA bee's character, CASE or $n value.
+	// AggTransition: one aggregate-state transition of a boxed datum — a
+	// value of a character or other non-numeric kind, a batch whose
+	// evaluator returned a datum of another kind than the static one — or
+	// of any DISTINCT aggregate's value.
 	AggTransition = 85
-	// AggTypedTransition: one transition of a value an EVA bee evaluated
-	// into a typed vector, in place of AggTransition, so not a background
-	// cost: the per-aggregate, per-class loop of exec.foldVec, with no
-	// dispatch on the aggregate or the datum's kind. The NULL-mask test
-	// (2), the row's state address (sts[bi&per][i]: the mask, two bounds
-	// checks, two loads — 6), count++ (3), the sum's load-add-store (3)
-	// and the loop step (2). An integral sum's second add and a MIN/MAX
-	// store of a new extreme are rare or small enough to leave out.
+	// AggTypedTransition: one transition of a value in a typed vector
+	// (INTEGER, BIGINT, DATE, BOOLEAN or DOUBLE), whichever evaluator filled
+	// it — an EVA bee's kernels or the interpreter, on both engines — in
+	// place of AggTransition: the per-aggregate, per-class loop of
+	// exec.foldVec, with no dispatch on the aggregate or the datum's kind.
+	// The NULL-mask test (2), the row's state address (sts[bi&per][i]: the
+	// mask, two bounds checks, two loads — 6), count++ (3), the sum's
+	// load-add-store (3) and the loop step (2). An integral sum's second
+	// add and a MIN/MAX store of a new extreme are rare or small enough to
+	// leave out.
 	AggTypedTransition = 16
 	// IndexDescend: one B+tree descent.
 	IndexDescend = 520

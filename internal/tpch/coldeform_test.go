@@ -77,7 +77,7 @@ func TestColumnDeformMatchesSlotDeform(t *testing.T) {
 					}
 				}
 			}
-			form, _, columnar := d.Routine(core.Program{}, nil, pos)
+			form, _, columnar := d.Routine(nil, nil, pos)
 			if !columnar {
 				t.Fatalf("%s over %v: no column form for fixed-width positions %v", name, atts, pos)
 			}
