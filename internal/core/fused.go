@@ -65,7 +65,9 @@ type ScanState struct {
 	// Sighted counts the IDs whose verdict was computed since the last
 	// Reset.
 	Sighted int64
-	// Keys holds each set check's set, Rejected the tuples it rejected.
+	// Keys holds each set check's set, Rejected the tuples it rejected. A
+	// nil set admits every tuple the scan reads: the routine skips its
+	// check.
 	Keys     [MaxKeySets]*KeySet
 	Rejected [MaxKeySets]int64
 }
@@ -433,7 +435,13 @@ func (st fusedStages) routine(sets []rawCheck, cd *colDeform, m *Module, b *Bee)
 		for ri := range raws {
 			raws[ri].bind()
 		}
-		keys, rejected := vt.Keys[:len(sets)], vt.Rejected[:len(sets)]
+		var on [MaxKeySets]int // the checks whose set is bound
+		live := on[:0]
+		for si := range sets {
+			if vt.Keys[si] != nil {
+				live = append(live, si)
+			}
+		}
 		rows, cols, ids, sel, n := o.Rows, o.Cols, o.IDs, o.Sel[:0], 0
 		if cd != nil {
 			cd.reset(cols, len(tups))
@@ -458,10 +466,10 @@ func (st fusedStages) routine(sets []rawCheck, cd *colDeform, m *Module, b *Bee)
 					continue
 				}
 			}
-			for si := range sets {
+			for _, si := range live {
 				evpCost += sets[si].cost
-				if !keys[si].Has(sets[si].word(data)) {
-					rejected[si]++
+				if !vt.Keys[si].Has(sets[si].word(data)) {
+					vt.Rejected[si]++
 					deformCost += rejectCost
 					continue tuples
 				}

@@ -8,6 +8,7 @@ import (
 
 	"microspec/internal/expr"
 	"microspec/internal/profile"
+	"microspec/internal/storage/heap"
 	"microspec/internal/types"
 )
 
@@ -77,7 +78,8 @@ func TestKeySetHoldsItsKeys(t *testing.T) {
 // none (ScanDeform.Routine) — must select exactly
 // the tuples the unfused deform plus a membership test of each key datum
 // (and the predicate, deform-then-evaluate) selects, over random attribute
-// lists, key columns of every stored width, and sets of every form. A
+// lists, key columns of every stored width, and sets of every form — a
+// nil set (one that admits every row the scan reads) tested nowhere. A
 // column with no stored word (a tuple-bee hole, anything behind a varlena)
 // has no set check.
 func TestFusedSetChecksMatchDatumMembership(t *testing.T) {
@@ -91,7 +93,7 @@ func TestFusedSetChecksMatchDatumMembership(t *testing.T) {
 		for i := range out {
 			out[i] = make(expr.Row, len(f.rel.Attrs))
 		}
-		sawKeys, sawPred, sawRangeOnly := 0, 0, 0
+		sawKeys, sawPred, sawRangeOnly, sawUnbound := 0, 0, 0, 0
 		for n := 0; n < 300; n++ {
 			f.read(f.randomAtts())
 			d, err := f.m.ScanDeformer(f.rel, f.atts)
@@ -129,6 +131,10 @@ func TestFusedSetChecksMatchDatumMembership(t *testing.T) {
 				}
 				sets[i].Build(rows, 0)
 				vt.Keys[i] = &sets[i]
+				if f.rng.Intn(6) == 0 { // a set that admits every row: no check
+					vt.Keys[i] = nil
+					sawUnbound++
+				}
 			}
 			var pred expr.Expr
 			keyed, _, _ := d.Routine(nil, keys, nil)
@@ -156,6 +162,9 @@ func TestFusedSetChecksMatchDatumMembership(t *testing.T) {
 						}
 					}
 					for k, x := range keys {
+						if vt.Keys[k] == nil {
+							continue
+						}
 						wantTests++
 						if v := rows[i][x]; v.IsNull() || !sets[k].Has(v.I) {
 							rejected[k]++
@@ -189,8 +198,99 @@ func TestFusedSetChecksMatchDatumMembership(t *testing.T) {
 				}
 			}
 		}
-		if sawKeys < 100 || sawPred < 50 || sawRangeOnly < 20 {
-			t.Errorf("lowcard=%v: covered %d key lists, %d with a predicate, %d range-only sets; want plenty of each", lowcard, sawKeys, sawPred, sawRangeOnly)
+		if sawKeys < 100 || sawPred < 50 || sawRangeOnly < 20 || sawUnbound < 20 {
+			t.Errorf("lowcard=%v: covered %d key lists, %d with a predicate, %d range-only sets, %d unbound; want plenty of each", lowcard, sawKeys, sawPred, sawRangeOnly, sawUnbound)
 		}
+	}
+}
+
+// TestPageMembershipMatchesKeySet is the page test's property test: a
+// scan bound to a join filter's set (heap.Bound with the set's bitmap)
+// skips a page whose summary range is [lo, hi] exactly when no value of
+// it is in the set, as a loop over KeySet.Has finds. Sets sit near zero,
+// at MinInt64 and MaxInt64, and near the bitmap cap; ranges cross word
+// boundaries, hold one value, end at the set's ends or lie outside them.
+func TestPageMembershipMatchesKeySet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	brute := func(k *KeySet, lo, hi int64) bool {
+		lo, hi = max(lo, k.Lo), min(hi, k.Hi)
+		for v := lo; v <= hi; v++ {
+			if k.Has(v) {
+				return true
+			}
+			if v == hi { // hi may be MaxInt64
+				break
+			}
+		}
+		return false
+	}
+	var k KeySet
+	bitmaps := 0
+	for n := 0; n < 400; n++ {
+		var base int64
+		switch n % 4 {
+		case 0:
+			base = rng.Int63n(1<<20) - 1<<19
+		case 1:
+			base = math.MinInt64
+		}
+		rows := []expr.Row{{types.NewInt64(base)}}
+		span := int64(64 + rng.Intn(4000))
+		if n%4 == 2 {
+			// Keys up to MaxInt64, which the set holds.
+			base = math.MaxInt64 - span
+			rows = []expr.Row{{types.NewInt64(math.MaxInt64)}}
+		}
+		if n%4 == 3 {
+			// Near the cap: max(2^16, 64 × rows) values, on either side.
+			rows = rows[:0]
+			nrows := 1 + rng.Intn(2000)
+			span = int64(max(maxKeyBitmap, keyBitsPerRow*nrows)) - 2 + int64(rng.Intn(3))
+			for i := 0; i < nrows; i++ {
+				rows = append(rows, expr.Row{types.NewInt64(base + rng.Int63n(span+1))})
+			}
+			rows = append(rows, expr.Row{types.NewInt64(base)}, expr.Row{types.NewInt64(base + span)})
+		} else {
+			for i := rng.Intn(12); i >= 0; i-- {
+				rows = append(rows, expr.Row{types.NewInt64(base + rng.Int63n(span))})
+			}
+		}
+		k.Build(rows, 0)
+		if k.Bits != nil {
+			bitmaps++
+		}
+		b := heap.Bound{Lo: k.Lo, Hi: k.Hi, Bits: k.Bits}
+		ranges := [][2]int64{
+			{k.Lo, k.Lo}, {k.Hi, k.Hi}, {math.MinInt64, math.MaxInt64},
+			{math.MinInt64, k.Lo}, {k.Hi, math.MaxInt64},
+		}
+		if k.Lo > math.MinInt64 {
+			ranges = append(ranges, [2]int64{math.MinInt64, k.Lo - 1})
+		}
+		if k.Hi < math.MaxInt64 {
+			ranges = append(ranges, [2]int64{k.Hi + 1, math.MaxInt64})
+		}
+		for i := 0; i < 60; i++ {
+			// Offsets from the set's low end: word boundaries ± 1, and
+			// single values.
+			lo := k.Lo + int64(rng.Intn(int(k.Hi-k.Lo)+1))
+			if rng.Intn(3) == 0 {
+				lo = k.Lo + int64(64*rng.Intn(int((k.Hi-k.Lo)/64)+1)+rng.Intn(3)-1)
+			}
+			hi := lo
+			if d := int64(rng.Intn(200)); rng.Intn(4) != 0 && lo <= math.MaxInt64-d {
+				hi = lo + d
+			}
+			ranges = append(ranges, [2]int64{lo, hi})
+		}
+		for _, r := range ranges {
+			if got, want := b.Admits(r[0], r[1]), brute(&k, r[0], r[1]); got != want {
+				t.Fatalf("set [%d, %d] bitmap %v: page range [%d, %d] admitted %v, KeySet.Has finds a member %v",
+					k.Lo, k.Hi, k.Bits != nil, r[0], r[1], got, want)
+			}
+		}
+	}
+	if bitmaps < 200 {
+		t.Fatalf("only %d of 400 sets kept a bitmap", bitmaps)
 	}
 }

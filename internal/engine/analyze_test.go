@@ -58,8 +58,8 @@ func TestExplainAnalyzeQ1Aggregate(t *testing.T) {
 	want := `Sort [{0 false} {1 false}] (actual rows=4 loops=1 time=X)
   Project l_returnflag, l_linestatus, sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_qty, avg_price, avg_disc, count_order (actual rows=4 loops=1 time=X)
     Gather workers=2 (partial-agg groups=2 aggs=[sum(l_quantity), sum(l_extendedprice), sum((l_extendedprice * (1 - l_discount))), sum(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))), avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)]) [EVA] (actual rows=4 loops=1 bee-keyed ids=208 time=X)
-      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 time=X)
-      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 all-visible pages=83 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 all-visible pages=83 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q1 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -81,9 +81,9 @@ func TestExplainAnalyzeQ3Joins(t *testing.T) {
       HashAgg groups=3 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=24 loops=1 time=X)
         HashJoin inner keys=[5]/[0] est=1457 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
           HashJoin inner keys=[0]/[0] est=2913 [EVJ] (actual rows=65 batches=24 rows/batch=2.7 loops=1 time=X)
-            BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_shipdate) batch=1024 filter=(l_shipdate > 1995-03-15) join filter=(l_orderkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=65 batches=24 rows/batch=2.7 loops=1 join filter rejected=10204 pages=0 time=X)
-            BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate, o_shippriority) batch=1024 filter=(o_orderdate < 1995-03-15) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=368 batches=37 rows/batch=9.9 loops=1 join filter rejected=2306 pages=0 time=X)
-          BatchSeqScan customer (c_custkey, c_mktsegment) batch=1024 filter=(c_mktsegment = 'BUILDING') [GCL+EVP] (actual rows=59 batches=6 rows/batch=9.8 loops=1 time=X)
+            BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_shipdate) batch=1024 filter=(l_shipdate > 1995-03-15) join filter=(l_orderkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=65 batches=24 rows/batch=2.7 loops=1 pages skipped=12 all-visible pages=154 join filter rejected=9360 pages=12 time=X)
+            BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate, o_shippriority) batch=1024 filter=(o_orderdate < 1995-03-15) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=368 batches=37 rows/batch=9.9 loops=1 all-visible pages=37 join filter rejected=2306 pages=0 time=X)
+          BatchSeqScan customer (c_custkey, c_mktsegment) batch=1024 filter=(c_mktsegment = 'BUILDING') [GCL+EVP] (actual rows=59 batches=6 rows/batch=9.8 loops=1 all-visible pages=6 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q3 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -109,10 +109,10 @@ func TestExplainAnalyzeQ10Verdicts(t *testing.T) {
         HashJoin inner keys=[10]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
           HashJoin inner keys=[5]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
             HashJoin inner keys=[0]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
-              BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_returnflag) batch=1024 filter=(l_returnflag = 'R') join filter=(l_orderkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=272 batches=86 rows/batch=3.2 loops=1 verdict ids=109 pages skipped=1 join filter rejected=2894 pages=1 time=X)
-              BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate) batch=1024 filter=((o_orderdate >= 1993-10-01) AND (o_orderdate < (1993-10-01 + interval '3m0d'))) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=126 batches=37 rows/batch=3.4 loops=1 join filter rejected=0 pages=0 time=X)
-            BatchSeqScan customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_comment) batch=1024 join filter=(c_nationkey from HashJoin inner keys=[10]/[0]) [GCL] (actual rows=300 batches=6 rows/batch=50.0 loops=1 join filter rejected=0 pages=0 time=X)
-          BatchSeqScan nation (n_nationkey, n_name) batch=1024 [GCL] (actual rows=25 batches=1 rows/batch=25.0 loops=1 time=X)
+              BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_returnflag) batch=1024 filter=(l_returnflag = 'R') join filter=(l_orderkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=272 batches=86 rows/batch=3.2 loops=1 verdict ids=105 pages skipped=68 all-visible pages=98 join filter rejected=1629 pages=68 time=X)
+              BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate) batch=1024 filter=((o_orderdate >= 1993-10-01) AND (o_orderdate < (1993-10-01 + interval '3m0d'))) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=126 batches=37 rows/batch=3.4 loops=1 all-visible pages=37 join filter rejected=0 pages=0 time=X)
+            BatchSeqScan customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_comment) batch=1024 join filter=(c_nationkey from HashJoin inner keys=[10]/[0]) [GCL] (actual rows=300 batches=6 rows/batch=50.0 loops=1 all-visible pages=6 join filter rejected=0 pages=0 time=X)
+          BatchSeqScan nation (n_nationkey, n_name) batch=1024 [GCL] (actual rows=25 batches=1 rows/batch=25.0 loops=1 all-visible pages=1 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q10 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -147,7 +147,7 @@ func TestExplainAnalyzeQ19Verdicts(t *testing.T) {
     BatchFilter (((p_partkey = l_partkey) AND (p_brand = 'Brand#12') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (l_quantity >= 1) AND (l_quantity <= 11) AND (p_size >= 1) AND (p_size <= 5) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#23') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (l_quantity >= 10) AND (l_quantity <= 20) AND (p_size >= 1) AND (p_size <= 10) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#34') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (l_quantity >= 20) AND (l_quantity <= 30) AND (p_size >= 1) AND (p_size <= 15) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON'))) [EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
       HashJoin inner keys=[0]/[0] est=1457 [EVJ] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
         BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) join filter=(l_partkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=0 join filter rejected=0 pages=0 time=X)
-        BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#12') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#23') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#34') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 time=X)
+        BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#12') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#23') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#34') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 all-visible pages=6 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q19 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -172,8 +172,8 @@ func TestExplainAnalyzeQ19VerdictsWithParts(t *testing.T) {
   HashAgg groups=0 aggs=[sum((l_extendedprice * (1 - l_discount)))] [EVA] (actual rows=1 loops=1 time=X)
     BatchFilter (((p_partkey = l_partkey) AND (p_brand = 'Brand#14') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (l_quantity >= 1) AND (l_quantity <= 11) AND (p_size >= 1) AND (p_size <= 5) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#15') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (l_quantity >= 10) AND (l_quantity <= 20) AND (p_size >= 1) AND (p_size <= 10) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON')) OR ((p_partkey = l_partkey) AND (p_brand = 'Brand#13') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (l_quantity >= 20) AND (l_quantity <= 30) AND (p_size >= 1) AND (p_size <= 15) AND (l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON'))) [EVP] (actual rows=2 batches=2 rows/batch=1.0 loops=1 time=X)
       HashJoin inner keys=[0]/[0] est=1457 [EVJ] (actual rows=5 batches=5 rows/batch=1.0 loops=1 time=X)
-        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) join filter=(l_partkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=5 batches=5 rows/batch=1.0 loops=1 verdict ids=109 join filter rejected=846 pages=0 time=X)
-        BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#14') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#15') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#13') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=3 batches=2 rows/batch=1.5 loops=1 time=X)
+        BatchSeqScan lineitem (l_partkey, l_quantity, l_extendedprice, l_discount, l_shipinstruct, l_shipmode) batch=1024 filter=((l_shipmode IN (AIR, REG AIR)) AND (l_shipinstruct = 'DELIVER IN PERSON') AND (((l_quantity >= 1) AND (l_quantity <= 11)) OR ((l_quantity >= 10) AND (l_quantity <= 20)) OR ((l_quantity >= 20) AND (l_quantity <= 30)))) join filter=(l_partkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=5 batches=5 rows/batch=1.0 loops=1 verdict ids=109 all-visible pages=166 join filter rejected=846 pages=0 time=X)
+        BatchSeqScan part (p_partkey, p_brand, p_size, p_container) batch=1024 filter=(((p_brand = 'Brand#14') AND (p_container IN (SM CASE, SM BOX, SM PACK, SM PKG)) AND (p_size >= 1) AND (p_size <= 5)) OR ((p_brand = 'Brand#15') AND (p_container IN (MED BAG, MED BOX, MED PKG, MED PACK)) AND (p_size >= 1) AND (p_size <= 10)) OR ((p_brand = 'Brand#13') AND (p_container IN (LG CASE, LG BOX, LG PACK, LG PKG)) AND (p_size >= 1) AND (p_size <= 15))) [GCL+EVP] (actual rows=3 batches=2 rows/batch=1.5 loops=1 all-visible pages=6 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q19 with parts explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -191,8 +191,8 @@ func TestExplainAnalyzeQ6Scan(t *testing.T) {
 	}
 	want := `Project revenue (actual rows=1 loops=1 time=X)
   Gather workers=2 (partial-agg groups=0 aggs=[sum((l_extendedprice * l_discount))]) [EVA] (actual rows=1 loops=1 time=X)
-    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[0,83) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 time=X)
-    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[83,166) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 time=X)
+    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[0,83) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 all-visible pages=83 time=X)
+    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[83,166) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 all-visible pages=83 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q6 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -209,7 +209,7 @@ func TestExplainAnalyzeLiRange(t *testing.T) {
 	db := analyzeDB(t)
 	const want = `Project count(*), sum(l_extendedprice) (actual rows=1 loops=1 time=X)
   Gather workers=2 (partial-agg groups=0 aggs=[count(*), sum(l_extendedprice)]) [EVA] (actual rows=1 loops=1 time=X)
-    BatchSeqScan lineitem (l_orderkey, l_extendedprice) batch=1024 pages=[0,83) columns=(l_extendedprice) filter=((l_orderkey >= $1) AND (l_orderkey < $2)) [GCL+EVP] (actual rows=252 batches=4 rows/batch=63.0 loops=1 pages skipped=79 time=X)
+    BatchSeqScan lineitem (l_orderkey, l_extendedprice) batch=1024 pages=[0,83) columns=(l_extendedprice) filter=((l_orderkey >= $1) AND (l_orderkey < $2)) [GCL+EVP] (actual rows=252 batches=4 rows/batch=63.0 loops=1 pages skipped=79 all-visible pages=4 time=X)
     BatchSeqScan lineitem (l_orderkey, l_extendedprice) batch=1024 pages=[83,166) columns=(l_extendedprice) filter=((l_orderkey >= $1) AND (l_orderkey < $2)) [GCL+EVP] (actual rows=0 batches=0 rows/batch=0.0 loops=1 pages skipped=83 time=X)
 `
 	h, err := db.HeapOf("lineitem")

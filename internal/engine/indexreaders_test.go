@@ -626,12 +626,17 @@ func TestGetByIndexAllocs(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go), whose runtime allocates
+// on its own, so allocation ceilings are not compared there.
+var raceEnabled bool
+
 // TestPreparedProbeAllocs pins what a prepared point SELECT (IndexScan)
 // and a prepared primary-key UPDATE (the DML probe) allocate per
 // execution, once warm: both build their key through exec.ProbeKey into
 // scratch they keep, and the UPDATE files its new version's key in one
 // allocation of the key's size. Before index keys were bytes the counts
 // were 8 and 13.
+// Under -race the ceilings are not compared.
 func TestPreparedProbeAllocs(t *testing.T) {
 	const maxSelect, maxUpdate = 8, 12
 	for _, routines := range []core.RoutineSet{core.Stock, core.AllRoutines} {
@@ -665,10 +670,10 @@ func TestPreparedProbeAllocs(t *testing.T) {
 			query()
 			update()
 		}
-		if got := testing.AllocsPerRun(500, query); got > maxSelect {
+		if got := testing.AllocsPerRun(500, query); got > maxSelect && !raceEnabled {
 			t.Errorf("bees=%v: a prepared point select allocates %v times, want at most %d", routines != core.Stock, got, maxSelect)
 		}
-		if got := testing.AllocsPerRun(500, update); got > maxUpdate {
+		if got := testing.AllocsPerRun(500, update); got > maxUpdate && !raceEnabled {
 			t.Errorf("bees=%v: a prepared pk update allocates %v times, want at most %d", routines != core.Stock, got, maxUpdate)
 		}
 		sel.Close()

@@ -141,10 +141,15 @@ func TestRecoverCommittedWork(t *testing.T) {
 			if r := mustQuery(t, rdb, "select k from kv where k = 41"); len(r.Rows) != 0 {
 				t.Fatal("deleted row resurrected by recovery")
 			}
-			// Recovered instance accepts new durable work.
-			mustExec(t, rdb, "insert into kv values (100, 'after')")
-			if n := intResult(t, rdb, "select count(*) from kv"); n != 41 {
-				t.Fatalf("post-recovery insert: count %d, want 41", n)
+			// Recovered instance accepts new durable work, also on rows
+			// that survived the crash.
+			mustExec(t, rdb, "update kv set v = 'again' where k = 7",
+				"delete from kv where k = 8", "insert into kv values (100, 'after')")
+			if n := intResult(t, rdb, "select count(*) from kv"); n != 40 {
+				t.Fatalf("post-recovery writes: count %d, want 40", n)
+			}
+			if r := mustQuery(t, rdb, "select v from kv where k = 7"); len(r.Rows) != 1 || r.Rows[0][0].Str() != "again" {
+				t.Fatalf("row updated after recovery: %v", r.Rows)
 			}
 		})
 	}

@@ -157,11 +157,12 @@ type BatchSeqScan struct {
 	Pred expr.Expr
 	Prog core.Program
 	// Range and Partial mirror SeqScan: a page interval for one partition
-	// of a parallel scan. So do Bounds and Skipped.
-	Range   heap.PageRange
-	Partial bool
-	Bounds  []ScanBound
-	Skipped int64
+	// of a parallel scan. So do Bounds, Skipped and AllVisible.
+	Range      heap.PageRange
+	Partial    bool
+	Bounds     []ScanBound
+	Skipped    int64
+	AllVisible int64
 	// BeeIDs makes every batch carry its rows' tuple-bee IDs (Batch.IDs),
 	// for a bee-keyed aggregation directly above the scan region.
 	BeeIDs bool
@@ -179,6 +180,7 @@ type BatchSeqScan struct {
 	// the deformed datum before a row leaves it. A scan with filters
 	// skips pages whose every tuple is rejected, as a fused one does.
 	KeyFilters []KeyFilter
+	datumKeys  bool // a bound filter is tested on the datum
 
 	call     caller
 	batches  int64
@@ -229,8 +231,10 @@ func (s *BatchSeqScan) ensureRows(n int) {
 
 // Open implements Node.
 func (s *BatchSeqScan) Open(ctx *Ctx) error {
-	s.bound = bindBounds(bindKeys(s.KeyFilters, s.Heap, s.Deform.Atts, &s.verdicts, s.bound[:0]), s.Bounds)
-	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial, s.bound)
+	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial)
+	s.bound = bindBounds(bindKeys(s.KeyFilters, s.scanner, s.Heap, s.Deform.Atts, &s.verdicts, s.bound[:0]), s.Bounds)
+	s.scanner.SetBounds(s.bound)
+	s.datumKeys = slices.ContainsFunc(s.KeyFilters, func(kf KeyFilter) bool { return !kf.Stored && kf.set != nil })
 	if !s.call.made {
 		// The routine's wall time goes with the EVP bee it fused, else with
 		// the relation bee.
@@ -281,7 +285,7 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 			s.sel = s.out.Sel
 		}
 		s.batch = Batch{Rows: s.out.Rows, N: s.out.N, Sel: s.out.Sel, Cols: s.out.Cols}
-		if len(s.KeyFilters) > 0 && slices.ContainsFunc(s.KeyFilters, func(kf KeyFilter) bool { return !kf.Stored }) {
+		if s.datumKeys {
 			s.sel = testKeys(s.KeyFilters, &s.batch, s.sel, ctx.Prof())
 			s.batch.Sel = s.sel
 		}
@@ -310,8 +314,7 @@ func (s *BatchSeqScan) Close(*Ctx) {
 	s.verdicts.Sighted = 0
 	if s.scanner != nil {
 		noteKeys(s.KeyFilters, s.bound, &s.verdicts)
-		s.Skipped += s.scanner.PagesSkipped()
-		s.scanner.Close()
+		closeScanner(s.scanner, &s.Skipped, &s.AllVisible)
 		s.scanner = nil
 	}
 }

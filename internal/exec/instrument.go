@@ -41,9 +41,9 @@ func Instrument(n Node) Node {
 	// plan's plain EXECUTEs).
 	switch v := n.(type) {
 	case *SeqScan:
-		v.Skipped = 0
+		v.Skipped, v.AllVisible = 0, 0
 	case *BatchSeqScan:
-		v.Skipped, v.VerdictIDs = 0, 0
+		v.Skipped, v.AllVisible, v.VerdictIDs = 0, 0, 0
 		for i := range v.KeyFilters {
 			v.KeyFilters[i].Rejected, v.KeyFilters[i].Skipped = 0, 0
 		}

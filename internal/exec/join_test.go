@@ -486,6 +486,24 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 	if _, skipped := checkFilteredJoin(t, "clustered keys", clustered, clustered[1200:1210], true); skipped == 0 {
 		t.Fatal("a clustered probe side skipped no page")
 	}
+	// Keys at both ends: the range spans every page, the bitmap rules out
+	// all but the two that hold them.
+	twoEnds := []expr.Row{clustered[5], clustered[2995]}
+	if _, skipped := checkFilteredJoin(t, "clustered keys at both ends", clustered, twoEnds, true); skipped == 0 {
+		t.Fatal("a bitmap holding keys of two pages ruled out no page")
+	}
+	// A range-only set (a span over the bitmap cap) holding every page's
+	// keys admits every row: it is bound as nil, tested nowhere.
+	covering := []expr.Row{clustered[7], {i32(-1 << 30), str("w"), i32(0), str("w")}, {i32(1 << 30), str("w"), i32(0), str("w")}}
+	checkFilteredJoin(t, "covering range", clustered, covering, true)
+	os := newFilterRel(t, clustered, true).scan(t)
+	j := &HashJoin{Outer: os, Inner: newFilterRel(t, covering, true).scan(t), OuterKeys: []int{0}, InnerKeys: []int{0}, Type: InnerJoin}
+	j.PlaceFilters()
+	fuseKeys(os)
+	if got, err := Collect(&Ctx{}, j); err != nil || len(got) != 1 || len(os.KeyFilters) != 1 || os.KeyFilters[0].set != nil {
+		t.Fatalf("covering range: %d rows (%v), filters %d, bound to a set %v; want 1 row and a filter bound as nil",
+			len(got), err, len(os.KeyFilters), len(os.KeyFilters) == 1 && os.KeyFilters[0].set != nil)
+	}
 }
 
 // TestHashJoinCloseReleasesRows pins that a closed join — as a cached

@@ -40,11 +40,11 @@ type KeyFilter struct {
 	// Stored: the fused routine tests the stored word, else the datum.
 	Stored bool
 	// Rejected counts the rows the filter was the first to reject, and
-	// Skipped the pages its range was the first to rule out.
+	// Skipped the pages its set (range or bitmap) was the first to rule out.
 	Rejected, Skipped int64
 
-	set   *core.KeySet // bound at Open: &Keys, or core.AllKeys
-	bound int          // the range's index in the scan's heap bounds, or -1
+	set   *core.KeySet // bound at Open: &Keys, core.AllKeys, or nil
+	bound int          // the set's index in the scan's heap bounds, or -1
 }
 
 // filterable reports whether a join filter may stand for a key column of
@@ -159,21 +159,30 @@ func (f *JoinFilter) publish(rows []expr.Row, col int) {
 	f.ready = true
 }
 
-// bindKeys binds each of a scan's filters for a run — the published keys,
-// or every value when the join has not published (the scan opened outside
-// its join's probe) — and the state a fused routine reads the stored ones'
-// sets from. It appends to dst, the scan's heap bounds, the range of each
-// filter on a column the heap summarises, and returns dst.
-func bindKeys(kfs []KeyFilter, h *heap.Heap, atts []int, vt *core.ScanState, dst []heap.Bound) []heap.Bound {
+// bindKeys binds each of a scan's filters for a run, sc, over h — the
+// published keys, or every value when the join has not published (the
+// scan opened outside its join's probe) — and the state a fused routine
+// reads the stored ones' sets from. On a column the heap summarises, a
+// set without a bitmap whose range holds every page sc will read admits
+// every row and is bound as nil, tested nowhere (the column is NOT NULL);
+// any other published set is appended to dst, the scan's heap bounds,
+// with its bitmap, so sc skips the pages it holds no key of. It returns
+// dst.
+func bindKeys(kfs []KeyFilter, sc *heap.Scanner, h *heap.Heap, atts []int, vt *core.ScanState, dst []heap.Bound) []heap.Bound {
 	stored := 0
 	for i := range kfs {
 		kf := &kfs[i]
 		kf.set, kf.bound = &core.AllKeys, -1
 		if kf.ready {
 			kf.set = &kf.Keys
-			if c, ok := h.SummaryIndex(atts[kf.Pos]); ok {
+		}
+		if c, ok := h.SummaryIndex(atts[kf.Pos]); ok {
+			switch k := kf.set; {
+			case k.Bits == nil && sc.Within(c, k.Lo, k.Hi):
+				kf.set = nil
+			case kf.ready:
 				kf.bound = len(dst)
-				dst = append(dst, heap.Bound{Col: c, Lo: kf.Keys.Lo, Hi: kf.Keys.Hi})
+				dst = append(dst, heap.Bound{Col: c, Lo: k.Lo, Hi: k.Hi, Bits: k.Bits})
 			}
 		}
 		if kf.Stored {
@@ -185,7 +194,7 @@ func bindKeys(kfs []KeyFilter, h *heap.Heap, atts []int, vt *core.ScanState, dst
 }
 
 // noteKeys adds what the run's filters did to their counts: the pages each
-// range ruled out (bounds, the scan's heap bounds) and the rows the stored
+// set ruled out (bounds, the scan's heap bounds) and the rows the stored
 // ones rejected in the fused routine (vt).
 func noteKeys(kfs []KeyFilter, bounds []heap.Bound, vt *core.ScanState) {
 	stored := 0
@@ -203,8 +212,8 @@ func noteKeys(kfs []KeyFilter, bounds []heap.Bound, vt *core.ScanState) {
 }
 
 // testKeys narrows b to the rows whose key is in every set the scan tests
-// on the datum (the filters not Stored), writing the selection into sel's
-// storage, and returns the selection.
+// on the datum (the bound filters not Stored), writing the selection into
+// sel's storage, and returns the selection.
 func testKeys(kfs []KeyFilter, b *Batch, sel []int32, prof *profile.Counters) []int32 {
 	out := sel[:0]
 	n := b.Count()
@@ -217,7 +226,7 @@ rows:
 		}
 		for k := range kfs {
 			kf := &kfs[k]
-			if kf.Stored {
+			if kf.Stored || kf.set == nil {
 				continue
 			}
 			tests++

@@ -29,11 +29,13 @@ type SeqScan struct {
 	// NewSeqScanRange; EXPLAIN shows the page interval).
 	Partial bool
 	// Bounds are the scan's page bounds (see ScanBound); Skipped counts
-	// the pages they ruled out, over every run since Instrument wrapped
-	// the scan (so EXPLAIN ANALYZE reports the runs its rows and loops
-	// count).
-	Bounds  []ScanBound
-	Skipped int64
+	// the pages they ruled out, and AllVisible the pages read whose
+	// all-visible bit spared every tuple's visibility test, over every run
+	// since Instrument wrapped the scan (so EXPLAIN ANALYZE reports the
+	// runs its rows and loops count).
+	Bounds     []ScanBound
+	Skipped    int64
+	AllVisible int64
 	// KeyFilters are the join filters placed on the scan's columns
 	// (HashJoin.PlaceFilters). A row scan tests none: lowering hands them
 	// to its batch form, and the tuple path places none.
@@ -97,19 +99,19 @@ func bindBounds(dst []heap.Bound, terms []ScanBound) []heap.Bound {
 	return dst
 }
 
-// openScanner starts a scan of h over r (the whole heap unless partial)
-// restricted by bounds.
-func openScanner(ctx *Ctx, h *heap.Heap, r heap.PageRange, partial bool, bounds []heap.Bound) *heap.Scanner {
-	var sc *heap.Scanner
+// openScanner starts a scan of h over r (the whole heap unless partial).
+func openScanner(ctx *Ctx, h *heap.Heap, r heap.PageRange, partial bool) *heap.Scanner {
 	if partial {
-		sc = h.ScanRange(ctx.Snap, r, ctx.Prof())
-	} else {
-		sc = h.Scan(ctx.Snap, ctx.Prof())
+		return h.ScanRange(ctx.Snap, r, ctx.Prof())
 	}
-	if len(bounds) > 0 {
-		sc.SetBounds(bounds)
-	}
-	return sc
+	return h.Scan(ctx.Snap, ctx.Prof())
+}
+
+// closeScanner adds what sc did to a scan's page counts and closes it.
+func closeScanner(sc *heap.Scanner, skipped, allVisible *int64) {
+	*skipped += sc.PagesSkipped()
+	*allVisible += sc.AllVisiblePages()
+	sc.Close()
 }
 
 // NewSeqScan builds a sequential scan over rel's heap emitting the
@@ -143,7 +145,8 @@ func relCols(rel *catalog.Relation, atts []int) []ColInfo {
 // Open implements Node.
 func (s *SeqScan) Open(ctx *Ctx) error {
 	s.bound = bindBounds(s.bound[:0], s.Bounds)
-	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial, s.bound)
+	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial)
+	s.scanner.SetBounds(s.bound)
 	if s.buf == nil {
 		s.buf = make(expr.Row, len(s.cols))
 	}
@@ -172,8 +175,7 @@ func (s *SeqScan) Close(*Ctx) {
 	s.Deform.Bee.Note(s.deforms, 0)
 	s.deforms = 0
 	if s.scanner != nil {
-		s.Skipped += s.scanner.PagesSkipped()
-		s.scanner.Close()
+		closeScanner(s.scanner, &s.Skipped, &s.AllVisible)
 		s.scanner = nil
 	}
 }

@@ -85,17 +85,18 @@ func actuals(n exec.Node) string {
 // scan's bounds ruled out: "bee-keyed ids=N" on an aggregation that read
 // its group keys by bee ID (the IDs it resolved to groups), "verdict
 // ids=N" on a scan whose fused routine computed verdicts for N IDs,
-// "pages skipped=N", and on a scan with join filters "join filter
-// rejected=R pages=P", the rows and pages they ruled out; "" when there
-// is none of them.
+// "pages skipped=N", "all-visible pages=N" (the pages read without a
+// visibility test per tuple), and on a scan with join filters "join
+// filter rejected=R pages=P", the rows and pages they ruled out; "" when
+// there is none of them.
 func runNotes(n exec.Node) string {
-	var k, verdicts int64
+	var k, all, verdicts int64
 	var keys []exec.KeyFilter
 	switch v := n.(type) {
 	case *exec.SeqScan:
-		k = v.Skipped
+		k, all = v.Skipped, v.AllVisible
 	case *exec.BatchSeqScan:
-		k, verdicts, keys = v.Skipped, v.VerdictIDs, v.KeyFilters
+		k, all, verdicts, keys = v.Skipped, v.AllVisible, v.VerdictIDs, v.KeyFilters
 	case *exec.HashAgg:
 		if v.BeeKeys != nil {
 			return fmt.Sprintf(" bee-keyed ids=%d", v.KeyedIDs)
@@ -111,6 +112,9 @@ func runNotes(n exec.Node) string {
 	}
 	if k > 0 {
 		s += fmt.Sprintf(" pages skipped=%d", k)
+	}
+	if all > 0 {
+		s += fmt.Sprintf(" all-visible pages=%d", all)
 	}
 	var rejected, pages int64
 	for _, kf := range keys {

@@ -128,9 +128,22 @@ const (
 
 	// PageAccess: fetching one page through the buffer manager.
 	PageAccess = 1200
-	// HeapNextTuple: per-tuple heap-scan bookkeeping (line-pointer fetch,
-	// visibility/slot plumbing).
-	HeapNextTuple = 380
+	// HeapNextTuple: per-tuple heap-scan bookkeeping — the line-pointer
+	// fetch and liveness test, the tuple's address and length, the slot
+	// plumbing that hands it on: the former 380 (line pointer plus
+	// visibility) less HeapVisibility.
+	HeapNextTuple = 290
+	// HeapVisibility: the per-tuple visibility test, charged beside
+	// HeapNextTuple only on a page whose all-visible bit is clear — as
+	// PostgreSQL's page-at-a-time scan calls HeapTupleSatisfiesVisibility
+	// only when PageIsAllVisible is false. Derived from that call on a
+	// hint-bitted committed tuple: the snapshot-type dispatch (8), the
+	// MVCC test's prologue and epilogue (15), the xmin committed and
+	// frozen hint-bit tests (12), XidInMVCCSnapshot's early exit below
+	// the snapshot's xmin (20), the xmax-invalid test (5), the
+	// serializable-conflict check's early return (20), and here the two
+	// stamp loads it replaces the infomask reads with (10): 90.
+	HeapVisibility = 90
 	// ExecNodeTuple: per-tuple per-executor-node iterator overhead.
 	ExecNodeTuple = 260
 	// ExecNodeBatch: per-batch executor-node overhead on the batch path —

@@ -71,11 +71,19 @@ type verSlot struct {
 //
 // queued is set while the page is on its heap's vacuum queue (see
 // Heap.enqueue), so the queue holds each page at most once.
+//
+// allVisible says every stamp on the page is a frozen insert with no
+// delete, so every snapshot sees every live tuple there and readers skip
+// the per-tuple stamp and visibility test (see visible). A page starts
+// with it set — what stamp assumes of slots beyond vers — and it is
+// one-way: stampInsert clears it for any inserter but txn.Frozen,
+// MarkDeleted before its xmax CAS, and nothing sets it again.
 type pageMeta struct {
-	latch  latch.RW
-	queued atomic.Bool
-	vers   []verSlot
-	sum    []atomic.Int64
+	latch      latch.RW
+	queued     atomic.Bool
+	allVisible atomic.Bool
+	vers       []verSlot
+	sum        []atomic.Int64
 }
 
 // SummaryCol is one attribute the page summaries cover: a NOT NULL
@@ -113,6 +121,7 @@ func summaryCols(rel *catalog.Relation) []SummaryCol {
 // yet, its summary empty.
 func (h *Heap) newMeta() *pageMeta {
 	m := &pageMeta{sum: make([]atomic.Int64, 2*len(h.sum))}
+	m.allVisible.Store(true)
 	for c := range h.sum {
 		m.sum[2*c].Store(math.MaxInt64)
 		m.sum[2*c+1].Store(math.MinInt64)
@@ -169,6 +178,16 @@ func (m *pageMeta) stamp(slot int) (xmin, xmax uint64) {
 		return txn.Frozen, txn.None
 	}
 	return atomic.LoadUint64(&m.vers[slot].xmin), atomic.LoadUint64(&m.vers[slot].xmax)
+}
+
+// visible reports whether snap sees slot's version. A reader asks only
+// on a page whose all-visible bit it read clear, once per page under the
+// shared latch. A bit read set stays right for the whole window: a
+// delete clears it before stamping, so any deleter snap sees — committed
+// before snap was taken, or snap's own — cleared it before the read.
+func (m *pageMeta) visible(slot int, snap *txn.Snapshot) bool {
+	xmin, xmax := m.stamp(slot)
+	return snap.Visible(xmin, xmax)
 }
 
 // Heap is one relation's tuple file.
@@ -245,13 +264,13 @@ func open(dm disk.Device, pool *buffer.Pool, rel *catalog.Relation, tm *txn.Mana
 
 // Attach reopens an existing heap over the page file a crashed database
 // left behind — the recovery-time counterpart of Create. It rebuilds the
-// in-memory side state: one pageMeta per page with an *empty* version
-// slice, which reads as frozen-and-live for every slot (see
-// pageMeta.stamp) — exactly right after redo, when every surviving tuple
-// belongs to a committed transaction and every loser has been physically
-// discarded. Live-tuple counts are recounted, and page summaries rebuilt
-// (they are never logged), from the page images. Callers run redo before
-// Attach so both see the recovered state.
+// in-memory side state: one pageMeta per page, all-visible, with every
+// slot stamped frozen-and-live — exactly right after redo, when every
+// surviving tuple belongs to a committed transaction and every loser has
+// been physically discarded — so that a later delete finds its stamp.
+// Live-tuple counts are recounted, and page summaries rebuilt (they are
+// never logged), from the page images. Callers run redo before Attach so
+// both see the recovered state.
 func Attach(dm disk.Device, pool *buffer.Pool, rel *catalog.Relation, tm *txn.Manager, file disk.FileID) (*Heap, error) {
 	n, err := dm.NumPages(file)
 	if err != nil {
@@ -270,15 +289,12 @@ func Attach(dm disk.Device, pool *buffer.Pool, rel *catalog.Relation, tm *txn.Ma
 			return nil, fmt.Errorf("heap %s: attach page %d: %w", rel.Name, pageNo, err)
 		}
 		p := page.Page(hd.Bytes)
-		for slot := 0; slot < page.NumSlots(p); slot++ {
-			if !page.IsLive(p, slot) {
-				continue
-			}
-			live++
-			if tup, err := page.GetTuple(p, slot); err == nil {
+		metas[pageNo].vers = make([]verSlot, page.NumSlots(p))
+		for slot := range metas[pageNo].vers {
+			metas[pageNo].vers[slot].xmin = txn.Frozen
+			if tup, ok := page.Tuple(p, slot); ok {
+				live++
 				metas[pageNo].widen(h.sum, tup)
-			} else {
-				metas[pageNo].widenAll()
 			}
 		}
 		hd.Unpin(false)
@@ -463,11 +479,15 @@ func (h *Heap) logInsert(p page.Page, pageNo, slot int, tup []byte, xid uint64) 
 	return nil
 }
 
-// stampInsert grows vers to cover slot and records xid as its inserter.
-// Called with the page latch held exclusively. Gap slots (possible only
-// if an earlier tuple predates its stamp, which Create-time invariants
-// rule out) read as frozen.
+// stampInsert grows vers to cover slot and records xid as its inserter,
+// clearing the page's all-visible bit unless xid is txn.Frozen. Called
+// with the page latch held exclusively. Gap slots (possible only if an
+// earlier tuple predates its stamp, which Create-time invariants rule
+// out) read as frozen.
 func (m *pageMeta) stampInsert(slot int, xid uint64) {
+	if xid != txn.Frozen {
+		m.allVisible.Store(false)
+	}
 	for len(m.vers) <= slot {
 		m.vers = append(m.vers, verSlot{xmin: txn.Frozen})
 	}
@@ -524,24 +544,14 @@ func (h *Heap) pin(tid TID, snap *txn.Snapshot, prof *profile.Counters) ([]byte,
 	}
 	m.latch.RLock()
 	p := page.Page(hd.Bytes)
-	if int(tid.Slot) >= page.NumSlots(p) || !page.IsLive(p, int(tid.Slot)) {
-		m.latch.RUnlock()
-		hd.Unpin(false)
-		return nil, nil, buffer.Handle{}, false, nil
+	if slot := int(tid.Slot); slot < page.NumSlots(p) {
+		if b, live := page.Tuple(p, slot); live && (m.allVisible.Load() || m.visible(slot, snap)) {
+			return b, m, hd, true, nil
+		}
 	}
-	xmin, xmax := m.stamp(int(tid.Slot))
-	if !snap.Visible(xmin, xmax) {
-		m.latch.RUnlock()
-		hd.Unpin(false)
-		return nil, nil, buffer.Handle{}, false, nil
-	}
-	b, err := page.GetTuple(p, int(tid.Slot))
-	if err != nil {
-		m.latch.RUnlock()
-		hd.Unpin(false)
-		return nil, nil, buffer.Handle{}, false, fmt.Errorf("heap %s: %w", h.Rel.Name, err)
-	}
-	return b, m, hd, true, nil
+	m.latch.RUnlock()
+	hd.Unpin(false)
+	return nil, nil, buffer.Handle{}, false, nil
 }
 
 // Stamps returns the version stamp of the tuple at tid; present is false
@@ -588,6 +598,7 @@ func (h *Heap) MarkDeleted(tid TID, xid uint64, prof *profile.Counters) error {
 	if int(tid.Slot) >= len(m.vers) {
 		return fmt.Errorf("heap %s: MarkDeleted of unstamped slot %s", h.Rel.Name, tid)
 	}
+	m.allVisible.Store(false) // before the stamp: see pageMeta
 	vs := &m.vers[tid.Slot]
 	for {
 		cur := atomic.LoadUint64(&vs.xmax)
@@ -788,7 +799,8 @@ func (h *Heap) vacuumPage(pageNo int, m *pageMeta, horizon, walTail uint64, prof
 		slots = len(m.vers)
 	}
 	for slot := 0; slot < slots; slot++ {
-		if !page.IsLive(p, slot) {
+		b, live := page.Tuple(p, slot)
+		if !live {
 			continue
 		}
 		xmin, xmax := m.stamp(slot)
@@ -802,10 +814,6 @@ func (h *Heap) vacuumPage(pageNo int, m *pageMeta, horizon, walTail uint64, prof
 		}
 		if !dead {
 			continue
-		}
-		b, err := page.GetTuple(p, slot)
-		if err != nil {
-			return tids, tups, pending, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, err)
 		}
 		if err := page.DeleteTuple(p, slot); err != nil {
 			return tids, tups, pending, fmt.Errorf("heap %s: vacuum: %w", h.Rel.Name, err)
@@ -882,14 +890,39 @@ func (h *Heap) ScanRange(snap *txn.Snapshot, r PageRange, prof *profile.Counters
 
 // Bound is one restriction a scan's predicate puts on a summarised
 // attribute: a row can pass only if Lo ≤ its value of the attribute ≤
-// Hi. Col is the attribute's position in the heap's SummaryCols (see
-// SummaryIndex). A scanner given bounds skips, unread and unpinned,
-// every page whose summary lies wholly outside one of them, and counts
-// the page in Skipped of the first bound that ruled it out.
+// Hi and, when Bits is set, bit v−Lo of Bits is set for its value v — a
+// join filter's exact set, in core.KeySet's layout. Col is the
+// attribute's position in the heap's SummaryCols (see SummaryIndex). A
+// scanner given bounds skips, unread and unpinned, every page whose
+// summary range no bound admits, and counts the page in Skipped of the
+// first bound that ruled it out.
 type Bound struct {
 	Col     int
 	Lo, Hi  int64
+	Bits    []uint64
 	Skipped int64
+}
+
+// Admits reports whether a value in [lo, hi] can pass b: whether the
+// range meets [b.Lo, b.Hi] and, with Bits, whether a bit of the meet is
+// set, read a word at a time.
+func (b *Bound) Admits(lo, hi int64) bool {
+	lo, hi = max(lo, b.Lo), min(hi, b.Hi)
+	if lo > hi {
+		return false
+	}
+	if b.Bits == nil {
+		return true
+	}
+	from, to := uint64(lo)-uint64(b.Lo), uint64(hi)-uint64(b.Lo)
+	mask := ^uint64(0) << (from & 63)
+	for w := from >> 6; w < to>>6; w++ {
+		if b.Bits[w]&mask != 0 {
+			return true
+		}
+		mask = ^uint64(0)
+	}
+	return b.Bits[to>>6]&mask&(^uint64(0)>>(63-to&63)) != 0
 }
 
 // Scanner iterates a heap page by page, holding a pin and the page's
@@ -898,17 +931,19 @@ type Bound struct {
 // Versions invisible to the scanner's snapshot are skipped, and so are
 // pages the scanner's bounds rule out.
 type Scanner struct {
-	h        *Heap
-	snap     *txn.Snapshot
-	numPages int
-	pageNo   int
-	slot     int
-	cur      buffer.Handle
-	curMeta  *pageMeta // the pinned page's state; nil when none is pinned
-	prof     *profile.Counters
-	err      error
-	bounds   []Bound
-	skipped  int64
+	h          *Heap
+	snap       *txn.Snapshot
+	numPages   int
+	pageNo     int
+	slot       int
+	cur        buffer.Handle
+	curMeta    *pageMeta // the pinned page's state; nil when none is pinned
+	curAll     bool      // the pinned page's all-visible bit, read at pin
+	prof       *profile.Counters
+	err        error
+	bounds     []Bound
+	skipped    int64
+	allVisible int64
 }
 
 // SetBounds restricts the scan to pages whose summaries admit every
@@ -920,6 +955,11 @@ func (s *Scanner) SetBounds(b []Bound) { s.bounds = b }
 // so far.
 func (s *Scanner) PagesSkipped() int64 { return s.skipped }
 
+// AllVisiblePages returns how many of the pages the scan has read so far
+// had their all-visible bit set, so that no tuple's visibility was
+// tested there.
+func (s *Scanner) AllVisiblePages() int64 { return s.allVisible }
+
 // excluded reports whether m's summary rules out one of the scan's
 // bounds, so that no tuple on the page can pass the scan's predicate.
 // The loads need no latch: a version visible to the scan's snapshot was
@@ -928,12 +968,26 @@ func (s *Scanner) PagesSkipped() int64 { return s.skipped }
 func (s *Scanner) excluded(m *pageMeta) bool {
 	for i := range s.bounds {
 		b := &s.bounds[i]
-		if m.sum[2*b.Col+1].Load() < b.Lo || m.sum[2*b.Col].Load() > b.Hi {
+		if !b.Admits(m.sum[2*b.Col].Load(), m.sum[2*b.Col+1].Load()) {
 			b.Skipped++
 			return true
 		}
 	}
 	return false
+}
+
+// Within reports whether every page the scan has yet to read summarises
+// column col (a SummaryCols position) inside [lo, hi], so that every
+// tuple it can return has its value there — by excluded's argument,
+// which holds before the first Next or NextPage as after.
+func (s *Scanner) Within(col int, lo, hi int64) bool {
+	ms := *s.h.metas.Load()
+	for p := s.pageNo + 1; p < s.numPages; p++ {
+		if m := ms[p]; m.sum[2*col].Load() < lo || m.sum[2*col+1].Load() > hi {
+			return false
+		}
+	}
+	return true
 }
 
 // releasePage drops the latch and pin on the current page, if any.
@@ -946,12 +1000,14 @@ func (s *Scanner) releasePage() {
 }
 
 // pin advances to the next page the bounds do not rule out and pins it
-// under its shared latch; false at the end of the scan or on error.
-func (s *Scanner) pin() (buffer.Handle, *pageMeta, bool) {
+// under its shared latch, returning the page, its state and its
+// all-visible bit as read there; false at the end of the scan or on
+// error.
+func (s *Scanner) pin() (buffer.Handle, *pageMeta, bool, bool) {
 	for {
 		s.pageNo++
 		if s.pageNo >= s.numPages {
-			return buffer.Handle{}, nil, false
+			return buffer.Handle{}, nil, false, false
 		}
 		m := s.h.meta(s.pageNo)
 		if s.excluded(m) {
@@ -961,12 +1017,25 @@ func (s *Scanner) pin() (buffer.Handle, *pageMeta, bool) {
 		hd, err := s.h.pool.Get(s.h.file, s.pageNo)
 		if err != nil {
 			s.err = err
-			return buffer.Handle{}, nil, false
+			return buffer.Handle{}, nil, false, false
 		}
 		s.prof.Add(profile.CompStorage, profile.PageAccess)
 		m.latch.RLock()
-		return hd, m, true
+		all := m.allVisible.Load()
+		if all {
+			s.allVisible++
+		}
+		return hd, m, all, true
 	}
+}
+
+// tupleCost is the per-tuple charge of a scan of a page whose
+// all-visible bit is all.
+func tupleCost(all bool) int64 {
+	if all {
+		return profile.HeapNextTuple
+	}
+	return profile.HeapNextTuple + profile.HeapVisibility
 }
 
 // Next advances to the next visible tuple. It returns ok=false at the
@@ -974,11 +1043,11 @@ func (s *Scanner) pin() (buffer.Handle, *pageMeta, bool) {
 func (s *Scanner) Next() (TID, []byte, bool) {
 	for {
 		if s.curMeta == nil {
-			hd, m, ok := s.pin()
+			hd, m, all, ok := s.pin()
 			if !ok {
 				return TID{}, nil, false
 			}
-			s.cur, s.curMeta = hd, m
+			s.cur, s.curMeta, s.curAll = hd, m, all
 			s.slot = 0
 		}
 		p := page.Page(s.cur.Bytes)
@@ -986,20 +1055,10 @@ func (s *Scanner) Next() (TID, []byte, bool) {
 		for s.slot < n {
 			slot := s.slot
 			s.slot++
-			if !page.IsLive(p, slot) {
-				continue
+			if b, live := page.Tuple(p, slot); live && (s.curAll || s.curMeta.visible(slot, s.snap)) {
+				s.prof.Add(profile.CompStorage, tupleCost(s.curAll))
+				return TID{Page: int32(s.pageNo), Slot: uint16(slot)}, b, true
 			}
-			xmin, xmax := s.curMeta.stamp(slot)
-			if !s.snap.Visible(xmin, xmax) {
-				continue
-			}
-			b, err := page.GetTuple(p, slot)
-			if err != nil {
-				s.err = err
-				return TID{}, nil, false
-			}
-			s.prof.Add(profile.CompStorage, profile.HeapNextTuple)
-			return TID{Page: int32(s.pageNo), Slot: uint16(slot)}, b, true
 		}
 		s.releasePage()
 	}
@@ -1019,30 +1078,18 @@ func (s *Scanner) NextPage(buf [][]byte) (tups [][]byte, pageNo int, ok bool) {
 	s.releasePage()
 	buf = buf[:0]
 	for {
-		hd, m, ok := s.pin()
+		hd, m, all, ok := s.pin()
 		if !ok {
 			return buf, 0, false
 		}
 		p := page.Page(hd.Bytes)
 		n := page.NumSlots(p)
 		for slot := 0; slot < n; slot++ {
-			if !page.IsLive(p, slot) {
-				continue
+			if b, live := page.Tuple(p, slot); live && (all || m.visible(slot, s.snap)) {
+				buf = append(buf, b)
 			}
-			xmin, xmax := m.stamp(slot)
-			if !s.snap.Visible(xmin, xmax) {
-				continue
-			}
-			b, err := page.GetTuple(p, slot)
-			if err != nil {
-				s.err = err
-				m.latch.RUnlock()
-				hd.Unpin(false)
-				return buf[:0], 0, false
-			}
-			s.prof.Add(profile.CompStorage, profile.HeapNextTuple)
-			buf = append(buf, b)
 		}
+		s.prof.Add(profile.CompStorage, int64(len(buf))*tupleCost(all))
 		if len(buf) == 0 {
 			m.latch.RUnlock()
 			hd.Unpin(false) // every slot dead or invisible: skip the page

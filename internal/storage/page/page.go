@@ -121,16 +121,12 @@ func AddTuple(p Page, tup []byte) (slot int, ok bool) {
 	return slot, true
 }
 
-// GetTuple returns the stored bytes of a live tuple, aliasing the page.
-func GetTuple(p Page, slot int) ([]byte, error) {
-	if slot < 0 || slot >= NumSlots(p) {
-		return nil, fmt.Errorf("page: slot %d out of range (nslots=%d)", slot, NumSlots(p))
-	}
+// Tuple decodes slot's line pointer once: the stored bytes of the tuple
+// there, aliasing the page, and whether it is live. slot must be below
+// NumSlots.
+func Tuple(p Page, slot int) ([]byte, bool) {
 	off, ln, dead := linePtr(p, slot)
-	if dead {
-		return nil, fmt.Errorf("page: slot %d is dead", slot)
-	}
-	return p[off : off+ln : off+ln], nil
+	return p[off : off+ln : off+ln], !dead
 }
 
 // IsLive reports whether the slot holds a live tuple.

@@ -32,13 +32,13 @@ func TestAddGetTuple(t *testing.T) {
 	if s1 == s2 {
 		t.Fatal("slots must differ")
 	}
-	got1, err := GetTuple(p, s1)
-	if err != nil || !bytes.Equal(got1, t1) {
-		t.Errorf("get 1: %q %v", got1, err)
+	got1, live := Tuple(p, s1)
+	if !live || !bytes.Equal(got1, t1) {
+		t.Errorf("get 1: %q live %v", got1, live)
 	}
-	got2, err := GetTuple(p, s2)
-	if err != nil || !bytes.Equal(got2, t2) {
-		t.Errorf("get 2: %q %v", got2, err)
+	got2, live := Tuple(p, s2)
+	if !live || !bytes.Equal(got2, t2) {
+		t.Errorf("get 2: %q live %v", got2, live)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestTupleAlignment(t *testing.T) {
 		if !ok {
 			t.Fatal("add failed")
 		}
-		got, _ := GetTuple(p, slot)
+		got, _ := Tuple(p, slot)
 		// Verify 8-alignment of the tuple start within the page.
 		off := int(uintptr(0)) // compute from line pointer via data identity
 		for o := range p {
@@ -73,8 +73,8 @@ func TestDeleteResurrect(t *testing.T) {
 	if IsLive(p, slot) {
 		t.Error("deleted slot must not be live")
 	}
-	if _, err := GetTuple(p, slot); err == nil {
-		t.Error("get of dead slot must fail")
+	if _, live := Tuple(p, slot); live {
+		t.Error("a dead slot's tuple must not read live")
 	}
 	if err := DeleteTuple(p, slot); err == nil {
 		t.Error("double delete must fail")
@@ -82,9 +82,9 @@ func TestDeleteResurrect(t *testing.T) {
 	if err := ResurrectTuple(p, slot); err != nil {
 		t.Fatal(err)
 	}
-	got, err := GetTuple(p, slot)
-	if err != nil || string(got) != "abcdef" {
-		t.Errorf("resurrected tuple = %q, %v", got, err)
+	got, live := Tuple(p, slot)
+	if !live || string(got) != "abcdef" {
+		t.Errorf("resurrected tuple = %q, live %v", got, live)
 	}
 	if err := ResurrectTuple(p, slot); err == nil {
 		t.Error("resurrect of live slot must fail")
@@ -97,7 +97,7 @@ func TestOverwriteTuple(t *testing.T) {
 	if err := OverwriteTuple(p, slot, []byte("abcdefgh")); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := GetTuple(p, slot)
+	got, _ := Tuple(p, slot)
 	if string(got) != "abcdefgh" {
 		t.Errorf("overwritten = %q", got)
 	}
@@ -125,17 +125,14 @@ func TestPageFillsUp(t *testing.T) {
 	}
 	// All stored tuples still readable.
 	for s := 0; s < NumSlots(p); s++ {
-		if _, err := GetTuple(p, s); err != nil {
-			t.Errorf("slot %d unreadable: %v", s, err)
+		if _, live := Tuple(p, s); !live {
+			t.Errorf("slot %d unreadable", s)
 		}
 	}
 }
 
 func TestBoundsChecks(t *testing.T) {
 	p := newPage()
-	if _, err := GetTuple(p, 0); err == nil {
-		t.Error("get on empty page must fail")
-	}
 	if err := DeleteTuple(p, -1); err == nil {
 		t.Error("negative slot must fail")
 	}
@@ -162,8 +159,8 @@ func TestAddTupleProperty(t *testing.T) {
 			slots = append(slots, slot)
 		}
 		for i, slot := range slots {
-			got, err := GetTuple(p, slot)
-			if err != nil || !bytes.Equal(got, kept[i]) {
+			got, live := Tuple(p, slot)
+			if !live || !bytes.Equal(got, kept[i]) {
 				return false
 			}
 		}
