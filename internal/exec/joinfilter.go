@@ -162,12 +162,12 @@ func (f *JoinFilter) publish(rows []expr.Row, col int) {
 // bindKeys binds each of a scan's filters for a run, sc, over h — the
 // published keys, or every value when the join has not published (the
 // scan opened outside its join's probe) — and the state a fused routine
-// reads the stored ones' sets from. On a column the heap summarises, a
-// set without a bitmap whose range holds every page sc will read admits
-// every row and is bound as nil, tested nowhere (the column is NOT NULL);
-// any other published set is appended to dst, the scan's heap bounds,
-// with its bitmap, so sc skips the pages it holds no key of. It returns
-// dst.
+// reads the stored ones' sets from. On a column the heap summarises (it
+// is NOT NULL), an unpublished filter and a published set without a
+// bitmap whose range holds every page sc will read admit every row and
+// are bound as nil, tested nowhere; any other published set is appended
+// to dst, the scan's heap bounds, with its bitmap, so sc skips the pages
+// it holds no key of. It returns dst.
 func bindKeys(kfs []KeyFilter, sc *heap.Scanner, h *heap.Heap, atts []int, vt *core.ScanState, dst []heap.Bound) []heap.Bound {
 	stored := 0
 	for i := range kfs {
@@ -178,9 +178,9 @@ func bindKeys(kfs []KeyFilter, sc *heap.Scanner, h *heap.Heap, atts []int, vt *c
 		}
 		if c, ok := h.SummaryIndex(atts[kf.Pos]); ok {
 			switch k := kf.set; {
-			case k.Bits == nil && sc.Within(c, k.Lo, k.Hi):
+			case !kf.ready || k.Bits == nil && sc.Within(c, k.Lo, k.Hi):
 				kf.set = nil
-			case kf.ready:
+			default:
 				kf.bound = len(dst)
 				dst = append(dst, heap.Bound{Col: c, Lo: k.Lo, Hi: k.Hi, Bits: k.Bits})
 			}

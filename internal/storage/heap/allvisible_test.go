@@ -279,7 +279,8 @@ func runAllVisibleModel(t *testing.T, seed int64) {
 // committed. A snapshot must not see a tuple whose deleter committed
 // before the snapshot was taken, and must see one whose deleter
 // committed after, whether the scanner read the page's bit before or
-// after the stamp cleared it.
+// after the stamp cleared it. The deleter starts once the first scan
+// has, so at least one scan runs however the goroutines are scheduled.
 func TestAllVisibleScansRaceDeletes(t *testing.T) {
 	h, tm := newHeap(t, 16)
 	var tids []TID
@@ -301,9 +302,12 @@ func TestAllVisibleScansRaceDeletes(t *testing.T) {
 	}
 	var committed atomic.Int64
 	var wg sync.WaitGroup
+	var startOnce sync.Once
+	started := make(chan struct{}) // closed when the first scan begins
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		<-started
 		for _, tid := range tids {
 			x := tm.Begin()
 			if err := h.MarkDeleted(tid, x, nil); err != nil {
@@ -321,6 +325,7 @@ func TestAllVisibleScansRaceDeletes(t *testing.T) {
 		go func(paged bool) {
 			defer wg.Done()
 			for committed.Load() < int64(len(tids)) {
+				startOnce.Do(func() { close(started) })
 				before := int(committed.Load())
 				snap := tm.Snapshot(txn.None)
 				after := int(committed.Load())

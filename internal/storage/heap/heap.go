@@ -544,10 +544,8 @@ func (h *Heap) pin(tid TID, snap *txn.Snapshot, prof *profile.Counters) ([]byte,
 	}
 	m.latch.RLock()
 	p := page.Page(hd.Bytes)
-	if slot := int(tid.Slot); slot < page.NumSlots(p) {
-		if b, live := page.Tuple(p, slot); live && (m.allVisible.Load() || m.visible(slot, snap)) {
-			return b, m, hd, true, nil
-		}
+	if b, live := page.Tuple(p, int(tid.Slot)); live && (m.allVisible.Load() || m.visible(int(tid.Slot), snap)) {
+		return b, m, hd, true, nil
 	}
 	m.latch.RUnlock()
 	hd.Unpin(false)

@@ -122,9 +122,12 @@ func AddTuple(p Page, tup []byte) (slot int, ok bool) {
 }
 
 // Tuple decodes slot's line pointer once: the stored bytes of the tuple
-// there, aliasing the page, and whether it is live. slot must be below
-// NumSlots.
+// there, aliasing the page, and whether it is live. A slot out of range
+// holds no tuple (nil, false).
 func Tuple(p Page, slot int) ([]byte, bool) {
+	if slot < 0 || slot >= NumSlots(p) {
+		return nil, false
+	}
 	off, ln, dead := linePtr(p, slot)
 	return p[off : off+ln : off+ln], !dead
 }

@@ -133,6 +133,12 @@ func TestPageFillsUp(t *testing.T) {
 
 func TestBoundsChecks(t *testing.T) {
 	p := newPage()
+	if _, live := Tuple(p, 0); live {
+		t.Error("Tuple(p, 0) on an empty page must not read live")
+	}
+	if _, live := Tuple(p, -1); live {
+		t.Error("a negative slot must not read live")
+	}
 	if err := DeleteTuple(p, -1); err == nil {
 		t.Error("negative slot must fail")
 	}
