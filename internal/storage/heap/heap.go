@@ -180,6 +180,15 @@ func (m *pageMeta) stamp(slot int) (xmin, xmax uint64) {
 	return atomic.LoadUint64(&m.vers[slot].xmin), atomic.LoadUint64(&m.vers[slot].xmax)
 }
 
+// clearAllVisible clears m's all-visible bit. It stores only when the bit
+// is set: the bit is one-way, so a page that lost it long ago has its
+// writers read the word instead of writing it each time.
+func (m *pageMeta) clearAllVisible() {
+	if m.allVisible.Load() {
+		m.allVisible.Store(false)
+	}
+}
+
 // visible reports whether snap sees slot's version. A reader asks only
 // on a page whose all-visible bit it read clear, once per page under the
 // shared latch. A bit read set stays right for the whole window: a
@@ -486,7 +495,7 @@ func (h *Heap) logInsert(p page.Page, pageNo, slot int, tup []byte, xid uint64) 
 // out) read as frozen.
 func (m *pageMeta) stampInsert(slot int, xid uint64) {
 	if xid != txn.Frozen {
-		m.allVisible.Store(false)
+		m.clearAllVisible()
 	}
 	for len(m.vers) <= slot {
 		m.vers = append(m.vers, verSlot{xmin: txn.Frozen})
@@ -596,7 +605,7 @@ func (h *Heap) MarkDeleted(tid TID, xid uint64, prof *profile.Counters) error {
 	if int(tid.Slot) >= len(m.vers) {
 		return fmt.Errorf("heap %s: MarkDeleted of unstamped slot %s", h.Rel.Name, tid)
 	}
-	m.allVisible.Store(false) // before the stamp: see pageMeta
+	m.clearAllVisible() // before the stamp: see pageMeta
 	vs := &m.vers[tid.Slot]
 	for {
 		cur := atomic.LoadUint64(&vs.xmax)

@@ -81,11 +81,8 @@ func setNSlots(p Page, v int) { binary.LittleEndian.PutUint16(p[4:6], uint16(v))
 const deadBit = 0x8000
 
 func linePtr(p Page, slot int) (off, ln int, dead bool) {
-	base := headerSize + slot*linePtrSize
-	rawOff := binary.LittleEndian.Uint16(p[base : base+2])
-	return int(rawOff &^ deadBit),
-		int(binary.LittleEndian.Uint16(p[base+2 : base+4])),
-		rawOff&deadBit != 0
+	lp := binary.LittleEndian.Uint32(p[headerSize+slot*linePtrSize:])
+	return int(lp & (deadBit - 1)), int(lp >> 16), lp&deadBit != 0
 }
 
 func setLinePtr(p Page, slot, off, ln int) {
@@ -125,7 +122,7 @@ func AddTuple(p Page, tup []byte) (slot int, ok bool) {
 // there, aliasing the page, and whether it is live. A slot out of range
 // holds no tuple (nil, false).
 func Tuple(p Page, slot int) ([]byte, bool) {
-	if slot < 0 || slot >= NumSlots(p) {
+	if uint(slot) >= uint(NumSlots(p)) {
 		return nil, false
 	}
 	off, ln, dead := linePtr(p, slot)
