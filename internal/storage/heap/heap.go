@@ -74,10 +74,14 @@ type verSlot struct {
 //
 // allVisible says every stamp on the page is a frozen insert with no
 // delete, so every snapshot sees every live tuple there and readers skip
-// the per-tuple stamp and visibility test (see visible). A page starts
-// with it set — what stamp assumes of slots beyond vers — and it is
-// one-way: stampInsert clears it for any inserter but txn.Frozen,
-// MarkDeleted before its xmax CAS, and nothing sets it again.
+// the per-tuple stamp and visibility test. A page starts with it set —
+// what stamp assumes of slots beyond vers — and it is one-way:
+// stampInsert clears it for any inserter but txn.Frozen, MarkDeleted
+// before its xmax CAS, and nothing sets it again. A reader reads it once
+// per page under the shared latch, and a bit read set stays right for
+// the whole window: any deleter the reader's snapshot sees — committed
+// before the snapshot was taken, or the snapshot's own — cleared it
+// before the read.
 type pageMeta struct {
 	latch      latch.RW
 	queued     atomic.Bool
@@ -187,16 +191,6 @@ func (m *pageMeta) clearAllVisible() {
 	if m.allVisible.Load() {
 		m.allVisible.Store(false)
 	}
-}
-
-// visible reports whether snap sees slot's version. A reader asks only
-// on a page whose all-visible bit it read clear, once per page under the
-// shared latch. A bit read set stays right for the whole window: a
-// delete clears it before stamping, so any deleter snap sees — committed
-// before snap was taken, or snap's own — cleared it before the read.
-func (m *pageMeta) visible(slot int, snap *txn.Snapshot) bool {
-	xmin, xmax := m.stamp(slot)
-	return snap.Visible(xmin, xmax)
 }
 
 // Heap is one relation's tuple file.
@@ -553,7 +547,7 @@ func (h *Heap) pin(tid TID, snap *txn.Snapshot, prof *profile.Counters) ([]byte,
 	}
 	m.latch.RLock()
 	p := page.Page(hd.Bytes)
-	if b, live := page.Tuple(p, int(tid.Slot)); live && (m.allVisible.Load() || m.visible(int(tid.Slot), snap)) {
+	if b, live := page.Tuple(p, int(tid.Slot)); live && (m.allVisible.Load() || snap.Visible(m.stamp(int(tid.Slot)))) {
 		return b, m, hd, true, nil
 	}
 	m.latch.RUnlock()
@@ -1062,7 +1056,7 @@ func (s *Scanner) Next() (TID, []byte, bool) {
 		for s.slot < n {
 			slot := s.slot
 			s.slot++
-			if b, live := page.Tuple(p, slot); live && (s.curAll || s.curMeta.visible(slot, s.snap)) {
+			if b, live := page.Tuple(p, slot); live && (s.curAll || s.snap.Visible(s.curMeta.stamp(slot))) {
 				s.prof.Add(profile.CompStorage, tupleCost(s.curAll))
 				return TID{Page: int32(s.pageNo), Slot: uint16(slot)}, b, true
 			}
@@ -1092,7 +1086,7 @@ func (s *Scanner) NextPage(buf [][]byte) (tups [][]byte, pageNo int, ok bool) {
 		p := page.Page(hd.Bytes)
 		n := page.NumSlots(p)
 		for slot := 0; slot < n; slot++ {
-			if b, live := page.Tuple(p, slot); live && (all || m.visible(slot, s.snap)) {
+			if b, live := page.Tuple(p, slot); live && (all || s.snap.Visible(m.stamp(slot))) {
 				buf = append(buf, b)
 			}
 		}
