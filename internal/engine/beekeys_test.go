@@ -264,7 +264,7 @@ func queryUnder(t *testing.T, db *DB, snap *txn.Snapshot, text string) []expr.Ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.runPlan(&exec.Ctx{Context: context.Background(), Snap: snap}, planned.Root)
+	rows, err := db.runPlan(&exec.Ctx{Context: context.Background(), Snap: snap}, planned.Root, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", text, err)
 	}

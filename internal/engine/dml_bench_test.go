@@ -71,3 +71,62 @@ func BenchmarkPreparedDeleteInsertByKey(b *testing.B) {
 		})
 	}
 }
+
+// TestPreparedWriteAllocs pins what the two rungs above allocate per
+// execution, once warm, on both engines: a prepared UPDATE whose WHERE
+// pins the whole primary key, and a DELETE by key with the INSERT that
+// puts the row back. The rows such a write locates are found by the
+// SELECT planner's plan, whose IndexScan reuses its row and whose rows
+// the target copies only for an UPDATE. Under -race the ceilings are not
+// compared.
+func TestPreparedWriteAllocs(t *testing.T) {
+	const maxUpdate, maxDeleteInsert = 11, 17
+	for _, r := range dmlBenchRoutines {
+		db := benchPaymentDB(t, r.rs, 30, 0)
+		upd, err := db.Prepare(benchPayUpd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		del, err := db.Prepare("delete from bench_customer where c_w_id = $1 and c_d_id = $2 and c_id = $3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := db.Prepare("insert into bench_customer values ($1, $2, $3, 1000.0, 0)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		key := func() (w, d, c types.Datum) {
+			i++
+			return types.NewInt64(int64(1 + i%2)), types.NewInt64(int64(1 + i/2%10)), types.NewInt64(int64(1 + i/20%30))
+		}
+		update := func() {
+			w, d, c := key()
+			if n, err := upd.Exec(types.NewFloat64(1.25), w, d, c); err != nil || n != 1 {
+				t.Fatalf("update: n=%d err=%v", n, err)
+			}
+		}
+		deleteInsert := func() {
+			w, d, c := key()
+			if n, err := del.Exec(w, d, c); err != nil || n != 1 {
+				t.Fatalf("delete: n=%d err=%v", n, err)
+			}
+			if n, err := ins.Exec(w, d, c); err != nil || n != 1 {
+				t.Fatalf("insert: n=%d err=%v", n, err)
+			}
+		}
+		for range 600 { // warm every scratch buffer
+			update()
+			deleteInsert()
+		}
+		if got := testing.AllocsPerRun(2000, update); got > maxUpdate && !raceEnabled {
+			t.Errorf("%s: a prepared pk update allocates %v times, want at most %d", r.name, got, maxUpdate)
+		}
+		if got := testing.AllocsPerRun(2000, deleteInsert); got > maxDeleteInsert && !raceEnabled {
+			t.Errorf("%s: a prepared delete+insert by key allocates %v times, want at most %d", r.name, got, maxDeleteInsert)
+		}
+		upd.Close()
+		del.Close()
+		ins.Close()
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -19,29 +20,44 @@ import (
 // columns, one with an index on the key and one without, take one seeded
 // stream of INSERT/UPDATE/DELETE. The unindexed twin always scans; the
 // indexed one probes whenever the WHERE pins a key prefix. After every
-// step both must have reported the same affected count and hold the same
-// multiset of rows.
+// step both must have reported the same affected count — the count a
+// SELECT with the same WHERE and bindings finds before the write — and
+// hold the same multiset of rows.
 
 // diffPair is one pair of twin tables.
 type diffPair struct {
 	name string
-	cols string   // column definitions, shared by both twins
-	ixDD []string // what makes the "_ix" twin indexed; %s is its name
+	cols string                    // column definitions, shared by both twins
+	ixDD []string                  // what makes the "_ix" twin indexed; %s is its name
+	load func(i int) []types.Datum // the rows both twins start with, nil for none
+	rows int
 }
 
 var diffPairs = []diffPair{
 	{"uniq", "k bigint not null, v integer not null",
-		[]string{"create unique index %s_k on %s (k)"}},
+		[]string{"create unique index %s_k on %s (k)"}, nil, 0},
 	{"comp", "a integer not null, b bigint not null, v integer not null",
-		[]string{"create unique index %s_ab on %s (a, b)"}},
+		[]string{"create unique index %s_ab on %s (a, b)"}, nil, 0},
 	{"dup", "k integer not null, v integer not null",
-		[]string{"create index %s_k on %s (k)"}},
+		[]string{"create index %s_k on %s (k)"}, nil, 0},
 	{"text", "c char(4) not null, s varchar(8) not null, v integer not null",
-		[]string{"create unique index %s_cs on %s (c, s)"}},
+		[]string{"create unique index %s_cs on %s (c, s)"}, nil, 0},
 	// The INSERT value forms: $n arithmetic, negation, NULL, an integer
 	// literal into the DOUBLE column, a column list, several rows.
 	{"num", "k integer not null, f double, v integer not null",
-		[]string{"create index %s_k on %s (k)"}},
+		[]string{"create index %s_k on %s (k)"}, nil, 0},
+	// The WHERE shapes the SELECT planner gives a write: a full key and a
+	// key prefix, a range page bounds skip (the rows are loaded in order
+	// of a, and pad spreads them over several pages), a LOWCARD verdict,
+	// IN (subquery) and a correlated EXISTS, NULL, NaN and out-of-range
+	// bindings.
+	{"shape", "a integer not null, b bigint not null, g char(1) not null lowcard, f double not null, v integer not null, " +
+		"pad char(120) not null",
+		[]string{"create unique index %s_ab on %s (a, b)", "create index %s_f on %s (f)"},
+		func(i int) []types.Datum {
+			return []types.Datum{types.NewInt32(int32(i / 2)), types.NewInt64(int64(i % 2)),
+				types.NewString(string("xyz"[i%3])), types.NewFloat64(float64(i%8) / 2), types.NewInt32(0), types.NewString("p")}
+		}, 160},
 }
 
 // diffOp is one statement of the stream: text has %s for the table name
@@ -53,12 +69,18 @@ type diffOp struct {
 	inline bool
 }
 
+// nanSQL lowers to a NaN, which has no literal: ∞ − ∞.
+var nanSQL = strings.ReplaceAll("(M * 10.0 - M * 10.0)", "M", "1"+strings.Repeat("0", 308)+".0")
+
 // sqlLiteral renders a parameter value as the literal that lowers to it.
 func sqlLiteral(d types.Datum) string {
 	switch d.Kind() {
 	case types.KindInvalid:
 		return "null"
 	case types.KindFloat64:
+		if f := d.Float64(); f != f {
+			return nanSQL
+		}
 		s := strconv.FormatFloat(d.Float64(), 'f', -1, 64)
 		if !strings.Contains(s, ".") {
 			s += ".0"
@@ -362,6 +384,49 @@ func (g *diffGen) next(pair string) diffOp {
 		default:
 			op.text, op.params = "delete from %s where k = $1", []types.Datum{k}
 		}
+	case "shape":
+		a, b := g.pick(no, "a", 100), int64(rng.Intn(2))
+		nan := types.NewFloat64(math.NaN())
+		switch c := rng.Intn(14); c {
+		case 0, 1:
+			f := types.NewFloat64(float64(rng.Intn(8)) / 2)
+			if rng.Intn(4) == 0 {
+				f = nan
+			}
+			op.text = "insert into %s values ($1, $2, $3, $4, $5, 'p')"
+			op.params = []types.Datum{types.NewInt64(g.shift(no, "a")), types.NewInt64(b),
+				types.NewString(string("xyz"[rng.Intn(3)])), f, amount}
+		case 2:
+			op.text = "update %s set v = v + $3 where a = $1 and b = $2"
+			op.params = []types.Datum{g.intParam(a), g.intParam(b), amount}
+		case 3:
+			op.text, op.params = "update %s set v = v + 1 where a = $1", []types.Datum{g.intParam(a)}
+		case 4:
+			op.text = "update %s set v = v + 1 where a >= $1 and a < $2"
+			op.params = []types.Datum{types.NewInt64(a), types.NewInt64(a + 1 + int64(rng.Intn(6)))}
+		case 5:
+			op.text = "delete from %s where $2 > a and a >= $1"
+			op.params = []types.Datum{types.NewInt64(a), types.NewInt64(a + 1 + int64(rng.Intn(2)))}
+		case 6:
+			op.text = "update %s set v = v + 1 where g = $1 and a < $2"
+			op.params = []types.Datum{types.NewString(string("xyz"[rng.Intn(3)])), types.NewInt64(int64(rng.Intn(40)))}
+		case 7:
+			op.text, op.params = "update %s set v = v + 1 where b in (select k from dup_no where v >= $1)", []types.Datum{floor}
+		case 8:
+			op.text = "update %s set v = v + 1 where exists (select 1 from dup_no where dup_no.k = a and dup_no.v > $1)"
+			op.params = []types.Datum{floor}
+		case 9:
+			op.text = "delete from %s where a < $1 and not exists (select 1 from dup_no where dup_no.k = a and dup_no.v = v)"
+			op.params = []types.Datum{types.NewInt64(int64(rng.Intn(8)))}
+		case 10:
+			op.text, op.params = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{types.Null, g.intParam(b)}
+		case 11: // no key of b equals it, and no integral key can hold it
+			op.text, op.params = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{g.intParam(a), types.NewFloat64(1e21)}
+		case 12:
+			op.text, op.params = "update %s set v = v + 1 where f = $1", []types.Datum{nan}
+		default:
+			op.text, op.params = "delete from %s where a = $1", []types.Datum{nan}
+		}
 	}
 	if op.text == "" { // a capped case
 		return g.next(pair)
@@ -369,13 +434,61 @@ func (g *diffGen) next(pair string) diffOp {
 	return op
 }
 
+var paramRef = regexp.MustCompile(`\$([0-9]+)`)
+
+// matching counts the rows of table op's WHERE selects, through a SELECT
+// with the same WHERE and bindings; it returns -1 for an INSERT.
+func (g *diffGen) matching(op diffOp, table string) int64 {
+	g.t.Helper()
+	i := strings.Index(op.text, " where ")
+	if strings.HasPrefix(op.text, "insert") || i < 0 {
+		return -1
+	}
+	where, n := op.text[i:], 0
+	for _, m := range paramRef.FindAllStringSubmatch(where, -1) {
+		x, _ := strconv.Atoi(m[1])
+		n = max(n, x)
+	}
+	s, err := g.db.Prepare(fmt.Sprintf("select count(*) from %s"+where, table))
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	defer s.Close()
+	r, err := s.Query(op.params[:n]...)
+	if err != nil {
+		g.t.Fatalf("%s %v: %v", s.Text(), op.params[:n], err)
+	}
+	return r.Rows[0][0].Int64()
+}
+
+// pagesSkipped is how many pages bounded scans of table have skipped.
+func pagesSkipped(db *DB, table string) int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	tab, err := db.lookupTable(table)
+	if err != nil {
+		return 0
+	}
+	return tab.heap.PagesSkipped()
+}
+
 // tableRows returns the table's rows as sorted strings.
 func tableRows(t *testing.T, db *DB, table string) []string {
 	t.Helper()
 	r := mustQuery(t, db, "select * from "+table)
 	out := make([]string, len(r.Rows))
+	var b strings.Builder
 	for i, row := range r.Rows {
-		out[i] = fmt.Sprint(row)
+		b.Reset()
+		b.WriteString("[") // fmt.Sprint(row), without the reflection
+		for j, d := range row {
+			if j > 0 {
+				b.WriteString(" ")
+			}
+			b.WriteString(d.String())
+		}
+		b.WriteString("]")
+		out[i] = b.String()
 	}
 	sort.Strings(out)
 	return out
@@ -384,81 +497,117 @@ func tableRows(t *testing.T, db *DB, table string) []string {
 func runDMLDifferential(t *testing.T, steps int, concurrent bool) {
 	modes := []string{"exec", "stmt", "txn", "stepwise"}
 	// A mode's stream depends only on its seed and on what the statements
-	// did, so stock and bees, vacuum on and off must end in the same state.
+	// did, so stock and bees, batch on and off, vacuum on and off must end
+	// in the same state.
 	final := map[string]string{}
 	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
-		for _, vacuumEvery := range []int{-1, 1} {
-			for mi, mode := range modes {
-				name := fmt.Sprintf("bees=%v/vacuum=%d/%s", rs != core.Stock, vacuumEvery, mode)
-				t.Run(name, func(t *testing.T) {
-					db := Open(Config{Routines: rs, PoolPages: 1024, VacuumEvery: vacuumEvery})
-					for _, p := range diffPairs {
-						mustExec(t, db, fmt.Sprintf("create table %s_ix (%s)", p.name, p.cols),
-							fmt.Sprintf("create table %s_no (%s)", p.name, p.cols))
-						for _, ddl := range p.ixDD {
-							mustExec(t, db, fmt.Sprintf(ddl, p.name+"_ix", p.name+"_ix"))
-						}
+		for _, noBatch := range []bool{false, true} {
+			for _, vacuumEvery := range []int{-1, 1} {
+				if noBatch && vacuumEvery > 0 {
+					continue // vacuum runs no plan: one NoBatch pass covers it
+				}
+				for mi, mode := range modes {
+					name := fmt.Sprintf("bees=%v/vacuum=%d/%s", rs != core.Stock, vacuumEvery, mode)
+					if noBatch {
+						name = fmt.Sprintf("bees=%v/nobatch/vacuum=%d/%s", rs != core.Stock, vacuumEvery, mode)
 					}
-					var drv diffDriver
-					switch mode {
-					case "exec":
-						drv = execDriver{db}
-					case "stmt":
-						drv = stmtDriver{db, map[string]*Stmt{}}
-					case "txn", "stepwise":
-						drv = txnDriver{db, map[string]*TxnStmt{}, new(int), mode == "stepwise"}
-					}
-					if concurrent {
-						stop := startDiffReaders(t, db)
-						defer stop()
-					}
-					g := &diffGen{t: t, db: db, rng: rand.New(rand.NewSource(int64(20 + mi)))}
-					for step := 0; step < steps; step++ {
-						p := diffPairs[g.rng.Intn(len(diffPairs))]
-						op := g.next(p.name)
-						nIx, err := drv.run(op, p.name+"_ix")
-						if err != nil {
-							t.Fatalf("step %d on %s_ix: %s %v: %v", step, p.name, op.text, op.params, err)
-						}
-						nNo, err := drv.run(op, p.name+"_no")
-						if err != nil {
-							t.Fatalf("step %d on %s_no: %s %v: %v", step, p.name, op.text, op.params, err)
-						}
-						if nIx != nNo {
-							t.Fatalf("step %d: %s %v (inline=%v) affected %d rows of %s_ix and %d of %s_no",
-								step, op.text, op.params, op.inline, nIx, p.name, nNo, p.name)
-						}
-						ix, no := tableRows(t, db, p.name+"_ix"), tableRows(t, db, p.name+"_no")
-						if fmt.Sprint(ix) != fmt.Sprint(no) {
-							t.Fatalf("step %d: after %s %v (inline=%v) the twins differ\n  indexed:   %v\n  unindexed: %v",
-								step, op.text, op.params, op.inline, ix, no)
-						}
-					}
-					// The stream must have exercised both access paths.
-					probes, scans, _ := dmlCounters(db)
-					if probes == 0 || scans == 0 {
-						t.Errorf("probes=%d scans=%d: the stream missed an access path", probes, scans)
-					}
-					var state []string
-					for _, p := range diffPairs {
-						state = append(state, tableRows(t, db, p.name+"_ix")...)
-					}
-					if got := fmt.Sprint(state); final[mode] == "" {
-						final[mode] = got
-					} else if got != final[mode] {
-						t.Errorf("final state differs from the first configuration's\n  first: %s\n  here:  %s", final[mode], got)
-					}
-					c := db.MetricsSnapshot().Counters
-					if mode == "txn" && c["txn_bee.fallbacks"] != 0 {
-						t.Errorf("txn_bee.fallbacks = %d: the bodies did not run fused", c["txn_bee.fallbacks"])
-					}
-					if mode == "stepwise" && (c["txn_bee.executions"] != 0 || c["txn_bee.fallbacks"] == 0) {
-						t.Errorf("txn_bee.executions = %d, fallbacks = %d: the bodies did not run stepwise",
-							c["txn_bee.executions"], c["txn_bee.fallbacks"])
-					}
-				})
+					t.Run(name, func(t *testing.T) {
+						runDMLDifferentialMode(t, Config{Routines: rs, NoBatch: noBatch, PoolPages: 1024, VacuumEvery: vacuumEvery},
+							mode, int64(20+mi), steps, concurrent, final)
+					})
+				}
 			}
 		}
+	}
+}
+
+// runDMLDifferentialMode runs one configuration's stream through one
+// driver; final holds the first configuration's end state per mode.
+func runDMLDifferentialMode(t *testing.T, cfg Config, mode string, seed int64, steps int, concurrent bool, final map[string]string) {
+	db := Open(cfg)
+	for _, p := range diffPairs {
+		mustExec(t, db, fmt.Sprintf("create table %s_ix (%s)", p.name, p.cols),
+			fmt.Sprintf("create table %s_no (%s)", p.name, p.cols))
+		for _, ddl := range p.ixDD {
+			mustExec(t, db, fmt.Sprintf(ddl, p.name+"_ix", p.name+"_ix"))
+		}
+		for _, twin := range []string{"_ix", "_no"} {
+			i := 0
+			if _, err := db.BulkLoad(p.name+twin, nil, func() ([]types.Datum, bool) {
+				if i == p.rows {
+					return nil, false
+				}
+				i++
+				return p.load(i - 1), true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var drv diffDriver
+	switch mode {
+	case "exec":
+		drv = execDriver{db}
+	case "stmt":
+		drv = stmtDriver{db, map[string]*Stmt{}}
+	case "txn", "stepwise":
+		drv = txnDriver{db, map[string]*TxnStmt{}, new(int), mode == "stepwise"}
+	}
+	if concurrent {
+		stop := startDiffReaders(t, db)
+		defer stop()
+	}
+	g := &diffGen{t: t, db: db, rng: rand.New(rand.NewSource(seed))}
+	var writeSkipped int64 // pages the writes' own scans of the unindexed twins skipped
+	for step := 0; step < steps; step++ {
+		p := diffPairs[g.rng.Intn(len(diffPairs))]
+		op := g.next(p.name)
+		want := g.matching(op, p.name+"_ix")
+		nIx, err := drv.run(op, p.name+"_ix")
+		if err != nil {
+			t.Fatalf("step %d on %s_ix: %s %v: %v", step, p.name, op.text, op.params, err)
+		}
+		skipped := pagesSkipped(db, p.name+"_no")
+		nNo, err := drv.run(op, p.name+"_no")
+		writeSkipped += pagesSkipped(db, p.name+"_no") - skipped
+		if err != nil {
+			t.Fatalf("step %d on %s_no: %s %v: %v", step, p.name, op.text, op.params, err)
+		}
+		if nIx != nNo || want >= 0 && nIx != want {
+			t.Fatalf("step %d: %s %v (inline=%v) affected %d rows of %s_ix and %d of %s_no; the WHERE selects %d",
+				step, op.text, op.params, op.inline, nIx, p.name, nNo, p.name, want)
+		}
+		ix, no := tableRows(t, db, p.name+"_ix"), tableRows(t, db, p.name+"_no")
+		if fmt.Sprint(ix) != fmt.Sprint(no) {
+			t.Fatalf("step %d: after %s %v (inline=%v) the twins differ\n  indexed:   %v\n  unindexed: %v",
+				step, op.text, op.params, op.inline, ix, no)
+		}
+	}
+	// The stream must have exercised both access paths, and
+	// page bounds.
+	probes, scans, _ := dmlCounters(db)
+	if probes == 0 || scans == 0 {
+		t.Errorf("probes=%d scans=%d: the stream missed an access path", probes, scans)
+	}
+	if writeSkipped == 0 {
+		t.Error("no write skipped a page")
+	}
+	var state []string
+	for _, p := range diffPairs {
+		state = append(state, tableRows(t, db, p.name+"_ix")...)
+	}
+	if got := fmt.Sprint(state); final[mode] == "" {
+		final[mode] = got
+	} else if got != final[mode] {
+		t.Errorf("final state differs from the first configuration's\n  first: %s\n  here:  %s", final[mode], got)
+	}
+	c := db.MetricsSnapshot().Counters
+	if mode == "txn" && c["txn_bee.fallbacks"] != 0 {
+		t.Errorf("txn_bee.fallbacks = %d: the bodies did not run fused", c["txn_bee.fallbacks"])
+	}
+	if mode == "stepwise" && (c["txn_bee.executions"] != 0 || c["txn_bee.fallbacks"] == 0) {
+		t.Errorf("txn_bee.executions = %d, fallbacks = %d: the bodies did not run stepwise",
+			c["txn_bee.executions"], c["txn_bee.fallbacks"])
 	}
 }
 

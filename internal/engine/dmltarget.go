@@ -5,10 +5,8 @@ import (
 	"math"
 
 	"microspec/internal/catalog"
-	"microspec/internal/core"
 	"microspec/internal/exec"
 	"microspec/internal/expr"
-	"microspec/internal/index/btree"
 	"microspec/internal/plan"
 	"microspec/internal/profile"
 	"microspec/internal/sql"
@@ -19,22 +17,20 @@ import (
 
 // dmlTarget is a compiled INSERT, UPDATE or DELETE: everything about the
 // statement that is invariant across executions, bound once — the
-// relation handle and its deform routine, the columns written and the
-// expressions that fill them (an INSERT's VALUES rows, an UPDATE's SET
-// list), and for UPDATE/DELETE the WHERE clause lowered and (for a target
-// that is kept, on a bee-enabled database) compiled to its EVP bee, and
-// the access path. It is to a write what a cached plan is to a SELECT, and
-// the only way SQL modifies rows: db.Exec builds one per call, a prepared
-// Stmt keeps one until ddlGen moves, and a PREPARE TRANSACTION body holds
-// one per write statement.
+// relation handle, the columns written and the expressions that fill
+// them (an INSERT's VALUES rows, an UPDATE's SET list), and for
+// UPDATE/DELETE the plan that locates the rows. It is to a write what a
+// cached plan is to a SELECT, and the only way SQL modifies rows: db.Exec
+// builds one per call, a prepared Stmt keeps one until ddlGen moves, and a
+// PREPARE TRANSACTION body holds one per write statement.
 //
-// Access path: when the WHERE pins a prefix of some index's key to
-// constants or $n (plan.Planner.EqProbeFor, over the matcher SELECT
-// planning uses), run probes that index and fetches only the versions
-// filed under the key; otherwise it scans the heap. Either way the full WHERE decides —
-// as the filter on the scan path, as the recheck on the probe path (the
-// index holds one entry per version and knows nothing of the residual
-// conjuncts).
+// The rows an UPDATE or DELETE touches are planned as SELECT … FROM table
+// WHERE … is (plan.Planner.PlanWrite): an index probe where the WHERE pins
+// a key prefix, page bounds, subqueries, the batch and fused routines and
+// the WHERE's EVP bee all come from the SELECT planner and executor. The
+// plan's scan appends each row's TID as a hidden column, and the plan runs
+// through DB.runPlan like any SELECT of a transaction, which quarantines
+// its bees when it panics.
 //
 // A target carries per-execution scratch, so it runs one execution at a
 // time; its owners (Stmt.mu, TxnStmt.mu, a single ad hoc call) already
@@ -44,39 +40,31 @@ type dmlTarget struct {
 	kind dmlKind
 	tab  *table
 
-	where expr.Expr         // nil: every row (always nil for INSERT)
-	pred  core.CompiledPred // where's EVP bee routine; nil: interpret where
-	bee   *core.Bee         // that bee's handle
-
 	// cols are the ordinals written and rows the expressions that fill
 	// them: one list per VALUES row of an INSERT, evaluated against no
 	// row; the SET list of an UPDATE, evaluated against the old row.
 	cols []int
 	rows [][]expr.Expr
 
-	// tree is the index to probe (nil: heap scan); keyExprs/keyTypes and
-	// the index's encoder enc feed exec.ProbeKey.
-	tree     *btree.Tree
-	keyExprs []expr.Expr
-	keyTypes []types.T
-	enc      core.KeyEncoder
+	// plan locates an UPDATE's or DELETE's rows (nil for INSERT); work
+	// holds the counts of its scan of the table, and tid is the position
+	// of that scan's TID column in the rows the plan emits.
+	plan exec.Node
+	work *exec.ScanWork
+	tid  int
 
 	// own is the latch plan of an auto-commit run: this table, exclusive.
 	// (Inside a PREPARE TRANSACTION body the unit's plan holds the latch.)
 	own    txnResolved
 	ownTab txnTable
 
-	// Scratch reused across executions. stmt is the statement the WHERE
-	// and SET expressions evaluate for (ectx.Run): their subqueries read
-	// its snapshot and record their errors in it.
+	// Scratch reused across executions. stmt is the statement the plan
+	// and the SET expressions run for: their subqueries read its snapshot
+	// and record their errors in it.
 	stmt   exec.Ctx
 	ectx   expr.Ctx
-	key    btree.Key
-	tids   []heap.TID
-	values []types.Datum // the version under consideration, deformed
 	newVal []types.Datum // INSERT, UPDATE: the row being written
 	hits   []dmlHit
-	evals  int64 // pred calls this execution, noted to bee at its end
 }
 
 type dmlKind uint8
@@ -130,12 +118,9 @@ func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, erro
 	t.ownTab = txnTable{table: t.tab, write: true}
 	t.own = txnResolved{latchOrder: []*txnTable{&t.ownTab}}
 	rel := t.tab.rel
-	if where != nil {
-		if t.where, err = pl.ConvertForRelation(where, rel); err != nil {
+	if t.kind != dmlInsert {
+		if err = t.planRows(*pl, where); err != nil {
 			return nil, err
-		}
-		if probe, ok := pl.EqProbeFor(rel, t.where); ok {
-			t.tree, t.keyExprs, t.keyTypes, t.enc = probe.Index.Tree, probe.KeyExprs, probe.KeyTypes, probe.Index.Enc
 		}
 	}
 	for _, name := range names {
@@ -171,13 +156,45 @@ func (db *DB) compileDML(pl *plan.Planner, stmt sql.Statement) (*dmlTarget, erro
 		}
 		t.rows = append(t.rows, exprs)
 	}
-	if t.kind != dmlInsert {
-		t.values = make([]types.Datum, len(rel.Attrs))
-	}
 	if t.kind != dmlDelete {
 		t.newVal = make([]types.Datum, len(rel.Attrs))
 	}
 	return t, nil
+}
+
+// planRows plans the rows an UPDATE or DELETE touches on pl, a copy of the
+// statement's planner whose index metadata for the target table carries no
+// latch: the run holds that latch exclusively, so an index walk of the
+// table — the plan's probe, a subquery's — must not take it again.
+func (t *dmlTarget) planRows(pl plan.Planner, where sql.Expr) error {
+	pl.IndexesFor = unlatched(pl.IndexesFor, func(rel *catalog.Relation) bool { return rel == t.tab.rel })
+	root, err := pl.PlanWrite(t.tab.rel.Name, where, t.kind == dmlUpdate)
+	if err != nil {
+		return err
+	}
+	t.plan = root
+	exec.WalkNodes(root, func(n exec.Node) {
+		if s, ok := n.(interface{ Locating() *exec.ScanWork }); ok && s.Locating() != nil {
+			t.work, t.tid = s.Locating(), len(n.Schema())-1
+		}
+	})
+	return nil
+}
+
+// unlatched wraps indexesFor so that the index metadata of a relation
+// whose latch the run holds (held reports it) carries no latch: a nil
+// latch tells exec.IndexWalk it is held, and an IndexScan acquiring the
+// same RWMutex again would deadlock.
+func unlatched(indexesFor func(*catalog.Relation) []plan.IndexMeta, held func(*catalog.Relation) bool) func(*catalog.Relation) []plan.IndexMeta {
+	return func(rel *catalog.Relation) []plan.IndexMeta {
+		ims := indexesFor(rel) // built per call: ours to edit
+		if held(rel) {
+			for i := range ims {
+				ims[i].Latch = nil
+			}
+		}
+		return ims
+	}
 }
 
 // storable is the one class check between a value and the column it is
@@ -217,13 +234,13 @@ func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) e
 }
 
 // run executes the statement as part of the transaction snap belongs to.
-// An UPDATE or DELETE locates every matching row first, then modifies them
-// (a key-changing update applied during the walk would meet the versions
-// it just created). Undo records append to *undo for the caller's
-// rollback; the caller holds the table latch exclusively — the probe walks
-// the B+tree under that same hold, never a second acquisition.
+// An UPDATE or DELETE runs its plan to the end, locating every matching
+// row, before it modifies any (a key-changing update applied during the
+// scan would meet the versions it just created). Undo records append to
+// *undo for the caller's rollback; the caller holds the table latch
+// exclusively, which the plan's index walks of the table do not take.
 func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func() error) (int64, error) {
-	t.stmt = exec.Ctx{Snap: snap}
+	t.stmt = exec.Ctx{Snap: snap, Expr: expr.Ctx{Prof: prof}}
 	t.ectx.Prof, t.ectx.Run = prof, &t.stmt
 	db, xid := t.db, snap.Self()
 	if t.kind == dmlInsert {
@@ -246,18 +263,19 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 	}
 	// Our own writes are what stale an uncorrelated subquery's cached
 	// result, so a reused target starts every execution without one.
-	exec.ResetExprCaches(t.where)
+	exec.ResetCaches(t.plan)
 	for _, rows := range t.rows {
 		for _, e := range rows {
 			exec.ResetExprCaches(e)
 		}
 	}
-	err := t.collect(snap, prof)
-	if err == nil {
-		err = t.stmt.Failed()
-	}
-	t.bee.Note(t.evals, 0)
-	t.evals = 0
+	t.hits = t.hits[:0]
+	_, err := db.runPlan(&t.stmt, t.plan, t.keep)
+	w := t.work
+	db.obs.dmlIndexProbes.Add(w.Probes)
+	db.obs.dmlSeqScans.Add(w.Scans)
+	db.obs.dmlRowsExamined.Add(w.Examined)
+	w.Probes, w.Scans, w.Examined = 0, 0, 0
 	if err != nil {
 		return 0, err
 	}
@@ -283,105 +301,12 @@ func (t *dmlTarget) run(snap *txn.Snapshot, prof *profile.Counters, undo *[]func
 	return int64(len(t.hits)), nil
 }
 
-// compileBee has the WHERE evaluated by its EVP bee where the module
-// provides one (a bee-enabled database, a shape the snippets cover, not
-// quarantined or tier-gated). The owners that keep a target call it — a
-// prepared Stmt, a PREPARE TRANSACTION body; a one-shot db.Exec target
-// interprets, as ad hoc writes always have: one execution, usually over
-// a handful of rows, cannot repay a compile, and a bee per literal text
-// would grow the bee cache with every statement.
-func (t *dmlTarget) compileBee() {
-	prog := t.db.mod.CompilePredicate(t.where)
-	t.pred, t.bee = prog.Row(), prog.Bee()
-}
-
-// retireBee takes the WHERE's EVP bee out of service after a panic
-// somewhere in the statement (the boundary cannot tell whose fault it
-// was): this target interprets from now on, and the quarantine makes
-// every later compile of the same predicate do so too. It reports whether
-// the target was running a bee until now.
-func (t *dmlTarget) retireBee() bool {
-	if t.pred == nil {
-		return false
-	}
-	t.pred = nil
-	t.bee.Quarantine()
-	return true
-}
-
-// collect fills t.hits with the rows visible to snap that satisfy the
-// WHERE, through the chosen access path.
-func (t *dmlTarget) collect(snap *txn.Snapshot, prof *profile.Counters) error {
-	t.hits = t.hits[:0]
-	obs := t.db.obs
-	if t.tree != nil {
-		var match exec.KeyMatch
-		// t.values is free until the versions are considered: the key's
-		// datums are built in it.
-		t.key, match = exec.ProbeKey(t.key[:0], t.values, t.enc, t.keyExprs, t.keyTypes, &t.ectx)
-		if match != exec.KeyNeedsScan {
-			obs.dmlIndexProbes.Inc()
-			if match == exec.KeyMatchesNothing {
-				return nil
-			}
-			return t.probe(snap, prof)
-		}
-		// This binding cannot be expressed as a key (see exec.ProbeKey):
-		// scan, this execution only.
-	}
-	obs.dmlSeqScans.Inc()
-	return t.collectScan(snap, prof)
-}
-
-// probe considers every version filed under the key: the walk runs under
-// the exclusive table latch the caller already holds, and the visits skip
-// the versions snap cannot see.
-func (t *dmlTarget) probe(snap *txn.Snapshot, prof *profile.Counters) error {
-	t.tids = exec.IndexWalk(t.tids[:0], t.tree, t.key, t.key, nil, prof)
-	t.db.obs.dmlRowsExamined.Add(int64(len(t.tids)))
-	for _, tid := range t.tids {
-		if _, err := exec.IndexVisit(t.tab.heap, tid, snap, prof, func(tup []byte) { t.consider(tid, tup, prof) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *dmlTarget) collectScan(snap *txn.Snapshot, prof *profile.Counters) error {
-	var n int64
-	sc := t.tab.heap.Scan(snap, prof)
-	defer sc.Close() // idempotent; also unpins the current page on a panic
-	for {
-		tid, tup, ok := sc.Next()
-		if !ok {
-			break
-		}
-		n++
-		t.consider(tid, tup, prof)
-	}
-	t.db.obs.dmlRowsExamined.Add(n)
-	return sc.Err()
-}
-
-// consider deforms one visible version and keeps it if the WHERE holds.
-// tup aliases a pinned page, so a kept row is copied.
-func (t *dmlTarget) consider(tid heap.TID, tup []byte, prof *profile.Counters) {
-	t.tab.deform(tup, t.values, prof)
-	if t.where != nil {
-		var v types.Datum
-		if t.pred != nil {
-			t.evals++
-			v = t.pred(t.values, &t.ectx)
-		} else {
-			v = t.where.Eval(t.values, &t.ectx)
-		}
-		if v.IsNull() || !v.Bool() {
-			return
-		}
-	}
-	hit := dmlHit{tid: tid}
+// keep records a row the plan located: its TID and, for an UPDATE, a copy
+// of its attributes.
+func (t *dmlTarget) keep(row expr.Row) {
+	h := dmlHit{tid: exec.DatumTID(row[t.tid])}
 	if t.kind == dmlUpdate {
-		hit.old = exec.CloneRow(t.values)
+		h.old = exec.CloneRow(row[:len(t.newVal)])
 	}
-	t.hits = append(t.hits, hit)
+	t.hits = append(t.hits, h)
 }

@@ -491,7 +491,7 @@ func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *p
 			planned.Root = exec.Instrument(planned.Root)
 		}
 		execSpan := at.Span("exec")
-		rows, err = db.runPlan(&exec.Ctx{Context: qctx, Expr: expr.Ctx{Prof: prof}, Snap: snap}, planned.Root)
+		rows, err = db.runPlan(&exec.Ctx{Context: qctx, Expr: expr.Ctx{Prof: prof}, Snap: snap}, planned.Root, nil)
 		execSpan.End()
 		if fold {
 			foldNodeSpans(execSpan, planned.Root)
@@ -515,12 +515,15 @@ func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *p
 
 // runPlan runs a plan to completion: the one place a SELECT executes —
 // an ad hoc query's, a prepared statement's, a PREPARE TRANSACTION
-// unit's, under the transaction's snapshot — and the one place a plan's
-// query bees are blamed for a panic. Every bee the plan ran is pulled from
+// unit's, under the transaction's snapshot, and the plan that locates
+// the rows of an UPDATE or DELETE — and the one place a plan's query
+// bees are blamed for a panic. Every bee the plan ran is pulled from
 // service; if any was in service until now the error comes back marked
-// (beeRetired), for the runner above to rebuild and run once more.
-func (db *DB) runPlan(ctx *exec.Ctx, root exec.Node) ([]expr.Row, error) {
-	rows, err := collectSafe(ctx, root)
+// (beeRetired), for the runner above to rebuild and run once more. It
+// returns the plan's rows, or with each set hands them to each (a row is
+// valid only during its call) and returns none.
+func (db *DB) runPlan(ctx *exec.Ctx, root exec.Node, each func(expr.Row)) ([]expr.Row, error) {
+	rows, err := collectSafe(ctx, root, each)
 	if isPanic(err) && quarantinePlanBees(root) > 0 {
 		err = beeRetired{err}
 	}
@@ -547,7 +550,7 @@ func foldNodeSpans(execSpan *trace.Span, root exec.Node) {
 // any serial plan node or bee closure becomes a *exec.PanicError.
 // (Worker-goroutine panics are contained inside Gather and arrive here
 // as ordinary errors.)
-func collectSafe(ctx *exec.Ctx, root exec.Node) (rows []expr.Row, err error) {
+func collectSafe(ctx *exec.Ctx, root exec.Node, each func(expr.Row)) (rows []expr.Row, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError(r)
@@ -558,6 +561,9 @@ func collectSafe(ctx *exec.Ctx, root exec.Node) (rows []expr.Row, err error) {
 			closeQuiet(ctx, root)
 		}
 	}()
+	if each != nil {
+		return nil, exec.Drain(ctx, root, each)
+	}
 	return exec.Collect(ctx, root)
 }
 

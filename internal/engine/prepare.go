@@ -92,7 +92,7 @@ func (p *prepared) init(db *DB, text string, pl plan.Planner, stmts []sql.Statem
 }
 
 // compileOps compiles every statement: a SELECT to its plan, a write to
-// its target with the WHERE's EVP bee. Caller holds db.mu.
+// its target. Caller holds db.mu.
 func (p *prepared) compileOps() ([]txnOp, error) {
 	ops := make([]txnOp, len(p.stmts))
 	for i, st := range p.stmts {
@@ -108,7 +108,6 @@ func (p *prepared) compileOps() ([]txnOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		target.compileBee()
 		ops[i].target = target
 	}
 	return ops, nil

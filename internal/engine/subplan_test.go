@@ -207,14 +207,18 @@ func TestDMLFailsWithItsSubplan(t *testing.T) {
 			t.Fatal(err)
 		}
 		replaced := 0
-		expr.Walk(s.ops[0].target.where, func(e expr.Expr) bool {
-			switch x := e.(type) {
-			case *exec.InSubquery:
-				x.Plan, replaced = failingPlan{}, replaced+1
-			case *exec.ExistsSubquery:
-				x.Plan, replaced = failingPlan{}, replaced+1
-			}
-			return true
+		exec.WalkNodes(s.ops[0].target.plan, func(n exec.Node) {
+			exec.Children(n, func(*exec.Node) {}, func(e expr.Expr) {
+				expr.Walk(e, func(e expr.Expr) bool {
+					switch x := e.(type) {
+					case *exec.InSubquery:
+						x.Plan, replaced = failingPlan{}, replaced+1
+					case *exec.ExistsSubquery:
+						x.Plan, replaced = failingPlan{}, replaced+1
+					}
+					return true
+				})
+			})
 		})
 		if replaced != 1 {
 			t.Fatalf("%q: found %d subqueries in the WHERE, want 1", q, replaced)

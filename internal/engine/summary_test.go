@@ -135,7 +135,7 @@ func runBoundedPair(t *testing.T, db *DB, c boundCase, args []types.Datum) (boun
 	defer snap.Release()
 	var out [2][]string
 	for i, root := range roots {
-		rows, err := db.runPlan(&exec.Ctx{Context: context.Background(), Snap: snap}, root)
+		rows, err := db.runPlan(&exec.Ctx{Context: context.Background(), Snap: snap}, root, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"microspec/internal/catalog"
 	"microspec/internal/exec"
 	"microspec/internal/expr"
-	"microspec/internal/plan"
 	"microspec/internal/sql"
 	"microspec/internal/trace"
 	"microspec/internal/types"
@@ -46,21 +45,17 @@ import (
 // caller holds every latch they need. It returns the last SELECT's result
 // and the rows the writes affected.
 func (t *Txn) runOps(ops []txnOp) (res *Result, affected int64, err error) {
-	var op *txnOp
 	defer func() {
-		// A faulty bee must not leave the transaction open or half
-		// applied: the runner rolls back on the error. A write's panic is
-		// blamed on its WHERE's EVP bee, as a SELECT's is on its plan's
-		// bees (runPlan).
+		// A fault must not leave the transaction open or half applied: the
+		// runner rolls back on the error. A plan's panic — a SELECT's, or
+		// the one locating a write's rows — never gets here: runPlan blames
+		// the plan's bees.
 		if r := recover(); r != nil {
 			res, affected, err = nil, 0, exec.NewPanicError(r)
-			if op.target != nil && op.target.retireBee() {
-				err = beeRetired{err}
-			}
 		}
 	}()
 	for i := range ops {
-		if op = &ops[i]; op.target != nil {
+		if op := &ops[i]; op.target != nil {
 			n, err := op.target.run(t.snap, t.prof, &t.undo)
 			if err != nil {
 				return nil, 0, err
@@ -69,7 +64,7 @@ func (t *Txn) runOps(ops []txnOp) (res *Result, affected int64, err error) {
 			affected += n
 		} else {
 			// Not cancellable: a unit runs to its commit or rollback.
-			rows, err := t.db.runPlan(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{Prof: t.prof}, Snap: t.snap}, op.planned.Root)
+			rows, err := t.db.runPlan(&exec.Ctx{Context: context.Background(), Expr: expr.Ctx{Prof: t.prof}, Snap: t.snap}, op.planned.Root, nil)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -179,16 +174,7 @@ func (ts *TxnStmt) compileUnit() ([]txnOp, error) {
 	// record the latch plan holds (both read the catalog under this one
 	// db.mu hold), so it runs under the unit's latch — no second
 	// acquisition.
-	baseIndexes := db.planner.IndexesFor
-	ts.pl.IndexesFor = func(rel *catalog.Relation) []plan.IndexMeta {
-		ims := baseIndexes(rel) // built per call: ours to edit
-		if res.tables[rel.Name] != nil {
-			for i := range ims {
-				ims[i].Latch = nil
-			}
-		}
-		return ims
-	}
+	ts.pl.IndexesFor = unlatched(db.planner.IndexesFor, func(rel *catalog.Relation) bool { return res.tables[rel.Name] != nil })
 	ops, err := ts.compileOps()
 	if err != nil {
 		return nil, err

@@ -181,6 +181,9 @@ type BatchSeqScan struct {
 	// skips pages whose every tuple is rejected, as a fused one does.
 	KeyFilters []KeyFilter
 	datumKeys  bool // a bound filter is tested on the datum
+	// ScanWork: the TIDs come from the pinned page's slots
+	// (heap.Scanner.Slots), which only a scan that emits them asks for.
+	ScanWork
 
 	call     caller
 	batches  int64
@@ -188,6 +191,7 @@ type BatchSeqScan struct {
 	bound    []heap.Bound
 	scanner  *heap.Scanner
 	tupBuf   [][]byte
+	slots    []uint16
 	rows     []expr.Row
 	sel      []int32
 	ids      []uint16
@@ -221,7 +225,7 @@ func (s *BatchSeqScan) ensureRows(n int) {
 	if n <= len(s.rows) {
 		return
 	}
-	c, w := growBatchScratch(len(s.rows), n), len(s.cols)
+	c, w := growBatchScratch(len(s.rows), n), len(s.Schema())
 	arena := make([]types.Datum, c*w)
 	s.rows = make([]expr.Row, c)
 	for i := range s.rows {
@@ -256,7 +260,7 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		if err := ctx.CanceledNow(); err != nil {
 			return nil, false, err
 		}
-		tups, _, ok := s.scanner.NextPage(s.tupBuf)
+		tups, pageNo, ok := s.scanner.NextPage(s.tupBuf)
 		s.tupBuf = tups
 		if !ok {
 			return nil, false, s.scanner.Err()
@@ -273,7 +277,7 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		}
 		if s.ColumnPos != nil {
 			if s.vecs == nil {
-				s.vecs = make([]core.Vec, len(s.cols))
+				s.vecs = make([]core.Vec, len(s.Deform.Atts))
 			}
 			s.out.Cols = s.vecs
 		} else {
@@ -283,6 +287,12 @@ func (s *BatchSeqScan) NextBatch(ctx *Ctx) (*Batch, bool, error) {
 		s.call.scan(s.Routine, tups, &s.out, &s.verdicts, ctx.Prof())
 		if s.out.Sel != nil {
 			s.sel = s.out.Sel
+		}
+		if s.TID {
+			s.slots = s.scanner.Slots(s.slots[:0])
+			for i, slot := range s.slots {
+				s.rows[i][len(s.Deform.Atts)] = TIDDatum(heap.TID{Page: int32(pageNo), Slot: slot})
+			}
 		}
 		s.batch = Batch{Rows: s.out.Rows, N: s.out.N, Sel: s.out.Sel, Cols: s.out.Cols}
 		if s.datumKeys {
@@ -313,6 +323,8 @@ func (s *BatchSeqScan) Close(*Ctx) {
 	s.VerdictIDs += s.verdicts.Sighted
 	s.verdicts.Sighted = 0
 	if s.scanner != nil {
+		s.Scans++
+		s.Examined += s.rowsOut
 		noteKeys(s.KeyFilters, s.bound, &s.verdicts)
 		closeScanner(s.scanner, &s.Skipped, &s.AllVisible)
 		s.scanner = nil
@@ -320,7 +332,7 @@ func (s *BatchSeqScan) Close(*Ctx) {
 }
 
 // Schema implements Node.
-func (s *BatchSeqScan) Schema() []ColInfo { return s.cols }
+func (s *BatchSeqScan) Schema() []ColInfo { return scanCols(s.cols, s.TID) }
 
 // BatchStats reports how many batches and rows the last run produced
 // (valid after the plan is drained or closed).

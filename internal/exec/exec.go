@@ -122,15 +122,23 @@ func CloneRow(row expr.Row) expr.Row {
 // OwnBytes copies row's by-reference payloads into one new buffer and
 // points row at the copies, so row no longer aliases a page or a deform
 // buffer. A row without such payloads is left as it is and costs nothing.
-func OwnBytes(row expr.Row) {
+func OwnBytes(row expr.Row) { ownBytesIn(row, nil) }
+
+// ownBytesIn is OwnBytes into buf's storage, grown when it is too small,
+// and returns that storage: the row's payloads stay valid until it is
+// passed again.
+func ownBytesIn(row expr.Row, buf []byte) []byte {
 	total := 0
 	for i := range row {
 		total += len(row[i].Bytes())
 	}
 	if total == 0 {
-		return
+		return buf
 	}
-	buf := make([]byte, 0, total)
+	if cap(buf) < total {
+		buf = make([]byte, 0, total)
+	}
+	buf = buf[:0]
 	for i, d := range row {
 		if b := d.Bytes(); b != nil {
 			start := len(buf)
@@ -138,6 +146,7 @@ func OwnBytes(row expr.Row) {
 			row[i] = types.NewBytes(buf[start:len(buf):len(buf)], d.Kind())
 		}
 	}
+	return buf
 }
 
 // CloneDatum deep-copies one datum.
@@ -178,6 +187,19 @@ func Collect(ctx *Ctx, n Node) ([]expr.Row, error) {
 		ctx.Prof().Add(profile.CompExec, profile.EmitRow)
 		out.put(row, true)
 	}
+}
+
+// Drain runs n to completion under ctx as Collect does, handing every row
+// to fn instead of keeping it; a row is valid only during its call.
+func Drain(ctx *Ctx, n Node, fn func(expr.Row)) error {
+	if ctx.Expr.Run == nil {
+		ctx.Expr.Run = ctx
+	}
+	return drain(ctx, n, func(row expr.Row) bool {
+		ctx.Prof().Add(profile.CompExec, profile.EmitRow)
+		fn(row)
+		return true
+	})
 }
 
 // drain runs n under ctx — Open, Next until the rows run out or fn

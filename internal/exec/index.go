@@ -12,9 +12,10 @@ import (
 // This file is the one read path into a B+tree index: IndexWalk collects
 // the TIDs under a key, IndexVisit fetches the version at one of them, and
 // IndexFirst does both in one pass for a reader that wants only the first
-// visible version. IndexScan, the engine's Txn readers, the DML probe of
-// an UPDATE or DELETE and the engine's uniqueness rule all read an index
-// through these three and nothing else (scripts/oneindex.sh).
+// visible version. IndexScan (a SELECT's, and the one locating the rows
+// of an UPDATE or DELETE), the engine's Txn readers and the engine's
+// uniqueness rule all read an index through these three and nothing else
+// (scripts/oneindex.sh).
 
 // IndexWalk appends to tids, in key order, the TIDs of tree's entries with
 // lo <= key <= hi, both bounds compared as prefixes (btree.Tree.AscendRange);

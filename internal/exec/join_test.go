@@ -778,8 +778,8 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 
 // filterRel is a heap-backed relation of joinCols rows, for the join
 // filter cases: its key column k is nullable (the generic deform, which
-// tests the filter on the datum) or NOT NULL under AllRoutines (the GCL
-// program, which tests it on the stored word).
+// tests the filter on the datum) or, with every other column, NOT NULL
+// under AllRoutines (the GCL program, which tests it on the stored word).
 type filterRel struct {
 	m    *core.Module
 	h    *heap.Heap
@@ -794,8 +794,8 @@ func newFilterRel(t *testing.T, rows []expr.Row, notNull bool) *filterRel {
 	}
 	m := core.NewModule(routines)
 	rel, err := catalog.New().CreateRelation("f", catalog.Schema{Attrs: []catalog.Attribute{
-		catalog.Col("k", types.Int32, notNull), catalog.Col("s", types.Varchar(8), false),
-		catalog.Col("v", types.Int32, false), catalog.Col("tag", types.Varchar(16), false),
+		catalog.Col("k", types.Int32, notNull), catalog.Col("s", types.Varchar(8), notNull),
+		catalog.Col("v", types.Int32, notNull), catalog.Col("tag", types.Varchar(16), notNull),
 	}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -838,13 +838,16 @@ func fuseKeys(s *BatchSeqScan) {
 }
 
 // filterKeyRows draws n rows whose keys come from dom, NULL one time in
-// six when nulls is set.
+// six when nulls is set; without it no column is NULL.
 func filterKeyRows(rng *rand.Rand, n int, side string, dom []int32, nulls bool) []expr.Row {
 	rows := randomJoinRows(rng, n, side)
 	for _, r := range rows {
 		r[0] = i32(dom[rng.Intn(len(dom))])
 		if nulls && rng.Intn(6) == 0 {
 			r[0] = types.Null
+		}
+		if !nulls && r[1].IsNull() {
+			r[1] = str("n")
 		}
 	}
 	return rows

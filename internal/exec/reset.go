@@ -11,8 +11,8 @@ func ResetCaches(n Node) { walkTree(n, invalidateNode, resetSubquery) }
 
 // ResetExprCaches is ResetCaches for one expression: it drops the cached
 // results of every uncorrelated subquery the expression holds. A
-// compiled UPDATE/DELETE calls it on its WHERE and SET expressions before
-// each execution, since its own writes are what stale them.
+// compiled UPDATE calls it on its SET expressions before each execution,
+// since its own writes are what stale them.
 func ResetExprCaches(e expr.Expr) { walkExprTree(e, invalidateNode, resetSubquery) }
 
 func invalidateNode(n Node) {

@@ -25,8 +25,10 @@ type SeqScan struct {
 	// parallel scan. The zero value (Lo == Hi == 0 with Whole true left
 	// unset) means the whole heap.
 	Range heap.PageRange
-	// Partial is true when Range restricts the scan (set by
-	// NewSeqScanRange; EXPLAIN shows the page interval).
+	// Partial is true when Range restricts the scan (EXPLAIN shows the
+	// page interval). A partition is the per-worker leaf of a parallel
+	// (Gather) plan; the deform routine holds no mutable state, so
+	// partitions share it.
 	Partial bool
 	// Bounds are the scan's page bounds (see ScanBound); Skipped counts
 	// the pages they ruled out, and AllVisible the pages read whose
@@ -40,6 +42,7 @@ type SeqScan struct {
 	// (HashJoin.PlaceFilters). A row scan tests none: lowering hands them
 	// to its batch form, and the tuple path places none.
 	KeyFilters []KeyFilter
+	ScanWork
 
 	deforms int64
 	bound   []heap.Bound
@@ -58,6 +61,38 @@ type SeqScan struct {
 type ScanBound struct {
 	Col int
 	Cmp expr.ColCmp
+}
+
+// ScanWork makes a SeqScan, BatchSeqScan or IndexScan, which embed it,
+// the scan that locates the rows of an UPDATE or DELETE when TID is set:
+// the scan appends each row's TID (TIDDatum) to its attributes as one
+// hidden last column, the way PostgreSQL's ctid does, and counts every
+// run — an equality probe, or a scan of the heap (or of the whole index,
+// for a binding no key can express) — and the heap tuples or index
+// entries it examined. Their owner reads the counts and zeroes them.
+type ScanWork struct {
+	TID                     bool
+	Probes, Scans, Examined int64
+}
+
+// Locating returns w when its scan emits TIDs, and nil otherwise.
+func (w *ScanWork) Locating() *ScanWork {
+	if w.TID {
+		return w
+	}
+	return nil
+}
+
+// TIDDatum is tid as a scan's hidden TID column holds it; DatumTID reads
+// it back.
+func TIDDatum(tid heap.TID) types.Datum {
+	return types.NewInt64(int64(tid.Page)<<16 | int64(tid.Slot))
+}
+
+// DatumTID is the TID a hidden TID column's datum d holds.
+func DatumTID(d types.Datum) heap.TID {
+	v := d.Int64()
+	return heap.TID{Page: int32(v >> 16), Slot: uint16(v)}
 }
 
 // bindBounds appends to dst the heap bound each of terms sets under the
@@ -124,22 +159,24 @@ func NewSeqScan(h *heap.Heap, deform *core.ScanDeform) *SeqScan {
 	}
 }
 
-// NewSeqScanRange builds a sequential scan over one page-range partition
-// of rel's heap — the per-worker leaf of a parallel (Gather) plan. The
-// deform routine holds no mutable state, so partitions share it.
-func NewSeqScanRange(h *heap.Heap, deform *core.ScanDeform, r heap.PageRange) *SeqScan {
-	s := NewSeqScan(h, deform)
-	s.Range = r
-	s.Partial = true
-	return s
-}
-
+// relCols is a scan's columns, the attributes atts of rel, and one more:
+// the hidden TID column, which scanCols shows only to a scan that emits
+// it.
 func relCols(rel *catalog.Relation, atts []int) []ColInfo {
-	cols := make([]ColInfo, len(atts))
+	cols := make([]ColInfo, len(atts)+1)
 	for i, a := range atts {
 		cols[i] = ColInfo{Name: rel.Attrs[a].Name, T: rel.Attrs[a].Type}
 	}
+	cols[len(atts)] = ColInfo{Name: "ctid", T: types.Int64}
 	return cols
+}
+
+// scanCols is cols, relCols' result, with the TID column when tid is set.
+func scanCols(cols []ColInfo, tid bool) []ColInfo {
+	if tid {
+		return cols
+	}
+	return cols[:len(cols)-1]
 }
 
 // Open implements Node.
@@ -148,7 +185,7 @@ func (s *SeqScan) Open(ctx *Ctx) error {
 	s.scanner = openScanner(ctx, s.Heap, s.Range, s.Partial)
 	s.scanner.SetBounds(s.bound)
 	if s.buf == nil {
-		s.buf = make(expr.Row, len(s.cols))
+		s.buf = make(expr.Row, len(s.Schema()))
 	}
 	return nil
 }
@@ -160,28 +197,33 @@ func (s *SeqScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 	if err := ctx.Canceled(); err != nil {
 		return nil, false, err
 	}
-	_, tup, ok := s.scanner.Next()
+	tid, tup, ok := s.scanner.Next()
 	if !ok {
 		return nil, false, s.scanner.Err()
 	}
 	ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
 	s.deforms++
 	s.Deform.Row(tup, s.buf, ctx.Prof())
+	if s.TID {
+		s.buf[len(s.Deform.Atts)] = TIDDatum(tid)
+	}
 	return s.buf, true, nil
 }
 
 // Close implements Node.
 func (s *SeqScan) Close(*Ctx) {
 	s.Deform.Bee.Note(s.deforms, 0)
-	s.deforms = 0
 	if s.scanner != nil {
+		s.Scans++
+		s.Examined += s.deforms
 		closeScanner(s.scanner, &s.Skipped, &s.AllVisible)
 		s.scanner = nil
 	}
+	s.deforms = 0
 }
 
 // Schema implements Node.
-func (s *SeqScan) Schema() []ColInfo { return s.cols }
+func (s *SeqScan) Schema() []ColInfo { return scanCols(s.cols, s.TID) }
 
 // IndexScan fetches tuples by an equality key prefix, in index order.
 type IndexScan struct {
@@ -207,10 +249,12 @@ type IndexScan struct {
 	// under a holder of the latch. Heap fetches in Next run latch-free
 	// against the snapshot.
 	Latch *sync.RWMutex
+	ScanWork
 
 	tids    []heap.TID
 	pos     int
 	buf     expr.Row
+	bytes   []byte        // the payloads of buf's row, copied off the page
 	key     btree.Key     // the probe key, rebuilt at every Open
 	keyVals []types.Datum // ProbeKey's scratch
 	cols    []ColInfo
@@ -226,7 +270,7 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 	s.tids = s.tids[:0]
 	s.pos = 0
 	if s.buf == nil {
-		s.buf = make(expr.Row, len(s.cols))
+		s.buf = make(expr.Row, len(s.Schema()))
 	}
 	if len(s.KeyExprs) > 0 {
 		if s.keyVals == nil {
@@ -236,12 +280,19 @@ func (s *IndexScan) Open(ctx *Ctx) error {
 		s.key, match = ProbeKey(s.key[:0], s.keyVals, s.KeyEnc, s.KeyExprs, s.KeyTypes, &ctx.Expr)
 		switch match {
 		case KeyMatchesNothing:
+			s.Probes++
 			return nil
 		case KeyNeedsScan:
 			s.key = s.key[:0] // empty prefix: every entry
 		}
 	}
 	s.tids = IndexWalk(s.tids, s.Tree, s.key, s.key, s.Latch, ctx.Prof())
+	if len(s.key) == 0 {
+		s.Scans++
+	} else {
+		s.Probes++
+	}
+	s.Examined += int64(len(s.tids))
 	return nil
 }
 
@@ -253,17 +304,19 @@ func (s *IndexScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 	for s.pos < len(s.tids) {
 		tid := s.tids[s.pos]
 		s.pos++
-		var row expr.Row
 		ok, err := IndexVisit(s.Heap, tid, ctx.Snap, ctx.Prof(), func(tup []byte) {
 			ctx.Prof().Add(profile.CompExec, profile.ExecNodeTuple)
 			s.Deform.Row(tup, s.buf, ctx.Prof())
-			row = CloneRow(s.buf) // the deformed datums alias the page
+			if s.TID {
+				s.buf[len(s.Deform.Atts)] = TIDDatum(tid)
+			}
+			s.bytes = ownBytesIn(s.buf, s.bytes) // the deformed datums alias the page
 		})
 		if err != nil {
 			return nil, false, err
 		}
 		if ok {
-			return row, true, nil
+			return s.buf, true, nil
 		}
 	}
 	return nil, false, nil
@@ -273,7 +326,7 @@ func (s *IndexScan) Next(ctx *Ctx) (expr.Row, bool, error) {
 func (s *IndexScan) Close(*Ctx) {}
 
 // Schema implements Node.
-func (s *IndexScan) Schema() []ColInfo { return s.cols }
+func (s *IndexScan) Schema() []ColInfo { return scanCols(s.cols, s.TID) }
 
 // ValuesNode emits a fixed list of rows (used for constant subplans and
 // tests).

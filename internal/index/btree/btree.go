@@ -1,7 +1,8 @@
 // Package btree implements an in-memory B+tree index over heap TIDs: the
-// index every reader uses — SQL index scans, the DML probe of an UPDATE or
-// DELETE, the Txn point reads and scans the TPC-C transactions are written
-// in — all through exec.IndexWalk or exec.IndexFirst. Keys are the
+// index every reader uses — SQL index scans (a SELECT's, and those
+// locating the rows of an UPDATE or DELETE), the Txn point reads and
+// scans the TPC-C transactions are written in — all through
+// exec.IndexWalk or exec.IndexFirst. Keys are the
 // order-preserving byte encodings of composite datum tuples (key.go),
 // compared with bytes.Compare. The tree stores entries and
 // nothing more: MVCC keeps one entry per tuple version, so the same key

@@ -167,7 +167,7 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 			deform = r.deform
 		}
 		bs := exec.NewBatchSeqScan(r.scan.Heap, deform)
-		bs.Bounds, bs.BeeIDs = r.scan.Bounds, r.beeIDs
+		bs.Bounds, bs.BeeIDs, bs.TID = r.scan.Bounds, r.beeIDs, r.scan.TID
 		if part != nil {
 			bs.Range, bs.Partial = *part, true
 		}
@@ -211,8 +211,8 @@ func (p *Planner) build(r region, part *heap.PageRange) exec.Node {
 		}
 		node = bs
 	default:
-		scan := exec.NewSeqScanRange(r.scan.Heap, r.scan.Deform, *part)
-		scan.Bounds = r.scan.Bounds
+		scan := exec.NewSeqScan(r.scan.Heap, r.scan.Deform)
+		scan.Range, scan.Partial, scan.Bounds, scan.TID = *part, true, r.scan.Bounds, r.scan.TID
 		node = scan
 	}
 	// Filters stack innermost first, so per-row predicate order — and

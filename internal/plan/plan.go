@@ -87,6 +87,24 @@ func (p *Planner) PlanSelect(sel *sql.Select) (*Planned, error) {
 	return &Planned{Root: node, Cols: cols}, nil
 }
 
+// PlanWrite plans the rows an UPDATE (all set) or DELETE of table touches
+// as SELECT … FROM table WHERE where is planned — access path, page
+// bounds, subqueries and lowering alike — except that its scan of table
+// appends each row's TID as a hidden last column (exec.ScanWork) and no
+// projection sits over the rows: an UPDATE's carry every attribute of
+// table, a DELETE's those its WHERE reads, then the TID.
+func (p *Planner) PlanWrite(table string, where sql.Expr, all bool) (exec.Node, error) {
+	sel := &sql.Select{From: []sql.TableRef{&sql.BaseTable{Name: table}}, Where: where, Limit: -1}
+	if all {
+		sel.Items = []sql.SelectItem{{Star: true}}
+	}
+	node, _, err := (&selectPlan{p: p, sel: sel, tids: true}).plan()
+	if err != nil {
+		return nil, err
+	}
+	return p.lower(node), nil
+}
+
 // scanFor builds a sequential scan emitting the attributes atts of a base
 // relation through the bee module's deformer selection.
 func (p *Planner) scanFor(rel *catalog.Relation, atts []int) (*exec.SeqScan, error) {
@@ -117,12 +135,6 @@ func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, k
 	}
 	hj.EVJ, _ = p.Mod.CompileJoinKeys(outerKeys, innerKeys, keyTypes)
 	return hj
-}
-
-// ConvertForRelation lowers an AST expression whose identifiers all
-// reference one relation's attributes (an UPDATE/DELETE WHERE clause).
-func (p *Planner) ConvertForRelation(e sql.Expr, rel *catalog.Relation) (expr.Expr, error) {
-	return p.convertExpr(e, relationScope(rel))
 }
 
 // ConvertAssigned lowers the value a write assigns to a column of type

@@ -1,41 +1,28 @@
 package plan
 
 import (
-	"microspec/internal/catalog"
+	"microspec/internal/exec"
 	"microspec/internal/expr"
-	"microspec/internal/types"
 )
 
-// EqProbe is an equality-prefix index probe: the chosen index and, for
-// each matched leading key column, the row-independent expression its
-// value comes from and the column's type. exec.ProbeKey turns the pair
-// into the search key at execution time.
-type EqProbe struct {
-	Index    IndexMeta
-	KeyExprs []expr.Expr
-	KeyTypes []types.T
-}
-
-// matchEqPrefix is the one equality-prefix matcher: given the conjuncts
-// of a predicate over rel, it picks the index of rel whose key has the
-// longest leading run of columns pinned by `col = e` (either operand
-// order) with e row-independent — constants, $n parameters and arithmetic
-// over them. A Var ordinal i names attribute atts[i], or attribute i when
-// atts is nil. SELECT planning (tryIndexScan, over a scan's attribute
-// list) and compiled UPDATE/DELETE (EqProbeFor, over the whole relation)
-// both call it. The caller keeps the full predicate as a recheck; the
-// probe only narrows which versions are fetched.
-func (p *Planner) matchEqPrefix(conjuncts []expr.Expr, rel *catalog.Relation, atts []int) (EqProbe, bool) {
-	if p.IndexesFor == nil {
-		return EqProbe{}, false
+// tryIndexScan replaces a base-table sequential scan with an equality
+// index scan emitting the same columns, when the pushed conjuncts pin a
+// prefix of some index's key: of the item relation's indexes, the one
+// whose key has the longest leading run of columns pinned by `col = e`
+// (either operand order) with e row-independent — constants, $n
+// parameters and arithmetic over them. A SELECT's scans and the scan
+// locating the rows of an UPDATE or DELETE (PlanWrite) alike come here.
+// The full filter stays on top as a recheck, so the rewrite is always
+// safe; the win is skipping the heap scan for point and small-prefix
+// lookups. It reports whether the probe pins every column of a unique
+// key, i.e. fetches at most one row.
+func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
+	seq, ok := it.node.(*exec.SeqScan)
+	if it.rel == nil || !ok || p.IndexesFor == nil {
+		return false
 	}
-	attr := func(v *expr.Var) int {
-		if atts == nil {
-			return v.Idx
-		}
-		return atts[v.Idx]
-	}
-	// Equality bindings: attribute ordinal → key expression.
+	// Equality bindings: attribute ordinal → key expression. An item
+	// column ordinal is a relation ordinal only through it.atts.
 	eq := map[int]expr.Expr{}
 	for _, c := range conjuncts {
 		cmp, ok := c.(*expr.Cmp)
@@ -43,19 +30,19 @@ func (p *Planner) matchEqPrefix(conjuncts []expr.Expr, rel *catalog.Relation, at
 			continue
 		}
 		if v, ok := cmp.L.(*expr.Var); ok && rowIndependent(cmp.R, true) {
-			eq[attr(v)] = cmp.R
+			eq[it.atts[v.Idx]] = cmp.R
 		} else if v, ok := cmp.R.(*expr.Var); ok && rowIndependent(cmp.L, true) {
-			eq[attr(v)] = cmp.L
+			eq[it.atts[v.Idx]] = cmp.L
 		}
 	}
 	if len(eq) == 0 {
-		return EqProbe{}, false
+		return false
 	}
 	var (
 		best     IndexMeta
 		bestCols int
 	)
-	for _, im := range p.IndexesFor(rel) {
+	for _, im := range p.IndexesFor(it.rel) {
 		n := 0
 		for _, col := range im.Cols {
 			if _, ok := eq[col]; !ok {
@@ -68,33 +55,16 @@ func (p *Planner) matchEqPrefix(conjuncts []expr.Expr, rel *catalog.Relation, at
 		}
 	}
 	if bestCols == 0 {
-		return EqProbe{}, false
+		return false
 	}
-	probe := EqProbe{
-		Index:    best,
-		KeyExprs: make([]expr.Expr, bestCols),
-		KeyTypes: make([]types.T, bestCols),
+	scan := exec.NewIndexScan(seq.Heap, best.Tree, seq.Deform)
+	scan.TID, scan.KeyEnc, scan.Latch = seq.TID, best.Enc, best.Latch
+	for _, col := range best.Cols[:bestCols] {
+		scan.KeyExprs = append(scan.KeyExprs, eq[col])
+		scan.KeyTypes = append(scan.KeyTypes, it.rel.Attrs[col].Type)
 	}
-	for i, col := range best.Cols[:bestCols] {
-		probe.KeyExprs[i] = eq[col]
-		probe.KeyTypes[i] = rel.Attrs[col].Type
-	}
-	return probe, true
-}
-
-// EqProbeFor chooses the index probe for a single-relation predicate
-// already lowered with ConvertForRelation (an UPDATE/DELETE WHERE). A
-// nil predicate, one that pins no key prefix, or a planner without index
-// metadata yields no probe: the statement scans the heap.
-func (p *Planner) EqProbeFor(rel *catalog.Relation, where expr.Expr) (EqProbe, bool) {
-	if where == nil {
-		return EqProbe{}, false
-	}
-	conjuncts := []expr.Expr{where}
-	if and, ok := where.(*expr.And); ok {
-		conjuncts = and.Kids
-	}
-	return p.matchEqPrefix(conjuncts, rel, nil)
+	it.node = scan
+	return best.Tree.Unique && bestCols == len(best.Cols)
 }
 
 // rowIndependent reports whether e reads nothing from the input row —

@@ -22,6 +22,10 @@ type selectPlan struct {
 	// decorrelated EXISTS build side (see readAtts).
 	sel  *sql.Select
 	body *existsBody
+	// tids is set when the block locates the rows of a write (PlanWrite):
+	// its base-table scan appends each row's TID as a hidden last column
+	// (exec.ScanWork), and it emits the joined row with no projection.
+	tids bool
 }
 
 // existsBody marks a block planned as the build side of a decorrelated
@@ -138,7 +142,12 @@ func (p *Planner) planSelect(sel *sql.Select, parent *scope) (exec.Node, *scope,
 // set: then the output scope is the joined row's columns, and no
 // projection sits over it.
 func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (exec.Node, *scope, error) {
-	sp := &selectPlan{p: p, parent: parent, sel: sel, body: body}
+	return (&selectPlan{p: p, parent: parent, sel: sel, body: body}).plan()
+}
+
+// plan plans the block sp describes.
+func (sp *selectPlan) plan() (exec.Node, *scope, error) {
+	p, sel, parent, body := sp.p, sp.sel, sp.parent, sp.body
 	if len(sel.With) > 0 {
 		sp.ctes = make(map[string]*sql.Select, len(sel.With))
 		for _, cte := range sel.With {
@@ -263,7 +272,7 @@ func (p *Planner) planBlock(sel *sql.Select, parent *scope, body *existsBody) (e
 		ts.node = p.filterOver(ts.node, conjunction(postExprs))
 	}
 
-	if body != nil {
+	if body != nil || sp.tids {
 		return ts.node, &scope{cols: ts.cols, parent: parent, correlated: sp.isCorrelated(), est: ts.est}, nil
 	}
 	// --- Aggregation, projection, ordering ---
@@ -364,30 +373,6 @@ func (sp *selectPlan) pushIn(c sql.Expr, items []*fromItem, itemCols [][]column)
 	}
 	it.in = append(it.in, e)
 	return true
-}
-
-// tryIndexScan replaces a base-table sequential scan with an equality
-// index scan, emitting the same attributes, when the pushed conjuncts pin
-// a prefix of some index's key (see matchEqPrefix). The full filter stays
-// on top as a recheck, so the rewrite is always safe; the win is skipping
-// the heap scan for point and small-prefix lookups. It reports whether the
-// probe pins every column of a unique key, i.e. fetches at most one row.
-func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
-	seq, ok := it.node.(*exec.SeqScan)
-	if it.rel == nil || !ok {
-		return false
-	}
-	probe, ok := p.matchEqPrefix(conjuncts, it.rel, it.atts)
-	if !ok {
-		return false
-	}
-	scan := exec.NewIndexScan(seq.Heap, probe.Index.Tree, seq.Deform)
-	scan.KeyExprs = probe.KeyExprs
-	scan.KeyTypes = probe.KeyTypes
-	scan.KeyEnc = probe.Index.Enc
-	scan.Latch = probe.Index.Latch
-	it.node = scan
-	return probe.Index.Tree.Unique && len(probe.KeyExprs) == len(probe.Index.Cols)
 }
 
 // identEqEdge recognizes a two-item equi-join conjunct col_a = col_b.
@@ -675,9 +660,12 @@ func (sp *selectPlan) planTableRef(ref sql.TableRef) (*fromItem, error) {
 			return nil, err
 		}
 		atts := node.Deform.Atts
-		cols := make([]column, len(atts))
+		cols := make([]column, len(atts), len(atts)+1)
 		for i, a := range atts {
 			cols[i] = column{tbl: alias, name: rel.Attrs[a].Name, t: rel.Attrs[a].Type}
+		}
+		if node.TID = sp.tids; sp.tids {
+			cols = append(cols, column{t: types.Int64}) // no name resolves to it
 		}
 		rows := p.estRows(rel)
 		return &fromItem{node: node, cols: cols, est: rows, rel: rel, rows: rows, atts: atts}, nil

@@ -1096,11 +1096,26 @@ func (s *Scanner) NextPage(buf [][]byte) (tups [][]byte, pageNo int, ok bool) {
 			hd.Unpin(false) // every slot dead or invisible: skip the page
 			continue
 		}
-		s.cur = hd
-		s.curMeta = m
+		s.cur, s.curMeta, s.curAll = hd, m, all
 		s.slot = n // Next after NextPage resumes on the following page
 		return buf, s.pageNo, true
 	}
+}
+
+// Slots appends to dst the slot of each tuple the last NextPage returned,
+// in order: tuple i is at TID{pageNo, dst[i]}. It walks the page again,
+// under the pin and latch NextPage took, so a scan that wants no TIDs
+// pays nothing for them. The walk selects what NextPage selected: the
+// latch keeps inserts off the page, and no stamp another transaction
+// writes meanwhile changes what the scan's snapshot sees.
+func (s *Scanner) Slots(dst []uint16) []uint16 {
+	p := page.Page(s.cur.Bytes)
+	for slot := range page.NumSlots(p) {
+		if _, live := page.Tuple(p, slot); live && (s.curAll || s.snap.Visible(s.curMeta.stamp(slot))) {
+			dst = append(dst, uint16(slot))
+		}
+	}
+	return dst
 }
 
 // Close releases the scanner's pin and latch and adds the pages its
