@@ -10,7 +10,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +20,6 @@ import (
 	"microspec/internal/expr"
 	"microspec/internal/sql"
 	"microspec/internal/txn"
-	"microspec/internal/types"
 )
 
 // lcSchema has a LOWCARD CHAR, INTEGER and DOUBLE column and two plain
@@ -42,28 +40,17 @@ func lcRow(k int, base bool) string {
 	return fmt.Sprintf("insert into lc values (%d, %s, %d, %s, %d.25)", k, c, i, d, k%17)
 }
 
-// sameRows requires identical results: row order, kinds and, for DOUBLE,
-// the bits — so 0 and -0 are told apart.
-func sameRows(t *testing.T, label string, want, got []expr.Row) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d rows, want %d\ngot  %v\nwant %v", label, len(got), len(want), got, want)
+// LoadLc creates lc and inserts its first n base rows.
+func LoadLc(db *DB, n int) error {
+	if _, err := db.Exec(lcSchema); err != nil {
+		return err
 	}
-	for i := range want {
-		for j := range want[i] {
-			w, g := want[i][j], got[i][j]
-			same := w.Kind() == g.Kind() && w.Compare(g) == 0
-			if w.Kind() == types.KindFloat64 {
-				same = same && math.Float64bits(w.Float64()) == math.Float64bits(g.Float64())
-			}
-			if w.IsNull() || g.IsNull() {
-				same = w.IsNull() == g.IsNull()
-			}
-			if !same {
-				t.Fatalf("%s row %d col %d: got %v, want %v\ngot  %v\nwant %v", label, i, j, g, w, got, want)
-			}
+	for k := 1; k <= n; k++ {
+		if _, err := db.Exec(lcRow(k, true)); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // lcDBs opens the stock reference and the bee engine with batching on and
@@ -76,75 +63,67 @@ func lcDBs(t *testing.T, n int) (stock *DB, bees []*DB) {
 		Open(Config{Routines: core.AllRoutines, PoolPages: 1024, NoBatch: true}),
 	}
 	for _, db := range append([]*DB{stock}, bees...) {
-		mustExec(t, db, lcSchema)
-		for k := 1; k <= n; k++ {
-			mustExec(t, db, lcRow(k, true))
+		if err := LoadLc(db, n); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return stock, bees
 }
 
-// TestBeeKeysMatchStock runs, on bee databases with batching on and off
-// at workers 1 and 2, statements that take the bee-ID path and statements
-// next to it that must fall back, and requires the stock engine's result
-// each time. With batching on, EXPLAIN ANALYZE must show which path ran.
+// BeeKeyCases are statements over lc that take the bee-ID path and
+// statements next to them that must fall back; keyed and verdict are the
+// notes EXPLAIN ANALYZE must show with batching on.
+var BeeKeyCases = []struct {
+	Name, Text     string
+	Keyed, Verdict bool
+}{
+	{"group by LOWCARD CHAR", "select c, count(*), sum(v), min(k) from lc group by c", true, false},
+	{"group by all three", "select c, i, d, count(*), sum(v) from lc group by c, i, d", true, false},
+	{"group by DOUBLE with 0 and -0", "select d, count(*), sum(v) from lc group by d", true, false},
+	{"keys in another order than the scan's", "select d, c, avg(v) from lc where v > 3 group by d, c", true, false},
+	{"HAVING", "select i, count(*) from lc group by i having count(*) > 400", true, false},
+	{"count distinct of a LOWCARD column", "select c, count(distinct i), count(distinct d) from lc group by c", true, false},
+	{"LOWCARD and a plain column (falls back)", "select i, v, count(*) from lc group by i, v", false, false},
+	{"expression over a LOWCARD column (falls back)", "select i + 1, count(*) from lc group by i + 1", false, false},
+	{"verdict on CHAR", "select k, c from lc where c = 'O'", false, true},
+	{"verdict on padded CHAR", "select count(*), sum(v) from lc where c = 'O '", false, true},
+	{"verdict on DOUBLE zero", "select k, d from lc where d = 0 and v < 5", false, true},
+	{"verdict over two LOWCARD columns", "select count(*) from lc where i + 1 > 2 and (c = 'F' or d < 0)", false, true},
+	{"verdict and bee-keyed", "select c, count(*) from lc where d >= 0 and i <> 1 group by c", true, true},
+	{"key also read by an aggregate and a filter", "select c, min(c), max(i), count(*) from lc where c <> 'F' and v > 2 group by c, i", true, true},
+	{"conjunct mixing LOWCARD and plain (no verdict)", "select count(*) from lc where i < v", false, false},
+}
+
+// TestBeeKeysMatchStock pins, at workers 1 and 2, which path each of
+// BeeKeyCases takes under EXPLAIN ANALYZE, and that the analyzed run
+// returns the plain run's rows. That every level returns the stock
+// engine's rows is the corpus's beekeys/… entries.
 func TestBeeKeysMatchStock(t *testing.T) {
-	stock, bees := lcDBs(t, 3000)
+	db := Open(Config{Routines: core.AllRoutines, PoolPages: 1024})
+	if err := LoadLc(db, 3000); err != nil {
+		t.Fatal(err)
+	}
 	// Both CHAR spellings and both zeros are one dictionary value each
 	// for CHAR and two for DOUBLE: 4 × 3 × 4 combinations at most.
-	if n := bees[0].numBees(t, "lc"); n < 12 {
+	if n := db.numBees(t, "lc"); n < 12 {
 		t.Fatalf("base rows made %d tuple bees, want the CHAR and DOUBLE spellings to spread them", n)
 	}
-	cases := []struct {
-		name, text string
-		// keyed and verdict are the notes EXPLAIN ANALYZE must show with
-		// batching on.
-		keyed, verdict bool
-	}{
-		{"group by LOWCARD CHAR", "select c, count(*), sum(v), min(k) from lc group by c", true, false},
-		{"group by all three", "select c, i, d, count(*), sum(v) from lc group by c, i, d", true, false},
-		{"group by DOUBLE with 0 and -0", "select d, count(*), sum(v) from lc group by d", true, false},
-		{"keys in another order than the scan's", "select d, c, avg(v) from lc where v > 3 group by d, c", true, false},
-		{"HAVING", "select i, count(*) from lc group by i having count(*) > 400", true, false},
-		{"count distinct of a LOWCARD column", "select c, count(distinct i), count(distinct d) from lc group by c", true, false},
-		{"LOWCARD and a plain column (falls back)", "select i, v, count(*) from lc group by i, v", false, false},
-		{"expression over a LOWCARD column (falls back)", "select i + 1, count(*) from lc group by i + 1", false, false},
-		{"verdict on CHAR", "select k, c from lc where c = 'O'", false, true},
-		{"verdict on padded CHAR", "select count(*), sum(v) from lc where c = 'O '", false, true},
-		{"verdict on DOUBLE zero", "select k, d from lc where d = 0 and v < 5", false, true},
-		{"verdict over two LOWCARD columns", "select count(*) from lc where i + 1 > 2 and (c = 'F' or d < 0)", false, true},
-		{"verdict and bee-keyed", "select c, count(*) from lc where d >= 0 and i <> 1 group by c", true, true},
-		{"key also read by an aggregate and a filter", "select c, min(c), max(i), count(*) from lc where c <> 'F' and v > 2 group by c, i", true, true},
-		{"conjunct mixing LOWCARD and plain (no verdict)", "select count(*) from lc where i < v", false, false},
-	}
 	for _, workers := range []int{1, 2} {
-		stock.SetWorkers(workers)
-		for _, db := range bees {
-			db.SetWorkers(workers)
-		}
-		requireGather(t, bees[0], workers)
-		for _, c := range cases {
-			want := mustQuery(t, stock, c.text)
-			for bi, db := range bees {
-				label := fmt.Sprintf("%s, workers=%d, batch=%v", c.name, workers, bi == 0)
-				sameRows(t, label, want.Rows, mustQuery(t, db, c.text).Rows)
-				if bi != 0 {
-					continue
-				}
-				out, res, err := db.ExplainAnalyzeQuery(c.text)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRows(t, label+" (analyzed)", want.Rows, res.Rows)
-				if strings.Contains(out, "bee-keyed ids=") != c.keyed || strings.Contains(out, "verdict ids=") != c.verdict {
-					t.Errorf("%s: EXPLAIN ANALYZE shows the wrong path (want bee-keyed %v, verdicts %v):\n%s", label, c.keyed, c.verdict, out)
-				}
+		db.SetWorkers(workers)
+		requireGather(t, db, workers)
+		for _, c := range BeeKeyCases {
+			label := fmt.Sprintf("%s, workers=%d", c.Name, workers)
+			out, res, err := db.ExplainAnalyzeQuery(c.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			RuleExact.Require(t, label+" (analyzed)", mustQuery(t, db, c.Text).Rows, res.Rows)
+			if strings.Contains(out, "bee-keyed ids=") != c.Keyed || strings.Contains(out, "verdict ids=") != c.Verdict {
+				t.Errorf("%s: EXPLAIN ANALYZE shows the wrong path (want bee-keyed %v, verdicts %v):\n%s", label, c.Keyed, c.Verdict, out)
 			}
 		}
 	}
-	for _, db := range bees {
-		requireNoQuarantine(t, db)
-	}
+	requireNoQuarantine(t, db)
 }
 
 // requireGather fails unless a GROUP BY over lc runs partitioned exactly
@@ -173,11 +152,10 @@ func (db *DB) numBees(t *testing.T, name string) int {
 	return db.mod.RelationBeeFor(tab.rel).DataSections.NumBees()
 }
 
-// TestBeeKeysPreparedRebindAndRespecialize keeps one prepared statement
-// per path across executions: a $n verdict comparand rebound, NULL
-// included, must take effect (the scan resets its verdicts at Open), and a
-// bee-keyed GROUP BY must replan and agree across Respecialize of its
-// grouped column, off and on again.
+// TestBeeKeysPreparedRebindAndRespecialize keeps a prepared bee-keyed
+// GROUP BY across executions: it must replan and agree with the stock
+// engine across Respecialize of its grouped column, off and on again. (A
+// rebound $n verdict comparand is the corpus's beekeys/rebind.)
 func TestBeeKeysPreparedRebindAndRespecialize(t *testing.T) {
 	stock, bees := lcDBs(t, 3000)
 	for _, workers := range []int{1, 2} {
@@ -185,36 +163,6 @@ func TestBeeKeysPreparedRebindAndRespecialize(t *testing.T) {
 		for bi, db := range bees {
 			db.SetWorkers(workers)
 			label := fmt.Sprintf("workers=%d batch=%v", workers, bi == 0)
-			const verdictQ = "select count(*), sum(v) from lc where i = $1 and d <> $2"
-			ref, err := stock.Prepare(verdictQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := db.Prepare(verdictQ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range [][2]types.Datum{
-				{types.NewInt32(1), types.NewFloat64(0)},
-				{types.NewInt32(2), types.NewFloat64(1.5)},
-				{types.Null, types.NewFloat64(0)},
-				{types.NewInt32(0), types.Null},
-				{types.NewInt64(1), types.NewFloat64(math.Copysign(0, -1))},
-				{types.NewFloat64(2), types.NewFloat64(-2.25)},
-			} {
-				want, err := ref.Query(p[0], p[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := st.Query(p[0], p[1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRows(t, fmt.Sprintf("%s $1=%v $2=%v", label, p[0], p[1]), want.Rows, got.Rows)
-			}
-			st.Close()
-			ref.Close()
-
 			const groupQ = "select d, c, count(*), sum(v) from lc group by d, c"
 			want := mustQuery(t, stock, groupQ)
 			gst, err := db.Prepare(groupQ)
@@ -231,7 +179,7 @@ func TestBeeKeysPreparedRebindAndRespecialize(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameRows(t, fmt.Sprintf("%s d lowcard=%v run %d", label, on, run), want.Rows, got.Rows)
+					RuleExact.Require(t, fmt.Sprintf("%s d lowcard=%v run %d", label, on, run), want.Rows, got.Rows)
 				}
 			}
 			gst.Close()
@@ -287,9 +235,8 @@ func TestBeeKeysUnderConcurrentDML(t *testing.T) {
 			stock := Open(Config{Routines: core.Stock, PoolPages: 1024, Workers: workers})
 			bee := Open(Config{Routines: core.AllRoutines, PoolPages: 1024, Workers: workers})
 			for _, db := range []*DB{stock, bee} {
-				mustExec(t, db, lcSchema)
-				for k := 1; k <= base; k++ {
-					mustExec(t, db, lcRow(k, true))
+				if err := LoadLc(db, base); err != nil {
+					t.Fatal(err)
 				}
 			}
 			requireGather(t, bee, workers)
@@ -335,8 +282,8 @@ func TestBeeKeysUnderConcurrentDML(t *testing.T) {
 			}
 			for _, s := range recs {
 				prefix := fmt.Sprintf(" where k <= %d", s.n)
-				sameRows(t, fmt.Sprintf("group by, %d rows", s.n), mustQuery(t, stock, fmt.Sprintf(groupQ, prefix)).Rows, s.group)
-				sameRows(t, fmt.Sprintf("verdicts, %d rows", s.n), mustQuery(t, stock, fmt.Sprintf(verdictQ, " and k <= "+fmt.Sprint(s.n))).Rows, s.filter)
+				RuleExact.Require(t, fmt.Sprintf("group by, %d rows", s.n), mustQuery(t, stock, fmt.Sprintf(groupQ, prefix)).Rows, s.group)
+				RuleExact.Require(t, fmt.Sprintf("verdicts, %d rows", s.n), mustQuery(t, stock, fmt.Sprintf(verdictQ, " and k <= "+fmt.Sprint(s.n))).Rows, s.filter)
 			}
 			requireNoQuarantine(t, bee)
 			t.Logf("%d snapshots compared", len(recs))

@@ -17,45 +17,19 @@ import (
 	"microspec/internal/types"
 )
 
-// tkDB opens a database of cfg holding tk's 3000 rows.
+// tkDB opens a database of cfg holding LoadTyped's tables.
 func tkDB(t *testing.T, cfg Config) *DB {
 	t.Helper()
 	cfg.PoolPages = 1024
 	db := Open(cfg)
-	mustExec(t, db, tkSchema)
-	ins, err := db.Prepare("insert into tk values ($1, $2, $3, $4, $5, $6, $7)")
-	if err != nil {
+	if err := LoadTyped(db); err != nil {
 		t.Fatal(err)
-	}
-	defer ins.Close()
-	for k := 1; k <= 3000; k++ {
-		if _, err := ins.Exec(taRow(k, false)...); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return db
 }
 
-// colDBs opens the stock reference and the bee engine with batching on
-// and off.
-func colDBs(t *testing.T) (stock, batch, noBatch *DB) {
-	t.Helper()
-	return tkDB(t, Config{Routines: core.Stock}), tkDB(t, Config{Routines: core.AllRoutines}),
-		tkDB(t, Config{Routines: core.AllRoutines, NoBatch: true})
-}
-
-// quarantineEVA takes every EVA bee db has compiled out of service, as a
-// panic would, leaving its other bees in service.
-func quarantineEVA(db *DB) {
-	for _, e := range db.Module().CacheEntries() {
-		if e.Kind == "query/EVA" {
-			db.Module().Bee(e.Kind, e.Name).Quarantine()
-		}
-	}
-}
-
-// colDB is one engine TestColumnBatchesMatchStock compares with stock,
-// and what its plans show: column batches (columns), an [EVA] marker, a
+// colDB is one engine TestColumnBatchesMatchStock plans on, and what its
+// plans show: column batches (columns), an [EVA] marker, a
 // filtered scan's filter kept (filtered: BatchFilter, no column batch).
 type colDB struct {
 	name string
@@ -76,7 +50,7 @@ func (c *colDB) explain(t *testing.T, label, q string, filtered bool) {
 		if _, err := c.db.ExplainQuery(q); err != nil {
 			t.Fatal(err)
 		}
-		quarantineEVA(c.db)
+		QuarantineEVA(c.db)
 	}
 	out, err := c.db.ExplainQuery(q)
 	if err != nil {
@@ -94,11 +68,43 @@ func (c *colDB) explain(t *testing.T, label, q string, filtered bool) {
 	}
 }
 
+// ColumnBatchAggs are typed arguments over every kernel — bare columns,
+// arithmetic that divides by zero and wraps, widening, negation, date
+// arithmetic and EXTRACT, and a constant — and boxed ones: a CASE and a
+// $n-free truth value. ColumnBatchFilters are the WHERE clauses they run
+// under, and ColumnBatchParams the prepared ones with their bindings: $n
+// bound inside the column's class, and outside it (a DOUBLE against
+// INTEGER, NULL), which the stored-bytes check compares generically.
+const ColumnBatchAggs = "sum(i), avg(d), min(dt), max(b), count(*), sum(i * 2 - 1), sum(b * 3 + i), " +
+	"sum(d * 2.5 - i), max(-d), min(-i), sum(i / (i - 3)), avg(d / (i - 2)), " +
+	"max(dt + 1), min(dt - interval '1' month), sum(extract(year from dt)), sum(2), count(distinct i * 2), " +
+	"sum(case when i > 7 then d else 1.5 end), max(b > 2)"
+
+var ColumnBatchFilters = []string{
+	"",
+	" where i > 3 and d < 1.5",
+	" where dt >= date '1994-09-01' and b <> 0",
+	" where g <> 'B'",
+	" where g = 'A' and i <= 5",
+}
+
+var ColumnBatchParams = []struct {
+	Where  string
+	Params [][]types.Datum
+}{
+	{" where i > $1", [][]types.Datum{{types.NewInt32(3)}, {types.NewFloat64(2.5)}, {types.Null}}},
+	{" where d < $1 and g <> $2", [][]types.Datum{{types.NewInt64(1), types.NewChar("C")}, {types.NewFloat64(-0.5), types.NewChar("A")}}},
+}
+
+// TestColumnBatchesMatchStock pins which plans read column batches at
+// each level, batching on and off, at one and two workers. The results,
+// bit for bit against the stock engine, are the corpus's colbatch/…
+// entries.
 func TestColumnBatchesMatchStock(t *testing.T) {
-	stock, batch, noBatch := colDBs(t)
+	batch := tkDB(t, Config{Routines: core.AllRoutines})
 	dbs := []*colDB{
 		{name: "bee", db: batch, columns: true, eva: true},
-		{name: "nobatch", db: noBatch, eva: true},
+		{name: "nobatch", db: tkDB(t, Config{Routines: core.AllRoutines, NoBatch: true}), eva: true},
 		// GCL: column batches where there is no filter; a filter's program
 		// is the zero Program, which never fuses, so it stays a BatchFilter.
 		{name: "GCL", db: tkDB(t, Config{Routines: core.GCL}), columns: true, keepsFilter: true},
@@ -107,93 +113,22 @@ func TestColumnBatchesMatchStock(t *testing.T) {
 		{name: "GCL+EVP", db: tkDB(t, Config{Routines: core.GCLEVP}), columns: true},
 		{name: "EVA quarantined", db: tkDB(t, Config{Routines: core.AllRoutines}), evaOff: true, columns: true},
 	}
-	// Typed arguments over every kernel: bare columns, arithmetic that
-	// divides by zero and wraps, widening, negation, date arithmetic and
-	// EXTRACT, and a constant; and boxed ones: a CASE and a $n-free truth
-	// value.
-	aggs := "sum(i), avg(d), min(dt), max(b), count(*), sum(i * 2 - 1), sum(b * 3 + i), " +
-		"sum(d * 2.5 - i), max(-d), min(-i), sum(i / (i - 3)), avg(d / (i - 2)), " +
-		"max(dt + 1), min(dt - interval '1' month), sum(extract(year from dt)), sum(2), count(distinct i * 2), " +
-		"sum(case when i > 7 then d else 1.5 end), max(b > 2)"
-	filters := []string{
-		"",
-		" where i > 3 and d < 1.5",
-		" where dt >= date '1994-09-01' and b <> 0",
-		" where g <> 'B'",
-		" where g = 'A' and i <= 5",
-	}
-	type pcase struct {
-		where  string
-		params [][]types.Datum
-	}
-	// $n bound inside the column's class, and outside it (a DOUBLE
-	// against INTEGER, NULL), which the stored-bytes check compares
-	// generically.
-	prepared := []pcase{
-		{" where i > $1", [][]types.Datum{{types.NewInt32(3)}, {types.NewFloat64(2.5)}, {types.Null}}},
-		{" where d < $1 and g <> $2", [][]types.Datum{{types.NewInt64(1), types.NewChar("C")}, {types.NewFloat64(-0.5), types.NewChar("A")}}},
-	}
-	check := func(label string, want *Result, wantErr error, got []*Result, errs []error) {
-		t.Helper()
-		for i, c := range dbs {
-			l := fmt.Sprintf("%s, %s", label, c.name)
-			if (errs[i] != nil) != (wantErr != nil) {
-				t.Fatalf("%s: error %v, stock's %v", l, errs[i], wantErr)
-			}
-			if wantErr == nil {
-				sameRows(t, l, want.Rows, got[i].Rows)
-			}
-		}
-	}
+	bind := strings.NewReplacer("$1", "3", "$2", "'C'")
 	for _, workers := range []int{1, 2} {
-		stock.SetWorkers(workers)
 		for _, c := range dbs {
 			c.db.SetWorkers(workers)
-		}
-		for _, f := range filters {
-			for _, group := range []string{"", "g, "} {
-				q := "select " + group + aggs + " from tk" + f
-				if group != "" {
-					q += " group by g"
+			for _, f := range ColumnBatchFilters {
+				for _, group := range []string{"", "g, "} {
+					q := "select " + group + ColumnBatchAggs + " from tk" + f
+					if group != "" {
+						q += " group by g"
+					}
+					c.explain(t, fmt.Sprintf("workers=%d: %s", workers, q), q, f != "")
 				}
-				label := fmt.Sprintf("workers=%d: %s", workers, q)
-				want, wantErr := stock.Query(q)
-				var got []*Result
-				var errs []error
-				for _, c := range dbs {
-					c.explain(t, label, q, f != "")
-					r, err := c.db.Query(q)
-					got, errs = append(got, r), append(errs, err)
-				}
-				check(label, want, wantErr, got, errs)
 			}
-		}
-		for _, pc := range prepared {
-			q := "select g, " + aggs + " from tk" + pc.where + " group by g"
-			label := fmt.Sprintf("workers=%d: %s", workers, q)
-			var stmts []*Stmt
-			for i := -1; i < len(dbs); i++ {
-				db := stock
-				if i >= 0 {
-					dbs[i].explain(t, label, strings.NewReplacer("$1", "3", "$2", "'C'").Replace(q), true)
-					db = dbs[i].db
-				}
-				st, err := db.Prepare(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				stmts = append(stmts, st)
-			}
-			for _, params := range pc.params {
-				want, wantErr := stmts[0].Query(params...)
-				var got []*Result
-				var errs []error
-				for _, st := range stmts[1:] {
-					r, err := st.Query(params...)
-					got, errs = append(got, r), append(errs, err)
-				}
-				check(fmt.Sprintf("%s %v", label, params), want, wantErr, got, errs)
+			for _, pc := range ColumnBatchParams {
+				q := bind.Replace("select g, " + ColumnBatchAggs + " from tk" + pc.Where + " group by g")
+				c.explain(t, fmt.Sprintf("workers=%d: %s", workers, q), q, true)
 			}
 		}
 	}
@@ -225,12 +160,13 @@ func TestColumnBatchesMatchStock(t *testing.T) {
 
 // TestColumnBatchEVAPanicQuarantines: an EVA bee that panics on a column
 // batch is quarantined like any bee, and the re-run — with no EVA bee, so
-// on the interpreter — returns the same rows. A panic quarantines every
-// bee of its plan, a fused filter's EVP bee too, so the unfiltered query
+// on the interpreter — returns the rows the query returned before. A
+// panic quarantines every bee of its plan, a fused filter's EVP bee too,
+// so the unfiltered query
 // still reads column batches, now through the interpreter, while the
 // filtered one reads rows under a BatchFilter.
 func TestColumnBatchEVAPanicQuarantines(t *testing.T) {
-	stock, batch, _ := colDBs(t)
+	batch := tkDB(t, Config{Routines: core.AllRoutines})
 	for _, q := range []string{
 		"select g, sum(d * 2.5 - i), avg(b), count(*) from tk group by g",
 		"select g, sum(d * 2.5 - i), avg(b), count(*) from tk where i > 3 group by g",
@@ -238,10 +174,9 @@ func TestColumnBatchEVAPanicQuarantines(t *testing.T) {
 		filtered := strings.Contains(q, "where")
 		for _, workers := range []int{1, 2} {
 			label := fmt.Sprintf("workers=%d: %s", workers, q)
-			stock.SetWorkers(workers)
 			batch.SetWorkers(workers)
 			batch.Module().ClearQuarantine()
-			want := mustQuery(t, stock, q)
+			want := mustQuery(t, batch, q)
 			if out, err := batch.ExplainQuery(q); err != nil || !strings.Contains(out, " columns=(") {
 				t.Fatalf("%s: no column batches (%v):\n%s", label, err, out)
 			}
@@ -252,7 +187,7 @@ func TestColumnBatchEVAPanicQuarantines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			sameRows(t, label, want.Rows, got.Rows)
+			RuleExact.Require(t, label, want.Rows, got.Rows)
 			if n := batch.Module().Stats().Quarantined; n <= before {
 				t.Fatalf("%s: quarantines %d, want more than %d", label, n, before)
 			}

@@ -16,44 +16,8 @@ import (
 // the other: each query below reads a column whose list position is the
 // relation ordinal of a key column, so a probe that skipped the mapping
 // would search the wrong index with the column's value and find nothing.
-
-// emp's primary key is its first attribute, e_id. `e_dept = v` reads e_dept
-// alone, at position 0: unmapped, the planner would probe emp_pkey with v.
-func TestPrunedFilterOnNonLeadingColumn(t *testing.T) {
-	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
-		db := setupMini(t, rs)
-		const want = 25 // e_dept = e%4+1 over e = 1..100
-		if got := mustQuery(t, db, "select count(*) from emp where e_dept = 1").Rows[0][0].Int64(); got != want {
-			t.Errorf("%v: db.Query counted %d, want %d", rs, got, want)
-		}
-		st, err := db.Prepare("select count(*) from emp where e_dept = $1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for dept := int64(1); dept <= 4; dept++ {
-			res, err := st.Query(types.NewInt64(dept))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Rows[0][0].Int64(); got != want {
-				t.Errorf("%v: Stmt with $1=%d counted %d, want %d", rs, dept, got, want)
-			}
-		}
-		st.Close()
-		ts, err := db.PrepareTxn("prepare transaction bydept as begin; select count(*) from emp where e_dept = $1; commit")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := ts.ExecTxn(types.NewInt64(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Rows[0][0].Int64(); got != want {
-			t.Errorf("%v: unit counted %d, want %d", rs, got, want)
-		}
-		ts.Close()
-	}
-}
+// (A filter on emp's e_dept, read alone at position 0, which unmapped
+// would probe emp_pkey, is the corpus's mini/pruned.)
 
 // kv3 has an index on each of its three columns. A prepared point read
 // that reads c alone, or k and c, finds c at position 0 or 1 — the

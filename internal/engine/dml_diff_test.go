@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"fmt"
@@ -6,23 +6,25 @@ import (
 	"math/rand"
 	"regexp"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"microspec/internal/core"
+	"microspec/internal/engine"
 	"microspec/internal/types"
 )
 
-// Differential test of the compiled write path: twin tables with the same
+// The compiled write path's differential: twin tables with the same
 // columns, one with an index on the key and one without, take one seeded
-// stream of INSERT/UPDATE/DELETE. The unindexed twin always scans; the
+// stream of INSERT/UPDATE/DELETE, run by the equivalence driver
+// (equiv_test.go) as corpus entries. The unindexed twin always scans; the
 // indexed one probes whenever the WHERE pins a key prefix. After every
 // step both must have reported the same affected count — the count a
 // SELECT with the same WHERE and bindings finds before the write — and
-// hold the same multiset of rows.
+// hold the same multiset of rows; and every configuration must match the
+// entry's reference run step by step.
 
 // diffPair is one pair of twin tables.
 type diffPair struct {
@@ -60,127 +62,131 @@ var diffPairs = []diffPair{
 		}, 160},
 }
 
-// diffOp is one statement of the stream: text has %s for the table name
-// and $n placeholders; inline asks for the literal form (the values
-// written into the text) where the driver could have bound them.
-type diffOp struct {
-	text   string
-	params []types.Datum
-	inline bool
-}
-
-// nanSQL lowers to a NaN, which has no literal: ∞ − ∞.
-var nanSQL = strings.ReplaceAll("(M * 10.0 - M * 10.0)", "M", "1"+strings.Repeat("0", 308)+".0")
-
-// sqlLiteral renders a parameter value as the literal that lowers to it.
-func sqlLiteral(d types.Datum) string {
-	switch d.Kind() {
-	case types.KindInvalid:
-		return "null"
-	case types.KindFloat64:
-		if f := d.Float64(); f != f {
-			return nanSQL
+// loadTwins creates every pair's twins and loads their rows.
+func loadTwins(db *engine.DB) error {
+	for _, p := range diffPairs {
+		ddl := []string{fmt.Sprintf("create table %s_ix (%s)", p.name, p.cols), fmt.Sprintf("create table %s_no (%s)", p.name, p.cols)}
+		for _, ix := range p.ixDD {
+			ddl = append(ddl, fmt.Sprintf(ix, p.name+"_ix", p.name+"_ix"))
 		}
-		s := strconv.FormatFloat(d.Float64(), 'f', -1, 64)
-		if !strings.Contains(s, ".") {
-			s += ".0"
+		if err := script(ddl...)(db); err != nil {
+			return err
 		}
-		return s
-	case types.KindChar, types.KindVarchar:
-		return "'" + string(d.Bytes()) + "'"
-	default:
-		return strconv.FormatInt(d.Int64(), 10)
-	}
-}
-
-func (op diffOp) literalText() string {
-	text := op.text
-	for i := len(op.params); i >= 1; i-- { // $10 before $1
-		text = strings.ReplaceAll(text, "$"+strconv.Itoa(i), sqlLiteral(op.params[i-1]))
-	}
-	return text
-}
-
-// diffDriver runs one statement through one of the engine's write entry
-// points.
-type diffDriver interface {
-	run(op diffOp, table string) (int64, error)
-}
-
-type execDriver struct{ db *DB }
-
-func (d execDriver) run(op diffOp, table string) (int64, error) {
-	return d.db.Exec(fmt.Sprintf(op.literalText(), table))
-}
-
-// stmtDriver prepares each parameterized text once and re-executes it.
-type stmtDriver struct {
-	db    *DB
-	stmts map[string]*Stmt
-}
-
-func (d stmtDriver) run(op diffOp, table string) (int64, error) {
-	if op.inline {
-		s, err := d.db.Prepare(fmt.Sprintf(op.literalText(), table))
-		if err != nil {
-			return 0, err
+		for _, twin := range twins {
+			i := 0
+			if _, err := db.BulkLoad(p.name+twin, nil, func() ([]types.Datum, bool) {
+				if i == p.rows {
+					return nil, false
+				}
+				i++
+				return p.load(i - 1), true
+			}); err != nil {
+				return err
+			}
 		}
-		defer s.Close()
-		return s.Exec()
 	}
-	text := fmt.Sprintf(op.text, table)
-	s := d.stmts[text]
-	if s == nil {
-		var err error
-		if s, err = d.db.Prepare(text); err != nil {
-			return 0, err
-		}
-		d.stmts[text] = s
-	}
-	return s.Exec(op.params...)
+	return nil
 }
 
-// txnDriver wraps each statement in a PREPARE TRANSACTION body, so it
-// runs fused under the transaction bee's latch plan — or, with stepwise
-// set, with the unit's bee quarantined from the start, so that every
-// execution takes the stepwise runner.
-type txnDriver struct {
-	db       *DB
-	txns     map[string]*TxnStmt
-	n        *int
-	stepwise bool
+// stream is a corpus entry's seeded write stream over the twins.
+type stream struct {
+	seed  int64
+	steps int
+	// concurrent runs snapshot readers and a vacuum loop beside it.
+	concurrent bool
 }
 
-func (d txnDriver) prepare(body string) (*TxnStmt, error) {
-	*d.n++
-	ts, err := d.db.PrepareTxn(fmt.Sprintf("prepare transaction diff%d as begin; %s; commit", *d.n, body))
-	if err == nil && d.stepwise {
-		ts.ct.bee.Quarantine()
+// run runs the stream through r. A step's outcome is its affected count
+// and the indexed twin's rows after it, sorted.
+func (s *stream) run(t *testing.T, e *entry, r *runner) []outcome {
+	db := r.db
+	if s.concurrent {
+		stop := startDiffReaders(t, db)
+		defer stop()
 	}
-	return ts, err
+	g := &diffGen{t: t, db: db, rng: rand.New(rand.NewSource(s.seed))}
+	var out []outcome
+	var writeSkipped int64 // pages the writes' own scans of the unindexed twins skipped
+	for step := 0; step < s.steps; step++ {
+		p := diffPairs[g.rng.Intn(len(diffPairs))]
+		op := g.next(p.name)
+		want := g.matching(op, p.name+"_ix")
+		skipped := engine.PagesSkipped(db, p.name+"_no")
+		o := runStmt(t, e, r, stmt{text: fmt.Sprintf(op.text, p.name+"{ix}"), args: op.args, inline: op.inline})
+		writeSkipped += engine.PagesSkipped(db, p.name+"_no") - skipped
+		if want >= 0 && o.n != want {
+			t.Fatalf("step %d: %s %v (inline=%v) affected %d rows of %s_ix; the WHERE selects %d",
+				step, op.text, op.args, op.inline, o.n, p.name, want)
+		}
+		ix := engine.SortedRows(query(t, db, "select * from "+p.name+"_ix").Rows)
+		no := engine.SortedRows(query(t, db, "select * from "+p.name+"_no").Rows)
+		if d := engine.RuleExact.Diff(no, ix); d != "" {
+			t.Fatalf("step %d: after %s %v (inline=%v) the twins differ: %s", step, op.text, op.args, op.inline, d)
+		}
+		o.rows = ix
+		out = append(out, o)
+	}
+	// The stream must have exercised both access paths, and page bounds.
+	c := db.MetricsSnapshot().Counters
+	if c["dml.index_probes"] == 0 || c["dml.seq_scans"] == 0 {
+		t.Errorf("probes=%d scans=%d: the stream missed an access path", c["dml.index_probes"], c["dml.seq_scans"])
+	}
+	if writeSkipped == 0 {
+		t.Error("no write skipped a page")
+	}
+	if r.c.mode == modeTxn && c["txn_bee.fallbacks"] != 0 {
+		t.Errorf("txn_bee.fallbacks = %d: the bodies did not run fused", c["txn_bee.fallbacks"])
+	}
+	if r.c.mode == modeStepwise && (c["txn_bee.executions"] != 0 || c["txn_bee.fallbacks"] == 0) {
+		t.Errorf("txn_bee.executions = %d, fallbacks = %d: the bodies did not run stepwise",
+			c["txn_bee.executions"], c["txn_bee.fallbacks"])
+	}
+	return out
 }
 
-func (d txnDriver) run(op diffOp, table string) (int64, error) {
-	if op.inline {
-		ts, err := d.prepare(fmt.Sprintf(op.literalText(), table))
-		if err != nil {
-			return 0, err
+// dmlEntries are the stream's corpus entries: one per mode, each with its
+// own seed, on stock and all routines, batching on and off, and again
+// with vacuum after every write (batching on: vacuum runs no plan). A
+// stream depends only on its seed and on what its statements did, so
+// every run of an entry must reach the same state.
+func dmlEntries(steps int, concurrent bool) []*entry {
+	var out []*entry
+	for _, vacuumEvery := range []int{-1, 1} {
+		sch := &schema{name: fmt.Sprintf("twins/vacuum=%d", vacuumEvery),
+			cfg: engine.Config{PoolPages: 1024, VacuumEvery: vacuumEvery}, load: loadTwins}
+		noBatch := []bool{false, true}
+		if vacuumEvery > 0 {
+			noBatch = []bool{false}
 		}
-		defer ts.Close()
-		_, n, err := ts.ExecTxn()
-		return n, err
-	}
-	text := fmt.Sprintf(op.text, table)
-	ts := d.txns[text]
-	if ts == nil {
-		var err error
-		if ts, err = d.prepare(text); err != nil {
-			return 0, err
+		for mi, m := range modes {
+			out = append(out, &entry{
+				name:   fmt.Sprintf("dml/vacuum=%d/%s", vacuumEvery, m),
+				schema: sch,
+				stream: &stream{seed: int64(20 + mi), steps: steps, concurrent: concurrent},
+				spans:  []span{{levels: []string{"stock", "all"}, workers: []int{2}, noBatch: noBatch, modes: []mode{m}}},
+				// The names CI steps and recorded test lists use.
+				label: func(c config) string {
+					nb := map[bool]string{true: "/nobatch"}[c.noBatch]
+					return fmt.Sprintf("bees=%v%s/vacuum=%d/%s", c.level.rs != core.Stock, nb, vacuumEvery, c.mode)
+				},
+			})
 		}
-		d.txns[text] = ts
 	}
-	_, n, err := ts.ExecTxn(op.params...)
-	return n, err
+	return out
+}
+
+func TestDMLDifferential(t *testing.T) {
+	for _, e := range dmlEntries(500, false) {
+		runEntry(t, e)
+	}
+}
+
+// TestDMLDifferentialConcurrent is the same stream with snapshot readers
+// and a vacuum loop running beside it; CI runs it under -race.
+func TestDMLDifferentialConcurrent(t *testing.T) {
+	for _, e := range dmlEntries(200, true) {
+		runEntry(t, e)
+	}
 }
 
 // diffGen generates the stream. It reads the unindexed twins to pick
@@ -188,7 +194,7 @@ func (d txnDriver) run(op diffOp, table string) (int64, error) {
 // (which only the indexed twin could report).
 type diffGen struct {
 	t       *testing.T
-	db      *DB
+	db      *engine.DB
 	rng     *rand.Rand
 	keyMove int // key-changing updates so far on the unique pairs
 }
@@ -212,7 +218,7 @@ func (g *diffGen) intParam(v int64) types.Datum {
 // column reads one integer column of the unindexed twin.
 func (g *diffGen) column(table, col string) []int64 {
 	g.t.Helper()
-	r := mustQuery(g.t, g.db, fmt.Sprintf("select %s from %s", col, table))
+	r := query(g.t, g.db, fmt.Sprintf("select %s from %s", col, table))
 	out := make([]int64, len(r.Rows))
 	for i, row := range r.Rows {
 		out[i] = row[0].Int64()
@@ -242,16 +248,19 @@ func (g *diffGen) shift(table, col string) int64 {
 }
 
 func (g *diffGen) exists(table, where string) bool {
-	return intResult(g.t, g.db, fmt.Sprintf("select count(*) from %s where %s", table, where)) > 0
+	return query(g.t, g.db, fmt.Sprintf("select count(*) from %s where %s", table, where)).Rows[0][0].Int64() > 0
 }
 
 // maxKeyMoves caps the key-changing updates on the unique pairs: each
 // roughly doubles the largest key, which must stay an exact double.
 const maxKeyMoves = 24
 
-func (g *diffGen) next(pair string) diffOp {
+// next returns the stream's next statement on pair; %s in its text is
+// the table, and inline asks for the literal form where the mode could
+// have bound the values.
+func (g *diffGen) next(pair string) stmt {
 	rng, no := g.rng, pair+"_no"
-	op := diffOp{inline: rng.Intn(3) == 0}
+	op := stmt{inline: rng.Intn(3) == 0}
 	amount := types.NewInt64(int64(1 + rng.Intn(5)))
 	floor := types.NewInt64(int64(rng.Intn(6)))
 	switch pair {
@@ -263,25 +272,25 @@ func (g *diffGen) next(pair string) diffOp {
 			if g.exists(no, fmt.Sprintf("k = %d", k)) {
 				return g.next(pair)
 			}
-			op.text, op.params = "insert into %s values ($1, $2)", []types.Datum{types.NewInt64(k), amount}
+			op.text, op.args = "insert into %s values ($1, $2)", []types.Datum{types.NewInt64(k), amount}
 		case c < 5:
-			op.text, op.params = "update %s set v = v + $2 where k = $1", []types.Datum{g.intParam(k), amount}
+			op.text, op.args = "update %s set v = v + $2 where k = $1", []types.Datum{g.intParam(k), amount}
 		case c == 5:
-			op.text, op.params = "update %s set v = v + 1 where $1 = k and v >= $2", []types.Datum{g.intParam(k), floor}
+			op.text, op.args = "update %s set v = v + 1 where $1 = k and v >= $2", []types.Datum{g.intParam(k), floor}
 		case c == 6: // the same row again and again: a long version chain
-			op.text, op.params = "update %s set v = v + 1 where k = $1", []types.Datum{g.intParam(7)}
+			op.text, op.args = "update %s set v = v + 1 where k = $1", []types.Datum{g.intParam(7)}
 		case c == 7:
-			op.text, op.params = "update %s set v = 0 where k = $1", []types.Datum{types.Null}
+			op.text, op.args = "update %s set v = 0 where k = $1", []types.Datum{types.Null}
 		case c == 8:
-			op.text, op.params = "update %s set v = 0 where k = $1", []types.Datum{types.NewFloat64(float64(k) + 0.5)}
+			op.text, op.args = "update %s set v = 0 where k = $1", []types.Datum{types.NewFloat64(float64(k) + 0.5)}
 		case c == 9 && g.keyMove < maxKeyMoves:
 			g.keyMove++
-			op.text, op.params = "update %s set k = k + $2 where k = $1",
+			op.text, op.args = "update %s set k = k + $2 where k = $1",
 				[]types.Datum{g.intParam(k), types.NewInt64(g.shift(no, "k"))}
 		case c == 10:
-			op.text, op.params = "delete from %s where k = $1 and v >= $2", []types.Datum{g.intParam(k), floor}
+			op.text, op.args = "delete from %s where k = $1 and v >= $2", []types.Datum{g.intParam(k), floor}
 		default:
-			op.text, op.params = "delete from %s where k = $1", []types.Datum{g.intParam(k)}
+			op.text, op.args = "delete from %s where k = $1", []types.Datum{g.intParam(k)}
 		}
 	case "comp":
 		a, b := int64(rng.Intn(4)), g.pick(no, "b", 16)
@@ -292,42 +301,42 @@ func (g *diffGen) next(pair string) diffOp {
 				return g.next(pair)
 			}
 			op.text = "insert into %s values ($1, $2, $3)"
-			op.params = []types.Datum{types.NewInt64(a), types.NewInt64(b), amount}
+			op.args = []types.Datum{types.NewInt64(a), types.NewInt64(b), amount}
 		case c < 6:
 			op.text = "update %s set v = v + $3 where a = $1 and b = $2"
-			op.params = []types.Datum{g.intParam(a), g.intParam(b), amount}
+			op.args = []types.Datum{g.intParam(a), g.intParam(b), amount}
 		case c == 6: // key prefix: many rows
-			op.text, op.params = "update %s set v = v + 1 where a = $1", []types.Datum{g.intParam(a)}
+			op.text, op.args = "update %s set v = v + 1 where a = $1", []types.Datum{g.intParam(a)}
 		case c == 7:
-			op.text, op.params = "update %s set v = v + 1 where a = $1 and v >= $2", []types.Datum{g.intParam(a), floor}
+			op.text, op.args = "update %s set v = v + 1 where a = $1 and v >= $2", []types.Datum{g.intParam(a), floor}
 		case c == 8 && g.keyMove < maxKeyMoves:
 			// Every row under the prefix moves and stays under it: applied
 			// during the walk, the update would meet its own new versions.
 			g.keyMove++
-			op.text, op.params = "update %s set b = b + $2 where a = $1",
+			op.text, op.args = "update %s set b = b + $2 where a = $1",
 				[]types.Datum{g.intParam(a), types.NewInt64(g.shift(no, "b"))}
 		case c == 9:
-			op.text, op.params = "delete from %s where a = $1 and v >= $2", []types.Datum{g.intParam(a), floor}
+			op.text, op.args = "delete from %s where a = $1 and v >= $2", []types.Datum{g.intParam(a), floor}
 		case c == 10:
-			op.text, op.params = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{g.intParam(a), types.Null}
+			op.text, op.args = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{g.intParam(a), types.Null}
 		default:
-			op.text, op.params = "delete from %s where a = $1 and b = $2", []types.Datum{g.intParam(a), g.intParam(b)}
+			op.text, op.args = "delete from %s where a = $1 and b = $2", []types.Datum{g.intParam(a), g.intParam(b)}
 		}
 	case "dup":
 		k := int64(rng.Intn(8))
 		switch c := rng.Intn(10); {
 		case c < 4:
-			op.text, op.params = "insert into %s values ($1, $2)", []types.Datum{types.NewInt64(k), amount}
+			op.text, op.args = "insert into %s values ($1, $2)", []types.Datum{types.NewInt64(k), amount}
 		case c < 6:
-			op.text, op.params = "update %s set v = v + $2 where k = $1", []types.Datum{g.intParam(k), amount}
+			op.text, op.args = "update %s set v = v + $2 where k = $1", []types.Datum{g.intParam(k), amount}
 		case c == 6: // rows move to the neighbouring key
-			op.text, op.params = "update %s set k = k + 1 where k = $1", []types.Datum{g.intParam(k)}
+			op.text, op.args = "update %s set k = k + 1 where k = $1", []types.Datum{g.intParam(k)}
 		case c == 7:
-			op.text, op.params = "update %s set v = v - 1 where k = $1 and v >= $2", []types.Datum{g.intParam(k), floor}
+			op.text, op.args = "update %s set v = v - 1 where k = $1 and v >= $2", []types.Datum{g.intParam(k), floor}
 		case c == 8:
-			op.text, op.params = "delete from %s where k = $1 and v >= $2", []types.Datum{g.intParam(k), floor}
+			op.text, op.args = "delete from %s where k = $1 and v >= $2", []types.Datum{g.intParam(k), floor}
 		default:
-			op.text, op.params = "delete from %s where k = $1", []types.Datum{g.intParam(k)}
+			op.text, op.args = "delete from %s where k = $1", []types.Datum{g.intParam(k)}
 		}
 	case "text":
 		cs := []string{"a", "ab", "abc", "abcd"}
@@ -343,16 +352,16 @@ func (g *diffGen) next(pair string) diffOp {
 				return g.next(pair)
 			}
 			op.text = "insert into %s values ($1, $2, $3)"
-			op.params = []types.Datum{types.NewString(c), types.NewString(s), amount}
+			op.args = []types.Datum{types.NewString(c), types.NewString(s), amount}
 		case k < 5:
 			op.text = "update %s set v = v + $3 where c = $1 and s = $2"
-			op.params = []types.Datum{cArg, types.NewString(s), amount}
+			op.args = []types.Datum{cArg, types.NewString(s), amount}
 		case k == 5:
-			op.text, op.params = "update %s set v = v + 1 where c = $1", []types.Datum{cArg}
+			op.text, op.args = "update %s set v = v + 1 where c = $1", []types.Datum{cArg}
 		case k == 6:
-			op.text, op.params = "delete from %s where c = $1 and s = $2 and v >= $3", []types.Datum{cArg, types.NewString(s), floor}
+			op.text, op.args = "delete from %s where c = $1 and s = $2 and v >= $3", []types.Datum{cArg, types.NewString(s), floor}
 		default:
-			op.text, op.params = "delete from %s where c = $1 and s = $2", []types.Datum{cArg, types.NewString(s)}
+			op.text, op.args = "delete from %s where c = $1 and s = $2", []types.Datum{cArg, types.NewString(s)}
 		}
 	case "num":
 		k := types.NewInt64(int64(rng.Intn(16)))
@@ -362,27 +371,27 @@ func (g *diffGen) next(pair string) diffOp {
 		}
 		switch c := rng.Intn(12); c {
 		case 0:
-			op.text, op.params = "insert into %s values ($1 + 1, -$2, $3)", []types.Datum{k, f, amount}
+			op.text, op.args = "insert into %s values ($1 + 1, -$2, $3)", []types.Datum{k, f, amount}
 		case 1:
-			op.text, op.params = "insert into %s values ($1, $2 * 2 - 1, $3 + $3)", []types.Datum{k, f, amount}
+			op.text, op.args = "insert into %s values ($1, $2 * 2 - 1, $3 + $3)", []types.Datum{k, f, amount}
 		case 2:
-			op.text, op.params = "insert into %s values ($1, 3, $2)", []types.Datum{k, amount}
+			op.text, op.args = "insert into %s values ($1, 3, $2)", []types.Datum{k, amount}
 		case 3:
-			op.text, op.params = "insert into %s values ($1, null, 1 + 2 * 3)", []types.Datum{k}
+			op.text, op.args = "insert into %s values ($1, null, 1 + 2 * 3)", []types.Datum{k}
 		case 4:
-			op.text, op.params = "insert into %s (v, k) values ($2, $1)", []types.Datum{k, amount}
+			op.text, op.args = "insert into %s (v, k) values ($2, $1)", []types.Datum{k, amount}
 		case 5:
-			op.text, op.params = "insert into %s values ($1, $2, $3), (15 - $1, -0.5, $3)", []types.Datum{k, f, amount}
+			op.text, op.args = "insert into %s values ($1, $2, $3), (15 - $1, -0.5, $3)", []types.Datum{k, f, amount}
 		case 6:
-			op.text, op.params = "update %s set f = f + $2, v = v + 1 where k = $1", []types.Datum{k, f}
+			op.text, op.args = "update %s set f = f + $2, v = v + 1 where k = $1", []types.Datum{k, f}
 		case 7:
-			op.text, op.params = "update %s set f = -f where k = $1", []types.Datum{k}
+			op.text, op.args = "update %s set f = -f where k = $1", []types.Datum{k}
 		case 8:
-			op.text, op.params = "update %s set f = $2 where k = $1 and f is null", []types.Datum{k, f}
+			op.text, op.args = "update %s set f = $2 where k = $1 and f is null", []types.Datum{k, f}
 		case 9:
-			op.text, op.params = "delete from %s where f is null and v >= $1", []types.Datum{floor}
+			op.text, op.args = "delete from %s where f is null and v >= $1", []types.Datum{floor}
 		default:
-			op.text, op.params = "delete from %s where k = $1", []types.Datum{k}
+			op.text, op.args = "delete from %s where k = $1", []types.Datum{k}
 		}
 	case "shape":
 		a, b := g.pick(no, "a", 100), int64(rng.Intn(2))
@@ -394,38 +403,38 @@ func (g *diffGen) next(pair string) diffOp {
 				f = nan
 			}
 			op.text = "insert into %s values ($1, $2, $3, $4, $5, 'p')"
-			op.params = []types.Datum{types.NewInt64(g.shift(no, "a")), types.NewInt64(b),
+			op.args = []types.Datum{types.NewInt64(g.shift(no, "a")), types.NewInt64(b),
 				types.NewString(string("xyz"[rng.Intn(3)])), f, amount}
 		case 2:
 			op.text = "update %s set v = v + $3 where a = $1 and b = $2"
-			op.params = []types.Datum{g.intParam(a), g.intParam(b), amount}
+			op.args = []types.Datum{g.intParam(a), g.intParam(b), amount}
 		case 3:
-			op.text, op.params = "update %s set v = v + 1 where a = $1", []types.Datum{g.intParam(a)}
+			op.text, op.args = "update %s set v = v + 1 where a = $1", []types.Datum{g.intParam(a)}
 		case 4:
 			op.text = "update %s set v = v + 1 where a >= $1 and a < $2"
-			op.params = []types.Datum{types.NewInt64(a), types.NewInt64(a + 1 + int64(rng.Intn(6)))}
+			op.args = []types.Datum{types.NewInt64(a), types.NewInt64(a + 1 + int64(rng.Intn(6)))}
 		case 5:
 			op.text = "delete from %s where $2 > a and a >= $1"
-			op.params = []types.Datum{types.NewInt64(a), types.NewInt64(a + 1 + int64(rng.Intn(2)))}
+			op.args = []types.Datum{types.NewInt64(a), types.NewInt64(a + 1 + int64(rng.Intn(2)))}
 		case 6:
 			op.text = "update %s set v = v + 1 where g = $1 and a < $2"
-			op.params = []types.Datum{types.NewString(string("xyz"[rng.Intn(3)])), types.NewInt64(int64(rng.Intn(40)))}
+			op.args = []types.Datum{types.NewString(string("xyz"[rng.Intn(3)])), types.NewInt64(int64(rng.Intn(40)))}
 		case 7:
-			op.text, op.params = "update %s set v = v + 1 where b in (select k from dup_no where v >= $1)", []types.Datum{floor}
+			op.text, op.args = "update %s set v = v + 1 where b in (select k from dup_no where v >= $1)", []types.Datum{floor}
 		case 8:
 			op.text = "update %s set v = v + 1 where exists (select 1 from dup_no where dup_no.k = a and dup_no.v > $1)"
-			op.params = []types.Datum{floor}
+			op.args = []types.Datum{floor}
 		case 9:
 			op.text = "delete from %s where a < $1 and not exists (select 1 from dup_no where dup_no.k = a and dup_no.v = v)"
-			op.params = []types.Datum{types.NewInt64(int64(rng.Intn(8)))}
+			op.args = []types.Datum{types.NewInt64(int64(rng.Intn(8)))}
 		case 10:
-			op.text, op.params = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{types.Null, g.intParam(b)}
+			op.text, op.args = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{types.Null, g.intParam(b)}
 		case 11: // no key of b equals it, and no integral key can hold it
-			op.text, op.params = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{g.intParam(a), types.NewFloat64(1e21)}
+			op.text, op.args = "update %s set v = 0 where a = $1 and b = $2", []types.Datum{g.intParam(a), types.NewFloat64(1e21)}
 		case 12:
-			op.text, op.params = "update %s set v = v + 1 where f = $1", []types.Datum{nan}
+			op.text, op.args = "update %s set v = v + 1 where f = $1", []types.Datum{nan}
 		default:
-			op.text, op.params = "delete from %s where a = $1", []types.Datum{nan}
+			op.text, op.args = "delete from %s where a = $1", []types.Datum{nan}
 		}
 	}
 	if op.text == "" { // a capped case
@@ -438,7 +447,7 @@ var paramRef = regexp.MustCompile(`\$([0-9]+)`)
 
 // matching counts the rows of table op's WHERE selects, through a SELECT
 // with the same WHERE and bindings; it returns -1 for an INSERT.
-func (g *diffGen) matching(op diffOp, table string) int64 {
+func (g *diffGen) matching(op stmt, table string) int64 {
 	g.t.Helper()
 	i := strings.Index(op.text, " where ")
 	if strings.HasPrefix(op.text, "insert") || i < 0 {
@@ -454,167 +463,17 @@ func (g *diffGen) matching(op diffOp, table string) int64 {
 		g.t.Fatal(err)
 	}
 	defer s.Close()
-	r, err := s.Query(op.params[:n]...)
+	r, err := s.Query(op.args[:n]...)
 	if err != nil {
-		g.t.Fatalf("%s %v: %v", s.Text(), op.params[:n], err)
+		g.t.Fatalf("%s %v: %v", s.Text(), op.args[:n], err)
 	}
 	return r.Rows[0][0].Int64()
-}
-
-// pagesSkipped is how many pages bounded scans of table have skipped.
-func pagesSkipped(db *DB, table string) int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	tab, err := db.lookupTable(table)
-	if err != nil {
-		return 0
-	}
-	return tab.heap.PagesSkipped()
-}
-
-// tableRows returns the table's rows as sorted strings.
-func tableRows(t *testing.T, db *DB, table string) []string {
-	t.Helper()
-	r := mustQuery(t, db, "select * from "+table)
-	out := make([]string, len(r.Rows))
-	var b strings.Builder
-	for i, row := range r.Rows {
-		b.Reset()
-		b.WriteString("[") // fmt.Sprint(row), without the reflection
-		for j, d := range row {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			b.WriteString(d.String())
-		}
-		b.WriteString("]")
-		out[i] = b.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
-func runDMLDifferential(t *testing.T, steps int, concurrent bool) {
-	modes := []string{"exec", "stmt", "txn", "stepwise"}
-	// A mode's stream depends only on its seed and on what the statements
-	// did, so stock and bees, batch on and off, vacuum on and off must end
-	// in the same state.
-	final := map[string]string{}
-	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
-		for _, noBatch := range []bool{false, true} {
-			for _, vacuumEvery := range []int{-1, 1} {
-				if noBatch && vacuumEvery > 0 {
-					continue // vacuum runs no plan: one NoBatch pass covers it
-				}
-				for mi, mode := range modes {
-					name := fmt.Sprintf("bees=%v/vacuum=%d/%s", rs != core.Stock, vacuumEvery, mode)
-					if noBatch {
-						name = fmt.Sprintf("bees=%v/nobatch/vacuum=%d/%s", rs != core.Stock, vacuumEvery, mode)
-					}
-					t.Run(name, func(t *testing.T) {
-						runDMLDifferentialMode(t, Config{Routines: rs, NoBatch: noBatch, PoolPages: 1024, VacuumEvery: vacuumEvery},
-							mode, int64(20+mi), steps, concurrent, final)
-					})
-				}
-			}
-		}
-	}
-}
-
-// runDMLDifferentialMode runs one configuration's stream through one
-// driver; final holds the first configuration's end state per mode.
-func runDMLDifferentialMode(t *testing.T, cfg Config, mode string, seed int64, steps int, concurrent bool, final map[string]string) {
-	db := Open(cfg)
-	for _, p := range diffPairs {
-		mustExec(t, db, fmt.Sprintf("create table %s_ix (%s)", p.name, p.cols),
-			fmt.Sprintf("create table %s_no (%s)", p.name, p.cols))
-		for _, ddl := range p.ixDD {
-			mustExec(t, db, fmt.Sprintf(ddl, p.name+"_ix", p.name+"_ix"))
-		}
-		for _, twin := range []string{"_ix", "_no"} {
-			i := 0
-			if _, err := db.BulkLoad(p.name+twin, nil, func() ([]types.Datum, bool) {
-				if i == p.rows {
-					return nil, false
-				}
-				i++
-				return p.load(i - 1), true
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var drv diffDriver
-	switch mode {
-	case "exec":
-		drv = execDriver{db}
-	case "stmt":
-		drv = stmtDriver{db, map[string]*Stmt{}}
-	case "txn", "stepwise":
-		drv = txnDriver{db, map[string]*TxnStmt{}, new(int), mode == "stepwise"}
-	}
-	if concurrent {
-		stop := startDiffReaders(t, db)
-		defer stop()
-	}
-	g := &diffGen{t: t, db: db, rng: rand.New(rand.NewSource(seed))}
-	var writeSkipped int64 // pages the writes' own scans of the unindexed twins skipped
-	for step := 0; step < steps; step++ {
-		p := diffPairs[g.rng.Intn(len(diffPairs))]
-		op := g.next(p.name)
-		want := g.matching(op, p.name+"_ix")
-		nIx, err := drv.run(op, p.name+"_ix")
-		if err != nil {
-			t.Fatalf("step %d on %s_ix: %s %v: %v", step, p.name, op.text, op.params, err)
-		}
-		skipped := pagesSkipped(db, p.name+"_no")
-		nNo, err := drv.run(op, p.name+"_no")
-		writeSkipped += pagesSkipped(db, p.name+"_no") - skipped
-		if err != nil {
-			t.Fatalf("step %d on %s_no: %s %v: %v", step, p.name, op.text, op.params, err)
-		}
-		if nIx != nNo || want >= 0 && nIx != want {
-			t.Fatalf("step %d: %s %v (inline=%v) affected %d rows of %s_ix and %d of %s_no; the WHERE selects %d",
-				step, op.text, op.params, op.inline, nIx, p.name, nNo, p.name, want)
-		}
-		ix, no := tableRows(t, db, p.name+"_ix"), tableRows(t, db, p.name+"_no")
-		if fmt.Sprint(ix) != fmt.Sprint(no) {
-			t.Fatalf("step %d: after %s %v (inline=%v) the twins differ\n  indexed:   %v\n  unindexed: %v",
-				step, op.text, op.params, op.inline, ix, no)
-		}
-	}
-	// The stream must have exercised both access paths, and
-	// page bounds.
-	probes, scans, _ := dmlCounters(db)
-	if probes == 0 || scans == 0 {
-		t.Errorf("probes=%d scans=%d: the stream missed an access path", probes, scans)
-	}
-	if writeSkipped == 0 {
-		t.Error("no write skipped a page")
-	}
-	var state []string
-	for _, p := range diffPairs {
-		state = append(state, tableRows(t, db, p.name+"_ix")...)
-	}
-	if got := fmt.Sprint(state); final[mode] == "" {
-		final[mode] = got
-	} else if got != final[mode] {
-		t.Errorf("final state differs from the first configuration's\n  first: %s\n  here:  %s", final[mode], got)
-	}
-	c := db.MetricsSnapshot().Counters
-	if mode == "txn" && c["txn_bee.fallbacks"] != 0 {
-		t.Errorf("txn_bee.fallbacks = %d: the bodies did not run fused", c["txn_bee.fallbacks"])
-	}
-	if mode == "stepwise" && (c["txn_bee.executions"] != 0 || c["txn_bee.fallbacks"] == 0) {
-		t.Errorf("txn_bee.executions = %d, fallbacks = %d: the bodies did not run stepwise",
-			c["txn_bee.executions"], c["txn_bee.fallbacks"])
-	}
 }
 
 // startDiffReaders runs snapshot readers over the indexed twins and a
 // DB.Vacuum loop until the returned stop is called. Readers check what a
 // snapshot must always show: at most one visible version of a unique key.
-func startDiffReaders(t *testing.T, db *DB) (stop func()) {
+func startDiffReaders(t *testing.T, db *engine.DB) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	loop := func(body func()) {
@@ -632,11 +491,11 @@ func startDiffReaders(t *testing.T, db *DB) (stop func()) {
 			}
 		}()
 	}
-	query := func(q string) *Result {
+	query := func(q string) *engine.Result {
 		r, err := db.Query(q)
 		if err != nil {
 			t.Errorf("%s: %v", q, err)
-			return &Result{}
+			return &engine.Result{}
 		}
 		return r
 	}
@@ -660,9 +519,3 @@ func startDiffReaders(t *testing.T, db *DB) (stop func()) {
 		wg.Wait()
 	}
 }
-
-func TestDMLDifferential(t *testing.T) { runDMLDifferential(t, 500, false) }
-
-// TestDMLDifferentialConcurrent is the same stream with snapshot readers
-// and a vacuum loop running beside it; CI runs it under -race.
-func TestDMLDifferentialConcurrent(t *testing.T) { runDMLDifferential(t, 200, true) }

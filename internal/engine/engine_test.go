@@ -34,10 +34,16 @@ func mustQuery(t testing.TB, db *DB, q string) *Result {
 	return r
 }
 
-// setupMini creates a small two-table schema in both stock and bee DBs.
+// setupMini creates MiniSQL's two tables in a database at level rs.
 func setupMini(t testing.TB, rs core.RoutineSet) *DB {
 	db := newDB(t, rs)
-	mustExec(t, db,
+	mustExec(t, db, MiniSQL()...)
+	return db
+}
+
+// MiniSQL creates dept (4 rows) and emp (100 rows).
+func MiniSQL() []string {
+	stmts := []string{
 		`create table dept (
 			d_id integer not null,
 			d_name varchar(20) not null,
@@ -50,59 +56,30 @@ func setupMini(t testing.TB, rs core.RoutineSet) *DB {
 			e_salary double not null,
 			e_hired date not null,
 			primary key (e_id))`,
-	)
+	}
 	for d := 1; d <= 4; d++ {
-		mustExec(t, db, fmt.Sprintf(
-			"insert into dept values (%d, 'dept-%d', 'R%d')", d, d, d%2))
+		stmts = append(stmts, fmt.Sprintf("insert into dept values (%d, 'dept-%d', 'R%d')", d, d, d%2))
 	}
 	for e := 1; e <= 100; e++ {
-		mustExec(t, db, fmt.Sprintf(
-			"insert into emp values (%d, %d, 'emp-%d', %d.50, date '%d-01-15')",
+		stmts = append(stmts, fmt.Sprintf("insert into emp values (%d, %d, 'emp-%d', %d.50, date '%d-01-15')",
 			e, e%4+1, e, 1000+e*10, 1990+e%10))
 	}
-	return db
+	return stmts
 }
 
+// TestBasicInsertSelect reads back one row; the corpus's mini/point entry
+// reads it at every level.
 func TestBasicInsertSelect(t *testing.T) {
-	for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
-		db := setupMini(t, rs)
-		r := mustQuery(t, db, "select e_id, e_name, e_salary from emp where e_id = 42")
-		if len(r.Rows) != 1 {
-			t.Fatalf("rows = %d", len(r.Rows))
-		}
-		if r.Rows[0][0].Int64() != 42 || r.Rows[0][1].Str() != "emp-42" || r.Rows[0][2].Float64() != 1420.50 {
-			t.Errorf("row = %v", r.Rows[0])
-		}
-		if r.Cols[1].Name != "e_name" {
-			t.Errorf("cols = %v", r.Cols)
-		}
+	db := setupMini(t, core.AllRoutines)
+	r := mustQuery(t, db, "select e_id, e_name, e_salary from emp where e_id = 42")
+	if len(r.Rows) != 1 {
+		t.Fatalf("rows = %d", len(r.Rows))
 	}
-}
-
-func TestStockAndBeeAgree(t *testing.T) {
-	stock := setupMini(t, core.Stock)
-	bee := setupMini(t, core.AllRoutines)
-	queries := []string{
-		"select count(*) from emp",
-		"select d_region, count(*), sum(e_salary) from emp, dept where e_dept = d_id group by d_region order by d_region",
-		"select e_name from emp where e_salary > 1500 and e_hired >= date '1995-01-01' order by e_id limit 5",
-		"select d_name, avg(e_salary) from dept, emp where d_id = e_dept group by d_name order by d_name",
-		"select count(*) from emp where e_name like 'emp-1%'",
+	if r.Rows[0][0].Int64() != 42 || r.Rows[0][1].Str() != "emp-42" || r.Rows[0][2].Float64() != 1420.50 {
+		t.Errorf("row = %v", r.Rows[0])
 	}
-	for _, q := range queries {
-		rs := mustQuery(t, stock, q)
-		rb := mustQuery(t, bee, q)
-		if len(rs.Rows) != len(rb.Rows) {
-			t.Fatalf("%q: stock %d rows, bee %d rows", q, len(rs.Rows), len(rb.Rows))
-		}
-		for i := range rs.Rows {
-			for j := range rs.Rows[i] {
-				a, b := rs.Rows[i][j], rb.Rows[i][j]
-				if a.IsNull() != b.IsNull() || (!a.IsNull() && a.Compare(b) != 0) {
-					t.Errorf("%q row %d col %d: stock %v, bee %v", q, i, j, a, b)
-				}
-			}
-		}
+	if r.Cols[1].Name != "e_name" {
+		t.Errorf("cols = %v", r.Cols)
 	}
 }
 
@@ -234,39 +211,34 @@ func TestDistinctAndCase(t *testing.T) {
 }
 
 // A CASE is typed by its widest numeric arm, and every arm's value comes
-// back in that type: on the stock and the bee engine, as a column and as
-// an aggregate's input under GROUP BY. The result column's type and the
-// kind of every datum in it must agree.
+// back in that type, as a column and as an aggregate's input under GROUP
+// BY. CaseArms are the expressions; the test pins the result column's
+// type, and the corpus's case/arms the kind and value of every datum in
+// it at every level.
+var CaseArms = []struct {
+	Expr string
+	Kind types.Kind
+	Want []float64 // by a = 0, 1, 2
+}{
+	{"case when a > 1 then 1 when a > 0 then 2.5 else 3 end", types.KindFloat64, []float64{3, 2.5, 1}},
+	{"case when a > 1 then 1 else 2.5 end", types.KindFloat64, []float64{2.5, 2.5, 1}},
+	{"case when a > 1 then a else b end", types.KindFloat64, []float64{0.5, 1.5, 2}},
+	{"case when a > 1 then b else 4 end", types.KindFloat64, []float64{4, 4, 2.5}},
+	{"case when a > 1 then a else 7 end", types.KindInt64, []float64{7, 7, 2}},
+}
+
 func TestCaseArmsTakeTheWidestType(t *testing.T) {
-	for _, c := range []struct {
-		expr string
-		kind types.Kind
-		want []float64 // by a = 0, 1, 2
-	}{
-		{"case when a > 1 then 1 when a > 0 then 2.5 else 3 end", types.KindFloat64, []float64{3, 2.5, 1}},
-		{"case when a > 1 then 1 else 2.5 end", types.KindFloat64, []float64{2.5, 2.5, 1}},
-		{"case when a > 1 then a else b end", types.KindFloat64, []float64{0.5, 1.5, 2}},
-		{"case when a > 1 then b else 4 end", types.KindFloat64, []float64{4, 4, 2.5}},
-		{"case when a > 1 then a else 7 end", types.KindInt64, []float64{7, 7, 2}},
-	} {
-		for _, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
-			db := newDB(t, rs)
-			mustExec(t, db, "create table t (a integer not null, b double not null, primary key (a))",
-				"insert into t values (0, 0.5)", "insert into t values (1, 1.5)", "insert into t values (2, 2.5)")
-			for _, q := range []string{
-				"select " + c.expr + " from t order by a",
-				"select a, max(" + c.expr + ") from t group by a order by a",
-			} {
-				r := mustQuery(t, db, q)
-				col := len(r.Cols) - 1
-				if got := r.Cols[col].T.Kind; got != c.kind {
-					t.Errorf("level %s %s: column typed %s, want %s", rs, q, got, c.kind)
-				}
-				for i, row := range r.Rows {
-					if v := row[col]; v.Kind() != c.kind || v.Float64() != c.want[i] {
-						t.Errorf("level %s %s: row %d is %s %v, want %s %v", rs, q, i, v.Kind(), v, c.kind, c.want[i])
-					}
-				}
+	db := newDB(t, core.AllRoutines)
+	mustExec(t, db, "create table t (a integer not null, b double not null, primary key (a))",
+		"insert into t values (0, 0.5)", "insert into t values (1, 1.5)", "insert into t values (2, 2.5)")
+	for _, c := range CaseArms {
+		for _, q := range []string{
+			"select " + c.Expr + " from t order by a",
+			"select a, max(" + c.Expr + ") from t group by a order by a",
+		} {
+			r := mustQuery(t, db, q)
+			if got := r.Cols[len(r.Cols)-1].T.Kind; got != c.Kind {
+				t.Errorf("%s: column typed %s, want %s", q, got, c.Kind)
 			}
 		}
 	}

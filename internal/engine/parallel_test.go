@@ -1,80 +1,19 @@
 // Parallel-execution tests: parallel plans must return exactly what the
-// serial plans return (TPC-H 1..22, GROUP BY edge cases with empty
-// partitions, sorted-run merges), Gather must surface in EXPLAIN ANALYZE
+// serial plans return (GROUP BY edge cases with empty partitions,
+// sorted-run merges; TPC-H 1..22 is the equivalence corpus's), Gather must surface in EXPLAIN ANALYZE
 // and the metrics registry, and parallel scans must be race-free against
 // concurrent DML on other relations (run with -race).
 package engine_test
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
-	"microspec/internal/tpch"
-	"microspec/internal/types"
 )
-
-// datumApproxEqual compares two result datums. Parallel aggregation sums
-// float partitions in a different association order than the serial loop,
-// so float values may differ in the last ulps; everything else must match
-// exactly.
-func datumApproxEqual(a, b types.Datum) bool {
-	if a.IsNull() || b.IsNull() {
-		return a.IsNull() == b.IsNull()
-	}
-	if a.Kind() == types.KindFloat64 && b.Kind() == types.KindFloat64 {
-		af, bf := a.Float64(), b.Float64()
-		diff := math.Abs(af - bf)
-		scale := math.Max(1, math.Max(math.Abs(af), math.Abs(bf)))
-		return diff <= 1e-9*scale
-	}
-	return a.Compare(b) == 0
-}
-
-func assertSameResult(t *testing.T, label string, serial, parallel *engine.Result) {
-	t.Helper()
-	if len(serial.Rows) != len(parallel.Rows) {
-		t.Fatalf("%s: serial %d rows, parallel %d rows", label, len(serial.Rows), len(parallel.Rows))
-	}
-	for i := range serial.Rows {
-		if len(serial.Rows[i]) != len(parallel.Rows[i]) {
-			t.Fatalf("%s row %d: width %d vs %d", label, i, len(serial.Rows[i]), len(parallel.Rows[i]))
-		}
-		for j := range serial.Rows[i] {
-			if !datumApproxEqual(serial.Rows[i][j], parallel.Rows[i][j]) {
-				t.Fatalf("%s row %d col %d: serial %v, parallel %v",
-					label, i, j, serial.Rows[i][j], parallel.Rows[i][j])
-			}
-		}
-	}
-}
-
-// TestParallelMatchesSerialTPCH runs all 22 TPC-H queries serially and
-// with 4 workers on the same database and requires identical results —
-// including row order, which the Gather modes preserve by merging
-// partitions in page order.
-func TestParallelMatchesSerialTPCH(t *testing.T) {
-	db := analyzeDB(t)
-	defer db.SetWorkers(2) // restore the golden-test degree
-	for q := 1; q <= 22; q++ {
-		sql := tpch.Queries()[q]
-		db.SetWorkers(1)
-		serial, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("Q%d serial: %v", q, err)
-		}
-		db.SetWorkers(4)
-		parallel, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("Q%d parallel: %v", q, err)
-		}
-		assertSameResult(t, fmt.Sprintf("Q%d", q), serial, parallel)
-	}
-}
 
 // parallelDB builds a bee-enabled database with one multi-page table
 // ("wide", 5000 rows) whose filtered scans run partitioned, plus an unrelated
@@ -150,7 +89,7 @@ func TestParallelGroupByEmptyPartitions(t *testing.T) {
 	if len(serial.Rows) != 7 {
 		t.Fatalf("expected 7 groups, got %d", len(serial.Rows))
 	}
-	assertSameResult(t, "group-by/empty-partitions", serial, parallel)
+	engine.RuleClose.Require(t, "group-by/empty-partitions", serial.Rows, parallel.Rows)
 
 	// Global aggregation where every partition is empty must still yield
 	// the single SQL-mandated row (count 0, NULL sum).
@@ -162,7 +101,7 @@ func TestParallelGroupByEmptyPartitions(t *testing.T) {
 	if parallel.Rows[0][0].Int64() != 0 || !parallel.Rows[0][1].IsNull() {
 		t.Fatalf("global agg over zero rows: got %v", parallel.Rows[0])
 	}
-	assertSameResult(t, "global-agg/empty", serial, parallel)
+	engine.RuleClose.Require(t, "global-agg/empty", serial.Rows, parallel.Rows)
 }
 
 // TestParallelSortMerge pins the sorted-run-merge Gather mode: each
@@ -176,7 +115,7 @@ func TestParallelSortMerge(t *testing.T) {
 	if len(serial.Rows) == 0 {
 		t.Fatal("sort-merge query returned no rows")
 	}
-	assertSameResult(t, "sort-merge", serial, parallel)
+	engine.RuleClose.Require(t, "sort-merge", serial.Rows, parallel.Rows)
 }
 
 // A prepared statement keeps its parallel plan, and with it the page
@@ -210,7 +149,7 @@ func TestKeptParallelPlanReadsAppendedPages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameResult(t, when+": "+q, want, got)
+			engine.RuleClose.Require(t, when+": "+q, want.Rows, got.Rows)
 		}
 	}
 	check("as loaded")
@@ -294,7 +233,10 @@ func TestParallelScanWithConcurrentDML(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				assertSameResult(t, "concurrent scan", want, got)
+				if d := engine.RuleClose.Diff(want.Rows, got.Rows); d != "" {
+					t.Errorf("concurrent scan: %s", d) // not Fatal: off the test goroutine
+					return
+				}
 			}
 		}()
 	}
@@ -353,7 +295,7 @@ func TestInListSubqueryStaysSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "in-list subquery", want, got)
+	engine.RuleClose.Require(t, "in-list subquery", want.Rows, got.Rows)
 }
 
 // withoutSubplans drops every SubPlan line of an EXPLAIN outline and the

@@ -2,15 +2,12 @@ package engine
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"strings"
 	"testing"
 
 	"microspec/internal/core"
 	"microspec/internal/exec"
 	"microspec/internal/expr"
-	"microspec/internal/index/btree"
 	"microspec/internal/types"
 )
 
@@ -86,97 +83,15 @@ func TestHashTablesAgreeWithEquality(t *testing.T) {
 	}
 }
 
-// checkKeyEdgeCases is TestHashTablesAgreeWithEquality over the keys the
-// byte encoding decides: NULL, ±0, NaNs of different bits (one value,
-// above +Inf), 1 and 1.0, CHAR padding and VARCHAR zero bytes, through
-// GROUP BY, DISTINCT, COUNT(DISTINCT), IN (uncorrelated and correlated),
-// hash joins and ORDER BY in both directions.
+// checkKeyEdgeCases pins that a correlated IN over keys the byte
+// encoding decides is evaluated as one. (What the keys — NULL, ±0, NaNs
+// of different bits, 1 and 1.0, CHAR padding and VARCHAR zero bytes —
+// group, match and sort to is the corpus's keys/edges.)
 func checkKeyEdgeCases(t *testing.T, db *DB, rs core.RoutineSet) {
 	t.Helper()
-	mustExec(t, db, "create table k (x double, c char(4), s varchar(8), y integer not null)",
-		"create table ki (i integer)", "insert into ki values (1)", "insert into ki values (0)", "insert into ki values (null)")
-	ins, err := db.Prepare("insert into k values ($1, $2, $3, $4)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ins.Close()
-	f, c, s := types.NewFloat64, types.NewChar, types.NewString
-	for y, r := range [][3]types.Datum{
-		{f(math.NaN()), c("a"), s("a")},
-		{f(math.Float64frombits(0xFFF8000000000001)), c("a "), s("a\x00")},
-		{f(math.Copysign(0, -1)), c("b"), s("a\x00b")},
-		{f(0), c("b  "), s("\x00")},
-		{types.NewInt64(1), types.Null, types.Null},
-		{types.Null, types.Null, types.Null},
-		{types.Null, c("c"), s("")},
-		{f(math.Inf(1)), c("c"), s("a")},
-	} {
-		if _, err := ins.Exec(r[0], r[1], r[2], types.NewInt32(int32(y+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range []struct {
-		q    string
-		want int64
-	}{
-		{"select count(*) from (select x, count(*) from k group by x) d", 5},
-		{"select count(*) from (select c, count(*) from k group by c) d", 4},
-		{"select count(*) from (select s, count(*) from k group by s) d", 6},
-		{"select count(*) from (select distinct x, c, s from k) d", 8},
-		{"select count(*) from (select distinct c from k) d", 4},
-		{"select count(distinct x) from k", 4},
-		{"select count(distinct s) from k", 5},
-		{"select count(*) from k where x in (select i from ki)", 3},
-		{"select count(*) from k where x not in (select i from ki)", 0},
-		{"select count(*) from k where x in (select x from k k2 where k2.y = 2)", 2},
-		{"select count(*) from k where s in (select k2.s from k k2 where k2.y > k.y)", 1},
-		{"select count(*) from k where c in (select k2.c from k k2 where k2.y > k.y)", 3},
-		{"select count(*) from k, k k2 where k.x = k2.x", 10},
-		{"select count(*) from k, ki where x = i", 3},
-		{"select count(*) from k, k k2 where k.c = k2.c", 12},
-		{"select count(*) from k, k k2 where k.s = k2.s", 8},
-	} {
-		if got := mustQuery(t, db, c.q).Rows[0][0].Int64(); got != c.want {
-			t.Errorf("%v: %q = %d, want %d", rs, c.q, got, c.want)
-		}
-	}
-	// A $n typed bigint from its default, bound to text or a DOUBLE, is a
-	// key outside its planned class: the statement fails with a typed
-	// error rather than group, sort or match it by another rule.
-	for _, q := range []string{
-		"select x, count(*) from (select $1 as x from k) d group by x",
-		"select distinct x from (select $1 as x from k) d",
-		"select x from (select $1 as x, y from k) d order by x, y",
-	} {
-		st, err := db.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ce btree.ClassError
-		if _, err := st.Query(types.NewString("a")); !errors.As(err, &ce) {
-			t.Errorf("%v: %q bound to text: %v, want a btree.ClassError", rs, q, err)
-		}
-		st.Close()
-	}
+	mustExec(t, db, "create table k (x double, c char(4), s varchar(8), y integer not null)")
 	if plan, err := db.ExplainQuery("select count(*) from k where s in (select k2.s from k k2 where k2.y > k.y)"); err != nil || !strings.Contains(plan, "IN (subquery)") {
 		t.Errorf("%v: the correlated IN is not evaluated as one (%v):\n%s", rs, err, plan)
-	}
-	for _, c := range []struct {
-		q    string
-		want string
-	}{
-		{"select y from k order by x, y", "[3 4 5 8 1 2 6 7]"},
-		{"select y from k order by x desc, y", "[6 7 1 2 8 5 3 4]"},
-		{"select y from k order by s, y", "[7 4 1 8 2 3 5 6]"},
-		{"select y from k order by c desc, y desc", "[6 5 8 7 4 3 2 1]"},
-	} {
-		var got []int64
-		for _, r := range mustQuery(t, db, c.q).Rows {
-			got = append(got, r[0].Int64())
-		}
-		if fmt.Sprint(got) != c.want {
-			t.Errorf("%v: %q = %v, want %s", rs, c.q, got, c.want)
-		}
 	}
 }
 

@@ -5,7 +5,8 @@ package engine
 // folds SUM, AVG, COUNT, MIN and MAX from it unboxed. The stock engine
 // folds the interpreter's datums. Every result must be the stock engine's,
 // bit for bit, whatever the value: NULLs, groups of NULLs only, both
-// zeros, NaNs, infinities and BIGINT sums that wrap.
+// zeros, NaNs, infinities and BIGINT sums that wrap (the corpus's typed/…
+// entries, on the rows below).
 
 import (
 	"fmt"
@@ -71,89 +72,44 @@ func taRow(k int, nulls bool) []types.Datum {
 	return row
 }
 
-func TestTypedAggregatesMatchStock(t *testing.T) {
-	stock := Open(Config{Routines: core.Stock, PoolPages: 1024})
-	// The bee engine with batching on and off, and the GCL and GCL+EVP
-	// levels, whose aggregate inputs the interpreter evaluates.
-	bees := []*DB{
-		Open(Config{Routines: core.AllRoutines, PoolPages: 1024}),
-		Open(Config{Routines: core.AllRoutines, PoolPages: 1024, NoBatch: true}),
-		Open(Config{Routines: core.GCL, PoolPages: 1024}),
-		Open(Config{Routines: core.GCLEVP, PoolPages: 1024}),
-	}
-	names := []string{"bee", "nobatch", "GCL", "GCL+EVP"}
-	for _, db := range append([]*DB{stock}, bees...) {
-		mustExec(t, db, taSchema, tkSchema)
-		for _, tbl := range []string{"ta", "tk"} {
-			ins, err := db.Prepare("insert into " + tbl + " values ($1, $2, $3, $4, $5, $6, $7)")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 1; k <= 3000; k++ {
-				if _, err := ins.Exec(taRow(k, tbl == "ta")...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ins.Close()
+// LoadTyped creates ta and tk and loads rows 1..3000 into each.
+func LoadTyped(db *DB) error {
+	for _, ddl := range []string{taSchema, tkSchema} {
+		if _, err := db.Exec(ddl); err != nil {
+			return err
 		}
 	}
-	// A bare column of each class, a typed expression over each numeric
-	// class, and a boxed CASE.
-	args := []string{"i", "b", "dt", "d", "s", "i * 2 - 1", "b + i", "d * 2.5", "dt + 1",
-		"case when i > 0 then d else 1.5 end"}
-	var queries []string
-	for _, a := range args {
-		aggs := fmt.Sprintf("sum(%[1]s), avg(%[1]s), count(%[1]s), min(%[1]s), max(%[1]s), count(distinct %[1]s), count(*)", a)
-		for _, tbl := range []string{"ta", "tk"} {
-			queries = append(queries,
-				"select "+aggs+" from "+tbl,
-				"select g, "+aggs+" from "+tbl+" group by g",
-				"select k - k / 3 * 3, "+aggs+" from "+tbl+" where k > 100 group by k - k / 3 * 3")
-		}
-	}
-	// Over zeros alone, MIN and MAX keep the first of -0 and 0 they meet.
 	for _, tbl := range []string{"ta", "tk"} {
-		queries = append(queries,
-			"select min(d), max(d), sum(d), min(d * 1.0), max(-d) from "+tbl+" where d = 0",
-			"select g, min(d), max(d), sum(d), min(d * 1.0), max(-d) from "+tbl+" where d = 0 group by g")
-	}
-	// A query every engine must refuse: the lexer has no %. Any other
-	// error, stock's included, fails the test instead of passing as a
-	// failure both engines share.
-	expectErr := map[string]bool{"select k % 3, count(*) from ta group by k % 3": true}
-	for q := range expectErr {
-		queries = append(queries, q)
-	}
-	for _, workers := range []int{1, 2} {
-		stock.SetWorkers(workers)
-		for _, db := range bees {
-			db.SetWorkers(workers)
+		ins, err := db.Prepare("insert into " + tbl + " values ($1, $2, $3, $4, $5, $6, $7)")
+		if err != nil {
+			return err
 		}
-		out, err := bees[0].ExplainQuery("select g, sum(d) from ta group by g")
+		for k := 1; k <= 3000; k++ {
+			if _, err := ins.Exec(taRow(k, tbl == "ta")...); err != nil {
+				return err
+			}
+		}
+		ins.Close()
+	}
+	return nil
+}
+
+// TestTypedAggregatesMatchStock pins the plans the typed folds run in:
+// an EVA bee under a Gather exactly at two workers, and a GROUP BY over
+// tk's LOWCARD key read by bee ID. The results, bit for bit against the
+// stock engine at every level, are the corpus's typed/… entries.
+func TestTypedAggregatesMatchStock(t *testing.T) {
+	db := tkDB(t, Config{Routines: core.AllRoutines})
+	for _, workers := range []int{1, 2} {
+		db.SetWorkers(workers)
+		out, err := db.ExplainQuery("select g, sum(d) from ta group by g")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if strings.Contains(out, "Gather") != (workers > 1) || !strings.Contains(out, "[EVA]") {
 			t.Fatalf("workers=%d: want a Gather exactly at 2 workers and an EVA bee:\n%s", workers, out)
 		}
-		for _, q := range queries {
-			want, wantErr := stock.Query(q)
-			if (wantErr != nil) != expectErr[q] {
-				t.Fatalf("%s, workers=%d: stock error %v, expected an error: %v", q, workers, wantErr, expectErr[q])
-			}
-			for bi, db := range bees {
-				label := fmt.Sprintf("%s, workers=%d, %s", q, workers, names[bi])
-				got, err := db.Query(q)
-				if (err != nil) != (wantErr != nil) {
-					t.Fatalf("%s: error %v, stock's %v", label, err, wantErr)
-				}
-				if err == nil {
-					sameRows(t, label, want.Rows, got.Rows)
-				}
-			}
-		}
-		// The GROUP BY over tk's LOWCARD key reads it by bee ID.
-		out, _, err = bees[0].ExplainAnalyzeQuery("select g, sum(b), min(d), max(dt), count(i) from tk group by g")
+		out, _, err = db.ExplainAnalyzeQuery("select g, sum(b), min(d), max(dt), count(i) from tk group by g")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +117,5 @@ func TestTypedAggregatesMatchStock(t *testing.T) {
 			t.Errorf("workers=%d: GROUP BY g is not bee-keyed:\n%s", workers, out)
 		}
 	}
-	for _, db := range bees {
-		requireNoQuarantine(t, db)
-	}
+	requireNoQuarantine(t, db)
 }

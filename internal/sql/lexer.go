@@ -96,6 +96,7 @@ func lex(src string) ([]token, error) {
 					break
 				}
 			}
+			l.pos += exponentLen(l.src[l.pos:])
 			l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 		case c == '\'':
 			l.pos++
@@ -177,3 +178,23 @@ func isIdentStart(c byte) bool {
 func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// exponentLen is the length of the exponent at the start of s — e or E,
+// an optional sign and at least one digit — or 0 when s does not start
+// with one, so `1e` stays the number 1 followed by the word e.
+func exponentLen(s string) int {
+	if len(s) == 0 || s[0] != 'e' && s[0] != 'E' {
+		return 0
+	}
+	i := 1
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	if i == len(s) || !isDigit(s[i]) {
+		return 0
+	}
+	for i < len(s) && isDigit(s[i]) {
+		i++
+	}
+	return i
+}

@@ -891,7 +891,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.kind == tokNumber:
 		p.pos++
-		return &NumLit{Text: t.text, IsFloat: strings.Contains(t.text, ".")}, nil
+		return &NumLit{Text: t.text, IsFloat: strings.ContainsAny(t.text, ".eE")}, nil
 	case t.kind == tokString:
 		p.pos++
 		return &StrLit{Val: t.text}, nil

@@ -233,38 +233,6 @@ func TestDriverMixAndTPM(t *testing.T) {
 	}
 }
 
-func TestStockAndBeeSameResults(t *testing.T) {
-	// Run the same seeded transaction stream on both engines and compare
-	// final aggregate state.
-	var sums [2][3]string
-	for i, rs := range []core.RoutineSet{core.Stock, core.AllRoutines} {
-		db := smallDB(t, rs)
-		dr, err := NewDriver(db, SmallConfig(1), EqualMix, 99, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dr.RunN(200); err != nil {
-			t.Fatal(err)
-		}
-		for j, q := range []string{
-			"select sum(d_next_o_id) from district",
-			"select count(*) from order_line",
-			"select sum(s_order_cnt) from stock",
-		} {
-			r, err := db.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sums[i][j] = r.Rows[0][0].String()
-		}
-	}
-	for j := range sums[0] {
-		if sums[0][j] != sums[1][j] {
-			t.Errorf("metric %d: stock %s, bee %s", j, sums[0][j], sums[1][j])
-		}
-	}
-}
-
 func TestPaymentByLastName(t *testing.T) {
 	db := smallDB(t, core.AllRoutines)
 	ex := NewExecutor(db, SmallConfig(1), 21)

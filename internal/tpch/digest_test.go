@@ -72,7 +72,7 @@ func digestAll(t *testing.T, db *engine.DB) map[string]queryDigest {
 
 // TestAll22QueriesMatchRecordedDigests checks every query against digests
 // recorded at testSF by the planner that ordered joins smallest-next, on the
-// stock serial plan. TestAll22QueriesAgree compares stock with bee under one
+// stock serial plan. The equivalence corpus compares stock with bee under one
 // planner, so a wrong join order passes it; this file does not move with the
 // planner. On a mismatch the log carries the digests this build computed.
 func TestAll22QueriesMatchRecordedDigests(t *testing.T) {

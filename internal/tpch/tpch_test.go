@@ -5,23 +5,18 @@ import (
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
-	"microspec/internal/types"
 )
 
 const testSF = 0.003
 
-func loadPair(t *testing.T) (stock, bee *engine.DB) {
+// mustLoad loads a TPC-H database of cfg at scale sf.
+func mustLoad(t *testing.T, cfg engine.Config, sf float64) *engine.DB {
 	t.Helper()
-	var err error
-	stock, err = NewDatabase(engine.Config{Routines: core.Stock}, testSF)
+	db, err := NewDatabase(cfg, sf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bee, err = NewDatabase(engine.Config{Routines: core.AllRoutines}, testSF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stock, bee
+	return db
 }
 
 func TestGeneratorCardinalities(t *testing.T) {
@@ -113,10 +108,7 @@ func TestGeneratorDeterministicAndConsistent(t *testing.T) {
 }
 
 func TestLoadAndRowCounts(t *testing.T) {
-	db, err := NewDatabase(engine.Config{Routines: core.AllRoutines}, testSF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := mustLoad(t, engine.Config{Routines: core.AllRoutines}, testSF)
 	g := NewGenerator(testSF)
 	r, err := db.Query("select count(*) from orders")
 	if err != nil {
@@ -141,73 +133,17 @@ func TestLoadAndRowCounts(t *testing.T) {
 }
 
 func TestTupleBeeStorageSmallerThanStock(t *testing.T) {
-	stock, bee := loadPair(t)
+	stock := mustLoad(t, engine.Config{Routines: core.Stock}, testSF)
+	bee := mustLoad(t, engine.Config{Routines: core.AllRoutines}, testSF)
 	sp, bp := stock.TotalPages(), bee.TotalPages()
 	if bp >= sp {
 		t.Errorf("bee-enabled storage (%d pages) must be smaller than stock (%d pages)", bp, sp)
 	}
 }
 
-// TestAll22QueriesAgree runs every TPC-H query on the stock and the
-// bee-enabled database and requires identical results — the
-// end-to-end correctness statement for every micro-specialization at
-// once.
-func TestAll22QueriesAgree(t *testing.T) {
-	stock, bee := loadPair(t)
-	for _, qn := range QueryNumbers() {
-		q := Queries()[qn]
-		rs, err := stock.Query(q)
-		if err != nil {
-			t.Fatalf("q%d stock: %v", qn, err)
-		}
-		rb, err := bee.Query(q)
-		if err != nil {
-			t.Fatalf("q%d bee: %v", qn, err)
-		}
-		if len(rs.Rows) != len(rb.Rows) {
-			t.Errorf("q%d: stock %d rows, bee %d rows", qn, len(rs.Rows), len(rb.Rows))
-			continue
-		}
-		for i := range rs.Rows {
-			for j := range rs.Rows[i] {
-				a, b := rs.Rows[i][j], rb.Rows[i][j]
-				if a.IsNull() != b.IsNull() {
-					t.Errorf("q%d row %d col %d: null mismatch %v vs %v", qn, i, j, a, b)
-					continue
-				}
-				if a.IsNull() {
-					continue
-				}
-				if a.Kind() == types.KindFloat64 {
-					af, bf := a.Float64(), b.Float64()
-					diff := af - bf
-					if diff < 0 {
-						diff = -diff
-					}
-					scale := 1.0
-					if af > 1 || af < -1 {
-						scale = af
-						if scale < 0 {
-							scale = -scale
-						}
-					}
-					if diff/scale > 1e-9 {
-						t.Errorf("q%d row %d col %d: %v vs %v", qn, i, j, af, bf)
-					}
-				} else if a.Compare(b) != 0 {
-					t.Errorf("q%d row %d col %d: %v vs %v", qn, i, j, a, b)
-				}
-			}
-		}
-	}
-}
-
 // TestQ1Sanity verifies q1's aggregate structure on a tiny dataset.
 func TestQ1Sanity(t *testing.T) {
-	db, err := NewDatabase(engine.Config{Routines: core.AllRoutines}, testSF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := mustLoad(t, engine.Config{Routines: core.AllRoutines}, testSF)
 	r, err := db.Query(Queries()[1])
 	if err != nil {
 		t.Fatal(err)
@@ -227,54 +163,6 @@ func TestQ1Sanity(t *testing.T) {
 		sumQty, avgQty := row[2].Float64(), row[6].Float64()
 		if diff := sumQty/count - avgQty; diff > 1e-6 || diff < -1e-6 {
 			t.Errorf("avg_qty inconsistent: %v vs %v", sumQty/count, avgQty)
-		}
-	}
-}
-
-// TestQ1AggregatesBitIdentical: Q1's eight aggregates at SF 0.01 with
-// the bee engine's typed aggregate input are, bit for bit
-// (math.Float64bits), those of the engine folding the interpreter's
-// datums, batching on and off. Serially the reference is the stock
-// engine. At two workers it is the GCL+EVP level, which stores lineitem
-// in the same pages, so its partitions split the rows where the bee's do;
-// the stock engine's pages differ, and with them where a partial sum
-// starts. The bee folds the float64 values its EVA bee computes in the
-// order the reference folds its datums.
-func TestQ1AggregatesBitIdentical(t *testing.T) {
-	for _, noBatch := range []bool{false, true} {
-		dbs := map[core.RoutineSet]*engine.DB{}
-		for _, rs := range []core.RoutineSet{core.Stock, core.GCLEVP, core.AllRoutines} {
-			db, err := NewDatabase(engine.Config{Routines: rs, NoBatch: noBatch}, 0.01)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dbs[rs] = db
-		}
-		q1 := func(rs core.RoutineSet, workers int) *engine.Result {
-			dbs[rs].SetWorkers(workers)
-			r, err := dbs[rs].Query(Queries()[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}
-		for _, c := range []struct {
-			ref     core.RoutineSet
-			workers int
-		}{{core.Stock, 1}, {core.GCLEVP, 1}, {core.GCLEVP, 2}} {
-			want, got := q1(c.ref, c.workers), q1(core.AllRoutines, c.workers)
-			if len(got.Rows) != len(want.Rows) || len(got.Rows) == 0 {
-				t.Fatalf("batch=%v workers=%d: %d groups, %s %d", !noBatch, c.workers, len(got.Rows), c.ref, len(want.Rows))
-			}
-			for ri, row := range got.Rows {
-				for col := 2; col < len(row); col++ {
-					g, w := row[col], want.Rows[ri][col]
-					if g.Kind() != w.Kind() || g.I != w.I {
-						t.Errorf("batch=%v workers=%d group %d %s: %v (bits %#x), %s %v (bits %#x)",
-							!noBatch, c.workers, ri, got.Cols[col].Name, g, uint64(g.I), c.ref, w, uint64(w.I))
-					}
-				}
-			}
 		}
 	}
 }
