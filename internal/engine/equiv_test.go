@@ -444,7 +444,8 @@ var replaced = []struct{ test, entries, ran string }{
 	{"TestHashTablesAgreeWithEquality", "keys/class-errors", "stock,all|2|on|stmt"},
 	{"TestProbeKeyKindConversion", "keys/probe-int", "stock,all|2|on|exec,stmt"},
 	{"TestProbeKeyAcrossKeyKinds, TestProbeKeyDoubleZeros", "keys/probe-kinds", "stock,all|2|on|exec,stmt"},
-	{"TestDoubleKeyNegativeZeroIsDuplicate, TestUpdateAwayFromNaNKeyIsChecked", "keys/double-duplicates", "stock,all|2|on|exec,stmt"},
+	{"TestDoubleKeyNegativeZeroIsDuplicate", "keys/double-duplicates", "stock,all|2|on|exec,stmt"},
+	{"TestUpdateAwayFromNaNKeyIsChecked", "keys/nan-key-update", "stock,all|2|on|exec,stmt"},
 	{"TestInsertNegatedNullIsNull", "dml/negated-null", "stock,all|2|on|*"},
 	{"TestPrepareDMLErrorsSurfaceAtPrepare", "dml/bind-classes", "all|2|on|stmt,txn"},
 	{"tpcc.TestStockAndBeeSameResults", "tpcc/end-state", "stock,all|2|on|exec"},
