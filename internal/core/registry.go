@@ -778,9 +778,6 @@ func (m *Module) QuarantinedBees() int64 {
 // the advisor existed; demotions are honored either way.
 func (m *Module) SetTierGating(on bool) { m.reg.gate.Store(on) }
 
-// TierGating reports whether the compile gate is up.
-func (m *Module) TierGating() bool { return m.reg.gate.Load() }
-
 // TierDecay ages all tier heat by factor and advances demotion holds.
 func (m *Module) TierDecay(factor float64) { m.reg.decay(factor) }
 

@@ -37,8 +37,6 @@ type RelationBee struct {
 	// gclCost[n] is the abstract instruction cost of deforming the first
 	// n attributes.
 	gclCost []int64
-	// sclCost is the abstract instruction cost of one SCL invocation.
-	sclCost int64
 
 	// cols memoises the deform routines over the attribute lists scans
 	// read (see columns).
@@ -101,8 +99,7 @@ func (rb *RelationBee) buildSCL() {
 		}
 	}
 
-	rb.sclCost = int64(profile.SCLBase + nFixed*profile.SCLFixedAttr + nVar*profile.SCLVarlenaAttr + nSpec*profile.SCLHoleAttr)
-	sclCost := rb.sclCost
+	sclCost := int64(profile.SCLBase + nFixed*profile.SCLFixedAttr + nVar*profile.SCLVarlenaAttr + nSpec*profile.SCLHoleAttr)
 	relName := rel.Name
 	attrs := rel.Attrs
 	rb.SCL = func(values []types.Datum, beeID uint16, prof *profile.Counters) ([]byte, error) {
@@ -183,6 +180,3 @@ func (rb *RelationBee) GCLCost(n int) int64 {
 	}
 	return rb.gclCost[n]
 }
-
-// SCLCost returns the abstract instruction cost of one SCL invocation.
-func (rb *RelationBee) SCLCost() int64 { return rb.sclCost }

@@ -103,14 +103,6 @@ func (ds *DataSections) Probes() int64 {
 	return ds.probes
 }
 
-// DictSize returns the number of distinct values for specialized position
-// pos (for tests and the storage report).
-func (ds *DataSections) DictSize(pos int) int {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return len(ds.dicts[pos])
-}
-
 // ResolveBee returns the beeID for the tuple's specialized attribute
 // values, creating a new tuple bee if this combination has not been seen
 // ("Tuple bees are created during the evaluation of tuple insertions and
@@ -285,16 +277,4 @@ func (ds *DataSections) dictLookup(pos, attIdx int, v types.Datum, prof *profile
 	ds.dicts[pos] = append(ds.dicts[pos], stored)
 	ds.dictIdx[pos][string(vb)] = len(ds.dicts[pos]) - 1
 	return len(ds.dicts[pos]) - 1, nil
-}
-
-// StorageSaving reports, for the storage experiment (E9), the bytes that
-// tuple-bee specialization removes from each stored tuple of the
-// relation: the aligned storage of every specialized attribute.
-func (ds *DataSections) StorageSaving() int {
-	saved := 0
-	for _, i := range ds.specIdx {
-		a := &ds.rel.Attrs[i]
-		saved += a.Len // fixed-length only; LOWCARD varchar would save its average
-	}
-	return saved
 }

@@ -220,7 +220,7 @@ func corpus() []*entry {
 	}
 	// The lexer has no %.
 	typedQ = append(typedQ, stmt{text: "select k % 3, count(*) from ta group by k % 3", err: "unexpected character"})
-	add(&entry{name: "typed/aggregates", schema: typed, stmts: typedQ, spans: batchLevels(nil, modeExec)})
+	add(&entry{name: "typed/aggregates", schema: typed, stmts: typedQ, spans: []span{{modes: []mode{modeExec}}}})
 
 	// Column batches: every filter, grouped and not, then the prepared
 	// filters with bindings inside and outside the column's class.
@@ -229,20 +229,20 @@ func corpus() []*entry {
 		colQ = append(colQ, queries("select "+engine.ColumnBatchAggs+" from tk"+f,
 			"select g, "+engine.ColumnBatchAggs+" from tk"+f+" group by g")...)
 	}
-	add(&entry{name: "colbatch/filters", schema: typed, stmts: colQ, spans: batchLevels(nil, modeExec)})
+	add(&entry{name: "colbatch/filters", schema: typed, stmts: colQ, spans: []span{{modes: []mode{modeExec}}}})
 	var colP []stmt
 	for _, pc := range engine.ColumnBatchParams {
 		for _, args := range pc.Params {
 			colP = append(colP, stmt{text: "select g, " + engine.ColumnBatchAggs + " from tk" + pc.Where + " group by g", args: args})
 		}
 	}
-	add(&entry{name: "colbatch/params", schema: typed, stmts: colP, spans: batchLevels(nil, modeExec, modeStmt)})
+	add(&entry{name: "colbatch/params", schema: typed, stmts: colP, spans: []span{{modes: []mode{modeExec, modeStmt}}}})
 
 	var keyQ []stmt
 	for _, c := range engine.BeeKeyCases {
 		keyQ = append(keyQ, stmt{text: c.Text})
 	}
-	add(&entry{name: "beekeys/fixed", schema: lc, stmts: keyQ, spans: batchLevels(nil, modeExec)})
+	add(&entry{name: "beekeys/fixed", schema: lc, stmts: keyQ, spans: []span{{modes: []mode{modeExec}}}})
 	// A $n verdict comparand rebound, NULL included, takes effect: the
 	// scan resets its verdicts at Open.
 	var rebind []stmt
@@ -250,7 +250,7 @@ func corpus() []*entry {
 		{i32(0), null}, {i64(1), f64(math.Copysign(0, -1))}, {f64(2), f64(-2.25)}} {
 		rebind = append(rebind, stmt{text: "select count(*), sum(v) from lc where i = $1 and d <> $2", args: p})
 	}
-	add(&entry{name: "beekeys/rebind", schema: lc, stmts: rebind, spans: batchLevels(nil)})
+	add(&entry{name: "beekeys/rebind", schema: lc, stmts: rebind})
 
 	// NaN is one value, equal only to a NaN and above +Inf, in predicates
 	// as in the key encoding: the interpreter, the EVP bee, the fused
@@ -432,9 +432,8 @@ func corpus() []*entry {
 
 	// A value of the wrong class is refused when the statement executes;
 	// numeric kinds convert among themselves, a DOUBLE into an INTEGER
-	// column as the integer it holds. Bound only: written in as a literal,
-	// the integer 7 is stored in the NOT NULL DOUBLE e_salary as its
-	// integer bits at GCL and above (a known defect of the tuple former).
+	// column as the integer it holds and an integer into a DOUBLE column
+	// as the DOUBLE it equals.
 	ins, upd := "insert into dept values ($1, $2, 'R1')", "update emp set e_salary = $2 where e_id = $1"
 	add(&entry{name: "dml/bind-classes", schema: mini, stmts: []stmt{
 		{text: ins, args: []types.Datum{str("nine"), str("nine")}, err: "cannot store a varchar"},
@@ -446,7 +445,7 @@ func corpus() []*entry {
 		{text: "select count(*) from dept", want: count(5)},
 		{text: "select count(*) from dept where d_id = 9", want: count(1)},
 		{text: "select e_salary from emp where e_id = 1", want: []expr.Row{row(f64(7))}},
-	}, spans: []span{{modes: []mode{modeStmt, modeTxn, modeStepwise}}}})
+	}})
 
 	// -NULL is NULL, as a literal and as a bound $n.
 	add(&entry{name: "dml/negated-null", schema: &schema{name: "negnull",
@@ -459,6 +458,21 @@ func corpus() []*entry {
 			{text: "select * from t order by k", want: []expr.Row{
 				row(i32(1), null, null), row(i32(2), null, null),
 				row(i32(3), null, null), row(i32(4), f64(-1.5), i32(-2))}},
+		}})
+
+	// An integer written to a DOUBLE column is stored as the DOUBLE it
+	// equals, from an INSERT literal, an UPDATE literal and an integer
+	// expression alike.
+	add(&entry{name: "dml/double-assign", schema: &schema{name: "dblassign",
+		load: script("create table t (k integer not null, f double not null, primary key (k))")},
+		stmts: []stmt{
+			{text: "insert into t values (1, 3)"},
+			{text: "insert into t values (2, 2.5)"},
+			{text: "insert into t values (3, 0.5)"},
+			{text: "update t set f = 7 where k = 2"},
+			{text: "update t set f = k + 1 where k = 3"},
+			{text: "select k, f from t order by k", want: []expr.Row{row(i32(1), f64(3)), row(i32(2), f64(7)), row(i32(3), f64(4))}},
+			{text: "select count(*) from t where f = 7", want: count(1)},
 		}})
 	return out
 }

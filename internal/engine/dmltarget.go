@@ -212,8 +212,9 @@ func storable(attr *catalog.Attribute, k types.Kind) error {
 
 // assign evaluates one row's expressions into dst at the target's columns.
 // A DOUBLE assigned to an integral column becomes the integer it rounds
-// to, as PostgreSQL's assignment cast makes it: the tuple former and the
-// index key encoder read an integral column's datums as integers.
+// to, and an integer assigned to a DOUBLE column becomes a DOUBLE, as
+// PostgreSQL's assignment cast makes them: the tuple former and the index
+// key encoder read a column's datums in the column's own kind.
 func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) error {
 	for j, e := range exprs {
 		d := e.Eval(row, &t.ectx)
@@ -221,7 +222,9 @@ func (t *dmlTarget) assign(dst []types.Datum, exprs []expr.Expr, row expr.Row) e
 		if err := storable(attr, d.Kind()); err != nil {
 			return err
 		}
-		if d.Kind() == types.KindFloat64 && attr.Type.Kind != types.KindFloat64 {
+		if attr.Type.Kind == types.KindFloat64 {
+			d = d.Widen(types.KindFloat64)
+		} else if d.Kind() == types.KindFloat64 {
 			f := math.RoundToEven(d.Float64())
 			if !(f >= math.MinInt64 && f < math.MaxInt64) {
 				return fmt.Errorf("engine: column %s is %s, cannot store %v", attr.Name, attr.Type, d.Float64())

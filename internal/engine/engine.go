@@ -909,12 +909,6 @@ func (db *DB) WarmUp() error {
 	return nil
 }
 
-// SimIOTime returns the accumulated simulated I/O time.
-func (db *DB) SimIOTime() time.Duration {
-	_, _, sim := db.dm.Stats()
-	return sim
-}
-
 // TotalPages reports the page count of every user relation — the storage
 // footprint tuple bees shrink (experiment E9).
 func (db *DB) TotalPages() int {

@@ -107,12 +107,11 @@ func (res *txnResolved) unlatch() {
 // DB.CompileTxn, then Run the fused body any number of times from any
 // goroutine; replans after DDL are transparent.
 type CompiledTxn struct {
-	db    *DB
-	spec  TxnSpec
-	bee   *core.Bee // registry handle: quarantine flag, usage
-	execs atomic.Int64
-	mu    sync.Mutex // serializes replans; Run reads res lock-free
-	res   atomic.Pointer[txnResolved]
+	db   *DB
+	spec TxnSpec
+	bee  *core.Bee  // registry handle: quarantine flag, usage
+	mu   sync.Mutex // serializes replans; Run reads res lock-free
+	res  atomic.Pointer[txnResolved]
 }
 
 // CompileTxn resolves spec into a transaction bee and registers it in
@@ -221,9 +220,6 @@ func (db *DB) resolveTxn(spec TxnSpec) (*txnResolved, error) {
 // path in txnstmt.go counts its own fallbacks).
 func (db *DB) NoteTxnBeeFallback() { db.obs.txnBeeFallbacks.Inc() }
 
-// Execs returns how many times the fused unit has run.
-func (ct *CompiledTxn) Execs() int64 { return ct.execs.Load() }
-
 // Name returns the bee's name.
 func (ct *CompiledTxn) Name() string { return ct.spec.Name }
 
@@ -289,7 +285,6 @@ func (ct *CompiledTxn) runUnder(res *txnResolved, at *trace.Active, prof *profil
 	err := runTxnBody(ct.db.mod, ct.bee, tx, body)
 	execSpan.End()
 	if err == nil {
-		ct.execs.Add(1)
 		ct.db.obs.txnBeeExecs.Inc()
 		ct.bee.Note(tx.ops, time.Since(start).Nanoseconds())
 	} else if isPanic(err) && !isBeeRetired(err) {

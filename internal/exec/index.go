@@ -15,7 +15,7 @@ import (
 // visible version. IndexScan (a SELECT's, and the one locating the rows
 // of an UPDATE or DELETE), the engine's Txn readers and the engine's
 // uniqueness rule all read an index through these three and nothing else
-// (scripts/oneindex.sh).
+// (TestRepoRules, rule family oneindex).
 
 // IndexWalk appends to tids, in key order, the TIDs of tree's entries with
 // lo <= key <= hi, both bounds compared as prefixes (btree.Tree.AscendRange);
