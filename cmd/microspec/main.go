@@ -327,7 +327,6 @@ func meta(db *engine.DB, txns map[string]*engine.TxnStmt, cmd string) bool {
 		fmt.Printf("relation bees: %d, tuple bees: %d, query bees: %d, transaction bees: %d\n",
 			st.RelationBees, st.TupleBees, st.QueryBees, st.TxnBees)
 		fmt.Printf("calls: GCL=%d SCL=%d EVP=%d EVJ=%d EVA=%d\n", st.GCLCalls, st.SCLCalls, st.EVPCalls, st.EVJCalls, st.EVACalls)
-		fmt.Println(db.Module().Placement().Report())
 	case "\\cache":
 		// Estimated time saved per bee (observed bee time scaled by the
 		// stock-vs-bee cost ratio), joined onto the cache listing.
@@ -351,11 +350,10 @@ func meta(db *engine.DB, txns map[string]*engine.TxnStmt, cmd string) bool {
 			if ns := saved[e.Kind+"\x00"+e.Name]; ns > 0 {
 				marker += fmt.Sprintf(" saved≈%v", time.Duration(ns).Round(time.Microsecond))
 			}
-			fmt.Printf("%-10s %-40s %5dB onDisk=%v%s\n", e.Kind, e.Name, e.Bytes, e.OnDisk, marker)
+			fmt.Printf("%-10s %s%s\n", e.Kind, e.Name, marker)
 		}
 		cs := db.Module().Cache().Stats()
-		fmt.Printf("entries: mem=%d (%dB) disk=%d (%dB)\n", cs.MemEntries, cs.MemBytes, cs.DiskEntries, cs.DiskBytes)
-		fmt.Printf("writes=%d hits=%d misses=%d evictions=%d\n", cs.Writes, cs.Hits, cs.Misses, cs.Evictions)
+		fmt.Printf("entries=%d hits=%d misses=%d evictions=%d\n", cs.MemEntries, cs.Hits, cs.Misses, cs.Evictions)
 	case "\\advisor":
 		if len(fields) > 1 && (fields[1] == "on" || fields[1] == "off") {
 			db.SetAdvisorEnabled(fields[1] == "on")
@@ -453,24 +451,6 @@ func meta(db *engine.DB, txns map[string]*engine.TxnStmt, cmd string) bool {
 		}
 		printResult(os.Stdout, res)
 		fmt.Printf("ok (%d rows affected, %v)\n", affected, time.Since(start).Round(time.Microsecond))
-	case "\\explain":
-		if len(fields) < 2 {
-			fmt.Println("usage: \\explain [analyze] <select ...>")
-			break
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(cmd, "\\explain"))
-		var out string
-		var err error
-		if strings.HasPrefix(strings.ToLower(rest), "analyze ") {
-			out, _, err = db.ExplainAnalyzeQuery(strings.TrimSpace(rest[len("analyze"):]))
-		} else {
-			out, err = db.ExplainQuery(rest)
-		}
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
-			break
-		}
-		fmt.Print(out)
 	case "\\source":
 		if len(fields) < 2 {
 			fmt.Println("usage: \\source <relation>")
@@ -487,7 +467,7 @@ func meta(db *engine.DB, txns map[string]*engine.TxnStmt, cmd string) bool {
 			fmt.Println("no relation bee (stock engine)")
 		}
 	default:
-		fmt.Println("meta commands: \\bees \\cache \\advisor [on|off] \\txn [name params...] \\source <rel> \\explain <select> \\metrics \\slow [ms] \\timeout [ms] \\quarantine [clear] \\resetmetrics \\q")
+		fmt.Println("meta commands: \\bees \\cache \\advisor [on|off] \\txn [name params...] \\source <rel> \\metrics \\slow [ms] \\timeout [ms] \\quarantine [clear] \\resetmetrics \\q")
 	}
 	return true
 }

@@ -1,7 +1,7 @@
 // Taxonomy: a walking tour of the paper's Figure 1/2 — the three kinds
 // of bees and when each is created along the timeline from schema
 // definition to query execution, observed through the bee module's
-// statistics, cache, and placement optimizer.
+// statistics and its cache.
 package main
 
 import (
@@ -59,14 +59,11 @@ func main() {
 	fmt.Printf("join result: %v rows matched\n", res.Rows[0][0])
 	show("after planning a join query (EVP+EVJ):")
 
-	// The bee cache holds every bee's executable form; flushing writes it
-	// "to disk" alongside the relations.
-	n := db.Module().Cache().Flush()
-	fmt.Printf("\nbee cache: flushed %d bees to the on-disk cache\n", n)
+	// The bee cache lists every installed bee.
+	fmt.Printf("\nbee cache: %d bees installed\n", db.Module().Cache().Stats().MemEntries)
 	for _, e := range db.Module().CacheEntries() {
-		fmt.Printf("  %-10s %-50.50s %5dB\n", e.Kind, e.Name, e.Bytes)
+		fmt.Printf("  %-10s %.50s\n", e.Kind, e.Name)
 	}
-	fmt.Println(db.Module().Placement().Report())
 
 	// The bee collector: dropping a relation garbage-collects its bees.
 	mustExec(db, "drop table lines_mini")

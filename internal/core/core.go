@@ -27,12 +27,13 @@
 // parameterized with the specializing values — the Go analogue of the
 // paper's pre-compiled ELF templates with constants patched into the
 // object code. The bee cache, its manager and the collector are the bee
-// registry (registry.go); the placement optimizer lives in placement.go.
+// registry (registry.go). The paper's placement optimizer has no analogue:
+// bees are closures the Go runtime places, and the paper measured the
+// effect of placement as trivial.
 package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"microspec/internal/catalog"
@@ -100,9 +101,9 @@ var firstLevel = [numRoutines]RoutineSet{
 // applies reports whether level r applies routine x.
 func (r RoutineSet) applies(x routine) bool { return r >= firstLevel[x] }
 
-// Stats counts bee-module activity. The bee counts are the bees with a
-// cached executable form now: QueryBees covers the EVP, EVA, EVJ and IDX
-// kinds, one per distinct bee however many plans compiled it.
+// Stats counts bee-module activity. The bee counts are the bees
+// installed now: QueryBees covers the EVP, EVA, EVJ and IDX kinds, one per
+// distinct bee however many plans compiled it.
 type Stats struct {
 	RelationBees int
 	TupleBees    int
@@ -131,7 +132,6 @@ type Module struct {
 	routines RoutineSet
 	relBees  map[catalog.RelID]*RelationBee
 	reg      registry
-	place    *Placement
 	inject   panicInjector
 }
 
@@ -140,7 +140,6 @@ func NewModule(rs RoutineSet) *Module {
 	return &Module{
 		routines: rs,
 		relBees:  make(map[catalog.RelID]*RelationBee),
-		place:    newPlacement(),
 	}
 }
 
@@ -212,11 +211,10 @@ func (m *Module) OnCreateRelation(rel *catalog.Relation) *RelationBee {
 		if natts := len(rel.Attrs); rb.gclCost != nil {
 			beeCost, stockCost = rb.gclCost[natts], genericDeformCost(rel, natts)
 		}
-		if b, _ := m.reg.install(kindRelation, rel.Name, rb.Source, beeCost, stockCost); rb.gclCost != nil {
+		if b, _ := m.reg.install(kindRelation, rel.Name, beeCost, stockCost); rb.gclCost != nil {
 			rb.bee = b
 		}
 	}
-	m.place.assign(rb.Source)
 	m.mu.Lock()
 	m.relBees[rel.ID] = rb
 	m.mu.Unlock()
@@ -390,8 +388,7 @@ func (m *Module) compileExpr(kind string, enabled bool, e expr.Expr) Program {
 	b, ok := m.reg.admit(kind, name)
 	if ok {
 		if fr, cost := compilePred(e); fr.cls != clsNone {
-			code := strings.TrimPrefix(kind, "query/") + " " + name
-			if b, ok = m.reg.install(kind, name, code, cost, stockExprCost(e)); ok {
+			if b, ok = m.reg.install(kind, name, cost, stockExprCost(e)); ok {
 				return Program{bee: b, m: m, e: e, fr: fr, cost: cost}
 			}
 		}
@@ -495,7 +492,7 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 		return nil, false
 	}
 	jk := compileJoinKeys(outerIdx, innerIdx, keyTypes)
-	b, ok := m.reg.install(kindEVJ, name, "EVJ", jk.Cost, stockJoinQualCost(len(outerIdx)))
+	b, ok := m.reg.install(kindEVJ, name, jk.Cost, stockJoinQualCost(len(outerIdx)))
 	if !ok {
 		return nil, false
 	}
@@ -515,12 +512,6 @@ func (m *Module) CompileJoinKeys(outerIdx, innerIdx []int, keyTypes []types.T) (
 	jk.HashInnerBatch = guard(jk.HashInnerBatch)
 	return jk, true
 }
-
-// NoteParallelPlan is called by the planner when it marks a plan
-// parallel-safe: every partition worker instantiates the plan's bee
-// closures of its own, so the placement optimizer records the plan as
-// duplicated across cores.
-func (m *Module) NoteParallelPlan() { m.place.MarkParallelSafe() }
 
 // Stats returns a snapshot of bee-module statistics.
 func (m *Module) Stats() Stats {
@@ -556,6 +547,3 @@ func (m *Module) TupleBeeProbes() int64 {
 	}
 	return n
 }
-
-// Placement exposes the bee placement optimizer's report.
-func (m *Module) Placement() *Placement { return m.place }

@@ -342,8 +342,7 @@ func (p *Program) fusedStages(d *ScanDeform) (st fusedStages, ok bool) {
 // the generic loop plus the interpreted predicate. It reports whether b
 // is still in service.
 func (st *fusedStages) widen(b *Bee, deformCost int64) bool {
-	return b.widen("EVP "+b.name+" (fused into GCL)",
-		deformCost+evpBaseCost+st.predCost, st.prog.stockCost+stockExprCost(st.e))
+	return b.widen(deformCost+evpBaseCost+st.predCost, st.prog.stockCost+stockExprCost(st.e))
 }
 
 // Routine instantiates the routine of a batch scan running d, the one

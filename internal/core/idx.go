@@ -31,7 +31,7 @@ func (m *Module) CompileKeyEncoder(keyTypes []types.T) KeyEncoder {
 		name := keyLayoutName(classes)
 		if _, ok := m.reg.admit(kindIDX, name); ok {
 			enc := compileKeyEncoder(keyTypes, classes)
-			if _, ok := m.reg.install(kindIDX, name, "IDX", 0, 0); ok {
+			if _, ok := m.reg.install(kindIDX, name, 0, 0); ok {
 				return enc
 			}
 		}

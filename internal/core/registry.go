@@ -9,11 +9,12 @@ import (
 
 // This file is the bee registry: the one home of everything the module
 // knows about a bee (paper §IV, Figure 3 — the Bee Cache Manager that the
-// maker, caller, collector and placement optimizer all work through).
-// One map entry per bee holds its identity, its cached executable form
-// and flushed copy, the quarantine flag, the advisor's tier state and the
-// usage counters with their cost pair; the entry is also the handle plans
-// carry, so nothing outside this package re-derives a bee's name.
+// maker, caller and collector all work through). One map entry per bee
+// holds its identity, whether it is installed, the quarantine flag, the
+// advisor's tier state and the usage counters with their cost pair; the
+// entry is also the handle plans carry, so nothing outside this package
+// re-derives a bee's name. The executable forms themselves are closures
+// each plan builds; the entry is the whole bee cache.
 //
 // Every change to an entry is one of the transition functions below, each
 // stating the states it is legal from; an illegal transition returns
@@ -23,15 +24,15 @@ import (
 //	absent     no entry
 //	candidate  the advisor is counting demand; EVP compiles are refused
 //	           while its gate is up
-//	installed  the executable form is cached and compiles proceed (tier
+//	installed  a compile installed the bee and compiles proceed (tier
 //	           untracked, or compiled / pinned once the advisor tracks it)
-//	demoted    a guard broke or the bee went cold: no cached code, compiles
+//	demoted    a guard broke or the bee went cold: not installed, compiles
 //	           refused until the hold expires; sticky ones are written to
 //	           the checkpoint manifest
 //
 // Quarantine is a flag beside the state: a bee that panicked keeps its
-// entry and its code but is refused at admission until an operator clears
-// it, and the advisor's next cycle demotes it.
+// entry and stays installed but is refused at admission until an operator
+// clears it, and the advisor's next cycle demotes it.
 
 // Bee kinds.
 const (
@@ -93,7 +94,7 @@ type Bee struct {
 	quarantined atomic.Bool
 
 	// Everything below is guarded by reg.mu.
-	code, flushed string // executable form in memory / its flushed copy; "" = none
+	installed bool // a compile installed the bee and it was not evicted since
 	// Static per-row abstract instruction costs of the bee routine and of
 	// the generic routine it replaces; zero for bees with no benefit line.
 	beeCost, stockCost int64
@@ -174,6 +175,17 @@ func (b *Bee) Tier() (TierState, bool) {
 	return b.state, b.tiered
 }
 
+// Installed reports whether a compile installed the bee and nothing has
+// evicted it since.
+func (b *Bee) Installed() bool {
+	if b == nil {
+		return false
+	}
+	b.reg.mu.Lock()
+	defer b.reg.mu.Unlock()
+	return b.installed
+}
+
 func (b *Bee) demoted() bool { return b.tiered && b.state == TierDemoted }
 
 func (b *Bee) addRels(rels []string) {
@@ -185,12 +197,12 @@ func (b *Bee) addRels(rels []string) {
 	}
 }
 
-// evict removes the cached code and its flushed copy. Caller holds reg.mu.
+// evict uninstalls the bee. Caller holds reg.mu.
 func (b *Bee) evict() {
-	if b.code != "" {
+	if b.installed {
 		b.reg.evictions++
 	}
-	b.code, b.flushed = "", ""
+	b.installed = false
 }
 
 // registry is the module's bee table. Its lock is never held across a
@@ -201,10 +213,9 @@ type registry struct {
 	// gate is the advisor's compile gate (Module.SetTierGating).
 	gate atomic.Bool
 
-	// Cumulative counters: installs that found the code already cached /
-	// had to cache it, flushed copies written, cached forms dropped, and
-	// quarantine events.
-	hits, misses, writes, evictions, quarantines int64
+	// Cumulative counters: installs that found the bee already installed /
+	// installed it, evictions, and quarantine events.
+	hits, misses, evictions, quarantines int64
 
 	totals usageTotals
 }
@@ -288,12 +299,12 @@ func (r *registry) admit(kind, name string) (*Bee, bool) {
 	return b, true
 }
 
-// install is fired by every compile that built its routine: it caches the
-// executable form and records the cost pair. Legal from absent, candidate
+// install is fired by every compile that built its routine: it marks the
+// bee installed and records the cost pair. Legal from absent, candidate
 // and installed; refused for a quarantined or demoted bee (one that left
 // service between admit and install). Re-installing keeps accumulated
-// usage and overwrites code and costs.
-func (r *registry) install(kind, name, code string, beeCost, stockCost int64) (*Bee, bool) {
+// usage and overwrites the costs.
+func (r *registry) install(kind, name string, beeCost, stockCost int64) (*Bee, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	b := r.bees[beeKey{kind, name}]
@@ -303,25 +314,25 @@ func (r *registry) install(kind, name, code string, beeCost, stockCost int64) (*
 	case b.quarantined.Load() || b.demoted():
 		return b, false
 	}
-	if b.code == "" {
-		r.misses++
-	} else {
+	if b.installed {
 		r.hits++
+	} else {
+		r.misses++
 	}
-	b.code, b.beeCost, b.stockCost = code, beeCost, stockCost
+	b.installed, b.beeCost, b.stockCost = true, beeCost, stockCost
 	return b, true
 }
 
 // widen is fired when a plan instantiates the fused GCL∘EVP form from an
-// installed predicate: the entry's code and cost pair now describe the
-// composed routine (deform and filter against the generic loop plus the
+// installed predicate: the entry's cost pair now describes the composed
+// routine (deform and filter against the generic loop plus the
 // interpreter). Legal from installed only.
-func (b *Bee) widen(code string, beeCost, stockCost int64) bool {
+func (b *Bee) widen(beeCost, stockCost int64) bool {
 	return b.transition(func(*registry) bool {
-		if b.code == "" {
+		if !b.installed {
 			return false
 		}
-		b.code, b.beeCost, b.stockCost = code, beeCost, stockCost
+		b.beeCost, b.stockCost = beeCost, stockCost
 		return true
 	})
 }
@@ -330,7 +341,7 @@ func (b *Bee) widen(code string, beeCost, stockCost int64) bool {
 // write's, a fused transaction's) for every bee the failed unit carried.
 // Legal from every live state not already quarantined; it reports whether
 // the bee newly left service — callers retry only then, so the retry runs
-// a different configuration. The code stays cached, flagged in the views.
+// a different configuration. The bee stays installed, flagged in the views.
 func (b *Bee) Quarantine() bool {
 	return b.transition(func(r *registry) bool {
 		if b.quarantined.Load() {
@@ -357,7 +368,7 @@ func (r *registry) clear() int {
 	return n
 }
 
-// Touch is fired per execution for a bee whose code the plan ran,
+// Touch is fired per execution for a bee the plan ran,
 // associating it with the tables the plan read; weight over-counts
 // queries that would benefit most. Legal from every state while the gate
 // is up; a bee installed before the gate went up is adopted as compiled.
@@ -418,7 +429,7 @@ func (b *Bee) Pin() bool {
 
 // Demote is the advisor's guard-break (quarantine, DDL, drift, negative
 // benefit: sticky) or cold (not sticky) decision: compiled or pinned →
-// demoted, which evicts the cached code. hold is the hysteresis in advisor
+// demoted, which evicts the bee. hold is the hysteresis in advisor
 // cycles before the bee may be a candidate again. Legal only from a
 // promoted state, which is what makes every demotion trigger exactly-once:
 // a condition that persists across cycles finds the bee already demoted.
@@ -482,68 +493,33 @@ func (r *registry) restore(kind, name string, hold int) bool {
 	return true
 }
 
-// flush writes every cached form that differs from its flushed copy to
-// the on-disk cache ("when the bee templates are compiled into object
-// code, the bees are formed and flushed to the on-disk bee cache").
-func (r *registry) flush() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, b := range r.bees {
-		if b.code != "" && b.flushed != b.code {
-			b.flushed = b.code
-			r.writes++
-			n++
-		}
-	}
-	return n
-}
-
-// load repopulates the in-memory forms from their flushed copies (server
-// start) and reports how many copies there are.
-func (r *registry) load() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, b := range r.bees {
-		if b.flushed != "" {
-			b.code = b.flushed
-			n++
-		}
-	}
-	return n
-}
-
 // --- Views: each renders from one pass over the map ---
 
-// CacheEntry describes one cached bee for inspection.
+// CacheEntry describes one installed or demoted bee for inspection.
 type CacheEntry struct {
-	Kind   string
-	Name   string
-	Bytes  int // size of the stored executable form
-	OnDisk bool
+	Kind string
+	Name string
 	// Quarantined marks bees currently out of service after a panic.
 	Quarantined bool
 	// Tier is set when the adaptive advisor tracks this bee: "pinned",
-	// "compiled", "candidate", or "demoted". Demoted bees have no cached
-	// code but are still listed (zero bytes) so shell and admin views can
-	// show what the advisor switched off.
+	// "compiled", "candidate", or "demoted". Demoted bees are not
+	// installed but are still listed so shell and admin views can show
+	// what the advisor switched off.
 	Tier string
 }
 
-// CacheEntries lists the cached and the demoted bees, sorted by kind then
-// name (the \cache and \bees shell views, the /bees entries array).
+// CacheEntries lists the installed and the demoted bees, sorted by kind
+// then name (the \cache and \bees shell views, the /bees entries array).
 func (m *Module) CacheEntries() []CacheEntry {
 	r := &m.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]CacheEntry, 0, len(r.bees))
 	for _, b := range r.bees {
-		if b.code == "" && !b.demoted() {
+		if !b.installed && !b.demoted() {
 			continue
 		}
-		e := CacheEntry{Kind: b.kind, Name: b.name, Bytes: len(b.code),
-			OnDisk: b.flushed != "", Quarantined: b.quarantined.Load()}
+		e := CacheEntry{Kind: b.kind, Name: b.name, Quarantined: b.quarantined.Load()}
 		if b.tiered {
 			e.Tier = b.state.String()
 		}
@@ -560,63 +536,45 @@ func lessKindName(ak, an, bk, bn string) bool {
 	return an < bn
 }
 
-// CacheStats is a point-in-time summary of bee-cache activity and
-// footprint, surfaced through the metrics registry and the \cache shell
-// command. Hits and Misses count installs: a compile that found the bee's
-// code already cached, and one that cached it for the first time.
+// CacheStats is a point-in-time summary of bee-cache activity, surfaced
+// through the metrics registry and the \cache shell command. Hits and
+// Misses count installs: a compile that found the bee already installed,
+// and one that installed it for the first time.
 type CacheStats struct {
-	MemEntries  int   `json:"mem_entries"`
-	DiskEntries int   `json:"disk_entries"`
-	MemBytes    int64 `json:"mem_bytes"`
-	DiskBytes   int64 `json:"disk_bytes"`
-	Writes      int64 `json:"writes"`
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Evictions   int64 `json:"evictions"`
+	MemEntries int   `json:"mem_entries"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Evictions  int64 `json:"evictions"`
 }
 
 // BeeCache is the Bee Cache Manager's face of the registry (paper Figure
-// 3): the repository of bees in executable form, formed in memory and
-// flushed to the on-disk cache. It is a view — the entries are the
-// registry's.
+// 3). It is a view — the entries are the registry's.
 type BeeCache struct{ r *registry }
 
-// Cache exposes the bee cache for inspection and persistence.
+// Cache exposes the bee cache for inspection.
 func (m *Module) Cache() BeeCache { return BeeCache{&m.reg} }
 
-// Stats returns cumulative cache counters and current entry/byte totals.
+// Stats returns cumulative cache counters and the installed-entry count.
 func (c BeeCache) Stats() CacheStats {
 	c.r.mu.Lock()
 	defer c.r.mu.Unlock()
-	s := CacheStats{Writes: c.r.writes, Hits: c.r.hits, Misses: c.r.misses, Evictions: c.r.evictions}
+	s := CacheStats{Hits: c.r.hits, Misses: c.r.misses, Evictions: c.r.evictions}
 	for _, b := range c.r.bees {
-		if b.code != "" {
+		if b.installed {
 			s.MemEntries++
-			s.MemBytes += int64(len(b.code))
-		}
-		if b.flushed != "" {
-			s.DiskEntries++
-			s.DiskBytes += int64(len(b.flushed))
 		}
 	}
 	return s
 }
 
 // Installs returns the two install counters alone — first-time installs
-// and installs that found the code cached — without the pass over the
+// and installs that found the bee installed — without the pass over the
 // entries that Stats makes (the trace plan span reads them per request).
 func (c BeeCache) Installs() (compiled, hits int64) {
 	c.r.mu.Lock()
 	defer c.r.mu.Unlock()
 	return c.r.misses, c.r.hits
 }
-
-// Flush writes all in-memory bees to the on-disk cache and reports how
-// many copies it wrote.
-func (c BeeCache) Flush() int { return c.r.flush() }
-
-// Load repopulates the in-memory cache from disk (server start).
-func (c BeeCache) Load() int { return c.r.load() }
 
 // TierInfo is one advisor-tracked bee, exported for the advisor and the
 // /advisor endpoint.
@@ -740,7 +698,7 @@ func (r *registry) count(s *Stats) {
 			s.QuarantinedNow++
 		}
 		switch {
-		case b.code == "":
+		case !b.installed:
 		case b.kind == kindRelation:
 			s.RelationBees++
 		case b.kind == TxnBeeKind:

@@ -17,7 +17,7 @@ import (
 // against: the same events over plain fields, written as the lifecycle
 // table in DESIGN.md reads, with none of the registry's structure.
 type refBee struct {
-	code, flushed        string
+	installed            bool
 	cost                 int64
 	quar, tiered, sticky bool
 	state                TierState
@@ -37,10 +37,10 @@ func (r *refModel) refused(b *refBee) bool {
 }
 
 func (r *refModel) evict(b *refBee) {
-	if b.code != "" {
+	if b.installed {
 		r.evictions++
 	}
-	b.code, b.flushed = "", ""
+	b.installed = false
 }
 
 func (r *refModel) admit(k beeKey) bool {
@@ -65,7 +65,7 @@ func (r *refModel) admit(k beeKey) bool {
 	return false
 }
 
-func (r *refModel) install(k beeKey, code string, cost int64) bool {
+func (r *refModel) install(k beeKey, cost int64) bool {
 	b := r.bees[k]
 	if r.refused(b) {
 		return false
@@ -74,12 +74,12 @@ func (r *refModel) install(k beeKey, code string, cost int64) bool {
 		b = &refBee{}
 		r.bees[k] = b
 	}
-	if b.code == "" {
-		r.misses++
-	} else {
+	if b.installed {
 		r.hits++
+	} else {
+		r.misses++
 	}
-	b.code, b.cost = code, cost
+	b.installed, b.cost = true, cost
 	return true
 }
 
@@ -116,11 +116,14 @@ func checkViews(t *testing.T, step string, m *Module, ref *refModel) {
 	var wantCache CacheStats
 	for k, b := range ref.bees {
 		demoted := b.tiered && b.state == TierDemoted
-		if demoted && b.code != "" {
-			t.Fatalf("%s: model has a demoted bee with cached code", step)
+		if demoted && b.installed {
+			t.Fatalf("%s: model has a demoted bee that is installed", step)
 		}
-		if b.code != "" || demoted {
-			e := CacheEntry{Kind: k.kind, Name: k.name, Bytes: len(b.code), OnDisk: b.flushed != "", Quarantined: b.quar}
+		if got := m.Bee(k.kind, k.name).Installed(); got != b.installed {
+			t.Fatalf("%s: %v installed = %v, want %v", step, k, got, b.installed)
+		}
+		if b.installed || demoted {
+			e := CacheEntry{Kind: k.kind, Name: k.name, Quarantined: b.quar}
 			if b.tiered {
 				e.Tier = b.state.String()
 			}
@@ -143,19 +146,14 @@ func checkViews(t *testing.T, step string, m *Module, ref *refModel) {
 		if b.quar {
 			wantStats.QuarantinedNow++
 		}
-		if b.code != "" {
+		if b.installed {
 			wantCache.MemEntries++
-			wantCache.MemBytes += int64(len(b.code))
 			switch k.kind {
 			case kindRelation:
 				wantStats.RelationBees++
 			default:
 				wantStats.QueryBees++
 			}
-		}
-		if b.flushed != "" {
-			wantCache.DiskEntries++
-			wantCache.DiskBytes += int64(len(b.flushed))
 		}
 	}
 	wantStats.Quarantined = ref.quarantines
@@ -193,17 +191,15 @@ func checkViews(t *testing.T, step string, m *Module, ref *refModel) {
 	if got := m.Stats(); got != wantStats {
 		t.Fatalf("%s: Stats = %+v, want %+v", step, got, wantStats)
 	}
-	gotCache := m.Cache().Stats()
-	wantCache.Writes = gotCache.Writes // flushes are not modelled per step
-	if gotCache != wantCache {
+	if gotCache := m.Cache().Stats(); gotCache != wantCache {
 		t.Fatalf("%s: Cache().Stats = %+v, want %+v", step, gotCache, wantCache)
 	}
 }
 
 // TestRegistryModel drives a seeded random sequence of every registry
 // event against the reference model, asserting after every step that all
-// views agree with the model and with each other: a demoted bee has no
-// cached code, a dropped bee is in no view (and its handle is dead),
+// views agree with the model and with each other: a demoted bee is not
+// installed, a dropped bee is in no view (and its handle is dead),
 // DemotedBees is the sticky demoted ones only, and an illegal transition
 // returns false and changes nothing.
 func TestRegistryModel(t *testing.T) {
@@ -233,9 +229,9 @@ func TestRegistryModel(t *testing.T) {
 				want = ref.admit(k)
 			case 3, 4:
 				ev = "install"
-				code, cost := fmt.Sprintf("code%d", rng.Intn(3)), int64(rng.Intn(3))
-				_, got = m.reg.install(k.kind, k.name, code, cost, 2*cost)
-				want = ref.install(k, code, cost)
+				cost := int64(rng.Intn(3))
+				_, got = m.reg.install(k.kind, k.name, cost, 2*cost)
+				want = ref.install(k, cost)
 			case 5:
 				ev = "quarantine"
 				got = b.Quarantine()
@@ -328,14 +324,8 @@ func TestRegistryModel(t *testing.T) {
 			if len(dead) > 0 {
 				d := dead[rng.Intn(len(dead))]
 				if d.Quarantine() || d.Touch(rels, w) || d.Want(rels, w) || d.Promote() || d.Pin() ||
-					d.Demote(true, 1) || d.widen("x", 1, 2) {
+					d.Demote(true, 1) || d.widen(1, 2) {
 					t.Fatalf("%s: a dropped bee's handle accepted an event", step)
-				}
-			}
-			if rng.Intn(8) == 0 {
-				m.Cache().Flush()
-				for _, rb := range ref.bees {
-					rb.flushed = rb.code
 				}
 			}
 			checkViews(t, step, m, ref)
@@ -401,7 +391,7 @@ func TestRegistryConcurrent(t *testing.T) {
 					m.TierSnapshot()
 					m.DemotedBees()
 					m.Stats()
-					m.Cache().Flush()
+					m.Cache().Stats()
 				}
 			}
 		}(g)
@@ -441,8 +431,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for _, e := range m.CacheEntries() {
-		if e.Tier == "demoted" && e.Bytes != 0 {
-			t.Errorf("demoted bee %s %q has %d bytes of cached code", e.Kind, e.Name, e.Bytes)
+		if e.Tier == "demoted" && m.Bee(e.Kind, e.Name).Installed() {
+			t.Errorf("demoted bee %s %q is installed", e.Kind, e.Name)
 		}
 	}
 	for _, ti := range m.TierSnapshot() {

@@ -30,8 +30,7 @@ type RelationBee struct {
 	DataSections *DataSections
 
 	// Source is the generated pseudo-C template for the GCL routine,
-	// mirroring the paper's Listing 2; kept for inspection and stored in
-	// the bee cache.
+	// mirroring the paper's Listing 2; kept for inspection (\source).
 	Source string
 
 	// gclCost[n] is the abstract instruction cost of deforming the first

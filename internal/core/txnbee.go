@@ -38,11 +38,11 @@ const (
 // ok=false without registering when the bee is out of service — the caller
 // must stay on the statement-at-a-time path. Re-registering after a replan
 // keeps accumulated usage and does not double-count the bee.
-func (m *Module) RegisterTxnBee(name, source string, beeCost, stockCost int64) (*Bee, bool) {
+func (m *Module) RegisterTxnBee(name string, beeCost, stockCost int64) (*Bee, bool) {
 	if b, ok := m.reg.admit(TxnBeeKind, name); !ok {
 		return b, false
 	}
-	return m.reg.install(TxnBeeKind, name, source, beeCost, stockCost)
+	return m.reg.install(TxnBeeKind, name, beeCost, stockCost)
 }
 
 // TxnBeePanicPoint is called by the fused execution path once per run;

@@ -8,12 +8,12 @@ import (
 	"microspec/internal/types"
 )
 
-// evpInCache counts real (non-phantom) query/EVP entries in the bee
-// cache — phantom rows for demoted bees carry Bytes == 0.
+// evpInCache counts the installed query/EVP entries in the bee cache —
+// the listing also carries rows for demoted bees, which are not.
 func evpInCache(db *DB) int {
 	n := 0
 	for _, e := range db.Module().CacheEntries() {
-		if e.Kind == "query/EVP" && e.Bytes > 0 {
+		if e.Kind == "query/EVP" && db.Module().Bee(e.Kind, e.Name).Installed() {
 			n++
 		}
 	}

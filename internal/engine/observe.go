@@ -449,17 +449,9 @@ func (db *DB) registerCollectors() {
 		s.SetCounter("bees.dict_probes", db.mod.TupleBeeProbes())
 		cs := db.mod.Cache().Stats()
 		s.SetGauge("beecache.mem_entries", int64(cs.MemEntries))
-		s.SetGauge("beecache.disk_entries", int64(cs.DiskEntries))
-		s.SetGauge("beecache.mem_bytes", cs.MemBytes)
-		s.SetGauge("beecache.disk_bytes", cs.DiskBytes)
-		s.SetCounter("beecache.writes", cs.Writes)
 		s.SetCounter("beecache.hits", cs.Hits)
 		s.SetCounter("beecache.misses", cs.Misses)
 		s.SetCounter("beecache.evictions", cs.Evictions)
-		assigned, conflicts := db.mod.Placement().Stats()
-		s.SetGauge("bees.placed", int64(assigned))
-		s.SetCounter("bees.placement_conflicts", int64(conflicts))
-		s.SetCounter("bees.parallel_safe_plans", db.mod.Placement().ParallelSafePlans())
 
 		// Per-bee benefit attribution, rolled up (see core.BeeBenefits;
 		// the admin plane's /bees serves the per-bee breakdown).

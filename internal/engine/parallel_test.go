@@ -181,6 +181,11 @@ func TestParallelExplainAnalyzeAndMetrics(t *testing.T) {
 	if !strings.Contains(out, "pages=[") {
 		t.Fatalf("EXPLAIN ANALYZE missing partial-scan page ranges:\n%s", out)
 	}
+	// The aggregation's Gather counts as one parallel query, the sort
+	// merge's below as the second.
+	if got := db.MetricsSnapshot().Counters["parallel_queries"]; got != 1 {
+		t.Fatalf("parallel_queries = %d after a parallel aggregation, want 1", got)
+	}
 
 	if _, err := db.Query("select w_id, w_grp from wide order by w_grp, w_id"); err != nil {
 		t.Fatal(err)
@@ -195,9 +200,6 @@ func TestParallelExplainAnalyzeAndMetrics(t *testing.T) {
 	}
 	if snap.Histograms["parallel.worker.scan"].Count == 0 {
 		t.Fatal("parallel.worker.scan histogram empty after a parallel sort-merge")
-	}
-	if snap.Counters["bees.parallel_safe_plans"] == 0 {
-		t.Fatal("placement optimizer recorded no parallel-safe plans")
 	}
 
 	// Serial queries must not count as parallel.

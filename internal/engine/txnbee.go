@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,7 +125,7 @@ func (db *DB) CompileTxn(spec TxnSpec) (*CompiledTxn, error) {
 	}
 	ct := &CompiledTxn{db: db, spec: spec}
 	ct.res.Store(res)
-	if err := ct.register(res); err != nil {
+	if err := ct.register(); err != nil {
 		return nil, err
 	}
 	return ct, nil
@@ -136,9 +135,8 @@ func (db *DB) CompileTxn(spec TxnSpec) (*CompiledTxn, error) {
 // per-operation cost pair is scaled by nothing: usage is reported in
 // operations, so the benefit estimate is observed time × the per-op
 // stock/bee overhead ratio.
-func (ct *CompiledTxn) register(res *txnResolved) error {
-	bee, ok := ct.db.mod.RegisterTxnBee(ct.spec.Name, txnBeeSource(ct.spec, res),
-		core.TxnOpBeeCost, core.TxnOpStockCost)
+func (ct *CompiledTxn) register() error {
+	bee, ok := ct.db.mod.RegisterTxnBee(ct.spec.Name, core.TxnOpBeeCost, core.TxnOpStockCost)
 	if ct.bee == nil {
 		// Set once, before the bee can run: a replan re-registers under
 		// the same name and gets the same entry, and Run reads the field
@@ -150,30 +148,6 @@ func (ct *CompiledTxn) register(res *txnResolved) error {
 		return fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
 	}
 	return nil
-}
-
-// txnBeeSource renders the fused unit's "object code" for the bee
-// cache: the latch plan and pre-resolved index paths.
-func txnBeeSource(spec TxnSpec, res *txnResolved) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "TXN %s latch[", spec.Name)
-	for i, tb := range res.latchOrder {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		mode := "r"
-		if tb.write {
-			mode = "w"
-		}
-		fmt.Fprintf(&b, "%s:%s", tb.rel.Name, mode)
-	}
-	names := make([]string, 0, len(res.indexes))
-	for name := range res.indexes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(&b, "] idx[%s] commit=single", strings.Join(names, " "))
-	return b.String()
 }
 
 // resolveTxn pre-resolves spec's handles. Caller holds db.mu (any mode).
@@ -240,7 +214,7 @@ func (ct *CompiledTxn) current() (*txnResolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ct.register(fresh); err != nil {
+	if err := ct.register(); err != nil {
 		return nil, err
 	}
 	ct.res.Store(fresh)

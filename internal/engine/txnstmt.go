@@ -184,7 +184,7 @@ func (ts *TxnStmt) compileUnit() ([]txnOp, error) {
 	ct.res.Store(res)
 	// A quarantined bee is no obstacle: the unit keeps its handle and runs
 	// the program built here stepwise.
-	if err := ct.register(res); err != nil && !ct.bee.Quarantined() {
+	if err := ct.register(); err != nil && !ct.bee.Quarantined() {
 		return nil, err
 	}
 	ts.ct = ct

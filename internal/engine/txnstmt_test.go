@@ -32,13 +32,13 @@ func TestPrepareTxnParsesAndRegisters(t *testing.T) {
 	if ts.Name() != "give_raise" || ts.NumParams() != 2 {
 		t.Fatalf("Name=%q NumParams=%d", ts.Name(), ts.NumParams())
 	}
-	// Registered in the bee cache under kind "txn"; its stored executable
-	// form is the rendered latch/index plan, so it has nonzero size.
+	// Registered in the bee cache under kind "txn", installed and in
+	// service.
 	found := false
 	for _, e := range db.Module().CacheEntries() {
 		if e.Kind == core.TxnBeeKind && e.Name == "give_raise" {
 			found = true
-			if e.Bytes == 0 || e.Quarantined {
+			if !db.Module().Bee(e.Kind, e.Name).Installed() || e.Quarantined {
 				t.Errorf("entry = %+v", e)
 			}
 		}

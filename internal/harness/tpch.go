@@ -74,7 +74,7 @@ func RunTPCHFigures(o TPCHOptions, w io.Writer) error {
 		}},
 		{"storage", func() (string, error) {
 			rows, err := RunStorageReport(stock, bee)
-			return FormatStorage(rows) + "\n" + bee.Module().Placement().Report() + "\n", err
+			return FormatStorage(rows), err
 		}},
 	}
 	known := o.Fig == "all"

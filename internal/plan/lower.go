@@ -89,13 +89,9 @@ func regionOf(n exec.Node) (r region, ok bool) {
 	}
 }
 
-// lower emits a finished plan in its executed form; it returns the plan
-// unchanged when there is no bee module. In batch form the hash joins get
-// their join filters first (placeFilters).
+// lower emits a finished plan in its executed form. In batch form the
+// hash joins get their join filters first (placeFilters).
 func (p *Planner) lower(n exec.Node) exec.Node {
-	if p.Mod == nil {
-		return n
-	}
 	if p.Batch {
 		placeFilters(n)
 	}
@@ -365,7 +361,6 @@ func (p *Planner) tryGatherAgg(agg *exec.HashAgg) exec.Node {
 	for i := range ranges {
 		parts[i] = p.build(r, &ranges[i])
 	}
-	p.Mod.NoteParallelPlan()
 	return &exec.Gather{
 		Parts:   parts,
 		Workers: len(parts),
@@ -401,7 +396,6 @@ func (p *Planner) tryGatherMerge(s *exec.Sort) exec.Node {
 		}
 		parts[i] = &exec.Sort{Child: part, Keys: s.Keys}
 	}
-	p.Mod.NoteParallelPlan()
 	return &exec.Gather{
 		Parts:     parts,
 		Workers:   len(parts),

@@ -21,7 +21,7 @@ import (
 //
 //	/metrics      Prometheus text exposition of the metrics registry
 //	/traces       JSON tail of the sampled trace ring (?n=, ?id=)
-//	/bees         JSON bee cache + placement + quarantine + per-bee
+//	/bees         JSON bee cache + quarantine + per-bee
 //	              benefit attribution (estimated time saved per bee)
 //	/advisor      JSON adaptive-advisor state: recent promote/demote
 //	              decisions with reasons and the bee tier table; POST
@@ -143,34 +143,21 @@ func (a *Admin) handleTraceDisable(w http.ResponseWriter, r *http.Request) {
 }
 
 // beesPayload is the /bees response shape: one scrape shows what bees
-// exist, where they were placed, which are benched, and — the number the
+// exist, which are benched, and — the number the
 // whole micro-specialization exercise is about — how much time each one
 // is estimated to have saved versus the stock interpreted path.
 type beesPayload struct {
-	Routines  core.RoutineSet   `json:"routines"`
-	Cache     core.CacheStats   `json:"cache"`
-	Placement placementPayload  `json:"placement"`
-	Entries   []core.CacheEntry `json:"entries"`
-	Benefits  []core.BeeBenefit `json:"benefits"`
-}
-
-type placementPayload struct {
-	Assigned          int   `json:"assigned"`
-	Conflicts         int   `json:"conflicts"`
-	ParallelSafePlans int64 `json:"parallel_safe_plans"`
+	Routines core.RoutineSet   `json:"routines"`
+	Cache    core.CacheStats   `json:"cache"`
+	Entries  []core.CacheEntry `json:"entries"`
+	Benefits []core.BeeBenefit `json:"benefits"`
 }
 
 func (a *Admin) handleBees(w http.ResponseWriter, r *http.Request) {
 	mod := a.db.Module()
-	assigned, conflicts := mod.Placement().Stats()
 	writeJSON(w, beesPayload{
 		Routines: mod.Routines(),
 		Cache:    mod.Cache().Stats(),
-		Placement: placementPayload{
-			Assigned:          assigned,
-			Conflicts:         conflicts,
-			ParallelSafePlans: mod.Placement().ParallelSafePlans(),
-		},
 		Entries:  mod.CacheEntries(),
 		Benefits: mod.BeeBenefits(),
 	})

@@ -76,8 +76,7 @@ func SetLSN(p Page, lsn uint64) { binary.LittleEndian.PutUint64(p[8:16], lsn) }
 func setNSlots(p Page, v int) { binary.LittleEndian.PutUint16(p[4:6], uint16(v)) }
 
 // deadBit in the offset halfword marks a deleted slot; offsets fit in 13
-// bits, so the top bit is free. Keeping the length intact makes undo
-// (ResurrectTuple) lossless.
+// bits, so the top bit is free.
 const deadBit = 0x8000
 
 func linePtr(p Page, slot int) (off, ln int, dead bool) {
@@ -139,32 +138,17 @@ func IsLive(p Page, slot int) bool {
 }
 
 // DeleteTuple marks a slot dead. The tuple bytes and length remain until
-// the page is rewritten, which makes undo (ResurrectTuple) lossless.
+// the page is rewritten.
 func DeleteTuple(p Page, slot int) error {
 	if slot < 0 || slot >= NumSlots(p) {
 		return fmt.Errorf("page: slot %d out of range", slot)
 	}
-	off, ln, dead := linePtr(p, slot)
+	off, _, dead := linePtr(p, slot)
 	if dead {
 		return fmt.Errorf("page: slot %d already dead", slot)
 	}
 	base := headerSize + slot*linePtrSize
 	binary.LittleEndian.PutUint16(p[base:base+2], uint16(off|deadBit))
-	_ = ln
-	return nil
-}
-
-// ResurrectTuple undoes DeleteTuple (transaction rollback support).
-func ResurrectTuple(p Page, slot int) error {
-	if slot < 0 || slot >= NumSlots(p) {
-		return fmt.Errorf("page: slot %d out of range", slot)
-	}
-	off, _, dead := linePtr(p, slot)
-	if !dead {
-		return fmt.Errorf("page: slot %d is live", slot)
-	}
-	base := headerSize + slot*linePtrSize
-	binary.LittleEndian.PutUint16(p[base:base+2], uint16(off))
 	return nil
 }
 
@@ -228,22 +212,4 @@ func VerifyChecksum(p Page) (stored, computed uint16, ok bool) {
 	}
 	computed = Checksum(p)
 	return stored, computed, stored == computed
-}
-
-// OverwriteTuple replaces a live tuple's bytes in place. The new tuple
-// must have exactly the old length (the fast path for fixed-layout
-// updates, e.g. TPC-C stock-quantity updates).
-func OverwriteTuple(p Page, slot int, tup []byte) error {
-	if slot < 0 || slot >= NumSlots(p) {
-		return fmt.Errorf("page: slot %d out of range", slot)
-	}
-	off, ln, dead := linePtr(p, slot)
-	if dead {
-		return fmt.Errorf("page: slot %d is dead", slot)
-	}
-	if ln != len(tup) {
-		return fmt.Errorf("page: in-place overwrite needs equal length (%d != %d)", ln, len(tup))
-	}
-	copy(p[off:off+ln], tup)
-	return nil
 }

@@ -64,7 +64,7 @@ func TestTupleAlignment(t *testing.T) {
 	}
 }
 
-func TestDeleteResurrect(t *testing.T) {
+func TestDeleteTuple(t *testing.T) {
 	p := newPage()
 	slot, _ := AddTuple(p, []byte("abcdef"))
 	if err := DeleteTuple(p, slot); err != nil {
@@ -78,31 +78,6 @@ func TestDeleteResurrect(t *testing.T) {
 	}
 	if err := DeleteTuple(p, slot); err == nil {
 		t.Error("double delete must fail")
-	}
-	if err := ResurrectTuple(p, slot); err != nil {
-		t.Fatal(err)
-	}
-	got, live := Tuple(p, slot)
-	if !live || string(got) != "abcdef" {
-		t.Errorf("resurrected tuple = %q, live %v", got, live)
-	}
-	if err := ResurrectTuple(p, slot); err == nil {
-		t.Error("resurrect of live slot must fail")
-	}
-}
-
-func TestOverwriteTuple(t *testing.T) {
-	p := newPage()
-	slot, _ := AddTuple(p, []byte("12345678"))
-	if err := OverwriteTuple(p, slot, []byte("abcdefgh")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := Tuple(p, slot)
-	if string(got) != "abcdefgh" {
-		t.Errorf("overwritten = %q", got)
-	}
-	if err := OverwriteTuple(p, slot, []byte("short")); err == nil {
-		t.Error("length-changing overwrite must fail")
 	}
 }
 

@@ -291,6 +291,11 @@ func rules() []rule {
 		{"onecommit", "ident decl", nonTest, engine, `^(execInsertLatched|fusedInsert|insertColumnMap|evalConstAST|parseNum|stmtCommit|stmtAbort|runTargetLatched|execDMLLatched|execTargetLatched|runStmtAtATime|selectWithSlots|opInsert)$|^[\w.]+\(.*slots \*expr\.ParamSlots`, ``, 0,
 			"a deleted function, op kind or slots parameter is declared again; run the write as an op of an engine.Txn"},
 
+		{"onecache", "ident", anyFile, ``, `^(Placement|newPlacement|NoteParallelPlan|ParallelSafePlans|flushed|DiskEntries|DiskBytes|MemBytes|OnDisk|txnBeeSource|ResurrectTuple|OverwriteTuple)$`, ``, 0,
+			"a deleted stand-in is back: the simulated placement optimizer, the bee cache's disk copy or byte sizes, a transaction bee's rendered source, or page-level undo"},
+		{"onecache", "decl", anyFile, `^internal/core/`, `^(Bee\.code|CacheEntry\.Bytes|CacheStats\.Writes|registry\.writes) |^(BeeCache\.(Flush|Load)|registry\.(flush|load))\(`, ``, 0,
+			"a bee cache entry holds code or its copy again; the registry entry, installed or not, is the whole bee cache"},
+
 		{"oneindex", "call", nonTest, `^internal/`, `\.(AscendPrefix|AscendRange|SearchEq)\(`, inIndex, 0, "a B+tree walk outside exec.IndexWalk"},
 		{"oneindex", "call", nonTest, `^internal/`, `(\.heap|\.Heap|(^|[^\w.])h)\.(Get|Visit)\(`, inIndex, 0, "a heap fetch by TID outside exec.IndexVisit"},
 		{"oneindex", "call", nonTest, `^internal/`, `[Tt]ree\.Insert\(`, `^internal/index/btree/|^internal/engine/index\.go:`, 0, "an index entry filed outside the engine write path"},
@@ -426,20 +431,36 @@ var (
 	testRE = regexp.MustCompile(`^(Test|Benchmark|Fuzz)`)
 )
 
+// docLines are the line ceilings of the prose (wc -l): a section added
+// is paid for by one cut, and a new document needs a ceiling of its own.
+var docLines = map[string]int{
+	"README.md":            278,
+	"DESIGN.md":            2131,
+	"EXPERIMENTS.md":       1971,
+	"docs/ADAPTIVE.md":     174,
+	"docs/ARCHITECTURE.md": 278,
+	"docs/CONCURRENCY.md":  342,
+	"docs/DURABILITY.md":   220,
+}
+
 // checkDocs holds the documents to the tree: every intra-repository
 // Markdown link names a file; every internal package has a package
 // comment; in the prose (README, DESIGN, EXPERIMENTS, docs/) a backticked
 // pkg.Name, pkg.Type.Member or Type.Member names a declaration; every
 // cmd/<name> and `go run ./<path>` quoted there, in the verify skill, a
 // script or the CI workflow names a directory; every internal/…/*.go
-// named in that Markdown or a Go comment exists; cmd/ holds at most four
-// binaries; and no BENCH_*.json result file sits at the root.
+// named in that Markdown or a Go comment exists; the prose stays within
+// its line ceilings (docLines); cmd/ holds at most four binaries; and no
+// BENCH_*.json result file sits at the root.
 func (ix *index) checkDocs(t *testing.T) {
 	exists := func(p string) bool { _, err := os.Stat(p); return err == nil }
 	for p, text := range ix.docs {
 		prose := slices.Contains([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, p) || path.Dir(p) == "docs" && path.Ext(p) == ".md"
 		quotes := prose || p == ".claude/skills/verify/SKILL.md"
 		commands := quotes || p == ".github/workflows/ci.yml" || path.Dir(p) == "scripts"
+		if n, ceiling := strings.Count(text, "\n"), docLines[p]; prose && n > ceiling {
+			t.Errorf("doccheck: %s: %d lines, over its ceiling of %d (docLines): cut as much as you add", p, n, ceiling)
+		}
 		for i, line := range strings.Split(text, "\n") {
 			at := fmt.Sprintf("%s:%d", p, i+1)
 			for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
