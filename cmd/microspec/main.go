@@ -27,7 +27,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -241,7 +240,6 @@ func run(w io.Writer, db *engine.DB, txns map[string]*engine.TxnStmt, stmt strin
 		fmt.Fprintf(w, "error: %v\n", err)
 		return
 	}
-	ctx := context.Background()
 	switch s := parsed.(type) {
 	case *sql.PrepareTxn:
 		ts, err := db.PrepareTxnAST(s, text)
@@ -256,7 +254,7 @@ func run(w io.Writer, db *engine.DB, txns map[string]*engine.TxnStmt, stmt strin
 		fmt.Fprintf(w, "transaction %q prepared (%d params) — run with \\txn %s [params...]\n",
 			ts.Name(), ts.NumParams(), ts.Name())
 	case *sql.Select:
-		res, err := db.QueryAST(ctx, s, text, engine.QueryOpts{})
+		res, err := db.AdHoc(s, text, engine.QueryOpts{}).Query()
 		if err != nil {
 			fmt.Fprintf(w, "error: %v\n", err)
 			return
@@ -264,7 +262,7 @@ func run(w io.Writer, db *engine.DB, txns map[string]*engine.TxnStmt, stmt strin
 		printResult(w, res)
 		fmt.Fprintf(w, "(%d rows, %v)\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
 	default:
-		n, err := db.ExecAST(ctx, s, text)
+		n, err := db.AdHoc(s, text, engine.QueryOpts{}).Exec()
 		if err != nil {
 			fmt.Fprintf(w, "error: %v\n", err)
 			return

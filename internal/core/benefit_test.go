@@ -24,7 +24,7 @@ func TestBeeBenefitAttribution(t *testing.T) {
 	if _, ok := compileBatchPredicate(m, pred); !ok {
 		t.Fatal("CompileBatchPredicate failed")
 	}
-	u := m.Bee("query/EVP", pred.String())
+	u := m.Bee("query/EVP", expr.Shape(pred))
 	if u == nil {
 		t.Fatal("no usage entry registered for compiled predicate")
 	}
@@ -36,7 +36,7 @@ func TestBeeBenefitAttribution(t *testing.T) {
 	u.Note(1000, 5000)
 	var got *BeeBenefit
 	for i, b := range m.BeeBenefits() {
-		if b.Kind == "query/EVP" && b.Name == pred.String() {
+		if b.Kind == "query/EVP" && b.Name == expr.Shape(pred) {
 			got = &m.BeeBenefits()[i]
 			break
 		}
@@ -63,14 +63,14 @@ func TestBeeBenefitsSortedBySaving(t *testing.T) {
 	p2 := &expr.Cmp{Op: expr.GT, L: &expr.Var{Idx: 1, T: types.Int32}, R: expr.NewConst(types.NewInt32(2))}
 	compileBatchPredicate(m, p1)
 	compileBatchPredicate(m, p2)
-	m.Bee("query/EVP", p1.String()).Note(10, 100)
-	m.Bee("query/EVP", p2.String()).Note(10, 100000)
+	m.Bee("query/EVP", expr.Shape(p1)).Note(10, 100)
+	m.Bee("query/EVP", expr.Shape(p2)).Note(10, 100000)
 	bb := m.BeeBenefits()
 	if len(bb) < 2 {
 		t.Fatalf("got %d benefit rows, want ≥2", len(bb))
 	}
-	if bb[0].Name != p2.String() {
-		t.Fatalf("top benefit is %q, want the heavily-used %q", bb[0].Name, p2.String())
+	if bb[0].Name != expr.Shape(p2) {
+		t.Fatalf("top benefit is %q, want the heavily-used %q", bb[0].Name, expr.Shape(p2))
 	}
 	for i := 1; i < len(bb); i++ {
 		if bb[i].EstSavedNs > bb[i-1].EstSavedNs {

@@ -339,9 +339,10 @@ type CompiledBatchVec func(in *VecIn, ctx *expr.Ctx) *Vec
 // further admission: Row and Batch for EVP, BatchVec for EVA, and the
 // fused scan routine (ScanDeform.Routine). It is the one thing a plan
 // node holds for the bee; the node's caller instantiates the form it
-// runs. The entry is shared by every plan that spells the expression the
-// same way; the fragment is not — it closes over this plan's column
-// ordinals and $n slots. The zero Program is the stock path: no bee, and
+// runs. The entry is shared by every plan whose expression has the same
+// shape — the same text once each literal and $n reads "?" (expr.Shape) —
+// so it is the template; the fragment is not — it closes over this plan's
+// constants, column ordinals and $n slots. The zero Program is the stock path: no bee, and
 // every form nil.
 type Program struct {
 	bee  *Bee
@@ -384,7 +385,7 @@ func (m *Module) compileExpr(kind string, enabled bool, e expr.Expr) Program {
 	if !enabled || e == nil {
 		return Program{}
 	}
-	name := e.String()
+	name := expr.Shape(e)
 	b, ok := m.reg.admit(kind, name)
 	if ok {
 		if fr, cost := compilePred(e); fr.cls != clsNone {

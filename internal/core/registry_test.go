@@ -349,10 +349,13 @@ func TestRegistryConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := make([]expr.Expr, 6)
+	// Six predicates of six shapes (one per operator), so the events below
+	// and the compiles contend on six registry entries.
+	preds, names := make([]expr.Expr, 6), make([]string, 6)
 	for i := range preds {
-		preds[i] = &expr.Cmp{Op: expr.LT, L: &expr.Var{Idx: i % 2, T: types.Int32, Name: "ab"[i%2 : i%2+1]},
+		preds[i] = &expr.Cmp{Op: expr.CmpOp(i), L: &expr.Var{Idx: i % 2, T: types.Int32, Name: "ab"[i%2 : i%2+1]},
 			R: expr.NewConst(types.NewInt32(int32(i)))}
+		names[i] = expr.Shape(preds[i])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -361,7 +364,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 2000; i++ {
-				b := m.Bee(kindEVP, preds[rng.Intn(len(preds))].String())
+				b := m.Bee(kindEVP, names[rng.Intn(len(names))])
 				switch rng.Intn(12) {
 				case 0:
 					m.SetTierGating(rng.Intn(2) == 0)
@@ -382,9 +385,9 @@ func TestRegistryConcurrent(t *testing.T) {
 				case 8:
 					m.TierDecay(0.5)
 				case 9:
-					m.RestoreDemotedBee(kindEVP, preds[rng.Intn(len(preds))].String(), 1)
+					m.RestoreDemotedBee(kindEVP, names[rng.Intn(len(names))], 1)
 				case 10:
-					m.reg.drop(kindEVP, preds[rng.Intn(len(preds))].String())
+					m.reg.drop(kindEVP, names[rng.Intn(len(names))])
 				case 11:
 					m.CacheEntries()
 					m.BeeBenefits()
@@ -430,6 +433,12 @@ func TestRegistryConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	m.ClearQuarantine()
+	for i, e := range preds {
+		if b := m.CompilePredicate(e).Bee(); b == nil || b != m.Bee(kindEVP, names[i]) {
+			t.Errorf("the bee compiled from %s is not the entry %q the events looked up", e, names[i])
+		}
+	}
 	for _, e := range m.CacheEntries() {
 		if e.Tier == "demoted" && m.Bee(e.Kind, e.Name).Installed() {
 			t.Errorf("demoted bee %s %q is installed", e.Kind, e.Name)

@@ -415,20 +415,26 @@ func corpus() []*entry {
 		edges = append(edges, stmt{text: c.q, want: ys})
 	}
 	add(&entry{name: "keys/edges", schema: keyEdges, stmts: edges})
-	// A $n typed bigint from its default, bound to text, is a key outside
-	// its planned class: the statement fails with a typed error rather
-	// than group, sort or match it by another rule. (Written in as a
-	// literal, the text is a text column: no exec mode.)
-	var classes []stmt
-	for _, q := range []string{
-		"select x, count(*) from (select $1 as x from k) d group by x",
-		"select distinct x from (select $1 as x from k) d",
-		"select x from (select $1 as x, y from k) d order by x, y",
-	} {
-		classes = append(classes, stmt{text: q, args: []types.Datum{str("a")}, err: "cannot encode a"})
+	// A $n nothing in the statement types is planned as BIGINT; bound to a
+	// value of another key class, the statement is replanned in that class
+	// and keys by it. (keys/class-errors is named for the error these
+	// statements returned when the key kept the default's class.)
+	a := str("a")
+	add(&entry{name: "keys/class-errors", schema: keyEdges, stmts: []stmt{
+		{text: "select x, count(*) from (select $1 as x from k) d group by x", args: []types.Datum{a}, want: []expr.Row{row(a, i64(8))}},
+		{text: "select distinct x from (select $1 as x from k) d", args: []types.Datum{a}, want: []expr.Row{row(a)}},
+		{text: "select x from (select $1 as x, y from k) d order by x, y limit 2", args: []types.Datum{a}, want: []expr.Row{row(a), row(a)}},
+	}, spans: []span{{modes: []mode{modeStmt, modeTxn, modeStepwise}}}})
+	// The same prepared text rebound from text to DOUBLE to INTEGER is
+	// replanned for each class. (Written in as a literal, the text is a
+	// column of the literal's type.)
+	var untyped []stmt
+	for _, q := range []string{"select distinct $1 as v from k", "select $1 as v, count(*) from k group by 1", "select $1 as v from k order by 1 limit 2"} {
+		for _, d := range []types.Datum{a, f64(1.5), i32(7)} {
+			untyped = append(untyped, stmt{text: q, args: []types.Datum{d}})
+		}
 	}
-	add(&entry{name: "keys/class-errors", schema: keyEdges, stmts: classes,
-		spans: []span{{modes: []mode{modeStmt, modeTxn, modeStepwise}}}})
+	add(&entry{name: "keys/untyped-params", schema: keyEdges, stmts: untyped})
 
 	// A value of the wrong class is refused when the statement executes;
 	// numeric kinds convert among themselves, a DOUBLE into an INTEGER

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 
+	"microspec/internal/core"
 	"microspec/internal/exec"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
@@ -89,40 +90,24 @@ func (db *DB) retry(attempt int, err error) bool {
 	return true
 }
 
-// runOne runs compiled statements as an auto-commit statement, which is a
-// one-operation transaction: take db.mu shared and the latch plan, begin,
-// run the op against the transaction's snapshot and undo log exactly as a
-// fused PREPARE TRANSACTION body runs it, then Txn.Commit — or
-// Txn.Rollback on an error, so statements are atomic. Commit releases the
-// latches and db.mu before it waits for the commit record to be durable,
-// so concurrent statements share one group-commit sync
-// (docs/DURABILITY.md). current returns the op and the plan to latch, under
-// the db.mu hold the transaction then owns: a target compiled for this
-// call or a kept one revalidated (prepared.current), under its own table's
-// latch; or one statement of a PREPARE TRANSACTION unit that is running
-// stepwise, under the unit's plan.
-//
-// A panic rolls the transaction back; if a query bee was retired for it,
-// the statement runs once more (retry), current being told so.
-func (db *DB) runOne(at *trace.Active, current func(again bool) ([]txnOp, *txnResolved, error)) (*Result, int64, error) {
+// runOne runs compiled statements as one transaction (runUnder) under
+// db.mu shared and the latch plan current returns with them — a target's
+// own table latch, or a PREPARE TRANSACTION unit's plan for its ops, whole
+// or one at a time — and once more, current told so, if the attempt
+// retired a query bee (retry). bee is the unit's bee running them fused.
+func (db *DB) runOne(at *trace.Active, bee *core.Bee, current func(again bool) ([]txnOp, *txnResolved, error)) (res *Result, n int64, err error) {
 	for attempt := 0; ; attempt++ {
 		ops, plan, err := db.lockedCurrent(current, attempt > 0)
 		if err != nil {
 			return nil, 0, err
 		}
-		execSpan := at.Span("exec")
-		plan.latch()
-		tx := db.begin(nil, plan)
-		res, n, err := tx.runOps(ops)
-		execSpan.End()
-		err = tx.end(at, err)
-		if db.retry(attempt, err) {
-			continue
+		err = db.runUnder(bee, plan, at, nil, func(tx *Txn) (err error) {
+			res, n, err = tx.runOps(ops)
+			return err
+		})
+		if !db.retry(attempt, err) {
+			return res, n, err
 		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, n, nil
 	}
 }
 

@@ -537,9 +537,9 @@ func TestDMLBeePanicRollsBackAndRetiresBee(t *testing.T) {
 // the db.mu hold — is contained like any other, and gives the hold back.
 func TestPanicBeforeTheWriteBeginsReleasesEngineLock(t *testing.T) {
 	db := newDB(t, core.AllRoutines)
-	_, err := db.execParsed(nil, &sql.Delete{Table: "t"}, func(bool) (*dmlTarget, error) {
-		panic("fault while compiling")
-	})
+	s := db.AdHoc(&sql.Delete{Table: "t"}, "delete from t", QueryOpts{})
+	s.build = func() ([]txnOp, error) { panic("fault while compiling") }
+	_, err := db.execParsed(nil, &s.prepared)
 	if !isPanic(err) {
 		t.Fatalf("err = %v, want a contained panic", err)
 	}

@@ -321,7 +321,7 @@ type QueryOpts struct {
 
 // Query parses, plans, and runs a SELECT.
 func (db *DB) Query(text string) (*Result, error) {
-	res, _, err := db.runSelect(context.Background(), text, nil, nil, nil, false, nil)
+	res, _, err := db.query(context.Background(), text, QueryOpts{}, nil, false)
 	return res, err
 }
 
@@ -329,27 +329,20 @@ func (db *DB) Query(text string) (*Result, error) {
 // deadline, or the statement timeout) stops execution mid-scan —
 // including inside parallel Gather workers — and returns ctx.Err().
 func (db *DB) QueryContext(ctx context.Context, text string) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, nil, nil, nil, false, nil)
+	res, _, err := db.query(ctx, text, QueryOpts{}, nil, false)
 	return res, err
 }
 
 // QueryWith runs a SELECT with per-call setting overrides (session-scoped
 // settings on the network server).
 func (db *DB) QueryWith(ctx context.Context, text string, opts QueryOpts) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, nil, nil, nil, false, &opts)
-	return res, err
-}
-
-// QueryAST is QueryWith for a SELECT the caller has already parsed (the
-// server parses once, to route); text is its SQL, for the query log.
-func (db *DB) QueryAST(ctx context.Context, sel *sql.Select, text string, opts QueryOpts) (*Result, error) {
-	res, _, err := db.runSelect(ctx, text, sel, nil, nil, false, &opts)
+	res, _, err := db.query(ctx, text, opts, nil, false)
 	return res, err
 }
 
 // QueryProfiled runs a SELECT charging abstract instructions to prof.
 func (db *DB) QueryProfiled(text string, prof *profile.Counters) (*Result, error) {
-	res, _, err := db.runSelect(context.Background(), text, nil, nil, prof, false, nil)
+	res, _, err := db.query(context.Background(), text, QueryOpts{}, prof, false)
 	return res, err
 }
 
@@ -358,83 +351,61 @@ func (db *DB) QueryProfiled(text string, prof *profile.Counters) (*Result, error
 // actual rows, loops, and inclusive wall-clock time per node, with the
 // bee-routine markers intact — alongside the materialized result.
 func (db *DB) ExplainAnalyzeQuery(text string) (string, *Result, error) {
-	return db.ExplainAnalyzeAST(context.Background(), nil, text, QueryOpts{})
+	res, root, err := db.query(context.Background(), text, QueryOpts{}, nil, true)
+	return analyzeOutline(context.Background(), res, root, err)
 }
 
-// ExplainAnalyzeAST is ExplainAnalyzeQuery under a context and per-call
-// settings (a session's, as for QueryAST), for an already-parsed SELECT
-// (nil: parse text); when the context carries an active trace, the
-// outline is stamped with the trace ID so it can be cross-referenced with
-// the admin plane's /traces.
-func (db *DB) ExplainAnalyzeAST(ctx context.Context, sel *sql.Select, text string, opts QueryOpts) (string, *Result, error) {
-	res, root, err := db.runSelect(ctx, text, sel, nil, nil, true, &opts)
+// query parses ad hoc SELECT text and runs it as a one-call Stmt (AdHoc).
+func (db *DB) query(ctx context.Context, text string, opts QueryOpts, prof *profile.Counters, analyze bool) (*Result, exec.Node, error) {
+	start := time.Now()
+	parseSpan := trace.FromContext(ctx).Span("parse")
+	sel, err := sql.ParseSelect(text)
+	parseSpan.End()
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	return analyzeOutline(ctx, root), res, nil
+	return db.AdHoc(sel, text, opts).query(ctx, start, prof, analyze, nil)
 }
 
 // analyzeOutline renders an executed, instrumented plan, stamped with the
-// trace ID when ctx carries a trace.
-func analyzeOutline(ctx context.Context, root exec.Node) string {
+// trace ID when ctx carries a trace so it can be cross-referenced with the
+// admin plane's /traces, beside its result.
+func analyzeOutline(ctx context.Context, res *Result, root exec.Node, err error) (string, *Result, error) {
+	if err != nil {
+		return "", nil, err
+	}
 	out := plan.ExplainAnalyze(root)
 	if at := trace.FromContext(ctx); at != nil {
 		out += "trace: " + trace.IDString(at.ID()) + "\n"
 	}
-	return out
+	return out, res, nil
 }
 
-// plannerWith returns a copy of the planner with opts' parallelism degree
-// applied. Caller holds db.mu.
-func (db *DB) plannerWith(opts *QueryOpts) plan.Planner {
-	pl := *db.planner
-	if opts.Workers > 0 {
-		pl.Workers = opts.Workers
-	}
-	return pl
-}
-
-// runSelect is the single SELECT execution path: parse (unless the caller
-// passes sel, text already parsed), plan, optionally instrument, execute,
-// observe. Every query entry point funnels here, ad hoc and prepared, so
-// query-level metrics land in exactly one place. p is the prepared
-// statement whose kept plan to run (Stmt.run, which holds p.mu and has
-// bound the parameters); nil plans sel afresh for this call.
+// runSelect is the single SELECT execution path: bring the statement's
+// plan up to date (prepared.current), optionally instrument, execute,
+// observe. Every query entry point funnels here, ad hoc and prepared —
+// p is the statement, a one-call core for ad hoc text; its caller holds
+// p.mu and has bound the parameters — so query-level metrics land in
+// exactly one place. start is when the call began.
 //
 // Execution runs inside a panic-containment boundary (runPlan). When a
 // plan panics, the recovered error quarantines every query bee the plan
 // used (the boundary cannot attribute the fault more precisely) and the
-// query transparently re-runs once (retry): the replan's CompilePredicate/
-// CompileScalar/CompileJoinKeys calls find the bees quarantined and fall
-// back to the generic routines.
-func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *prepared, prof *profile.Counters, analyze bool, opts *QueryOpts) (*Result, exec.Node, error) {
-	if db.recovering.Load() {
-		return nil, nil, ErrRecovering
-	}
-	start := time.Now()
-	if qctx == nil {
-		qctx = context.Background()
-	}
+// query transparently re-runs once (retry) on a rebuilt plan: its
+// CompilePredicate/CompileScalar/CompileJoinKeys calls find the bees
+// quarantined and fall back to the generic routines.
+func (db *DB) runSelect(qctx context.Context, start time.Time, p *prepared, prof *profile.Counters, analyze bool) (*Result, exec.Node, error) {
 	// at is nil for untraced requests; every trace call below is a
 	// nil-receiver no-op then, so the stock path pays one pointer check.
 	at := trace.FromContext(qctx)
 	d := db.StatementTimeout()
-	if opts != nil && opts.Timeout > 0 {
-		d = opts.Timeout
+	if p.opts.Timeout > 0 {
+		d = p.opts.Timeout
 	}
 	if d > 0 {
 		var cancel context.CancelFunc
 		qctx, cancel = context.WithTimeout(qctx, d)
 		defer cancel()
-	}
-	var err error
-	if sel == nil {
-		parseSpan := at.Span("parse")
-		sel, err = sql.ParseSelect(text)
-		parseSpan.End()
-		if err != nil {
-			return nil, nil, err
-		}
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -444,49 +415,25 @@ func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *p
 	snap := db.tm.Snapshot(txn.None)
 	defer snap.Release()
 
-	pl := db.planner
-	if p == nil && opts != nil && opts.Workers > 0 {
-		cp := db.plannerWith(opts)
-		pl = &cp
-	}
-	// Traced requests get per-node instrumentation even without ANALYZE,
-	// so the trace carries a per-exec-node breakdown — of a plan built for
-	// this request. A kept plan is instrumented only once ANALYZE asked,
-	// and stays so (a rebuild included): its node counters accumulate
-	// across executions, which is what EXPLAIN ANALYZE of a prepared
-	// statement shows and why they are not folded into spans or metrics.
-	fold := p == nil && at != nil
-	instrument := analyze || fold
-	if p != nil {
-		p.analyzed = p.analyzed || analyze
-		instrument = p.analyzed
-	}
+	// Traced one-call requests get per-node instrumentation even without
+	// ANALYZE, so the trace carries a per-exec-node breakdown of the plan
+	// built for the request. A kept plan is instrumented only once ANALYZE
+	// asked, and stays so (a rebuild included): its node counters
+	// accumulate across executions, which is what EXPLAIN ANALYZE of a
+	// prepared statement shows and why they are not folded into spans or
+	// metrics.
+	fold := p.once && at != nil
+	p.analyzed = p.analyzed || analyze
+	instrument := p.analyzed || fold
 
 	var planned *plan.Planned
 	var rows []expr.Row
+	var err error
 	for attempt := 0; ; attempt++ {
-		if p != nil {
-			if err = p.current(at, attempt > 0); err == nil {
-				planned = p.ops[0].planned
-			}
-		} else {
-			planSpan := at.Span("plan")
-			var compiled0, hits0 int64
-			if at != nil {
-				compiled0, hits0 = db.mod.Cache().Installs()
-			}
-			planned, err = pl.PlanSelect(sel)
-			if err == nil && at != nil {
-				// Bee compile vs. cache-hit attribution for this plan: bees it
-				// installed for the first time, and bees it found installed.
-				compiled, hits := db.mod.Cache().Installs()
-				planSpan.Note("bees compiled=%d cache_hits=%d", compiled-compiled0, hits-hits0)
-			}
-			planSpan.End()
-		}
-		if err != nil {
+		if err = p.current(at, attempt > 0); err != nil {
 			break
 		}
+		planned = p.ops[0].planned
 		if instrument && !isInstrumented(planned.Root) {
 			planned.Root = exec.Instrument(planned.Root)
 		}
@@ -500,14 +447,14 @@ func (db *DB) runSelect(qctx context.Context, text string, sel *sql.Select, p *p
 			break
 		}
 	}
-	db.obs.observe(text, true, p != nil, time.Since(start), int64(len(rows)), err, at.ID())
+	db.obs.observe(p.text, true, !p.once, time.Since(start), int64(len(rows)), err, at.ID())
 	if err != nil {
 		return nil, nil, err
 	}
 	root := planned.Root
 	db.obs.observePlan(root)
-	db.advisorObservePlan(root, sel, time.Since(start))
-	if analyze && p == nil {
+	db.advisorObservePlan(root, p.stmts[0].(*sql.Select), time.Since(start))
+	if analyze && p.once {
 		db.obs.foldNodeStats(root)
 	}
 	return &Result{Cols: planned.Cols, Rows: rows}, root, nil
@@ -610,48 +557,23 @@ func (db *DB) PlanQuery(text string) (*plan.Planned, error) {
 // Exec parses and executes a DDL or DML statement, returning the number
 // of affected rows (0 for DDL).
 func (db *DB) Exec(text string) (int64, error) {
-	return db.execCtx(context.Background(), text, nil)
+	return db.ExecContext(context.Background(), text)
 }
 
 // ExecContext is Exec under a context: a trace carried by ctx gets
-// parse/plan/exec/commit spans for the statement.
+// parse/plan/exec/commit spans for the statement. Ad hoc text runs as a
+// one-call Stmt (AdHoc); text that does not parse is a failed statement.
 func (db *DB) ExecContext(ctx context.Context, text string) (int64, error) {
-	return db.execCtx(ctx, text, nil)
-}
-
-// ExecAST is ExecContext for a statement the caller has already parsed
-// (the server parses once, to route); text is its SQL, for the statement
-// log.
-func (db *DB) ExecAST(ctx context.Context, stmt sql.Statement, text string) (int64, error) {
-	return db.execCtx(ctx, text, stmt)
-}
-
-// execCtx is the single funnel for statement-level metrics, mirroring
-// runSelect for the DML/DDL path. stmt is text parsed, or nil to have it
-// parsed here.
-func (db *DB) execCtx(ctx context.Context, text string, stmt sql.Statement) (int64, error) {
-	if db.recovering.Load() {
-		return 0, ErrRecovering
-	}
 	start := time.Now()
 	at := trace.FromContext(ctx)
-	var n int64
-	var err error
-	if stmt == nil {
-		parseSpan := at.Span("parse")
-		stmt, err = sql.Parse(text)
-		parseSpan.End()
+	parseSpan := at.Span("parse")
+	stmt, err := sql.Parse(text)
+	parseSpan.End()
+	if err != nil {
+		db.obs.observe(text, false, false, time.Since(start), 0, err, at.ID())
+		return 0, err
 	}
-	if err == nil {
-		// An ad hoc write's target is compiled for this one execution.
-		n, err = db.execParsed(at, stmt, func(bool) (*dmlTarget, error) {
-			planSpan := at.Span("plan")
-			defer planSpan.End()
-			return db.compileDML(db.planner, stmt)
-		})
-	}
-	db.obs.observe(text, false, false, time.Since(start), n, err, at.ID())
-	return n, err
+	return db.AdHoc(stmt, text, QueryOpts{}).exec(at, start, nil)
 }
 
 // execParsed dispatches one DDL or DML statement, ad hoc or prepared,
@@ -659,38 +581,36 @@ func (db *DB) execCtx(ctx context.Context, text string, stmt sql.Statement) (int
 // surfaces as a *exec.PanicError instead of taking the process down. (DML
 // bees — SCL — are not quarantined: specialized storage has no generic
 // form/deform fallback.) A write runs as a one-operation transaction
-// (runOne) on the target the caller supplies — again on the re-run a
-// retired bee earns it — under that target's own table latch.
-func (db *DB) execParsed(at *trace.Active, stmt sql.Statement, target func(again bool) (*dmlTarget, error)) (n int64, err error) {
+// (runOne) on p's target, brought up to date (prepared.current) — again
+// on the re-run a retired bee earns it — under that target's own table
+// latch.
+func (db *DB) execParsed(at *trace.Active, p *prepared) (n int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError(r)
 		}
 	}()
-	switch stmt.(type) {
+	switch p.stmts[0].(type) {
 	case *sql.Insert, *sql.Update, *sql.Delete:
-		_, n, err = db.runOne(at, func(again bool) ([]txnOp, *txnResolved, error) {
-			t, err := target(again)
-			if err != nil {
+		_, n, err = db.runOne(at, nil, func(again bool) ([]txnOp, *txnResolved, error) {
+			if err := p.current(at, again); err != nil {
 				return nil, nil, err
 			}
-			return []txnOp{{target: t}}, &t.own, nil
+			return p.ops, &p.ops[0].target.own, nil
 		})
 		return n, err
 	}
 	execSpan := at.Span("exec")
 	defer execSpan.End()
-	switch s := stmt.(type) {
+	switch s := p.stmts[0].(type) {
 	case *sql.CreateTable:
 		return 0, db.createTable(s)
 	case *sql.CreateIndex:
 		return 0, db.createIndex(s)
 	case *sql.DropTable:
 		return 0, db.dropTable(s.Name)
-	case *sql.Select:
-		return 0, fmt.Errorf("engine: use Query for SELECT")
 	default:
-		return 0, fmt.Errorf("engine: unsupported statement %T", stmt)
+		return 0, fmt.Errorf("engine: unsupported statement %T", s)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -10,8 +11,10 @@ import (
 
 	"microspec/internal/exec"
 	"microspec/internal/expr"
+	"microspec/internal/index/btree"
 	"microspec/internal/metrics"
 	"microspec/internal/plan"
+	"microspec/internal/profile"
 	"microspec/internal/sql"
 	"microspec/internal/trace"
 	"microspec/internal/types"
@@ -39,7 +42,7 @@ import (
 //
 // A prepared statement (Stmt) and a prepared transaction (TxnStmt,
 // txnstmt.go) are the same object underneath — prepared, below — holding
-// one compiled op or several.
+// one compiled op or several; ad hoc text is a one-call Stmt (DB.AdHoc).
 
 // ErrStmtClosed is returned by Query/Exec on a closed prepared statement.
 var ErrStmtClosed = errors.New("engine: prepared statement is closed")
@@ -61,9 +64,12 @@ type prepared struct {
 	stmts   []sql.Statement // one for a Stmt, the body of a TxnStmt
 	read    bool            // a SELECT statement: observed as a query
 	nParams int
+	once    bool      // a one-call core (DB.AdHoc)
+	opts    QueryOpts // the planner's degree; a SELECT's timeout
 	execs   atomic.Int64
-	// build compiles stmts into ops; a TxnStmt's wraps compileOps in its
-	// latch plan. replans is the counter a DDL-driven rebuild moves.
+	// build compiles stmts into ops (nil: compileOps); a TxnStmt's wraps
+	// compileOps in its latch plan. replans is the counter a DDL-driven
+	// rebuild moves.
 	build   func() ([]txnOp, error)
 	replans *metrics.Counter
 
@@ -77,10 +83,10 @@ type prepared struct {
 	dataGen  uint64
 }
 
-// init fills in a new prepared: the statements, a slot array sized by
-// their highest $n, and the planner copy that reads it.
-func (p *prepared) init(db *DB, text string, pl plan.Planner, stmts []sql.Statement) {
-	p.db, p.text, p.stmts, p.pl = db, text, stmts, pl
+// init fills in a new prepared: the statements and a slot array sized by
+// their highest $n.
+func (p *prepared) init(db *DB, text string, opts QueryOpts, stmts []sql.Statement) {
+	p.db, p.text, p.opts, p.stmts = db, text, opts, stmts
 	for _, st := range stmts {
 		p.nParams = max(p.nParams, sql.MaxParam(st))
 	}
@@ -88,7 +94,6 @@ func (p *prepared) init(db *DB, text string, pl plan.Planner, stmts []sql.Statem
 	for i := range p.slots.Vals {
 		p.slots.Vals[i] = types.Null
 	}
-	p.pl.Params = p.slots
 }
 
 // compileOps compiles every statement: a SELECT to its plan, a write to
@@ -119,26 +124,45 @@ func (p *prepared) compileOps() ([]txnOp, error) {
 // target a dropped heap — and a new index may offer it a probe), and when
 // again says the last run panicked and had a query bee retired: the
 // rebuild's compile calls find it quarantined and fall back to the generic
-// routine. ParamTypes is inferred afresh with them, so bind coerces for
-// the new plan. Otherwise, when rows changed since the last run, the
-// SELECT plans drop their cross-run caches and keep their compiled bees.
-// Caller holds db.mu (read suffices: compiling only reads catalog and heap
-// state) and, once the statement is published, p.mu.
+// routine. The first build copies the planner, opts applied. ParamTypes
+// is inferred afresh with the ops, so bind coerces for the new plan, and
+// a traced build notes the bees it installed and found installed.
+// Otherwise, when rows changed since the last run, the SELECT plans drop
+// their cross-run caches and keep their compiled bees. Caller holds db.mu
+// (read suffices: compiling only reads catalog and heap state) and, once
+// the statement is published, p.mu.
 func (p *prepared) current(at *trace.Active, again bool) error {
 	db := p.db
+	if again {
+		p.ops = nil
+	}
 	if p.ops != nil && db.ddlGen.Load() != p.ddlGen {
 		p.ops = nil
 		p.replans.Inc()
 	}
-	if again {
-		p.ops = nil
-	}
 	if p.ops == nil {
 		planSpan := at.Span("plan")
 		defer planSpan.End()
-		p.pl.ParamTypes = make([]types.T, p.nParams)
-		ops, err := p.build()
+		if p.pl.Cat == nil {
+			p.pl = *db.planner
+			p.pl.Workers = cmp.Or(p.opts.Workers, p.pl.Workers)
+			p.pl.Params, p.pl.ParamDefaults = p.slots, make([]types.T, p.nParams)
+		}
+		var compiled0, hits0 int64
+		if at != nil {
+			compiled0, hits0 = db.mod.Cache().Installs()
+		}
+		p.pl.ParamTypes, p.pl.ParamDefaulted = make([]types.T, p.nParams), make([]bool, p.nParams)
+		build := p.compileOps
+		if p.build != nil {
+			build = p.build
+		}
+		ops, err := build()
 		p.ops, p.ddlGen, p.dataGen = ops, db.ddlGen.Load(), db.dataGen.Load()
+		if err == nil && at != nil {
+			compiled, hits := db.mod.Cache().Installs()
+			planSpan.Note("bees compiled=%d cache_hits=%d", compiled-compiled0, hits-hits0)
+		}
 		return err
 	}
 	if dg := db.dataGen.Load(); dg != p.dataGen {
@@ -159,10 +183,10 @@ func (p *prepared) current(at *trace.Active, again bool) error {
 
 // bind begins an execution: it refuses a closed statement and a recovering
 // database, then writes the parameter values into the slot array the
-// compiled ops read. Values are coerced to the types inferred at plan time
-// where the coercion is lossless (integer → float); anything else is
-// passed through and compared with the generic cross-kind comparators.
-// Caller holds p.mu.
+// compiled ops read, widened to the types inferred at plan time where that
+// is lossless (integer → BIGINT or DOUBLE); anything else is passed
+// through and compared with the generic cross-kind comparators, or, bound
+// to a parameter typed by default, retyped. Caller holds p.mu.
 func (p *prepared) bind(at *trace.Active, params []types.Datum) error {
 	if p.closed {
 		return ErrStmtClosed
@@ -170,19 +194,52 @@ func (p *prepared) bind(at *trace.Active, params []types.Datum) error {
 	if p.db.recovering.Load() {
 		return ErrRecovering
 	}
+	if p.once {
+		return nil // ad hoc text has no $n
+	}
 	defer at.Span("bind").End()
 	if len(params) != p.nParams {
 		err := fmt.Errorf("engine: statement has %d parameters, got %d", p.nParams, len(params))
 		p.db.obs.observe(p.text, p.read, true, 0, 0, err, at.ID())
 		return err
 	}
+	rebuild := false
 	for i, d := range params {
 		if i < len(p.pl.ParamTypes) {
-			d = coerceParam(d, p.pl.ParamTypes[i])
+			t := p.pl.ParamTypes[i]
+			if p.retype(i, d) {
+				rebuild, t = true, p.pl.ParamDefaults[i] // the type the rebuild gives it
+			}
+			d = d.Widen(t.Kind)
 		}
 		p.slots.Vals[i] = d
 	}
+	if rebuild && p.ops != nil {
+		p.ops = nil
+		p.replans.Inc()
+	}
 	return nil
+}
+
+// retype reports whether d, bound to parameter i, is of another key class
+// than the type i took by default — a $n nothing in the statement types,
+// the key of select distinct $1, say — and if so makes d's class i's
+// default for the rebuild it asks for: a key of the default's class
+// cannot encode d. A parameter the statement types keeps its type.
+func (p *prepared) retype(i int, d types.Datum) bool {
+	c := btree.ClassOf(d.Kind())
+	if d.IsNull() || !p.pl.ParamDefaulted[i] || c == btree.ClassOf(p.pl.ParamTypes[i].Kind) {
+		return false
+	}
+	switch c {
+	case btree.ClassFloat:
+		p.pl.ParamDefaults[i] = types.Float64
+	case btree.ClassChar:
+		p.pl.ParamDefaults[i] = types.Varchar(0)
+	default:
+		p.pl.ParamDefaults[i] = types.Int64
+	}
+	return true
 }
 
 // NumParams returns how many $n placeholders the text has.
@@ -204,10 +261,7 @@ func (p *prepared) close() bool {
 // Stmt is a prepared statement bound to one DB: the prepared core with one
 // statement. Different Stmts — including Stmts for the same SQL text on
 // other sessions — execute concurrently like any queries.
-type Stmt struct {
-	prepared
-	opts QueryOpts
-}
+type Stmt struct{ prepared }
 
 // Prepare parses text once and, for a SELECT, INSERT, UPDATE or DELETE,
 // plans it eagerly — creating its query bees and choosing its access path — so
@@ -235,24 +289,34 @@ func (db *DB) prepareWith(text string, opts QueryOpts, internal bool) (*Stmt, er
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{opts: opts}
-	s.build, s.replans = s.compileOps, db.obs.preparedReplans
+	s := &Stmt{}
+	s.replans = db.obs.preparedReplans
 	_, s.read = stmt.(*sql.Select)
-	db.mu.RLock()
-	s.init(db, text, db.plannerWith(&opts), []sql.Statement{stmt})
+	s.init(db, text, opts, []sql.Statement{stmt})
 	switch stmt.(type) {
 	case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
+		db.mu.RLock()
 		err = s.current(nil, false)
+		db.mu.RUnlock()
 	}
 	// DDL has nothing to compile: it dispatches per execute like an ad hoc
 	// statement, with the parse amortized.
-	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
 	db.obs.prepares.Inc()
 	db.notePrepared(text)
 	return s, nil
+}
+
+// AdHoc makes parsed ad hoc text a one-call Stmt, to run once with no
+// parameters (a $n is a planning error) and drop: outside the prepared
+// counters and the warm-restart list. text is its SQL, for the log.
+func (db *DB) AdHoc(stmt sql.Statement, text string, opts QueryOpts) *Stmt {
+	s := &Stmt{}
+	s.db, s.text, s.opts, s.stmts, s.once = db, text, opts, []sql.Statement{stmt}, true
+	_, s.read = stmt.(*sql.Select)
+	return s
 }
 
 // Text returns the statement's SQL.
@@ -300,7 +364,7 @@ func (s *Stmt) Query(params ...types.Datum) (*Result, error) {
 // QueryContext is Query under a context; cancellation and deadlines
 // behave as in DB.QueryContext.
 func (s *Stmt) QueryContext(ctx context.Context, params ...types.Datum) (*Result, error) {
-	res, _, err := s.run(ctx, false, params)
+	res, _, err := s.query(ctx, time.Now(), nil, false, params)
 	return res, err
 }
 
@@ -318,18 +382,15 @@ func (s *Stmt) ExplainAnalyze(params ...types.Datum) (string, *Result, error) {
 // by ctx gets the same flat bind/plan/exec spans as QueryContext, and the
 // outline is stamped with the trace ID.
 func (s *Stmt) ExplainAnalyzeContext(ctx context.Context, params ...types.Datum) (string, *Result, error) {
-	res, root, err := s.run(ctx, true, params)
-	if err != nil {
-		return "", nil, err
-	}
-	return analyzeOutline(ctx, root), res, nil
+	res, root, err := s.query(ctx, time.Now(), nil, true, params)
+	return analyzeOutline(ctx, res, root, err)
 }
 
-// run is the EXECUTE path for prepared SELECTs: bind, then the one SELECT
-// runner (DB.runSelect) on the kept plan.
-func (s *Stmt) run(ctx context.Context, analyze bool, params []types.Datum) (*Result, exec.Node, error) {
+// query is the one SELECT execution body: bind, then DB.runSelect. start
+// is when the call began; prof, when set, is charged the instructions.
+func (s *Stmt) query(ctx context.Context, start time.Time, prof *profile.Counters, analyze bool, params []types.Datum) (*Result, exec.Node, error) {
 	if !s.read {
-		return nil, nil, fmt.Errorf("engine: prepared statement is not a SELECT; use Exec")
+		return nil, nil, fmt.Errorf("engine: statement is not a SELECT; use Exec")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,7 +398,7 @@ func (s *Stmt) run(ctx context.Context, analyze bool, params []types.Datum) (*Re
 		return nil, nil, err
 	}
 	s.execs.Add(1)
-	return s.db.runSelect(ctx, s.text, s.stmts[0].(*sql.Select), &s.prepared, nil, analyze, &s.opts)
+	return s.db.runSelect(ctx, start, &s.prepared, prof, analyze)
 }
 
 // Exec executes a prepared DML/DDL statement with the given parameters.
@@ -350,38 +411,27 @@ func (s *Stmt) Exec(params ...types.Datum) (int64, error) {
 // mid-statement; ctx carries the request trace (bind/exec/commit spans)
 // and is otherwise accepted for call-site symmetry with QueryContext.
 func (s *Stmt) ExecContext(ctx context.Context, params ...types.Datum) (int64, error) {
+	return s.exec(trace.FromContext(ctx), time.Now(), params)
+}
+
+// exec is the one DML/DDL execution body: bind, DB.execParsed, observe.
+func (s *Stmt) exec(at *trace.Active, start time.Time, params []types.Datum) (int64, error) {
 	if s.read {
-		return 0, fmt.Errorf("engine: prepared statement is a SELECT; use Query")
+		err := errors.New("engine: statement is a SELECT; use Query")
+		if s.once { // ad hoc text is observed as a failed statement
+			s.db.obs.observe(s.text, false, false, time.Since(start), 0, err, at.ID())
+		}
+		return 0, err
 	}
-	start := time.Now()
-	at := trace.FromContext(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.bind(at, params); err != nil {
 		return 0, err
 	}
-	n, err := s.db.execParsed(at, s.stmts[0], func(again bool) (*dmlTarget, error) {
-		if err := s.current(at, again); err != nil {
-			return nil, err
-		}
-		return s.ops[0].target, nil
-	})
 	s.execs.Add(1)
-	s.db.obs.observe(s.text, false, true, time.Since(start), n, err, at.ID())
+	n, err := s.db.execParsed(at, &s.prepared)
+	s.db.obs.observe(s.text, false, !s.once, time.Since(start), n, err, at.ID())
 	return n, err
-}
-
-func coerceParam(d types.Datum, t types.T) types.Datum {
-	if d.IsNull() {
-		return d
-	}
-	if t.Kind == types.KindFloat64 {
-		switch d.Kind() {
-		case types.KindInt32, types.KindInt64:
-			return types.NewFloat64(float64(d.Int64()))
-		}
-	}
-	return d
 }
 
 func isInstrumented(n exec.Node) bool {

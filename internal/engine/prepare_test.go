@@ -237,3 +237,58 @@ func TestPreparedErrors(t *testing.T) {
 		t.Fatalf("NumParams = %d, want 3", st3.NumParams())
 	}
 }
+
+// TestBindRetypesOnlyDefaultedParams: a $n the statement types keeps its
+// plan whatever class is bound to it; a $n that took the BIGINT default
+// is replanned once per change of the bound class, and each such rebuild
+// counts in prepared.replans.
+func TestBindRetypesOnlyDefaultedParams(t *testing.T) {
+	db := newDB(t, core.AllRoutines)
+	mustExec(t, db, "create table kb (k bigint not null)", "insert into kb values (1)", "insert into kb values (2)")
+	replans := func() int64 { return db.MetricsSnapshot().Counters["prepared.replans"] }
+	typed, err := db.Prepare("select count(*) from kb where k = $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer typed.Close()
+	before := replans()
+	for _, d := range []types.Datum{types.NewInt64(1), types.NewFloat64(1.5), types.NewInt32(2), types.NewFloat64(2.5)} {
+		if _, err := typed.Query(d); err != nil {
+			t.Fatalf("Query(%v): %v", d, err)
+		}
+	}
+	if got := replans() - before; got != 0 {
+		t.Errorf("a BIGINT-typed $1 bound to DOUBLE rebuilt %d times, want 0", got)
+	}
+	untyped, err := db.Prepare("select distinct $1 from kb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer untyped.Close()
+	before = replans()
+	for _, d := range []types.Datum{types.NewString("a"), types.NewString("b"), types.NewFloat64(1.5), types.NewInt32(7), types.NewInt64(8)} {
+		res, err := untyped.Query(d)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("Query(%v) = %v, %v; want one row", d, res, err)
+		}
+	}
+	if got := replans() - before; got != 3 {
+		t.Errorf("an untyped $1 bound text, text, DOUBLE, INTEGER, BIGINT rebuilt %d times, want 3", got)
+	}
+}
+
+// TestAdHocExecOfSelectIsObserved: Exec of SELECT text fails as a
+// statement the log and the error counter see.
+func TestAdHocExecOfSelectIsObserved(t *testing.T) {
+	db := setupMini(t, core.AllRoutines)
+	before := db.MetricsSnapshot().Counters
+	if _, err := db.Exec("select count(*) from emp"); err == nil {
+		t.Fatal("Exec of a SELECT succeeded")
+	}
+	after := db.MetricsSnapshot().Counters
+	for _, c := range []string{"stmt.count", "query.errors"} {
+		if after[c]-before[c] != 1 {
+			t.Errorf("%s rose by %d, want 1", c, after[c]-before[c])
+		}
+	}
+}

@@ -124,7 +124,8 @@ func TestTracePlanNoteCountsBees(t *testing.T) {
 // TestAdHocSelectAdmitsOncePerPredicate: a plan admits and installs each
 // predicate once — the batch, fused and per-partition forms come from the
 // program the row filter holds — so the registry has one query/EVP entry
-// per text and its install counters move by exactly one per plan.
+// per shape, whatever the literal, and its install counters move by
+// exactly one per plan: a miss for the shape's first plan, a hit after.
 func TestAdHocSelectAdmitsOncePerPredicate(t *testing.T) {
 	db := newDB(t, core.AllRoutines)
 	mustExec(t, db, "create table big (k integer not null, v integer not null)")
@@ -158,17 +159,92 @@ func TestAdHocSelectAdmitsOncePerPredicate(t *testing.T) {
 			}
 		}
 		after := mod.Cache().Stats()
-		if got := evpEntries() - entries0; got != 3 {
-			t.Errorf("workers=%d: %d query/EVP entries for three texts, want 3", workers, got)
+		first := 0 // the shape is new to the first round only
+		if workers == 1 {
+			first = 1
 		}
-		if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 3 || hits != 0 {
-			t.Errorf("workers=%d: three plans made %d first installs and %d repeat installs, want 3 and 0",
-				workers, misses, hits)
+		if got := evpEntries() - entries0; got != first {
+			t.Errorf("workers=%d: %d new query/EVP entries for three literals of one shape, want %d", workers, got, first)
+		}
+		if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != int64(first) || hits != int64(3-first) {
+			t.Errorf("workers=%d: three plans made %d first installs and %d repeat installs, want %d and %d",
+				workers, misses, hits, first, 3-first)
 		}
 	}
 	// The two-worker plans were parallel: the per-partition forms counted.
 	out, err := db.ExplainQuery("select count(*) from big where v > 21")
 	if err != nil || !strings.Contains(out, "Gather workers=2") {
 		t.Fatalf("two-worker plan is not parallel (err %v):\n%s", err, out)
+	}
+}
+
+// TestQueryBeesAreOnePerShape: a query bee is named by its expression's
+// shape, each literal and $n read as "?", so distinct literals in ad hoc
+// text add no registry entries: 10⁴ SELECTs, UPDATEs and DELETEs, each
+// with its own literal, add one query/EVP entry per statement shape, and
+// the prepared $1 text of a shape runs the ad hoc text's entry.
+func TestQueryBeesAreOnePerShape(t *testing.T) {
+	db := newDB(t, core.AllRoutines)
+	mustExec(t, db, "create table t (k integer not null, v integer not null, primary key (k))")
+	for k := 0; k < 50; k++ {
+		mustExec(t, db, fmt.Sprintf("insert into t values (%d, %d)", k, k%10))
+	}
+	mod := db.Module()
+	evp := func() map[string]bool {
+		out := map[string]bool{}
+		for _, e := range mod.CacheEntries() {
+			if e.Kind == "query/EVP" {
+				out[e.Name] = true
+			}
+		}
+		return out
+	}
+	const n = 10000
+	before := evp()
+	for _, c := range []struct{ text, shape string }{
+		{"select count(*) from t where v > %d", "(v > ?)"},
+		{"update t set v = v where v = %d", "(v = ?)"},
+		{"delete from t where v >= %d", "(v >= ?)"},
+	} {
+		for i := range n {
+			// Literals no row matches, so every statement runs on the same rows.
+			q := fmt.Sprintf(c.text, 10+i)
+			if strings.HasPrefix(q, "select") {
+				if got := intResult(t, db, q); got != 0 {
+					t.Fatalf("%s = %d, want 0", q, got)
+				}
+			} else {
+				mustExec(t, db, q)
+			}
+		}
+		if !evp()[c.shape] {
+			t.Errorf("no query/EVP entry %q after %d texts of its shape", c.shape, n)
+		}
+	}
+	added := 0
+	for name := range evp() {
+		if !before[name] {
+			added++
+		}
+	}
+	if added != 3 {
+		t.Errorf("%d texts of 3 shapes added %d query/EVP entries, want 3", 3*n, added)
+	}
+	// The prepared text of a shape finds the ad hoc texts' entry installed.
+	s0 := mod.Cache().Stats()
+	st, err := db.Prepare("select count(*) from t where v > $1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, err := st.Query(types.NewInt64(5)); err != nil || got.Rows[0][0].Int64() != 20 {
+		t.Fatalf("prepared v > $1 at 5: %v %v, want 20", got, err)
+	}
+	if got := len(evp()); got != len(before)+3 {
+		t.Errorf("the prepared text of a known shape made %d query/EVP entries, want %d", got, len(before)+3)
+	}
+	if s1 := mod.Cache().Stats(); s1.Misses != s0.Misses || s1.Hits == s0.Hits {
+		t.Errorf("preparing a known shape made %d first installs and %d repeat installs, want none and some",
+			s1.Misses-s0.Misses, s1.Hits-s0.Hits)
 	}
 }

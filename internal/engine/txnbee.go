@@ -36,15 +36,17 @@ import (
 //
 // Invalidation mirrors prepared statements (prepare.go): a DDL bump of
 // db.ddlGen makes the next Run re-resolve its handles (txn_bee.replans);
-// a panic inside the fused body quarantines the bee, rolls the
-// transaction back, and surfaces a PanicError so the caller retries the
-// same transaction statement-at-a-time (txn_bee.fallbacks) — unless the
-// panic was under a compiled SQL statement whose own query bees took the
-// blame (Txn.runOps): then they are quarantined and this bee stays.
+// a panic inside the fused body quarantines the bee and rolls the
+// transaction back — unless the panic was under a compiled SQL statement
+// whose own query bees took the blame (Txn.runOps): then they are
+// quarantined and this bee stays. A bee out of service leaves the same
+// body to its unfused runner (fallBack, txn_bee.fallbacks): the
+// interactive one (DB.RunTxn) for a Go body, the stepwise one for a SQL
+// unit (txnstmt.go).
 
 // ErrTxnBeeUnavailable reports that a transaction bee cannot run —
-// quarantined after a panic, or its compilation was refused. Callers
-// fall back to the statement-at-a-time path.
+// quarantined after a panic, or its compilation was refused. Its runners
+// fall back to the unfused path.
 var ErrTxnBeeUnavailable = errors.New("engine: transaction bee unavailable")
 
 // TxnSpec declares a whole-transaction bee by the tables it touches:
@@ -189,11 +191,6 @@ func (db *DB) resolveTxn(spec TxnSpec) (*txnResolved, error) {
 	return res, nil
 }
 
-// NoteTxnBeeFallback counts a fused transaction that was retried
-// statement-at-a-time by a caller driving CompiledTxn directly (the SQL
-// path in txnstmt.go counts its own fallbacks).
-func (db *DB) NoteTxnBeeFallback() { db.obs.txnBeeFallbacks.Inc() }
-
 // Name returns the bee's name.
 func (ct *CompiledTxn) Name() string { return ct.spec.Name }
 
@@ -222,61 +219,97 @@ func (ct *CompiledTxn) current() (*txnResolved, error) {
 	return fresh, nil
 }
 
-// Run executes one fused transaction: the latch plan acquired up front,
-// then body against a Txn that resolves names in the pre-resolved state
-// and latches nothing per operation, then Txn.Commit — a single commit
-// record and one group-commit wait — or, when body returns an error,
-// Txn.Rollback. A non-nil error therefore means the transaction rolled
-// back or its commit is not durable (the body's error is returned; a body
-// panic comes back as a *exec.PanicError after the bee is quarantined —
-// retry statement-at-a-time). Run returns ErrTxnBeeUnavailable without
-// doing anything while the bee is quarantined.
+// Run executes one transaction through the bee, fused: the latch plan
+// acquired up front, then body against a Txn that resolves names in the
+// pre-resolved state and latches nothing per operation, then Txn.Commit
+// or, on an error, Txn.Rollback. Out of service — quarantined, by this
+// run's panic too — the bee leaves the same body to DB.RunTxn (fallBack).
+// A non-nil error means the transaction rolled back or is not durable.
 func (ct *CompiledTxn) Run(prof *profile.Counters, body func(tx *Txn) error) error {
-	db := ct.db
-	if db.recovering.Load() {
+	err := ct.runFused(prof, body)
+	if ct.fallBack(err) {
+		return ct.db.RunTxn(prof, body)
+	}
+	return err
+}
+
+// runFused is Run's fused attempt, which does nothing while the bee is
+// quarantined.
+func (ct *CompiledTxn) runFused(prof *profile.Counters, body func(tx *Txn) error) error {
+	if err := ct.unavailable(); err != nil {
+		return err
+	}
+	if ct.db.recovering.Load() {
 		return ErrRecovering
 	}
+	ct.db.mu.RLock()
+	res, err := ct.current()
+	if err != nil {
+		ct.db.mu.RUnlock()
+		return err
+	}
+	return ct.db.runUnder(ct.bee, res, nil, prof, body)
+}
+
+// unavailable is ErrTxnBeeUnavailable while the bee is quarantined.
+func (ct *CompiledTxn) unavailable() error {
 	if ct.bee.Quarantined() {
 		return fmt.Errorf("%w: %s is quarantined", ErrTxnBeeUnavailable, ct.spec.Name)
 	}
-	db.mu.RLock()
-	res, err := ct.current()
-	if err != nil {
-		db.mu.RUnlock()
-		return err
-	}
-	return ct.runUnder(res, nil, prof, body)
+	return nil
 }
 
-// runUnder is Run from the point where the caller holds db.mu shared and
-// res is current (a TxnStmt revalidates its whole program under that hold
-// and enters here). at is the request's trace, nil when untraced.
-func (ct *CompiledTxn) runUnder(res *txnResolved, at *trace.Active, prof *profile.Counters, body func(tx *Txn) error) error {
+// fallBack reports whether a fused run that ended in err leaves its body
+// to the unfused runner — the bee was out of service, or this run's panic
+// quarantined it — and counts it (txn_bee.fallbacks).
+func (ct *CompiledTxn) fallBack(err error) bool {
+	if !errors.Is(err, ErrTxnBeeUnavailable) && !(isPanic(err) && ct.bee.Quarantined()) {
+		return false
+	}
+	ct.db.obs.txnBeeFallbacks.Inc()
+	return true
+}
+
+// runUnder runs body as one transaction under plan, behind runTxnBody's
+// panic boundary, and commits it or rolls it back; the caller's db.mu
+// hold passes to it. A fused run notes its use on bee, or quarantines it
+// when nothing narrower took a panic's blame (Txn.runOps).
+func (db *DB) runUnder(bee *core.Bee, plan *txnResolved, at *trace.Active, prof *profile.Counters, body func(tx *Txn) error) error {
 	execSpan := at.Span("exec")
-	res.latch()
-	tx := ct.db.begin(prof, res) // owns db.mu and the latches from here
+	plan.latch()
+	tx := db.begin(prof, plan) // owns db.mu and the latches from here
 	start := time.Now()
-	err := runTxnBody(ct.db.mod, ct.bee, tx, body)
+	err := runTxnBody(tx, bee, body)
 	execSpan.End()
-	if err == nil {
-		ct.db.obs.txnBeeExecs.Inc()
-		ct.bee.Note(tx.ops, time.Since(start).Nanoseconds())
-	} else if isPanic(err) && !isBeeRetired(err) {
-		// Nothing narrower took the blame (runOps): the unit itself does.
-		ct.bee.Quarantine()
+	switch {
+	case bee == nil:
+	case err == nil:
+		db.obs.txnBeeExecs.Inc()
+		bee.Note(tx.ops, time.Since(start).Nanoseconds())
+	case isPanic(err) && !isBeeRetired(err):
+		bee.Quarantine()
 	}
 	return tx.end(at, err)
 }
 
-// runTxnBody runs the fused body behind a panic boundary: a panic
-// (including the injected-failpoint kind) converts to *exec.PanicError
-// so the runner can quarantine the bee and the caller can fall back.
-func runTxnBody(mod *core.Module, bee *core.Bee, tx *Txn, body func(tx *Txn) error) (err error) {
+// RunTxn runs body as one interactive transaction (Begin): Txn.Commit when
+// it returns nil, Txn.Rollback when it returns an error or panics (a
+// *exec.PanicError). It runs a body no bee serves, out of service or none.
+func (db *DB) RunTxn(prof *profile.Counters, body func(tx *Txn) error) error {
+	tx := db.Begin(prof)
+	return tx.end(nil, runTxnBody(tx, nil, body))
+}
+
+// runTxnBody runs a transaction body behind a panic boundary: a panic —
+// at a fused run's bee failpoint too — becomes a *exec.PanicError.
+func runTxnBody(tx *Txn, bee *core.Bee, body func(tx *Txn) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError(r)
 		}
 	}()
-	mod.TxnBeePanicPoint(bee)
+	if bee != nil {
+		tx.db.mod.TxnBeePanicPoint(bee)
+	}
 	return body(tx)
 }

@@ -69,14 +69,7 @@ func transfer(tx *Txn, seq, from, to, amt int32) error {
 }
 
 // runStepwise and runFused are the two runners of one body.
-func runStepwise(db *DB, body func(*Txn) error) error {
-	tx := db.Begin(nil)
-	if err := body(tx); err != nil {
-		_ = tx.Rollback()
-		return err
-	}
-	return tx.Commit()
-}
+func runStepwise(db *DB, body func(*Txn) error) error { return db.RunTxn(nil, body) }
 
 func runFused(t testing.TB, db *DB, spec TxnSpec) func(body func(*Txn) error) error {
 	t.Helper()
@@ -209,23 +202,33 @@ func TestFusedTxnRejectsNamesOutsideLatchPlan(t *testing.T) {
 	}
 }
 
+// A fused run whose bee panics rolls back, quarantines the bee and runs
+// the same body once more stepwise; so does every later Run, counted in
+// txn_bee.fallbacks, with the result a stepwise run has.
 func TestTxnBeePanicQuarantinesAndReleasesLatches(t *testing.T) {
 	db := transferDB(t, 3)
 	ct, err := db.CompileTxn(transferSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := dumpState(t, db)
+	fallbacks := func() int64 { return db.MetricsSnapshot().Counters["txn_bee.fallbacks"] }
+	balance := func(id int) int64 { return intResult(t, db, fmt.Sprintf("select bal from acct where id = %d", id)) }
 	body := func(tx *Txn) error { return transfer(tx, 1, 1, 2, 10) }
+	f0 := fallbacks()
 
-	// One panic at the failpoint (before the body) and one in the middle
-	// of a body that has already written, on a second bee.
+	// A panic at the failpoint, before the body: the stepwise rerun
+	// commits the transfer.
 	db.Module().InjectBeePanic(core.TxnBeeKind, transferSpec.Name)
-	var pe *exec.PanicError
-	if err := ct.Run(nil, body); !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a contained panic", err)
+	if err := ct.Run(nil, body); err != nil {
+		t.Fatalf("a run whose bee panicked at its failpoint: %v, want the stepwise rerun's success", err)
 	}
 	db.Module().ClearBeePanic()
+	if got := balance(2); got != 110 {
+		t.Errorf("account 2 holds %d after the rerun, want 110", got)
+	}
+	// A panic in the middle of a body that has already written, on a
+	// second bee: the rerun panics too, and neither run leaves a trace.
+	before := dumpState(t, db)
 	spec2 := transferSpec
 	spec2.Name = "test.transfer2"
 	ct2, err := db.CompileTxn(spec2)
@@ -233,21 +236,38 @@ func TestTxnBeePanicQuarantinesAndReleasesLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = ct2.Run(nil, func(tx *Txn) error {
-		if err := body(tx); err != nil {
+		if err := transfer(tx, 2, 1, 2, 10); err != nil {
 			return err
 		}
-		panic("fault in the fused body")
+		panic("fault in the body")
 	})
+	var pe *exec.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a contained panic", err)
 	}
 	if after := dumpState(t, db); after != before {
 		t.Errorf("a panicked run left a trace:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	for _, c := range []*CompiledTxn{ct, ct2} {
-		if err := c.Run(nil, body); !errors.Is(err, ErrTxnBeeUnavailable) {
-			t.Errorf("%s after its panic: err = %v, want ErrTxnBeeUnavailable", c.Name(), err)
+	if got := fallbacks() - f0; got != 2 {
+		t.Errorf("txn_bee.fallbacks rose by %d over two panicked runs, want 2", got)
+	}
+	// Quarantined, each bee falls back on every run, to the same result
+	// as the stepwise runner.
+	for i, c := range []*CompiledTxn{ct, ct2} {
+		f1 := fallbacks()
+		seq := int32(3 + i)
+		if err := c.Run(nil, func(tx *Txn) error { return transfer(tx, seq, 1, 2, 10) }); err != nil {
+			t.Errorf("%s after its panic: %v, want the stepwise run's success", c.Name(), err)
 		}
+		if got := fallbacks() - f1; got != 1 {
+			t.Errorf("%s after its panic: txn_bee.fallbacks rose by %d, want 1", c.Name(), got)
+		}
+	}
+	if err := runStepwise(db, func(tx *Txn) error { return transfer(tx, 5, 1, 2, 10) }); err != nil {
+		t.Fatalf("the same body, stepwise: %v", err)
+	}
+	if got := balance(2); got != 140 {
+		t.Errorf("account 2 holds %d after three more transfers of 10, want 140", got)
 	}
 	// Nothing is left held: vacuum takes every table latch, DDL takes
 	// db.mu exclusively — a leaked hold would hang either.
@@ -255,12 +275,6 @@ func TestTxnBeePanicQuarantinesAndReleasesLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "create table after_panic (k integer not null)")
-	if err := runStepwise(db, body); err != nil {
-		t.Fatalf("the same body, stepwise: %v", err)
-	}
-	if got := intResult(t, db, "select bal from acct where id = 2"); got != 110 {
-		t.Errorf("account 2 holds %d, want 110", got)
-	}
 }
 
 func TestTxnConflictCountedOncePerLosingTransaction(t *testing.T) {

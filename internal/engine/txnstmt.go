@@ -105,10 +105,10 @@ func (db *DB) PrepareTxnAST(pt *sql.PrepareTxn, text string) (*TxnStmt, error) {
 	}
 	ts := &TxnStmt{name: pt.Name}
 	ts.build, ts.replans = ts.compileUnit, db.obs.txnBeeReplans
-	db.mu.RLock()
 	// Serial execution: the unit runs under held latches; fan-out belongs
 	// to OLAP queries.
-	ts.init(db, text, db.plannerWith(&QueryOpts{Workers: 1}), pt.Stmts)
+	ts.init(db, text, QueryOpts{Workers: 1}, pt.Stmts)
+	db.mu.RLock()
 	err := ts.current(nil, false)
 	db.mu.RUnlock()
 	if err != nil {
@@ -237,22 +237,23 @@ func (ts *TxnStmt) ExecTxnContext(ctx context.Context, params ...types.Datum) (*
 		return nil, 0, err
 	}
 
-	var res *Result
-	var affected int64
-	var err error
-	fused := !ts.ct.bee.Quarantined()
-	if fused {
-		res, affected, err = ts.runFused(at, false)
-		if db.retry(0, err) {
-			// A query bee took the blame and the unit rolled back: once
-			// more, on a program rebuilt without it.
-			res, affected, err = ts.runFused(at, true)
+	// Fused: the whole program as the bee's one transaction, one latch
+	// acquisition, one commit — or nothing while the bee is quarantined.
+	ran := false
+	res, affected, err := db.runOne(at, ts.ct.bee, func(again bool) ([]txnOp, *txnResolved, error) {
+		if err := ts.ct.unavailable(); err != nil {
+			return nil, nil, err
 		}
+		err := ts.current(at, again)
+		ran = err == nil
+		return ts.ops, ts.ct.res.Load(), err
+	})
+	if ran {
+		ts.dataGen = db.dataGen.Load() // our own commit or rollback moved it
 	}
-	if !fused || (isPanic(err) && ts.ct.bee.Quarantined()) {
+	if ts.ct.fallBack(err) {
 		// Out of service — as of this very panic, perhaps: run (or retry)
 		// this execution stepwise.
-		db.obs.txnBeeFallbacks.Inc()
 		res, affected, err = ts.runStepwise(at)
 	}
 	ts.execs.Add(1)
@@ -264,26 +265,6 @@ func (ts *TxnStmt) ExecTxnContext(ctx context.Context, params ...types.Datum) (*
 	return res, affected, err
 }
 
-// runFused executes the whole program as the bee's one transaction: one
-// latch acquisition, one commit. Caller holds ts.mu.
-func (ts *TxnStmt) runFused(at *trace.Active, again bool) (res *Result, affected int64, err error) {
-	db := ts.db
-	db.mu.RLock()
-	if err := ts.current(at, again); err != nil {
-		db.mu.RUnlock()
-		return nil, 0, err
-	}
-	err = ts.ct.runUnder(ts.ct.res.Load(), at, nil, func(tx *Txn) (err error) {
-		res, affected, err = tx.runOps(ts.ops)
-		return err
-	})
-	ts.dataGen = db.dataGen.Load() // our own commit or rollback bumped it
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, affected, nil
-}
-
 // runStepwise executes the same program one op, one transaction at a time
 // — what remains when the bee is out of service. Each op runs under the
 // unit's whole latch plan: its SELECT plans carry no scan latches of their
@@ -293,7 +274,7 @@ func (ts *TxnStmt) runStepwise(at *trace.Active) (*Result, int64, error) {
 	var res *Result
 	var affected int64
 	for i := range ts.stmts { // a rebuild keeps the op count: same text
-		r, n, err := ts.db.runOne(at, func(again bool) ([]txnOp, *txnResolved, error) {
+		r, n, err := ts.db.runOne(at, nil, func(again bool) ([]txnOp, *txnResolved, error) {
 			if err := ts.current(at, again); err != nil {
 				return nil, nil, err
 			}

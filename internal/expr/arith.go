@@ -1,8 +1,6 @@
 package expr
 
 import (
-	"fmt"
-
 	"microspec/internal/profile"
 	"microspec/internal/types"
 )
@@ -96,9 +94,7 @@ func (a *Arith) Type() types.T {
 	return types.T{Kind: ArithKind(a.Op, a.L.Type().Kind, a.R.Type().Kind)}
 }
 
-func (a *Arith) String() string {
-	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
-}
+func (a *Arith) String() string { return render(a, false) }
 
 // DateArith adds or subtracts a constant interval from a date expression
 // (SQL: date '1998-12-01' - interval '90' day).
@@ -124,13 +120,7 @@ func (d *DateArith) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (d *DateArith) Type() types.T { return types.Date }
 
-func (d *DateArith) String() string {
-	op := "+"
-	if d.Sub {
-		op = "-"
-	}
-	return fmt.Sprintf("(%s %s interval '%dm%dd')", d.L, op, d.Iv.Months, d.Iv.Days)
-}
+func (d *DateArith) String() string { return render(d, false) }
 
 // Neg negates a numeric expression.
 type Neg struct{ Kid Expr }
@@ -157,4 +147,4 @@ func (n *Neg) Type() types.T {
 	return types.Int64
 }
 
-func (n *Neg) String() string { return "(-" + n.Kid.String() + ")" }
+func (n *Neg) String() string { return render(n, false) }

@@ -8,9 +8,6 @@
 package expr
 
 import (
-	"fmt"
-	"strings"
-
 	"microspec/internal/profile"
 	"microspec/internal/types"
 )
@@ -67,12 +64,7 @@ func (v *Var) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (v *Var) Type() types.T { return v.T }
 
-func (v *Var) String() string {
-	if v.Name != "" {
-		return v.Name
-	}
-	return fmt.Sprintf("$%d", v.Idx)
-}
+func (v *Var) String() string { return render(v, false) }
 
 // OuterVar references a column of an enclosing query's row (correlated
 // subqueries). Depth 0 is the innermost enclosing query.
@@ -93,12 +85,7 @@ func (v *OuterVar) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (v *OuterVar) Type() types.T { return v.T }
 
-func (v *OuterVar) String() string {
-	if v.Name != "" {
-		return "outer." + v.Name
-	}
-	return fmt.Sprintf("outer$%d", v.Idx)
-}
+func (v *OuterVar) String() string { return render(v, false) }
 
 // Const is a literal.
 type Const struct {
@@ -137,12 +124,7 @@ func (c *Const) Eval(_ Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (c *Const) Type() types.T { return c.T }
 
-func (c *Const) String() string {
-	if c.D.Kind() == types.KindChar || c.D.Kind() == types.KindVarchar {
-		return "'" + c.D.Str() + "'"
-	}
-	return c.D.String()
-}
+func (c *Const) String() string { return render(c, false) }
 
 // CmpOp is a comparison operator.
 type CmpOp int
@@ -213,9 +195,7 @@ func ApplyCmp(op CmpOp, l, r types.Datum) bool {
 // Type implements Expr.
 func (c *Cmp) Type() types.T { return types.Bool }
 
-func (c *Cmp) String() string {
-	return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R)
-}
+func (c *Cmp) String() string { return render(c, false) }
 
 // And is an n-ary conjunction with SQL three-valued semantics.
 type And struct{ Kids []Expr }
@@ -243,7 +223,7 @@ func (a *And) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (a *And) Type() types.T { return types.Bool }
 
-func (a *And) String() string { return nary("AND", a.Kids) }
+func (a *And) String() string { return render(a, false) }
 
 // Or is an n-ary disjunction with SQL three-valued semantics.
 type Or struct{ Kids []Expr }
@@ -271,15 +251,7 @@ func (o *Or) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (o *Or) Type() types.T { return types.Bool }
 
-func (o *Or) String() string { return nary("OR", o.Kids) }
-
-func nary(op string, kids []Expr) string {
-	parts := make([]string, len(kids))
-	for i, k := range kids {
-		parts[i] = k.String()
-	}
-	return "(" + strings.Join(parts, " "+op+" ") + ")"
-}
+func (o *Or) String() string { return render(o, false) }
 
 // Not negates a boolean expression.
 type Not struct{ Kid Expr }
@@ -297,7 +269,7 @@ func (n *Not) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (n *Not) Type() types.T { return types.Bool }
 
-func (n *Not) String() string { return "(NOT " + n.Kid.String() + ")" }
+func (n *Not) String() string { return render(n, false) }
 
 // IsNull tests a value for SQL NULL (IS NULL / IS NOT NULL via Not).
 type IsNull struct{ Kid Expr }
@@ -311,4 +283,4 @@ func (n *IsNull) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (n *IsNull) Type() types.T { return types.Bool }
 
-func (n *IsNull) String() string { return "(" + n.Kid.String() + " IS NULL)" }
+func (n *IsNull) String() string { return render(n, false) }

@@ -1,9 +1,6 @@
 package expr
 
 import (
-	"fmt"
-	"strings"
-
 	"microspec/internal/profile"
 	"microspec/internal/types"
 )
@@ -71,13 +68,7 @@ func MatchLike(s, p string) bool {
 // Type implements Expr.
 func (l *Like) Type() types.T { return types.Bool }
 
-func (l *Like) String() string {
-	op := "LIKE"
-	if l.Negate {
-		op = "NOT LIKE"
-	}
-	return fmt.Sprintf("(%s %s '%s')", l.Kid, op, l.Pattern)
-}
+func (l *Like) String() string { return render(l, false) }
 
 // InList tests membership in a constant list (col IN ('a','b',...)).
 type InList struct {
@@ -109,17 +100,7 @@ func (in *InList) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (in *InList) Type() types.T { return types.Bool }
 
-func (in *InList) String() string {
-	items := make([]string, len(in.Items))
-	for i, it := range in.Items {
-		items[i] = it.String()
-	}
-	op := "IN"
-	if in.Negate {
-		op = "NOT IN"
-	}
-	return fmt.Sprintf("(%s %s (%s))", in.Kid, op, strings.Join(items, ", "))
-}
+func (in *InList) String() string { return render(in, false) }
 
 // Case is a searched CASE expression.
 type Case struct {
@@ -153,18 +134,7 @@ func (c *Case) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (c *Case) Type() types.T { return c.T }
 
-func (c *Case) String() string {
-	var b strings.Builder
-	b.WriteString("CASE")
-	for _, w := range c.Whens {
-		fmt.Fprintf(&b, " WHEN %s THEN %s", w.Cond, w.Result)
-	}
-	if c.Else != nil {
-		fmt.Fprintf(&b, " ELSE %s", c.Else)
-	}
-	b.WriteString(" END")
-	return b.String()
-}
+func (c *Case) String() string { return render(c, false) }
 
 // ExtractYear implements EXTRACT(YEAR FROM date).
 type ExtractYear struct{ Kid Expr }
@@ -182,7 +152,7 @@ func (e *ExtractYear) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (e *ExtractYear) Type() types.T { return types.Int64 }
 
-func (e *ExtractYear) String() string { return fmt.Sprintf("extract(year from %s)", e.Kid) }
+func (e *ExtractYear) String() string { return render(e, false) }
 
 // Substring implements SUBSTRING(s FROM start FOR length), 1-based.
 type Substring struct {
@@ -221,6 +191,4 @@ func (s *Substring) Eval(row Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (s *Substring) Type() types.T { return types.Varchar(0) }
 
-func (s *Substring) String() string {
-	return fmt.Sprintf("substring(%s from %s for %s)", s.Kid, s.Start, s.Span)
-}
+func (s *Substring) String() string { return render(s, false) }

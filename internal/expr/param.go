@@ -1,8 +1,6 @@
 package expr
 
 import (
-	"fmt"
-
 	"microspec/internal/profile"
 	"microspec/internal/types"
 )
@@ -34,4 +32,4 @@ func (p *Param) Eval(_ Row, ctx *Ctx) types.Datum {
 // Type implements Expr.
 func (p *Param) Type() types.T { return p.T }
 
-func (p *Param) String() string { return fmt.Sprintf("$%d", p.Idx+1) }
+func (p *Param) String() string { return render(p, false) }

@@ -42,8 +42,9 @@ var shiftExperiment = Experiment{
 }
 
 // hotA and hotB are the two disjoint hot predicate sets: Q6-shaped
-// lineitem aggregates whose fixed constants make each text its own
-// predicate bee. hotA is hot first; the shift replaces it wholesale with
+// lineitem aggregates, each predicate of its own shape — column and
+// comparison — so each text is its own predicate bee (constants do not
+// name a bee). hotA is hot first; the shift replaces it wholesale with
 // hotB.
 var (
 	hotA = []string{
@@ -53,7 +54,7 @@ var (
 		"select count(*), sum(l_quantity) from lineitem where l_tax >= 0.07",
 	}
 	hotB = []string{
-		"select count(*), sum(l_extendedprice) from lineitem where l_quantity < 11.0",
+		"select count(*), sum(l_extendedprice) from lineitem where l_quantity <= 11.0",
 		"select count(*), sum(l_extendedprice) from lineitem where l_tax < 0.02",
 		"select count(*), sum(l_quantity) from lineitem where l_discount >= 0.08",
 		"select count(*), sum(l_quantity) from lineitem where l_extendedprice < 20000.0",

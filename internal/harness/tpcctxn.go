@@ -156,12 +156,8 @@ func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
 		return TPCCTxnMode{}, fmt.Errorf("harness: %s mode: %w", mode, err)
 	}
 
-	m := TPCCTxnMode{Mode: mode, ByType: map[string]TxnLatency{}}
-	if useBees {
-		for _, e := range execs {
-			m.Fallbacks += e.Fallbacks
-		}
-	}
+	m := TPCCTxnMode{Mode: mode, ByType: map[string]TxnLatency{},
+		Fallbacks: db.MetricsSnapshot().Counters["txn_bee.fallbacks"]}
 	var merged [5][]time.Duration
 	var newOrders int64
 	for i := range runs {

@@ -386,8 +386,8 @@ func (p *Planner) convertMaybeParam(e sql.Expr, s *scope, hint types.T) (expr.Ex
 }
 
 // convertPlaceholder lowers a $n placeholder to an expr.Param bound to
-// the planner's slot array. The first conversion with a usable hint
-// fixes the parameter's type; reuse of the same $n keeps it.
+// the planner's slot array. The first conversion fixes the parameter's
+// type — its hint, else its default — and reuse of the same $n keeps it.
 func (p *Planner) convertPlaceholder(n *sql.Placeholder, hint types.T) (expr.Expr, error) {
 	if p.Params == nil {
 		return nil, fmt.Errorf("plan: parameter $%d outside a prepared statement", n.Idx)
@@ -397,11 +397,17 @@ func (p *Planner) convertPlaceholder(n *sql.Placeholder, hint types.T) (expr.Exp
 		return nil, fmt.Errorf("plan: parameter $%d out of range (statement has %d)", n.Idx, len(p.Params.Vals))
 	}
 	t := hint
-	if idx < len(p.ParamTypes) && p.ParamTypes[idx].Kind != types.KindInvalid {
+	switch {
+	case idx < len(p.ParamTypes) && p.ParamTypes[idx].Kind != types.KindInvalid:
 		t = p.ParamTypes[idx]
-	}
-	if t.Kind == types.KindInvalid {
+	case t.Kind == types.KindInvalid:
 		t = types.Int64
+		if idx < len(p.ParamDefaults) && p.ParamDefaults[idx].Kind != types.KindInvalid {
+			t = p.ParamDefaults[idx]
+		}
+		if idx < len(p.ParamDefaulted) {
+			p.ParamDefaulted[idx] = true
+		}
 	}
 	if idx < len(p.ParamTypes) {
 		p.ParamTypes[idx] = t

@@ -46,6 +46,14 @@ type Planner struct {
 	// conversion (indexed by 0-based slot). The prepare path sizes it;
 	// EXECUTE uses it to coerce bound values.
 	ParamTypes []types.T
+	// ParamDefaults is the type a placeholder takes when nothing in the
+	// statement infers one (indexed by 0-based slot; BIGINT where absent).
+	// The prepare path fills it from the values bound.
+	ParamDefaults []types.T
+	// ParamDefaulted marks each placeholder whose type conversion took
+	// from ParamDefaults, sized by the prepare path with ParamTypes: the
+	// parameters a bound value of another class retypes.
+	ParamDefaulted []bool
 	// IndexesFor lists the secondary/primary indexes available on a
 	// relation as (column-ordinal prefix, lookup) pairs; the engine
 	// provides it so attachFilters can plan equality index scans. Nil

@@ -120,6 +120,8 @@ func astString(e sql.Expr) string {
 		return "false"
 	case *sql.NullLit:
 		return "null"
+	case *sql.Placeholder:
+		return fmt.Sprintf("$%d", n.Idx)
 	case *sql.DateLit:
 		return "date '" + n.Val + "'"
 	case *sql.IntervalLit:

@@ -10,7 +10,7 @@ import (
 func TestASTStringCoversShapes(t *testing.T) {
 	stmt, err := sql.Parse(`select case when a like 'x%' then 1 else 2 end
 		from t where a in (1,2) and b between 1 and 2 and c is not null
-		and extract(year from d) = 1995 and substring(e from 1 for 2) = 'ab'`)
+		and extract(year from d) = 1995 and substring(e from 1 for 2) = 'ab' and f = $2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestASTStringCoversShapes(t *testing.T) {
 		t.Errorf("case string: %s", s1)
 	}
 	s2 := astString(sel.Where)
-	for _, want := range []string{" in (", " between ", "is not null", "extract(year", "substring("} {
+	for _, want := range []string{" in (", " between ", "is not null", "extract(year", "substring(", "(f = $2)"} {
 		if !strings.Contains(s2, want) {
 			t.Errorf("where string missing %q: %s", want, s2)
 		}

@@ -221,9 +221,9 @@ func (s *session) handle(f wire.Frame, readStart time.Time, readDur time.Duratio
 }
 
 // runQuery executes one ad-hoc statement. The SQL is parsed once, here, to
-// route SELECTs to the query path and everything else to Exec; the engine
-// takes the parsed statement. A non-nil return means the transport
-// failed; statement errors are reported in-band and return nil.
+// route PREPARE TRANSACTION; anything else runs as a one-call statement
+// (engine.DB.AdHoc) through runExecute. A non-nil return means the
+// transport failed; statement errors are reported in-band and return nil.
 func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 	srv := s.srv
 	parseSpan := at.Span("parse")
@@ -244,27 +244,14 @@ func (s *session) runQuery(q wire.Query, at *trace.Active) error {
 		}
 		return s.sendResult(at, nil, 0, "", err)
 	}
+	return s.runExecute(srv.db.AdHoc(stmt, q.SQL, s.opts), wire.Execute{Analyze: q.Analyze}, at)
+}
+
+// runExecute binds and runs a prepared statement, or runs a one-call one.
+func (s *session) runExecute(st *engine.Stmt, e wire.Execute, at *trace.Active) error {
 	// The trace rides the context into the engine, where plan/exec/commit
 	// spans attach to it; all Active methods are nil-safe for the common
 	// untraced request.
-	ctx := trace.NewContext(context.Background(), at)
-	sel, isSel := stmt.(*sql.Select)
-	if !isSel {
-		n, err := srv.db.ExecAST(ctx, stmt, q.SQL)
-		return s.sendResult(at, nil, n, "", err)
-	}
-	var res *engine.Result
-	var analyze string
-	if q.Analyze {
-		analyze, res, err = srv.db.ExplainAnalyzeAST(ctx, sel, q.SQL, s.opts)
-	} else {
-		res, err = srv.db.QueryAST(ctx, sel, q.SQL, s.opts)
-	}
-	return s.sendResult(at, res, 0, analyze, err)
-}
-
-// runExecute binds and runs a prepared statement.
-func (s *session) runExecute(st *engine.Stmt, e wire.Execute, at *trace.Active) error {
 	ctx := trace.NewContext(context.Background(), at)
 	if !st.IsSelect() {
 		n, err := st.ExecContext(ctx, e.Params...)

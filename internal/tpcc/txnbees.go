@@ -40,13 +40,14 @@ var txnSpecs = [numTxnTypes]engine.TxnSpec{
 // on quarantine). Executors sharing one DB may each call this; the engine
 // dedups registration by bee name.
 func (e *Executor) EnableTxnBees() error {
+	var bees [numTxnTypes]*engine.CompiledTxn
 	for t, spec := range txnSpecs {
 		ct, err := e.DB.CompileTxn(spec)
 		if err != nil {
 			return fmt.Errorf("tpcc: compiling %s: %w", spec.Name, err)
 		}
-		e.bees[t] = ct
+		bees[t] = ct
 	}
-	e.UseTxnBees = true
+	e.bees = bees
 	return nil
 }

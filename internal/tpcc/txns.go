@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"microspec/internal/engine"
-	"microspec/internal/exec"
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
@@ -65,20 +64,17 @@ const (
 // engine/txnbee.go and txnbees.go in this package). The two runs are
 // equivalent by construction, and because the parameters are fixed before
 // execution, a bee that panics mid-transaction is quarantined and the very
-// same transaction is retried stepwise with identical inputs and results.
+// same transaction is retried stepwise with identical inputs and results
+// (engine.CompiledTxn.Run, which counts it in txn_bee.fallbacks).
 type Executor struct {
 	DB   *engine.DB
 	Cfg  Config
 	Rng  *rand.Rand
 	Prof *profile.Counters
 
-	// UseTxnBees routes transactions through the compiled whole-
-	// transaction bees; EnableTxnBees sets it after compiling them.
-	UseTxnBees bool
-	bees       [numTxnTypes]*engine.CompiledTxn
-	// Fallbacks counts transactions that started fused and were retried
-	// statement-at-a-time (quarantine or replan failure).
-	Fallbacks int64
+	// bees are the compiled whole-transaction bees transactions run
+	// through, once EnableTxnBees compiled them.
+	bees [numTxnTypes]*engine.CompiledTxn
 
 	// today stamps order entry dates.
 	today int32
@@ -110,38 +106,15 @@ var ErrRollback = fmt.Errorf("tpcc: new-order rollback (unused item)")
 // transaction rolls back and counts as done.
 var errNoCustomer = errors.New("tpcc: no customer with that last name")
 
-// beeFellBack reports whether a fused execution error means "retry
-// stepwise": the bee was quarantined (by this very panic or an earlier
-// one) or could not replan. Transaction-level errors — write conflicts,
-// the intentional rollback — are not fallbacks.
-func beeFellBack(err error) bool {
-	if errors.Is(err, engine.ErrTxnBeeUnavailable) {
-		return true
-	}
-	var pe *exec.PanicError
-	return errors.As(err, &pe)
-}
-
 // dispatch runs one transaction body: fused when transaction bees are
-// enabled, stepwise otherwise or when the bee fell out of service
-// mid-flight (same parameters, so the retry is the same transaction).
-// Either way an error from the body rolls back, and a commit that did not
-// become durable is an error too.
+// enabled — stepwise after all, the same transaction, when the bee is out
+// of service — and stepwise otherwise. Either way an error from the body
+// rolls back, and a commit that did not become durable is an error too.
 func (e *Executor) dispatch(t TxnType, body func(tx *engine.Txn) error) error {
-	if e.UseTxnBees && e.bees[t] != nil {
-		err := e.bees[t].Run(e.Prof, body)
-		if !beeFellBack(err) {
-			return err
-		}
-		e.Fallbacks++
-		e.DB.NoteTxnBeeFallback()
+	if ct := e.bees[t]; ct != nil {
+		return ct.Run(e.Prof, body)
 	}
-	tx := e.DB.Begin(e.Prof)
-	if err := body(tx); err != nil {
-		_ = tx.Rollback() // the body's error is the one to report
-		return err
-	}
-	return tx.Commit()
+	return e.DB.RunTxn(e.Prof, body)
 }
 
 // --- New-Order ---
