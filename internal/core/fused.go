@@ -156,9 +156,9 @@ func (rc *rawCheck) take(c *types.Datum) bool {
 }
 
 // rawCheckFor returns the stored-bytes form of conjunct c, if it has one:
-// a comparison (expr.MatchColCmp, either operand order) of a column that
-// prog deforms with a fixed-offset word read (not a tuple-bee hole, not
-// behind a varlena) against a constant of the column's class or a $n.
+// a comparison (expr.MatchColCmp) of a column that prog deforms with a
+// fixed-offset word read (not a tuple-bee hole, not behind a varlena)
+// against a constant of the column's class or a $n.
 // The column's Var ordinal is its position in prog's attribute list.
 func rawCheckFor(c expr.Expr, prog *colProgram) (rawCheck, bool) {
 	cc, ok := expr.MatchColCmp(c)

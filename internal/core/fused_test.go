@@ -506,8 +506,8 @@ func TestRawCheckEligibility(t *testing.T) {
 		{"int32 at a fixed offset", func(f *fusedFixture) expr.Expr { return &expr.Cmp{Op: expr.GE, L: f.col(0), R: i32(3)} }, true, true},
 		{"int64 at a fixed offset", func(f *fusedFixture) expr.Expr { return &expr.Cmp{Op: expr.LT, L: f.col(1), R: i32(3)} }, true, true},
 		{"double against an integer literal", func(f *fusedFixture) expr.Expr { return &expr.Cmp{Op: expr.LT, L: f.col(2), R: i32(24)} }, true, true},
-		{"date against a folded constant", func(f *fusedFixture) expr.Expr {
-			return &expr.Cmp{Op: expr.LE, L: f.col(6), R: &expr.DateArith{L: expr.NewConst(types.NewDate(9000)), Iv: types.Interval{Days: 30}}}
+		{"date against a constant", func(f *fusedFixture) expr.Expr {
+			return &expr.Cmp{Op: expr.LE, L: f.col(6), R: expr.NewConst(types.NewDate(9030))}
 		}, true, true},
 		{"$n", func(f *fusedFixture) expr.Expr {
 			return &expr.Cmp{Op: expr.EQ, L: f.col(0), R: &expr.Param{Idx: 0, T: types.Int32, Slot: slot}}
@@ -529,7 +529,9 @@ func TestRawCheckEligibility(t *testing.T) {
 			return &expr.Cmp{Op: expr.GE, L: f.col(10), R: expr.NewConst(types.NewDate(9010))}
 		}, false, false},
 		{"int64 behind a varlena", func(f *fusedFixture) expr.Expr { return &expr.Cmp{Op: expr.GE, L: f.col(11), R: i32(3)} }, false, false},
-		{"column on the right", func(f *fusedFixture) expr.Expr { return &expr.Cmp{Op: expr.GE, L: i32(3), R: f.col(0)} }, true, true},
+		// The planner mirrors this to col >= 3 (plan's normal form); as
+		// written, nothing recognises it.
+		{"column on the right", func(f *fusedFixture) expr.Expr { return &expr.Cmp{Op: expr.LE, L: i32(3), R: f.col(0)} }, false, false},
 		{"two columns", func(f *fusedFixture) expr.Expr { return &expr.Cmp{Op: expr.LT, L: f.col(0), R: f.col(6)} }, false, false},
 		{"column beyond the scan's width", func(f *fusedFixture) expr.Expr {
 			v := f.col(6)

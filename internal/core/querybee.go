@@ -711,22 +711,18 @@ func cmpBoxed(op expr.CmpOp, a, b types.Datum) tri {
 // date column against a constant, is one closure; so is a column against
 // a $n slot — the paper's example specialization for "age <= 45", where
 // the attribute ID, the operator and the constant are inserted directly
-// into the executable code.
+// into the executable code. The planner has put the column on the left
+// and folded a constant comparand already (plan's normal form).
 func compileCmp(n *expr.Cmp) frag {
 	l := compileNode(n.L)
 	if l.cls == clsNone {
 		return frag{}
 	}
-	var r frag
-	if c, ok := expr.FoldConst(n.R); ok && l.leaf == leafVar {
-		r = constFrag(c) // date '1995-01-01' + interval '3' month costs nothing per row
-	} else if r = compileNode(n.R); r.cls == clsNone {
+	r := compileNode(n.R)
+	if r.cls == clsNone {
 		return frag{}
 	}
 	op, terms := n.Op, l.terms+r.terms+1
-	if l.leaf == leafParam && r.leaf != leafParam {
-		l, r, op = r, l, op.Mirror() // the slot is always the right operand
-	}
 	var b boolFrag
 	switch {
 	case r.leaf == leafParam && l.leaf == leafVar && l.cls == clsInt:

@@ -58,8 +58,8 @@ func TestExplainAnalyzeQ1Aggregate(t *testing.T) {
 	want := `Sort [{0 false} {1 false}] (actual rows=4 loops=1 time=X)
   Project l_returnflag, l_linestatus, sum_qty, sum_base_price, sum_disc_price, sum_charge, avg_qty, avg_price, avg_disc, count_order (actual rows=4 loops=1 time=X)
     Gather workers=2 (partial-agg groups=2 aggs=[sum(l_quantity), sum(l_extendedprice), sum((l_extendedprice * (1 - l_discount))), sum(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))), avg(l_quantity), avg(l_extendedprice), avg(l_discount), count(*)]) [EVA] (actual rows=4 loops=1 bee-keyed ids=208 time=X)
-      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 all-visible pages=83 time=X)
-      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= (1998-12-01 - interval '0m90d')) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 all-visible pages=83 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[0,83) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= 1998-09-02) [GCL+EVP] (actual rows=5845 batches=83 rows/batch=70.4 loops=1 all-visible pages=83 time=X)
+      BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate) batch=1024 pages=[83,166) columns=(l_quantity, l_extendedprice, l_discount, l_tax) filter=(l_shipdate <= 1998-09-02) [GCL+EVP] (actual rows=5808 batches=83 rows/batch=70.0 loops=1 all-visible pages=83 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q1 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -110,7 +110,7 @@ func TestExplainAnalyzeQ10Verdicts(t *testing.T) {
           HashJoin inner keys=[5]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
             HashJoin inner keys=[0]/[0] est=1942 [EVJ] (actual rows=272 batches=86 rows/batch=3.2 loops=1 time=X)
               BatchSeqScan lineitem (l_orderkey, l_extendedprice, l_discount, l_returnflag) batch=1024 filter=(l_returnflag = 'R') join filter=(l_orderkey from HashJoin inner keys=[0]/[0]) [GCL+EVP] (actual rows=272 batches=86 rows/batch=3.2 loops=1 verdict ids=105 pages skipped=68 all-visible pages=98 join filter rejected=1629 pages=68 time=X)
-              BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate) batch=1024 filter=((o_orderdate >= 1993-10-01) AND (o_orderdate < (1993-10-01 + interval '3m0d'))) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=126 batches=37 rows/batch=3.4 loops=1 all-visible pages=37 join filter rejected=0 pages=0 time=X)
+              BatchSeqScan orders (o_orderkey, o_custkey, o_orderdate) batch=1024 filter=((o_orderdate >= 1993-10-01) AND (o_orderdate < 1994-01-01)) join filter=(o_custkey from HashJoin inner keys=[5]/[0]) [GCL+EVP] (actual rows=126 batches=37 rows/batch=3.4 loops=1 all-visible pages=37 join filter rejected=0 pages=0 time=X)
             BatchSeqScan customer (c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal, c_comment) batch=1024 join filter=(c_nationkey from HashJoin inner keys=[10]/[0]) [GCL] (actual rows=300 batches=6 rows/batch=50.0 loops=1 all-visible pages=6 join filter rejected=0 pages=0 time=X)
           BatchSeqScan nation (n_nationkey, n_name) batch=1024 [GCL] (actual rows=25 batches=1 rows/batch=25.0 loops=1 all-visible pages=1 time=X)
 `
@@ -191,8 +191,8 @@ func TestExplainAnalyzeQ6Scan(t *testing.T) {
 	}
 	want := `Project revenue (actual rows=1 loops=1 time=X)
   Gather workers=2 (partial-agg groups=0 aggs=[sum((l_extendedprice * l_discount))]) [EVA] (actual rows=1 loops=1 time=X)
-    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[0,83) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 all-visible pages=83 time=X)
-    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[83,166) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < (1994-01-01 + interval '12m0d')) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 all-visible pages=83 time=X)
+    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[0,83) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < 1995-01-01) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=99 batches=56 rows/batch=1.8 loops=1 all-visible pages=83 time=X)
+    BatchSeqScan lineitem (l_quantity, l_extendedprice, l_discount, l_shipdate) batch=1024 pages=[83,166) columns=(l_extendedprice, l_discount) filter=((l_shipdate >= 1994-01-01) AND (l_shipdate < 1995-01-01) AND ((l_discount >= 0.05) AND (l_discount <= 0.07)) AND (l_quantity < 24)) [GCL+EVP] (actual rows=154 batches=66 rows/batch=2.3 loops=1 all-visible pages=83 time=X)
 `
 	if got := normalize(out); got != want {
 		t.Fatalf("Q6 explain analyze mismatch:\ngot:\n%s\nwant:\n%s", got, want)

@@ -25,6 +25,15 @@ var (
 	null = types.Null
 )
 
+// date is the DATE of an ISO yyyy-mm-dd text.
+func date(iso string) types.Datum {
+	d, err := types.ParseDate(iso)
+	if err != nil {
+		panic(err)
+	}
+	return types.NewDate(d)
+}
+
 // row makes one expected row.
 func row(vals ...types.Datum) expr.Row { return vals }
 
@@ -121,6 +130,19 @@ var (
 		[]types.Datum{null, null, null, i32(6)},
 		[]types.Datum{null, chr("c"), str(""), i32(7)},
 		[]types.Datum{f64(math.Inf(1)), chr("c"), str("a"), i32(8)})}
+	// constRel holds twins c_ix and c_no of k = 0..9, v = k - 6 and d the
+	// 15th of the month k months after October 1993, summarised.
+	constRel = &schema{name: "consts", load: func(db *engine.DB) error {
+		var stmts []string
+		for _, twin := range twins {
+			stmts = append(stmts, fmt.Sprintf("create table c%s (k integer not null, v integer not null, d date not null%s)",
+				twin, map[string]string{"_ix": ", primary key (k)"}[twin]))
+			for k := 0; k < 10; k++ {
+				stmts = append(stmts, fmt.Sprintf("insert into c%s values (%d, %d, date '1993-11-15' + interval '%d' month)", twin, k, k-6, k))
+			}
+		}
+		return script(stmts...)(db)
+	}}
 	// Key twins: DOUBLE, CHAR and VARCHAR keys, each table once with a
 	// primary key (_ix) and once without (_no).
 	keyTwins = &schema{name: "keys", load: func(db *engine.DB) error {
@@ -480,5 +502,48 @@ func corpus() []*entry {
 			{text: "select k, f from t order by k", want: []expr.Row{row(i32(1), f64(3)), row(i32(2), f64(7)), row(i32(3), f64(4))}},
 			{text: "select count(*) from t where f = 7", want: count(1)},
 		}})
+
+	// Constant arithmetic is planned as the constant it evaluates to, and a
+	// constant or $n left of a column is mirrored to its right: IN lists
+	// of negated and summed items, a constant or $n on the left, an index
+	// probe by a sum, date arithmetic bounding a summarised column, the
+	// NULLs that 1 / 0 and 1 + NULL are, and written values.
+	add(&entry{name: "exprs/constants", schema: constRel, stmts: []stmt{
+		{text: "select k from c{ix} where v in (-1, 2) order by k", want: []expr.Row{row(i32(5)), row(i32(8))}},
+		{text: "select k from c{ix} where v in (1 + 1)", want: []expr.Row{row(i32(8))}},
+		{text: "select count(*) from c{ix} where -5 < v", want: count(8)},
+		{text: "select count(*) from c{ix} where $1 >= v", args: []types.Datum{i32(0)}, want: count(7)},
+		{text: "select v from c{ix} where k = 1 + 1", want: []expr.Row{row(i32(-4))}},
+		{text: "select v from c{ix} where 2 * 3 = k", want: []expr.Row{row(i32(0))}},
+		{text: "select v from c{ix} where $1 + 1 = k", args: []types.Datum{i32(1)}, want: []expr.Row{row(i32(-4))}},
+		{text: "select count(*) from c{ix} where d >= date '1994-01-01' and d < date '1994-01-01' + interval '6' month", want: count(6)},
+		{text: "select count(*) from c{ix} where date '1994-12-01' - interval '9' month >= d", want: count(4)},
+		{text: "select count(*) from c{ix} where v = 1 / 0", want: count(0)},
+		{text: "select count(*) from c{ix} where v < 1 + null", want: count(0)},
+		{text: "select k from c{ix} where v = -(-3)", want: []expr.Row{row(i32(9))}},
+		{text: "insert into c{ix} values (10, -1, date '1995-01-01')"},
+		{text: "insert into c{ix} values (11, 2 * 3, date '1995-01-01' + interval '1' day)"},
+		{text: "update c{ix} set v = -1 where k = 0"},
+		{text: "update c{ix} set v = 2 * 3 where k = 1 + 0"},
+		{text: "select k, v, d from c{ix} where k in (0, 1, 10, 11) order by k", want: []expr.Row{
+			row(i32(0), i32(-1), date("1993-11-15")), row(i32(1), i32(6), date("1993-12-15")),
+			row(i32(10), i32(-1), date("1995-01-01")), row(i32(11), i32(6), date("1995-01-02"))}},
+	}})
+
+	// Correlated subqueries the planner keeps as subplans, lowered as any
+	// plan: a count over a join whose build side the outer row restricts,
+	// one nested two deep that reads both enclosing rows, and an EXISTS
+	// under an OR.
+	add(&entry{name: "subplans/correlated", schema: mini, stmts: queries(correlated...)})
 	return out
+}
+
+// correlated are the texts of the subplans/correlated entry.
+var correlated = []string{
+	"select d_id, (select count(*) from emp, dept d2 where e_dept = d2.d_id and d2.d_id > dept.d_id and e_salary > 1500) " +
+		"from dept order by d_id",
+	"select d_id, (select max(e_salary + (select count(*) from dept d3 where d3.d_id < e.e_dept and d3.d_region = dept.d_region)) " +
+		"from emp e where e.e_dept = dept.d_id) from dept order by d_id",
+	"select d_id from dept where d_id = 1 or exists (select * from emp, dept d2 where e_dept = d2.d_id " +
+		"and d2.d_region = dept.d_region and d2.d_id <> dept.d_id and e_salary > 1900) order by d_id",
 }

@@ -63,18 +63,18 @@ func TestJoinFiltersFollowRescansAndRebinding(t *testing.T) {
 	oracle, filtered := joinFilterDBs(t)
 
 	// A correlated subquery whose join's build side (c, restricted by the
-	// outer row) changes per outer row. Correlated subplans run
-	// tuple-at-a-time (plan.planSubSelect), so the join refills per outer
-	// row and its scan of b takes no filter; the same join uncorrelated,
-	// beside it, does.
+	// outer row) changes per outer row. A correlated subplan is lowered as
+	// any other (plan.planSubSelect), so its scan of b takes a filter,
+	// which the join republishes at each of its per-outer-row fills; the
+	// same join uncorrelated, beside it, takes one too.
 	corr := "select id, (select count(*) from b, c where b.k = c.k and c.x > a.v), " +
 		"(select count(*) from b, c where b.k = c.k and c.x > 2) from a order by id"
 	out, err := filtered[0].ExplainQuery(corr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "SubPlan (correlated)") || strings.Count(out, "join filter=(k from HashJoin") != 1 {
-		t.Fatalf("want a correlated subplan without join filters and an uncorrelated one with one:\n%s", out)
+	if !strings.Contains(out, "SubPlan (correlated)") || strings.Count(out, "join filter=(k from HashJoin") != 2 {
+		t.Fatalf("want a correlated and an uncorrelated subplan with a join filter each:\n%s", out)
 	}
 	agree(t, "correlated", oracle, filtered, corr)
 

@@ -66,22 +66,33 @@ func TestMainDispatch(t *testing.T) {
 	}
 }
 
-// TestTimePairedAlternatesOrder pins which side each measurement goes to:
-// the side that runs first flips run by run, so neither engine always
-// inherits the other's garbage or always pays the warm-up.
+// TestTimePairedAlternatesOrder pins which configuration each
+// measurement goes to: two sides alternate which goes first, and four
+// rotate, so no configuration always inherits another's garbage or always
+// pays the warm-up.
 func TestTimePairedAlternatesOrder(t *testing.T) {
-	var order []int
-	a, b, err := timePaired(4, func(side int) (float64, error) {
-		order = append(order, side)
-		return float64(10 * (side + 1)), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{0, 1, 1, 0, 0, 1, 1, 0}; !reflect.DeepEqual(order, want) {
-		t.Errorf("measurement order = %v, want %v", order, want)
-	}
-	if a != 10 || b != 20 {
-		t.Errorf("samples crossed sides: got %v and %v, want 10 and 20", a, b)
+	for _, c := range []struct {
+		sides int
+		want  []int
+	}{
+		{2, []int{0, 1, 1, 0, 0, 1, 1, 0}},
+		{4, []int{0, 1, 2, 3, 1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2}},
+	} {
+		var order []int
+		got, err := timePaired(c.sides, 4, func(side int) (float64, error) {
+			order = append(order, side)
+			return float64(10 * (side + 1)), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(order, c.want) {
+			t.Errorf("%d sides: measurement order = %v, want %v", c.sides, order, c.want)
+		}
+		for side, v := range got {
+			if v != float64(10*(side+1)) {
+				t.Errorf("%d sides: samples crossed sides: side %d got %v, want %d", c.sides, side, v, 10*(side+1))
+			}
+		}
 	}
 }

@@ -205,29 +205,39 @@ func aggregate(samples []float64) float64 {
 // runs interleaved, so scheduler noise hits both streams alike.
 func timeBoth(stock, bee *engine.DB, q string, runs int, cold bool) (float64, float64, error) {
 	dbs := [2]*engine.DB{stock, bee}
-	return timePaired(runs, func(side int) (float64, error) { return timeOnce(dbs[side], q, cold) })
+	t, err := timePaired(len(dbs), runs, func(side int) (float64, error) { return timeOnce(dbs[side], q, cold) })
+	if err != nil {
+		return 0, 0, err
+	}
+	return t[0], t[1], nil
 }
 
-// timePaired takes runs samples of each of two sides and aggregates them.
-// Which side goes first alternates run by run: whatever the earlier
-// position in a pair costs or saves (warm-up, the other side's garbage,
-// frequency drift) lands on both sides equally often, not always on
-// side 0.
-func timePaired(runs int, measure func(side int) (float64, error)) (float64, float64, error) {
+// timePaired takes runs samples of each of sides configurations, one
+// round at a time, and aggregates each configuration's samples. Round r
+// starts at configuration r mod sides and goes round from there: whatever
+// a position in a round costs or saves (warm-up, the previous
+// configuration's garbage, frequency drift) lands on every configuration
+// equally often over sides rounds, not always on the same one.
+func timePaired(sides, runs int, measure func(side int) (float64, error)) ([]float64, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	var samples [2][]float64
+	samples := make([][]float64, sides)
 	for r := 0; r < runs; r++ {
-		for _, side := range [2]int{r % 2, 1 - r%2} {
+		for i := 0; i < sides; i++ {
+			side := (r + i) % sides
 			s, err := measure(side)
 			if err != nil {
-				return 0, 0, err
+				return nil, err
 			}
 			samples[side] = append(samples[side], s)
 		}
 	}
-	return aggregate(samples[0]), aggregate(samples[1]), nil
+	out := make([]float64, sides)
+	for i := range samples {
+		out[i] = aggregate(samples[i])
+	}
+	return out, nil
 }
 
 // percentilesUS sorts lats and returns the given quantiles in

@@ -186,48 +186,36 @@ func AblationSteps() []AblationStep {
 // RunAblation regenerates Figure 7: warm-cache run-time improvement with
 // successively more bee routines enabled on the same bee database. For
 // each query, the stock baseline and every routine level are measured in
-// interleaved rounds so machine noise hits all configurations alike.
+// rounds (timePaired) whose first configuration rotates, so machine noise
+// and position in a round hit all configurations alike.
 func RunAblation(stock, bee *engine.DB, o Options) ([]Series, error) {
 	if err := warmBoth(stock, bee); err != nil {
 		return nil, err
 	}
 	queries := tpch.Queries()
 	steps := AblationSteps()
-	runs := o.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	// samples[0] is the stock baseline, samples[1+i] step i, per query.
-	samples := make([]map[int][]float64, 1+len(steps))
-	for i := range samples {
-		samples[i] = map[int][]float64{}
-	}
+	// times[qn][0] is the stock baseline, times[qn][1+i] step i.
+	times := map[int][]float64{}
 	for _, qn := range queriesOr22(o.Queries) {
-		for r := 0; r < runs; r++ {
-			s, err := timeOnce(stock, queries[qn], false)
-			if err != nil {
-				return nil, fmt.Errorf("q%d stock: %w", qn, err)
+		t, err := timePaired(1+len(steps), o.Runs, func(side int) (float64, error) {
+			if side == 0 {
+				return timeOnce(stock, queries[qn], false)
 			}
-			samples[0][qn] = append(samples[0][qn], s)
-			for i, step := range steps {
-				if err := bee.SetRoutines(step.Routines); err != nil {
-					return nil, err
-				}
-				b, err := timeOnce(bee, queries[qn], false)
-				if err != nil {
-					return nil, fmt.Errorf("q%d %s: %w", qn, step.Label, err)
-				}
-				samples[1+i][qn] = append(samples[1+i][qn], b)
+			if err := bee.SetRoutines(steps[side-1].Routines); err != nil {
+				return 0, err
 			}
+			return timeOnce(bee, queries[qn], false)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("q%d: %w", qn, err)
 		}
+		times[qn] = t
 	}
 	var out []Series
 	for i, step := range steps {
 		var results []QueryResult
 		for _, qn := range queriesOr22(o.Queries) {
-			st := aggregate(samples[0][qn])
-			bt := aggregate(samples[1+i][qn])
-			results = append(results, QueryResult{Query: qn, Stock: st, Bee: bt})
+			results = append(results, QueryResult{Query: qn, Stock: times[qn][0], Bee: times[qn][1+i]})
 		}
 		out = append(out, newSeries("Figure 7 ("+step.Label+"): run-time improvement, warm cache (%)", results))
 	}

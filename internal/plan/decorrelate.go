@@ -309,13 +309,11 @@ func (sp *selectPlan) tryDecorrelateScalar(ts *treeState, op string, lhs sql.Exp
 		return false, nil, fmt.Errorf("plan: decorrelated comparison: %w", err)
 	}
 	aggVar := &expr.Var{Idx: aggCol, T: aggT, Name: "_agg"}
-	var cmp *expr.Cmp
+	var l, r expr.Expr = lhsExpr, aggVar
 	if flipped {
-		cmp = &expr.Cmp{Op: cmpOp(op), L: aggVar, R: lhsExpr}
-	} else {
-		cmp = &expr.Cmp{Op: cmpOp(op), L: lhsExpr, R: aggVar}
+		l, r = aggVar, lhsExpr
 	}
-	return true, cmp, nil
+	return true, newCmp(cmpOp(op), l, r), nil
 }
 
 // ensure catalog import is used even if partitioning paths change.

@@ -17,6 +17,11 @@ import (
 // scope, a subtree that names a GROUP BY key or an aggregate call becomes
 // a Var over the aggregate's output row; any other aggregate call is
 // rejected.
+//
+// Conversion emits the plan's one normal form, which no consumer
+// re-derives: arithmetic over constants only is the constant it evaluates
+// to (fold), and a comparison with one side reading no row has that side
+// on the right (newCmp).
 func (p *Planner) convertExpr(e sql.Expr, s *scope) (expr.Expr, error) {
 	if s.subst != nil {
 		if i, ok := s.subst[astString(e)]; ok {
@@ -83,7 +88,7 @@ func (p *Planner) convertExpr(e sql.Expr, s *scope) (expr.Expr, error) {
 			// datum leaves zero: -'abc' would be 0, not an error.
 			return nil, fmt.Errorf("plan: cannot negate %s, a %s value", kid, t)
 		}
-		return &expr.Neg{Kid: kid}, nil
+		return fold(&expr.Neg{Kid: kid}, kid), nil
 
 	case *sql.FuncCall:
 		return nil, fmt.Errorf("plan: aggregate %s() not allowed in this context", n.Name)
@@ -141,8 +146,8 @@ func (p *Planner) convertExpr(e sql.Expr, s *scope) (expr.Expr, error) {
 		// the second comparison to keep the tree a tree.
 		x2, _ := p.convertExpr(n.X, s)
 		var b expr.Expr = &expr.And{Kids: []expr.Expr{
-			&expr.Cmp{Op: expr.GE, L: x, R: lo},
-			&expr.Cmp{Op: expr.LE, L: x2, R: hi},
+			newCmp(expr.GE, x, lo),
+			newCmp(expr.LE, x2, hi),
 		}}
 		if n.Not {
 			b = &expr.Not{Kid: b}
@@ -263,7 +268,7 @@ func (p *Planner) convertBinOp(n *sql.BinOp, s *scope) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &expr.Cmp{Op: cmpOp(n.Op), L: l, R: r}, nil
+		return newCmp(cmpOp(n.Op), l, r), nil
 	case "+", "-":
 		// Date ± interval.
 		if iv, ok := n.R.(*sql.IntervalLit); ok {
@@ -271,7 +276,7 @@ func (p *Planner) convertBinOp(n *sql.BinOp, s *scope) (expr.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &expr.DateArith{Sub: n.Op == "-", L: l, Iv: interval(iv)}, nil
+			return fold(&expr.DateArith{Sub: n.Op == "-", L: l, Iv: interval(iv)}, l), nil
 		}
 		fallthrough
 	case "*", "/":
@@ -279,10 +284,39 @@ func (p *Planner) convertBinOp(n *sql.BinOp, s *scope) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &expr.Arith{Op: arithOp(n.Op), L: l, R: r}, nil
+		return fold(&expr.Arith{Op: arithOp(n.Op), L: l, R: r}, l, r), nil
 	default:
 		return nil, fmt.Errorf("plan: unsupported operator %q", n.Op)
 	}
+}
+
+// fold returns e, an Arith, DateArith or Neg over kids, as the constant it
+// evaluates to when every kid is a constant, typed as e is: 1 / 0 is a
+// NULL BIGINT, as it is per row. A subtree holding a $n is not folded.
+func fold(e expr.Expr, kids ...expr.Expr) expr.Expr {
+	for _, k := range kids {
+		if _, ok := k.(*expr.Const); !ok {
+			return e
+		}
+	}
+	return &expr.Const{D: e.Eval(nil, &constCtx), T: e.Type()}
+}
+
+// constCtx is the context fold evaluates under. A node over constants
+// reads nothing from it but its nil profiler, so every planner shares it.
+var constCtx expr.Ctx
+
+// newCmp is the planner's one constructor of a comparison. A side that
+// reads no row (rowIndependent: a constant, a $n or arithmetic over $n)
+// on the left of one that does is mirrored to the right, so `5 < v` is
+// planned as `v > 5`: a consumer looking for `column op comparand`
+// (expr.MatchColCmp, the index probe, the query bee) reads one operand
+// order.
+func newCmp(op expr.CmpOp, l, r expr.Expr) *expr.Cmp {
+	if rowIndependent(l) && !rowIndependent(r) {
+		op, l, r = op.Mirror(), r, l
+	}
+	return &expr.Cmp{Op: op, L: l, R: r}
 }
 
 func interval(iv *sql.IntervalLit) types.Interval {
@@ -439,15 +473,16 @@ func (p *Planner) planSubSelect(sel *sql.Select, s *scope) (exec.Node, *scope, e
 	if err != nil {
 		return nil, nil, err
 	}
-	// Uncorrelated subplans are lowered as the root is. Parallelizing is
-	// also a correctness requirement, not just speed: a CTE aggregated
-	// both in the outer tree and inside a subquery (TPC-H Q15) must sum
-	// floats with the same partitioning on both sides, or the last-ulp
-	// difference breaks equality comparisons between them. Correlated
-	// subplans stay serial and tuple-at-a-time: they rerun per outer row,
-	// and their outer references are not parallel-safe.
-	if !sub.correlated {
-		node = p.lower(node)
+	// Every subplan is lowered as the root is, batch form and join filters
+	// included. Parallelizing is also a correctness requirement, not just
+	// speed: a CTE aggregated both in the outer tree and inside a subquery
+	// (TPC-H Q15) must sum floats with the same partitioning on both
+	// sides, or the last-ulp difference breaks equality comparisons
+	// between them. A correlated subplan is lowered serially: it reruns
+	// per outer row, and its outer references are not parallel-safe.
+	lp := *p
+	if sub.correlated {
+		lp.Workers = 1
 	}
-	return node, sub, nil
+	return lp.lower(node), sub, nil
 }

@@ -149,19 +149,16 @@ func (p *Planner) hashJoin(outer, inner exec.Node, outerKeys, innerKeys []int, k
 // hint: an UPDATE SET expression over rel's attributes or, with rel nil,
 // an INSERT value, which reads no row — literals, $n and arithmetic over
 // them. A $n standing alone takes hint as its type, so bind coerces it as
-// it does beside a column in a WHERE. An INSERT value without $n is folded
-// to its constant, which is what lets the caller type-check a literal
-// when it compiles.
+// it does beside a column in a WHERE. An INSERT value without $n arrives
+// folded to its constant (fold), which is what lets the caller type-check
+// a literal when it compiles.
 func (p *Planner) ConvertAssigned(e sql.Expr, rel *catalog.Relation, hint types.T) (expr.Expr, error) {
 	x, err := p.convertMaybeParam(e, relationScope(rel), hint)
 	if err != nil || rel != nil {
 		return x, err
 	}
-	if !rowIndependent(x, true) {
+	if !rowIndependent(x) {
 		return nil, fmt.Errorf("plan: INSERT values must be constants, parameters or arithmetic over them")
-	}
-	if rowIndependent(x, false) {
-		return expr.NewConst(x.Eval(nil, &expr.Ctx{})), nil
 	}
 	return x, nil
 }

@@ -9,9 +9,9 @@ import (
 // index scan emitting the same columns, when the pushed conjuncts pin a
 // prefix of some index's key: of the item relation's indexes, the one
 // whose key has the longest leading run of columns pinned by `col = e`
-// (either operand order) with e row-independent — constants, $n
-// parameters and arithmetic over them. A SELECT's scans and the scan
-// locating the rows of an UPDATE or DELETE (PlanWrite) alike come here.
+// with e row-independent (the converter puts it on the right). A
+// SELECT's scans and the scan locating the rows of an UPDATE or DELETE
+// (PlanWrite) alike come here.
 // The full filter stays on top as a recheck, so the rewrite is always
 // safe; the win is skipping the heap scan for point and small-prefix
 // lookups. It reports whether the probe pins every column of a unique
@@ -29,10 +29,8 @@ func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
 		if !ok || cmp.Op != expr.EQ {
 			continue
 		}
-		if v, ok := cmp.L.(*expr.Var); ok && rowIndependent(cmp.R, true) {
+		if v, ok := cmp.L.(*expr.Var); ok && rowIndependent(cmp.R) {
 			eq[it.atts[v.Idx]] = cmp.R
-		} else if v, ok := cmp.R.(*expr.Var); ok && rowIndependent(cmp.L, true) {
-			eq[it.atts[v.Idx]] = cmp.L
 		}
 	}
 	if len(eq) == 0 {
@@ -67,21 +65,18 @@ func (p *Planner) tryIndexScan(it *fromItem, conjuncts []expr.Expr) bool {
 	return best.Tree.Unique && bestCols == len(best.Cols)
 }
 
-// rowIndependent reports whether e reads nothing from the input row —
-// only constants, parameters (where params admits them; without, e is a
-// constant), and arithmetic over them.
-func rowIndependent(e expr.Expr, params bool) bool {
+// rowIndependent reports whether e reads nothing from the input row:
+// constants, parameters and arithmetic over them.
+func rowIndependent(e expr.Expr) bool {
 	switch n := e.(type) {
-	case *expr.Const:
+	case *expr.Const, *expr.Param:
 		return true
-	case *expr.Param:
-		return params
 	case *expr.DateArith:
-		return rowIndependent(n.L, params)
+		return rowIndependent(n.L)
 	case *expr.Arith:
-		return rowIndependent(n.L, params) && rowIndependent(n.R, params)
+		return rowIndependent(n.L) && rowIndependent(n.R)
 	case *expr.Neg:
-		return rowIndependent(n.Kid, params)
+		return rowIndependent(n.Kid)
 	default:
 		return false
 	}

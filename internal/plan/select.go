@@ -315,10 +315,10 @@ func (sp *selectPlan) attachFilters(it *fromItem) error {
 }
 
 // scanBounds is the recogniser of page bounds: every conjunct of the
-// predicate over scan that compares a column with a constant or a $n, in
-// either operand order (expr.MatchColCmp), on an attribute the heap
-// summarises, becomes one of the scan's bounds. Which comparands bound
-// anything is decided per execution, when Open binds them.
+// predicate over scan that compares a column with a constant or a $n
+// (expr.MatchColCmp), on an attribute the heap summarises, becomes one of
+// the scan's bounds. Which comparands bound anything is decided per
+// execution, when Open binds them.
 func scanBounds(scan *exec.SeqScan, conjuncts []expr.Expr, into []exec.ScanBound) []exec.ScanBound {
 	for _, c := range conjuncts {
 		if and, ok := c.(*expr.And); ok {
