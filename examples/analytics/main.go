@@ -1,71 +1,41 @@
 // Analytics: the paper's OLAP motivation. Load the same TPC-H data into
 // a stock database and a bee-enabled one, run a few representative
 // analytic queries on both, and compare run times and abstract
-// instruction counts — a miniature of the paper's Figures 4 and 6.
+// instruction counts — a miniature of the paper's Figures 4 and 6, timed
+// and checked by the same paired runs as cmd/experiment.
 package main
 
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"microspec/internal/core"
-	"microspec/internal/engine"
-	"microspec/internal/profile"
-	"microspec/internal/tpch"
+	"microspec/internal/harness"
 )
 
 func main() {
-	const sf = 0.005
-	fmt.Printf("loading TPC-H at SF %g twice (stock and bee-enabled)...\n\n", sf)
-	stock, err := tpch.NewDatabase(engine.Config{Routines: core.Stock}, sf)
+	o := harness.DefaultOptions()
+	o.SF, o.Runs = 0.005, 3
+	o.Queries = []int{1, 3, 6, 14} // pricing summary, shipping priority, revenue change, promo effect
+	fmt.Printf("loading TPC-H at SF %g twice (stock and bee-enabled)...\n\n", o.SF)
+	stock, bee, err := harness.BuildTPCHPair(o)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bee, err := tpch.NewDatabase(engine.Config{Routines: core.AllRoutines}, sf)
+	times, err := harness.RunTPCHRuntime(stock, bee, o, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	queries := tpch.Queries()
-	picks := []int{1, 3, 6, 14} // pricing summary, shipping priority, revenue change, promo effect
+	instrs, err := harness.RunTPCHInstructions(stock, bee, o)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%-4s %12s %12s %9s %16s %16s %9s\n",
 		"qry", "stock ms", "bee ms", "time Δ", "stock instrs", "bee instrs", "instr Δ")
-	for _, qn := range picks {
-		q := queries[qn]
-		// Warm both, then measure the better of three interleaved runs.
-		stockMs, beeMs := 1e18, 1e18
-		for r := 0; r < 3; r++ {
-			stockMs = min(stockMs, timeQuery(stock, q))
-			beeMs = min(beeMs, timeQuery(bee, q))
-		}
-		sp, bp := &profile.Counters{}, &profile.Counters{}
-		if _, err := stock.QueryProfiled(q, sp); err != nil {
-			log.Fatal(err)
-		}
-		if _, err := bee.QueryProfiled(q, bp); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("q%-3d %12.2f %12.2f %8.1f%% %16d %16d %8.1f%%\n",
-			qn, stockMs, beeMs, 100*(stockMs-beeMs)/stockMs,
-			sp.Total(), bp.Total(),
-			100*float64(sp.Total()-bp.Total())/float64(sp.Total()))
+	for i, t := range times.Results {
+		in := instrs.Results[i]
+		fmt.Printf("q%-3d %12.2f %12.2f %8.1f%% %16.0f %16.0f %8.1f%%\n",
+			t.Query, t.Stock, t.Bee, t.Improvement, in.Stock, in.Bee, in.Improvement)
 	}
 
 	fmt.Printf("\nbee module after the run: %+v\n", bee.Module().Stats())
-}
-
-func timeQuery(db *engine.DB, q string) float64 {
-	start := time.Now()
-	if _, err := db.Query(q); err != nil {
-		log.Fatal(err)
-	}
-	return float64(time.Since(start).Microseconds()) / 1000
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

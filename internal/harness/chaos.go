@@ -282,7 +282,7 @@ func RunChaos(o ChaosOptions) (ChaosReport, error) {
 			// exercise the specialized path again.
 			db.Module().ClearQuarantine()
 			out := classify(err)
-			if err == nil && !resultsMatch(baselines[qn], res) {
+			if err == nil && engine.RuleClose.Diff(baselines[qn].Rows, res.Rows) != "" {
 				out = OutcomeMismatch
 			}
 			qr.Outcomes[out]++

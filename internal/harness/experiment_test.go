@@ -5,6 +5,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"microspec/internal/core"
+	"microspec/internal/engine"
+	"microspec/internal/expr"
+	"microspec/internal/tpcc"
+	"microspec/internal/types"
 )
 
 // TestEveryExperimentSmoke runs every entry of the experiment table with
@@ -72,27 +78,70 @@ func TestMainDispatch(t *testing.T) {
 // pays the warm-up.
 func TestTimePairedAlternatesOrder(t *testing.T) {
 	for _, c := range []struct {
-		sides int
+		sides []string
 		want  []int
 	}{
-		{2, []int{0, 1, 1, 0, 0, 1, 1, 0}},
-		{4, []int{0, 1, 2, 3, 1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2}},
+		{[]string{"a", "b"}, []int{0, 1, 1, 0, 0, 1, 1, 0}},
+		{[]string{"a", "b", "c", "d"}, []int{0, 1, 2, 3, 1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2}},
 	} {
 		var order []int
-		got, err := timePaired(c.sides, 4, func(side int) (float64, error) {
+		got, err := timePaired(c.sides, 4, engine.RuleExact, func(side int) (float64, []expr.Row, error) {
 			order = append(order, side)
-			return float64(10 * (side + 1)), nil
+			return float64(10 * (side + 1)), nil, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(order, c.want) {
-			t.Errorf("%d sides: measurement order = %v, want %v", c.sides, order, c.want)
+			t.Errorf("%d sides: measurement order = %v, want %v", len(c.sides), order, c.want)
 		}
 		for side, v := range got {
 			if v != float64(10*(side+1)) {
-				t.Errorf("%d sides: samples crossed sides: side %d got %v, want %d", c.sides, side, v, 10*(side+1))
+				t.Errorf("%d sides: samples crossed sides: side %d got %v, want %d", len(c.sides), side, v, 10*(side+1))
 			}
 		}
+	}
+}
+
+// TestTimePairedRefusesDisagreement gives one of three sides a wrong row
+// in one round and wants an error that names that side; rows that agree
+// under the rule (a DOUBLE off in its last bits, under RuleClose) pass.
+func TestTimePairedRefusesDisagreement(t *testing.T) {
+	sides := []string{"stock", "bee", "workers=2"}
+	row := func(v float64) []expr.Row { return []expr.Row{{types.NewInt64(1), types.NewFloat64(v)}} }
+	measure := func(wrong int) func(side int) (float64, []expr.Row, error) {
+		calls := 0
+		return func(side int) (float64, []expr.Row, error) {
+			calls++
+			if side == wrong && calls > 3 {
+				return 1, row(2.5), nil
+			}
+			return 1, row(1.5 + float64(side)*1e-15), nil
+		}
+	}
+	if _, err := timePaired(sides, 3, engine.RuleClose, measure(-1)); err != nil {
+		t.Fatalf("rows that agree under RuleClose: %v", err)
+	}
+	for wrong, name := range sides[1:] {
+		_, err := timePaired(sides, 3, engine.RuleClose, measure(wrong+1))
+		if err == nil || !strings.HasPrefix(err.Error(), name+" disagrees with stock in round 2") {
+			t.Errorf("a wrong row on %s: err = %v", name, err)
+		}
+	}
+}
+
+// TestTPCCPairRefusesDifferentWork draws once more from one side's
+// session stream, so from its first transaction that side runs other
+// inputs than the other, and wants the pair runner to refuse the run.
+func TestTPCCPairRefusesDifferentWork(t *testing.T) {
+	sides := [2]tpccSide{{"stock", core.Stock, false}, {"bee", core.AllRoutines, false}}
+	pair, err := newTPCCPair(sides, 1, 1, tpcc.DefaultMix, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair.sides[1].sessions[0].Exec.Rng.Intn(1000)
+	_, err = pair.run(40, 10)
+	if err == nil || !strings.Contains(err.Error(), "bee disagrees with stock") {
+		t.Fatalf("an extra draw on one side: err = %v", err)
 	}
 }

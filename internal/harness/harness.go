@@ -9,7 +9,6 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -18,9 +17,9 @@ import (
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/expr"
 	"microspec/internal/storage/disk"
 	"microspec/internal/tpch"
-	"microspec/internal/types"
 )
 
 // Options configures the TPC-H experiments.
@@ -164,27 +163,29 @@ func improvement(stock, bee float64) float64 {
 }
 
 // timeOnce measures one query execution: wall-clock time plus, for cold
-// runs, the simulated disk time of the pages read. A garbage collection
-// drains allocator debt before the timer starts so the previous
-// measurement's garbage is not charged to this one.
-func timeOnce(db *engine.DB, q string, cold bool) (float64, error) {
+// runs, the simulated disk time of the pages read. It returns the rows
+// too, for timePaired to compare. A garbage collection drains allocator
+// debt before the timer starts so the previous measurement's garbage is
+// not charged to this one.
+func timeOnce(db *engine.DB, q string, cold bool) (float64, []expr.Row, error) {
 	if cold {
 		if err := db.DropCaches(); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
 	runtime.GC()
 	db.Disk().ResetStats()
 	start := time.Now()
-	if _, err := db.Query(q); err != nil {
-		return 0, err
+	res, err := db.Query(q)
+	if err != nil {
+		return 0, nil, err
 	}
 	elapsed := time.Since(start)
 	if cold {
 		_, _, sim := db.Disk().Stats()
 		elapsed += sim
 	}
-	return float64(elapsed.Microseconds()) / 1000, nil
+	return float64(elapsed.Microseconds()) / 1000, res.Rows, nil
 }
 
 // aggregate applies the paper's protocol: with ≥3 samples the highest and
@@ -202,38 +203,51 @@ func aggregate(samples []float64) float64 {
 }
 
 // timeBoth measures one query on the stock and bee databases with the
-// runs interleaved, so scheduler noise hits both streams alike.
-func timeBoth(stock, bee *engine.DB, q string, runs int, cold bool) (float64, float64, error) {
+// runs interleaved, so scheduler noise hits both streams alike, and
+// requires their results to agree under rule.
+func timeBoth(stock, bee *engine.DB, q string, runs int, cold bool, rule engine.Rule) (float64, float64, error) {
 	dbs := [2]*engine.DB{stock, bee}
-	t, err := timePaired(len(dbs), runs, func(side int) (float64, error) { return timeOnce(dbs[side], q, cold) })
+	t, err := timePaired([]string{"stock", "bee"}, runs, rule, func(side int) (float64, []expr.Row, error) {
+		return timeOnce(dbs[side], q, cold)
+	})
 	if err != nil {
 		return 0, 0, err
 	}
 	return t[0], t[1], nil
 }
 
-// timePaired takes runs samples of each of sides configurations, one
-// round at a time, and aggregates each configuration's samples. Round r
-// starts at configuration r mod sides and goes round from there: whatever
-// a position in a round costs or saves (warm-up, the previous
-// configuration's garbage, frequency drift) lands on every configuration
-// equally often over sides rounds, not always on the same one.
-func timePaired(sides, runs int, measure func(side int) (float64, error)) ([]float64, error) {
+// timePaired takes runs samples of each of the named configurations (its
+// sides), one round at a time, and aggregates each side's samples. Round
+// r starts at side r mod len(sides) and goes round from there: whatever a
+// position in a round costs or saves (warm-up, the previous side's
+// garbage, frequency drift) lands on every side equally often over
+// len(sides) rounds, not always on the same one. measure also returns
+// what the side produced; after every round each side's rows must agree
+// with side 0's under rule, or the pair measured different work and
+// timePaired returns an error naming the side.
+func timePaired(sides []string, runs int, rule engine.Rule, measure func(side int) (float64, []expr.Row, error)) ([]float64, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	samples := make([][]float64, sides)
+	samples := make([][]float64, len(sides))
+	rows := make([][]expr.Row, len(sides))
 	for r := 0; r < runs; r++ {
-		for i := 0; i < sides; i++ {
-			side := (r + i) % sides
-			s, err := measure(side)
+		for i := range sides {
+			side := (r + i) % len(sides)
+			s, got, err := measure(side)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %w", sides[side], err)
 			}
 			samples[side] = append(samples[side], s)
+			rows[side] = got
+		}
+		for side := 1; side < len(sides); side++ {
+			if d := rule.Diff(rows[0], rows[side]); d != "" {
+				return nil, fmt.Errorf("%s disagrees with %s in round %d: %s", sides[side], sides[0], r+1, d)
+			}
 		}
 	}
-	out := make([]float64, sides)
+	out := make([]float64, len(sides))
 	for i := range samples {
 		out[i] = aggregate(samples[i])
 	}
@@ -252,46 +266,6 @@ func percentilesUS(lats []time.Duration, qs ...float64) []float64 {
 		out[i] = float64(lats[int(q*float64(len(lats)-1))]) / float64(time.Microsecond)
 	}
 	return out
-}
-
-// floatClose compares float results with a 1e-9 relative tolerance: a
-// parallel scan may sum partitions in another order than the serial pass
-// that computed the expectation, and the quarantine fallback re-runs
-// aggregates on the generic path.
-func floatClose(got, want float64) bool {
-	scale := math.Max(math.Abs(want), 1)
-	return math.Abs(got-want) <= 1e-9*scale
-}
-
-// datumsMatch compares two result cells, floats by floatClose.
-func datumsMatch(a, b types.Datum) bool {
-	if a.IsNull() != b.IsNull() {
-		return false
-	}
-	if a.IsNull() {
-		return true
-	}
-	if a.Kind() == types.KindFloat64 && b.Kind() == types.KindFloat64 {
-		return floatClose(b.Float64(), a.Float64())
-	}
-	return a.Compare(b) == 0
-}
-
-func resultsMatch(a, b *engine.Result) bool {
-	if len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	for i := range a.Rows {
-		if len(a.Rows[i]) != len(b.Rows[i]) {
-			return false
-		}
-		for j := range a.Rows[i] {
-			if !datumsMatch(a.Rows[i][j], b.Rows[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Format renders a series as the paper's bar-chart data in table form.

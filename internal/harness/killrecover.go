@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -272,7 +271,7 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 				rd.Err = fmt.Sprintf("q%d after recovery: %v", qn, err)
 				continue
 			}
-			if !resultsMatch(baselines[qn], res) {
+			if engine.RuleClose.Diff(baselines[qn].Rows, res.Rows) != "" {
 				rd.QueryMismatches++
 			}
 		}
@@ -292,7 +291,7 @@ func RunKillRecover(o KillRecoverOptions) (KillRecoverReport, error) {
 				switch {
 				case err1 != nil || err2 != nil:
 					rd.Err = fmt.Sprintf("range check after recovery: %v / %v", err1, err2)
-				case !resultsMatch(bounded, plain):
+				case engine.RuleClose.Diff(plain.Rows, bounded.Rows) != "":
 					rd.QueryMismatches++
 				}
 			}
@@ -352,36 +351,19 @@ func runKillRecoverTPCC(o KillRecoverOptions, fused bool) KillRecoverTPCC {
 			return fail("tpcc bees: %v", err)
 		}
 	}
-	for i := 0; i < o.TPCCTxns; i++ {
-		tt, err := drv.RunOne()
-		switch {
-		case err == nil:
-			res.Txns++
-			if tt == tpcc.TxnNewOrder {
-				res.NewOrders++
-			}
-		case errors.Is(err, tpcc.ErrRollback):
-			// business rollback, not counted
-		default:
-			return fail("tpcc txn %d: %v", i, err)
-		}
+	var tally sessionTally
+	if err := tally.run(drv, o.TPCCTxns); err != nil {
+		return fail("tpcc: %v", err)
 	}
 	// Mid-commit kill: keep issuing transactions until one fails on the
 	// armed kill point; anything acknowledged before that must survive.
 	db.WALWriter().CrashBeforeNextSync()
 	for i := 0; i < 100; i++ {
-		tt, err := drv.RunOne()
-		if err != nil {
-			if errors.Is(err, tpcc.ErrRollback) {
-				continue
-			}
+		if tally.run(drv, 1) != nil {
 			break // the kill landed; this transaction was not acknowledged
 		}
-		res.Txns++
-		if tt == tpcc.TxnNewOrder {
-			res.NewOrders++
-		}
 	}
+	res.Txns, res.NewOrders = int(tally.commits()), int(tally.committed[tpcc.TxnNewOrder])
 	db.SimulateCrash()
 
 	rdb, err := engine.Recover(durableConfig(o, dm.Crash(0)))

@@ -11,6 +11,7 @@ import (
 	"microspec/internal/client"
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/expr"
 )
 
 // This file is the adaptive-specialization experiment (E18): the advisor
@@ -90,25 +91,19 @@ func RunShift(o ServerOptions, w io.Writer) error {
 	// stock path every later execution is checked against.
 	db.SetAdvisorEnabled(true)
 	snap0 := db.MetricsSnapshot()
-	type agg struct {
-		count int64
-		sum   float64
-	}
-	expect := make(map[string]agg)
+	expect := make(map[string][]expr.Row)
 	for _, q := range append(append([]string{}, hotA...), hotB...) {
 		res, err := c.Query(q)
 		if err != nil || len(res.Rows) != 1 {
 			return fmt.Errorf("shift expectation %q: %v", q, err)
 		}
-		expect[q] = agg{res.Rows[0][0].Int64(), res.Rows[0][1].Float64()}
+		expect[q] = res.Rows
 	}
 
 	var mismatches int64
 	exec1 := func(q string) {
 		res, err := c.Query(q)
-		e := expect[q]
-		if err != nil || len(res.Rows) != 1 ||
-			res.Rows[0][0].Int64() != e.count || !floatClose(res.Rows[0][1].Float64(), e.sum) {
+		if err != nil || engine.RuleClose.Diff(expect[q], res.Rows) != "" {
 			mismatches++
 		}
 	}

@@ -1,16 +1,20 @@
 package harness
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/expr"
 	"microspec/internal/tpcc"
+	"microspec/internal/types"
 )
 
 // TPCCOptions configures the throughput experiment (E7).
@@ -85,57 +89,31 @@ func TPCCScenarios() []TPCCScenario {
 }
 
 // RunTPCC regenerates the §VI-C throughput comparison: for each scenario
-// the identical seeded transaction stream runs on a stock and a
-// bee-enabled database, alternating in small fixed-size slices; each
-// engine's accumulated time yields its transactions-per-minute figure.
+// one session runs the same seeded transaction stream on a stock and a
+// bee-enabled database, alternating in small fixed-size slices (the TPC-C
+// pair runner); each engine's accumulated time yields its
+// transactions-per-minute figure.
 func RunTPCC(o TPCCOptions) ([]TPCCScenario, error) {
-	cfg := tpcc.SmallConfig(o.Warehouses)
 	if o.Rounds < 1 {
 		o.Rounds = 1
 	}
+	sides := [2]tpccSide{{"stock", core.Stock, false}, {"bee", core.AllRoutines, false}}
 	scenarios := TPCCScenarios()
 	for i := range scenarios {
 		sc := &scenarios[i]
-		var drivers [2]*tpcc.Driver
-		var beeDB *engine.DB
-		for j, routines := range []core.RoutineSet{core.Stock, core.AllRoutines} {
-			db, err := tpcc.NewDatabase(engine.Config{Routines: routines}, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("harness: tpcc load: %w", err)
-			}
-			beeDB = db // the bee engine is the second and last
-			drivers[j], err = tpcc.NewDriver(db, cfg, sc.Mix, o.Seed, nil)
-			if err != nil {
-				return nil, err
-			}
+		pair, err := newTPCCPair(sides, o.Warehouses, 1, sc.Mix, o.Seed)
+		if err != nil {
+			return nil, err
 		}
-		// Fine-grained interleaving: alternate small slices between the
-		// two engines so scheduler noise hits both streams equally, and
-		// compare accumulated times over the whole run.
-		var total [2]time.Duration
-		slice := o.TxnsPerRound / 8
-		if slice < 1 {
-			slice = 1
+		runs, err := pair.run(o.TxnsPerRound*o.Rounds, o.TxnsPerRound/8)
+		if err != nil {
+			return nil, fmt.Errorf("harness: tpcc %s: %w", sc.Name, err)
 		}
-		executed := 0
-		runtime.GC()
-		for executed < o.TxnsPerRound*o.Rounds {
-			for j := range drivers {
-				st, err := drivers[j].RunN(slice)
-				if err != nil {
-					return nil, fmt.Errorf("harness: tpcc %s: %w", sc.Name, err)
-				}
-				total[j] += st.Elapsed
-			}
-			executed += slice
-		}
-		n := float64(executed)
-		sc.StockTPM = n / total[0].Minutes()
-		sc.BeeTPM = n / total[1].Minutes()
+		sc.StockTPM, sc.BeeTPM = runs[0].TPM, runs[1].TPM
 		if sc.StockTPM > 0 {
 			sc.Improvement = 100 * (sc.BeeTPM - sc.StockTPM) / sc.StockTPM
 		}
-		sc.BeeBenefits = FormatBeeBenefits(beeDB, 5)
+		sc.BeeBenefits = FormatBeeBenefits(pair.sides[1].db, 5)
 	}
 	return scenarios, nil
 }
@@ -150,4 +128,195 @@ func FormatTPCC(scenarios []TPCCScenario) string {
 			s.Name, s.StockTPM, s.BeeTPM, s.Improvement, s.PaperImprovement)
 	}
 	return b.String()
+}
+
+// TxnLatency is one transaction type's latency summary.
+type TxnLatency struct{ P50us, P95us float64 }
+
+// TPCCTxnMode is one side's measurements from the TPC-C pair runner.
+type TPCCTxnMode struct {
+	Mode      string  // the side's name: "stock" or "bee" (E7), "stmt" or "txn_bee" (E17)
+	TpmC      float64 // committed New-Order per minute
+	TPM       float64 // all committed transactions per minute
+	Committed int64
+	Conflicts int64 // first-updater-wins losses, each rerun with the same inputs
+	Fallbacks int64
+	ByType    map[string]TxnLatency
+}
+
+// tpccSide is one side of a TPC-C pair: a routine level, and whether
+// transactions run through transaction bees.
+type tpccSide struct {
+	name     string
+	routines core.RoutineSet
+	txnBees  bool
+}
+
+// tpccPair is the TPC-C pair runner E7 and E17 share. Each side has its
+// own database and the same seeded sessions, session i drawing from
+// seed+i; a first-updater-wins loss reruns the same transaction
+// (tpcc.Executor), so both sides run the same work however their sessions
+// interleave, and run checks that they did.
+type tpccPair struct {
+	warehouses int
+	sides      [2]*tpccPairSide
+}
+
+type tpccPairSide struct {
+	tpccSide
+	db       *engine.DB
+	sessions []*tpcc.Driver
+	tallies  []sessionTally
+	done     int // transactions each session ran
+	elapsed  time.Duration
+}
+
+// sessionTally is one session's per-type outcomes and latencies.
+type sessionTally struct {
+	committed, rolledBack [5]int64
+	lats                  [5][]time.Duration
+}
+
+// newTPCCPair loads a database for each side and gives it sessions
+// seeded terminals running mix.
+func newTPCCPair(sides [2]tpccSide, warehouses, sessions int, mix tpcc.Mix, seed int64) (*tpccPair, error) {
+	cfg := tpcc.SmallConfig(warehouses)
+	p := &tpccPair{warehouses: warehouses}
+	for i, side := range sides {
+		db, err := tpcc.NewDatabase(engine.Config{Routines: side.routines}, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("harness: tpcc load: %w", err)
+		}
+		s := &tpccPairSide{tpccSide: side, db: db, tallies: make([]sessionTally, sessions)}
+		for j := 0; j < sessions; j++ {
+			d, err := tpcc.NewDriver(db, cfg, mix, seed+int64(j), nil)
+			if err != nil {
+				return nil, err
+			}
+			if side.txnBees {
+				if err := d.Exec.EnableTxnBees(); err != nil {
+					return nil, err
+				}
+			}
+			s.sessions = append(s.sessions, d)
+		}
+		p.sides[i] = s
+	}
+	return p, nil
+}
+
+// run executes txns transactions on every session of both sides, in
+// slices of slice transactions that alternate which side goes first
+// (timePaired). After each slice both sides must agree on every session's
+// digest and per-type commit and rollback counts; at the end each
+// database must pass tpcc.Check.
+func (p *tpccPair) run(txns, slice int) ([2]TPCCTxnMode, error) {
+	slice = max(slice, 1)
+	names := []string{p.sides[0].name, p.sides[1].name}
+	runtime.GC()
+	// timePaired's trimmed means go unused: a rate divides all the
+	// transactions by all the time, which each side adds up itself.
+	_, err := timePaired(names, (txns+slice-1)/slice, engine.RuleExact, func(side int) (float64, []expr.Row, error) {
+		s := p.sides[side]
+		return s.slice(min(slice, txns-s.done))
+	})
+	var modes [2]TPCCTxnMode
+	if err != nil {
+		return modes, err
+	}
+	for i, s := range p.sides {
+		if err := tpcc.Check(s.db, p.warehouses); err != nil {
+			return modes, fmt.Errorf("%s: %w", s.name, err)
+		}
+		modes[i] = s.mode()
+	}
+	return modes, nil
+}
+
+// slice runs n transactions on each of the side's sessions at once and
+// adds the wall time to the side's total. Its rows are what the pair
+// compares: per session, its digest and its per-type commit and rollback
+// counts so far.
+func (s *tpccPairSide) slice(n int) (float64, []expr.Row, error) {
+	errs := make([]error, len(s.sessions))
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i, d := range s.sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.tallies[i].run(d, n)
+		}()
+	}
+	wg.Wait()
+	took := time.Since(start)
+	s.elapsed += took
+	s.done += n
+	if err := errors.Join(errs...); err != nil {
+		return 0, nil, err
+	}
+	rows := make([]expr.Row, len(s.sessions))
+	for i, d := range s.sessions {
+		tl := &s.tallies[i]
+		rows[i] = expr.Row{types.NewInt64(int64(d.Exec.Digest()))}
+		for t := range tl.committed {
+			rows[i] = append(rows[i], types.NewInt64(tl.committed[t]), types.NewInt64(tl.rolledBack[t]))
+		}
+	}
+	return float64(took.Microseconds()) / 1000, rows, nil
+}
+
+// mode sums the side's sessions up.
+func (s *tpccPairSide) mode() TPCCTxnMode {
+	m := TPCCTxnMode{Mode: s.name, ByType: map[string]TxnLatency{},
+		Fallbacks: s.db.MetricsSnapshot().Counters["txn_bee.fallbacks"]}
+	var lats [5][]time.Duration
+	var newOrders int64
+	for i, d := range s.sessions {
+		tl := &s.tallies[i]
+		m.Conflicts += d.Exec.Retries
+		m.Committed += tl.commits()
+		newOrders += tl.committed[tpcc.TxnNewOrder]
+		for t := range lats {
+			lats[t] = append(lats[t], tl.lats[t]...)
+		}
+	}
+	m.TPM = float64(m.Committed) / s.elapsed.Minutes()
+	m.TpmC = float64(newOrders) / s.elapsed.Minutes()
+	for t := tpcc.TxnType(0); t < 5; t++ {
+		if len(lats[t]) > 0 {
+			p := percentilesUS(lats[t], 0.50, 0.95)
+			m.ByType[t.String()] = TxnLatency{P50us: p[0], P95us: p[1]}
+		}
+	}
+	return m
+}
+
+// run runs n transactions of d's mix and tallies them. A transaction that
+// neither commits nor rolls back by the specification ends the run with
+// its error.
+func (tl *sessionTally) run(d *tpcc.Driver, n int) error {
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		t, err := d.RunOne()
+		tl.lats[t] = append(tl.lats[t], time.Since(start))
+		switch {
+		case err == nil:
+			tl.committed[t]++
+		case errors.Is(err, tpcc.ErrRollback):
+			tl.rolledBack[t]++
+		default:
+			return fmt.Errorf("%v: %w", t, err)
+		}
+	}
+	return nil
+}
+
+// commits is the session's committed transactions of every type.
+func (tl *sessionTally) commits() int64 {
+	var n int64
+	for _, c := range tl.committed {
+		n += c
+	}
+	return n
 }

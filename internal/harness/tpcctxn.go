@@ -1,27 +1,24 @@
 package harness
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"sync"
-	"time"
 
 	"microspec/internal/core"
-	"microspec/internal/engine"
 	"microspec/internal/tpcc"
-	"microspec/internal/txn"
 )
 
 // This file is the compiled-transactions experiment (E17): the five
 // TPC-C transactions at N concurrent sessions, statement-at-a-time vs
 // whole-transaction bees (engine.CompiledTxn), with per-type latency
-// percentiles and the tpmC headline. Both modes run the same per-session
-// seeds; after each run the TPC-C consistency invariants are asserted,
-// so a mode only posts a number if its database is still correct.
+// percentiles and the tpmC headline. The two modes are the sides of the
+// TPC-C pair runner (tpcc.go): they run the same seeded sessions in
+// alternating slices, the runner refuses a run in which they did not do
+// the same work, and each mode's database must pass the TPC-C consistency
+// conditions, so a mode only posts a number if its database is still
+// correct.
 
 // TPCCTxnOptions configures the compiled-transactions comparison.
 type TPCCTxnOptions struct {
@@ -57,20 +54,6 @@ var txnBeesExperiment = Experiment{
 	},
 }
 
-// TxnLatency is one transaction type's latency summary.
-type TxnLatency struct{ P50us, P95us float64 }
-
-// TPCCTxnMode is one execution mode's measurements.
-type TPCCTxnMode struct {
-	Mode      string  // "stmt" or "txn_bee"
-	TpmC      float64 // committed New-Order per minute
-	TPM       float64 // all committed transactions per minute
-	Committed int64
-	Conflicts int64
-	Fallbacks int64
-	ByType    map[string]TxnLatency
-}
-
 // TPCCTxnReport is both modes over the default mix (45/43/4/4/4).
 type TPCCTxnReport struct {
 	Stmt, TxnBee TPCCTxnMode
@@ -78,121 +61,19 @@ type TPCCTxnReport struct {
 	TpmCUplift float64
 }
 
-// sessionRun is one terminal's tally.
-type sessionRun struct {
-	committed, conflicts int64
-	byType               [5]int64
-	lats                 [5][]time.Duration
-}
-
-// runTPCCTxnMode loads a fresh database and drives it with o.Sessions
-// concurrent seeded terminals, all in one mode.
-func runTPCCTxnMode(o TPCCTxnOptions, useBees bool) (TPCCTxnMode, error) {
-	cfg := tpcc.SmallConfig(o.Warehouses)
-	db, err := tpcc.NewDatabase(engine.Config{Routines: core.AllRoutines}, cfg)
-	if err != nil {
-		return TPCCTxnMode{}, fmt.Errorf("harness: tpcc load: %w", err)
-	}
-	execs := make([]*tpcc.Executor, o.Sessions)
-	for i := range execs {
-		execs[i] = tpcc.NewExecutor(db, cfg, o.Seed+int64(i))
-		if useBees {
-			if err := execs[i].EnableTxnBees(); err != nil {
-				return TPCCTxnMode{}, err
-			}
-		}
-	}
-
-	mode := "stmt"
-	if useBees {
-		mode = "txn_bee"
-	}
-	runs := make([]sessionRun, o.Sessions)
-	var wg sync.WaitGroup
-	errCh := make(chan error, o.Sessions)
-	runtime.GC()
-	start := time.Now()
-	for i := range execs {
-		wg.Add(1)
-		go func(e *tpcc.Executor, r *sessionRun) {
-			defer wg.Done()
-			for n := 0; n < o.TxnsPerSession; n++ {
-				t := tpcc.DefaultMix.Pick(e.Rng)
-				t0 := time.Now()
-				var err error
-				for {
-					err = e.Run(t)
-					// A first-updater-wins loss is the client's cue to retry
-					// the transaction; the retry is part of this
-					// transaction's latency.
-					if err != nil && errors.Is(err, txn.ErrWriteConflict) {
-						r.conflicts++
-						continue
-					}
-					break
-				}
-				r.lats[t] = append(r.lats[t], time.Since(t0))
-				if errors.Is(err, tpcc.ErrRollback) {
-					continue
-				}
-				if err != nil {
-					errCh <- fmt.Errorf("harness: %s mode: %v: %w", mode, t, err)
-					return
-				}
-				r.committed++
-				r.byType[t]++
-			}
-		}(execs[i], &runs[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errCh:
-		return TPCCTxnMode{}, err
-	default:
-	}
-
-	if err := tpcc.Check(db, o.Warehouses); err != nil {
-		return TPCCTxnMode{}, fmt.Errorf("harness: %s mode: %w", mode, err)
-	}
-
-	m := TPCCTxnMode{Mode: mode, ByType: map[string]TxnLatency{},
-		Fallbacks: db.MetricsSnapshot().Counters["txn_bee.fallbacks"]}
-	var merged [5][]time.Duration
-	var newOrders int64
-	for i := range runs {
-		m.Committed += runs[i].committed
-		m.Conflicts += runs[i].conflicts
-		newOrders += runs[i].byType[tpcc.TxnNewOrder]
-		for t := 0; t < 5; t++ {
-			merged[t] = append(merged[t], runs[i].lats[t]...)
-		}
-	}
-	m.TPM = float64(m.Committed) / elapsed.Minutes()
-	m.TpmC = float64(newOrders) / elapsed.Minutes()
-	for t := tpcc.TxnType(0); t < 5; t++ {
-		if len(merged[t]) == 0 {
-			continue
-		}
-		p := percentilesUS(merged[t], 0.50, 0.95)
-		m.ByType[t.String()] = TxnLatency{P50us: p[0], P95us: p[1]}
-	}
-	return m, nil
-}
-
-// RunTPCCTxnBench runs both modes and assembles the report.
+// RunTPCCTxnBench runs both modes as the two sides of the TPC-C pair
+// runner and assembles the report.
 func RunTPCCTxnBench(o TPCCTxnOptions) (TPCCTxnReport, error) {
-	if o.Sessions < 1 {
-		o.Sessions = 1
+	sides := [2]tpccSide{{"stmt", core.AllRoutines, false}, {"txn_bee", core.AllRoutines, true}}
+	pair, err := newTPCCPair(sides, o.Warehouses, max(o.Sessions, 1), tpcc.DefaultMix, o.Seed)
+	if err != nil {
+		return TPCCTxnReport{}, err
 	}
-	var rep TPCCTxnReport
-	var err error
-	if rep.Stmt, err = runTPCCTxnMode(o, false); err != nil {
-		return rep, err
+	modes, err := pair.run(o.TxnsPerSession, o.TxnsPerSession/8)
+	if err != nil {
+		return TPCCTxnReport{}, fmt.Errorf("harness: txnbees: %w", err)
 	}
-	if rep.TxnBee, err = runTPCCTxnMode(o, true); err != nil {
-		return rep, err
-	}
+	rep := TPCCTxnReport{Stmt: modes[0], TxnBee: modes[1]}
 	if rep.Stmt.TpmC > 0 {
 		rep.TpmCUplift = rep.TxnBee.TpmC / rep.Stmt.TpmC
 	}

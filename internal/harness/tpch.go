@@ -9,6 +9,7 @@ import (
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/expr"
 	"microspec/internal/metrics"
 	"microspec/internal/profile"
 	"microspec/internal/tpch"
@@ -132,7 +133,7 @@ func RunTPCHRuntime(stock, bee *engine.DB, o Options, cold bool) (Series, error)
 	queries := tpch.Queries()
 	var results []QueryResult
 	for _, qn := range queriesOr22(o.Queries) {
-		st, bt, err := timeBoth(stock, bee, queries[qn], o.Runs, cold)
+		st, bt, err := timeBoth(stock, bee, queries[qn], o.Runs, cold, engine.RuleClose)
 		if err != nil {
 			return Series{}, fmt.Errorf("q%d: %w", qn, err)
 		}
@@ -142,7 +143,8 @@ func RunTPCHRuntime(stock, bee *engine.DB, o Options, cold bool) (Series, error)
 }
 
 // RunTPCHInstructions regenerates Figure 6: per-query reduction in
-// dynamic (abstract) instructions executed.
+// dynamic (abstract) instructions executed. A query whose two results
+// disagree is an error.
 func RunTPCHInstructions(stock, bee *engine.DB, o Options) (Series, error) {
 	if err := warmBoth(stock, bee); err != nil {
 		return Series{}, err
@@ -151,12 +153,17 @@ func RunTPCHInstructions(stock, bee *engine.DB, o Options) (Series, error) {
 	var results []QueryResult
 	for _, qn := range queriesOr22(o.Queries) {
 		sp := &profile.Counters{}
-		if _, err := stock.QueryProfiled(queries[qn], sp); err != nil {
+		want, err := stock.QueryProfiled(queries[qn], sp)
+		if err != nil {
 			return Series{}, fmt.Errorf("q%d stock: %w", qn, err)
 		}
 		bp := &profile.Counters{}
-		if _, err := bee.QueryProfiled(queries[qn], bp); err != nil {
+		got, err := bee.QueryProfiled(queries[qn], bp)
+		if err != nil {
 			return Series{}, fmt.Errorf("q%d bee: %w", qn, err)
+		}
+		if d := engine.RuleClose.Diff(want.Rows, got.Rows); d != "" {
+			return Series{}, fmt.Errorf("q%d: bee disagrees with stock: %s", qn, d)
 		}
 		st, bt := float64(sp.Total()), float64(bp.Total())
 		results = append(results, QueryResult{Query: qn, Stock: st, Bee: bt})
@@ -187,22 +194,27 @@ func AblationSteps() []AblationStep {
 // successively more bee routines enabled on the same bee database. For
 // each query, the stock baseline and every routine level are measured in
 // rounds (timePaired) whose first configuration rotates, so machine noise
-// and position in a round hit all configurations alike.
+// and position in a round hit all configurations alike, and every level's
+// result must agree with stock's.
 func RunAblation(stock, bee *engine.DB, o Options) ([]Series, error) {
 	if err := warmBoth(stock, bee); err != nil {
 		return nil, err
 	}
 	queries := tpch.Queries()
 	steps := AblationSteps()
+	sides := []string{"stock"}
+	for _, step := range steps {
+		sides = append(sides, step.Label)
+	}
 	// times[qn][0] is the stock baseline, times[qn][1+i] step i.
 	times := map[int][]float64{}
 	for _, qn := range queriesOr22(o.Queries) {
-		t, err := timePaired(1+len(steps), o.Runs, func(side int) (float64, error) {
+		t, err := timePaired(sides, o.Runs, engine.RuleClose, func(side int) (float64, []expr.Row, error) {
 			if side == 0 {
 				return timeOnce(stock, queries[qn], false)
 			}
 			if err := bee.SetRoutines(steps[side-1].Routines); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			return timeOnce(bee, queries[qn], false)
 		})
@@ -226,22 +238,6 @@ func RunAblation(stock, bee *engine.DB, o Options) ([]Series, error) {
 	return out, nil
 }
 
-// timeQuery measures one query on one database (uncontrasted callers).
-func timeQuery(db *engine.DB, q string, runs int, cold bool) (float64, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	samples := make([]float64, 0, runs)
-	for r := 0; r < runs; r++ {
-		s, err := timeOnce(db, q, cold)
-		if err != nil {
-			return 0, err
-		}
-		samples = append(samples, s)
-	}
-	return aggregate(samples), nil
-}
-
 // ScalingResult is one query's warm-cache run time at each worker degree.
 type ScalingResult struct {
 	Query int
@@ -256,9 +252,11 @@ type Scaling struct {
 }
 
 // RunScaling measures intra-query parallelism: each query is timed warm
-// on db at every worker degree 1..maxWorkers. The database's original
-// worker degree is restored afterwards. See EXPERIMENTS.md §"Parallel
-// scaling" for the recipe and reference numbers.
+// on db at every worker degree 1..maxWorkers, the degrees being the sides
+// of one timePaired, so they rotate through the rounds and their results
+// must agree. The database's original worker degree is restored
+// afterwards. See EXPERIMENTS.md §"Parallel scaling" for the recipe and
+// reference numbers.
 func RunScaling(db *engine.DB, o Options, maxWorkers int) (Scaling, error) {
 	if maxWorkers < 1 {
 		maxWorkers = 1
@@ -270,20 +268,20 @@ func RunScaling(db *engine.DB, o Options, maxWorkers int) (Scaling, error) {
 	defer db.SetWorkers(prev)
 	queries := tpch.Queries()
 	var sc Scaling
+	var sides []string
 	for w := 1; w <= maxWorkers; w++ {
 		sc.Workers = append(sc.Workers, w)
+		sides = append(sides, fmt.Sprintf("workers=%d", w))
 	}
 	for _, qn := range queriesOr22(o.Queries) {
-		r := ScalingResult{Query: qn}
-		for _, w := range sc.Workers {
-			db.SetWorkers(w)
-			ms, err := timeQuery(db, queries[qn], o.Runs, false)
-			if err != nil {
-				return Scaling{}, fmt.Errorf("q%d workers=%d: %w", qn, w, err)
-			}
-			r.MS = append(r.MS, ms)
+		ms, err := timePaired(sides, o.Runs, engine.RuleClose, func(side int) (float64, []expr.Row, error) {
+			db.SetWorkers(sc.Workers[side])
+			return timeOnce(db, queries[qn], false)
+		})
+		if err != nil {
+			return Scaling{}, fmt.Errorf("q%d: %w", qn, err)
 		}
-		sc.Results = append(sc.Results, r)
+		sc.Results = append(sc.Results, ScalingResult{Query: qn, MS: ms})
 	}
 	return sc, nil
 }

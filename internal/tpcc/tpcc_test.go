@@ -4,9 +4,13 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"microspec/internal/core"
 	"microspec/internal/engine"
+	"microspec/internal/expr"
+	"microspec/internal/storage/heap"
+	"microspec/internal/types"
 )
 
 func smallDB(t testing.TB, rs core.RoutineSet) *engine.DB {
@@ -324,5 +328,65 @@ func TestIdenticalSeedsIdenticalStreams(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("streams diverged: %v vs %v", counts[0], counts[1])
+	}
+}
+
+// TestConflictRetryReplaysInputs makes a New-Order lose a
+// first-updater-wins race — a concurrent transaction stamps every district
+// row first and commits while the executor retries — and requires the
+// retry to run the inputs it drew: the executor's digest and its next
+// random draw equal those of a same-seed executor that never conflicted.
+func TestConflictRetryReplaysInputs(t *testing.T) {
+	for _, fused := range []bool{false, true} {
+		ref := NewExecutor(smallDB(t, core.AllRoutines), SmallConfig(1), 3)
+		db := smallDB(t, core.AllRoutines)
+		ex := NewExecutor(db, SmallConfig(1), 3)
+		if fused {
+			if err := ex.EnableTxnBees(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ref.NewOrder(); err != nil {
+			t.Fatal(err)
+		}
+
+		tx := db.Begin(nil)
+		var rows []expr.Row
+		var tids []heap.TID
+		err := tx.ScanIndexPrefix("district_pkey", []types.Datum{i32d(1)}, func(row expr.Row, tid heap.TID) bool {
+			rows, tids = append(rows, append(expr.Row(nil), row...)), append(tids, tid)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			if err := tx.UpdateRow("district", tids[i], rows[i], rows[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan error, 1)
+		go func() { done <- ex.NewOrder() }()
+		for deadline := time.Now().Add(10 * time.Second); db.MetricsSnapshot().Counters["txn.conflicts"] == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("the New-Order never lost the race")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("fused=%v: %v", fused, err)
+		}
+		if ex.Retries == 0 {
+			t.Errorf("fused=%v: no retry counted", fused)
+		}
+		if ex.Digest() != ref.Digest() {
+			t.Errorf("fused=%v: digest %x after the retry, %x without a conflict", fused, ex.Digest(), ref.Digest())
+		}
+		if got, want := ex.Rng.Int63(), ref.Rng.Int63(); got != want {
+			t.Errorf("fused=%v: next draw %d after the retry, %d without a conflict", fused, got, want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"microspec/internal/expr"
 	"microspec/internal/profile"
 	"microspec/internal/storage/heap"
+	"microspec/internal/txn"
 	"microspec/internal/types"
 )
 
@@ -63,14 +64,25 @@ const (
 // transaction bee (one latch plan, pre-resolved handles; see
 // engine/txnbee.go and txnbees.go in this package). The two runs are
 // equivalent by construction, and because the parameters are fixed before
-// execution, a bee that panics mid-transaction is quarantined and the very
-// same transaction is retried stepwise with identical inputs and results
-// (engine.CompiledTxn.Run, which counts it in txn_bee.fallbacks).
+// execution, a retry runs the very same transaction: a bee that panics
+// mid-transaction is quarantined and the transaction reruns stepwise
+// (engine.CompiledTxn.Run, which counts it in txn_bee.fallbacks), and one
+// that loses a first-updater-wins race reruns as it was (dispatch, counted
+// in Retries). So a seed fixes what an executor runs, however its
+// transactions interleave with other terminals'; Digest sums it up.
 type Executor struct {
 	DB   *engine.DB
 	Cfg  Config
 	Rng  *rand.Rand
 	Prof *profile.Counters
+
+	// Retries counts the transactions dispatch reran after a
+	// first-updater-wins loss.
+	Retries int64
+
+	// digest hashes every transaction run so far: the values its inputs
+	// were drawn as (intn, nuRand), its type and how it ended.
+	digest digest
 
 	// bees are the compiled whole-transaction bees transactions run
 	// through, once EnableTxnBees compiled them.
@@ -96,7 +108,23 @@ func (e *Executor) randLastNum() int {
 	if e.Cfg.CustomersPerDist-1 < hi {
 		hi = e.Cfg.CustomersPerDist - 1
 	}
-	return nuRand(e.Rng, 255, 0, hi)
+	return e.nuRand(255, 0, hi)
+}
+
+// intn draws an input in [0, n) from the executor's stream and folds it
+// into the digest.
+func (e *Executor) intn(n int) int {
+	v := e.Rng.Intn(n)
+	e.digest = e.digest.word(uint64(v))
+	return v
+}
+
+// nuRand draws a non-uniform input (the specification's NURand) from the
+// executor's stream and folds it into the digest.
+func (e *Executor) nuRand(a, x, y int) int {
+	v := nuRand(e.Rng, a, x, y)
+	e.digest = e.digest.word(uint64(v))
+	return v
 }
 
 // ErrRollback marks the intentional 1% New-Order abort.
@@ -110,12 +138,49 @@ var errNoCustomer = errors.New("tpcc: no customer with that last name")
 // enabled — stepwise after all, the same transaction, when the bee is out
 // of service — and stepwise otherwise. Either way an error from the body
 // rolls back, and a commit that did not become durable is an error too.
+// A body that lost a first-updater-wins race runs again with the same
+// inputs, as often as it loses.
 func (e *Executor) dispatch(t TxnType, body func(tx *engine.Txn) error) error {
-	if ct := e.bees[t]; ct != nil {
-		return ct.Run(e.Prof, body)
+	for {
+		var err error
+		if ct := e.bees[t]; ct != nil {
+			err = ct.Run(e.Prof, body)
+		} else {
+			err = e.DB.RunTxn(e.Prof, body)
+		}
+		if !errors.Is(err, txn.ErrWriteConflict) {
+			e.digest = e.digest.word(uint64(t)).word(outcome(err))
+			return err
+		}
+		e.Retries++
 	}
-	return e.DB.RunTxn(e.Prof, body)
 }
+
+// Digest returns the executor's running hash of the transactions it ran:
+// each one's inputs, type and outcome (committed, rolled back by the
+// specification, no customer by that name, or failed). Two executors
+// with the same seed and mix have equal digests after the same number of
+// transactions.
+func (e *Executor) Digest() uint64 { return uint64(e.digest) }
+
+// outcome numbers how a transaction ended, for the digest.
+func outcome(err error) uint64 {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, ErrRollback):
+		return 1
+	case errors.Is(err, errNoCustomer):
+		return 2
+	}
+	return 3
+}
+
+// digest is a 64-bit FNV-1a hash taken a word at a time.
+type digest uint64
+
+// word returns the hash with v folded in.
+func (d digest) word(v uint64) digest { return (d ^ digest(v)) * 1099511628211 }
 
 // --- New-Order ---
 
@@ -129,16 +194,16 @@ type noParams struct {
 
 func (e *Executor) newOrderParams() noParams {
 	p := noParams{
-		w: int32(1 + e.Rng.Intn(e.Cfg.Warehouses)),
-		d: int32(1 + e.Rng.Intn(e.Cfg.DistrictsPerWH)),
-		c: int32(nuRand(e.Rng, 1023, 1, e.Cfg.CustomersPerDist)),
+		w: int32(1 + e.intn(e.Cfg.Warehouses)),
+		d: int32(1 + e.intn(e.Cfg.DistrictsPerWH)),
+		c: int32(e.nuRand(1023, 1, e.Cfg.CustomersPerDist)),
 	}
-	n := 5 + e.Rng.Intn(11)
-	p.abort = e.Rng.Intn(100) == 0
+	n := 5 + e.intn(11)
+	p.abort = e.intn(100) == 0
 	p.lines = make([]noLine, n)
 	for i := range p.lines {
-		p.lines[i].item = int32(nuRand(e.Rng, 8191, 1, e.Cfg.Items))
-		p.lines[i].qty = int32(1 + e.Rng.Intn(10))
+		p.lines[i].item = int32(e.nuRand(8191, 1, e.Cfg.Items))
+		p.lines[i].qty = int32(1 + e.intn(10))
 	}
 	return p
 }
@@ -243,15 +308,15 @@ type payParams struct {
 
 func (e *Executor) paymentParams() payParams {
 	p := payParams{
-		w:      int32(1 + e.Rng.Intn(e.Cfg.Warehouses)),
-		d:      int32(1 + e.Rng.Intn(e.Cfg.DistrictsPerWH)),
-		amount: 1 + float64(e.Rng.Intn(499900))/100,
+		w:      int32(1 + e.intn(e.Cfg.Warehouses)),
+		d:      int32(1 + e.intn(e.Cfg.DistrictsPerWH)),
+		amount: 1 + float64(e.intn(499900))/100,
 	}
-	p.byName = e.Rng.Intn(100) < 60
+	p.byName = e.intn(100) < 60
 	if p.byName {
 		p.last = LastName(e.randLastNum())
 	} else {
-		p.c = int32(nuRand(e.Rng, 1023, 1, e.Cfg.CustomersPerDist))
+		p.c = int32(e.nuRand(1023, 1, e.Cfg.CustomersPerDist))
 	}
 	return p
 }
@@ -352,14 +417,14 @@ type osParams struct {
 
 func (e *Executor) orderStatusParams() osParams {
 	p := osParams{
-		w: int32(1 + e.Rng.Intn(e.Cfg.Warehouses)),
-		d: int32(1 + e.Rng.Intn(e.Cfg.DistrictsPerWH)),
+		w: int32(1 + e.intn(e.Cfg.Warehouses)),
+		d: int32(1 + e.intn(e.Cfg.DistrictsPerWH)),
 	}
-	p.byName = e.Rng.Intn(100) < 60
+	p.byName = e.intn(100) < 60
 	if p.byName {
 		p.last = LastName(e.randLastNum())
 	} else {
-		p.c = int32(nuRand(e.Rng, 1023, 1, e.Cfg.CustomersPerDist))
+		p.c = int32(e.nuRand(1023, 1, e.Cfg.CustomersPerDist))
 	}
 	return p
 }
@@ -419,8 +484,8 @@ type delParams struct {
 
 func (e *Executor) deliveryParams() delParams {
 	return delParams{
-		w:       int32(1 + e.Rng.Intn(e.Cfg.Warehouses)),
-		carrier: int32(1 + e.Rng.Intn(10)),
+		w:       int32(1 + e.intn(e.Cfg.Warehouses)),
+		carrier: int32(1 + e.intn(10)),
 	}
 }
 
@@ -507,9 +572,9 @@ type slParams struct {
 
 func (e *Executor) stockLevelParams() slParams {
 	return slParams{
-		w:         int32(1 + e.Rng.Intn(e.Cfg.Warehouses)),
-		d:         int32(1 + e.Rng.Intn(e.Cfg.DistrictsPerWH)),
-		threshold: int32(10 + e.Rng.Intn(11)),
+		w:         int32(1 + e.intn(e.Cfg.Warehouses)),
+		d:         int32(1 + e.intn(e.Cfg.DistrictsPerWH)),
+		threshold: int32(10 + e.intn(11)),
 	}
 }
 

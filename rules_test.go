@@ -327,6 +327,10 @@ func rules() []rule {
 
 		{"onematrix", "ident", testOnly, stmts, `^(assertSameResult|datumApproxEqual|sameBits|loadPair|colDBs)$`, ``, 0, comparer},
 		{"onematrix", "ident", testOnly, stmts, `^sameRows$`, `^internal/engine/equiv_test\.go:`, 0, comparer},
+		{"onematrix", "ident decl", anyFile, ``, `^(resultsMatch|datumsMatch|floatClose|timeQuery|runTPCCTxnMode)$`, ``, 0,
+			"a deleted second comparer, unpaired timer or TPC-C mode loop is back; time through timePaired, compare through engine.Rule, run TPC-C pairs through the pair runner"},
+		{"onematrix", "call", nonTest, `^internal/harness/`, `^tpcc\.New(Driver|Executor)\(|\.(RunOne|RunN)\(|\.Run\(t\w*\)$`, `^internal/harness/(tpcc\.go|chaos\.go:runChaosTPCC|killrecover\.go:runKillRecoverTPCC):`, 0,
+			"the harness drives TPC-C outside the pair runner (tpcc.go), chaos and kill-recover; run a comparison as a tpccPair"},
 		{"onematrix", "call", testOnly, stmts, `^\[\]core\.RoutineSet\{`, `^internal/engine/equiv_test\.go:|^(` + strings.Join(loops, "|") + `):`, 0,
 			"a loop over routine levels outside the equivalence driver; make it a corpus entry, or add it to levelLoops with its reason"},
 
