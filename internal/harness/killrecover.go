@@ -351,19 +351,19 @@ func runKillRecoverTPCC(o KillRecoverOptions, fused bool) KillRecoverTPCC {
 			return fail("tpcc bees: %v", err)
 		}
 	}
-	var tally sessionTally
-	if err := tally.run(drv, o.TPCCTxns); err != nil {
+	ss := &tpccSession{Driver: drv}
+	if err := ss.run(o.TPCCTxns); err != nil {
 		return fail("tpcc: %v", err)
 	}
 	// Mid-commit kill: keep issuing transactions until one fails on the
 	// armed kill point; anything acknowledged before that must survive.
 	db.WALWriter().CrashBeforeNextSync()
 	for i := 0; i < 100; i++ {
-		if tally.run(drv, 1) != nil {
+		if ss.run(1) != nil {
 			break // the kill landed; this transaction was not acknowledged
 		}
 	}
-	res.Txns, res.NewOrders = int(tally.commits()), int(tally.committed[tpcc.TxnNewOrder])
+	res.Txns, res.NewOrders = int(ss.commits()), int(ss.committed[tpcc.TxnNewOrder])
 	db.SimulateCrash()
 
 	rdb, err := engine.Recover(durableConfig(o, dm.Crash(0)))

@@ -165,14 +165,15 @@ type tpccPair struct {
 type tpccPairSide struct {
 	tpccSide
 	db       *engine.DB
-	sessions []*tpcc.Driver
-	tallies  []sessionTally
+	sessions []*tpccSession
 	done     int // transactions each session ran
 	elapsed  time.Duration
 }
 
-// sessionTally is one session's per-type outcomes and latencies.
-type sessionTally struct {
+// tpccSession is one seeded terminal and its per-type outcomes and
+// latencies.
+type tpccSession struct {
+	*tpcc.Driver
 	committed, rolledBack [5]int64
 	lats                  [5][]time.Duration
 }
@@ -187,7 +188,7 @@ func newTPCCPair(sides [2]tpccSide, warehouses, sessions int, mix tpcc.Mix, seed
 		if err != nil {
 			return nil, fmt.Errorf("harness: tpcc load: %w", err)
 		}
-		s := &tpccPairSide{tpccSide: side, db: db, tallies: make([]sessionTally, sessions)}
+		s := &tpccPairSide{tpccSide: side, db: db}
 		for j := 0; j < sessions; j++ {
 			d, err := tpcc.NewDriver(db, cfg, mix, seed+int64(j), nil)
 			if err != nil {
@@ -198,7 +199,7 @@ func newTPCCPair(sides [2]tpccSide, warehouses, sessions int, mix tpcc.Mix, seed
 					return nil, err
 				}
 			}
-			s.sessions = append(s.sessions, d)
+			s.sessions = append(s.sessions, &tpccSession{Driver: d})
 		}
 		p.sides[i] = s
 	}
@@ -241,11 +242,11 @@ func (s *tpccPairSide) slice(n int) (float64, []expr.Row, error) {
 	errs := make([]error, len(s.sessions))
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i, d := range s.sessions {
+	for i, ss := range s.sessions {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = s.tallies[i].run(d, n)
+			errs[i] = ss.run(n)
 		}()
 	}
 	wg.Wait()
@@ -256,11 +257,10 @@ func (s *tpccPairSide) slice(n int) (float64, []expr.Row, error) {
 		return 0, nil, err
 	}
 	rows := make([]expr.Row, len(s.sessions))
-	for i, d := range s.sessions {
-		tl := &s.tallies[i]
-		rows[i] = expr.Row{types.NewInt64(int64(d.Exec.Digest()))}
-		for t := range tl.committed {
-			rows[i] = append(rows[i], types.NewInt64(tl.committed[t]), types.NewInt64(tl.rolledBack[t]))
+	for i, ss := range s.sessions {
+		rows[i] = expr.Row{types.NewInt64(int64(ss.Exec.Digest()))}
+		for t := range ss.committed {
+			rows[i] = append(rows[i], types.NewInt64(ss.committed[t]), types.NewInt64(ss.rolledBack[t]))
 		}
 	}
 	return float64(took.Microseconds()) / 1000, rows, nil
@@ -272,13 +272,12 @@ func (s *tpccPairSide) mode() TPCCTxnMode {
 		Fallbacks: s.db.MetricsSnapshot().Counters["txn_bee.fallbacks"]}
 	var lats [5][]time.Duration
 	var newOrders int64
-	for i, d := range s.sessions {
-		tl := &s.tallies[i]
-		m.Conflicts += d.Exec.Retries
-		m.Committed += tl.commits()
-		newOrders += tl.committed[tpcc.TxnNewOrder]
+	for _, ss := range s.sessions {
+		m.Conflicts += ss.Exec.Retries
+		m.Committed += ss.commits()
+		newOrders += ss.committed[tpcc.TxnNewOrder]
 		for t := range lats {
-			lats[t] = append(lats[t], tl.lats[t]...)
+			lats[t] = append(lats[t], ss.lats[t]...)
 		}
 	}
 	m.TPM = float64(m.Committed) / s.elapsed.Minutes()
@@ -292,19 +291,19 @@ func (s *tpccPairSide) mode() TPCCTxnMode {
 	return m
 }
 
-// run runs n transactions of d's mix and tallies them. A transaction that
-// neither commits nor rolls back by the specification ends the run with
-// its error.
-func (tl *sessionTally) run(d *tpcc.Driver, n int) error {
+// run runs n transactions of the session's mix and tallies them. A
+// transaction that neither commits nor rolls back by the specification
+// ends the run with its error.
+func (ss *tpccSession) run(n int) error {
 	for i := 0; i < n; i++ {
 		start := time.Now()
-		t, err := d.RunOne()
-		tl.lats[t] = append(tl.lats[t], time.Since(start))
+		t, err := ss.RunOne()
+		ss.lats[t] = append(ss.lats[t], time.Since(start))
 		switch {
 		case err == nil:
-			tl.committed[t]++
+			ss.committed[t]++
 		case errors.Is(err, tpcc.ErrRollback):
-			tl.rolledBack[t]++
+			ss.rolledBack[t]++
 		default:
 			return fmt.Errorf("%v: %w", t, err)
 		}
@@ -313,9 +312,9 @@ func (tl *sessionTally) run(d *tpcc.Driver, n int) error {
 }
 
 // commits is the session's committed transactions of every type.
-func (tl *sessionTally) commits() int64 {
+func (ss *tpccSession) commits() int64 {
 	var n int64
-	for _, c := range tl.committed {
+	for _, c := range ss.committed {
 		n += c
 	}
 	return n
